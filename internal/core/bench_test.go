@@ -51,6 +51,41 @@ func BenchmarkPi(b *testing.B) {
 	_ = sink
 }
 
+// BenchmarkPiBytes is BenchmarkPi on the encoded labels: the same
+// pairs, walked in place by two cursors. The gap to BenchmarkPi is the
+// price of parsing bits up to the divergence; the allocation count must
+// print as zero.
+func BenchmarkPiBytes(b *testing.B) {
+	g, r, _ := benchSetup(b, 8192)
+	d, err := core.LabelRun(r, skeleton.TCL, core.RModeDesignated)
+	if err != nil {
+		b.Fatal(err)
+	}
+	codec := label.NewCodec(g)
+	live := r.Graph.LiveVertices()
+	rng := rand.New(rand.NewSource(1))
+	pairs := make([][2][]byte, 4096)
+	for i := range pairs {
+		pairs[i] = [2][]byte{
+			codec.Encode(d.MustLabel(live[rng.Intn(len(live))])),
+			codec.Encode(d.MustLabel(live[rng.Intn(len(live))])),
+		}
+	}
+	skel := d.Skeleton()
+	b.ReportAllocs()
+	b.ResetTimer()
+	sink := false
+	for i := 0; i < b.N; i++ {
+		p := pairs[i%len(pairs)]
+		ok, err := core.PiBytes(codec, skel, p[0], p[1])
+		if err != nil {
+			b.Fatal(err)
+		}
+		sink = sink != ok
+	}
+	_ = sink
+}
+
 // BenchmarkDerivationLabeling measures end-to-end derivation-based
 // labeling throughput (per run vertex).
 func BenchmarkDerivationLabeling(b *testing.B) {

@@ -77,6 +77,7 @@ func FuzzDecode(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0x00, 0x12})
+	f.Add(c.Encode(deepLabel(label.MaxEntries))) // the deepest label the count frame holds
 	f.Fuzz(func(t *testing.T, data []byte) {
 		l, err := c.Decode(data)
 		if err != nil {

@@ -1,0 +1,88 @@
+package label
+
+import "encoding/binary"
+
+// bitReader reads the MSB-first bit stream of an encoded label a word
+// at a time: the unread bits sit left-aligned in a 64-bit window
+// refilled with whole bytes — one 8-byte load while the input lasts,
+// single bytes over the tail — so reading a field is a shift. Past its
+// end the input reads as zero bytes; callers read a whole entry and
+// ask overrun once.
+type bitReader struct {
+	data []byte
+	pos  int    // next byte to load; past len(data) once zero bytes were supplied
+	win  uint64 // unread bits, left-aligned
+	n    uint   // unread bits in win; lower bits are zero or the stream's true next bits
+}
+
+// need makes the next k ≤ 57 bits available to take.
+func (r *bitReader) need(k uint) {
+	if r.n < k {
+		r.fill()
+	}
+}
+
+// take returns the next k ≤ 32 bits, which a need must have covered.
+func (r *bitReader) take(k uint) uint64 {
+	v := r.win >> (64 - k)
+	r.win <<= k
+	r.n -= k
+	return v
+}
+
+// fill tops the window up with as many whole bytes as fit, to at least
+// 57 bits. The 8-byte load also ORs in the bits of a byte that only
+// partly fits; they are the stream's true next bits, so loading them
+// again later changes nothing. Out of line so that need inlines.
+//
+//go:noinline
+func (r *bitReader) fill() {
+	if len(r.data)-r.pos >= 8 {
+		r.win |= binary.BigEndian.Uint64(r.data[r.pos:]) >> r.n
+		whole := (64 - r.n) >> 3
+		r.pos += int(whole)
+		r.n += whole << 3
+		return
+	}
+	for ; r.n <= 56; r.n += 8 {
+		if r.pos < len(r.data) {
+			r.win |= uint64(r.data[r.pos]) << (56 - r.n)
+		}
+		r.pos++
+	}
+}
+
+// overrun reports whether more bits have been read than data holds.
+func (r *bitReader) overrun() bool { return r.pos*8-int(r.n) > len(r.data)*8 }
+
+// bitWriter packs MSB-first fields into a buffer the caller sized from
+// the label's exact length, storing 32 bits at a time.
+type bitWriter struct {
+	buf []byte
+	pos int
+	acc uint64 // pending bits, left-aligned
+	n   uint   // pending bits in acc; below 32 between writes
+}
+
+// write appends the low k ≤ 32 bits of v.
+func (w *bitWriter) write(v uint64, k uint) {
+	w.acc |= v & (1<<k - 1) << (64 - w.n - k)
+	w.n += k
+	if w.n >= 32 {
+		binary.BigEndian.PutUint32(w.buf[w.pos:], uint32(w.acc>>32))
+		w.pos += 4
+		w.acc <<= 32
+		w.n -= 32
+	}
+}
+
+// finish stores the last partial word, zero-padded to a whole byte,
+// and returns the buffer.
+func (w *bitWriter) finish() []byte {
+	for ; w.n > 0; w.n -= min(w.n, 8) {
+		w.buf[w.pos] = byte(w.acc >> 56)
+		w.pos++
+		w.acc <<= 8
+	}
+	return w.buf
+}

@@ -1,13 +1,23 @@
 package label
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
-	"sort"
 
 	"wfreach/internal/graph"
 	"wfreach/internal/spec"
 )
+
+// MaxEntries is the deepest label the encoding holds: the entry count
+// is framed in 8 bits. Lemma 4.1 keeps linear-recursive grammars far
+// below it; nonlinear ones can get there, and the ingest pipeline
+// refuses such a label before encoding it.
+const MaxEntries = 255
+
+// ErrTruncated reports an encoding that ends inside an entry the
+// parser was asked for.
+var ErrTruncated = errors.New("label: truncated encoding")
 
 // Codec encodes labels into the canonical self-delimiting bit layout
 // and measures their length. The layout per entry is:
@@ -22,36 +32,30 @@ import (
 // log n_G + 1 + 1 bits) with explicit self-delimiting framing so that
 // encoded labels decode without any per-run metadata.
 type Codec struct {
-	ptrBits int
-	offsets []int // graph id -> first global vertex number
-	sizes   []int // graph id -> vertex count
-	total   int   // total spec vertices
+	ptrBits uint
+	offsets []int            // graph id -> first global vertex number
+	refs    []spec.VertexRef // global vertex number -> vertex
 }
 
 // NewCodec builds a codec for labels over the given grammar.
 func NewCodec(g *spec.Grammar) *Codec {
 	graphs := g.Spec().Graphs()
-	c := &Codec{ptrBits: g.PointerBits()}
-	for _, ng := range graphs {
-		c.offsets = append(c.offsets, c.total)
-		c.sizes = append(c.sizes, ng.G.NumVertices())
-		c.total += ng.G.NumVertices()
+	c := &Codec{ptrBits: uint(g.PointerBits())}
+	for id, ng := range graphs {
+		c.offsets = append(c.offsets, len(c.refs))
+		for v := 0; v < ng.G.NumVertices(); v++ {
+			c.refs = append(c.refs, spec.VertexRef{Graph: spec.GraphID(id), V: graph.VertexID(v)})
+		}
 	}
 	return c
 }
 
 // PointerBits returns the skeleton-pointer width in bits.
-func (c *Codec) PointerBits() int { return c.ptrBits }
+func (c *Codec) PointerBits() int { return int(c.ptrBits) }
 
 // global converts a VertexRef into its global vertex number.
 func (c *Codec) global(r spec.VertexRef) int {
 	return c.offsets[r.Graph] + int(r.V)
-}
-
-// unglobal converts a global vertex number back into a VertexRef.
-func (c *Codec) unglobal(n int) spec.VertexRef {
-	g := sort.Search(len(c.offsets), func(i int) bool { return c.offsets[i] > n }) - 1
-	return spec.VertexRef{Graph: spec.GraphID(g), V: graph.VertexID(n - c.offsets[g])}
 }
 
 // valueBits returns the bits needed for an index value (≥ 1). Note
@@ -64,10 +68,6 @@ func valueBits(v int32) int {
 	}
 	return bits.Len32(uint32(v))
 }
-
-// indexBits returns the self-delimiting wire cost of an index value: a
-// 5-bit width header plus the value bits.
-func indexBits(v int32) int { return 5 + valueBits(v) }
 
 // BitLen returns the label length in bits under the paper's accounting
 // (Algorithm 1 / Theorem 3): per entry, 2 type bits, the index's value
@@ -83,7 +83,7 @@ func (c *Codec) BitLen(l Label) int {
 	for _, e := range l.Entries {
 		bits += 2 + valueBits(e.Index)
 		if e.Type == N && !e.Skl.IsZero() {
-			bits += c.ptrBits
+			bits += int(c.ptrBits)
 		}
 		if prevR {
 			bits += 2
@@ -94,18 +94,46 @@ func (c *Codec) BitLen(l Label) int {
 }
 
 // EncodedBits returns the exact wire size of the label in bits,
-// including the self-delimiting framing of Encode.
-func (c *Codec) EncodedBits(l Label) int { return len(c.Encode(l)) * 8 }
+// including the self-delimiting framing of Encode and its padding to a
+// whole byte.
+func (c *Codec) EncodedBits(l Label) int { return c.encodedLen(l) * 8 }
 
-// Encode serializes a label into the canonical layout.
-func (c *Codec) Encode(l Label) []byte {
-	var w bitWriter
-	w.write(uint64(len(l.Entries)), 8) // entry count frame (≤ 255 levels)
+// encodedLen is the length pass: the exact size in bytes Encode
+// produces for l.
+func (c *Codec) encodedLen(l Label) int {
+	n := 8 // entry count frame
 	prevR := false
-	for _, e := range l.Entries {
-		w.write(uint64(e.Type), 2)
-		width := indexBits(e.Index) - 5
-		w.write(uint64(width), 5)
+	for i := range l.Entries {
+		e := &l.Entries[i]
+		n += 2 + 5 + valueBits(e.Index)
+		if e.Type == N {
+			n += int(c.ptrBits)
+		}
+		if prevR {
+			n++
+			if e.HasRec {
+				n += 2
+			}
+		}
+		prevR = e.Type == R
+	}
+	return (n + 7) / 8
+}
+
+// Encode serializes a label into the canonical layout, in one
+// allocation of exactly the encoded length. A label deeper than
+// MaxEntries or an N entry without skeleton pointer is a caller bug.
+func (c *Codec) Encode(l Label) []byte {
+	if len(l.Entries) > MaxEntries {
+		panic(fmt.Sprintf("label: %d entries exceed the %d the count frame holds", len(l.Entries), MaxEntries))
+	}
+	w := bitWriter{buf: make([]byte, c.encodedLen(l))}
+	w.write(uint64(len(l.Entries)), 8)
+	prevR := false
+	for i := range l.Entries {
+		e := &l.Entries[i]
+		width := uint(valueBits(e.Index))
+		w.write(uint64(e.Type)<<5|uint64(width), 7)
 		w.write(uint64(e.Index), width)
 		if e.Type == N {
 			if e.Skl.IsZero() {
@@ -115,72 +143,14 @@ func (c *Codec) Encode(l Label) []byte {
 		}
 		if prevR {
 			if e.HasRec {
-				w.write(1, 1)
-				w.write(b2u(e.Rec1), 1)
-				w.write(b2u(e.Rec2), 1)
+				w.write(4|b2u(e.Rec1)<<1|b2u(e.Rec2), 3)
 			} else {
 				w.write(0, 1)
 			}
 		}
 		prevR = e.Type == R
 	}
-	return w.bytes()
-}
-
-// Decode parses an encoded label.
-func (c *Codec) Decode(data []byte) (Label, error) {
-	r := bitReader{data: data}
-	n, err := r.read(8)
-	if err != nil {
-		return Label{}, err
-	}
-	entries := make([]Entry, 0, n)
-	prevR := false
-	for i := uint64(0); i < n; i++ {
-		t, err := r.read(2)
-		if err != nil {
-			return Label{}, err
-		}
-		width, err := r.read(5)
-		if err != nil {
-			return Label{}, err
-		}
-		idx, err := r.read(int(width))
-		if err != nil {
-			return Label{}, err
-		}
-		e := Entry{Index: int32(idx), Type: NodeType(t), Skl: spec.NoRef}
-		if e.Type == N {
-			g, err := r.read(c.ptrBits)
-			if err != nil {
-				return Label{}, err
-			}
-			if int(g) >= c.total {
-				return Label{}, fmt.Errorf("label: skeleton pointer %d out of range", g)
-			}
-			e.Skl = c.unglobal(int(g))
-		}
-		if prevR {
-			has, err := r.read(1)
-			if err != nil {
-				return Label{}, err
-			}
-			if has == 1 {
-				r1, err := r.read(1)
-				if err != nil {
-					return Label{}, err
-				}
-				r2, err := r.read(1)
-				if err != nil {
-					return Label{}, err
-				}
-				e.HasRec, e.Rec1, e.Rec2 = true, r1 == 1, r2 == 1
-			}
-		}
-		prevR = e.Type == R
-		entries = append(entries, e)
-	}
-	return Label{Entries: entries}, nil
+	return w.finish()
 }
 
 func b2u(b bool) uint64 {
@@ -190,40 +160,82 @@ func b2u(b bool) uint64 {
 	return 0
 }
 
-type bitWriter struct {
-	buf  []byte
-	nbit uint
+// Cursor yields the entries of one encoded label in order, parsing
+// them in place: the bytes — heap or arena-mapped — are only read,
+// never copied. It is a value type (Reset makes one; the zero Cursor
+// is exhausted) and the format's one parser: Decode drains a cursor,
+// core.PiBytes steps two in lockstep and stops early.
+//
+// Validation covers exactly what was walked: Next fails on an entry
+// cut short or pointing outside the skeleton table, and says nothing
+// about bytes after the last entry asked for. Detecting damage to
+// stored bytes is the CRC, hash-chain and Merkle layers' job.
+type Cursor struct {
+	c     *Codec
+	r     bitReader
+	left  int  // entries not yet yielded
+	prevR bool // the last entry yielded was an R node
 }
 
-func (w *bitWriter) write(v uint64, bits int) {
-	for i := bits - 1; i >= 0; i-- {
-		if w.nbit%8 == 0 {
-			w.buf = append(w.buf, 0)
-		}
-		if v>>uint(i)&1 == 1 {
-			w.buf[len(w.buf)-1] |= 1 << (7 - w.nbit%8)
-		}
-		w.nbit++
+// Reset points the cursor at the start of an encoded label of codec c
+// and reads its entry count — in place, so a query's two cursors live
+// in its frame and are never copied.
+func (cu *Cursor) Reset(c *Codec, data []byte) error {
+	*cu = Cursor{c: c, r: bitReader{data: data}}
+	cu.r.need(8)
+	cu.left = int(cu.r.take(8))
+	if cu.r.overrun() {
+		cu.left = 0
+		return ErrTruncated
 	}
+	return nil
 }
 
-func (w *bitWriter) bytes() []byte { return w.buf }
+// Len returns the number of entries not yet yielded.
+func (cu *Cursor) Len() int { return cu.left }
 
-type bitReader struct {
-	data []byte
-	pos  uint
-}
-
-func (r *bitReader) read(bits int) (uint64, error) {
-	var v uint64
-	for i := 0; i < bits; i++ {
-		byteIdx := r.pos / 8
-		if int(byteIdx) >= len(r.data) {
-			return 0, fmt.Errorf("label: truncated encoding")
-		}
-		bit := r.data[byteIdx] >> (7 - r.pos%8) & 1
-		v = v<<1 | uint64(bit)
-		r.pos++
+// Next parses the next entry into e and reports whether there was one:
+// false with a nil error once every entry has been yielded. On an error
+// e is unspecified.
+func (cu *Cursor) Next(e *Entry) (bool, error) {
+	if cu.left == 0 {
+		return false, nil
 	}
-	return v, nil
+	r := &cu.r
+	r.need(7 + 31)
+	hdr := r.take(7) // 2 type bits, 5 index-width bits
+	*e = Entry{Index: int32(r.take(uint(hdr & 31))), Type: NodeType(hdr >> 5), Skl: spec.NoRef}
+	r.need(cu.c.ptrBits + 3)
+	if e.Type == N {
+		g := r.take(cu.c.ptrBits)
+		if g >= uint64(len(cu.c.refs)) {
+			return false, fmt.Errorf("label: skeleton pointer %d out of range", g)
+		}
+		e.Skl = cu.c.refs[g]
+	}
+	if cu.prevR && r.take(1) == 1 {
+		flags := r.take(2)
+		e.HasRec, e.Rec1, e.Rec2 = true, flags&2 != 0, flags&1 != 0
+	}
+	if r.overrun() {
+		return false, ErrTruncated
+	}
+	cu.prevR = e.Type == R
+	cu.left--
+	return true, nil
+}
+
+// Decode parses an encoded label.
+func (c *Codec) Decode(data []byte) (Label, error) {
+	var cu Cursor
+	if err := cu.Reset(c, data); err != nil {
+		return Label{}, err
+	}
+	entries := make([]Entry, cu.Len())
+	for i := range entries {
+		if _, err := cu.Next(&entries[i]); err != nil {
+			return Label{}, err
+		}
+	}
+	return Label{Entries: entries}, nil
 }

@@ -14,9 +14,7 @@ import (
 	"wfreach/internal/api"
 	"wfreach/internal/arena"
 	"wfreach/internal/core"
-	"wfreach/internal/graph"
 	"wfreach/internal/integrity"
-	"wfreach/internal/label"
 	"wfreach/internal/spec"
 	"wfreach/internal/store"
 	"wfreach/internal/wal"
@@ -436,17 +434,6 @@ func (r *Registry) Close() error {
 // kept and the log is truncated before the offending record.
 var errReplayHalt = errors.New("service: replay halted")
 
-// replayRecord applies one WAL record to the session's labeler,
-// returning the vertex it labeled.
-func (s *Session) replayRecord(rec wal.Record) (graph.VertexID, label.Label, error) {
-	if rec.Named {
-		l, err := s.labeler.InsertNamed(rec.NamedEv)
-		return rec.NamedEv.V, l, err
-	}
-	l, err := s.labeler.Insert(rec.Ref)
-	return rec.Ref.V, l, err
-}
-
 // restoreArena rebuilds the session's store around an opened arena
 // snapshot. The arena becomes the store's immutable base layer — its
 // label bytes are served straight from the mapping, never decoded or
@@ -499,7 +486,7 @@ func (s *Session) restoreArena(a *arena.Arena, walPath string, shards int) (ok b
 	// encode and store staging that dominate a v1 restore.
 	s.store = st
 	n, vs, err := wal.Scan(walPath, func(i int, rec wal.Record) error {
-		v, l, ierr := s.replayRecord(rec)
+		v, l, ierr := s.labelRecord(rec)
 		if ierr != nil {
 			return fmt.Errorf("%w at record %d: %v", errReplayHalt, i, ierr)
 		}
@@ -539,7 +526,7 @@ func (s *Session) replayFull(walPath string, snap wal.Snapshot, shards int) (rep
 	// end — one view rebuild for the whole log instead of one per
 	// record.
 	n, vs, err := wal.Scan(walPath, func(i int, rec wal.Record) error {
-		v, l, ierr := s.replayRecord(rec)
+		v, l, ierr := s.labelRecord(rec)
 		if ierr != nil {
 			return fmt.Errorf("%w at record %d: %v", errReplayHalt, i, ierr)
 		}

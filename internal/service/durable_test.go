@@ -16,6 +16,7 @@ import (
 	"wfreach/internal/run"
 	"wfreach/internal/skeleton"
 	"wfreach/internal/spec"
+	"wfreach/internal/wal"
 )
 
 func durableReg(t *testing.T, dir string, opts DurableOptions) *Registry {
@@ -620,5 +621,64 @@ func TestMemoryRegistryRestoreIsReadOnly(t *testing.T) {
 	}
 	if !bytes.Equal(after, torn) {
 		t.Fatal("memory-only restore modified the WAL")
+	}
+}
+
+// TestRestoreRefusesLabelsPastMaxEntries is the restore-replay side of
+// TestIngestRefusesLabelsPastMaxEntries: a log written before the limit
+// was enforced can hold a record whose label no longer fits the count
+// frame. Replay stops there like at any record the labeler rejects —
+// the valid prefix is kept and queryable, the tail is cut — and the
+// session comes back closed to ingest with the typed error, on both
+// restore paths (arena snapshot plus tail, and log alone).
+func TestRestoreRefusesLabelsPastMaxEntries(t *testing.T) {
+	g, events, deepAt := deepStream(t)
+	for name, snapshotEvery := range map[string]int{"arena and tail": 64, "log alone": -1} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			reg := durableReg(t, dir, DurableOptions{SnapshotEvery: snapshotEvery})
+			s, err := reg.Create("deep", g, Config{Skeleton: skeleton.TCL, Mode: core.RModeDesignated})
+			if err != nil {
+				t.Fatal(err)
+			}
+			appendAll(t, s, events[:deepAt], 64)
+			reg.Close()
+			if snapshotEvery < 0 {
+				os.Remove(filepath.Join(dir, "deep", snapFile))
+			}
+			// What a pre-limit server would have logged next.
+			var tail []byte
+			for _, ev := range events[deepAt : deepAt+3] {
+				if tail, err = wal.AppendFrame(tail, wal.RefRecord(ev)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			f, err := os.OpenFile(filepath.Join(dir, "deep", walFile), os.O_APPEND|os.O_WRONLY, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Write(tail); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+
+			reg = durableReg(t, dir, DurableOptions{SnapshotEvery: -1})
+			defer reg.Close()
+			if _, err := reg.Restore(dir); err != nil {
+				t.Fatal(err)
+			}
+			s, _ = reg.Get("deep")
+			if s.Vertices() != int64(deepAt) {
+				t.Fatalf("restored %d vertices, want the %d before the deep label", s.Vertices(), deepAt)
+			}
+			if _, err := s.Reach(events[0].V, events[deepAt-1].V); err != nil {
+				t.Fatalf("prefix not queryable: %v", err)
+			}
+			n, err := s.Append(events[deepAt+1:])
+			requireTooDeep(t, err)
+			if n != 0 {
+				t.Fatalf("ingest after the refusal applied %d events", n)
+			}
+		})
 	}
 }

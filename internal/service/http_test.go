@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"wfreach/internal/api"
 	"wfreach/internal/gen"
 	"wfreach/internal/wfspecs"
 	"wfreach/internal/wfxml"
@@ -517,4 +518,56 @@ func TestListSessionsUnderChurn(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestHTTPLineageTellsMissingFromMalformed: a lineage query for a
+// vertex the session has not labeled is the caller's to retry (404
+// vertex_not_labeled); one that runs into a stored label that does not
+// parse is the server's fault (500 internal) and must not be dressed
+// up as the former.
+func TestHTTPLineageTellsMissingFromMalformed(t *testing.T) {
+	reg := NewRegistry()
+	srv := httptest.NewServer(NewHandler(reg))
+	t.Cleanup(srv.Close)
+	g := compileBuiltin(t, "RunningExample")
+	s, err := reg.Create("lin", g, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, _, err := gen.GenerateEvents(g, gen.Options{TargetSize: 60, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Append(events); err != nil {
+		t.Fatal(err)
+	}
+	last := events[len(events)-1].V
+	url := func(of int32, page string) string {
+		return fmt.Sprintf("%s/v1/sessions/lin/lineage?of=%d%s", srv.URL, of, page)
+	}
+	for _, page := range []string{"", "&limit=10"} {
+		var ok api.LineageResponse
+		if code, body := doJSON(t, "GET", url(int32(last), page), nil, &ok); code != http.StatusOK || len(ok.Ancestors) == 0 {
+			t.Fatalf("lineage%s: %d %s", page, code, body)
+		}
+		var missing api.ErrorResponse
+		if code, body := doJSON(t, "GET", url(9999, page), nil, &missing); code != http.StatusNotFound || missing.Err.Code != api.CodeVertexNotLabeled {
+			t.Fatalf("lineage%s of an unlabeled vertex: %d %s", page, code, body)
+		}
+	}
+
+	// A label whose count frame promises an entry its bytes do not hold.
+	if err := s.store.PutEncodedOwned(7777, []byte{0x01}); err != nil {
+		t.Fatal(err)
+	}
+	for _, page := range []string{"", "&limit=10"} {
+		var bad api.ErrorResponse
+		code, body := doJSON(t, "GET", url(int32(last), page), nil, &bad)
+		if code != http.StatusInternalServerError || bad.Err.Code != api.CodeInternal {
+			t.Fatalf("lineage%s over a malformed label: %d %s", page, code, body)
+		}
+		if !strings.Contains(bad.Err.Message, "7777") {
+			t.Fatalf("error does not name the malformed vertex: %s", body)
+		}
+	}
 }

@@ -120,7 +120,10 @@ type Session struct {
 	snapEvery         int64
 	snapBusy          bool           // a snapshot write is in flight
 	snapWG            sync.WaitGroup // tracks the in-flight snapshot goroutine
-	ioErr             error          // first log failure; poisons further ingest
+	// ioErr is the first failure that left the labeler ahead of the
+	// log — a log write, a label too deep to encode — and stops all
+	// further ingest.
+	ioErr error
 
 	// Integrity anchors of the last WFSNAP03 snapshot (guarded by
 	// ingestMu): the Merkle root over its label extents and the WAL
@@ -486,12 +489,13 @@ func (s *Session) Append(events []run.Event) (int, error) {
 	applied := len(events)
 	var err error
 	for i := range events {
-		l, lerr := s.labeler.Insert(events[i])
+		rec := wal.RefRecord(events[i])
+		_, l, lerr := s.labelRecord(rec)
 		if lerr != nil {
 			applied, err = i, fmt.Errorf("service: %w", lerr)
 			break
 		}
-		if werr := s.logRecord(wal.RefRecord(events[i])); werr != nil {
+		if werr := s.logRecord(rec); werr != nil {
 			// The log is poisoned and the batch unacknowledged; the
 			// logged prefix still becomes queryable.
 			s.publishStaged(staged)
@@ -516,12 +520,13 @@ func (s *Session) AppendNamed(events []core.NamedEvent) (int, error) {
 	applied := len(events)
 	var err error
 	for i := range events {
-		l, lerr := s.labeler.InsertNamed(events[i])
+		rec := wal.NamedRecord(events[i])
+		_, l, lerr := s.labelRecord(rec)
 		if lerr != nil {
 			applied, err = i, fmt.Errorf("service: %w", lerr)
 			break
 		}
-		if werr := s.logRecord(wal.NamedRecord(events[i])); werr != nil {
+		if werr := s.logRecord(rec); werr != nil {
 			s.publishStaged(staged)
 			s.ingestMu.Unlock()
 			return i, werr
@@ -552,18 +557,7 @@ func (s *Session) AppendRecords(recs []wal.Record, frames [][]byte) (int, error)
 	applied := len(recs)
 	var err error
 	for i := range recs {
-		var (
-			v    graph.VertexID
-			l    label.Label
-			lerr error
-		)
-		if recs[i].Named {
-			v = recs[i].NamedEv.V
-			l, lerr = s.labeler.InsertNamed(recs[i].NamedEv)
-		} else {
-			v = recs[i].Ref.V
-			l, lerr = s.labeler.Insert(recs[i].Ref)
-		}
+		v, l, lerr := s.labelRecord(recs[i])
 		if lerr != nil {
 			applied, err = i, fmt.Errorf("service: %w", lerr)
 			break
@@ -584,11 +578,35 @@ func (s *Session) AppendRecords(recs []wal.Record, frames [][]byte) (int, error)
 	return s.finishLocked(applied, staged, err)
 }
 
+// labelRecord runs one record through the labeler — the label stage
+// of ingest and of restore replay alike — and returns the vertex it
+// labeled. A label deeper than the encoding can frame (label.MaxEntries;
+// only nonlinear grammars get there) is refused here, before the record
+// is logged or the label encoded. The labeler has placed the vertex by
+// then and cannot take it back, so the refusal also stops ingest for
+// good, with the same error; queries keep working. Called with ingestMu
+// held, or before the session is shared.
+func (s *Session) labelRecord(rec wal.Record) (v graph.VertexID, l label.Label, err error) {
+	if rec.Named {
+		v = rec.NamedEv.V
+		l, err = s.labeler.InsertNamed(rec.NamedEv)
+	} else {
+		v = rec.Ref.V
+		l, err = s.labeler.Insert(rec.Ref)
+	}
+	if err == nil && l.Len() > label.MaxEntries {
+		s.ioErr = api.Errorf(api.CodeBadEvent, "vertex %d needs a label of %d entries, the encoding holds %d: session %q is closed to ingest",
+			v, l.Len(), label.MaxEntries, s.name)
+		err = s.ioErr
+	}
+	return v, l, err
+}
+
 // ingestBlockedLocked reports why ingest cannot proceed: a poisoned
-// log, or a seal left by a completed move. It also settles the
-// deferred labeler replay an arena restore left behind, so by the time
-// any batch reaches the labeler the labeler holds the full restored
-// execution state. Called with ingestMu held.
+// log, a label past the encoding's depth, or a seal left by a completed
+// move. It also settles the deferred labeler replay an arena restore
+// left behind, so by the time any batch reaches the labeler the labeler
+// holds the full restored execution state. Called with ingestMu held.
 func (s *Session) ingestBlockedLocked() error {
 	if s.ioErr != nil {
 		return s.ioErr
@@ -622,13 +640,7 @@ func (s *Session) ensureLabelerLocked() error {
 		if n >= target {
 			return errLabelerCaughtUp
 		}
-		var ierr error
-		if rec.Named {
-			_, ierr = s.labeler.InsertNamed(rec.NamedEv)
-		} else {
-			_, ierr = s.labeler.Insert(rec.Ref)
-		}
-		if ierr != nil {
+		if _, _, ierr := s.labelRecord(rec); ierr != nil {
 			return fmt.Errorf("service: session %q: deferred replay at record %d: %w", s.name, i, ierr)
 		}
 		n++
@@ -768,14 +780,19 @@ func (s *Session) ReachBatch(pairs []api.ReachPair) []api.ReachAnswer {
 }
 
 // Lineage returns the labeled vertices that reach v (its provenance
-// closure so far), ascending. The whole scan — decode the target once,
-// decode-and-π every published label — runs against the store's
-// immutable shard views, so a lineage query never takes a lock and
-// never stalls ingestion.
+// closure so far), ascending. The whole scan — π on the encoded bytes
+// of every published label against the target's — runs against the
+// store's immutable shard views, so a lineage query never takes a lock
+// and never stalls ingestion. Only a vertex with no label yet is
+// CodeVertexNotLabeled; a stored label that does not parse is the
+// server's fault, CodeInternal.
 func (s *Session) Lineage(v graph.VertexID) ([]graph.VertexID, error) {
 	out, err := s.store.Lineage(v)
-	if err != nil {
+	switch {
+	case errors.Is(err, store.ErrNotStored):
 		return nil, api.Errorf(api.CodeVertexNotLabeled, "vertex %d not labeled yet", v)
+	case err != nil:
+		return nil, api.AsError(err, api.CodeInternal)
 	}
 	return out, nil
 }

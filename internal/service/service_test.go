@@ -1,18 +1,23 @@
 package service
 
 import (
+	"errors"
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"wfreach/internal/api"
 	"wfreach/internal/core"
 	"wfreach/internal/gen"
 	"wfreach/internal/graph"
+	"wfreach/internal/label"
 	"wfreach/internal/run"
 	"wfreach/internal/skeleton"
 	"wfreach/internal/spec"
+	"wfreach/internal/wal"
 	"wfreach/internal/wfspecs"
 )
 
@@ -437,5 +442,89 @@ func TestBuiltins(t *testing.T) {
 	// Builtins mirror wfspecs.
 	if Builtin2, _ := Builtin("BioAID"); Builtin2.String() != wfspecs.BioAID().String() {
 		t.Fatal("BioAID builtin diverges from wfspecs")
+	}
+}
+
+// deepStream is a depth-first execution of the nonlinear LowerBound
+// grammar: every recursion level nests one instance deeper, so label
+// depth grows with the run and event deepAt is the first whose label
+// needs more than label.MaxEntries entries.
+func deepStream(t *testing.T) (g *spec.Grammar, events []run.Event, deepAt int) {
+	t.Helper()
+	g = compileBuiltin(t, "LowerBound")
+	events, _, err := gen.GenerateEvents(g, gen.Options{TargetSize: 1000, Seed: 1, DepthFirst: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := core.NewExecutionLabeler(g, skeleton.TCL, core.RModeDesignated)
+	for i := range events {
+		l, err := e.Insert(events[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if l.Len() > label.MaxEntries {
+			return g, events, i
+		}
+	}
+	t.Fatal("the stream never outgrows label.MaxEntries")
+	return nil, nil, 0
+}
+
+// requireTooDeep checks the typed refusal of a label past MaxEntries.
+func requireTooDeep(t *testing.T, err error) {
+	t.Helper()
+	var ae *api.Error
+	if !errors.As(err, &ae) || ae.Code != api.CodeBadEvent || !strings.Contains(ae.Message, "entries") {
+		t.Fatalf("want a typed %s error about label entries, got %v", api.CodeBadEvent, err)
+	}
+}
+
+// TestIngestRefusesLabelsPastMaxEntries: a label of 256 entries used to
+// be stored with its count wrapped to 0 — an empty label that decoded
+// without error and panicked the next query. The pipeline now fails the
+// batch at that event with a typed error, before anything is encoded or
+// logged: the prefix stays queryable, and ingest stays closed, since
+// the labeler has moved past what the store can hold.
+func TestIngestRefusesLabelsPastMaxEntries(t *testing.T) {
+	g, events, deepAt := deepStream(t)
+	for name, ingest := range map[string]func(s *Session, evs []run.Event) (int, error){
+		"Append": func(s *Session, evs []run.Event) (int, error) { return s.Append(evs) },
+		"AppendRecords": func(s *Session, evs []run.Event) (int, error) {
+			recs := make([]wal.Record, len(evs))
+			for i := range evs {
+				recs[i] = wal.RefRecord(evs[i])
+			}
+			return s.AppendRecords(recs, nil)
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			s, err := NewRegistry().Create("deep", g, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			lo := deepAt - 100
+			if n, err := ingest(s, events[:lo]); err != nil || n != lo {
+				t.Fatalf("prefix: applied %d: %v", n, err)
+			}
+			n, err := ingest(s, events[lo:])
+			requireTooDeep(t, err)
+			if n != deepAt-lo || s.Vertices() != int64(deepAt) {
+				t.Fatalf("applied %d (session has %d vertices), want the batch to stop at event %d", n, s.Vertices(), deepAt)
+			}
+			if _, err := s.Reach(events[0].V, events[deepAt-1].V); err != nil {
+				t.Fatalf("prefix not queryable: %v", err)
+			}
+			if _, err := s.Reach(events[0].V, events[deepAt].V); api.AsError(err, api.CodeInternal).Code != api.CodeVertexNotLabeled {
+				t.Fatalf("refused vertex: %v", err)
+			}
+			if lin, err := s.Lineage(events[deepAt-1].V); err != nil || len(lin) == 0 {
+				t.Fatalf("lineage over the prefix: %v, %v", lin, err)
+			}
+			n, err = ingest(s, events[deepAt+1:])
+			requireTooDeep(t, err)
+			if n != 0 {
+				t.Fatalf("ingest after the refusal applied %d events", n)
+			}
+		})
 	}
 }

@@ -203,3 +203,50 @@ func TestSnapshotEntriesCoversArenaAndShards(t *testing.T) {
 		t.Fatalf("Snapshot returned %d entries, want %d", len(m), len(entries))
 	}
 }
+
+// TestQueryPathAllocations pins what decode-free queries buy, on a
+// store that is half arena and half shard chunks: ReachBytes allocates
+// nothing, and a lineage scan allocates for its result only — the same
+// number of times whether it walks three hundred labels or three
+// thousand.
+func TestQueryPathAllocations(t *testing.T) {
+	lineageAllocs := make(map[int]float64)
+	for _, size := range []int{300, 3000} {
+		g, entries := buildRun(t, size)
+		a, tail := splitArena(t, entries)
+		s, err := store.NewFromArena(g, skeleton.TCL, 0, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.AppendOwned(tail); err != nil {
+			t.Fatal(err)
+		}
+		s.Publish()
+
+		i := 0
+		if n := testing.AllocsPerRun(2000, func() {
+			bv, _ := s.GetRaw(entries[i%len(entries)].V)
+			bw, _ := s.GetRaw(entries[(i*7+3)%len(entries)].V)
+			if _, err := s.ReachBytes(bv, bw); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		}); n != 0 {
+			t.Fatalf("%d labels: ReachBytes allocates %v times per pair", size, n)
+		}
+
+		// The run's source has one ancestor, itself, at any run size.
+		src := entries[0].V
+		if lin, err := s.Lineage(src); err != nil || len(lin) != 1 {
+			t.Fatalf("Lineage(%d) = %v, %v; want the vertex alone", src, lin, err)
+		}
+		lineageAllocs[size] = testing.AllocsPerRun(20, func() {
+			if _, err := s.Lineage(src); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if lineageAllocs[300] != lineageAllocs[3000] || lineageAllocs[300] > 8 {
+		t.Fatalf("Lineage allocations grow with the store: %v", lineageAllocs)
+	}
+}

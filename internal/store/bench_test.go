@@ -121,20 +121,27 @@ func BenchmarkStoreGetRawArena(b *testing.B) {
 	})
 }
 
-// BenchmarkStoreReachBytes measures the two-lookup reachability check
-// on heap-backed vs arena-backed stores.
-func BenchmarkStoreReachBytes(b *testing.B) {
-	g, entries := benchLabels(b, 8192)
+// heapAndArena returns the same labels served from shard chunks and
+// from a mapped arena.
+func heapAndArena(b *testing.B, size int) (entries []store.Entry, stores map[string]*store.Store) {
+	b.Helper()
+	g, entries := benchLabels(b, size)
 	heap := store.New(g, skeleton.TCL)
 	if err := heap.AppendOwned(entries); err != nil {
 		b.Fatal(err)
 	}
 	heap.Publish()
-	for name, s := range map[string]*store.Store{
-		"heap":  heap,
-		"arena": arenaStore(b, g, entries),
-	} {
+	return entries, map[string]*store.Store{"heap": heap, "arena": arenaStore(b, g, entries)}
+}
+
+// BenchmarkStoreReachBytes measures the two-lookup reachability check
+// — GetRaw twice, then π on the encoded bytes — on heap-backed and
+// arena-backed stores. The allocation column must print zero.
+func BenchmarkStoreReachBytes(b *testing.B) {
+	entries, stores := heapAndArena(b, 8192)
+	for name, s := range stores {
 		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				v := entries[i%len(entries)].V
 				w := entries[(i*7+3)%len(entries)].V
@@ -146,19 +153,19 @@ func BenchmarkStoreReachBytes(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreLineage measures the full provenance-closure scan
-// (decode target once, decode-and-π every stored label).
+// BenchmarkStoreLineage measures the full provenance-closure scan (one
+// early-exit byte walk per stored label against the target) over shard
+// chunks and over an arena. Allocations are the result slice's alone.
 func BenchmarkStoreLineage(b *testing.B) {
-	g, entries := benchLabels(b, 4096)
-	s := store.New(g, skeleton.TCL)
-	if err := s.AppendOwned(entries); err != nil {
-		b.Fatal(err)
-	}
-	s.Publish()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Lineage(entries[i%len(entries)].V); err != nil {
-			b.Fatal(err)
-		}
+	entries, stores := heapAndArena(b, 4096)
+	for name, s := range stores {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.Lineage(entries[i%len(entries)].V); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

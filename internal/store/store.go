@@ -3,8 +3,13 @@
 // queries directly from the stored bytes. This is the artifact a
 // provenance-aware workflow system would persist next to its execution
 // log — labels are written once (they are immutable, Section 2.4) and
-// every "did A contribute to B?" question is answered by decoding two
-// byte strings, without the execution graph.
+// every "did A contribute to B?" question is answered from two byte
+// strings, without the execution graph and without decoding them: π
+// runs on the encoded bytes ([core.PiBytes]), two cursors stepping in
+// lockstep to the first position where the labels' tree paths diverge.
+// No query allocates per label, and bytes mapped from an arena are read
+// where they lie. A query validates only the prefix it walks; damage to
+// stored bytes is for the CRC, hash-chain and Merkle layers to catch.
 //
 // # Concurrency
 //
@@ -41,6 +46,7 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"maps"
 	"slices"
@@ -63,6 +69,10 @@ const DefaultShards = 16
 // maxShards caps the shard count; more shards than this only adds
 // fixed overhead to Publish, Lineage and Snapshot.
 const maxShards = 4096
+
+// ErrNotStored marks a query for a vertex with no published label, as
+// opposed to one whose stored label does not parse.
+var ErrNotStored = errors.New("not stored")
 
 // Entry is one vertex → encoded-label pair for batch staging.
 type Entry struct {
@@ -412,27 +422,14 @@ func (s *Store) ShardStats() []ShardStat {
 	return out
 }
 
-// Get decodes the stored label of v.
-func (s *Store) Get(v graph.VertexID) (label.Label, bool, error) {
-	enc, ok := s.GetRaw(v)
-	if !ok {
-		return label.Label{}, false, nil
-	}
-	l, err := s.codec.Decode(enc)
-	if err != nil {
-		return label.Label{}, true, fmt.Errorf("store: vertex %d: %w", v, err)
-	}
-	return l, true, nil
-}
-
 // GetRaw returns the published encoded label bytes of v, without
 // taking any lock. The returned slice is the store's own backing
 // array — or, on an arena-backed store, a slice pointing straight
 // into the mapped snapshot file — and callers must treat it as
 // immutable (labels are write-once, so the bytes never change after
 // publication). This is the read path concurrent services build on:
-// fetch the two byte strings from the shard views, then decode and
-// evaluate π with ReachBytes.
+// fetch the two byte strings from the shard views, then evaluate π on
+// them with ReachBytes.
 func (s *Store) GetRaw(v graph.VertexID) ([]byte, bool) {
 	// Arena first: a vertex is never both arena-resident and staged
 	// (stage rejects duplicates of arena vertices), so the probe order
@@ -449,81 +446,62 @@ func (s *Store) GetRaw(v graph.VertexID) ([]byte, bool) {
 }
 
 // ReachBytes answers v ;* w directly from two encoded labels, without
-// touching the vertex map. It is safe for concurrent use: the codec
-// and skeleton scheme are immutable after New.
+// touching the vertex map, decoding, or allocating. It is safe for
+// concurrent use: the codec and skeleton scheme are immutable after
+// New.
 func (s *Store) ReachBytes(bv, bw []byte) (bool, error) {
-	lv, err := s.codec.Decode(bv)
-	if err != nil {
-		return false, fmt.Errorf("store: first label: %w", err)
-	}
-	lw, err := s.codec.Decode(bw)
-	if err != nil {
-		return false, fmt.Errorf("store: second label: %w", err)
-	}
-	return core.Pi(s.skel, lv, lw), nil
+	return core.PiBytes(s.codec, s.skel, bv, bw)
 }
 
 // Reach answers v ;* w from the stored bytes alone, lock-free.
 func (s *Store) Reach(v, w graph.VertexID) (bool, error) {
-	lv, ok, err := s.Get(v)
-	if err != nil {
-		return false, err
-	}
+	bv, ok := s.GetRaw(v)
 	if !ok {
-		return false, fmt.Errorf("store: vertex %d not stored", v)
+		return false, fmt.Errorf("store: vertex %d: %w", v, ErrNotStored)
 	}
-	lw, ok, err := s.Get(w)
-	if err != nil {
-		return false, err
-	}
+	bw, ok := s.GetRaw(w)
 	if !ok {
-		return false, fmt.Errorf("store: vertex %d not stored", w)
+		return false, fmt.Errorf("store: vertex %d: %w", w, ErrNotStored)
 	}
-	return core.Pi(s.skel, lv, lw), nil
+	return s.ReachBytes(bv, bw)
 }
 
 // Lineage returns the published vertices that reach v (its provenance
-// closure), in ascending order. The target label is decoded once; the
-// scan decodes each stored label against it — O(stored) decodes, no
-// locks. Shard views are loaded independently, so over a concurrent
-// ingest the scan sees each shard at whatever batch it last published;
-// labels are write-once, so every reported ancestor is correct.
+// closure), in ascending order: one ReachBytes per stored label against
+// the target's bytes — O(stored) early-exit walks, no locks, and no
+// allocation beyond the result. Shard views are loaded independently,
+// so over a concurrent ingest the scan sees each shard at whatever
+// batch it last published; labels are write-once, so every reported
+// ancestor is correct. A stored label that fails to parse on the
+// prefix its walk covers fails the scan.
 func (s *Store) Lineage(v graph.VertexID) ([]graph.VertexID, error) {
 	bv, ok := s.GetRaw(v)
 	if !ok {
-		return nil, fmt.Errorf("store: vertex %d not stored", v)
-	}
-	lv, err := s.codec.Decode(bv)
-	if err != nil {
-		return nil, fmt.Errorf("store: vertex %d: %w", v, err)
+		return nil, fmt.Errorf("store: vertex %d: %w", v, ErrNotStored)
 	}
 	var out []graph.VertexID
 	var scanErr error
+	visit := func(w graph.VertexID, bw []byte) bool {
+		reaches, err := s.ReachBytes(bw, bv)
+		if err != nil {
+			scanErr = fmt.Errorf("store: lineage of %d at vertex %d: %w", v, w, err)
+			return false
+		}
+		if reaches {
+			out = append(out, w)
+		}
+		return true
+	}
 	if a := s.arena.Load(); a != nil {
-		a.Range(func(w graph.VertexID, bw []byte) bool {
-			lw, err := s.codec.Decode(bw)
-			if err != nil {
-				scanErr = fmt.Errorf("store: vertex %d: %w", w, err)
-				return false
-			}
-			if core.Pi(s.skel, lw, lv) {
-				out = append(out, w)
-			}
-			return true
-		})
-		if scanErr != nil {
+		if a.Range(visit); scanErr != nil {
 			return nil, scanErr
 		}
 	}
 	for i := range s.shards {
 		for _, m := range s.shards[i].view.Load().chunks {
 			for w, bw := range m {
-				lw, err := s.codec.Decode(bw)
-				if err != nil {
-					return nil, fmt.Errorf("store: vertex %d: %w", w, err)
-				}
-				if core.Pi(s.skel, lw, lv) {
-					out = append(out, w)
+				if !visit(w, bw) {
+					return nil, scanErr
 				}
 			}
 		}

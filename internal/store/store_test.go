@@ -1,6 +1,7 @@
 package store_test
 
 import (
+	"errors"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -94,21 +95,31 @@ func TestPutRejectsDuplicates(t *testing.T) {
 func TestGetAndErrors(t *testing.T) {
 	s, r := filled(t, 60, 4)
 	v := r.Graph.LiveVertices()[0]
-	l, ok, err := s.Get(v)
-	if err != nil || !ok || l.Len() == 0 {
-		t.Fatalf("Get: %v %v %v", l, ok, err)
+	if enc, ok := s.GetRaw(v); !ok || len(enc) == 0 {
+		t.Fatalf("GetRaw: %v %v", enc, ok)
 	}
-	if _, ok, _ := s.Get(99999); ok {
-		t.Fatal("Get of unknown vertex reported ok")
+	if _, ok := s.GetRaw(99999); ok {
+		t.Fatal("GetRaw of unknown vertex reported ok")
 	}
-	if _, err := s.Reach(99999, v); err == nil {
-		t.Fatal("Reach with unknown vertex accepted")
+	if _, err := s.Reach(99999, v); !errors.Is(err, store.ErrNotStored) {
+		t.Fatalf("Reach with unknown vertex: %v", err)
 	}
-	if _, err := s.Reach(v, 99999); err == nil {
-		t.Fatal("Reach with unknown vertex accepted")
+	if _, err := s.Reach(v, 99999); !errors.Is(err, store.ErrNotStored) {
+		t.Fatalf("Reach with unknown vertex: %v", err)
 	}
-	if _, err := s.Lineage(99999); err == nil {
-		t.Fatal("Lineage of unknown vertex accepted")
+	if _, err := s.Lineage(99999); !errors.Is(err, store.ErrNotStored) {
+		t.Fatalf("Lineage of unknown vertex: %v", err)
+	}
+	// A stored label that does not parse is a different failure: the
+	// walk reports it, and not as a missing vertex.
+	if err := s.PutEncodedOwned(99999, []byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Reach(v, 99999); err == nil || errors.Is(err, store.ErrNotStored) {
+		t.Fatalf("Reach against a truncated label: %v", err)
+	}
+	if _, err := s.Lineage(v); err == nil || errors.Is(err, store.ErrNotStored) {
+		t.Fatalf("Lineage over a truncated label: %v", err)
 	}
 }
 
