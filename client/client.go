@@ -94,10 +94,12 @@ const (
 	CodeUnknown          = api.CodeUnknown
 )
 
+// apiPrefix is the versioned route prefix every request carries.
+const apiPrefix = "/v1"
+
 // Client talks to one wfserve instance.
 type Client struct {
 	base       string
-	prefix     string
 	hc         *http.Client
 	retries    int
 	backoff    time.Duration
@@ -145,13 +147,6 @@ func WithMaxBackoff(max time.Duration) Option {
 // hand).
 func WithoutWriteRedirect() Option { return func(c *Client) { c.noRedirect = true } }
 
-// WithUnversionedPaths switches the client onto the deprecated
-// unversioned route prefix (the pre-/v1 surface kept as an adapter).
-//
-// Deprecated: exists to drive and regression-test the legacy surface;
-// new code should not use it.
-func WithUnversionedPaths() Option { return func(c *Client) { c.prefix = "" } }
-
 // New returns a client for the server at base (e.g.
 // "http://127.0.0.1:8080").
 func New(base string, opts ...Option) *Client {
@@ -160,7 +155,6 @@ func New(base string, opts ...Option) *Client {
 	}
 	c := &Client{
 		base:       base,
-		prefix:     "/v1",
 		hc:         &http.Client{Timeout: 30 * time.Second},
 		retries:    2,
 		backoff:    100 * time.Millisecond,
@@ -261,7 +255,7 @@ func (c *Client) once(ctx context.Context, base, method, path, contentType strin
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, base+c.prefix+path, rd)
+	req, err := http.NewRequestWithContext(ctx, method, base+apiPrefix+path, rd)
 	if err != nil {
 		return fmt.Errorf("client: %w", err)
 	}
@@ -413,17 +407,6 @@ func (c *Client) Reach(ctx context.Context, session string, from, to int32) (boo
 	return answers[0].Reachable, nil
 }
 
-// ReachLegacy asks one pair over the deprecated GET form.
-//
-// Deprecated: use Reach or ReachBatch; this exists to regression-test
-// the legacy surface.
-func (c *Client) ReachLegacy(ctx context.Context, session string, from, to int32) (bool, error) {
-	var ans ReachAnswer
-	err := c.do(ctx, http.MethodGet,
-		fmt.Sprintf("/sessions/%s/reach?from=%d&to=%d", url.PathEscape(session), from, to), nil, &ans, true)
-	return ans.Reachable, err
-}
-
 // LineagePage fetches one page of the provenance closure of a vertex:
 // up to limit ancestors after the cursor (empty cursor starts the
 // scan; limit <= 0 uses the server default). The returned page's
@@ -469,15 +452,4 @@ func (c *Client) Lineage(ctx context.Context, session string, of int32) ([]int32
 		}
 		cursor = page.NextCursor
 	}
-}
-
-// LineageLegacy returns the full closure in one unpaginated response.
-//
-// Deprecated: use Lineage; this exists to regression-test the legacy
-// surface.
-func (c *Client) LineageLegacy(ctx context.Context, session string, of int32) ([]int32, error) {
-	var resp LineagePage
-	err := c.do(ctx, http.MethodGet,
-		fmt.Sprintf("/sessions/%s/lineage?of=%d", url.PathEscape(session), of), nil, &resp, true)
-	return resp.Ancestors, err
 }

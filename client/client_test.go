@@ -2,7 +2,9 @@ package client_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -18,6 +20,23 @@ func newServer(t testing.TB) *httptest.Server {
 	srv := httptest.NewServer(wfreach.NewServiceHandler(wfreach.NewRegistry()))
 	t.Cleanup(srv.Close)
 	return srv
+}
+
+// getJSON fetches url with a plain GET — the /v1 forms the SDK has no
+// method for — and decodes the 200 response into out.
+func getJSON(t testing.TB, url string, out any) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s = %d", url, resp.StatusCode)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		t.Fatalf("GET %s: %v", url, err)
+	}
 }
 
 func generate(t testing.TB, builtin string, size int, seed int64) ([]wfreach.Event, *wfreach.Run) {
@@ -101,16 +120,18 @@ func TestLifecycleE2E(t *testing.T) {
 	if err != nil || ok != answers[0].Reachable {
 		t.Fatalf("single reach: %v, %v", ok, err)
 	}
-	if ok, err := c.ReachLegacy(ctx, "a", pairs[0].From, pairs[0].To); err != nil || ok != answers[0].Reachable {
-		t.Fatalf("legacy reach: %v, %v", ok, err)
+	// The one-pair GET form agrees with the batch.
+	var one client.ReachAnswer
+	getJSON(t, fmt.Sprintf("%s/v1/sessions/a/reach?from=%d&to=%d", srv.URL, pairs[0].From, pairs[0].To), &one)
+	if one.Reachable != answers[0].Reachable {
+		t.Fatalf("GET reach: %+v, batch says %v", one, answers[0].Reachable)
 	}
 
-	// Paginated lineage equals the legacy full scan.
+	// Paginated lineage equals the unpaginated full scan.
 	sink := int32(events[len(events)-1].V)
-	full, err := c.LineageLegacy(ctx, "a", sink)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var unpaged client.LineagePage
+	getJSON(t, fmt.Sprintf("%s/v1/sessions/a/lineage?of=%d", srv.URL, sink), &unpaged)
+	full := unpaged.Ancestors
 	page, err := c.LineagePage(ctx, "a", sink, "", 5)
 	if err != nil || len(page.Ancestors) != 5 || page.NextCursor == "" {
 		t.Fatalf("first page: %+v, %v", page, err)
@@ -120,7 +141,7 @@ func TestLifecycleE2E(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(all) != len(full) {
-		t.Fatalf("paginated %d ancestors, legacy %d", len(all), len(full))
+		t.Fatalf("paginated %d ancestors, unpaginated %d", len(all), len(full))
 	}
 	for i := range all {
 		if all[i] != full[i] {
@@ -274,33 +295,6 @@ func TestStreamFlushing(t *testing.T) {
 	}
 	if err := poisoned.Close(); !errors.As(err, &ae) {
 		t.Fatalf("Close after poison = %v", err)
-	}
-}
-
-// TestUnversionedPaths drives the deprecated legacy prefix through
-// the SDK's compatibility option.
-func TestUnversionedPaths(t *testing.T) {
-	srv := newServer(t)
-	c := client.New(srv.URL, client.WithUnversionedPaths())
-	ctx := context.Background()
-	if _, err := c.CreateSession(ctx, client.CreateSessionRequest{Name: "s", Builtin: "RunningExample"}); err != nil {
-		t.Fatal(err)
-	}
-	events, r := generate(t, "RunningExample", 120, 2)
-	wire := make([]client.Event, len(events))
-	for i, ev := range events {
-		wire[i] = wfreach.ToWire(ev)
-	}
-	if resp, err := c.Ingest(ctx, "s", wire); err != nil || resp.Applied != len(wire) {
-		t.Fatalf("legacy ingest: %+v, %v", resp, err)
-	}
-	v, w := int32(events[0].V), int32(events[len(events)-1].V)
-	ok, err := c.ReachLegacy(ctx, "s", v, w)
-	if err != nil || ok != r.Reaches(events[0].V, events[len(events)-1].V) {
-		t.Fatalf("legacy reach: %v, %v", ok, err)
-	}
-	if anc, err := c.LineageLegacy(ctx, "s", w); err != nil || len(anc) == 0 {
-		t.Fatalf("legacy lineage: %v, %v", anc, err)
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 // (durations in seconds). The map is a point-in-time cut — subtract
 // two scrapes to get deltas over a window, as wfload -matrix does.
 func (c *Client) Metrics(ctx context.Context) (map[string]float64, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+c.prefix+"/metrics", nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+apiPrefix+"/metrics", nil)
 	if err != nil {
 		return nil, fmt.Errorf("client: %w", err)
 	}

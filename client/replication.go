@@ -100,7 +100,7 @@ func (c *Client) doRead(ctx context.Context, path string, read func(io.Reader) e
 // timeout strips the overall request timeout (for live tails, which
 // legitimately stay open forever).
 func (c *Client) get(ctx context.Context, base, path string, timeout int) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+c.prefix+path, nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+apiPrefix+path, nil)
 	if err != nil {
 		return nil, fmt.Errorf("client: %w", err)
 	}
@@ -122,10 +122,16 @@ func (c *Client) get(ctx context.Context, base, path string, timeout int) (*http
 	return resp, nil
 }
 
-// WALTail is an open WAL tail stream (see Client.TailWAL).
+// WALTail is an open WAL tail stream (see Client.TailWAL). Next returns
+// the next entry — its Frame is reused by the following call, so
+// callers that keep it must copy — io.EOF on a cleanly ended stream,
+// and a CodeBadFrame error on a truncated or corrupt one (reconnect and
+// resume). Buffered reports whether more of the stream has already
+// arrived, the cue that a consumer can keep batching without blocking
+// on the network.
 type WALTail struct {
+	*api.TailReader
 	body io.ReadCloser
-	tr   *api.TailReader
 }
 
 // TailWAL opens a tail of the session's write-ahead log starting at
@@ -150,19 +156,8 @@ func (c *Client) TailWAL(ctx context.Context, session string, from int64, wait b
 	if err != nil {
 		return nil, err
 	}
-	return &WALTail{body: resp.Body, tr: api.NewTailReader(resp.Body)}, nil
+	return &WALTail{TailReader: api.NewTailReader(resp.Body), body: resp.Body}, nil
 }
-
-// Next returns the next entry. The entry's Frame is reused by the
-// following Next call — callers that keep it must copy. A cleanly
-// ended stream returns io.EOF; a truncated or corrupt stream returns
-// a CodeBadFrame error (reconnect and resume).
-func (t *WALTail) Next() (TailEntry, error) { return t.tr.Next() }
-
-// Buffered reports whether more of the stream has already arrived —
-// the cue that a consumer can keep batching without blocking on the
-// network.
-func (t *WALTail) Buffered() bool { return t.tr.Buffered() }
 
 // Close drops the stream.
 func (t *WALTail) Close() error { return t.body.Close() }

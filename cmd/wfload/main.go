@@ -11,7 +11,6 @@
 //	wfload -addr http://127.0.0.1:8080 -spec BioAID -size 10000 -sessions 4 -batch 128 -readers 4
 //	wfload -addr http://127.0.0.1:8080 -spec BioAID -size 2000 -verify -reach-batch 16
 //	wfload -addr http://127.0.0.1:8080 -spec BioAID -size 2000 -resume
-//	wfload -addr http://127.0.0.1:8080 -legacy -verify -cleanup
 //	wfload -addr http://127.0.0.1:8080 -replica http://127.0.0.1:8081 -verify
 //	wfload -cluster cluster.json -sessions 12 -verify -move load-3=b
 //
@@ -37,9 +36,8 @@
 // quarter of the total stream is acknowledged, the named session is
 // moved to the target node while its writer keeps ingesting — the
 // router chases the handoff, and with -verify every answer is still
-// checked against ground truth. Cluster mode uses the /v1 surface
-// (-legacy is rejected) and routes reads through the map too
-// (-replica is rejected; list followers in the map instead).
+// checked against ground truth. Cluster mode routes reads through the
+// map too (-replica is rejected; list followers in the map instead).
 //
 // -replica splits the workload across a primary/follower pair: writes
 // stream to -addr while every read goes to the follower at -replica —
@@ -52,13 +50,10 @@
 // lagging follower legitimately trails the primary's acknowledged
 // prefix.
 //
-// By default ingest uses the /v1 binary frame stream and queries the
-// /v1 batch-reach endpoint; -reach-batch N amortizes one roundtrip
-// over N reachability pairs per query call. -legacy switches the
-// whole run onto the deprecated unversioned JSON surface (JSON event
-// batches, one GET reach per pair) — useful to regression-test the
-// adapter routes and to measure what /v1 buys. -cleanup deletes the
-// created sessions at the end.
+// Ingest uses the /v1 binary frame stream and queries the /v1
+// batch-reach endpoint; -reach-batch N amortizes one roundtrip over N
+// reachability pairs per query call. -cleanup deletes the created
+// sessions at the end.
 //
 // Each session gets its own generated run (distinct seeds) and its
 // own writer goroutine streaming event batches; -readers query
@@ -124,7 +119,6 @@ type config struct {
 	shards       int
 	lineageEvery int
 	reachBatch   int
-	legacy       bool
 	cleanup      bool
 	jsonPath     string
 	cpuProfile   string
@@ -152,7 +146,6 @@ func main() {
 	flag.IntVar(&cfg.shards, "shards", 0, "store shard count per created session (0 = server default)")
 	flag.IntVar(&cfg.lineageEvery, "lineage-every", 0, "issue a lineage query every N reader query calls (0 disables)")
 	flag.IntVar(&cfg.reachBatch, "reach-batch", 1, "reachability pairs per batch-reach call")
-	flag.BoolVar(&cfg.legacy, "legacy", false, "drive the deprecated unversioned JSON surface instead of /v1 binary+batch")
 	flag.BoolVar(&cfg.cleanup, "cleanup", false, "delete the created sessions when the run finishes")
 	flag.StringVar(&cfg.jsonPath, "json", "", "write a machine-readable result report to this path")
 	flag.StringVar(&cfg.cpuProfile, "cpuprofile", "", "write a CPU profile of the load generator to this path")
@@ -302,7 +295,6 @@ type reportRestore struct {
 // the measured throughput and latency numbers, in stable units.
 type report struct {
 	Spec             string                `json:"spec"`
-	Mode             string                `json:"mode"` // "v1-binary" or "legacy-json"
 	Replica          string                `json:"replica,omitempty"`
 	ReplicaLag       *reportLag            `json:"replica_lag,omitempty"`
 	Cluster          string                `json:"cluster,omitempty"` // the -cluster map file
@@ -339,22 +331,6 @@ func writeReport(path string, rep report) error {
 	return os.WriteFile(path, append(raw, '\n'), 0o644)
 }
 
-func (cfg config) mode() string {
-	if cfg.legacy {
-		return "legacy-json"
-	}
-	return "v1-binary"
-}
-
-// newClient builds the SDK client for the configured mode.
-func newClient(cfg config) *client.Client {
-	opts := []client.Option{client.WithRetry(0, 0)} // measure the server, not the retry loop
-	if cfg.legacy {
-		opts = append(opts, client.WithUnversionedPaths())
-	}
-	return client.New(cfg.addr, opts...)
-}
-
 // driver is the slice of the SDK surface the load generator drives,
 // satisfied by both the single-server client.Client and the routing
 // client.Cluster — the workload code does not care which.
@@ -362,7 +338,6 @@ type driver interface {
 	CreateSession(ctx context.Context, req client.CreateSessionRequest) (client.SessionStats, error)
 	Session(ctx context.Context, name string) (client.SessionStats, error)
 	DeleteSession(ctx context.Context, name string) error
-	Ingest(ctx context.Context, session string, events []client.Event) (client.EventsResponse, error)
 	IngestFrames(ctx context.Context, session string, events []client.Event) (client.EventsResponse, error)
 	ReachBatch(ctx context.Context, session string, pairs []client.ReachPair) ([]client.ReachAnswer, error)
 	Reach(ctx context.Context, session string, from, to int32) (bool, error)
@@ -426,7 +401,7 @@ func runResume(ctx context.Context, cfg config, c driver, loads []sessionLoad, o
 		float64(labels)/max(elapsed.Seconds(), 1e-9))
 	if cfg.jsonPath != "" {
 		rep := report{
-			Spec: cfg.spec, Mode: cfg.mode(), Sessions: cfg.sessions,
+			Spec: cfg.spec, Sessions: cfg.sessions,
 			SizePerSession: cfg.size, Seed: cfg.seed,
 			ElapsedSec: elapsed.Seconds(), Queries: checked,
 			VerifyChecked: true, VerifyMismatches: bad,
@@ -449,20 +424,14 @@ func runResume(ctx context.Context, cfg config, c driver, loads []sessionLoad, o
 	return nil
 }
 
-// ingestBatch sends one event batch in the configured mode and
+// ingestBatch sends one event batch as a binary frame stream and
 // reports how many events were acknowledged.
-func ingestBatch(ctx context.Context, cfg config, c driver, name string, events []wfreach.Event) (int, error) {
+func ingestBatch(ctx context.Context, c driver, name string, events []wfreach.Event) (int, error) {
 	wire := make([]client.Event, len(events))
 	for i, ev := range events {
 		wire[i] = wfreach.ToWire(ev)
 	}
-	var resp client.EventsResponse
-	var err error
-	if cfg.legacy {
-		resp, err = c.Ingest(ctx, name, wire)
-	} else {
-		resp, err = c.IngestFrames(ctx, name, wire)
-	}
+	resp, err := c.IngestFrames(ctx, name, wire)
 	return resp.Applied, err
 }
 
@@ -479,12 +448,10 @@ func run(cfg config, out io.Writer) error {
 		cfg.reachBatch = 1
 	}
 	ctx := context.Background()
-	c := newClient(cfg)
+	// No retries: measure the server, not the retry loop.
+	c := client.New(cfg.addr, client.WithRetry(0, 0))
 	rc := c // reads go to the replica when one is named
 	if cfg.replica != "" {
-		if cfg.legacy {
-			return fmt.Errorf("-replica needs the /v1 surface; drop -legacy")
-		}
 		if cfg.resume {
 			return fmt.Errorf("-replica and -resume are mutually exclusive")
 		}
@@ -496,9 +463,6 @@ func run(cfg config, out io.Writer) error {
 	var cl *client.Cluster
 	var moveSession, moveTarget string
 	if cfg.clusterFile != "" {
-		if cfg.legacy {
-			return fmt.Errorf("-cluster needs the /v1 surface; drop -legacy")
-		}
 		if cfg.replica != "" {
 			return fmt.Errorf("-cluster routes reads through the map; list followers in the map file instead of -replica")
 		}
@@ -539,8 +503,8 @@ func run(cfg config, out io.Writer) error {
 	if cfg.resume {
 		return runResume(ctx, cfg, d, loads, out)
 	}
-	fmt.Fprintf(out, "wfload: %s mode, %d sessions × ~%d vertices (%d events total), batch=%d, readers=%d/session, reach-batch=%d\n",
-		cfg.mode(), cfg.sessions, cfg.size, total, cfg.batch, cfg.readers, cfg.reachBatch)
+	fmt.Fprintf(out, "wfload: %d sessions × ~%d vertices (%d events total), batch=%d, readers=%d/session, reach-batch=%d\n",
+		cfg.sessions, cfg.size, total, cfg.batch, cfg.readers, cfg.reachBatch)
 	if cl != nil {
 		byNode := map[string]int{}
 		for _, l := range loads {
@@ -699,7 +663,7 @@ func run(cfg config, out io.Writer) error {
 			for lo := 0; lo < len(l.events); lo += cfg.batch {
 				hi := min(lo+cfg.batch, len(l.events))
 				t0 := time.Now()
-				_, err := ingestBatch(ctx, cfg, d, l.name, l.events[lo:hi])
+				_, err := ingestBatch(ctx, d, l.name, l.events[lo:hi])
 				ingestLat.add(time.Since(t0))
 				if err != nil {
 					setErr(fmt.Errorf("ingest %s at %d: %w", l.name, lo, err))
@@ -732,12 +696,7 @@ func run(cfg config, out io.Writer) error {
 					if cfg.lineageEvery > 0 && n%cfg.lineageEvery == cfg.lineageEvery-1 {
 						v := int32(l.events[rng.Int63n(wm)].V)
 						t0 := time.Now()
-						var err error
-						if cfg.legacy {
-							_, err = c.LineageLegacy(ctx, l.name, v)
-						} else {
-							_, err = rd.Lineage(ctx, l.name, v)
-						}
+						_, err := rd.Lineage(ctx, l.name, v)
 						queryLat.add(time.Since(t0))
 						if err != nil {
 							queryErrs.Add(1)
@@ -746,23 +705,6 @@ func run(cfg config, out io.Writer) error {
 						}
 						lineages.Add(1)
 						queried.Add(1)
-						continue
-					}
-					if cfg.legacy {
-						v := l.events[rng.Int63n(wm)].V
-						w := l.events[rng.Int63n(wm)].V
-						t0 := time.Now()
-						reachable, err := c.ReachLegacy(ctx, l.name, int32(v), int32(w))
-						queryLat.add(time.Since(t0))
-						if err != nil {
-							queryErrs.Add(1)
-							continue
-						}
-						queried.Add(1)
-						if cfg.verify && reachable != l.run.Reaches(v, w) {
-							mismatches.Add(1)
-							setErr(fmt.Errorf("query mismatch: %s reach(%d,%d)=%v", l.name, v, w, reachable))
-						}
 						continue
 					}
 					pairs := make([]client.ReachPair, cfg.reachBatch)
@@ -894,7 +836,6 @@ func run(cfg config, out io.Writer) error {
 	if cfg.jsonPath != "" {
 		rep := report{
 			Spec:             cfg.spec,
-			Mode:             cfg.mode(),
 			Replica:          cfg.replica,
 			ReplicaLag:       lag,
 			Cluster:          cfg.clusterFile,

@@ -101,9 +101,6 @@ func TestRunWithReplica(t *testing.T) {
 	}
 
 	// Conflicting modes are rejected up front.
-	if err := run(config{addr: psrv.URL, replica: fsrv.URL, legacy: true, spec: "RunningExample"}, &bytes.Buffer{}); err == nil {
-		t.Fatal("-replica with -legacy accepted")
-	}
 	if err := run(config{addr: psrv.URL, replica: fsrv.URL, resume: true, spec: "RunningExample"}, &bytes.Buffer{}); err == nil {
 		t.Fatal("-replica with -resume accepted")
 	}
@@ -266,37 +263,25 @@ func TestRunReportAndProfiles(t *testing.T) {
 	}
 }
 
-// TestRunLegacyAndBatchModes drives the same server once over the
-// deprecated unversioned JSON surface and once over /v1 with batched
-// reach calls and cleanup, verifying both against the oracle.
+// TestRunLegacyAndBatchModes drives a server with batched reach calls,
+// lineage scans and cleanup, verifying every answer against the oracle.
+// (Its first half drove the unversioned JSON surface, which is gone;
+// the name is kept so the test's history stays in one place.)
 func TestRunLegacyAndBatchModes(t *testing.T) {
 	srv := httptest.NewServer(wfreach.NewServiceHandler(wfreach.NewRegistry()))
 	defer srv.Close()
 
 	var out bytes.Buffer
-	legacy := config{
-		addr: srv.URL, spec: "RunningExample",
-		size: 400, seed: 7, sessions: 1, batch: 32, readers: 2,
-		verify: true, legacy: true, cleanup: true, prefix: "leg",
-	}
-	if err := run(legacy, &out); err != nil {
-		t.Fatalf("legacy: %v\n%s", err, out.String())
-	}
-	if s := out.String(); !strings.Contains(s, "legacy-json mode") ||
-		!strings.Contains(s, "0 mismatches") || !strings.Contains(s, "deleted 1 session(s)") {
-		t.Fatalf("legacy report:\n%s", s)
-	}
-
-	out.Reset()
 	batched := config{
 		addr: srv.URL, spec: "RunningExample",
 		size: 400, seed: 7, sessions: 1, batch: 32, readers: 2,
-		verify: true, reachBatch: 16, lineageEvery: 8, cleanup: true, prefix: "leg", // name free again after legacy cleanup
+		verify: true, reachBatch: 16, lineageEvery: 8, cleanup: true, prefix: "bat",
 	}
 	if err := run(batched, &out); err != nil {
 		t.Fatalf("batched: %v\n%s", err, out.String())
 	}
-	if s := out.String(); !strings.Contains(s, "v1-binary mode") || !strings.Contains(s, "0 mismatches") {
+	if s := out.String(); !strings.Contains(s, "reach-batch=16") ||
+		!strings.Contains(s, "0 mismatches") || !strings.Contains(s, "deleted 1 session(s)") {
 		t.Fatalf("batched report:\n%s", s)
 	}
 }

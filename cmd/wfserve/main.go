@@ -112,9 +112,8 @@
 // durable server, binary-frame ingest is teed to the write-ahead log
 // byte-for-byte — the wire frame and the WAL frame are the same
 // format. Errors are structured ({"error":{"code","message","detail"}})
-// with machine-readable codes; the pre-/v1 unversioned paths survive
-// as deprecated adapters. The bound address is printed on startup so
-// callers can use -addr :0.
+// with machine-readable codes. The bound address is printed on startup
+// so callers can use -addr :0.
 package main
 
 import (

@@ -19,9 +19,9 @@
 // -session; it is the only check that covers WAL records written
 // after the last snapshot, which are otherwise CRC-protected only.
 //
-// Sessions from before integrity stamping (WFSNAP01/02 snapshots, or
-// none) report "integrity: unavailable" — legal old data, not a
-// violation.
+// Sessions with no snapshot the server would read (none yet, or one in
+// an older format it ignores and replays over) report "integrity:
+// unavailable" — legal data, not a violation.
 //
 // Exit status: 0 when nothing contradicts an anchor, 1 when any
 // session's audit found a violation, 2 on usage or IO errors.

@@ -25,11 +25,6 @@
 //	GET    /v1/sessions/{name}/wal        tail the session's WAL (replication.go)
 //	GET    /v1/replication/status         ReplicationStatus
 //	POST   /v1/replication/promote        follower → writable primary
-//
-// The same paths without the /v1 prefix (replication endpoints
-// excepted — they postdate the legacy surface) are served as
-// deprecated legacy adapters; see docs/API.md for the migration
-// table.
 package api
 
 import (
@@ -273,7 +268,7 @@ type BatchReachResponse struct {
 
 // LineageResponse is one page of GET /v1/sessions/{name}/lineage.
 // Without cursor/limit parameters the full closure is returned in one
-// response and NextCursor is empty (the deprecated legacy form).
+// response and NextCursor is empty (the deprecated unpaginated form).
 type LineageResponse struct {
 	// Of echoes the queried vertex.
 	Of int32 `json:"of"`

@@ -3,9 +3,7 @@ package api
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"io"
 
 	"wfreach/internal/wal"
@@ -53,13 +51,12 @@ func AppendFrame(buf []byte, ev Event) ([]byte, error) {
 // WAL's tail-tolerant Scan, a wire stream has no excuse for
 // corruption mid-body.
 type FrameReader struct {
-	br    *bufio.Reader
-	frame []byte
+	fr *wal.FrameReader
 }
 
 // NewFrameReader wraps r for frame-by-frame decoding.
 func NewFrameReader(r io.Reader) *FrameReader {
-	return &FrameReader{br: bufio.NewReaderSize(r, 64<<10)}
+	return &FrameReader{fr: wal.NewFrameReader(bufio.NewReaderSize(r, 64<<10))}
 }
 
 // Next returns the next record and its raw frame bytes (header plus
@@ -67,41 +64,18 @@ func NewFrameReader(r io.Reader) *FrameReader {
 // callers that keep it must copy. A clean end of stream returns
 // io.EOF.
 func (fr *FrameReader) Next() (wal.Record, []byte, error) {
-	var header [FrameHeaderSize]byte
-	if _, err := io.ReadFull(fr.br, header[:]); err != nil {
-		if err == io.EOF {
-			return wal.Record{}, nil, io.EOF
-		}
-		return wal.Record{}, nil, Errorf(CodeBadFrame, "truncated frame header: %v", err)
+	frame, err := fr.fr.Next()
+	if err == io.EOF {
+		return wal.Record{}, nil, io.EOF
 	}
-	length := binary.LittleEndian.Uint32(header[0:4])
-	if length == 0 || length > MaxFramePayload {
-		return wal.Record{}, nil, Errorf(CodeBadFrame, "frame length %d outside (0, %d]", length, MaxFramePayload)
-	}
-	total := FrameHeaderSize + int(length)
-	if cap(fr.frame) < total {
-		fr.frame = make([]byte, total)
-	}
-	fr.frame = fr.frame[:total]
-	copy(fr.frame, header[:])
-	if _, err := io.ReadFull(fr.br, fr.frame[FrameHeaderSize:]); err != nil {
-		return wal.Record{}, nil, Errorf(CodeBadFrame, "truncated frame payload: want %d bytes: %v", length, err)
-	}
-	rec, err := decodeVerifiedFrame(fr.frame)
 	if err != nil {
 		return wal.Record{}, nil, Errorf(CodeBadFrame, "bad frame: %v", err)
 	}
-	return rec, fr.frame, nil
-}
-
-// decodeVerifiedFrame checks a complete frame's CRC and decodes its
-// payload into a record (shared by FrameReader and TailReader).
-func decodeVerifiedFrame(frame []byte) (wal.Record, error) {
-	payload := frame[FrameHeaderSize:]
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(frame[4:8]) {
-		return wal.Record{}, errors.New("frame CRC mismatch")
+	rec, err := wal.DecodeRecord(frame[FrameHeaderSize:])
+	if err != nil {
+		return wal.Record{}, nil, Errorf(CodeBadFrame, "bad frame: %v", err)
 	}
-	return wal.DecodeRecord(payload)
+	return rec, frame, nil
 }
 
 // DecodeFrames decodes a complete in-memory frame stream into wire

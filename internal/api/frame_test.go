@@ -200,3 +200,80 @@ func TestAppendFrameRejectsMalformedEvent(t *testing.T) {
 		t.Fatalf("err = %v, want CodeBadEvent", err)
 	}
 }
+
+// TestFrameReaderAllocs pins the framing layer on the binary ingest
+// route: past the reader's warm-up, Next allocates only what the
+// decoded record owns — nothing for a source event, the predecessor
+// slice for one with predecessors.
+func TestFrameReaderAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		ev   Event
+		want float64
+	}{
+		{refEvent(0, 0, 0), 0},
+		{refEvent(5, 1, 2, 3, 4), 1},
+	} {
+		const frames = 64
+		var body []byte
+		for i := 0; i < frames; i++ {
+			body = append(body, oneFrame(t, tc.ev)...)
+		}
+		src := bytes.NewReader(nil)
+		fr := NewFrameReader(src)
+		pass := func() {
+			src.Reset(body)
+			for {
+				if _, _, err := fr.Next(); err == io.EOF {
+					return
+				} else if err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		pass() // warm-up
+		if avg := testing.AllocsPerRun(20, pass) / frames; avg != tc.want {
+			t.Errorf("event with %d preds: %.2f allocations per frame, want %.0f", len(tc.ev.Preds), avg, tc.want)
+		}
+	}
+}
+
+// TestTailReaderEndings: a tail stream ends cleanly only between
+// entries; a cut anywhere inside one — in the sequence prefix, or in
+// the frame after it — is CodeBadFrame, like a non-positive sequence.
+func TestTailReaderEndings(t *testing.T) {
+	frame := oneFrame(t, refEvent(7, 0, 1, 6))
+	var stream []byte
+	for seq := int64(1); seq <= 3; seq++ {
+		stream = AppendTailEntry(stream, seq, frame)
+	}
+	entry := len(stream) / 3
+	for cut := 0; cut <= len(stream); cut++ {
+		tr := NewTailReader(bytes.NewReader(stream[:cut]))
+		var err error
+		n := 0
+		for ; ; n++ {
+			var e TailEntry
+			if e, err = tr.Next(); err != nil {
+				break
+			}
+			if e.Seq != int64(n+1) || !bytes.Equal(e.Frame, frame) {
+				t.Fatalf("cut %d: entry %d = seq %d", cut, n, e.Seq)
+			}
+		}
+		if n != cut/entry {
+			t.Fatalf("cut %d: %d entries, want %d", cut, n, cut/entry)
+		}
+		var ae *Error
+		switch {
+		case cut%entry == 0 && err != io.EOF:
+			t.Fatalf("cut %d between entries: %v, want io.EOF", cut, err)
+		case cut%entry != 0 && (!errors.As(err, &ae) || ae.Code != CodeBadFrame):
+			t.Fatalf("cut %d inside an entry: %v, want CodeBadFrame", cut, err)
+		}
+	}
+	_, err := NewTailReader(bytes.NewReader(AppendTailEntry(nil, 0, frame))).Next()
+	var ae *Error
+	if !errors.As(err, &ae) || ae.Code != CodeBadFrame {
+		t.Fatalf("sequence 0: %v, want CodeBadFrame", err)
+	}
+}

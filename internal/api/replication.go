@@ -91,13 +91,14 @@ type TailEntry struct {
 // (the primary closed the response; reconnect and resume from the
 // last applied sequence).
 type TailReader struct {
-	br    *bufio.Reader
-	frame []byte
+	br *bufio.Reader
+	fr *wal.FrameReader
 }
 
 // NewTailReader wraps r for entry-by-entry decoding.
 func NewTailReader(r io.Reader) *TailReader {
-	return &TailReader{br: bufio.NewReaderSize(r, 64<<10)}
+	br := bufio.NewReaderSize(r, 64<<10)
+	return &TailReader{br: br, fr: wal.NewFrameReader(br)}
 }
 
 // Buffered reports whether at least one byte of a further entry has
@@ -108,37 +109,30 @@ func (t *TailReader) Buffered() bool { return t.br.Buffered() > 0 }
 // Next returns the next entry. Entry.Frame is reused by the following
 // Next call; consumers that keep it must copy.
 func (t *TailReader) Next() (TailEntry, error) {
-	var seqBuf [TailSeqSize]byte
-	if _, err := io.ReadFull(t.br, seqBuf[:]); err != nil {
-		if err == io.EOF {
+	// The sequence prefix is read here, the frame by the shared reader
+	// on the same buffered stream (it never reads ahead of its frame).
+	prefix, err := t.br.Peek(TailSeqSize)
+	if err != nil {
+		if err == io.EOF && len(prefix) == 0 {
 			return TailEntry{}, io.EOF
 		}
 		return TailEntry{}, Errorf(CodeBadFrame, "truncated tail entry: %v", err)
 	}
-	seq := int64(binary.LittleEndian.Uint64(seqBuf[:]))
+	seq := int64(binary.LittleEndian.Uint64(prefix))
+	t.br.Discard(TailSeqSize)
 	if seq <= 0 {
 		return TailEntry{}, Errorf(CodeBadFrame, "tail entry sequence %d is not positive", seq)
 	}
-	var header [FrameHeaderSize]byte
-	if _, err := io.ReadFull(t.br, header[:]); err != nil {
-		return TailEntry{}, Errorf(CodeBadFrame, "truncated tail frame header at seq %d: %v", seq, err)
+	frame, err := t.fr.Next()
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
 	}
-	length := binary.LittleEndian.Uint32(header[0:4])
-	if length == 0 || length > MaxFramePayload {
-		return TailEntry{}, Errorf(CodeBadFrame, "tail frame length %d outside (0, %d] at seq %d", length, MaxFramePayload, seq)
-	}
-	total := FrameHeaderSize + int(length)
-	if cap(t.frame) < total {
-		t.frame = make([]byte, total)
-	}
-	t.frame = t.frame[:total]
-	copy(t.frame, header[:])
-	if _, err := io.ReadFull(t.br, t.frame[FrameHeaderSize:]); err != nil {
-		return TailEntry{}, Errorf(CodeBadFrame, "truncated tail frame payload at seq %d: %v", seq, err)
-	}
-	rec, err := decodeVerifiedFrame(t.frame)
 	if err != nil {
 		return TailEntry{}, Errorf(CodeBadFrame, "tail frame at seq %d: %v", seq, err)
 	}
-	return TailEntry{Seq: seq, Frame: t.frame, Record: rec}, nil
+	rec, err := wal.DecodeRecord(frame[FrameHeaderSize:])
+	if err != nil {
+		return TailEntry{}, Errorf(CodeBadFrame, "tail frame at seq %d: %v", seq, err)
+	}
+	return TailEntry{Seq: seq, Frame: frame, Record: rec}, nil
 }

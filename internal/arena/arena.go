@@ -1,27 +1,26 @@
-// Package arena implements the WFSNAP02 label-snapshot format: an
+// Package arena implements the label-snapshot format (WFSNAP03): an
 // mmap-able arena of encoded labels that a process opens in constant
-// time and queries without decoding or copying anything.
+// time and queries without decoding or copying anything, stamped with
+// the two anchors that tie it to the session's history. The file is
+// laid out so the *file itself* is the data structure:
 //
-// The v1 snapshot (internal/wal) is a varint-packed stream — reading
-// it means one heap allocation per label and a map insert per label,
-// so restoring a gigabyte session costs seconds before the first
-// query. The arena format instead lays the file out so the *file
-// itself* is the data structure:
-//
-//	[0:8)    magic "WFSNAP02" (ASCII)
-//	[8:16)   uint64 LE  events      — WAL records covered by this snapshot
-//	[16:24)  uint64 LE  walBytes    — byte offset of the end of the covered
-//	                                  prefix in the session's events.wal
-//	[24:32)  uint64 LE  count       — number of label entries
-//	[32:40)  uint64 LE  labelBytes  — total label-region size in bytes
-//	[40:44)  uint32 LE  labelCRC    — CRC-32 (IEEE) of the label region
-//	[44:48)  uint32 LE  indexCRC    — CRC-32 (IEEE) of header[8:40) ++ index
-//	[48:48+16·count)    index       — count entries, sorted by vertex id:
-//	                                    uint32 LE vertex
-//	                                    uint32 LE length
-//	                                    uint64 LE offset (into the label region)
-//	[.. +labelBytes)    label bytes — each label's encoding, contiguous,
-//	                                  in index order
+//	[0:8)     magic "WFSNAP03" (ASCII)
+//	[8:16)    uint64 LE  events      — WAL records covered by this snapshot
+//	[16:24)   uint64 LE  walBytes    — byte offset of the end of the covered
+//	                                   prefix in the session's events.wal
+//	[24:32)   uint64 LE  count       — number of label entries
+//	[32:40)   uint64 LE  labelBytes  — total label-region size in bytes
+//	[40:44)   uint32 LE  labelCRC    — CRC-32 (IEEE) of the label region
+//	[44:76)   merkleRoot — Merkle root over the label extents, in index
+//	          order (leaf = SHA-256(0x00 || vertex || label))
+//	[76:108)  chainHead  — WAL hash-chain head at record `events`
+//	[108:112) uint32 LE  indexCRC    — CRC-32 (IEEE) of header[8:108) ++ index
+//	[112:112+16·count)   index       — count entries, sorted by vertex id:
+//	                                     uint32 LE vertex
+//	                                     uint32 LE length
+//	                                     uint64 LE offset (into the label region)
+//	[.. +labelBytes)     label bytes — each label's encoding, contiguous,
+//	                                   in index order
 //
 // The index is fixed-width and sorted, so a vertex is found by binary
 // search straight over the mapped bytes — and because run vertices are
@@ -31,6 +30,11 @@
 // the mapped file sound: the bytes can never change underneath a
 // reader, by the same ownership contract internal/store already
 // relies on for its heap labels.
+//
+// The index CRC covers the integrity fields, so a flipped header byte
+// is caught structurally at Open; a *consistently* rewritten header is
+// caught by cross-checking merkleRoot against the labels and chainHead
+// against the WAL, which is what restore and wfverify do.
 //
 // On linux the file is mapped with mmap(MAP_SHARED, PROT_READ); other
 // platforms fall back to reading the file into memory (same API, no
@@ -53,33 +57,12 @@ import (
 	"wfreach/internal/integrity"
 )
 
-// Magic identifies an arena snapshot file (format version 2 of the
-// labels.snap lineage started by internal/wal's WFSNAP01).
-const Magic = "WFSNAP02"
-
-// MagicV3 identifies the integrity-stamped format: the v2 layout with
-// 64 extra header bytes committing to the label extents (a Merkle
-// root, see internal/integrity) and to the covered WAL prefix (the
-// frame hash-chain head at the watermark):
-//
-//	[0:8)     magic "WFSNAP03" (ASCII)
-//	[8:44)    events, walBytes, count, labelBytes, labelCRC — as v2
-//	[44:76)   merkleRoot — Merkle root over the label extents, in
-//	          index order (leaf = SHA-256(0x00 || vertex || label))
-//	[76:108)  chainHead  — WAL hash-chain head at record `events`
-//	[108:112) uint32 LE indexCRC — CRC-32 (IEEE) of header[8:108) ++ index
-//	then index and label region exactly as v2.
-//
-// The index CRC covers the integrity fields, so a flipped header byte
-// is caught structurally at Open; a *consistently* rewritten header is
-// caught by cross-checking merkleRoot against the labels and chainHead
-// against the WAL, which is what restore and wfverify do.
-const MagicV3 = "WFSNAP03"
+// Magic identifies an arena snapshot file.
+const Magic = "WFSNAP03"
 
 const (
-	headerSize   = 48
-	headerSizeV3 = 112
-	entrySize    = 16
+	headerSize = 112
+	entrySize  = 16
 )
 
 // maxCount caps the entry count Open accepts, so a corrupt header
@@ -91,8 +74,10 @@ const maxCount = 1 << 31
 // invalid.
 var ErrCorrupt = errors.New("arena: corrupt snapshot")
 
-// ErrVersion reports a snapshot file in a different format version
-// (e.g. a v1 "WFSNAP01" file). Callers fall back to the v1 reader.
+// ErrVersion reports a snapshot file with another WFSNAP.. magic (the
+// WFSNAP01 and WFSNAP02 formats earlier builds wrote). Nothing reads
+// those: a snapshot is a cache of the log, so callers treat the file as
+// absent, replay the log, and overwrite it at the next snapshot.
 var ErrVersion = errors.New("arena: snapshot format version not supported")
 
 // Entry is one vertex → encoded-label pair handed to Write. Enc is
@@ -112,11 +97,11 @@ type Meta struct {
 	WALBytes int64
 	// ChainHead is the WAL frame hash-chain head at record Events —
 	// the anchor that ties the snapshot to the exact log prefix it
-	// covers. Meaningful only when HasChain is set.
+	// covers.
 	ChainHead integrity.Head
-	// HasChain selects the WFSNAP03 format; without it Write emits
-	// WFSNAP02 bytes unchanged and the snapshot carries no integrity
-	// metadata.
+	// HasChain reports that ChainHead is a real head. Open always sets
+	// it; Write refuses a Meta without it, because a zero anchor would
+	// make the next restore refuse to boot.
 	HasChain bool
 }
 
@@ -131,8 +116,7 @@ type Arena struct {
 	count  int
 	mapped bool
 
-	// merkleRoot is the header's label-extent Merkle root (v3 only;
-	// meaningful when meta.HasChain is set, like meta.ChainHead).
+	// merkleRoot is the header's label-extent Merkle root.
 	merkleRoot integrity.Head
 
 	// dense is set when the vertex ids are exactly [minV, minV+count),
@@ -152,7 +136,8 @@ type Arena struct {
 // Open opens the arena snapshot at path, mapping it on linux. The
 // header and index are validated (magic, sizes, index CRC, sorted
 // contiguous extents); the label region's CRC is left to Verify. A
-// v1-format file is reported as ErrVersion, damage as ErrCorrupt.
+// file in an older snapshot format is reported as ErrVersion, damage
+// as ErrCorrupt.
 func Open(path string) (*Arena, error) {
 	data, mapped, err := openFile(path)
 	if err != nil {
@@ -170,41 +155,32 @@ func Open(path string) (*Arena, error) {
 
 // parse validates the header and index of a raw arena image.
 func parse(data []byte, mapped bool) (*Arena, error) {
+	if len(data) >= len(Magic) && string(data[:6]) == Magic[:6] && string(data[:8]) != Magic {
+		return nil, fmt.Errorf("%w: magic %q", ErrVersion, data[:8])
+	}
 	if len(data) < headerSize {
 		return nil, fmt.Errorf("%w: %d bytes is shorter than the %d-byte header", ErrCorrupt, len(data), headerSize)
 	}
-	hdrSize := headerSize
-	v3 := false
-	switch string(data[:8]) {
-	case Magic:
-	case MagicV3:
-		hdrSize, v3 = headerSizeV3, true
-		if len(data) < hdrSize {
-			return nil, fmt.Errorf("%w: %d bytes is shorter than the %d-byte v3 header", ErrCorrupt, len(data), hdrSize)
-		}
-	default:
-		if string(data[:6]) == Magic[:6] { // a WFSNAP file of another version
-			return nil, fmt.Errorf("%w: magic %q", ErrVersion, data[:8])
-		}
+	if string(data[:8]) != Magic {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
 	events := binary.LittleEndian.Uint64(data[8:16])
 	walBytes := binary.LittleEndian.Uint64(data[16:24])
 	count := binary.LittleEndian.Uint64(data[24:32])
 	labelBytes := binary.LittleEndian.Uint64(data[32:40])
-	indexCRC := binary.LittleEndian.Uint32(data[hdrSize-4 : hdrSize])
+	indexCRC := binary.LittleEndian.Uint32(data[headerSize-4 : headerSize])
 	if events > 1<<62 || walBytes > 1<<62 || count > maxCount {
 		return nil, fmt.Errorf("%w: implausible header (events=%d walBytes=%d count=%d)", ErrCorrupt, events, walBytes, count)
 	}
-	want := uint64(hdrSize) + count*entrySize + labelBytes
+	want := uint64(headerSize) + count*entrySize + labelBytes
 	if uint64(len(data)) != want {
 		return nil, fmt.Errorf("%w: file is %d bytes, header describes %d", ErrCorrupt, len(data), want)
 	}
-	index := data[uint64(hdrSize) : uint64(hdrSize)+count*entrySize]
-	labels := data[uint64(hdrSize)+count*entrySize:]
+	index := data[headerSize : headerSize+count*entrySize]
+	labels := data[headerSize+count*entrySize:]
 
 	h := crc32.NewIEEE()
-	h.Write(data[8 : hdrSize-4])
+	h.Write(data[8 : headerSize-4])
 	h.Write(index)
 	if h.Sum32() != indexCRC {
 		return nil, fmt.Errorf("%w: index checksum mismatch", ErrCorrupt)
@@ -218,14 +194,12 @@ func parse(data []byte, mapped bool) (*Arena, error) {
 		data:   data,
 		index:  index,
 		labels: labels,
-		meta:   Meta{Events: int64(events), WALBytes: int64(walBytes), HasChain: v3},
+		meta:   Meta{Events: int64(events), WALBytes: int64(walBytes), HasChain: true},
 		count:  int(count),
 		mapped: mapped,
 	}
-	if v3 {
-		copy(a.merkleRoot[:], data[44:76])
-		copy(a.meta.ChainHead[:], data[76:108])
-	}
+	copy(a.merkleRoot[:], data[44:76])
+	copy(a.meta.ChainHead[:], data[76:108])
 	var next uint64
 	prevV := int64(-1)
 	for i := 0; i < a.count; i++ {
@@ -369,10 +343,9 @@ func (a *Arena) Verify() error {
 }
 
 // Integrity returns the snapshot's integrity anchors — the Merkle root
-// over the label extents and the WAL chain head at the watermark. ok
-// is false for v2 snapshots, which carry neither.
-func (a *Arena) Integrity() (merkleRoot, chainHead integrity.Head, ok bool) {
-	return a.merkleRoot, a.meta.ChainHead, a.meta.HasChain
+// over the label extents and the WAL chain head at the watermark.
+func (a *Arena) Integrity() (merkleRoot, chainHead integrity.Head) {
+	return a.merkleRoot, a.meta.ChainHead
 }
 
 // VerifyMerkle recomputes the Merkle root over the label extents and
@@ -381,12 +354,9 @@ func (a *Arena) Integrity() (merkleRoot, chainHead integrity.Head, ok bool) {
 // it is the value the integrity API exposes to external anchors — a
 // snapshot whose labels were rewritten CRC-consistently still fails
 // here unless the header (and therefore the anchored root) was
-// rewritten too. A v2 snapshot has no root and trivially passes.
-// Like Verify, it faults in every page of the label region.
+// rewritten too. Like Verify, it faults in every page of the label
+// region.
 func (a *Arena) VerifyMerkle() error {
-	if !a.meta.HasChain {
-		return nil
-	}
 	m := integrity.NewMerkle()
 	for i := 0; i < a.count; i++ {
 		v, enc := a.entry(i)
@@ -415,19 +385,20 @@ func (a *Arena) Close() error {
 // Write atomically replaces the arena snapshot at path: entries are
 // sorted by vertex (in place — the slice is scratch owned by the
 // caller, its Enc bytes are only read), streamed through a buffered
-// writer, synced, and renamed into place, like the v1 writer. Nothing
-// is re-encoded and no label byte is copied: snapshotting a session
-// costs one pass over the entries plus the file write itself.
-//
-// With meta.HasChain set the WFSNAP03 format is written: the Merkle
-// root over the entries is computed during the same pass, stamped into
-// the header next to meta.ChainHead, and returned so the caller can
-// expose it without reopening the file. Without it, the emitted bytes
-// are WFSNAP02, identical to previous releases, and the returned root
-// is zero.
+// writer, synced, and renamed into place. Nothing is re-encoded and no
+// label byte is copied: snapshotting a session costs one pass over the
+// entries plus the file write itself. The Merkle root over the entries
+// is computed during the same pass, stamped into the header next to
+// meta.ChainHead, and returned so the caller can expose it without
+// reopening the file. A meta without a chain head (HasChain false) is
+// refused: the WAL alone always recovers, a snapshot anchored to
+// nothing would not.
 func Write(path string, meta Meta, entries []Entry) (integrity.Head, error) {
 	if meta.Events < 0 || meta.WALBytes < 0 {
 		return integrity.Head{}, fmt.Errorf("arena: negative watermark (events=%d walBytes=%d)", meta.Events, meta.WALBytes)
+	}
+	if !meta.HasChain {
+		return integrity.Head{}, fmt.Errorf("arena: no WAL chain head to anchor the snapshot to")
 	}
 	slices.SortFunc(entries, func(a, b Entry) int {
 		switch {
@@ -441,10 +412,7 @@ func Write(path string, meta Meta, entries []Entry) (integrity.Head, error) {
 	})
 	var labelBytes uint64
 	labelCRC := crc32.NewIEEE()
-	var merkle *integrity.Merkle
-	if meta.HasChain {
-		merkle = integrity.NewMerkle()
-	}
+	merkle := integrity.NewMerkle()
 	index := make([]byte, len(entries)*entrySize)
 	for i, e := range entries {
 		if i > 0 && e.V == entries[i-1].V {
@@ -459,36 +427,23 @@ func Write(path string, meta Meta, entries []Entry) (integrity.Head, error) {
 		binary.LittleEndian.PutUint64(ix[8:16], labelBytes)
 		labelBytes += uint64(len(e.Enc))
 		labelCRC.Write(e.Enc)
-		if merkle != nil {
-			merkle.Add(merkle.LabelLeaf(uint32(e.V), e.Enc))
-		}
+		merkle.Add(merkle.LabelLeaf(uint32(e.V), e.Enc))
 	}
 
-	var root integrity.Head
-	hdrSize := headerSize
-	if meta.HasChain {
-		hdrSize = headerSizeV3
-		root = merkle.Root()
-	}
-	hdr := make([]byte, hdrSize)
-	if meta.HasChain {
-		copy(hdr[:8], MagicV3)
-	} else {
-		copy(hdr[:8], Magic)
-	}
+	root := merkle.Root()
+	hdr := make([]byte, headerSize)
+	copy(hdr[:8], Magic)
 	binary.LittleEndian.PutUint64(hdr[8:16], uint64(meta.Events))
 	binary.LittleEndian.PutUint64(hdr[16:24], uint64(meta.WALBytes))
 	binary.LittleEndian.PutUint64(hdr[24:32], uint64(len(entries)))
 	binary.LittleEndian.PutUint64(hdr[32:40], labelBytes)
 	binary.LittleEndian.PutUint32(hdr[40:44], labelCRC.Sum32())
-	if meta.HasChain {
-		copy(hdr[44:76], root[:])
-		copy(hdr[76:108], meta.ChainHead[:])
-	}
+	copy(hdr[44:76], root[:])
+	copy(hdr[76:108], meta.ChainHead[:])
 	indexCRC := crc32.NewIEEE()
-	indexCRC.Write(hdr[8 : hdrSize-4])
+	indexCRC.Write(hdr[8 : headerSize-4])
 	indexCRC.Write(index)
-	binary.LittleEndian.PutUint32(hdr[hdrSize-4:], indexCRC.Sum32())
+	binary.LittleEndian.PutUint32(hdr[headerSize-4:], indexCRC.Sum32())
 
 	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {

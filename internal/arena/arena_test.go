@@ -41,7 +41,7 @@ func TestRoundTripDense(t *testing.T) {
 	rand.New(rand.NewSource(1)).Shuffle(len(entries), func(i, j int) {
 		entries[i], entries[j] = entries[j], entries[i]
 	})
-	a := writeOpen(t, Meta{Events: 100, WALBytes: 4321}, entries)
+	a := writeOpen(t, Meta{Events: 100, WALBytes: 4321, HasChain: true}, entries)
 	if a.Events() != 100 || a.WALBytes() != 4321 || a.Count() != 100 {
 		t.Fatalf("meta = %+v count %d", a.Meta(), a.Count())
 	}
@@ -70,7 +70,7 @@ func TestRoundTripSparse(t *testing.T) {
 	for i, v := range vs {
 		entries[i] = Entry{V: v, Enc: []byte{byte(i), byte(i + 1)}}
 	}
-	a := writeOpen(t, Meta{}, entries)
+	a := writeOpen(t, Meta{HasChain: true}, entries)
 	if a.dense {
 		t.Fatal("sparse ids must not be marked dense")
 	}
@@ -101,7 +101,7 @@ func TestRoundTripSparse(t *testing.T) {
 }
 
 func TestEmptyArena(t *testing.T) {
-	a := writeOpen(t, Meta{Events: 0}, nil)
+	a := writeOpen(t, Meta{Events: 0, HasChain: true}, nil)
 	if a.Count() != 0 || a.LabelBytes() != 0 {
 		t.Fatalf("empty arena has count %d, %d label bytes", a.Count(), a.LabelBytes())
 	}
@@ -114,7 +114,7 @@ func TestEmptyLabels(t *testing.T) {
 	// Zero-length encodings are legal entries (not produced by the
 	// codec today, but the format must not conflate length 0 with
 	// absence).
-	a := writeOpen(t, Meta{}, []Entry{{V: 1, Enc: nil}, {V: 2, Enc: []byte("x")}, {V: 3, Enc: nil}})
+	a := writeOpen(t, Meta{HasChain: true}, []Entry{{V: 1, Enc: nil}, {V: 2, Enc: []byte("x")}, {V: 3, Enc: nil}})
 	if enc, ok := a.Get(1); !ok || len(enc) != 0 {
 		t.Fatalf("Get(1) = %q, %v", enc, ok)
 	}
@@ -125,7 +125,7 @@ func TestEmptyLabels(t *testing.T) {
 
 func TestWriteRejectsDuplicates(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "labels.snap")
-	_, err := Write(path, Meta{}, []Entry{{V: 5, Enc: []byte("a")}, {V: 5, Enc: []byte("b")}})
+	_, err := Write(path, Meta{HasChain: true}, []Entry{{V: 5, Enc: []byte("a")}, {V: 5, Enc: []byte("b")}})
 	if err == nil {
 		t.Fatal("duplicate vertex accepted")
 	}
@@ -137,10 +137,10 @@ func TestWriteIsDeterministic(t *testing.T) {
 		return []Entry{{V: 9, Enc: []byte("i")}, {V: 2, Enc: []byte("b")}, {V: 5, Enc: []byte("e")}}
 	}
 	p1, p2 := filepath.Join(dir, "a.snap"), filepath.Join(dir, "b.snap")
-	if _, err := Write(p1, Meta{Events: 3, WALBytes: 77}, entries()); err != nil {
+	if _, err := Write(p1, Meta{Events: 3, WALBytes: 77, HasChain: true}, entries()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Write(p2, Meta{Events: 3, WALBytes: 77}, entries()); err != nil {
+	if _, err := Write(p2, Meta{Events: 3, WALBytes: 77, HasChain: true}, entries()); err != nil {
 		t.Fatal(err)
 	}
 	b1, _ := os.ReadFile(p1)
@@ -150,15 +150,23 @@ func TestWriteIsDeterministic(t *testing.T) {
 	}
 }
 
+// TestOpenRejectsV1Magic: the formats earlier builds wrote (WFSNAP01,
+// WFSNAP02) are ErrVersion whatever follows the magic — even nothing —
+// which is what lets restore treat them as absent and replay the log.
 func TestOpenRejectsV1Magic(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "labels.snap")
-	body := append([]byte("WFSNAP01"), make([]byte, 64)...)
-	if err := os.WriteFile(path, body, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err := Open(path)
-	if !errors.Is(err, ErrVersion) {
-		t.Fatalf("v1 magic: got %v, want ErrVersion", err)
+	for _, body := range [][]byte{
+		append([]byte("WFSNAP01"), make([]byte, 64)...),
+		append([]byte("WFSNAP02"), make([]byte, 200)...),
+		[]byte("WFSNAP01"),
+	} {
+		path := filepath.Join(t.TempDir(), "labels.snap")
+		if err := os.WriteFile(path, body, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Open(path)
+		if !errors.Is(err, ErrVersion) {
+			t.Fatalf("%q + %d bytes: got %v, want ErrVersion", body[:8], len(body)-8, err)
+		}
 	}
 }
 
@@ -168,7 +176,7 @@ func corrupt(t *testing.T, mutate func(b []byte) []byte) error {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "labels.snap")
 	entries := []Entry{{V: 1, Enc: []byte("aa")}, {V: 2, Enc: []byte("bbb")}, {V: 9, Enc: []byte("c")}}
-	if _, err := Write(path, Meta{Events: 3, WALBytes: 60}, entries); err != nil {
+	if _, err := Write(path, Meta{Events: 3, WALBytes: 60, HasChain: true}, entries); err != nil {
 		t.Fatal(err)
 	}
 	b, err := os.ReadFile(path)
@@ -224,14 +232,14 @@ func reseal(b []byte) {
 	count := binary.LittleEndian.Uint64(b[24:32])
 	index := b[headerSize : headerSize+count*entrySize]
 	h := crc32.NewIEEE()
-	h.Write(b[8:40])
+	h.Write(b[8 : headerSize-4])
 	h.Write(index)
-	binary.LittleEndian.PutUint32(b[44:48], h.Sum32())
+	binary.LittleEndian.PutUint32(b[headerSize-4:], h.Sum32())
 }
 
 func TestVerifyCatchesLabelRot(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "labels.snap")
-	if _, err := Write(path, Meta{}, []Entry{{V: 0, Enc: []byte("hello")}}); err != nil {
+	if _, err := Write(path, Meta{HasChain: true}, []Entry{{V: 0, Enc: []byte("hello")}}); err != nil {
 		t.Fatal(err)
 	}
 	b, _ := os.ReadFile(path)

@@ -9,7 +9,7 @@ import (
 	"wfreach/internal/graph"
 )
 
-// FuzzArenaOpen throws arbitrary bytes at the v2 parser. The property
+// FuzzArenaOpen throws arbitrary bytes at the parser. The property
 // under test: Open either rejects the input or returns an arena whose
 // every entry is a safe, in-bounds slice — no panics, no entry that
 // escapes the label region, no unsorted index. Seeds cover the
@@ -22,7 +22,7 @@ func FuzzArenaOpen(f *testing.F) {
 		{V: 1, Enc: []byte("b")},
 		{V: 5, Enc: []byte("gamma-gamma")},
 	}
-	if _, err := Write(path, Meta{Events: 3, WALBytes: 99}, entries); err != nil {
+	if _, err := Write(path, Meta{Events: 3, WALBytes: 99, HasChain: true}, entries); err != nil {
 		f.Fatal(err)
 	}
 	valid, err := os.ReadFile(path)
@@ -34,7 +34,8 @@ func FuzzArenaOpen(f *testing.F) {
 	f.Add(valid[:headerSize+entrySize]) // truncated index
 	f.Add(valid[:12])                   // truncated header
 	f.Add([]byte("WFSNAP01v1 body...")) // v1 magic
-	f.Add([]byte("WFSNAP02"))           // magic only
+	f.Add([]byte("WFSNAP02"))           // v2 magic only
+	f.Add([]byte(Magic))                // magic only
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
 	mutated := bytes.Clone(valid)
 	mutated[headerSize+8] ^= 0x01 // entry 0 offset

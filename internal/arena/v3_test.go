@@ -1,7 +1,6 @@
 package arena
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -38,9 +37,9 @@ func TestV3RoundTripAndVerify(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	gotRoot, gotChain, ok := a.Integrity()
-	if !ok || gotRoot != root || gotChain != chain {
-		t.Fatalf("Integrity() = (%s, %s, %v), want (%s, %s, true)", gotRoot, gotChain, ok, root, chain)
+	gotRoot, gotChain := a.Integrity()
+	if gotRoot != root || gotChain != chain {
+		t.Fatalf("Integrity() = (%s, %s), want (%s, %s)", gotRoot, gotChain, root, chain)
 	}
 	if !a.Meta().HasChain || a.Meta().ChainHead != chain {
 		t.Fatalf("Meta does not carry the chain head")
@@ -61,33 +60,17 @@ func TestV3RoundTripAndVerify(t *testing.T) {
 	}
 }
 
-// TestV2ByteIdenticalWithoutChain: a Meta without HasChain must keep
-// emitting the exact v2 format — old readers and golden fixtures see
-// no difference.
-func TestV2ByteIdenticalWithoutChain(t *testing.T) {
-	dir := t.TempDir()
-	entries := v3Entries(40)
-	p2 := filepath.Join(dir, "v2.snap")
-	if _, err := Write(p2, Meta{Events: 40, WALBytes: 512}, entries); err != nil {
-		t.Fatal(err)
+// TestWriteRefusesWithoutChain: a snapshot anchored to no chain head
+// would make the next restore refuse to boot (a zero anchor matches no
+// log), so Write refuses it and leaves nothing behind — the WAL alone
+// always recovers.
+func TestWriteRefusesWithoutChain(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "labels.snap")
+	if _, err := Write(path, Meta{Events: 40, WALBytes: 512}, v3Entries(40)); err == nil {
+		t.Fatal("Write accepted a Meta without a chain head")
 	}
-	raw, err := os.ReadFile(p2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(raw, []byte(Magic)) {
-		t.Fatalf("chainless write emitted magic %q, want %q", raw[:8], Magic)
-	}
-	a, err := Open(p2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	if _, _, ok := a.Integrity(); ok {
-		t.Fatal("a v2 arena claims integrity anchors")
-	}
-	if err := a.VerifyMerkle(); err != nil {
-		t.Fatalf("VerifyMerkle on v2 must be a trivial pass, got %v", err)
+	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("a refused Write left a file behind (stat: %v)", err)
 	}
 }
 
@@ -103,15 +86,15 @@ func TestV3TamperedExtentFailsMerkle(t *testing.T) {
 		t.Fatal(err)
 	}
 	count := int(binary.LittleEndian.Uint64(raw[24:32]))
-	labelOff := headerSizeV3 + count*entrySize
+	labelOff := headerSize + count*entrySize
 	raw[labelOff+5] ^= 0x20
 	// Patch the label-region CRC so the structural check stays green.
 	binary.LittleEndian.PutUint32(raw[40:44], crc32.ChecksumIEEE(raw[labelOff:]))
 	// And the index CRC, which covers header[8:108).
 	idx := crc32.NewIEEE()
-	idx.Write(raw[8 : headerSizeV3-4])
-	idx.Write(raw[headerSizeV3:labelOff])
-	binary.LittleEndian.PutUint32(raw[headerSizeV3-4:headerSizeV3], idx.Sum32())
+	idx.Write(raw[8 : headerSize-4])
+	idx.Write(raw[headerSize:labelOff])
+	binary.LittleEndian.PutUint32(raw[headerSize-4:headerSize], idx.Sum32())
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -144,8 +127,8 @@ func TestV3HeaderDamageCaught(t *testing.T) {
 	}
 }
 
-// TestUnknownSnapVersionRejected: future formats in the WFSNAP lineage
-// are ErrVersion, not garbage decode.
+// TestUnknownSnapVersionRejected: any other format in the WFSNAP
+// lineage is ErrVersion, not garbage decode.
 func TestUnknownSnapVersionRejected(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "labels.snap")
 	if _, err := Write(path, Meta{Events: 10, HasChain: true}, v3Entries(10)); err != nil {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -17,7 +16,6 @@ import (
 	"wfreach/internal/obs"
 	"wfreach/internal/service"
 	"wfreach/internal/spec"
-	"wfreach/internal/wal"
 	"wfreach/internal/wfxml"
 )
 
@@ -63,11 +61,11 @@ type peerState struct {
 // control plane, probes the peers, and executes session moves by
 // tailing the owner's WAL — the same replay a follower runs, driven to
 // a sealed final sequence instead of forever. A moved session persists
-// through the destination's own registry, so its snapshots land in the
-// arena format (WFSNAP02) and a node restart re-adopts every session
-// it hosts — moved or native — through the shared arena restore path:
-// snapshotted labels are mapped zero-copy and only the WAL tail past
-// the snapshot watermark is replayed.
+// through the destination's own registry, so it takes arena snapshots
+// like any other and a node restart re-adopts every session it hosts —
+// moved or native — through the shared arena restore path: snapshotted
+// labels are mapped zero-copy and only the WAL tail past the snapshot
+// watermark is re-encoded.
 //
 // The controller deliberately talks raw HTTP + api types to its peers
 // rather than the client SDK: the SDK's cluster client imports this
@@ -603,54 +601,11 @@ func (c *Controller) tailRound(ctx context.Context, s *service.Session, ownerURL
 		return 0, decodeAPIError(resp)
 	}
 
-	tr := api.NewTailReader(resp.Body)
-	var applied int64
-	recs := make([]wal.Record, 0, c.opts.BatchSize)
-	frames := make([][]byte, 0, c.opts.BatchSize)
-	var frameBuf []byte
-	apply := func() error {
-		if len(recs) == 0 {
-			return nil
-		}
-		n, err := s.AppendRecords(recs, frames)
-		applied += int64(n)
-		if err != nil {
-			// Labeling is deterministic; a rejected replayed event means
-			// the copy diverged from the owner's log.
-			return fmt.Errorf("apply at seq %d: %w", s.Vertices(), err)
-		}
-		recs, frames, frameBuf = recs[:0], frames[:0], frameBuf[:0]
-		return nil
+	n, err := s.ApplyTail(api.NewTailReader(resp.Body), from, c.opts.BatchSize, nil)
+	if err != nil {
+		return n, fmt.Errorf("tail of %q from seq %d: %w", session, from, err)
 	}
-	for {
-		entry, err := tr.Next()
-		if errors.Is(err, io.EOF) {
-			return applied, apply()
-		}
-		if err != nil {
-			if aerr := apply(); aerr != nil {
-				return applied, aerr
-			}
-			return applied, err
-		}
-		if expect := s.Vertices() + int64(len(recs)) + 1; entry.Seq != expect {
-			if aerr := apply(); aerr != nil {
-				return applied, aerr
-			}
-			return applied, fmt.Errorf("tail of %q jumped to seq %d, want %d", session, entry.Seq, expect)
-		}
-		// The entry's frame is reused by the next read; stash a copy in
-		// one grow-only batch buffer.
-		start := len(frameBuf)
-		frameBuf = append(frameBuf, entry.Frame...)
-		recs = append(recs, entry.Record)
-		frames = append(frames, frameBuf[start:len(frameBuf):len(frameBuf)])
-		if len(recs) >= c.opts.BatchSize {
-			if err := apply(); err != nil {
-				return applied, err
-			}
-		}
-	}
+	return n, nil
 }
 
 // Release is the owner side of a move (service.ClusterHooks.Release):

@@ -4,8 +4,7 @@
 // tamper-evidence anchors from the raw files alone, with no registry,
 // no replay and no labeling.
 //
-// For a session whose latest snapshot is integrity-stamped (WFSNAP03)
-// the audit proves three things:
+// For a session with a label snapshot the audit proves three things:
 //
 //  1. the snapshot's label extents hash to its recorded Merkle root
 //     (the labels served zero-copy were not rewritten);
@@ -25,9 +24,10 @@
 // endpoint's anchors somewhere the server cannot touch to close that
 // window.
 //
-// Sessions whose snapshot predates the integrity format (WFSNAP01/02,
-// or no snapshot at all) report StatusUnavailable, not a violation:
-// old data is legal, it just proves nothing.
+// Sessions with no snapshot the server would read — none yet, or one in
+// an older format the server ignores and replays over — report
+// StatusUnavailable, not a violation: such data is legal, it just
+// anchors nothing.
 package audit
 
 import (
@@ -59,9 +59,8 @@ const (
 	// StatusVerified: the snapshot's Merkle root and watermark chain
 	// anchor both check out against the bytes on disk.
 	StatusVerified Status = "verified"
-	// StatusUnavailable: the session predates integrity stamping
-	// (WFSNAP01/02 snapshot, or none); nothing to verify, nothing
-	// wrong.
+	// StatusUnavailable: the session has no snapshot the server would
+	// read (none, or an older format); nothing to verify, nothing wrong.
 	StatusUnavailable Status = "unavailable"
 	// StatusViolation: the bytes on disk contradict a recorded anchor.
 	StatusViolation Status = "violation"
@@ -77,7 +76,7 @@ type SessionReport struct {
 
 	// SnapshotWatermark is the event count the snapshot covers;
 	// AnchorHead the chain head it recorded at that point and
-	// MerkleRoot its label-extent root (all zero/empty without a v3
+	// MerkleRoot its label-extent root (all zero/empty without a
 	// snapshot).
 	SnapshotWatermark int64
 	AnchorHead        string
@@ -147,15 +146,12 @@ func VerifySession(sdir, expectHead string) SessionReport {
 	a, err := arena.Open(filepath.Join(sdir, snapFile))
 	switch {
 	case errors.Is(err, fs.ErrNotExist) || errors.Is(err, arena.ErrVersion):
-		// No snapshot, or a pre-integrity format: chain from genesis.
+		// No snapshot the server would read: chain from genesis.
 	case err != nil:
 		return rep.fail("open snapshot: %v", err)
 	default:
 		defer a.Close()
-		root, anchor, stamped := a.Integrity()
-		if !stamped { // WFSNAP02: sound, but anchors nothing
-			break
-		}
+		root, anchor := a.Integrity()
 		rep.SnapshotWatermark = a.Events()
 		rep.MerkleRoot = root.String()
 		rep.AnchorHead = anchor.String()
@@ -177,7 +173,7 @@ func VerifySession(sdir, expectHead string) SessionReport {
 		rep.Status = StatusVerified
 	}
 
-	// Extend the chain over the tail (or, without a v3 snapshot, the
+	// Extend the chain over the tail (or, without a snapshot, the
 	// whole log). A torn tail — trailing bytes that never formed a
 	// complete frame — is a legal crash artifact, but damage to a
 	// complete record is corruption either way.

@@ -18,14 +18,17 @@ func mustParse(t *testing.T, src string) *Matrix {
 // TestRunTinyMatrix drives a small real matrix end to end on the
 // single topology: both workload kinds, both transports, verification
 // on, generous gates — everything must pass and the report must carry
-// real measurements.
+// real measurements. The runs are sized so that ingest outlasts the
+// readers' start-up: a stream that is over in a few milliseconds can
+// end before any reader got a query in, and a gated latency with no
+// samples is a violation.
 func TestRunTinyMatrix(t *testing.T) {
 	m := mustParse(t, `{
 	  "name": "tiny",
 	  "defaults": {"batch": 64, "verify": true, "seed": 5},
 	  "workloads": [
-	    {"name": "bio", "kind": "grammar", "spec": "BioAID", "size": 400},
-	    {"name": "agent", "kind": "agent", "size": 300, "depth": 4}
+	    {"name": "bio", "kind": "grammar", "spec": "BioAID", "size": 3000},
+	    {"name": "agent", "kind": "agent", "size": 2000, "depth": 4}
 	  ],
 	  "topologies": ["single"],
 	  "transports": ["binary", "json"],

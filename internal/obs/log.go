@@ -122,13 +122,9 @@ func (w *statusWriter) Flush() {
 // is the size of the API surface, not the session population.
 func RouteOf(path string) string {
 	segs := strings.Split(strings.TrimPrefix(path, "/"), "/")
-	// /v1/sessions/{name}[/verb] and the legacy /sessions/{name}[/verb].
-	i := 0
-	if len(segs) > 0 && segs[0] == "v1" {
-		i = 1
-	}
-	if len(segs) > i+1 && segs[i] == "sessions" && segs[i+1] != "" {
-		segs[i+1] = ":name"
+	// /v1/sessions/{name}[/verb]
+	if len(segs) > 2 && segs[0] == "v1" && segs[1] == "sessions" && segs[2] != "" {
+		segs[2] = ":name"
 	}
 	return "/" + strings.Join(segs, "/")
 }

@@ -15,7 +15,7 @@ func TestRouteOf(t *testing.T) {
 		"/v1/sessions":              "/v1/sessions",
 		"/v1/metrics":               "/v1/metrics",
 		"/v1/cluster/health":        "/v1/cluster/health",
-		"/sessions/x/reach":         "/sessions/:name/reach",
+		"/sessions/x/reach":         "/sessions/x/reach", // unversioned: a 404, left as it came
 		"/healthz":                  "/healthz",
 		"/v1/sessions/a.b-c/events": "/v1/sessions/:name/events",
 	} {

@@ -19,8 +19,8 @@
 // already is a valid continuation of everything it acknowledged.
 //
 // Because a durable follower persists through the same registry as a
-// primary, it also snapshots in the arena format (WFSNAP02) and a
-// follower restart recovers through the same arena path: labels for
+// primary, it also takes arena snapshots and a follower restart
+// recovers through the same arena path: labels for
 // the snapshotted prefix are mapped zero-copy and only the WAL tail
 // past the snapshot's byte watermark is replayed, so rejoining after
 // a restart costs an mmap plus the tail — not a full re-label of the
@@ -32,7 +32,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 	"sync"
@@ -44,7 +43,6 @@ import (
 	"wfreach/internal/obs"
 	"wfreach/internal/service"
 	"wfreach/internal/spec"
-	"wfreach/internal/wal"
 	"wfreach/internal/wfxml"
 )
 
@@ -537,11 +535,9 @@ func (f *Follower) catchUpOnce(ctx context.Context, name string, ss *sessionStat
 	return f.tailOnce(ctx, name, ss, false)
 }
 
-// tailOnce runs one tail stream until it ends, applying entries in
-// batches. Entries are batched greedily: the first read blocks, then
-// the batch grows while more bytes are already buffered, so a burst
-// arriving after a primary commit is applied in one ingest call (one
-// local WAL commit) instead of 256 tiny ones.
+// tailOnce runs one tail stream until it ends, applying it through
+// service.Session.ApplyTail and keeping the session's progress and hash
+// chain in step with every applied batch.
 func (f *Follower) tailOnce(ctx context.Context, name string, ss *sessionState, wait bool) error {
 	s, ok := f.reg.Get(name)
 	if !ok {
@@ -556,88 +552,41 @@ func (f *Follower) tailOnce(ctx context.Context, name string, ss *sessionState, 
 	}
 	defer tail.Close()
 
-	recs := make([]wal.Record, 0, f.opts.BatchSize)
-	frames := make([][]byte, 0, f.opts.BatchSize)
-	var frameBuf []byte
-	var lastSeq int64
 	chainer := integrity.NewChainer()
-	apply := func() error {
-		if len(recs) == 0 {
-			return nil
-		}
-		n, err := s.AppendRecords(recs, frames)
-		if err != nil {
-			// Labeling is deterministic, so a rejected replayed event
-			// means divergence (or a poisoned local WAL) — stop this
-			// session rather than corrupt it. The applied prefix is still
-			// recorded: it is real, logged data.
-			ss.mu.Lock()
-			ss.applied += int64(n)
-			ss.stopped = true
-			ss.chainOK = false // the chain no longer tracks what was applied
-			ss.mu.Unlock()
-			return fmt.Errorf("apply at seq %d: %w", lastSeq-int64(len(recs)-n-1), err)
-		}
+	n, err := s.ApplyTail(tail.TailReader, from, f.opts.BatchSize, func(last int64, frames [][]byte) error {
 		ss.mu.Lock()
-		ss.applied = lastSeq
+		ss.applied = last
 		ss.lastErr = ""
 		if ss.chainOK {
 			for _, fr := range frames {
 				ss.chainHead = chainer.Extend(ss.chainHead, fr)
 			}
-			ss.chainSeq = lastSeq
+			ss.chainSeq = last
 			f.chainFrames.Add(int64(len(frames)))
 		}
 		ss.mu.Unlock()
-		recs, frames, frameBuf = recs[:0], frames[:0], frameBuf[:0]
-		return nil
-	}
-	for {
-		entry, err := tail.Next()
-		if errors.Is(err, io.EOF) {
-			if err := apply(); err != nil {
-				return err
-			}
+		// A drained stream is the moment the follower can be exactly as
+		// far as the primary — the only point where the two chain heads
+		// are comparable at the same sequence.
+		if !tail.Buffered() {
 			return f.verifyChain(ctx, name, ss)
 		}
-		if err != nil {
-			// Apply what we have; the damage point is retried after
-			// reconnect.
-			if aerr := apply(); aerr != nil {
-				return aerr
-			}
-			return err
-		}
+		return nil
+	})
+	if errors.Is(err, service.ErrTailRejected) {
+		// Stop this session rather than corrupt it. The applied prefix
+		// is still recorded: it is real, logged data.
 		ss.mu.Lock()
-		expect := ss.applied + int64(len(recs)) + 1
+		ss.applied = from - 1 + n
+		ss.stopped = true
+		ss.lastErr = err.Error()
+		ss.chainOK = false // the chain no longer tracks what was applied
 		ss.mu.Unlock()
-		if entry.Seq != expect {
-			if aerr := apply(); aerr != nil {
-				return aerr
-			}
-			return fmt.Errorf("tail of %q jumped to seq %d, want %d", name, entry.Seq, expect)
-		}
-		// The entry's frame is reused by the next read; stash a copy in
-		// one grow-only batch buffer.
-		start := len(frameBuf)
-		frameBuf = append(frameBuf, entry.Frame...)
-		recs = append(recs, entry.Record)
-		frames = append(frames, frameBuf[start:len(frameBuf):len(frameBuf)])
-		lastSeq = entry.Seq
-		if len(recs) >= f.opts.BatchSize || !tail.Buffered() {
-			if err := apply(); err != nil {
-				return err
-			}
-			// A drained stream is the moment the follower can be exactly
-			// as far as the primary — the only point where the two chain
-			// heads are comparable at the same sequence.
-			if !tail.Buffered() {
-				if err := f.verifyChain(ctx, name, ss); err != nil {
-					return err
-				}
-			}
-		}
 	}
+	if err != nil {
+		return err
+	}
+	return f.verifyChain(ctx, name, ss)
 }
 
 // verifyChain cross-checks the follower's chain head against the
@@ -679,10 +628,14 @@ func (f *Follower) verifyChain(ctx context.Context, name string, ss *sessionStat
 		return nil
 	}
 	if have := head.String(); st.ChainHead != have {
+		err := fmt.Errorf("integrity: chain mismatch at seq %d of %q: follower computed %s from the shipped frames, primary reports %s — the primary's log was rewritten; tail stopped", seq, name, have, st.ChainHead)
+		// Stopped and the reason become visible together: a status
+		// reader must never see a stopped session without its why.
 		ss.mu.Lock()
 		ss.stopped = true
+		ss.lastErr = err.Error()
 		ss.mu.Unlock()
-		return fmt.Errorf("integrity: chain mismatch at seq %d of %q: follower computed %s from the shipped frames, primary reports %s — the primary's log was rewritten; tail stopped", seq, name, have, st.ChainHead)
+		return err
 	}
 	ss.mu.Lock()
 	ss.verifiedSeq = seq

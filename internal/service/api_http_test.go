@@ -38,23 +38,23 @@ func expectCode(t testing.TB, wantStatus int, wantCode api.ErrorCode, gotStatus 
 	}
 }
 
-// TestHTTPMethodTable drives every route × verb combination, on both
-// the /v1 and the deprecated unversioned prefix: wrong verbs on known
-// paths must be 405 with an Allow header (never a 404), and allowed
-// verbs must dispatch.
+// TestHTTPMethodTable drives every route × verb combination: wrong
+// verbs on known paths must be 405 with an Allow header (never a 404),
+// and allowed verbs must dispatch. The same paths without the /v1
+// prefix are not routes: every verb gets the structured 404.
 func TestHTTPMethodTable(t *testing.T) {
 	srv := newTestServer(t)
 	doJSON(t, "POST", srv.URL+"/v1/sessions", CreateRequest{Name: "s", Builtin: "RunningExample"}, nil)
 
 	routes := []struct {
 		path  string
-		allow string // the exact Allow header for disallowed verbs
+		allow string // the exact Allow header for disallowed verbs; empty: not a route
 	}{
-		{"/sessions", "GET, HEAD, POST"},
-		{"/sessions/s", "DELETE, GET, HEAD"},
-		{"/sessions/s/events", "POST"},
-		{"/sessions/s/reach", "GET, HEAD, POST"},
-		{"/sessions/s/lineage", "GET, HEAD"},
+		{"/sessions", ""},
+		{"/sessions/s", ""},
+		{"/sessions/s/events", ""},
+		{"/sessions/s/reach", ""},
+		{"/sessions/s/lineage", ""},
 		{"/v1/sessions", "GET, HEAD, POST"},
 		{"/v1/sessions/s", "DELETE, GET, HEAD"},
 		{"/v1/sessions/s/stats", "GET, HEAD"},
@@ -88,6 +88,14 @@ func TestHTTPMethodTable(t *testing.T) {
 			}
 			raw, _ := io.ReadAll(resp.Body)
 			resp.Body.Close()
+			if rt.allow == "" {
+				if resp.StatusCode != http.StatusNotFound {
+					t.Errorf("%s %s = %d, want 404 (%s)", verb, rt.path, resp.StatusCode, raw)
+				} else if verb != "HEAD" && decodeError(t, string(raw)).Code != api.CodeNotFound {
+					t.Errorf("%s %s: %s, want code %s", verb, rt.path, raw, api.CodeNotFound)
+				}
+				continue
+			}
 			if inAllow(rt.allow, verb) {
 				if resp.StatusCode == http.StatusMethodNotAllowed || resp.StatusCode == http.StatusNotFound {
 					t.Errorf("%s %s = %d, want dispatch (%s)", verb, rt.path, resp.StatusCode, raw)
@@ -407,51 +415,5 @@ func TestHTTPLineagePagination(t *testing.T) {
 		if paged[i] != full.Ancestors[i] {
 			t.Fatalf("ancestor %d: paged %d, full %d", i, paged[i], full.Ancestors[i])
 		}
-	}
-}
-
-// TestHTTPLegacyRoutes proves the deprecated unversioned paths behave
-// exactly like their /v1 counterparts.
-func TestHTTPLegacyRoutes(t *testing.T) {
-	srv := newTestServer(t)
-
-	var st Stats
-	code, raw := doJSON(t, "POST", srv.URL+"/sessions", CreateRequest{Name: "leg", Builtin: "RunningExample"}, &st)
-	if code != http.StatusCreated || st.Name != "leg" {
-		t.Fatalf("legacy create: %d %s", code, raw)
-	}
-	g := compileBuiltin(t, "RunningExample")
-	events, r, err := gen.GenerateEvents(g, gen.Options{TargetSize: 150, Seed: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wire := make([]WireEvent, len(events))
-	for i, ev := range events {
-		wire[i] = ToWire(ev)
-	}
-	var er EventsResponse
-	if code, raw := doJSON(t, "POST", srv.URL+"/sessions/leg/events",
-		EventsRequest{Events: wire}, &er); code != http.StatusOK || er.Applied != len(events) {
-		t.Fatalf("legacy events: %d %s", code, raw)
-	}
-	v, w := events[3].V, events[len(events)-1].V
-	var rr ReachResponse
-	if code, raw := doJSON(t, "GET",
-		fmt.Sprintf("%s/sessions/leg/reach?from=%d&to=%d", srv.URL, v, w), nil, &rr); code != http.StatusOK {
-		t.Fatalf("legacy reach: %d %s", code, raw)
-	} else if rr.Reachable != r.Graph.Reaches(v, w) {
-		t.Fatalf("legacy reach(%d,%d) = %v, oracle disagrees", v, w, rr.Reachable)
-	}
-	var lr LineageResponse
-	if code, raw := doJSON(t, "GET",
-		fmt.Sprintf("%s/sessions/leg/lineage?of=%d", srv.URL, w), nil, &lr); code != http.StatusOK || len(lr.Ancestors) == 0 {
-		t.Fatalf("legacy lineage: %d %s", code, raw)
-	}
-	var list ListResponse
-	if code, _ := doJSON(t, "GET", srv.URL+"/sessions", nil, &list); code != 200 || len(list.Sessions) != 1 {
-		t.Fatalf("legacy list: %d %+v", code, list)
-	}
-	if code, _ := doJSON(t, "DELETE", srv.URL+"/sessions/leg", nil, nil); code != http.StatusNoContent {
-		t.Fatalf("legacy delete: %d", code)
 	}
 }

@@ -5,15 +5,14 @@ import (
 	"encoding/binary"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
 	"wfreach/internal/arena"
 	"wfreach/internal/core"
 	"wfreach/internal/graph"
-	"wfreach/internal/integrity"
 	"wfreach/internal/skeleton"
-	"wfreach/internal/wal"
 )
 
 // TestArenaRestoreDeferredLabeler covers the graceful-shutdown fast
@@ -130,12 +129,16 @@ func TestArenaRestoreWithTail(t *testing.T) {
 	reg2.Close()
 }
 
-// TestArenaRestoreEquivalentToV1 restores the same session state from
-// a v2 (arena) snapshot and from a hand-written v1 snapshot of the
-// identical state, and requires the two restores to be semantically
-// indistinguishable: same stats (the fields that describe the labeling,
-// not the in-memory representation), same reachability and lineage
-// answers, and byte-identical re-snapshots.
+// TestArenaRestoreEquivalentToV1 restores the same data directory from
+// its arena snapshot and, with labels.snap deleted, from the log alone,
+// and requires the two restores to be indistinguishable: every label
+// byte for byte, the chain head the reopened log continues from, the
+// stats that describe the labeling (not the in-memory representation),
+// every reachability and lineage answer, and byte-identical
+// re-snapshots. A snapshot is a cache of the log; this is the test that
+// it caches nothing the log would not re-issue. (The "V1" of the name
+// was the first durable format's restore — replay everything — which
+// is what a restore without a snapshot still is.)
 func TestArenaRestoreEquivalentToV1(t *testing.T) {
 	dir := t.TempDir()
 	g := compileBuiltin(t, "RunningExample")
@@ -148,78 +151,89 @@ func TestArenaRestoreEquivalentToV1(t *testing.T) {
 	}
 	appendAll(t, s, events, 64)
 	walEvents := s.walEvents
-	labels := s.store.Snapshot()
-	if err := reg.Close(); err != nil { // leaves the v2 snapshot
+	if err := reg.Close(); err != nil { // leaves the arena snapshot
 		t.Fatal(err)
 	}
 
-	v2 := durableReg(t, t.TempDir(), DurableOptions{})
-	if _, err := v2.Restore(dir); err != nil {
+	fromArena := durableReg(t, t.TempDir(), DurableOptions{})
+	if _, err := fromArena.Restore(dir); err != nil {
 		t.Fatal(err)
 	}
-	sv2, _ := v2.Get("eq")
-	if sv2.Stats().ArenaVertices == 0 {
-		t.Fatal("v2 restore did not adopt the arena")
+	sa, _ := fromArena.Get("eq")
+	if sa.Stats().ArenaVertices == 0 {
+		t.Fatal("restore did not adopt the arena")
+	}
+	seqA, headA, _ := sa.ChainState()
+	if err := fromArena.Close(); err != nil { // release the log before the next restore reopens it
+		t.Fatal(err)
 	}
 
-	// Rewrite the snapshot in the v1 format and restore again.
-	if err := wal.WriteSnapshot(filepath.Join(dir, "eq", snapFile), wal.Snapshot{Events: walEvents, Labels: labels}); err != nil {
+	if err := os.Remove(filepath.Join(dir, "eq", snapFile)); err != nil {
 		t.Fatal(err)
 	}
-	v1 := durableReg(t, t.TempDir(), DurableOptions{})
-	if _, err := v1.Restore(dir); err != nil {
+	fromLog := durableReg(t, t.TempDir(), DurableOptions{})
+	if _, err := fromLog.Restore(dir); err != nil {
 		t.Fatal(err)
 	}
-	sv1, _ := v1.Get("eq")
-	if sv1.Stats().ArenaVertices != 0 {
-		t.Fatal("v1 restore should not report arena labels")
+	defer fromLog.Close()
+	sl, _ := fromLog.Get("eq")
+	if sl.Stats().ArenaVertices != 0 {
+		t.Fatal("a restore without labels.snap reports arena labels")
+	}
+
+	if seqL, headL, ok := sl.ChainState(); !ok || seqL != seqA || headL != headA || seqL != walEvents {
+		t.Fatalf("chain state diverges: arena (%d, %s), log alone (%d, %s, %v), %d events logged", seqA, headA, seqL, headL, ok, walEvents)
+	}
+	ba, bl := storeBytes(sa), storeBytes(sl)
+	if len(ba) != len(events) || len(bl) != len(events) {
+		t.Fatalf("store sizes: arena %d, log alone %d, events %d", len(ba), len(bl), len(events))
+	}
+	for v, enc := range ba {
+		if !bytes.Equal(enc, bl[v]) {
+			t.Fatalf("vertex %d: arena bytes %x, replayed bytes %x", v, enc, bl[v])
+		}
 	}
 
 	// Semantic stats fields agree (publish epochs and shard breakdowns
 	// are representation counters and legitimately differ).
-	st1, st2 := sv1.Stats(), sv2.Stats()
+	st1, st2 := sl.Stats(), sa.Stats()
 	if st1.Name != st2.Name || st1.Class != st2.Class || st1.Skeleton != st2.Skeleton ||
 		st1.Mode != st2.Mode || st1.Vertices != st2.Vertices ||
 		st1.LabelBits != st2.LabelBits || st1.SkeletonBits != st2.SkeletonBits ||
 		st1.Durable != st2.Durable {
-		t.Fatalf("stats diverge:\nv1: %+v\nv2: %+v", st1, st2)
+		t.Fatalf("stats diverge:\nlog alone: %+v\narena:     %+v", st1, st2)
 	}
 
 	// Every query answer agrees.
 	for i := 0; i < len(events); i += 7 {
 		for j := 0; j < len(events); j += 11 {
 			v, w := events[i].V, events[j].V
-			r1, err1 := sv1.Reach(v, w)
-			r2, err2 := sv2.Reach(v, w)
+			r1, err1 := sl.Reach(v, w)
+			r2, err2 := sa.Reach(v, w)
 			if (err1 == nil) != (err2 == nil) || r1 != r2 {
-				t.Fatalf("reach(%d,%d): v1=%v,%v v2=%v,%v", v, w, r1, err1, r2, err2)
+				t.Fatalf("reach(%d,%d): log alone=%v,%v arena=%v,%v", v, w, r1, err1, r2, err2)
 			}
 		}
-		l1, err1 := sv1.Lineage(events[i].V)
-		l2, err2 := sv2.Lineage(events[i].V)
-		if (err1 == nil) != (err2 == nil) || len(l1) != len(l2) {
+		l1, err1 := sl.Lineage(events[i].V)
+		l2, err2 := sa.Lineage(events[i].V)
+		if (err1 == nil) != (err2 == nil) || !slices.Equal(l1, l2) {
 			t.Fatalf("lineage(%d) diverges", events[i].V)
-		}
-		for k := range l1 {
-			if l1[k] != l2[k] {
-				t.Fatalf("lineage(%d) diverges at %d", events[i].V, k)
-			}
 		}
 	}
 
 	// Re-snapshotting both restored stores produces identical files.
 	p1 := filepath.Join(t.TempDir(), "re1.snap")
 	p2 := filepath.Join(t.TempDir(), "re2.snap")
-	if _, err := writeArenaSnapshot(p1, walEvents, 0, sv1.store.SnapshotEntries(), integrity.Head{}, false); err != nil {
+	if _, err := writeArenaSnapshot(p1, walEvents, 0, sl.store.SnapshotEntries(), headA); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := writeArenaSnapshot(p2, walEvents, 0, sv2.store.SnapshotEntries(), integrity.Head{}, false); err != nil {
+	if _, err := writeArenaSnapshot(p2, walEvents, 0, sa.store.SnapshotEntries(), headA); err != nil {
 		t.Fatal(err)
 	}
 	b1, _ := os.ReadFile(p1)
 	b2, _ := os.ReadFile(p2)
 	if !bytes.Equal(b1, b2) {
-		t.Fatal("re-snapshots of v1- and v2-restored stores differ")
+		t.Fatal("re-snapshots of the two restored stores differ")
 	}
 }
 
@@ -309,9 +323,9 @@ func TestArenaRestoreCorruptFallsBack(t *testing.T) {
 // TestGoldenV1Restore restores the committed v1-format fixture — a
 // data directory written by the pre-arena code — and checks its
 // queries against expected answers baked into the fixture. This is the
-// compatibility contract: v1 data directories keep restoring on every
-// future build. The fixture is regenerated by gen_golden_test.go (run
-// with -run TestWriteGoldenV1Fixture -golden).
+// compatibility contract: old data directories keep restoring on every
+// future build. Nothing reads the fixture's WFSNAP01 labels.snap any
+// more; it is ignored and the labels are re-issued from the log.
 func TestGoldenV1Restore(t *testing.T) {
 	dir := filepath.Join("testdata", "golden-v1")
 	if _, err := os.Stat(dir); err != nil {
@@ -419,4 +433,52 @@ func TestConcurrentArenaQueriesDuringIngest(t *testing.T) {
 		t.Fatalf("vertices = %d, want %d", s2.Vertices(), len(events))
 	}
 	reg2.Close()
+}
+
+// TestRestoreUnmapsArenaOnLateError: a restore that adopts the arena and
+// then fails — here the log cannot be reopened for appending — must not
+// leave the snapshot mapped; nothing else would ever unmap it.
+func TestRestoreUnmapsArenaOnLateError(t *testing.T) {
+	dir := t.TempDir()
+	reg := durableReg(t, dir, DurableOptions{})
+	if _, err := reg.Create("leak", compileBuiltin(t, "RunningExample"), Config{}); err != nil {
+		t.Fatal(err)
+	}
+	reg.Close()
+	// An empty session with an empty snapshot, and a log that reads as
+	// absent (so the snapshot is consistent with it) but cannot be
+	// created: a dangling link into a directory that does not exist.
+	snapPath := filepath.Join(dir, "leak", snapFile)
+	if _, err := arena.Write(snapPath, arena.Meta{HasChain: true}, nil); err != nil {
+		t.Fatal(err)
+	}
+	walPath := filepath.Join(dir, "leak", walFile)
+	if err := os.Remove(walPath); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Symlink(filepath.Join(dir, "no-such-dir", "events.wal"), walPath); err != nil {
+		t.Fatal(err)
+	}
+	mappings := func() int {
+		maps, err := os.ReadFile("/proc/self/maps")
+		if err != nil {
+			t.Skipf("no /proc/self/maps to inspect: %v", err)
+		}
+		return bytes.Count(maps, []byte(snapPath))
+	}
+	a, err := arena.Open(snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mappings() != 1 {
+		t.Skip("arena snapshots are not memory-mapped on this platform")
+	}
+	a.Close()
+
+	if _, err := durableReg(t, dir, DurableOptions{}).Restore(dir); err == nil {
+		t.Fatal("restore reopened a log that cannot be created")
+	}
+	if n := mappings(); n != 0 {
+		t.Fatalf("the failed restore left the snapshot mapped (%d mappings)", n)
+	}
 }

@@ -376,8 +376,7 @@ func BenchmarkHTTPIngestBinaryNoChain(b *testing.B) {
 }
 
 // BenchmarkHTTPReachSingle answers one reachability pair per
-// roundtrip over the deprecated GET form — ns/op is the per-pair
-// cost the batch endpoint amortizes.
+// roundtrip — ns/op is the per-pair cost the batch endpoint amortizes.
 func BenchmarkHTTPReachSingle(b *testing.B) {
 	_, events := benchEvents(b, 8192)
 	_, c, nextSession := benchHTTP(b, false)
@@ -391,7 +390,7 @@ func BenchmarkHTTPReachSingle(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		v := int32(events[rng.Intn(len(events))].V)
 		w := int32(events[rng.Intn(len(events))].V)
-		if _, err := c.ReachLegacy(ctx, name, v, w); err != nil {
+		if _, err := c.Reach(ctx, name, v, w); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -27,7 +28,7 @@ const (
 	metaFile = "session.json" // sessionMeta: labeling configuration
 	specFile = "spec.xml"     // the workflow specification, as wfxml
 	walFile  = "events.wal"   // append-only event log (internal/wal)
-	snapFile = "labels.snap"  // latest label snapshot (internal/wal)
+	snapFile = "labels.snap"  // latest label snapshot (internal/arena)
 )
 
 // metaFormat is the session.json format version this build writes.
@@ -275,19 +276,17 @@ func (s *Session) commitWAL(log *wal.Log, seq int64) error {
 
 // writeArenaSnapshot writes an arena snapshot (see internal/arena):
 // events is the covered record count, walBytes the log byte offset the
-// covered prefix ends at, entries the encoded labels. The entry bytes
-// are aliased, never copied — labels are write-once, so a concurrent
-// ingest can only add entries the snapshot does not reference. With
-// hasChain set, chain is the WAL hash-chain head at record events and
-// the snapshot is stamped in the WFSNAP03 format (Merkle root over the
-// entries plus the chain head); otherwise plain WFSNAP02 is written.
-// The Merkle root of a v3 snapshot is returned.
-func writeArenaSnapshot(path string, events, walBytes int64, entries []store.Entry, chain integrity.Head, hasChain bool) (integrity.Head, error) {
+// covered prefix ends at, chain the WAL hash-chain head at that record,
+// entries the encoded labels. The entry bytes are aliased, never copied
+// — labels are write-once, so a concurrent ingest can only add entries
+// the snapshot does not reference. The snapshot's Merkle root is
+// returned.
+func writeArenaSnapshot(path string, events, walBytes int64, entries []store.Entry, chain integrity.Head) (integrity.Head, error) {
 	aes := make([]arena.Entry, len(entries))
 	for i, e := range entries {
 		aes[i] = arena.Entry{V: e.V, Enc: e.Enc}
 	}
-	return arena.Write(path, arena.Meta{Events: events, WALBytes: walBytes, ChainHead: chain, HasChain: hasChain}, aes)
+	return arena.Write(path, arena.Meta{Events: events, WALBytes: walBytes, ChainHead: chain, HasChain: true}, aes)
 }
 
 // maybeSnapshot starts a label snapshot if enough events accumulated
@@ -296,11 +295,11 @@ func writeArenaSnapshot(path string, events, walBytes int64, entries []store.Ent
 // ingestMu: the published store holds exactly the logged event prefix
 // whenever the ingest lock is free, so the watermarks and the staged
 // entry list agree. The file write and fsync, which grow with session
-// size, run in a goroutine off the ingest path. Snapshots are written
-// in the arena (WFSNAP02) format — a session restored from a v1 file
-// upgrades to v2 at its next snapshot. Failures are not fatal — the
-// WAL alone is always sufficient for recovery — and are retried at a
-// later batch because the watermark does not advance. Called after a
+// size, run in a goroutine off the ingest path. Failures are not fatal
+// — the WAL alone is always sufficient for recovery — and are retried
+// at a later batch because the watermark does not advance; a log
+// without a hash chain (only wal.Log.DisableChain gets there) has no
+// head to anchor a snapshot to and takes none. Called after a
 // successful commit, without ingestMu held.
 func (s *Session) maybeSnapshot() {
 	s.ingestMu.Lock()
@@ -308,27 +307,29 @@ func (s *Session) maybeSnapshot() {
 	if s.wal == nil || s.snapEvery <= 0 || s.walEvents-s.snapEvents < s.snapEvery || s.snapBusy {
 		return
 	}
-	s.snapBusy = true
-	events := s.walEvents
-	walBytes := s.wal.AppendBytes()
-	entries := s.store.SnapshotEntries()
 	// The chain head at the captured watermark: under ingestMu the
 	// log's append sequence equals walEvents (every logged record
 	// advanced both), so folding the pending frames in now yields the
 	// head of exactly the covered prefix.
+	events := s.walEvents
 	chainSeq, chainHead, hasChain := s.wal.ChainHead()
-	hasChain = hasChain && chainSeq == events
+	if !hasChain || chainSeq != events {
+		return
+	}
+	s.snapBusy = true
+	walBytes := s.wal.AppendBytes()
+	entries := s.store.SnapshotEntries()
 	s.snapWG.Add(1)
 	go func() {
 		defer s.snapWG.Done()
 		t0 := time.Now()
-		root, err := writeArenaSnapshot(filepath.Join(s.dir, snapFile), events, walBytes, entries, chainHead, hasChain)
+		root, err := writeArenaSnapshot(filepath.Join(s.dir, snapFile), events, walBytes, entries, chainHead)
 		s.observeSnapshot(t0, err)
 		s.ingestMu.Lock()
 		s.snapBusy = false
 		if err == nil && events > s.snapEvents {
 			s.snapEvents = events
-			s.snapRoot, s.snapChain, s.snapIntegrity = root, chainHead, hasChain
+			s.snapRoot, s.snapIntegrity = root, true
 		}
 		s.ingestMu.Unlock()
 	}()
@@ -385,9 +386,8 @@ func (s *Session) closeWAL(finalSnap bool) error {
 	}
 	events := s.walEvents
 	walBytes := s.wal.AppendBytes()
-	behind := s.snapEvery > 0 && events > s.snapEvents
 	chainSeq, chainHead, hasChain := s.wal.ChainHead()
-	hasChain = hasChain && chainSeq == events
+	behind := s.snapEvery > 0 && events > s.snapEvents && hasChain && chainSeq == events
 	err := s.wal.Close()
 	s.wal = nil
 	if s.ioErr == nil {
@@ -401,7 +401,7 @@ func (s *Session) closeWAL(finalSnap bool) error {
 		// Best-effort: a failed snapshot just means the next restore
 		// replays the log, exactly as if the process had crashed here.
 		t0 := time.Now()
-		_, serr := writeArenaSnapshot(filepath.Join(s.dir, snapFile), events, walBytes, s.store.SnapshotEntries(), chainHead, hasChain)
+		_, serr := writeArenaSnapshot(filepath.Join(s.dir, snapFile), events, walBytes, s.store.SnapshotEntries(), chainHead)
 		s.observeSnapshot(t0, serr)
 	}
 	return err
@@ -429,135 +429,151 @@ func (r *Registry) Close() error {
 	return first
 }
 
-// errReplayHalt marks a WAL record the labeler rejected during
-// restore. It is handled like tail corruption: the valid prefix is
-// kept and the log is truncated before the offending record.
-var errReplayHalt = errors.New("service: replay halted")
+// errArenaUnbacked reports a snapshot the log cannot back: ahead of the
+// durable log (an OS crash with Fsync off), or covering a record the
+// labeler rejects. restoreSession discards it and replays without it.
+var errArenaUnbacked = errors.New("service: snapshot is not backed by the log")
 
-// restoreArena rebuilds the session's store around an opened arena
-// snapshot. The arena becomes the store's immutable base layer — its
-// label bytes are served straight from the mapping, never decoded or
-// copied — and only the WAL tail past the arena's byte watermark is
-// replayed. With an empty tail (graceful shutdown) even the labeler
-// rebuild is deferred to the first ingest (see ensureLabelerLocked),
-// making restore O(open + index validation) regardless of session
-// size.
-//
-// ok=false (with err nil) reports an arena the log cannot back — ahead
-// of the durable log after an OS crash with Fsync off, or covering
-// records the labeler rejects — in which case the caller discards it
-// and replays the full log; the session's labeler and store are left
-// for replayFull to reset.
-func (s *Session) restoreArena(a *arena.Arena, walPath string, shards int) (ok bool, replayed, validSize int64, err error) {
-	var size int64
-	switch fi, err := os.Stat(walPath); {
-	case err == nil:
-		size = fi.Size()
-	case errors.Is(err, fs.ErrNotExist):
-		// no log at all: only an empty arena is consistent with it
-	default:
-		return false, 0, 0, err
-	}
-	if a.WALBytes() > size || a.Events() < 0 {
-		return false, 0, 0, nil // snapshot ahead of the log: discard
-	}
-	// Probe the tail before committing to the arena: how many records
-	// does the log hold past the snapshot's watermark?
-	tailN, tailValid, err := wal.ScanFrom(walPath, a.WALBytes(), nil)
-	if err != nil {
-		return false, 0, 0, err
-	}
-	st, err := store.NewFromArena(s.g, s.cfg.Skeleton, shards, a)
-	if err != nil {
-		return false, 0, 0, err
-	}
-	if tailN == 0 {
-		// The snapshot covers the whole log — the common case after a
-		// graceful shutdown. Nothing to replay: the store serves the
-		// mapped bytes, and the labeler (only needed for future ingest)
-		// is rebuilt lazily on the first batch.
-		s.store = st
-		s.needLabelerReplay = a.Events() > 0
-		return true, a.Events(), tailValid, nil
-	}
-	// A non-empty tail needs labeler state for the whole prefix, so the
-	// log is replayed eagerly — but the arena still supplies the label
-	// bytes for the records it covers, so the covered prefix skips the
-	// encode and store staging that dominate a v1 restore.
-	s.store = st
-	n, vs, err := wal.Scan(walPath, func(i int, rec wal.Record) error {
-		v, l, ierr := s.labelRecord(rec)
-		if ierr != nil {
-			return fmt.Errorf("%w at record %d: %v", errReplayHalt, i, ierr)
-		}
-		if int64(i) < a.Events() {
-			return nil // the arena already holds this label
-		}
-		return s.store.StageOwned(v, s.store.Encode(l))
-	})
-	if errors.Is(err, errReplayHalt) {
-		if int64(n) < a.Events() {
-			// The log cannot reproduce the arena's covered prefix: the
-			// arena holds labels the truncated log will never re-issue.
-			// Discard it — replayFull resets the labeler and store.
-			return false, 0, 0, nil
-		}
-		err = nil // tail halt: keep the valid prefix, truncate the rest
-	}
-	if err != nil {
-		return false, 0, 0, err
-	}
-	s.store.Publish()
-	return true, int64(n), vs, nil
+// replayBatch is how many re-encoded labels replay stages per
+// store.AppendOwned call.
+const replayBatch = 1024
+
+// replayed is what one pass over a session's log recovered: the records
+// of its valid prefix, that prefix's byte length, and the hash-chain
+// head over it — what the reopened log is truncated to and continues
+// from.
+type replayed struct {
+	events    int64
+	validSize int64
+	head      integrity.Head
 }
 
-// replayFull rebuilds the session from the log alone (optionally with
-// a v1 snapshot supplying already-encoded label bytes for its covered
-// prefix) — the pre-arena restore path, kept for v1 data directories
-// and as the fallback when an arena snapshot is unusable. It resets
-// the labeler and store, so it can follow an abandoned arena attempt.
-func (s *Session) replayFull(walPath string, snap wal.Snapshot, shards int) (replayed, validSize int64, err error) {
+// replay rebuilds the session's labeler and store in one pass over its
+// log: every frame is decoded, run through the labeler and folded into
+// the hash chain, and the walk ends at the first frame that is torn,
+// corrupt, or rejected by the labeler — the valid prefix is kept, the
+// caller truncates the rest.
+//
+// With an arena snapshot a, the arena becomes the store's base layer —
+// its label bytes are served from the mapping, never decoded or copied
+// — and only records past its event watermark are encoded and staged.
+// The arena must prove itself first: its label bytes against its Merkle
+// root, and, where the walk reaches its byte watermark, the chain head
+// over the log so far against its anchor. A frame straddling the
+// watermark, or damage before it while the file goes on beyond it, is
+// the same refusal: history the snapshot covers was rewritten, and the
+// error says so instead of booting on forged provenance. When the
+// snapshot covers the whole file (a graceful shutdown) the walk only
+// hashes, and the labeler — needed for ingest, never for queries — is
+// rebuilt at the first batch (ensureLabelerLocked).
+//
+// replay resets the labeler and the store, so it can be run again
+// without the arena after errArenaUnbacked. It never writes a file.
+func (s *Session) replay(a *arena.Arena, shards int) (replayed, error) {
+	var size int64
+	switch fi, err := os.Stat(s.walPath); {
+	case err == nil:
+		size = fi.Size()
+	case !errors.Is(err, fs.ErrNotExist):
+		return replayed{}, err
+	}
 	s.labeler = core.NewExecutionLabeler(s.g, s.cfg.Skeleton, s.cfg.Mode)
 	s.store = store.NewSharded(s.g, s.cfg.Skeleton, shards)
-	s.needLabelerReplay = false
-	// Replay: every record rebuilds labeler state; the label bytes come
-	// from the snapshot where it applies and from re-encoding beyond
-	// it. Labels are staged as they replay and published once at the
-	// end — one view rebuild for the whole log instead of one per
-	// record.
-	n, vs, err := wal.Scan(walPath, func(i int, rec wal.Record) error {
-		v, l, ierr := s.labelRecord(rec)
-		if ierr != nil {
-			return fmt.Errorf("%w at record %d: %v", errReplayHalt, i, ierr)
+	var covered, watermark int64 // records and log bytes the arena covers
+	var anchor integrity.Head
+	if a != nil {
+		if a.WALBytes() > size {
+			return replayed{}, errArenaUnbacked
 		}
-		enc, ok := snap.Labels[v]
-		if !ok || int64(i) >= snap.Events {
-			enc = s.store.Encode(l)
+		if err := a.VerifyMerkle(); err != nil {
+			return replayed{}, fmt.Errorf("integrity: %w", err)
 		}
-		// Snapshot bytes: ReadSnapshot allocated enc for us alone, so it
-		// is handed over without another copy.
-		return s.store.StageOwned(v, enc)
-	})
-	if errors.Is(err, errReplayHalt) {
-		err = nil // keep the valid prefix, truncate the rest below
+		if err := s.store.AttachArena(a); err != nil {
+			return replayed{}, err
+		}
+		covered, watermark = a.Events(), a.WALBytes()
+		_, anchor = a.Integrity()
 	}
+	hashOnly := a != nil && size == watermark
+
+	fr, f, err := wal.OpenFrames(s.walPath, 0)
 	if err != nil {
-		return 0, 0, err
+		return replayed{}, err
+	}
+	defer f.Close()
+	var out replayed
+	chainer := integrity.NewChainer()
+	anchored := a == nil
+	batch := make([]store.Entry, 0, replayBatch)
+	stage := func() error {
+		err := s.store.AppendOwned(batch)
+		batch = batch[:0]
+		return err
+	}
+walk:
+	for {
+		if !anchored && out.validSize == watermark {
+			if out.head != anchor || out.events != covered {
+				return replayed{}, fmt.Errorf("integrity: WAL chain head %s at snapshot watermark (record %d) does not match the snapshot's anchor %s (record %d): history below the watermark was rewritten",
+					out.head, out.events, anchor, covered)
+			}
+			anchored = true
+		}
+		frame, err := fr.Next()
+		switch {
+		case err == io.EOF, errors.Is(err, wal.ErrCorrupt):
+			break walk
+		case err != nil:
+			return replayed{}, err
+		}
+		if !hashOnly {
+			rec, err := wal.DecodeRecord(frame[wal.FrameHeaderSize:])
+			if err != nil {
+				break walk // framed but malformed: damage like a failed CRC
+			}
+			v, l, err := s.labelRecord(rec)
+			switch {
+			case err != nil && out.events < covered:
+				// The log cannot re-issue a label the arena holds.
+				return replayed{}, errArenaUnbacked
+			case err != nil:
+				break walk
+			case out.events >= covered:
+				if batch = append(batch, store.Entry{V: v, Enc: s.store.Encode(l)}); len(batch) == cap(batch) {
+					if err := stage(); err != nil {
+						return replayed{}, err
+					}
+				}
+			}
+		}
+		out.head = chainer.Extend(out.head, frame)
+		out.events++
+		out.validSize = fr.Offset()
+	}
+	if !anchored {
+		return replayed{}, fmt.Errorf("integrity: chain over covered WAL prefix: %w: valid frames end at byte %d, not at the snapshot's watermark %d",
+			wal.ErrCorrupt, out.validSize, watermark)
+	}
+	if err := stage(); err != nil {
+		return replayed{}, err
 	}
 	s.store.Publish()
-	return int64(n), vs, nil
+	s.needLabelerReplay = hashOnly && covered > 0
+	return out, nil
 }
 
 // Restore scans dir for session directories and rebuilds each session
-// from its persisted specification, label snapshot and WAL: the full
-// event log is replayed through a fresh labeler (labeling is
-// deterministic, so replay reissues the exact same labels) while the
-// snapshot supplies the already-encoded label bytes for the prefix it
-// covers — those bytes go straight back into the store, never
-// re-encoded. A torn or corrupt WAL tail is detected by CRC and
-// dropped; a missing or corrupt snapshot falls back to full-replay
-// encoding; a snapshot that claims more events than the log holds
-// (possible only after an OS crash with Fsync off) is discarded.
+// from its persisted specification, label snapshot and WAL: the event
+// log is replayed through a fresh labeler (labeling is deterministic,
+// so replay reissues the exact same labels) while the snapshot supplies
+// the already-encoded label bytes for the prefix it covers — those
+// bytes are served from the mapped file, never re-encoded. A torn or
+// corrupt WAL tail is detected by CRC and dropped; a missing, corrupt
+// or older-format snapshot falls back to full-replay encoding; a
+// snapshot that claims more of the log than the log holds (possible
+// only after an OS crash with Fsync off) is discarded; a snapshot whose
+// anchors the log or its own labels contradict refuses the restore
+// (see replay).
 //
 // On a durable registry the restored sessions reopen their WALs —
 // truncating any corrupt tail — and continue accepting events exactly
@@ -667,131 +683,47 @@ func (r *Registry) restoreSession(sdir, dirName string) (*Session, error) {
 		return nil, fmt.Errorf("bad %s: %w", specFile, err)
 	}
 
-	s := &Session{
-		name:    meta.Name,
-		g:       g,
-		cfg:     cfg,
-		labeler: core.NewExecutionLabeler(g, cfg.Skeleton, cfg.Mode),
-		store:   store.NewSharded(g, cfg.Skeleton, r.shardsFor(cfg)),
-	}
+	s := &Session{name: meta.Name, g: g, cfg: cfg, walPath: filepath.Join(sdir, walFile)}
 	s.bindMetrics(r.metrics)
 
-	walPath := filepath.Join(sdir, walFile)
-	s.walPath = walPath
-	snapPath := filepath.Join(sdir, snapFile)
-
-	// The snapshot decides the restore path. A v2 (arena) file is
-	// mapped and adopted as the store's base layer — zero decoding,
-	// zero copying, and with an empty WAL tail even the labeler rebuild
-	// is deferred to the first ingest. A v1 file takes the legacy
-	// decode-and-replay path; a missing or damaged file of either
-	// version falls back to full log replay.
-	var (
-		replayed  int64
-		validSize int64
-		snapped   int64 // events the kept snapshot covers
-		chainSeed integrity.Head
-		seeded    bool // chainSeed covers the valid prefix already
-	)
-	a, aerr := arena.Open(snapPath)
+	// A snapshot is only a cache of the log: a usable one is mapped and
+	// adopted as the store's base layer, and a missing, damaged or
+	// older-format one (arena.ErrVersion) is replayed over — the log
+	// re-issues every label byte for byte, and the next snapshot
+	// overwrites the file in the current format. An adopted arena stays
+	// mapped for the store's lifetime, so it is unmapped here only when
+	// the restore does not go through.
+	a, err := arena.Open(filepath.Join(sdir, snapFile))
 	switch {
-	case aerr == nil:
-		var ok bool
-		var arerr error
-		if ok, replayed, validSize, arerr = s.restoreArena(a, walPath, r.shardsFor(cfg)); arerr != nil {
-			a.Close()
-			return nil, arerr
-		}
-		if ok {
-			snapped = a.Events()
-			if root, anchor, hasChain := a.Integrity(); hasChain {
-				// A v3 snapshot must prove itself before it boots: its
-				// label bytes against its Merkle root, and its chain head
-				// against the WAL prefix it claims to cover. A CRC-valid
-				// but rewritten snapshot (or a rewritten committed WAL
-				// record below the watermark) dies here instead of serving
-				// forged provenance. The same pass extends the chain over
-				// the replayed tail, re-seeding the head the log continues
-				// from.
-				vstart := time.Now()
-				var vframes int64
-				verr := a.VerifyMerkle()
-				var headWm integrity.Head
-				if verr == nil {
-					var n int64
-					if headWm, n, verr = wal.ChainTo(walPath, 0, a.WALBytes(), integrity.Head{}); verr != nil {
-						verr = fmt.Errorf("chain over covered WAL prefix: %w", verr)
-					} else if headWm != anchor {
-						verr = fmt.Errorf("WAL chain head %s at snapshot watermark (record %d) does not match the snapshot's anchor %s: history below the watermark was rewritten", headWm, a.Events(), anchor)
-					}
-					vframes += n
-				}
-				if verr == nil {
-					var n int64
-					if chainSeed, n, verr = wal.ChainTo(walPath, a.WALBytes(), validSize, headWm); verr != nil {
-						verr = fmt.Errorf("chain over WAL tail: %w", verr)
-					}
-					vframes += n
-				}
-				if verr != nil {
-					a.Close()
-					return nil, fmt.Errorf("integrity: %w", verr)
-				}
-				r.metrics.chainVerified(vstart, vframes)
-				seeded = true
-				s.snapRoot, s.snapChain, s.snapIntegrity = root, anchor, true
-			}
-			break
-		}
-		// The arena is ahead of the log (possible only after an OS crash
-		// with Fsync off) or inconsistent with it: discard it and rebuild
-		// everything from the log alone.
-		a.Close()
-		if replayed, validSize, err = s.replayFull(walPath, wal.Snapshot{}, r.shardsFor(cfg)); err != nil {
-			return nil, err
-		}
-	case errors.Is(aerr, arena.ErrVersion):
-		// v1 snapshot. Count replayable records first, so a snapshot from
-		// beyond the durable log can be rejected before it pollutes the
-		// store; the session upgrades to v2 at its next snapshot.
-		total, _, err := wal.Scan(walPath, nil)
-		if err != nil {
-			return nil, err
-		}
-		snap, err := wal.ReadSnapshot(snapPath)
-		switch {
-		case err == nil && snap.Events <= int64(total):
-			snapped = snap.Events
-		case err == nil, errors.Is(err, wal.ErrCorrupt):
-			snap = wal.Snapshot{} // damaged or ahead of the log: full replay
-		default:
-			return nil, err
-		}
-		if replayed, validSize, err = s.replayFull(walPath, snap, r.shardsFor(cfg)); err != nil {
-			return nil, err
-		}
-	case errors.Is(aerr, fs.ErrNotExist), errors.Is(aerr, arena.ErrCorrupt):
-		if replayed, validSize, err = s.replayFull(walPath, wal.Snapshot{}, r.shardsFor(cfg)); err != nil {
-			return nil, err
-		}
+	case err == nil:
+	case errors.Is(err, fs.ErrNotExist), errors.Is(err, arena.ErrCorrupt), errors.Is(err, arena.ErrVersion):
+		a = nil
 	default:
-		return nil, aerr
+		return nil, err
 	}
-	s.vertices.Store(int64(s.store.Count()))
-	s.walEvents = replayed
-	if snapped <= s.walEvents {
-		s.snapEvents = snapped
-	}
-	if !seeded {
-		// No v3 anchor to verify against (v1/v2 data, or a discarded
-		// arena): hash the valid prefix so the reopened log continues
-		// the chain and the session's next snapshot carries an anchor.
-		vstart := time.Now()
-		var n int64
-		if chainSeed, n, err = wal.ChainTo(walPath, 0, validSize, integrity.Head{}); err != nil {
-			return nil, fmt.Errorf("integrity: chain over WAL: %w", err)
+	restored := false
+	defer func() {
+		if a != nil && !restored {
+			a.Close()
 		}
-		r.metrics.chainVerified(vstart, n)
+	}()
+	replayStart := time.Now()
+	rep, err := s.replay(a, r.shardsFor(cfg))
+	if errors.Is(err, errArenaUnbacked) {
+		a.Close()
+		a = nil
+		rep, err = s.replay(nil, r.shardsFor(cfg))
+	}
+	if err != nil {
+		return nil, err
+	}
+	r.metrics.chainVerified(replayStart, rep.events)
+	s.vertices.Store(int64(s.store.Count()))
+	s.walEvents = rep.events
+	if a != nil {
+		s.snapEvents = a.Events()
+		s.snapRoot, _ = a.Integrity()
+		s.snapIntegrity = true
 	}
 
 	if r.durable != nil {
@@ -803,14 +735,16 @@ func (r *Registry) restoreSession(sdir, dirName string) (*Session, error) {
 			}
 		}
 		// The replayed count seeds the log's absolute sequence numbers,
-		// so WAL shipping keeps one continuous numbering across restarts.
-		log, err := wal.Open(walPath, validSize, int64(replayed), r.durable.Fsync)
+		// so WAL shipping keeps one continuous numbering across restarts,
+		// and the replayed head the chain the log continues.
+		log, err := wal.Open(s.walPath, rep.validSize, rep.events, r.durable.Fsync)
 		if err != nil {
 			return nil, err
 		}
-		log.SeedChain(chainSeed)
+		log.SeedChain(rep.head)
 		s.attachWAL(sdir, log, r.durable, r.committer)
 	}
+	restored = true
 	r.metrics.restores.Inc()
 	r.metrics.restoreSec.Observe(time.Since(restoreStart))
 	if n := int64(s.store.ArenaCount()); n > 0 {

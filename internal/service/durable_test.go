@@ -159,8 +159,8 @@ func TestDurableNamedEvents(t *testing.T) {
 // storeBytes snapshots a session's encoded labels for comparison.
 func storeBytes(s *Session) map[int32][]byte {
 	out := make(map[int32][]byte)
-	for v, enc := range s.store.Snapshot() {
-		out[int32(v)] = enc
+	for _, e := range s.store.SnapshotEntries() {
+		out[int32(e.V)] = e.Enc
 	}
 	return out
 }

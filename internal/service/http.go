@@ -45,11 +45,9 @@ import (
 //	POST   /v1/cluster/move               move a session to another node
 //	POST   /v1/cluster/release            owner-side move handoff (internal)
 //
-// The same paths without the /v1 prefix (replication endpoints
-// excepted) are served as deprecated legacy adapters over the
-// identical handlers (docs/API.md carries the migration table). A
-// known path hit with the wrong method is a 405 with an Allow header;
-// an unknown path is a structured 404.
+// A known path hit with the wrong method is a 405 with an Allow
+// header; an unknown path — any path without the /v1 prefix included —
+// is a structured 404.
 //
 // On a follower (Registry.SetFollower) the write routes — create,
 // delete, ingest — answer CodeReadOnly with the primary's base URL in
@@ -112,10 +110,9 @@ func NewHandler(reg *Registry) http.Handler {
 	}
 	routes := []struct {
 		path    string
-		legacy  bool // also serve the unversioned path (deprecated)
 		methods map[string]http.HandlerFunc
 	}{
-		{"/sessions", true, map[string]http.HandlerFunc{
+		{"/sessions", map[string]http.HandlerFunc{
 			http.MethodPost: func(w http.ResponseWriter, r *http.Request) {
 				if rejectFollower(w) {
 					return
@@ -124,7 +121,7 @@ func NewHandler(reg *Registry) http.Handler {
 			},
 			http.MethodGet: func(w http.ResponseWriter, r *http.Request) { handleList(reg, w) },
 		}},
-		{"/sessions/{name}", true, map[string]http.HandlerFunc{
+		{"/sessions/{name}", map[string]http.HandlerFunc{
 			http.MethodGet: func(w http.ResponseWriter, r *http.Request) {
 				if s := lookup(reg, w, r); s != nil {
 					writeJSON(w, http.StatusOK, s.Stats())
@@ -149,14 +146,14 @@ func NewHandler(reg *Registry) http.Handler {
 				w.WriteHeader(http.StatusNoContent)
 			},
 		}},
-		{"/sessions/{name}/stats", false, map[string]http.HandlerFunc{
+		{"/sessions/{name}/stats", map[string]http.HandlerFunc{
 			http.MethodGet: func(w http.ResponseWriter, r *http.Request) {
 				if s := lookup(reg, w, r); s != nil {
 					writeJSON(w, http.StatusOK, s.Stats())
 				}
 			},
 		}},
-		{"/sessions/{name}/integrity", false, map[string]http.HandlerFunc{
+		{"/sessions/{name}/integrity", map[string]http.HandlerFunc{
 			http.MethodGet: func(w http.ResponseWriter, r *http.Request) {
 				if s := lookup(reg, w, r); s != nil {
 					st, err := s.Integrity()
@@ -168,31 +165,31 @@ func NewHandler(reg *Registry) http.Handler {
 				}
 			},
 		}},
-		{"/sessions/{name}/spec", false, map[string]http.HandlerFunc{
+		{"/sessions/{name}/spec", map[string]http.HandlerFunc{
 			http.MethodGet: func(w http.ResponseWriter, r *http.Request) {
 				if s := lookup(reg, w, r); s != nil {
 					handleSpec(s, w)
 				}
 			},
 		}},
-		{"/sessions/{name}/wal", false, map[string]http.HandlerFunc{
+		{"/sessions/{name}/wal", map[string]http.HandlerFunc{
 			http.MethodGet: func(w http.ResponseWriter, r *http.Request) {
 				if s := lookup(reg, w, r); s != nil {
 					handleWALTail(s, w, r)
 				}
 			},
 		}},
-		{"/metrics", false, map[string]http.HandlerFunc{
+		{"/metrics", map[string]http.HandlerFunc{
 			http.MethodGet: func(w http.ResponseWriter, r *http.Request) {
 				reg.Obs().ServeHTTP(w, r)
 			},
 		}},
-		{"/replication/status", false, map[string]http.HandlerFunc{
+		{"/replication/status", map[string]http.HandlerFunc{
 			http.MethodGet: func(w http.ResponseWriter, r *http.Request) {
 				writeJSON(w, http.StatusOK, reg.ReplicationStatus())
 			},
 		}},
-		{"/replication/promote", false, map[string]http.HandlerFunc{
+		{"/replication/promote", map[string]http.HandlerFunc{
 			http.MethodPost: func(w http.ResponseWriter, r *http.Request) {
 				if err := reg.PromoteFollower(r.Context()); err != nil {
 					writeError(w, err)
@@ -201,21 +198,21 @@ func NewHandler(reg *Registry) http.Handler {
 				writeJSON(w, http.StatusOK, reg.ReplicationStatus())
 			},
 		}},
-		{"/cluster/map", false, map[string]http.HandlerFunc{
+		{"/cluster/map", map[string]http.HandlerFunc{
 			http.MethodGet: func(w http.ResponseWriter, r *http.Request) {
 				if h := clusterHooks(reg, w); h != nil {
 					writeJSON(w, http.StatusOK, h.Map())
 				}
 			},
 		}},
-		{"/cluster/health", false, map[string]http.HandlerFunc{
+		{"/cluster/health", map[string]http.HandlerFunc{
 			http.MethodGet: func(w http.ResponseWriter, r *http.Request) {
 				if h := clusterHooks(reg, w); h != nil {
 					writeJSON(w, http.StatusOK, h.Health())
 				}
 			},
 		}},
-		{"/cluster/move", false, map[string]http.HandlerFunc{
+		{"/cluster/move", map[string]http.HandlerFunc{
 			http.MethodPost: func(w http.ResponseWriter, r *http.Request) {
 				h := clusterHooks(reg, w)
 				if h == nil {
@@ -234,7 +231,7 @@ func NewHandler(reg *Registry) http.Handler {
 				writeJSON(w, http.StatusOK, resp)
 			},
 		}},
-		{"/cluster/release", false, map[string]http.HandlerFunc{
+		{"/cluster/release", map[string]http.HandlerFunc{
 			http.MethodPost: func(w http.ResponseWriter, r *http.Request) {
 				h := clusterHooks(reg, w)
 				if h == nil {
@@ -253,7 +250,7 @@ func NewHandler(reg *Registry) http.Handler {
 				writeJSON(w, http.StatusOK, resp)
 			},
 		}},
-		{"/sessions/{name}/events", true, map[string]http.HandlerFunc{
+		{"/sessions/{name}/events", map[string]http.HandlerFunc{
 			http.MethodPost: func(w http.ResponseWriter, r *http.Request) {
 				if rejectFollower(w) {
 					return
@@ -271,7 +268,7 @@ func NewHandler(reg *Registry) http.Handler {
 				}
 			},
 		}},
-		{"/sessions/{name}/reach", true, map[string]http.HandlerFunc{
+		{"/sessions/{name}/reach", map[string]http.HandlerFunc{
 			http.MethodGet: func(w http.ResponseWriter, r *http.Request) {
 				if s := lookup(reg, w, r); s != nil {
 					handleReach(s, w, r)
@@ -283,7 +280,7 @@ func NewHandler(reg *Registry) http.Handler {
 				}
 			},
 		}},
-		{"/sessions/{name}/lineage", true, map[string]http.HandlerFunc{
+		{"/sessions/{name}/lineage", map[string]http.HandlerFunc{
 			http.MethodGet: func(w http.ResponseWriter, r *http.Request) {
 				if s := lookup(reg, w, r); s != nil {
 					handleLineage(s, w, r)
@@ -292,13 +289,7 @@ func NewHandler(reg *Registry) http.Handler {
 		}},
 	}
 	for _, rt := range routes {
-		h := methodDispatch(rt.methods)
-		mux.HandleFunc("/v1"+rt.path, h)
-		if rt.legacy {
-			// Deprecated: the unversioned PR-1 surface, kept as a thin
-			// adapter over the same handlers. New clients use /v1.
-			mux.HandleFunc(rt.path, h)
-		}
+		mux.HandleFunc("/v1"+rt.path, methodDispatch(rt.methods))
 	}
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		writeError(w, api.Errorf(api.CodeNotFound, "no route %s", r.URL.Path))

@@ -15,6 +15,7 @@ import (
 
 	"wfreach/internal/api"
 	"wfreach/internal/gen"
+	"wfreach/internal/store"
 	"wfreach/internal/wfspecs"
 	"wfreach/internal/wfxml"
 )
@@ -557,9 +558,10 @@ func TestHTTPLineageTellsMissingFromMalformed(t *testing.T) {
 	}
 
 	// A label whose count frame promises an entry its bytes do not hold.
-	if err := s.store.PutEncodedOwned(7777, []byte{0x01}); err != nil {
+	if err := s.store.AppendOwned([]store.Entry{{V: 7777, Enc: []byte{0x01}}}); err != nil {
 		t.Fatal(err)
 	}
+	s.store.Publish()
 	for _, page := range []string{"", "&limit=10"} {
 		var bad api.ErrorResponse
 		code, body := doJSON(t, "GET", url(int32(last), page), nil, &bad)
@@ -569,5 +571,20 @@ func TestHTTPLineageTellsMissingFromMalformed(t *testing.T) {
 		if !strings.Contains(bad.Err.Message, "7777") {
 			t.Fatalf("error does not name the malformed vertex: %s", body)
 		}
+	}
+
+	// The same fault on the reach routes: one pair by GET, the batch by
+	// POST. Neither may call the server's broken label a bad request.
+	var bad api.ErrorResponse
+	code, body := doJSON(t, "GET", fmt.Sprintf("%s/v1/sessions/lin/reach?from=%d&to=7777", srv.URL, last), nil, &bad)
+	if code != http.StatusInternalServerError || bad.Err.Code != api.CodeInternal {
+		t.Fatalf("GET reach against a malformed label: %d %s", code, body)
+	}
+	var batch api.BatchReachResponse
+	code, body = doJSON(t, "POST", srv.URL+"/v1/sessions/lin/reach",
+		api.BatchReachRequest{Pairs: []api.ReachPair{{From: int32(last), To: 7777}, {From: int32(last), To: 9999}}}, &batch)
+	if code != http.StatusOK || len(batch.Results) != 2 ||
+		batch.Results[0].Code != api.CodeInternal || batch.Results[1].Code != api.CodeVertexNotLabeled {
+		t.Fatalf("batch reach against a malformed and a missing label: %d %s", code, body)
 	}
 }

@@ -1,23 +1,19 @@
 package service
 
 import (
-	"path/filepath"
 	"testing"
 
 	"wfreach/internal/core"
 	"wfreach/internal/gen"
-	"wfreach/internal/graph"
-	"wfreach/internal/integrity"
 	"wfreach/internal/skeleton"
 	"wfreach/internal/spec"
-	"wfreach/internal/wal"
 )
 
 // buildRestoreFixture ingests size events into a durable session and
-// shuts down cleanly, leaving a snapshot covering the whole log. With
-// v1 set, the arena snapshot is rewritten in the legacy WFSNAP01
-// format, so Restore takes the decode-and-replay path.
-func buildRestoreFixture(b *testing.B, dir string, size int, v1 bool) int {
+// shuts down cleanly. Without replay the shutdown checkpoint leaves an
+// arena snapshot covering the whole log; with replay no snapshot is
+// ever taken, so Restore re-issues every label from the log.
+func buildRestoreFixture(b *testing.B, dir string, size int, replay bool) int {
 	b.Helper()
 	sp, ok := Builtin("BioAID")
 	if !ok {
@@ -31,7 +27,11 @@ func buildRestoreFixture(b *testing.B, dir string, size int, v1 bool) int {
 	if err != nil {
 		b.Fatal(err)
 	}
-	reg, err := NewDurableRegistry(DurableOptions{Dir: dir, SnapshotEvery: -1})
+	snapshotEvery := 1 << 30 // only the checkpoint Close writes
+	if replay {
+		snapshotEvery = -1
+	}
+	reg, err := NewDurableRegistry(DurableOptions{Dir: dir, SnapshotEvery: snapshotEvery})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -45,22 +45,7 @@ func buildRestoreFixture(b *testing.B, dir string, size int, v1 bool) int {
 			b.Fatal(err)
 		}
 	}
-	walEvents := s.walEvents
-	walBytes := s.wal.AppendBytes()
-	var labels map[graph.VertexID][]byte
-	if v1 {
-		labels = s.store.Snapshot()
-	}
-	entries := s.store.SnapshotEntries()
 	if err := reg.Close(); err != nil {
-		b.Fatal(err)
-	}
-	path := filepath.Join(dir, "r", snapFile)
-	if v1 {
-		if err := wal.WriteSnapshot(path, wal.Snapshot{Events: walEvents, Labels: labels}); err != nil {
-			b.Fatal(err)
-		}
-	} else if _, err := writeArenaSnapshot(path, walEvents, walBytes, entries, integrity.Head{}, false); err != nil {
 		b.Fatal(err)
 	}
 	return len(events)
@@ -69,9 +54,9 @@ func buildRestoreFixture(b *testing.B, dir string, size int, v1 bool) int {
 // benchmarkRestore measures a full Registry.Restore of the fixture —
 // the cold-start path a daemon pays before it can serve its first
 // query — reporting labels/sec of recovered state.
-func benchmarkRestore(b *testing.B, size int, v1 bool) {
+func benchmarkRestore(b *testing.B, size int, replay bool) {
 	dir := b.TempDir()
-	n := buildRestoreFixture(b, dir, size, v1)
+	n := buildRestoreFixture(b, dir, size, replay)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		reg, err := NewDurableRegistry(DurableOptions{Dir: dir, SnapshotEvery: -1})
@@ -92,10 +77,10 @@ func benchmarkRestore(b *testing.B, size int, v1 bool) {
 	b.ReportMetric(float64(n*b.N)/b.Elapsed().Seconds(), "labels/sec")
 }
 
-func BenchmarkRestoreV1_100k(b *testing.B)    { benchmarkRestore(b, 100_000, true) }
-func BenchmarkRestoreArena_100k(b *testing.B) { benchmarkRestore(b, 100_000, false) }
+func BenchmarkRestoreReplay_100k(b *testing.B) { benchmarkRestore(b, 100_000, true) }
+func BenchmarkRestoreArena_100k(b *testing.B)  { benchmarkRestore(b, 100_000, false) }
 
-func BenchmarkRestoreV1_1M(b *testing.B) {
+func BenchmarkRestoreReplay_1M(b *testing.B) {
 	if testing.Short() {
 		b.Skip("1M-label fixture; skipped in -short")
 	}

@@ -32,6 +32,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"slices"
 	"sync"
@@ -125,12 +126,11 @@ type Session struct {
 	// further ingest.
 	ioErr error
 
-	// Integrity anchors of the last WFSNAP03 snapshot (guarded by
-	// ingestMu): the Merkle root over its label extents and the WAL
-	// chain head at its watermark. snapIntegrity is false until the
-	// session writes (or restores from) an integrity-stamped snapshot.
+	// snapRoot is the Merkle root over the label extents of the last
+	// snapshot, at watermark snapEvents (guarded by ingestMu);
+	// snapIntegrity is false until the session writes (or restores from)
+	// one.
 	snapRoot      integrity.Head
-	snapChain     integrity.Head
 	snapIntegrity bool
 
 	// sealed, when non-empty, is the base URL of the node this session
@@ -578,6 +578,78 @@ func (s *Session) AppendRecords(recs []wal.Record, frames [][]byte) (int, error)
 	return s.finishLocked(applied, staged, err)
 }
 
+// ErrTailRejected marks an ApplyTail failure that came from applying a
+// shipped record — the labeler or the local log refused it — rather
+// than from the stream. Labeling is deterministic, so a rejected
+// replayed event means the copy diverged from the source's log (or the
+// local WAL is poisoned), and redialing cannot help.
+var ErrTailRejected = errors.New("service: shipped record rejected")
+
+// ApplyTail applies a WAL tail stream to the session — what a follower
+// and a move target both do with the frames another node ships. next is
+// the sequence the first entry must carry. Entries are batched
+// greedily: the first read blocks, then the batch grows while more
+// bytes are already buffered (up to batch records), so a burst arriving
+// after a source commit costs one ingest call and one local WAL commit.
+// Each shipped frame is teed to the session's own log verbatim.
+//
+// applied, when non-nil, runs after every batch that went in whole,
+// with the sequence of its last record and its frames (valid during the
+// call); its error ends the tail. ApplyTail returns how many records it
+// applied — a batch the labeler stopped midway counts as far as it got,
+// that prefix is real, logged data — and nil when the stream ended
+// cleanly. A sequence gap or a damaged stream is returned as the
+// reader's error after what arrived intact has been applied (the
+// caller redials from next+n); a refused record wraps ErrTailRejected.
+func (s *Session) ApplyTail(tr *api.TailReader, next int64, batch int, applied func(last int64, frames [][]byte) error) (n int64, err error) {
+	recs := make([]wal.Record, 0, batch)
+	frames := make([][]byte, 0, batch)
+	var frameBuf []byte
+	flush := func() error {
+		if len(recs) == 0 {
+			return nil
+		}
+		k, err := s.AppendRecords(recs, frames)
+		n += int64(k)
+		if err != nil {
+			return fmt.Errorf("%w at seq %d: %w", ErrTailRejected, next+n, err)
+		}
+		if applied != nil {
+			if err := applied(next+n-1, frames); err != nil {
+				return err
+			}
+		}
+		recs, frames, frameBuf = recs[:0], frames[:0], frameBuf[:0]
+		return nil
+	}
+	for {
+		entry, rerr := tr.Next()
+		if want := next + n + int64(len(recs)); rerr == nil && entry.Seq != want {
+			rerr = fmt.Errorf("tail of %q jumped to seq %d, want %d", s.name, entry.Seq, want)
+		}
+		if rerr != nil {
+			if err := flush(); err != nil {
+				return n, err
+			}
+			if rerr == io.EOF {
+				return n, nil
+			}
+			return n, rerr
+		}
+		// The entry's frame is reused by the next read; stash a copy in
+		// one grow-only batch buffer.
+		start := len(frameBuf)
+		frameBuf = append(frameBuf, entry.Frame...)
+		recs = append(recs, entry.Record)
+		frames = append(frames, frameBuf[start:len(frameBuf):len(frameBuf)])
+		if len(recs) >= batch || !tr.Buffered() {
+			if err := flush(); err != nil {
+				return n, err
+			}
+		}
+	}
+}
+
 // labelRecord runs one record through the labeler — the label stage
 // of ingest and of restore replay alike — and returns the vertex it
 // labeled. A label deeper than the encoding can frame (label.MaxEntries;
@@ -755,7 +827,13 @@ func (s *Session) Reach(v, w graph.VertexID) (bool, error) {
 	if !okw {
 		return false, api.Errorf(api.CodeVertexNotLabeled, "vertex %d not labeled yet", w)
 	}
-	return s.store.ReachBytes(bv, bw)
+	ok, err := s.store.ReachBytes(bv, bw)
+	if err != nil {
+		// Both labels are stored, so one of them does not parse: the
+		// server's fault, like in Lineage.
+		return false, api.AsError(err, api.CodeInternal)
+	}
+	return ok, nil
 }
 
 // ReachBatch answers many reachability pairs in one call, one answer

@@ -45,7 +45,7 @@ func splitArena(t *testing.T, entries []store.Entry) (*arena.Arena, []store.Entr
 		aes[i] = arena.Entry{V: e.V, Enc: e.Enc}
 	}
 	path := filepath.Join(t.TempDir(), "labels.snap")
-	if _, err := arena.Write(path, arena.Meta{Events: int64(cut)}, aes); err != nil {
+	if _, err := arena.Write(path, arena.Meta{Events: int64(cut), HasChain: true}, aes); err != nil {
 		t.Fatal(err)
 	}
 	a, err := arena.Open(path)
@@ -59,11 +59,14 @@ func TestArenaBackedStoreMatchesHeapStore(t *testing.T) {
 	g, entries := buildRun(t, 600)
 
 	heap := store.New(g, skeleton.TCL)
-	for _, e := range entries {
-		if err := heap.PutEncoded(e.V, e.Enc); err != nil {
-			t.Fatal(err)
-		}
+	owned := make([]store.Entry, len(entries))
+	for i, e := range entries {
+		owned[i] = store.Entry{V: e.V, Enc: bytes.Clone(e.Enc)}
 	}
+	if err := heap.AppendOwned(owned); err != nil {
+		t.Fatal(err)
+	}
+	heap.Publish()
 
 	a, tail := splitArena(t, entries)
 	ab, err := store.NewFromArena(g, skeleton.TCL, 0, a)
@@ -141,7 +144,7 @@ func TestArenaStoreRejectsDuplicateOfArenaVertex(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := entries[0].V // in the arena half
-	if err := s.PutEncoded(v, []byte{0x01}); err == nil {
+	if err := s.AppendOwned([]store.Entry{{V: v, Enc: []byte{0x01}}}); err == nil {
 		t.Fatal("staging a vertex the arena already holds must fail")
 	}
 }
@@ -150,9 +153,10 @@ func TestAttachArenaRequiresEmptyStore(t *testing.T) {
 	g, entries := buildRun(t, 200)
 	a, _ := splitArena(t, entries)
 	s := store.New(g, skeleton.TCL)
-	if err := s.PutEncoded(graph.VertexID(1<<20), []byte{0x01}); err != nil {
+	if err := s.AppendOwned([]store.Entry{{V: 1 << 20, Enc: []byte{0x01}}}); err != nil {
 		t.Fatal(err)
 	}
+	s.Publish()
 	if err := s.AttachArena(a); err == nil {
 		t.Fatal("attaching an arena to a non-empty store must fail")
 	}
@@ -196,11 +200,6 @@ func TestSnapshotEntriesCoversArenaAndShards(t *testing.T) {
 		if !bytes.Equal(byV[e.V], e.Enc) {
 			t.Fatalf("vertex %d bytes diverge", e.V)
 		}
-	}
-	// And the map-form Snapshot agrees.
-	m := s.Snapshot()
-	if len(m) != len(entries) {
-		t.Fatalf("Snapshot returned %d entries, want %d", len(m), len(entries))
 	}
 }
 

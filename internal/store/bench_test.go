@@ -85,7 +85,7 @@ func arenaStore(b *testing.B, g *spec.Grammar, entries []store.Entry) *store.Sto
 		aes[i] = arena.Entry{V: e.V, Enc: e.Enc}
 	}
 	path := filepath.Join(b.TempDir(), "labels.snap")
-	if _, err := arena.Write(path, arena.Meta{Events: int64(len(entries))}, aes); err != nil {
+	if _, err := arena.Write(path, arena.Meta{Events: int64(len(entries)), HasChain: true}, aes); err != nil {
 		b.Fatal(err)
 	}
 	a, err := arena.Open(path)

@@ -16,21 +16,16 @@
 // The store owns its synchronization. It is split into N shards keyed
 // by an FNV-1a hash of the vertex id; each shard holds a small write
 // mutex, a pending set of staged-but-unpublished labels, and an
-// immutable read view behind an atomic pointer. Writers stage labels
-// under the shard mutex ([Store.StageOwned], [Store.AppendOwned]) and
-// make them visible with [Store.Publish], which freezes the pending
-// set as the newest chunk of the shard's view and republishes the
-// view pointer. Readers ([Store.GetRaw], [Store.Reach],
-// [Store.Lineage], [Store.Snapshot], stats) only ever load view
-// pointers: the query path acquires no locks, and because a published
-// view is never mutated, reads are race-free by construction.
-//
-// The single-put methods ([Store.Put], [Store.PutEncoded],
-// [Store.PutEncodedOwned]) stage and publish in one call, preserving
-// the read-your-writes behavior of a plain map for sequential callers;
-// batch writers (the service ingest pipeline, WAL replay) stage the
-// whole batch and publish once, so view rebuilding is amortized over
-// the batch.
+// immutable read view behind an atomic pointer. Writers — the service
+// ingest pipeline and WAL replay — stage a whole batch of labels under
+// the shard mutexes ([Store.AppendOwned]) and make it visible with one
+// [Store.Publish], which freezes the pending set as the newest chunk
+// of the shard's view and republishes the view pointer, so view
+// rebuilding is amortized over the batch. Readers ([Store.GetRaw],
+// [Store.Reach], [Store.Lineage], [Store.SnapshotEntries], stats) only
+// ever load view pointers: the query path acquires no locks, and
+// because a published view is never mutated, reads are race-free by
+// construction.
 //
 // # Arena-backed stores
 //
@@ -67,7 +62,7 @@ import (
 const DefaultShards = 16
 
 // maxShards caps the shard count; more shards than this only adds
-// fixed overhead to Publish, Lineage and Snapshot.
+// fixed overhead to Publish, Lineage and SnapshotEntries.
 const maxShards = 4096
 
 // ErrNotStored marks a query for a vertex with no published label, as
@@ -171,7 +166,7 @@ func NewFromArena(g *spec.Grammar, kind skeleton.Kind, shards int, a *arena.Aren
 // base layer. The store must be empty (attach is a restore-time
 // operation, before any label is staged) and can carry at most one
 // arena. Ownership: the store aliases the arena's bytes in every
-// GetRaw/Snapshot result from then on, so the arena must stay open —
+// GetRaw/SnapshotEntries result from then on, so the arena must stay open —
 // and its backing file must stay unmodified, which the write-once
 // snapshot contract guarantees — for the lifetime of the store and of
 // every byte slice it ever handed out. Callers must not Close the
@@ -260,49 +255,9 @@ func (s *Store) shardOf(v graph.VertexID) *shard {
 // Shards returns the shard count.
 func (s *Store) Shards() int { return len(s.shards) }
 
-// Put encodes, stores and publishes the label of v. Labels are
-// immutable: a second Put for the same vertex is rejected.
-func (s *Store) Put(v graph.VertexID, l label.Label) error {
-	return s.PutEncodedOwned(v, s.codec.Encode(l))
-}
-
 // Encode encodes a label with the store's codec without storing it.
 // The codec is immutable, so Encode is safe to call concurrently.
 func (s *Store) Encode(l label.Label) []byte { return s.codec.Encode(l) }
-
-// PutEncoded stores already-encoded label bytes for v and publishes
-// them, rejecting duplicates. The bytes are copied on insert, so the
-// caller keeps ownership of enc and may reuse it — a caller feeding
-// the store from a shared read buffer must not be able to mutate a
-// stored label after the fact (labels are write-once).
-func (s *Store) PutEncoded(v graph.VertexID, enc []byte) error {
-	own := make([]byte, len(enc))
-	copy(own, enc)
-	return s.PutEncodedOwned(v, own)
-}
-
-// PutEncodedOwned stores enc without copying and publishes it,
-// transferring ownership to the store: the caller must never touch enc
-// again. It exists for single-put callers; the hot ingest path stages
-// whole batches with AppendOwned and publishes once.
-func (s *Store) PutEncodedOwned(v graph.VertexID, enc []byte) error {
-	if err := s.StageOwned(v, enc); err != nil {
-		return err
-	}
-	s.Publish()
-	return nil
-}
-
-// StageOwned stages enc for v without publishing it: the label becomes
-// visible to readers at the next Publish. Ownership of enc transfers
-// to the store. Duplicates — staged or published — are rejected.
-func (s *Store) StageOwned(v graph.VertexID, enc []byte) error {
-	sh := s.shardOf(v)
-	sh.mu.Lock()
-	err := s.stageLocked(sh, v, enc)
-	sh.mu.Unlock()
-	return err
-}
 
 // AppendOwned stages a batch of entries, grouped by shard so each
 // shard's mutex is taken once per batch rather than once per label.
@@ -510,28 +465,6 @@ func (s *Store) Lineage(v graph.VertexID) ([]graph.VertexID, error) {
 	return out, nil
 }
 
-// Snapshot returns a copy of the published vertex → encoded-label map,
-// merged across shards (and the arena base layer, when one is
-// attached), without taking any lock. The byte slices are shared with
-// the store (they are write-once); only the map itself is fresh.
-// Concurrent publishes may or may not be included, shard by shard —
-// any such snapshot is a valid published prefix per shard.
-func (s *Store) Snapshot() map[graph.VertexID][]byte {
-	out := make(map[graph.VertexID][]byte, s.Count())
-	if a := s.arena.Load(); a != nil {
-		a.Range(func(v graph.VertexID, enc []byte) bool {
-			out[v] = enc
-			return true
-		})
-	}
-	for i := range s.shards {
-		for _, m := range s.shards[i].view.Load().chunks {
-			maps.Copy(out, m)
-		}
-	}
-	return out
-}
-
 // SnapshotEntries returns the published labels as a flat entry slice
 // — arena base layer first, then every shard's chunks — without
 // taking any lock and without building a map: this is what the
@@ -539,8 +472,8 @@ func (s *Store) Snapshot() map[graph.VertexID][]byte {
 // slice of headers instead of a second copy of the whole label map.
 // The Enc slices alias the store's (or the mapped arena's) bytes and
 // must be treated as immutable; entries are in no particular order.
-// The consistency contract matches Snapshot: each shard contributes
-// whatever it last published.
+// Concurrent publishes may or may not be included, shard by shard:
+// each shard contributes whatever it last published.
 func (s *Store) SnapshotEntries() []Entry {
 	out := make([]Entry, 0, s.Count())
 	if a := s.arena.Load(); a != nil {

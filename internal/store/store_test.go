@@ -1,6 +1,7 @@
 package store_test
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"sync"
@@ -25,11 +26,14 @@ func filled(t *testing.T, target int, seed int64) (*store.Store, *run.Run) {
 		t.Fatal(err)
 	}
 	s := store.New(g, skeleton.TCL)
+	var entries []store.Entry
 	for _, v := range r.Graph.LiveVertices() {
-		if err := s.Put(v, d.MustLabel(v)); err != nil {
-			t.Fatal(err)
-		}
+		entries = append(entries, store.Entry{V: v, Enc: s.Encode(d.MustLabel(v))})
 	}
+	if err := s.AppendOwned(entries); err != nil {
+		t.Fatal(err)
+	}
+	s.Publish()
 	return s, r
 }
 
@@ -82,13 +86,10 @@ func TestLineage(t *testing.T) {
 
 func TestPutRejectsDuplicates(t *testing.T) {
 	s, r := filled(t, 60, 3)
-	d, err := core.LabelRun(r, skeleton.TCL, core.RModeDesignated)
-	if err != nil {
-		t.Fatal(err)
-	}
 	v := r.Graph.LiveVertices()[0]
-	if err := s.Put(v, d.MustLabel(v)); err == nil {
-		t.Fatal("duplicate Put accepted (labels are immutable)")
+	enc, _ := s.GetRaw(v)
+	if err := s.AppendOwned([]store.Entry{{V: v, Enc: bytes.Clone(enc)}}); err == nil {
+		t.Fatal("a second label for a stored vertex accepted (labels are immutable)")
 	}
 }
 
@@ -112,9 +113,10 @@ func TestGetAndErrors(t *testing.T) {
 	}
 	// A stored label that does not parse is a different failure: the
 	// walk reports it, and not as a missing vertex.
-	if err := s.PutEncodedOwned(99999, []byte{1}); err != nil {
+	if err := s.AppendOwned([]store.Entry{{V: 99999, Enc: []byte{1}}}); err != nil {
 		t.Fatal(err)
 	}
+	s.Publish()
 	if _, err := s.Reach(v, 99999); err == nil || errors.Is(err, store.ErrNotStored) {
 		t.Fatalf("Reach against a truncated label: %v", err)
 	}
@@ -161,85 +163,6 @@ func TestRawBytesQueryPath(t *testing.T) {
 	}
 	if _, err := s.ReachBytes(nil, nil); err == nil {
 		t.Fatal("ReachBytes on empty bytes succeeded")
-	}
-}
-
-func TestPutEncodedMatchesPut(t *testing.T) {
-	g := spec.MustCompile(wfspecs.RunningExample())
-	r := gen.MustGenerate(g, gen.Options{TargetSize: 80, Seed: 5})
-	d, err := core.LabelRun(r, skeleton.TCL, core.RModeDesignated)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := store.New(g, skeleton.TCL)
-	b := store.New(g, skeleton.TCL)
-	for _, v := range r.Graph.LiveVertices() {
-		l := d.MustLabel(v)
-		if err := a.Put(v, l); err != nil {
-			t.Fatal(err)
-		}
-		if err := b.PutEncoded(v, b.Encode(l)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if a.Bits() != b.Bits() || a.Count() != b.Count() {
-		t.Fatalf("stores diverge: %d/%d bits, %d/%d labels", a.Bits(), b.Bits(), a.Count(), b.Count())
-	}
-	v := r.Graph.LiveVertices()[0]
-	if err := b.PutEncoded(v, []byte{1}); err == nil {
-		t.Fatal("duplicate PutEncoded accepted")
-	}
-}
-
-// TestPutEncodedCopies checks the aliasing contract of PutEncoded: the
-// store copies the encoded bytes on insert, so a caller that reuses
-// its buffer (as WAL/snapshot replay loops do) cannot corrupt a stored
-// label after the fact.
-func TestPutEncodedCopies(t *testing.T) {
-	g := spec.MustCompile(wfspecs.RunningExample())
-	r := gen.MustGenerate(g, gen.Options{TargetSize: 60, Seed: 3})
-	d, err := core.LabelRun(r, skeleton.TCL, core.RModeDesignated)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := store.New(g, skeleton.TCL)
-
-	// Feed every label through one shared buffer, clobbering it between
-	// inserts the way a file-replay loop would.
-	var buf []byte
-	for _, v := range r.Graph.LiveVertices() {
-		enc := s.Encode(d.MustLabel(v))
-		buf = append(buf[:0], enc...)
-		if err := s.PutEncoded(v, buf); err != nil {
-			t.Fatal(err)
-		}
-		for i := range buf {
-			buf[i] = 0xff
-		}
-	}
-
-	// Every stored label must still decode and answer like the oracle.
-	live := r.Graph.LiveVertices()
-	for _, v := range live {
-		for _, w := range live {
-			got, err := s.Reach(v, w)
-			if err != nil {
-				t.Fatalf("reach(%d,%d) after buffer reuse: %v", v, w, err)
-			}
-			if want := r.Graph.Reaches(v, w); got != want {
-				t.Fatalf("reach(%d,%d)=%v, want %v (stored label aliased a reused buffer)", v, w, got, want)
-			}
-		}
-	}
-
-	// The raw bytes handed back must also be the store's own copy.
-	v := live[0]
-	raw, ok := s.GetRaw(v)
-	if !ok {
-		t.Fatal("GetRaw lost a vertex")
-	}
-	if len(raw) > 0 && &raw[0] == &buf[0] {
-		t.Fatal("GetRaw returned the caller's buffer")
 	}
 }
 
@@ -322,10 +245,10 @@ func TestStagePublishVisibility(t *testing.T) {
 	if err := s.AppendOwned([]store.Entry{{V: live[0], Enc: []byte{1}}}); err == nil {
 		t.Fatal("duplicate of a published vertex accepted")
 	}
-	if err := s.StageOwned(99999, []byte{1}); err != nil {
+	if err := s.AppendOwned([]store.Entry{{V: 99999, Enc: []byte{1}}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.StageOwned(99999, []byte{2}); err == nil {
+	if err := s.AppendOwned([]store.Entry{{V: 99999, Enc: []byte{2}}}); err == nil {
 		t.Fatal("duplicate of a staged vertex accepted")
 	}
 }
@@ -333,7 +256,7 @@ func TestStagePublishVisibility(t *testing.T) {
 // TestConcurrentBatchIngestQuery is the store's own concurrency
 // contract test (run with -race): one writer stages and publishes
 // batches while readers hammer the lock-free query path — GetRaw,
-// Reach, Lineage, Snapshot and stats — over whatever prefix is
+// Reach, Lineage, SnapshotEntries and stats — over whatever prefix is
 // published, checking every reach answer against the BFS oracle.
 func TestConcurrentBatchIngestQuery(t *testing.T) {
 	g := spec.MustCompile(wfspecs.BioAID())
@@ -400,7 +323,7 @@ func TestConcurrentBatchIngestQuery(t *testing.T) {
 						return
 					}
 				case 1:
-					if got := len(s.Snapshot()); int64(got) < n {
+					if got := len(s.SnapshotEntries()); int64(got) < n {
 						// Snapshot races later publishes, but can never
 						// hold fewer labels than were published before
 						// the call.

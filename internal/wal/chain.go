@@ -1,26 +1,19 @@
 package wal
 
 import (
-	"bufio"
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"os"
 
 	"wfreach/internal/integrity"
 )
 
 // ChainScan hashes the log file at path into the frame hash chain,
 // starting from seed at byte offset (a frame boundary), and stops at
-// the first torn or corrupt record with Scan's exact stopping rule. It
-// returns the head over the valid prefix, the number of records folded
-// in, and the absolute end of the valid prefix. A missing file scans
-// as empty. Unlike Scan it never decodes payloads — it is the restore
-// path's cheap "what is the chain head of what's on disk" pass.
+// the first torn or corrupt frame like Scan does. It returns the head
+// over the valid prefix, the number of frames folded in, and the
+// absolute end of the valid prefix. A missing file scans as empty.
+// Unlike Scan it never decodes payloads.
 func ChainScan(path string, offset int64, seed integrity.Head) (head integrity.Head, n int64, validSize int64, err error) {
-	return chainWalk(path, offset, -1, seed)
+	return chainFile(path, offset, -1, seed)
 }
 
 // ChainTo is ChainScan with a hard stop: every byte of [offset, to)
@@ -29,7 +22,7 @@ func ChainScan(path string, offset int64, seed integrity.Head) (head integrity.H
 // chain head at this snapshot's watermark" — damage anywhere below the
 // watermark is real corruption, not a torn tail, and must surface.
 func ChainTo(path string, offset, to int64, seed integrity.Head) (head integrity.Head, n int64, err error) {
-	head, n, valid, err := chainWalk(path, offset, to, seed)
+	head, n, valid, err := chainFile(path, offset, to, seed)
 	if err != nil {
 		return integrity.Head{}, 0, err
 	}
@@ -39,65 +32,23 @@ func ChainTo(path string, offset, to int64, seed integrity.Head) (head integrity
 	return head, n, nil
 }
 
-func chainWalk(path string, offset, stop int64, seed integrity.Head) (head integrity.Head, n int64, validSize int64, err error) {
-	head = seed
-	validSize = offset
-	if stop >= 0 && offset > stop {
-		return integrity.Head{}, 0, offset, fmt.Errorf("%w: scan offset %d past stop boundary %d", ErrCorrupt, offset, stop)
-	}
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		if stop >= 0 && stop != offset {
-			return integrity.Head{}, 0, offset, fmt.Errorf("wal: %w", err)
-		}
-		return head, 0, offset, nil
-	}
+// chainFile folds the frames from byte offset on into seed, until the
+// valid prefix reaches stop (negative: until the log ends).
+func chainFile(path string, offset, stop int64, seed integrity.Head) (head integrity.Head, n int64, validSize int64, err error) {
+	fr, f, err := OpenFrames(path, offset)
 	if err != nil {
-		return integrity.Head{}, 0, offset, fmt.Errorf("wal: %w", err)
+		return integrity.Head{}, 0, offset, err
 	}
 	defer f.Close()
-	if offset > 0 {
-		if _, err := f.Seek(offset, io.SeekStart); err != nil {
-			return integrity.Head{}, 0, offset, fmt.Errorf("wal: %w", err)
-		}
-	}
-
-	br := bufio.NewReaderSize(f, 256<<10)
 	chainer := integrity.NewChainer()
-	var frame []byte
-	for {
-		if stop >= 0 && validSize == stop {
-			return head, n, validSize, nil
-		}
-		var hdr [FrameHeaderSize]byte
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			return head, n, validSize, nil // EOF or torn frame: end of valid prefix
-		}
-		length := binary.LittleEndian.Uint32(hdr[0:4])
-		sum := binary.LittleEndian.Uint32(hdr[4:8])
-		if length == 0 || length > MaxPayload {
-			return head, n, validSize, nil
-		}
-		total := FrameHeaderSize + int(length)
-		if stop >= 0 && validSize+int64(total) > stop {
-			// The frame straddles the required boundary: the boundary is
-			// not a frame boundary of this file. Report where the valid
-			// prefix actually stood; ChainTo turns that into ErrCorrupt.
-			return head, n, validSize, nil
-		}
-		if cap(frame) < total {
-			frame = make([]byte, total)
-		}
-		frame = frame[:total]
-		copy(frame, hdr[:])
-		if _, err := io.ReadFull(br, frame[FrameHeaderSize:]); err != nil {
-			return head, n, validSize, nil // torn payload
-		}
-		if crc32.ChecksumIEEE(frame[FrameHeaderSize:]) != sum {
-			return head, n, validSize, nil // bit rot or torn overwrite
+	head = seed
+	for stop < 0 || offset+fr.Offset() < stop {
+		frame, err := fr.Next()
+		if err != nil {
+			return head, n, offset + fr.Offset(), tailDamage(err)
 		}
 		head = chainer.Extend(head, frame)
 		n++
-		validSize += int64(total)
 	}
+	return head, n, offset + fr.Offset(), nil
 }

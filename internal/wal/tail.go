@@ -3,9 +3,7 @@ package wal
 import (
 	"bufio"
 	"context"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 )
@@ -24,12 +22,11 @@ import (
 //
 // A Tailer is not safe for concurrent use; open one per consumer.
 type Tailer struct {
-	log   *Log
-	f     *os.File
-	br    *bufio.Reader
-	pos   int64 // sequence of the last record read from the file
-	from  int64 // first sequence to deliver
-	frame []byte
+	log  *Log
+	f    *os.File
+	fr   *FrameReader
+	pos  int64 // sequence of the last record read from the file
+	from int64 // first sequence to deliver
 }
 
 // NewTailer opens a tailer over the log's file, delivering records
@@ -47,7 +44,7 @@ func NewTailer(l *Log, from int64) (*Tailer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	return &Tailer{log: l, f: f, br: bufio.NewReaderSize(f, 64<<10), from: from}, nil
+	return &Tailer{log: l, f: f, fr: NewFrameReader(bufio.NewReaderSize(f, 64<<10)), from: from}, nil
 }
 
 // Close releases the tailer's file handle.
@@ -87,43 +84,20 @@ func (t *Tailer) Next(ctx context.Context, wait bool) (seq int64, frame []byte, 
 			case <-ch:
 			}
 		}
-		if err := t.readFrame(); err != nil {
-			return 0, nil, err
+		// The record is fully on disk (pos < DurableSeq), so whatever
+		// stops the reader here — the file ending included — is damage
+		// below the committed watermark, not a torn tail.
+		frame, err := t.fr.Next()
+		if err == io.EOF {
+			err = fmt.Errorf("%w: the log ends", ErrCorrupt)
+		}
+		if err != nil {
+			return 0, nil, fmt.Errorf("wal: tail read at seq %d: %w", t.pos+1, err)
 		}
 		t.pos++
 		if t.pos >= t.from {
-			return t.pos, t.frame, nil
+			return t.pos, frame, nil
 		}
 		// Still skipping toward the requested start sequence.
 	}
-}
-
-// readFrame reads one frame (known to be fully on disk: pos <
-// DurableSeq) into t.frame, verifying structure and checksum. Any
-// damage below the committed watermark is real corruption, not a torn
-// tail, and is reported as such.
-func (t *Tailer) readFrame() error {
-	var header [FrameHeaderSize]byte
-	if _, err := io.ReadFull(t.br, header[:]); err != nil {
-		return fmt.Errorf("%w: tail read at seq %d: %v", ErrCorrupt, t.pos+1, err)
-	}
-	length := binary.LittleEndian.Uint32(header[0:4])
-	sum := binary.LittleEndian.Uint32(header[4:8])
-	if length == 0 || length > MaxPayload {
-		return fmt.Errorf("%w: tail frame length %d at seq %d", ErrCorrupt, length, t.pos+1)
-	}
-	total := FrameHeaderSize + int(length)
-	if cap(t.frame) < total {
-		t.frame = make([]byte, total)
-	}
-	t.frame = t.frame[:total]
-	copy(t.frame, header[:])
-	payload := t.frame[FrameHeaderSize:]
-	if _, err := io.ReadFull(t.br, payload); err != nil {
-		return fmt.Errorf("%w: tail payload at seq %d: %v", ErrCorrupt, t.pos+1, err)
-	}
-	if crc32.ChecksumIEEE(payload) != sum {
-		return fmt.Errorf("%w: tail CRC mismatch at seq %d", ErrCorrupt, t.pos+1)
-	}
-	return nil
 }

@@ -1,15 +1,13 @@
-// Package wal persists labeling sessions: an append-only write-ahead
-// log of execution events plus point-in-time snapshots of the encoded
-// label map. Together they make a session durable — after a crash the
-// event log is replayed through a fresh labeler (labeling is
-// deterministic, so replay reissues the exact same labels) and the
-// snapshot supplies the already-encoded label bytes for the prefix it
-// covers, so recovery never re-encodes a label it already wrote out.
+// Package wal is the append-only write-ahead log of execution events
+// that makes a labeling session durable: after a crash the log is
+// replayed through a fresh labeler, and because labeling is
+// deterministic the replay reissues the exact same labels. (The label
+// snapshot that lets recovery skip re-encoding is internal/arena's.)
 //
 // # On-disk format
 //
-// The byte-level layouts of both files are specified in the
-// wire-format appendix of ARCHITECTURE.md; the summary:
+// The byte-level layout is specified in the wire-format appendix of
+// ARCHITECTURE.md; the summary:
 //
 // A log is a sequence of records, each framed as
 //
@@ -24,13 +22,6 @@
 // Corruption is only ever accepted at the tail: a bad record hides
 // everything after it, by design, because the event stream is
 // meaningful only as a prefix.
-//
-// A snapshot is written to a temporary file and atomically renamed
-// into place, so a crash during snapshotting leaves the previous
-// snapshot intact. Its body (event watermark plus the vertex →
-// encoded-label pairs) is protected by a trailing CRC-32; a corrupt
-// snapshot is reported as ErrCorrupt and recovery falls back to full
-// log replay.
 package wal
 
 import (
@@ -41,6 +32,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -69,9 +61,8 @@ const MaxPayload = 1 << 20
 // length followed by a uint32 LE CRC-32 (IEEE) of the payload.
 const FrameHeaderSize = 8
 
-// ErrCorrupt reports a file whose checksum or structure is invalid.
-// For logs it is only returned wrapped in tail positions that Scan
-// already skipped; for snapshots it means the whole file is unusable.
+// ErrCorrupt reports frames or payloads whose checksum or structure is
+// invalid.
 var ErrCorrupt = errors.New("wal: corrupt data")
 
 // Record is one logged execution event, in either of the two event
@@ -231,69 +222,118 @@ func DecodeRecord(b []byte) (Record, error) {
 	}
 }
 
+// FrameReader reads a stream of frames — a log file, an ingest body, a
+// shipped tail — yielding each frame raw (header plus payload) once its
+// length prefix is in range and its CRC matches. It is the one place a
+// frame is checked on the way in; Scan, the chain walks, Tailer and the
+// internal/api wire readers are loops over it. It reads exactly the
+// bytes of the frames it returns, never ahead, so a caller may
+// interleave its own reads on the same stream (the tail stream's
+// sequence prefixes), and allocates nothing per frame once its buffer
+// has grown to the largest frame seen.
+type FrameReader struct {
+	r     io.Reader
+	frame []byte
+	off   int64
+}
+
+// NewFrameReader reads frames from r. Hand it a buffered reader: every
+// frame costs two reads.
+func NewFrameReader(r io.Reader) *FrameReader {
+	return &FrameReader{r: r, frame: make([]byte, FrameHeaderSize, 256)}
+}
+
+// Next returns the next frame; the slice is reused by the following
+// call. A stream that ends on a frame boundary returns io.EOF. Anything
+// else the stream can end in — a header or payload cut short, a length
+// of zero or past MaxPayload, a CRC mismatch — wraps ErrCorrupt (a read
+// error other than a short stream is returned as it is), and Offset
+// then still marks the end of the last good frame. What damage means is
+// the caller's policy: the tail of a crashed log, corruption below a
+// committed watermark, or a bad request body.
+func (fr *FrameReader) Next() ([]byte, error) {
+	hdr := fr.frame[:FrameHeaderSize]
+	if _, err := io.ReadFull(fr.r, hdr); err != nil {
+		if err == io.EOF {
+			return nil, io.EOF
+		}
+		return nil, fr.damaged("header", err)
+	}
+	length := binary.LittleEndian.Uint32(hdr[0:4])
+	if length == 0 || length > MaxPayload {
+		return nil, fmt.Errorf("%w: frame at byte %d declares a payload of %d bytes, outside (0, %d]", ErrCorrupt, fr.off, length, MaxPayload)
+	}
+	total := FrameHeaderSize + int(length)
+	if cap(fr.frame) < total {
+		fr.frame = append(make([]byte, 0, total), hdr...)
+	}
+	fr.frame = fr.frame[:total]
+	payload := fr.frame[FrameHeaderSize:]
+	if _, err := io.ReadFull(fr.r, payload); err != nil {
+		return nil, fr.damaged("payload", err)
+	}
+	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(fr.frame[4:8]) {
+		return nil, fmt.Errorf("%w: frame at byte %d fails its CRC", ErrCorrupt, fr.off)
+	}
+	fr.off += int64(total)
+	return fr.frame, nil
+}
+
+// damaged classifies a failed read inside a frame: the stream running
+// out is damage, the source failing is the source's error.
+func (fr *FrameReader) damaged(part string, err error) error {
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		return fmt.Errorf("%w: frame at byte %d: %s cut short", ErrCorrupt, fr.off, part)
+	}
+	return err
+}
+
+// Offset returns the number of bytes in the frames returned so far —
+// the end of the stream's valid prefix.
+func (fr *FrameReader) Offset() int64 { return fr.off }
+
+// OpenFrames opens the log at path for a read-only frame walk starting
+// at byte offset (a frame boundary). A missing file reads as an empty
+// stream. The caller closes the returned file.
+func OpenFrames(path string, offset int64) (*FrameReader, io.Closer, error) {
+	f, err := os.Open(path)
+	if errors.Is(err, os.ErrNotExist) {
+		empty := io.NopCloser(strings.NewReader(""))
+		return NewFrameReader(empty), empty, nil
+	}
+	if err != nil {
+		return nil, nil, fmt.Errorf("wal: %w", err)
+	}
+	if _, err := f.Seek(offset, io.SeekStart); err != nil {
+		f.Close()
+		return nil, nil, fmt.Errorf("wal: %w", err)
+	}
+	return NewFrameReader(bufio.NewReaderSize(f, 256<<10)), f, nil
+}
+
 // Scan reads the log at path from the beginning, calling fn for each
 // intact record in order. It stops without error at the first torn or
 // corrupt record — a crash can only damage the tail, and everything
 // after a bad record is unrecoverable by construction — and returns
 // the number of records delivered plus the byte offset of the end of
-// the valid prefix (the offset Open should truncate to). A missing
+// the valid prefix (the offset Open should truncate to). A frame that
+// passes its CRC but does not decode counts as damage too. A missing
 // file scans as empty. An error from fn aborts the scan and is
 // returned as-is.
 func Scan(path string, fn func(i int, rec Record) error) (n int, validSize int64, err error) {
-	return ScanFrom(path, 0, fn)
-}
-
-// ScanFrom is Scan starting at a byte offset — the tail scan an arena
-// restore uses: the snapshot header records the WAL byte position its
-// label prefix covers (Meta.WALBytes), so recovery skips straight past
-// the covered prefix instead of re-reading gigabytes of already-
-// snapshotted records. offset must be a frame boundary previously
-// reported by Scan or AppendBytes; an offset past the end of the file
-// scans as empty with validSize == offset, which callers treat as "the
-// snapshot is ahead of this log" and fall back to a full scan. The
-// record indexes passed to fn start at 0 at the offset; validSize is
-// absolute (offset + valid tail bytes).
-func ScanFrom(path string, offset int64, fn func(i int, rec Record) error) (n int, validSize int64, err error) {
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return 0, offset, nil
-	}
+	fr, f, err := OpenFrames(path, 0)
 	if err != nil {
-		return 0, offset, fmt.Errorf("wal: %w", err)
+		return 0, 0, err
 	}
 	defer f.Close()
-	validSize = offset
-	if offset > 0 {
-		if _, err := f.Seek(offset, io.SeekStart); err != nil {
-			return 0, offset, fmt.Errorf("wal: %w", err)
-		}
-	}
-
-	br := bufio.NewReader(f)
-	var frame [8]byte
-	var payload []byte
 	for {
-		if _, err := io.ReadFull(br, frame[:]); err != nil {
-			return n, validSize, nil // EOF or torn frame: end of valid prefix
-		}
-		length := binary.LittleEndian.Uint32(frame[0:4])
-		sum := binary.LittleEndian.Uint32(frame[4:8])
-		if length == 0 || length > MaxPayload {
-			return n, validSize, nil
-		}
-		if cap(payload) < int(length) {
-			payload = make([]byte, length)
-		}
-		payload = payload[:length]
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return n, validSize, nil // torn payload
-		}
-		if crc32.ChecksumIEEE(payload) != sum {
-			return n, validSize, nil // bit rot or torn overwrite
-		}
-		rec, err := DecodeRecord(payload)
+		frame, err := fr.Next()
 		if err != nil {
-			return n, validSize, nil // framed but malformed: treat as tail damage
+			return n, validSize, tailDamage(err)
+		}
+		rec, err := DecodeRecord(frame[FrameHeaderSize:])
+		if err != nil {
+			return n, validSize, nil
 		}
 		if fn != nil {
 			if err := fn(n, rec); err != nil {
@@ -301,8 +341,17 @@ func ScanFrom(path string, offset int64, fn func(i int, rec Record) error) (n in
 			}
 		}
 		n++
-		validSize += int64(8 + length)
+		validSize = fr.Offset()
 	}
+}
+
+// tailDamage is the file walks' torn-tail policy: a log may end on a
+// frame boundary or in damage, and both just end the valid prefix.
+func tailDamage(err error) error {
+	if err == io.EOF || errors.Is(err, ErrCorrupt) {
+		return nil
+	}
+	return fmt.Errorf("wal: %w", err)
 }
 
 // Log is an open write-ahead log. Appends must still come from one
@@ -338,8 +387,8 @@ type Log struct {
 	closedFlag atomic.Bool
 
 	// appendBytes is the file size after the last append — the frame
-	// boundary an arena snapshot records (Meta.WALBytes) so restore can
-	// ScanFrom the tail only. Seeded with validSize at Open.
+	// boundary an arena snapshot records (Meta.WALBytes). Seeded with
+	// validSize at Open.
 	appendBytes atomic.Int64
 
 	// notifyMu guards notifyCh, the broadcast channel closed whenever
@@ -373,8 +422,8 @@ type Log struct {
 func (l *Log) AppendSeq() int64 { return l.appendSeq.Load() }
 
 // AppendBytes returns the log's byte length after the last append
-// (buffered or flushed) — always a frame boundary, and therefore a
-// valid ScanFrom offset for a snapshot taken at this point.
+// (buffered or flushed) — always a frame boundary, and therefore the
+// watermark of a snapshot taken at this point.
 func (l *Log) AppendBytes() int64 { return l.appendBytes.Load() }
 
 // DurableSeq returns the sequence of the last record known to be

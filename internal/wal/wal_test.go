@@ -1,8 +1,8 @@
 package wal
 
 import (
-	"bytes"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -11,6 +11,7 @@ import (
 
 	"wfreach/internal/core"
 	"wfreach/internal/graph"
+	"wfreach/internal/integrity"
 	"wfreach/internal/run"
 	"wfreach/internal/spec"
 )
@@ -205,91 +206,6 @@ func TestOpenTruncatesAndAppends(t *testing.T) {
 	}
 }
 
-func TestSnapshotRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "labels.snap")
-	s := Snapshot{
-		Events: 3,
-		Labels: map[graph.VertexID][]byte{
-			0: {0x01},
-			1: {0x02, 0x03},
-			7: {},
-		},
-	}
-	if err := WriteSnapshot(path, s); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadSnapshot(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Events != s.Events || len(got.Labels) != len(s.Labels) {
-		t.Fatalf("snapshot header mismatch: %+v", got)
-	}
-	for v, enc := range s.Labels {
-		if !bytes.Equal(got.Labels[v], enc) {
-			t.Fatalf("vertex %d: %v != %v", v, got.Labels[v], enc)
-		}
-	}
-}
-
-func TestSnapshotDeterministic(t *testing.T) {
-	dir := t.TempDir()
-	s := Snapshot{Events: 2, Labels: map[graph.VertexID][]byte{5: {1}, 2: {2}, 9: {3}}}
-	a, b := filepath.Join(dir, "a"), filepath.Join(dir, "b")
-	if err := WriteSnapshot(a, s); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteSnapshot(b, s); err != nil {
-		t.Fatal(err)
-	}
-	ra, _ := os.ReadFile(a)
-	rb, _ := os.ReadFile(b)
-	if !bytes.Equal(ra, rb) {
-		t.Fatal("same snapshot produced different bytes")
-	}
-}
-
-func TestSnapshotMissing(t *testing.T) {
-	_, err := ReadSnapshot(filepath.Join(t.TempDir(), "nope.snap"))
-	if !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("missing snapshot: %v", err)
-	}
-}
-
-func TestSnapshotCorrupt(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "labels.snap")
-	s := Snapshot{Events: 1, Labels: map[graph.VertexID][]byte{0: {0xaa, 0xbb}}}
-	if err := WriteSnapshot(path, s); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := map[string][]byte{
-		"bad magic":  append([]byte("NOTASNAP"), raw[8:]...),
-		"flipped":    flip(raw, len(raw)/2),
-		"truncated":  raw[:len(raw)-5],
-		"too short":  raw[:6],
-		"trailing":   append(append([]byte{}, raw...), 0x00),
-		"empty file": {},
-	}
-	for name, data := range cases {
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ReadSnapshot(path); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("%s: got %v, want ErrCorrupt", name, err)
-		}
-	}
-}
-
-func flip(raw []byte, i int) []byte {
-	out := append([]byte{}, raw...)
-	out[i] ^= 0x01
-	return out
-}
-
 // TestAppendRejectsOversizedRecord: a record Scan would refuse as
 // corrupt must never be accepted (and acknowledged) by Append.
 func TestAppendRejectsOversizedRecord(t *testing.T) {
@@ -316,10 +232,38 @@ func TestAppendRejectsOversizedRecord(t *testing.T) {
 	}
 }
 
+// framesFrom walks the log from a byte offset with the shared reader —
+// what every consumer that resumes at a recorded watermark does — and
+// returns the decoded records plus the absolute end of the valid
+// prefix.
+func framesFrom(t *testing.T, path string, off int64) ([]Record, int64) {
+	t.Helper()
+	fr, f, err := OpenFrames(path, off)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var got []Record
+	for {
+		frame, err := fr.Next()
+		if err == io.EOF {
+			return got, off + fr.Offset()
+		}
+		if err != nil {
+			t.Fatalf("offset %d: %v", off, err)
+		}
+		rec, err := DecodeRecord(frame[FrameHeaderSize:])
+		if err != nil {
+			t.Fatalf("offset %d: %v", off, err)
+		}
+		got = append(got, rec)
+	}
+}
+
 // TestScanFromBoundaries appends records one at a time, recording the
 // AppendBytes watermark after each, then scans from every watermark
-// and checks the scan yields exactly the records appended after it —
-// the contract the arena restore's tail replay depends on.
+// and checks the walk yields exactly the records appended after it —
+// the contract every recorded watermark (Meta.WALBytes) depends on.
 func TestScanFromBoundaries(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "events.wal")
 	recs := testRecords()
@@ -348,19 +292,9 @@ func TestScanFromBoundaries(t *testing.T) {
 		t.Fatalf("final AppendBytes %d, file size %d", marks[len(marks)-1], fi.Size())
 	}
 	for k, off := range marks {
-		var got []Record
-		n, size, err := ScanFrom(path, off, func(i int, rec Record) error {
-			if i != len(got) {
-				t.Fatalf("offset %d: record index %d, want %d", off, i, len(got))
-			}
-			got = append(got, rec)
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("offset %d: %v", off, err)
-		}
-		if n != len(recs)-k || !reflect.DeepEqual(got, append([]Record(nil), recs[k:]...)) {
-			t.Fatalf("offset %d: scanned %d records, want suffix of %d", off, n, len(recs)-k)
+		got, size := framesFrom(t, path, off)
+		if !reflect.DeepEqual(got, append([]Record(nil), recs[k:]...)) {
+			t.Fatalf("offset %d: scanned %d records, want suffix of %d", off, len(got), len(recs)-k)
 		}
 		if size != fi.Size() {
 			t.Fatalf("offset %d: validSize %d, want %d (absolute)", off, size, fi.Size())
@@ -368,9 +302,10 @@ func TestScanFromBoundaries(t *testing.T) {
 	}
 }
 
-// TestScanFromPastEOF checks the "snapshot ahead of this log" probe:
-// an offset beyond the file scans empty and echoes the offset back as
-// validSize, rather than erroring or misparsing mid-frame bytes.
+// TestScanFromPastEOF: an offset beyond the file walks as empty and
+// echoes the offset back as the valid size, rather than erroring or
+// misparsing mid-frame bytes; a missing file behaves the same way for
+// any offset.
 func TestScanFromPastEOF(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "events.wal")
 	writeLog(t, path, testRecords())
@@ -378,18 +313,17 @@ func TestScanFromPastEOF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	off := fi.Size() + 1000
-	n, size, err := ScanFrom(path, off, func(i int, rec Record) error {
-		t.Fatalf("unexpected record %d at offset past EOF", i)
-		return nil
-	})
-	if err != nil || n != 0 || size != off {
-		t.Fatalf("past EOF: n=%d size=%d err=%v, want 0/%d/nil", n, size, err, off)
-	}
-	// A missing file behaves the same way for any offset.
-	n, size, err = ScanFrom(filepath.Join(t.TempDir(), "nope.wal"), 42, nil)
-	if err != nil || n != 0 || size != 42 {
-		t.Fatalf("missing file: n=%d size=%d err=%v, want 0/42/nil", n, size, err)
+	for _, tc := range []struct {
+		path string
+		off  int64
+	}{{path, fi.Size() + 1000}, {filepath.Join(t.TempDir(), "nope.wal"), 42}} {
+		if got, size := framesFrom(t, tc.path, tc.off); len(got) != 0 || size != tc.off {
+			t.Fatalf("%s from %d: %d records, valid size %d", tc.path, tc.off, len(got), size)
+		}
+		head, n, size, err := ChainScan(tc.path, tc.off, integrity.Head{1})
+		if err != nil || n != 0 || size != tc.off || head != (integrity.Head{1}) {
+			t.Fatalf("ChainScan %s from %d: head=%s n=%d size=%d err=%v", tc.path, tc.off, head, n, size, err)
+		}
 	}
 }
 
@@ -421,13 +355,7 @@ func TestAppendBytesResume(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	var got []Record
-	if _, _, err := ScanFrom(path, valid, func(i int, rec Record) error {
-		got = append(got, rec)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
+	got, _ := framesFrom(t, path, valid)
 	if !reflect.DeepEqual(got, recs[3:4]) {
 		t.Fatalf("tail after resume: got %+v, want %+v", got, recs[3:4])
 	}
