@@ -17,11 +17,16 @@
 // changes), and the skeleton.Scheme plus the grammar are read-only
 // after construction, so Pi may be evaluated concurrently on
 // previously issued labels while new vertices are still being
-// inserted. Accessors that read labeler-internal maps (Label,
+// inserted. Accessors that read labeler-internal state (Label,
 // MustLabel, Reach, LabelCount) race with concurrent Insert calls and
 // need the same serialization; concurrent services should instead copy
 // each label into their own read-side store as Insert returns it —
 // that is the discipline internal/service implements.
+//
+// The execution labeler also keeps per-event scratch (comparison
+// buffers, a visit stamp on parse-tree nodes) that every Insert
+// overwrites, so two concurrent Inserts corrupt each other's search,
+// not merely its order. Nothing returned ever points into scratch.
 package core
 
 import (
@@ -57,15 +62,15 @@ func (m RMode) String() string {
 }
 
 // base holds the state shared by the derivation-based and
-// execution-based labelers: the explicit parse tree, the issued
-// labels, and the bookkeeping from run vertices to tree instances.
+// execution-based labelers: the explicit parse tree and the
+// bookkeeping from run vertices to tree instances. Issued labels are
+// not stored; Label rebuilds them (see labelOf).
 type base struct {
 	g    *spec.Grammar
 	skel *skeleton.Scheme
 	mode RMode
 
-	root   *parsetree.Node
-	labels map[graph.VertexID]label.Label
+	root *parsetree.Node
 	// ctx maps a run vertex to its context instance and spec vertex
 	// (Definition 11: the instance whose annotated graph contains it).
 	ctx map[graph.VertexID]memberRef
@@ -78,11 +83,10 @@ type memberRef struct {
 
 func newBase(g *spec.Grammar, kind skeleton.Kind, mode RMode) base {
 	return base{
-		g:      g,
-		skel:   skeleton.New(kind, g),
-		mode:   mode,
-		labels: make(map[graph.VertexID]label.Label),
-		ctx:    make(map[graph.VertexID]memberRef),
+		g:    g,
+		skel: skeleton.New(kind, g),
+		mode: mode,
+		ctx:  make(map[graph.VertexID]memberRef),
 	}
 }
 
@@ -122,32 +126,42 @@ func (b *base) bind(x *parsetree.Node, sv, v graph.VertexID) label.Label {
 	if x.RunOf[sv] != graph.None {
 		panic(fmt.Sprintf("core: spec vertex %d of instance already materialized", sv))
 	}
-	if _, dup := b.labels[v]; dup {
+	if _, dup := b.ctx[v]; dup {
 		panic(fmt.Sprintf("core: run vertex %d labeled twice", v))
 	}
 	x.RunOf[sv] = v
-	l := x.Prefix.Append(b.memberEntry(x, sv))
-	b.labels[v] = l
 	b.ctx[v] = memberRef{x, sv}
-	return l
+	return b.labelOf(x, sv)
 }
 
-// Label returns the reachability label of a run vertex.
+// labelOf builds φ_g of spec vertex sv of instance x, materialized or
+// not: the instance's prefix plus the vertex's member entry. Both are
+// fixed once x exists, so every call returns an equal, freshly
+// allocated label — which is why issued labels need not be kept.
+func (b *base) labelOf(x *parsetree.Node, sv graph.VertexID) label.Label {
+	return x.Prefix.Append(b.memberEntry(x, sv))
+}
+
+// Label returns the reachability label of a run vertex: a fresh copy
+// of what bind issued for it.
 func (b *base) Label(v graph.VertexID) (label.Label, bool) {
-	l, ok := b.labels[v]
-	return l, ok
+	ref, ok := b.ctx[v]
+	if !ok {
+		return label.Label{}, false
+	}
+	return b.labelOf(ref.node, ref.sv), true
 }
 
 // MustLabel returns the label of v, panicking if v was never labeled.
 func (b *base) MustLabel(v graph.VertexID) label.Label {
-	l, ok := b.labels[v]
+	l, ok := b.Label(v)
 	if !ok {
 		panic(fmt.Sprintf("core: vertex %d has no label", v))
 	}
 	return l
 }
 
-// Reach answers v ;* w from the stored labels (π of Algorithm 4).
+// Reach answers v ;* w from the two labels (π of Algorithm 4).
 func (b *base) Reach(v, w graph.VertexID) bool {
 	return Pi(b.skel, b.MustLabel(v), b.MustLabel(w))
 }
@@ -165,7 +179,7 @@ func (b *base) Skeleton() *skeleton.Scheme { return b.skel }
 func (b *base) Grammar() *spec.Grammar { return b.g }
 
 // LabelCount returns the number of labels issued so far.
-func (b *base) LabelCount() int { return len(b.labels) }
+func (b *base) LabelCount() int { return len(b.ctx) }
 
 // graphOf returns the specification graph of an instance node.
 func (b *base) graphOf(x *parsetree.Node) *graph.Graph {

@@ -75,7 +75,7 @@ func (d *DerivationLabeler) Apply(st *run.Step) error {
 		return fmt.Errorf("core: %d copies for plain module %s", st.Copies, name)
 	}
 
-	uLabel := d.MustLabel(st.Target)
+	uLabel := d.labelOf(y, sv)
 	isRecursive := d.designatedOf(y.Graph) == sv && sv != graph.None
 
 	switch {

@@ -2,7 +2,8 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"iter"
+	"slices"
 
 	"wfreach/internal/graph"
 	"wfreach/internal/label"
@@ -35,11 +36,44 @@ type ExecutionLabeler struct {
 	// namedChecked caches the NameResolvable validation for
 	// InsertNamed.
 	namedChecked bool
+	// info[gid] holds what every insertion asks of a specification
+	// graph, computed once at construction.
+	info []graphInfo
+
+	// Scratch of the insertion in progress, reused by the next one (the
+	// labeler is single-writer): the stamp marking parse-tree nodes the
+	// candidate walk has visited, the expected-predecessor list of the
+	// slot under test, and the event's predecessors sorted for the
+	// multi-predecessor comparison (empty until one is needed). Nothing
+	// returned to a caller may alias exp or got.
+	stamp    uint64
+	exp, got []graph.VertexID
+}
+
+// graphInfo is the static part of one specification graph.
+type graphInfo struct {
+	g            *graph.Graph
+	owner        string // the composite name the graph implements
+	source, sink graph.VertexID
+	composite    []bool           // per vertex: does it name a composite module
+	slots        []graph.VertexID // the composite vertices, in vertex order
 }
 
 // NewExecutionLabeler builds an execution-based labeler.
 func NewExecutionLabeler(g *spec.Grammar, kind skeleton.Kind, mode RMode) *ExecutionLabeler {
-	return &ExecutionLabeler{base: newBase(g, kind, mode)}
+	e := &ExecutionLabeler{base: newBase(g, kind, mode)}
+	for _, ng := range g.Spec().Graphs() {
+		gi := graphInfo{g: ng.G, owner: ng.Owner, source: ng.G.Source(), sink: ng.G.Sink(),
+			composite: make([]bool, ng.G.NumVertices())}
+		for v := range gi.composite {
+			if g.Spec().Kind(ng.G.Name(graph.VertexID(v))).Composite() {
+				gi.composite[v] = true
+				gi.slots = append(gi.slots, graph.VertexID(v))
+			}
+		}
+		e.info = append(e.info, gi)
+	}
+	return e
 }
 
 // Insert labels one newly executed vertex. Insertions must arrive in a
@@ -47,25 +81,20 @@ func NewExecutionLabeler(g *spec.Grammar, kind skeleton.Kind, mode RMode) *Execu
 // (Definition 8). It returns the vertex's final label.
 func (e *ExecutionLabeler) Insert(ev run.Event) (label.Label, error) {
 	gid, sv := ev.Ref.Graph, ev.Ref.V
-	if gid < 0 || int(gid) >= len(e.g.Spec().Graphs()) {
+	if gid < 0 || int(gid) >= len(e.info) {
 		return label.Label{}, fmt.Errorf("core: event names unknown graph %d", gid)
 	}
-	gg := e.g.Spec().Graph(gid).G
-	if !gg.Valid(sv) {
+	gi := &e.info[gid]
+	if !gi.g.Valid(sv) {
 		return label.Label{}, fmt.Errorf("core: event names unknown vertex %d of graph %d", sv, gid)
 	}
-	if _, dup := e.labels[ev.V]; dup {
-		return label.Label{}, fmt.Errorf("core: run vertex %d inserted twice", ev.V)
-	}
-	for _, p := range ev.Preds {
-		if _, ok := e.ctx[p]; !ok {
-			return label.Label{}, fmt.Errorf("core: predecessor %d of vertex %d not yet inserted", p, ev.V)
-		}
+	if err := e.checkEvent(ev.V, ev.Preds); err != nil {
+		return label.Label{}, err
 	}
 
 	// Bootstrap: the very first insertion must be g0's source.
 	if e.root == nil {
-		if gid != spec.StartGraph || sv != gg.Source() || len(ev.Preds) != 0 {
+		if gid != spec.StartGraph || sv != gi.source || len(ev.Preds) != 0 {
 			return label.Label{}, fmt.Errorf("core: execution must start with the source of g0")
 		}
 		root := e.startRoot()
@@ -76,10 +105,25 @@ func (e *ExecutionLabeler) Insert(ev run.Event) (label.Label, error) {
 		return label.Label{}, fmt.Errorf("core: only the source of g0 has no predecessors")
 	}
 
-	if gid != spec.StartGraph && sv == gg.Source() {
+	if gid != spec.StartGraph && sv == gi.source {
 		return e.insertSource(ev)
 	}
 	return e.insertMember(ev)
+}
+
+// checkEvent is the validation every insertion entry point makes
+// before touching the tree: the vertex is new (labels are immutable)
+// and every predecessor has been inserted.
+func (e *ExecutionLabeler) checkEvent(v graph.VertexID, preds []graph.VertexID) error {
+	if _, dup := e.ctx[v]; dup {
+		return fmt.Errorf("core: run vertex %d inserted twice", v)
+	}
+	for _, p := range preds {
+		if _, ok := e.ctx[p]; !ok {
+			return fmt.Errorf("core: predecessor %d of vertex %d not yet inserted", p, v)
+		}
+	}
+	return nil
 }
 
 // insertMember binds a non-source vertex to its existing instance: the
@@ -88,11 +132,8 @@ func (e *ExecutionLabeler) Insert(ev run.Event) (label.Label, error) {
 // expected predecessors equal the event's.
 func (e *ExecutionLabeler) insertMember(ev run.Event) (label.Label, error) {
 	gid, sv := ev.Ref.Graph, ev.Ref.V
-	for _, x := range e.candidates(ev.Preds) {
-		if x.Graph != gid || x.RunOf[sv] != graph.None {
-			continue
-		}
-		if exp, ok := e.expectedPreds(x, sv); ok && sameIDSet(exp, ev.Preds) {
+	for x := range e.candidates(ev.Preds) {
+		if x.Graph == gid && x.RunOf[sv] == graph.None && e.feeds(x, sv, ev.Preds) {
 			return e.bind(x, sv, ev.V), nil
 		}
 	}
@@ -105,62 +146,47 @@ func (e *ExecutionLabeler) insertMember(ev run.Event) (label.Label, error) {
 // over fresh expansions, and deeper instances over shallower ones.
 func (e *ExecutionLabeler) insertSource(ev run.Event) (label.Label, error) {
 	gid := ev.Ref.Graph
-	ng := e.g.Spec().Graph(gid)
-	implKind := e.g.Spec().Kind(ng.Owner)
+	gi := &e.info[gid]
+	vertices := len(gi.composite)
 
-	for _, y := range e.candidates(ev.Preds) {
+	for y := range e.candidates(ev.Preds) {
+		slots := e.info[y.Graph].slots
 		// Continuations of this instance's open loop/fork groups.
-		for _, cu := range e.compositeSlots(y) {
+		for _, cu := range slots {
 			gx := y.Groups[cu]
-			if gx == nil || gx.Kind == label.R || !gx.IsSpecial() {
+			if gx == nil || (gx.Kind != label.L && gx.Kind != label.F) {
 				continue
 			}
 			if len(gx.Children) == 0 || gx.Children[0].Graph != gid {
 				continue
 			}
-			var expected []graph.VertexID
 			if gx.Kind == label.L {
 				// The next series copy is fed by the last copy's sink.
-				last := gx.Children[len(gx.Children)-1]
-				snk := last.RunOf[e.graphOf(last).Sink()]
-				if snk == graph.None {
+				snk := e.sinkOf(gx.Children[len(gx.Children)-1])
+				if snk == graph.None || len(ev.Preds) != 1 || ev.Preds[0] != snk {
 					continue
 				}
-				expected = []graph.VertexID{snk}
-			} else {
+			} else if !e.feeds(y, cu, ev.Preds) {
 				// Parallel copies all share the slot's own predecessors.
-				exp, ok := e.expectedPreds(y, cu)
-				if !ok {
-					continue
-				}
-				expected = exp
+				continue
 			}
-			if sameIDSet(expected, ev.Preds) {
-				x := gx.AddInstance(gid, ng.G.NumVertices(), gx.NextIndex())
-				x.Prefix = gx.Prefix
-				x.SlotParent, x.SlotVertex = y, cu
-				return e.bind(x, ng.G.Source(), ev.V), nil
-			}
+			x := gx.AddInstance(gid, vertices, gx.NextIndex())
+			x.Prefix = gx.Prefix
+			x.SlotParent, x.SlotVertex = y, cu
+			return e.bind(x, gi.source, ev.V), nil
 		}
 		// Fresh expansions of this instance's unexpanded slots (which
 		// include the designated recursive vertex, whose expansion
 		// extends the enclosing R chain).
-		for _, cu := range e.compositeSlots(y) {
-			if y.Groups[cu] != nil {
+		for _, cu := range slots {
+			if y.Groups[cu] != nil || e.info[y.Graph].g.Name(cu) != gi.owner || !e.feeds(y, cu, ev.Preds) {
 				continue
 			}
-			if !e.implements(gid, e.graphOf(y).Name(cu)) {
-				continue
-			}
-			exp, ok := e.expectedPreds(y, cu)
-			if !ok || !sameIDSet(exp, ev.Preds) {
-				continue
-			}
-			x, err := e.expandSlot(y, cu, gid, ng.G.NumVertices(), implKind)
+			x, err := e.expandSlot(y, cu, gid)
 			if err != nil {
 				return label.Label{}, err
 			}
-			return e.bind(x, ng.G.Source(), ev.V), nil
+			return e.bind(x, gi.source, ev.V), nil
 		}
 	}
 	return label.Label{}, fmt.Errorf("core: no slot accepts source of g%d (vertex %d)", gid, ev.V)
@@ -168,12 +194,8 @@ func (e *ExecutionLabeler) insertSource(ev run.Event) (label.Label, error) {
 
 // expandSlot creates the tree structure for the first copy of slot cu
 // of instance y, mirroring Algorithm 2's four cases.
-func (e *ExecutionLabeler) expandSlot(y *parsetree.Node, cu graph.VertexID, gid spec.GraphID, vertices int, kind spec.Kind) (*parsetree.Node, error) {
-	uLabel := y.Prefix.Append(e.memberEntry(y, cu)) // φ_g(u), recomputed
-	if u := y.RunOf[cu]; u != graph.None {
-		uLabel = e.MustLabel(u)
-	}
-
+func (e *ExecutionLabeler) expandSlot(y *parsetree.Node, cu graph.VertexID, gid spec.GraphID) (*parsetree.Node, error) {
+	vertices := len(e.info[gid].composite)
 	if e.designatedOf(y.Graph) == cu {
 		// Recursion-chain continuation: next child of the enclosing R.
 		rx := y.Parent
@@ -186,174 +208,109 @@ func (e *ExecutionLabeler) expandSlot(y *parsetree.Node, cu graph.VertexID, gid 
 		y.Groups[cu] = x
 		return x, nil
 	}
-	switch {
-	case kind == spec.Loop || kind == spec.Fork:
-		t := label.L
-		if kind == spec.Fork {
-			t = label.F
-		}
-		gx := y.AddSpecial(t, parsetree.SlotIndex(cu))
-		gx.Prefix = uLabel.Append(specialEntry(gx))
-		y.Groups[cu] = gx
-		x := gx.AddInstance(gid, vertices, gx.NextIndex())
-		x.Prefix = gx.Prefix
-		x.SlotParent, x.SlotVertex = y, cu
-		return x, nil
+	uLabel := e.labelOf(y, cu) // φ_g(u), whether or not u was ever materialized
+	t := label.N               // a plain replacement hangs the instance under y itself
+	switch kind := e.g.Spec().Kind(e.info[gid].owner); {
+	case kind == spec.Loop:
+		t = label.L
+	case kind == spec.Fork:
+		t = label.F
 	case e.designatedOf(gid) != graph.None:
-		rx := y.AddSpecial(label.R, parsetree.SlotIndex(cu))
-		rx.Prefix = uLabel.Append(specialEntry(rx))
-		y.Groups[cu] = rx
-		x := rx.AddInstance(gid, vertices, rx.NextIndex())
-		x.Prefix = rx.Prefix
-		x.SlotParent, x.SlotVertex = y, cu
-		return x, nil
-	default:
+		t = label.R
+	}
+	if t == label.N {
 		x := y.AddInstance(gid, vertices, parsetree.SlotIndex(cu))
 		x.Prefix = uLabel
 		x.SlotParent, x.SlotVertex = y, cu
 		y.Groups[cu] = x
 		return x, nil
 	}
+	gx := y.AddSpecial(t, parsetree.SlotIndex(cu))
+	gx.Prefix = uLabel.Append(specialEntry(gx))
+	y.Groups[cu] = gx
+	x := gx.AddInstance(gid, vertices, gx.NextIndex())
+	x.Prefix = gx.Prefix
+	x.SlotParent, x.SlotVertex = y, cu
+	return x, nil
 }
 
-// candidates returns the instances to try for an event, walking the
-// slot-parent chain bottom-up from each predecessor's context, without
-// duplicates.
-func (e *ExecutionLabeler) candidates(preds []graph.VertexID) []*parsetree.Node {
-	var out []*parsetree.Node
-	seen := make(map[*parsetree.Node]bool)
-	for _, p := range preds {
-		ref, ok := e.ctx[p]
-		if !ok {
-			continue
-		}
-		for x := ref.node; x != nil; x = x.SlotParent {
-			if seen[x] {
-				break // the rest of the chain was already visited
+// candidates yields the instances to try for an event: the slot-parent
+// chain bottom-up from each predecessor's context, each instance once.
+// A chain that reaches a node already stamped by this walk has merged
+// into one already yielded and is dropped there. The walk is lazy —
+// callers stop at the first accepting instance — and starting one
+// invalidates the previous event's scratch.
+func (e *ExecutionLabeler) candidates(preds []graph.VertexID) iter.Seq[*parsetree.Node] {
+	e.stamp++
+	e.got = e.got[:0]
+	return func(yield func(*parsetree.Node) bool) {
+		for _, p := range preds {
+			for x := e.ctx[p].node; x != nil && x.Visit != e.stamp; x = x.SlotParent {
+				x.Visit = e.stamp
+				if !yield(x) {
+					return
+				}
 			}
-			seen[x] = true
-			out = append(out, x)
 		}
 	}
-	return out
 }
 
-// compositeSlots lists the composite vertices of an instance's graph,
-// including the designated recursive vertex, in vertex order.
-func (e *ExecutionLabeler) compositeSlots(y *parsetree.Node) []graph.VertexID {
-	gg := e.graphOf(y)
-	var out []graph.VertexID
-	for v := 0; v < gg.NumVertices(); v++ {
-		if e.g.Spec().Kind(gg.Name(graph.VertexID(v))).Composite() {
-			out = append(out, graph.VertexID(v))
-		}
-	}
-	return out
-}
-
-// implements reports whether graph gid implements the composite name.
-func (e *ExecutionLabeler) implements(gid spec.GraphID, name string) bool {
-	for _, id := range e.g.Spec().Implementations(name) {
-		if id == gid {
-			return true
-		}
-	}
-	return false
-}
-
-// expectedPreds computes the run vertices that feed spec vertex sv of
-// instance y: materialized atomic predecessors directly, and for each
-// composite predecessor the sink(s) of its completed expansion — the
-// last copy's sink for a loop, every copy's sink for a fork, the first
-// chain member's sink for a recursion (nested members replace vertices
-// inside it), and the single instance's sink otherwise. ok is false
-// while some needed piece is not yet materialized.
-func (e *ExecutionLabeler) expectedPreds(y *parsetree.Node, sv graph.VertexID) ([]graph.VertexID, bool) {
-	gg := e.graphOf(y)
-	var out []graph.VertexID
-	for _, p := range gg.In(sv) {
-		if !e.g.Spec().Kind(gg.Name(p)).Composite() {
-			r := y.RunOf[p]
-			if r == graph.None {
-				return nil, false
-			}
-			out = append(out, r)
+// feeds reports whether preds are exactly the run vertices that feed
+// spec vertex sv of instance y: materialized atomic predecessors
+// directly, and for each composite predecessor the sink(s) of its
+// completed expansion — the last copy's sink for a loop, every copy's
+// sink for a fork, the first chain member's sink for a recursion
+// (nested members replace vertices inside it), and the single
+// instance's sink otherwise. False while some needed piece is not yet
+// materialized. The comparison is of multisets, in e.exp and e.got.
+func (e *ExecutionLabeler) feeds(y *parsetree.Node, sv graph.VertexID, preds []graph.VertexID) bool {
+	gi := &e.info[y.Graph]
+	e.exp = e.exp[:0]
+	for _, p := range gi.g.In(sv) {
+		if !gi.composite[p] {
+			e.exp = append(e.exp, y.RunOf[p])
 			continue
 		}
 		gx := y.Groups[p]
 		if gx == nil {
-			return nil, false
-		}
-		sinks, ok := e.expansionSinks(gx)
-		if !ok {
-			return nil, false
-		}
-		out = append(out, sinks...)
-	}
-	return out, true
-}
-
-// expansionSinks returns the run sinks of a slot expansion.
-func (e *ExecutionLabeler) expansionSinks(gx *parsetree.Node) ([]graph.VertexID, bool) {
-	sinkOf := func(x *parsetree.Node) (graph.VertexID, bool) {
-		s := x.RunOf[e.graphOf(x).Sink()]
-		return s, s != graph.None
-	}
-	switch gx.Kind {
-	case label.N:
-		// Plain instance, or the first member of an R chain reached via
-		// Groups (chain members nest inside it, so its sink is the
-		// expansion's sink either way).
-		s, ok := sinkOf(gx)
-		if !ok {
-			return nil, false
-		}
-		return []graph.VertexID{s}, true
-	case label.L:
-		if len(gx.Children) == 0 {
-			return nil, false
-		}
-		s, ok := sinkOf(gx.Children[len(gx.Children)-1])
-		if !ok {
-			return nil, false
-		}
-		return []graph.VertexID{s}, true
-	case label.F:
-		var out []graph.VertexID
-		for _, c := range gx.Children {
-			s, ok := sinkOf(c)
-			if !ok {
-				return nil, false
-			}
-			out = append(out, s)
-		}
-		return out, true
-	default: // label.R
-		if len(gx.Children) == 0 {
-			return nil, false
-		}
-		s, ok := sinkOf(gx.Children[0])
-		if !ok {
-			return nil, false
-		}
-		return []graph.VertexID{s}, true
-	}
-}
-
-func sameIDSet(a, b []graph.VertexID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	as := append([]graph.VertexID(nil), a...)
-	bs := append([]graph.VertexID(nil), b...)
-	sort.Slice(as, func(i, j int) bool { return as[i] < as[j] })
-	sort.Slice(bs, func(i, j int) bool { return bs[i] < bs[j] })
-	for i := range as {
-		if as[i] != bs[i] {
 			return false
 		}
+		switch {
+		case gx.Kind == label.N:
+			// Plain instance, or the first member of an R chain reached
+			// via Groups (chain members nest inside it, so its sink is
+			// the expansion's sink either way).
+			e.exp = append(e.exp, e.sinkOf(gx))
+		case gx.Kind == label.F:
+			for _, c := range gx.Children {
+				e.exp = append(e.exp, e.sinkOf(c))
+			}
+		case len(gx.Children) == 0:
+			return false
+		case gx.Kind == label.L:
+			e.exp = append(e.exp, e.sinkOf(gx.Children[len(gx.Children)-1]))
+		default: // label.R
+			e.exp = append(e.exp, e.sinkOf(gx.Children[0]))
+		}
 	}
-	return true
+	if len(e.exp) != len(preds) || slices.Contains(e.exp, graph.None) {
+		return false
+	}
+	if len(preds) == 1 {
+		return e.exp[0] == preds[0]
+	}
+	if len(e.got) == 0 {
+		e.got = append(e.got, preds...)
+		slices.Sort(e.got)
+	}
+	slices.Sort(e.exp)
+	return slices.Equal(e.exp, e.got)
+}
+
+// sinkOf returns the run vertex of an instance's sink dummy, or
+// graph.None while the instance is still open.
+func (e *ExecutionLabeler) sinkOf(x *parsetree.Node) graph.VertexID {
+	return x.RunOf[e.info[x.Graph].sink]
 }
 
 // LabelExecution drives a full execution through a fresh labeler,

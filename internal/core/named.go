@@ -36,19 +36,31 @@ func (e *ExecutionLabeler) InsertNamed(ev NamedEvent) (label.Label, error) {
 	}
 	// Terminal dummy: the name pins down the graph and vertex; sources
 	// open instances, sinks close them — both via the ref-based path.
-	if ref, _, ok := e.g.Spec().TerminalByName(ev.Name); ok {
-		return e.Insert(run.Event{V: ev.V, Ref: ref, Preds: ev.Preds})
+	for gid := range e.info {
+		gi := &e.info[gid]
+		for _, t := range [2]graph.VertexID{gi.source, gi.sink} {
+			if gi.g.Name(t) == ev.Name {
+				ref := spec.VertexRef{Graph: spec.GraphID(gid), V: t}
+				return e.Insert(run.Event{V: ev.V, Ref: ref, Preds: ev.Preds})
+			}
+		}
+	}
+	if err := e.checkEvent(ev.V, ev.Preds); err != nil {
+		return label.Label{}, err
 	}
 	// Interior module: find the open instance whose graph has this
 	// name unmaterialized with matching predecessors (condition 1
 	// makes the name unique within the instance's graph).
-	for _, x := range e.candidates(ev.Preds) {
-		sv, err := e.g.Spec().ResolveName(x.Graph, ev.Name)
-		if err != nil || x.RunOf[sv] != graph.None {
-			continue
-		}
-		if exp, ok := e.expectedPreds(x, sv); ok && sameIDSet(exp, ev.Preds) {
-			return e.bind(x, sv, ev.V), nil
+	for x := range e.candidates(ev.Preds) {
+		gg := e.info[x.Graph].g
+		for sv, r := range x.RunOf {
+			if gg.Name(graph.VertexID(sv)) != ev.Name {
+				continue
+			}
+			if r == graph.None && e.feeds(x, graph.VertexID(sv), ev.Preds) {
+				return e.bind(x, graph.VertexID(sv), ev.V), nil
+			}
+			break
 		}
 	}
 	return label.Label{}, fmt.Errorf("core: no instance accepts module %q (vertex %d)", ev.Name, ev.V)

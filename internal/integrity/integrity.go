@@ -37,7 +37,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"hash"
 )
 
 // Head is a 32-byte SHA-256 digest: a chain head or a Merkle root.
@@ -63,24 +62,21 @@ func ParseHead(s string) (Head, error) {
 }
 
 // Chainer extends a hash chain over raw WAL frames. It exists to
-// amortize hasher allocation across a batch: one Chainer, reused
-// frame after frame, allocates nothing per extension. A Chainer is
-// not safe for concurrent use.
+// amortize the hash input buffer across a batch: one Chainer, reused
+// frame after frame, allocates nothing per extension once the buffer
+// has grown to the largest frame. A Chainer is not safe for concurrent
+// use.
 type Chainer struct {
-	h hash.Hash
+	buf []byte // prev || frame of the extension in progress
 }
 
 // NewChainer returns a reusable chain hasher.
-func NewChainer() *Chainer { return &Chainer{h: sha256.New()} }
+func NewChainer() *Chainer { return &Chainer{} }
 
 // Extend folds one raw frame into the chain: SHA-256(prev || frame).
 func (c *Chainer) Extend(prev Head, frame []byte) Head {
-	c.h.Reset()
-	c.h.Write(prev[:])
-	c.h.Write(frame)
-	var next Head
-	c.h.Sum(next[:0])
-	return next
+	c.buf = append(append(c.buf[:0], prev[:]...), frame...)
+	return sha256.Sum256(c.buf)
 }
 
 // Extend is the one-shot form of Chainer.Extend.
@@ -92,25 +88,18 @@ func Extend(prev Head, frame []byte) Head {
 // keeps one pending subtree root per set bit of the leaf count, so
 // memory is O(log n) regardless of how many leaves stream through.
 type Merkle struct {
-	h     hash.Hash
+	buf   []byte // leaf hash input, reused leaf after leaf
 	stack []Head // pending subtree roots, biggest first
 	count uint64
 }
 
 // NewMerkle returns an empty accumulator.
-func NewMerkle() *Merkle { return &Merkle{h: sha256.New()} }
+func NewMerkle() *Merkle { return &Merkle{} }
 
 // LabelLeaf hashes one label extent into its leaf.
 func (m *Merkle) LabelLeaf(vertex uint32, label []byte) Head {
-	var pre [5]byte
-	pre[0] = 0x00
-	binary.LittleEndian.PutUint32(pre[1:], vertex)
-	m.h.Reset()
-	m.h.Write(pre[:])
-	m.h.Write(label)
-	var leaf Head
-	m.h.Sum(leaf[:0])
-	return leaf
+	m.buf = append(binary.LittleEndian.AppendUint32(append(m.buf[:0], 0x00), vertex), label...)
+	return sha256.Sum256(m.buf)
 }
 
 // Add appends one leaf (use LabelLeaf to make one from an extent).
@@ -141,11 +130,9 @@ func (m *Merkle) Root() Head {
 }
 
 func (m *Merkle) node(a, b Head) Head {
-	m.h.Reset()
-	m.h.Write([]byte{0x01})
-	m.h.Write(a[:])
-	m.h.Write(b[:])
-	var out Head
-	m.h.Sum(out[:0])
-	return out
+	var in [1 + 2*sha256.Size]byte
+	in[0] = 0x01
+	copy(in[1:], a[:])
+	copy(in[1+sha256.Size:], b[:])
+	return sha256.Sum256(in[:])
 }

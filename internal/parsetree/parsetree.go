@@ -41,9 +41,15 @@ type Node struct {
 	SlotParent *Node
 	SlotVertex graph.VertexID
 
-	// Groups maps a composite vertex of Graph to the node expanding it
-	// (an L/F/R group node or a plain child instance).
-	Groups map[graph.VertexID]*Node
+	// Groups is parallel to RunOf: for a composite vertex of Graph, the
+	// node expanding it (an L/F/R group node or a plain child
+	// instance), nil while unexpanded and for atomic vertices.
+	Groups []*Node
+
+	// Visit is scratch for the execution labeler's candidate walk: the
+	// stamp of the last insertion that visited this node. The tree's
+	// single writer owns it; it carries no meaning between insertions.
+	Visit uint64
 
 	// Prefix is the label context of this node: for special nodes, the
 	// node's own temporary label φ_g(x) (Algorithm 3); for instance
@@ -57,7 +63,7 @@ func NewRoot(gid spec.GraphID, vertices int) *Node {
 }
 
 func newInstance(gid spec.GraphID, vertices int) *Node {
-	n := &Node{Kind: label.N, Graph: gid, Groups: make(map[graph.VertexID]*Node)}
+	n := &Node{Kind: label.N, Graph: gid, Groups: make([]*Node, vertices)}
 	n.RunOf = make([]graph.VertexID, vertices)
 	for i := range n.RunOf {
 		n.RunOf[i] = graph.None

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"encoding/json"
 	"errors"
 	"math/rand"
 	"strings"
@@ -201,6 +202,60 @@ func TestSessionNamedIngest(t *testing.T) {
 		if want := r.Graph.Reaches(v, w); got != want {
 			t.Fatalf("Reach(%d,%d) = %v, oracle %v", v, w, got, want)
 		}
+	}
+}
+
+// TestNamedDuplicateVertexIsBadEvent: an interior named event that
+// fits the stream but reuses a labeled vertex id used to panic inside
+// the labeler with ingestMu held, wedging the session for good. It is
+// a partial-batch error at its index — bad_event on the wire — and the
+// next batch goes in.
+func TestNamedDuplicateVertexIsBadEvent(t *testing.T) {
+	g := compileBuiltin(t, "BioAID")
+	events, r, err := gen.GenerateEvents(g, gen.Options{TargetSize: 200, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first interior module past the start: its slot is open when
+	// the batch reaches it, so only the vertex id is wrong.
+	k := 0
+	for i, ev := range events {
+		gg := g.Spec().Graph(ev.Ref.Graph).G
+		if i > 0 && ev.Ref.V != gg.Source() && ev.Ref.V != gg.Sink() {
+			k = i
+			break
+		}
+	}
+	named := make([]core.NamedEvent, len(events))
+	wire := make([]api.Event, len(events))
+	for i, ev := range events {
+		named[i] = toNamed(r, ev)
+		wire[i] = api.FromNamed(named[i])
+	}
+	dup := named[k]
+	dup.V = events[0].V
+	bad := append(append([]core.NamedEvent{}, named[:k]...), dup)
+
+	s, _ := NewRegistry().Create("n", g, Config{})
+	if n, err := s.AppendNamed(bad); err == nil || n != k {
+		t.Fatalf("AppendNamed = %d, %v; want %d applied and the duplicate refused", n, err, k)
+	}
+	if n, err := s.AppendNamed(named[k:]); err != nil || n != len(named)-k {
+		t.Fatalf("batch after the refusal: %d, %v", n, err)
+	}
+
+	srv := newTestServer(t)
+	doJSON(t, "POST", srv.URL+"/v1/sessions", CreateRequest{Name: "n", Builtin: "BioAID"}, nil)
+	badWire := append(append([]api.Event{}, wire[:k]...), api.FromNamed(dup))
+	code, raw := doJSON(t, "POST", srv.URL+"/v1/sessions/n/events", api.EventsRequest{Events: badWire}, nil)
+	expectCode(t, 400, api.CodeBadEvent, code, raw)
+	var resp api.ErrorResponse
+	if err := json.Unmarshal([]byte(raw), &resp); err != nil || resp.Applied != k {
+		t.Fatalf("applied = %s, want %d", raw, k)
+	}
+	var ok api.EventsResponse
+	if code, raw := doJSON(t, "POST", srv.URL+"/v1/sessions/n/events", api.EventsRequest{Events: wire[k:]}, &ok); code != 200 || ok.Vertices != int64(len(wire)) {
+		t.Fatalf("batch after the refusal: %d %s", code, raw)
 	}
 }
 
