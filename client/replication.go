@@ -60,7 +60,7 @@ func (c *Client) Promote(ctx context.Context) (ReplicationStatus, error) {
 }
 
 // SessionSpec fetches the session's workflow specification as XML —
-// together with the stats' skeleton/rmode/shard configuration, all a
+// together with the stats' skeleton/rmode configuration, all a
 // replica needs to rebuild the session before replaying its WAL.
 func (c *Client) SessionSpec(ctx context.Context, name string) ([]byte, error) {
 	var raw []byte

@@ -60,8 +60,7 @@
 // goroutines per session issue reach queries over the
 // already-acknowledged prefix while ingestion is in flight — with
 // -lineage-every N, every Nth query call is a full (paginated)
-// lineage scan instead. -shards asks the server for a specific store
-// shard count per created session. With -verify every query answer is
+// lineage scan instead. With -verify every query answer is
 // checked against BFS ground truth on the generated run.
 //
 // -json writes a machine-readable result report (throughput plus
@@ -116,7 +115,6 @@ type config struct {
 	prefix       string
 	resume       bool
 	queries      int
-	shards       int
 	lineageEvery int
 	reachBatch   int
 	cleanup      bool
@@ -143,7 +141,6 @@ func main() {
 	flag.StringVar(&cfg.prefix, "prefix", "load", "session name prefix")
 	flag.BoolVar(&cfg.resume, "resume", false, "verify sessions recovered by a restarted durable server instead of ingesting")
 	flag.IntVar(&cfg.queries, "queries", 2000, "reach queries per session in -resume mode")
-	flag.IntVar(&cfg.shards, "shards", 0, "store shard count per created session (0 = server default)")
 	flag.IntVar(&cfg.lineageEvery, "lineage-every", 0, "issue a lineage query every N reader query calls (0 disables)")
 	flag.IntVar(&cfg.reachBatch, "reach-batch", 1, "reachability pairs per batch-reach call")
 	flag.BoolVar(&cfg.cleanup, "cleanup", false, "delete the created sessions when the run finishes")
@@ -306,7 +303,6 @@ type report struct {
 	Batch            int                   `json:"batch"`
 	Readers          int                   `json:"readers"`
 	ReachBatch       int                   `json:"reach_batch,omitempty"`
-	Shards           int                   `json:"shards,omitempty"`
 	LineageEvery     int                   `json:"lineage_every,omitempty"`
 	Seed             int64                 `json:"seed"`
 	ElapsedSec       float64               `json:"elapsed_sec"`
@@ -518,11 +514,7 @@ func run(cfg config, out io.Writer) error {
 	}
 
 	for _, l := range loads {
-		req := client.CreateSessionRequest{Name: l.name, Builtin: cfg.spec}
-		if cfg.shards > 0 {
-			req.Shards = cfg.shards
-		}
-		if _, err := d.CreateSession(ctx, req); err != nil {
+		if _, err := d.CreateSession(ctx, client.CreateSessionRequest{Name: l.name, Builtin: cfg.spec}); err != nil {
 			return fmt.Errorf("create session %s: %w", l.name, err)
 		}
 	}
@@ -847,7 +839,6 @@ func run(cfg config, out io.Writer) error {
 			Batch:            cfg.batch,
 			Readers:          cfg.readers,
 			ReachBatch:       cfg.reachBatch,
-			Shards:           cfg.shards,
 			LineageEvery:     cfg.lineageEvery,
 			Seed:             cfg.seed,
 			ElapsedSec:       elapsed.Seconds(),

@@ -218,7 +218,6 @@ func TestRunReportAndProfiles(t *testing.T) {
 		sessions:     1,
 		batch:        32,
 		readers:      2,
-		shards:       4,
 		lineageEvery: 4,
 		prefix:       "rep",
 		jsonPath:     jsonPath,
@@ -243,7 +242,7 @@ func TestRunReportAndProfiles(t *testing.T) {
 	if rep.IngestEvents == 0 || rep.EventsPerSec <= 0 {
 		t.Fatalf("report has no ingest numbers: %+v", rep)
 	}
-	if rep.Spec != "RunningExample" || rep.Shards != 4 || rep.LineageEvery != 4 {
+	if rep.Spec != "RunningExample" || rep.LineageEvery != 4 {
 		t.Fatalf("report config echo wrong: %+v", rep)
 	}
 	if rep.QueryErrors > 0 {

@@ -7,7 +7,7 @@
 //
 //	wfserve -addr :8080
 //	wfserve -addr 127.0.0.1:0 -session demo=BioAID
-//	wfserve -addr :8080 -data /var/lib/wfserve -shards 32
+//	wfserve -addr :8080 -data /var/lib/wfserve
 //	wfserve -addr :8080 -debug-addr 127.0.0.1:6060
 //
 // # Observability
@@ -33,12 +33,6 @@
 // tunes how many events may need label re-encoding at recovery.
 // Concurrent batches across sessions share WAL flushes through group
 // commit.
-//
-// -shards sets the default store shard count for new and restored
-// sessions (a per-session "shards" field on the create request
-// overrides it). Queries run lock-free against the sharded store's
-// published views, so more shards chiefly buy cheaper publishes on
-// very large sessions.
 //
 // On SIGINT/SIGTERM the server shuts down gracefully: it stops
 // accepting connections, drains in-flight requests (live WAL tails
@@ -97,7 +91,7 @@
 // programmatically with the wfreach/client SDK):
 //
 //	POST   /v1/sessions                 {"name":"r1","builtin":"BioAID"}
-//	POST   /v1/sessions                 {"name":"r2","spec_xml":"<spec>…","shards":32}
+//	POST   /v1/sessions                 {"name":"r2","spec_xml":"<spec>…"}
 //	GET    /v1/sessions                 list sessions
 //	GET    /v1/sessions/{name}          session stats (also /v1/sessions/{name}/stats)
 //	DELETE /v1/sessions/{name}          drop a session
@@ -143,7 +137,6 @@ func main() {
 	dataDir := flag.String("data", "", "data directory: persist sessions (WAL + snapshots) and restore them on boot")
 	fsync := flag.Bool("fsync", true, "with -data: fsync the WAL before acknowledging a batch")
 	snapEvery := flag.Int("snapshot-every", 0, "with -data: events between label snapshots (0 = default, <0 disables)")
-	shards := flag.Int("shards", 0, "default store shard count per session (0 = built-in default)")
 	drain := flag.Duration("drain", 10*time.Second, "in-flight request drain timeout on shutdown")
 	follow := flag.String("follow", "", "run as a read-only follower replicating the primary at this base URL")
 	followPoll := flag.Duration("follow-poll", 2*time.Second, "with -follow: session-discovery poll interval")
@@ -165,9 +158,6 @@ func main() {
 			fail(err)
 		}
 		return
-	}
-	if *shards < 0 {
-		fail(fmt.Errorf("-shards must be non-negative, got %d", *shards))
 	}
 	if *follow != "" && len(sessions) > 0 {
 		fail(fmt.Errorf("-session creates sessions, which a -follow replica must not; drop one of the flags"))
@@ -191,7 +181,6 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		reg.SetDefaultShards(*shards)
 		restoreStart := time.Now()
 		restored, err := reg.Restore(*dataDir)
 		if err != nil {
@@ -214,8 +203,6 @@ func main() {
 					name, st.Vertices, st.ArenaVertices, s.WALSeq())
 			}
 		}
-	} else {
-		reg.SetDefaultShards(*shards)
 	}
 	var follower *wfreach.Follower
 	if *follow != "" {
@@ -303,7 +290,6 @@ func main() {
 		"mode", mode,
 		"addr", ln.Addr().String(),
 		"data", *dataDir,
-		"shards", *shards,
 		"sessions", len(walSeqs),
 		"wal_seqs", strings.Join(walSeqs, ","),
 	)

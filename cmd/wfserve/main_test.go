@@ -463,21 +463,3 @@ func TestWfserveFollowerPromote(t *testing.T) {
 		t.Fatalf("restore of promoted data: %+v, %v", st, err)
 	}
 }
-
-// TestWfserveShardsFlag checks -shards steers the default store shard
-// count of created sessions.
-func TestWfserveShardsFlag(t *testing.T) {
-	base := startServer(t, "-shards", "4", "-session", "sh=RunningExample")
-	resp, err := http.Get(base + "/v1/sessions/sh")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var st wfreach.SessionStats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	if len(st.Shards) != 4 {
-		t.Fatalf("session has %d shards, want 4 from -shards", len(st.Shards))
-	}
-}

@@ -30,37 +30,46 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
 	"wfreach/internal/integrity/audit"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its arguments and streams passed in; the return
+// value is the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("wfverify", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		data    = flag.String("data", "", "wfserve data directory to audit (required)")
-		session = flag.String("session", "", "audit only this session")
-		head    = flag.String("head", "", "externally recorded chain head (hex) the session's full WAL must land on; requires -session")
+		data    = fs.String("data", "", "wfserve data directory to audit (required)")
+		session = fs.String("session", "", "audit only this session")
+		head    = fs.String("head", "", "externally recorded chain head (hex) the session's full WAL must land on; requires -session")
 	)
-	flag.Parse()
-	if *data == "" || flag.NArg() > 0 || (*head != "" && *session == "") {
-		flag.Usage()
-		os.Exit(2)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if *data == "" || fs.NArg() > 0 || (*head != "" && *session == "") {
+		fs.Usage()
+		return 2
 	}
 
 	var reports []audit.SessionReport
 	if *session != "" {
 		sdir := filepath.Join(*data, *session)
 		if _, err := os.Stat(sdir); err != nil {
-			fmt.Fprintf(os.Stderr, "wfverify: %v\n", err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "wfverify: %v\n", err)
+			return 2
 		}
 		reports = []audit.SessionReport{audit.VerifySession(sdir, *head)}
 	} else {
 		rep, err := audit.VerifyDir(*data)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "wfverify: %v\n", err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "wfverify: %v\n", err)
+			return 2
 		}
 		reports = rep.Sessions
 	}
@@ -69,20 +78,21 @@ func main() {
 	for _, r := range reports {
 		switch r.Status {
 		case audit.StatusVerified:
-			fmt.Printf("%s: verified — %d WAL records, chain %s; snapshot at %d (merkle %s), tail of %d CRC-only\n",
+			fmt.Fprintf(stdout, "%s: verified — %d WAL records, chain %s; snapshot at %d (merkle %s), tail of %d CRC-only\n",
 				r.Session, r.WALRecords, r.ChainHead, r.SnapshotWatermark, r.MerkleRoot, r.TailRecords)
 		case audit.StatusUnavailable:
-			fmt.Printf("%s: integrity: unavailable — %d WAL records, chain %s (no integrity-stamped snapshot)\n",
+			fmt.Fprintf(stdout, "%s: integrity: unavailable — %d WAL records, chain %s (no integrity-stamped snapshot)\n",
 				r.Session, r.WALRecords, r.ChainHead)
 		case audit.StatusViolation:
 			violations++
-			fmt.Printf("%s: VIOLATION — %s\n", r.Session, r.Err)
+			fmt.Fprintf(stdout, "%s: VIOLATION — %s\n", r.Session, r.Err)
 		}
 	}
 	if len(reports) == 0 {
-		fmt.Printf("no sessions under %s\n", *data)
+		fmt.Fprintf(stdout, "no sessions under %s\n", *data)
 	}
 	if violations > 0 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }

@@ -28,11 +28,12 @@
 package api
 
 import (
+	"slices"
+
 	"wfreach/internal/core"
 	"wfreach/internal/graph"
 	"wfreach/internal/run"
 	"wfreach/internal/spec"
-	"wfreach/internal/store"
 	"wfreach/internal/wal"
 )
 
@@ -104,10 +105,13 @@ func (e Event) preds() []graph.VertexID {
 }
 
 // Record converts the wire event to its WAL record form, validating
-// that exactly one of the two identification forms is present. The
-// error is a *Error with CodeBadEvent.
+// that exactly one of the two identification forms is present and that
+// no run vertex id is negative (the log cannot frame one). The error
+// is a *Error with CodeBadEvent.
 func (e Event) Record() (wal.Record, error) {
 	switch {
+	case e.V < 0 || slices.ContainsFunc(e.Preds, func(p int32) bool { return p < 0 }):
+		return wal.Record{}, Errorf(CodeBadEvent, "vertex %d: v and preds must be non-negative", e.V)
 	case e.Name != "" && (e.Graph != nil || e.Vertex != nil):
 		return wal.Record{}, Errorf(CodeBadEvent, "name and graph/vertex are mutually exclusive")
 	case e.Name != "":
@@ -135,14 +139,7 @@ type CreateSessionRequest struct {
 	// (default) or "none".
 	Skeleton string `json:"skeleton,omitempty"`
 	RMode    string `json:"rmode,omitempty"`
-	// Shards is the session store's shard count; zero picks the
-	// server's default.
-	Shards int `json:"shards,omitempty"`
 }
-
-// ShardStat mirrors store.ShardStat on the stats API: one shard's
-// published vertex count and view publish epoch.
-type ShardStat = store.ShardStat
 
 // SessionStats is a point-in-time snapshot of one session, returned
 // by create, get, stats and list.
@@ -176,9 +173,6 @@ type SessionStats struct {
 	// PublishEpoch counts the store publishes that made new labels
 	// visible to the query path.
 	PublishEpoch int64 `json:"publish_epoch"`
-	// Shards reports each store shard's published vertex count and
-	// view epoch, in shard order.
-	Shards []ShardStat `json:"shards,omitempty"`
 	// Durable reports whether the session persists its events to a
 	// write-ahead log.
 	Durable bool `json:"durable,omitempty"`

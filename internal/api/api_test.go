@@ -53,6 +53,8 @@ func TestEventRecordRejectsMalformedForms(t *testing.T) {
 		{V: 1}, // neither form
 		{V: 1, Name: "x", Graph: &g0, Vertex: &g0}, // both forms
 		{V: 1, Graph: &g0},                         // half a ref
+		{V: -7, Graph: &g0, Vertex: &g0},           // negative v
+		{V: 1, Name: "x", Preds: []int32{0, -1}},   // negative pred
 	} {
 		_, err := bad.Record()
 		var ae *Error

@@ -22,14 +22,16 @@
 //	[.. +labelBytes)     label bytes — each label's encoding, contiguous,
 //	                                   in index order
 //
-// The index is fixed-width and sorted, so a vertex is found by binary
-// search straight over the mapped bytes — and because run vertices are
-// assigned densely, the common case degenerates to a single O(1)
-// offset computation. Labels are write-once (Section 2.4 of the
-// paper), which is what makes serving query results as sub-slices of
-// the mapped file sound: the bytes can never change underneath a
-// reader, by the same ownership contract internal/store already
-// relies on for its heap labels.
+// This package is the file format and nothing else: it opens and
+// validates an image, walks its extents in vertex order (Range), checks
+// its checksums, and writes one. Looking a vertex up is the store's
+// job — internal/store adopts the label region as a segment of its slab
+// and indexes the extents next to its heap labels, so there is one
+// lookup for both. Labels are write-once (Section 2.4 of the paper),
+// which is what makes serving query results as sub-slices of the mapped
+// file sound: the bytes can never change underneath a reader, by the
+// same ownership contract internal/store already relies on for its heap
+// labels.
 //
 // The index CRC covers the integrity fields, so a flipped header byte
 // is caught structurally at Open; a *consistently* rewritten header is
@@ -118,19 +120,6 @@ type Arena struct {
 
 	// merkleRoot is the header's label-extent Merkle root.
 	merkleRoot integrity.Head
-
-	// dense is set when the vertex ids are exactly [minV, minV+count),
-	// which run vertices nearly always are — lookups then skip the
-	// binary search.
-	dense bool
-	minV  graph.VertexID
-
-	// buckets accelerates sparse lookups: buckets[b] is the first index
-	// entry whose vertex is >= minV + b<<bucketShift, so Get narrows to
-	// a couple of entries in O(1) instead of a full binary search. Built
-	// in one pass at Open; nil for dense or empty arenas.
-	buckets     []int32
-	bucketShift uint
 }
 
 // Open opens the arena snapshot at path, mapping it on linux. The
@@ -222,38 +211,7 @@ func parse(data []byte, mapped bool) (*Arena, error) {
 	if next != labelBytes {
 		return nil, fmt.Errorf("%w: label region is %d bytes but extents cover %d", ErrCorrupt, labelBytes, next)
 	}
-	if a.count > 0 {
-		a.minV = graph.VertexID(binary.LittleEndian.Uint32(index[0:4]))
-		maxV := graph.VertexID(binary.LittleEndian.Uint32(index[(a.count-1)*entrySize:]))
-		a.dense = int64(maxV)-int64(a.minV)+1 == int64(a.count)
-		if !a.dense {
-			a.buildBuckets(maxV)
-		}
-	}
 	return a, nil
-}
-
-// buildBuckets constructs the sparse-lookup sidecar: the id span is
-// divided into ~count ranges, and buckets[b] records the first index
-// entry falling in range b. One O(count) pass, ≤ 4·count bytes of heap,
-// and lookups touch only the handful of entries sharing a range.
-func (a *Arena) buildBuckets(maxV graph.VertexID) {
-	span := uint64(maxV-a.minV) + 1
-	for span>>a.bucketShift > uint64(a.count) {
-		a.bucketShift++
-	}
-	nb := int(uint64(maxV-a.minV)>>a.bucketShift) + 1
-	a.buckets = make([]int32, nb+1)
-	b := 0
-	for i := 0; i < a.count; i++ {
-		v := graph.VertexID(binary.LittleEndian.Uint32(a.index[i*entrySize:]))
-		for hi := int(uint64(v-a.minV)>>a.bucketShift) + 1; b < hi; b++ {
-			a.buckets[b] = int32(i)
-		}
-	}
-	for ; b <= nb; b++ {
-		a.buckets[b] = int32(a.count)
-	}
 }
 
 // Meta returns the snapshot watermark.
@@ -269,8 +227,9 @@ func (a *Arena) WALBytes() int64 { return a.meta.WALBytes }
 // Count returns the number of labels in the arena.
 func (a *Arena) Count() int { return a.count }
 
-// LabelBytes returns the total size of the label region in bytes.
-func (a *Arena) LabelBytes() int64 { return int64(len(a.labels)) }
+// Labels returns the label region: every label's bytes, contiguous, in
+// Range order. It aliases the arena and must be treated as immutable.
+func (a *Arena) Labels() []byte { return a.labels }
 
 // Mapped reports whether the arena is served from a memory mapping
 // (true on linux) rather than a heap copy of the file.
@@ -282,43 +241,6 @@ func (a *Arena) entry(i int) (v graph.VertexID, enc []byte) {
 	length := binary.LittleEndian.Uint32(e[4:8])
 	offset := binary.LittleEndian.Uint64(e[8:16])
 	return graph.VertexID(binary.LittleEndian.Uint32(e[0:4])), a.labels[offset : offset+uint64(length) : offset+uint64(length)]
-}
-
-// EntryAt returns the i-th entry in vertex order. The returned bytes
-// alias the arena and must be treated as immutable.
-func (a *Arena) EntryAt(i int) (graph.VertexID, []byte) { return a.entry(i) }
-
-// Get returns the encoded label of v, aliasing the arena's bytes —
-// zero copies, zero allocations. Dense vertex ranges resolve in O(1);
-// sparse ones narrow to one bucket (a couple of entries on average)
-// via the sidecar built at Open, then scan it.
-func (a *Arena) Get(v graph.VertexID) ([]byte, bool) {
-	if a.count == 0 || v < a.minV {
-		return nil, false
-	}
-	if a.dense {
-		i := int(v - a.minV)
-		if i >= a.count {
-			return nil, false
-		}
-		_, enc := a.entry(i)
-		return enc, true
-	}
-	b := int(uint64(v-a.minV) >> a.bucketShift)
-	if b >= len(a.buckets)-1 {
-		return nil, false
-	}
-	for i, hi := int(a.buckets[b]), int(a.buckets[b+1]); i < hi; i++ {
-		got := graph.VertexID(binary.LittleEndian.Uint32(a.index[i*entrySize:]))
-		if got == v {
-			_, enc := a.entry(i)
-			return enc, true
-		}
-		if got > v {
-			break
-		}
-	}
-	return nil, false
 }
 
 // Range calls fn for every entry in ascending vertex order until fn

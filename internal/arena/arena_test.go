@@ -29,6 +29,18 @@ func writeOpen(t *testing.T, meta Meta, entries []Entry) *Arena {
 	return a
 }
 
+// get finds v's label by walking the extents: the package has no point
+// lookup of its own (internal/store indexes an adopted arena).
+func get(a *Arena, v graph.VertexID) (enc []byte, ok bool) {
+	a.Range(func(w graph.VertexID, b []byte) bool {
+		if w == v {
+			enc, ok = b, true
+		}
+		return !ok
+	})
+	return enc, ok
+}
+
 func TestRoundTripDense(t *testing.T) {
 	entries := make([]Entry, 100)
 	want := make(map[graph.VertexID][]byte)
@@ -45,17 +57,14 @@ func TestRoundTripDense(t *testing.T) {
 	if a.Events() != 100 || a.WALBytes() != 4321 || a.Count() != 100 {
 		t.Fatalf("meta = %+v count %d", a.Meta(), a.Count())
 	}
-	if !a.dense {
-		t.Fatal("contiguous vertex ids should take the dense fast path")
-	}
 	for v, enc := range want {
-		got, ok := a.Get(v)
+		got, ok := get(a, v)
 		if !ok || !bytes.Equal(got, enc) {
 			t.Fatalf("Get(%d) = %q, %v; want %q", v, got, ok, enc)
 		}
 	}
 	for _, v := range []graph.VertexID{-1, 100, 1 << 20} {
-		if _, ok := a.Get(v); ok {
+		if _, ok := get(a, v); ok {
 			t.Fatalf("Get(%d) found a label that was never written", v)
 		}
 	}
@@ -71,17 +80,14 @@ func TestRoundTripSparse(t *testing.T) {
 		entries[i] = Entry{V: v, Enc: []byte{byte(i), byte(i + 1)}}
 	}
 	a := writeOpen(t, Meta{HasChain: true}, entries)
-	if a.dense {
-		t.Fatal("sparse ids must not be marked dense")
-	}
 	for i, v := range vs {
-		got, ok := a.Get(v)
+		got, ok := get(a, v)
 		if !ok || !bytes.Equal(got, []byte{byte(i), byte(i + 1)}) {
 			t.Fatalf("Get(%d) = %q, %v", v, got, ok)
 		}
 	}
 	for _, v := range []graph.VertexID{0, 4, 99, 101, 1<<20 + 1} {
-		if _, ok := a.Get(v); ok {
+		if _, ok := get(a, v); ok {
 			t.Fatalf("Get(%d) found a label that was never written", v)
 		}
 	}
@@ -102,10 +108,10 @@ func TestRoundTripSparse(t *testing.T) {
 
 func TestEmptyArena(t *testing.T) {
 	a := writeOpen(t, Meta{Events: 0, HasChain: true}, nil)
-	if a.Count() != 0 || a.LabelBytes() != 0 {
-		t.Fatalf("empty arena has count %d, %d label bytes", a.Count(), a.LabelBytes())
+	if a.Count() != 0 || len(a.Labels()) != 0 {
+		t.Fatalf("empty arena has count %d, %d label bytes", a.Count(), len(a.Labels()))
 	}
-	if _, ok := a.Get(0); ok {
+	if _, ok := get(a, 0); ok {
 		t.Fatal("empty arena served a label")
 	}
 }
@@ -115,10 +121,10 @@ func TestEmptyLabels(t *testing.T) {
 	// codec today, but the format must not conflate length 0 with
 	// absence).
 	a := writeOpen(t, Meta{HasChain: true}, []Entry{{V: 1, Enc: nil}, {V: 2, Enc: []byte("x")}, {V: 3, Enc: nil}})
-	if enc, ok := a.Get(1); !ok || len(enc) != 0 {
+	if enc, ok := get(a, 1); !ok || len(enc) != 0 {
 		t.Fatalf("Get(1) = %q, %v", enc, ok)
 	}
-	if enc, ok := a.Get(2); !ok || string(enc) != "x" {
+	if enc, ok := get(a, 2); !ok || string(enc) != "x" {
 		t.Fatalf("Get(2) = %q, %v", enc, ok)
 	}
 }

@@ -573,7 +573,6 @@ func (c *Controller) adopt(ctx context.Context, owner api.ClusterNode, pst api.S
 	if err != nil {
 		return nil, fmt.Errorf("cluster: labeling config of %q: %w", pst.Name, err)
 	}
-	cfg.Shards = len(pst.Shards)
 	// The copy keeps the owner session's identity: a move transfers the
 	// session, it does not mint a new one.
 	cfg.ID = pst.ID

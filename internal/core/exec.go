@@ -112,9 +112,13 @@ func (e *ExecutionLabeler) Insert(ev run.Event) (label.Label, error) {
 }
 
 // checkEvent is the validation every insertion entry point makes
-// before touching the tree: the vertex is new (labels are immutable)
-// and every predecessor has been inserted.
+// before touching the tree: the vertex id is one the log and the store
+// can hold (non-negative), the vertex is new (labels are immutable) and
+// every predecessor has been inserted.
 func (e *ExecutionLabeler) checkEvent(v graph.VertexID, preds []graph.VertexID) error {
+	if v < 0 {
+		return fmt.Errorf("core: run vertex id %d is negative", v)
+	}
 	if _, dup := e.ctx[v]; dup {
 		return fmt.Errorf("core: run vertex %d inserted twice", v)
 	}

@@ -414,7 +414,6 @@ func (f *Follower) adopt(ctx context.Context, pst client.SessionStats) error {
 		if err != nil {
 			return fmt.Errorf("labeling config: %w", err)
 		}
-		cfg.Shards = len(pst.Shards)
 		// The copy shares the primary session's identity, so a follower
 		// restart can re-verify it is still tailing the same session.
 		cfg.ID = pst.ID

@@ -73,7 +73,7 @@ func makeWorkloads(t testing.TB, size int) []*workload {
 	t.Helper()
 	out := []*workload{
 		{name: "w-default", g: spec.MustCompile(wfspecs.RunningExample()), cfg: service.Config{}},
-		{name: "w-bfs", g: spec.MustCompile(wfspecs.BioAID()), cfg: service.Config{Skeleton: skeleton.BFS, Shards: 4}},
+		{name: "w-bfs", g: spec.MustCompile(wfspecs.BioAID()), cfg: service.Config{Skeleton: skeleton.BFS}},
 		{name: "w-nor", g: spec.MustCompile(wfspecs.Fig12()), cfg: service.Config{Mode: core.RModeNone}},
 	}
 	for i, w := range out {
@@ -132,7 +132,7 @@ func assertEquivalent(t testing.TB, p, f *env, ws []*workload) {
 		pst, fst := ps.Stats(), fs.Stats()
 		if fst.Vertices != pst.Vertices || fst.LabelBits != pst.LabelBits ||
 			fst.SkeletonBits != pst.SkeletonBits || fst.Class != pst.Class ||
-			fst.Skeleton != pst.Skeleton || fst.Mode != pst.Mode || len(fst.Shards) != len(pst.Shards) {
+			fst.Skeleton != pst.Skeleton || fst.Mode != pst.Mode {
 			t.Fatalf("%s: stats diverge\nprimary:  %+v\nfollower: %+v", w.name, pst, fst)
 		}
 		if pst.ID == "" || fst.ID != pst.ID {
@@ -217,8 +217,8 @@ func ingest(t testing.TB, reg *service.Registry, ws []*workload, lo, hi func(int
 
 // TestFollowerEquivalence is the core replica guarantee: a follower
 // tailing a live primary converges to answering every query
-// identically, across sessions with different specs, skeletons,
-// recursion modes and shard counts — and its WAL is a byte-identical
+// identically, across sessions with different specs, skeletons and
+// recursion modes — and its WAL is a byte-identical
 // copy. It also restarts the follower mid-stream and checks it
 // resumes from its own recovered sequence.
 func TestFollowerEquivalence(t *testing.T) {

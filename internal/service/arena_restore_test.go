@@ -194,8 +194,8 @@ func TestArenaRestoreEquivalentToV1(t *testing.T) {
 		}
 	}
 
-	// Semantic stats fields agree (publish epochs and shard breakdowns
-	// are representation counters and legitimately differ).
+	// Semantic stats fields agree (publish epochs are representation
+	// counters and legitimately differ).
 	st1, st2 := sl.Stats(), sa.Stats()
 	if st1.Name != st2.Name || st1.Class != st2.Class || st1.Skeleton != st2.Skeleton ||
 		st1.Mode != st2.Mode || st1.Vertices != st2.Vertices ||

@@ -62,17 +62,16 @@ type DurableOptions struct {
 }
 
 // sessionMeta is the JSON body of a session's metadata file, written
-// once at creation. Shards records the session's configured store
-// shard count (zero: the registry default at restore time); ID the
-// session's stable identity (Config.ID). Both are absent in files
-// written before the fields existed, which decodes as zero/empty.
+// once at creation. ID is the session's stable identity (Config.ID),
+// absent in files written before the field existed. Older builds wrote
+// keys this one has no field for; they decode into nothing, and the
+// decoder must stay that lenient.
 type sessionMeta struct {
 	Format   int    `json:"format"`
 	Name     string `json:"name"`
 	ID       string `json:"id,omitempty"`
 	Skeleton string `json:"skeleton"`
 	RMode    string `json:"rmode"`
-	Shards   int    `json:"shards,omitempty"`
 }
 
 // NewDurableRegistry returns a registry whose sessions persist to
@@ -176,7 +175,6 @@ func (s *Session) initDurable(opts *DurableOptions, committer *wal.Committer) er
 		ID:       s.cfg.ID,
 		Skeleton: s.cfg.Skeleton.String(),
 		RMode:    s.cfg.Mode.String(),
-		Shards:   s.cfg.Shards,
 	}, "", "  ")
 	if err == nil {
 		err = writeFileSync(filepath.Join(dir, metaFile), func(f *os.File) error {
@@ -282,11 +280,7 @@ func (s *Session) commitWAL(log *wal.Log, seq int64) error {
 // the snapshot does not reference. The snapshot's Merkle root is
 // returned.
 func writeArenaSnapshot(path string, events, walBytes int64, entries []store.Entry, chain integrity.Head) (integrity.Head, error) {
-	aes := make([]arena.Entry, len(entries))
-	for i, e := range entries {
-		aes[i] = arena.Entry{V: e.V, Enc: e.Enc}
-	}
-	return arena.Write(path, arena.Meta{Events: events, WALBytes: walBytes, ChainHead: chain, HasChain: true}, aes)
+	return arena.Write(path, arena.Meta{Events: events, WALBytes: walBytes, ChainHead: chain, HasChain: true}, entries)
 }
 
 // maybeSnapshot starts a label snapshot if enough events accumulated
@@ -429,9 +423,11 @@ func (r *Registry) Close() error {
 	return first
 }
 
-// errArenaUnbacked reports a snapshot the log cannot back: ahead of the
-// durable log (an OS crash with Fsync off), or covering a record the
-// labeler rejects. restoreSession discards it and replays without it.
+// errArenaUnbacked reports a snapshot restore cannot use though its
+// bytes are what was written: ahead of the durable log (an OS crash
+// with Fsync off), covering a record the labeler rejects, or past what
+// the store's index addresses (a label region over 4 GiB).
+// restoreSession discards it and replays without it.
 var errArenaUnbacked = errors.New("service: snapshot is not backed by the log")
 
 // replayBatch is how many re-encoded labels replay stages per
@@ -454,7 +450,7 @@ type replayed struct {
 // corrupt, or rejected by the labeler — the valid prefix is kept, the
 // caller truncates the rest.
 //
-// With an arena snapshot a, the arena becomes the store's base layer —
+// With an arena snapshot a, the store adopts the arena's label region —
 // its label bytes are served from the mapping, never decoded or copied
 // — and only records past its event watermark are encoded and staged.
 // The arena must prove itself first: its label bytes against its Merkle
@@ -469,7 +465,7 @@ type replayed struct {
 //
 // replay resets the labeler and the store, so it can be run again
 // without the arena after errArenaUnbacked. It never writes a file.
-func (s *Session) replay(a *arena.Arena, shards int) (replayed, error) {
+func (s *Session) replay(a *arena.Arena) (replayed, error) {
 	var size int64
 	switch fi, err := os.Stat(s.walPath); {
 	case err == nil:
@@ -478,7 +474,7 @@ func (s *Session) replay(a *arena.Arena, shards int) (replayed, error) {
 		return replayed{}, err
 	}
 	s.labeler = core.NewExecutionLabeler(s.g, s.cfg.Skeleton, s.cfg.Mode)
-	s.store = store.NewSharded(s.g, s.cfg.Skeleton, shards)
+	s.store = store.New(s.g, s.cfg.Skeleton)
 	var covered, watermark int64 // records and log bytes the arena covers
 	var anchor integrity.Head
 	if a != nil {
@@ -489,7 +485,7 @@ func (s *Session) replay(a *arena.Arena, shards int) (replayed, error) {
 			return replayed{}, fmt.Errorf("integrity: %w", err)
 		}
 		if err := s.store.AttachArena(a); err != nil {
-			return replayed{}, err
+			return replayed{}, fmt.Errorf("%w: %v", errArenaUnbacked, err)
 		}
 		covered, watermark = a.Events(), a.WALBytes()
 		_, anchor = a.Integrity()
@@ -660,10 +656,6 @@ func (r *Registry) restoreSession(sdir, dirName string) (*Session, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bad %s: %w", metaFile, err)
 	}
-	if meta.Shards < 0 {
-		return nil, fmt.Errorf("bad %s: negative shard count %d", metaFile, meta.Shards)
-	}
-	cfg.Shards = meta.Shards
 	// The identity is restored as persisted — possibly empty for
 	// pre-field data — never regenerated: a restart must not make the
 	// session look like a different one to its replicas.
@@ -687,7 +679,7 @@ func (r *Registry) restoreSession(sdir, dirName string) (*Session, error) {
 	s.bindMetrics(r.metrics)
 
 	// A snapshot is only a cache of the log: a usable one is mapped and
-	// adopted as the store's base layer, and a missing, damaged or
+	// adopted as the store's first segment, and a missing, damaged or
 	// older-format one (arena.ErrVersion) is replayed over — the log
 	// re-issues every label byte for byte, and the next snapshot
 	// overwrites the file in the current format. An adopted arena stays
@@ -708,11 +700,11 @@ func (r *Registry) restoreSession(sdir, dirName string) (*Session, error) {
 		}
 	}()
 	replayStart := time.Now()
-	rep, err := s.replay(a, r.shardsFor(cfg))
+	rep, err := s.replay(a)
 	if errors.Is(err, errArenaUnbacked) {
 		a.Close()
 		a = nil
-		rep, err = s.replay(nil, r.shardsFor(cfg))
+		rep, err = s.replay(nil)
 	}
 	if err != nil {
 		return nil, err

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sync"
@@ -11,8 +13,10 @@ import (
 	"testing"
 	"time"
 
+	"wfreach/internal/api"
 	"wfreach/internal/core"
 	"wfreach/internal/gen"
+	"wfreach/internal/graph"
 	"wfreach/internal/run"
 	"wfreach/internal/skeleton"
 	"wfreach/internal/spec"
@@ -433,33 +437,6 @@ func TestDurableDeleteRemovesData(t *testing.T) {
 	}
 }
 
-// TestDurableShardsRoundTrip checks a session's configured shard
-// count survives restart: session.json records it, and Restore
-// rebuilds the store with it rather than the registry default.
-func TestDurableShardsRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	g := compileBuiltin(t, "RunningExample")
-	events, _ := genEvents(t, g, 100, 4)
-
-	reg := durableReg(t, dir, DurableOptions{})
-	s, err := reg.Create("tuned", g, Config{Skeleton: skeleton.TCL, Mode: core.RModeDesignated, Shards: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	appendAll(t, s, events, 40)
-	reg.Close()
-
-	reg2 := durableReg(t, dir, DurableOptions{})
-	reg2.SetDefaultShards(2) // must NOT win over the persisted count
-	if _, err := reg2.Restore(dir); err != nil {
-		t.Fatal(err)
-	}
-	s2, _ := reg2.Get("tuned")
-	if got := len(s2.Stats().Shards); got != 64 {
-		t.Fatalf("restored session has %d shards, want the persisted 64", got)
-	}
-}
-
 // TestDurableDeleteRacesIngestAndQueries deletes a durable session
 // while a writer streams batches into it and readers query it (run
 // with -race). Delete closes the WAL, so the writer's ingest is
@@ -678,6 +655,78 @@ func TestRestoreRefusesLabelsPastMaxEntries(t *testing.T) {
 			requireTooDeep(t, err)
 			if n != 0 {
 				t.Fatalf("ingest after the refusal applied %d events", n)
+			}
+		})
+	}
+}
+
+// TestNegativeVertexIDIsRefusedNotLost: a run whose source is numbered
+// -7 used to be acknowledged in full and then, because the log cannot
+// frame a negative id and its reader took the first record for a torn
+// tail, come back from Restore as an empty session with no error. An
+// acknowledgement and a loss must never go together: whatever a door
+// acknowledges survives a restart, and what it will not keep it
+// refuses, typed, before anything is applied.
+func TestNegativeVertexIDIsRefusedNotLost(t *testing.T) {
+	g := compileBuiltin(t, "BioAID")
+	events, _ := genEvents(t, g, 80, 11)
+	src := events[0].V
+	renumber := func(v graph.VertexID) graph.VertexID {
+		if v == src {
+			return -7
+		}
+		return v
+	}
+	for i := range events {
+		events[i].V = renumber(events[i].V)
+		for j, p := range events[i].Preds {
+			events[i].Preds[j] = renumber(p)
+		}
+	}
+	doors := map[string]func(t *testing.T, reg *Registry, s *Session) (acked int){
+		"in-process": func(t *testing.T, _ *Registry, s *Session) int {
+			n, err := s.Append(events)
+			if err == nil || n != 0 {
+				t.Errorf("Append applied %d events, err %v; want a refusal at event 0", n, err)
+			}
+			return n
+		},
+		"json": func(t *testing.T, reg *Registry, _ *Session) int {
+			srv := httptest.NewServer(NewHandler(reg))
+			defer srv.Close()
+			wire := make([]WireEvent, len(events))
+			for i, ev := range events {
+				wire[i] = ToWire(ev)
+			}
+			var ok EventsResponse
+			code, raw := doJSON(t, "POST", srv.URL+"/v1/sessions/neg/events", EventsRequest{Events: wire}, &ok)
+			if code == http.StatusOK {
+				t.Errorf("negative vertex id acknowledged: %s", raw)
+				return ok.Applied
+			}
+			expectCode(t, 400, api.CodeBadEvent, code, raw)
+			return 0
+		},
+	}
+	for name, ingest := range doors {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			reg := durableReg(t, dir, DurableOptions{})
+			s, err := reg.Create("neg", g, Config{Skeleton: skeleton.TCL, Mode: core.RModeDesignated})
+			if err != nil {
+				t.Fatal(err)
+			}
+			acked := ingest(t, reg, s)
+			if err := reg.Close(); err != nil {
+				t.Fatal(err)
+			}
+			reg2 := durableReg(t, dir, DurableOptions{})
+			defer reg2.Close()
+			if _, err := reg2.Restore(dir); err != nil {
+				t.Fatal(err)
+			}
+			if s2, ok := reg2.Get("neg"); !ok || s2.Vertices() != int64(acked) {
+				t.Fatalf("%d events acknowledged, restored session holds %d", acked, s2.Vertices())
 			}
 		})
 	}

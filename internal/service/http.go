@@ -64,7 +64,7 @@ import (
 // Create accepts either a JSON body (CreateRequest: a built-in spec
 // name or an inline spec XML string) or a raw XML specification with
 // Content-Type application/xml and the session options in query
-// parameters (?name=...&skeleton=TCL&rmode=designated&shards=16).
+// parameters (?name=...&skeleton=TCL&rmode=designated).
 
 // Aliases for the wire types this handler serves, so existing callers
 // of the service package keep compiling; the definitions live in
@@ -386,16 +386,7 @@ func handleCreate(reg *Registry, w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		q := r.URL.Query()
-		shards := 0
-		if qs := q.Get("shards"); qs != "" {
-			n, err := strconv.Atoi(qs)
-			if err != nil || n < 0 {
-				writeError(w, api.Errorf(api.CodeBadRequest, "shards wants a non-negative integer, got %q", qs))
-				return
-			}
-			shards = n
-		}
-		createSession(reg, w, q.Get("name"), s, q.Get("skeleton"), q.Get("rmode"), shards)
+		createSession(reg, w, q.Get("name"), s, q.Get("skeleton"), q.Get("rmode"))
 		return
 	}
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -424,16 +415,12 @@ func handleCreate(reg *Registry, w http.ResponseWriter, r *http.Request) {
 		writeError(w, api.Errorf(api.CodeBadRequest, "one of builtin or spec_xml is required"))
 		return
 	}
-	createSession(reg, w, req.Name, sp, req.Skeleton, req.RMode, req.Shards)
+	createSession(reg, w, req.Name, sp, req.Skeleton, req.RMode)
 }
 
-func createSession(reg *Registry, w http.ResponseWriter, name string, sp *spec.Spec, skelName, modeName string, shards int) {
+func createSession(reg *Registry, w http.ResponseWriter, name string, sp *spec.Spec, skelName, modeName string) {
 	if name == "" {
 		writeError(w, api.Errorf(api.CodeBadRequest, "session name is required"))
-		return
-	}
-	if shards < 0 {
-		writeError(w, api.Errorf(api.CodeBadRequest, "shards must be non-negative, got %d", shards))
 		return
 	}
 	if reg.Durable() {
@@ -452,7 +439,6 @@ func createSession(reg *Registry, w http.ResponseWriter, name string, sp *spec.S
 		writeError(w, api.Errorf(api.CodeBadRequest, "%v", err))
 		return
 	}
-	cfg.Shards = shards
 	g, err := spec.Compile(sp)
 	if err != nil {
 		writeError(w, api.Errorf(api.CodeBadSpec, "%v", err))

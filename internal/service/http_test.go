@@ -8,6 +8,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -337,84 +339,82 @@ func TestHTTPStreamingE2E(t *testing.T) {
 		len(events), batch, queries.Load())
 }
 
-// TestHTTPShardsParameter covers the shards field on both create
-// forms and its surfacing in stats.
-func TestHTTPShardsParameter(t *testing.T) {
-	srv := newTestServer(t)
+// TestShardsIgnoredOnInput pins compatibility with clients and data
+// written when the store had a shard count: a create body carrying
+// "shards", a ?shards= query on the XML form and a session.json with a
+// "shards" key are all accepted and the value dropped. The session then
+// ingests and answers as any other, one publish epoch per batch.
+func TestShardsIgnoredOnInput(t *testing.T) {
+	dir := t.TempDir()
+	reg := durableReg(t, dir, DurableOptions{})
+	srv := httptest.NewServer(NewHandler(reg))
+	defer srv.Close()
 
-	var st Stats
-	code, raw := doJSON(t, "POST", srv.URL+"/v1/sessions",
-		CreateRequest{Name: "sharded", Builtin: "RunningExample", Shards: 8}, &st)
-	if code != http.StatusCreated {
-		t.Fatalf("create: %d %s", code, raw)
+	resp, err := http.Post(srv.URL+"/v1/sessions", "application/json",
+		strings.NewReader(`{"name":"body","builtin":"RunningExample","shards":8}`))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(st.Shards) != 8 {
-		t.Fatalf("stats report %d shards, want 8", len(st.Shards))
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated || strings.Contains(string(raw), "shards") {
+		t.Fatalf("create with a shards field: %d %s", resp.StatusCode, raw)
 	}
-
-	// Raw-XML create with ?shards=.
 	var xml bytes.Buffer
 	if err := wfxml.EncodeSpec(&xml, wfspecs.RunningExample()); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(srv.URL+"/v1/sessions?name=xmlsharded&shards=2", "application/xml", &xml)
+	resp, err = http.Post(srv.URL+"/v1/sessions?name=query&shards=zap", "application/xml", &xml)
 	if err != nil {
-		t.Fatal(err)
-	}
-	var st2 Stats
-	if err := json.NewDecoder(resp.Body).Decode(&st2); err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("xml create: %d", resp.StatusCode)
-	}
-	if len(st2.Shards) != 2 {
-		t.Fatalf("xml create: %d shards, want 2", len(st2.Shards))
+		t.Fatalf("xml create with ?shards=: %d", resp.StatusCode)
 	}
 
-	// Bad shard values are client errors.
-	code, _ = doJSON(t, "POST", srv.URL+"/v1/sessions",
-		CreateRequest{Name: "bad", Builtin: "RunningExample", Shards: -1}, nil)
-	if code != http.StatusBadRequest {
-		t.Fatalf("negative shards: %d, want 400", code)
-	}
-	resp, err = http.Post(srv.URL+"/v1/sessions?name=bad2&shards=zap", "application/xml",
-		strings.NewReader("<spec/>"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("garbage shards: %d, want 400", resp.StatusCode)
-	}
-
-	// Ingest + query still behave on a sharded session, and the
-	// publish epoch advances.
 	g := compileBuiltin(t, "RunningExample")
 	events, _, err := gen.GenerateEvents(g, gen.Options{TargetSize: 120, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wire := make([]WireEvent, len(events))
-	for i, ev := range events {
-		wire[i] = ToWire(ev)
+	const batch = 50
+	for lo := 0; lo < len(events); lo += batch {
+		wire := make([]WireEvent, 0, batch)
+		for _, ev := range events[lo:min(lo+batch, len(events))] {
+			wire = append(wire, ToWire(ev))
+		}
+		if code, raw := doJSON(t, "POST", srv.URL+"/v1/sessions/body/events", EventsRequest{Events: wire}, nil); code != http.StatusOK {
+			t.Fatalf("events: %d %s", code, raw)
+		}
 	}
-	code, raw = doJSON(t, "POST", srv.URL+"/v1/sessions/sharded/events",
-		EventsRequest{Events: wire}, nil)
-	if code != http.StatusOK {
-		t.Fatalf("events: %d %s", code, raw)
+	var st Stats
+	doJSON(t, "GET", srv.URL+"/v1/sessions/body", nil, &st)
+	if want := int64((len(events) + batch - 1) / batch); st.PublishEpoch != want || st.Vertices != int64(len(events)) {
+		t.Fatalf("stats after ingest: %+v, want %d vertices at epoch %d", st, len(events), want)
 	}
-	doJSON(t, "GET", srv.URL+"/v1/sessions/sharded", nil, &st)
-	if st.PublishEpoch == 0 || st.Vertices != int64(len(events)) {
-		t.Fatalf("stats after ingest: %+v", st)
+
+	// The session.json an older build wrote for the same session.
+	reg.Close()
+	metaPath := filepath.Join(dir, "body", metaFile)
+	meta, err := os.ReadFile(metaPath)
+	if err != nil {
+		t.Fatal(err)
 	}
-	sum := 0
-	for _, sh := range st.Shards {
-		sum += sh.Vertices
+	old := bytes.Replace(meta, []byte(`"rmode"`), []byte(`"shards": 64,
+  "rmode"`), 1)
+	if bytes.Equal(old, meta) {
+		t.Fatalf("no rmode key to anchor on in %s", meta)
 	}
-	if sum != len(events) {
-		t.Fatalf("shard counts sum to %d, want %d", sum, len(events))
+	if err := os.WriteFile(metaPath, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reg2 := durableReg(t, dir, DurableOptions{})
+	if _, err := reg2.Restore(dir); err != nil {
+		t.Fatal(err)
+	}
+	if s, ok := reg2.Get("body"); !ok || s.Vertices() != int64(len(events)) {
+		t.Fatalf("restore of a session.json with a shards key: ok=%v", ok)
 	}
 }
 

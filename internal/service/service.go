@@ -12,12 +12,12 @@
 // The labeler is single-writer (see internal/core): a session
 // serializes event ingestion under an ingest mutex, and ingest runs as
 // a pipeline — label the batch, encode each label, tee each event to
-// the write-ahead log, stage the encoded labels into the sharded store
-// grouped by shard, and publish once per batch. The store (see
-// internal/store) owns its own synchronization: published labels live
-// in per-shard immutable views behind atomic pointers, so the query
-// path (Reach, Lineage, Stats) acquires no mutex at all — labels are
-// immutable (Section 2.4), and a published view is never mutated. On a
+// the write-ahead log, stage the encoded labels into the store's label
+// slab, and publish once per batch. The store (see internal/store) owns
+// its own synchronization: a label is visible once the slab's published
+// position has moved past it, and nothing below that position is ever
+// rewritten, so the query path (Reach, Lineage, Stats) acquires no
+// mutex at all — labels are immutable (Section 2.4). On a
 // durable registry, batch durability is acknowledged through a
 // cross-session group committer: one flush/fsync per log is amortized
 // over every batch that queued while the previous flush was on the
@@ -59,10 +59,6 @@ type Config struct {
 	Skeleton skeleton.Kind
 	// Mode is the recursion-compression mode.
 	Mode core.RMode
-	// Shards is the session store's shard count (rounded up to a power
-	// of two). Zero uses the registry default, or the store default if
-	// the registry has none.
-	Shards int
 	// ID is the session's stable identity, surfaced on stats. Names
 	// are reusable (delete + recreate), identities are not — which is
 	// how a replica tells "the session I was tailing" from "a new
@@ -71,10 +67,6 @@ type Config struct {
 	// identity through so the copy shares it.
 	ID string
 }
-
-// ShardStat mirrors store.ShardStat on the stats API: one shard's
-// published vertex count and view publish epoch.
-type ShardStat = store.ShardStat
 
 // Stats is a point-in-time snapshot of one session. Vertices counts
 // every labeled vertex, including those recovered by Restore; Batches
@@ -95,8 +87,8 @@ type Session struct {
 	labeler  *core.ExecutionLabeler
 
 	// store holds the encoded labels and owns its own synchronization:
-	// writes are staged under per-shard mutexes and published per
-	// batch; reads are lock-free against immutable shard views.
+	// writes are staged under its mutex and published per batch; reads
+	// are lock-free.
 	store *store.Store
 
 	vertices atomic.Int64 // published vertices, readable without locks
@@ -162,9 +154,6 @@ type Registry struct {
 	// committer is the cross-session WAL group committer (durable
 	// registries only).
 	committer *wal.Committer
-	// defaultShards is the store shard count for sessions whose Config
-	// leaves Shards zero; zero means the store default.
-	defaultShards atomic.Int64
 	// followerPrimary, when non-nil, marks the registry a read-only
 	// follower replica of the primary at that base URL: the HTTP
 	// surface rejects writes with CodeReadOnly pointing there, while
@@ -227,24 +216,6 @@ func NewRegistry() *Registry {
 	}
 }
 
-// SetDefaultShards sets the store shard count used by sessions whose
-// Config leaves Shards zero. Zero restores the store default; the
-// count applies to sessions created or restored afterwards.
-func (r *Registry) SetDefaultShards(n int) {
-	if n < 0 {
-		n = 0
-	}
-	r.defaultShards.Store(int64(n))
-}
-
-// shardsFor resolves the effective shard count for a session config.
-func (r *Registry) shardsFor(cfg Config) int {
-	if cfg.Shards > 0 {
-		return cfg.Shards
-	}
-	return int(r.defaultShards.Load())
-}
-
 // Create opens a new session over the grammar. The name must be
 // non-empty and not in use.
 //
@@ -270,7 +241,7 @@ func (r *Registry) Create(name string, g *spec.Grammar, cfg Config) (*Session, e
 		g:       g,
 		cfg:     cfg,
 		labeler: core.NewExecutionLabeler(g, cfg.Skeleton, cfg.Mode),
-		store:   store.NewSharded(g, cfg.Skeleton, r.shardsFor(cfg)),
+		store:   store.New(g, cfg.Skeleton),
 	}
 	s.bindMetrics(r.metrics)
 	r.mu.Lock()
@@ -471,8 +442,8 @@ func (s *Session) Grammar() *spec.Grammar { return s.g }
 //
 // Ingest is pipelined: the batch is labeled and encoded under the
 // ingest lock, teed event by event to the write-ahead log, staged into
-// the store grouped by shard, and published — made visible to the
-// lock-free query path — once, at the end of the batch. On a durable
+// the store, and published — made visible to the lock-free query path
+// — once, at the end of the batch. On a durable
 // session the applied prefix is then committed (flushed, and fsynced
 // as configured) before Append returns, through the registry's group
 // committer so concurrent batches share one flush — an acknowledged
@@ -480,60 +451,14 @@ func (s *Session) Grammar() *spec.Grammar { return s.g }
 // ingestion on the session (its in-memory state has outrun what disk
 // can reproduce); queries keep working.
 func (s *Session) Append(events []run.Event) (int, error) {
-	s.ingestMu.Lock()
-	if err := s.ingestBlockedLocked(); err != nil {
-		s.ingestMu.Unlock()
-		return 0, err
-	}
-	staged := make([]store.Entry, 0, len(events))
-	applied := len(events)
-	var err error
-	for i := range events {
-		rec := wal.RefRecord(events[i])
-		_, l, lerr := s.labelRecord(rec)
-		if lerr != nil {
-			applied, err = i, fmt.Errorf("service: %w", lerr)
-			break
-		}
-		if werr := s.logRecord(rec); werr != nil {
-			// The log is poisoned and the batch unacknowledged; the
-			// logged prefix still becomes queryable.
-			s.publishStaged(staged)
-			s.ingestMu.Unlock()
-			return i, werr
-		}
-		staged = append(staged, store.Entry{V: events[i].V, Enc: s.store.Encode(l)})
-	}
-	return s.finishLocked(applied, staged, err)
+	return appendBatch(s, events, wal.RefRecord, nil)
 }
 
 // AppendNamed ingests a batch of name-identified events (the Section
 // 5.3 naming-restriction setting), with Append's pipeline,
 // partial-batch and durability semantics.
 func (s *Session) AppendNamed(events []core.NamedEvent) (int, error) {
-	s.ingestMu.Lock()
-	if err := s.ingestBlockedLocked(); err != nil {
-		s.ingestMu.Unlock()
-		return 0, err
-	}
-	staged := make([]store.Entry, 0, len(events))
-	applied := len(events)
-	var err error
-	for i := range events {
-		rec := wal.NamedRecord(events[i])
-		_, l, lerr := s.labelRecord(rec)
-		if lerr != nil {
-			applied, err = i, fmt.Errorf("service: %w", lerr)
-			break
-		}
-		if werr := s.logRecord(rec); werr != nil {
-			s.publishStaged(staged)
-			s.ingestMu.Unlock()
-			return i, werr
-		}
-		staged = append(staged, store.Entry{V: events[i].V, Enc: s.store.Encode(l)})
-	}
-	return s.finishLocked(applied, staged, err)
+	return appendBatch(s, events, wal.NamedRecord, nil)
 }
 
 // AppendRecords ingests a batch of WAL-form records — the two event
@@ -548,16 +473,25 @@ func (s *Session) AppendRecords(recs []wal.Record, frames [][]byte) (int, error)
 	if frames != nil && len(frames) != len(recs) {
 		return 0, fmt.Errorf("service: %d frames for %d records", len(frames), len(recs))
 	}
+	return appendBatch(s, recs, func(rec wal.Record) wal.Record { return rec }, frames)
+}
+
+// appendBatch is the ingest loop behind Append, AppendNamed and
+// AppendRecords, which differ only in the element type: record puts
+// element i in WAL form, and frames, when non-nil, holds its
+// pre-encoded frame.
+func appendBatch[E any](s *Session, events []E, record func(E) wal.Record, frames [][]byte) (int, error) {
 	s.ingestMu.Lock()
 	if err := s.ingestBlockedLocked(); err != nil {
 		s.ingestMu.Unlock()
 		return 0, err
 	}
-	staged := make([]store.Entry, 0, len(recs))
-	applied := len(recs)
+	staged := make([]store.Entry, 0, len(events))
+	applied := len(events)
 	var err error
-	for i := range recs {
-		v, l, lerr := s.labelRecord(recs[i])
+	for i := range events {
+		rec := record(events[i])
+		v, l, lerr := s.labelRecord(rec)
 		if lerr != nil {
 			applied, err = i, fmt.Errorf("service: %w", lerr)
 			break
@@ -566,9 +500,11 @@ func (s *Session) AppendRecords(recs []wal.Record, frames [][]byte) (int, error)
 		if frames != nil {
 			werr = s.logFrame(frames[i])
 		} else {
-			werr = s.logRecord(recs[i])
+			werr = s.logRecord(rec)
 		}
 		if werr != nil {
+			// The log is poisoned and the batch unacknowledged; the
+			// logged prefix still becomes queryable.
 			s.publishStaged(staged)
 			s.ingestMu.Unlock()
 			return i, werr
@@ -765,8 +701,8 @@ func (s *Session) Unseal() {
 	s.ingestMu.Unlock()
 }
 
-// publishStaged appends the batch's encoded labels to the store
-// shard-grouped and publishes them — the single point where a batch
+// publishStaged appends the batch's encoded labels to the store and
+// publishes them — the single point where a batch
 // becomes visible to the lock-free query path. Called with ingestMu
 // held, so under the ingest lock the published store always holds
 // exactly the applied event prefix.
@@ -841,7 +777,7 @@ func (s *Session) Reach(v, w graph.VertexID) (bool, error) {
 // vertex) are reported inline on the answer — one unanswerable pair
 // never invalidates the batch, which is what lets a client amortize
 // a roundtrip over dozens of questions. Like Reach, the whole batch
-// runs lock-free against the published shard views.
+// runs lock-free against the published labels.
 func (s *Session) ReachBatch(pairs []api.ReachPair) []api.ReachAnswer {
 	out := make([]api.ReachAnswer, len(pairs))
 	for i, p := range pairs {
@@ -860,7 +796,7 @@ func (s *Session) ReachBatch(pairs []api.ReachPair) []api.ReachAnswer {
 // Lineage returns the labeled vertices that reach v (its provenance
 // closure so far), ascending. The whole scan — π on the encoded bytes
 // of every published label against the target's — runs against the
-// store's immutable shard views, so a lineage query never takes a lock
+// store's published labels, so a lineage query never takes a lock
 // and never stalls ingestion. Only a vertex with no label yet is
 // CodeVertexNotLabeled; a stored label that does not parse is the
 // server's fault, CodeInternal.
@@ -920,7 +856,6 @@ func (s *Session) Stats() Stats {
 		LabelBits:     s.store.Bits(),
 		SkeletonBits:  s.labeler.Skeleton().Bits(),
 		PublishEpoch:  s.store.Epoch(),
-		Shards:        s.store.ShardStats(),
 		Durable:       s.durable,
 	}
 }

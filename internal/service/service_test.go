@@ -341,53 +341,6 @@ func TestConcurrentIngestQuery(t *testing.T) {
 	t.Logf("%d concurrent queries verified against the oracle", queries.Load())
 }
 
-// TestStatsShards checks the per-shard stats surface: the configured
-// shard count is honored, shard counts sum to the vertex total, and
-// the publish epoch tracks batches.
-func TestStatsShards(t *testing.T) {
-	g := compileBuiltin(t, "BioAID")
-	events, _, err := gen.GenerateEvents(g, gen.Options{TargetSize: 400, Seed: 19})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := NewRegistry()
-	s, err := reg.Create("sh", g, Config{Skeleton: skeleton.TCL, Mode: core.RModeDesignated, Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const batch = 100
-	for lo := 0; lo < len(events); lo += batch {
-		hi := min(lo+batch, len(events))
-		if _, err := s.Append(events[lo:hi]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := s.Stats()
-	if len(st.Shards) != 4 {
-		t.Fatalf("stats report %d shards, want 4", len(st.Shards))
-	}
-	sum := 0
-	for _, sh := range st.Shards {
-		sum += sh.Vertices
-	}
-	if int64(sum) != st.Vertices || st.Vertices != int64(len(events)) {
-		t.Fatalf("shard counts sum to %d, vertices %d, events %d", sum, st.Vertices, len(events))
-	}
-	if want := int64((len(events) + batch - 1) / batch); st.PublishEpoch != want {
-		t.Fatalf("publish epoch %d, want %d (one per batch)", st.PublishEpoch, want)
-	}
-
-	// The registry default applies when the config leaves Shards zero.
-	reg.SetDefaultShards(2)
-	s2, err := reg.Create("sh2", g, Config{Skeleton: skeleton.TCL, Mode: core.RModeDesignated})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(s2.Stats().Shards); got != 2 {
-		t.Fatalf("default shard count not applied: %d shards", got)
-	}
-}
-
 // TestDeleteRacesIngestAndQueries deletes a session while a writer is
 // streaming batches into it and readers are querying it (run with
 // -race). In-flight operations must finish normally — the session just

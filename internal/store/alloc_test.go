@@ -1,0 +1,44 @@
+//go:build !race
+
+package store_test
+
+import (
+	"testing"
+
+	"wfreach/internal/graph"
+	"wfreach/internal/skeleton"
+	"wfreach/internal/store"
+)
+
+// TestStageAllocatesPerBatchNotPerLabel is the allocation gate on the
+// store's write path: into a warm store (its segments have reached
+// their full size), staging and publishing a 256-label batch allocates
+// a constant few objects — every fourth batch an index page and the
+// directory that holds it, every couple of hundred a segment — where a
+// map-per-shard store allocated per label.
+func TestStageAllocatesPerBatchNotPerLabel(t *testing.T) {
+	const batch = 256
+	g, labels := buildRun(t, 2000)
+	s := store.New(g, skeleton.TCL)
+	next := graph.VertexID(0)
+	entries := make([]store.Entry, batch)
+	stage := func() {
+		for i := range entries {
+			entries[i] = store.Entry{V: next, Enc: labels[int(next)%len(labels)].Enc}
+			next++
+		}
+		if err := s.AppendOwned(entries); err != nil {
+			t.Fatal(err)
+		}
+		s.Publish()
+	}
+	for range 400 {
+		stage()
+	}
+	if avg := testing.AllocsPerRun(400, stage); avg > 4 {
+		t.Fatalf("staging and publishing %d labels allocates %.2f objects, want O(1)", batch, avg)
+	}
+	if s.Count() != int(next) {
+		t.Fatalf("store holds %d labels, staged %d", s.Count(), next)
+	}
+}

@@ -69,7 +69,7 @@ func TestArenaBackedStoreMatchesHeapStore(t *testing.T) {
 	heap.Publish()
 
 	a, tail := splitArena(t, entries)
-	ab, err := store.NewFromArena(g, skeleton.TCL, 0, a)
+	ab, err := store.NewFromArena(g, skeleton.TCL, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestArenaBackedStoreMatchesHeapStore(t *testing.T) {
 func TestArenaStoreRejectsDuplicateOfArenaVertex(t *testing.T) {
 	g, entries := buildRun(t, 200)
 	a, _ := splitArena(t, entries)
-	s, err := store.NewFromArena(g, skeleton.TCL, 0, a)
+	s, err := store.NewFromArena(g, skeleton.TCL, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestAttachArenaRequiresEmptyStore(t *testing.T) {
 func TestSnapshotEntriesCoversArenaAndShards(t *testing.T) {
 	g, entries := buildRun(t, 400)
 	a, tail := splitArena(t, entries)
-	s, err := store.NewFromArena(g, skeleton.TCL, 0, a)
+	s, err := store.NewFromArena(g, skeleton.TCL, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestSnapshotEntriesCoversArenaAndShards(t *testing.T) {
 }
 
 // TestQueryPathAllocations pins what decode-free queries buy, on a
-// store that is half arena and half shard chunks: ReachBytes allocates
+// store that is half mapped arena and half heap segments: ReachBytes allocates
 // nothing, and a lineage scan allocates for its result only — the same
 // number of times whether it walks three hundred labels or three
 // thousand.
@@ -213,7 +213,7 @@ func TestQueryPathAllocations(t *testing.T) {
 	for _, size := range []int{300, 3000} {
 		g, entries := buildRun(t, size)
 		a, tail := splitArena(t, entries)
-		s, err := store.NewFromArena(g, skeleton.TCL, 0, a)
+		s, err := store.NewFromArena(g, skeleton.TCL, a)
 		if err != nil {
 			t.Fatal(err)
 		}

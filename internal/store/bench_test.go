@@ -34,7 +34,7 @@ func benchLabels(b *testing.B, size int) (*spec.Grammar, []store.Entry) {
 }
 
 // BenchmarkStoreBatchPublish measures the write path the service
-// ingest pipeline uses: stage a batch shard-grouped, publish once.
+// ingest pipeline uses: stage a batch, publish once.
 func BenchmarkStoreBatchPublish(b *testing.B) {
 	const batch = 256
 	g, entries := benchLabels(b, 8192)
@@ -92,7 +92,7 @@ func arenaStore(b *testing.B, g *spec.Grammar, entries []store.Entry) *store.Sto
 	if err != nil {
 		b.Fatal(err)
 	}
-	s, err := store.NewFromArena(g, skeleton.TCL, 0, a)
+	s, err := store.NewFromArena(g, skeleton.TCL, a)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -100,9 +100,9 @@ func arenaStore(b *testing.B, g *spec.Grammar, entries []store.Entry) *store.Sto
 }
 
 // BenchmarkStoreGetRawArena is the arena-backed counterpart of
-// BenchmarkStoreGetRaw: every lookup resolves through the mapped index
-// instead of the shard chunk lists. The acceptance bar for the arena
-// read path is parity with the heap store.
+// BenchmarkStoreGetRaw: the same index lookup, landing in the mapped
+// label region instead of a heap segment. One read path serves both
+// backings, so the pair should print the same number.
 func BenchmarkStoreGetRawArena(b *testing.B) {
 	g, entries := benchLabels(b, 8192)
 	s := arenaStore(b, g, entries)
@@ -121,7 +121,7 @@ func BenchmarkStoreGetRawArena(b *testing.B) {
 	})
 }
 
-// heapAndArena returns the same labels served from shard chunks and
+// heapAndArena returns the same labels served from heap segments and
 // from a mapped arena.
 func heapAndArena(b *testing.B, size int) (entries []store.Entry, stores map[string]*store.Store) {
 	b.Helper()
@@ -154,8 +154,8 @@ func BenchmarkStoreReachBytes(b *testing.B) {
 }
 
 // BenchmarkStoreLineage measures the full provenance-closure scan (one
-// early-exit byte walk per stored label against the target) over shard
-// chunks and over an arena. Allocations are the result slice's alone.
+// early-exit byte walk per stored label against the target) over heap
+// segments and over an arena. Allocations are the result slice's alone.
 func BenchmarkStoreLineage(b *testing.B) {
 	entries, stores := heapAndArena(b, 4096)
 	for name, s := range stores {

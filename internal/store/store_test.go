@@ -10,6 +10,7 @@ import (
 
 	"wfreach/internal/core"
 	"wfreach/internal/gen"
+	"wfreach/internal/graph"
 	"wfreach/internal/run"
 	"wfreach/internal/skeleton"
 	"wfreach/internal/spec"
@@ -166,23 +167,8 @@ func TestRawBytesQueryPath(t *testing.T) {
 	}
 }
 
-// TestShardCountRounding checks NewSharded's clamping and
-// power-of-two rounding.
-func TestShardCountRounding(t *testing.T) {
-	g := spec.MustCompile(wfspecs.RunningExample())
-	for _, tc := range []struct{ in, want int }{
-		{0, store.DefaultShards}, {-3, store.DefaultShards},
-		{1, 1}, {2, 2}, {3, 4}, {16, 16}, {17, 32}, {1 << 20, 4096},
-	} {
-		if got := store.NewSharded(g, skeleton.TCL, tc.in).Shards(); got != tc.want {
-			t.Errorf("NewSharded(%d).Shards() = %d, want %d", tc.in, got, tc.want)
-		}
-	}
-}
-
 // TestStagePublishVisibility checks the batch contract: staged labels
-// are invisible until Publish, then all visible at once, and shard
-// stats account for exactly the published ones.
+// are invisible until Publish, then all visible at once.
 func TestStagePublishVisibility(t *testing.T) {
 	g := spec.MustCompile(wfspecs.RunningExample())
 	r := gen.MustGenerate(g, gen.Options{TargetSize: 120, Seed: 8})
@@ -190,7 +176,7 @@ func TestStagePublishVisibility(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := store.NewSharded(g, skeleton.TCL, 4)
+	s := store.New(g, skeleton.TCL)
 	live := r.Graph.LiveVertices()
 	entries := make([]store.Entry, 0, len(live))
 	for _, v := range live {
@@ -225,22 +211,6 @@ func TestStagePublishVisibility(t *testing.T) {
 		t.Fatalf("no-op publish epoch = %d, want 1", got)
 	}
 
-	stats := s.ShardStats()
-	if len(stats) != 4 {
-		t.Fatalf("ShardStats has %d entries, want 4", len(stats))
-	}
-	sum, epochs := 0, int64(0)
-	for _, st := range stats {
-		sum += st.Vertices
-		epochs += st.Epoch
-	}
-	if sum != len(live) {
-		t.Fatalf("shard counts sum to %d, want %d", sum, len(live))
-	}
-	if epochs == 0 {
-		t.Fatal("no shard epoch advanced")
-	}
-
 	// Duplicates are rejected whether published or still staged.
 	if err := s.AppendOwned([]store.Entry{{V: live[0], Enc: []byte{1}}}); err == nil {
 		t.Fatal("duplicate of a published vertex accepted")
@@ -257,7 +227,12 @@ func TestStagePublishVisibility(t *testing.T) {
 // contract test (run with -race): one writer stages and publishes
 // batches while readers hammer the lock-free query path — GetRaw,
 // Reach, Lineage, SnapshotEntries and stats — over whatever prefix is
-// published, checking every reach answer against the BFS oracle.
+// published, checking every reach answer against the BFS oracle. Each
+// batch also carries a stray: a copy of its first label under an id in
+// an index page of its own (one of them far out), so the page directory
+// grows with every batch and the segment directory several times while
+// readers are mid-lookup, and every label a reader can see must be
+// byte-equal to what was staged.
 func TestConcurrentBatchIngestQuery(t *testing.T) {
 	g := spec.MustCompile(wfspecs.BioAID())
 	events, r, err := gen.GenerateEvents(g, gen.Options{TargetSize: 1500, Seed: 77})
@@ -268,9 +243,15 @@ func TestConcurrentBatchIngestQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := store.NewSharded(g, skeleton.TCL, 8)
+	s := store.New(g, skeleton.TCL)
 
 	const batch = 48
+	stray := func(lo int) graph.VertexID {
+		if lo == 10*batch {
+			return 1 << 27
+		}
+		return graph.VertexID(1<<17 + lo*100)
+	}
 	published := new(atomic.Int64) // events published so far
 	done := make(chan struct{})
 	var wg sync.WaitGroup
@@ -281,10 +262,11 @@ func TestConcurrentBatchIngestQuery(t *testing.T) {
 		defer close(done)
 		for lo := 0; lo < len(events); lo += batch {
 			hi := min(lo+batch, len(events))
-			entries := make([]store.Entry, 0, hi-lo)
+			entries := make([]store.Entry, 0, hi-lo+1)
 			for _, ev := range events[lo:hi] {
 				entries = append(entries, store.Entry{V: ev.V, Enc: s.Encode(d.MustLabel(ev.V))})
 			}
+			entries = append(entries, store.Entry{V: stray(lo), Enc: entries[0].Enc})
 			if err := s.AppendOwned(entries); err != nil {
 				t.Errorf("append: %v", err)
 				return
@@ -316,6 +298,18 @@ func TestConcurrentBatchIngestQuery(t *testing.T) {
 					t.Errorf("reach(%d,%d)=%v, want %v", v, w, got, want)
 					return
 				}
+				// Any batch's stray, published or not: visible once its
+				// batch is, and never with other bytes than were staged.
+				lo := rng.Intn(len(events)) / batch * batch
+				enc, ok := s.GetRaw(stray(lo))
+				if !ok && int64(lo) < n {
+					t.Errorf("stray %d of a published batch is not visible", stray(lo))
+					return
+				}
+				if ok && !bytes.Equal(enc, s.Encode(d.MustLabel(events[lo].V))) {
+					t.Errorf("stray %d reads back %x", stray(lo), enc)
+					return
+				}
 				switch q % 40 {
 				case 0:
 					if _, err := s.Lineage(v); err != nil {
@@ -331,7 +325,6 @@ func TestConcurrentBatchIngestQuery(t *testing.T) {
 						return
 					}
 				case 2:
-					s.ShardStats()
 					s.Epoch()
 					s.Count()
 					s.Bits()
@@ -342,16 +335,19 @@ func TestConcurrentBatchIngestQuery(t *testing.T) {
 	wg.Wait()
 
 	// Everything is published: the lineage of the final sink matches a
-	// full oracle scan.
+	// full oracle scan (a stray reaches what the label it copies does).
 	last := events[len(events)-1].V
 	lin, err := s.Lineage(last)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := 0
-	for _, ev := range events {
+	for i, ev := range events {
 		if r.Graph.Reaches(ev.V, last) {
 			want++
+			if i%batch == 0 {
+				want++
+			}
 		}
 	}
 	if len(lin) != want {

@@ -5,8 +5,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/iotest"
+
+	"wfreach/internal/graph"
+	"wfreach/internal/spec"
 )
 
 // frameStream frames the test records onto one buffer and returns it
@@ -113,5 +118,68 @@ func TestFrameReaderAllocs(t *testing.T) {
 	pass() // warm-up: grows the frame buffer
 	if avg := testing.AllocsPerRun(100, pass); avg != 0 {
 		t.Fatalf("%.1f allocations per pass over %d frames, want 0", avg, len(testRecords()))
+	}
+}
+
+// TestAppendFrameAcceptsOnlyWhatDecodes is the writer's half of the
+// frame contract: over random records — ids drawn from both sides of
+// zero and both ends of the int32 range — every record AppendFrame
+// accepts reads back equal through FrameReader and DecodeRecord, and
+// the ones it refuses are exactly those carrying a negative vertex id.
+// (A log must never hold a frame its own reader calls corrupt: restore
+// would take it for a torn tail and drop everything after it.)
+func TestAppendFrameAcceptsOnlyWhatDecodes(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	id := func() graph.VertexID {
+		switch rng.Intn(8) {
+		case 0:
+			return graph.VertexID(-1 - rng.Int31n(1<<20))
+		case 1:
+			return graph.VertexID(1<<31 - 1 - rng.Int31n(3))
+		}
+		return graph.VertexID(rng.Int31n(1 << 16))
+	}
+	accepted, refused := 0, 0
+	for i := 0; i < 5000; i++ {
+		var rec Record
+		var preds []graph.VertexID
+		for range rng.Intn(4) {
+			preds = append(preds, id())
+		}
+		negative := false
+		if rng.Intn(2) == 0 {
+			rec = Record{Named: true}
+			rec.NamedEv.V, rec.NamedEv.Name, rec.NamedEv.Preds = id(), string(make([]byte, rng.Intn(5))), preds
+			negative = rec.NamedEv.V < 0
+		} else {
+			rec.Ref.V, rec.Ref.Preds = id(), preds
+			rec.Ref.Ref = spec.VertexRef{Graph: spec.GraphID(rng.Int31n(9)), V: id()}
+			negative = rec.Ref.V < 0 || rec.Ref.Ref.V < 0
+		}
+		for _, p := range preds {
+			negative = negative || p < 0
+		}
+		frame, err := AppendFrame(nil, rec)
+		if (err != nil) != negative {
+			t.Fatalf("AppendFrame(%+v) = %v; carries a negative id: %v", rec, err, negative)
+		}
+		if err != nil {
+			if refused++; len(frame) != 0 {
+				t.Fatalf("refused record left %d bytes in the buffer", len(frame))
+			}
+			continue
+		}
+		accepted++
+		got, err := NewFrameReader(bytes.NewReader(frame)).Next()
+		if err != nil {
+			t.Fatalf("accepted frame of %+v does not read back: %v", rec, err)
+		}
+		back, err := DecodeRecord(got[FrameHeaderSize:])
+		if err != nil || !reflect.DeepEqual(back, rec) {
+			t.Fatalf("accepted %+v, decoded %+v, %v", rec, back, err)
+		}
+	}
+	if accepted < 1000 || refused < 1000 {
+		t.Fatalf("generator is lopsided: %d accepted, %d refused", accepted, refused)
 	}
 }

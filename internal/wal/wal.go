@@ -32,6 +32,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -157,9 +158,17 @@ func (r *payloadReader) preds() ([]graph.VertexID, error) {
 // and returns the extended slice. The bytes are exactly what
 // Log.Append writes, which is what lets a server accept pre-framed
 // records off the wire and tee them to the log without re-encoding.
-// A record whose payload would exceed MaxPayload is rejected with buf
-// unchanged.
+// A record whose payload would exceed MaxPayload, or that carries a
+// negative vertex id — which DecodeRecord would refuse to read back —
+// is rejected with buf unchanged.
 func AppendFrame(buf []byte, rec Record) ([]byte, error) {
+	v, sv, preds := rec.Ref.V, rec.Ref.Ref.V, rec.Ref.Preds
+	if rec.Named {
+		v, sv, preds = rec.NamedEv.V, 0, rec.NamedEv.Preds
+	}
+	if v < 0 || sv < 0 || slices.ContainsFunc(preds, func(p graph.VertexID) bool { return p < 0 }) {
+		return buf, fmt.Errorf("wal: record of vertex %d carries a negative vertex id", v)
+	}
 	start := len(buf)
 	buf = append(buf, make([]byte, FrameHeaderSize)...)
 	buf = appendPayload(buf, rec)

@@ -158,13 +158,10 @@ const (
 // Label persistence and the concurrent provenance service.
 type (
 	// Store is a write-once map from run vertices to encoded labels,
-	// answering reachability from the stored bytes alone. It is sharded
-	// and internally synchronized: queries run lock-free against
-	// atomically published immutable views.
+	// answering reachability from the stored bytes alone. It is
+	// internally synchronized: queries run lock-free against an
+	// append-only label slab.
 	Store = store.Store
-	// StoreShardStat is one store shard's published vertex count and
-	// view publish epoch (see SessionStats.Shards).
-	StoreShardStat = store.ShardStat
 	// Registry is a concurrent registry of named labeling sessions.
 	Registry = service.Registry
 	// Session is one live labeling session: single-writer event ingest,
@@ -183,15 +180,8 @@ type (
 	DurableOptions = service.DurableOptions
 )
 
-// NewStore creates an empty label store for runs of the grammar, with
-// the default shard count.
+// NewStore creates an empty label store for runs of the grammar.
 func NewStore(g *Grammar, kind SkeletonKind) *Store { return store.New(g, kind) }
-
-// NewShardedStore is NewStore with an explicit shard count (rounded up
-// to a power of two; zero selects the default).
-func NewShardedStore(g *Grammar, kind SkeletonKind, shards int) *Store {
-	return store.NewSharded(g, kind, shards)
-}
 
 // NewRegistry returns an empty, memory-only session registry.
 func NewRegistry() *Registry { return service.NewRegistry() }
@@ -263,7 +253,7 @@ func NewFollower(primary string, reg *Registry, opts FollowerOptions) *Follower 
 	return replica.New(primary, reg, opts)
 }
 
-// Clustering: shard sessions across several primary servers by
+// Clustering: partition sessions across several primary servers by
 // consistent hashing on the session name (see internal/cluster and
 // the "Cluster" section of ARCHITECTURE.md).
 type (
