@@ -360,12 +360,9 @@ func (c *Client) Ingest(ctx context.Context, session string, events []Event) (Ev
 // IngestFrames appends a batch of events in one binary-frame request
 // (what Stream uses per flush).
 func (c *Client) IngestFrames(ctx context.Context, session string, events []Event) (EventsResponse, error) {
-	var buf []byte
-	var err error
-	for _, ev := range events {
-		if buf, err = api.AppendFrame(buf, ev); err != nil {
-			return EventsResponse{}, err
-		}
+	buf, err := api.AppendFrames(nil, events)
+	if err != nil {
+		return EventsResponse{}, err
 	}
 	return c.ingestRaw(ctx, session, buf)
 }
@@ -410,11 +407,11 @@ func (c *Client) Reach(ctx context.Context, session string, from, to int32) (boo
 // LineagePage fetches one page of the provenance closure of a vertex:
 // up to limit ancestors after the cursor (empty cursor starts the
 // scan; limit <= 0 uses the server default). The returned page's
-// NextCursor resumes the scan; empty means done. Every page costs the
-// server a full scan over the session's labels (reachability is
-// answered from labels alone — there is no ancestor index to seek
-// into), so pick limits that bound the response size, and prefer
-// Lineage when the whole closure is wanted.
+// NextCursor resumes the scan; empty means done. A page costs the
+// server the labels between its cursor and its last ancestor — the scan
+// starts right after the cursor and stops once the page is full — so
+// a first page of a large closure is cheap, and walking every page
+// visits each label once.
 func (c *Client) LineagePage(ctx context.Context, session string, of int32, cursor string, limit int) (LineagePage, error) {
 	q := url.Values{"of": {strconv.Itoa(int(of))}}
 	if cursor != "" {
@@ -435,9 +432,9 @@ func (c *Client) LineagePage(ctx context.Context, session string, of int32, curs
 
 // Lineage returns the full provenance closure of a vertex, ascending,
 // walking the paginated scan until it is exhausted. It asks for the
-// server's maximum page size: each page costs the server a full label
-// scan (see LineagePage), so fewer, larger pages are strictly
-// cheaper — small limits are for bounding response sizes, not work.
+// server's maximum page size: every page resumes where the last one
+// stopped (see LineagePage), so the page size sets the number of round
+// trips, not the server's work.
 func (c *Client) Lineage(ctx context.Context, session string, of int32) ([]int32, error) {
 	var out []int32
 	cursor := ""

@@ -391,12 +391,9 @@ func (cl *Cluster) Ingest(ctx context.Context, session string, events []Event) (
 // owner (the frames are encoded once and reused across routing
 // retries).
 func (cl *Cluster) IngestFrames(ctx context.Context, session string, events []Event) (EventsResponse, error) {
-	var buf []byte
-	var err error
-	for _, ev := range events {
-		if buf, err = api.AppendFrame(buf, ev); err != nil {
-			return EventsResponse{}, err
-		}
+	buf, err := api.AppendFrames(nil, events)
+	if err != nil {
+		return EventsResponse{}, err
 	}
 	var resp EventsResponse
 	err = cl.do(ctx, session, false, func(c *Client) error {

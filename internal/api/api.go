@@ -104,27 +104,35 @@ func (e Event) preds() []graph.VertexID {
 	return out
 }
 
-// Record converts the wire event to its WAL record form, validating
-// that exactly one of the two identification forms is present and that
-// no run vertex id is negative (the log cannot frame one). The error
-// is a *Error with CodeBadEvent.
-func (e Event) Record() (wal.Record, error) {
+// check validates the wire event: exactly one of the two
+// identification forms is present and no run vertex id is negative
+// (the log cannot frame one). The error is a *Error with CodeBadEvent.
+func (e Event) check() error {
 	switch {
 	case e.V < 0 || slices.ContainsFunc(e.Preds, func(p int32) bool { return p < 0 }):
-		return wal.Record{}, Errorf(CodeBadEvent, "vertex %d: v and preds must be non-negative", e.V)
+		return Errorf(CodeBadEvent, "vertex %d: v and preds must be non-negative", e.V)
 	case e.Name != "" && (e.Graph != nil || e.Vertex != nil):
-		return wal.Record{}, Errorf(CodeBadEvent, "name and graph/vertex are mutually exclusive")
-	case e.Name != "":
-		return wal.NamedRecord(core.NamedEvent{V: graph.VertexID(e.V), Name: e.Name, Preds: e.preds()}), nil
-	case e.Graph != nil && e.Vertex != nil:
-		return wal.RefRecord(run.Event{
-			V:     graph.VertexID(e.V),
-			Ref:   spec.VertexRef{Graph: spec.GraphID(*e.Graph), V: graph.VertexID(*e.Vertex)},
-			Preds: e.preds(),
-		}), nil
-	default:
-		return wal.Record{}, Errorf(CodeBadEvent, "needs either name or graph+vertex")
+		return Errorf(CodeBadEvent, "name and graph/vertex are mutually exclusive")
+	case e.Name == "" && (e.Graph == nil || e.Vertex == nil):
+		return Errorf(CodeBadEvent, "needs either name or graph+vertex")
 	}
+	return nil
+}
+
+// Record converts the wire event to its WAL record form, or reports
+// why it is malformed (see check).
+func (e Event) Record() (wal.Record, error) {
+	if err := e.check(); err != nil {
+		return wal.Record{}, err
+	}
+	if e.Name != "" {
+		return wal.NamedRecord(core.NamedEvent{V: graph.VertexID(e.V), Name: e.Name, Preds: e.preds()}), nil
+	}
+	return wal.RefRecord(run.Event{
+		V:     graph.VertexID(e.V),
+		Ref:   spec.VertexRef{Graph: spec.GraphID(*e.Graph), V: graph.VertexID(*e.Vertex)},
+		Preds: e.preds(),
+	}), nil
 }
 
 // CreateSessionRequest is the JSON body of POST /v1/sessions.

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 
+	"wfreach/internal/graph"
 	"wfreach/internal/wal"
 )
 
@@ -31,16 +32,36 @@ const MaxFramePayload = wal.MaxPayload
 
 // AppendFrame encodes one wire event as a binary ingest frame onto
 // buf and returns the extended slice. The bytes are exactly what the
-// server's write-ahead log stores for the same event. Malformed
-// events (see Event.Record) are rejected with buf unchanged.
+// server's write-ahead log stores for the same event, written straight
+// from the event's fields. Malformed events (see Event.Record) are
+// rejected with buf unchanged.
 func AppendFrame(buf []byte, ev Event) ([]byte, error) {
-	rec, err := ev.Record()
-	if err != nil {
+	if err := ev.check(); err != nil {
 		return buf, err
 	}
-	out, err := wal.AppendFrame(buf, rec)
+	var out []byte
+	var err error
+	if ev.Name != "" {
+		out, err = wal.AppendNamedFrame(buf, ev.V, ev.Name, ev.Preds)
+	} else {
+		out, err = wal.AppendRefFrame(buf, ev.V, *ev.Graph, *ev.Vertex, ev.Preds)
+	}
 	if err != nil {
 		return buf, Errorf(CodeBadFrame, "%v", err)
+	}
+	return out, nil
+}
+
+// AppendFrames encodes a batch of wire events onto buf, one frame
+// each — an ingest body. On a malformed event it stops with that
+// event's error and buf unchanged.
+func AppendFrames(buf []byte, events []Event) ([]byte, error) {
+	out := buf
+	for i := range events {
+		var err error
+		if out, err = AppendFrame(out, events[i]); err != nil {
+			return buf, err
+		}
 	}
 	return out, nil
 }
@@ -50,19 +71,43 @@ func AppendFrame(buf []byte, ev Event) ([]byte, error) {
 // undecodable payload — is a *Error with CodeBadFrame; unlike the
 // WAL's tail-tolerant Scan, a wire stream has no excuse for
 // corruption mid-body.
+//
+// The reader owns two buffers its results alias. The frame slice is
+// reused by the next Next. The records' predecessor slices sit in one
+// arena that only grows until Release (or Reset) rewinds it, so a
+// caller may hold a batch of records, hand them on, and release them
+// together: past its warm-up a released reader decodes without
+// allocating. One that is never released keeps every record valid and
+// simply keeps growing.
 type FrameReader struct {
-	fr *wal.FrameReader
+	br    *bufio.Reader
+	fr    *wal.FrameReader
+	preds []graph.VertexID
 }
 
 // NewFrameReader wraps r for frame-by-frame decoding.
 func NewFrameReader(r io.Reader) *FrameReader {
-	return &FrameReader{fr: wal.NewFrameReader(bufio.NewReaderSize(r, 64<<10))}
+	br := bufio.NewReaderSize(r, 64<<10)
+	return &FrameReader{br: br, fr: wal.NewFrameReader(br)}
 }
+
+// Reset points the reader at a new stream, keeping its buffers, and
+// releases the records of the old one. Reset(nil) drops the reference
+// to a finished stream.
+func (fr *FrameReader) Reset(r io.Reader) {
+	fr.br.Reset(r)
+	fr.fr.Reset(fr.br)
+	fr.Release()
+}
+
+// Release ends the life of every record returned so far: their
+// predecessor slices will be overwritten by the records that follow.
+func (fr *FrameReader) Release() { fr.preds = fr.preds[:0] }
 
 // Next returns the next record and its raw frame bytes (header plus
 // payload). The frame slice is reused by the following Next call —
-// callers that keep it must copy. A clean end of stream returns
-// io.EOF.
+// callers that keep it must copy; the record's predecessors are valid
+// until Release. A clean end of stream returns io.EOF.
 func (fr *FrameReader) Next() (wal.Record, []byte, error) {
 	frame, err := fr.fr.Next()
 	if err == io.EOF {
@@ -71,7 +116,7 @@ func (fr *FrameReader) Next() (wal.Record, []byte, error) {
 	if err != nil {
 		return wal.Record{}, nil, Errorf(CodeBadFrame, "bad frame: %v", err)
 	}
-	rec, err := wal.DecodeRecord(frame[FrameHeaderSize:])
+	rec, err := wal.DecodeRecordInto(&fr.preds, frame[FrameHeaderSize:])
 	if err != nil {
 		return wal.Record{}, nil, Errorf(CodeBadFrame, "bad frame: %v", err)
 	}
@@ -93,5 +138,6 @@ func DecodeFrames(b []byte) ([]Event, error) {
 			return out, err
 		}
 		out = append(out, FromRecord(rec))
+		fr.Release() // the wire event has its own copy
 	}
 }

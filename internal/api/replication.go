@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"io"
 
+	"wfreach/internal/graph"
 	"wfreach/internal/wal"
 )
 
@@ -90,9 +91,14 @@ type TailEntry struct {
 // *Error with CodeBadFrame; a cleanly ended stream returns io.EOF
 // (the primary closed the response; reconnect and resume from the
 // last applied sequence).
+//
+// Like FrameReader, the reader owns what its entries alias: Frame is
+// reused by the next Next, and the records' predecessor slices share
+// one arena that grows until Release rewinds it.
 type TailReader struct {
-	br *bufio.Reader
-	fr *wal.FrameReader
+	br    *bufio.Reader
+	fr    *wal.FrameReader
+	preds []graph.VertexID
 }
 
 // NewTailReader wraps r for entry-by-entry decoding.
@@ -106,8 +112,13 @@ func NewTailReader(r io.Reader) *TailReader {
 // without blocking on the network.
 func (t *TailReader) Buffered() bool { return t.br.Buffered() > 0 }
 
+// Release ends the life of every entry's record returned so far: their
+// predecessor slices will be overwritten by the entries that follow.
+func (t *TailReader) Release() { t.preds = t.preds[:0] }
+
 // Next returns the next entry. Entry.Frame is reused by the following
-// Next call; consumers that keep it must copy.
+// Next call; consumers that keep it must copy. The record's
+// predecessors are valid until Release.
 func (t *TailReader) Next() (TailEntry, error) {
 	// The sequence prefix is read here, the frame by the shared reader
 	// on the same buffered stream (it never reads ahead of its frame).
@@ -130,7 +141,7 @@ func (t *TailReader) Next() (TailEntry, error) {
 	if err != nil {
 		return TailEntry{}, Errorf(CodeBadFrame, "tail frame at seq %d: %v", seq, err)
 	}
-	rec, err := wal.DecodeRecord(frame[FrameHeaderSize:])
+	rec, err := wal.DecodeRecordInto(&t.preds, frame[FrameHeaderSize:])
 	if err != nil {
 		return TailEntry{}, Errorf(CodeBadFrame, "tail frame at seq %d: %v", seq, err)
 	}

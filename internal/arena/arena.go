@@ -290,6 +290,20 @@ func (a *Arena) VerifyMerkle() error {
 	return nil
 }
 
+// Evict tells the kernel the arena's pages need not stay resident. A
+// restore reads every one of them once — VerifyMerkle the labels, the
+// store the extents — after which the process would carry the whole
+// snapshot in its resident set for as long as the mapping lives, which
+// is the process's lifetime. Evicted pages stay in the page cache and
+// fault back in when a query touches them, so this is safe with readers
+// at work and restores what mapping the file promised: only the bytes
+// queries touch reach memory. A heap-backed arena is left alone.
+func (a *Arena) Evict() {
+	if a.mapped {
+		evictFile(a.data)
+	}
+}
+
 // Close releases the mapping. It must not be called while any caller
 // can still hold slices into the arena — a store serving an arena
 // keeps it for the store's lifetime and never closes it.

@@ -71,6 +71,16 @@ func TestRoundTripDense(t *testing.T) {
 	if err := a.Verify(); err != nil {
 		t.Fatalf("Verify: %v", err)
 	}
+	// Evicted pages fault back in with the bytes the file holds: slices
+	// handed out before stay good, and so does everything read after.
+	held, _ := get(a, 42)
+	a.Evict()
+	if !bytes.Equal(held, want[42]) {
+		t.Fatalf("a slice held across Evict reads %q, want %q", held, want[42])
+	}
+	if err := a.VerifyMerkle(); err != nil {
+		t.Fatalf("VerifyMerkle after Evict: %v", err)
+	}
 }
 
 func TestRoundTripSparse(t *testing.T) {

@@ -21,3 +21,6 @@ func openFile(path string) (data []byte, mapped bool, err error) {
 // unmapFile is a no-op for heap-backed arenas (never called: openFile
 // reports mapped=false).
 func unmapFile([]byte) error { return nil }
+
+// evictFile is a no-op for heap-backed arenas (never called).
+func evictFile([]byte) {}

@@ -46,3 +46,8 @@ func unmapFile(data []byte) error {
 	}
 	return nil
 }
+
+// evictFile drops a mapping's pages from the resident set. The file
+// backs them, so nothing is lost; it is advice, and a kernel that
+// declines it has only left the pages where they were.
+func evictFile(data []byte) { _ = syscall.Madvise(data, syscall.MADV_DONTNEED) }

@@ -26,11 +26,14 @@
 // The execution labeler also keeps per-event scratch (comparison
 // buffers, a visit stamp on parse-tree nodes) that every Insert
 // overwrites, so two concurrent Inserts corrupt each other's search,
-// not merely its order. Nothing returned ever points into scratch.
+// not merely its order. Nothing returned ever points into scratch: the
+// append-style entry points (AppendInsert, AppendInsertNamed) write the
+// label into a buffer the caller hands in and keep no reference to it.
 package core
 
 import (
 	"fmt"
+	"slices"
 
 	"wfreach/internal/graph"
 	"wfreach/internal/label"
@@ -64,7 +67,7 @@ func (m RMode) String() string {
 // base holds the state shared by the derivation-based and
 // execution-based labelers: the explicit parse tree and the
 // bookkeeping from run vertices to tree instances. Issued labels are
-// not stored; Label rebuilds them (see labelOf).
+// not stored; Label rebuilds them (see appendLabel).
 type base struct {
 	g    *spec.Grammar
 	skel *skeleton.Scheme
@@ -73,7 +76,7 @@ type base struct {
 	root *parsetree.Node
 	// ctx maps a run vertex to its context instance and spec vertex
 	// (Definition 11: the instance whose annotated graph contains it).
-	ctx map[graph.VertexID]memberRef
+	ctx vertexTable
 }
 
 type memberRef struct {
@@ -81,13 +84,54 @@ type memberRef struct {
 	sv   graph.VertexID
 }
 
-func newBase(g *spec.Grammar, kind skeleton.Kind, mode RMode) base {
-	return base{
-		g:    g,
-		skel: skeleton.New(kind, g),
-		mode: mode,
-		ctx:  make(map[graph.VertexID]memberRef),
+// A vertexPage holds the contexts of vertexPageSize consecutive run
+// vertex ids; the zero memberRef (nil node) means "not inserted".
+const (
+	vertexPageShift = 10
+	vertexPageSize  = 1 << vertexPageShift
+)
+
+type vertexPage [vertexPageSize]memberRef
+
+// vertexTable is the run-vertex → context table: a paged array indexed
+// by vertex id, the same shape as the store's index one layer down —
+// runs number their vertices densely from 0, so a lookup is two loads
+// and no hashing, a page is allocated the first time an id in its
+// range is inserted, and a far-out id costs that one page plus a
+// directory of nil pointers. The labeler is single-writer, so nothing
+// here is atomic.
+type vertexTable struct {
+	pages []*vertexPage
+	n     int // vertices inserted
+}
+
+// get returns the context of v; ok is false for an id never inserted,
+// negative ones included.
+func (t *vertexTable) get(v graph.VertexID) (ref memberRef, ok bool) {
+	// A negative id shifts to an index past any directory.
+	i := int(uint32(v) >> vertexPageShift)
+	if i >= len(t.pages) || t.pages[i] == nil {
+		return memberRef{}, false
 	}
+	ref = t.pages[i][v&(vertexPageSize-1)]
+	return ref, ref.node != nil
+}
+
+// put records the context of v, which must be non-negative and new.
+func (t *vertexTable) put(v graph.VertexID, ref memberRef) {
+	i := int(v >> vertexPageShift)
+	if i >= len(t.pages) {
+		t.pages = append(t.pages, make([]*vertexPage, i+1-len(t.pages))...)
+	}
+	if t.pages[i] == nil {
+		t.pages[i] = new(vertexPage)
+	}
+	t.pages[i][v&(vertexPageSize-1)] = ref
+	t.n++
+}
+
+func newBase(g *spec.Grammar, kind skeleton.Kind, mode RMode) base {
+	return base{g: g, skel: skeleton.New(kind, g), mode: mode}
 }
 
 // designatedOf returns the R-compressed recursive vertex of a graph
@@ -119,33 +163,40 @@ func specialEntry(x *parsetree.Node) label.Entry {
 	return label.Entry{Index: x.Index, Type: x.Kind, Skl: spec.NoRef}
 }
 
-// bind materializes spec vertex sv of instance x as run vertex v and
-// issues its final reachability label. Labels are immutable: binding
-// an already-labeled vertex panics (it would be a labeler bug).
-func (b *base) bind(x *parsetree.Node, sv, v graph.VertexID) label.Label {
+// bind materializes spec vertex sv of instance x as run vertex v,
+// which fixes its reachability label (appendLabel writes it out).
+// Labels are immutable: binding an already-labeled vertex panics (it
+// would be a labeler bug).
+func (b *base) bind(x *parsetree.Node, sv, v graph.VertexID) {
 	if x.RunOf[sv] != graph.None {
 		panic(fmt.Sprintf("core: spec vertex %d of instance already materialized", sv))
 	}
-	if _, dup := b.ctx[v]; dup {
+	if _, dup := b.ctx.get(v); dup {
 		panic(fmt.Sprintf("core: run vertex %d labeled twice", v))
 	}
 	x.RunOf[sv] = v
-	b.ctx[v] = memberRef{x, sv}
-	return b.labelOf(x, sv)
+	b.ctx.put(v, memberRef{x, sv})
 }
 
-// labelOf builds φ_g of spec vertex sv of instance x, materialized or
-// not: the instance's prefix plus the vertex's member entry. Both are
-// fixed once x exists, so every call returns an equal, freshly
-// allocated label — which is why issued labels need not be kept.
+// appendLabel appends φ_g of spec vertex sv of instance x, materialized
+// or not, to dst: the instance's prefix plus the vertex's member entry.
+// Both are fixed once x exists, so every call writes equal entries —
+// which is why issued labels need not be kept. dst grows at most once.
+func (b *base) appendLabel(dst []label.Entry, x *parsetree.Node, sv graph.VertexID) []label.Entry {
+	dst = slices.Grow(dst, len(x.Prefix.Entries)+1)
+	dst = append(dst, x.Prefix.Entries...)
+	return append(dst, b.memberEntry(x, sv))
+}
+
+// labelOf is appendLabel into a fresh label.
 func (b *base) labelOf(x *parsetree.Node, sv graph.VertexID) label.Label {
-	return x.Prefix.Append(b.memberEntry(x, sv))
+	return label.Label{Entries: b.appendLabel(nil, x, sv)}
 }
 
 // Label returns the reachability label of a run vertex: a fresh copy
-// of what bind issued for it.
+// of what its insertion issued.
 func (b *base) Label(v graph.VertexID) (label.Label, bool) {
-	ref, ok := b.ctx[v]
+	ref, ok := b.ctx.get(v)
 	if !ok {
 		return label.Label{}, false
 	}
@@ -179,7 +230,7 @@ func (b *base) Skeleton() *skeleton.Scheme { return b.skel }
 func (b *base) Grammar() *spec.Grammar { return b.g }
 
 // LabelCount returns the number of labels issued so far.
-func (b *base) LabelCount() int { return len(b.ctx) }
+func (b *base) LabelCount() int { return b.ctx.n }
 
 // graphOf returns the specification graph of an instance node.
 func (b *base) graphOf(x *parsetree.Node) *graph.Graph {

@@ -51,7 +51,7 @@ func (d *DerivationLabeler) Apply(st *run.Step) error {
 	if d.root == nil {
 		return fmt.Errorf("core: Apply before Start")
 	}
-	info, ok := d.ctx[st.Target]
+	info, ok := d.ctx.get(st.Target)
 	if !ok {
 		return fmt.Errorf("core: unknown replacement target %d", st.Target)
 	}

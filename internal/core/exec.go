@@ -78,37 +78,60 @@ func NewExecutionLabeler(g *spec.Grammar, kind skeleton.Kind, mode RMode) *Execu
 
 // Insert labels one newly executed vertex. Insertions must arrive in a
 // topological order of the (eventual) run graph, as executions do
-// (Definition 8). It returns the vertex's final label.
+// (Definition 8). It returns the vertex's final label, freshly
+// allocated and the caller's to keep.
 func (e *ExecutionLabeler) Insert(ev run.Event) (label.Label, error) {
+	entries, err := e.AppendInsert(nil, ev)
+	return label.Label{Entries: entries}, err
+}
+
+// AppendInsert is Insert issuing the label into a buffer the caller
+// owns: the vertex's final label is appended to dst, entry by entry,
+// and the extended slice returned (dst itself on an error). A caller
+// that consumes each label before the next insertion — the service
+// encodes it into the store's slab — passes the same buffer every time
+// and the insertion allocates nothing; the labeler keeps no reference
+// to dst.
+func (e *ExecutionLabeler) AppendInsert(dst []label.Entry, ev run.Event) ([]label.Entry, error) {
 	gid, sv := ev.Ref.Graph, ev.Ref.V
 	if gid < 0 || int(gid) >= len(e.info) {
-		return label.Label{}, fmt.Errorf("core: event names unknown graph %d", gid)
+		return dst, fmt.Errorf("core: event names unknown graph %d", gid)
 	}
 	gi := &e.info[gid]
 	if !gi.g.Valid(sv) {
-		return label.Label{}, fmt.Errorf("core: event names unknown vertex %d of graph %d", sv, gid)
+		return dst, fmt.Errorf("core: event names unknown vertex %d of graph %d", sv, gid)
 	}
 	if err := e.checkEvent(ev.V, ev.Preds); err != nil {
-		return label.Label{}, err
+		return dst, err
 	}
 
-	// Bootstrap: the very first insertion must be g0's source.
-	if e.root == nil {
+	var x *parsetree.Node
+	var err error
+	switch {
+	case e.root == nil:
+		// Bootstrap: the very first insertion must be g0's source.
 		if gid != spec.StartGraph || sv != gi.source || len(ev.Preds) != 0 {
-			return label.Label{}, fmt.Errorf("core: execution must start with the source of g0")
+			return dst, fmt.Errorf("core: execution must start with the source of g0")
 		}
-		root := e.startRoot()
-		root.Prefix = label.Label{}
-		return e.bind(root, sv, ev.V), nil
+		x = e.startRoot()
+	case len(ev.Preds) == 0:
+		return dst, fmt.Errorf("core: only the source of g0 has no predecessors")
+	case gid != spec.StartGraph && sv == gi.source:
+		x, err = e.openInstance(ev)
+	default:
+		x, err = e.findMember(ev)
 	}
-	if len(ev.Preds) == 0 {
-		return label.Label{}, fmt.Errorf("core: only the source of g0 has no predecessors")
+	if err != nil {
+		return dst, err
 	}
+	return e.issue(dst, x, sv, ev.V), nil
+}
 
-	if gid != spec.StartGraph && sv == gi.source {
-		return e.insertSource(ev)
-	}
-	return e.insertMember(ev)
+// issue binds run vertex v as spec vertex sv of instance x and appends
+// its label to dst.
+func (e *ExecutionLabeler) issue(dst []label.Entry, x *parsetree.Node, sv, v graph.VertexID) []label.Entry {
+	e.bind(x, sv, v)
+	return e.appendLabel(dst, x, sv)
 }
 
 // checkEvent is the validation every insertion entry point makes
@@ -119,36 +142,36 @@ func (e *ExecutionLabeler) checkEvent(v graph.VertexID, preds []graph.VertexID) 
 	if v < 0 {
 		return fmt.Errorf("core: run vertex id %d is negative", v)
 	}
-	if _, dup := e.ctx[v]; dup {
+	if _, dup := e.ctx.get(v); dup {
 		return fmt.Errorf("core: run vertex %d inserted twice", v)
 	}
 	for _, p := range preds {
-		if _, ok := e.ctx[p]; !ok {
+		if _, ok := e.ctx.get(p); !ok {
 			return fmt.Errorf("core: predecessor %d of vertex %d not yet inserted", p, v)
 		}
 	}
 	return nil
 }
 
-// insertMember binds a non-source vertex to its existing instance: the
-// first instance along the predecessors' slot-parent chains whose
-// graph matches, whose spec vertex is unmaterialized, and whose
+// findMember returns the existing instance a non-source vertex binds
+// to: the first instance along the predecessors' slot-parent chains
+// whose graph matches, whose spec vertex is unmaterialized, and whose
 // expected predecessors equal the event's.
-func (e *ExecutionLabeler) insertMember(ev run.Event) (label.Label, error) {
+func (e *ExecutionLabeler) findMember(ev run.Event) (*parsetree.Node, error) {
 	gid, sv := ev.Ref.Graph, ev.Ref.V
 	for x := range e.candidates(ev.Preds) {
 		if x.Graph == gid && x.RunOf[sv] == graph.None && e.feeds(x, sv, ev.Preds) {
-			return e.bind(x, sv, ev.V), nil
+			return x, nil
 		}
 	}
-	return label.Label{}, fmt.Errorf("core: no instance accepts vertex %d (g%d:%d)", ev.V, gid, sv)
+	return nil, fmt.Errorf("core: no instance accepts vertex %d (g%d:%d)", ev.V, gid, sv)
 }
 
-// insertSource opens a new instance of graph gid for a source-dummy
+// openInstance opens a new instance of graph gid for a source-dummy
 // insertion, attaching it to the slot whose expected predecessors
 // match. Continuations of existing loop and fork groups are preferred
 // over fresh expansions, and deeper instances over shallower ones.
-func (e *ExecutionLabeler) insertSource(ev run.Event) (label.Label, error) {
+func (e *ExecutionLabeler) openInstance(ev run.Event) (*parsetree.Node, error) {
 	gid := ev.Ref.Graph
 	gi := &e.info[gid]
 	vertices := len(gi.composite)
@@ -177,7 +200,7 @@ func (e *ExecutionLabeler) insertSource(ev run.Event) (label.Label, error) {
 			x := gx.AddInstance(gid, vertices, gx.NextIndex())
 			x.Prefix = gx.Prefix
 			x.SlotParent, x.SlotVertex = y, cu
-			return e.bind(x, gi.source, ev.V), nil
+			return x, nil
 		}
 		// Fresh expansions of this instance's unexpanded slots (which
 		// include the designated recursive vertex, whose expansion
@@ -186,14 +209,10 @@ func (e *ExecutionLabeler) insertSource(ev run.Event) (label.Label, error) {
 			if y.Groups[cu] != nil || e.info[y.Graph].g.Name(cu) != gi.owner || !e.feeds(y, cu, ev.Preds) {
 				continue
 			}
-			x, err := e.expandSlot(y, cu, gid)
-			if err != nil {
-				return label.Label{}, err
-			}
-			return e.bind(x, gi.source, ev.V), nil
+			return e.expandSlot(y, cu, gid)
 		}
 	}
-	return label.Label{}, fmt.Errorf("core: no slot accepts source of g%d (vertex %d)", gid, ev.V)
+	return nil, fmt.Errorf("core: no slot accepts source of g%d (vertex %d)", gid, ev.V)
 }
 
 // expandSlot creates the tree structure for the first copy of slot cu
@@ -249,7 +268,8 @@ func (e *ExecutionLabeler) candidates(preds []graph.VertexID) iter.Seq[*parsetre
 	e.got = e.got[:0]
 	return func(yield func(*parsetree.Node) bool) {
 		for _, p := range preds {
-			for x := e.ctx[p].node; x != nil && x.Visit != e.stamp; x = x.SlotParent {
+			ref, _ := e.ctx.get(p) // checkEvent saw every predecessor
+			for x := ref.node; x != nil && x.Visit != e.stamp; x = x.SlotParent {
 				x.Visit = e.stamp
 				if !yield(x) {
 					return

@@ -28,9 +28,16 @@ type NamedEvent struct {
 // starts); interior modules resolve within the candidate instance
 // located through the predecessors, where names are unique.
 func (e *ExecutionLabeler) InsertNamed(ev NamedEvent) (label.Label, error) {
+	entries, err := e.AppendInsertNamed(nil, ev)
+	return label.Label{Entries: entries}, err
+}
+
+// AppendInsertNamed is InsertNamed issuing the label into the caller's
+// buffer, with AppendInsert's contract.
+func (e *ExecutionLabeler) AppendInsertNamed(dst []label.Entry, ev NamedEvent) ([]label.Entry, error) {
 	if !e.namedChecked {
 		if err := e.g.Spec().NameResolvable(); err != nil {
-			return label.Label{}, fmt.Errorf("core: name-based insertion unavailable: %w", err)
+			return dst, fmt.Errorf("core: name-based insertion unavailable: %w", err)
 		}
 		e.namedChecked = true
 	}
@@ -41,12 +48,12 @@ func (e *ExecutionLabeler) InsertNamed(ev NamedEvent) (label.Label, error) {
 		for _, t := range [2]graph.VertexID{gi.source, gi.sink} {
 			if gi.g.Name(t) == ev.Name {
 				ref := spec.VertexRef{Graph: spec.GraphID(gid), V: t}
-				return e.Insert(run.Event{V: ev.V, Ref: ref, Preds: ev.Preds})
+				return e.AppendInsert(dst, run.Event{V: ev.V, Ref: ref, Preds: ev.Preds})
 			}
 		}
 	}
 	if err := e.checkEvent(ev.V, ev.Preds); err != nil {
-		return label.Label{}, err
+		return dst, err
 	}
 	// Interior module: find the open instance whose graph has this
 	// name unmaterialized with matching predecessors (condition 1
@@ -58,12 +65,12 @@ func (e *ExecutionLabeler) InsertNamed(ev NamedEvent) (label.Label, error) {
 				continue
 			}
 			if r == graph.None && e.feeds(x, graph.VertexID(sv), ev.Preds) {
-				return e.bind(x, graph.VertexID(sv), ev.V), nil
+				return e.issue(dst, x, graph.VertexID(sv), ev.V), nil
 			}
 			break
 		}
 	}
-	return label.Label{}, fmt.Errorf("core: no instance accepts module %q (vertex %d)", ev.Name, ev.V)
+	return dst, fmt.Errorf("core: no instance accepts module %q (vertex %d)", ev.Name, ev.V)
 }
 
 // LabelNamedExecution drives a full name-identified execution through

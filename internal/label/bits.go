@@ -76,13 +76,11 @@ func (w *bitWriter) write(v uint64, k uint) {
 	}
 }
 
-// finish stores the last partial word, zero-padded to a whole byte,
-// and returns the buffer.
-func (w *bitWriter) finish() []byte {
+// finish stores the last partial word, zero-padded to a whole byte.
+func (w *bitWriter) finish() {
 	for ; w.n > 0; w.n -= min(w.n, 8) {
 		w.buf[w.pos] = byte(w.acc >> 56)
 		w.pos++
 		w.acc <<= 8
 	}
-	return w.buf
 }

@@ -96,11 +96,11 @@ func (c *Codec) BitLen(l Label) int {
 // EncodedBits returns the exact wire size of the label in bits,
 // including the self-delimiting framing of Encode and its padding to a
 // whole byte.
-func (c *Codec) EncodedBits(l Label) int { return c.encodedLen(l) * 8 }
+func (c *Codec) EncodedBits(l Label) int { return c.EncodedLen(l) * 8 }
 
-// encodedLen is the length pass: the exact size in bytes Encode
-// produces for l.
-func (c *Codec) encodedLen(l Label) int {
+// EncodedLen is the length pass: the exact size in bytes Encode
+// produces for l — what a caller reserves before EncodeInto.
+func (c *Codec) EncodedLen(l Label) int {
 	n := 8 // entry count frame
 	prevR := false
 	for i := range l.Entries {
@@ -121,13 +121,23 @@ func (c *Codec) encodedLen(l Label) int {
 }
 
 // Encode serializes a label into the canonical layout, in one
-// allocation of exactly the encoded length. A label deeper than
-// MaxEntries or an N entry without skeleton pointer is a caller bug.
+// allocation of exactly the encoded length.
 func (c *Codec) Encode(l Label) []byte {
+	buf := make([]byte, c.EncodedLen(l))
+	c.EncodeInto(buf, l)
+	return buf
+}
+
+// EncodeInto serializes a label into dst, which must be exactly
+// EncodedLen(l) bytes — a region the caller reserved where the label
+// will be read, so no encoded copy is ever made. Every byte of dst is
+// written; what it held does not matter. A label deeper than MaxEntries
+// or an N entry without skeleton pointer is a caller bug.
+func (c *Codec) EncodeInto(dst []byte, l Label) {
 	if len(l.Entries) > MaxEntries {
 		panic(fmt.Sprintf("label: %d entries exceed the %d the count frame holds", len(l.Entries), MaxEntries))
 	}
-	w := bitWriter{buf: make([]byte, c.encodedLen(l))}
+	w := bitWriter{buf: dst}
 	w.write(uint64(len(l.Entries)), 8)
 	prevR := false
 	for i := range l.Entries {
@@ -150,7 +160,7 @@ func (c *Codec) Encode(l Label) []byte {
 		}
 		prevR = e.Type == R
 	}
-	return w.finish()
+	w.finish()
 }
 
 func b2u(b bool) uint64 {

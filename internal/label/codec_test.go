@@ -113,7 +113,8 @@ func corpus(t testing.TB) map[*spec.Grammar][]label.Label {
 // TestEncodeMatchesReferenceWriter: the word-at-a-time writer must be
 // byte-identical to the bit-at-a-time one on the whole corpus and on
 // the index widths where shifts go wrong first — 1, 2³⁰ and 2³¹−1 (the
-// valueBits overflow trap) — and its length pass must agree with it.
+// valueBits overflow trap) — its length pass must agree with it, and
+// encoding in place must write every byte of the extent it is given.
 func TestEncodeMatchesReferenceWriter(t *testing.T) {
 	labels := corpus(t)
 	g := spec.MustCompile(wfspecs.RunningExample())
@@ -141,6 +142,11 @@ func TestEncodeMatchesReferenceWriter(t *testing.T) {
 			}
 			if c.EncodedBits(l) != 8*len(want) {
 				t.Fatalf("%s: EncodedBits = %d, encoding has %d", l, c.EncodedBits(l), 8*len(want))
+			}
+			// In place, over whatever the reserved extent held.
+			into := bytes.Repeat([]byte{0xff}, c.EncodedLen(l))
+			if c.EncodeInto(into, l); !bytes.Equal(into, want) {
+				t.Fatalf("%s: EncodeInto over a dirty buffer = %x, reference writer = %x", l, into, want)
 			}
 			dec, err := c.Decode(got)
 			if err != nil || !dec.Equal(l) {

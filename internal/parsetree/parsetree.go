@@ -55,20 +55,55 @@ type Node struct {
 	// node's own temporary label φ_g(x) (Algorithm 3); for instance
 	// nodes, the prefix to which a member's final entry is appended.
 	Prefix label.Label
+
+	slab *slab // the tree's allocator, shared by every node of it
 }
 
-// NewRoot creates the root instance annotated with the start graph.
-func NewRoot(gid spec.GraphID, vertices int) *Node {
-	return newInstance(gid, vertices)
+// A slab carves a tree's nodes and their per-vertex slices from chunks,
+// so opening an instance costs three allocations per chunk rather than
+// per instance. A tree only grows and is dropped whole, so nothing is
+// ever handed back.
+type slab struct {
+	nodes  []Node
+	runOf  []graph.VertexID
+	groups []*Node
 }
 
-func newInstance(gid spec.GraphID, vertices int) *Node {
-	n := &Node{Kind: label.N, Graph: gid, Groups: make([]*Node, vertices)}
-	n.RunOf = make([]graph.VertexID, vertices)
+const (
+	nodeChunk   = 32  // nodes per chunk
+	vertexChunk = 256 // RunOf and Groups entries per chunk
+)
+
+func (a *slab) node() *Node {
+	if len(a.nodes) == 0 {
+		a.nodes = make([]Node, nodeChunk)
+	}
+	n := &a.nodes[0]
+	a.nodes = a.nodes[1:]
+	n.slab = a
+	return n
+}
+
+// instance returns a fresh instance node. Its slices are capped at
+// their length, so an append can never cross into a neighbour's.
+func (a *slab) instance(gid spec.GraphID, vertices int) *Node {
+	if len(a.runOf) < vertices {
+		a.runOf = make([]graph.VertexID, max(vertexChunk, vertices))
+		a.groups = make([]*Node, len(a.runOf))
+	}
+	n := a.node()
+	n.Kind, n.Graph = label.N, gid
+	n.RunOf, a.runOf = a.runOf[:vertices:vertices], a.runOf[vertices:]
+	n.Groups, a.groups = a.groups[:vertices:vertices], a.groups[vertices:]
 	for i := range n.RunOf {
 		n.RunOf[i] = graph.None
 	}
 	return n
+}
+
+// NewRoot creates the root instance annotated with the start graph.
+func NewRoot(gid spec.GraphID, vertices int) *Node {
+	return new(slab).instance(gid, vertices)
 }
 
 // AddSpecial appends a new special child (L, F or R) to n with the
@@ -80,7 +115,8 @@ func (n *Node) AddSpecial(kind label.NodeType, index int32) *Node {
 	if kind == label.N {
 		panic("parsetree: AddSpecial with N kind")
 	}
-	c := &Node{Kind: kind, Parent: n, Index: index}
+	c := n.slab.node()
+	c.Kind, c.Parent, c.Index = kind, n, index
 	n.Children = append(n.Children, c)
 	return c
 }
@@ -88,7 +124,7 @@ func (n *Node) AddSpecial(kind label.NodeType, index int32) *Node {
 // AddInstance appends a new instance child annotated with the given
 // specification graph, with the given sibling index (see AddSpecial).
 func (n *Node) AddInstance(gid spec.GraphID, vertices int, index int32) *Node {
-	c := newInstance(gid, vertices)
+	c := n.slab.instance(gid, vertices)
 	c.Parent = n
 	c.Index = index
 	n.Children = append(n.Children, c)

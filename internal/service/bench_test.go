@@ -50,6 +50,7 @@ func ingestAll(b *testing.B, s *service.Session, events []run.Event, batch int) 
 func BenchmarkSessionIngest(b *testing.B) {
 	g, events := benchEvents(b, 8192)
 	cfg := service.Config{Skeleton: skeleton.TCL, Mode: core.RModeDesignated}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		reg := service.NewRegistry()
@@ -274,6 +275,7 @@ func BenchmarkHTTPIngestBinary(b *testing.B) {
 	_, c, nextSession := benchHTTP(b, true)
 	wire := wireEvents(b, events)
 	ctx := context.Background()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		name := nextSession()

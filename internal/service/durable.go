@@ -15,6 +15,7 @@ import (
 	"wfreach/internal/api"
 	"wfreach/internal/arena"
 	"wfreach/internal/core"
+	"wfreach/internal/graph"
 	"wfreach/internal/integrity"
 	"wfreach/internal/spec"
 	"wfreach/internal/store"
@@ -430,10 +431,6 @@ func (r *Registry) Close() error {
 // restoreSession discards it and replays without it.
 var errArenaUnbacked = errors.New("service: snapshot is not backed by the log")
 
-// replayBatch is how many re-encoded labels replay stages per
-// store.AppendOwned call.
-const replayBatch = 1024
-
 // replayed is what one pass over a session's log recovered: the records
 // of its valid prefix, that prefix's byte length, and the hash-chain
 // head over it — what the reopened log is truncated to and continues
@@ -487,6 +484,9 @@ func (s *Session) replay(a *arena.Arena) (replayed, error) {
 		if err := s.store.AttachArena(a); err != nil {
 			return replayed{}, fmt.Errorf("%w: %v", errArenaUnbacked, err)
 		}
+		// Verified and indexed: every page has been read once and none
+		// is needed again until a query asks for it.
+		a.Evict()
 		covered, watermark = a.Events(), a.WALBytes()
 		_, anchor = a.Integrity()
 	}
@@ -500,12 +500,9 @@ func (s *Session) replay(a *arena.Arena) (replayed, error) {
 	var out replayed
 	chainer := integrity.NewChainer()
 	anchored := a == nil
-	batch := make([]store.Entry, 0, replayBatch)
-	stage := func() error {
-		err := s.store.AppendOwned(batch)
-		batch = batch[:0]
-		return err
-	}
+	// One predecessor buffer serves every record: the labeler copies
+	// what it keeps, and the record is dropped before the next decode.
+	var preds []graph.VertexID
 walk:
 	for {
 		if !anchored && out.validSize == watermark {
@@ -523,7 +520,8 @@ walk:
 			return replayed{}, err
 		}
 		if !hashOnly {
-			rec, err := wal.DecodeRecord(frame[wal.FrameHeaderSize:])
+			preds = preds[:0]
+			rec, err := wal.DecodeRecordInto(&preds, frame[wal.FrameHeaderSize:])
 			if err != nil {
 				break walk // framed but malformed: damage like a failed CRC
 			}
@@ -535,10 +533,8 @@ walk:
 			case err != nil:
 				break walk
 			case out.events >= covered:
-				if batch = append(batch, store.Entry{V: v, Enc: s.store.Encode(l)}); len(batch) == cap(batch) {
-					if err := stage(); err != nil {
-						return replayed{}, err
-					}
+				if err := s.store.Stage(v, l); err != nil {
+					return replayed{}, err
 				}
 			}
 		}
@@ -549,9 +545,6 @@ walk:
 	if !anchored {
 		return replayed{}, fmt.Errorf("integrity: chain over covered WAL prefix: %w: valid frames end at byte %d, not at the snapshot's watermark %d",
 			wal.ErrCorrupt, out.validSize, watermark)
-	}
-	if err := stage(); err != nil {
-		return replayed{}, err
 	}
 	s.store.Publish()
 	s.needLabelerReplay = hashOnly && covered > 0

@@ -264,7 +264,7 @@ func NewHandler(reg *Registry) http.Handler {
 					if r.ContentLength > 0 {
 						s.AddIngestBytes(r.ContentLength)
 					}
-					handleEvents(s, w, r)
+					handleEvents(s, reg.ingestScratch, w, r)
 				}
 			},
 		}},
@@ -477,9 +477,9 @@ func ParseConfig(skelName, modeName string) (Config, error) {
 	return cfg, nil
 }
 
-func handleEvents(s *Session, w http.ResponseWriter, r *http.Request) {
+func handleEvents(s *Session, free scratchList, w http.ResponseWriter, r *http.Request) {
 	if strings.HasPrefix(r.Header.Get("Content-Type"), api.ContentTypeFrame) {
-		handleEventsBinary(s, w, r)
+		handleEventsBinary(s, free, w, r)
 		return
 	}
 	var req api.EventsRequest
@@ -504,34 +504,96 @@ func handleEvents(s *Session, w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, api.EventsResponse{Applied: applied, Vertices: s.Vertices()})
 }
 
+// binaryChunk is how many frames of a binary ingest body go into one
+// AppendRecords call.
+const binaryChunk = 512
+
+// maxIdleFrameBytes is the largest frame buffer an ingestScratch may
+// carry back to the free list: a body of near-MaxFramePayload frames
+// grows it by orders of magnitude, and that should not outlive the
+// request.
+const maxIdleFrameBytes = 1 << 20
+
+// ingestScratch is everything handleEventsBinary needs besides the
+// session: the frame reader (its 64 KiB read buffer, frame buffer and
+// predecessor arena) and the batch its records and frame copies are
+// collected in. It is reused across requests through the registry's
+// scratchList; between requests it references nothing of the last one.
+type ingestScratch struct {
+	fr    *api.FrameReader
+	batch batchScratch
+}
+
+// scratchList is a node's free list of idle ingestScratches: a request
+// takes one (or makes one when all are in use) and puts it back when it
+// is done. It plays the part of a sync.Pool and is not one because the
+// ingest path's allocation counts are gated to the percent and must
+// repeat run for run: a sync.Pool is emptied by the collector, and
+// under the race detector drops a quarter of its Puts at random.
+type scratchList chan *ingestScratch
+
+// ingestScratchSlots bounds the idle scratch a node keeps, each about
+// 130 KiB: enough for a few concurrent writers, the usual case being
+// one ordered writer per session. More of them at once than slots
+// allocate per request, as every request used to.
+const ingestScratchSlots = 4
+
+func (l scratchList) get() *ingestScratch {
+	select {
+	case sc := <-l:
+		return sc
+	default:
+		sc := &ingestScratch{fr: api.NewFrameReader(nil)}
+		sc.batch.recs = make([]wal.Record, 0, binaryChunk)
+		sc.batch.frames = make([][]byte, 0, binaryChunk)
+		return sc
+	}
+}
+
+// put parks sc for the next request, emptied of this one: records are
+// cleared so names and predecessor slices are not retained, the body is
+// dropped, and a scratch whose frame buffer outgrew
+// maxIdleFrameBytes is left to the collector.
+func (l scratchList) put(sc *ingestScratch) {
+	sc.fr.Reset(nil)
+	sc.batch.reset()
+	if cap(sc.batch.buf) > maxIdleFrameBytes {
+		return
+	}
+	select {
+	case l <- sc:
+	default:
+	}
+}
+
 // handleEventsBinary ingests a ContentTypeFrame body: a concatenation
 // of binary event frames (internal/api), applied in order in chunks.
 // On a durable session each accepted frame is teed to the write-ahead
 // log byte-for-byte — the frame formats are identical, so nothing is
 // re-encoded. Like the JSON route, a failure mid-stream leaves the
 // applied prefix ingested and reports it.
-func handleEventsBinary(s *Session, w http.ResponseWriter, r *http.Request) {
-	const chunkSize = 512
-	fr := api.NewFrameReader(r.Body)
-	recs := make([]wal.Record, 0, chunkSize)
-	// Frames are only kept (copied out of the reader's reused buffer)
-	// when there is a log to tee them to; a memory session ingests the
-	// records alone, copy-free.
-	var frames [][]byte
-	if s.durable {
-		frames = make([][]byte, 0, chunkSize)
-	}
+//
+// Records and frames of a chunk alias the shared scratch and are dead
+// once AppendRecords returns: flush rewinds both before the next chunk
+// is read.
+func handleEventsBinary(s *Session, free scratchList, w http.ResponseWriter, r *http.Request) {
+	sc := free.get()
+	defer free.put(sc)
+	sc.fr.Reset(r.Body)
+	fr, b := sc.fr, &sc.batch
 	applied := 0
 	flush := func() error {
-		if len(recs) == 0 {
+		if len(b.recs) == 0 {
 			return nil
 		}
-		n, err := s.AppendRecords(recs, frames)
-		applied += n
-		recs = recs[:0]
-		if frames != nil {
-			frames = frames[:0]
+		frames := b.frames
+		if !s.durable {
+			frames = nil // none were kept
 		}
+		n, err := s.AppendRecords(b.recs, frames)
+		applied += n
+		b.reset()
+		fr.Release()
 		return err
 	}
 	for {
@@ -549,11 +611,13 @@ func handleEventsBinary(s *Session, w http.ResponseWriter, r *http.Request) {
 			writeErrorApplied(w, api.AsError(err, api.CodeBadFrame), applied)
 			return
 		}
-		recs = append(recs, rec)
-		if frames != nil {
-			frames = append(frames, append([]byte(nil), frame...))
+		// Frames are only kept when there is a log to tee them to; a
+		// memory session ingests the records alone.
+		if !s.durable {
+			frame = nil
 		}
-		if len(recs) >= chunkSize {
+		b.add(rec, frame)
+		if len(b.recs) >= binaryChunk {
 			if err := flush(); err != nil {
 				writeIngestError(w, err, applied)
 				return

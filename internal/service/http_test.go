@@ -562,7 +562,13 @@ func TestHTTPLineageTellsMissingFromMalformed(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.store.Publish()
-	for _, page := range []string{"", "&limit=10"} {
+	// A page ends at its last ancestor: the first ten lie far below
+	// vertex 7777, so that page never walks into it.
+	var first api.LineageResponse
+	if code, body := doJSON(t, "GET", url(int32(last), "&limit=10"), nil, &first); code != http.StatusOK || len(first.Ancestors) != 10 {
+		t.Fatalf("first page, ending before the malformed label: %d %s", code, body)
+	}
+	for _, page := range []string{"", "&limit=1000"} {
 		var bad api.ErrorResponse
 		code, body := doJSON(t, "GET", url(int32(last), page), nil, &bad)
 		if code != http.StatusInternalServerError || bad.Err.Code != api.CodeInternal {

@@ -1,0 +1,183 @@
+//go:build !race
+
+package service
+
+import (
+	"bytes"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"testing"
+
+	"wfreach/internal/api"
+	"wfreach/internal/run"
+	"wfreach/internal/spec"
+	"wfreach/internal/wal"
+)
+
+// The allocation gates of the ingest path, skipped under -race like
+// their siblings in core, store and integrity (the detector allocates).
+// An event's natural cost is "walk to the instance, write the label
+// where it will be read": every stage between the socket and the slab
+// allocates per batch, and the labeler per opened instance — a chunk of
+// nodes now and then, the prefix label of a fresh expansion and of its
+// group node, a parent's child list growing: between one object and
+// three and a half. instanceAllowance is the room a gate gives each
+// opened instance; batchAllowance the constant it gives a batch (the
+// commit round's waiter, a store page every fourth batch, buffers
+// growing). A per-event allocation creeping back adds the batch size
+// to a batch, an order of magnitude more than either.
+const (
+	instanceAllowance = 3
+	batchAllowance    = 24
+)
+
+// mallocs returns the process's allocation count so far.
+func mallocs() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.Mallocs
+}
+
+// opens counts the events that open an instance: source dummies of any
+// graph but g0.
+func opens(g *spec.Grammar, events []run.Event) (n int) {
+	for _, ev := range events {
+		if ev.Ref.Graph != spec.StartGraph && ev.Ref.V == g.Spec().Graph(ev.Ref.Graph).G.Source() {
+			n++
+		}
+	}
+	return n
+}
+
+// allocGateSession is a durable BioAID session (the benchmark's flush
+// policy: no fsync, no periodic snapshots) and a stream to feed it.
+func allocGateSession(t *testing.T, size int) (*Registry, *Session, []run.Event) {
+	t.Helper()
+	reg := durableReg(t, t.TempDir(), DurableOptions{SnapshotEvery: -1})
+	t.Cleanup(func() { reg.Close() })
+	g := compileBuiltin(t, "BioAID")
+	s, err := reg.Create("gate", g, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, _ := genEvents(t, g, size, 31)
+	return reg, s, events
+}
+
+// TestAppendRecordsAllocatesPerBatch: into a warm durable session, a
+// 256-event batch of records with their frames — label, log, encode in
+// place, publish, commit — allocates a constant few objects plus the
+// instances it opens. Not one per event: the gate sits an order of
+// magnitude under the batch size.
+func TestAppendRecordsAllocatesPerBatch(t *testing.T) {
+	const batch = 256
+	_, s, events := allocGateSession(t, 40_000)
+	var b batchScratch
+	var total, opened, batches int
+	for lo := 0; lo+batch <= len(events); lo += batch {
+		b.reset()
+		for _, ev := range events[lo : lo+batch] {
+			frame, err := wal.AppendFrame(nil, wal.RefRecord(ev))
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.add(wal.RefRecord(ev), frame)
+		}
+		before := mallocs()
+		n, err := s.AppendRecords(b.recs, b.frames)
+		after := mallocs()
+		if err != nil || n != batch {
+			t.Fatalf("batch at %d: applied %d: %v", lo, n, err)
+		}
+		if lo < len(events)/4 {
+			continue // warming up: segments, pages and buffers still growing
+		}
+		total += int(after - before)
+		opened += opens(s.g, events[lo:lo+batch])
+		batches++
+	}
+	if batches < 50 {
+		t.Fatalf("only %d batches measured", batches)
+	}
+	mean, instances := float64(total)/float64(batches), float64(opened)/float64(batches)
+	t.Logf("%d batches of %d events: %.1f allocations and %.1f opened instances each", batches, batch, mean, instances)
+	if limit := batchAllowance + instanceAllowance*instances; mean > limit {
+		t.Errorf("a %d-event batch opening %.1f instances allocates %.1f objects, want at most %.1f", batch, instances, mean, limit)
+	}
+}
+
+// TestBinaryHandlerAllocatesPerRequest drives handleEventsBinary through
+// ServeHTTP with an in-memory recorder: a 512-event body costs the
+// objects a 64-event body costs plus the instances it opens — reader,
+// records, frame copies and predecessor arena all come from the free list,
+// whatever the body's size.
+func TestBinaryHandlerAllocatesPerRequest(t *testing.T) {
+	reg, s, events := allocGateSession(t, 60_000)
+	h := NewHandler(reg)
+	post := func(evs []run.Event) int {
+		body := bytes.NewReader(frameStream(t, evs))
+		req := httptest.NewRequest(http.MethodPost, "/v1/sessions/gate/events", body)
+		req.Header.Set("Content-Type", api.ContentTypeFrame)
+		rec := httptest.NewRecorder()
+		before := mallocs()
+		h.ServeHTTP(rec, req)
+		after := mallocs()
+		if rec.Code != http.StatusOK {
+			t.Fatalf("ingest: %d %s", rec.Code, rec.Body)
+		}
+		return int(after - before)
+	}
+	sizes := [2]int{64, 512}
+	var total, opened, requests [2]int
+	for lo, k := 0, 0; lo+sizes[k] <= len(events); k = 1 - k {
+		evs := events[lo : lo+sizes[k]]
+		n := post(evs)
+		if lo >= len(events)/4 {
+			total[k] += n
+			opened[k] += opens(s.g, evs)
+			requests[k]++
+		}
+		lo += len(evs)
+	}
+	if requests[0] < 50 || requests[1] < 50 {
+		t.Fatalf("measured %v requests", requests)
+	}
+	var mean, instances [2]float64
+	for k := range sizes {
+		mean[k], instances[k] = float64(total[k])/float64(requests[k]), float64(opened[k])/float64(requests[k])
+		t.Logf("%d requests of %d events: %.1f allocations and %.1f opened instances each", requests[k], sizes[k], mean[k], instances[k])
+	}
+	if limit := mean[0] + instanceAllowance*(instances[1]-instances[0]); mean[1] > limit {
+		t.Errorf("a 512-event body allocates %.1f objects, a 64-event body %.1f: want the same but for the %.1f more instances it opens (at most %.1f)",
+			mean[1], mean[0], instances[1]-instances[0], limit)
+	}
+}
+
+// TestReplayAllocatesPerInstance: restoring a session from its log
+// alone re-labels and re-encodes every event, and allocates well under
+// one object per event doing it — what is left is per opened instance.
+func TestReplayAllocatesPerInstance(t *testing.T) {
+	reg, s, events := allocGateSession(t, 40_000)
+	appendAll(t, s, events, 256)
+	if err := reg.Close(); err != nil { // SnapshotEvery -1: no snapshot, the log is all there is
+		t.Fatal(err)
+	}
+	reg2 := durableReg(t, reg.durable.Dir, DurableOptions{SnapshotEvery: -1})
+	t.Cleanup(func() { reg2.Close() })
+	before := mallocs()
+	names, err := reg2.Restore(reg.durable.Dir)
+	after := mallocs()
+	if err != nil || len(names) != 1 {
+		t.Fatalf("restore: %v, %v", names, err)
+	}
+	s2, _ := reg2.Get("gate")
+	if s2.Vertices() != int64(len(events)) {
+		t.Fatalf("restored %d of %d events", s2.Vertices(), len(events))
+	}
+	perEvent := float64(after-before) / float64(len(events))
+	t.Logf("replaying %d events (%d instances opened): %.3f allocations per event", len(events), opens(s.g, events), perEvent)
+	if perEvent >= 0.5 {
+		t.Errorf("replay allocates %.3f objects per event, want under 0.5", perEvent)
+	}
+}

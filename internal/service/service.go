@@ -85,6 +85,10 @@ type Session struct {
 	// ingestMu enforces the single-writer discipline over the labeler.
 	ingestMu sync.Mutex
 	labeler  *core.ExecutionLabeler
+	// entries is the buffer every insertion issues its label into
+	// (labelRecord): the label is encoded into the store's slab before
+	// the next insertion overwrites it. Guarded by ingestMu.
+	entries []label.Entry
 
 	// store holds the encoded labels and owns its own synchronization:
 	// writes are staged under its mutex and published per batch; reads
@@ -170,6 +174,9 @@ type Registry struct {
 	// metrics is the node's instrument set (see metrics.go), built once
 	// here — registration is constructor-path only.
 	metrics *nodeMetrics
+	// ingestScratch is the free list the binary ingest handler takes its
+	// reader and batch buffers from (see http.go).
+	ingestScratch scratchList
 }
 
 // ReplicationHooks lets the replica subsystem answer replication
@@ -213,6 +220,8 @@ func NewRegistry() *Registry {
 		sessions: make(map[string]*Session),
 		creating: make(map[string]bool),
 		metrics:  newNodeMetrics(obs.NewRegistry()),
+		// One slot per scratch that may sit idle, never more.
+		ingestScratch: make(scratchList, ingestScratchSlots),
 	}
 }
 
@@ -479,14 +488,17 @@ func (s *Session) AppendRecords(recs []wal.Record, frames [][]byte) (int, error)
 // appendBatch is the ingest loop behind Append, AppendNamed and
 // AppendRecords, which differ only in the element type: record puts
 // element i in WAL form, and frames, when non-nil, holds its
-// pre-encoded frame.
+// pre-encoded frame. Per event the order is label → log → stage: the
+// issued label lives in s.entries only until the next labelRecord, a
+// record's predecessors and its frame may alias the caller's scratch
+// (the labeler and the log both copy what they keep), and nothing of
+// either is referenced once appendBatch returns.
 func appendBatch[E any](s *Session, events []E, record func(E) wal.Record, frames [][]byte) (int, error) {
 	s.ingestMu.Lock()
 	if err := s.ingestBlockedLocked(); err != nil {
 		s.ingestMu.Unlock()
 		return 0, err
 	}
-	staged := make([]store.Entry, 0, len(events))
 	applied := len(events)
 	var err error
 	for i := range events {
@@ -505,13 +517,17 @@ func appendBatch[E any](s *Session, events []E, record func(E) wal.Record, frame
 		if werr != nil {
 			// The log is poisoned and the batch unacknowledged; the
 			// logged prefix still becomes queryable.
-			s.publishStaged(staged)
+			s.publishStaged(i)
 			s.ingestMu.Unlock()
 			return i, werr
 		}
-		staged = append(staged, store.Entry{V: v, Enc: s.store.Encode(l)})
+		// Encoded into the slab, invisible until the batch publishes.
+		if serr := s.store.Stage(v, l); serr != nil {
+			// Unreachable: the labeler already rejects duplicate vertices.
+			panic(serr)
+		}
 	}
-	return s.finishLocked(applied, staged, err)
+	return s.finishLocked(applied, err)
 }
 
 // ErrTailRejected marks an ApplyTail failure that came from applying a
@@ -538,29 +554,28 @@ var ErrTailRejected = errors.New("service: shipped record rejected")
 // reader's error after what arrived intact has been applied (the
 // caller redials from next+n); a refused record wraps ErrTailRejected.
 func (s *Session) ApplyTail(tr *api.TailReader, next int64, batch int, applied func(last int64, frames [][]byte) error) (n int64, err error) {
-	recs := make([]wal.Record, 0, batch)
-	frames := make([][]byte, 0, batch)
-	var frameBuf []byte
+	var b batchScratch
 	flush := func() error {
-		if len(recs) == 0 {
+		if len(b.recs) == 0 {
 			return nil
 		}
-		k, err := s.AppendRecords(recs, frames)
+		k, err := s.AppendRecords(b.recs, b.frames)
 		n += int64(k)
 		if err != nil {
 			return fmt.Errorf("%w at seq %d: %w", ErrTailRejected, next+n, err)
 		}
 		if applied != nil {
-			if err := applied(next+n-1, frames); err != nil {
+			if err := applied(next+n-1, b.frames); err != nil {
 				return err
 			}
 		}
-		recs, frames, frameBuf = recs[:0], frames[:0], frameBuf[:0]
+		b.reset()
+		tr.Release()
 		return nil
 	}
 	for {
 		entry, rerr := tr.Next()
-		if want := next + n + int64(len(recs)); rerr == nil && entry.Seq != want {
+		if want := next + n + int64(len(b.recs)); rerr == nil && entry.Seq != want {
 			rerr = fmt.Errorf("tail of %q jumped to seq %d, want %d", s.name, entry.Seq, want)
 		}
 		if rerr != nil {
@@ -572,13 +587,8 @@ func (s *Session) ApplyTail(tr *api.TailReader, next int64, batch int, applied f
 			}
 			return n, rerr
 		}
-		// The entry's frame is reused by the next read; stash a copy in
-		// one grow-only batch buffer.
-		start := len(frameBuf)
-		frameBuf = append(frameBuf, entry.Frame...)
-		recs = append(recs, entry.Record)
-		frames = append(frames, frameBuf[start:len(frameBuf):len(frameBuf)])
-		if len(recs) >= batch || !tr.Buffered() {
+		b.add(entry.Record, entry.Frame)
+		if len(b.recs) >= batch || !tr.Buffered() {
 			if err := flush(); err != nil {
 				return n, err
 			}
@@ -586,22 +596,57 @@ func (s *Session) ApplyTail(tr *api.TailReader, next int64, batch int, applied f
 	}
 }
 
+// batchScratch holds one batch of decoded records on its way into
+// AppendRecords, with a copy of each record's frame: the readers reuse
+// their frame buffer per frame, so a batch's frames are copied once
+// into one grow-only buffer (a frame added before the buffer grew keeps
+// aliasing the old array, which holds the same bytes). The binary
+// ingest handler and ApplyTail both fill one. recs and frames are valid
+// from add until reset — in practice until AppendRecords returns.
+type batchScratch struct {
+	recs   []wal.Record
+	frames [][]byte
+	buf    []byte
+}
+
+// add appends a record and, when frame is non-nil, a copy of its frame.
+func (b *batchScratch) add(rec wal.Record, frame []byte) {
+	b.recs = append(b.recs, rec)
+	if frame != nil {
+		start := len(b.buf)
+		b.buf = append(b.buf, frame...)
+		b.frames = append(b.frames, b.buf[start:len(b.buf):len(b.buf)])
+	}
+}
+
+// reset empties the batch, keeping its capacity. The slots are cleared:
+// a scratch parked on a free list must not pin names, predecessor
+// arenas or outgrown frame buffers.
+func (b *batchScratch) reset() {
+	clear(b.recs)
+	clear(b.frames)
+	b.recs, b.frames, b.buf = b.recs[:0], b.frames[:0], b.buf[:0]
+}
+
 // labelRecord runs one record through the labeler — the label stage
 // of ingest and of restore replay alike — and returns the vertex it
-// labeled. A label deeper than the encoding can frame (label.MaxEntries;
-// only nonlinear grammars get there) is refused here, before the record
-// is logged or the label encoded. The labeler has placed the vertex by
-// then and cannot take it back, so the refusal also stops ingest for
-// good, with the same error; queries keep working. Called with ingestMu
-// held, or before the session is shared.
+// labeled with its label, which aliases s.entries: the caller encodes
+// it (Store.Stage) or drops it before the next labelRecord. A label deeper
+// than the encoding can frame (label.MaxEntries; only nonlinear
+// grammars get there) is refused here, before the record is logged or
+// the label encoded. The labeler has placed the vertex by then and
+// cannot take it back, so the refusal also stops ingest for good, with
+// the same error; queries keep working. Called with ingestMu held, or
+// before the session is shared.
 func (s *Session) labelRecord(rec wal.Record) (v graph.VertexID, l label.Label, err error) {
 	if rec.Named {
 		v = rec.NamedEv.V
-		l, err = s.labeler.InsertNamed(rec.NamedEv)
+		s.entries, err = s.labeler.AppendInsertNamed(s.entries[:0], rec.NamedEv)
 	} else {
 		v = rec.Ref.V
-		l, err = s.labeler.Insert(rec.Ref)
+		s.entries, err = s.labeler.AppendInsert(s.entries[:0], rec.Ref)
 	}
+	l = label.Label{Entries: s.entries}
 	if err == nil && l.Len() > label.MaxEntries {
 		s.ioErr = api.Errorf(api.CodeBadEvent, "vertex %d needs a label of %d entries, the encoding holds %d: session %q is closed to ingest",
 			v, l.Len(), label.MaxEntries, s.name)
@@ -701,23 +746,18 @@ func (s *Session) Unseal() {
 	s.ingestMu.Unlock()
 }
 
-// publishStaged appends the batch's encoded labels to the store and
-// publishes them — the single point where a batch
-// becomes visible to the lock-free query path. Called with ingestMu
-// held, so under the ingest lock the published store always holds
-// exactly the applied event prefix.
-func (s *Session) publishStaged(staged []store.Entry) {
-	if len(staged) == 0 {
+// publishStaged publishes the n labels staged since the last publish
+// — the single point where a batch becomes visible to the lock-free
+// query path. Called with ingestMu held, so under the ingest lock the
+// published store always holds exactly the applied event prefix.
+func (s *Session) publishStaged(n int) {
+	if n == 0 {
 		return
 	}
-	if err := s.store.AppendOwned(staged); err != nil {
-		// Unreachable: the labeler already rejects duplicate vertices.
-		panic(err)
-	}
 	s.store.Publish()
-	s.vertices.Add(int64(len(staged)))
+	s.vertices.Add(int64(n))
 	if s.mEvents != nil {
-		s.mEvents.Add(int64(len(staged)))
+		s.mEvents.Add(int64(n))
 		s.mEpoch.Set(s.store.Epoch())
 	}
 }
@@ -726,8 +766,8 @@ func (s *Session) publishStaged(staged []store.Entry) {
 // and acknowledges durability for everything logged so far (both the
 // success and the partial-batch path ack the applied prefix). Called
 // with ingestMu held; returns with it released.
-func (s *Session) finishLocked(applied int, staged []store.Entry, err error) (int, error) {
-	s.publishStaged(staged)
+func (s *Session) finishLocked(applied int, err error) (int, error) {
+	s.publishStaged(applied)
 	if err == nil {
 		s.batches.Add(1)
 	}
@@ -801,14 +841,8 @@ func (s *Session) ReachBatch(pairs []api.ReachPair) []api.ReachAnswer {
 // CodeVertexNotLabeled; a stored label that does not parse is the
 // server's fault, CodeInternal.
 func (s *Session) Lineage(v graph.VertexID) ([]graph.VertexID, error) {
-	out, err := s.store.Lineage(v)
-	switch {
-	case errors.Is(err, store.ErrNotStored):
-		return nil, api.Errorf(api.CodeVertexNotLabeled, "vertex %d not labeled yet", v)
-	case err != nil:
-		return nil, api.AsError(err, api.CodeInternal)
-	}
-	return out, nil
+	out, _, err := s.lineage(v, graph.None, 0)
+	return out, err
 }
 
 // LineagePage returns up to limit ancestors of v with vertex id
@@ -817,26 +851,28 @@ func (s *Session) Lineage(v graph.VertexID) ([]graph.VertexID, error) {
 // labels are write-once, so an ancestor reported on one page stays
 // correct forever, and a scan resumed at the cursor only ever misses
 // ancestors published after that page was served — re-running the
-// scan picks them up. limit must be positive. Note that every page
-// pays the full closure scan (reachability lives in the labels; there
-// is no ancestor index to seek into): pagination bounds response
-// sizes, not server work, so callers wanting the whole closure should
-// use large pages.
+// scan picks them up. limit must be positive. A page costs what lies
+// between its cursor and its last ancestor: the store's index is in
+// vertex order, so the walk starts at after+1 and stops one ancestor
+// past the page (store.LineagePage). Walking a whole closure page by
+// page therefore visits each label once, whatever the page size.
 func (s *Session) LineagePage(v graph.VertexID, after graph.VertexID, limit int) (page []graph.VertexID, more bool, err error) {
 	if limit <= 0 {
 		return nil, false, api.Errorf(api.CodeBadRequest, "lineage page limit must be positive, got %d", limit)
 	}
-	all, err := s.Lineage(v)
-	if err != nil {
-		return nil, false, err
+	return s.lineage(v, after, limit)
+}
+
+// lineage is the store's page walk with its errors typed for the wire.
+func (s *Session) lineage(v, after graph.VertexID, limit int) ([]graph.VertexID, bool, error) {
+	page, more, err := s.store.LineagePage(v, after, limit)
+	switch {
+	case errors.Is(err, store.ErrNotStored):
+		return nil, false, api.Errorf(api.CodeVertexNotLabeled, "vertex %d not labeled yet", v)
+	case err != nil:
+		return nil, false, api.AsError(err, api.CodeInternal)
 	}
-	// all is ascending; the page starts past the cursor.
-	i, _ := slices.BinarySearch(all, after+1)
-	rest := all[i:]
-	if len(rest) > limit {
-		return rest[:limit], true, nil
-	}
-	return rest, false, nil
+	return page, more, nil
 }
 
 // Vertices returns the number of labeled vertices, without locking.

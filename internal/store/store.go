@@ -13,31 +13,32 @@
 //
 // # Layout
 //
-// The store is one append-only label slab. Label bytes are copied, in
-// arrival order, into fixed segments that are never moved or resized;
-// an index of 8-byte words — segment, offset and length packed into
-// one — maps a vertex id to its extent. The index is paged: a slice of
-// pages of [pageSize] words each, a page allocated the first time an id
-// in its range is written, so dense ids (the expected case: runs number
-// their vertices from 0) and sparse ones take the same path and an
-// untouched id range costs one nil pointer.
+// The store is one append-only label slab. Labels are encoded, in
+// arrival order, straight into fixed segments that are never moved or
+// resized; an index of 8-byte words — segment, offset and length packed
+// into one — maps a vertex id to its extent. The index is paged: a
+// slice of pages of [pageSize] words each, a page allocated the first
+// time an id in its range is written, so dense ids (the expected case:
+// runs number their vertices from 0) and sparse ones take the same path
+// and an untouched id range costs one nil pointer.
 //
 // # Concurrency
 //
-// Writers — the service ingest pipeline and WAL replay — stage a batch
-// under one mutex ([Store.AppendOwned]: one index probe for the
-// duplicate check, one copy, one index store per label) and make it
-// visible with [Store.Publish], which stores the slab's write position
-// into one atomic word. Readers ([Store.GetRaw], [Store.Reach],
-// [Store.Lineage], [Store.SnapshotEntries], stats) take no lock. An
-// extent is visible when it lies below the published position, and
-// nothing below that position is ever rewritten, so reads are race-free
-// by construction. The two directories — the slice of pages and the
-// slice of segments — are immutable and replaced together behind one
-// atomic pointer when either grows; a reader loads the published
-// position first and the directories second, so every extent it can see
-// was staged before the directories it holds were built, and its page
-// and its segment are in them.
+// Writers — the service ingest pipeline and WAL replay — stage labels
+// under one mutex ([Store.Stage]: one index probe for the duplicate
+// check, one index store, and the label encoded straight into its
+// extent) and make the batch visible with [Store.Publish], which stores
+// the slab's write position into one atomic word. Readers
+// ([Store.GetRaw], [Store.Reach], [Store.Lineage],
+// [Store.SnapshotEntries], stats) take no lock. An extent is visible
+// when it lies below the published position, and nothing below that
+// position is ever rewritten, so reads are race-free by construction.
+// The two directories — the slice of pages and the slice of segments —
+// are immutable and replaced together behind one atomic pointer when
+// either grows; a reader loads the published position first and the
+// directories second, so every extent it can see was staged before the
+// directories it holds were built, and its page and its segment are in
+// them.
 //
 // # Arena-backed stores
 //
@@ -169,7 +170,7 @@ func New(g *spec.Grammar, kind skeleton.Kind) *Store {
 //
 // Deprecated: the store has no shards. The one caller left is
 // benchmark/layers.go, which is frozen until an issue about the
-// benchmark retires it (ROADMAP item 7).
+// benchmark retires it (ROADMAP item 1(b)).
 func NewSharded(g *spec.Grammar, kind skeleton.Kind, _ int) *Store { return New(g, kind) }
 
 // NewFromArena builds a store over an already-open arena snapshot; see
@@ -252,32 +253,56 @@ func withPage(pages []*page, i int) []*page {
 
 // Encode encodes a label with the store's codec without storing it.
 // The codec is immutable, so Encode is safe to call concurrently.
+//
+// The ingest pipeline no longer calls it (Stage encodes in place); it
+// stays for tests and the frozen benchmark/layers.go (ROADMAP item
+// 1(b)).
 func (s *Store) Encode(l label.Label) []byte { return s.codec.Encode(l) }
 
-// AppendOwned stages a batch of entries: each label's bytes are copied
-// into the slab and its extent recorded in the index, invisible to
-// readers until Publish. Neither the Entry slice nor any Enc is
-// retained. On a duplicate vertex — staged, published or adopted from
-// an arena — the batch stops there: entries before it are staged, the
-// rest are not.
+// Stage stages the label of v: its extent is reserved in the slab and
+// the label encoded there, in place — no encoded copy exists outside
+// the slab — invisible to readers until Publish. l is only read during
+// the call. A duplicate vertex — staged, published or adopted from an
+// arena — is refused and stages nothing.
+func (s *Store) Stage(v graph.VertexID, l label.Label) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	dst, err := s.reserveLocked(v, s.codec.EncodedLen(l))
+	if err == nil {
+		s.codec.EncodeInto(dst, l)
+	}
+	return err
+}
+
+// AppendOwned stages a batch of already-encoded entries: Stage with a
+// copy in place of the encoder. Neither the Entry slice nor any Enc is
+// retained. On a duplicate vertex the batch stops there: entries before
+// it are staged, the rest are not.
+//
+// The ingest pipeline no longer calls it; it stays for tests and the
+// frozen benchmark/layers.go (ROADMAP item 1(b)).
 func (s *Store) AppendOwned(entries []Entry) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, e := range entries {
-		if err := s.stageLocked(e.V, e.Enc); err != nil {
+		dst, err := s.reserveLocked(e.V, len(e.Enc))
+		if err != nil {
 			return err
 		}
+		copy(dst, e.Enc)
 	}
 	return nil
 }
 
-// stageLocked copies one label into the slab. Called with mu held.
-func (s *Store) stageLocked(v graph.VertexID, enc []byte) error {
+// reserveLocked takes the next n bytes of the slab as the extent of
+// v's label, records it in the index, and returns it for the caller to
+// fill before the next Publish. Called with mu held.
+func (s *Store) reserveLocked(v graph.VertexID, n int) ([]byte, error) {
 	if v < 0 {
-		return fmt.Errorf("store: negative vertex id %d", v)
+		return nil, fmt.Errorf("store: negative vertex id %d", v)
 	}
-	if len(enc) > maxLabel {
-		return fmt.Errorf("store: label of vertex %d is %d bytes, an index word addresses %d", v, len(enc), maxLabel)
+	if n > maxLabel {
+		return nil, fmt.Errorf("store: label of vertex %d is %d bytes, an index word addresses %d", v, n, maxLabel)
 	}
 	d := s.dir.Load()
 	if i := int(v >> pageShift); i >= len(d.pages) || d.pages[i] == nil {
@@ -286,14 +311,14 @@ func (s *Store) stageLocked(v graph.VertexID, enc []byte) error {
 	}
 	slot := &d.pages[v>>pageShift][v&(pageSize-1)]
 	if slot.Load() != 0 {
-		return fmt.Errorf("store: vertex %d already stored", v)
+		return nil, fmt.Errorf("store: vertex %d already stored", v)
 	}
 	// An empty label still takes a byte, so that every extent has a
 	// position of its own for Publish to move past.
-	need := max(len(enc), 1)
+	need := max(n, 1)
 	if len(d.segs) == 0 || s.used+need > len(d.segs[len(d.segs)-1]) {
 		if len(d.segs) == maxSegments {
-			return fmt.Errorf("store: label slab is full (%d segments)", maxSegments)
+			return nil, fmt.Errorf("store: label slab is full (%d segments)", maxSegments)
 		}
 		// Appending writes a slot no published directory's length
 		// covers, so sharing the backing array with readers is safe.
@@ -302,13 +327,14 @@ func (s *Store) stageLocked(v graph.VertexID, enc []byte) error {
 		s.used = 0
 		s.nextSegment = min(2*s.nextSegment, maxSegment)
 	}
-	seg := len(d.segs) - 1
-	copy(d.segs[seg][s.used:], enc)
-	slot.Store(word(seg, s.used, len(enc)))
+	// The word is invisible until Publish moves past it, so it may be
+	// stored before the bytes it addresses are written.
+	seg, off := len(d.segs)-1, s.used
+	slot.Store(word(seg, off, n))
 	s.used += need
 	s.staged++
-	s.stagedBytes += len(enc)
-	return nil
+	s.stagedBytes += n
+	return d.segs[seg][off : off+n : off+n], nil
 }
 
 // Publish makes every staged label visible to readers with one atomic
@@ -351,17 +377,20 @@ func (s *Store) GetRaw(v graph.VertexID) ([]byte, bool) {
 	return d.extent(d.pages[i][v&(pageSize-1)].Load(), published)
 }
 
-// all iterates the published labels in ascending vertex order, over
-// the position and directories loaded when the iteration starts.
-func (s *Store) all() iter.Seq2[graph.VertexID, []byte] {
+// from iterates the published labels of vertices start and up in
+// ascending vertex order, over the position and directories loaded when
+// the iteration starts.
+func (s *Store) from(start int64) iter.Seq2[graph.VertexID, []byte] {
+	start = max(start, 0)
 	return func(yield func(graph.VertexID, []byte) bool) {
 		published := s.published.Load()
 		d := s.dir.Load()
-		for i, p := range d.pages {
+		for i := start >> pageShift; i < int64(len(d.pages)); i++ {
+			p := d.pages[i]
 			if p == nil {
 				continue
 			}
-			for j := range p {
+			for j := max(start-i<<pageShift, 0); j < pageSize; j++ {
 				if enc, ok := d.extent(p[j].Load(), published); ok && !yield(graph.VertexID(i<<pageShift|j), enc) {
 					return
 				}
@@ -392,29 +421,42 @@ func (s *Store) Reach(v, w graph.VertexID) (bool, error) {
 }
 
 // Lineage returns the published vertices that reach v (its provenance
-// closure), in ascending order: one ReachBytes per stored label against
-// the target's bytes, walking the index in vertex order — O(stored)
-// early-exit walks, no locks, and no allocation beyond the result. Over
-// a concurrent ingest the scan sees the batches published before it
-// started; labels are write-once, so every reported ancestor is
-// correct. A stored label that fails to parse on the prefix its walk
-// covers fails the scan.
+// closure), in ascending order: LineagePage with no cursor and no limit
+// — O(stored) early-exit walks.
 func (s *Store) Lineage(v graph.VertexID) ([]graph.VertexID, error) {
+	out, _, err := s.LineagePage(v, graph.None, 0)
+	return out, err
+}
+
+// LineagePage returns, in ascending order, up to limit published
+// vertices with id greater than after that reach v, and whether more
+// remain (limit ≤ 0: all of them). It is one ReachBytes per stored
+// label against the target's bytes, walking the index in vertex order
+// from after+1 and stopping at the first ancestor past the page: a
+// page costs the labels between its cursor and its end, not the store.
+// No locks, and no allocation beyond the result. Over a concurrent
+// ingest the walk sees the batches published before it started; labels
+// are write-once, so every reported ancestor is correct. A stored label
+// that fails to parse on the prefix its walk covers fails the page.
+func (s *Store) LineagePage(v, after graph.VertexID, limit int) (page []graph.VertexID, more bool, err error) {
 	bv, ok := s.GetRaw(v)
 	if !ok {
-		return nil, fmt.Errorf("store: vertex %d: %w", v, ErrNotStored)
+		return nil, false, fmt.Errorf("store: vertex %d: %w", v, ErrNotStored)
 	}
-	var out []graph.VertexID
-	for w, bw := range s.all() {
+	for w, bw := range s.from(int64(after) + 1) {
 		reaches, err := s.ReachBytes(bw, bv)
 		if err != nil {
-			return nil, fmt.Errorf("store: lineage of %d at vertex %d: %w", v, w, err)
+			return nil, false, fmt.Errorf("store: lineage of %d at vertex %d: %w", v, w, err)
 		}
-		if reaches {
-			out = append(out, w)
+		if !reaches {
+			continue
 		}
+		if limit > 0 && len(page) == limit {
+			return page, true, nil
+		}
+		page = append(page, w)
 	}
-	return out, nil
+	return page, false, nil
 }
 
 // SnapshotEntries returns the published labels as a flat entry slice in
@@ -425,7 +467,7 @@ func (s *Store) Lineage(v graph.VertexID) ([]graph.VertexID, error) {
 // call is not included.
 func (s *Store) SnapshotEntries() []Entry {
 	out := make([]Entry, 0, s.Count())
-	for v, enc := range s.all() {
+	for v, enc := range s.from(0) {
 		out = append(out, Entry{V: v, Enc: enc})
 	}
 	return out

@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"slices"
 	"strings"
@@ -83,30 +84,6 @@ func RefRecord(ev run.Event) Record { return Record{Ref: ev} }
 // NamedRecord wraps a name-identified event as a Record.
 func NamedRecord(ev core.NamedEvent) Record { return Record{Named: true, NamedEv: ev} }
 
-// appendPayload encodes the record payload (no frame) onto buf.
-func appendPayload(buf []byte, rec Record) []byte {
-	if rec.Named {
-		buf = append(buf, kindNamed)
-		buf = binary.AppendUvarint(buf, uint64(rec.NamedEv.V))
-		buf = binary.AppendUvarint(buf, uint64(len(rec.NamedEv.Name)))
-		buf = append(buf, rec.NamedEv.Name...)
-		buf = binary.AppendUvarint(buf, uint64(len(rec.NamedEv.Preds)))
-		for _, p := range rec.NamedEv.Preds {
-			buf = binary.AppendUvarint(buf, uint64(p))
-		}
-		return buf
-	}
-	buf = append(buf, kindRef)
-	buf = binary.AppendUvarint(buf, uint64(rec.Ref.V))
-	buf = binary.AppendUvarint(buf, uint64(rec.Ref.Ref.Graph))
-	buf = binary.AppendUvarint(buf, uint64(rec.Ref.Ref.V))
-	buf = binary.AppendUvarint(buf, uint64(len(rec.Ref.Preds)))
-	for _, p := range rec.Ref.Preds {
-		buf = binary.AppendUvarint(buf, uint64(p))
-	}
-	return buf
-}
-
 // payloadReader decodes uvarint fields with bounds checking.
 type payloadReader struct {
 	b   []byte
@@ -122,18 +99,28 @@ func (r *payloadReader) uvarint() (uint64, error) {
 	return v, nil
 }
 
-func (r *payloadReader) vertex() (graph.VertexID, error) {
+// id reads a field that must fit the int32 both vertex and graph ids
+// are held in: a wider value cannot be re-framed to the same bytes.
+func (r *payloadReader) id(what string) (int32, error) {
 	v, err := r.uvarint()
 	if err != nil {
 		return 0, err
 	}
-	if v > uint64(int32(^uint32(0)>>1)) {
-		return 0, fmt.Errorf("%w: vertex id %d out of range", ErrCorrupt, v)
+	if v > math.MaxInt32 {
+		return 0, fmt.Errorf("%w: %s id %d out of range", ErrCorrupt, what, v)
 	}
-	return graph.VertexID(v), nil
+	return int32(v), nil
 }
 
-func (r *payloadReader) preds() ([]graph.VertexID, error) {
+func (r *payloadReader) vertex() (graph.VertexID, error) {
+	v, err := r.id("vertex")
+	return graph.VertexID(v), err
+}
+
+// preds reads a predecessor list onto the end of *arena and returns
+// the appended part, capped so the caller cannot grow into what the
+// arena holds next. On an error the arena is as it was.
+func (r *payloadReader) preds(arena *[]graph.VertexID) ([]graph.VertexID, error) {
 	n, err := r.uvarint()
 	if err != nil {
 		return nil, err
@@ -144,13 +131,17 @@ func (r *payloadReader) preds() ([]graph.VertexID, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	out := make([]graph.VertexID, n)
-	for i := range out {
-		if out[i], err = r.vertex(); err != nil {
+	start := len(*arena)
+	out := slices.Grow(*arena, int(n))
+	for range n {
+		p, err := r.vertex()
+		if err != nil {
 			return nil, err
 		}
+		out = append(out, p)
 	}
-	return out, nil
+	*arena = out
+	return out[start:len(out):len(out)], nil
 }
 
 // AppendFrame appends one record in the log's frame format — the
@@ -159,19 +150,48 @@ func (r *payloadReader) preds() ([]graph.VertexID, error) {
 // Log.Append writes, which is what lets a server accept pre-framed
 // records off the wire and tee them to the log without re-encoding.
 // A record whose payload would exceed MaxPayload, or that carries a
-// negative vertex id — which DecodeRecord would refuse to read back —
-// is rejected with buf unchanged.
+// negative id — which DecodeRecord would refuse to read back — is
+// rejected with buf unchanged.
 func AppendFrame(buf []byte, rec Record) ([]byte, error) {
-	v, sv, preds := rec.Ref.V, rec.Ref.Ref.V, rec.Ref.Preds
 	if rec.Named {
-		v, sv, preds = rec.NamedEv.V, 0, rec.NamedEv.Preds
+		return AppendNamedFrame(buf, rec.NamedEv.V, rec.NamedEv.Name, rec.NamedEv.Preds)
 	}
-	if v < 0 || sv < 0 || slices.ContainsFunc(preds, func(p graph.VertexID) bool { return p < 0 }) {
-		return buf, fmt.Errorf("wal: record of vertex %d carries a negative vertex id", v)
+	return AppendRefFrame(buf, rec.Ref.V, int32(rec.Ref.Ref.Graph), rec.Ref.Ref.V, rec.Ref.Preds)
+}
+
+// AppendRefFrame is AppendFrame on the fields of a reference-form
+// event, for any int32 vertex-id type: a Record's, or the wire form's
+// plain int32, which the SDK frames without building a Record first.
+func AppendRefFrame[V ~int32](buf []byte, v V, g int32, sv V, preds []V) ([]byte, error) {
+	return appendFrame(buf, kindRef, v, "", g, sv, preds)
+}
+
+// AppendNamedFrame is AppendRefFrame for a name-form event.
+func AppendNamedFrame[V ~int32](buf []byte, v V, name string, preds []V) ([]byte, error) {
+	return appendFrame(buf, kindNamed, v, name, 0, 0, preds)
+}
+
+// appendFrame frames one event of either kind; a kindNamed event has no
+// g and sv, a kindRef one no name.
+func appendFrame[V ~int32](buf []byte, kind byte, v V, name string, g int32, sv V, preds []V) ([]byte, error) {
+	if v < 0 || g < 0 || sv < 0 || slices.ContainsFunc(preds, func(p V) bool { return p < 0 }) {
+		return buf, fmt.Errorf("wal: record of vertex %d carries a negative id", v)
 	}
 	start := len(buf)
 	buf = append(buf, make([]byte, FrameHeaderSize)...)
-	buf = appendPayload(buf, rec)
+	buf = append(buf, kind)
+	buf = binary.AppendUvarint(buf, uint64(v))
+	if kind == kindNamed {
+		buf = binary.AppendUvarint(buf, uint64(len(name)))
+		buf = append(buf, name...)
+	} else {
+		buf = binary.AppendUvarint(buf, uint64(g))
+		buf = binary.AppendUvarint(buf, uint64(sv))
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(preds)))
+	for _, p := range preds {
+		buf = binary.AppendUvarint(buf, uint64(p))
+	}
 	payload := buf[start+FrameHeaderSize:]
 	if len(payload) > MaxPayload {
 		return buf[:start], fmt.Errorf("wal: record payload %d bytes exceeds the %d-byte format cap", len(payload), MaxPayload)
@@ -182,12 +202,25 @@ func AppendFrame(buf []byte, rec Record) ([]byte, error) {
 }
 
 // DecodeRecord parses one record payload (the bytes after a frame
-// header, already CRC-verified by the caller).
-func DecodeRecord(b []byte) (Record, error) {
+// header, already CRC-verified by the caller). The record owns its
+// predecessor slice.
+func DecodeRecord(b []byte) (Record, error) { return DecodeRecordInto(nil, b) }
+
+// DecodeRecordInto is DecodeRecord with the record's predecessors
+// appended to *arena, a buffer the caller owns: the record's Preds
+// alias it, valid until the caller truncates the arena (growing it
+// moves nothing the record sees). A caller that is done with each
+// record, or each batch of them, before it truncates decodes without
+// allocating. On an error the arena is as it was; a nil arena gives
+// every record a slice of its own.
+func DecodeRecordInto(arena *[]graph.VertexID, b []byte) (Record, error) {
 	if len(b) == 0 {
 		return Record{}, fmt.Errorf("%w: empty payload", ErrCorrupt)
 	}
-	r := &payloadReader{b: b, pos: 1}
+	if arena == nil {
+		arena = new([]graph.VertexID)
+	}
+	r := payloadReader{b: b, pos: 1}
 	switch b[0] {
 	case kindRef:
 		var rec Record
@@ -195,7 +228,7 @@ func DecodeRecord(b []byte) (Record, error) {
 		if rec.Ref.V, err = r.vertex(); err != nil {
 			return Record{}, err
 		}
-		g, err := r.uvarint()
+		g, err := r.id("graph")
 		if err != nil {
 			return Record{}, err
 		}
@@ -203,7 +236,7 @@ func DecodeRecord(b []byte) (Record, error) {
 		if rec.Ref.Ref.V, err = r.vertex(); err != nil {
 			return Record{}, err
 		}
-		if rec.Ref.Preds, err = r.preds(); err != nil {
+		if rec.Ref.Preds, err = r.preds(arena); err != nil {
 			return Record{}, err
 		}
 		return rec, nil
@@ -222,7 +255,7 @@ func DecodeRecord(b []byte) (Record, error) {
 		}
 		rec.NamedEv.Name = string(b[r.pos : r.pos+int(n)])
 		r.pos += int(n)
-		if rec.NamedEv.Preds, err = r.preds(); err != nil {
+		if rec.NamedEv.Preds, err = r.preds(arena); err != nil {
 			return Record{}, err
 		}
 		return rec, nil
@@ -251,6 +284,9 @@ type FrameReader struct {
 func NewFrameReader(r io.Reader) *FrameReader {
 	return &FrameReader{r: r, frame: make([]byte, FrameHeaderSize, 256)}
 }
+
+// Reset points the reader at a new stream, keeping its frame buffer.
+func (fr *FrameReader) Reset(r io.Reader) { fr.r, fr.off = r, 0 }
 
 // Next returns the next frame; the slice is reused by the following
 // call. A stream that ends on a frame boundary returns io.EOF. Anything
