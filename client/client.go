@@ -177,16 +177,33 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any, ret
 			return fmt.Errorf("client: encode request: %w", err)
 		}
 	}
-	return c.doRaw(ctx, method, path, api.ContentTypeJSON, raw, out, retryable)
+	return c.doJSON(ctx, method, path, api.ContentTypeJSON, raw, out, retryable)
 }
 
-func (c *Client) doRaw(ctx context.Context, method, path, contentType string, body []byte, out any, retryable bool) error {
+// doJSON sends a body of any content type and decodes a JSON response.
+func (c *Client) doJSON(ctx context.Context, method, path, contentType string, body []byte, out any, retryable bool) error {
+	raw, err := c.doRaw(ctx, method, path, contentType, body, retryable)
+	if err != nil {
+		return err
+	}
+	if out != nil && len(raw) > 0 {
+		if err := json.Unmarshal(raw, out); err != nil {
+			return fmt.Errorf("client: %s %s: decode response: %w", method, path, err)
+		}
+	}
+	return nil
+}
+
+// doRaw runs one request and returns the body of its 2xx response,
+// following a follower's write redirect once and retrying transient
+// failures when retryable.
+func (c *Client) doRaw(ctx context.Context, method, path, contentType string, body []byte, retryable bool) ([]byte, error) {
 	base := c.base
 	redirected := false
 	for attempt := 0; ; attempt++ {
-		err := c.once(ctx, base, method, path, contentType, body, out)
+		raw, err := c.once(ctx, base, method, path, contentType, body)
 		if err == nil {
-			return nil
+			return raw, nil
 		}
 		if !redirected && !c.noRedirect {
 			if primary, ok := api.PrimaryFromError(err); ok {
@@ -198,11 +215,11 @@ func (c *Client) doRaw(ctx context.Context, method, path, contentType string, bo
 			}
 		}
 		if !retryable || attempt >= c.retries || !transient(err) {
-			return err
+			return nil, err
 		}
 		select {
 		case <-ctx.Done():
-			return ctx.Err()
+			return nil, ctx.Err()
 		case <-time.After(retryDelay(c.backoff, c.maxBackoff, attempt)):
 		}
 	}
@@ -250,36 +267,49 @@ func transient(err error) bool {
 	return true // transport error
 }
 
-func (c *Client) once(ctx context.Context, base, method, path, contentType string, body []byte, out any) error {
+// once sends one request and returns the response body: as it came on
+// a 2xx, as the structured error it decodes to otherwise.
+func (c *Client) once(ctx context.Context, base, method, path, contentType string, body []byte) ([]byte, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, base+apiPrefix+path, rd)
 	if err != nil {
-		return fmt.Errorf("client: %w", err)
+		return nil, fmt.Errorf("client: %w", err)
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", contentType)
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return fmt.Errorf("client: %s %s: %w", method, path, err)
+		return nil, fmt.Errorf("client: %s %s: %w", method, path, err)
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
+	raw, err := readBody(resp)
 	if err != nil {
-		return fmt.Errorf("client: %s %s: read response: %w", method, path, err)
+		return nil, fmt.Errorf("client: %s %s: read response: %w", method, path, err)
 	}
 	if resp.StatusCode >= 400 {
-		return decodeError(resp.StatusCode, raw)
+		return nil, decodeError(resp.StatusCode, raw)
 	}
-	if out != nil && len(raw) > 0 {
-		if err := json.Unmarshal(raw, out); err != nil {
-			return fmt.Errorf("client: %s %s: decode response: %w", method, path, err)
-		}
+	return raw, nil
+}
+
+// maxDeclaredBody is the largest Content-Length readBody takes a
+// server's word for.
+const maxDeclaredBody = 1 << 20
+
+// readBody reads a response body to its end: one allocation when the
+// response declares a length, io.ReadAll's doubling when it does not
+// (or declares one too large to reserve on trust).
+func readBody(resp *http.Response) ([]byte, error) {
+	if resp.ContentLength < 0 || resp.ContentLength > maxDeclaredBody {
+		return io.ReadAll(resp.Body)
 	}
-	return nil
+	raw := make([]byte, resp.ContentLength)
+	_, err := io.ReadFull(resp.Body, raw)
+	return raw, err
 }
 
 // decodeError rebuilds the server's structured error — including the
@@ -369,25 +399,27 @@ func (c *Client) IngestFrames(ctx context.Context, session string, events []Even
 
 func (c *Client) ingestRaw(ctx context.Context, session string, frames []byte) (EventsResponse, error) {
 	var resp EventsResponse
-	err := c.doRaw(ctx, http.MethodPost, "/sessions/"+url.PathEscape(session)+"/events",
+	err := c.doJSON(ctx, http.MethodPost, "/sessions/"+url.PathEscape(session)+"/events",
 		api.ContentTypeFrame, frames, &resp, false)
 	return resp, err
 }
 
 // ReachBatch answers many reachability pairs in one roundtrip, one
 // answer per pair in order. Pair-level failures (an unlabeled vertex)
-// arrive inline on the answer, not as a call error.
+// arrive inline on the answer, not as a call error. The pairs travel in
+// the binary batch-reach form (two varints a pair, one bit an answer;
+// docs/API.md) — the JSON form of the same route is for curl.
 func (c *Client) ReachBatch(ctx context.Context, session string, pairs []ReachPair) ([]ReachAnswer, error) {
-	var resp api.BatchReachResponse
-	err := c.do(ctx, http.MethodPost, "/sessions/"+url.PathEscape(session)+"/reach",
-		api.BatchReachRequest{Pairs: pairs}, &resp, true)
+	raw, err := c.doRaw(ctx, http.MethodPost, "/sessions/"+url.PathEscape(session)+"/reach",
+		api.ContentTypeReach, api.AppendReachRequest(nil, pairs), true)
 	if err != nil {
 		return nil, err
 	}
-	if len(resp.Results) != len(pairs) {
-		return nil, fmt.Errorf("client: %d answers for %d pairs", len(resp.Results), len(pairs))
+	answers, err := api.DecodeReachResponseInto(make([]ReachAnswer, 0, len(pairs)), pairs, raw)
+	if err != nil {
+		return nil, fmt.Errorf("client: reach on %q: %w", session, err)
 	}
-	return resp.Results, nil
+	return answers, nil
 }
 
 // Reach asks whether from reaches to (reflexive). It rides on the

@@ -1,7 +1,7 @@
 // Package api is the single source of truth for the wfserve wire
 // contract: every request and response type of the versioned /v1 HTTP
 // surface, the structured error model shared by server and clients,
-// and the binary ingest frame.
+// the binary ingest frame and the binary batch-reach form.
 //
 // The package deliberately holds no behavior beyond encoding — the
 // server (internal/service) maps these types onto sessions, the Go
@@ -18,7 +18,8 @@
 //	DELETE /v1/sessions/{name}            delete
 //	POST   /v1/sessions/{name}/events     ingest: JSON EventsRequest, or a
 //	                                      ContentTypeFrame binary frame stream
-//	POST   /v1/sessions/{name}/reach      batch reachability (BatchReachRequest)
+//	POST   /v1/sessions/{name}/reach      batch reachability: ContentTypeReach binary
+//	                                      (reach.go), or JSON BatchReachRequest
 //	GET    /v1/sessions/{name}/reach      one pair, ?from=&to= (deprecated)
 //	GET    /v1/sessions/{name}/lineage    ?of=&cursor=&limit= (paginated)
 //	GET    /v1/sessions/{name}/spec       the session's specification XML
@@ -45,6 +46,11 @@ const (
 	// ContentTypeFrame marks a binary event-frame stream on the events
 	// endpoint (see AppendFrame / FrameReader).
 	ContentTypeFrame = "application/x-wfreach-frame"
+	// ContentTypeReach marks a binary batch-reach request, and the
+	// response to one (see AppendReachRequest / AppendReachResponse). It
+	// shares no prefix with ContentTypeFrame past "x-wfreach-": the
+	// events route matches that one by prefix.
+	ContentTypeReach = "application/x-wfreach-reach"
 	// ContentTypeXML marks a raw specification upload on the create
 	// endpoint.
 	ContentTypeXML = "application/xml"
@@ -261,6 +267,12 @@ type BatchReachRequest struct {
 
 // MaxReachPairs caps the pairs accepted in one batch reach request.
 const MaxReachPairs = 4096
+
+// MaxReachJSONBytes caps the JSON body of a batch reach request; a
+// larger one is refused before it is parsed. A pair is at most 38 bytes
+// of compact JSON; the rest is room for whitespace. (The binary form's
+// cap is MaxReachRequestBytes.)
+const MaxReachJSONBytes = 48 * MaxReachPairs
 
 // BatchReachResponse answers a batch reach request, one answer per
 // pair, in request order.

@@ -1,9 +1,12 @@
 package service_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"sync"
 	"sync/atomic"
@@ -12,6 +15,7 @@ import (
 
 	"wfreach/client"
 
+	"wfreach/internal/api"
 	"wfreach/internal/core"
 	"wfreach/internal/gen"
 	"wfreach/internal/run"
@@ -400,30 +404,64 @@ func BenchmarkHTTPReachSingle(b *testing.B) {
 }
 
 // BenchmarkHTTPReachBatch64 answers 64 pairs per roundtrip over the
-// /v1 batch endpoint; ns/pair is directly comparable to
-// BenchmarkHTTPReachSingle.
+// /v1 batch endpoint, in both of its forms: binary is the SDK's
+// ReachBatch, json a raw POST of the debug form against the same
+// session. ns/pair is directly comparable to BenchmarkHTTPReachSingle.
 func BenchmarkHTTPReachBatch64(b *testing.B) {
 	const batch = 64
 	_, events := benchEvents(b, 8192)
-	_, c, nextSession := benchHTTP(b, false)
+	reg, c, nextSession := benchHTTP(b, false)
 	name := nextSession()
 	ctx := context.Background()
 	if _, err := c.IngestFrames(ctx, name, wireEvents(b, events)); err != nil {
 		b.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(7))
-	pairs := make([]client.ReachPair, batch)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for pi := range pairs {
-			pairs[pi] = client.ReachPair{
-				From: int32(events[rng.Intn(len(events))].V),
-				To:   int32(events[rng.Intn(len(events))].V),
+	run := func(b *testing.B, ask func([]client.ReachPair) error) {
+		rng := rand.New(rand.NewSource(7))
+		pairs := make([]client.ReachPair, batch)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for pi := range pairs {
+				pairs[pi] = client.ReachPair{
+					From: int32(events[rng.Intn(len(events))].V),
+					To:   int32(events[rng.Intn(len(events))].V),
+				}
+			}
+			if err := ask(pairs); err != nil {
+				b.Fatal(err)
 			}
 		}
-		if _, err := c.ReachBatch(ctx, name, pairs); err != nil {
-			b.Fatal(err)
-		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(batch*b.N), "ns/pair")
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(batch*b.N), "ns/pair")
+	b.Run("binary", func(b *testing.B) {
+		run(b, func(pairs []client.ReachPair) error {
+			_, err := c.ReachBatch(ctx, name, pairs)
+			return err
+		})
+	})
+	b.Run("json", func(b *testing.B) {
+		srv := httptest.NewServer(service.NewHandler(reg))
+		defer srv.Close()
+		url := srv.URL + "/v1/sessions/" + name + "/reach"
+		run(b, func(pairs []client.ReachPair) error {
+			body, err := json.Marshal(api.BatchReachRequest{Pairs: pairs})
+			if err != nil {
+				return err
+			}
+			resp, err := http.Post(url, api.ContentTypeJSON, bytes.NewReader(body))
+			if err != nil {
+				return err
+			}
+			defer resp.Body.Close()
+			var out api.BatchReachResponse
+			if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+				return err
+			}
+			if resp.StatusCode != http.StatusOK || len(out.Results) != len(pairs) {
+				return fmt.Errorf("status %d, %d answers for %d pairs", resp.StatusCode, len(out.Results), len(pairs))
+			}
+			return nil
+		})
+	})
 }

@@ -7,9 +7,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"wfreach/internal/api"
 	"wfreach/internal/core"
@@ -264,7 +266,7 @@ func NewHandler(reg *Registry) http.Handler {
 					if r.ContentLength > 0 {
 						s.AddIngestBytes(r.ContentLength)
 					}
-					handleEvents(s, reg.ingestScratch, w, r)
+					handleEvents(s, &reg.ingestScratch, w, r)
 				}
 			},
 		}},
@@ -276,7 +278,7 @@ func NewHandler(reg *Registry) http.Handler {
 			},
 			http.MethodPost: func(w http.ResponseWriter, r *http.Request) {
 				if s := lookup(reg, w, r); s != nil {
-					handleReachBatch(s, w, r)
+					handleReachBatch(s, &reg.reachScratch, w, r)
 				}
 			},
 		}},
@@ -477,7 +479,7 @@ func ParseConfig(skelName, modeName string) (Config, error) {
 	return cfg, nil
 }
 
-func handleEvents(s *Session, free scratchList, w http.ResponseWriter, r *http.Request) {
+func handleEvents(s *Session, free *scratchList[*ingestScratch], w http.ResponseWriter, r *http.Request) {
 	if strings.HasPrefix(r.Header.Get("Content-Type"), api.ContentTypeFrame) {
 		handleEventsBinary(s, free, w, r)
 		return
@@ -524,46 +526,77 @@ type ingestScratch struct {
 	batch batchScratch
 }
 
-// scratchList is a node's free list of idle ingestScratches: a request
-// takes one (or makes one when all are in use) and puts it back when it
-// is done. It plays the part of a sync.Pool and is not one because the
-// ingest path's allocation counts are gated to the percent and must
-// repeat run for run: a sync.Pool is emptied by the collector, and
-// under the race detector drops a quarter of its Puts at random.
-type scratchList chan *ingestScratch
-
-// ingestScratchSlots bounds the idle scratch a node keeps, each about
-// 130 KiB: enough for a few concurrent writers, the usual case being
-// one ordered writer per session. More of them at once than slots
-// allocate per request, as every request used to.
-const ingestScratchSlots = 4
-
-func (l scratchList) get() *ingestScratch {
-	select {
-	case sc := <-l:
-		return sc
-	default:
-		sc := &ingestScratch{fr: api.NewFrameReader(nil)}
-		sc.batch.recs = make([]wal.Record, 0, binaryChunk)
-		sc.batch.frames = make([][]byte, 0, binaryChunk)
-		return sc
-	}
+func newIngestScratch() *ingestScratch {
+	sc := &ingestScratch{fr: api.NewFrameReader(nil)}
+	sc.batch.recs = make([]wal.Record, 0, binaryChunk)
+	sc.batch.frames = make([][]byte, 0, binaryChunk)
+	return sc
 }
 
-// put parks sc for the next request, emptied of this one: records are
-// cleared so names and predecessor slices are not retained, the body is
-// dropped, and a scratch whose frame buffer outgrew
-// maxIdleFrameBytes is left to the collector.
-func (l scratchList) put(sc *ingestScratch) {
+// reset empties sc of the request it served: records are cleared so
+// names and predecessor slices are not retained, the body is dropped,
+// and a scratch whose frame buffer outgrew maxIdleFrameBytes is not
+// worth keeping.
+func (sc *ingestScratch) reset() (keep bool) {
 	sc.fr.Reset(nil)
 	sc.batch.reset()
-	if cap(sc.batch.buf) > maxIdleFrameBytes {
+	return cap(sc.batch.buf) <= maxIdleFrameBytes
+}
+
+// scratch is a handler's reusable buffers. reset empties them of the
+// request they served and reports whether they are worth keeping.
+type scratch interface{ reset() (keep bool) }
+
+// scratchList is a node's free list of one kind of idle scratch: a
+// request takes one (or makes one when none is idle) and puts it back
+// when it is done. It plays the part of a sync.Pool and is not one
+// because the request paths' allocation counts are gated to the percent
+// and must repeat run for run: a sync.Pool is emptied by the collector,
+// and under the race detector drops a quarter of its Puts at random.
+// The list lives inside its Registry and allocates nothing of its own.
+type scratchList[S scratch] struct {
+	fresh func() S
+
+	mu   sync.Mutex
+	idle [scratchSlots]S // idle[:n] are parked
+	n    int
+}
+
+// scratchSlots bounds the idle scratch of one kind a node keeps (an
+// ingestScratch is about 130 KiB, a reachScratch at most
+// maxIdleReachBytes and a batch of pairs): enough for a few concurrent
+// requests, the usual case being one ordered writer per session and a
+// handful of readers. More of them at once than slots allocate per
+// request, as every request used to.
+const scratchSlots = 4
+
+func (l *scratchList[S]) get() S {
+	var sc S
+	l.mu.Lock()
+	parked := l.n > 0
+	if parked {
+		l.n--
+		sc, l.idle[l.n] = l.idle[l.n], sc // the slot keeps no reference
+	}
+	l.mu.Unlock()
+	if !parked {
+		return l.fresh()
+	}
+	return sc
+}
+
+// put resets sc and parks it for the next request, or leaves it to the
+// collector when it is not worth keeping or every slot is taken.
+func (l *scratchList[S]) put(sc S) {
+	if !sc.reset() {
 		return
 	}
-	select {
-	case l <- sc:
-	default:
+	l.mu.Lock()
+	if l.n < len(l.idle) {
+		l.idle[l.n] = sc
+		l.n++
 	}
+	l.mu.Unlock()
 }
 
 // handleEventsBinary ingests a ContentTypeFrame body: a concatenation
@@ -576,7 +609,7 @@ func (l scratchList) put(sc *ingestScratch) {
 // Records and frames of a chunk alias the shared scratch and are dead
 // once AppendRecords returns: flush rewinds both before the next chunk
 // is read.
-func handleEventsBinary(s *Session, free scratchList, w http.ResponseWriter, r *http.Request) {
+func handleEventsBinary(s *Session, free *scratchList[*ingestScratch], w http.ResponseWriter, r *http.Request) {
 	sc := free.get()
 	defer free.put(sc)
 	sc.fr.Reset(r.Body)
@@ -729,10 +762,61 @@ func handleReach(s *Session, w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, api.ReachAnswer{From: int32(from), To: int32(to), Reachable: ok})
 }
 
-func handleReachBatch(s *Session, w http.ResponseWriter, r *http.Request) {
+// maxIdleReachBytes is the largest body buffer a reachScratch may carry
+// back to the free list. A full batch's request fits; what does not is
+// the response to a batch made mostly of failures, each with its code
+// and message — and with it the failure list that produced it.
+const maxIdleReachBytes = 64 << 10
+
+// reachScratch is what the binary arm of handleReachBatch works in:
+// buf holds the request body and, once the pairs are decoded out of it,
+// the response; bits and fails are the answers in between. All of it is
+// the request's own from get to put, and references nothing of it after.
+type reachScratch struct {
+	buf   []byte
+	pairs []api.ReachPair
+	bits  api.ReachBits
+	fails []api.ReachFailure
+}
+
+func (sc *reachScratch) reset() (keep bool) {
+	clear(sc.fails) // their messages
+	sc.buf, sc.pairs, sc.bits, sc.fails = sc.buf[:0], sc.pairs[:0], sc.bits[:0], sc.fails[:0]
+	return cap(sc.buf) <= maxIdleReachBytes
+}
+
+// handleReachBatch answers a batch in the form it was asked in: a
+// ContentTypeReach body gets the binary response, a JSON body (or one
+// of no declared type) the JSON one. Request-level errors are the JSON
+// ErrorResponse either way. The body is bounded before it is parsed —
+// by its declared length where there is one.
+func handleReachBatch(s *Session, free *scratchList[*reachScratch], w http.ResponseWriter, r *http.Request) {
+	ct := r.Header.Get("Content-Type")
+	binary := strings.HasPrefix(ct, api.ContentTypeReach)
+	limit := int64(api.MaxReachJSONBytes)
+	switch {
+	case binary:
+		limit = api.MaxReachRequestBytes
+	case ct != "" && !strings.HasPrefix(ct, api.ContentTypeJSON):
+		writeError(w, api.Errorf(api.CodeBadRequest, "batch reach wants Content-Type %s or %s, got %q", api.ContentTypeReach, api.ContentTypeJSON, ct))
+		return
+	}
+	if r.ContentLength > limit {
+		writeError(w, reachBodyTooLarge(limit))
+		return
+	}
+	if binary {
+		handleReachBinary(s, free, w, r)
+		return
+	}
 	var req api.BatchReachRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, api.Errorf(api.CodeBadJSON, "bad JSON body: %v", err))
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(&req); err != nil {
+		if errors.As(err, new(*http.MaxBytesError)) {
+			err = reachBodyTooLarge(limit)
+		} else {
+			err = api.Errorf(api.CodeBadJSON, "bad JSON body: %v", err)
+		}
+		writeError(w, err)
 		return
 	}
 	if len(req.Pairs) > api.MaxReachPairs {
@@ -740,6 +824,39 @@ func handleReachBatch(s *Session, w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, api.BatchReachResponse{Results: s.ReachBatch(req.Pairs)})
+}
+
+func reachBodyTooLarge(limit int64) *api.Error {
+	return api.Errorf(api.CodeBadRequest, "body exceeds the %d bytes a batch of %d pairs, the cap, can take", limit, api.MaxReachPairs)
+}
+
+// handleReachBinary is the ContentTypeReach arm, its length already
+// checked against the cap: body, pairs, answers and response all live
+// in one scratch from the free list, and the response leaves in one
+// write of declared length.
+func handleReachBinary(s *Session, free *scratchList[*reachScratch], w http.ResponseWriter, r *http.Request) {
+	if r.ContentLength < 0 {
+		writeError(w, api.Errorf(api.CodeBadRequest, "a %s body needs a Content-Length", api.ContentTypeReach))
+		return
+	}
+	sc := free.get()
+	defer free.put(sc)
+	sc.buf = slices.Grow(sc.buf[:0], int(r.ContentLength))[:r.ContentLength]
+	if _, err := io.ReadFull(r.Body, sc.buf); err != nil {
+		writeError(w, api.Errorf(api.CodeBadRequest, "reading the body: %v", err))
+		return
+	}
+	var err error
+	if sc.pairs, err = api.DecodeReachRequestInto(sc.pairs[:0], sc.buf); err != nil {
+		writeError(w, api.Errorf(api.CodeBadRequest, "%v", err))
+		return
+	}
+	sc.bits, sc.fails = s.ReachBatchInto(sc.bits, sc.fails[:0], sc.pairs)
+	sc.buf = api.AppendReachResponse(sc.buf[:0], len(sc.pairs), sc.bits, sc.fails)
+	h := w.Header()
+	h.Set("Content-Type", api.ContentTypeReach)
+	h.Set("Content-Length", strconv.Itoa(len(sc.buf)))
+	_, _ = w.Write(sc.buf) // a failed write is a client gone; nothing to report to
 }
 
 func handleLineage(s *Session, w http.ResponseWriter, r *http.Request) {

@@ -4,6 +4,7 @@ package service
 
 import (
 	"bytes"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -179,5 +180,49 @@ func TestReplayAllocatesPerInstance(t *testing.T) {
 	t.Logf("replaying %d events (%d instances opened): %.3f allocations per event", len(events), opens(s.g, events), perEvent)
 	if perEvent >= 0.5 {
 		t.Errorf("replay allocates %.3f objects per event, want under 0.5", perEvent)
+	}
+}
+
+// TestBinaryReachHandlerAllocatesPerRequest drives the binary arm of
+// handleReachBatch through ServeHTTP with an in-memory recorder: a
+// 4,096-pair batch costs the objects a 64-pair batch costs — body,
+// pairs, bitmap and response all come from the free list, and an answer
+// is a bit, so a pair allocates nothing. (The one object more is the
+// Content-Length of a response past 99 bytes: strconv keeps only the
+// two-digit strings ready.)
+func TestBinaryReachHandlerAllocatesPerRequest(t *testing.T) {
+	reg, s, events := allocGateSession(t, 8_000)
+	appendAll(t, s, events, 256)
+	h := NewHandler(reg)
+	rng := rand.New(rand.NewSource(3))
+	post := func(n int) int {
+		pairs := make([]api.ReachPair, n)
+		for i := range pairs {
+			pairs[i] = api.ReachPair{From: int32(events[rng.Intn(len(events))].V), To: int32(events[rng.Intn(len(events))].V)}
+		}
+		req := httptest.NewRequest(http.MethodPost, "/v1/sessions/gate/reach", bytes.NewReader(api.AppendReachRequest(nil, pairs)))
+		req.Header.Set("Content-Type", api.ContentTypeReach)
+		rec := httptest.NewRecorder()
+		before := mallocs()
+		h.ServeHTTP(rec, req)
+		after := mallocs()
+		if answers, err := api.DecodeReachResponseInto(nil, pairs, rec.Body.Bytes()); rec.Code != http.StatusOK || err != nil || len(answers) != n {
+			t.Fatalf("reach of %d pairs: %d %v", n, rec.Code, err)
+		}
+		return int(after - before)
+	}
+	sizes := [2]int{64, api.MaxReachPairs}
+	post(sizes[1]) // warm: the scratch grows to a full batch once
+	var total [2]int
+	const requests = 50
+	for range requests {
+		for k, n := range sizes {
+			total[k] += post(n)
+		}
+	}
+	small, large := float64(total[0])/requests, float64(total[1])/requests
+	t.Logf("%d requests each: %.1f allocations for %d pairs, %.1f for %d", requests, small, sizes[0], large, sizes[1])
+	if large > small+1.5 {
+		t.Errorf("a %d-pair batch allocates %.1f objects, a %d-pair batch %.1f: want the same, a pair costs none", sizes[1], large, sizes[0], small)
 	}
 }

@@ -176,7 +176,10 @@ type Registry struct {
 	metrics *nodeMetrics
 	// ingestScratch is the free list the binary ingest handler takes its
 	// reader and batch buffers from (see http.go).
-	ingestScratch scratchList
+	ingestScratch scratchList[*ingestScratch]
+	// reachScratch is the same for the binary batch-reach handler's body,
+	// pairs and answers.
+	reachScratch scratchList[*reachScratch]
 }
 
 // ReplicationHooks lets the replica subsystem answer replication
@@ -217,11 +220,11 @@ type ClusterHooks struct {
 // NewRegistry returns an empty session registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		sessions: make(map[string]*Session),
-		creating: make(map[string]bool),
-		metrics:  newNodeMetrics(obs.NewRegistry()),
-		// One slot per scratch that may sit idle, never more.
-		ingestScratch: make(scratchList, ingestScratchSlots),
+		sessions:      make(map[string]*Session),
+		creating:      make(map[string]bool),
+		metrics:       newNodeMetrics(obs.NewRegistry()),
+		ingestScratch: scratchList[*ingestScratch]{fresh: newIngestScratch},
+		reachScratch:  scratchList[*reachScratch]{fresh: func() *reachScratch { return new(reachScratch) }},
 	}
 }
 
@@ -817,20 +820,39 @@ func (s *Session) Reach(v, w graph.VertexID) (bool, error) {
 // vertex) are reported inline on the answer — one unanswerable pair
 // never invalidates the batch, which is what lets a client amortize
 // a roundtrip over dozens of questions. Like Reach, the whole batch
-// runs lock-free against the published labels.
+// runs lock-free against the published labels. It is ReachBatchInto
+// with the answers spelled out: the one allocation is the slice it
+// returns.
 func (s *Session) ReachBatch(pairs []api.ReachPair) []api.ReachAnswer {
+	var stack [api.MaxReachPairs / 8]byte // a larger batch's bitmap goes to the heap
+	bits, fails := s.ReachBatchInto(stack[:0], nil, pairs)
 	out := make([]api.ReachAnswer, len(pairs))
 	for i, p := range pairs {
-		out[i] = api.ReachAnswer{From: p.From, To: p.To}
+		out[i] = api.ReachAnswer{From: p.From, To: p.To, Reachable: bits.Get(i)}
+	}
+	for _, f := range fails {
+		out[f.Index].Code, out[f.Index].Error = f.Code, f.Message
+	}
+	return out
+}
+
+// ReachBatchInto is ReachBatch in the shape the binary response carries
+// (internal/api, reach.go), into the caller's buffers: bits is reset to
+// one bit per pair, set where From reaches To, and the pairs that could
+// not be answered are appended to fails in ascending index order. It
+// allocates only to grow a buffer, and for the message of a failure.
+func (s *Session) ReachBatchInto(bits api.ReachBits, fails []api.ReachFailure, pairs []api.ReachPair) (api.ReachBits, []api.ReachFailure) {
+	bits = bits.Reset(len(pairs))
+	for i, p := range pairs {
 		ok, err := s.Reach(graph.VertexID(p.From), graph.VertexID(p.To))
 		if err != nil {
 			ae := api.AsError(err, api.CodeInternal)
-			out[i].Code, out[i].Error = ae.Code, ae.Message
-			continue
+			fails = append(fails, api.ReachFailure{Index: i, Code: ae.Code, Message: ae.Message})
+		} else if ok {
+			bits.Set(i)
 		}
-		out[i].Reachable = ok
 	}
-	return out
+	return bits, fails
 }
 
 // Lineage returns the labeled vertices that reach v (its provenance
