@@ -159,9 +159,12 @@ type MetricsSnapshot struct {
 	WALCommitP99US float64 `json:"wal_commit_p99_us,omitempty"`
 	WALFsyncP99US  float64 `json:"wal_fsync_p99_us,omitempty"`
 	// SnapshotWrites counts arena snapshots written; ArenaMaps is the
-	// number of sessions currently serving labels from a mapped arena.
-	SnapshotWrites int64 `json:"snapshot_writes,omitempty"`
-	ArenaMaps      int64 `json:"arena_maps,omitempty"`
+	// number of snapshot mappings the node currently holds and
+	// ArenaMappedBytes their total size — both fall when a mapping is
+	// given back, not when its session is deleted.
+	SnapshotWrites   int64 `json:"snapshot_writes,omitempty"`
+	ArenaMaps        int64 `json:"arena_maps,omitempty"`
+	ArenaMappedBytes int64 `json:"arena_mapped_bytes,omitempty"`
 	// ReplicaLagEvents / ReplicaLagSeconds report the follower's worst
 	// per-session tail lag (zero on primaries).
 	ReplicaLagEvents  int64   `json:"replica_lag_events"`

@@ -54,6 +54,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"sync"
 
 	"wfreach/internal/graph"
 	"wfreach/internal/integrity"
@@ -108,8 +109,10 @@ type Meta struct {
 }
 
 // Arena is an open snapshot: the raw file bytes (mapped on linux,
-// read into memory elsewhere) plus the parsed header. All methods are
-// safe for concurrent use; the underlying bytes are immutable.
+// read into memory elsewhere) plus the parsed header. The underlying
+// bytes are immutable and every method but Close is safe for concurrent
+// use; Close is safe against itself and Evict, not against a reader of
+// the bytes (see Close).
 type Arena struct {
 	data   []byte // the whole file
 	index  []byte // aliases data
@@ -117,6 +120,11 @@ type Arena struct {
 	meta   Meta
 	count  int
 	mapped bool
+
+	// mu orders Close against Close and Evict: the calls an owner makes
+	// from more than one place (a deterministic release and a cleanup, a
+	// checkpoint that evicts when it is done).
+	mu sync.Mutex
 
 	// merkleRoot is the header's label-extent Merkle root.
 	merkleRoot integrity.Head
@@ -231,10 +239,6 @@ func (a *Arena) Count() int { return a.count }
 // Range order. It aliases the arena and must be treated as immutable.
 func (a *Arena) Labels() []byte { return a.labels }
 
-// Mapped reports whether the arena is served from a memory mapping
-// (true on linux) rather than a heap copy of the file.
-func (a *Arena) Mapped() bool { return a.mapped }
-
 // entry decodes index entry i.
 func (a *Arena) entry(i int) (v graph.VertexID, enc []byte) {
 	e := a.index[i*entrySize:]
@@ -290,31 +294,47 @@ func (a *Arena) VerifyMerkle() error {
 	return nil
 }
 
+// MappedBytes returns the size of the arena's memory mapping: the
+// file's length while it is mapped, zero for a heap copy and after
+// Close.
+func (a *Arena) MappedBytes() int64 {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if !a.mapped {
+		return 0
+	}
+	return int64(len(a.data))
+}
+
 // Evict tells the kernel the arena's pages need not stay resident. A
-// restore reads every one of them once — VerifyMerkle the labels, the
-// store the extents — after which the process would carry the whole
-// snapshot in its resident set for as long as the mapping lives, which
-// is the process's lifetime. Evicted pages stay in the page cache and
-// fault back in when a query touches them, so this is safe with readers
-// at work and restores what mapping the file promised: only the bytes
-// queries touch reach memory. A heap-backed arena is left alone.
+// full pass over the labels — VerifyMerkle and the store's indexing at
+// restore, a checkpoint writing them out again — leaves the whole
+// snapshot in the resident set for as long as the mapping lives.
+// Evicted pages stay in the page cache and fault back in when a query
+// touches them, so this is safe with readers at work and restores what
+// mapping the file promised: only the bytes queries touch reach memory.
+// A heap-backed arena is left alone, and so is a closed one.
 func (a *Arena) Evict() {
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	if a.mapped {
 		evictFile(a.data)
 	}
 }
 
-// Close releases the mapping. It must not be called while any caller
-// can still hold slices into the arena — a store serving an arena
-// keeps it for the store's lifetime and never closes it.
+// Close releases the mapping; closing again is a no-op. Whoever owns
+// the arena must know that nothing can still read a slice into it: a
+// store that adopted it ([store.Store.AttachArena]) owns it from then
+// on and closes it when its last reader has left, and a caller that
+// opened one only to inspect it closes it itself.
 func (a *Arena) Close() error {
-	if !a.mapped {
-		a.data, a.index, a.labels = nil, nil, nil
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	data, mapped := a.data, a.mapped
+	a.data, a.index, a.labels, a.mapped = nil, nil, nil, false
+	if !mapped {
 		return nil
 	}
-	data := a.data
-	a.data, a.index, a.labels = nil, nil, nil
-	a.mapped = false
 	return unmapFile(data)
 }
 

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"wfreach/internal/graph"
@@ -271,4 +272,44 @@ func TestVerifyCatchesLabelRot(t *testing.T) {
 	if err := a.Verify(); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("Verify: got %v, want ErrCorrupt", err)
 	}
+}
+
+// TestCloseAndEvictInAnyOrder: an owner releases from two places — a
+// deterministic retire and a cleanup — and evicts when a checkpoint is
+// done, so Close is idempotent and Close and Evict may meet in either
+// order, or at once (run with -race).
+func TestCloseAndEvictInAnyOrder(t *testing.T) {
+	entries := []Entry{{V: 1, Enc: []byte("one")}, {V: 2, Enc: []byte("two")}}
+	open := func() *Arena { return writeOpen(t, Meta{Events: 2, HasChain: true}, entries) }
+
+	a := open()
+	size := a.MappedBytes()
+	a.Evict()
+	for range 2 {
+		if err := a.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+	}
+	a.Evict() // after Close: nothing left to advise on
+	if a.MappedBytes() != 0 || a.Count() != 2 || a.Events() != 2 {
+		t.Fatalf("closed arena: %d mapped bytes, %d labels, %d events", a.MappedBytes(), a.Count(), a.Events())
+	}
+
+	a = open()
+	if a.MappedBytes() != size {
+		t.Fatalf("MappedBytes = %d for the file that mapped %d", a.MappedBytes(), size)
+	}
+	var wg sync.WaitGroup
+	for i := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if i%2 == 0 {
+				a.Evict()
+			} else if err := a.Close(); err != nil {
+				t.Errorf("Close: %v", err)
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -1,12 +1,14 @@
 package core_test
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
 	"wfreach/internal/core"
 	"wfreach/internal/gen"
 	"wfreach/internal/graph"
+	"wfreach/internal/label"
 	"wfreach/internal/skeleton"
 	"wfreach/internal/spec"
 	"wfreach/internal/wfspecs"
@@ -65,6 +67,63 @@ func TestRandomLinearGrammarsProperty(t *testing.T) {
 				}
 				if dBFS.Reach(v, w) != want {
 					t.Fatalf("seed %d: BFS π(%d,%d) != truth %v", seed, v, w, want)
+				}
+			}
+		}
+	}
+}
+
+// TestRandomLinearGrammarsLabelLength is the paper's headline bound as a
+// property: on a linear-recursive grammar a label is O(log n) bits
+// (Theorem 3), with constants the grammar alone fixes. A label has one
+// entry per level of the compressed parse tree, at most 2|Σ\Δ|+1 of
+// them (Lemma 4.1); an entry is 2 type bits, an index no larger than
+// the run (⌊log₂ n⌋+1 bits), a skeleton pointer of ⌈log₂ n_G⌉ bits and
+// 2 recursion flags at most. So with c = 2|Σ\Δ|+1 and d = c·(5+⌈log₂
+// n_G⌉), the longest label of a run of n vertices is at most
+// c·log₂ n + d bits — over the same random grammars the correctness
+// property draws, at run sizes two orders of magnitude apart. A labeler
+// that stopped compressing recursion would add a level per unfolding
+// and leave the bound behind within a few hundred vertices. (The
+// nonlinear family has no such bound — Theorem 1 — and asserts
+// correctness only.)
+func TestRandomLinearGrammarsLabelLength(t *testing.T) {
+	for seed := int64(0); seed < 24; seed++ {
+		s := wfspecs.RandomSpec(wfspecs.RandomParams{
+			Plain:        int(seed % 4),
+			Loops:        int(seed % 3),
+			Forks:        int((seed + 1) % 3),
+			RecursionLen: int(seed % 4),
+			MaxGraphSize: 5 + int(seed%5),
+			Seed:         seed * 1013,
+		})
+		g, err := spec.Compile(s)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if !g.IsLinearRecursive() {
+			t.Fatalf("seed %d: RandomSpec produced a %v grammar", seed, g.Class())
+		}
+		codec := label.NewCodec(g)
+		c := 2*len(s.CompositeNames()) + 1
+		d := c * (5 + g.PointerBits())
+		for _, size := range []int{100, 1000, 10000} {
+			for _, deep := range []bool{false, true} {
+				r := gen.MustGenerate(g, gen.Options{TargetSize: size, Seed: seed, DepthFirst: deep})
+				lr, err := core.LabelRun(r, skeleton.TCL, core.RModeDesignated)
+				if err != nil {
+					t.Fatalf("seed %d size %d: %v", seed, size, err)
+				}
+				live := r.Graph.LiveVertices()
+				bound := float64(c)*math.Log2(float64(len(live))) + float64(d)
+				for _, v := range live {
+					l := lr.MustLabel(v)
+					if l.Len() > c {
+						t.Fatalf("seed %d, n=%d: vertex %d has a label of %d entries, Lemma 4.1 allows %d", seed, len(live), v, l.Len(), c)
+					}
+					if bits := codec.BitLen(l); float64(bits) > bound {
+						t.Fatalf("seed %d, n=%d: vertex %d has a label of %d bits, over %d·log₂ n + %d = %.0f", seed, len(live), v, bits, c, d, bound)
+					}
 				}
 			}
 		}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -230,6 +231,7 @@ func TestArenaRestoreEquivalentToV1(t *testing.T) {
 	if _, err := writeArenaSnapshot(p2, walEvents, 0, sa.store.SnapshotEntries(), headA); err != nil {
 		t.Fatal(err)
 	}
+	runtime.KeepAlive(sa) // the entries alias its snapshot mapping
 	b1, _ := os.ReadFile(p1)
 	b2, _ := os.ReadFile(p2)
 	if !bytes.Equal(b1, b2) {

@@ -294,7 +294,12 @@ func writeArenaSnapshot(path string, events, walBytes int64, entries []store.Ent
 // — the WAL alone is always sufficient for recovery — and are retried
 // at a later batch because the watermark does not advance; a log
 // without a hash chain (only wal.Log.DisableChain gets there) has no
-// head to anchor a snapshot to and takes none. Called after a
+// head to anchor a snapshot to and takes none. The entries alias the
+// store's slab — a snapshot mapping included — so the writer is one of
+// the store's readers from the capture until the file is written, and
+// evicts the mapping on its way out: the write read every mapped label,
+// and a long-lived restored session would otherwise carry its whole
+// snapshot resident from its first checkpoint on. Called after a
 // successful commit, without ingestMu held.
 func (s *Session) maybeSnapshot() {
 	s.ingestMu.Lock()
@@ -308,8 +313,8 @@ func (s *Session) maybeSnapshot() {
 	// head of exactly the covered prefix.
 	events := s.walEvents
 	chainSeq, chainHead, hasChain := s.wal.ChainHead()
-	if !hasChain || chainSeq != events {
-		return
+	if !hasChain || chainSeq != events || !s.store.Enter() {
+		return // no anchor, or deleted: nothing worth a snapshot
 	}
 	s.snapBusy = true
 	walBytes := s.wal.AppendBytes()
@@ -320,6 +325,8 @@ func (s *Session) maybeSnapshot() {
 		t0 := time.Now()
 		root, err := writeArenaSnapshot(filepath.Join(s.dir, snapFile), events, walBytes, entries, chainHead)
 		s.observeSnapshot(t0, err)
+		s.store.EvictArena()
+		s.store.Leave()
 		s.ingestMu.Lock()
 		s.snapBusy = false
 		if err == nil && events > s.snapEvents {
@@ -392,12 +399,14 @@ func (s *Session) closeWAL(finalSnap bool) error {
 	// Outside ingestMu: the snapshot goroutine needs it to finish, and
 	// with the log gone no new snapshot can start.
 	s.snapWG.Wait()
-	if finalSnap && behind && err == nil {
+	if finalSnap && behind && err == nil && s.store.Enter() {
 		// Best-effort: a failed snapshot just means the next restore
 		// replays the log, exactly as if the process had crashed here.
 		t0 := time.Now()
 		_, serr := writeArenaSnapshot(filepath.Join(s.dir, snapFile), events, walBytes, s.store.SnapshotEntries(), chainHead)
 		s.observeSnapshot(t0, serr)
+		s.store.EvictArena() // as in maybeSnapshot
+		s.store.Leave()
 	}
 	return err
 }
@@ -461,7 +470,9 @@ type replayed struct {
 // rebuilt at the first batch (ensureLabelerLocked).
 //
 // replay resets the labeler and the store, so it can be run again
-// without the arena after errArenaUnbacked. It never writes a file.
+// without the arena after errArenaUnbacked; the store it replaces is
+// retired, which gives back a mapping the earlier pass adopted. a is
+// the caller's until the store adopts it. It never writes a file.
 func (s *Session) replay(a *arena.Arena) (replayed, error) {
 	var size int64
 	switch fi, err := os.Stat(s.walPath); {
@@ -471,6 +482,9 @@ func (s *Session) replay(a *arena.Arena) (replayed, error) {
 		return replayed{}, err
 	}
 	s.labeler = core.NewExecutionLabeler(s.g, s.cfg.Skeleton, s.cfg.Mode)
+	if s.store != nil {
+		s.store.Retire()
+	}
 	s.store = store.New(s.g, s.cfg.Skeleton)
 	var covered, watermark int64 // records and log bytes the arena covers
 	var anchor integrity.Head
@@ -481,12 +495,17 @@ func (s *Session) replay(a *arena.Arena) (replayed, error) {
 		if err := a.VerifyMerkle(); err != nil {
 			return replayed{}, fmt.Errorf("integrity: %w", err)
 		}
-		if err := s.store.AttachArena(a); err != nil {
+		// The gauges follow the mapping, not the session: up here, down
+		// where the store unmaps — which a cleanup may do long after the
+		// session is gone, so the closure holds the node's metrics only.
+		m, labels, mapped := s.metrics, int64(a.Count()), a.MappedBytes()
+		if err := s.store.AttachArena(a, func() { m.arenaMapped(-1, labels, mapped) }); err != nil {
 			return replayed{}, fmt.Errorf("%w: %v", errArenaUnbacked, err)
 		}
+		m.arenaMapped(+1, labels, mapped)
 		// Verified and indexed: every page has been read once and none
 		// is needed again until a query asks for it.
-		a.Evict()
+		s.store.EvictArena()
 		covered, watermark = a.Events(), a.WALBytes()
 		_, anchor = a.Integrity()
 	}
@@ -675,9 +694,11 @@ func (r *Registry) restoreSession(sdir, dirName string) (*Session, error) {
 	// adopted as the store's first segment, and a missing, damaged or
 	// older-format one (arena.ErrVersion) is replayed over — the log
 	// re-issues every label byte for byte, and the next snapshot
-	// overwrites the file in the current format. An adopted arena stays
-	// mapped for the store's lifetime, so it is unmapped here only when
-	// the restore does not go through.
+	// overwrites the file in the current format. Once adopted the arena
+	// is the store's, mapped for as long as the session is in use; where
+	// the restore does not go through, or goes through without it, the
+	// mapping is given back here: retiring the store if it got that far,
+	// closing the arena (harmless a second time) if it did not.
 	a, err := arena.Open(filepath.Join(sdir, snapFile))
 	switch {
 	case err == nil:
@@ -688,16 +709,22 @@ func (r *Registry) restoreSession(sdir, dirName string) (*Session, error) {
 	}
 	restored := false
 	defer func() {
-		if a != nil && !restored {
+		if restored {
+			return
+		}
+		if s.store != nil {
+			s.store.Retire()
+		}
+		if a != nil {
 			a.Close()
 		}
 	}()
 	replayStart := time.Now()
 	rep, err := s.replay(a)
 	if errors.Is(err, errArenaUnbacked) {
+		rep, err = s.replay(nil) // retires the first pass's store
 		a.Close()
 		a = nil
-		rep, err = s.replay(nil)
 	}
 	if err != nil {
 		return nil, err
@@ -732,10 +759,6 @@ func (r *Registry) restoreSession(sdir, dirName string) (*Session, error) {
 	restored = true
 	r.metrics.restores.Inc()
 	r.metrics.restoreSec.Observe(time.Since(restoreStart))
-	if n := int64(s.store.ArenaCount()); n > 0 {
-		r.metrics.arenaMaps.Add(1)
-		r.metrics.arenaVerts.Add(n)
-	}
 	return s, nil
 }
 

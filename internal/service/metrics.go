@@ -37,6 +37,7 @@ type nodeMetrics struct {
 	restores     *obs.Counter
 	arenaMaps    *obs.Gauge
 	arenaVerts   *obs.Gauge
+	arenaBytes   *obs.Gauge
 
 	chainFrames    *obs.Counter
 	chainVerifySec *obs.Histogram
@@ -62,8 +63,9 @@ func newNodeMetrics(r *obs.Registry) *nodeMetrics {
 		snapWriteSec: r.Histogram("wf_snapshot_write_seconds", "Arena snapshot write duration."),
 		restoreSec:   r.Histogram("wf_snapshot_restore_seconds", "Session restore duration."),
 		restores:     r.Counter("wf_restore_sessions_total", "Sessions restored from the data directory."),
-		arenaMaps:    r.Gauge("wf_arena_maps", "Sessions serving labels from a mapped arena snapshot."),
+		arenaMaps:    r.Gauge("wf_arena_maps", "Arena snapshots the process holds mapped."),
 		arenaVerts:   r.Gauge("wf_arena_vertices", "Vertices served zero-copy from mapped arenas."),
+		arenaBytes:   r.Gauge("wf_arena_mapped_bytes", "Bytes of arena snapshots the process holds mapped."),
 
 		chainFrames:    r.Counter("wf_chain_verify_frames_total", "WAL frames hashed during chain verification."),
 		chainVerifySec: r.Histogram("wf_chain_verify_seconds", "Chain verification pass duration."),
@@ -99,6 +101,15 @@ func (s *Session) bindMetrics(m *nodeMetrics) {
 	s.mEvents = m.ingestEvents.With(s.name)
 	s.mBytes = m.ingestBytes.With(s.name)
 	s.mEpoch = m.publishEpoch.With(s.name)
+}
+
+// arenaMapped moves the mapped-arena gauges by one mapping of that many
+// labels and bytes: sign +1 when a restore adopts it, -1 when its store
+// gives it back.
+func (m *nodeMetrics) arenaMapped(sign, labels, bytes int64) {
+	m.arenaMaps.Add(sign)
+	m.arenaVerts.Add(sign * labels)
+	m.arenaBytes.Add(sign * bytes)
 }
 
 // forgetSession drops the deleted session's labeled series.
@@ -138,6 +149,7 @@ func (r *Registry) MetricsSnapshot() *MetricsSnapshot {
 		WALFsyncP99US:       float64(m.wal.FsyncLatency.Quantile(0.99)) / 1e3,
 		SnapshotWrites:      m.snapWrites.Value(),
 		ArenaMaps:           m.arenaMaps.Value(),
+		ArenaMappedBytes:    m.arenaBytes.Value(),
 		ReplicaLagEvents:    m.replicaLagEvents.Value(),
 		ReplicaLagSeconds:   m.replicaLagSeconds.Value(),
 		MovesCompleted:      m.moves.With("completed").Value(),

@@ -92,7 +92,8 @@ type Session struct {
 
 	// store holds the encoded labels and owns its own synchronization:
 	// writes are staged under its mutex and published per batch; reads
-	// are lock-free.
+	// are lock-free, bracketed per request by its Enter/Leave so that
+	// Delete can retire it and give a snapshot mapping back.
 	store *store.Store
 
 	vertices atomic.Int64 // published vertices, readable without locks
@@ -375,8 +376,12 @@ func (r *Registry) Get(name string) (*Session, bool) {
 }
 
 // Delete removes the named session, reporting whether it existed.
-// In-flight operations on the session finish normally; it simply stops
-// being reachable by name. A durable session's log is closed and its
+// In-flight operations on the session finish normally; it stops being
+// reachable by name, and its store is retired: a query that starts
+// after Delete through a *Session someone still holds is refused with
+// CodeSessionNotFound, and a session restored from a snapshot gives its
+// mapping back as soon as the queries already running have left (at
+// once when there are none). A durable session's log is closed and its
 // data directory removed — deletion is permanent, the session will not
 // come back on Restore, and the name is free for reuse the moment
 // Delete returns. (If the removal itself fails, orphaned files may
@@ -394,10 +399,7 @@ func (r *Registry) Delete(name string) bool {
 	r.mu.Unlock()
 	if ok {
 		r.metrics.forgetSession(name)
-		if n := int64(s.store.ArenaCount()); n > 0 {
-			r.metrics.arenaMaps.Add(-1)
-			r.metrics.arenaVerts.Add(-n)
-		}
+		s.store.Retire()
 	}
 	if ok && s.durable {
 		s.closeWAL(false) // the directory is about to be removed; no final snapshot
@@ -796,8 +798,25 @@ func (s *Session) finishLocked(applied int, err error) (int, error) {
 // any lock. Both vertices must already be labeled; querying a vertex
 // the session has not seen yet is an error (the caller cannot
 // distinguish "not reachable" from "not yet executed" — the paper's
-// partial-run semantics make that the caller's call to retry).
+// partial-run semantics make that the caller's call to retry). Like
+// every query, it is one request to the store — Enter, read, Leave —
+// and on a session Registry.Delete has retired it is refused with
+// CodeSessionNotFound.
 func (s *Session) Reach(v, w graph.VertexID) (bool, error) {
+	if !s.store.Enter() {
+		return false, s.deleted()
+	}
+	defer s.store.Leave()
+	return s.reach(v, w)
+}
+
+// deleted is the answer to a query on a session Delete has retired.
+func (s *Session) deleted() *api.Error {
+	return api.Errorf(api.CodeSessionNotFound, "session %q was deleted", s.name)
+}
+
+// reach is Reach inside the caller's Enter/Leave.
+func (s *Session) reach(v, w graph.VertexID) (bool, error) {
 	bv, okv := s.store.GetRaw(v)
 	bw, okw := s.store.GetRaw(w)
 	if !okv {
@@ -841,10 +860,20 @@ func (s *Session) ReachBatch(pairs []api.ReachPair) []api.ReachAnswer {
 // one bit per pair, set where From reaches To, and the pairs that could
 // not be answered are appended to fails in ascending index order. It
 // allocates only to grow a buffer, and for the message of a failure.
+// The whole batch is one request to the store: on a session deleted
+// before it starts, every pair fails with CodeSessionNotFound.
 func (s *Session) ReachBatchInto(bits api.ReachBits, fails []api.ReachFailure, pairs []api.ReachPair) (api.ReachBits, []api.ReachFailure) {
 	bits = bits.Reset(len(pairs))
+	if !s.store.Enter() {
+		gone := s.deleted()
+		for i := range pairs {
+			fails = append(fails, api.ReachFailure{Index: i, Code: gone.Code, Message: gone.Message})
+		}
+		return bits, fails
+	}
+	defer s.store.Leave()
 	for i, p := range pairs {
-		ok, err := s.Reach(graph.VertexID(p.From), graph.VertexID(p.To))
+		ok, err := s.reach(graph.VertexID(p.From), graph.VertexID(p.To))
 		if err != nil {
 			ae := api.AsError(err, api.CodeInternal)
 			fails = append(fails, api.ReachFailure{Index: i, Code: ae.Code, Message: ae.Message})
@@ -887,6 +916,10 @@ func (s *Session) LineagePage(v graph.VertexID, after graph.VertexID, limit int)
 
 // lineage is the store's page walk with its errors typed for the wire.
 func (s *Session) lineage(v, after graph.VertexID, limit int) ([]graph.VertexID, bool, error) {
+	if !s.store.Enter() {
+		return nil, false, s.deleted()
+	}
+	defer s.store.Leave()
 	page, more, err := s.store.LineagePage(v, after, limit)
 	switch {
 	case errors.Is(err, store.ErrNotStored):

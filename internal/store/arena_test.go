@@ -3,6 +3,7 @@ package store_test
 import (
 	"bytes"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -157,14 +158,14 @@ func TestAttachArenaRequiresEmptyStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Publish()
-	if err := s.AttachArena(a); err == nil {
+	if err := s.AttachArena(a, nil); err == nil {
 		t.Fatal("attaching an arena to a non-empty store must fail")
 	}
 	s2 := store.New(g, skeleton.TCL)
-	if err := s2.AttachArena(a); err != nil {
+	if err := s2.AttachArena(a, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := s2.AttachArena(a); err == nil {
+	if err := s2.AttachArena(a, nil); err == nil {
 		t.Fatal("attaching a second arena must fail")
 	}
 }
@@ -201,6 +202,7 @@ func TestSnapshotEntriesCoversArenaAndShards(t *testing.T) {
 			t.Fatalf("vertex %d bytes diverge", e.V)
 		}
 	}
+	runtime.KeepAlive(s) // got aliases the mapping s owns
 }
 
 // TestQueryPathAllocations pins what decode-free queries buy, on a

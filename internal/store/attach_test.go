@@ -60,7 +60,7 @@ func FuzzAttachArena(f *testing.F) {
 		if err != nil {
 			return
 		}
-		defer a.Close() // the store built over it does not outlive the call
+		defer a.Close() // ours if the attach is refused; closed twice, harmlessly, if not
 		longest := 0
 		a.Range(func(_ graph.VertexID, enc []byte) bool {
 			longest = max(longest, len(enc))
@@ -113,7 +113,7 @@ func TestAttachRefusesWhatAnIndexWordCannotAddress(t *testing.T) {
 	}
 	refused := func(t *testing.T, a *arena.Arena, want string) {
 		s := store.New(g, skeleton.TCL)
-		if err := s.AttachArena(a); err == nil || !strings.Contains(err.Error(), want) {
+		if err := s.AttachArena(a, nil); err == nil || !strings.Contains(err.Error(), want) {
 			t.Fatalf("AttachArena = %v, want a refusal naming the %s", err, want)
 		}
 		if s.Count() != 0 || s.ArenaCount() != 0 || len(s.SnapshotEntries()) != 0 {

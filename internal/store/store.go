@@ -49,12 +49,27 @@
 // Post-snapshot ingest appends to heap segments after it. The aliasing
 // is sound by the write-once contract: a published label never changes,
 // and a committed snapshot file is never modified.
+//
+// # Lifetime
+//
+// Heap segments live as long as anything points at them; a mapping does
+// not, so the store owns an adopted arena and counts the readers that
+// may be looking at it. A caller that shares the store with something
+// that can end it brackets each request — not each lookup — with
+// [Store.Enter] and [Store.Leave]: one atomic add each way, the same
+// two whether or not there is a mapping. [Store.Retire] ends the store:
+// every later Enter is refused, and the last reader out unmaps. A store
+// that is simply dropped gives its mapping back from a cleanup the
+// garbage collector runs once the store is unreachable — which a reader
+// between Enter and Leave keeps it from being.
 package store
 
 import (
 	"errors"
 	"fmt"
 	"iter"
+	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -147,6 +162,12 @@ type Store struct {
 	epoch      atomic.Int64 // publishes that made labels visible
 	arenaCount atomic.Int64 // labels adopted from an arena
 
+	// readers counts the requests between Enter and Leave; Retire sets
+	// its sign bit. adopted is the arena behind segment 0, nil without
+	// one: written by AttachArena before the store is shared.
+	readers atomic.Int64
+	adopted *mapping
+
 	// mu serializes writers and guards the write cursor: the segment
 	// being filled is the directory's last, used bytes of it are taken,
 	// the next one will be nextSegment bytes, and staged/stagedBytes
@@ -177,10 +198,81 @@ func NewSharded(g *spec.Grammar, kind skeleton.Kind, _ int) *Store { return New(
 // AttachArena for the ownership contract.
 func NewFromArena(g *spec.Grammar, kind skeleton.Kind, a *arena.Arena) (*Store, error) {
 	s := New(g, kind)
-	if err := s.AttachArena(a); err != nil {
+	if err := s.AttachArena(a, nil); err != nil {
 		return nil, err
 	}
 	return s, nil
+}
+
+// mapping is an adopted arena and how it is given back. It is an
+// allocation of its own so that the cleanup registered on the Store can
+// hold it without holding the Store.
+type mapping struct {
+	arena    *arena.Arena
+	released func()
+	once     sync.Once
+}
+
+// release unmaps the arena, once, whichever trigger gets here first or
+// second: Retire, the last reader out after it, or the cleanup. A store
+// without an arena has a nil mapping and nothing to release.
+func (m *mapping) release() {
+	if m == nil {
+		return
+	}
+	m.once.Do(func() {
+		m.arena.Close()
+		if m.released != nil {
+			m.released()
+		}
+	})
+}
+
+// retired is the sign bit of Store.readers.
+const retired = math.MinInt64
+
+// Enter opens a request against the store's labels and reports whether
+// it may proceed: false means the store was retired, and the caller
+// must not read (it need not call Leave). Every byte slice obtained
+// between Enter and the matching Leave — GetRaw, Reach, LineagePage,
+// SnapshotEntries — stays readable until that Leave, mapped or not. One
+// atomic add; take it per request, not per lookup.
+func (s *Store) Enter() bool {
+	if s.readers.Add(1) < 0 {
+		s.Leave()
+		return false
+	}
+	return true
+}
+
+// Leave closes the request Enter opened. The last reader to leave a
+// retired store gives the mapping back.
+func (s *Store) Leave() {
+	if s.readers.Add(-1) == retired {
+		s.adopted.release()
+	}
+}
+
+// Retire ends the store: every later Enter is refused, and an adopted
+// mapping is unmapped as soon as the readers already inside have left —
+// before Retire returns when there are none. Writers are not stopped
+// (staging never reads the mapping), and the counters keep answering.
+// Retiring twice is harmless.
+func (s *Store) Retire() {
+	// A compare-and-swap loop, not readers.Or: go1.24.0 on amd64 loses a
+	// register across Or when its result is used.
+	for {
+		n := s.readers.Load()
+		if n < 0 {
+			return
+		}
+		if s.readers.CompareAndSwap(n, n|retired) {
+			if n == 0 {
+				s.adopted.release()
+			}
+			return
+		}
+	}
 }
 
 // AttachArena adopts an arena snapshot's label region as the store's
@@ -188,13 +280,21 @@ func NewFromArena(g *spec.Grammar, kind skeleton.Kind, a *arena.Arena) (*Store, 
 // must be empty — attach is a restore-time operation, before any label
 // is staged — so it can carry at most one arena. A snapshot the index
 // cannot address (a label region over 4 GiB, a label over 64 KiB) is
-// refused whole and leaves the store empty. Ownership: the store
-// aliases the arena's bytes in every GetRaw/SnapshotEntries result from
-// then on, so the arena must stay open — and its backing file must stay
-// unmodified, which the write-once snapshot contract guarantees — for
-// the lifetime of the store and of every byte slice it ever handed out.
-// Callers must not Close the arena; it is released with the process.
-func (s *Store) AttachArena(a *arena.Arena) error {
+// refused whole and leaves the store empty — and the arena with the
+// caller, still open.
+//
+// Ownership: on success the arena is the store's. The store aliases its
+// bytes in every GetRaw/SnapshotEntries result from then on (the
+// backing file must stay unmodified, which the write-once snapshot
+// contract guarantees) and closes it itself, exactly once: when a
+// retired store's last reader leaves (see Retire), or from a cleanup
+// once the store is unreachable. released, when non-nil, runs right
+// after the unmap, possibly on the cleanup's goroutine; it must not
+// refer to the store. A byte slice the store handed out is therefore
+// good for as long as the store is reachable and, where the store can
+// be retired under the caller, until the Leave of the request that
+// fetched it.
+func (s *Store) AttachArena(a *arena.Arena, released func()) error {
 	if a == nil {
 		return fmt.Errorf("store: nil arena")
 	}
@@ -227,6 +327,8 @@ func (s *Store) AttachArena(a *arena.Arena) error {
 	if err != nil {
 		return err
 	}
+	s.adopted = &mapping{arena: a, released: released}
+	runtime.AddCleanup(s, (*mapping).release, s.adopted)
 	s.dir.Store(&dir{pages: pages, segs: [][]byte{region}})
 	s.used = len(region)
 	s.count.Store(int64(a.Count()))
@@ -241,6 +343,16 @@ func (s *Store) AttachArena(a *arena.Arena) error {
 // ArenaCount returns the number of labels served from an adopted arena
 // (zero when none is attached).
 func (s *Store) ArenaCount() int { return int(s.arenaCount.Load()) }
+
+// EvictArena tells the kernel the adopted mapping's pages need not stay
+// resident (see [arena.Arena.Evict]): call it after a pass that read
+// every label — restore's verification, a checkpoint — so the mapping
+// goes back to costing what queries touch. A no-op without a mapping.
+func (s *Store) EvictArena() {
+	if s.adopted != nil {
+		s.adopted.arena.Evict()
+	}
+}
 
 // withPage returns a copy of pages, grown to cover index i, with a
 // fresh page there.
