@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"slices"
 
 	"wfreach/internal/graph"
 	"wfreach/internal/wal"
@@ -52,11 +53,28 @@ func AppendFrame(buf []byte, ev Event) ([]byte, error) {
 	return out, nil
 }
 
+// frameLen is the length pass of AppendFrame: the exact number of bytes
+// it appends for ev, when it accepts ev.
+func frameLen(ev Event) int {
+	switch {
+	case ev.Name != "":
+		return wal.NamedFrameLen(ev.V, ev.Name, ev.Preds)
+	case ev.Graph != nil && ev.Vertex != nil:
+		return wal.RefFrameLen(ev.V, *ev.Graph, *ev.Vertex, ev.Preds)
+	}
+	return 0 // malformed: AppendFrame refuses it
+}
+
 // AppendFrames encodes a batch of wire events onto buf, one frame
-// each — an ingest body. On a malformed event it stops with that
-// event's error and buf unchanged.
+// each — an ingest body. A length pass first reserves exactly the room
+// the body needs, so buf grows at most once. On a malformed event it
+// stops with that event's error and buf unchanged.
 func AppendFrames(buf []byte, events []Event) ([]byte, error) {
-	out := buf
+	n := 0
+	for i := range events {
+		n += frameLen(events[i])
+	}
+	out := slices.Grow(buf, n)
 	for i := range events {
 		var err error
 		if out, err = AppendFrame(out, events[i]); err != nil {

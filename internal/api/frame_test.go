@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"wfreach/internal/wal"
@@ -198,6 +199,28 @@ func TestAppendFrameRejectsMalformedEvent(t *testing.T) {
 	var ae *Error
 	if !errors.As(err, &ae) || ae.Code != CodeBadEvent {
 		t.Fatalf("err = %v, want CodeBadEvent", err)
+	}
+}
+
+// TestFrameLenIsExact pins the length pass AppendFrames reserves with:
+// for ref- and name-form events with no, one and many predecessors, and
+// ids on both sides of each varint boundary up to the largest an event
+// carries, it is exactly what AppendFrame appends.
+func TestFrameLenIsExact(t *testing.T) {
+	const maxID = 1<<31 - 1
+	for _, id := range []int32{0, 127, 128, maxID} {
+		for _, preds := range [][]int32{nil, {id}, {0, 127, 128, 16383, 16384, maxID, id}} {
+			g, sv := id, id
+			for _, ev := range []Event{
+				{V: id, Graph: &g, Vertex: &sv, Preds: preds},
+				{V: id, Name: "x", Preds: preds},
+				{V: id, Name: strings.Repeat("長", 43), Preds: preds}, // 129 bytes: a two-byte length
+			} {
+				if got, want := frameLen(ev), len(oneFrame(t, ev)); got != want {
+					t.Errorf("frameLen(v %d, name %q, %d preds) = %d, AppendFrame writes %d", ev.V, ev.Name, len(ev.Preds), got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -188,9 +188,18 @@ func (b *base) appendLabel(dst []label.Entry, x *parsetree.Node, sv graph.Vertex
 	return append(dst, b.memberEntry(x, sv))
 }
 
-// labelOf is appendLabel into a fresh label.
+// labelOf is appendLabel into a fresh label, the caller's to keep.
 func (b *base) labelOf(x *parsetree.Node, sv graph.VertexID) label.Label {
 	return label.Label{Entries: b.appendLabel(nil, x, sv)}
+}
+
+// expansionPrefix writes the prefix of a node expanding slot sv of
+// instance y once, straight into the tree's slab: φ_g(sv) — whether or
+// not sv was ever materialized — followed by the node's own entry for a
+// group node (own), nothing for a plain replacement.
+func (b *base) expansionPrefix(y *parsetree.Node, sv graph.VertexID, own ...label.Entry) label.Label {
+	buf := y.PrefixBuf(len(y.Prefix.Entries) + 1 + len(own))
+	return label.Label{Entries: append(b.appendLabel(buf, y, sv), own...)}
 }
 
 // Label returns the reachability label of a run vertex: a fresh copy

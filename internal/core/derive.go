@@ -75,7 +75,6 @@ func (d *DerivationLabeler) Apply(st *run.Step) error {
 		return fmt.Errorf("core: %d copies for plain module %s", st.Copies, name)
 	}
 
-	uLabel := d.labelOf(y, sv)
 	isRecursive := d.designatedOf(y.Graph) == sv && sv != graph.None
 
 	switch {
@@ -102,7 +101,7 @@ func (d *DerivationLabeler) Apply(st *run.Step) error {
 			t = label.F
 		}
 		gx := y.AddSpecial(t, parsetree.SlotIndex(sv))
-		gx.Prefix = uLabel.Append(specialEntry(gx))
+		gx.Prefix = d.expansionPrefix(y, sv, specialEntry(gx))
 		y.Groups[sv] = gx
 		for c := 0; c < st.Copies; c++ {
 			x := gx.AddInstance(st.Impl, ng.G.NumVertices(), gx.NextIndex())
@@ -115,7 +114,7 @@ func (d *DerivationLabeler) Apply(st *run.Step) error {
 		// Algorithm 2, lines 15-18: the implementation opens a linear
 		// recursion, so wrap it in a fresh R node.
 		rx := y.AddSpecial(label.R, parsetree.SlotIndex(sv))
-		rx.Prefix = uLabel.Append(specialEntry(rx))
+		rx.Prefix = d.expansionPrefix(y, sv, specialEntry(rx))
 		y.Groups[sv] = rx
 		x := rx.AddInstance(st.Impl, ng.G.NumVertices(), rx.NextIndex())
 		x.Prefix = rx.Prefix
@@ -125,7 +124,7 @@ func (d *DerivationLabeler) Apply(st *run.Step) error {
 	default:
 		// Algorithm 2, line 20: a plain replacement.
 		x := y.AddInstance(st.Impl, ng.G.NumVertices(), parsetree.SlotIndex(sv))
-		x.Prefix = uLabel
+		x.Prefix = d.expansionPrefix(y, sv)
 		x.SlotParent, x.SlotVertex = y, sv
 		y.Groups[sv] = x
 		d.populate(x, st.IDs[0])

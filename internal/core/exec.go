@@ -231,8 +231,7 @@ func (e *ExecutionLabeler) expandSlot(y *parsetree.Node, cu graph.VertexID, gid 
 		y.Groups[cu] = x
 		return x, nil
 	}
-	uLabel := e.labelOf(y, cu) // φ_g(u), whether or not u was ever materialized
-	t := label.N               // a plain replacement hangs the instance under y itself
+	t := label.N // a plain replacement hangs the instance under y itself
 	switch kind := e.g.Spec().Kind(e.info[gid].owner); {
 	case kind == spec.Loop:
 		t = label.L
@@ -243,13 +242,13 @@ func (e *ExecutionLabeler) expandSlot(y *parsetree.Node, cu graph.VertexID, gid 
 	}
 	if t == label.N {
 		x := y.AddInstance(gid, vertices, parsetree.SlotIndex(cu))
-		x.Prefix = uLabel
+		x.Prefix = e.expansionPrefix(y, cu)
 		x.SlotParent, x.SlotVertex = y, cu
 		y.Groups[cu] = x
 		return x, nil
 	}
 	gx := y.AddSpecial(t, parsetree.SlotIndex(cu))
-	gx.Prefix = uLabel.Append(specialEntry(gx))
+	gx.Prefix = e.expansionPrefix(y, cu, specialEntry(gx))
 	y.Groups[cu] = gx
 	x := gx.AddInstance(gid, vertices, gx.NextIndex())
 	x.Prefix = gx.Prefix

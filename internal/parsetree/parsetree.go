@@ -59,46 +59,78 @@ type Node struct {
 	slab *slab // the tree's allocator, shared by every node of it
 }
 
-// A slab carves a tree's nodes and their per-vertex slices from chunks,
-// so opening an instance costs three allocations per chunk rather than
-// per instance. A tree only grows and is dropped whole, so nothing is
-// ever handed back.
+// A slab carves a tree's nodes and every slice they hold — RunOf,
+// Groups, child lists, prefixes — from chunks, so opening an instance
+// allocates per chunk rather than per instance. A tree only grows and is
+// dropped whole, so nothing is ever handed back.
 type slab struct {
-	nodes  []Node
-	runOf  []graph.VertexID
-	groups []*Node
+	nodes   chunks[Node]
+	runOf   chunks[graph.VertexID]
+	ptrs    chunks[*Node] // Groups and child lists
+	entries chunks[label.Entry]
+}
+
+// chunks carves slices of T from chunks that start at firstChunk
+// elements and double up to lastChunk, as the store's label segments
+// do: a small tree pays for a small tree, a large one allocates once per
+// lastChunk elements. A request larger than the chunk gets a chunk of
+// its own size.
+type chunks[T any] struct {
+	free []T
+	size int // elements in the last chunk allocated
 }
 
 const (
-	nodeChunk   = 32  // nodes per chunk
-	vertexChunk = 256 // RunOf and Groups entries per chunk
+	firstChunk = 16
+	lastChunk  = 1024
 )
 
-func (a *slab) node() *Node {
-	if len(a.nodes) == 0 {
-		a.nodes = make([]Node, nodeChunk)
+// carve returns n zeroed elements capped at n, so an append can never
+// cross into a neighbour's.
+func (c *chunks[T]) carve(n int) []T {
+	if len(c.free) < n {
+		c.size = min(max(2*c.size, firstChunk), lastChunk)
+		c.free = make([]T, max(c.size, n))
 	}
-	n := &a.nodes[0]
-	a.nodes = a.nodes[1:]
+	s := c.free[:n:n]
+	c.free = c.free[n:]
+	return s
+}
+
+func (a *slab) node() *Node {
+	n := &a.nodes.carve(1)[0]
 	n.slab = a
 	return n
 }
 
-// instance returns a fresh instance node. Its slices are capped at
-// their length, so an append can never cross into a neighbour's.
+// instance returns a fresh instance node.
 func (a *slab) instance(gid spec.GraphID, vertices int) *Node {
-	if len(a.runOf) < vertices {
-		a.runOf = make([]graph.VertexID, max(vertexChunk, vertices))
-		a.groups = make([]*Node, len(a.runOf))
-	}
 	n := a.node()
 	n.Kind, n.Graph = label.N, gid
-	n.RunOf, a.runOf = a.runOf[:vertices:vertices], a.runOf[vertices:]
-	n.Groups, a.groups = a.groups[:vertices:vertices], a.groups[vertices:]
+	n.RunOf, n.Groups = a.runOf.carve(vertices), a.ptrs.carve(vertices)
 	for i := range n.RunOf {
 		n.RunOf[i] = graph.None
 	}
 	return n
+}
+
+// adopt appends c to n's child list. A full list moves to a slab array
+// of twice its capacity; the arrays it leaves behind add up to less
+// than the one it ends in.
+func (n *Node) adopt(c *Node) {
+	if len(n.Children) == cap(n.Children) {
+		grown := n.slab.ptrs.carve(max(2*cap(n.Children), 1))
+		n.Children = grown[:copy(grown, n.Children)]
+	}
+	n.Children = append(n.Children, c)
+}
+
+// PrefixBuf returns an empty entry buffer of capacity size carved from
+// the tree's slab, for a prefix that lives as long as the tree: up to
+// size entries append in place, and the buffer shares its array with
+// nothing else.
+func (n *Node) PrefixBuf(size int) []label.Entry {
+	return n.slab.entries.carve(size)[:0]
 }
 
 // NewRoot creates the root instance annotated with the start graph.
@@ -117,7 +149,7 @@ func (n *Node) AddSpecial(kind label.NodeType, index int32) *Node {
 	}
 	c := n.slab.node()
 	c.Kind, c.Parent, c.Index = kind, n, index
-	n.Children = append(n.Children, c)
+	n.adopt(c)
 	return c
 }
 
@@ -127,7 +159,7 @@ func (n *Node) AddInstance(gid spec.GraphID, vertices int, index int32) *Node {
 	c := n.slab.instance(gid, vertices)
 	c.Parent = n
 	c.Index = index
-	n.Children = append(n.Children, c)
+	n.adopt(c)
 	return c
 }
 

@@ -20,17 +20,18 @@ import (
 // their siblings in core, store and integrity (the detector allocates).
 // An event's natural cost is "walk to the instance, write the label
 // where it will be read": every stage between the socket and the slab
-// allocates per batch, and the labeler per opened instance — a chunk of
-// nodes now and then, the prefix label of a fresh expansion and of its
-// group node, a parent's child list growing: between one object and
-// three and a half. instanceAllowance is the room a gate gives each
-// opened instance; batchAllowance the constant it gives a batch (the
-// commit round's waiter, a store page every fourth batch, buffers
-// growing). A per-event allocation creeping back adds the batch size
-// to a batch, an order of magnitude more than either.
+// allocates per batch if at all, and an opened instance carves its
+// node, its slices, its place in the parent's child list and its prefix
+// from the parse tree's slab, which allocates a chunk now and then.
+// instanceAllowance is the room a gate gives each opened instance —
+// core's bound on those refills (TestOpenedInstanceAllocatesOnlyChunks);
+// batchAllowance the constant it gives a batch — a store index page
+// every fourth batch, a label segment now and then; the commit round
+// allocates nothing. A per-event allocation creeping back adds the
+// batch size to a batch, two orders of magnitude more than either.
 const (
-	instanceAllowance = 3
-	batchAllowance    = 24
+	instanceAllowance = 0.25
+	batchAllowance    = 1
 )
 
 // mallocs returns the process's allocation count so far.
@@ -68,9 +69,9 @@ func allocGateSession(t *testing.T, size int) (*Registry, *Session, []run.Event)
 
 // TestAppendRecordsAllocatesPerBatch: into a warm durable session, a
 // 256-event batch of records with their frames — label, log, encode in
-// place, publish, commit — allocates a constant few objects plus the
-// instances it opens. Not one per event: the gate sits an order of
-// magnitude under the batch size.
+// place, publish, commit — allocates under one object plus the chunk
+// refills of the instances it opens. Not one per event: the gate sits
+// two orders of magnitude under the batch size.
 func TestAppendRecordsAllocatesPerBatch(t *testing.T) {
 	const batch = 256
 	_, s, events := allocGateSession(t, 40_000)
@@ -157,7 +158,8 @@ func TestBinaryHandlerAllocatesPerRequest(t *testing.T) {
 
 // TestReplayAllocatesPerInstance: restoring a session from its log
 // alone re-labels and re-encodes every event, and allocates well under
-// one object per event doing it — what is left is per opened instance.
+// one object per event doing it — what is left is per session (decoding
+// its spec is most of it) and per chunk.
 func TestReplayAllocatesPerInstance(t *testing.T) {
 	reg, s, events := allocGateSession(t, 40_000)
 	appendAll(t, s, events, 256)

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"slices"
 	"sync"
 )
 
@@ -25,13 +26,27 @@ type Committer struct {
 	pending map[*Log]int64 // highest requested append sequence per log
 	errs    map[*Log]error // first commit failure per log; permanent
 	metrics *Metrics       // optional round-size instruments (SetMetrics)
+
+	// The leader's own state, reused round after round so a round
+	// allocates nothing: the pending set it is draining (swapped with
+	// pending, empty between rounds) and the outcome of each flush.
+	draining map[*Log]int64
+	results  []outcome
+}
+
+// outcome is one log's flush in a commit round.
+type outcome struct {
+	log   *Log
+	cover int64
+	err   error
 }
 
 // NewCommitter returns an empty commit coordinator.
 func NewCommitter() *Committer {
 	c := &Committer{
-		pending: make(map[*Log]int64),
-		errs:    make(map[*Log]error),
+		pending:  make(map[*Log]int64),
+		draining: make(map[*Log]int64),
+		errs:     make(map[*Log]error),
 	}
 	c.cond = sync.NewCond(&c.mu)
 	return c
@@ -74,39 +89,37 @@ func (c *Committer) lead() {
 	c.leading = true
 	for len(c.pending) > 0 {
 		batch := c.pending
-		c.pending = make(map[*Log]int64)
+		c.pending, c.draining = c.draining, batch
 		if c.metrics != nil {
 			c.metrics.CommitRounds.Inc()
 			c.metrics.CommitLogs.Add(int64(len(batch)))
 		}
 		c.mu.Unlock()
 
-		type outcome struct {
-			log   *Log
-			cover int64
-			err   error
+		// Each flush writes its own slot; a lone log is flushed inline,
+		// several in parallel.
+		c.results = slices.Grow(c.results[:0], len(batch))[:len(batch)]
+		if len(batch) == 1 {
+			for log := range batch {
+				c.results[0] = flush(log)
+			}
+		} else {
+			var wg sync.WaitGroup
+			i := 0
+			for log := range batch {
+				wg.Add(1)
+				go func(r *outcome, log *Log) {
+					defer wg.Done()
+					*r = flush(log)
+				}(&c.results[i], log)
+				i++
+			}
+			wg.Wait()
 		}
-		results := make([]outcome, 0, len(batch))
-		var rmu sync.Mutex
-		var wg sync.WaitGroup
-		for log := range batch {
-			wg.Add(1)
-			go func(log *Log) {
-				defer wg.Done()
-				// Everything appended before the flush starts is covered
-				// by it; capturing the sequence first makes the claim
-				// conservative.
-				cover := log.AppendSeq()
-				err := log.Flush()
-				rmu.Lock()
-				results = append(results, outcome{log, cover, err})
-				rmu.Unlock()
-			}(log)
-		}
-		wg.Wait()
 
 		c.mu.Lock()
-		for _, r := range results {
+		clear(batch)
+		for _, r := range c.results {
 			if r.err != nil {
 				if c.errs[r.log] == nil {
 					c.errs[r.log] = r.err
@@ -118,7 +131,16 @@ func (c *Committer) lead() {
 				r.log.advanceDurable(r.cover)
 			}
 		}
+		clear(c.results) // hold no log past its round
 		c.cond.Broadcast()
 	}
 	c.leading = false
+}
+
+// flush commits one log of a round. Everything appended before the
+// flush starts is covered by it; capturing the sequence first makes the
+// claim conservative.
+func flush(log *Log) outcome {
+	cover := log.AppendSeq()
+	return outcome{log, cover, log.Flush()}
 }

@@ -32,6 +32,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"math/bits"
 	"os"
 	"slices"
 	"strings"
@@ -199,6 +200,33 @@ func appendFrame[V ~int32](buf []byte, kind byte, v V, name string, g int32, sv 
 	binary.LittleEndian.PutUint32(buf[start:start+4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(buf[start+4:start+8], crc32.ChecksumIEEE(payload))
 	return buf, nil
+}
+
+// RefFrameLen is the length pass of AppendRefFrame: the exact number of
+// bytes it appends for these fields, when it accepts them — what a
+// caller reserves before framing a batch.
+func RefFrameLen[V ~int32](v V, g int32, sv V, preds []V) int {
+	return frameLen(v, uvarintLen(g)+uvarintLen(sv), preds)
+}
+
+// NamedFrameLen is RefFrameLen for AppendNamedFrame.
+func NamedFrameLen[V ~int32](v V, name string, preds []V) int {
+	return frameLen(v, uvarintLen(len(name))+len(name), preds)
+}
+
+// frameLen mirrors appendFrame field by field; fields is the length of
+// what the kind puts between the vertex and the predecessor count.
+func frameLen[V ~int32](v V, fields int, preds []V) int {
+	n := FrameHeaderSize + 1 + uvarintLen(v) + fields + uvarintLen(len(preds))
+	for _, p := range preds {
+		n += uvarintLen(p)
+	}
+	return n
+}
+
+// uvarintLen is the length of binary.AppendUvarint(nil, uint64(x)).
+func uvarintLen[I ~int | ~int32](x I) int {
+	return (bits.Len64(uint64(x)|1) + 6) / 7
 }
 
 // DecodeRecord parses one record payload (the bytes after a frame
