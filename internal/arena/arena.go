@@ -1,10 +1,10 @@
-// Package arena implements the label-snapshot format (WFSNAP03): an
+// Package arena implements the label-snapshot format (WFSNAP04): an
 // mmap-able arena of encoded labels that a process opens in constant
 // time and queries without decoding or copying anything, stamped with
 // the two anchors that tie it to the session's history. The file is
 // laid out so the *file itself* is the data structure:
 //
-//	[0:8)     magic "WFSNAP03" (ASCII)
+//	[0:8)     magic "WFSNAP04" (ASCII)
 //	[8:16)    uint64 LE  events      — WAL records covered by this snapshot
 //	[16:24)   uint64 LE  walBytes    — byte offset of the end of the covered
 //	                                   prefix in the session's events.wal
@@ -14,13 +14,19 @@
 //	[44:76)   merkleRoot — Merkle root over the label extents, in index
 //	          order (leaf = SHA-256(0x00 || vertex || label))
 //	[76:108)  chainHead  — WAL hash-chain head at record `events`
-//	[108:112) uint32 LE  indexCRC    — CRC-32 (IEEE) of header[8:108) ++ index
-//	[112:112+16·count)   index       — count entries, sorted by vertex id:
-//	                                     uint32 LE vertex
-//	                                     uint32 LE length
-//	                                     uint64 LE offset (into the label region)
+//	[108:116) uint64 LE  indexBytes  — index size in bytes
+//	[116:120) uint32 LE  indexCRC    — CRC-32 (IEEE) of header[8:116) ++ index
+//	[120:+indexBytes)    index       — count entries, ascending by vertex id:
+//	                                     uvarint vertex − previous vertex
+//	                                             (the first entry: vertex)
+//	                                     uvarint length
 //	[.. +labelBytes)     label bytes — each label's encoding, contiguous,
 //	                                   in index order
+//
+// The index stores no offsets: the extents are contiguous in index
+// order, so each one starts where the previous ended. Varints are
+// minimal LEB128 (encoding/binary's uvarint) of at most five bytes, so
+// a dense session's entry is two bytes, about a quarter of a label.
 //
 // This package is the file format and nothing else: it opens and
 // validates an image, walks its extents in vertex order (Range), checks
@@ -40,10 +46,10 @@
 //
 // On linux the file is mapped with mmap(MAP_SHARED, PROT_READ); other
 // platforms fall back to reading the file into memory (same API, no
-// zero-copy restore). The index CRC is verified at Open — it is a few
-// hundred KB even for millions of labels — while the label-region CRC
-// is verified by Verify on demand, so opening a multi-gigabyte arena
-// does not fault in every page up front.
+// zero-copy restore). The index is walked and its CRC verified at Open —
+// about two bytes per label, so a million labels cost a 2 MB pass — while
+// the label-region CRC is verified by Verify on demand, so opening a
+// multi-gigabyte arena does not fault in every label page up front.
 package arena
 
 import (
@@ -51,6 +57,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"slices"
@@ -61,16 +68,21 @@ import (
 )
 
 // Magic identifies an arena snapshot file.
-const Magic = "WFSNAP03"
+const Magic = "WFSNAP04"
 
 const (
-	headerSize = 112
-	entrySize  = 16
+	headerSize = 120
+	// maxVarint is the longest index varint: vertex deltas and lengths
+	// both fit 32 bits.
+	maxVarint = 5
+	// maxLength is the longest label an index entry describes.
+	maxLength = 1<<32 - 1
+	// maxVertex is the largest vertex id (graph.VertexID is an int32).
+	maxVertex = 1<<31 - 1
 )
 
 // maxCount caps the entry count Open accepts, so a corrupt header
-// cannot demand a multi-exabyte index before validation catches it.
-// 1<<31 entries is far beyond any session (vertex ids are int32).
+// cannot claim more entries than vertex ids exist.
 const maxCount = 1 << 31
 
 // ErrCorrupt reports an arena file whose structure or checksum is
@@ -78,9 +90,10 @@ const maxCount = 1 << 31
 var ErrCorrupt = errors.New("arena: corrupt snapshot")
 
 // ErrVersion reports a snapshot file with another WFSNAP.. magic (the
-// WFSNAP01 and WFSNAP02 formats earlier builds wrote). Nothing reads
-// those: a snapshot is a cache of the log, so callers treat the file as
-// absent, replay the log, and overwrite it at the next snapshot.
+// WFSNAP01, WFSNAP02 and WFSNAP03 formats earlier builds wrote).
+// Nothing reads those: a snapshot is a cache of the log, so callers
+// treat the file as absent, replay the log, and overwrite it at the
+// next snapshot.
 var ErrVersion = errors.New("arena: snapshot format version not supported")
 
 // Entry is one vertex → encoded-label pair handed to Write. Enc is
@@ -165,16 +178,18 @@ func parse(data []byte, mapped bool) (*Arena, error) {
 	walBytes := binary.LittleEndian.Uint64(data[16:24])
 	count := binary.LittleEndian.Uint64(data[24:32])
 	labelBytes := binary.LittleEndian.Uint64(data[32:40])
+	indexBytes := binary.LittleEndian.Uint64(data[108:116])
 	indexCRC := binary.LittleEndian.Uint32(data[headerSize-4 : headerSize])
-	if events > 1<<62 || walBytes > 1<<62 || count > maxCount {
-		return nil, fmt.Errorf("%w: implausible header (events=%d walBytes=%d count=%d)", ErrCorrupt, events, walBytes, count)
+	size := uint64(len(data))
+	if events > 1<<62 || walBytes > 1<<62 || count > maxCount || indexBytes > size || labelBytes > size {
+		return nil, fmt.Errorf("%w: implausible header (events=%d walBytes=%d count=%d indexBytes=%d labelBytes=%d)",
+			ErrCorrupt, events, walBytes, count, indexBytes, labelBytes)
 	}
-	want := uint64(headerSize) + count*entrySize + labelBytes
-	if uint64(len(data)) != want {
+	if want := headerSize + indexBytes + labelBytes; size != want {
 		return nil, fmt.Errorf("%w: file is %d bytes, header describes %d", ErrCorrupt, len(data), want)
 	}
-	index := data[headerSize : headerSize+count*entrySize]
-	labels := data[headerSize+count*entrySize:]
+	index := data[headerSize : headerSize+indexBytes]
+	labels := data[headerSize+indexBytes:]
 
 	h := crc32.NewIEEE()
 	h.Write(data[8 : headerSize-4])
@@ -183,10 +198,11 @@ func parse(data []byte, mapped bool) (*Arena, error) {
 		return nil, fmt.Errorf("%w: index checksum mismatch", ErrCorrupt)
 	}
 
-	// Entries must be strictly ascending by vertex with contiguous
-	// extents: offset i == offset i-1 + length i-1, summing exactly to
-	// labelBytes. That one invariant rules out overlaps, gaps and
-	// out-of-bounds slices in a single pass.
+	// The index must decode to exactly count entries in exactly
+	// indexBytes, strictly ascending by vertex, whose lengths sum to
+	// exactly labelBytes. Extents are contiguous by construction, so
+	// that rules out overlaps, gaps and out-of-bounds slices in a single
+	// pass.
 	a := &Arena{
 		data:   data,
 		index:  index,
@@ -197,30 +213,60 @@ func parse(data []byte, mapped bool) (*Arena, error) {
 	}
 	copy(a.merkleRoot[:], data[44:76])
 	copy(a.meta.ChainHead[:], data[76:108])
-	var next uint64
-	prevV := int64(-1)
+	var v, next uint64
+	pos := 0
 	for i := 0; i < a.count; i++ {
-		e := index[i*entrySize:]
-		v := binary.LittleEndian.Uint32(e[0:4])
-		length := binary.LittleEndian.Uint32(e[4:8])
-		offset := binary.LittleEndian.Uint64(e[8:16])
-		if int64(v) <= prevV || int64(v) > int64(graph.VertexID(1<<31-1)) {
+		delta, n := uvarint(index[pos:])
+		if n == 0 {
+			return nil, fmt.Errorf("%w: entry %d: malformed vertex delta", ErrCorrupt, i)
+		}
+		pos += n
+		length, n := uvarint(index[pos:])
+		if n == 0 {
+			return nil, fmt.Errorf("%w: entry %d: malformed length", ErrCorrupt, i)
+		}
+		pos += n
+		if i > 0 && delta == 0 {
 			return nil, fmt.Errorf("%w: index not strictly ascending at entry %d", ErrCorrupt, i)
 		}
-		if offset != next {
-			return nil, fmt.Errorf("%w: entry %d extent [%d,+%d) is not contiguous (expected offset %d)", ErrCorrupt, i, offset, length, next)
+		if v += delta; v > maxVertex {
+			return nil, fmt.Errorf("%w: entry %d: vertex id %d out of range", ErrCorrupt, i, v)
 		}
-		next = offset + uint64(length)
-		if next > labelBytes {
-			return nil, fmt.Errorf("%w: entry %d extent [%d,+%d) exceeds label region of %d bytes", ErrCorrupt, i, offset, length, labelBytes)
+		if length > labelBytes-next {
+			return nil, fmt.Errorf("%w: entry %d extent [%d,+%d) exceeds label region of %d bytes", ErrCorrupt, i, next, length, labelBytes)
 		}
-		prevV = int64(v)
+		next += length
+	}
+	if pos != len(index) {
+		return nil, fmt.Errorf("%w: %d index bytes left over after %d entries", ErrCorrupt, len(index)-pos, a.count)
 	}
 	if next != labelBytes {
 		return nil, fmt.Errorf("%w: label region is %d bytes but extents cover %d", ErrCorrupt, labelBytes, next)
 	}
 	return a, nil
 }
+
+// uvarint decodes one index varint: minimal LEB128 of at most
+// maxVarint bytes. n is 0 for a truncated, overlong or oversized one.
+func uvarint(b []byte) (x uint64, n int) {
+	if len(b) > 0 && b[0] < 0x80 {
+		return uint64(b[0]), 1
+	}
+	for i := 0; i < len(b) && i < maxVarint; i++ {
+		c := b[i]
+		x |= uint64(c&0x7f) << (7 * i)
+		if c < 0x80 {
+			if c == 0 {
+				return 0, 0 // a zero final byte could have been left off
+			}
+			return x, i + 1
+		}
+	}
+	return 0, 0
+}
+
+// uvarintLen is the size of x's minimal LEB128 encoding.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 // Meta returns the snapshot watermark.
 func (a *Arena) Meta() Meta { return a.meta }
@@ -239,22 +285,23 @@ func (a *Arena) Count() int { return a.count }
 // Range order. It aliases the arena and must be treated as immutable.
 func (a *Arena) Labels() []byte { return a.labels }
 
-// entry decodes index entry i.
-func (a *Arena) entry(i int) (v graph.VertexID, enc []byte) {
-	e := a.index[i*entrySize:]
-	length := binary.LittleEndian.Uint32(e[4:8])
-	offset := binary.LittleEndian.Uint64(e[8:16])
-	return graph.VertexID(binary.LittleEndian.Uint32(e[0:4])), a.labels[offset : offset+uint64(length) : offset+uint64(length)]
-}
-
 // Range calls fn for every entry in ascending vertex order until fn
-// returns false. The label bytes alias the arena.
+// returns false, decoding the index as it goes — Open validated it, so
+// nothing here can fail. The label bytes alias the arena.
 func (a *Arena) Range(fn func(v graph.VertexID, enc []byte) bool) {
+	var v, off uint64
+	pos := 0
 	for i := 0; i < a.count; i++ {
-		v, enc := a.entry(i)
-		if !fn(v, enc) {
+		delta, n := uvarint(a.index[pos:])
+		pos += n
+		length, n := uvarint(a.index[pos:])
+		pos += n
+		v += delta
+		end := off + length
+		if !fn(graph.VertexID(v), a.labels[off:end:end]) {
 			return
 		}
+		off = end
 	}
 }
 
@@ -284,10 +331,10 @@ func (a *Arena) Integrity() (merkleRoot, chainHead integrity.Head) {
 // region.
 func (a *Arena) VerifyMerkle() error {
 	m := integrity.NewMerkle()
-	for i := 0; i < a.count; i++ {
-		v, enc := a.entry(i)
+	a.Range(func(v graph.VertexID, enc []byte) bool {
 		m.Add(m.LabelLeaf(uint32(v), enc))
-	}
+		return true
+	})
 	if m.Root() != a.merkleRoot {
 		return fmt.Errorf("%w: label Merkle root mismatch", ErrCorrupt)
 	}
@@ -366,21 +413,14 @@ func Write(path string, meta Meta, entries []Entry) (integrity.Head, error) {
 			return 0
 		}
 	})
+	index, err := encodeIndex(entries)
+	if err != nil {
+		return integrity.Head{}, err
+	}
 	var labelBytes uint64
 	labelCRC := crc32.NewIEEE()
 	merkle := integrity.NewMerkle()
-	index := make([]byte, len(entries)*entrySize)
-	for i, e := range entries {
-		if i > 0 && e.V == entries[i-1].V {
-			return integrity.Head{}, fmt.Errorf("arena: vertex %d duplicated", e.V)
-		}
-		if e.V < 0 {
-			return integrity.Head{}, fmt.Errorf("arena: negative vertex id %d", e.V)
-		}
-		ix := index[i*entrySize:]
-		binary.LittleEndian.PutUint32(ix[0:4], uint32(e.V))
-		binary.LittleEndian.PutUint32(ix[4:8], uint32(len(e.Enc)))
-		binary.LittleEndian.PutUint64(ix[8:16], labelBytes)
+	for _, e := range entries {
 		labelBytes += uint64(len(e.Enc))
 		labelCRC.Write(e.Enc)
 		merkle.Add(merkle.LabelLeaf(uint32(e.V), e.Enc))
@@ -396,6 +436,7 @@ func Write(path string, meta Meta, entries []Entry) (integrity.Head, error) {
 	binary.LittleEndian.PutUint32(hdr[40:44], labelCRC.Sum32())
 	copy(hdr[44:76], root[:])
 	copy(hdr[76:108], meta.ChainHead[:])
+	binary.LittleEndian.PutUint64(hdr[108:116], uint64(len(index)))
 	indexCRC := crc32.NewIEEE()
 	indexCRC.Write(hdr[8 : headerSize-4])
 	indexCRC.Write(index)
@@ -446,4 +487,32 @@ func Write(path string, meta Meta, entries []Entry) (integrity.Head, error) {
 		return integrity.Head{}, fmt.Errorf("arena: %w", err)
 	}
 	return root, nil
+}
+
+// encodeIndex validates entries, sorted by vertex, and returns their
+// index in one allocation, sized by an exact length pass.
+func encodeIndex(entries []Entry) ([]byte, error) {
+	size := 0
+	prev := graph.VertexID(0)
+	for i, e := range entries {
+		if e.V < 0 {
+			return nil, fmt.Errorf("arena: negative vertex id %d", e.V)
+		}
+		if i > 0 && e.V == prev {
+			return nil, fmt.Errorf("arena: vertex %d duplicated", e.V)
+		}
+		if uint64(len(e.Enc)) > maxLength {
+			return nil, fmt.Errorf("arena: label of vertex %d is %d bytes, over the %d an index entry describes", e.V, len(e.Enc), uint64(maxLength))
+		}
+		size += uvarintLen(uint64(e.V-prev)) + uvarintLen(uint64(len(e.Enc)))
+		prev = e.V
+	}
+	index := make([]byte, 0, size)
+	prev = 0
+	for _, e := range entries {
+		index = binary.AppendUvarint(index, uint64(e.V-prev))
+		index = binary.AppendUvarint(index, uint64(len(e.Enc)))
+		prev = e.V
+	}
+	return index, nil
 }

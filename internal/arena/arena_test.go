@@ -168,12 +168,13 @@ func TestWriteIsDeterministic(t *testing.T) {
 }
 
 // TestOpenRejectsV1Magic: the formats earlier builds wrote (WFSNAP01,
-// WFSNAP02) are ErrVersion whatever follows the magic — even nothing —
+// WFSNAP02, WFSNAP03) are ErrVersion whatever follows the magic — even nothing —
 // which is what lets restore treat them as absent and replay the log.
 func TestOpenRejectsV1Magic(t *testing.T) {
 	for _, body := range [][]byte{
 		append([]byte("WFSNAP01"), make([]byte, 64)...),
 		append([]byte("WFSNAP02"), make([]byte, 200)...),
+		append([]byte("WFSNAP03"), make([]byte, 104)...),
 		[]byte("WFSNAP01"),
 	} {
 		path := filepath.Join(t.TempDir(), "labels.snap")
@@ -218,20 +219,8 @@ func TestOpenRejectsCorruption(t *testing.T) {
 		"trailing garbage": func(b []byte) []byte { return append(b, 0xff) },
 		"index bit flip":   func(b []byte) []byte { b[headerSize+3] ^= 0x40; return b },
 		"count inflated":   func(b []byte) []byte { binary.LittleEndian.PutUint64(b[24:32], 1<<40); return b },
-		"overlapping extent": func(b []byte) []byte {
-			// Point entry 1's offset back into entry 0's extent and fix
-			// the index CRC so only the extent check can object.
-			binary.LittleEndian.PutUint64(b[headerSize+entrySize+8:], 0)
-			reseal(b)
-			return b
-		},
-		"extent past region": func(b []byte) []byte {
-			binary.LittleEndian.PutUint32(b[headerSize+2*entrySize+4:], 1<<20)
-			reseal(b)
-			return b
-		},
-		"unsorted index": func(b []byte) []byte {
-			binary.LittleEndian.PutUint32(b[headerSize:], 7) // 7 > next entry's vertex 2
+		"index size inflated": func(b []byte) []byte {
+			binary.LittleEndian.PutUint64(b[108:116], 1<<62)
 			reseal(b)
 			return b
 		},
@@ -243,15 +232,97 @@ func TestOpenRejectsCorruption(t *testing.T) {
 	}
 }
 
+// build assembles an image of count entries around a raw index and
+// label region, with the header's sizes and index CRC made to match,
+// so that only the index walk can object.
+func build(count int, index, labels []byte) []byte {
+	b := make([]byte, headerSize, headerSize+len(index)+len(labels))
+	copy(b, Magic)
+	binary.LittleEndian.PutUint64(b[24:32], uint64(count))
+	binary.LittleEndian.PutUint64(b[32:40], uint64(len(labels)))
+	binary.LittleEndian.PutUint64(b[108:116], uint64(len(index)))
+	b = append(append(b, index...), labels...)
+	reseal(b)
+	return b
+}
+
 // reseal recomputes the index CRC after a deliberate index mutation,
 // so structural validation (not the checksum) is what gets exercised.
 func reseal(b []byte) {
-	count := binary.LittleEndian.Uint64(b[24:32])
-	index := b[headerSize : headerSize+count*entrySize]
+	index := b[headerSize:]
+	if n := binary.LittleEndian.Uint64(b[108:116]); n <= uint64(len(index)) {
+		index = index[:n]
+	}
 	h := crc32.NewIEEE()
 	h.Write(b[8 : headerSize-4])
 	h.Write(index)
 	binary.LittleEndian.PutUint32(b[headerSize-4:], h.Sum32())
+}
+
+// indexCases are hand-written indexes over the label region "aabbbc"
+// that every check but the index walk accepts: vertices 1, 2 and 9 with
+// extents of 2, 3 and 1 bytes, and the ways to get that wrong.
+var indexCases = []struct {
+	name  string
+	count int
+	index []byte
+	ok    bool
+}{
+	{"valid", 3, []byte{1, 2, 1, 3, 7, 1}, true},
+	{"zero delta", 3, []byte{1, 2, 0, 3, 8, 1}, false},
+	{"overlong varint", 3, []byte{0x81, 0x00, 2, 1, 3, 7, 1}, false},
+	{"oversized varint", 3, []byte{0x81, 0x80, 0x80, 0x80, 0x80, 0x00, 2, 1, 3, 7, 1}, false},
+	{"truncated varint", 3, []byte{1, 2, 1, 3, 7, 0x81}, false},
+	{"index bytes left over", 3, []byte{1, 2, 1, 3, 7, 1, 0}, false},
+	{"entry missing", 3, []byte{1, 2, 1, 3}, false},
+	{"lengths sum one over", 3, []byte{1, 2, 1, 3, 7, 2}, false},
+	{"lengths sum one under", 3, []byte{1, 2, 1, 3, 7, 0}, false},
+	{"largest vertex id", 3, append(binary.AppendUvarint(nil, 1<<31-3), 2, 1, 3, 1, 1), true},
+	{"vertex id past int32", 3, append(binary.AppendUvarint(nil, 1<<31-2), 2, 1, 3, 1, 1), false},
+}
+
+// TestOpenValidatesTheIndex: the single pass at Open accepts exactly
+// the indexes that describe strictly ascending, in-range vertices whose
+// minimal varints fill the index and whose lengths fill the region.
+func TestOpenValidatesTheIndex(t *testing.T) {
+	for _, tc := range indexCases {
+		a, err := parse(build(tc.count, tc.index, []byte("aabbbc")), false)
+		if tc.ok != (err == nil) || (err != nil && !errors.Is(err, ErrCorrupt)) {
+			t.Errorf("%s: %v", tc.name, err)
+		}
+		if err == nil && a.Count() != tc.count {
+			t.Errorf("%s: %d entries, want %d", tc.name, a.Count(), tc.count)
+		}
+	}
+}
+
+// TestIndexBytesPerLabel pins the index's share of a snapshot: on dense
+// vertex ids with labels of typical length an entry is two bytes.
+func TestIndexBytesPerLabel(t *testing.T) {
+	const n = 10000
+	entries := make([]Entry, n)
+	for i := range entries {
+		entries[i] = Entry{V: graph.VertexID(i), Enc: make([]byte, 8+i%5)}
+	}
+	a := writeOpen(t, Meta{Events: n, HasChain: true}, entries)
+	if per := float64(len(a.index)) / n; per > 2.1 {
+		t.Fatalf("index costs %.3f bytes per label, want ≤ 2.1", per)
+	}
+}
+
+// TestWriteAllocatesOneIndex: Write sizes the index with a length pass
+// and fills it in place, in one allocation of exactly its size.
+func TestWriteAllocatesOneIndex(t *testing.T) {
+	entries := make([]Entry, 5000)
+	for i := range entries {
+		entries[i] = Entry{V: graph.VertexID(3 * i), Enc: make([]byte, i%200)}
+	}
+	if allocs := testing.AllocsPerRun(20, func() { encodeIndex(entries) }); allocs != 1 {
+		t.Fatalf("encodeIndex: %v allocations, want 1", allocs)
+	}
+	if index, _ := encodeIndex(entries); len(index) != cap(index) {
+		t.Fatalf("index of %d bytes in a %d-byte buffer", len(index), cap(index))
+	}
 }
 
 func TestVerifyCatchesLabelRot(t *testing.T) {

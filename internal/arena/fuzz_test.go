@@ -31,15 +31,21 @@ func FuzzArenaOpen(f *testing.F) {
 	}
 	f.Add(valid)
 	f.Add(valid[:len(valid)-3])         // truncated label region
-	f.Add(valid[:headerSize+entrySize]) // truncated index
+	f.Add(valid[:headerSize+2])         // truncated index
 	f.Add(valid[:12])                   // truncated header
 	f.Add([]byte("WFSNAP01v1 body...")) // v1 magic
 	f.Add([]byte("WFSNAP02"))           // v2 magic only
 	f.Add([]byte(Magic))                // magic only
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
 	mutated := bytes.Clone(valid)
-	mutated[headerSize+8] ^= 0x01 // entry 0 offset
+	mutated[headerSize+1] ^= 0x01 // entry 0 length
 	f.Add(mutated)
+	// Indexes every other check accepts: an overlong varint, a zero
+	// delta, index bytes left over, a length sum off by one, and the
+	// neighbors of the largest vertex id.
+	for _, tc := range indexCases {
+		f.Add(build(tc.count, tc.index, []byte("aabbbc")))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, err := parse(bytes.Clone(data), false)

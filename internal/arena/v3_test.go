@@ -85,8 +85,7 @@ func TestV3TamperedExtentFailsMerkle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	count := int(binary.LittleEndian.Uint64(raw[24:32]))
-	labelOff := headerSize + count*entrySize
+	labelOff := headerSize + int(binary.LittleEndian.Uint64(raw[108:116]))
 	raw[labelOff+5] ^= 0x20
 	// Patch the label-region CRC so the structural check stays green.
 	binary.LittleEndian.PutUint32(raw[40:44], crc32.ChecksumIEEE(raw[labelOff:]))

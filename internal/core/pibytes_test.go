@@ -197,6 +197,22 @@ func FuzzPiBytes(f *testing.F) {
 		f.Add(a, b[:len(b)-1])
 	}
 	f.Add([]byte{}, []byte{0})
+	// The encoding's edges: two loop copies at index codes from the
+	// shortest to the longest (61 bits, more than one refill of the
+	// reader's window), and the deepest label against its sibling.
+	n := func(idx int32, gr, v int) label.Entry {
+		return label.Entry{Index: idx, Type: label.N, Skl: spec.VertexRef{Graph: spec.GraphID(gr), V: graph.VertexID(v)}}
+	}
+	loop := label.Entry{Index: 1, Type: label.L, Skl: spec.NoRef}
+	for _, idx := range []int32{0, 1, 2, 1 << 30, 1<<31 - 1} {
+		f.Add(codec.Encode(labelOf(n(0, 0, 1), loop, n(idx, 1, 0))), codec.Encode(labelOf(n(0, 0, 1), loop, n(idx/2, 1, 1))))
+	}
+	deep := make([]label.Entry, label.MaxEntries)
+	for i := range deep {
+		deep[i] = n(int32(i%3), 0, i%2)
+	}
+	sibling := append(deep[:label.MaxEntries-1:label.MaxEntries-1], n(7, 0, 0))
+	f.Add(codec.Encode(labelOf(deep...)), codec.Encode(labelOf(sibling...)))
 	f.Fuzz(func(t *testing.T, a, b []byte) {
 		got, err := core.PiBytes(codec, skel, a, b)
 		la, errA := codec.Decode(a)

@@ -1,6 +1,8 @@
 package audit
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -64,6 +66,49 @@ func mutate(t *testing.T, sdir, name string, fn func([]byte) []byte) {
 	}
 }
 
+// asWFSNAP03 turns a snapshot image into the file an earlier build
+// wrote for the same labels: the 112-byte WFSNAP03 header and 16-byte
+// index entries (vertex, length, offset), with correct checksums and
+// anchors — a file that is wrong only in its version.
+func asWFSNAP03(t *testing.T, sdir string) {
+	t.Helper()
+	path := filepath.Join(sdir, snapFile)
+	a, err := arena.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, chain := a.Integrity()
+	const hdr, entry = 112, 16
+	img := make([]byte, hdr+entry*a.Count())
+	var labels []byte
+	i := 0
+	a.Range(func(v graph.VertexID, enc []byte) bool {
+		e := img[hdr+entry*i:]
+		binary.LittleEndian.PutUint32(e[0:], uint32(v))
+		binary.LittleEndian.PutUint32(e[4:], uint32(len(enc)))
+		binary.LittleEndian.PutUint64(e[8:], uint64(len(labels)))
+		labels = append(labels, enc...)
+		i++
+		return true
+	})
+	copy(img, "WFSNAP03")
+	binary.LittleEndian.PutUint64(img[8:], uint64(a.Events()))
+	binary.LittleEndian.PutUint64(img[16:], uint64(a.WALBytes()))
+	binary.LittleEndian.PutUint64(img[24:], uint64(a.Count()))
+	binary.LittleEndian.PutUint64(img[32:], uint64(len(labels)))
+	binary.LittleEndian.PutUint32(img[40:], crc32.ChecksumIEEE(labels))
+	copy(img[44:76], root[:])
+	copy(img[76:108], chain[:])
+	h := crc32.NewIEEE()
+	h.Write(img[8:108])
+	h.Write(img[hdr:])
+	binary.LittleEndian.PutUint32(img[108:], h.Sum32())
+	a.Close()
+	if err := os.WriteFile(path, append(img, labels...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestVerifySessionTable is the auditor's contract: what it calls
 // verified, what it calls unavailable (legal data that anchors
 // nothing), and what it calls a violation — and that a torn WAL tail,
@@ -101,6 +146,8 @@ func TestVerifySessionTable(t *testing.T) {
 			damage: func(t *testing.T, sdir string) {
 				mutate(t, sdir, snapFile, func(b []byte) []byte { copy(b, "WFSNAP01"); return b })
 			}},
+		{name: "whole WFSNAP03 snapshot", snapshotAt: snapshotAt, want: StatusUnavailable, records: records, tail: records,
+			damage: asWFSNAP03},
 		{name: "flip below the watermark", snapshotAt: snapshotAt, want: StatusViolation, wantErr: "below snapshot watermark",
 			damage: func(t *testing.T, sdir string) { mutate(t, sdir, walFile, flip(wal.FrameHeaderSize+1)) }},
 		{name: "flip in a label extent", snapshotAt: snapshotAt, want: StatusViolation, wantErr: "Merkle",

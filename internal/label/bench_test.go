@@ -77,7 +77,16 @@ func FuzzDecode(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0x00, 0x12})
-	f.Add(c.Encode(deepLabel(label.MaxEntries))) // the deepest label the count frame holds
+	f.Add(c.Encode(deepLabel(label.MaxEntries))) // the deepest label the encoding holds
+	// Index codes from the shortest to the longest, whose 61 bits are more
+	// than one refill of the reader's window.
+	for _, idx := range []int32{0, 1, 2, 1 << 30, 1<<31 - 1} {
+		l := label.Label{}.
+			Append(label.Entry{Index: 0, Type: label.N, Skl: spec.VertexRef{Graph: 0, V: 1}}).
+			Append(label.Entry{Index: idx, Type: label.L, Skl: spec.NoRef}).
+			Append(label.Entry{Index: idx, Type: label.N, Skl: spec.VertexRef{Graph: 1, V: 1}})
+		f.Add(c.Encode(l))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		l, err := c.Decode(data)
 		if err != nil {

@@ -4,10 +4,9 @@ import "encoding/binary"
 
 // bitReader reads the MSB-first bit stream of an encoded label a word
 // at a time: the unread bits sit left-aligned in a 64-bit window
-// refilled with whole bytes — one 8-byte load while the input lasts,
-// single bytes over the tail — so reading a field is a shift. Past its
-// end the input reads as zero bytes; callers read a whole entry and
-// ask overrun once.
+// refilled with whole bytes from one 64-bit word at a time, so reading
+// a field is a shift. Past its end the input reads as zero bytes;
+// callers read a whole entry and ask overrun once.
 type bitReader struct {
 	data []byte
 	pos  int    // next byte to load; past len(data) once zero bytes were supplied
@@ -31,29 +30,42 @@ func (r *bitReader) take(k uint) uint64 {
 }
 
 // fill tops the window up with as many whole bytes as fit, to at least
-// 57 bits. The 8-byte load also ORs in the bits of a byte that only
-// partly fits; they are the stream's true next bits, so loading them
-// again later changes nothing. Out of line so that need inlines.
+// 57 bits, from one 8-byte word: the next eight bytes while the input
+// lasts, the tail followed by zero bytes over its last seven — a label
+// is often shorter than eight bytes, so the tail is the common case.
+// The load also ORs in the bits of a byte that only partly fits; they
+// are the stream's true next bits, so loading them again later changes
+// nothing. Out of line so that need inlines.
 //
 //go:noinline
 func (r *bitReader) fill() {
-	if len(r.data)-r.pos >= 8 {
-		r.win |= binary.BigEndian.Uint64(r.data[r.pos:]) >> r.n
-		whole := (64 - r.n) >> 3
-		r.pos += int(whole)
-		r.n += whole << 3
-		return
+	var word uint64
+	switch rest := r.data[min(r.pos, len(r.data)):]; {
+	case len(rest) >= 8:
+		word = binary.BigEndian.Uint64(rest)
+	case len(rest) >= 4:
+		// Two overlapping loads, left-aligned; the bytes both hold are
+		// the same bits.
+		word = uint64(binary.BigEndian.Uint32(rest))<<32 |
+			uint64(binary.BigEndian.Uint32(rest[len(rest)-4:]))<<(64-8*len(rest))
+	case len(rest) >= 2:
+		word = uint64(binary.BigEndian.Uint16(rest))<<48 |
+			uint64(binary.BigEndian.Uint16(rest[len(rest)-2:]))<<(64-8*len(rest))
+	case len(rest) == 1:
+		word = uint64(rest[0]) << 56
 	}
-	for ; r.n <= 56; r.n += 8 {
-		if r.pos < len(r.data) {
-			r.win |= uint64(r.data[r.pos]) << (56 - r.n)
-		}
-		r.pos++
-	}
+	r.win |= word >> r.n
+	whole := (64 - r.n) >> 3
+	r.pos += int(whole)
+	r.n += whole << 3
 }
 
+// left returns the number of bits of data not yet read; negative once
+// more bits have been read than data holds.
+func (r *bitReader) left() int { return len(r.data)*8 - (r.pos*8 - int(r.n)) }
+
 // overrun reports whether more bits have been read than data holds.
-func (r *bitReader) overrun() bool { return r.pos*8-int(r.n) > len(r.data)*8 }
+func (r *bitReader) overrun() bool { return r.left() < 0 }
 
 // bitWriter packs MSB-first fields into a buffer the caller sized from
 // the label's exact length, storing 32 bits at a time.

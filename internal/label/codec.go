@@ -9,28 +9,62 @@ import (
 	"wfreach/internal/spec"
 )
 
-// MaxEntries is the deepest label the encoding holds: the entry count
-// is framed in 8 bits. Lemma 4.1 keeps linear-recursive grammars far
-// below it; nonlinear ones can get there, and the ingest pipeline
-// refuses such a label before encoding it.
+// MaxEntries is the deepest label the encoding holds. Lemma 4.1 keeps
+// linear-recursive grammars far below it; nonlinear ones can get there,
+// and the ingest pipeline refuses such a label before encoding it.
 const MaxEntries = 255
 
-// ErrTruncated reports an encoding that ends inside an entry the
-// parser was asked for.
-var ErrTruncated = errors.New("label: truncated encoding")
+// The index and the entry count are Exp-Golomb codes: x + 2^k written
+// in 2·m − k − 1 bits, where m is its bit length — so m − k − 1 zero
+// bits, then x + 2^k. Order 2 for indexes and order 1 for the count
+// give the fewest padded bytes among orders 0–4 on BioAID runs, where
+// most indexes are 0–5 and most labels hold 4–7 entries; on the deeper
+// agent-grammar labels the same index order is best too. The longest
+// codes — index 2³¹−1 (61 bits), count 255 (16 bits) — bound the zero
+// prefixes below.
+const (
+	indexOrder    = 2
+	maxIndexZeros = 29
+	countOrder    = 1
+	maxCountZeros = 7
+	maxIndex      = 1<<31 - 1
+	// shortIndexZeros is the longest prefix whose entry type and index
+	// code (2 + 2·13 + 3 bits) move in one 32-bit field: indexes below
+	// 2¹⁵ − 4.
+	shortIndexZeros = 13
+)
+
+// expGolombLen is the length in bits of x's order-k Exp-Golomb code.
+func expGolombLen(x uint64, k uint) uint { return 2*uint(bits.Len64(x+1<<k)) - k - 1 }
+
+var (
+	// ErrTruncated reports an encoding that ends inside an entry the
+	// parser was asked for.
+	ErrTruncated = errors.New("label: truncated encoding")
+
+	errCountCode = errors.New("label: entry count out of range")
+	errIndexCode = errors.New("label: index out of range")
+)
 
 // Codec encodes labels into the canonical self-delimiting bit layout
-// and measures their length. The layout per entry is:
+// and measures their length. A label is its entry count, then its
+// entries:
+//
+//	count       order-1 Exp-Golomb (4 bits for 2–5 entries)
+//
+// and per entry
 //
 //	type        2 bits
-//	index       5-bit width header + that many value bits
+//	index       order-2 Exp-Golomb (3 bits for 0–3, 5 bits for 4–11)
 //	skl         ⌈log₂ n_G⌉ bits (global spec-vertex number), N entries only
 //	rec         1 presence bit (+ 2 flag bits) when the previous
 //	            entry's node is an R node
 //
-// This realizes Algorithm 1's accounting (|entry| ≤ log θ_t + 2 +
-// log n_G + 1 + 1 bits) with explicit self-delimiting framing so that
-// encoded labels decode without any per-run metadata.
+// padded with zero bits to a whole byte. This realizes Algorithm 1's
+// accounting (|entry| ≤ log θ_t + 2 + log n_G + 1 + 1 bits) with
+// explicit self-delimiting framing so that encoded labels decode
+// without any per-run metadata; BitLen counts the accounting, EncodedLen
+// the stored bytes.
 type Codec struct {
 	ptrBits uint
 	offsets []int            // graph id -> first global vertex number
@@ -74,8 +108,8 @@ func valueBits(v int32) int {
 // bits (≤ log θ_t), the skeleton pointer (⌈log₂ n_G⌉, N entries only)
 // and 2 recursion-flag bits for recursion-chain members. This is the
 // quantity reported as "label length" throughout the evaluation; the
-// wire format produced by Encode additionally frames each index with a
-// 5-bit width header so labels are self-delimiting on disk (see
+// stored form produced by Encode additionally prefix-codes each index
+// and the entry count so labels are self-delimiting on disk (see
 // EncodedBits).
 func (c *Codec) BitLen(l Label) int {
 	bits := 0
@@ -101,13 +135,13 @@ func (c *Codec) EncodedBits(l Label) int { return c.EncodedLen(l) * 8 }
 // EncodedLen is the length pass: the exact size in bytes Encode
 // produces for l — what a caller reserves before EncodeInto.
 func (c *Codec) EncodedLen(l Label) int {
-	n := 8 // entry count frame
+	n := expGolombLen(uint64(len(l.Entries)), countOrder)
 	prevR := false
 	for i := range l.Entries {
 		e := &l.Entries[i]
-		n += 2 + 5 + valueBits(e.Index)
+		n += 2 + expGolombLen(uint64(e.Index), indexOrder)
 		if e.Type == N {
-			n += int(c.ptrBits)
+			n += c.ptrBits
 		}
 		if prevR {
 			n++
@@ -117,7 +151,7 @@ func (c *Codec) EncodedLen(l Label) int {
 		}
 		prevR = e.Type == R
 	}
-	return (n + 7) / 8
+	return int(n+7) / 8
 }
 
 // Encode serializes a label into the canonical layout, in one
@@ -131,20 +165,29 @@ func (c *Codec) Encode(l Label) []byte {
 // EncodeInto serializes a label into dst, which must be exactly
 // EncodedLen(l) bytes — a region the caller reserved where the label
 // will be read, so no encoded copy is ever made. Every byte of dst is
-// written; what it held does not matter. A label deeper than MaxEntries
-// or an N entry without skeleton pointer is a caller bug.
+// written; what it held does not matter. A label deeper than MaxEntries,
+// a negative index or an N entry without skeleton pointer is a caller
+// bug.
 func (c *Codec) EncodeInto(dst []byte, l Label) {
 	if len(l.Entries) > MaxEntries {
-		panic(fmt.Sprintf("label: %d entries exceed the %d the count frame holds", len(l.Entries), MaxEntries))
+		panic(fmt.Sprintf("label: %d entries exceed the %d the encoding holds", len(l.Entries), MaxEntries))
 	}
 	w := bitWriter{buf: dst}
-	w.write(uint64(len(l.Entries)), 8)
+	w.write(uint64(len(l.Entries))+1<<countOrder, expGolombLen(uint64(len(l.Entries)), countOrder))
 	prevR := false
 	for i := range l.Entries {
 		e := &l.Entries[i]
-		width := uint(valueBits(e.Index))
-		w.write(uint64(e.Type)<<5|uint64(width), 7)
-		w.write(uint64(e.Index), width)
+		if e.Index < 0 {
+			panic(fmt.Sprintf("label: negative index %d", e.Index))
+		}
+		x := uint64(e.Index) + 1<<indexOrder
+		if code := expGolombLen(uint64(e.Index), indexOrder); code <= 32-2 {
+			w.write(uint64(e.Type)<<code|x, 2+code)
+		} else {
+			z := (code - indexOrder - 1) / 2
+			w.write(uint64(e.Type)<<z, 2+z)
+			w.write(x, code-z)
+		}
 		if e.Type == N {
 			if e.Skl.IsZero() {
 				panic("label: N entry without skeleton pointer")
@@ -192,12 +235,23 @@ type Cursor struct {
 // in its frame and are never copied.
 func (cu *Cursor) Reset(c *Codec, data []byte) error {
 	*cu = Cursor{c: c, r: bitReader{data: data}}
-	cu.r.need(8)
-	cu.left = int(cu.r.take(8))
-	if cu.r.overrun() {
-		cu.left = 0
+	r := &cu.r
+	r.need(2*maxCountZeros + countOrder + 1)
+	z := uint(bits.LeadingZeros64(r.win))
+	if z > maxCountZeros {
+		if r.left() <= maxCountZeros {
+			return ErrTruncated
+		}
+		return errCountCode
+	}
+	n := r.take(2*z+countOrder+1) - 1<<countOrder
+	if r.overrun() {
 		return ErrTruncated
 	}
+	if n > MaxEntries {
+		return errCountCode
+	}
+	cu.left = int(n)
 	return nil
 }
 
@@ -212,9 +266,34 @@ func (cu *Cursor) Next(e *Entry) (bool, error) {
 		return false, nil
 	}
 	r := &cu.r
-	r.need(7 + 31)
-	hdr := r.take(7) // 2 type bits, 5 index-width bits
-	*e = Entry{Index: int32(r.take(uint(hdr & 31))), Type: NodeType(hdr >> 5), Skl: spec.NoRef}
+	r.need(32)
+	// The type's 2 bits, then the index code's zero prefix.
+	var hdr, idx uint64
+	switch w, z := r.win, uint(bits.LeadingZeros64(r.win<<2)); {
+	case z <= shortIndexZeros:
+		// Both fields straight from the window: the type's top 2 bits,
+		// the code's z+indexOrder+1 bits after its zero prefix.
+		code := 2*z + indexOrder + 1
+		hdr = w >> 62
+		idx = w<<(2+z)>>(64-(code-z)) - 1<<indexOrder
+		r.win <<= 2 + code
+		r.n -= 2 + code
+	case z <= maxIndexZeros:
+		hdr = r.take(2+z) >> z
+		r.need(z + indexOrder + 1)
+		if idx = r.take(z+indexOrder+1) - 1<<indexOrder; idx > maxIndex {
+			if r.overrun() {
+				return false, ErrTruncated
+			}
+			return false, errIndexCode
+		}
+	default:
+		if r.left() <= 2+maxIndexZeros {
+			return false, ErrTruncated
+		}
+		return false, errIndexCode
+	}
+	*e = Entry{Index: int32(idx), Type: NodeType(hdr), Skl: spec.NoRef}
 	r.need(cu.c.ptrBits + 3)
 	if e.Type == N {
 		g := r.take(cu.c.ptrBits)

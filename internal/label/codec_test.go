@@ -3,7 +3,6 @@ package label_test
 import (
 	"bytes"
 	"errors"
-	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -15,10 +14,9 @@ import (
 	"wfreach/internal/wfspecs"
 )
 
-// refEncode is the encoder the format was defined by — the
-// bit-at-a-time writer Encode used before it went word-at-a-time —
-// kept here as the reference the production writer must match byte for
-// byte.
+// refEncode is the reference the production writer must match byte for
+// byte: the format written down one bit at a time, with the codes'
+// lengths found by counting rather than by math/bits.
 func refEncode(g *spec.Grammar, l label.Label) []byte {
 	var offsets []int
 	total := 0
@@ -27,16 +25,11 @@ func refEncode(g *spec.Grammar, l label.Label) []byte {
 		total += ng.G.NumVertices()
 	}
 	var w refBitWriter
-	w.write(uint64(len(l.Entries)), 8)
+	w.expGolomb(uint64(len(l.Entries)), 1)
 	prevR := false
 	for _, e := range l.Entries {
 		w.write(uint64(e.Type), 2)
-		width := 1
-		if e.Index > 0 {
-			width = bits.Len32(uint32(e.Index))
-		}
-		w.write(uint64(width), 5)
-		w.write(uint64(e.Index), width)
+		w.expGolomb(uint64(e.Index), 2)
 		if e.Type == label.N {
 			w.write(uint64(offsets[e.Skl.Graph]+int(e.Skl.V)), g.PointerBits())
 		}
@@ -64,6 +57,18 @@ func b2u(b bool) uint64 {
 type refBitWriter struct {
 	buf  []byte
 	nbit uint
+}
+
+// expGolomb writes x's order-k Exp-Golomb code: as many zero bits as
+// x + 2^k has bits after its leading one beyond k, then x + 2^k.
+func (w *refBitWriter) expGolomb(x uint64, k int) {
+	x += 1 << k
+	width := 0
+	for v := x; v > 0; v >>= 1 {
+		width++
+	}
+	w.write(0, width-k-1)
+	w.write(x, width)
 }
 
 func (w *refBitWriter) write(v uint64, bits int) {
@@ -110,15 +115,20 @@ func corpus(t testing.TB) map[*spec.Grammar][]label.Label {
 	return out
 }
 
+// indexTable is the index-code table: the shortest codes, the first of
+// each longer class, and the widths where shifts go wrong first — 2³⁰
+// and 2³¹−1, whose 61-bit code is longer than the reader's refill.
+var indexTable = []int32{0, 1, 2, 3, 4, 11, 12, 1 << 30, 1<<31 - 1}
+
 // TestEncodeMatchesReferenceWriter: the word-at-a-time writer must be
-// byte-identical to the bit-at-a-time one on the whole corpus and on
-// the index widths where shifts go wrong first — 1, 2³⁰ and 2³¹−1 (the
-// valueBits overflow trap) — its length pass must agree with it, and
-// encoding in place must write every byte of the extent it is given.
+// byte-identical to the bit-at-a-time one on the whole corpus, on the
+// index table and on the deepest label; its length pass must agree with
+// it, decoding must give the label back, and encoding in place must
+// write every byte of the extent it is given.
 func TestEncodeMatchesReferenceWriter(t *testing.T) {
 	labels := corpus(t)
 	g := spec.MustCompile(wfspecs.RunningExample())
-	for _, idx := range []int32{0, 1, 2, 1 << 30, 1<<31 - 1} {
+	for _, idx := range indexTable {
 		for _, rec := range []label.Entry{
 			{Index: idx, Type: label.N, Skl: ref(3, 2)},
 			{Index: idx, Type: label.N, Skl: ref(3, 2), HasRec: true, Rec1: true},
@@ -132,6 +142,7 @@ func TestEncodeMatchesReferenceWriter(t *testing.T) {
 				Append(rec))
 		}
 	}
+	labels[g] = append(labels[g], deepLabel(label.MaxEntries))
 	n := 0
 	for g, ls := range labels {
 		c := label.NewCodec(g)
@@ -140,8 +151,8 @@ func TestEncodeMatchesReferenceWriter(t *testing.T) {
 			if !bytes.Equal(got, want) {
 				t.Fatalf("%s: Encode = %x, reference writer = %x", l, got, want)
 			}
-			if c.EncodedBits(l) != 8*len(want) {
-				t.Fatalf("%s: EncodedBits = %d, encoding has %d", l, c.EncodedBits(l), 8*len(want))
+			if c.EncodedLen(l) != len(want) || c.EncodedBits(l) != 8*len(want) {
+				t.Fatalf("%s: EncodedLen = %d, encoding has %d bytes", l, c.EncodedLen(l), len(want))
 			}
 			// In place, over whatever the reserved extent held.
 			into := bytes.Repeat([]byte{0xff}, c.EncodedLen(l))
@@ -157,6 +168,58 @@ func TestEncodeMatchesReferenceWriter(t *testing.T) {
 	}
 	if n < 2000 {
 		t.Fatalf("corpus shrank to %d labels", n)
+	}
+}
+
+// TestDecodeRefusesOutOfRangeCodes: a well-formed code for a value the
+// format cannot hold — an index past 2³¹−1, a count past MaxEntries, a
+// prefix longer than either's longest code — is an error, not a
+// truncation and not a wrapped value.
+func TestDecodeRefusesOutOfRangeCodes(t *testing.T) {
+	c := codec(t)
+	var w refBitWriter
+	w.expGolomb(1, 1)
+	w.write(uint64(label.L), 2)
+	w.expGolomb(1<<31, 2)
+	w.write(0, 16)
+	overIndex := w.buf
+	w = refBitWriter{}
+	w.expGolomb(label.MaxEntries+1, 1)
+	w.write(0, 16)
+	overCount := w.buf
+	for name, data := range map[string][]byte{
+		"index 2^31":            overIndex,
+		"count MaxEntries+1":    overCount,
+		"index prefix too long": {0x40, 0, 0, 0, 0, 0, 0, 0, 0},
+		"count prefix too long": {0, 0x80, 0, 0},
+	} {
+		if _, err := c.Decode(data); err == nil || errors.Is(err, label.ErrTruncated) {
+			t.Errorf("%s (%x): %v", name, data, err)
+		}
+	}
+}
+
+// TestEncodedLenOnBioAID pins the stored size of a label on a fixed-seed
+// BioAID run, the grammar the restore benchmark snapshots: 7.73 bytes
+// here (8.48 on the benchmark's 200k-event stream).
+func TestEncodedLenOnBioAID(t *testing.T) {
+	g := spec.MustCompile(wfspecs.BioAID())
+	evs, _, err := gen.GenerateEvents(g, gen.Options{TargetSize: 20000, Seed: 1, MaxCopies: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lab := core.NewExecutionLabeler(g, skeleton.TCL, core.RModeDesignated)
+	c := label.NewCodec(g)
+	total := 0
+	for _, ev := range evs {
+		l, err := lab.Insert(ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += c.EncodedLen(l)
+	}
+	if mean := float64(total) / float64(len(evs)); mean > 7.75 {
+		t.Fatalf("mean encoded label is %.3f bytes, want ≤ 7.75", mean)
 	}
 }
 
@@ -184,9 +247,8 @@ func deepLabel(n int) label.Label {
 	return label.Label{Entries: entries}
 }
 
-// TestEncodeRefusesLabelsPastMaxEntries pins the count frame: 255
-// entries round-trip, and 256 — which used to encode a count of 0 and
-// decode to an empty label with a nil error — panic in Encode.
+// TestEncodeRefusesLabelsPastMaxEntries pins the refusal: 255 entries
+// round-trip, and 256 panic in Encode.
 func TestEncodeRefusesLabelsPastMaxEntries(t *testing.T) {
 	c := codec(t)
 	l := deepLabel(label.MaxEntries)
@@ -257,8 +319,9 @@ func TestCursorValidatesTheWalkedPrefixOnly(t *testing.T) {
 		Append(label.Entry{Index: 0, Type: label.N, Skl: ref(0, 0)}).
 		Append(label.Entry{Index: 1, Type: label.N, Skl: ref(0, 1)})
 	enc := c.Encode(bad)
-	// Entry 1 starts at bit 8+2+5+1+ptr; its pointer follows its 8 header and index bits.
-	at := 8 + 8 + c.PointerBits() + 8
+	// A count of 2 is 4 bits, entry 0 is 2+3+ptr bits (type, index 0,
+	// pointer), and entry 1's pointer follows its 2 type and 3 index bits.
+	at := 4 + 2 + 3 + c.PointerBits() + 2 + 3
 	for i := 0; i < c.PointerBits(); i++ {
 		enc[(at+i)/8] |= 1 << (7 - (at+i)%8)
 	}

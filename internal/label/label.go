@@ -1,10 +1,13 @@
 // Package label defines the reachability labels of the dynamic scheme:
 // a label is the list of entries (index, type, skl, rec1, rec2) built
 // by Algorithm 1, one entry per level of the vertex's path in the
-// explicit parse tree. The package also provides the canonical
-// self-delimiting binary encoding used for all label-length
-// measurements (Figures 14 and 17-20) and a codec that round-trips
-// labels through their encoded form.
+// explicit parse tree. Its Codec measures labels and stores them:
+// BitLen is the paper's accounting, the label length of every
+// measurement (Figures 14 and 17-20); Encode is the canonical
+// self-delimiting binary form the store, the snapshot and the Merkle
+// leaves hold, prefix-coding each index and the entry count so that the
+// framing and padding cost about two bytes over BitLen; Cursor parses
+// that form in place.
 package label
 
 import (

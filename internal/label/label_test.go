@@ -101,18 +101,19 @@ func TestEncodeDecodeQuick(t *testing.T) {
 }
 
 func TestBitLenVersusEncodedSize(t *testing.T) {
-	// BitLen uses the paper's word-RAM accounting; Encode adds a 5-bit
-	// width header per index, an 8-bit entry-count frame, a presence
-	// bit per R-chain member, and byte padding.
+	// BitLen uses the paper's word-RAM accounting; Encode prefix-codes
+	// each index (order-2 Exp-Golomb: 3 bits for index 0, 5 for 5, 11 for
+	// 117 — the value bits plus a prefix), prefixes a coded entry count
+	// (4 bits for 3 entries), and pads to a whole byte.
 	c := codec(t)
 	l := label.Label{}.
 		Append(label.Entry{Index: 0, Type: label.N, Skl: ref(0, 0)}).
 		Append(label.Entry{Index: 5, Type: label.L, Skl: spec.NoRef}).
 		Append(label.Entry{Index: 117, Type: label.N, Skl: ref(2, 1)})
 	bits := c.BitLen(l)
-	enc := c.EncodedBits(l)
-	if enc < bits+8+5*l.Len() || enc > bits+8+5*l.Len()+l.Len()+16 {
-		t.Fatalf("encoded %d bits for BitLen %d", enc, bits)
+	framing := 4 + (3 - 1) + (5 - 3) + (11 - 7)
+	if enc, want := c.EncodedBits(l), (bits+framing+7)/8*8; enc != want {
+		t.Fatalf("encoded %d bits for BitLen %d, want %d", enc, bits, want)
 	}
 }
 

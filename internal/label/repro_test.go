@@ -11,19 +11,26 @@ import (
 // TestRegressionWideIndexRoundTrip pins the fuzzer-found bug where an
 // index needing 31 value bits sent the width computation into an
 // int32-overflow infinite loop (`v >= 1<<w` promotes 1<<31 to a
-// negative int32). The input decodes to a label with index 1111740226
-// and must re-encode and round-trip in finite time.
+// negative int32). The input is the fuzzer's label, with index
+// 1111740226, in today's encoding: it must decode to exactly that label
+// and re-encode to exactly these bytes, in finite time.
 func TestRegressionWideIndexRoundTrip(t *testing.T) {
 	g := spec.MustCompile(wfspecs.RunningExample())
 	c := label.NewCodec(g)
-	data := []byte("\x05\tl\x7f\t\x0f=\tf\x1e\xb9\xa8\x7f\xa3e\x00d(\x00")
+	data := []byte("q\xec@\x00\x00\x02\x12\x1ez2\x00\xc4\x14\x00\x00\n\x87\xfaW\x00")
+	want := label.Label{Entries: []label.Entry{
+		{Index: 11, Type: label.N, Skl: ref(3, 3)},
+		{Index: 1111740226, Type: label.L, Skl: spec.NoRef},
+		{Index: 3133, Type: label.L, Skl: spec.NoRef},
+		{Index: 22085446, Type: label.L, Skl: spec.NoRef},
+		{Index: 0, Type: label.R, Skl: spec.NoRef},
+	}}
 	l, err := c.Decode(data)
-	if err != nil {
-		t.Fatalf("seed input no longer decodes: %v", err)
+	if err != nil || !l.Equal(want) {
+		t.Fatalf("seed input decodes to %s, %v; want %s", l, err, want)
 	}
-	l2, err := c.Decode(c.Encode(l))
-	if err != nil || !l2.Equal(l) {
-		t.Fatalf("round trip: err=%v\n in: %s\nout: %s", err, l, l2)
+	if enc := c.Encode(l); string(enc) != string(data) {
+		t.Fatalf("re-encodes to %q", enc)
 	}
 	// Direct check of the widest legal index.
 	wide := label.Label{}.Append(label.Entry{Index: 1<<31 - 1, Type: label.L, Skl: spec.NoRef})

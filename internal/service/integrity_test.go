@@ -3,6 +3,7 @@ package service
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
@@ -14,6 +15,7 @@ import (
 	"wfreach/internal/api"
 	"wfreach/internal/arena"
 	"wfreach/internal/core"
+	"wfreach/internal/graph"
 	"wfreach/internal/integrity"
 	"wfreach/internal/integrity/audit"
 	"wfreach/internal/skeleton"
@@ -295,9 +297,8 @@ func TestTamperDrillArenaExtent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	count := int(binary.LittleEndian.Uint64(raw[24:32]))
-	const hdr, entry = 112, 16
-	labelOff := hdr + count*entry
+	const hdr = 120
+	labelOff := hdr + int(binary.LittleEndian.Uint64(raw[108:116]))
 	raw[labelOff+7] ^= 0x10
 	binary.LittleEndian.PutUint32(raw[40:44], crc32.ChecksumIEEE(raw[labelOff:]))
 	idx := crc32.NewIEEE()
@@ -319,49 +320,110 @@ func TestTamperDrillArenaExtent(t *testing.T) {
 	}
 }
 
+// rewriteAsWFSNAP03 replaces the snapshot at path with the file an
+// earlier build wrote for the same labels: the 112-byte WFSNAP03 header
+// and 16-byte index entries (vertex, length, offset), with correct
+// checksums and anchors — a file that is wrong only in its version.
+func rewriteAsWFSNAP03(t *testing.T, path string) {
+	t.Helper()
+	a, err := arena.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, chain := a.Integrity()
+	const hdr, entry = 112, 16
+	img := make([]byte, hdr+entry*a.Count())
+	var labels []byte
+	i := 0
+	a.Range(func(v graph.VertexID, enc []byte) bool {
+		e := img[hdr+entry*i:]
+		binary.LittleEndian.PutUint32(e[0:], uint32(v))
+		binary.LittleEndian.PutUint32(e[4:], uint32(len(enc)))
+		binary.LittleEndian.PutUint64(e[8:], uint64(len(labels)))
+		labels = append(labels, enc...)
+		i++
+		return true
+	})
+	copy(img, "WFSNAP03")
+	binary.LittleEndian.PutUint64(img[8:], uint64(a.Events()))
+	binary.LittleEndian.PutUint64(img[16:], uint64(a.WALBytes()))
+	binary.LittleEndian.PutUint64(img[24:], uint64(a.Count()))
+	binary.LittleEndian.PutUint64(img[32:], uint64(len(labels)))
+	binary.LittleEndian.PutUint32(img[40:], crc32.ChecksumIEEE(labels))
+	copy(img[44:76], root[:])
+	copy(img[76:108], chain[:])
+	h := crc32.NewIEEE()
+	h.Write(img[8:108])
+	h.Write(img[hdr:])
+	binary.LittleEndian.PutUint32(img[108:], h.Sum32())
+	a.Close()
+	if err := os.WriteFile(path, append(img, labels...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestIntegrityUnavailableOnLegacySnapshot: a data directory whose
-// labels.snap is in a format earlier builds wrote (here a WFSNAP01
-// magic; nothing reads past it) restores fine from the log, reports
-// anchors for the chain the restore re-seeded, and the auditor says
-// "unavailable", not "violation".
+// labels.snap is in a format earlier builds wrote — a WFSNAP01 magic
+// with nothing readable past it, or a whole, checksummed WFSNAP03 file —
+// restores fine from the log, reports anchors for the chain the restore
+// re-seeded, and the auditor says "unavailable", not "violation". The
+// next checkpoint replaces the file with one this build opens.
 func TestIntegrityUnavailableOnLegacySnapshot(t *testing.T) {
-	dir := t.TempDir()
 	g := compileBuiltin(t, "RunningExample")
 	events, _ := genEvents(t, g, 200, 3)
-	reg := durableReg(t, dir, DurableOptions{SnapshotEvery: -1})
-	s, err := reg.Create("old", g, Config{Skeleton: skeleton.TCL, Mode: core.RModeDesignated})
-	if err != nil {
-		t.Fatal(err)
-	}
-	appendAll(t, s, events, 64)
-	n := s.walEvents
-	if err := reg.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Overwrite the snapshot with a legacy v1 file.
-	if err := os.WriteFile(filepath.Join(dir, "old", snapFile), []byte("WFSNAP01 and whatever a v1 body held"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	for _, legacy := range []struct {
+		name    string
+		rewrite func(t *testing.T, path string)
+	}{
+		{"WFSNAP01 magic", func(t *testing.T, path string) {
+			if err := os.WriteFile(path, []byte("WFSNAP01 and whatever a v1 body held"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"WFSNAP03 file", rewriteAsWFSNAP03},
+	} {
+		dir := t.TempDir()
+		reg := durableReg(t, dir, DurableOptions{})
+		s, err := reg.Create("old", g, Config{Skeleton: skeleton.TCL, Mode: core.RModeDesignated})
+		if err != nil {
+			t.Fatal(err)
+		}
+		appendAll(t, s, events, 64)
+		n := s.walEvents
+		if err := reg.Close(); err != nil {
+			t.Fatal(err)
+		}
+		snapPath := filepath.Join(dir, "old", snapFile)
+		legacy.rewrite(t, snapPath)
+		if _, err := arena.Open(snapPath); !errors.Is(err, arena.ErrVersion) {
+			t.Fatalf("%s: Open = %v, want ErrVersion", legacy.name, err)
+		}
 
-	rep := audit.VerifySession(filepath.Join(dir, "old"), "")
-	if rep.Status != audit.StatusUnavailable || rep.WALRecords != n {
-		t.Fatalf("audit of v1 data = %+v", rep)
-	}
+		rep := audit.VerifySession(filepath.Join(dir, "old"), "")
+		if rep.Status != audit.StatusUnavailable || rep.WALRecords != n {
+			t.Fatalf("%s: audit = %+v", legacy.name, rep)
+		}
 
-	reg2 := durableReg(t, dir, DurableOptions{SnapshotEvery: -1})
-	if _, err := reg2.Restore(dir); err != nil {
-		t.Fatalf("v1 data failed to restore: %v", err)
-	}
-	defer reg2.Close()
-	s2, _ := reg2.Get("old")
-	st, err := s2.Integrity()
-	if err != nil {
-		t.Fatalf("restored v1 session has no chain: %v", err)
-	}
-	if st.MerkleRoot != "" || st.SnapshotWatermark != 0 {
-		t.Fatalf("v1 restore claims snapshot anchors: %+v", st)
-	}
-	if st.ChainHead != rep.ChainHead || st.WALSeq != n {
-		t.Fatalf("re-seeded chain %s at %d, audit computed %s over %d", st.ChainHead, st.WALSeq, rep.ChainHead, rep.WALRecords)
+		reg2 := durableReg(t, dir, DurableOptions{})
+		if _, err := reg2.Restore(dir); err != nil {
+			t.Fatalf("%s: failed to restore: %v", legacy.name, err)
+		}
+		s2, _ := reg2.Get("old")
+		st, err := s2.Integrity()
+		if err != nil {
+			t.Fatalf("%s: restored session has no chain: %v", legacy.name, err)
+		}
+		if st.MerkleRoot != "" || st.SnapshotWatermark != 0 {
+			t.Fatalf("%s: restore claims snapshot anchors: %+v", legacy.name, st)
+		}
+		if st.ChainHead != rep.ChainHead || st.WALSeq != n {
+			t.Fatalf("%s: re-seeded chain %s at %d, audit computed %s over %d", legacy.name, st.ChainHead, st.WALSeq, rep.ChainHead, rep.WALRecords)
+		}
+		if err := reg2.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if rep := audit.VerifySession(filepath.Join(dir, "old"), ""); rep.Status != audit.StatusVerified || rep.SnapshotWatermark != n {
+			t.Fatalf("%s: after the next checkpoint, audit = %+v", legacy.name, rep)
+		}
 	}
 }

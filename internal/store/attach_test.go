@@ -32,6 +32,23 @@ func arenaImage(t testing.TB, entries []arena.Entry) []byte {
 	return raw
 }
 
+// snapImage builds a snapshot image by hand around a raw index — header
+// and index, with sizes and index CRC that match, followed by labels —
+// so that a test can hand Open what arena.Write never writes.
+func snapImage(count int, labelBytes uint64, index, labels []byte) []byte {
+	img := make([]byte, 120, 120+len(index)+len(labels))
+	copy(img, arena.Magic)
+	binary.LittleEndian.PutUint64(img[24:], uint64(count))
+	binary.LittleEndian.PutUint64(img[32:], labelBytes)
+	binary.LittleEndian.PutUint64(img[108:], uint64(len(index)))
+	img = append(img, index...)
+	h := crc32.NewIEEE()
+	h.Write(img[8:116])
+	h.Write(index)
+	binary.LittleEndian.PutUint32(img[116:], h.Sum32())
+	return append(img, labels...)
+}
+
 // FuzzAttachArena extends arena.FuzzArenaOpen to the reader the store
 // shares between heap and mapped labels: any image Open accepts either
 // attaches — and then every extent Range yields reads back byte for
@@ -49,6 +66,17 @@ func FuzzAttachArena(f *testing.F) {
 	f.Add(valid[:len(valid)-3])
 	f.Add(arenaImage(f, nil))
 	f.Add(arenaImage(f, []arena.Entry{{V: 3, Enc: bytes.Repeat([]byte{7}, 1<<16)}}))
+	// Indexes only the index walk can refuse: an overlong varint, a zero
+	// delta, index bytes left over, a length sum off by one either way.
+	for _, index := range [][]byte{
+		{0x80, 0x00, 2, 1, 3, 7, 1},
+		{1, 2, 0, 3, 8, 1},
+		{1, 2, 1, 3, 7, 1, 0},
+		{1, 2, 1, 3, 7, 2},
+		{1, 2, 1, 3, 7, 0},
+	} {
+		f.Add(snapImage(3, 6, index, []byte("aabbbc")))
+	}
 	g := spec.MustCompile(wfspecs.RunningExample())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -141,20 +169,14 @@ func TestAttachRefusesWhatAnIndexWordCannotAddress(t *testing.T) {
 		// 4 GiB. Only the header and index are written; the label region
 		// is a hole, which Open never reads (its CRC is Verify's job).
 		const count, length = 1<<16 + 2, 1<<16 - 1
-		img := make([]byte, 112+16*count)
-		copy(img, arena.Magic)
-		binary.LittleEndian.PutUint64(img[24:], count)
-		binary.LittleEndian.PutUint64(img[32:], count*length)
+		index := binary.AppendUvarint(nil, 0)
 		for i := 0; i < count; i++ {
-			e := img[112+16*i:]
-			binary.LittleEndian.PutUint32(e[0:], uint32(i))
-			binary.LittleEndian.PutUint32(e[4:], length)
-			binary.LittleEndian.PutUint64(e[8:], uint64(i)*length)
+			if i > 0 {
+				index = binary.AppendUvarint(index, 1)
+			}
+			index = binary.AppendUvarint(index, length)
 		}
-		h := crc32.NewIEEE()
-		h.Write(img[8:108])
-		h.Write(img[112:])
-		binary.LittleEndian.PutUint32(img[108:], h.Sum32())
+		img := snapImage(count, count*length, index, nil)
 		path := filepath.Join(t.TempDir(), "labels.snap")
 		if err := os.WriteFile(path, img, 0o644); err != nil {
 			t.Fatal(err)
