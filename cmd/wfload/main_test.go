@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http/httptest"
 	"os"
@@ -12,7 +13,32 @@ import (
 	"time"
 
 	"wfreach"
+	"wfreach/client"
+	"wfreach/internal/loadmatrix"
 )
+
+// runReport runs wfload with cfg plus a -report file and returns the
+// one scenario the report holds.
+func runReport(t *testing.T, cfg config) (loadmatrix.ScenarioResult, string) {
+	t.Helper()
+	cfg.reportPath = filepath.Join(t.TempDir(), "report.json")
+	var out bytes.Buffer
+	if err := run(cfg, &out); err != nil {
+		t.Fatalf("%v\n%s", err, out.String())
+	}
+	raw, err := os.ReadFile(cfg.reportPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep loadmatrix.Report
+	if err := json.Unmarshal(raw, &rep); err != nil {
+		t.Fatalf("bad report JSON: %v\n%s", err, raw)
+	}
+	if !rep.Pass || len(rep.Scenarios) != 1 || !rep.Scenarios[0].Pass {
+		t.Fatalf("report did not pass with one scenario:\n%s", raw)
+	}
+	return rep.Scenarios[0], out.String()
+}
 
 // TestRunAgainstInProcessServer drives the full load-generation path
 // (create sessions, stream batches, interleaved verified queries,
@@ -21,8 +47,7 @@ func TestRunAgainstInProcessServer(t *testing.T) {
 	srv := httptest.NewServer(wfreach.NewServiceHandler(wfreach.NewRegistry()))
 	defer srv.Close()
 
-	var out bytes.Buffer
-	cfg := config{
+	res, out := runReport(t, config{
 		addr:     srv.URL,
 		spec:     "BioAID",
 		size:     800,
@@ -32,18 +57,18 @@ func TestRunAgainstInProcessServer(t *testing.T) {
 		readers:  2,
 		verify:   true,
 		prefix:   "t",
-	}
-	if err := run(cfg, &out); err != nil {
-		t.Fatalf("%v\n%s", err, out.String())
-	}
-	s := out.String()
-	for _, want := range []string{"events/sec", "queries/sec", "p50=", "p99=", "0 mismatches"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("report missing %q:\n%s", want, s)
+	})
+	for _, want := range []string{"events/sec", "queries/sec", "p50", "p99", "verify   0 mismatches", "  ok"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("output missing %q:\n%s", want, out)
 		}
 	}
-	if strings.Contains(s, "ingest: 0 events") {
-		t.Fatalf("nothing ingested:\n%s", s)
+	m := res.Metrics
+	if m.IngestEvents == 0 || !m.VerifyChecked || m.VerifyMismatches != 0 {
+		t.Fatalf("metrics %+v", m)
+	}
+	if res.Workload != "BioAID" || res.Sessions != 2 || res.Topology != "single" {
+		t.Fatalf("scenario echo wrong: %+v", res)
 	}
 }
 
@@ -71,33 +96,18 @@ func TestRunWithReplica(t *testing.T) {
 	fsrv := httptest.NewServer(wfreach.NewServiceHandler(freg))
 	defer fsrv.Close()
 
-	jsonPath := filepath.Join(t.TempDir(), "rep.json")
-	var out bytes.Buffer
-	cfg := config{
+	res, out := runReport(t, config{
 		addr: psrv.URL, replica: fsrv.URL,
 		spec: "RunningExample", size: 600, seed: 3,
 		sessions: 2, batch: 64, readers: 2, reachBatch: 8,
-		verify: true, prefix: "rep", jsonPath: jsonPath,
+		verify: true, prefix: "rep",
+	})
+	if !strings.Contains(out, "caught up") {
+		t.Fatalf("output has no replica line:\n%s", out)
 	}
-	if err := run(cfg, &out); err != nil {
-		t.Fatalf("%v\n%s", err, out.String())
-	}
-	s := out.String()
-	for _, want := range []string{"replica lag:", "caught up", "0 mismatches"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("output missing %q:\n%s", want, s)
-		}
-	}
-	raw, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep report
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if rep.Replica != fsrv.URL || rep.ReplicaLag == nil {
-		t.Fatalf("report replica section = %q / %+v", rep.Replica, rep.ReplicaLag)
+	m := res.Metrics
+	if res.Topology != "replica" || !m.HasReplica || m.ReplicaLagSamples == 0 || m.VerifyMismatches != 0 {
+		t.Fatalf("replica section: %+v", res)
 	}
 
 	// Conflicting modes are rejected up front.
@@ -107,8 +117,9 @@ func TestRunWithReplica(t *testing.T) {
 }
 
 func TestRunUnknownSpec(t *testing.T) {
-	if err := run(config{spec: "NoSuchSpec"}, &bytes.Buffer{}); err == nil {
-		t.Fatal("unknown spec accepted")
+	if err := run(config{spec: "NoSuchSpec", sessions: 1, batch: 8}, &bytes.Buffer{}); err == nil ||
+		!strings.Contains(err.Error(), "NoSuchSpec") {
+		t.Fatalf("unknown spec: %v", err)
 	}
 }
 
@@ -161,10 +172,7 @@ func TestResumeVerifiesRestoredSessions(t *testing.T) {
 		size: 500, seed: 5, sessions: 2, batch: 32, readers: 1,
 		verify: true, prefix: "r",
 	}
-	var out bytes.Buffer
-	if err := run(cfg, &out); err != nil {
-		t.Fatalf("%v\n%s", err, out.String())
-	}
+	ingest, _ := runReport(t, cfg)
 	srv.Close() // no reg.Close(): the WAL was flushed per acked batch
 
 	reg2, err := wfreach.NewDurableRegistry(wfreach.DurableOptions{Dir: dir})
@@ -180,13 +188,15 @@ func TestResumeVerifiesRestoredSessions(t *testing.T) {
 	cfg.addr = srv2.URL
 	cfg.resume = true
 	cfg.queries = 500
-	out.Reset()
-	if err := run(cfg, &out); err != nil {
-		t.Fatalf("resume verification failed: %v\n%s", err, out.String())
+	cfg.reachBatch = 8
+	res, out := runReport(t, cfg)
+	m := res.Metrics
+	if m.RecoveredVertices != ingest.Metrics.IngestEvents || m.IngestEvents != 0 {
+		t.Fatalf("resume recovered %d vertices (ingested %d), ingested %d itself",
+			m.RecoveredVertices, ingest.Metrics.IngestEvents, m.IngestEvents)
 	}
-	s := out.String()
-	if !strings.Contains(s, "resume verification passed") || strings.Contains(s, "MISMATCH") {
-		t.Fatalf("unexpected resume report:\n%s", s)
+	if m.Queries != 2*500 || m.QueryErrors != 0 || !m.VerifyChecked || m.VerifyMismatches != 0 {
+		t.Fatalf("resume verification: %+v\n%s", m, out)
 	}
 
 	// The same check must fail loudly if the server knows nothing.
@@ -199,18 +209,16 @@ func TestResumeVerifiesRestoredSessions(t *testing.T) {
 }
 
 // TestRunReportAndProfiles drives a query-heavy mixed workload
-// (lineage interleaved) and checks the -json report and pprof profiles
+// (lineage interleaved) and checks the -report file and pprof profiles
 // land on disk with sane contents.
 func TestRunReportAndProfiles(t *testing.T) {
 	srv := httptest.NewServer(wfreach.NewServiceHandler(wfreach.NewRegistry()))
 	defer srv.Close()
 
 	dir := t.TempDir()
-	jsonPath := filepath.Join(dir, "report.json")
 	cpuPath := filepath.Join(dir, "cpu.pprof")
 	memPath := filepath.Join(dir, "mem.pprof")
-	var out bytes.Buffer
-	cfg := config{
+	res, _ := runReport(t, config{
 		addr:         srv.URL,
 		spec:         "RunningExample",
 		size:         400,
@@ -220,36 +228,21 @@ func TestRunReportAndProfiles(t *testing.T) {
 		readers:      2,
 		lineageEvery: 4,
 		prefix:       "rep",
-		jsonPath:     jsonPath,
 		cpuProfile:   cpuPath,
 		memProfile:   memPath,
+	})
+	m := res.Metrics
+	if m.IngestEvents == 0 || m.EventsPerSec <= 0 {
+		t.Fatalf("report has no ingest numbers: %+v", m)
 	}
-	if err := run(cfg, &out); err != nil {
-		t.Fatalf("%v\n%s", err, out.String())
+	if res.Workload != "RunningExample" || m.VerifyChecked {
+		t.Fatalf("report config echo wrong: %+v", res)
 	}
-	if !strings.Contains(out.String(), "lineage") {
-		t.Fatalf("no lineage count in output:\n%s", out.String())
+	if m.QueryErrors > 0 {
+		t.Fatalf("query errors in report: %+v", m)
 	}
-
-	raw, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep report
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		t.Fatalf("bad report JSON: %v\n%s", err, raw)
-	}
-	if rep.IngestEvents == 0 || rep.EventsPerSec <= 0 {
-		t.Fatalf("report has no ingest numbers: %+v", rep)
-	}
-	if rep.Spec != "RunningExample" || rep.LineageEvery != 4 {
-		t.Fatalf("report config echo wrong: %+v", rep)
-	}
-	if rep.QueryErrors > 0 {
-		t.Fatalf("query errors in report: %+v", rep)
-	}
-	if rep.Queries > 0 && rep.QueryLatency.P99NS < rep.QueryLatency.P50NS {
-		t.Fatalf("latency percentiles not monotone: %+v", rep.QueryLatency)
+	if m.Queries > 0 && m.QueryP99US < m.QueryP50US {
+		t.Fatalf("latency percentiles not monotone: %+v", m)
 	}
 	for _, p := range []string{cpuPath, memPath} {
 		st, err := os.Stat(p)
@@ -270,17 +263,17 @@ func TestRunLegacyAndBatchModes(t *testing.T) {
 	srv := httptest.NewServer(wfreach.NewServiceHandler(wfreach.NewRegistry()))
 	defer srv.Close()
 
-	var out bytes.Buffer
-	batched := config{
+	res, _ := runReport(t, config{
 		addr: srv.URL, spec: "RunningExample",
 		size: 400, seed: 7, sessions: 1, batch: 32, readers: 2,
 		verify: true, reachBatch: 16, lineageEvery: 8, cleanup: true, prefix: "bat",
+	})
+	m := res.Metrics
+	if !m.VerifyChecked || m.VerifyMismatches != 0 || m.QueryErrors != 0 {
+		t.Fatalf("batched reach and lineage: %+v", m)
 	}
-	if err := run(batched, &out); err != nil {
-		t.Fatalf("batched: %v\n%s", err, out.String())
-	}
-	if s := out.String(); !strings.Contains(s, "reach-batch=16") ||
-		!strings.Contains(s, "0 mismatches") || !strings.Contains(s, "deleted 1 session(s)") {
-		t.Fatalf("batched report:\n%s", s)
+	left, err := client.New(srv.URL).Sessions(context.Background())
+	if err != nil || len(left) != 0 {
+		t.Fatalf("-cleanup left sessions %v (err %v)", left, err)
 	}
 }

@@ -6,7 +6,8 @@ import (
 )
 
 // Metrics is what one scenario (or soak) measured, in the report's
-// stable units.
+// stable units. The fields after CatchupSec appear only in flag-mode
+// runs that ask for them.
 type Metrics struct {
 	ElapsedSec   float64 `json:"elapsed_sec"`
 	IngestEvents int64   `json:"ingest_events"`
@@ -32,6 +33,27 @@ type Metrics struct {
 	ReplicaLagSamples   int     `json:"replica_lag_samples,omitempty"`
 	ReplicaLagMaxEvents int64   `json:"replica_lag_max_events,omitempty"`
 	CatchupSec          float64 `json:"catchup_sec,omitempty"`
+
+	// PerNode is acknowledged ingest events per node, when the write
+	// driver is a cluster client.
+	PerNode map[string]int64 `json:"per_node,omitempty"`
+	// Move is the live move made mid-ingest, when one was asked for.
+	Move *MoveResult `json:"move,omitempty"`
+	// RecoveredVertices is, on resume, the vertices the restarted
+	// server held across the sessions; ArenaVertices how many of them
+	// it serves from a mapped snapshot.
+	RecoveredVertices int64 `json:"recovered_vertices,omitempty"`
+	ArenaVertices     int64 `json:"arena_vertices,omitempty"`
+}
+
+// MoveResult records a live session move: the nodes it left and
+// reached, the events handed off, and how long the move call took.
+type MoveResult struct {
+	Session string  `json:"session"`
+	From    string  `json:"from"`
+	To      string  `json:"to"`
+	Events  int64   `json:"events"`
+	Sec     float64 `json:"sec"`
 }
 
 // Violation is one failed SLO gate.

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"wfreach/client"
-	"wfreach/internal/graph"
 )
 
 // SoakSample is one point-in-time health snapshot of a soak run.
@@ -92,7 +91,7 @@ func readRSS() int64 {
 // goroutine counts. Ground truth comes from a small pool of distinct
 // generated traces so generation cost stays bounded however many
 // sessions the soak cycles through.
-func runSoak(ctx context.Context, m *Matrix, opts RunOptions, scratch string) (*SoakResult, error) {
+func runSoak(ctx context.Context, m *Matrix, dir string, opts RunOptions) (*SoakResult, error) {
 	cfg := m.Soak
 	var w Workload
 	for _, cand := range m.Workloads {
@@ -101,15 +100,15 @@ func runSoak(ctx context.Context, m *Matrix, opts RunOptions, scratch string) (*
 		}
 	}
 
-	dir := scratch + "/soak"
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	t, err := launchTopology(cfg.Topology, dir)
+	ep, teardown, err := launch(cfg.Topology, dir)
 	if err != nil {
 		return nil, err
 	}
-	defer t.Close()
+	defer teardown()
+	t, err := connect(ep, opts)
+	if err != nil {
+		return nil, err
+	}
 
 	poolSize := min(16, cfg.Sessions)
 	pool, err := generateLoads(w, poolSize, m.Defaults.Seed, "pool")
@@ -120,22 +119,8 @@ func runSoak(ctx context.Context, m *Matrix, opts RunOptions, scratch string) (*
 	fmt.Fprintf(opts.out(), "soak: %s on %s, %d sessions for %ds (%d workers, %d readers, oracle pool %d)\n",
 		cfg.Workload, cfg.Topology, cfg.Sessions, cfg.DurationSec, cfg.Workers, cfg.Readers, poolSize)
 
-	var (
-		created    atomic.Int64 // names the next session
-		ingested   atomic.Int64
-		queried    atomic.Int64
-		queryErrs  atomic.Int64
-		mismatches atomic.Int64
-		errMu      sync.Mutex
-		firstErr   error
-	)
-	setErr := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-	}
+	tl := &tally{verify: m.Defaults.Verify}
+	var created atomic.Int64 // names the next session
 
 	// sessions is append-only: rolled-in replacements join, nothing
 	// leaves — every entry stays a live, queryable session.
@@ -157,7 +142,8 @@ func runSoak(ctx context.Context, m *Matrix, opts RunOptions, scratch string) (*
 	}
 
 	// Create the initial population concurrently — thousands of
-	// serial HTTP creates would eat into the measured hold time.
+	// serial HTTP creates would eat into the measured hold time. No
+	// worker runs yet, so the work queue must hold the whole population.
 	work := make(chan *soakSession, cfg.Sessions+cfg.Workers)
 	{
 		var cwg sync.WaitGroup
@@ -170,7 +156,7 @@ func runSoak(ctx context.Context, m *Matrix, opts RunOptions, scratch string) (*
 				defer func() { <-sem }()
 				s, err := newSession()
 				if err != nil {
-					setErr(err)
+					tl.fail(err)
 					return
 				}
 				work <- s
@@ -178,8 +164,8 @@ func runSoak(ctx context.Context, m *Matrix, opts RunOptions, scratch string) (*
 		}
 		cwg.Wait()
 	}
-	if firstErr != nil {
-		return nil, firstErr
+	if tl.err != nil {
+		return nil, tl.err
 	}
 
 	stop := make(chan struct{})
@@ -203,10 +189,10 @@ func runSoak(ctx context.Context, m *Matrix, opts RunOptions, scratch string) (*
 				l := pool[s.pool]
 				hi := min(s.cursor+batch, len(l.events))
 				if err := ingestVia(ctx, "binary", t.write, s.name, l.events[s.cursor:hi]); err != nil {
-					setErr(fmt.Errorf("ingest %s at %d: %w", s.name, s.cursor, err))
+					tl.fail(fmt.Errorf("ingest %s at %d: %w", s.name, s.cursor, err))
 					return
 				}
-				ingested.Add(int64(hi - s.cursor))
+				tl.ingested.Add(int64(hi - s.cursor))
 				s.cursor = hi
 				s.watermark.Store(int64(hi))
 				if hi < len(l.events) {
@@ -217,7 +203,7 @@ func runSoak(ctx context.Context, m *Matrix, opts RunOptions, scratch string) (*
 				// rolls in to keep ingest pressure up.
 				ns, err := newSession()
 				if err != nil {
-					setErr(err)
+					tl.fail(err)
 					return
 				}
 				work <- ns
@@ -242,34 +228,12 @@ func runSoak(ctx context.Context, m *Matrix, opts RunOptions, scratch string) (*
 				s := sessions[rng.Intn(len(sessions))]
 				sessMu.RUnlock()
 				wm := s.watermark.Load()
-				if wm < 2 {
+				if wm == 0 {
 					time.Sleep(time.Millisecond)
 					continue
 				}
-				l := pool[s.pool]
-				pairs := make([]client.ReachPair, 8)
-				for pi := range pairs {
-					pairs[pi] = client.ReachPair{
-						From: int32(l.events[rng.Int63n(wm)].V),
-						To:   int32(l.events[rng.Int63n(wm)].V),
-					}
-				}
-				answers, err := t.read.ReachBatch(ctx, s.name, pairs)
-				if err != nil {
-					queryErrs.Add(1)
+				if tl.verifiedRead(ctx, t.read, s.name, &pool[s.pool], wm, 8, false, rng) != nil {
 					time.Sleep(time.Millisecond)
-					continue
-				}
-				for _, ans := range answers {
-					if ans.Code != "" {
-						queryErrs.Add(1)
-						continue
-					}
-					queried.Add(1)
-					if m.Defaults.Verify && ans.Reachable != l.oracle.Reaches(graph.VertexID(ans.From), graph.VertexID(ans.To)) {
-						mismatches.Add(1)
-						setErr(fmt.Errorf("soak mismatch: %s reach(%d,%d)=%v", s.name, ans.From, ans.To, ans.Reachable))
-					}
 				}
 			}
 		}(m.Defaults.Seed + int64(ri))
@@ -278,8 +242,8 @@ func runSoak(ctx context.Context, m *Matrix, opts RunOptions, scratch string) (*
 	// The sampler: health snapshots on the configured period, plus one
 	// final snapshot as the run ends.
 	var ls *lagSampler
-	if t.hasReplica() {
-		ls = &lagSampler{primary: t.primary, follower: t.follower, names: map[string]bool{}}
+	if t.follower != nil {
+		ls = &lagSampler{primary: t.primary, follower: t.follower}
 	}
 	var samples []SoakSample
 	takeSample := func() {
@@ -290,14 +254,14 @@ func runSoak(ctx context.Context, m *Matrix, opts RunOptions, scratch string) (*
 		sessMu.RUnlock()
 		s := SoakSample{
 			AtSec:        time.Since(start).Seconds(),
-			IngestEvents: ingested.Load(),
+			IngestEvents: tl.ingested.Load(),
 			LiveSessions: live,
 			Goroutines:   runtime.NumGoroutine(),
 			HeapBytes:    ms.HeapAlloc,
 			RSSBytes:     readRSS(),
 		}
 		if ls != nil {
-			if lag, ok := ls.onceAll(ctx); ok {
+			if lag, ok := ls.once(ctx); ok {
 				s.LagEvents = lag
 			}
 		}
@@ -325,10 +289,20 @@ hold:
 	wg.Wait()
 	takeSample()
 	elapsed := time.Since(start)
-
-	if firstErr != nil && mismatches.Load() == 0 {
-		return nil, firstErr
+	if tl.err != nil {
+		return nil, tl.err
 	}
+
+	// The scenario SLO gates that translate to a soak: throughput
+	// floor, lag ceiling (worst sample), verification.
+	met := tl.metrics(elapsed, elapsed)
+	met.HasReplica = ls != nil
+	met.ReplicaLagSamples = len(samples)
+	for _, s := range samples {
+		met.ReplicaLagMaxEvents = max(met.ReplicaLagMaxEvents, s.LagEvents)
+	}
+	slo := m.SLO
+	slo.P99IngestUS, slo.P99QueryUS = 0, 0 // per-call latency gates are scenario gates
 
 	sessMu.RLock()
 	live := len(sessions)
@@ -336,36 +310,15 @@ hold:
 	res := &SoakResult{
 		Workload: cfg.Workload, Topology: cfg.Topology,
 		Sessions: cfg.Sessions, LiveSessions: live,
-		DurationSec:      elapsed.Seconds(),
-		IngestEvents:     ingested.Load(),
-		EventsPerSec:     float64(ingested.Load()) / elapsed.Seconds(),
-		Queries:          queried.Load(),
-		QueryErrors:      queryErrs.Load(),
-		VerifyMismatches: mismatches.Load(),
+		DurationSec:      met.ElapsedSec,
+		IngestEvents:     met.IngestEvents,
+		EventsPerSec:     met.EventsPerSec,
+		Queries:          met.Queries,
+		QueryErrors:      met.QueryErrors,
+		VerifyMismatches: met.VerifyMismatches,
 		Samples:          samples,
+		Violations:       Evaluate(slo, met),
 	}
-
-	// The scenario SLO gates that translate to a soak: throughput
-	// floor, lag ceiling (worst sample), verification.
-	met := Metrics{
-		ElapsedSec:       res.DurationSec,
-		IngestEvents:     res.IngestEvents,
-		EventsPerSec:     res.EventsPerSec,
-		Queries:          res.Queries,
-		QueryErrors:      res.QueryErrors,
-		VerifyChecked:    m.Defaults.Verify,
-		VerifyMismatches: res.VerifyMismatches,
-		HasReplica:       t.hasReplica(),
-	}
-	for _, s := range samples {
-		if s.LagEvents > met.ReplicaLagMaxEvents {
-			met.ReplicaLagMaxEvents = s.LagEvents
-		}
-	}
-	met.ReplicaLagSamples = len(samples)
-	slo := m.SLO
-	slo.P99IngestUS, slo.P99QueryUS = 0, 0 // per-call latency gates are scenario gates
-	res.Violations = Evaluate(slo, met)
 	if live < cfg.Sessions {
 		res.Violations = append(res.Violations, Violation{
 			Metric: "live_sessions", Value: float64(live), Limit: float64(cfg.Sessions),
@@ -373,30 +326,12 @@ hold:
 		})
 	}
 	res.Pass = len(res.Violations) == 0
-	return res, nil
-}
 
-// onceAll samples the worst lag across every session the primary
-// reports (the soak's set grows over time, so there is no fixed name
-// filter).
-func (ls *lagSampler) onceAll(ctx context.Context) (int64, bool) {
-	pst, err := ls.primary.ReplicationStatus(ctx)
-	if err != nil {
-		return 0, false
+	verdict := "passed"
+	if !res.Pass {
+		verdict = "FAILED"
 	}
-	fst, err := ls.follower.ReplicationStatus(ctx)
-	if err != nil {
-		return 0, false
-	}
-	applied := make(map[string]int64, len(fst.Sessions))
-	for _, s := range fst.Sessions {
-		applied[s.Name] = s.WALSeq
-	}
-	var worst int64
-	for _, s := range pst.Sessions {
-		if lag := s.WALSeq - applied[s.Name]; lag > worst {
-			worst = lag
-		}
-	}
-	return worst, true
+	fmt.Fprintf(opts.out(), "soak %s: %d live sessions over %.0fs, %d events (%.0f events/sec), %d queries, %d mismatches — %s\n",
+		res.Workload, res.LiveSessions, res.DurationSec, res.IngestEvents, res.EventsPerSec, res.Queries, res.VerifyMismatches, verdict)
+	return res, nil
 }

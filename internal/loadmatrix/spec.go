@@ -11,8 +11,13 @@
 // keeps thousands of sessions live for a wall-clock duration while
 // sampling replica lag, RSS and goroutine counts.
 //
-// cmd/wfload surfaces the harness as `wfload -matrix matrix.json`;
-// profiles/ ships a CI-sized quick matrix and a soak profile.
+// The harness drives every load in the repository. Run serves
+// `wfload -matrix matrix.json`; RunLoad serves wfload's flag mode,
+// which is one scenario against running servers (one node, a primary
+// and follower, or a cluster map), optionally resuming sessions a
+// restarted server recovered. Both go through one drive loop, one
+// verified read, and one report schema. profiles/ ships a CI-sized
+// quick matrix and a soak profile.
 package loadmatrix
 
 import (

@@ -26,33 +26,74 @@ type driver interface {
 	Ingest(ctx context.Context, session string, events []client.Event) (client.EventsResponse, error)
 	IngestFrames(ctx context.Context, session string, events []client.Event) (client.EventsResponse, error)
 	ReachBatch(ctx context.Context, session string, pairs []client.ReachPair) ([]client.ReachAnswer, error)
-	Reach(ctx context.Context, session string, from, to int32) (bool, error)
 	Lineage(ctx context.Context, session string, of int32) ([]int32, error)
 }
 
-// topo is one launched in-process server topology: where writes and
-// reads go, and — when a follower exists — the status clients the lag
-// sampler polls.
-type topo struct {
-	kind  string
-	write driver
-	read  driver
-	// primary/follower are non-nil exactly for the replica topology.
-	primary  *client.Client
-	follower *client.Client
-	// scrapers holds one plain client per server in the topology; the
-	// harness scrapes each node's /v1/metrics before and after a
-	// scenario and reports the summed deltas as server-side truth.
-	scrapers []*client.Client
-	cleanup  []func()
+// router is what a cluster write driver adds: which node owns a
+// session, the node names, and a live move. client.Cluster has it.
+type router interface {
+	Owner(session string) string
+	NodeNames() []string
+	Move(ctx context.Context, session, target string) (client.MoveResponse, error)
 }
 
-func (t *topo) hasReplica() bool { return t.follower != nil }
+// Endpoints names running servers: one server at Addr, a primary at
+// Addr with a follower taking the reads, or a session-partitioned
+// cluster whose map routes every call.
+type Endpoints struct {
+	// Addr is the server's base URL, or the primary's when Follower is
+	// set. Ignored when Cluster is set.
+	Addr string
+	// Follower is a follower's base URL: reads go there and replica lag
+	// is sampled.
+	Follower string
+	// Cluster is the map of a cluster driven through client.Cluster.
+	Cluster *client.ClusterMap
+}
 
-func (t *topo) Close() {
-	for i := len(t.cleanup) - 1; i >= 0; i-- {
-		t.cleanup[i]()
+// topo is a connected topology: where writes and reads go, and — when a
+// follower exists — the status clients the lag sampler polls.
+type topo struct {
+	write driver
+	read  driver
+	// primary and follower are set exactly when reads go to a follower.
+	primary  *client.Client
+	follower *client.Client
+	// scrapers holds one client per server; the harness scrapes each
+	// node's /v1/metrics before and after a run and reports the summed
+	// deltas as server-side truth.
+	scrapers []*client.Client
+}
+
+// connect turns endpoints into the clients a run drives. No client
+// retries: a run measures the servers, not a retry loop.
+func connect(ep Endpoints, opts RunOptions) (*topo, error) {
+	t := &topo{}
+	switch {
+	case ep.Cluster != nil:
+		cl, err := client.NewCluster(*ep.Cluster, client.WithRetry(0, 0))
+		if err != nil {
+			return nil, err
+		}
+		t.write, t.read = cl, cl
+		for _, name := range cl.NodeNames() {
+			c, _ := cl.Node(name)
+			t.scrapers = append(t.scrapers, c)
+		}
+	case ep.Follower != "":
+		t.primary = client.New(ep.Addr, client.WithRetry(0, 0))
+		t.follower = client.New(ep.Follower, client.WithRetry(0, 0), client.WithoutWriteRedirect())
+		t.write, t.read = t.primary, t.follower
+		t.scrapers = []*client.Client{t.primary, t.follower}
+	default:
+		c := client.New(ep.Addr, client.WithRetry(0, 0))
+		t.write, t.read = c, c
+		t.scrapers = []*client.Client{c}
 	}
+	if opts.wrapRead != nil {
+		t.read = opts.wrapRead(t.read)
+	}
+	return t, nil
 }
 
 // serve exposes a handler on a loopback listener and returns its base
@@ -77,6 +118,9 @@ func instrumented(reg *service.Registry) http.Handler {
 // durableNode starts one durable registry (no fsync — the harness
 // measures the pipeline, not the disk) under dir and serves it.
 func durableNode(dir string) (*service.Registry, string, func(), error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, "", nil, err
+	}
 	reg, err := service.NewDurableRegistry(service.DurableOptions{Dir: dir, Fsync: false})
 	if err != nil {
 		return nil, "", nil, err
@@ -93,81 +137,63 @@ func durableNode(dir string) (*service.Registry, string, func(), error) {
 	return reg, url, func() { stop(); _ = reg.Close() }, nil
 }
 
-// launchTopology builds the in-process server shape a scenario runs
-// against. scratch is a private empty directory for durable state;
-// the caller owns its deletion.
+// launch starts the in-process servers of a topology and returns their
+// endpoints and the function that stops them all. scratch is a private
+// directory for durable state; the caller owns its deletion.
 //
 //   - "single":   one in-memory registry; reads and writes share it.
 //   - "replica":  durable primary + durable follower tailing its WAL
 //     over HTTP; writes to the primary, reads to the follower.
 //   - "cluster3": three durable nodes behind a shared consistent-hash
 //     map; the routing client carries both reads and writes.
-func launchTopology(kind, scratch string) (*topo, error) {
+func launch(kind, scratch string) (Endpoints, func(), error) {
+	var stops []func()
+	stop := func() {
+		for i := len(stops) - 1; i >= 0; i-- {
+			stops[i]()
+		}
+	}
+	fail := func(err error) (Endpoints, func(), error) {
+		stop()
+		return Endpoints{}, nil, err
+	}
 	switch kind {
 	case "single":
-		reg := service.NewRegistry()
-		url, stop, err := serve(instrumented(reg))
+		url, s, err := serve(instrumented(service.NewRegistry()))
 		if err != nil {
-			return nil, err
+			return fail(err)
 		}
-		c := client.New(url, client.WithRetry(0, 0))
-		return &topo{kind: kind, write: c, read: c,
-			scrapers: []*client.Client{c}, cleanup: []func(){stop}}, nil
+		return Endpoints{Addr: url}, s, nil
 
 	case "replica":
-		pdir, fdir := scratch+"/primary", scratch+"/follower"
-		for _, d := range []string{pdir, fdir} {
-			if err := os.MkdirAll(d, 0o755); err != nil {
-				return nil, err
-			}
-		}
-		_, purl, pstop, err := durableNode(pdir)
+		_, purl, pstop, err := durableNode(scratch + "/primary")
 		if err != nil {
-			return nil, err
+			return fail(err)
 		}
-		freg, furl, fstop, err := durableNode(fdir)
+		stops = append(stops, pstop)
+		freg, furl, fstop, err := durableNode(scratch + "/follower")
 		if err != nil {
-			pstop()
-			return nil, err
+			return fail(err)
 		}
+		stops = append(stops, fstop)
 		f := replica.New(purl, freg, replica.Options{
 			PollInterval:     25 * time.Millisecond,
 			ReconnectBackoff: 10 * time.Millisecond,
 			MaxBackoff:       100 * time.Millisecond,
 		})
 		f.Start()
-		primary := client.New(purl, client.WithRetry(0, 0))
-		follower := client.New(furl, client.WithRetry(0, 0), client.WithoutWriteRedirect())
-		return &topo{
-			kind:     kind,
-			write:    client.New(purl, client.WithRetry(0, 0)),
-			read:     client.New(furl, client.WithRetry(0, 0), client.WithoutWriteRedirect()),
-			primary:  primary,
-			follower: follower,
-			scrapers: []*client.Client{primary, follower},
-			cleanup:  []func(){pstop, fstop, f.Close},
-		}, nil
+		stops = append(stops, f.Close)
+		return Endpoints{Addr: purl, Follower: furl}, stop, nil
 
 	case "cluster3":
-		var cleanup []func()
-		fail := func(err error) (*topo, error) {
-			for i := len(cleanup) - 1; i >= 0; i-- {
-				cleanup[i]()
-			}
-			return nil, err
-		}
 		m := api.ClusterMap{Version: 1}
 		regs := make([]*service.Registry, 3)
-		for i := 0; i < 3; i++ {
-			dir := fmt.Sprintf("%s/node%d", scratch, i)
-			if err := os.MkdirAll(dir, 0o755); err != nil {
-				return fail(err)
-			}
-			reg, url, stop, err := durableNode(dir)
+		for i := range regs {
+			reg, url, s, err := durableNode(fmt.Sprintf("%s/node%d", scratch, i))
 			if err != nil {
 				return fail(err)
 			}
-			cleanup = append(cleanup, stop)
+			stops = append(stops, s)
 			regs[i] = reg
 			m.Nodes = append(m.Nodes, api.ClusterNode{Name: fmt.Sprintf("n%d", i), URL: url})
 		}
@@ -179,17 +205,9 @@ func launchTopology(kind, scratch string) (*topo, error) {
 				return fail(err)
 			}
 		}
-		cl, err := client.NewCluster(m, client.WithRetry(0, 0))
-		if err != nil {
-			return fail(err)
-		}
-		scrapers := make([]*client.Client, 0, len(m.Nodes))
-		for _, n := range m.Nodes {
-			scrapers = append(scrapers, client.New(n.URL, client.WithRetry(0, 0)))
-		}
-		return &topo{kind: kind, write: cl, read: cl, scrapers: scrapers, cleanup: cleanup}, nil
+		return Endpoints{Cluster: &m}, stop, nil
 
 	default:
-		return nil, fmt.Errorf("loadmatrix: unknown topology %q", kind)
+		return Endpoints{}, nil, fmt.Errorf("loadmatrix: unknown topology %q", kind)
 	}
 }
