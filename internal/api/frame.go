@@ -23,6 +23,11 @@ import (
 // Because the formats are identical, a durable server tees each
 // accepted frame to its session log as-is — the per-event
 // JSON-decode/WAL-re-encode cost of the JSON route disappears.
+// AppendFrame writes the log's compact record kinds (the predecessor
+// count in the kind byte, each predecessor as a delta from the event's
+// vertex); FrameReader also takes the classic kinds older SDKs send,
+// and teed they stay classic. Both are internal/wal's, which writes,
+// measures and reads every payload field.
 
 // FrameHeaderSize is the fixed frame prefix size in bytes.
 const FrameHeaderSize = wal.FrameHeaderSize

@@ -203,13 +203,28 @@ func TestAppendFrameRejectsMalformedEvent(t *testing.T) {
 }
 
 // TestFrameLenIsExact pins the length pass AppendFrames reserves with:
-// for ref- and name-form events with no, one and many predecessors, and
-// ids on both sides of each varint boundary up to the largest an event
-// carries, it is exactly what AppendFrame appends.
+// for ref- and name-form events with no, one and many predecessors —
+// counts on both sides of the kind byte's escape — predecessors below,
+// at and above the vertex, and ids on both sides of each varint
+// boundary up to the largest an event carries, it is exactly what
+// AppendFrame appends.
 func TestFrameLenIsExact(t *testing.T) {
 	const maxID = 1<<31 - 1
-	for _, id := range []int32{0, 127, 128, maxID} {
-		for _, preds := range [][]int32{nil, {id}, {0, 127, 128, 16383, 16384, maxID, id}} {
+	spread := func(n int, v int32) []int32 { // deltas of both signs and several widths
+		preds := make([]int32, n)
+		for i := range preds {
+			preds[i] = int32(max(0, min(maxID, int64(v)+int64(i*97)-int64(n*40))))
+		}
+		return preds
+	}
+	for _, id := range []int32{0, 1, 127, 128, 1 << 20, maxID} {
+		for _, preds := range [][]int32{
+			nil, {id},
+			{min(id, maxID-1) + 1},                 // above the vertex
+			{0, maxID},                             // both ends, on both sides of id
+			{0, 127, 128, 16383, 16384, maxID, id}, // each varint boundary
+			spread(30, id), spread(31, id), spread(32, id), spread(131, id), spread(300, id),
+		} {
 			g, sv := id, id
 			for _, ev := range []Event{
 				{V: id, Graph: &g, Vertex: &sv, Preds: preds},

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"math/rand"
 	"slices"
@@ -34,6 +35,13 @@ func FuzzFrameReader(f *testing.F) {
 	binary.LittleEndian.PutUint32(huge, MaxFramePayload+7) // oversized length
 	f.Add(huge)
 	f.Add([]byte{})
+
+	// A classic-kind frame — what earlier builds logged and an older SDK
+	// sends — ahead of compact ones.
+	classic := []byte{0x01, 0x01, 0x00, 0x01, 0x01, 0x00} // vertex 1, graph 0, spec vertex 1, predecessor 0
+	mixed := binary.LittleEndian.AppendUint32(nil, uint32(len(classic)))
+	mixed = binary.LittleEndian.AppendUint32(mixed, crc32.ChecksumIEEE(classic))
+	f.Add(append(append(mixed, classic...), seed...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr := NewFrameReader(bytes.NewReader(data))

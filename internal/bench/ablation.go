@@ -7,7 +7,6 @@ import (
 	"wfreach/internal/core"
 	"wfreach/internal/gen"
 	"wfreach/internal/label"
-	"wfreach/internal/pathlabel"
 	"wfreach/internal/skeleton"
 	"wfreach/internal/spec"
 	"wfreach/internal/wfspecs"
@@ -159,9 +158,9 @@ func Example15(cfg Config) *Table {
 		if err != nil {
 			panic(err)
 		}
-		p := pathlabel.New()
+		p := newPathLabeler()
 		for _, ev := range evs {
-			if _, err := p.Insert(ev.V, ev.Preds); err != nil {
+			if _, err := p.insert(ev.V, ev.Preds); err != nil {
 				panic(err)
 			}
 		}
@@ -171,7 +170,7 @@ func Example15(cfg Config) *Table {
 		}
 		mb, _ := labelStats(d, r, cod)
 		t.Rows = append(t.Rows, []string{
-			sizeName(r.Size()), fmt.Sprintf("%d", p.MaxBits()), fmt.Sprintf("%d", mb),
+			sizeName(r.Size()), fmt.Sprintf("%d", p.maxBits()), fmt.Sprintf("%d", mb),
 		})
 	}
 	return t

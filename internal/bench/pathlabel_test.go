@@ -1,11 +1,10 @@
-package pathlabel_test
+package bench
 
 import (
 	"testing"
 
 	"wfreach/internal/gen"
 	"wfreach/internal/graph"
-	"wfreach/internal/pathlabel"
 	"wfreach/internal/spec"
 	"wfreach/internal/wfspecs"
 )
@@ -21,22 +20,22 @@ func TestFig12RunsAreCompactlyLabelable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := pathlabel.New()
+		p := newPathLabeler()
 		for _, ev := range evs {
-			if _, err := p.Insert(ev.V, ev.Preds); err != nil {
+			if _, err := p.insert(ev.V, ev.Preds); err != nil {
 				t.Fatalf("seed %d: Fig12 run is not a path? %v", seed, err)
 			}
 		}
 		// Logarithmic labels on a nonlinear grammar (Example 15's
 		// point): ⌈log₂ n⌉ bits, never linear.
 		n := r.Size()
-		if p.MaxBits() > 2+bits(n) {
-			t.Fatalf("max label %d bits for n=%d", p.MaxBits(), n)
+		if p.maxBits() > 2+bits(n) {
+			t.Fatalf("max label %d bits for n=%d", p.maxBits(), n)
 		}
 		live := r.Graph.LiveVertices()
 		for _, v := range live {
 			for _, w := range live {
-				got, err := p.Reach(v, w)
+				got, err := p.reach(v, w)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -57,27 +56,27 @@ func bits(n int) int {
 }
 
 func TestRejectsNonPathInsertions(t *testing.T) {
-	p := pathlabel.New()
-	if _, err := p.Insert(0, []graph.VertexID{5}); err == nil {
+	p := newPathLabeler()
+	if _, err := p.insert(0, []graph.VertexID{5}); err == nil {
 		t.Fatal("first vertex with preds accepted")
 	}
-	if _, err := p.Insert(0, nil); err != nil {
+	if _, err := p.insert(0, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Insert(0, nil); err == nil {
+	if _, err := p.insert(0, nil); err == nil {
 		t.Fatal("duplicate accepted")
 	}
-	if _, err := p.Insert(1, nil); err == nil {
+	if _, err := p.insert(1, nil); err == nil {
 		t.Fatal("second parentless vertex accepted")
 	}
-	if _, err := p.Insert(1, []graph.VertexID{0}); err != nil {
+	if _, err := p.insert(1, []graph.VertexID{0}); err != nil {
 		t.Fatal(err)
 	}
 	// Branching breaks the path property.
-	if _, err := p.Insert(2, []graph.VertexID{0}); err == nil {
+	if _, err := p.insert(2, []graph.VertexID{0}); err == nil {
 		t.Fatal("branching insertion accepted")
 	}
-	if _, err := p.Insert(2, []graph.VertexID{0, 1}); err == nil {
+	if _, err := p.insert(2, []graph.VertexID{0, 1}); err == nil {
 		t.Fatal("multi-pred insertion accepted")
 	}
 }
@@ -90,10 +89,10 @@ func TestRejectsForkingWorkflows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := pathlabel.New()
+	p := newPathLabeler()
 	failed := false
 	for _, ev := range evs {
-		if _, err := p.Insert(ev.V, ev.Preds); err != nil {
+		if _, err := p.insert(ev.V, ev.Preds); err != nil {
 			failed = true
 			break
 		}
@@ -103,25 +102,25 @@ func TestRejectsForkingWorkflows(t *testing.T) {
 	}
 }
 
-func TestAccessors(t *testing.T) {
-	p := pathlabel.New()
-	if p.MaxBits() != 0 || p.Count() != 0 {
+func TestPathLabelAccessors(t *testing.T) {
+	p := newPathLabeler()
+	if p.maxBits() != 0 || p.count() != 0 {
 		t.Fatal("empty stats wrong")
 	}
-	p.Insert(7, nil)
-	if p.Count() != 1 {
+	p.insert(7, nil)
+	if p.count() != 1 {
 		t.Fatal("count wrong")
 	}
-	if _, err := p.Reach(7, 8); err == nil {
+	if _, err := p.reach(7, 8); err == nil {
 		t.Fatal("unknown vertex accepted")
 	}
-	if _, err := p.Reach(8, 7); err == nil {
+	if _, err := p.reach(8, 7); err == nil {
 		t.Fatal("unknown vertex accepted")
 	}
-	if !pathlabel.Pi(1, 1) || pathlabel.Pi(2, 1) {
+	if !pathPi(1, 1) || pathPi(2, 1) {
 		t.Fatal("Pi wrong")
 	}
-	if pathlabel.Label(1023).BitLen() != 10 || pathlabel.Label(0).BitLen() != 1 {
+	if pathLabel(1023).bitLen() != 10 || pathLabel(0).bitLen() != 1 {
 		t.Fatal("BitLen wrong")
 	}
 }

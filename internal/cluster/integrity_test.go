@@ -1,16 +1,16 @@
 package cluster_test
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
-	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"wfreach/internal/api"
+	"wfreach/internal/graph"
 	"wfreach/internal/service"
 	"wfreach/internal/spec"
 	"wfreach/internal/wal"
@@ -61,10 +61,9 @@ func TestMoveCarriesAndVerifiesChain(t *testing.T) {
 	}
 }
 
-// findMoveTamper mirrors the follower drill's search: a single-byte
-// payload flip (frame CRC fixed) after which the WAL still decodes and
-// replays cleanly, so the drain succeeds and only the chain check can
-// object.
+// findMoveTamper mirrors the follower drill's search: a one-record
+// rewrite after which the WAL still decodes and replays cleanly, so the
+// drain succeeds and only the chain check can object.
 func findMoveTamper(t *testing.T, walPath string, g *spec.Grammar) []byte {
 	t.Helper()
 	raw, err := os.ReadFile(walPath)
@@ -81,11 +80,14 @@ func findMoveTamper(t *testing.T, walPath string, g *spec.Grammar) []byte {
 		if err := os.WriteFile(tmp, cand, 0o644); err != nil {
 			t.Fatal(err)
 		}
+		// Scan stops quietly at a frame that does not decode, so a rewrite
+		// that breaks one is a truncation, not a forgery: every frame
+		// must still be there.
 		var recs []wal.Record
-		if _, _, err := wal.Scan(tmp, func(_ int, rec wal.Record) error {
+		if n, _, err := wal.Scan(tmp, func(_ int, rec wal.Record) error {
 			recs = append(recs, rec)
 			return nil
-		}); err != nil {
+		}); err != nil || n != len(offs) {
 			return false
 		}
 		reg := service.NewRegistry()
@@ -98,20 +100,24 @@ func findMoveTamper(t *testing.T, walPath string, g *spec.Grammar) []byte {
 	}
 	for idx := len(offs) - 1; idx >= 0 && idx >= len(offs)-60; idx-- {
 		off := offs[idx]
-		plen := int(binary.LittleEndian.Uint32(raw[off:]))
-		for pos := 1; pos < plen; pos++ {
-			for _, x := range []byte{0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40} {
-				cand := bytes.Clone(raw)
-				payload := cand[off+wal.FrameHeaderSize : off+wal.FrameHeaderSize+int64(plen)]
-				payload[pos] ^= x
-				binary.LittleEndian.PutUint32(cand[off+4:], crc32.ChecksumIEEE(payload))
-				if replays(cand) {
-					return cand
-				}
+		end := off + int64(wal.FrameHeaderSize) + int64(binary.LittleEndian.Uint32(raw[off:]))
+		rec, err := wal.DecodeRecord(raw[off+wal.FrameHeaderSize : end])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, x := range []graph.VertexID{1, 2, 4, 8, 16, 32, 64} {
+			forged := rec
+			forged.Ref.V ^= x
+			frame, err := wal.AppendFrame(nil, forged)
+			if err != nil || len(frame) != int(end-off) {
+				continue
+			}
+			if cand := slices.Concat(raw[:off], frame, raw[end:]); replays(cand) {
+				return cand
 			}
 		}
 	}
-	t.Fatal("no labelable single-byte tamper found (the drill needs one)")
+	t.Fatal("no labelable one-record tamper found (the drill needs one)")
 	return nil
 }
 

@@ -4,13 +4,14 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"wfreach/internal/graph"
 	"wfreach/internal/service"
 	"wfreach/internal/spec"
 	"wfreach/internal/wal"
@@ -69,11 +70,11 @@ func TestFollowerChainVerification(t *testing.T) {
 	}
 }
 
-// findLabelableTamper searches the WAL for a single-byte payload flip
-// (frame CRC fixed) after which the log still decodes and replays
-// cleanly — the adversarial rewrite the drill needs: invisible to
-// structure, invisible to the deterministic labeler, visible only to
-// the hash chain. Returns the tampered file contents.
+// findLabelableTamper searches the WAL for a one-record rewrite after
+// which the log still decodes and replays cleanly — the adversarial
+// rewrite the drill needs: invisible to structure, invisible to the
+// deterministic labeler, visible only to the hash chain. Returns the
+// tampered file contents.
 func findLabelableTamper(t *testing.T, walPath string, g *spec.Grammar, cfg service.Config) []byte {
 	t.Helper()
 	raw, err := os.ReadFile(walPath)
@@ -90,11 +91,14 @@ func findLabelableTamper(t *testing.T, walPath string, g *spec.Grammar, cfg serv
 		if err := os.WriteFile(tmp, cand, 0o644); err != nil {
 			t.Fatal(err)
 		}
+		// Scan stops quietly at a frame that does not decode, so a rewrite
+		// that breaks one is a truncation, not a forgery: every frame
+		// must still be there.
 		var recs []wal.Record
-		if _, _, err := wal.Scan(tmp, func(_ int, rec wal.Record) error {
+		if n, _, err := wal.Scan(tmp, func(_ int, rec wal.Record) error {
 			recs = append(recs, rec)
 			return nil
-		}); err != nil {
+		}); err != nil || n != len(offs) {
 			return false
 		}
 		reg := service.NewRegistry()
@@ -106,23 +110,30 @@ func findLabelableTamper(t *testing.T, walPath string, g *spec.Grammar, cfg serv
 		return aerr == nil
 	}
 	// Late records are the richest hunting ground: flipping a bit of a
-	// vertex id there lands on a fresh id with no later references.
+	// vertex id there lands on a fresh id with no later references. A
+	// record's predecessors are stored relative to its vertex, so the
+	// forged record is re-framed by the log's own writer, which keeps
+	// their ids.
 	for idx := len(offs) - 1; idx >= 0 && idx >= len(offs)-60; idx-- {
 		off := offs[idx]
-		plen := int(binary.LittleEndian.Uint32(raw[off:]))
-		for pos := 1; pos < plen; pos++ {
-			for _, x := range []byte{0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40} {
-				cand := bytes.Clone(raw)
-				payload := cand[off+wal.FrameHeaderSize : off+wal.FrameHeaderSize+int64(plen)]
-				payload[pos] ^= x
-				binary.LittleEndian.PutUint32(cand[off+4:], crc32.ChecksumIEEE(payload))
-				if replays(cand) {
-					return cand
-				}
+		end := off + int64(wal.FrameHeaderSize) + int64(binary.LittleEndian.Uint32(raw[off:]))
+		rec, err := wal.DecodeRecord(raw[off+wal.FrameHeaderSize : end])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, x := range []graph.VertexID{1, 2, 4, 8, 16, 32, 64} {
+			forged := rec
+			forged.Ref.V ^= x
+			frame, err := wal.AppendFrame(nil, forged)
+			if err != nil || len(frame) != int(end-off) {
+				continue // same length: every later frame keeps its offset
+			}
+			if cand := slices.Concat(raw[:off], frame, raw[end:]); replays(cand) {
+				return cand
 			}
 		}
 	}
-	t.Fatal("no labelable single-byte tamper found (the drill needs one)")
+	t.Fatal("no labelable one-record tamper found (the drill needs one)")
 	return nil
 }
 

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -248,6 +249,20 @@ func TestCorruptWALTailRecoversPrefix(t *testing.T) {
 			raw, _ := os.ReadFile(path)
 			raw[len(raw)-20] ^= 0x40
 			os.WriteFile(path, raw, 0o644)
+		},
+		// A frame that passes its CRC but spells its record with a byte
+		// past its end: only a forged body could have put it there, and
+		// it ends the valid prefix like damage does.
+		"non-canonical frame": func(t *testing.T, path string) {
+			raw, _ := os.ReadFile(path)
+			fr := wal.NewFrameReader(bytes.NewReader(raw))
+			for range len(events) / 2 {
+				fr.Next()
+			}
+			off := fr.Offset()
+			frame, _ := fr.Next()
+			forged := framed(append(bytes.Clone(frame[wal.FrameHeaderSize:]), 0))
+			os.WriteFile(path, slices.Concat(raw[:off], forged, raw[fr.Offset():]), 0o644)
 		},
 	}
 	for name, hurt := range damage {

@@ -2,9 +2,6 @@ package service
 
 import (
 	"bytes"
-	"encoding/binary"
-	"encoding/json"
-	"hash/crc32"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -175,47 +172,9 @@ func TestIngestScratchDiesWithTheBatch(t *testing.T) {
 // been decoded to. It is a bad frame: the intact prefix is applied, the
 // rest is not, and the log holds the prefix's frames and nothing else.
 func TestHTTPBinaryIngestRefusesGraphIDPastInt32(t *testing.T) {
-	reg, dir, srv := newDurableTestServer(t)
-	g := compileBuiltin(t, "BioAID")
-	if _, err := reg.Create("gid", g, Config{}); err != nil {
-		t.Fatal(err)
-	}
-	events, _ := genEvents(t, g, 200, 5)
-	const prefix = 10
-	ev := events[prefix]
-	payload := []byte{0x01} // reference form
-	for _, f := range []uint64{uint64(ev.V), 1<<32 + uint64(ev.Ref.Graph), uint64(ev.Ref.V), uint64(len(ev.Preds))} {
-		payload = binary.AppendUvarint(payload, f)
-	}
-	for _, p := range ev.Preds {
-		payload = binary.AppendUvarint(payload, uint64(p))
-	}
-	forged := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
-	forged = binary.LittleEndian.AppendUint32(forged, crc32.ChecksumIEEE(payload))
-	forged = append(forged, payload...)
-
-	body := append(frameStream(t, events[:prefix]), forged...)
-	body = append(body, frameStream(t, events[prefix+1:prefix+11])...)
-	code, raw := postBinary(t, srv.URL+"/v1/sessions/gid/events", body, nil)
-	expectCode(t, 400, api.CodeBadFrame, code, raw)
-	var resp api.ErrorResponse
-	if err := json.Unmarshal([]byte(raw), &resp); err != nil || resp.Applied != prefix {
-		t.Fatalf("applied = %s, want the %d intact frames before the forged one", raw, prefix)
-	}
-	s, _ := reg.Get("gid")
-	if s.Vertices() != prefix {
-		t.Fatalf("session holds %d vertices, want %d", s.Vertices(), prefix)
-	}
-	if err := reg.Close(); err != nil {
-		t.Fatal(err)
-	}
-	logged, err := os.ReadFile(filepath.Join(dir, "gid", walFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(logged, frameStream(t, events[:prefix])) {
-		t.Fatalf("the log holds %d bytes, want exactly the %d intact frames", len(logged), prefix)
-	}
+	refuseForgedFrame(t, 10, func(ev run.Event) []byte {
+		return framed(classicPayload(uint64(ev.V), 1<<32+uint64(ev.Ref.Graph), uint64(ev.Ref.V), ev.Preds))
+	})
 }
 
 // TestLineagePagesDuringIngest: while one writer ingests, readers page

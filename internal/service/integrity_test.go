@@ -25,7 +25,8 @@ import (
 // tamperWALRecord flips one payload byte of the idx-th (0-based)
 // record in the WAL at path and recomputes the frame CRC, producing a
 // rewrite that every structural check accepts and only the hash chain
-// can catch.
+// can catch. The rewritten record must still decode: one that does not
+// ends the log's valid prefix there, a truncation rather than a rewrite.
 func tamperWALRecord(t *testing.T, path string, idx int) {
 	t.Helper()
 	raw, err := os.ReadFile(path)
@@ -39,6 +40,9 @@ func tamperWALRecord(t *testing.T, path string, idx int) {
 	plen := binary.LittleEndian.Uint32(raw[off:])
 	payload := raw[off+wal.FrameHeaderSize : off+wal.FrameHeaderSize+int64(plen)]
 	payload[len(payload)-1] ^= 0x01
+	if _, err := wal.DecodeRecord(payload); err != nil {
+		t.Fatalf("tampered record %d no longer decodes: %v", idx, err)
+	}
 	binary.LittleEndian.PutUint32(raw[off+4:], crc32.ChecksumIEEE(payload))
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
@@ -269,7 +273,7 @@ func TestTamperDrillAuditCatchesBelowWatermarkRewrite(t *testing.T) {
 	if rep := audit.VerifySession(sdir, ""); rep.Status != audit.StatusVerified {
 		t.Fatalf("pristine audit = %+v", rep)
 	}
-	tamperWALRecord(t, filepath.Join(sdir, walFile), 3)
+	tamperWALRecord(t, filepath.Join(sdir, walFile), 4)
 	rep := audit.VerifySession(sdir, "")
 	if rep.Status != audit.StatusViolation {
 		t.Fatalf("audit missed the rewrite: %+v", rep)

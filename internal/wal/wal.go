@@ -15,10 +15,20 @@
 //	uint32 LE  CRC-32 (IEEE) of the payload
 //	N bytes    payload
 //
-// with the payload encoding one execution event (a kind byte followed
-// by uvarint fields). A torn write — a crash mid-append — leaves a
-// short or CRC-mismatched record at the tail; Scan detects it, reports
-// the valid prefix, and Open truncates the garbage before appending.
+// with the payload encoding one execution event: a kind byte that also
+// carries the predecessor count, the event's uvarint fields, and each
+// predecessor as the zig-zag uvarint of the new vertex minus it. Logs
+// written by earlier builds hold the classic kinds, which spell the
+// count and every predecessor id out in full; they are read, never
+// written, and one log may hold both. Every varint is minimal LEB128 of
+// at most five bytes and a payload ends where its record does, so a
+// record that decodes has exactly one frame of each form. Payload
+// fields are written by appendFrame, measured by frameLen and read by
+// DecodeRecordInto, and nowhere else.
+//
+// A torn write — a crash mid-append — leaves a short or CRC-mismatched
+// record at the tail; Scan detects it, reports the valid prefix, and
+// Open truncates the garbage before appending.
 // Corruption is only ever accepted at the tail: a bad record hides
 // everything after it, by design, because the event stream is
 // meaningful only as a prefix.
@@ -47,11 +57,26 @@ import (
 	"wfreach/internal/spec"
 )
 
-// Record kinds (the first payload byte).
+// Record kinds: the low three bits of the first payload byte. A compact
+// kind's high five bits hold the predecessor count; countEscape there
+// means the count less countEscape follows as a uvarint. The classic
+// kinds, written by earlier builds, are a whole byte each and are
+// decode-only.
 const (
-	kindRef   = 0x01 // run.Event: specification-reference identified
-	kindNamed = 0x02 // core.NamedEvent: module-name identified
+	kindRefClassic   = 0x01 // run.Event, absolute predecessor ids
+	kindNamedClassic = 0x02 // core.NamedEvent, absolute predecessor ids
+	kindRef          = 0x03 // run.Event: specification-reference identified
+	kindNamed        = 0x04 // core.NamedEvent: module-name identified
+
+	kindMask    = 0x07
+	countShift  = 3
+	countEscape = 0xff >> countShift
 )
+
+// maxVarint is the longest varint a payload holds: ids take 31 bits, a
+// zig-zag predecessor delta 32, and a count or a name length is bounded
+// by MaxPayload.
+const maxVarint = 5
 
 // MaxPayload caps a record payload at 1 MiB. Real events are tens of
 // bytes; the cap stops a corrupt length prefix from allocating
@@ -91,13 +116,29 @@ type payloadReader struct {
 	pos int
 }
 
+// uvarint reads one field: minimal LEB128 of at most maxVarint bytes.
+// An overlong encoding (a final zero byte that could have been left
+// off) is refused like a truncated one, or one record would have two
+// frames of the same form.
 func (r *payloadReader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.b[r.pos:])
-	if n <= 0 {
-		return 0, fmt.Errorf("%w: bad varint at payload offset %d", ErrCorrupt, r.pos)
+	b := r.b[r.pos:]
+	if len(b) > 0 && b[0] < 0x80 {
+		r.pos++
+		return uint64(b[0]), nil
 	}
-	r.pos += n
-	return v, nil
+	var x uint64
+	for i := 0; i < len(b) && i < maxVarint; i++ {
+		c := b[i]
+		x |= uint64(c&0x7f) << (7 * i)
+		if c < 0x80 {
+			if c == 0 {
+				break
+			}
+			r.pos += i + 1
+			return x, nil
+		}
+	}
+	return 0, fmt.Errorf("%w: bad varint at payload offset %d", ErrCorrupt, r.pos)
 }
 
 // id reads a field that must fit the int32 both vertex and graph ids
@@ -118,28 +159,45 @@ func (r *payloadReader) vertex() (graph.VertexID, error) {
 	return graph.VertexID(v), err
 }
 
-// preds reads a predecessor list onto the end of *arena and returns
-// the appended part, capped so the caller cannot grow into what the
-// arena holds next. On an error the arena is as it was.
-func (r *payloadReader) preds(arena *[]graph.VertexID) ([]graph.VertexID, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
+// preds reads the n predecessors of vertex v — the record's last field,
+// so the payload must end with them — onto the end of *arena and
+// returns the appended part, capped so the caller cannot grow into what
+// the arena holds next. A compact record stores each as the zig-zag
+// delta v − p, a classic one as the id itself. On an error the arena is
+// as it was.
+func (r *payloadReader) preds(arena *[]graph.VertexID, n uint64, v graph.VertexID, classic bool) ([]graph.VertexID, error) {
 	if n > uint64(len(r.b)-r.pos) { // each pred takes ≥ 1 byte
 		return nil, fmt.Errorf("%w: predecessor count %d exceeds payload", ErrCorrupt, n)
 	}
-	if n == 0 {
-		return nil, nil
-	}
 	start := len(*arena)
-	out := slices.Grow(*arena, int(n))
+	out := *arena
+	if n > 0 {
+		out = slices.Grow(out, int(n))
+	}
 	for range n {
-		p, err := r.vertex()
+		if classic {
+			p, err := r.vertex()
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, p)
+			continue
+		}
+		z, err := r.uvarint()
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, p)
+		p := int64(v) - (int64(z>>1) ^ -int64(z&1))
+		if p < 0 || p > math.MaxInt32 {
+			return nil, fmt.Errorf("%w: predecessor id %d out of range", ErrCorrupt, p)
+		}
+		out = append(out, graph.VertexID(p))
+	}
+	if r.pos != len(r.b) {
+		return nil, fmt.Errorf("%w: %d bytes past the end of the record", ErrCorrupt, len(r.b)-r.pos)
+	}
+	if n == 0 {
+		return nil, nil
 	}
 	*arena = out
 	return out[start:len(out):len(out)], nil
@@ -180,7 +238,10 @@ func appendFrame[V ~int32](buf []byte, kind byte, v V, name string, g int32, sv 
 	}
 	start := len(buf)
 	buf = append(buf, make([]byte, FrameHeaderSize)...)
-	buf = append(buf, kind)
+	buf = append(buf, byte(min(len(preds), countEscape))<<countShift|kind)
+	if len(preds) >= countEscape {
+		buf = binary.AppendUvarint(buf, uint64(len(preds)-countEscape))
+	}
 	buf = binary.AppendUvarint(buf, uint64(v))
 	if kind == kindNamed {
 		buf = binary.AppendUvarint(buf, uint64(len(name)))
@@ -189,9 +250,8 @@ func appendFrame[V ~int32](buf []byte, kind byte, v V, name string, g int32, sv 
 		buf = binary.AppendUvarint(buf, uint64(g))
 		buf = binary.AppendUvarint(buf, uint64(sv))
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(preds)))
 	for _, p := range preds {
-		buf = binary.AppendUvarint(buf, uint64(p))
+		buf = binary.AppendUvarint(buf, zigzag(v, p))
 	}
 	payload := buf[start+FrameHeaderSize:]
 	if len(payload) > MaxPayload {
@@ -215,17 +275,28 @@ func NamedFrameLen[V ~int32](v V, name string, preds []V) int {
 }
 
 // frameLen mirrors appendFrame field by field; fields is the length of
-// what the kind puts between the vertex and the predecessor count.
+// what the kind puts between the vertex and the predecessors.
 func frameLen[V ~int32](v V, fields int, preds []V) int {
-	n := FrameHeaderSize + 1 + uvarintLen(v) + fields + uvarintLen(len(preds))
+	n := FrameHeaderSize + 1 + uvarintLen(v) + fields
+	if len(preds) >= countEscape {
+		n += uvarintLen(len(preds) - countEscape)
+	}
 	for _, p := range preds {
-		n += uvarintLen(p)
+		n += uvarintLen(zigzag(v, p))
 	}
 	return n
 }
 
+// zigzag maps the signed distance v − p onto a uvarint, small either
+// side of zero: a predecessor usually sits close to its vertex, but the
+// client chooses ids, so it may sit above it as well as below.
+func zigzag[V ~int32](v, p V) uint64 {
+	d := int64(v) - int64(p)
+	return uint64(d<<1) ^ uint64(d>>63)
+}
+
 // uvarintLen is the length of binary.AppendUvarint(nil, uint64(x)).
-func uvarintLen[I ~int | ~int32](x I) int {
+func uvarintLen[I ~int | ~int32 | ~uint64](x I) int {
 	return (bits.Len64(uint64(x)|1) + 6) / 7
 }
 
@@ -248,32 +319,27 @@ func DecodeRecordInto(arena *[]graph.VertexID, b []byte) (Record, error) {
 	if arena == nil {
 		arena = new([]graph.VertexID)
 	}
+	kind := b[0]
+	classic := kind == kindRefClassic || kind == kindNamedClassic
+	named := kind == kindNamedClassic || kind&kindMask == kindNamed
+	if !classic && !named && kind&kindMask != kindRef {
+		return Record{}, fmt.Errorf("%w: unknown record kind 0x%02x", ErrCorrupt, kind)
+	}
 	r := payloadReader{b: b, pos: 1}
-	switch b[0] {
-	case kindRef:
-		var rec Record
-		var err error
-		if rec.Ref.V, err = r.vertex(); err != nil {
-			return Record{}, err
-		}
-		g, err := r.id("graph")
+	npreds := uint64(kind >> countShift)
+	if npreds == countEscape {
+		more, err := r.uvarint()
 		if err != nil {
 			return Record{}, err
 		}
-		rec.Ref.Ref.Graph = spec.GraphID(g)
-		if rec.Ref.Ref.V, err = r.vertex(); err != nil {
-			return Record{}, err
-		}
-		if rec.Ref.Preds, err = r.preds(arena); err != nil {
-			return Record{}, err
-		}
-		return rec, nil
-	case kindNamed:
-		rec := Record{Named: true}
-		var err error
-		if rec.NamedEv.V, err = r.vertex(); err != nil {
-			return Record{}, err
-		}
+		npreds += more
+	}
+	v, err := r.vertex()
+	if err != nil {
+		return Record{}, err
+	}
+	var rec Record
+	if named {
 		n, err := r.uvarint()
 		if err != nil {
 			return Record{}, err
@@ -281,15 +347,34 @@ func DecodeRecordInto(arena *[]graph.VertexID, b []byte) (Record, error) {
 		if n > uint64(len(b)-r.pos) {
 			return Record{}, fmt.Errorf("%w: name length %d exceeds payload", ErrCorrupt, n)
 		}
-		rec.NamedEv.Name = string(b[r.pos : r.pos+int(n)])
+		rec = Record{Named: true, NamedEv: core.NamedEvent{V: v, Name: string(b[r.pos : r.pos+int(n)])}}
 		r.pos += int(n)
-		if rec.NamedEv.Preds, err = r.preds(arena); err != nil {
+	} else {
+		g, err := r.id("graph")
+		if err != nil {
 			return Record{}, err
 		}
-		return rec, nil
-	default:
-		return Record{}, fmt.Errorf("%w: unknown record kind 0x%02x", ErrCorrupt, b[0])
+		sv, err := r.vertex()
+		if err != nil {
+			return Record{}, err
+		}
+		rec.Ref = run.Event{V: v, Ref: spec.VertexRef{Graph: spec.GraphID(g), V: sv}}
 	}
+	if classic {
+		if npreds, err = r.uvarint(); err != nil {
+			return Record{}, err
+		}
+	}
+	preds, err := r.preds(arena, npreds, v, classic)
+	if err != nil {
+		return Record{}, err
+	}
+	if named {
+		rec.NamedEv.Preds = preds
+	} else {
+		rec.Ref.Preds = preds
+	}
+	return rec, nil
 }
 
 // FrameReader reads a stream of frames — a log file, an ingest body, a
