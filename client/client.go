@@ -451,10 +451,6 @@ func (c *Client) LineagePage(ctx context.Context, session string, of int32, curs
 	}
 	if limit > 0 {
 		q.Set("limit", strconv.Itoa(limit))
-	} else if cursor == "" {
-		// Force pagination even on the first page — a bare ?of= request
-		// is the deprecated full scan.
-		q.Set("limit", strconv.Itoa(api.DefaultLineageLimit))
 	}
 	var page LineagePage
 	err := c.do(ctx, http.MethodGet,

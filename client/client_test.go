@@ -2,11 +2,10 @@ package client_test
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -20,23 +19,6 @@ func newServer(t testing.TB) *httptest.Server {
 	srv := httptest.NewServer(wfreach.NewServiceHandler(wfreach.NewRegistry()))
 	t.Cleanup(srv.Close)
 	return srv
-}
-
-// getJSON fetches url with a plain GET — the /v1 forms the SDK has no
-// method for — and decodes the 200 response into out.
-func getJSON(t testing.TB, url string, out any) {
-	t.Helper()
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET %s = %d", url, resp.StatusCode)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		t.Fatalf("GET %s: %v", url, err)
-	}
 }
 
 func generate(t testing.TB, builtin string, size int, seed int64) ([]wfreach.Event, *wfreach.Run) {
@@ -120,18 +102,16 @@ func TestLifecycleE2E(t *testing.T) {
 	if err != nil || ok != answers[0].Reachable {
 		t.Fatalf("single reach: %v, %v", ok, err)
 	}
-	// The one-pair GET form agrees with the batch.
-	var one client.ReachAnswer
-	getJSON(t, fmt.Sprintf("%s/v1/sessions/a/reach?from=%d&to=%d", srv.URL, pairs[0].From, pairs[0].To), &one)
-	if one.Reachable != answers[0].Reachable {
-		t.Fatalf("GET reach: %+v, batch says %v", one, answers[0].Reachable)
-	}
 
-	// Paginated lineage equals the unpaginated full scan.
+	// Lineage, walked page by page, equals the BFS closure.
 	sink := int32(events[len(events)-1].V)
-	var unpaged client.LineagePage
-	getJSON(t, fmt.Sprintf("%s/v1/sessions/a/lineage?of=%d", srv.URL, sink), &unpaged)
-	full := unpaged.Ancestors
+	var full []int32
+	for _, ev := range events {
+		if r.Reaches(ev.V, wfreach.VertexID(sink)) {
+			full = append(full, int32(ev.V))
+		}
+	}
+	slices.Sort(full)
 	page, err := c.LineagePage(ctx, "a", sink, "", 5)
 	if err != nil || len(page.Ancestors) != 5 || page.NextCursor == "" {
 		t.Fatalf("first page: %+v, %v", page, err)
@@ -140,13 +120,8 @@ func TestLifecycleE2E(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(all) != len(full) {
-		t.Fatalf("paginated %d ancestors, unpaginated %d", len(all), len(full))
-	}
-	for i := range all {
-		if all[i] != full[i] {
-			t.Fatalf("ancestor %d: %d != %d", i, all[i], full[i])
-		}
+	if !slices.Equal(all, full) {
+		t.Fatalf("paginated %d ancestors, BFS closure %d", len(all), len(full))
 	}
 
 	// Stats and list see the session; delete removes it.

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"wfreach/internal/api"
-	"wfreach/internal/cluster"
 )
 
 // Cluster wire types, re-exported from the contract package.
@@ -24,6 +23,8 @@ type (
 	ClusterHealth = api.ClusterHealth
 	// MoveResponse reports a completed session move.
 	MoveResponse = api.MoveResponse
+	// ReleaseResponse acknowledges the owner side of a move.
+	ReleaseResponse = api.ReleaseResponse
 )
 
 // Cluster error codes, re-exported verbatim.
@@ -69,6 +70,18 @@ func (c *Client) MoveSession(ctx context.Context, session, target string) (MoveR
 	return resp, err
 }
 
+// ReleaseSession is the owner-side step of a move, sent by the target
+// once it has caught up: the owner seals the session, installs the
+// override naming to, and answers with the sealed final sequence and
+// chain head the target drains to and verifies against. Operators move
+// sessions with MoveSession; this call is the node-to-node half.
+func (c *Client) ReleaseSession(ctx context.Context, session string, to ClusterNode) (ReleaseResponse, error) {
+	var resp ReleaseResponse
+	err := c.do(ctx, http.MethodPost, "/cluster/release",
+		api.ReleaseRequest{Session: session, Node: to.Name, URL: to.URL}, &resp, false)
+	return resp, err
+}
+
 // clusterRouteAttempts bounds how many times one logical call chases
 // routing rejections before giving up. Mid-move, a session's old
 // owner answers read_only(new owner) while the new owner still
@@ -106,7 +119,7 @@ type clusterNode struct {
 // A Cluster is safe for concurrent use.
 type Cluster struct {
 	opts  []Option
-	state *cluster.State
+	state *api.Placement
 
 	mu    sync.Mutex
 	nodes map[string]*clusterNode
@@ -118,7 +131,7 @@ type Cluster struct {
 // handled by the Cluster itself, so per-node clients run with it
 // disabled.
 func NewCluster(m ClusterMap, opts ...Option) (*Cluster, error) {
-	st, err := cluster.NewState(m)
+	st, err := api.NewPlacement(m)
 	if err != nil {
 		return nil, err
 	}

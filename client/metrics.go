@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"net/http"
 	"strconv"
 	"strings"
 )
@@ -17,19 +16,11 @@ import (
 // (durations in seconds). The map is a point-in-time cut — subtract
 // two scrapes to get deltas over a window, as wfload -matrix does.
 func (c *Client) Metrics(ctx context.Context) (map[string]float64, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+apiPrefix+"/metrics", nil)
+	resp, err := c.get(ctx, "/metrics", false)
 	if err != nil {
-		return nil, fmt.Errorf("client: %w", err)
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("client: GET /metrics: %w", err)
+		return nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-		return nil, decodeError(resp.StatusCode, raw)
-	}
 	return ParseMetrics(resp.Body)
 }
 

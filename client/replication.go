@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
-	"time"
 
 	"wfreach/internal/api"
 )
@@ -63,59 +62,29 @@ func (c *Client) Promote(ctx context.Context) (ReplicationStatus, error) {
 // together with the stats' skeleton/rmode configuration, all a
 // replica needs to rebuild the session before replaying its WAL.
 func (c *Client) SessionSpec(ctx context.Context, name string) ([]byte, error) {
-	var raw []byte
-	err := c.doRead(ctx, "/sessions/"+url.PathEscape(name)+"/spec", func(body io.Reader) error {
-		var rerr error
-		raw, rerr = io.ReadAll(body)
-		return rerr
-	})
-	return raw, err
+	return c.doRaw(ctx, http.MethodGet, "/sessions/"+url.PathEscape(name)+"/spec", "", nil, true)
 }
 
-// doRead runs one retryable GET whose successful body is consumed by
-// read (non-JSON responses; errors still decode the structured model).
-func (c *Client) doRead(ctx context.Context, path string, read func(io.Reader) error) error {
-	for attempt := 0; ; attempt++ {
-		resp, err := c.get(ctx, c.base, path, 0)
-		if err == nil {
-			err = read(resp.Body)
-			resp.Body.Close()
-			if err == nil {
-				return nil
-			}
-		}
-		if attempt >= c.retries || !transient(err) {
-			return err
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(retryDelay(c.backoff, c.maxBackoff, attempt)):
-		}
-	}
-}
-
-// get issues one GET and maps non-2xx responses to structured errors.
-// timeout zero uses the client's configured HTTP client; a negative
-// timeout strips the overall request timeout (for live tails, which
-// legitimately stay open forever).
-func (c *Client) get(ctx context.Context, base, path string, timeout int) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+apiPrefix+path, nil)
+// get issues one GET whose body the caller streams, and maps a non-2xx
+// response to its structured error. untimed strips the overall request
+// timeout, for live tails, which legitimately stay open forever.
+func (c *Client) get(ctx context.Context, path string, untimed bool) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+apiPrefix+path, nil)
 	if err != nil {
 		return nil, fmt.Errorf("client: %w", err)
 	}
 	hc := c.hc
-	if timeout < 0 && hc.Timeout != 0 {
-		untimed := *hc
-		untimed.Timeout = 0
-		hc = &untimed
+	if untimed && hc.Timeout != 0 {
+		cp := *hc
+		cp.Timeout = 0
+		hc = &cp
 	}
 	resp, err := hc.Do(req)
 	if err != nil {
 		return nil, fmt.Errorf("client: GET %s: %w", path, err)
 	}
 	if resp.StatusCode >= 400 {
-		raw, _ := io.ReadAll(resp.Body)
+		raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
 		resp.Body.Close()
 		return nil, decodeError(resp.StatusCode, raw)
 	}
@@ -148,11 +117,8 @@ func (c *Client) TailWAL(ctx context.Context, session string, from int64, wait b
 	if !wait {
 		q.Set("wait", "false")
 	}
-	timeout := 0
-	if wait {
-		timeout = -1 // a live tail must outlive any overall HTTP timeout
-	}
-	resp, err := c.get(ctx, c.base, "/sessions/"+url.PathEscape(session)+"/wal?"+q.Encode(), timeout)
+	// A live tail must outlive any overall HTTP timeout.
+	resp, err := c.get(ctx, "/sessions/"+url.PathEscape(session)+"/wal?"+q.Encode(), wait)
 	if err != nil {
 		return nil, err
 	}

@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"os"
 	"os/exec"
@@ -112,21 +111,24 @@ func TestWfserveEndToEnd(t *testing.T) {
 		t.Fatalf("events: %d", resp.StatusCode)
 	}
 
+	var pairs []client.ReachPair
 	for i := 0; i < 50; i++ {
-		v, w := events[i%len(events)].V, events[(i*13)%len(events)].V
-		resp, err := http.Get(fmt.Sprintf("%s/v1/sessions/e2e/reach?from=%d&to=%d", base, v, w))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var rr struct {
-			Reachable bool `json:"reachable"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if want := r.Graph.Reaches(v, w); rr.Reachable != want {
-			t.Fatalf("reach(%d,%d) = %v, oracle %v", v, w, rr.Reachable, want)
+		pairs = append(pairs, client.ReachPair{From: int32(events[i%len(events)].V), To: int32(events[(i*13)%len(events)].V)})
+	}
+	assertReach(t, base, "e2e", r, pairs)
+}
+
+// assertReach asks the pairs of the session in one batch and checks
+// every answer against the BFS oracle.
+func assertReach(t *testing.T, base, session string, r *wfreach.Run, pairs []client.ReachPair) {
+	t.Helper()
+	answers, err := client.New(base).ReachBatch(context.Background(), session, pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range answers {
+		if want := r.Reaches(wfreach.VertexID(a.From), wfreach.VertexID(a.To)); a.Code != "" || a.Reachable != want {
+			t.Fatalf("reach %+v, oracle %v", a, want)
 		}
 	}
 }
@@ -250,25 +252,13 @@ func TestWfserveCrashRecovery(t *testing.T) {
 	}
 
 	// Every query over the recovered prefix must match the BFS oracle.
+	var pairs []client.ReachPair
 	for i := 0; i < n; i++ {
 		for _, j := range []int{0, i / 2, i, n - 1 - i%n} {
-			v, w := events[i].V, events[j].V
-			resp, err := http.Get(fmt.Sprintf("%s/v1/sessions/crash/reach?from=%d&to=%d", base2, v, w))
-			if err != nil {
-				t.Fatal(err)
-			}
-			var rr struct {
-				Reachable bool `json:"reachable"`
-			}
-			if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
-				t.Fatal(err)
-			}
-			resp.Body.Close()
-			if want := r.Reaches(v, w); rr.Reachable != want {
-				t.Fatalf("after recovery reach(%d,%d) = %v, oracle %v", v, w, rr.Reachable, want)
-			}
+			pairs = append(pairs, client.ReachPair{From: int32(events[i].V), To: int32(events[j].V)})
 		}
 	}
+	assertReach(t, base2, "crash", r, pairs)
 }
 
 // TestWfserveGracefulShutdown exercises the SIGTERM path: a durable
@@ -337,23 +327,11 @@ func TestWfserveGracefulShutdown(t *testing.T) {
 	if st.Vertices != int64(len(events)) {
 		t.Fatalf("recovered %d vertices, want %d", st.Vertices, len(events))
 	}
+	var pairs []client.ReachPair
 	for i := 0; i < 40; i++ {
-		v, w := events[i%len(events)].V, events[(i*17)%len(events)].V
-		resp, err := http.Get(fmt.Sprintf("%s/v1/sessions/calm/reach?from=%d&to=%d", base2, v, w))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var rr struct {
-			Reachable bool `json:"reachable"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if want := r.Reaches(v, w); rr.Reachable != want {
-			t.Fatalf("after restart reach(%d,%d) = %v, oracle %v", v, w, rr.Reachable, want)
-		}
+		pairs = append(pairs, client.ReachPair{From: int32(events[i%len(events)].V), To: int32(events[(i*17)%len(events)].V)})
 	}
+	assertReach(t, base2, "calm", r, pairs)
 }
 
 // TestWfserveFollowerPromote is the end-to-end failover drill: a

@@ -3,11 +3,13 @@
 // surface, the structured error model shared by server and clients,
 // the binary ingest frame and the binary batch-reach form.
 //
-// The package deliberately holds no behavior beyond encoding — the
-// server (internal/service) maps these types onto sessions, the Go
-// SDK (package client) re-exports them for external callers, and the
-// command-line tools build on the SDK. Anything that goes over the
-// wire is declared here exactly once.
+// The package deliberately holds no behavior beyond encoding and
+// placement — the server (internal/service) maps these types onto
+// sessions, the Go SDK (package client) re-exports them for external
+// callers, and the command-line tools build on the SDK. Placement
+// (placement.go) is here because it is contract too: the SDK and every
+// cluster node must name the same owner for a session. Anything that
+// goes over the wire is declared here exactly once.
 //
 // # Endpoints (v1)
 //
@@ -20,8 +22,7 @@
 //	                                      ContentTypeFrame binary frame stream
 //	POST   /v1/sessions/{name}/reach      batch reachability: ContentTypeReach binary
 //	                                      (reach.go), or JSON BatchReachRequest
-//	GET    /v1/sessions/{name}/reach      one pair, ?from=&to= (deprecated)
-//	GET    /v1/sessions/{name}/lineage    ?of=&cursor=&limit= (paginated)
+//	GET    /v1/sessions/{name}/lineage    ?of=&cursor=&limit= (one page)
 //	GET    /v1/sessions/{name}/spec       the session's specification XML
 //	GET    /v1/sessions/{name}/wal        tail the session's WAL (replication.go)
 //	GET    /v1/replication/status         ReplicationStatus
@@ -281,8 +282,6 @@ type BatchReachResponse struct {
 }
 
 // LineageResponse is one page of GET /v1/sessions/{name}/lineage.
-// Without cursor/limit parameters the full closure is returned in one
-// response and NextCursor is empty (the deprecated unpaginated form).
 type LineageResponse struct {
 	// Of echoes the queried vertex.
 	Of int32 `json:"of"`
@@ -296,9 +295,8 @@ type LineageResponse struct {
 	NextCursor string `json:"next_cursor,omitempty"`
 }
 
-// DefaultLineageLimit is the page size used when a lineage request
-// asks for pagination (a cursor without a limit); MaxLineageLimit
-// caps any requested page size.
+// DefaultLineageLimit is the page size of a lineage request without a
+// limit; MaxLineageLimit caps any requested page size.
 const (
 	DefaultLineageLimit = 1024
 	MaxLineageLimit     = 1 << 16

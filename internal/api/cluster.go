@@ -1,8 +1,9 @@
 package api
 
 // The cluster control-plane surface of /v1 — the wire contract of a
-// session-partitioned cluster (see internal/cluster for the placement
-// and move machinery, and docs/API.md for the HTTP reference):
+// session-partitioned cluster (see placement.go for placement,
+// internal/cluster for the move machinery, and docs/API.md for the HTTP
+// reference):
 //
 //	GET  /v1/cluster/map      ClusterMap — placement map with overrides
 //	GET  /v1/cluster/health   ClusterHealth — role, map version, WAL seqs, peer probes

@@ -1,17 +1,12 @@
-package cluster
+package api
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
-
-	"wfreach/internal/api"
 )
 
-func threeNodes() []api.ClusterNode {
-	return []api.ClusterNode{
+func threeNodes() []ClusterNode {
+	return []ClusterNode{
 		{Name: "a", URL: "http://127.0.0.1:8081"},
 		{Name: "b", URL: "http://127.0.0.1:8082"},
 		{Name: "c", URL: "http://127.0.0.1:8083"},
@@ -22,16 +17,10 @@ func threeNodes() []api.ClusterNode {
 // from the same nodes (in any order) agree on every session, because
 // servers and clients compute placement independently.
 func TestRingDeterministic(t *testing.T) {
-	r1, err := NewRing(threeNodes())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r1 := newRing(threeNodes())
 	reversed := threeNodes()
 	reversed[0], reversed[2] = reversed[2], reversed[0]
-	r2, err := NewRing(reversed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r2 := newRing(reversed)
 	for i := 0; i < 1000; i++ {
 		s := fmt.Sprintf("session-%d", i)
 		if a, b := r1.Place(s).Name, r2.Place(s).Name; a != b {
@@ -45,10 +34,7 @@ func TestRingDeterministic(t *testing.T) {
 func TestRingSpreadAndWeight(t *testing.T) {
 	nodes := threeNodes()
 	nodes[1].Weight = 2
-	r, err := NewRing(nodes)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := newRing(nodes)
 	counts := map[string]int{}
 	const n = 8000
 	for i := 0; i < n; i++ {
@@ -66,21 +52,23 @@ func TestRingSpreadAndWeight(t *testing.T) {
 }
 
 func TestRingRejectsBadNodeSets(t *testing.T) {
-	if _, err := NewRing(nil); err == nil {
-		t.Error("empty node set accepted")
-	}
-	if _, err := NewRing([]api.ClusterNode{{Name: "", URL: "http://x"}}); err == nil {
-		t.Error("unnamed node accepted")
-	}
-	if _, err := NewRing([]api.ClusterNode{{Name: "a"}, {Name: "a"}}); err == nil {
-		t.Error("duplicate node name accepted")
+	for name, nodes := range map[string][]ClusterNode{
+		"empty node set":      nil,
+		"unnamed node":        {{Name: "", URL: "http://x"}},
+		"duplicate node name": {{Name: "a", URL: "http://x"}, {Name: "a", URL: "http://y"}},
+		"relative url":        {{Name: "a", URL: "127.0.0.1:8081"}},
+		"negative weight":     {{Name: "a", URL: "http://x", Weight: -1}},
+	} {
+		if _, err := NewPlacement(ClusterMap{Nodes: nodes}); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }
 
 // Overrides beat hash placement, versions ratchet, and DropOverride
 // reverts to the ring.
-func TestStateOverridePrecedence(t *testing.T) {
-	st, err := NewState(api.ClusterMap{Version: 3, Nodes: threeNodes()})
+func TestPlacementOverridePrecedence(t *testing.T) {
+	st, err := NewPlacement(ClusterMap{Version: 3, Nodes: threeNodes()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,8 +114,8 @@ func TestStateOverridePrecedence(t *testing.T) {
 	}
 	// The drop leaves a versioned tombstone, so it propagates: a peer
 	// still gossiping the retired override must not re-infect us...
-	stale := api.ClusterMap{Version: ov.Version, Nodes: threeNodes(),
-		Overrides: map[string]api.ClusterOverride{"s1": ov}}
+	stale := ClusterMap{Version: ov.Version, Nodes: threeNodes(),
+		Overrides: map[string]ClusterOverride{"s1": ov}}
 	if _, err := st.Merge(stale); err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +129,7 @@ func TestStateOverridePrecedence(t *testing.T) {
 	if !ok || !ts.Deleted || ts.Version <= ov.Version {
 		t.Fatalf("wire map tombstone %+v (present %v), want deleted with version > %d", ts, ok, ov.Version)
 	}
-	peer, err := NewState(stale)
+	peer, err := NewPlacement(stale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,13 +146,13 @@ func TestStateOverridePrecedence(t *testing.T) {
 
 // Merge adopts newer overrides, ignores older ones, and rejects maps
 // describing a different cluster.
-func TestStateMerge(t *testing.T) {
-	st, err := NewState(api.ClusterMap{Version: 1, Nodes: threeNodes()})
+func TestPlacementMerge(t *testing.T) {
+	st, err := NewPlacement(ClusterMap{Version: 1, Nodes: threeNodes()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	peer := api.ClusterMap{Version: 5, Nodes: threeNodes(),
-		Overrides: map[string]api.ClusterOverride{"s1": {Node: "c", Version: 5}}}
+	peer := ClusterMap{Version: 5, Nodes: threeNodes(),
+		Overrides: map[string]ClusterOverride{"s1": {Node: "c", Version: 5}}}
 	changed, err := st.Merge(peer)
 	if err != nil || !changed {
 		t.Fatalf("merge: changed=%v err=%v", changed, err)
@@ -177,8 +165,8 @@ func TestStateMerge(t *testing.T) {
 		t.Fatalf("replayed merge: changed=%v err=%v", changed, err)
 	}
 	// A stale override must not roll the session back.
-	stale := api.ClusterMap{Version: 2, Nodes: threeNodes(),
-		Overrides: map[string]api.ClusterOverride{"s1": {Node: "a", Version: 2}}}
+	stale := ClusterMap{Version: 2, Nodes: threeNodes(),
+		Overrides: map[string]ClusterOverride{"s1": {Node: "a", Version: 2}}}
 	if _, err := st.Merge(stale); err != nil {
 		t.Fatal(err)
 	}
@@ -186,46 +174,8 @@ func TestStateMerge(t *testing.T) {
 		t.Errorf("stale override won: s1 on %s, want c", st.Place("s1").Name)
 	}
 	// Foreign node sets are a configuration error, not mergeable.
-	alien := api.ClusterMap{Version: 9, Nodes: []api.ClusterNode{{Name: "z", URL: "http://z"}}}
+	alien := ClusterMap{Version: 9, Nodes: []ClusterNode{{Name: "z", URL: "http://z"}}}
 	if _, err := st.Merge(alien); err == nil {
 		t.Error("merge of a foreign node set accepted")
-	}
-}
-
-func TestLoadMap(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name, body string) string {
-		p := filepath.Join(dir, name)
-		if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-	good := write("good.json", `{
-		"version": 1,
-		"nodes": [
-			{"name": "b", "url": "http://127.0.0.1:8082", "weight": 2},
-			{"name": "a", "url": "http://127.0.0.1:8081", "follower": "http://127.0.0.1:9081"}
-		]
-	}`)
-	m, err := LoadMap(good)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Nodes) != 2 || m.Nodes[0].Name != "a" || m.Nodes[1].Weight != 2 {
-		t.Fatalf("loaded map %+v", m)
-	}
-	for name, body := range map[string]string{
-		"unknown-field.json": `{"nodes": [{"name": "a", "url": "http://x"}], "primary": "a"}`,
-		"no-nodes.json":      `{"version": 1}`,
-		"bad-url.json":       `{"nodes": [{"name": "a", "url": "127.0.0.1:8081"}]}`,
-		"dup.json":           `{"nodes": [{"name": "a", "url": "http://x"}, {"name": "a", "url": "http://y"}]}`,
-		"bad-override.json":  `{"nodes": [{"name": "a", "url": "http://x"}], "overrides": {"s": {"node": "z"}}}`,
-	} {
-		if _, err := LoadMap(write(name, body)); err == nil {
-			t.Errorf("%s accepted", name)
-		} else if !strings.Contains(err.Error(), "cluster:") {
-			t.Errorf("%s: error %v lacks package prefix", name, err)
-		}
 	}
 }

@@ -3,7 +3,6 @@ package cluster
 import (
 	"encoding/json"
 	"fmt"
-	"net/url"
 	"os"
 	"sort"
 	"strings"
@@ -38,60 +37,9 @@ func LoadMap(path string) (api.ClusterMap, error) {
 	if err := dec.Decode(&m); err != nil {
 		return api.ClusterMap{}, fmt.Errorf("cluster: parse map %s: %w", path, err)
 	}
-	if err := ValidateMap(m); err != nil {
+	if err := m.Validate(); err != nil {
 		return api.ClusterMap{}, fmt.Errorf("cluster: map %s: %w", path, err)
 	}
 	sort.Slice(m.Nodes, func(i, j int) bool { return m.Nodes[i].Name < m.Nodes[j].Name })
 	return m, nil
-}
-
-// ValidateMap checks a map's internal consistency: non-empty unique
-// node names, parseable absolute base URLs, non-negative weights, and
-// overrides that name known nodes.
-func ValidateMap(m api.ClusterMap) error {
-	if len(m.Nodes) == 0 {
-		return fmt.Errorf("no nodes")
-	}
-	names := make(map[string]bool, len(m.Nodes))
-	for i, n := range m.Nodes {
-		if n.Name == "" {
-			return fmt.Errorf("node %d has no name", i)
-		}
-		if names[n.Name] {
-			return fmt.Errorf("duplicate node name %q", n.Name)
-		}
-		names[n.Name] = true
-		if err := checkBaseURL(n.URL); err != nil {
-			return fmt.Errorf("node %q: %w", n.Name, err)
-		}
-		if n.Follower != "" {
-			if err := checkBaseURL(n.Follower); err != nil {
-				return fmt.Errorf("node %q follower: %w", n.Name, err)
-			}
-		}
-		if n.Weight < 0 {
-			return fmt.Errorf("node %q: negative weight %d", n.Name, n.Weight)
-		}
-	}
-	for sess, ov := range m.Overrides {
-		if !names[ov.Node] && !ov.Deleted {
-			return fmt.Errorf("override for session %q names unknown node %q", sess, ov.Node)
-		}
-	}
-	return nil
-}
-
-// checkBaseURL requires an absolute http(s) URL with a host.
-func checkBaseURL(s string) error {
-	if s == "" {
-		return fmt.Errorf("empty url")
-	}
-	u, err := url.Parse(s)
-	if err != nil {
-		return fmt.Errorf("bad url %q: %w", s, err)
-	}
-	if (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
-		return fmt.Errorf("url %q is not an absolute http(s) base url", s)
-	}
-	return nil
 }

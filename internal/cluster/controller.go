@@ -1,55 +1,63 @@
+// Package cluster shards labeling sessions across multiple primary
+// servers. The paper's labeling scheme is per-execution by
+// construction — sessions never share label state — so the session is
+// the natural shard key: a cluster is simply N independent primaries
+// plus an agreement about which one owns which session.
+//
+// That agreement is the cluster map (api.ClusterMap): a static node
+// set hashed onto a consistent-hash ring, plus explicit per-session
+// overrides for sessions that were moved. Placement (api.Placement) is
+// a pure function of the map and part of the wire contract, so every
+// node and every SDK client holding the same map routes identically,
+// and a stale map costs exactly one redirect (the rejection names the
+// owner).
+//
+// This package holds map-file loading (config.go) and the Controller:
+// the placement gate, the /v1/cluster control plane and the session
+// mover. Every call it makes to a peer goes through the SDK (package
+// client), and the mover copies a session with internal/replica's Copy,
+// the one a follower uses: the target adopts the session from the
+// owner, tails its WAL until caught up, asks the owner to seal the
+// session and install the override, drains the tail to the sealed
+// final sequence, checks its chain head against the sealed one, and
+// starts serving.
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
-	"net/url"
 	"sort"
 	"sync"
 	"time"
 
+	"wfreach/client"
 	"wfreach/internal/api"
 	"wfreach/internal/obs"
+	"wfreach/internal/replica"
 	"wfreach/internal/service"
-	"wfreach/internal/spec"
-	"wfreach/internal/wfxml"
 )
 
 // Options configures a Controller.
 type Options struct {
-	// ProbeInterval is how often peers are probed for liveness and map
-	// version. Zero selects 2s.
-	ProbeInterval time.Duration
-	// HTTPTimeout bounds each unary peer call (map fetch, stats, spec,
-	// release). Zero selects 10s. Tail streams and forwarded moves are
-	// bounded by the request context instead.
-	HTTPTimeout time.Duration
-	// BatchSize caps how many tailed events a move applies per ingest
-	// call. Zero selects 256.
-	BatchSize int
 	// Logf, when set, receives human-readable progress lines.
 	Logf func(format string, args ...any)
 }
 
-func (o *Options) fill() {
-	if o.ProbeInterval <= 0 {
-		o.ProbeInterval = 2 * time.Second
-	}
-	if o.HTTPTimeout <= 0 {
-		o.HTTPTimeout = 10 * time.Second
-	}
-	if o.BatchSize <= 0 {
-		o.BatchSize = 256
-	}
-}
+const (
+	// probeInterval is how often peers are probed for liveness and map
+	// version.
+	probeInterval = 2 * time.Second
+	// peerTimeout bounds each unary peer call: map probe, session stats,
+	// spec, release. WAL tails and forwarded moves run on the caller's
+	// context alone — they last as long as the catch-up does.
+	peerTimeout = 10 * time.Second
+)
 
-// peerState is the prober's record of one other node.
+// peerState is one other node: its SDK client and the prober's record.
 type peerState struct {
 	node       api.ClusterNode
+	c          *client.Client
 	up         bool
 	mapVersion int64
 	lastErr    string
@@ -59,23 +67,19 @@ type peerState struct {
 // Controller runs one node's share of the cluster: it gates the HTTP
 // surface by placement (service.ClusterHooks), serves the /v1/cluster
 // control plane, probes the peers, and executes session moves by
-// tailing the owner's WAL — the same replay a follower runs, driven to
-// a sealed final sequence instead of forever. A moved session persists
-// through the destination's own registry, so it takes arena snapshots
-// like any other and a node restart re-adopts every session it hosts —
-// moved or native — through the shared arena restore path: snapshotted
-// labels are mapped zero-copy and only the WAL tail past the snapshot
-// watermark is re-encoded.
-//
-// The controller deliberately talks raw HTTP + api types to its peers
-// rather than the client SDK: the SDK's cluster client imports this
-// package for placement, so the dependency must point one way.
+// copying the session from its owner (replica.Copy) — the same replay
+// a follower runs, driven to a sealed final sequence instead of
+// forever. A moved session persists through the destination's own
+// registry, so it takes arena snapshots like any other and a node
+// restart re-adopts every session it hosts — moved or native — through
+// the shared arena restore path: snapshotted labels are mapped
+// zero-copy and only the WAL tail past the snapshot watermark is
+// re-encoded.
 type Controller struct {
 	self  api.ClusterNode
-	state *State
+	state *api.Placement
 	reg   *service.Registry
 	opts  Options
-	hc    *http.Client
 
 	// Move-phase and rejection instruments, re-registered against the
 	// registry's obs families (idempotent — shared with the series the
@@ -83,7 +87,7 @@ type Controller struct {
 	moves      *obs.CounterVec
 	rejections *obs.CounterVec
 
-	mu     sync.Mutex
+	mu     sync.Mutex // guards the peerState records and cancel
 	peers  map[string]*peerState
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
@@ -99,11 +103,7 @@ type Controller struct {
 // surface is placement-gated and the /v1/cluster routes answer. The
 // prober is idle until Start.
 func New(self string, m api.ClusterMap, reg *service.Registry, opts Options) (*Controller, error) {
-	opts.fill()
-	if err := ValidateMap(m); err != nil {
-		return nil, fmt.Errorf("cluster: %w", err)
-	}
-	st, err := NewState(m)
+	st, err := api.NewPlacement(m)
 	if err != nil {
 		return nil, err
 	}
@@ -116,7 +116,6 @@ func New(self string, m api.ClusterMap, reg *service.Registry, opts Options) (*C
 		state: st,
 		reg:   reg,
 		opts:  opts,
-		hc:    &http.Client{},
 		peers: make(map[string]*peerState),
 
 		moves:      reg.Obs().CounterVec("wf_cluster_moves_total", "Cluster session-move phase transitions.", "phase"),
@@ -124,7 +123,11 @@ func New(self string, m api.ClusterMap, reg *service.Registry, opts Options) (*C
 	}
 	for _, n := range m.Nodes {
 		if n.Name != self {
-			c.peers[n.Name] = &peerState{node: n}
+			// No overall timeout (unary calls carry peerTimeout, tails and
+			// forwarded moves the caller's context), no retries, and no
+			// write redirect: a peer's answer is the answer.
+			c.peers[n.Name] = &peerState{node: n, c: client.New(n.URL,
+				client.WithHTTPClient(http.DefaultClient), client.WithRetry(0, 0), client.WithoutWriteRedirect())}
 		}
 	}
 	reg.SetClusterHooks(service.ClusterHooks{
@@ -141,8 +144,8 @@ func New(self string, m api.ClusterMap, reg *service.Registry, opts Options) (*C
 // Self returns this node's map entry.
 func (c *Controller) Self() api.ClusterNode { return c.self }
 
-// State returns the controller's live map state.
-func (c *Controller) State() *State { return c.state }
+// State returns the controller's live placement.
+func (c *Controller) State() *api.Placement { return c.state }
 
 func (c *Controller) logf(format string, args ...any) {
 	if c.opts.Logf != nil {
@@ -268,7 +271,7 @@ func (c *Controller) peerView() []api.ClusterPeer {
 // report, and map merging so overrides installed by moves elsewhere
 // reach this node without waiting for a misroute.
 func (c *Controller) probeLoop(ctx context.Context) {
-	ticker := time.NewTicker(c.opts.ProbeInterval)
+	ticker := time.NewTicker(probeInterval)
 	defer ticker.Stop()
 	for {
 		c.probeOnce(ctx)
@@ -316,8 +319,9 @@ func (c *Controller) probeOnce(ctx context.Context) {
 	}
 	c.mu.Unlock()
 	for _, p := range peers {
-		var m api.ClusterMap
-		err := c.getJSON(ctx, p.node.URL, "/v1/cluster/map", &m)
+		pctx, cancel := context.WithTimeout(ctx, peerTimeout)
+		m, err := p.c.ClusterMap(pctx)
+		cancel()
 		c.mu.Lock()
 		if err != nil {
 			p.up, p.lastErr = false, err.Error()
@@ -347,8 +351,8 @@ func (c *Controller) Move(ctx context.Context, req api.MoveRequest) (api.MoveRes
 		return api.MoveResponse{}, api.Errorf(api.CodeBadRequest, "unknown target node %q", req.Target)
 	}
 	if target.Name != c.self.Name {
-		var resp api.MoveResponse
-		if err := c.postJSON(ctx, target.URL, "/v1/cluster/move", req, &resp, false); err != nil {
+		resp, err := c.peers[target.Name].c.MoveSession(ctx, req.Session, req.Target)
+		if err != nil {
 			return api.MoveResponse{}, err
 		}
 		if _, merr := c.state.Merge(resp.Map); merr != nil {
@@ -369,8 +373,10 @@ func (c *Controller) Move(ctx context.Context, req api.MoveRequest) (api.MoveRes
 //  2. catch up — tail the owner's WAL wait=false until a round ships
 //     nothing new;
 //  3. release — ask the owner to seal the session and install the
-//     override; the owner answers with the final sealed sequence;
-//  4. drain — tail until the local copy has applied through it;
+//     override; the owner answers with the final sealed sequence and
+//     its chain head;
+//  4. drain — tail until the local copy has applied through it, and
+//     check the copy's chain head against the sealed one;
 //  5. adopt the owner's map (which now carries the override) and serve.
 //
 // Ordering is what makes the move lossless: the seal (under the
@@ -384,12 +390,8 @@ func (c *Controller) receiveMove(ctx context.Context, session string) (api.MoveR
 	}
 	c.moves.With("started").Inc()
 	c.logf("cluster: moving session %q from %s to %s", session, owner.Name, c.self.Name)
-
-	var pst api.SessionStats
-	if err := c.getJSON(ctx, owner.URL, "/v1/sessions/"+url.PathEscape(session), &pst); err != nil {
-		return api.MoveResponse{}, fmt.Errorf("cluster: fetch session %q from %s: %w", session, owner.Name, err)
-	}
-	s, err := c.adopt(ctx, owner, pst)
+	src := c.peers[owner.Name]
+	cp, err := c.copyFrom(ctx, src, session)
 	if err != nil {
 		return api.MoveResponse{}, err
 	}
@@ -398,7 +400,7 @@ func (c *Controller) receiveMove(ctx context.Context, session string) (api.MoveR
 	// currently committed history. When a round ships nothing we are as
 	// close as tailing gets — time to seal.
 	for {
-		n, err := c.tailRound(ctx, s, owner.URL, session)
+		n, err := cp.Pull(ctx, false, nil)
 		if err != nil {
 			return api.MoveResponse{}, fmt.Errorf("cluster: catch up %q from %s: %w", session, owner.Name, err)
 		}
@@ -407,16 +409,13 @@ func (c *Controller) receiveMove(ctx context.Context, session string) (api.MoveR
 		}
 	}
 
-	var rel api.ReleaseResponse
-	relReq := api.ReleaseRequest{Session: session, Node: c.self.Name, URL: c.self.URL}
-	if err := c.postJSON(ctx, owner.URL, "/v1/cluster/release", relReq, &rel, true); err != nil {
+	rctx, cancel := context.WithTimeout(ctx, peerTimeout)
+	rel, err := src.c.ReleaseSession(rctx, session, c.self)
+	cancel()
+	if err != nil {
 		return api.MoveResponse{}, fmt.Errorf("cluster: release %q on %s: %w", session, owner.Name, err)
 	}
-
-	if err := c.drain(ctx, s, owner.URL, session, rel.FinalSeq); err != nil {
-		return api.MoveResponse{}, err
-	}
-	if err := c.verifyMoveChain(s, session, rel.FinalSeq, rel.ChainHead); err != nil {
+	if err := c.drain(ctx, cp, rel.FinalSeq, rel.ChainHead); err != nil {
 		return api.MoveResponse{}, err
 	}
 
@@ -426,9 +425,10 @@ func (c *Controller) receiveMove(ctx context.Context, session string) (api.MoveR
 		return api.MoveResponse{}, fmt.Errorf("cluster: adopt released map: %w", err)
 	}
 	c.moves.With("completed").Inc()
-	c.logf("cluster: session %q now served here (%d events, map v%d)", session, s.Vertices(), c.state.Version())
+	n := cp.Session().Vertices()
+	c.logf("cluster: session %q now served here (%d events, map v%d)", session, n, c.state.Version())
 	return api.MoveResponse{Session: session, From: owner.Name, To: c.self.Name,
-		Events: s.Vertices(), Map: c.state.Map()}, nil
+		Events: n, Map: c.state.Map()}, nil
 }
 
 // completeLocal answers a move whose target the map already places
@@ -453,7 +453,7 @@ func (c *Controller) completeLocal(ctx context.Context, session string) (api.Mov
 	if !resumable {
 		return api.MoveResponse{}, api.Errorf(api.CodeSessionNotFound, "no session %q anywhere in the cluster", session)
 	}
-	src, ok := c.state.Map().Node(ov.From)
+	src, ok := c.peers[ov.From]
 	if !ok {
 		return api.MoveResponse{}, api.Errorf(api.CodeUnknown,
 			"session %q was released by node %q, which is not in the map", session, ov.From)
@@ -464,42 +464,58 @@ func (c *Controller) completeLocal(ctx context.Context, session string) (api.Mov
 	}
 	c.moves.With("resumed").Inc()
 	c.logf("cluster: resuming interrupted move of %q from %s (have %d, need %d)",
-		session, src.Name, localSeq, ov.FinalSeq)
-	if !have {
-		var pst api.SessionStats
-		if err := c.getJSON(ctx, src.URL, "/v1/sessions/"+url.PathEscape(session), &pst); err != nil {
-			return api.MoveResponse{}, fmt.Errorf("cluster: fetch session %q from %s: %w", session, src.Name, err)
-		}
-		var err error
-		if s, err = c.adopt(ctx, src, pst); err != nil {
-			return api.MoveResponse{}, err
-		}
-	} else {
-		// The behind copy may carry a seal from an interrupted earlier
-		// hop; the map says this node owns the session, so reopen it.
-		s.Unseal()
-	}
-	if err := c.drain(ctx, s, src.URL, session, ov.FinalSeq); err != nil {
+		session, ov.From, localSeq, ov.FinalSeq)
+	cp, err := c.copyFrom(ctx, src, session)
+	if err != nil {
 		return api.MoveResponse{}, err
 	}
-	if err := c.verifyMoveChain(s, session, ov.FinalSeq, ov.ChainHead); err != nil {
+	if err := c.drain(ctx, cp, ov.FinalSeq, ov.ChainHead); err != nil {
 		return api.MoveResponse{}, err
 	}
+	n := cp.Session().Vertices()
 	c.moves.With("completed").Inc()
-	c.logf("cluster: session %q drain resumed and completed (%d events)", session, s.Vertices())
+	c.logf("cluster: session %q drain resumed and completed (%d events)", session, n)
 	return api.MoveResponse{Session: session, From: ov.From, To: c.self.Name,
-		Events: s.Vertices(), Map: c.state.Map()}, nil
+		Events: n, Map: c.state.Map()}, nil
 }
 
-// drain tails the source until the local copy has applied through the
-// sealed final sequence. The last batch's commit may still be in
-// flight on the source (the tailer only ships durable records), so an
-// empty round while still behind just retries.
-func (c *Controller) drain(ctx context.Context, s *service.Session, srcURL, session string, finalSeq int64) error {
+// copyFrom adopts the source's session into this node's registry
+// (replica.Adopt): a fresh copy built from the source's spec and
+// configuration, or the identity-checked copy an earlier move left
+// here — a retained copy of a session this node once released, or the
+// prefix of an interrupted drain.
+func (c *Controller) copyFrom(ctx context.Context, src *peerState, session string) (*replica.Copy, error) {
+	ctx, cancel := context.WithTimeout(ctx, peerTimeout)
+	defer cancel()
+	st, err := src.c.Session(ctx, session)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: fetch session %q from %s: %w", session, src.node.Name, err)
+	}
+	cp, err := replica.Adopt(ctx, c.reg, src.c, st)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: adopt %q from %s: %w", session, src.node.Name, err)
+	}
+	return cp, nil
+}
+
+// drain pulls from the source until the copy has applied through the
+// sealed final sequence, then proves it applied the history that was
+// sealed: the drained frames are byte-identical to the source's WAL
+// records, so a clean move reproduces the sealed chain head exactly,
+// and a mismatch means the source's log — or the stream — was
+// rewritten; the move fails before the override flips routing here.
+// The last batch's commit may still be in flight on the source (the
+// tailer only ships durable records), so an empty round while still
+// behind just retries. A source with no chain (a memory-only session)
+// sealed no head, and a copy whose local prefix this process cannot
+// re-hash (a memory copy from an earlier attempt) has none to compare;
+// both are logged and skipped.
+func (c *Controller) drain(ctx context.Context, cp *replica.Copy, finalSeq int64, sealedHead string) error {
+	s := cp.Session()
 	for s.Vertices() < finalSeq {
-		n, err := c.tailRound(ctx, s, srcURL, session)
+		n, err := cp.Pull(ctx, false, nil)
 		if err != nil {
-			return fmt.Errorf("cluster: drain %q to seq %d: %w", session, finalSeq, err)
+			return fmt.Errorf("cluster: drain %q to seq %d: %w", s.Name(), finalSeq, err)
 		}
 		if n == 0 && s.Vertices() < finalSeq {
 			select {
@@ -509,102 +525,18 @@ func (c *Controller) drain(ctx context.Context, s *service.Session, srcURL, sess
 			}
 		}
 	}
-	return nil
-}
-
-// verifyMoveChain re-verifies the drained copy's hash chain against
-// the head the source sealed at FinalSeq, before the override flips
-// routing here. The drained frames are byte-identical to the source's
-// WAL records, so a clean move reproduces the sealed head exactly; a
-// mismatch means the history this node applied is not the history
-// that was sealed (the source's log — or the stream — was rewritten),
-// and the move fails instead of serving it. Verification is skipped
-// when either side has no chain: the source carried no head
-// (memory-only), or the local copy's chain state does not land on
-// FinalSeq (memory target, or a resumed drain over a local prefix
-// this process cannot re-hash).
-func (c *Controller) verifyMoveChain(s *service.Session, session string, finalSeq int64, sealedHead string) error {
-	if sealedHead == "" {
+	seq, head, ok := cp.Head()
+	switch {
+	case sealedHead == "" || !ok:
+		c.logf("cluster: move of %q: no chain to compare at seq %d; chain verification skipped", s.Name(), finalSeq)
 		return nil
-	}
-	seq, head, ok := s.ChainState()
-	if !ok || seq != finalSeq {
-		c.logf("cluster: move of %q: no comparable local chain at seq %d; chain verification skipped", session, finalSeq)
-		return nil
-	}
-	if have := head.String(); have != sealedHead {
+	case seq != finalSeq || head.String() != sealedHead:
 		return api.Errorf(api.CodeUnknown,
-			"integrity: move of %q: chain head %s at sealed seq %d does not match the head %s the source sealed — drained history was tampered with; refusing to serve it",
-			session, have, finalSeq, sealedHead)
+			"integrity: move of %q: chain head %s at seq %d does not match the head %s the source sealed at seq %d — drained history was tampered with; refusing to serve it",
+			s.Name(), head, seq, sealedHead, finalSeq)
 	}
-	c.logf("cluster: move of %q: chain verified at seq %d (%s)", session, finalSeq, sealedHead)
+	c.logf("cluster: move of %q: chain verified at seq %d (%s)", s.Name(), finalSeq, sealedHead)
 	return nil
-}
-
-// adopt rebuilds (or resumes) the local copy of the owner's session,
-// mirroring what a replica does: fetch the spec, compile, copy the
-// labeling configuration and the identity.
-func (c *Controller) adopt(ctx context.Context, owner api.ClusterNode, pst api.SessionStats) (*service.Session, error) {
-	if s, ok := c.reg.Get(pst.Name); ok {
-		if lid := s.ID(); lid != "" && pst.ID != "" && lid != pst.ID {
-			return nil, api.Errorf(api.CodeSessionExists,
-				"local copy of %q has identity %s, the owner's is %s; delete the local copy first", pst.Name, lid, pst.ID)
-		}
-		// A retained copy was sealed when the session moved away; this
-		// node is taking it back, so reopen ingest for the tailer's
-		// replay. External writes stay rejected by Route until the
-		// drain completes and the map flips here.
-		s.Unseal()
-		return s, nil
-	}
-	raw, err := c.getBytes(ctx, owner.URL, "/v1/sessions/"+url.PathEscape(pst.Name)+"/spec")
-	if err != nil {
-		return nil, fmt.Errorf("cluster: fetch spec of %q: %w", pst.Name, err)
-	}
-	sp, err := wfxml.DecodeSpec(bytes.NewReader(raw))
-	if err != nil {
-		return nil, fmt.Errorf("cluster: decode spec of %q: %w", pst.Name, err)
-	}
-	g, err := spec.Compile(sp)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: compile spec of %q: %w", pst.Name, err)
-	}
-	cfg, err := service.ParseConfig(pst.Skeleton, pst.Mode)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: labeling config of %q: %w", pst.Name, err)
-	}
-	// The copy keeps the owner session's identity: a move transfers the
-	// session, it does not mint a new one.
-	cfg.ID = pst.ID
-	return c.reg.Create(pst.Name, g, cfg)
-}
-
-// tailRound drains the owner's currently committed WAL history for the
-// session into the local copy (wait=false: the stream ends at the
-// committed horizon) and returns how many events it applied. The local
-// vertex count is the resume cursor — every applied event labels
-// exactly one vertex, so it equals the last applied owner sequence.
-func (c *Controller) tailRound(ctx context.Context, s *service.Session, ownerURL, session string) (int64, error) {
-	from := s.Vertices() + 1
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		fmt.Sprintf("%s/v1/sessions/%s/wal?from=%d&wait=false", ownerURL, url.PathEscape(session), from), nil)
-	if err != nil {
-		return 0, err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return 0, decodeAPIError(resp)
-	}
-
-	n, err := s.ApplyTail(api.NewTailReader(resp.Body), from, c.opts.BatchSize, nil)
-	if err != nil {
-		return n, fmt.Errorf("tail of %q from seq %d: %w", session, from, err)
-	}
-	return n, nil
 }
 
 // Release is the owner side of a move (service.ClusterHooks.Release):
@@ -636,85 +568,4 @@ func (c *Controller) Release(_ context.Context, req api.ReleaseRequest) (api.Rel
 	c.moves.With("released").Inc()
 	c.logf("cluster: released session %q to %s at seq %d (map v%d)", req.Session, req.Node, final, c.state.Version())
 	return api.ReleaseResponse{FinalSeq: final, ChainHead: head, Map: c.state.Map()}, nil
-}
-
-// getJSON GETs base+path with the unary timeout and decodes the JSON
-// response into out.
-func (c *Controller) getJSON(ctx context.Context, base, path string, out any) error {
-	ctx, cancel := context.WithTimeout(ctx, c.opts.HTTPTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+path, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		return decodeAPIError(resp)
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
-}
-
-// getBytes GETs base+path with the unary timeout and returns the body.
-func (c *Controller) getBytes(ctx context.Context, base, path string) ([]byte, error) {
-	ctx, cancel := context.WithTimeout(ctx, c.opts.HTTPTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+path, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		return nil, decodeAPIError(resp)
-	}
-	return io.ReadAll(resp.Body)
-}
-
-// postJSON POSTs body as JSON to base+path and decodes the response
-// into out. unary applies the unary timeout; a forwarded move runs on
-// the caller's context alone (it can legitimately take as long as the
-// catch-up does).
-func (c *Controller) postJSON(ctx context.Context, base, path string, body, out any, unary bool) error {
-	if unary {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.opts.HTTPTimeout)
-		defer cancel()
-	}
-	payload, err := json.Marshal(body)
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+path, bytes.NewReader(payload))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", api.ContentTypeJSON)
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		return decodeAPIError(resp)
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
-}
-
-// decodeAPIError rebuilds the structured error from a non-2xx peer
-// response.
-func decodeAPIError(resp *http.Response) error {
-	b, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	var er api.ErrorResponse
-	if json.Unmarshal(b, &er) == nil && er.Err != nil && er.Err.Code != "" {
-		er.Err.HTTPStatus = resp.StatusCode
-		return er.Err
-	}
-	return api.Errorf(api.CodeUnknown, "unexpected status %s", resp.Status)
 }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -21,8 +22,9 @@ import (
 	"wfreach/internal/wfspecs"
 )
 
-// node is one test cluster member: a durable registry, its HTTP
-// server, and the controller gating it.
+// node is one test cluster member: a registry (durable under dir, or
+// memory-only with dir empty), its HTTP server, and the controller
+// gating it.
 type node struct {
 	name string
 	dir  string
@@ -31,19 +33,22 @@ type node struct {
 	ctl  *cluster.Controller
 }
 
-// newCluster spins up n durable single-process nodes named "n0".."n",
-// builds the shared map from their live URLs, and installs a
-// controller on each. The prober is not started — tests drive map
-// exchange explicitly through moves.
-func newCluster(t *testing.T, n int) []*node {
+// newCluster spins up n single-process nodes named "n0".."n", durable
+// except for the indexes listed in memory, builds the shared map from
+// their live URLs, and installs a controller on each. The prober is not
+// started — tests drive map exchange explicitly through moves.
+func newCluster(t *testing.T, n int, memory ...int) []*node {
 	t.Helper()
 	nodes := make([]*node, n)
 	m := api.ClusterMap{Version: 1}
 	for i := range nodes {
-		dir := t.TempDir()
-		reg, err := service.NewDurableRegistry(service.DurableOptions{Dir: dir, Fsync: false})
-		if err != nil {
-			t.Fatal(err)
+		dir, reg := "", service.NewRegistry()
+		if !slices.Contains(memory, i) {
+			dir = t.TempDir()
+			var err error
+			if reg, err = service.NewDurableRegistry(service.DurableOptions{Dir: dir, Fsync: false}); err != nil {
+				t.Fatal(err)
+			}
 		}
 		t.Cleanup(func() { _ = reg.Close() })
 		srv := httptest.NewServer(service.NewHandler(reg))
@@ -558,7 +563,7 @@ func mustGetJSON(t *testing.T, url string, out any) {
 	if strings.HasSuffix(url, "/map") {
 		// Sanity: the wire map must round-trip through validation.
 		if m, ok := out.(*api.ClusterMap); ok {
-			if err := cluster.ValidateMap(*m); err != nil {
+			if err := m.Validate(); err != nil {
 				t.Fatalf("served map invalid: %v", err)
 			}
 		}

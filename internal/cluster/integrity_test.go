@@ -125,34 +125,46 @@ func findMoveTamper(t *testing.T, walPath string, g *spec.Grammar) []byte {
 // the source's on-disk WAL is rewritten (CRC fixed, still replayable)
 // while the source process still answers for the original bytes. The
 // drain applies cleanly, the sealed head disagrees, and the move must
-// fail before the override flips routing to the forged copy.
+// fail before the override flips routing to the forged copy — on a
+// durable target and on a memory-only one alike, since the target
+// checks the chain it folded while pulling, not its own log's.
 func TestMoveRejectsTamperedDrain(t *testing.T) {
-	nodes := newCluster(t, 2)
-	sess := sessionOwnedBy(t, nodes[0].ctl, "n0")
-	owner, target := byName(t, nodes, "n0"), byName(t, nodes, "n1")
-	s, events := createWithEvents(t, owner.reg, sess, 300)
-	if _, err := s.Append(events); err != nil {
-		t.Fatal(err)
-	}
-	g := spec.MustCompile(wfspecs.RunningExample())
+	for _, tc := range []struct {
+		name   string
+		memory []int // node indexes without a log
+	}{
+		{name: "durable target"},
+		{name: "memory target", memory: []int{1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			nodes := newCluster(t, 2, tc.memory...)
+			sess := sessionOwnedBy(t, nodes[0].ctl, "n0")
+			owner, target := byName(t, nodes, "n0"), byName(t, nodes, "n1")
+			s, events := createWithEvents(t, owner.reg, sess, 300)
+			if _, err := s.Append(events); err != nil {
+				t.Fatal(err)
+			}
+			g := spec.MustCompile(wfspecs.RunningExample())
 
-	walPath := filepath.Join(owner.dir, sess, "events.wal")
-	tampered := findMoveTamper(t, walPath, g)
-	if err := os.WriteFile(walPath, tampered, 0o644); err != nil {
-		t.Fatal(err)
-	}
+			walPath := filepath.Join(owner.dir, sess, "events.wal")
+			tampered := findMoveTamper(t, walPath, g)
+			if err := os.WriteFile(walPath, tampered, 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	ctx := context.Background()
-	_, err := target.ctl.Move(ctx, api.MoveRequest{Session: sess, Target: "n1"})
-	if err == nil {
-		t.Fatal("move served a rewritten history without objecting")
-	}
-	if !strings.Contains(err.Error(), "tampered") {
-		t.Fatalf("move failed for the wrong reason: %v", err)
-	}
-	// The forged copy never went live: the target still routes the
-	// session to its (sealed) source.
-	if got := target.ctl.State().Place(sess).Name; got != "n0" {
-		t.Fatalf("target flipped routing to %s despite a failed chain check", got)
+			ctx := context.Background()
+			_, err := target.ctl.Move(ctx, api.MoveRequest{Session: sess, Target: "n1"})
+			if err == nil {
+				t.Fatal("move served a rewritten history without objecting")
+			}
+			if !strings.Contains(err.Error(), "tampered") {
+				t.Fatalf("move failed for the wrong reason: %v", err)
+			}
+			// The forged copy never went live: the target still routes the
+			// session to its (sealed) source.
+			if got := target.ctl.State().Place(sess).Name; got != "n0" {
+				t.Fatalf("target flipped routing to %s despite a failed chain check", got)
+			}
+		})
 	}
 }

@@ -1,8 +1,10 @@
-// Package replica is the follower half of WAL-shipping replication: a
-// read replica that discovers the sessions of a primary wfserve,
-// tails each session's write-ahead log over HTTP, and replays the
-// shipped frames into local read-only sessions that answer the full
-// query surface.
+// Package replica copies sessions between nodes. Copy (copy.go) is the
+// one copy path: adopt a remote session, tail its write-ahead log over
+// the SDK, and chain-verify what was applied. A Follower (this file)
+// runs one Copy per session of a primary wfserve, forever, behind local
+// read-only sessions that answer the full query surface; a cluster move
+// target (internal/cluster) runs one to the sealed end of a session it
+// takes over.
 //
 // The design leans entirely on the frame-identity chain the wire
 // contract guarantees (ingest frame ≡ WAL record ≡ shipped frame):
@@ -28,7 +30,6 @@
 package replica
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -39,11 +40,8 @@ import (
 
 	"wfreach/client"
 	"wfreach/internal/api"
-	"wfreach/internal/integrity"
 	"wfreach/internal/obs"
 	"wfreach/internal/service"
-	"wfreach/internal/spec"
-	"wfreach/internal/wfxml"
 )
 
 // Options configures a Follower.
@@ -57,9 +55,6 @@ type Options struct {
 	ReconnectBackoff time.Duration
 	// MaxBackoff caps the reconnect delay. Zero selects 5s.
 	MaxBackoff time.Duration
-	// BatchSize caps how many shipped events are applied (and
-	// committed) per ingest call. Zero selects 256.
-	BatchSize int
 	// Logf, when set, receives human-readable progress lines.
 	Logf func(format string, args ...any)
 }
@@ -74,9 +69,6 @@ func (o *Options) fill() {
 	if o.MaxBackoff <= 0 {
 		o.MaxBackoff = 5 * time.Second
 	}
-	if o.BatchSize <= 0 {
-		o.BatchSize = 256
-	}
 }
 
 // sessionState is one tailed session's progress.
@@ -86,26 +78,21 @@ type sessionState struct {
 	// name later means the session was deleted and recreated — its
 	// stream must not be spliced onto the old one.
 	primaryID string
+	// copy replays the session; nil when adoption refused the local
+	// data (the session is stopped from the start).
+	copy *Copy
 
 	mu      sync.Mutex
-	applied int64 // last applied primary sequence
 	lastErr string
 	stopped bool // session vanished/replaced on the primary, or apply failed fatally
 
-	// Incremental chain verification: the follower folds every frame
-	// it applies into its own hash chain (the shipped frame is
-	// byte-identical to the primary's WAL record, so an untampered
-	// history yields the primary's exact head) and, whenever it is
-	// caught up, cross-checks its head against the primary's
-	// /integrity endpoint at the same sequence. A mismatch means the
-	// bytes the primary served are not the bytes it committed —
-	// its on-disk log was rewritten under it — and is a hard stop,
-	// not a reconnect.
-	chainSeq    int64          // frames folded into chainHead
-	chainHead   integrity.Head // chain over the applied prefix
-	chainOK     bool           // chain is seeded (adopt found a clean resume point)
-	verifiedSeq int64          // highest sequence cross-checked against the primary
-	noVerify    bool           // primary cannot answer /integrity; skip cross-checks
+	// Chain verification: whenever the copy is caught up, its head is
+	// cross-checked against the primary's /integrity endpoint at the
+	// same sequence. A mismatch means the bytes the primary served are
+	// not the bytes it committed — its on-disk log was rewritten under
+	// it — and is a hard stop, not a reconnect.
+	verifiedSeq int64 // highest sequence cross-checked against the primary
+	noVerify    bool  // primary cannot answer /integrity; skip cross-checks
 
 	// behindSince is when a discovery poll first saw this session lag
 	// the primary; zero while caught up. It feeds the lag-seconds gauge.
@@ -122,13 +109,12 @@ type Follower struct {
 	opts    Options
 	c       *client.Client
 
-	// Lag and verification instruments, re-registered against the
-	// registry's obs families (registration is idempotent — these share
-	// atomics with the families the service pre-creates, so the scrape
-	// carries them whether or not a follower ever ran).
-	lagEvents   *obs.Gauge
-	lagSeconds  *obs.FloatGauge
-	chainFrames *obs.Counter
+	// Lag instruments, re-registered against the registry's obs
+	// families (registration is idempotent — these share atomics with
+	// the families the service pre-creates, so the scrape carries them
+	// whether or not a follower ever ran).
+	lagEvents  *obs.Gauge
+	lagSeconds *obs.FloatGauge
 
 	mu       sync.Mutex
 	sessions map[string]*sessionState
@@ -159,7 +145,6 @@ func New(primary string, reg *service.Registry, opts Options) *Follower {
 	o := reg.Obs()
 	f.lagEvents = o.Gauge("wf_replica_lag_events", "Worst follower tail lag across sessions, in events.")
 	f.lagSeconds = o.FloatGauge("wf_replica_lag_seconds", "Approximate follower tail lag, in seconds.")
-	f.chainFrames = o.Counter("wf_chain_verify_frames_total", "WAL frames hashed during chain verification.")
 	reg.SetFollower(primary)
 	reg.SetReplicationHooks(service.ReplicationHooks{Status: f.Status, Promote: f.Promote})
 	return f
@@ -230,7 +215,8 @@ func (f *Follower) Promote(ctx context.Context) error {
 		if st.stopped {
 			continue
 		}
-		if err := f.catchUpOnce(ctx, name, st); err != nil {
+		// The final pull: the primary's committed history, no waiting.
+		if err := f.tailOnce(ctx, name, st, false); err != nil {
 			f.logf("replica: final catch-up of %q: %v (promoting with what we have)", name, err)
 		}
 	}
@@ -278,10 +264,10 @@ func (f *Follower) Status() api.ReplicationStatus {
 		ss := f.sessions[name]
 		f.mu.Unlock()
 		ss.mu.Lock()
-		rep := api.SessionReplication{Name: name, WALSeq: ss.applied, Error: ss.lastErr}
+		rep := api.SessionReplication{Name: name, Error: ss.lastErr}
 		ss.mu.Unlock()
 		if s, ok := f.reg.Get(name); ok {
-			rep.Durable = s.Stats().Durable
+			rep.WALSeq, rep.Durable = s.Vertices(), s.Stats().Durable
 		}
 		st.Sessions = append(st.Sessions, rep)
 	}
@@ -370,8 +356,8 @@ func (f *Follower) observeLag(stats []client.SessionStats, now time.Time) {
 		if ss == nil {
 			continue
 		}
+		lag := pst.Vertices - f.applied(pst.Name)
 		ss.mu.Lock()
-		lag := pst.Vertices - ss.applied
 		if ss.stopped || lag <= 0 {
 			ss.behindSince = time.Time{}
 			lag = 0
@@ -393,62 +379,35 @@ func (f *Follower) observeLag(stats []client.SessionStats, now time.Time) {
 	f.lagSeconds.Set(worstSeconds)
 }
 
-// adopt creates (or re-binds, after a follower restart) the local
-// session for one primary session and starts its tail loop.
+// applied is the last primary sequence the local copy of the session
+// applied: every applied event labels exactly one vertex, so it is the
+// local vertex count — for a durable follower, its recovered WAL
+// sequence.
+func (f *Follower) applied(name string) int64 {
+	if s, ok := f.reg.Get(name); ok {
+		return s.Vertices()
+	}
+	return 0
+}
+
+// adopt creates (or re-binds, after a follower restart) the local copy
+// of one primary session and starts its tail loop.
 func (f *Follower) adopt(ctx context.Context, pst client.SessionStats) error {
-	s, ok := f.reg.Get(pst.Name)
-	if !ok {
-		raw, err := f.c.SessionSpec(ctx, pst.Name)
-		if err != nil {
-			return fmt.Errorf("fetch spec: %w", err)
-		}
-		sp, err := wfxml.DecodeSpec(bytes.NewReader(raw))
-		if err != nil {
-			return fmt.Errorf("decode spec: %w", err)
-		}
-		g, err := spec.Compile(sp)
-		if err != nil {
-			return fmt.Errorf("compile spec: %w", err)
-		}
-		cfg, err := service.ParseConfig(pst.Skeleton, pst.Mode)
-		if err != nil {
-			return fmt.Errorf("labeling config: %w", err)
-		}
-		// The copy shares the primary session's identity, so a follower
-		// restart can re-verify it is still tailing the same session.
-		cfg.ID = pst.ID
-		if s, err = f.reg.Create(pst.Name, g, cfg); err != nil {
-			return err
-		}
-	} else if lid := s.ID(); lid != "" && pst.ID != "" && lid != pst.ID {
+	ss := &sessionState{primaryID: pst.ID}
+	cp, err := Adopt(ctx, f.reg, f.c, pst)
+	var ae *client.Error
+	switch {
+	case errors.As(err, &ae) && ae.Code == client.CodeSessionExists:
 		// The local data belongs to a session that was deleted and
 		// recreated on the primary under the same name. Splicing the new
 		// stream onto the old state would silently diverge; keep the
 		// local data, refuse to tail, and say so in the status.
-		ss := &sessionState{primaryID: pst.ID, applied: s.Vertices(), stopped: true,
-			lastErr: fmt.Sprintf("session %q was replaced on the primary (identity %s, local copy has %s); delete the local copy to re-replicate", pst.Name, pst.ID, lid)}
-		f.mu.Lock()
-		if _, dup := f.sessions[pst.Name]; !dup {
-			f.sessions[pst.Name] = ss
-			f.logf("replica: %s", ss.lastErr)
-		}
-		f.mu.Unlock()
-		return nil
-	}
-	// Resume point: every applied event labels exactly one vertex, so
-	// the local vertex count is the last applied primary sequence —
-	// for a durable follower it equals the recovered WAL sequence.
-	ss := &sessionState{primaryID: pst.ID, applied: s.Vertices()}
-	// Seed the verification chain. A fresh session starts at genesis;
-	// a durable follower restart resumes from the chain head its own
-	// restore recomputed (and verified) over its local WAL, which is a
-	// byte-identical prefix of the primary's. If the local chain state
-	// does not line up with the resume sequence there is no sound seed
-	// and verification stays off rather than raising false alarms.
-	if ss.applied == 0 {
-		ss.chainOK = true
-	} else if seq, head, ok := s.ChainState(); ok && seq == ss.applied {
-		ss.chainSeq, ss.chainHead, ss.chainOK = seq, head, true
+		ss.stopped = true
+		ss.lastErr = fmt.Sprintf("session %q was replaced on the primary: %s", pst.Name, ae.Message)
+	case err != nil:
+		return err
+	default:
+		ss.copy = cp
 	}
 	f.mu.Lock()
 	if _, dup := f.sessions[pst.Name]; dup {
@@ -457,7 +416,11 @@ func (f *Follower) adopt(ctx context.Context, pst client.SessionStats) error {
 	}
 	f.sessions[pst.Name] = ss
 	f.mu.Unlock()
-	f.logf("replica: tailing %q from seq %d", pst.Name, ss.applied+1)
+	if ss.stopped {
+		f.logf("replica: %s", ss.lastErr)
+		return nil
+	}
+	f.logf("replica: tailing %q from seq %d", pst.Name, cp.Session().Vertices()+1)
 	f.wg.Add(1)
 	go func() {
 		defer f.wg.Done()
@@ -528,58 +491,28 @@ func (f *Follower) tailLoop(ctx context.Context, name string, ss *sessionState) 
 	}
 }
 
-// catchUpOnce drains the primary's currently committed history
-// without waiting — the promote-time final pull.
-func (f *Follower) catchUpOnce(ctx context.Context, name string, ss *sessionState) error {
-	return f.tailOnce(ctx, name, ss, false)
-}
-
-// tailOnce runs one tail stream until it ends, applying it through
-// service.Session.ApplyTail and keeping the session's progress and hash
-// chain in step with every applied batch.
+// tailOnce runs one tail stream of the session's copy until it ends,
+// clearing the sticky error on every applied batch and cross-checking
+// the chain whenever the copy has caught up.
 func (f *Follower) tailOnce(ctx context.Context, name string, ss *sessionState, wait bool) error {
-	s, ok := f.reg.Get(name)
-	if !ok {
-		return fmt.Errorf("local session %q lost", name)
-	}
-	ss.mu.Lock()
-	from := ss.applied + 1
-	ss.mu.Unlock()
-	tail, err := f.c.TailWAL(ctx, name, from, wait)
-	if err != nil {
-		return err
-	}
-	defer tail.Close()
-
-	chainer := integrity.NewChainer()
-	n, err := s.ApplyTail(tail.TailReader, from, f.opts.BatchSize, func(last int64, frames [][]byte) error {
+	_, err := ss.copy.Pull(ctx, wait, func(caughtUp bool) error {
 		ss.mu.Lock()
-		ss.applied = last
 		ss.lastErr = ""
-		if ss.chainOK {
-			for _, fr := range frames {
-				ss.chainHead = chainer.Extend(ss.chainHead, fr)
-			}
-			ss.chainSeq = last
-			f.chainFrames.Add(int64(len(frames)))
-		}
 		ss.mu.Unlock()
 		// A drained stream is the moment the follower can be exactly as
 		// far as the primary — the only point where the two chain heads
 		// are comparable at the same sequence.
-		if !tail.Buffered() {
+		if caughtUp {
 			return f.verifyChain(ctx, name, ss)
 		}
 		return nil
 	})
 	if errors.Is(err, service.ErrTailRejected) {
 		// Stop this session rather than corrupt it. The applied prefix
-		// is still recorded: it is real, logged data.
+		// stays: it is real, logged data.
 		ss.mu.Lock()
-		ss.applied = from - 1 + n
 		ss.stopped = true
 		ss.lastErr = err.Error()
-		ss.chainOK = false // the chain no longer tracks what was applied
 		ss.mu.Unlock()
 	}
 	if err != nil {
@@ -596,8 +529,8 @@ func (f *Follower) tailOnce(ctx context.Context, name string, ss *sessionState, 
 // primary committed; the session is hard-stopped — reconnecting would
 // re-apply the same tampered history.
 func (f *Follower) verifyChain(ctx context.Context, name string, ss *sessionState) error {
+	seq, head, ok := ss.copy.Head()
 	ss.mu.Lock()
-	ok, seq, head := ss.chainOK, ss.chainSeq, ss.chainHead
 	skip := ss.noVerify || !ok || seq <= ss.verifiedSeq
 	ss.mu.Unlock()
 	if skip {

@@ -49,8 +49,10 @@ func TestFollowerChainVerification(t *testing.T) {
 				lag = w.name + " not adopted"
 				break
 			}
+			_, _, ok := ss.copy.Head()
+			applied := fo.applied(w.name)
 			ss.mu.Lock()
-			ok, applied, verified, errs := ss.chainOK, ss.applied, ss.verifiedSeq, ss.lastErr
+			verified, errs := ss.verifiedSeq, ss.lastErr
 			ss.mu.Unlock()
 			if !ok {
 				t.Fatalf("%s: chain never seeded (%s)", w.name, errs)

@@ -3,6 +3,7 @@ package replica
 import (
 	"context"
 	"fmt"
+	"math"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -157,8 +158,8 @@ func assertEquivalent(t testing.TB, p, f *env, ws []*workload) {
 					t.Fatalf("%s: reach(%d,%d)=%v disagrees with the oracle", w.name, v, u, pr)
 				}
 			}
-			pl, perr := ps.Lineage(v)
-			fl, ferr := fs.Lineage(v)
+			pl, _, perr := ps.LineagePage(v, graph.None, math.MaxInt)
+			fl, _, ferr := fs.LineagePage(v, graph.None, math.MaxInt)
 			if (perr == nil) != (ferr == nil) || len(pl) != len(fl) {
 				t.Fatalf("%s: lineage(%d) sizes %d/%d", w.name, v, len(pl), len(fl))
 			}

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -59,7 +60,7 @@ func TestHTTPMethodTable(t *testing.T) {
 		{"/v1/sessions/s", "DELETE, GET, HEAD"},
 		{"/v1/sessions/s/stats", "GET, HEAD"},
 		{"/v1/sessions/s/events", "POST"},
-		{"/v1/sessions/s/reach", "GET, HEAD, POST"},
+		{"/v1/sessions/s/reach", "POST"},
 		{"/v1/sessions/s/lineage", "GET, HEAD"},
 	}
 	verbs := []string{"GET", "HEAD", "POST", "PUT", "DELETE", "PATCH", "OPTIONS"}
@@ -165,12 +166,10 @@ func TestHTTPErrorCodes(t *testing.T) {
 	resp.Body.Close()
 	expectCode(t, 400, api.CodeBadJSON, resp.StatusCode, string(raw2))
 
-	// Query-side codes.
-	code, raw = doJSON(t, "GET", srv.URL+"/v1/sessions/s/reach?from=a&to=1", nil, nil)
-	expectCode(t, 400, api.CodeBadVertex, code, raw)
-
-	code, raw = doJSON(t, "GET", srv.URL+"/v1/sessions/s/reach?from=0&to=999999", nil, nil)
-	expectCode(t, 404, api.CodeVertexNotLabeled, code, raw)
+	// Query-side codes. Reach is asked by POST only; the one-pair GET
+	// form is retired.
+	code, raw = doJSON(t, "GET", srv.URL+"/v1/sessions/s/reach?from=0&to=0", nil, nil)
+	expectCode(t, 405, api.CodeMethodNotAllowed, code, raw)
 
 	code, raw = doJSON(t, "GET", srv.URL+"/v1/sessions/s/lineage?of=zap", nil, nil)
 	expectCode(t, 400, api.CodeBadVertex, code, raw)
@@ -238,14 +237,17 @@ func TestHTTPBinaryIngest(t *testing.T) {
 	if er.Applied != len(events) || er.Vertices != int64(len(events)) {
 		t.Fatalf("binary ingest response = %+v, want %d events", er, len(events))
 	}
+	var req api.BatchReachRequest
 	for i := 0; i < 300; i++ {
-		v, w := events[i%len(events)].V, events[(i*13)%len(events)].V
-		var rr ReachResponse
-		if code, raw := doJSON(t, "GET",
-			fmt.Sprintf("%s/v1/sessions/bin/reach?from=%d&to=%d", srv.URL, v, w), nil, &rr); code != http.StatusOK {
-			t.Fatalf("reach: %d %s", code, raw)
-		} else if rr.Reachable != r.Graph.Reaches(v, w) {
-			t.Fatalf("reach(%d,%d) = %v, oracle disagrees", v, w, rr.Reachable)
+		req.Pairs = append(req.Pairs, api.ReachPair{From: int32(events[i%len(events)].V), To: int32(events[(i*13)%len(events)].V)})
+	}
+	var br api.BatchReachResponse
+	if code, raw := doJSON(t, "POST", srv.URL+"/v1/sessions/bin/reach", req, &br); code != http.StatusOK || len(br.Results) != len(req.Pairs) {
+		t.Fatalf("reach: %d %s", code, raw)
+	}
+	for _, ans := range br.Results {
+		if ans.Code != "" || ans.Reachable != r.Graph.Reaches(graph.VertexID(ans.From), graph.VertexID(ans.To)) {
+			t.Fatalf("reach %+v, oracle disagrees", ans)
 		}
 	}
 
@@ -357,12 +359,13 @@ func TestHTTPBatchReach(t *testing.T) {
 }
 
 // TestHTTPLineagePagination pages through a closure with cursor+limit
-// and checks the concatenation equals the unpaginated scan.
+// and checks the concatenation equals the BFS closure; a bare ?of= is
+// the first page at the default limit.
 func TestHTTPLineagePagination(t *testing.T) {
 	srv := newTestServer(t)
 	doJSON(t, "POST", srv.URL+"/v1/sessions", CreateRequest{Name: "s", Builtin: "BioAID"}, nil)
 	g := compileBuiltin(t, "BioAID")
-	events, _, err := gen.GenerateEvents(g, gen.Options{TargetSize: 600, Seed: 6})
+	events, r, err := gen.GenerateEvents(g, gen.Options{TargetSize: 1500, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,14 +373,25 @@ func TestHTTPLineagePagination(t *testing.T) {
 		t.Fatalf("ingest: %d %s", code, raw)
 	}
 	sink := events[len(events)-1].V
-
 	var full LineageResponse
-	if code, raw := doJSON(t, "GET",
-		fmt.Sprintf("%s/v1/sessions/s/lineage?of=%d", srv.URL, sink), nil, &full); code != 200 {
-		t.Fatalf("full lineage: %d %s", code, raw)
+	for _, ev := range events {
+		if r.Graph.Reaches(ev.V, sink) {
+			full.Ancestors = append(full.Ancestors, int32(ev.V))
+		}
 	}
-	if full.NextCursor != "" || len(full.Ancestors) < 8 {
-		t.Fatalf("full lineage = %d ancestors, cursor %q", len(full.Ancestors), full.NextCursor)
+	slices.Sort(full.Ancestors)
+	if len(full.Ancestors) <= api.DefaultLineageLimit {
+		t.Fatalf("closure of %d ancestors fits one default page — test is vacuous", len(full.Ancestors))
+	}
+
+	var first LineageResponse
+	if code, raw := doJSON(t, "GET",
+		fmt.Sprintf("%s/v1/sessions/s/lineage?of=%d", srv.URL, sink), nil, &first); code != 200 {
+		t.Fatalf("bare lineage: %d %s", code, raw)
+	}
+	if len(first.Ancestors) != api.DefaultLineageLimit || first.NextCursor != strconv.Itoa(int(first.Ancestors[len(first.Ancestors)-1])) ||
+		!slices.Equal(first.Ancestors, full.Ancestors[:api.DefaultLineageLimit]) {
+		t.Fatalf("bare lineage = %d ancestors, cursor %q; want the first %d, cursor at the last", len(first.Ancestors), first.NextCursor, api.DefaultLineageLimit)
 	}
 
 	var paged []int32
@@ -408,12 +422,7 @@ func TestHTTPLineagePagination(t *testing.T) {
 	if pages < 2 {
 		t.Fatalf("closure of %d ancestors paged in %d pages", len(full.Ancestors), pages)
 	}
-	if len(paged) != len(full.Ancestors) {
-		t.Fatalf("paged %d ancestors, full scan %d", len(paged), len(full.Ancestors))
-	}
-	for i := range paged {
-		if paged[i] != full.Ancestors[i] {
-			t.Fatalf("ancestor %d: paged %d, full %d", i, paged[i], full.Ancestors[i])
-		}
+	if !slices.Equal(paged, full.Ancestors) {
+		t.Fatalf("paged %d ancestors, BFS closure %d", len(paged), len(full.Ancestors))
 	}
 }

@@ -215,8 +215,8 @@ func TestArenaRestoreEquivalentToV1(t *testing.T) {
 				t.Fatalf("reach(%d,%d): log alone=%v,%v arena=%v,%v", v, w, r1, err1, r2, err2)
 			}
 		}
-		l1, err1 := sl.Lineage(events[i].V)
-		l2, err2 := sa.Lineage(events[i].V)
+		l1, err1 := lineage(sl, events[i].V)
+		l2, err2 := lineage(sa, events[i].V)
 		if (err1 == nil) != (err2 == nil) || !slices.Equal(l1, l2) {
 			t.Fatalf("lineage(%d) diverges", events[i].V)
 		}
@@ -417,7 +417,7 @@ func TestConcurrentArenaQueriesDuringIngest(t *testing.T) {
 					return
 				}
 				if i%50 == 0 {
-					if _, err := s2.Lineage(v); err != nil {
+					if _, err := lineage(s2, v); err != nil {
 						t.Errorf("lineage: %v", err)
 						return
 					}

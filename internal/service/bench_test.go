@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -18,6 +19,7 @@ import (
 	"wfreach/internal/api"
 	"wfreach/internal/core"
 	"wfreach/internal/gen"
+	"wfreach/internal/graph"
 	"wfreach/internal/run"
 	"wfreach/internal/service"
 	"wfreach/internal/skeleton"
@@ -151,7 +153,7 @@ func BenchmarkSessionLineage(b *testing.B) {
 	ingestAll(b, s, events, 256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Lineage(events[i%len(events)].V); err != nil {
+		if _, _, err := s.LineagePage(events[i%len(events)].V, graph.None, math.MaxInt); err != nil {
 			b.Fatal(err)
 		}
 	}

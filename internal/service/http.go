@@ -34,8 +34,7 @@ import (
 //	DELETE /v1/sessions/{name}            delete
 //	POST   /v1/sessions/{name}/events     ingest: JSON batch, or binary frame stream
 //	POST   /v1/sessions/{name}/reach      batch reachability
-//	GET    /v1/sessions/{name}/reach      ?from=V&to=W (deprecated: one pair per roundtrip)
-//	GET    /v1/sessions/{name}/lineage    ?of=V&cursor=&limit= (paginated)
+//	GET    /v1/sessions/{name}/lineage    ?of=V&cursor=&limit= (one page)
 //	GET    /v1/sessions/{name}/spec       the session's specification XML
 //	GET    /v1/sessions/{name}/integrity  tamper-evidence anchors (chain head, Merkle root)
 //	GET    /v1/sessions/{name}/wal        ?from=S&wait= — tail the WAL (replication)
@@ -271,11 +270,6 @@ func NewHandler(reg *Registry) http.Handler {
 			},
 		}},
 		{"/sessions/{name}/reach", map[string]http.HandlerFunc{
-			http.MethodGet: func(w http.ResponseWriter, r *http.Request) {
-				if s := lookup(reg, w, r); s != nil {
-					handleReach(s, w, r)
-				}
-			},
 			http.MethodPost: func(w http.ResponseWriter, r *http.Request) {
 				if s := lookup(reg, w, r); s != nil {
 					handleReachBatch(s, &reg.reachScratch, w, r)
@@ -747,21 +741,6 @@ func handleWALTail(s *Session, w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func handleReach(s *Session, w http.ResponseWriter, r *http.Request) {
-	from, err1 := parseVertex(r.URL.Query().Get("from"))
-	to, err2 := parseVertex(r.URL.Query().Get("to"))
-	if err1 != nil || err2 != nil {
-		writeError(w, api.Errorf(api.CodeBadVertex, "reach wants numeric from and to query params"))
-		return
-	}
-	ok, err := s.Reach(from, to)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, api.ReachAnswer{From: int32(from), To: int32(to), Reachable: ok})
-}
-
 // maxIdleReachBytes is the largest body buffer a reachScratch may carry
 // back to the free list. A full batch's request fits; what does not is
 // the response to a batch made mostly of failures, each with its code
@@ -867,16 +846,6 @@ func handleLineage(s *Session, w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	cursor, limitStr := q.Get("cursor"), q.Get("limit")
-	if cursor == "" && limitStr == "" {
-		// Deprecated: the unpaginated full closure in one response.
-		anc, err := s.Lineage(of)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, lineageResponse(of, anc, false))
-		return
-	}
 	limit := api.DefaultLineageLimit
 	if limitStr != "" {
 		n, err := strconv.Atoi(limitStr)

@@ -17,6 +17,7 @@ import (
 
 	"wfreach/internal/api"
 	"wfreach/internal/gen"
+	"wfreach/internal/graph"
 	"wfreach/internal/store"
 	"wfreach/internal/wfspecs"
 	"wfreach/internal/wfxml"
@@ -197,17 +198,24 @@ func TestHTTPEventFormsAndErrors(t *testing.T) {
 		t.Fatalf("mixed-batch failure index: %d %s", code, raw)
 	}
 
-	// Reach and lineage answers match the oracle.
+	// Reach and lineage answers match the oracle; an unlabeled vertex
+	// fails its pair inline.
+	var req api.BatchReachRequest
 	for i := 0; i < 200; i++ {
-		v, w := events[i%len(events)].V, events[(i*7)%len(events)].V
-		var rr ReachResponse
-		if code, raw := doJSON(t, "GET",
-			fmt.Sprintf("%s/v1/sessions/s/reach?from=%d&to=%d", srv.URL, v, w), nil, &rr); code != http.StatusOK {
-			t.Fatalf("reach: %d %s", code, raw)
+		req.Pairs = append(req.Pairs, api.ReachPair{From: int32(events[i%len(events)].V), To: int32(events[(i*7)%len(events)].V)})
+	}
+	req.Pairs = append(req.Pairs, api.ReachPair{From: 0, To: 999999})
+	var br api.BatchReachResponse
+	if code, raw := doJSON(t, "POST", srv.URL+"/v1/sessions/s/reach", req, &br); code != http.StatusOK || len(br.Results) != len(req.Pairs) {
+		t.Fatalf("reach: %d %s", code, raw)
+	}
+	for i, ans := range br.Results[:200] {
+		if ans.Code != "" || ans.Reachable != r.Graph.Reaches(graph.VertexID(ans.From), graph.VertexID(ans.To)) {
+			t.Fatalf("pair %d: %+v disagrees with the oracle", i, ans)
 		}
-		if rr.Reachable != r.Graph.Reaches(v, w) {
-			t.Fatalf("reach(%d,%d) = %v, oracle %v", v, w, rr.Reachable, !rr.Reachable)
-		}
+	}
+	if ans := br.Results[200]; ans.Code != api.CodeVertexNotLabeled {
+		t.Fatalf("unlabeled pair: %+v", ans)
 	}
 	var lr LineageResponse
 	sink := events[len(events)-1].V
@@ -219,14 +227,8 @@ func TestHTTPEventFormsAndErrors(t *testing.T) {
 		t.Fatal("empty lineage for sink")
 	}
 
-	// Query-side errors: unlabeled vertex, junk params, unknown session.
-	if code, _ := doJSON(t, "GET", srv.URL+"/v1/sessions/s/reach?from=0&to=999999", nil, nil); code != http.StatusNotFound {
-		t.Fatalf("unlabeled reach: %d", code)
-	}
-	if code, _ := doJSON(t, "GET", srv.URL+"/v1/sessions/s/reach?from=a&to=1", nil, nil); code != http.StatusBadRequest {
-		t.Fatalf("junk reach: %d", code)
-	}
-	if code, _ := doJSON(t, "GET", srv.URL+"/v1/sessions/nope/reach?from=0&to=1", nil, nil); code != http.StatusNotFound {
+	// Unknown session.
+	if code, _ := doJSON(t, "POST", srv.URL+"/v1/sessions/nope/reach", api.BatchReachRequest{}, nil); code != http.StatusNotFound {
 		t.Fatalf("unknown session: %d", code)
 	}
 }
@@ -307,15 +309,15 @@ func TestHTTPStreamingE2E(t *testing.T) {
 				}
 				v := events[rng.Int63n(wm)].V
 				w := events[rng.Int63n(wm)].V
-				var rr ReachResponse
-				code, raw := doJSON(t, "GET",
-					fmt.Sprintf("%s/v1/sessions/big/reach?from=%d&to=%d", srv.URL, v, w), nil, &rr)
-				if code != http.StatusOK {
+				var br api.BatchReachResponse
+				code, raw := doJSON(t, "POST", srv.URL+"/v1/sessions/big/reach",
+					api.BatchReachRequest{Pairs: []api.ReachPair{{From: int32(v), To: int32(w)}}}, &br)
+				if code != http.StatusOK || len(br.Results) != 1 || br.Results[0].Code != "" {
 					t.Errorf("reach(%d,%d): %d %s", v, w, code, raw)
 					return
 				}
-				if want := r.Graph.Reaches(v, w); rr.Reachable != want {
-					t.Errorf("reach(%d,%d) = %v, oracle %v", v, w, rr.Reachable, want)
+				if want := r.Graph.Reaches(v, w); br.Results[0].Reachable != want {
+					t.Errorf("reach(%d,%d) = %v, oracle %v", v, w, br.Results[0].Reachable, want)
 					return
 				}
 				queries.Add(1)
@@ -546,7 +548,7 @@ func TestHTTPLineageTellsMissingFromMalformed(t *testing.T) {
 	url := func(of int32, page string) string {
 		return fmt.Sprintf("%s/v1/sessions/lin/lineage?of=%d%s", srv.URL, of, page)
 	}
-	for _, page := range []string{"", "&limit=10"} {
+	for _, page := range []string{"", "&limit=10"} { // a bare ?of= is the first page
 		var ok api.LineageResponse
 		if code, body := doJSON(t, "GET", url(int32(last), page), nil, &ok); code != http.StatusOK || len(ok.Ancestors) == 0 {
 			t.Fatalf("lineage%s: %d %s", page, code, body)
@@ -579,15 +581,10 @@ func TestHTTPLineageTellsMissingFromMalformed(t *testing.T) {
 		}
 	}
 
-	// The same fault on the reach routes: one pair by GET, the batch by
-	// POST. Neither may call the server's broken label a bad request.
-	var bad api.ErrorResponse
-	code, body := doJSON(t, "GET", fmt.Sprintf("%s/v1/sessions/lin/reach?from=%d&to=7777", srv.URL, last), nil, &bad)
-	if code != http.StatusInternalServerError || bad.Err.Code != api.CodeInternal {
-		t.Fatalf("GET reach against a malformed label: %d %s", code, body)
-	}
+	// The same fault on batch reach may not call the server's broken
+	// label a bad request either.
 	var batch api.BatchReachResponse
-	code, body = doJSON(t, "POST", srv.URL+"/v1/sessions/lin/reach",
+	code, body := doJSON(t, "POST", srv.URL+"/v1/sessions/lin/reach",
 		api.BatchReachRequest{Pairs: []api.ReachPair{{From: int32(last), To: 7777}, {From: int32(last), To: 9999}}}, &batch)
 	if code != http.StatusOK || len(batch.Results) != 2 ||
 		batch.Results[0].Code != api.CodeInternal || batch.Results[1].Code != api.CodeVertexNotLabeled {

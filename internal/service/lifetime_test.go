@@ -69,7 +69,7 @@ func TestDeletedSessionAnswersNotFound(t *testing.T) {
 		if _, err := s.Reach(v, w); !isDeleted(err) {
 			t.Errorf("%s: Reach after delete: %v, want session_not_found", s.Name(), err)
 		}
-		if _, err := s.Lineage(w); !isDeleted(err) {
+		if _, err := lineage(s, w); !isDeleted(err) {
 			t.Errorf("%s: Lineage after delete: %v, want session_not_found", s.Name(), err)
 		}
 		if _, _, err := s.LineagePage(w, graph.None, 10); !isDeleted(err) {

@@ -542,13 +542,18 @@ func appendBatch[E any](s *Session, events []E, record func(E) wal.Record, frame
 // local WAL is poisoned), and redialing cannot help.
 var ErrTailRejected = errors.New("service: shipped record rejected")
 
-// ApplyTail applies a WAL tail stream to the session — what a follower
-// and a move target both do with the frames another node ships. next is
-// the sequence the first entry must carry. Entries are batched
-// greedily: the first read blocks, then the batch grows while more
-// bytes are already buffered (up to batch records), so a burst arriving
-// after a source commit costs one ingest call and one local WAL commit.
-// Each shipped frame is teed to the session's own log verbatim.
+// tailBatch caps the records ApplyTail applies (and commits) per
+// ingest call.
+const tailBatch = 256
+
+// ApplyTail applies a WAL tail stream to the session — what a copy of
+// another node's session (internal/replica) does with the frames that
+// node ships. next is the sequence the first entry must carry. Entries
+// are batched greedily: the first read blocks, then the batch grows
+// while more bytes are already buffered (up to tailBatch records), so a
+// burst arriving after a source commit costs one ingest call and one
+// local WAL commit. Each shipped frame is teed to the session's own log
+// verbatim.
 //
 // applied, when non-nil, runs after every batch that went in whole,
 // with the sequence of its last record and its frames (valid during the
@@ -558,7 +563,7 @@ var ErrTailRejected = errors.New("service: shipped record rejected")
 // cleanly. A sequence gap or a damaged stream is returned as the
 // reader's error after what arrived intact has been applied (the
 // caller redials from next+n); a refused record wraps ErrTailRejected.
-func (s *Session) ApplyTail(tr *api.TailReader, next int64, batch int, applied func(last int64, frames [][]byte) error) (n int64, err error) {
+func (s *Session) ApplyTail(tr *api.TailReader, next int64, applied func(last int64, frames [][]byte) error) (n int64, err error) {
 	var b batchScratch
 	flush := func() error {
 		if len(b.recs) == 0 {
@@ -593,7 +598,7 @@ func (s *Session) ApplyTail(tr *api.TailReader, next int64, batch int, applied f
 			return n, rerr
 		}
 		b.add(entry.Record, entry.Frame)
-		if len(b.recs) >= batch || !tr.Buffered() {
+		if len(b.recs) >= tailBatch || !tr.Buffered() {
 			if err := flush(); err != nil {
 				return n, err
 			}
@@ -828,7 +833,7 @@ func (s *Session) reach(v, w graph.VertexID) (bool, error) {
 	ok, err := s.store.ReachBytes(bv, bw)
 	if err != nil {
 		// Both labels are stored, so one of them does not parse: the
-		// server's fault, like in Lineage.
+		// server's fault, like in LineagePage.
 		return false, api.AsError(err, api.CodeInternal)
 	}
 	return ok, nil
@@ -884,43 +889,31 @@ func (s *Session) ReachBatchInto(bits api.ReachBits, fails []api.ReachFailure, p
 	return bits, fails
 }
 
-// Lineage returns the labeled vertices that reach v (its provenance
-// closure so far), ascending. The whole scan — π on the encoded bytes
-// of every published label against the target's — runs against the
-// store's published labels, so a lineage query never takes a lock
-// and never stalls ingestion. Only a vertex with no label yet is
-// CodeVertexNotLabeled; a stored label that does not parse is the
-// server's fault, CodeInternal.
-func (s *Session) Lineage(v graph.VertexID) ([]graph.VertexID, error) {
-	out, _, err := s.lineage(v, graph.None, 0)
-	return out, err
-}
-
-// LineagePage returns up to limit ancestors of v with vertex id
-// strictly greater than after (pass graph.None to start), ascending,
-// plus whether more remain. Ancestor ids are the pagination cursor:
-// labels are write-once, so an ancestor reported on one page stays
-// correct forever, and a scan resumed at the cursor only ever misses
-// ancestors published after that page was served — re-running the
-// scan picks them up. limit must be positive. A page costs what lies
-// between its cursor and its last ancestor: the store's index is in
-// vertex order, so the walk starts at after+1 and stops one ancestor
-// past the page (store.LineagePage). Walking a whole closure page by
-// page therefore visits each label once, whatever the page size.
+// LineagePage returns up to limit labeled vertices that reach v (its
+// provenance closure so far) with vertex id strictly greater than after
+// (pass graph.None to start), ascending, plus whether more remain. The
+// scan — π on the encoded bytes of each published label against the
+// target's — runs against the store's published labels, so it never
+// takes a lock and never stalls ingestion. Ancestor ids are the
+// pagination cursor: labels are write-once, so an ancestor reported on
+// one page stays correct forever, and a scan resumed at the cursor only
+// ever misses ancestors published after that page was served —
+// re-running the scan picks them up. limit must be positive. A page
+// costs what lies between its cursor and its last ancestor: the store's
+// index is in vertex order, so the walk starts at after+1 and stops one
+// ancestor past the page (store.LineagePage). Walking a whole closure
+// page by page therefore visits each label once, whatever the page
+// size. Only a vertex with no label yet is CodeVertexNotLabeled; a
+// stored label that does not parse is the server's fault, CodeInternal.
 func (s *Session) LineagePage(v graph.VertexID, after graph.VertexID, limit int) (page []graph.VertexID, more bool, err error) {
 	if limit <= 0 {
 		return nil, false, api.Errorf(api.CodeBadRequest, "lineage page limit must be positive, got %d", limit)
 	}
-	return s.lineage(v, after, limit)
-}
-
-// lineage is the store's page walk with its errors typed for the wire.
-func (s *Session) lineage(v, after graph.VertexID, limit int) ([]graph.VertexID, bool, error) {
 	if !s.store.Enter() {
 		return nil, false, s.deleted()
 	}
 	defer s.store.Leave()
-	page, more, err := s.store.LineagePage(v, after, limit)
+	page, more, err = s.store.LineagePage(v, after, limit)
 	switch {
 	case errors.Is(err, store.ErrNotStored):
 		return nil, false, api.Errorf(api.CodeVertexNotLabeled, "vertex %d not labeled yet", v)

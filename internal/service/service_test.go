@@ -3,6 +3,7 @@ package service
 import (
 	"encoding/json"
 	"errors"
+	"math"
 	"math/rand"
 	"strings"
 	"sync"
@@ -21,6 +22,12 @@ import (
 	"wfreach/internal/wal"
 	"wfreach/internal/wfspecs"
 )
+
+// lineage is v's whole provenance closure, as one page.
+func lineage(s *Session, v graph.VertexID) ([]graph.VertexID, error) {
+	anc, _, err := s.LineagePage(v, graph.None, math.MaxInt)
+	return anc, err
+}
 
 func compileBuiltin(t testing.TB, name string) *spec.Grammar {
 	t.Helper()
@@ -120,7 +127,7 @@ func TestSessionIngestAndQuery(t *testing.T) {
 
 	// Lineage of the sink contains the source.
 	last := events[len(events)-1].V
-	anc, err := s.Lineage(last)
+	anc, err := lineage(s, last)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -531,7 +538,7 @@ func TestIngestRefusesLabelsPastMaxEntries(t *testing.T) {
 			if _, err := s.Reach(events[0].V, events[deepAt].V); api.AsError(err, api.CodeInternal).Code != api.CodeVertexNotLabeled {
 				t.Fatalf("refused vertex: %v", err)
 			}
-			if lin, err := s.Lineage(events[deepAt-1].V); err != nil || len(lin) == 0 {
+			if lin, err := lineage(s, events[deepAt-1].V); err != nil || len(lin) == 0 {
 				t.Fatalf("lineage over the prefix: %v, %v", lin, err)
 			}
 			n, err = ingest(s, events[deepAt+1:])

@@ -35,12 +35,15 @@ func tailStream(t *testing.T, first int64, events []run.Event) []byte {
 // up where the tail stopped.
 func TestApplyTail(t *testing.T) {
 	g := compileBuiltin(t, "RunningExample")
-	events, _ := genEvents(t, g, 60, 4)
-	const batch = 8
+	events, _ := genEvents(t, g, 700, 4)
+	const batch = tailBatch
 	total := int64(len(events))
+	if total <= 2*batch {
+		t.Fatalf("%d events make fewer than three batches", total)
+	}
 
 	dup := append([]run.Event(nil), events...)
-	dup[21] = events[20] // the labeler has placed this vertex already
+	dup[301] = events[300] // the labeler has placed this vertex already
 	full := tailStream(t, 1, events)
 
 	for _, tc := range []struct {
@@ -52,9 +55,9 @@ func TestApplyTail(t *testing.T) {
 		clean    bool  // no error at all
 	}{
 		{name: "clean end", stream: full, applied: total, batches: int(total+batch-1) / batch, clean: true},
-		{name: "sequence gap", stream: append(tailStream(t, 1, events[:10]), tailStream(t, 12, events[11:])...), applied: 10, batches: 2},
-		{name: "rejection mid-batch", stream: tailStream(t, 1, dup), applied: 21, batches: 2, rejected: true},
-		{name: "stream cut", stream: full[:len(tailStream(t, 1, events[:13]))+11], applied: 13, batches: 2},
+		{name: "sequence gap", stream: append(tailStream(t, 1, events[:300]), tailStream(t, 302, events[301:])...), applied: 300, batches: 2},
+		{name: "rejection mid-batch", stream: tailStream(t, 1, dup), applied: 301, batches: 1, rejected: true},
+		{name: "stream cut", stream: full[:len(tailStream(t, 1, events[:300]))+11], applied: 300, batches: 2},
 	} {
 		reg := durableReg(t, t.TempDir(), DurableOptions{SnapshotEvery: -1})
 		s, err := reg.Create("copy", g, Config{})
@@ -63,7 +66,7 @@ func TestApplyTail(t *testing.T) {
 		}
 		var lasts []int64
 		var framed int
-		n, err := s.ApplyTail(api.NewTailReader(bytes.NewReader(tc.stream)), 1, batch, func(last int64, frames [][]byte) error {
+		n, err := s.ApplyTail(api.NewTailReader(bytes.NewReader(tc.stream)), 1, func(last int64, frames [][]byte) error {
 			lasts = append(lasts, last)
 			framed += len(frames)
 			return nil
@@ -83,7 +86,7 @@ func TestApplyTail(t *testing.T) {
 		}
 		if !tc.clean && !tc.rejected {
 			// The redial: the rest of the stream from next+n goes in.
-			m, err := s.ApplyTail(api.NewTailReader(bytes.NewReader(tailStream(t, 1+n, events[n:]))), 1+n, batch, nil)
+			m, err := s.ApplyTail(api.NewTailReader(bytes.NewReader(tailStream(t, 1+n, events[n:]))), 1+n, nil)
 			if err != nil || n+m != total || s.Vertices() != total {
 				t.Errorf("%s: redial from %d applied %d (%v), session holds %d of %d", tc.name, 1+n, m, err, s.Vertices(), total)
 			}
@@ -98,7 +101,7 @@ func TestApplyTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	stop := errors.New("stop")
-	if n, err := s.ApplyTail(api.NewTailReader(bytes.NewReader(full)), 1, batch, func(int64, [][]byte) error { return stop }); n != batch || !errors.Is(err, stop) {
+	if n, err := s.ApplyTail(api.NewTailReader(bytes.NewReader(full)), 1, func(int64, [][]byte) error { return stop }); n != batch || !errors.Is(err, stop) {
 		t.Fatalf("hook error: applied %d, err %v", n, err)
 	}
 }

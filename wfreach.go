@@ -233,8 +233,8 @@ type (
 	// Follower replicates a primary server into a local registry and
 	// can be promoted to writable on failover.
 	Follower = replica.Follower
-	// FollowerOptions tunes a follower's polling, reconnect backoff
-	// and apply batching.
+	// FollowerOptions tunes a follower's polling and reconnect
+	// backoff.
 	FollowerOptions = replica.Options
 	// ReplicationStatus is a server's replication role and per-session
 	// WAL progress (GET /v1/replication/status).
@@ -267,7 +267,7 @@ type (
 	// gating, the /v1/cluster control plane, peer probing and session
 	// moves.
 	ClusterController = cluster.Controller
-	// ClusterOptions tunes a controller's probing and move batching.
+	// ClusterOptions carries a controller's progress logger.
 	ClusterOptions = cluster.Options
 )
 
