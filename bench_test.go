@@ -1,13 +1,14 @@
-// Benchmarks regenerating the paper's evaluation (Section 7), one per
-// table and figure. Time-based figures report ns/op directly; label
-// length figures attach bits as custom metrics (max_bits, avg_bits).
-// The full paper-style sweeps with all data points are produced by
-// cmd/wfbench (see EXPERIMENTS.md).
+// Benchmarks regenerating the paper's evaluation of DRL (Section 7),
+// one per figure, through the public API. Time-based figures report
+// ns/op directly; label length figures attach bits as custom metrics
+// (max_bits, avg_bits). The figures and tables that set DRL against the
+// SKL and TCL baselines (Figures 1, 20–22, Table 2) are benchmarked in
+// internal/bench, next to the baselines; the full paper-style sweeps
+// with all data points are produced by cmd/wfbench.
 package wfreach_test
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 
 	"wfreach"
@@ -42,94 +43,6 @@ func reportLabelBits(b *testing.B, g *wfreach.Grammar, d *wfreach.DerivationLabe
 	}
 	b.ReportMetric(float64(maxBits), "max_bits")
 	b.ReportMetric(float64(total)/float64(n), "avg_bits")
-}
-
-// BenchmarkFig01Compactness measures the maximum label length per
-// graph class (Figure 1's landscape): Θ(log n) for static and dynamic
-// linear-recursive runs, Θ(n) for dynamic recursive runs and DAGs.
-func BenchmarkFig01Compactness(b *testing.B) {
-	b.Run("linear-DRL", func(b *testing.B) {
-		g, r := benchRun(b, wfreach.BioAID(), 4096, 1)
-		var d *wfreach.DerivationLabeler
-		for i := 0; i < b.N; i++ {
-			var err error
-			if d, err = wfreach.LabelRun(r, wfreach.TCL, wfreach.RModeDesignated); err != nil {
-				b.Fatal(err)
-			}
-		}
-		reportLabelBits(b, g, d, r)
-	})
-	b.Run("recursive-DRL", func(b *testing.B) {
-		g, err := wfreach.Compile(wfreach.LowerBoundGrammar())
-		if err != nil {
-			b.Fatal(err)
-		}
-		r, err := wfreach.Generate(g, wfreach.GenOptions{TargetSize: 4096, Seed: 1, DepthFirst: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		var d *wfreach.DerivationLabeler
-		for i := 0; i < b.N; i++ {
-			if d, err = wfreach.LabelRun(r, wfreach.TCL, wfreach.RModeDesignated); err != nil {
-				b.Fatal(err)
-			}
-		}
-		reportLabelBits(b, g, d, r)
-	})
-	b.Run("dag-TCL", func(b *testing.B) {
-		g, r := benchRun(b, wfreach.BioAID(), 4096, 1)
-		_ = g
-		evs, err := r.Execution(nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var maxBits int
-		for i := 0; i < b.N; i++ {
-			l := wfreach.NewTCLDynamic()
-			for _, ev := range evs {
-				if _, err := l.Insert(ev.V, ev.Preds); err != nil {
-					b.Fatal(err)
-				}
-			}
-			maxBits = l.MaxBits()
-		}
-		b.ReportMetric(float64(maxBits), "max_bits")
-	})
-}
-
-// BenchmarkTable2SpecOverhead times labeling the specification itself
-// and reports the skeleton sizes of Table 2.
-func BenchmarkTable2SpecOverhead(b *testing.B) {
-	b.Run("DRL-TCL", func(b *testing.B) {
-		g, err := wfreach.Compile(wfreach.BioAID())
-		if err != nil {
-			b.Fatal(err)
-		}
-		bits := 0
-		for i := 0; i < b.N; i++ {
-			d := wfreach.NewDerivationLabeler(g, wfreach.TCL, wfreach.RModeDesignated)
-			bits = d.Skeleton().Bits()
-		}
-		b.ReportMetric(float64(bits), "skeleton_bits")
-	})
-	b.Run("SKL-TCL", func(b *testing.B) {
-		// SKL's preprocessing as seen through the public API: the full
-		// static build over a minimal run, which includes inlining the
-		// global specification and labeling its 106 vertices (the
-		// 5565-bit skeleton of Table 2). The harness's `wfbench -only
-		// table2` isolates the skeleton-only cost.
-		g, r := benchRun(b, wfreach.BioAIDNonRecursive(), 1024, 1)
-		_ = g
-		var bits int
-		for i := 0; i < b.N; i++ {
-			s, err := wfreach.BuildSKL(r, wfreach.TCL)
-			if err != nil {
-				b.Fatal(err)
-			}
-			bits = s.SkeletonBits()
-		}
-		b.ReportMetric(float64(bits), "skeleton_bits")
-	})
 }
 
 // BenchmarkFig14LabelLength labels a BioAID run and reports the
@@ -260,176 +173,6 @@ func BenchmarkFig19Nonlinear(b *testing.B) {
 			reportLabelBits(b, g, d, r)
 		})
 	}
-}
-
-// BenchmarkFig20DRLvsSKL compares maximum label lengths (Figure 20).
-func BenchmarkFig20DRLvsSKL(b *testing.B) {
-	g, r := benchRun(b, wfreach.BioAIDNonRecursive(), benchRunSize, 20)
-	b.Run("DRL", func(b *testing.B) {
-		var d *wfreach.DerivationLabeler
-		var err error
-		for i := 0; i < b.N; i++ {
-			if d, err = wfreach.LabelRun(r, wfreach.TCL, wfreach.RModeDesignated); err != nil {
-				b.Fatal(err)
-			}
-		}
-		reportLabelBits(b, g, d, r)
-	})
-	b.Run("SKL", func(b *testing.B) {
-		var s *wfreach.SKL
-		var err error
-		for i := 0; i < b.N; i++ {
-			if s, err = wfreach.BuildSKL(r, wfreach.TCL); err != nil {
-				b.Fatal(err)
-			}
-		}
-		maxBits := 0
-		for _, v := range r.Graph.LiveVertices() {
-			if bits := s.BitLen(s.MustLabel(v)); bits > maxBits {
-				maxBits = bits
-			}
-		}
-		b.ReportMetric(float64(maxBits), "max_bits")
-	})
-}
-
-// BenchmarkFig21Construction compares construction times of DRL (both
-// variants) and SKL (Figure 21).
-func BenchmarkFig21Construction(b *testing.B) {
-	g, r := benchRun(b, wfreach.BioAIDNonRecursive(), benchRunSize, 21)
-	evs, err := r.Execution(nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("DRL-derivation", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := wfreach.LabelRun(r, wfreach.TCL, wfreach.RModeDesignated); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("DRL-execution", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := wfreach.LabelExecution(g, evs, wfreach.TCL, wfreach.RModeDesignated); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("SKL-static", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := wfreach.BuildSKL(r, wfreach.TCL); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkFig22QueryTime measures all four scheme/skeleton query
-// combinations (Figure 22).
-func BenchmarkFig22QueryTime(b *testing.B) {
-	g, r := benchRun(b, wfreach.BioAIDNonRecursive(), benchRunSize, 22)
-	_ = g
-	dTCL, err := wfreach.LabelRun(r, wfreach.TCL, wfreach.RModeDesignated)
-	if err != nil {
-		b.Fatal(err)
-	}
-	dBFS, err := wfreach.LabelRun(r, wfreach.BFS, wfreach.RModeDesignated)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sTCL, err := wfreach.BuildSKL(r, wfreach.TCL)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sBFS, err := wfreach.BuildSKL(r, wfreach.BFS)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("DRL-TCL", func(b *testing.B) { queryBench(b, r, dTCL.Reach) })
-	b.Run("DRL-BFS", func(b *testing.B) { queryBench(b, r, dBFS.Reach) })
-	b.Run("SKL-TCL", func(b *testing.B) { queryBench(b, r, sTCL.Reach) })
-	b.Run("SKL-BFS", func(b *testing.B) { queryBench(b, r, sBFS.Reach) })
-}
-
-// BenchmarkServiceIngest measures streaming-event throughput through a
-// provenance-service session (labeling + encoding + store publication)
-// — the server hot path behind cmd/wfserve — with and without
-// concurrent readers issuing reachability queries from the encoded
-// labels. Detailed variants live in internal/service.
-func BenchmarkServiceIngest(b *testing.B) {
-	g, r := benchRun(b, wfreach.BioAID(), benchRunSize, 23)
-	evs, err := r.Execution(nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ingest := func(b *testing.B) *wfreach.Session {
-		s, err := wfreach.NewRegistry().Create("bench", g, wfreach.SessionConfig{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i := 0; i < len(evs); i += 256 {
-			end := min(i+256, len(evs))
-			if _, err := s.Append(evs[i:end]); err != nil {
-				b.Fatal(err)
-			}
-		}
-		return s
-	}
-	b.Run("ingest", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ingest(b)
-		}
-		b.ReportMetric(float64(len(evs)*b.N)/b.Elapsed().Seconds(), "events/sec")
-	})
-	b.Run("ingest+readers", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			stop := make(chan struct{})
-			var wg sync.WaitGroup
-			s, err := wfreach.NewRegistry().Create("bench", g, wfreach.SessionConfig{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			for ri := 0; ri < 4; ri++ {
-				wg.Add(1)
-				go func(seed int64) {
-					defer wg.Done()
-					rng := rand.New(rand.NewSource(seed))
-					for {
-						select {
-						case <-stop:
-							return
-						default:
-						}
-						n := s.Vertices()
-						if n < 2 {
-							continue
-						}
-						_, _ = s.Reach(evs[rng.Int63n(n)].V, evs[rng.Int63n(n)].V)
-					}
-				}(int64(ri))
-			}
-			for j := 0; j < len(evs); j += 256 {
-				end := min(j+256, len(evs))
-				if _, err := s.Append(evs[j:end]); err != nil {
-					b.Fatal(err)
-				}
-			}
-			close(stop)
-			wg.Wait()
-		}
-		b.ReportMetric(float64(len(evs)*b.N)/b.Elapsed().Seconds(), "events/sec")
-	})
-	b.Run("query", func(b *testing.B) {
-		s := ingest(b)
-		queryBench(b, r, func(v, w wfreach.VertexID) bool {
-			ok, err := s.Reach(v, w)
-			if err != nil {
-				b.Fatal(err)
-			}
-			return ok
-		})
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "queries/sec")
-	})
 }
 
 func sizeTag(prefix string, n int) string {

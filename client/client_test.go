@@ -12,18 +12,20 @@ import (
 
 	"wfreach"
 	"wfreach/client"
+	"wfreach/internal/gen"
+	"wfreach/internal/service"
 )
 
 func newServer(t testing.TB) *httptest.Server {
 	t.Helper()
-	srv := httptest.NewServer(wfreach.NewServiceHandler(wfreach.NewRegistry()))
+	srv := httptest.NewServer(service.NewHandler(service.NewRegistry()))
 	t.Cleanup(srv.Close)
 	return srv
 }
 
 func generate(t testing.TB, builtin string, size int, seed int64) ([]wfreach.Event, *wfreach.Run) {
 	t.Helper()
-	s, ok := wfreach.BuiltinSpec(builtin)
+	s, ok := service.Builtin(builtin)
 	if !ok {
 		t.Fatalf("no builtin %s", builtin)
 	}
@@ -31,7 +33,7 @@ func generate(t testing.TB, builtin string, size int, seed int64) ([]wfreach.Eve
 	if err != nil {
 		t.Fatal(err)
 	}
-	events, r, err := wfreach.GenerateEvents(g, wfreach.GenOptions{TargetSize: size, Seed: seed})
+	events, r, err := gen.GenerateEvents(g, gen.Options{TargetSize: size, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +57,7 @@ func TestLifecycleE2E(t *testing.T) {
 	events, r := generate(t, "BioAID", 1200, 3)
 	wire := make([]client.Event, len(events))
 	for i, ev := range events {
-		wire[i] = wfreach.ToWire(ev)
+		wire[i] = client.FromRun(ev)
 	}
 
 	// JSON route for the first half, binary stream for the rest.
@@ -175,7 +177,7 @@ func TestTypedErrors(t *testing.T) {
 // TestRetryOn5xx: transient server failures on read-only calls are
 // retried with backoff; ingest is never replayed.
 func TestRetryOn5xx(t *testing.T) {
-	inner := wfreach.NewServiceHandler(wfreach.NewRegistry())
+	inner := service.NewHandler(service.NewRegistry())
 	var gets, posts atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method == http.MethodGet && gets.Add(1) <= 2 {
@@ -223,7 +225,7 @@ func TestStreamFlushing(t *testing.T) {
 	// Size-triggered: after 2*batch sends, at least 2 batches are out.
 	stream := c.Stream(ctx, "s", client.StreamOptions{BatchSize: 64})
 	for _, ev := range events[:128] {
-		if err := stream.Send(wfreach.ToWire(ev)); err != nil {
+		if err := stream.Send(client.FromRun(ev)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -240,7 +242,7 @@ func TestStreamFlushing(t *testing.T) {
 	timed := c.Stream(ctx, "s", client.StreamOptions{BatchSize: 1 << 20, FlushInterval: 10 * time.Millisecond})
 	defer timed.Close()
 	for _, ev := range events[128:140] {
-		if err := timed.Send(wfreach.ToWire(ev)); err != nil {
+		if err := timed.Send(client.FromRun(ev)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -260,7 +262,7 @@ func TestStreamFlushing(t *testing.T) {
 	}
 	var firstErr error
 	for _, ev := range events[140:160] {
-		if firstErr = poisoned.Send(wfreach.ToWire(ev)); firstErr != nil {
+		if firstErr = poisoned.Send(client.FromRun(ev)); firstErr != nil {
 			break
 		}
 	}
@@ -284,7 +286,7 @@ func TestPartialIngestReportsApplied(t *testing.T) {
 	events, _ := generate(t, "RunningExample", 120, 9)
 	wire := make([]client.Event, len(events))
 	for i, ev := range events {
-		wire[i] = wfreach.ToWire(ev)
+		wire[i] = client.FromRun(ev)
 	}
 
 	// Index 10 duplicates an earlier vertex: the server applies 10.

@@ -93,7 +93,7 @@ func TestClusterClientRouting(t *testing.T) {
 	events, r := generate(t, "RunningExample", 600, 5)
 	wire := make([]client.Event, len(events))
 	for i, ev := range events {
-		wire[i] = wfreach.ToWire(ev)
+		wire[i] = client.FromRun(ev)
 	}
 	if _, err := cl.Ingest(ctx, "alpha", wire[:300]); err != nil {
 		t.Fatalf("ingest: %v", err)
@@ -202,7 +202,7 @@ func failoverFixture(t *testing.T) (primary, follower *service.Registry, kill fu
 	events, _ := generate(t, "RunningExample", 400, 7)
 	wire = make([]client.Event, len(events))
 	for i, ev := range events {
-		wire[i] = wfreach.ToWire(ev)
+		wire[i] = client.FromRun(ev)
 	}
 	g, err := wfreach.Compile(mustBuiltin(t, "RunningExample"))
 	if err != nil {
@@ -222,7 +222,7 @@ func failoverFixture(t *testing.T) (primary, follower *service.Registry, kill fu
 
 func mustBuiltin(t *testing.T, name string) *wfreach.Spec {
 	t.Helper()
-	s, ok := wfreach.BuiltinSpec(name)
+	s, ok := service.Builtin(name)
 	if !ok {
 		t.Fatalf("no builtin %s", name)
 	}

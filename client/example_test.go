@@ -7,6 +7,7 @@ import (
 
 	"wfreach"
 	"wfreach/client"
+	"wfreach/internal/service"
 )
 
 // Example streams a generated workflow execution into a session over
@@ -14,7 +15,7 @@ import (
 // verifying every answer against the BFS ground-truth oracle.
 func Example() {
 	// An in-process server; point New at a real wfserve in production.
-	srv := httptest.NewServer(wfreach.NewServiceHandler(wfreach.NewRegistry()))
+	srv := httptest.NewServer(service.NewHandler(service.NewRegistry()))
 	defer srv.Close()
 
 	ctx := context.Background()
@@ -26,9 +27,10 @@ func Example() {
 		panic(err)
 	}
 
-	// Generate a deterministic execution with its oracle run.
+	// Generate a deterministic run (the oracle) and its execution.
 	g := wfreach.MustCompile(wfreach.RunningExample())
-	events, run, err := wfreach.GenerateEvents(g, wfreach.GenOptions{TargetSize: 300, Seed: 1})
+	run := wfreach.MustGenerate(g, wfreach.GenOptions{TargetSize: 300, Seed: 1})
+	events, err := run.Execution(nil)
 	if err != nil {
 		panic(err)
 	}
@@ -36,7 +38,7 @@ func Example() {
 	// Stream the events; batches flush automatically.
 	stream := c.Stream(ctx, "demo", client.StreamOptions{BatchSize: 64})
 	for _, ev := range events {
-		if err := stream.Send(wfreach.ToWire(ev)); err != nil {
+		if err := stream.Send(client.FromRun(ev)); err != nil {
 			panic(err)
 		}
 	}

@@ -35,7 +35,7 @@ func newReachFixture(t *testing.T, size int, seed int64) *reachFixture {
 	events, r := generate(t, "BioAID", size, seed)
 	f := &reachFixture{events: events, run: r, published: len(events) * 7 / 10, isIn: map[int32]bool{}}
 	for i, ev := range events {
-		f.wire = append(f.wire, wfreach.ToWire(ev))
+		f.wire = append(f.wire, client.FromRun(ev))
 		if i < f.published {
 			f.isIn[int32(ev.V)] = true
 		}

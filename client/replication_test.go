@@ -8,24 +8,25 @@ import (
 	"testing"
 	"time"
 
-	"wfreach"
 	"wfreach/client"
+	"wfreach/internal/replica"
+	"wfreach/internal/service"
 )
 
 // httptestPair is one durable registry served over HTTP.
 type httptestPair struct {
-	reg *wfreach.Registry
+	reg *service.Registry
 	srv *httptest.Server
 }
 
 func newDurablePair(t *testing.T) *httptestPair {
 	t.Helper()
-	reg, err := wfreach.NewDurableRegistry(wfreach.DurableOptions{Dir: t.TempDir(), Fsync: false})
+	reg, err := service.NewDurableRegistry(service.DurableOptions{Dir: t.TempDir(), Fsync: false})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = reg.Close() })
-	srv := httptest.NewServer(wfreach.NewServiceHandler(reg))
+	srv := httptest.NewServer(service.NewHandler(reg))
 	t.Cleanup(srv.Close)
 	return &httptestPair{reg: reg, srv: srv}
 }
@@ -36,7 +37,7 @@ func replicationPair(t *testing.T) (primary, follower *httptestPair) {
 	t.Helper()
 	p := newDurablePair(t)
 	f := newDurablePair(t)
-	fol := wfreach.NewFollower(p.srv.URL, f.reg, wfreach.FollowerOptions{
+	fol := replica.New(p.srv.URL, f.reg, replica.Options{
 		PollInterval: 25 * time.Millisecond,
 	})
 	fol.Start()
@@ -68,7 +69,7 @@ func TestWriteRedirect(t *testing.T) {
 	events, r := generate(t, "RunningExample", 200, 5)
 	wire := make([]client.Event, len(events))
 	for i, ev := range events {
-		wire[i] = wfreach.ToWire(ev)
+		wire[i] = client.FromRun(ev)
 	}
 	if _, err := fc.IngestFrames(ctx, "redir", wire); err != nil {
 		t.Fatalf("redirected binary ingest failed: %v", err)
@@ -124,7 +125,7 @@ func TestTailWALClient(t *testing.T) {
 	events, _ := generate(t, "RunningExample", 150, 9)
 	wire := make([]client.Event, len(events))
 	for i, ev := range events {
-		wire[i] = wfreach.ToWire(ev)
+		wire[i] = client.FromRun(ev)
 	}
 	if _, err := c.IngestFrames(ctx, "tw", wire); err != nil {
 		t.Fatal(err)
@@ -189,7 +190,7 @@ func TestReplicationStatusAndSpec(t *testing.T) {
 	events, _ := generate(t, "BioAID", 300, 2)
 	wire := make([]client.Event, len(events))
 	for i, ev := range events {
-		wire[i] = wfreach.ToWire(ev)
+		wire[i] = client.FromRun(ev)
 	}
 	if _, err := pc.IngestFrames(ctx, "s", wire); err != nil {
 		t.Fatal(err)

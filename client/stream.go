@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"wfreach/internal/api"
+	"wfreach/internal/run"
 )
 
 // StreamOptions configures a Stream's batching.
@@ -164,3 +165,7 @@ func (s *Stream) Vertices() int64 {
 	defer s.mu.Unlock()
 	return s.vertices
 }
+
+// FromRun converts an execution event of the labeling library to its
+// wire form.
+func FromRun(ev run.Event) Event { return api.FromRun(ev) }

@@ -257,7 +257,7 @@ func runRemote(cfg remoteConfig, s *wfreach.Spec, r *wfreach.Run, out io.Writer)
 
 	stream := c.Stream(ctx, cfg.session, client.StreamOptions{})
 	for _, ev := range events {
-		if err := stream.Send(wfreach.ToWire(ev)); err != nil {
+		if err := stream.Send(client.FromRun(ev)); err != nil {
 			return fmt.Errorf("stream events: %w", err)
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"wfreach"
+	"wfreach/internal/service"
 )
 
 // buildOnce compiles the binary under test.
@@ -164,8 +165,8 @@ func TestWflabelOutOfRangeQueryMessage(t *testing.T) {
 // batch-reach roundtrip for all queries, sampled verification, and
 // session cleanup.
 func TestWflabelRemoteMode(t *testing.T) {
-	reg := wfreach.NewRegistry()
-	srv := httptest.NewServer(wfreach.NewServiceHandler(reg))
+	reg := service.NewRegistry()
+	srv := httptest.NewServer(service.NewHandler(reg))
 	defer srv.Close()
 	bin := buildOnce(t)
 
@@ -216,12 +217,12 @@ func TestWflabelRemoteMode(t *testing.T) {
 // anchor line must carry the chain head in wfverify -head form, and
 // the audited session must be left exactly as it was.
 func TestWflabelIntegrityMode(t *testing.T) {
-	reg, err := wfreach.NewDurableRegistry(wfreach.DurableOptions{Dir: t.TempDir()})
+	reg, err := service.NewDurableRegistry(service.DurableOptions{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer reg.Close()
-	srv := httptest.NewServer(wfreach.NewServiceHandler(reg))
+	srv := httptest.NewServer(service.NewHandler(reg))
 	defer srv.Close()
 	bin := buildOnce(t)
 

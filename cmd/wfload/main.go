@@ -71,7 +71,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 
-	"wfreach"
+	"wfreach/internal/cluster"
 	"wfreach/internal/loadmatrix"
 )
 
@@ -200,7 +200,7 @@ func scenario(cfg config) (loadmatrix.Scenario, loadmatrix.Load, error) {
 	case cfg.replica != "" && cfg.clusterFile != "":
 		return loadmatrix.Scenario{}, l, fmt.Errorf("-cluster routes reads through the map; list followers in the map file instead of -replica")
 	case cfg.clusterFile != "":
-		m, err := wfreach.LoadClusterMap(cfg.clusterFile)
+		m, err := cluster.LoadMap(cfg.clusterFile)
 		if err != nil {
 			return loadmatrix.Scenario{}, l, err
 		}

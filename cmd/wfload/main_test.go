@@ -12,9 +12,10 @@ import (
 	"testing"
 	"time"
 
-	"wfreach"
 	"wfreach/client"
 	"wfreach/internal/loadmatrix"
+	"wfreach/internal/replica"
+	"wfreach/internal/service"
 )
 
 // runReport runs wfload with cfg plus a -report file and returns the
@@ -44,7 +45,7 @@ func runReport(t *testing.T, cfg config) (loadmatrix.ScenarioResult, string) {
 // (create sessions, stream batches, interleaved verified queries,
 // report) against an in-process wfserve handler.
 func TestRunAgainstInProcessServer(t *testing.T) {
-	srv := httptest.NewServer(wfreach.NewServiceHandler(wfreach.NewRegistry()))
+	srv := httptest.NewServer(service.NewHandler(service.NewRegistry()))
 	defer srv.Close()
 
 	res, out := runReport(t, config{
@@ -77,23 +78,23 @@ func TestRunAgainstInProcessServer(t *testing.T) {
 // follower, lag sampled and catch-up awaited, the report carrying the
 // replica section.
 func TestRunWithReplica(t *testing.T) {
-	preg, err := wfreach.NewDurableRegistry(wfreach.DurableOptions{Dir: t.TempDir(), Fsync: false})
+	preg, err := service.NewDurableRegistry(service.DurableOptions{Dir: t.TempDir(), Fsync: false})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer preg.Close()
-	psrv := httptest.NewServer(wfreach.NewServiceHandler(preg))
+	psrv := httptest.NewServer(service.NewHandler(preg))
 	defer psrv.Close()
 
-	freg, err := wfreach.NewDurableRegistry(wfreach.DurableOptions{Dir: t.TempDir(), Fsync: false})
+	freg, err := service.NewDurableRegistry(service.DurableOptions{Dir: t.TempDir(), Fsync: false})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer freg.Close()
-	fol := wfreach.NewFollower(psrv.URL, freg, wfreach.FollowerOptions{PollInterval: 25 * time.Millisecond})
+	fol := replica.New(psrv.URL, freg, replica.Options{PollInterval: 25 * time.Millisecond})
 	fol.Start()
 	defer fol.Close()
-	fsrv := httptest.NewServer(wfreach.NewServiceHandler(freg))
+	fsrv := httptest.NewServer(service.NewHandler(freg))
 	defer fsrv.Close()
 
 	res, out := runReport(t, config{
@@ -161,11 +162,11 @@ func TestWfloadBinaryBuildsAndFailsCleanly(t *testing.T) {
 // uninterrupted run.
 func TestResumeVerifiesRestoredSessions(t *testing.T) {
 	dir := t.TempDir()
-	reg, err := wfreach.NewDurableRegistry(wfreach.DurableOptions{Dir: dir, SnapshotEvery: 128})
+	reg, err := service.NewDurableRegistry(service.DurableOptions{Dir: dir, SnapshotEvery: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(wfreach.NewServiceHandler(reg))
+	srv := httptest.NewServer(service.NewHandler(reg))
 
 	cfg := config{
 		addr: srv.URL, spec: "RunningExample",
@@ -175,14 +176,14 @@ func TestResumeVerifiesRestoredSessions(t *testing.T) {
 	ingest, _ := runReport(t, cfg)
 	srv.Close() // no reg.Close(): the WAL was flushed per acked batch
 
-	reg2, err := wfreach.NewDurableRegistry(wfreach.DurableOptions{Dir: dir})
+	reg2, err := service.NewDurableRegistry(service.DurableOptions{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := reg2.Restore(dir); err != nil {
 		t.Fatal(err)
 	}
-	srv2 := httptest.NewServer(wfreach.NewServiceHandler(reg2))
+	srv2 := httptest.NewServer(service.NewHandler(reg2))
 	defer srv2.Close()
 
 	cfg.addr = srv2.URL
@@ -200,7 +201,7 @@ func TestResumeVerifiesRestoredSessions(t *testing.T) {
 	}
 
 	// The same check must fail loudly if the server knows nothing.
-	empty := httptest.NewServer(wfreach.NewServiceHandler(wfreach.NewRegistry()))
+	empty := httptest.NewServer(service.NewHandler(service.NewRegistry()))
 	defer empty.Close()
 	cfg.addr = empty.URL
 	if err := run(cfg, &bytes.Buffer{}); err == nil {
@@ -212,7 +213,7 @@ func TestResumeVerifiesRestoredSessions(t *testing.T) {
 // (lineage interleaved) and checks the -report file and pprof profiles
 // land on disk with sane contents.
 func TestRunReportAndProfiles(t *testing.T) {
-	srv := httptest.NewServer(wfreach.NewServiceHandler(wfreach.NewRegistry()))
+	srv := httptest.NewServer(service.NewHandler(service.NewRegistry()))
 	defer srv.Close()
 
 	dir := t.TempDir()
@@ -260,7 +261,7 @@ func TestRunReportAndProfiles(t *testing.T) {
 // (Its first half drove the unversioned JSON surface, which is gone;
 // the name is kept so the test's history stays in one place.)
 func TestRunLegacyAndBatchModes(t *testing.T) {
-	srv := httptest.NewServer(wfreach.NewServiceHandler(wfreach.NewRegistry()))
+	srv := httptest.NewServer(service.NewHandler(service.NewRegistry()))
 	defer srv.Close()
 
 	res, _ := runReport(t, config{

@@ -123,8 +123,12 @@ import (
 	"syscall"
 	"time"
 
-	"wfreach"
 	"wfreach/client"
+	"wfreach/internal/cluster"
+	"wfreach/internal/obs"
+	"wfreach/internal/replica"
+	"wfreach/internal/service"
+	"wfreach/internal/spec"
 )
 
 type sessionFlags []string
@@ -172,10 +176,10 @@ func main() {
 		fail(fmt.Errorf("-cluster and -follow are different roles: a cluster node is a primary; run its replica as a plain -follow server and list it in the map's follower field"))
 	}
 
-	reg := wfreach.NewRegistry()
+	reg := service.NewRegistry()
 	if *dataDir != "" {
 		var err error
-		reg, err = wfreach.NewDurableRegistry(wfreach.DurableOptions{
+		reg, err = service.NewDurableRegistry(service.DurableOptions{
 			Dir: *dataDir, SnapshotEvery: *snapEvery, Fsync: *fsync,
 		})
 		if err != nil {
@@ -204,9 +208,9 @@ func main() {
 			}
 		}
 	}
-	var follower *wfreach.Follower
+	var follower *replica.Follower
 	if *follow != "" {
-		follower = wfreach.NewFollower(*follow, reg, wfreach.FollowerOptions{
+		follower = replica.New(*follow, reg, replica.Options{
 			PollInterval: *followPoll,
 			Logf: func(format string, args ...any) {
 				fmt.Printf("wfserve: "+format+"\n", args...)
@@ -232,13 +236,13 @@ func main() {
 		fmt.Printf("wfserve: session %q on builtin %s\n", name, builtin)
 	}
 
-	var ctl *wfreach.ClusterController
+	var ctl *cluster.Controller
 	if *clusterFile != "" {
-		m, err := wfreach.LoadClusterMap(*clusterFile)
+		m, err := cluster.LoadMap(*clusterFile)
 		if err != nil {
 			fail(err)
 		}
-		ctl, err = wfreach.NewClusterController(*nodeName, m, reg, wfreach.ClusterOptions{
+		ctl, err = cluster.New(*nodeName, m, reg, cluster.Options{
 			Logf: func(format string, args ...any) {
 				fmt.Printf("wfserve: "+format+"\n", args...)
 			},
@@ -269,7 +273,7 @@ func main() {
 		fmt.Printf("wfserve: debug (pprof) on http://%s/debug/pprof/\n", dln.Addr())
 	}
 
-	logger := wfreach.NewObsLogger(os.Stderr)
+	logger := obs.NewLogger(os.Stderr)
 	mode := "memory"
 	if *dataDir != "" {
 		mode = "durable"
@@ -302,8 +306,8 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	srv := &http.Server{
-		Handler: wfreach.AccessLog(wfreach.NewServiceHandler(reg), logger,
-			wfreach.AccessLogOptions{Slow: *slowReq, Metrics: reg.Obs()}),
+		Handler: obs.AccessLog(service.NewHandler(reg), logger,
+			obs.AccessLogOptions{Slow: *slowReq, Metrics: reg.Obs()}),
 		BaseContext: func(net.Listener) context.Context { return ctx },
 	}
 	serveErr := make(chan error, 1)
@@ -349,15 +353,15 @@ func runPromote(base string) error {
 	return nil
 }
 
-func createBuiltin(reg *wfreach.Registry, name, builtin string) error {
-	spec, ok := wfreach.BuiltinSpec(builtin)
+func createBuiltin(reg *service.Registry, name, builtin string) error {
+	s, ok := service.Builtin(builtin)
 	if !ok {
-		return fmt.Errorf("unknown builtin %q (have %s)", builtin, strings.Join(wfreach.BuiltinSpecNames(), ", "))
+		return fmt.Errorf("unknown builtin %q (have %s)", builtin, strings.Join(service.BuiltinNames(), ", "))
 	}
-	g, err := wfreach.Compile(spec)
+	g, err := spec.Compile(s)
 	if err != nil {
 		return err
 	}
-	_, err = reg.Create(name, g, wfreach.SessionConfig{})
+	_, err = reg.Create(name, g, service.Config{})
 	return err
 }

@@ -17,6 +17,7 @@ import (
 
 	"wfreach"
 	"wfreach/client"
+	"wfreach/internal/gen"
 )
 
 func buildOnce(t *testing.T) string {
@@ -93,13 +94,13 @@ func TestWfserveEndToEnd(t *testing.T) {
 
 	// Stream a generated execution and query it.
 	g := wfreach.MustCompile(wfreach.RunningExample())
-	events, r, err := wfreach.GenerateEvents(g, wfreach.GenOptions{TargetSize: 150, Seed: 9})
+	events, r, err := gen.GenerateEvents(g, gen.Options{TargetSize: 150, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wire := make([]wfreach.WireEvent, len(events))
+	wire := make([]client.Event, len(events))
 	for i, ev := range events {
-		wire[i] = wfreach.ToWire(ev)
+		wire[i] = client.FromRun(ev)
 	}
 	body, _ = json.Marshal(map[string]any{"events": wire})
 	resp, err = http.Post(base+"/v1/sessions/e2e/events", "application/json", bytes.NewReader(body))
@@ -143,7 +144,7 @@ func TestWfservePrecreatedSession(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("stats: %d", resp.StatusCode)
 	}
-	var st wfreach.SessionStats
+	var st client.SessionStats
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +187,7 @@ func TestWfserveCrashRecovery(t *testing.T) {
 	}
 
 	g := wfreach.MustCompile(wfreach.RunningExample())
-	events, r, err := wfreach.GenerateEvents(g, wfreach.GenOptions{TargetSize: 600, Seed: 4})
+	events, r, err := gen.GenerateEvents(g, gen.Options{TargetSize: 600, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,9 +204,9 @@ func TestWfserveCrashRecovery(t *testing.T) {
 			if hi > len(events) {
 				hi = len(events)
 			}
-			wire := make([]wfreach.WireEvent, 0, hi-lo)
+			wire := make([]client.Event, 0, hi-lo)
 			for _, ev := range events[lo:hi] {
-				wire = append(wire, wfreach.ToWire(ev))
+				wire = append(wire, client.FromRun(ev))
 			}
 			b, _ := json.Marshal(map[string]any{"events": wire})
 			resp, err := http.Post(base+"/v1/sessions/crash/events", "application/json", bytes.NewReader(b))
@@ -236,7 +237,7 @@ func TestWfserveCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var st wfreach.SessionStats
+	var st client.SessionStats
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
@@ -281,13 +282,13 @@ func TestWfserveGracefulShutdown(t *testing.T) {
 	}
 
 	g := wfreach.MustCompile(wfreach.RunningExample())
-	events, r, err := wfreach.GenerateEvents(g, wfreach.GenOptions{TargetSize: 300, Seed: 6})
+	events, r, err := gen.GenerateEvents(g, gen.Options{TargetSize: 300, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wire := make([]wfreach.WireEvent, len(events))
+	wire := make([]client.Event, len(events))
 	for i, ev := range events {
-		wire[i] = wfreach.ToWire(ev)
+		wire[i] = client.FromRun(ev)
 	}
 	b, _ := json.Marshal(map[string]any{"events": wire})
 	resp, err = http.Post(base+"/v1/sessions/calm/events", "application/json", bytes.NewReader(b))
@@ -319,7 +320,7 @@ func TestWfserveGracefulShutdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var st wfreach.SessionStats
+	var st client.SessionStats
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
@@ -354,13 +355,13 @@ func TestWfserveFollowerPromote(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := wfreach.MustCompile(wfreach.RunningExample())
-	events, r, err := wfreach.GenerateEvents(g, wfreach.GenOptions{TargetSize: 400, Seed: 12})
+	events, r, err := gen.GenerateEvents(g, gen.Options{TargetSize: 400, Seed: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
 	wire := make([]client.Event, len(events))
 	for i, ev := range events {
-		wire[i] = wfreach.ToWire(ev)
+		wire[i] = client.FromRun(ev)
 	}
 	half := len(wire) / 2
 	if _, err := pc.IngestFrames(ctx, "fo", wire[:half]); err != nil {

@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"wfreach"
+	"wfreach/internal/gen"
+	"wfreach/internal/service"
 )
 
 // dataDir ingests a run into a durable registry and shuts it down, so
@@ -16,7 +18,7 @@ import (
 func dataDir(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
-	reg, err := wfreach.NewDurableRegistry(wfreach.DurableOptions{Dir: dir})
+	reg, err := service.NewDurableRegistry(service.DurableOptions{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,11 +26,11 @@ func dataDir(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	events, _, err := wfreach.GenerateEvents(g, wfreach.GenOptions{TargetSize: 300, Seed: 5})
+	events, _, err := gen.GenerateEvents(g, gen.Options{TargetSize: 300, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := reg.Create("prod", g, wfreach.SessionConfig{})
+	s, err := reg.Create("prod", g, service.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,44 +6,6 @@ import (
 	"wfreach"
 )
 
-// ExampleBuildSKL compares the static baseline against the dynamic
-// scheme on the same completed run: both must answer identically; only
-// DRL could have answered before the run finished.
-func ExampleBuildSKL() {
-	g := wfreach.MustCompile(wfreach.BioAIDNonRecursive())
-	r := wfreach.MustGenerate(g, wfreach.GenOptions{TargetSize: 300, Seed: 1})
-	s, err := wfreach.BuildSKL(r, wfreach.TCL)
-	if err != nil {
-		panic(err)
-	}
-	d, err := wfreach.LabelRun(r, wfreach.TCL, wfreach.RModeDesignated)
-	if err != nil {
-		panic(err)
-	}
-	src, snk := r.Graph.Sources()[0], r.Graph.Sinks()[0]
-	fmt.Println("SKL:", s.Reach(src, snk), "DRL:", d.Reach(src, snk))
-	fmt.Println("global spec vertices:", s.GlobalSize())
-	// Output:
-	// SKL: true DRL: true
-	// global spec vertices: 106
-}
-
-// ExampleNewTCLDynamic labels an arbitrary DAG execution with the
-// Section 3.2 scheme: simple, general, and n-1 bits per label.
-func ExampleNewTCLDynamic() {
-	l := wfreach.NewTCLDynamic()
-	// A diamond: 0 → {1, 2} → 3.
-	l.Insert(0, nil)
-	l.Insert(1, []wfreach.VertexID{0})
-	l.Insert(2, []wfreach.VertexID{0})
-	l.Insert(3, []wfreach.VertexID{1, 2})
-	r03, _ := l.Reach(0, 3)
-	r12, _ := l.Reach(1, 2)
-	fmt.Println(r03, r12, l.MaxBits())
-	// Output:
-	// true false 3
-}
-
 // ExampleGrammar_Productions renders the workflow grammar of the
 // running example (compare the paper's Figure 4).
 func ExampleGrammar_Productions() {

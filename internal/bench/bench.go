@@ -2,8 +2,10 @@
 // evaluation (Section 7): every figure and table has a generator that
 // builds the paper's workload, measures the same quantities, and
 // renders a table with the measured series next to the paper's
-// reference expectations. cmd/wfbench drives the full suite;
-// bench_test.go exposes each experiment as a Go benchmark.
+// reference expectations. cmd/wfbench drives the full suite. The
+// schemes the paper measures DRL against live here, unexported: the
+// static SKL baseline (skl.go), the Θ(n) general-DAG scheme (tcldyn.go)
+// and Example 15's path-position labeler (pathlabel.go).
 package bench
 
 import (
@@ -20,9 +22,7 @@ import (
 	"wfreach/internal/label"
 	"wfreach/internal/run"
 	"wfreach/internal/skeleton"
-	"wfreach/internal/skl"
 	"wfreach/internal/spec"
-	"wfreach/internal/tcldyn"
 	"wfreach/internal/wfspecs"
 )
 
@@ -261,15 +261,15 @@ func drlQueryTimer(d *core.DerivationLabeler, pairs [][2]graph.VertexID) time.Du
 }
 
 // sklQueryTimer measures SKL's π on prefetched labels.
-func sklQueryTimer(s *skl.Scheme, pairs [][2]graph.VertexID) time.Duration {
-	ls := make([][2]*skl.Label, len(pairs))
+func sklQueryTimer(s *sklScheme, pairs [][2]graph.VertexID) time.Duration {
+	ls := make([][2]*sklLabel, len(pairs))
 	for i, p := range pairs {
-		ls[i] = [2]*skl.Label{s.MustLabel(p[0]), s.MustLabel(p[1])}
+		ls[i] = [2]*sklLabel{s.mustLabel(p[0]), s.mustLabel(p[1])}
 	}
 	sink := false
 	start := time.Now()
 	for i := range ls {
-		sink = sink != s.Pi(ls[i][0], ls[i][1])
+		sink = sink != s.pi(ls[i][0], ls[i][1])
 	}
 	elapsed := time.Since(start)
 	_ = sink
@@ -466,12 +466,12 @@ func Fig20(cfg Config) *Table {
 			if mb, _ := labelStats(d, r, cod); mb > maxDRL {
 				maxDRL = mb
 			}
-			sk, err := skl.Build(r, skeleton.TCL)
+			sk, err := buildSKL(r, skeleton.TCL)
 			if err != nil {
 				panic(err)
 			}
 			for _, v := range r.Graph.LiveVertices() {
-				if b := sk.BitLen(sk.MustLabel(v)); b > maxSKL {
+				if b := sk.bitLen(sk.mustLabel(v)); b > maxSKL {
 					maxSKL = b
 				}
 			}
@@ -514,7 +514,7 @@ func Fig21(cfg Config) *Table {
 			}
 			eTot += time.Since(start)
 			start = time.Now()
-			if _, err := skl.Build(r, skeleton.TCL); err != nil {
+			if _, err := buildSKL(r, skeleton.TCL); err != nil {
 				panic(err)
 			}
 			sTot += time.Since(start)
@@ -550,11 +550,11 @@ func Fig22(cfg Config) *Table {
 		if err != nil {
 			panic(err)
 		}
-		sTCL, err := skl.Build(r, skeleton.TCL)
+		sTCL, err := buildSKL(r, skeleton.TCL)
 		if err != nil {
 			panic(err)
 		}
-		sBFS, err := skl.Build(r, skeleton.BFS)
+		sBFS, err := buildSKL(r, skeleton.BFS)
 		if err != nil {
 			panic(err)
 		}
@@ -656,13 +656,13 @@ func Fig01(cfg Config) *Table {
 	for _, n := range sizes {
 		// SKL on a static non-recursive run.
 		rs := gen.MustGenerate(sklG, gen.Options{TargetSize: n, Seed: int64(n)})
-		sk, err := skl.Build(rs, skeleton.TCL)
+		sk, err := buildSKL(rs, skeleton.TCL)
 		if err != nil {
 			panic(err)
 		}
 		maxSKL := 0
 		for _, v := range rs.Graph.LiveVertices() {
-			if b := sk.BitLen(sk.MustLabel(v)); b > maxSKL {
+			if b := sk.bitLen(sk.mustLabel(v)); b > maxSKL {
 				maxSKL = b
 			}
 		}
@@ -691,8 +691,7 @@ func Fig01(cfg Config) *Table {
 		})
 	}
 	// The TCL column is exact by construction; demonstrate it once.
-	l := tcldyn.New()
-	_, _ = l.Insert(0, nil)
+	_, _ = newTCLLabeler().insert(0, nil)
 	return t
 }
 

@@ -1,26 +1,4 @@
-// Package skl implements SKL, the state-of-the-art *static* baseline
-// the paper compares against in Section 7.4: the skeleton-based
-// labeling scheme of Bao, Davidson, Khanna and Roy (SIGMOD 2010,
-// reference [6]). As Section 7.4 describes it, SKL
-//
-//   - is static: it takes the entire completed run as input;
-//   - supports only non-recursive workflows (loops and forks);
-//   - entails skeleton labels over a *global* specification graph in
-//     which all composite modules are recursively replaced with their
-//     sub-workflows;
-//   - assigns each run vertex a label of three indexes plus one
-//     skeleton pointer — 3·log n + O(1) bits — and answers queries in
-//     constant time.
-//
-// The original construction is reproduced in behavior rather than
-// verbatim (see DESIGN.md): the three indexes are the DFS interval
-// [begin, end] of the vertex's parse-tree context (the interval-based
-// tree labeling of [22] that Section 7.4 attributes to SKL) plus the
-// packed level-indexed path used to type the least common ancestor and
-// to order loop copies; the skeleton pointer addresses the global
-// inlined specification. Correctness is asserted against ground truth
-// in the package tests.
-package skl
+package bench
 
 import (
 	"fmt"
@@ -32,42 +10,64 @@ import (
 	"wfreach/internal/spec"
 )
 
-// Label is an SKL reachability label: three indexes — the vertex's
-// DFS interval [Begin, End] over the run's parse tree with one leaf
+// SKL, the state-of-the-art *static* baseline the paper compares
+// against in Section 7.4: the skeleton-based labeling scheme of Bao,
+// Davidson, Khanna and Roy (SIGMOD 2010, reference [6]). As Section 7.4
+// describes it, SKL
+//
+//   - is static: it takes the entire completed run as input;
+//   - supports only non-recursive workflows (loops and forks);
+//   - entails skeleton labels over a *global* specification graph in
+//     which all composite modules are recursively replaced with their
+//     sub-workflows;
+//   - assigns each run vertex a label of three indexes plus one
+//     skeleton pointer — 3·log n + O(1) bits — and answers queries in
+//     constant time.
+//
+// The original construction is reproduced in behavior rather than
+// verbatim: the three indexes are the DFS interval [begin, end] of the
+// vertex's parse-tree context (the interval-based tree labeling of [22]
+// that Section 7.4 attributes to SKL) plus the packed level-indexed
+// path used to type the least common ancestor and to order loop copies;
+// the skeleton pointer addresses the global inlined specification.
+// Correctness is asserted against ground truth in skl_test.go. Fig01,
+// Fig20, Fig21 and Fig22 set it against DRL.
+
+// sklLabel is an SKL reachability label: three indexes — the vertex's
+// DFS interval [begin, end] over the run's parse tree with one leaf
 // per run vertex (the interval-based scheme of [22] applied to an
 // O(n)-node tree, hence two indexes of ⌈log 2n⌉ bits each) and the
-// packed level-indexed Path of its context — plus the skeleton pointer
-// Global into the global specification graph. Path and Types are
+// packed level-indexed path of its context — plus the skeleton pointer
+// global into the global specification graph. path and types are
 // materialized as slices for convenience; their measured size is the
 // packed bit count (constant depth × per-level width), see
-// Scheme.BitLen.
-type Label struct {
-	Begin, End int32
-	Path       []int32          // child indexes from below the root to the context
-	Types      []label.NodeType // node types from the root (Types[0]) down to the context
-	Global     graph.VertexID   // vertex in the global specification graph
+// sklScheme.bitLen.
+type sklLabel struct {
+	begin, end int32
+	path       []int32          // child indexes from below the root to the context
+	types      []label.NodeType // node types from the root (types[0]) down to the context
+	global     graph.VertexID   // vertex in the global specification graph
 }
 
-// Scheme holds the per-run SKL index: the interval layout, the
+// sklScheme holds the per-run SKL index: the interval layout, the
 // per-level path widths, and the global skeleton.
-type Scheme struct {
-	g      *spec.Grammar
+type sklScheme struct {
 	inline *spec.Inline
 	global skeleton.GraphScheme
-	labels map[graph.VertexID]*Label
+	labels map[graph.VertexID]*sklLabel
 
 	intervalBits int
 	ptrBits      int
 	widths       []int // per tree depth: bits for a path component
 }
 
-// node is SKL's private parse-tree node (no R nodes can occur: the
+// sklNode is SKL's private parse-tree node (no R nodes can occur: the
 // grammar is non-recursive).
-type node struct {
+type sklNode struct {
 	kind     label.NodeType
 	index    int32
-	parent   *node
-	children []*node
+	parent   *sklNode
+	children []*sklNode
 	region   *spec.InlineRegion // instances only
 	gid      spec.GraphID
 	begin    int32
@@ -79,10 +79,10 @@ type node struct {
 	leafB, leafE []int32
 }
 
-// Build constructs SKL labels for a completed run. It fails on
+// buildSKL constructs SKL labels for a completed run. It fails on
 // recursive grammars (SKL's limitation (2)) and on incomplete runs
 // (limitation (1): it is a static scheme).
-func Build(r *run.Run, kind skeleton.Kind) (*Scheme, error) {
+func buildSKL(r *run.Run, kind skeleton.Kind) (*sklScheme, error) {
 	if !r.Complete() {
 		return nil, fmt.Errorf("skl: static scheme requires a completed run")
 	}
@@ -90,32 +90,29 @@ func Build(r *run.Run, kind skeleton.Kind) (*Scheme, error) {
 	if err != nil {
 		return nil, fmt.Errorf("skl: %w", err)
 	}
-	s := &Scheme{
-		g:      r.Grammar,
+	s := &sklScheme{
 		inline: in,
 		global: skeleton.NewGraphScheme(kind, in.Graph),
-		labels: make(map[graph.VertexID]*Label),
+		labels: make(map[graph.VertexID]*sklLabel),
 	}
 	s.ptrBits = bitsFor(in.Graph.NumVertices())
 
 	// Rebuild the parse tree from the recorded derivation.
 	sp := r.Grammar.Spec()
 	g0 := sp.Graph(spec.StartGraph)
-	root := &node{kind: label.N, region: in.Root, gid: spec.StartGraph, depth: 0}
+	root := &sklNode{kind: label.N, region: in.Root, gid: spec.StartGraph, depth: 0}
 	type member struct {
-		n  *node
+		n  *sklNode
 		sv graph.VertexID
 	}
 	ctx := make(map[graph.VertexID]member) // run vertex (incl. composites) -> context
 	for v := 0; v < g0.G.NumVertices(); v++ {
 		ctx[r.StartIDs[v]] = member{root, graph.VertexID(v)}
 	}
-	nodes := []*node{root}
-	addChild := func(p *node, kind label.NodeType, index int32) *node {
-		c := &node{kind: kind, index: index, parent: p, depth: p.depth + 1}
+	addChild := func(p *sklNode, kind label.NodeType, index int32) *sklNode {
+		c := &sklNode{kind: kind, index: index, parent: p, depth: p.depth + 1}
 		c.path = append(append([]int32(nil), p.path...), index)
 		p.children = append(p.children, c)
-		nodes = append(nodes, c)
 		return c
 	}
 	altOf := func(name string, impl spec.GraphID) int {
@@ -166,8 +163,8 @@ func Build(r *run.Run, kind skeleton.Kind) (*Scheme, error) {
 	// vertices of each instance), plus per-level width collection.
 	var ctr int32
 	maxAt := make(map[int]int32)
-	var dfs func(n *node)
-	dfs = func(n *node) {
+	var dfs func(n *sklNode)
+	dfs = func(n *sklNode) {
 		n.begin = ctr
 		ctr++
 		if n.depth > 0 && n.index > maxAt[n.depth-1] {
@@ -226,23 +223,18 @@ func Build(r *run.Run, kind skeleton.Kind) (*Scheme, error) {
 		if global == graph.None {
 			return nil, fmt.Errorf("skl: vertex %d maps to a composite global slot", v)
 		}
-		s.labels[v] = &Label{
-			Begin: x.leafB[m.sv], End: x.leafE[m.sv],
-			Path: x.path, Types: types,
-			Global: global,
+		s.labels[v] = &sklLabel{
+			begin: x.leafB[m.sv], end: x.leafE[m.sv],
+			path: x.path, types: types,
+			global: global,
 		}
 	}
 	return s, nil
 }
 
-// Label returns the SKL label of a run vertex.
-func (s *Scheme) Label(v graph.VertexID) (*Label, bool) {
-	l, ok := s.labels[v]
-	return l, ok
-}
-
-// MustLabel panics when v has no label.
-func (s *Scheme) MustLabel(v graph.VertexID) *Label {
+// mustLabel returns the SKL label of a run vertex, panicking when v has
+// none.
+func (s *sklScheme) mustLabel(v graph.VertexID) *sklLabel {
 	l, ok := s.labels[v]
 	if !ok {
 		panic(fmt.Sprintf("skl: vertex %d has no label", v))
@@ -250,59 +242,56 @@ func (s *Scheme) MustLabel(v graph.VertexID) *Label {
 	return l
 }
 
-// Pi decides reachability from two labels plus the global skeleton.
+// pi decides reachability from two labels plus the global skeleton.
 // The context paths give the least common ancestor: same or nested
 // contexts defer to the global specification; contexts diverging at a
 // loop node compare DFS order (earlier copies precede later ones in
 // the interval layout); fork copies never reach each other; contexts
 // diverging at an instance are different slots, decided by the global
 // skeleton.
-func (s *Scheme) Pi(a, b *Label) bool {
+func (s *sklScheme) pi(a, b *sklLabel) bool {
 	k := 0
-	for k < len(a.Path) && k < len(b.Path) && a.Path[k] == b.Path[k] {
+	for k < len(a.path) && k < len(b.path) && a.path[k] == b.path[k] {
 		k++
 	}
-	if k == len(a.Path) || k == len(b.Path) {
+	if k == len(a.path) || k == len(b.path) {
 		// Same context, or one context is an ancestor of the other.
-		return s.global.Reaches(a.Global, b.Global)
+		return s.global.Reaches(a.global, b.global)
 	}
-	switch a.Types[k] {
+	switch a.types[k] {
 	case label.L:
-		return a.Begin < b.Begin
+		return a.begin < b.begin
 	case label.F:
 		return false
 	default:
-		return s.global.Reaches(a.Global, b.Global)
+		return s.global.Reaches(a.global, b.global)
 	}
 }
 
-// Reach answers reachability between two run vertices.
-func (s *Scheme) Reach(v, w graph.VertexID) bool {
-	return s.Pi(s.MustLabel(v), s.MustLabel(w))
+// reach answers reachability between two run vertices.
+func (s *sklScheme) reach(v, w graph.VertexID) bool {
+	return s.pi(s.mustLabel(v), s.mustLabel(w))
 }
 
-// BitLen measures a label: two interval indexes, the packed path, the
+// bitLen measures a label: two interval indexes, the packed path, the
 // 2-bit-per-level type mask, and the skeleton pointer — the
 // 3·log n_t + O(log n_G) accounting of Section 7.4.
-func (s *Scheme) BitLen(l *Label) int {
-	bits := 2*s.intervalBits + s.ptrBits + 2*len(l.Types)
-	for d := range l.Path {
+func (s *sklScheme) bitLen(l *sklLabel) int {
+	bits := 2*s.intervalBits + s.ptrBits + 2*len(l.types)
+	for d := range l.path {
 		bits += s.widths[d]
 	}
 	return bits
 }
 
-// SkeletonBits returns the global skeleton's storage (Table 2's
+// skeletonBits returns the global skeleton's storage (Table 2's
 // preprocessing space: 5565 bits for the BioAID global specification
 // under TCL).
-func (s *Scheme) SkeletonBits() int { return s.global.Bits() }
+func (s *sklScheme) skeletonBits() int { return s.global.Bits() }
 
-// GlobalSize returns the number of vertices of the global
+// globalSize returns the number of vertices of the global
 // specification graph (106 for BioAID).
-func (s *Scheme) GlobalSize() int { return s.inline.Graph.NumVertices() }
-
-// LabelCount returns the number of labeled run vertices.
-func (s *Scheme) LabelCount() int { return len(s.labels) }
+func (s *sklScheme) globalSize() int { return s.inline.Graph.NumVertices() }
 
 func bitsFor(n int) int {
 	b := 1

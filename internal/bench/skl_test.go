@@ -1,4 +1,4 @@
-package skl_test
+package bench
 
 import (
 	"math"
@@ -9,21 +9,20 @@ import (
 	"wfreach/internal/gen"
 	"wfreach/internal/run"
 	"wfreach/internal/skeleton"
-	"wfreach/internal/skl"
 	"wfreach/internal/spec"
 	"wfreach/internal/wfspecs"
 )
 
-func nonRecursive(t *testing.T) *spec.Grammar {
+func nonRecursive(t testing.TB) *spec.Grammar {
 	t.Helper()
 	return spec.MustCompile(wfspecs.BioAIDNonRecursive())
 }
 
-func TestAllPairsAgainstGroundTruth(t *testing.T) {
+func TestSKLAllPairsAgainstGroundTruth(t *testing.T) {
 	g := nonRecursive(t)
 	for seed := int64(0); seed < 5; seed++ {
 		r := gen.MustGenerate(g, gen.Options{TargetSize: 150, Seed: seed})
-		s, err := skl.Build(r, skeleton.TCL)
+		s, err := buildSKL(r, skeleton.TCL)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -31,7 +30,7 @@ func TestAllPairsAgainstGroundTruth(t *testing.T) {
 		for _, v := range live {
 			for _, w := range live {
 				want := r.Graph.Reaches(v, w)
-				if got := s.Reach(v, w); got != want {
+				if got := s.reach(v, w); got != want {
 					t.Fatalf("seed %d: SKL(%d→%d)=%v, want %v (%s→%s)",
 						seed, v, w, got, want, r.NameOf(v), r.NameOf(w))
 				}
@@ -40,10 +39,10 @@ func TestAllPairsAgainstGroundTruth(t *testing.T) {
 	}
 }
 
-func TestWithBFSGlobalSkeleton(t *testing.T) {
+func TestSKLWithBFSGlobalSkeleton(t *testing.T) {
 	g := nonRecursive(t)
 	r := gen.MustGenerate(g, gen.Options{TargetSize: 120, Seed: 9})
-	s, err := skl.Build(r, skeleton.BFS)
+	s, err := buildSKL(r, skeleton.BFS)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,16 +51,16 @@ func TestWithBFSGlobalSkeleton(t *testing.T) {
 	for k := 0; k < 3000; k++ {
 		v := live[rng.Intn(len(live))]
 		w := live[rng.Intn(len(live))]
-		if got, want := s.Reach(v, w), r.Graph.Reaches(v, w); got != want {
+		if got, want := s.reach(v, w), r.Graph.Reaches(v, w); got != want {
 			t.Fatalf("SKL(BFS)(%d→%d)=%v, want %v", v, w, got, want)
 		}
 	}
-	if s.SkeletonBits() != 0 {
+	if s.skeletonBits() != 0 {
 		t.Fatal("BFS skeleton stores nothing")
 	}
 }
 
-func TestLoopForkHeavySpec(t *testing.T) {
+func TestSKLLoopForkHeavySpec(t *testing.T) {
 	// A dedicated spec exercising nested loop-inside-fork and
 	// fork-inside-loop, the cases where a naive global-skeleton-only
 	// scheme breaks (copy order vs copy isolation).
@@ -77,14 +76,14 @@ func TestLoopForkHeavySpec(t *testing.T) {
 	g := spec.MustCompile(s)
 	for seed := int64(0); seed < 6; seed++ {
 		r := gen.MustGenerate(g, gen.Options{TargetSize: 120, Seed: seed})
-		sc, err := skl.Build(r, skeleton.TCL)
+		sc, err := buildSKL(r, skeleton.TCL)
 		if err != nil {
 			t.Fatal(err)
 		}
 		live := r.Graph.LiveVertices()
 		for _, v := range live {
 			for _, w := range live {
-				if got, want := sc.Reach(v, w), r.Graph.Reaches(v, w); got != want {
+				if got, want := sc.reach(v, w), r.Graph.Reaches(v, w); got != want {
 					t.Fatalf("seed %d: (%d→%d)=%v, want %v", seed, v, w, got, want)
 				}
 			}
@@ -92,33 +91,33 @@ func TestLoopForkHeavySpec(t *testing.T) {
 	}
 }
 
-func TestTable2GlobalSkeleton(t *testing.T) {
+func TestSKLTable2GlobalSkeleton(t *testing.T) {
 	g := nonRecursive(t)
 	r := gen.MustGenerate(g, gen.Options{TargetSize: 50, Seed: 0})
-	s, err := skl.Build(r, skeleton.TCL)
+	s, err := buildSKL(r, skeleton.TCL)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Table 2: the global specification graph has 106 vertices and its
 	// triangular TCL skeleton takes exactly 5565 bits.
-	if s.GlobalSize() != 106 {
-		t.Fatalf("global size = %d, want 106", s.GlobalSize())
+	if s.globalSize() != 106 {
+		t.Fatalf("global size = %d, want 106", s.globalSize())
 	}
-	if s.SkeletonBits() != 5565 {
-		t.Fatalf("skeleton bits = %d, want 5565", s.SkeletonBits())
+	if s.skeletonBits() != 5565 {
+		t.Fatalf("skeleton bits = %d, want 5565", s.skeletonBits())
 	}
 }
 
-func TestLabelLengthIsThreeLogN(t *testing.T) {
+func TestSKLLabelLengthIsThreeLogN(t *testing.T) {
 	g := nonRecursive(t)
 	r := gen.MustGenerate(g, gen.Options{TargetSize: 4000, Seed: 3})
-	s, err := skl.Build(r, skeleton.TCL)
+	s, err := buildSKL(r, skeleton.TCL)
 	if err != nil {
 		t.Fatal(err)
 	}
 	maxBits := 0
 	for _, v := range r.Graph.LiveVertices() {
-		if b := s.BitLen(s.MustLabel(v)); b > maxBits {
+		if b := s.bitLen(s.mustLabel(v)); b > maxBits {
 			maxBits = b
 		}
 	}
@@ -133,41 +132,41 @@ func TestLabelLengthIsThreeLogN(t *testing.T) {
 	}
 }
 
-func TestRejectsRecursiveGrammar(t *testing.T) {
+func TestSKLRejectsRecursiveGrammar(t *testing.T) {
 	g := spec.MustCompile(wfspecs.RunningExample())
 	r := gen.MustGenerate(g, gen.Options{TargetSize: 50, Seed: 0})
-	if _, err := skl.Build(r, skeleton.TCL); err == nil {
+	if _, err := buildSKL(r, skeleton.TCL); err == nil {
 		t.Fatal("SKL must reject recursive workflows (limitation 2)")
 	}
 }
 
-func TestRejectsIncompleteRun(t *testing.T) {
+func TestSKLRejectsIncompleteRun(t *testing.T) {
 	g := nonRecursive(t)
 	r := run.New(g)
-	if _, err := skl.Build(r, skeleton.TCL); err == nil {
+	if _, err := buildSKL(r, skeleton.TCL); err == nil {
 		t.Fatal("SKL must reject incomplete runs (limitation 1: static)")
 	}
 }
 
-func TestLabelAccessors(t *testing.T) {
+func TestSKLLabelAccessors(t *testing.T) {
 	g := nonRecursive(t)
 	r := gen.MustGenerate(g, gen.Options{TargetSize: 60, Seed: 2})
-	s, err := skl.Build(r, skeleton.TCL)
+	s, err := buildSKL(r, skeleton.TCL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.LabelCount() != r.Size() {
-		t.Fatalf("LabelCount = %d, want %d", s.LabelCount(), r.Size())
+	if len(s.labels) != r.Size() {
+		t.Fatalf("%d labels, want %d", len(s.labels), r.Size())
 	}
-	if _, ok := s.Label(99999); ok {
+	if _, ok := s.labels[99999]; ok {
 		t.Fatal("label for unknown vertex")
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("MustLabel must panic for unknown vertex")
+			t.Fatal("mustLabel must panic for unknown vertex")
 		}
 	}()
-	s.MustLabel(99999)
+	s.mustLabel(99999)
 }
 
 // TestSKLAgreesWithDRL differentially tests the two schemes: on the
@@ -177,7 +176,7 @@ func TestSKLAgreesWithDRL(t *testing.T) {
 	g := nonRecursive(t)
 	for seed := int64(0); seed < 4; seed++ {
 		r := gen.MustGenerate(g, gen.Options{TargetSize: 200, Seed: seed})
-		s, err := skl.Build(r, skeleton.TCL)
+		s, err := buildSKL(r, skeleton.TCL)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,10 +187,46 @@ func TestSKLAgreesWithDRL(t *testing.T) {
 		live := r.Graph.LiveVertices()
 		for _, v := range live {
 			for _, w := range live {
-				if s.Reach(v, w) != d.Reach(v, w) {
+				if s.reach(v, w) != d.Reach(v, w) {
 					t.Fatalf("seed %d: SKL and DRL disagree on (%d,%d)", seed, v, w)
 				}
 			}
 		}
 	}
+}
+
+func BenchmarkSKLBuild(b *testing.B) {
+	r := gen.MustGenerate(nonRecursive(b), gen.Options{TargetSize: 8192, Seed: 1})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := buildSKL(r, skeleton.TCL); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(r.Size()), "ns/vertex")
+}
+
+func BenchmarkSKLPi(b *testing.B) {
+	r := gen.MustGenerate(nonRecursive(b), gen.Options{TargetSize: 8192, Seed: 1})
+	s, err := buildSKL(r, skeleton.TCL)
+	if err != nil {
+		b.Fatal(err)
+	}
+	live := r.Graph.LiveVertices()
+	rng := rand.New(rand.NewSource(2))
+	type pair struct{ a, b *sklLabel }
+	pairs := make([]pair, 1024)
+	for i := range pairs {
+		pairs[i] = pair{
+			s.mustLabel(live[rng.Intn(len(live))]),
+			s.mustLabel(live[rng.Intn(len(live))]),
+		}
+	}
+	b.ResetTimer()
+	sink := false
+	for i := 0; i < b.N; i++ {
+		p := pairs[i%len(pairs)]
+		sink = sink != s.pi(p.a, p.b)
+	}
+	_ = sink
 }

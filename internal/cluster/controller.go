@@ -503,13 +503,14 @@ func (c *Controller) copyFrom(ctx context.Context, src *peerState, session strin
 // sealed: the drained frames are byte-identical to the source's WAL
 // records, so a clean move reproduces the sealed chain head exactly,
 // and a mismatch means the source's log — or the stream — was
-// rewritten; the move fails before the override flips routing here.
-// The last batch's commit may still be in flight on the source (the
-// tailer only ships durable records), so an empty round while still
-// behind just retries. A source with no chain (a memory-only session)
-// sealed no head, and a copy whose local prefix this process cannot
-// re-hash (a memory copy from an earlier attempt) has none to compare;
-// both are logged and skipped.
+// rewritten; the move fails and the forged copy is deleted. Any other
+// error (transport, a cancelled context) keeps the honest prefix so
+// the drain can resume. The last batch's commit may still be in flight
+// on the source (the tailer only ships durable records), so an empty
+// round while still behind just retries. A source with no chain (a
+// memory-only session) sealed no head, and a copy whose local prefix
+// this process cannot re-hash (a memory copy from an earlier attempt)
+// has none to compare; both are logged and skipped.
 func (c *Controller) drain(ctx context.Context, cp *replica.Copy, finalSeq int64, sealedHead string) error {
 	s := cp.Session()
 	for s.Vertices() < finalSeq {
@@ -531,6 +532,11 @@ func (c *Controller) drain(ctx context.Context, cp *replica.Copy, finalSeq int64
 		c.logf("cluster: move of %q: no chain to compare at seq %d; chain verification skipped", s.Name(), finalSeq)
 		return nil
 	case seq != finalSeq || head.String() != sealedHead:
+		// The copy holds a forged history: drop it, so that the override
+		// reaching this node by gossip finds nothing to serve. Delete does
+		// not run the cluster's Forget hook, so the override stays and a
+		// retried move drains afresh; the owner keeps its sealed copy.
+		c.reg.Delete(s.Name())
 		return api.Errorf(api.CodeUnknown,
 			"integrity: move of %q: chain head %s at seq %d does not match the head %s the source sealed at seq %d — drained history was tampered with; refusing to serve it",
 			s.Name(), head, seq, sealedHead, finalSeq)

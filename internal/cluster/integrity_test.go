@@ -127,7 +127,11 @@ func findMoveTamper(t *testing.T, walPath string, g *spec.Grammar) []byte {
 // drain applies cleanly, the sealed head disagrees, and the move must
 // fail before the override flips routing to the forged copy — on a
 // durable target and on a memory-only one alike, since the target
-// checks the chain it folded while pulling, not its own log's.
+// checks the chain it folded while pulling, not its own log's. The
+// failed drain deletes its copy, so once the override arrives by gossip
+// the target serves nothing and refuses writes, and a re-POSTed move
+// fails the same check; with the owner's log restored, a retry drains
+// and verifies.
 func TestMoveRejectsTamperedDrain(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -147,13 +151,18 @@ func TestMoveRejectsTamperedDrain(t *testing.T) {
 			g := spec.MustCompile(wfspecs.RunningExample())
 
 			walPath := filepath.Join(owner.dir, sess, "events.wal")
+			pristine, err := os.ReadFile(walPath)
+			if err != nil {
+				t.Fatal(err)
+			}
 			tampered := findMoveTamper(t, walPath, g)
 			if err := os.WriteFile(walPath, tampered, 0o644); err != nil {
 				t.Fatal(err)
 			}
 
 			ctx := context.Background()
-			_, err := target.ctl.Move(ctx, api.MoveRequest{Session: sess, Target: "n1"})
+			req := api.MoveRequest{Session: sess, Target: "n1"}
+			_, err = target.ctl.Move(ctx, req)
 			if err == nil {
 				t.Fatal("move served a rewritten history without objecting")
 			}
@@ -164,6 +173,53 @@ func TestMoveRejectsTamperedDrain(t *testing.T) {
 			// session to its (sealed) source.
 			if got := target.ctl.State().Place(sess).Name; got != "n0" {
 				t.Fatalf("target flipped routing to %s despite a failed chain check", got)
+			}
+
+			// The owner sealed and installed the override before the check
+			// failed; gossip brings it here. The forged copy must be gone by
+			// then, so nothing serves it.
+			if _, err := target.ctl.State().Merge(owner.ctl.Map()); err != nil {
+				t.Fatal(err)
+			}
+			if got := target.ctl.State().Place(sess).Name; got != "n1" {
+				t.Fatalf("after gossip the map places %q on %s, want n1", sess, got)
+			}
+			if _, have := target.reg.Get(sess); have {
+				t.Fatal("the forged copy is still in the target's registry")
+			}
+			if err := target.ctl.Route(sess, true); err == nil {
+				t.Fatal("the target takes writes for a session whose drain failed its chain check")
+			}
+			if _, err := target.ctl.Move(ctx, req); err == nil || !strings.Contains(err.Error(), "tampered") {
+				t.Fatalf("re-POSTed move after gossip = %v, want the chain check's refusal", err)
+			}
+
+			// With the owner's log back to its sealed bytes, a retry drains
+			// and verifies: nothing acked was lost.
+			if err := os.WriteFile(walPath, pristine, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			resp, err := target.ctl.Move(ctx, req)
+			if err != nil {
+				t.Fatalf("retry after restoring the owner's log: %v", err)
+			}
+			if resp.Events != int64(len(events)) {
+				t.Fatalf("retry moved %d events, want %d", resp.Events, len(events))
+			}
+			moved, have := target.reg.Get(sess)
+			if !have {
+				t.Fatal("the retried move left no copy")
+			}
+			// A memory target has no log of its own; its drain compared
+			// the head it folded while pulling.
+			if tc.memory == nil {
+				_, srcHead, _ := s.ChainState()
+				if seq, head, ok := moved.ChainState(); !ok || seq != int64(len(events)) || head != srcHead {
+					t.Fatalf("target ChainState = (%d, %s, %v), want (%d, %s, true)", seq, head, ok, len(events), srcHead)
+				}
+			}
+			if err := target.ctl.Route(sess, true); err != nil {
+				t.Fatalf("the verified copy refuses writes: %v", err)
 			}
 		})
 	}

@@ -260,7 +260,7 @@ func (w Workload) builtinFor() string {
 func ingestVia(ctx context.Context, transport string, d driver, name string, events []run.Event) error {
 	wire := make([]client.Event, len(events))
 	for i, ev := range events {
-		wire[i] = service.ToWire(ev)
+		wire[i] = client.FromRun(ev)
 	}
 	var err error
 	if transport == "json" {

@@ -11,8 +11,13 @@
 // answered from the labels alone, in constant time, even over partial
 // executions. For linear recursive workflows (the common case in
 // practice) labels are O(log n) bits; the library also ships the
-// paper's lower-bound constructions, the Θ(n) general-DAG scheme, and
-// the static SKL baseline for comparison.
+// paper's lower-bound constructions. The baselines the paper measures
+// against — the Θ(n) general-DAG scheme and the static SKL scheme — are
+// experiment code, run by cmd/wfbench.
+//
+// This package is the labeling library only. The provenance service
+// built on it (cmd/wfserve) and its Go SDK (package wfreach/client) do
+// not link through it.
 //
 // # Quick start
 //
@@ -35,26 +40,16 @@ package wfreach
 
 import (
 	"fmt"
-	"io"
-	"net/http"
 	"os"
 	"strings"
 
-	"wfreach/internal/api"
-	"wfreach/internal/cluster"
 	"wfreach/internal/core"
 	"wfreach/internal/gen"
 	"wfreach/internal/graph"
 	"wfreach/internal/label"
-	"wfreach/internal/obs"
-	"wfreach/internal/replica"
 	"wfreach/internal/run"
-	"wfreach/internal/service"
 	"wfreach/internal/skeleton"
-	"wfreach/internal/skl"
 	"wfreach/internal/spec"
-	"wfreach/internal/store"
-	"wfreach/internal/tcldyn"
 	"wfreach/internal/wfspecs"
 	"wfreach/internal/wfxml"
 )
@@ -72,22 +67,12 @@ type (
 	// Grammar is a compiled specification: the workflow grammar of
 	// Definition 6 plus its recursion analysis.
 	Grammar = spec.Grammar
-	// GraphID identifies a specification graph (0 is the start graph).
-	GraphID = spec.GraphID
-	// VertexRef names one vertex of one specification graph.
-	VertexRef = spec.VertexRef
-	// Class is the recursion class of a grammar.
-	Class = spec.Class
-	// ModuleKind classifies module names (atomic, plain, loop, fork).
-	ModuleKind = spec.Kind
 )
 
 // Runs and executions.
 type (
 	// Run is a (possibly still deriving) workflow run.
 	Run = run.Run
-	// Step is one applied derivation step (vertex replacement).
-	Step = run.Step
 	// Event is one execution insertion (vertex, predecessors,
 	// specification mapping).
 	Event = run.Event
@@ -112,13 +97,6 @@ type (
 	SkeletonKind = skeleton.Kind
 	// RMode selects the recursion-compression mode (Section 6).
 	RMode = core.RMode
-	// SKL is the static baseline scheme of Section 7.4.
-	SKL = skl.Scheme
-	// SKLLabel is an SKL label (three indexes plus skeleton pointer).
-	SKLLabel = skl.Label
-	// TCLDynamic is the Θ(n) dynamic scheme for arbitrary DAGs
-	// (Section 3.2).
-	TCLDynamic = tcldyn.Labeler
 )
 
 // Skeleton scheme kinds (Section 7.1).
@@ -135,186 +113,13 @@ const (
 	// RModeDesignated compresses one recursive vertex per production
 	// into R-node chains (the full scheme; compact on linear grammars).
 	RModeDesignated = core.RModeDesignated
-	// RModeNone disables R nodes (the simplified adaptation).
-	RModeNone = core.RModeNone
 )
 
-// Grammar classes.
+// Module kinds of the composite modules a run replicates (Spec.Kind).
 const (
-	ClassNonRecursive      = spec.ClassNonRecursive
-	ClassLinear            = spec.ClassLinear
-	ClassNonlinearSeries   = spec.ClassNonlinearSeries
-	ClassNonlinearParallel = spec.ClassNonlinearParallel
+	ModuleLoop = spec.Loop
+	ModuleFork = spec.Fork
 )
-
-// Module kinds.
-const (
-	ModuleAtomic = spec.Atomic
-	ModulePlain  = spec.Plain
-	ModuleLoop   = spec.Loop
-	ModuleFork   = spec.Fork
-)
-
-// Label persistence and the concurrent provenance service.
-type (
-	// Store is a write-once map from run vertices to encoded labels,
-	// answering reachability from the stored bytes alone. It is
-	// internally synchronized: queries run lock-free against an
-	// append-only label slab.
-	Store = store.Store
-	// Registry is a concurrent registry of named labeling sessions.
-	Registry = service.Registry
-	// Session is one live labeling session: single-writer event ingest,
-	// concurrent label-based queries.
-	Session = service.Session
-	// SessionConfig selects a session's labeling scheme.
-	SessionConfig = service.Config
-	// SessionStats is a point-in-time snapshot of a session.
-	SessionStats = service.Stats
-	// WireEvent is the JSON form of one execution event on the service
-	// HTTP API.
-	WireEvent = service.WireEvent
-	// DurableOptions configures the persistence layer of a durable
-	// registry: the data directory, the snapshot cadence and the fsync
-	// policy.
-	DurableOptions = service.DurableOptions
-)
-
-// NewStore creates an empty label store for runs of the grammar.
-func NewStore(g *Grammar, kind SkeletonKind) *Store { return store.New(g, kind) }
-
-// NewRegistry returns an empty, memory-only session registry.
-func NewRegistry() *Registry { return service.NewRegistry() }
-
-// NewDurableRegistry returns a registry whose sessions persist to a
-// data directory through a write-ahead log and periodic label
-// snapshots, and can be rebuilt after a restart with Registry.Restore.
-// See ARCHITECTURE.md for the on-disk format.
-func NewDurableRegistry(opts DurableOptions) (*Registry, error) {
-	return service.NewDurableRegistry(opts)
-}
-
-// ErrDurability marks server-side persistence failures on a durable
-// session — a write-ahead log that cannot be written or flushed. A
-// session returning it refuses further ingest; queries keep working.
-var ErrDurability = service.ErrDurability
-
-// NewServiceHandler returns the JSON/HTTP handler serving the registry
-// (the cmd/wfserve API; see internal/service for the endpoints).
-func NewServiceHandler(r *Registry) http.Handler { return service.NewHandler(r) }
-
-// Observability (see internal/obs): the dependency-free metrics
-// registry behind GET /v1/metrics, and logfmt structured request
-// logging for the HTTP surface.
-type (
-	// MetricsRegistry is a node's metric family set; Registry.Obs()
-	// returns the one the service plane registers into.
-	MetricsRegistry = obs.Registry
-	// ObsLogger writes logfmt lines (ts, level, msg, key=value...).
-	ObsLogger = obs.Logger
-	// AccessLogOptions tunes the request-logging middleware.
-	AccessLogOptions = obs.AccessLogOptions
-)
-
-// NewObsLogger returns a logfmt logger writing to w (nil discards).
-func NewObsLogger(w io.Writer) *ObsLogger { return obs.NewLogger(w) }
-
-// AccessLog wraps an HTTP handler with structured request logging —
-// one logfmt line per request (id, method, route, status, bytes,
-// duration), a warn line for requests slower than opts.Slow, and
-// request counters/latency in opts.Metrics when set.
-func AccessLog(next http.Handler, l *ObsLogger, opts AccessLogOptions) http.Handler {
-	return obs.AccessLog(next, l, opts)
-}
-
-// Replication: a follower tails a primary wfserve's write-ahead logs
-// and serves the same query surface read-only (see internal/replica).
-type (
-	// Follower replicates a primary server into a local registry and
-	// can be promoted to writable on failover.
-	Follower = replica.Follower
-	// FollowerOptions tunes a follower's polling and reconnect
-	// backoff.
-	FollowerOptions = replica.Options
-	// ReplicationStatus is a server's replication role and per-session
-	// WAL progress (GET /v1/replication/status).
-	ReplicationStatus = api.ReplicationStatus
-	// SessionReplication is one session's replication progress.
-	SessionReplication = api.SessionReplication
-)
-
-// NewFollower marks the registry a read-only follower of the primary
-// at the given base URL and prepares to replicate it. Call Start on
-// the result to begin tailing, Promote to flip to writable on
-// failover, Close to stop without promoting. The registry should
-// usually be durable and freshly restored, so replication resumes
-// from the last applied event across restarts.
-func NewFollower(primary string, reg *Registry, opts FollowerOptions) *Follower {
-	return replica.New(primary, reg, opts)
-}
-
-// Clustering: partition sessions across several primary servers by
-// consistent hashing on the session name (see internal/cluster and
-// the "Cluster" section of ARCHITECTURE.md).
-type (
-	// ClusterMap is the versioned placement map every node and client
-	// of one cluster shares: the static node set plus per-session
-	// move overrides.
-	ClusterMap = api.ClusterMap
-	// ClusterNode is one node entry of a cluster map.
-	ClusterNode = api.ClusterNode
-	// ClusterController runs one node's share of a cluster: placement
-	// gating, the /v1/cluster control plane, peer probing and session
-	// moves.
-	ClusterController = cluster.Controller
-	// ClusterOptions carries a controller's progress logger.
-	ClusterOptions = cluster.Options
-)
-
-// LoadClusterMap reads a cluster map from its JSON config file (the
-// wfserve -cluster flag).
-func LoadClusterMap(path string) (ClusterMap, error) { return cluster.LoadMap(path) }
-
-// NewClusterController builds the cluster controller for the node
-// named self and installs its placement gate on the registry. Call
-// Start on the result to begin probing peers, Close to stop.
-func NewClusterController(self string, m ClusterMap, reg *Registry, opts ClusterOptions) (*ClusterController, error) {
-	return cluster.New(self, m, reg, opts)
-}
-
-// GenerateEvents derives a random run and returns its execution event
-// stream together with the run as ground-truth oracle.
-func GenerateEvents(g *Grammar, opts GenOptions) ([]Event, *Run, error) {
-	return gen.GenerateEvents(g, opts)
-}
-
-// LLM-agent adversarial workload (the load matrix's "agent"
-// dimension): recursive tool-call conversations with explicit turn,
-// delegation-depth, burst and retry control.
-type (
-	// AgentOptions steers GenerateAgentTrace.
-	AgentOptions = gen.AgentOptions
-	// AgentTrace is one generated agent conversation: events, oracle
-	// run, and the shape the random choices produced.
-	AgentTrace = gen.AgentTrace
-)
-
-// GenerateAgentTrace derives a random run of the LLM-agent grammar
-// (the "Agent" builtin) and returns its execution event stream with
-// ground truth and shape statistics.
-func GenerateAgentTrace(opts AgentOptions) (*AgentTrace, error) {
-	return gen.GenerateAgentTrace(opts)
-}
-
-// AgentWorkflow returns the LLM-agent workflow grammar (the "Agent"
-// builtin): a conversation loop of recursive tool-call turns.
-func AgentWorkflow() *Spec { return wfspecs.Agent() }
-
-// ToWire converts an execution event to its HTTP wire form.
-func ToWire(ev Event) WireEvent { return service.ToWire(ev) }
-
-// ToWireNamed converts a name-identified event to its HTTP wire form.
-func ToWireNamed(ev NamedEvent) WireEvent { return service.ToWireNamed(ev) }
 
 // NewSpec returns an empty specification builder.
 func NewSpec() *SpecBuilder { return spec.NewBuilder() }
@@ -322,10 +127,6 @@ func NewSpec() *SpecBuilder { return spec.NewBuilder() }
 // NewGraph builds a graph from vertex names (distinct) and name-pair
 // edges; it panics on malformed literals.
 func NewGraph(vertices []string, edges ...[2]string) *Graph { return spec.G(vertices, edges...) }
-
-// NewGraphIdx builds a graph from vertex names (repeats allowed) and
-// index-pair edges.
-func NewGraphIdx(vertices []string, edges ...[2]int) *Graph { return spec.GIdx(vertices, edges...) }
 
 // Compile analyzes a specification into a grammar.
 func Compile(s *Spec) (*Grammar, error) { return spec.Compile(s) }
@@ -369,14 +170,6 @@ func LabelNamedExecution(g *Grammar, events []NamedEvent, kind SkeletonKind, mod
 	return core.LabelNamedExecution(g, events, kind, mode)
 }
 
-// BuildSKL builds the static SKL baseline over a completed run of a
-// non-recursive grammar.
-func BuildSKL(r *Run, kind SkeletonKind) (*SKL, error) { return skl.Build(r, kind) }
-
-// NewTCLDynamic returns the Θ(n) dynamic labeler for arbitrary DAG
-// executions.
-func NewTCLDynamic() *TCLDynamic { return tcldyn.New() }
-
 // NewLabelCodec builds the canonical label codec for a grammar.
 func NewLabelCodec(g *Grammar) *LabelCodec { return label.NewCodec(g) }
 
@@ -400,14 +193,6 @@ func LowerBoundGrammar() *Spec { return wfspecs.Fig6() }
 // PathGrammar returns the Figure 12 grammar (nonlinear yet compactly
 // labelable, Example 15).
 func PathGrammar() *Spec { return wfspecs.Fig12() }
-
-// BuiltinSpec returns a built-in specification by name ("BioAID",
-// "BioAIDNonRecursive", "LowerBound", "Path", "RunningExample") — the
-// same names the service HTTP API accepts in a create request.
-func BuiltinSpec(name string) (*Spec, bool) { return service.Builtin(name) }
-
-// BuiltinSpecNames lists the built-in specification names, sorted.
-func BuiltinSpecNames() []string { return service.BuiltinNames() }
 
 // SyntheticParams configures the Figure 13 synthetic family.
 type SyntheticParams = wfspecs.SyntheticParams

@@ -2,11 +2,19 @@ package wfreach_test
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
+	"strings"
 	"testing"
 
 	"wfreach"
+	"wfreach/internal/spec"
 )
 
 // Example demonstrates end-to-end use of the public API on the paper's
@@ -76,7 +84,7 @@ func ExampleSpecBuilder() {
 
 func TestPublicAPISurface(t *testing.T) {
 	g := wfreach.MustCompile(wfreach.BioAID())
-	if g.Class() != wfreach.ClassLinear {
+	if g.Class() != spec.ClassLinear {
 		t.Fatalf("BioAID class = %v", g.Class())
 	}
 	r := wfreach.MustGenerate(g, wfreach.GenOptions{TargetSize: 200, Seed: 3})
@@ -94,34 +102,6 @@ func TestPublicAPISurface(t *testing.T) {
 		if err != nil || !dec.Equal(l) {
 			t.Fatal("codec round trip failed")
 		}
-	}
-}
-
-func TestSKLFacade(t *testing.T) {
-	g := wfreach.MustCompile(wfreach.BioAIDNonRecursive())
-	r := wfreach.MustGenerate(g, wfreach.GenOptions{TargetSize: 150, Seed: 4})
-	s, err := wfreach.BuildSKL(r, wfreach.TCL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := r.Graph.Sources()[0]
-	snk := r.Graph.Sinks()[0]
-	if !s.Reach(src, snk) || s.Reach(snk, src) {
-		t.Fatal("SKL facade broken")
-	}
-}
-
-func TestTCLDynamicFacade(t *testing.T) {
-	l := wfreach.NewTCLDynamic()
-	if _, err := l.Insert(0, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := l.Insert(1, []wfreach.VertexID{0}); err != nil {
-		t.Fatal(err)
-	}
-	ok, err := l.Reach(0, 1)
-	if err != nil || !ok {
-		t.Fatal("TCL dynamic facade broken")
 	}
 }
 
@@ -178,11 +158,105 @@ func TestSyntheticFacade(t *testing.T) {
 		t.Fatal("synthetic(1R) should be linear")
 	}
 	lb := wfreach.MustCompile(wfreach.LowerBoundGrammar())
-	if lb.Class() != wfreach.ClassNonlinearParallel {
+	if lb.Class() != spec.ClassNonlinearParallel {
 		t.Fatal("lower-bound grammar class wrong")
 	}
 	pg := wfreach.MustCompile(wfreach.PathGrammar())
-	if pg.Class() != wfreach.ClassNonlinearSeries {
+	if pg.Class() != spec.ClassNonlinearSeries {
 		t.Fatal("path grammar class wrong")
+	}
+}
+
+// TestFacadeNamesAreUsed keeps the facade the labeling library and no
+// more: every exported name of wfreach.go is written as wfreach.<Name>
+// by a program under examples/ or cmd/, or in README.md or docs/, or it
+// is named in the declaration of such a name (the types its signatures
+// spell).
+func TestFacadeNamesAreUsed(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "wfreach.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each exported name, with the identifiers its declaration mentions.
+	decls := map[string][]ast.Node{}
+	for _, d := range f.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil && d.Name.IsExported() {
+				decls[d.Name.Name] = []ast.Node{d.Type}
+			}
+		case *ast.GenDecl:
+			for _, sp := range d.Specs {
+				switch sp := sp.(type) {
+				case *ast.TypeSpec:
+					decls[sp.Name.Name] = []ast.Node{sp.Type}
+				case *ast.ValueSpec:
+					for _, n := range sp.Names {
+						for _, v := range sp.Values {
+							decls[n.Name] = append(decls[n.Name], v)
+						}
+						if sp.Type != nil {
+							decls[n.Name] = append(decls[n.Name], sp.Type)
+						}
+					}
+				}
+			}
+		}
+	}
+
+	written := map[string]bool{}
+	ref := regexp.MustCompile(`\bwfreach\.([A-Z]\w*)`)
+	scan := func(path string) {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range ref.FindAllSubmatch(b, -1) {
+			written[string(m[1])] = true
+		}
+	}
+	for _, dir := range []string{"examples", "cmd"} {
+		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+			if err == nil && strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
+				scan(path)
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	docs, err := filepath.Glob("docs/*.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range append(docs, "README.md") {
+		scan(path)
+	}
+
+	used := map[string]bool{}
+	for name := range written {
+		used[name] = true
+		for _, n := range decls[name] {
+			ast.Inspect(n, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.SelectorExpr:
+					return false // pkg.Name names another package's identifier
+				case *ast.Ident:
+					used[n.Name] = true
+				}
+				return true
+			})
+		}
+	}
+	var unused []string
+	for name := range decls {
+		if !used[name] {
+			unused = append(unused, name)
+		}
+	}
+	slices.Sort(unused)
+	if len(unused) > 0 {
+		t.Fatalf("wfreach.go exports %d names no program, README or doc uses: %s", len(unused), strings.Join(unused, ", "))
 	}
 }
