@@ -58,7 +58,8 @@ func (c *Client) ClusterHealth(ctx context.Context) (ClusterHealth, error) {
 
 // MoveSession asks the cluster to move the session to the target
 // node. Any node accepts the request (non-targets forward it); the
-// call returns once the target has caught up, taken the handoff, and
+// call returns once the target has caught up, taken the handoff,
+// verified the drained history against the sealed chain head, and
 // started serving. Moving a session to its current owner succeeds
 // immediately. The call is idempotent but not retried automatically;
 // a move of a large session can legitimately outlast short HTTP

@@ -34,7 +34,10 @@ type ClusterNode struct {
 }
 
 // ClusterOverride pins one session to a node regardless of its hash
-// placement — the record of a move, installed at the owner's release.
+// placement — the record of a move. The owner installs it at release,
+// pending: From, FinalSeq and ChainHead set. The new owner replaces it
+// with a plain override naming only itself once it has verified the
+// move, and takes no write while it is pending.
 type ClusterOverride struct {
 	// Node is the owning node's name. Empty on a tombstone (Deleted).
 	Node string `json:"node,omitempty"`
@@ -44,18 +47,18 @@ type ClusterOverride struct {
 	// versions along a move chain strictly increase.
 	Version int64 `json:"version"`
 	// From is the name of the node that released the session to Node —
-	// the source an interrupted move resumes its drain from. Empty on
-	// operator-pinned overrides and tombstones.
+	// the source a pending move drains from. Empty once the move is
+	// verified, on operator-pinned overrides and on tombstones.
 	From string `json:"from,omitempty"`
 	// FinalSeq is the source's sealed final WAL sequence at release:
-	// the move is complete only once Node's copy has applied through
-	// it. Zero on operator-pinned overrides and tombstones.
+	// Node verifies its copy at this sequence. Zero once the move is
+	// verified, on operator-pinned overrides and on tombstones.
 	FinalSeq int64 `json:"final_seq,omitempty"`
 	// ChainHead is the source's WAL hash-chain head at FinalSeq (hex),
 	// recorded at release so the target — a resumed drain included —
 	// can prove the history it applied is the history that was sealed
-	// before it starts serving. Empty when the source had no chain
-	// (memory-only session).
+	// before it takes writes. Empty once the move is verified, on
+	// operator-pinned overrides and on tombstones.
 	ChainHead string `json:"chain_head,omitempty"`
 	// Deleted marks a tombstone: the session was deleted at its owner
 	// and places by hash again. Tombstones gossip like live overrides
@@ -226,9 +229,8 @@ type ReleaseRequest struct {
 // ReleaseResponse acknowledges a handoff.
 type ReleaseResponse struct {
 	// ChainHead is the sealed session's WAL hash-chain head at
-	// FinalSeq (hex; empty when the owner has no chain). The target
-	// re-verifies its own chain against it after the drain, before the
-	// override flips routing to it.
+	// FinalSeq (hex). The target verifies the head of its own log at
+	// FinalSeq against it before it takes writes.
 	ChainHead string `json:"chain_head,omitempty"`
 	// FinalSeq is the sealed session's last appended WAL sequence; the
 	// handoff is complete once the target has applied through it.

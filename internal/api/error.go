@@ -69,7 +69,9 @@ const (
 	CodeNotClustered ErrorCode = "not_clustered"
 	// CodeNotDurable is a WAL tail request against a session that has
 	// no write-ahead log to ship (a memory-only session, or one whose
-	// log failed); there is nothing a replica could replay.
+	// log failed); there is nothing a replica could replay. A cluster
+	// release of a session with no hash chain at its sealed sequence
+	// answers it too: a move of it could never be verified.
 	CodeNotDurable ErrorCode = "not_durable"
 	// CodeMethodNotAllowed is a known path hit with the wrong HTTP
 	// method; the response carries an Allow header.

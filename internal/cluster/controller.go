@@ -17,10 +17,15 @@
 // mover. Every call it makes to a peer goes through the SDK (package
 // client), and the mover copies a session with internal/replica's Copy,
 // the one a follower uses: the target adopts the session from the
-// owner, tails its WAL until caught up, asks the owner to seal the
-// session and install the override, drains the tail to the sealed
-// final sequence, checks its chain head against the sealed one, and
-// starts serving.
+// owner, tails its WAL until caught up, and asks the owner to seal the
+// session and install a pending override naming the sealed final
+// sequence and the chain head there. Cluster nodes are durable, so the
+// copy tees every frame it drains to its own log; the move is done only
+// when the head of that log at the final sequence is the sealed head.
+// Then the target replaces the pending override with a plain one naming
+// itself, and takes writes. The override is the record of the move:
+// while it is pending the target refuses writes and its prober resumes
+// the move, and a first POST, a re-POST and a resume all run one path.
 package cluster
 
 import (
@@ -101,8 +106,12 @@ type Controller struct {
 // New builds the controller for node self over the map and installs
 // its hooks on the registry — from that point the registry's HTTP
 // surface is placement-gated and the /v1/cluster routes answer. The
-// prober is idle until Start.
+// prober is idle until Start. The registry must be durable: a moved
+// session is verified against the copy's own write-ahead log.
 func New(self string, m api.ClusterMap, reg *service.Registry, opts Options) (*Controller, error) {
+	if !reg.Durable() {
+		return nil, fmt.Errorf("cluster: node %q needs a durable registry: a moved session is verified against its own write-ahead log", self)
+	}
 	st, err := api.NewPlacement(m)
 	if err != nil {
 		return nil, err
@@ -186,16 +195,19 @@ func (c *Controller) Close() {
 // this node serves the session, a typed rejection naming the owner
 // otherwise. Reads against a retained local copy of a moved session
 // are served — stale, exactly like a follower's. Writes to a session
-// moved here whose drain has not finished are rejected too: accepting
-// one would interleave stray events with the sealed-but-undrained
-// suffix and silently fork the copy from the releasing node's log.
+// whose move here is pending are refused too, naming this node so a
+// routing client retries here with backoff: until the copy is verified
+// at the sealed head, a write would extend a history nobody checked.
 func (c *Controller) Route(session string, write bool) error {
 	owner := c.state.Place(session)
 	if owner.Name == c.self.Name {
-		if write {
-			return c.undrained(session)
+		ov, pending := c.pending(session)
+		if !write || !pending {
+			return nil
 		}
-		return nil
+		c.rejections.With("read_only").Inc()
+		return api.Errorf(api.CodeReadOnly, "session %q is still verifying its move from node %s; retry shortly", session, ov.From).
+			WithDetail("%s", c.self.URL)
 	}
 	if _, ok := c.reg.Get(session); ok {
 		if !write {
@@ -210,25 +222,14 @@ func (c *Controller) Route(session string, write bool) error {
 		WithDetail("%s", owner.URL)
 }
 
-// undrained reports why a session the map places here cannot take
-// writes yet: its move recorded a sealed final sequence the local copy
-// has not applied through (the override gossips ahead of the drain).
-// The rejection names this node so a routing client simply retries
-// here with backoff; the prober's resume (or a re-POSTed move) closes
-// the gap within a probe interval. nil once drained — including every
-// session that never moved, where the single override lookup is the
-// only cost.
-func (c *Controller) undrained(session string) error {
+// pending returns the session's override when it records a move to
+// this node that has not been verified yet: an override to this node
+// whose From names another node. A verified move replaces it with a
+// plain override, so every session that never moved, or whose move
+// completed, costs the single lookup.
+func (c *Controller) pending(session string) (api.ClusterOverride, bool) {
 	ov, ok := c.state.OverrideFor(session)
-	if !ok || ov.From == "" || ov.From == c.self.Name || ov.FinalSeq <= 0 {
-		return nil
-	}
-	if s, have := c.reg.Get(session); have && s.Vertices() >= ov.FinalSeq {
-		return nil
-	}
-	c.rejections.With("read_only").Inc()
-	return api.Errorf(api.CodeReadOnly, "session %q is still draining its move from node %s; retry shortly", session, ov.From).
-		WithDetail("%s", c.self.URL)
+	return ov, ok && ov.Node == c.self.Name && ov.From != "" && ov.From != c.self.Name
 }
 
 // Map snapshots the node's cluster map.
@@ -285,27 +286,22 @@ func (c *Controller) probeLoop(ctx context.Context) {
 }
 
 // resumeIncomplete finishes moves to this node that were interrupted
-// after the owner's release — a crashed target, a lost caller: any
-// session the map places here whose copy has not drained to the
-// override's sealed final sequence is completed through the same path
-// a re-POSTed move takes, so the cluster self-heals instead of
-// waiting for an operator retry. Skipped entirely while a move is in
-// flight (TryLock): the running move either is the drain in question
-// or will leave a drained copy behind.
+// after the owner's release — a crashed target, a lost caller, an
+// override that arrived by gossip: every pending override is resumed
+// through receive, the path a re-POSTed move takes, so the cluster
+// self-heals instead of waiting for an operator retry. Skipped entirely
+// while a move is in flight (TryLock): the running move either is the
+// one in question or leaves it pending for the next round.
 func (c *Controller) resumeIncomplete(ctx context.Context) {
 	if !c.moveMu.TryLock() {
 		return
 	}
 	defer c.moveMu.Unlock()
-	for sess, ov := range c.state.Map().Overrides {
-		if ov.Deleted || ov.Node != c.self.Name || ov.From == "" || ov.From == c.self.Name || ov.FinalSeq <= 0 {
+	for sess := range c.state.Map().Overrides {
+		if _, pending := c.pending(sess); !pending {
 			continue
 		}
-		if s, ok := c.reg.Get(sess); ok && s.Vertices() >= ov.FinalSeq {
-			continue
-		}
-		c.logf("cluster: session %q has an interrupted move; resuming its drain", sess)
-		if _, err := c.completeLocal(ctx, sess); err != nil {
+		if _, err := c.receive(ctx, sess); err != nil {
 			c.logf("cluster: resume move of %q: %v", sess, err)
 		}
 	}
@@ -362,121 +358,100 @@ func (c *Controller) Move(ctx context.Context, req api.MoveRequest) (api.MoveRes
 	}
 	c.moveMu.Lock()
 	defer c.moveMu.Unlock()
-	return c.receiveMove(ctx, req.Session)
+	return c.receive(ctx, req.Session)
 }
 
-// receiveMove runs the target side of a move of session to this node:
+// receive runs the target side of a move of session to this node. It
+// is the only way a moved session becomes writable here:
 //
-//  1. adopt — rebuild the session locally from the owner's spec and
-//     labeling config (or resume a copy left by an earlier attempt,
-//     identity-checked);
-//  2. catch up — tail the owner's WAL wait=false until a round ships
-//     nothing new;
-//  3. release — ask the owner to seal the session and install the
-//     override; the owner answers with the final sealed sequence and
-//     its chain head;
-//  4. drain — tail until the local copy has applied through it, and
-//     check the copy's chain head against the sealed one;
-//  5. adopt the owner's map (which now carries the override) and serve.
+//  1. release — unless a move here is already pending: adopt the
+//     session from its owner and catch up, then have the owner seal it
+//     and install the pending override (release);
+//  2. drain — tail the releasing node's log to the sealed final
+//     sequence and verify the copy there (drain);
+//  3. complete — replace the pending override with a plain one naming
+//     this node, at a higher version, which gossips like any other.
 //
 // Ordering is what makes the move lossless: the seal (under the
 // owner's ingest lock) fixes the final sequence after which no write
-// can land on the owner, and this node only starts accepting writes —
-// step 5 flips Route — once it has applied everything up to it.
-func (c *Controller) receiveMove(ctx context.Context, session string) (api.MoveResponse, error) {
-	owner := c.state.Place(session)
-	if owner.Name == c.self.Name {
-		return c.completeLocal(ctx, session)
+// can land on the owner, and this node takes no write while the
+// override is pending — so what it verifies at the final sequence is
+// everything the owner acknowledged. A re-POSTed move and the prober's
+// resume of a pending override start at step 2; a session this node
+// already serves with no move pending answers at once.
+func (c *Controller) receive(ctx context.Context, session string) (api.MoveResponse, error) {
+	ov, pending := c.pending(session)
+	var cp *replica.Copy
+	var err error
+	if pending {
+		c.moves.With("resumed").Inc()
+		c.logf("cluster: resuming the move of %q from %s to seq %d", session, ov.From, ov.FinalSeq)
+		src, ok := c.peers[ov.From]
+		if !ok {
+			return api.MoveResponse{}, api.Errorf(api.CodeUnknown,
+				"session %q was released by node %q, which is not in the map", session, ov.From)
+		}
+		cp, err = c.copyFrom(ctx, src, session)
+	} else if owner := c.state.Place(session); owner.Name == c.self.Name {
+		s, ok := c.reg.Get(session)
+		if !ok {
+			return api.MoveResponse{}, api.Errorf(api.CodeSessionNotFound, "no session %q anywhere in the cluster", session)
+		}
+		return api.MoveResponse{Session: session, From: c.self.Name, To: c.self.Name,
+			Events: s.Vertices(), Map: c.state.Map()}, nil
+	} else {
+		cp, ov, err = c.release(ctx, session, owner)
 	}
+	if err != nil {
+		return api.MoveResponse{}, err
+	}
+	if err := c.drain(ctx, cp, ov); err != nil {
+		return api.MoveResponse{}, err
+	}
+	if _, err := c.state.Override(session, c.self.Name, "", 0, ""); err != nil {
+		return api.MoveResponse{}, err
+	}
+	c.moves.With("completed").Inc()
+	n := cp.Session().Vertices()
+	c.logf("cluster: session %q now served here (%d events, map v%d)", session, n, c.state.Version())
+	return api.MoveResponse{Session: session, From: ov.From, To: c.self.Name,
+		Events: n, Map: c.state.Map()}, nil
+}
+
+// release is step 1 of a move: adopt the owner's session, tail its WAL
+// while it keeps ingesting until a round ships nothing new (each round
+// drains the currently committed history; an empty one is as close as
+// tailing gets), then ask the owner to seal the session and adopt the
+// owner's map, which from then on carries the pending override this
+// returns: the owner, its sealed final sequence and the chain head
+// there.
+func (c *Controller) release(ctx context.Context, session string, owner api.ClusterNode) (*replica.Copy, api.ClusterOverride, error) {
 	c.moves.With("started").Inc()
 	c.logf("cluster: moving session %q from %s to %s", session, owner.Name, c.self.Name)
 	src := c.peers[owner.Name]
 	cp, err := c.copyFrom(ctx, src, session)
 	if err != nil {
-		return api.MoveResponse{}, err
+		return nil, api.ClusterOverride{}, err
 	}
-
-	// Catch up while the owner is still ingesting; each round drains the
-	// currently committed history. When a round ships nothing we are as
-	// close as tailing gets — time to seal.
 	for {
 		n, err := cp.Pull(ctx, false, nil)
 		if err != nil {
-			return api.MoveResponse{}, fmt.Errorf("cluster: catch up %q from %s: %w", session, owner.Name, err)
+			return nil, api.ClusterOverride{}, fmt.Errorf("cluster: catch up %q from %s: %w", session, owner.Name, err)
 		}
 		if n == 0 {
 			break
 		}
 	}
-
 	rctx, cancel := context.WithTimeout(ctx, peerTimeout)
 	rel, err := src.c.ReleaseSession(rctx, session, c.self)
 	cancel()
 	if err != nil {
-		return api.MoveResponse{}, fmt.Errorf("cluster: release %q on %s: %w", session, owner.Name, err)
+		return nil, api.ClusterOverride{}, fmt.Errorf("cluster: release %q on %s: %w", session, owner.Name, err)
 	}
-	if err := c.drain(ctx, cp, rel.FinalSeq, rel.ChainHead); err != nil {
-		return api.MoveResponse{}, err
-	}
-
-	// Everything is here; adopting the owner's map (override included)
-	// flips Route and this node starts serving the session.
 	if _, err := c.state.Merge(rel.Map); err != nil {
-		return api.MoveResponse{}, fmt.Errorf("cluster: adopt released map: %w", err)
+		return nil, api.ClusterOverride{}, fmt.Errorf("cluster: adopt released map: %w", err)
 	}
-	c.moves.With("completed").Inc()
-	n := cp.Session().Vertices()
-	c.logf("cluster: session %q now served here (%d events, map v%d)", session, n, c.state.Version())
-	return api.MoveResponse{Session: session, From: owner.Name, To: c.self.Name,
-		Events: n, Map: c.state.Map()}, nil
-}
-
-// completeLocal answers a move whose target the map already places
-// here: a re-POSTed move, a hash-placed session "moved" home — or a
-// move interrupted between the owner's release and the end of the
-// drain. The override installed at release spreads by gossip before
-// the drain finishes, so a retried move can land in this branch while
-// the local copy is still behind the sealed final sequence; the
-// override records the releasing node and that sequence exactly so
-// completion is checkable here. A copy at or past FinalSeq is done;
-// anything else resumes the drain instead of reporting a success that
-// would silently drop the events between the local horizon and the
-// seal.
-func (c *Controller) completeLocal(ctx context.Context, session string) (api.MoveResponse, error) {
-	ov, moved := c.state.OverrideFor(session)
-	resumable := moved && ov.From != "" && ov.From != c.self.Name && ov.FinalSeq > 0
-	s, have := c.reg.Get(session)
-	if have && (!resumable || s.Vertices() >= ov.FinalSeq) {
-		return api.MoveResponse{Session: session, From: c.self.Name, To: c.self.Name,
-			Events: s.Vertices(), Map: c.state.Map()}, nil
-	}
-	if !resumable {
-		return api.MoveResponse{}, api.Errorf(api.CodeSessionNotFound, "no session %q anywhere in the cluster", session)
-	}
-	src, ok := c.peers[ov.From]
-	if !ok {
-		return api.MoveResponse{}, api.Errorf(api.CodeUnknown,
-			"session %q was released by node %q, which is not in the map", session, ov.From)
-	}
-	var localSeq int64
-	if have {
-		localSeq = s.Vertices()
-	}
-	c.moves.With("resumed").Inc()
-	c.logf("cluster: resuming interrupted move of %q from %s (have %d, need %d)",
-		session, ov.From, localSeq, ov.FinalSeq)
-	cp, err := c.copyFrom(ctx, src, session)
-	if err != nil {
-		return api.MoveResponse{}, err
-	}
-	if err := c.drain(ctx, cp, ov.FinalSeq, ov.ChainHead); err != nil {
-		return api.MoveResponse{}, err
-	}
-	n := cp.Session().Vertices()
-	c.moves.With("completed").Inc()
-	c.logf("cluster: session %q drain resumed and completed (%d events)", session, n)
-	return api.MoveResponse{Session: session, From: ov.From, To: c.self.Name,
-		Events: n, Map: c.state.Map()}, nil
+	return cp, api.ClusterOverride{Node: c.self.Name, From: owner.Name, FinalSeq: rel.FinalSeq, ChainHead: rel.ChainHead}, nil
 }
 
 // copyFrom adopts the source's session into this node's registry
@@ -498,27 +473,27 @@ func (c *Controller) copyFrom(ctx context.Context, src *peerState, session strin
 	return cp, nil
 }
 
-// drain pulls from the source until the copy has applied through the
-// sealed final sequence, then proves it applied the history that was
-// sealed: the drained frames are byte-identical to the source's WAL
-// records, so a clean move reproduces the sealed chain head exactly,
-// and a mismatch means the source's log — or the stream — was
-// rewritten; the move fails and the forged copy is deleted. Any other
-// error (transport, a cancelled context) keeps the honest prefix so
-// the drain can resume. The last batch's commit may still be in flight
-// on the source (the tailer only ships durable records), so an empty
-// round while still behind just retries. A source with no chain (a
-// memory-only session) sealed no head, and a copy whose local prefix
-// this process cannot re-hash (a memory copy from an earlier attempt)
-// has none to compare; both are logged and skipped.
-func (c *Controller) drain(ctx context.Context, cp *replica.Copy, finalSeq int64, sealedHead string) error {
+// drain pulls the releasing node's log into the copy up to the sealed
+// final sequence, then proves the copy holds the history that was
+// sealed: every drained frame was teed verbatim to this node's own log,
+// so the head of that log at FinalSeq (Session.ChainAt) is the sealed
+// head exactly when the copy applied the bytes the source logged. A
+// mismatch means the source's log — or the stream — was rewritten: the
+// copy is deleted, so nothing serves it, and the move fails; the
+// override stays pending, so writes stay refused and a retry drains
+// afresh, while the owner keeps its sealed copy. Any other error
+// (transport, a cancelled context) keeps the honest prefix so the drain
+// can resume. The last batch's commit may still be in flight on the
+// source (the tailer only ships durable records), so an empty round
+// while still behind just retries.
+func (c *Controller) drain(ctx context.Context, cp *replica.Copy, ov api.ClusterOverride) error {
 	s := cp.Session()
-	for s.Vertices() < finalSeq {
+	for seq, _ := cp.Head(); seq < ov.FinalSeq; seq, _ = cp.Head() {
 		n, err := cp.Pull(ctx, false, nil)
 		if err != nil {
-			return fmt.Errorf("cluster: drain %q to seq %d: %w", s.Name(), finalSeq, err)
+			return fmt.Errorf("cluster: drain %q to seq %d: %w", s.Name(), ov.FinalSeq, err)
 		}
-		if n == 0 && s.Vertices() < finalSeq {
+		if n == 0 {
 			select {
 			case <-ctx.Done():
 				return ctx.Err()
@@ -526,30 +501,31 @@ func (c *Controller) drain(ctx context.Context, cp *replica.Copy, finalSeq int64
 			}
 		}
 	}
-	seq, head, ok := cp.Head()
-	switch {
-	case sealedHead == "" || !ok:
-		c.logf("cluster: move of %q: no chain to compare at seq %d; chain verification skipped", s.Name(), finalSeq)
-		return nil
-	case seq != finalSeq || head.String() != sealedHead:
-		// The copy holds a forged history: drop it, so that the override
-		// reaching this node by gossip finds nothing to serve. Delete does
-		// not run the cluster's Forget hook, so the override stays and a
-		// retried move drains afresh; the owner keeps its sealed copy.
-		c.reg.Delete(s.Name())
-		return api.Errorf(api.CodeUnknown,
-			"integrity: move of %q: chain head %s at seq %d does not match the head %s the source sealed at seq %d — drained history was tampered with; refusing to serve it",
-			s.Name(), head, seq, sealedHead, finalSeq)
+	head, err := s.ChainAt(ov.FinalSeq)
+	if err != nil {
+		return fmt.Errorf("cluster: verify move of %q at seq %d: %w", s.Name(), ov.FinalSeq, err)
 	}
-	c.logf("cluster: move of %q: chain verified at seq %d (%s)", s.Name(), finalSeq, sealedHead)
+	if head.String() != ov.ChainHead {
+		// Delete does not run the cluster's Forget hook: the override
+		// stays pending.
+		c.reg.Delete(s.Name())
+		c.moves.With("rejected").Inc()
+		return api.Errorf(api.CodeUnknown,
+			"integrity: move of %q: chain head %s at seq %d does not match the head %s the source sealed — drained history was tampered with; refusing to serve it",
+			s.Name(), head, ov.FinalSeq, ov.ChainHead)
+	}
+	c.logf("cluster: move of %q: chain verified at seq %d (%s)", s.Name(), ov.FinalSeq, ov.ChainHead)
 	return nil
 }
 
 // Release is the owner side of a move (service.ClusterHooks.Release):
 // seal the session — fixing the last sequence any writer got in — and
-// install the override so this node's own map names the new owner.
-// Re-POSTing is safe: sealing twice is a no-op and the override just
-// re-installs.
+// install the pending override naming the new owner, this node, the
+// sealed sequence and the chain head there, so a move interrupted after
+// this point can resume and verify from the map alone. A session with
+// no chain head at its sealed sequence could never be verified: it is
+// refused with CodeNotDurable and left unsealed. Re-POSTing is safe:
+// sealing twice is a no-op and the override just re-installs.
 func (c *Controller) Release(_ context.Context, req api.ReleaseRequest) (api.ReleaseResponse, error) {
 	if req.Session == "" || req.Node == "" || req.URL == "" {
 		return api.ReleaseResponse{}, api.Errorf(api.CodeBadRequest, "release wants session, node and url")
@@ -558,20 +534,19 @@ func (c *Controller) Release(_ context.Context, req api.ReleaseRequest) (api.Rel
 	if !ok {
 		return api.ReleaseResponse{}, api.Errorf(api.CodeSessionNotFound, "no session %q", req.Session)
 	}
-	// The override records this node and the sealed sequence so a move
-	// interrupted after this point can verify and resume its drain.
 	final := s.Seal(req.URL)
 	// The seal ended ingest, so the chain head is final too: it commits
-	// to every byte the new owner must have applied at FinalSeq. Carried
-	// in the override, it survives an interrupted move by gossip.
-	var head string
-	if seq, h, ok := s.ChainState(); ok && seq == final {
-		head = h.String()
+	// to every byte the new owner must have applied at FinalSeq.
+	seq, head, ok := s.ChainState()
+	if !ok || seq != final {
+		s.Unseal()
+		return api.ReleaseResponse{}, api.Errorf(api.CodeNotDurable,
+			"session %q has no hash chain at its final sequence %d: a move of it could not be verified", req.Session, final)
 	}
-	if _, err := c.state.Override(req.Session, req.Node, c.self.Name, final, head); err != nil {
+	if _, err := c.state.Override(req.Session, req.Node, c.self.Name, final, head.String()); err != nil {
 		return api.ReleaseResponse{}, api.Errorf(api.CodeBadRequest, "%v", err)
 	}
 	c.moves.With("released").Inc()
 	c.logf("cluster: released session %q to %s at seq %d (map v%d)", req.Session, req.Node, final, c.state.Version())
-	return api.ReleaseResponse{FinalSeq: final, ChainHead: head, Map: c.state.Map()}, nil
+	return api.ReleaseResponse{FinalSeq: final, ChainHead: head.String(), Map: c.state.Map()}, nil
 }

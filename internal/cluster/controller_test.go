@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -22,9 +21,8 @@ import (
 	"wfreach/internal/wfspecs"
 )
 
-// node is one test cluster member: a registry (durable under dir, or
-// memory-only with dir empty), its HTTP server, and the controller
-// gating it.
+// node is one test cluster member: a durable registry under dir, its
+// HTTP server, and the controller gating it.
 type node struct {
 	name string
 	dir  string
@@ -33,37 +31,43 @@ type node struct {
 	ctl  *cluster.Controller
 }
 
-// newCluster spins up n single-process nodes named "n0".."n", durable
-// except for the indexes listed in memory, builds the shared map from
-// their live URLs, and installs a controller on each. The prober is not
-// started — tests drive map exchange explicitly through moves.
-func newCluster(t *testing.T, n int, memory ...int) []*node {
+// newCluster spins up n single-process durable nodes named "n0".."n"
+// and installs a controller on each. The prober is not started — tests
+// drive map exchange explicitly through moves.
+func newCluster(t *testing.T, n int) []*node {
 	t.Helper()
 	nodes := make([]*node, n)
-	m := api.ClusterMap{Version: 1}
 	for i := range nodes {
-		dir, reg := "", service.NewRegistry()
-		if !slices.Contains(memory, i) {
-			dir = t.TempDir()
-			var err error
-			if reg, err = service.NewDurableRegistry(service.DurableOptions{Dir: dir, Fsync: false}); err != nil {
-				t.Fatal(err)
-			}
+		dir := t.TempDir()
+		reg, err := service.NewDurableRegistry(service.DurableOptions{Dir: dir, Fsync: false})
+		if err != nil {
+			t.Fatal(err)
 		}
 		t.Cleanup(func() { _ = reg.Close() })
 		srv := httptest.NewServer(service.NewHandler(reg))
 		t.Cleanup(srv.Close)
 		nodes[i] = &node{name: fmt.Sprintf("n%d", i), dir: dir, reg: reg, srv: srv}
-		m.Nodes = append(m.Nodes, api.ClusterNode{Name: nodes[i].name, URL: srv.URL})
 	}
 	for _, nd := range nodes {
-		ctl, err := cluster.New(nd.name, m, nd.reg, cluster.Options{Logf: t.Logf})
-		if err != nil {
-			t.Fatal(err)
-		}
-		nd.ctl = ctl
+		newController(t, nd, nodes)
 	}
 	return nodes
+}
+
+// newController installs a fresh controller on the node, built from the
+// static map of the cluster's live URLs — what a node runs at start-up,
+// and after a restart until gossip reaches it.
+func newController(t *testing.T, nd *node, nodes []*node) {
+	t.Helper()
+	m := api.ClusterMap{Version: 1}
+	for _, n := range nodes {
+		m.Nodes = append(m.Nodes, api.ClusterNode{Name: n.name, URL: n.srv.URL})
+	}
+	ctl, err := cluster.New(nd.name, m, nd.reg, cluster.Options{Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nd.ctl = ctl
 }
 
 // byName returns the cluster member with the given node name.
@@ -180,6 +184,16 @@ func TestClusterRoutesRequireClusterMode(t *testing.T) {
 	code, aerr := getStatus(t, srv.URL+"/v1/cluster/map")
 	if code != http.StatusConflict || aerr.Code != api.CodeNotClustered {
 		t.Fatalf("map on plain server: %d %+v", code, aerr)
+	}
+}
+
+// TestNewRefusesMemoryRegistry: a cluster node is durable — a moved
+// session is verified against the copy's own log — so the controller
+// refuses a memory registry.
+func TestNewRefusesMemoryRegistry(t *testing.T) {
+	m := api.ClusterMap{Version: 1, Nodes: []api.ClusterNode{{Name: "n0", URL: "http://127.0.0.1:1"}}}
+	if _, err := cluster.New("n0", m, service.NewRegistry(), cluster.Options{}); err == nil {
+		t.Fatal("cluster.New accepted a memory registry")
 	}
 }
 
@@ -434,18 +448,16 @@ func TestMoveResumesInterruptedDrain(t *testing.T) {
 	}
 	n1.ctl.Start()
 	defer n1.ctl.Close()
+	// Writes open once the prober has drained, verified and completed.
 	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if s2b, ok := n1.reg.Get(sess2); ok && s2b.Vertices() == int64(len(events2)) {
-			break
-		}
+	for n1.ctl.Route(sess2, true) != nil {
 		if time.Now().After(deadline) {
 			t.Fatal("prober never resumed the interrupted move")
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if err := n1.ctl.Route(sess2, true); err != nil {
-		t.Fatalf("write route after prober-resumed drain: %v, want served", err)
+	if s2b, ok := n1.reg.Get(sess2); !ok || s2b.Vertices() != int64(len(events2)) {
+		t.Fatalf("the prober-resumed move left the copy short of %d events", len(events2))
 	}
 }
 

@@ -8,9 +8,12 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
+	"wfreach/client"
 	"wfreach/internal/api"
 	"wfreach/internal/graph"
+	"wfreach/internal/replica"
 	"wfreach/internal/service"
 	"wfreach/internal/spec"
 	"wfreach/internal/wal"
@@ -18,9 +21,10 @@ import (
 )
 
 // TestMoveCarriesAndVerifiesChain: a move between durable nodes seals
-// the source's chain head into the override, and the drained copy on
-// the target independently reproduces it — the positive half of the
-// move-time tamper check.
+// the source's chain head into the owner's pending override, the
+// target's own log reproduces it at the sealed sequence, and the
+// verified target replaces the pending override with a plain one at a
+// higher version, which wins when the maps meet.
 func TestMoveCarriesAndVerifiesChain(t *testing.T) {
 	nodes := newCluster(t, 2)
 	sess := sessionOwnedBy(t, nodes[0].ctl, "n0")
@@ -33,29 +37,32 @@ func TestMoveCarriesAndVerifiesChain(t *testing.T) {
 	if !ok || srcSeq != int64(len(events)) {
 		t.Fatalf("source ChainState = (%d, _, %v), want (%d, _, true)", srcSeq, ok, len(events))
 	}
-
-	ctx := context.Background()
-	if _, err := target.ctl.Move(ctx, api.MoveRequest{Session: sess, Target: "n1"}); err != nil {
+	if _, err := target.ctl.Move(context.Background(), api.MoveRequest{Session: sess, Target: "n1"}); err != nil {
 		t.Fatal(err)
 	}
 
-	// The override carries the sealed head verbatim.
-	ov, moved := target.ctl.State().OverrideFor(sess)
-	if !moved {
-		t.Fatal("no override after move")
+	// The owner's map keeps the pending override: the sealed head verbatim.
+	sealed, ok := owner.ctl.State().OverrideFor(sess)
+	if !ok || sealed.Node != "n1" || sealed.From != "n0" || sealed.FinalSeq != srcSeq || sealed.ChainHead != srcHead.String() {
+		t.Fatalf("owner's override %+v, want n0 → n1 sealed at seq %d, head %s", sealed, srcSeq, srcHead)
 	}
-	if ov.ChainHead == "" {
-		t.Fatal("override carries no chain head from a durable source")
+	// The target's map carries the completion: a plain override, newer.
+	done, ok := target.ctl.State().OverrideFor(sess)
+	if !ok || done != (api.ClusterOverride{Node: "n1", Version: done.Version}) || done.Version <= sealed.Version {
+		t.Fatalf("target's override %+v, want a plain one for n1 above v%d", done, sealed.Version)
 	}
-	if ov.ChainHead != srcHead.String() || ov.FinalSeq != srcSeq {
-		t.Fatalf("override (%s at %d), source sealed (%s at %d)", ov.ChainHead, ov.FinalSeq, srcHead, srcSeq)
+	if _, err := owner.ctl.State().Merge(target.ctl.Map()); err != nil {
+		t.Fatal(err)
 	}
-	// The target rebuilt the same head from the drained frames.
-	moved2, have := target.reg.Get(sess)
+	if got, _ := owner.ctl.State().OverrideFor(sess); got != done {
+		t.Fatalf("after gossip the owner holds %+v, want the completed %+v", got, done)
+	}
+	// The target's own log reproduces the sealed head.
+	moved, have := target.reg.Get(sess)
 	if !have {
 		t.Fatal("target has no copy")
 	}
-	seq, head, ok := moved2.ChainState()
+	seq, head, ok := moved.ChainState()
 	if !ok || seq != srcSeq || head != srcHead {
 		t.Fatalf("target ChainState = (%d, %s, %v), want (%d, %s, true)", seq, head, ok, srcSeq, srcHead)
 	}
@@ -121,106 +128,243 @@ func findMoveTamper(t *testing.T, walPath string, g *spec.Grammar) []byte {
 	return nil
 }
 
-// TestMoveRejectsTamperedDrain is the cluster leg of the tamper drill:
-// the source's on-disk WAL is rewritten (CRC fixed, still replayable)
-// while the source process still answers for the original bytes. The
-// drain applies cleanly, the sealed head disagrees, and the move must
-// fail before the override flips routing to the forged copy — on a
-// durable target and on a memory-only one alike, since the target
-// checks the chain it folded while pulling, not its own log's. The
-// failed drain deletes its copy, so once the override arrives by gossip
-// the target serves nothing and refuses writes, and a re-POSTed move
-// fails the same check; with the owner's log restored, a retry drains
-// and verifies.
+// drill is one run of the cluster tamper drill: the session, the node
+// whose log was rewritten and the node moving the session to itself.
+type drill struct {
+	nodes    []*node
+	src, dst *node
+	sess     string
+	req      api.MoveRequest
+}
+
+// movesRejected reads the node's wf_cluster_moves_total{phase="rejected"}.
+func movesRejected(nd *node) int64 {
+	return nd.reg.Obs().CounterVec("wf_cluster_moves_total", "", "phase").With("rejected").Value()
+}
+
+// wantTampered fails unless err is the chain check's refusal.
+func wantTampered(t *testing.T, what string, err error) {
+	t.Helper()
+	if err == nil || !strings.Contains(err.Error(), "tampered") {
+		t.Fatalf("%s = %v, want the chain check's refusal", what, err)
+	}
+}
+
+// TestMoveRejectsTamperedDrain is the cluster leg of the tamper drill.
+// The source's on-disk WAL is rewritten (CRC fixed, still replayable)
+// while the source process still answers for the original bytes, so
+// the drain applies cleanly and only the sealed chain head can object.
+// Each row reaches the verification by another route. Whatever the
+// route, the target ends with no copy, refuses writes, fails a
+// re-POSTed move "tampered" and counts the rejection; with the source's
+// log restored, a retry verifies and serves every event.
 func TestMoveRejectsTamperedDrain(t *testing.T) {
+	ctx := context.Background()
+	release := func(t *testing.T, d *drill) {
+		t.Helper()
+		if _, err := d.src.ctl.Release(ctx, api.ReleaseRequest{Session: d.sess, Node: d.dst.name, URL: d.dst.srv.URL}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gossip := func(t *testing.T, d *drill) {
+		t.Helper()
+		if _, err := d.dst.ctl.State().Merge(d.src.ctl.Map()); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for _, tc := range []struct {
-		name   string
-		memory []int // node indexes without a log
+		name string
+		back bool // move n0 → n1 first, then tamper n1's log and move back
+		fail func(t *testing.T, d *drill)
 	}{
-		{name: "durable target"},
-		{name: "memory target", memory: []int{1}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			nodes := newCluster(t, 2, tc.memory...)
-			sess := sessionOwnedBy(t, nodes[0].ctl, "n0")
-			owner, target := byName(t, nodes, "n0"), byName(t, nodes, "n1")
-			s, events := createWithEvents(t, owner.reg, sess, 300)
-			if _, err := s.Append(events); err != nil {
+		{name: "fresh move", fail: func(t *testing.T, d *drill) {
+			_, err := d.dst.ctl.Move(ctx, d.req)
+			wantTampered(t, "move", err)
+		}},
+		{name: "move back to a former owner", back: true, fail: func(t *testing.T, d *drill) {
+			_, err := d.dst.ctl.Move(ctx, d.req)
+			wantTampered(t, "move back", err)
+		}},
+		{name: "unverified drain", fail: func(t *testing.T, d *drill) {
+			// The target adopted, was released to and pulled to the sealed
+			// sequence, then died before checking; the override arrives by
+			// gossip.
+			src := client.New(d.src.srv.URL)
+			st, err := src.Session(ctx, d.sess)
+			if err != nil {
 				t.Fatal(err)
 			}
-			g := spec.MustCompile(wfspecs.RunningExample())
+			cp, err := replica.Adopt(ctx, d.dst.reg, src, st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			release(t, d)
+			final, _ := d.src.reg.Get(d.sess)
+			for seq, _ := cp.Head(); seq < final.Vertices(); seq, _ = cp.Head() {
+				if _, err := cp.Pull(ctx, false, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			gossip(t, d)
+		}},
+		{name: "re-POST after the failure", fail: func(t *testing.T, d *drill) {
+			// The move fails and the target restarts from the static map,
+			// without the pending override: the re-POST releases again.
+			_, err := d.dst.ctl.Move(ctx, d.req)
+			wantTampered(t, "move", err)
+			newController(t, d.dst, d.nodes)
+		}},
+		{name: "prober resume after gossip", fail: func(t *testing.T, d *drill) {
+			// The target died right after asking for the release; the
+			// override arrives by gossip and the target's prober resumes.
+			release(t, d)
+			gossip(t, d)
+			before := movesRejected(d.dst)
+			d.dst.ctl.Start()
+			defer d.dst.ctl.Close()
+			deadline := time.Now().Add(10 * time.Second)
+			for movesRejected(d.dst) == before {
+				if time.Now().After(deadline) {
+					t.Fatal("the prober never resumed the move")
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			nodes := newCluster(t, 2)
+			sess := sessionOwnedBy(t, nodes[0].ctl, "n0")
+			d := &drill{nodes: nodes, src: byName(t, nodes, "n0"), dst: byName(t, nodes, "n1"), sess: sess}
+			s, events := createWithEvents(t, d.src.reg, sess, 300)
+			cut := len(events)
+			if tc.back {
+				cut = len(events) / 2
+			}
+			if _, err := s.Append(events[:cut]); err != nil {
+				t.Fatal(err)
+			}
+			if tc.back {
+				if _, err := d.dst.ctl.Move(ctx, api.MoveRequest{Session: sess, Target: d.dst.name}); err != nil {
+					t.Fatal(err)
+				}
+				moved, _ := d.dst.reg.Get(sess)
+				if _, err := moved.Append(events[cut:]); err != nil {
+					t.Fatal(err)
+				}
+				d.src, d.dst = d.dst, d.src
+			}
+			d.req = api.MoveRequest{Session: sess, Target: d.dst.name}
 
-			walPath := filepath.Join(owner.dir, sess, "events.wal")
+			walPath := filepath.Join(d.src.dir, sess, "events.wal")
 			pristine, err := os.ReadFile(walPath)
 			if err != nil {
 				t.Fatal(err)
 			}
-			tampered := findMoveTamper(t, walPath, g)
+			tampered := findMoveTamper(t, walPath, spec.MustCompile(wfspecs.RunningExample()))
 			if err := os.WriteFile(walPath, tampered, 0o644); err != nil {
 				t.Fatal(err)
 			}
 
-			ctx := context.Background()
-			req := api.MoveRequest{Session: sess, Target: "n1"}
-			_, err = target.ctl.Move(ctx, req)
-			if err == nil {
-				t.Fatal("move served a rewritten history without objecting")
-			}
-			if !strings.Contains(err.Error(), "tampered") {
-				t.Fatalf("move failed for the wrong reason: %v", err)
-			}
-			// The forged copy never went live: the target still routes the
-			// session to its (sealed) source.
-			if got := target.ctl.State().Place(sess).Name; got != "n0" {
-				t.Fatalf("target flipped routing to %s despite a failed chain check", got)
-			}
-
-			// The owner sealed and installed the override before the check
-			// failed; gossip brings it here. The forged copy must be gone by
-			// then, so nothing serves it.
-			if _, err := target.ctl.State().Merge(owner.ctl.Map()); err != nil {
-				t.Fatal(err)
-			}
-			if got := target.ctl.State().Place(sess).Name; got != "n1" {
-				t.Fatalf("after gossip the map places %q on %s, want n1", sess, got)
-			}
-			if _, have := target.reg.Get(sess); have {
+			before := movesRejected(d.dst)
+			tc.fail(t, d)
+			_, err = d.dst.ctl.Move(ctx, d.req)
+			wantTampered(t, "re-POSTed move", err)
+			if _, have := d.dst.reg.Get(sess); have {
 				t.Fatal("the forged copy is still in the target's registry")
 			}
-			if err := target.ctl.Route(sess, true); err == nil {
-				t.Fatal("the target takes writes for a session whose drain failed its chain check")
+			if err := d.dst.ctl.Route(sess, true); err == nil {
+				t.Fatal("the target takes writes for a session whose move failed its chain check")
 			}
-			if _, err := target.ctl.Move(ctx, req); err == nil || !strings.Contains(err.Error(), "tampered") {
-				t.Fatalf("re-POSTed move after gossip = %v, want the chain check's refusal", err)
+			if got := movesRejected(d.dst); got <= before {
+				t.Fatalf(`wf_cluster_moves_total{phase="rejected"} = %d, was %d before the drill`, got, before)
 			}
 
-			// With the owner's log back to its sealed bytes, a retry drains
-			// and verifies: nothing acked was lost.
+			// With the source's log back to its sealed bytes, a retry
+			// verifies: nothing acked was lost.
 			if err := os.WriteFile(walPath, pristine, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			resp, err := target.ctl.Move(ctx, req)
+			resp, err := d.dst.ctl.Move(ctx, d.req)
 			if err != nil {
-				t.Fatalf("retry after restoring the owner's log: %v", err)
+				t.Fatalf("retry after restoring the source's log: %v", err)
 			}
 			if resp.Events != int64(len(events)) {
 				t.Fatalf("retry moved %d events, want %d", resp.Events, len(events))
 			}
-			moved, have := target.reg.Get(sess)
-			if !have {
-				t.Fatal("the retried move left no copy")
-			}
-			// A memory target has no log of its own; its drain compared
-			// the head it folded while pulling.
-			if tc.memory == nil {
-				_, srcHead, _ := s.ChainState()
-				if seq, head, ok := moved.ChainState(); !ok || seq != int64(len(events)) || head != srcHead {
-					t.Fatalf("target ChainState = (%d, %s, %v), want (%d, %s, true)", seq, head, ok, len(events), srcHead)
-				}
-			}
-			if err := target.ctl.Route(sess, true); err != nil {
+			if err := d.dst.ctl.Route(sess, true); err != nil {
 				t.Fatalf("the verified copy refuses writes: %v", err)
 			}
+			sealed, _ := d.src.reg.Get(sess)
+			_, srcHead, _ := sealed.ChainState()
+			moved, _ := d.dst.reg.Get(sess)
+			if seq, head, ok := moved.ChainState(); !ok || seq != int64(len(events)) || head != srcHead {
+				t.Fatalf("target ChainState = (%d, %s, %v), want (%d, %s, true)", seq, head, ok, len(events), srcHead)
+			}
 		})
+	}
+}
+
+// TestMoveResumesAfterTargetRestart guards honest data in the one case
+// the verification reads the log from disk: a target verifies a move,
+// takes more writes, and restarts before its completion has gossiped.
+// Rebuilt from the static map, it learns the owner's still-pending
+// override by gossip; the resume must find the sealed head in the first
+// FinalSeq frames of its own log and keep every event.
+func TestMoveResumesAfterTargetRestart(t *testing.T) {
+	nodes := newCluster(t, 2)
+	sess := sessionOwnedBy(t, nodes[0].ctl, "n0")
+	owner, target := byName(t, nodes, "n0"), byName(t, nodes, "n1")
+	s, events := createWithEvents(t, owner.reg, sess, 400)
+	final := len(events) - 50
+	if _, err := s.Append(events[:final]); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	req := api.MoveRequest{Session: sess, Target: "n1"}
+	if _, err := target.ctl.Move(ctx, req); err != nil {
+		t.Fatal(err)
+	}
+	moved, _ := target.reg.Get(sess)
+	if _, err := moved.Append(events[final:]); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := target.reg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reg, err := service.NewDurableRegistry(service.DurableOptions{Dir: target.dir, Fsync: false})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = reg.Close() })
+	if _, err := reg.Restore(target.dir); err != nil {
+		t.Fatal(err)
+	}
+	target.reg = reg
+	newController(t, target, nodes)
+	if _, err := target.ctl.State().Merge(owner.ctl.Map()); err != nil {
+		t.Fatal(err)
+	}
+	if err := target.ctl.Route(sess, true); err == nil {
+		t.Fatal("the restarted target takes writes while the owner's override is pending")
+	}
+
+	resp, err := target.ctl.Move(ctx, req)
+	if err != nil {
+		t.Fatalf("resume after the restart: %v", err)
+	}
+	if resp.Events != int64(len(events)) {
+		t.Fatalf("resume reports %d events, want %d", resp.Events, len(events))
+	}
+	if err := target.ctl.Route(sess, true); err != nil {
+		t.Fatalf("the verified copy refuses writes: %v", err)
+	}
+	restored, _ := target.reg.Get(sess)
+	if restored.Vertices() != int64(len(events)) {
+		t.Fatalf("the restored copy holds %d events, want %d", restored.Vertices(), len(events))
+	}
+	_, sealedHead, _ := s.ChainState()
+	if head, err := restored.ChainAt(int64(final)); err != nil || head != sealedHead {
+		t.Fatalf("target's log at seq %d: (%s, %v), sealed head %s", final, head, err, sealedHead)
 	}
 }

@@ -3,7 +3,6 @@ package replica
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 
@@ -28,26 +27,27 @@ type Copy struct {
 	s      *service.Session
 	frames *obs.Counter
 
-	mu      sync.Mutex
-	seq     int64          // frames folded into head
-	head    integrity.Head // chain over the applied prefix
-	chained bool           // head covers the whole local copy
+	mu   sync.Mutex
+	seq  int64          // frames folded into head
+	head integrity.Head // chain over the applied prefix
 }
 
 // Adopt returns the local copy of the source session described by st,
 // creating it in reg from the source's spec and labeling configuration,
-// under the source's identity, when reg has no session of that name. A
-// local session of that name is reused only when its identity is the
-// source's; one with another identity belongs to a different session
-// and is refused with CodeSessionExists, untouched. A reused copy is
-// unsealed: a seal left by an earlier move away from this node would
-// refuse the replay.
-//
-// The chain starts at genesis for an empty copy and at the local log's
-// own head when that head covers every local vertex (a durable copy
-// after a restart). Otherwise the local prefix is one this process
-// cannot re-hash, and Head reports no chain.
+// under the source's identity, when reg has no session of that name.
+// The copy's chain starts at genesis for an empty copy and at the local
+// log's own head for a non-empty one — a durable copy after a restart,
+// or one an earlier move left here. A local session is reused only when
+// its identity is the source's and its own chain covers every local
+// vertex: one with another identity belongs to a different session and
+// is refused with CodeSessionExists, and a non-empty one no chain of its
+// own covers (a memory session) could never be checked against the
+// source and is refused with CodeNotDurable. A refused session is left
+// untouched. A reused copy is unsealed: a seal left by an earlier move
+// away from this node would refuse the replay.
 func Adopt(ctx context.Context, reg *service.Registry, src *client.Client, st client.SessionStats) (*Copy, error) {
+	var seq int64
+	var head integrity.Head
 	s, ok := reg.Get(st.Name)
 	if !ok {
 		var err error
@@ -57,21 +57,22 @@ func Adopt(ctx context.Context, reg *service.Registry, src *client.Client, st cl
 	} else if id := s.ID(); id != "" && st.ID != "" && id != st.ID {
 		return nil, api.Errorf(api.CodeSessionExists,
 			"local copy of %q has identity %s, the source's is %s; delete the local copy first", st.Name, id, st.ID)
+	} else if n := s.Vertices(); n > 0 {
+		var chained bool
+		if seq, head, chained = s.ChainState(); !chained || seq != n {
+			return nil, api.Errorf(api.CodeNotDurable,
+				"local copy of %q holds %d events its own log's hash chain does not cover, so it cannot be checked against the source; delete the local copy first", st.Name, n)
+		}
 	}
 	s.Unseal()
-	return newCopy(reg, src, s), nil
+	return newCopy(reg, src, s, seq, head), nil
 }
 
-// newCopy seeds the copy's chain from what the local session holds.
-func newCopy(reg *service.Registry, src *client.Client, s *service.Session) *Copy {
-	cp := &Copy{src: src, s: s,
+// newCopy is the copy replaying into s, its chain at head over the
+// first seq frames.
+func newCopy(reg *service.Registry, src *client.Client, s *service.Session, seq int64, head integrity.Head) *Copy {
+	return &Copy{src: src, s: s, seq: seq, head: head,
 		frames: reg.Obs().Counter("wf_chain_verify_frames_total", "WAL frames hashed during chain verification.")}
-	if n := s.Vertices(); n == 0 {
-		cp.chained = true
-	} else if seq, head, ok := s.ChainState(); ok && seq == n {
-		cp.seq, cp.head, cp.chained = seq, head, true
-	}
-	return cp
 }
 
 // create builds the session from the source's spec and configuration.
@@ -109,7 +110,11 @@ func (cp *Copy) Session() *service.Session { return cp.s }
 // committed horizon. batch, when non-nil, runs after every applied
 // batch — caughtUp reports that nothing more of the stream has arrived,
 // the moment Head is comparable with the source's — and its error ends
-// the pull. Pull returns how many events it applied.
+// the pull. Pull returns how many events it applied. A refused record
+// (service.ErrTailRejected) can leave part of a batch applied but not
+// folded, so the chain no longer covers the copy: both callers discard
+// a copy whose Pull was refused — a follower stops the session, a move
+// target fails the attempt and adopts afresh.
 func (cp *Copy) Pull(ctx context.Context, wait bool, batch func(caughtUp bool) error) (int64, error) {
 	from := cp.s.Vertices() + 1
 	tail, err := cp.src.TailWAL(ctx, cp.s.Name(), from, wait)
@@ -118,37 +123,26 @@ func (cp *Copy) Pull(ctx context.Context, wait bool, batch func(caughtUp bool) e
 	}
 	defer tail.Close()
 	chainer := integrity.NewChainer()
-	n, err := cp.s.ApplyTail(tail.TailReader, from, func(last int64, frames [][]byte) error {
+	return cp.s.ApplyTail(tail.TailReader, from, func(last int64, frames [][]byte) error {
 		cp.mu.Lock()
-		if cp.chained {
-			for _, fr := range frames {
-				cp.head = chainer.Extend(cp.head, fr)
-			}
-			cp.seq = last
-			cp.frames.Add(int64(len(frames)))
+		for _, fr := range frames {
+			cp.head = chainer.Extend(cp.head, fr)
 		}
+		cp.seq = last
 		cp.mu.Unlock()
+		cp.frames.Add(int64(len(frames)))
 		if batch != nil {
 			return batch(!tail.Buffered())
 		}
 		return nil
 	})
-	if errors.Is(err, service.ErrTailRejected) {
-		// A batch went in only partly: the chain no longer covers what
-		// was applied.
-		cp.mu.Lock()
-		cp.chained = false
-		cp.mu.Unlock()
-	}
-	return n, err
 }
 
 // Head returns the chain head over the applied prefix and the sequence
 // it covers — equal to the source's Session.ChainState at that
 // sequence exactly when the copy replayed the bytes the source logged.
-// ok is false when the copy has no chain (see Adopt).
-func (cp *Copy) Head() (seq int64, head integrity.Head, ok bool) {
+func (cp *Copy) Head() (seq int64, head integrity.Head) {
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
-	return cp.seq, cp.head, cp.chained
+	return cp.seq, cp.head
 }

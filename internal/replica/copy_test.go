@@ -61,8 +61,8 @@ func TestCopyReproducesTheSource(t *testing.T) {
 			}
 			ps, _ := p.reg.Get(w.name)
 			wseq, whead, _ := ps.ChainState()
-			if seq, head, ok := cp.Head(); !ok || seq != wseq || head != whead {
-				t.Fatalf("%s/%s: Head() = (%d, %s, %v), source ChainState = (%d, %s)", name, w.name, seq, head, ok, wseq, whead)
+			if seq, head := cp.Head(); seq != wseq || head != whead {
+				t.Fatalf("%s/%s: Head() = (%d, %s), source ChainState = (%d, %s)", name, w.name, seq, head, wseq, whead)
 			}
 		}
 	}
@@ -175,6 +175,49 @@ func TestAdoptRefusesAnotherIdentity(t *testing.T) {
 	}
 	if s, _ := reg.Get(w.name); s != local || local.ID() != "someone-else" || local.Vertices() != 10 {
 		t.Fatalf("refused copy changed: id %q, %d vertices", local.ID(), local.Vertices())
+	}
+	if _, err := local.Append(w.events[10:11]); !errors.As(err, &ae) || ae.Code != api.CodeReadOnly {
+		t.Fatalf("refused copy lost its seal: append = %v", err)
+	}
+}
+
+// TestAdoptRefusesAnUncheckableCopy: a non-empty local session under
+// the source's identity whose own log has no chain covering it — a
+// memory session — could never be checked against the source. Adopt
+// refuses it with a typed error and leaves it as it was.
+func TestAdoptRefusesAnUncheckableCopy(t *testing.T) {
+	p := newEnv(t)
+	defer p.close()
+	w := makeWorkloads(t, 200)[0]
+	ps, err := p.reg.Create(w.name, w.g, w.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := w.cfg
+	cfg.ID = ps.ID()
+	reg := service.NewRegistry()
+	local, err := reg.Create(w.name, w.g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := local.Append(w.events[:10]); err != nil {
+		t.Fatal(err)
+	}
+	local.Seal("http://elsewhere")
+
+	ctx := context.Background()
+	src := client.New(p.srv.URL)
+	st, err := src.Session(ctx, w.name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Adopt(ctx, reg, src, st)
+	var ae *api.Error
+	if !errors.As(err, &ae) || ae.Code != api.CodeNotDurable {
+		t.Fatalf("Adopt over a chainless copy = %v, want %s", err, api.CodeNotDurable)
+	}
+	if s, _ := reg.Get(w.name); s != local || local.Vertices() != 10 {
+		t.Fatalf("refused copy changed: %d vertices", local.Vertices())
 	}
 	if _, err := local.Append(w.events[10:11]); !errors.As(err, &ae) || ae.Code != api.CodeReadOnly {
 		t.Fatalf("refused copy lost its seal: append = %v", err)

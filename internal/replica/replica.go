@@ -529,9 +529,9 @@ func (f *Follower) tailOnce(ctx context.Context, name string, ss *sessionState, 
 // primary committed; the session is hard-stopped — reconnecting would
 // re-apply the same tampered history.
 func (f *Follower) verifyChain(ctx context.Context, name string, ss *sessionState) error {
-	seq, head, ok := ss.copy.Head()
+	seq, head := ss.copy.Head()
 	ss.mu.Lock()
-	skip := ss.noVerify || !ok || seq <= ss.verifiedSeq
+	skip := ss.noVerify || seq <= ss.verifiedSeq
 	ss.mu.Unlock()
 	if skip {
 		return nil

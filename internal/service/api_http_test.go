@@ -45,7 +45,7 @@ func expectCode(t testing.TB, wantStatus int, wantCode api.ErrorCode, gotStatus 
 // prefix are not routes: every verb gets the structured 404.
 func TestHTTPMethodTable(t *testing.T) {
 	srv := newTestServer(t)
-	doJSON(t, "POST", srv.URL+"/v1/sessions", CreateRequest{Name: "s", Builtin: "RunningExample"}, nil)
+	doJSON(t, "POST", srv.URL+"/v1/sessions", api.CreateSessionRequest{Name: "s", Builtin: "RunningExample"}, nil)
 
 	routes := []struct {
 		path  string
@@ -132,7 +132,7 @@ func splitComma(s string) []string {
 // is contract.
 func TestHTTPErrorCodes(t *testing.T) {
 	srv := newTestServer(t)
-	doJSON(t, "POST", srv.URL+"/v1/sessions", CreateRequest{Name: "s", Builtin: "RunningExample"}, nil)
+	doJSON(t, "POST", srv.URL+"/v1/sessions", api.CreateSessionRequest{Name: "s", Builtin: "RunningExample"}, nil)
 
 	code, raw := doJSON(t, "GET", srv.URL+"/v1/nope", nil, nil)
 	expectCode(t, 404, api.CodeNotFound, code, raw)
@@ -143,19 +143,19 @@ func TestHTTPErrorCodes(t *testing.T) {
 	code, raw = doJSON(t, "DELETE", srv.URL+"/v1/sessions/ghost", nil, nil)
 	expectCode(t, 404, api.CodeSessionNotFound, code, raw)
 
-	code, raw = doJSON(t, "POST", srv.URL+"/v1/sessions", CreateRequest{Name: "s", Builtin: "RunningExample"}, nil)
+	code, raw = doJSON(t, "POST", srv.URL+"/v1/sessions", api.CreateSessionRequest{Name: "s", Builtin: "RunningExample"}, nil)
 	expectCode(t, 409, api.CodeSessionExists, code, raw)
 
-	code, raw = doJSON(t, "POST", srv.URL+"/v1/sessions", CreateRequest{Name: "x", Builtin: "zap"}, nil)
+	code, raw = doJSON(t, "POST", srv.URL+"/v1/sessions", api.CreateSessionRequest{Name: "x", Builtin: "zap"}, nil)
 	expectCode(t, 400, api.CodeUnknownBuiltin, code, raw)
 	if e := decodeError(t, raw); e.Detail == "" {
 		t.Fatalf("unknown_builtin should detail the valid names: %s", raw)
 	}
 
-	code, raw = doJSON(t, "POST", srv.URL+"/v1/sessions", CreateRequest{Name: "x", SpecXML: "<junk"}, nil)
+	code, raw = doJSON(t, "POST", srv.URL+"/v1/sessions", api.CreateSessionRequest{Name: "x", SpecXML: "<junk"}, nil)
 	expectCode(t, 400, api.CodeBadSpec, code, raw)
 
-	code, raw = doJSON(t, "POST", srv.URL+"/v1/sessions", CreateRequest{Name: "x"}, nil)
+	code, raw = doJSON(t, "POST", srv.URL+"/v1/sessions", api.CreateSessionRequest{Name: "x"}, nil)
 	expectCode(t, 400, api.CodeBadRequest, code, raw)
 
 	resp, err := http.Post(srv.URL+"/v1/sessions", "application/json", bytes.NewReader([]byte("{")))
@@ -182,7 +182,7 @@ func TestHTTPErrorCodes(t *testing.T) {
 
 	// Ingest-side codes.
 	code, raw = doJSON(t, "POST", srv.URL+"/v1/sessions/s/events",
-		EventsRequest{Events: []WireEvent{{V: 1}}}, nil)
+		api.EventsRequest{Events: []api.Event{{V: 1}}}, nil)
 	expectCode(t, 400, api.CodeBadEvent, code, raw)
 }
 
@@ -222,14 +222,14 @@ func postBinary(t testing.TB, url string, body []byte, out any) (int, string) {
 // and partial-application paths.
 func TestHTTPBinaryIngest(t *testing.T) {
 	srv := newTestServer(t)
-	doJSON(t, "POST", srv.URL+"/v1/sessions", CreateRequest{Name: "bin", Builtin: "BioAID"}, nil)
+	doJSON(t, "POST", srv.URL+"/v1/sessions", api.CreateSessionRequest{Name: "bin", Builtin: "BioAID"}, nil)
 
 	g := compileBuiltin(t, "BioAID")
 	events, r, err := gen.GenerateEvents(g, gen.Options{TargetSize: 1500, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var er EventsResponse
+	var er api.EventsResponse
 	code, raw := postBinary(t, srv.URL+"/v1/sessions/bin/events", frameStream(t, events), &er)
 	if code != http.StatusOK {
 		t.Fatalf("binary ingest: %d %s", code, raw)
@@ -253,7 +253,7 @@ func TestHTTPBinaryIngest(t *testing.T) {
 
 	// Damage mid-stream: the valid prefix applies, the response is a
 	// structured bad_frame with the applied count.
-	doJSON(t, "POST", srv.URL+"/v1/sessions", CreateRequest{Name: "dmg", Builtin: "BioAID"}, nil)
+	doJSON(t, "POST", srv.URL+"/v1/sessions", api.CreateSessionRequest{Name: "dmg", Builtin: "BioAID"}, nil)
 	good := frameStream(t, events[:10])
 	code, raw = postBinary(t, srv.URL+"/v1/sessions/dmg/events", append(good, 0xde, 0xad, 0xbe), nil)
 	expectCode(t, 400, api.CodeBadFrame, code, raw)
@@ -285,7 +285,7 @@ func TestHTTPBinaryIngestTeesWALBytes(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(reg))
 	defer srv.Close()
 
-	doJSON(t, "POST", srv.URL+"/v1/sessions", CreateRequest{Name: "tee", Builtin: "RunningExample"}, nil)
+	doJSON(t, "POST", srv.URL+"/v1/sessions", api.CreateSessionRequest{Name: "tee", Builtin: "RunningExample"}, nil)
 	g := compileBuiltin(t, "RunningExample")
 	events, _, err := gen.GenerateEvents(g, gen.Options{TargetSize: 400, Seed: 4})
 	if err != nil {
@@ -308,7 +308,7 @@ func TestHTTPBinaryIngestTeesWALBytes(t *testing.T) {
 // errors inline.
 func TestHTTPBatchReach(t *testing.T) {
 	srv := newTestServer(t)
-	doJSON(t, "POST", srv.URL+"/v1/sessions", CreateRequest{Name: "s", Builtin: "BioAID"}, nil)
+	doJSON(t, "POST", srv.URL+"/v1/sessions", api.CreateSessionRequest{Name: "s", Builtin: "BioAID"}, nil)
 	g := compileBuiltin(t, "BioAID")
 	events, r, err := gen.GenerateEvents(g, gen.Options{TargetSize: 900, Seed: 2})
 	if err != nil {
@@ -363,7 +363,7 @@ func TestHTTPBatchReach(t *testing.T) {
 // the first page at the default limit.
 func TestHTTPLineagePagination(t *testing.T) {
 	srv := newTestServer(t)
-	doJSON(t, "POST", srv.URL+"/v1/sessions", CreateRequest{Name: "s", Builtin: "BioAID"}, nil)
+	doJSON(t, "POST", srv.URL+"/v1/sessions", api.CreateSessionRequest{Name: "s", Builtin: "BioAID"}, nil)
 	g := compileBuiltin(t, "BioAID")
 	events, r, err := gen.GenerateEvents(g, gen.Options{TargetSize: 1500, Seed: 6})
 	if err != nil {
@@ -373,7 +373,7 @@ func TestHTTPLineagePagination(t *testing.T) {
 		t.Fatalf("ingest: %d %s", code, raw)
 	}
 	sink := events[len(events)-1].V
-	var full LineageResponse
+	var full api.LineageResponse
 	for _, ev := range events {
 		if r.Graph.Reaches(ev.V, sink) {
 			full.Ancestors = append(full.Ancestors, int32(ev.V))
@@ -384,7 +384,7 @@ func TestHTTPLineagePagination(t *testing.T) {
 		t.Fatalf("closure of %d ancestors fits one default page — test is vacuous", len(full.Ancestors))
 	}
 
-	var first LineageResponse
+	var first api.LineageResponse
 	if code, raw := doJSON(t, "GET",
 		fmt.Sprintf("%s/v1/sessions/s/lineage?of=%d", srv.URL, sink), nil, &first); code != 200 {
 		t.Fatalf("bare lineage: %d %s", code, raw)
@@ -402,7 +402,7 @@ func TestHTTPLineagePagination(t *testing.T) {
 		if cursor != "" {
 			url += "&cursor=" + cursor
 		}
-		var page LineageResponse
+		var page api.LineageResponse
 		if code, raw := doJSON(t, "GET", url, nil, &page); code != 200 {
 			t.Fatalf("page %d: %d %s", pages, code, raw)
 		}

@@ -243,7 +243,7 @@ func wireEvents(b *testing.B, events []run.Event) []client.Event {
 	b.Helper()
 	wire := make([]client.Event, len(events))
 	for i, ev := range events {
-		wire[i] = service.ToWire(ev)
+		wire[i] = api.FromRun(ev)
 	}
 	return wire
 }

@@ -800,3 +800,22 @@ func (s *Session) ChainState() (seq int64, head integrity.Head, ok bool) {
 	}
 	return s.wal.ChainHead()
 }
+
+// ChainAt returns the WAL hash-chain head over the session's first seq
+// events: the live head when the log holds exactly seq records, else
+// the head of a walk over the log's first seq frames — how a moved
+// session that took writes past its sealed sequence still proves the
+// history it was sealed at. A session without a chained log answers
+// CodeNotDurable; one whose log holds fewer than seq records, an error.
+func (s *Session) ChainAt(seq int64) (integrity.Head, error) {
+	n, head, ok := s.ChainState()
+	switch {
+	case !ok:
+		return integrity.Head{}, api.Errorf(api.CodeNotDurable, "session %q has no hash-chained log", s.name)
+	case n < seq:
+		return integrity.Head{}, fmt.Errorf("service: session %q: log holds %d records, not %d", s.name, n, seq)
+	case n > seq:
+		return wal.ChainPrefix(s.walPath, seq)
+	}
+	return head, nil
+}

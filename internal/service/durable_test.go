@@ -717,12 +717,12 @@ func TestNegativeVertexIDIsRefusedNotLost(t *testing.T) {
 		"json": func(t *testing.T, reg *Registry, _ *Session) int {
 			srv := httptest.NewServer(NewHandler(reg))
 			defer srv.Close()
-			wire := make([]WireEvent, len(events))
+			wire := make([]api.Event, len(events))
 			for i, ev := range events {
-				wire[i] = ToWire(ev)
+				wire[i] = api.FromRun(ev)
 			}
-			var ok EventsResponse
-			code, raw := doJSON(t, "POST", srv.URL+"/v1/sessions/neg/events", EventsRequest{Events: wire}, &ok)
+			var ok api.EventsResponse
+			code, raw := doJSON(t, "POST", srv.URL+"/v1/sessions/neg/events", api.EventsRequest{Events: wire}, &ok)
 			if code == http.StatusOK {
 				t.Errorf("negative vertex id acknowledged: %s", raw)
 				return ok.Applied

@@ -16,7 +16,6 @@ import (
 	"wfreach/internal/api"
 	"wfreach/internal/core"
 	"wfreach/internal/graph"
-	"wfreach/internal/run"
 	"wfreach/internal/skeleton"
 	"wfreach/internal/spec"
 	"wfreach/internal/wal"
@@ -62,37 +61,10 @@ import (
 // in the error detail. Without cluster hooks the /v1/cluster routes
 // answer CodeNotClustered.
 //
-// Create accepts either a JSON body (CreateRequest: a built-in spec
-// name or an inline spec XML string) or a raw XML specification with
+// Create accepts either a JSON body (api.CreateSessionRequest: a
+// built-in spec name or an inline spec XML string) or a raw XML specification with
 // Content-Type application/xml and the session options in query
 // parameters (?name=...&skeleton=TCL&rmode=designated).
-
-// Aliases for the wire types this handler serves, so existing callers
-// of the service package keep compiling; the definitions live in
-// internal/api.
-type (
-	// WireEvent is the JSON form of one execution event.
-	WireEvent = api.Event
-	// CreateRequest is the JSON body of POST /v1/sessions.
-	CreateRequest = api.CreateSessionRequest
-	// EventsRequest is the JSON body of POST /v1/sessions/{name}/events.
-	EventsRequest = api.EventsRequest
-	// EventsResponse reports how far an ingest batch got.
-	EventsResponse = api.EventsResponse
-	// ReachResponse answers one reachability query.
-	ReachResponse = api.ReachAnswer
-	// LineageResponse lists (one page of) the provenance closure of a
-	// vertex.
-	LineageResponse = api.LineageResponse
-	// ListResponse lists sessions.
-	ListResponse = api.ListSessionsResponse
-)
-
-// ToWire converts a run event to its wire form.
-func ToWire(ev run.Event) WireEvent { return api.FromRun(ev) }
-
-// ToWireNamed converts a named event to its wire form.
-func ToWireNamed(ev core.NamedEvent) WireEvent { return api.FromNamed(ev) }
 
 // NewHandler returns the HTTP handler serving the registry.
 func NewHandler(reg *Registry) http.Handler {

@@ -69,7 +69,7 @@ func TestHTTPSessionLifecycle(t *testing.T) {
 
 	var st Stats
 	code, raw := doJSON(t, "POST", srv.URL+"/v1/sessions",
-		CreateRequest{Name: "s1", Builtin: "RunningExample"}, &st)
+		api.CreateSessionRequest{Name: "s1", Builtin: "RunningExample"}, &st)
 	if code != http.StatusCreated {
 		t.Fatalf("create: %d %s", code, raw)
 	}
@@ -79,19 +79,19 @@ func TestHTTPSessionLifecycle(t *testing.T) {
 
 	// Duplicate name conflicts; bad builtin and empty body are 400s.
 	if code, _ := doJSON(t, "POST", srv.URL+"/v1/sessions",
-		CreateRequest{Name: "s1", Builtin: "RunningExample"}, nil); code != http.StatusConflict {
+		api.CreateSessionRequest{Name: "s1", Builtin: "RunningExample"}, nil); code != http.StatusConflict {
 		t.Fatalf("duplicate create: %d", code)
 	}
 	if code, _ := doJSON(t, "POST", srv.URL+"/v1/sessions",
-		CreateRequest{Name: "s2", Builtin: "nope"}, nil); code != http.StatusBadRequest {
+		api.CreateSessionRequest{Name: "s2", Builtin: "nope"}, nil); code != http.StatusBadRequest {
 		t.Fatalf("bad builtin: %d", code)
 	}
 	if code, _ := doJSON(t, "POST", srv.URL+"/v1/sessions",
-		CreateRequest{Name: "s2"}, nil); code != http.StatusBadRequest {
+		api.CreateSessionRequest{Name: "s2"}, nil); code != http.StatusBadRequest {
 		t.Fatalf("specless create: %d", code)
 	}
 	if code, raw := doJSON(t, "POST", srv.URL+"/v1/sessions",
-		CreateRequest{Builtin: "RunningExample"}, nil); code != http.StatusBadRequest {
+		api.CreateSessionRequest{Builtin: "RunningExample"}, nil); code != http.StatusBadRequest {
 		t.Fatalf("nameless create should be 400, got %d %s", code, raw)
 	}
 
@@ -101,7 +101,7 @@ func TestHTTPSessionLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	if code, raw := doJSON(t, "POST", srv.URL+"/v1/sessions",
-		CreateRequest{Name: "s2", SpecXML: xml.String(), Skeleton: "BFS"}, &st); code != http.StatusCreated {
+		api.CreateSessionRequest{Name: "s2", SpecXML: xml.String(), Skeleton: "BFS"}, &st); code != http.StatusCreated {
 		t.Fatalf("inline spec create: %d %s", code, raw)
 	} else if st.Skeleton != "BFS" {
 		t.Fatalf("inline spec stats = %+v", st)
@@ -118,7 +118,7 @@ func TestHTTPSessionLifecycle(t *testing.T) {
 		t.Fatalf("xml upload: %d", resp.StatusCode)
 	}
 
-	var list ListResponse
+	var list api.ListSessionsResponse
 	if code, _ := doJSON(t, "GET", srv.URL+"/v1/sessions", nil, &list); code != http.StatusOK {
 		t.Fatalf("list: %d", code)
 	}
@@ -139,7 +139,7 @@ func TestHTTPSessionLifecycle(t *testing.T) {
 
 func TestHTTPEventFormsAndErrors(t *testing.T) {
 	srv := newTestServer(t)
-	doJSON(t, "POST", srv.URL+"/v1/sessions", CreateRequest{Name: "s", Builtin: "RunningExample"}, nil)
+	doJSON(t, "POST", srv.URL+"/v1/sessions", api.CreateSessionRequest{Name: "s", Builtin: "RunningExample"}, nil)
 
 	g := compileBuiltin(t, "RunningExample")
 	events, r, err := gen.GenerateEvents(g, gen.Options{TargetSize: 120, Seed: 5})
@@ -148,17 +148,17 @@ func TestHTTPEventFormsAndErrors(t *testing.T) {
 	}
 
 	// Mixed batch: ref-form and name-form events interleaved.
-	wire := make([]WireEvent, len(events))
+	wire := make([]api.Event, len(events))
 	for i, ev := range events {
 		if i%2 == 0 {
-			wire[i] = ToWire(ev)
+			wire[i] = api.FromRun(ev)
 		} else {
-			wire[i] = ToWireNamed(toNamed(r, ev))
+			wire[i] = api.FromNamed(toNamed(r, ev))
 		}
 	}
-	var er EventsResponse
+	var er api.EventsResponse
 	if code, raw := doJSON(t, "POST", srv.URL+"/v1/sessions/s/events",
-		EventsRequest{Events: wire}, &er); code != http.StatusOK {
+		api.EventsRequest{Events: wire}, &er); code != http.StatusOK {
 		t.Fatalf("events: %d %s", code, raw)
 	}
 	if er.Applied != len(events) || er.Vertices != int64(len(events)) {
@@ -167,33 +167,33 @@ func TestHTTPEventFormsAndErrors(t *testing.T) {
 
 	// Replaying the stream is a 400 with applied=0 (duplicate vertex).
 	code, raw := doJSON(t, "POST", srv.URL+"/v1/sessions/s/events",
-		EventsRequest{Events: wire[:1]}, nil)
+		api.EventsRequest{Events: wire[:1]}, nil)
 	if code != http.StatusBadRequest {
 		t.Fatalf("replay: %d %s", code, raw)
 	}
 
 	// Malformed events.
 	g0 := int32(0)
-	for _, bad := range [][]WireEvent{
+	for _, bad := range [][]api.Event{
 		{{V: 999}}, // neither form
 		{{V: 999, Name: "x", Graph: &g0, Vertex: &g0}}, // both forms
 	} {
 		if code, _ := doJSON(t, "POST", srv.URL+"/v1/sessions/s/events",
-			EventsRequest{Events: bad}, nil); code != http.StatusBadRequest {
+			api.EventsRequest{Events: bad}, nil); code != http.StatusBadRequest {
 			t.Fatalf("bad event %+v: %d", bad, code)
 		}
 	}
 
 	// A failing event in a mixed batch is reported at its position in
 	// the submitted batch, not within a same-form sub-batch.
-	doJSON(t, "POST", srv.URL+"/v1/sessions", CreateRequest{Name: "mix", Builtin: "RunningExample"}, nil)
-	mixed := []WireEvent{
-		ToWire(events[0]),
-		ToWireNamed(toNamed(r, events[1])),
-		ToWireNamed(toNamed(r, events[2])),
-		ToWireNamed(toNamed(r, events[2])), // duplicate: fails at batch index 3
+	doJSON(t, "POST", srv.URL+"/v1/sessions", api.CreateSessionRequest{Name: "mix", Builtin: "RunningExample"}, nil)
+	mixed := []api.Event{
+		api.FromRun(events[0]),
+		api.FromNamed(toNamed(r, events[1])),
+		api.FromNamed(toNamed(r, events[2])),
+		api.FromNamed(toNamed(r, events[2])), // duplicate: fails at batch index 3
 	}
-	code, raw = doJSON(t, "POST", srv.URL+"/v1/sessions/mix/events", EventsRequest{Events: mixed}, nil)
+	code, raw = doJSON(t, "POST", srv.URL+"/v1/sessions/mix/events", api.EventsRequest{Events: mixed}, nil)
 	if code != http.StatusBadRequest || !strings.Contains(raw, "event 3:") {
 		t.Fatalf("mixed-batch failure index: %d %s", code, raw)
 	}
@@ -217,7 +217,7 @@ func TestHTTPEventFormsAndErrors(t *testing.T) {
 	if ans := br.Results[200]; ans.Code != api.CodeVertexNotLabeled {
 		t.Fatalf("unlabeled pair: %+v", ans)
 	}
-	var lr LineageResponse
+	var lr api.LineageResponse
 	sink := events[len(events)-1].V
 	if code, raw := doJSON(t, "GET",
 		fmt.Sprintf("%s/v1/sessions/s/lineage?of=%d", srv.URL, sink), nil, &lr); code != http.StatusOK {
@@ -244,7 +244,7 @@ func TestHTTPStreamingE2E(t *testing.T) {
 	)
 	srv := newTestServer(t)
 	if code, raw := doJSON(t, "POST", srv.URL+"/v1/sessions",
-		CreateRequest{Name: "big", Builtin: "BioAID"}, nil); code != http.StatusCreated {
+		api.CreateSessionRequest{Name: "big", Builtin: "BioAID"}, nil); code != http.StatusCreated {
 		t.Fatalf("create: %d %s", code, raw)
 	}
 
@@ -267,13 +267,13 @@ func TestHTTPStreamingE2E(t *testing.T) {
 		defer close(done)
 		for i := 0; i < len(events); i += batch {
 			end := min(i+batch, len(events))
-			wire := make([]WireEvent, 0, end-i)
+			wire := make([]api.Event, 0, end-i)
 			for _, ev := range events[i:end] {
-				wire = append(wire, ToWire(ev))
+				wire = append(wire, api.FromRun(ev))
 			}
-			var er EventsResponse
+			var er api.EventsResponse
 			if code, raw := doJSON(t, "POST", srv.URL+"/v1/sessions/big/events",
-				EventsRequest{Events: wire}, &er); code != http.StatusOK {
+				api.EventsRequest{Events: wire}, &er); code != http.StatusOK {
 				t.Errorf("batch at %d: %d %s", i, code, raw)
 				return
 			}
@@ -382,11 +382,11 @@ func TestShardsIgnoredOnInput(t *testing.T) {
 	}
 	const batch = 50
 	for lo := 0; lo < len(events); lo += batch {
-		wire := make([]WireEvent, 0, batch)
+		wire := make([]api.Event, 0, batch)
 		for _, ev := range events[lo:min(lo+batch, len(events))] {
-			wire = append(wire, ToWire(ev))
+			wire = append(wire, api.FromRun(ev))
 		}
-		if code, raw := doJSON(t, "POST", srv.URL+"/v1/sessions/body/events", EventsRequest{Events: wire}, nil); code != http.StatusOK {
+		if code, raw := doJSON(t, "POST", srv.URL+"/v1/sessions/body/events", api.EventsRequest{Events: wire}, nil); code != http.StatusOK {
 			t.Fatalf("events: %d %s", code, raw)
 		}
 	}
@@ -435,19 +435,19 @@ func TestListSessionsUnderChurn(t *testing.T) {
 	anchors := map[string]int64{"anchor-a": 120, "anchor-b": 60}
 	for name, n := range anchors {
 		if code, raw := doJSON(t, "POST", srv.URL+"/v1/sessions",
-			CreateRequest{Name: name, Builtin: "RunningExample"}, nil); code != http.StatusCreated {
+			api.CreateSessionRequest{Name: name, Builtin: "RunningExample"}, nil); code != http.StatusCreated {
 			t.Fatalf("create %s: %d %s", name, code, raw)
 		}
 		events, _, err := gen.GenerateEvents(g, gen.Options{TargetSize: int(n), Seed: 13})
 		if err != nil {
 			t.Fatal(err)
 		}
-		wire := make([]WireEvent, len(events))
+		wire := make([]api.Event, len(events))
 		for i, ev := range events {
-			wire[i] = ToWire(ev)
+			wire[i] = api.FromRun(ev)
 		}
 		if code, raw := doJSON(t, "POST", srv.URL+"/v1/sessions/"+name+"/events",
-			EventsRequest{Events: wire}, nil); code != http.StatusOK {
+			api.EventsRequest{Events: wire}, nil); code != http.StatusOK {
 			t.Fatalf("ingest %s: %d %s", name, code, raw)
 		}
 		anchors[name] = int64(len(events))
@@ -473,7 +473,7 @@ func TestListSessionsUnderChurn(t *testing.T) {
 				}
 				name := fmt.Sprintf("churn-%d-%d", c, i%5)
 				if code, raw := doJSON(t, "POST", srv.URL+"/v1/sessions",
-					CreateRequest{Name: name, Builtin: "RunningExample"}, nil); code != http.StatusCreated {
+					api.CreateSessionRequest{Name: name, Builtin: "RunningExample"}, nil); code != http.StatusCreated {
 					t.Errorf("churn create %s: %d %s", name, code, raw)
 					return
 				}
@@ -486,7 +486,7 @@ func TestListSessionsUnderChurn(t *testing.T) {
 	}
 
 	for i := 0; i < 150 && !t.Failed(); i++ {
-		var list ListResponse
+		var list api.ListSessionsResponse
 		if code, raw := doJSON(t, "GET", srv.URL+"/v1/sessions", nil, &list); code != http.StatusOK {
 			t.Fatalf("list #%d: %d %s", i, code, raw)
 		}

@@ -40,7 +40,7 @@ func TestIngestFormsRestoreAlike(t *testing.T) {
 		c := client.New(srv.URL, client.WithRetry(0, 0))
 		wire := make([]client.Event, len(events))
 		for i, ev := range events {
-			wire[i] = service.ToWire(ev)
+			wire[i] = client.FromRun(ev)
 		}
 		for lo := 0; lo < len(events); lo += 256 {
 			hi := min(lo+256, len(events))

@@ -75,10 +75,12 @@ func newNodeMetrics(r *obs.Registry) *nodeMetrics {
 		moves:             r.CounterVec("wf_cluster_moves_total", "Cluster session-move phase transitions.", "phase"),
 		rejections:        r.CounterVec("wf_cluster_rejections_total", "Placement rejections served.", "code"),
 	}
-	// Pre-create the series CI's mid-drill curl asserts on, so they are
-	// numeric from the first scrape rather than absent until the first
-	// move or misrouted request.
+	// Pre-create the series CI's mid-drill curl asserts on, and the
+	// rejected moves an operator alerts on, so they are numeric from the
+	// first scrape rather than absent until the first move or misrouted
+	// request.
 	m.moves.With("completed")
+	m.moves.With("rejected")
 	m.rejections.With("wrong_node")
 	m.rejections.With("read_only")
 	return m

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"wfreach/internal/api"
 	"wfreach/internal/gen"
 )
 
@@ -66,7 +67,7 @@ func parseProm(t *testing.T, body string) map[string]float64 {
 func TestMetricsEndpointUnderConcurrentIngest(t *testing.T) {
 	srv := newTestServer(t)
 	if code, raw := doJSON(t, "POST", srv.URL+"/v1/sessions",
-		CreateRequest{Name: "m", Builtin: "RunningExample"}, nil); code != http.StatusCreated {
+		api.CreateSessionRequest{Name: "m", Builtin: "RunningExample"}, nil); code != http.StatusCreated {
 		t.Fatalf("create: %d %s", code, raw)
 	}
 	g := compileBuiltin(t, "RunningExample")
@@ -74,9 +75,9 @@ func TestMetricsEndpointUnderConcurrentIngest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wire := make([]WireEvent, len(events))
+	wire := make([]api.Event, len(events))
 	for i, ev := range events {
-		wire[i] = ToWire(ev)
+		wire[i] = api.FromRun(ev)
 	}
 
 	// Single writer (sessions are single-writer); errors come back on
@@ -86,7 +87,7 @@ func TestMetricsEndpointUnderConcurrentIngest(t *testing.T) {
 		const batch = 64
 		for lo := 0; lo < len(wire); lo += batch {
 			hi := min(lo+batch, len(wire))
-			b, err := json.Marshal(EventsRequest{Events: wire[lo:hi]})
+			b, err := json.Marshal(api.EventsRequest{Events: wire[lo:hi]})
 			if err != nil {
 				writerDone <- err
 				return

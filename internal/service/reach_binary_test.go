@@ -221,7 +221,7 @@ func TestBinaryReachMatchesEveryForm(t *testing.T) {
 // routing never see the binary form.
 func TestReachRequestLevelErrorsStayJSON(t *testing.T) {
 	srv := newTestServer(t)
-	doJSON(t, "POST", srv.URL+"/v1/sessions", CreateRequest{Name: "s", Builtin: "RunningExample"}, nil)
+	doJSON(t, "POST", srv.URL+"/v1/sessions", api.CreateSessionRequest{Name: "s", Builtin: "RunningExample"}, nil)
 	good := api.AppendReachRequest(nil, []api.ReachPair{{From: 0, To: 0}})
 	for _, c := range []struct {
 		name, session, contentType string

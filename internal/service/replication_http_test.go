@@ -113,7 +113,7 @@ func TestHTTPWALTailErrors(t *testing.T) {
 	mem := httptest.NewServer(NewHandler(NewRegistry()))
 	defer mem.Close()
 	if code, raw := doJSON(t, "POST", mem.URL+"/v1/sessions",
-		CreateRequest{Name: "m", Builtin: "RunningExample"}, nil); code != http.StatusCreated {
+		api.CreateSessionRequest{Name: "m", Builtin: "RunningExample"}, nil); code != http.StatusCreated {
 		t.Fatalf("create: %d %s", code, raw)
 	}
 	resp, err := http.Get(mem.URL + "/v1/sessions/m/wal")
@@ -158,7 +158,7 @@ func TestHTTPFollowerReadOnly(t *testing.T) {
 	reg.SetFollower(primary)
 
 	// Writes: create, ingest, delete.
-	code, raw := doJSON(t, "POST", srv.URL+"/v1/sessions", CreateRequest{Name: "x", Builtin: "RunningExample"}, nil)
+	code, raw := doJSON(t, "POST", srv.URL+"/v1/sessions", api.CreateSessionRequest{Name: "x", Builtin: "RunningExample"}, nil)
 	if code != http.StatusMisdirectedRequest || !strings.Contains(raw, string(api.CodeReadOnly)) || !strings.Contains(raw, primary) {
 		t.Fatalf("follower create: %d %s", code, raw)
 	}
@@ -190,7 +190,7 @@ func TestHTTPFollowerReadOnly(t *testing.T) {
 
 	// Promote clears the gate.
 	reg.Promote()
-	if code, raw := doJSON(t, "POST", srv.URL+"/v1/sessions", CreateRequest{Name: "x", Builtin: "RunningExample"}, nil); code != http.StatusCreated {
+	if code, raw := doJSON(t, "POST", srv.URL+"/v1/sessions", api.CreateSessionRequest{Name: "x", Builtin: "RunningExample"}, nil); code != http.StatusCreated {
 		t.Fatalf("post-promote create: %d %s", code, raw)
 	}
 }

@@ -252,7 +252,7 @@ func TestNamedDuplicateVertexIsBadEvent(t *testing.T) {
 	}
 
 	srv := newTestServer(t)
-	doJSON(t, "POST", srv.URL+"/v1/sessions", CreateRequest{Name: "n", Builtin: "BioAID"}, nil)
+	doJSON(t, "POST", srv.URL+"/v1/sessions", api.CreateSessionRequest{Name: "n", Builtin: "BioAID"}, nil)
 	badWire := append(append([]api.Event{}, wire[:k]...), api.FromNamed(dup))
 	code, raw := doJSON(t, "POST", srv.URL+"/v1/sessions/n/events", api.EventsRequest{Events: badWire}, nil)
 	expectCode(t, 400, api.CodeBadEvent, code, raw)

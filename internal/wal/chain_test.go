@@ -2,6 +2,7 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -194,5 +195,30 @@ func TestChainCatchesCRCFixedRewrite(t *testing.T) {
 	}
 	if head == origHead {
 		t.Fatal("chain head unchanged by a rewritten record")
+	}
+}
+
+// TestChainPrefix: the head over a log's first n frames is the head the
+// live log reported at sequence n, whatever follows, and a log shorter
+// than n frames is corrupt.
+func TestChainPrefix(t *testing.T) {
+	path, l := chainFixture(t, 20)
+	_, at20, _ := l.ChainHead()
+	for i := 20; i < 30; i++ {
+		if err := l.Append(RefRecord(run.Event{V: graph.VertexID(i)})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if head, err := ChainPrefix(path, 20); err != nil || head != at20 {
+		t.Fatalf("ChainPrefix(20) = (%s, %v), live head at 20 was %s", head, err, at20)
+	}
+	if head, err := ChainPrefix(path, 0); err != nil || head != (integrity.Head{}) {
+		t.Fatalf("ChainPrefix(0) = (%s, %v), want genesis", head, err)
+	}
+	if _, err := ChainPrefix(path, 31); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("ChainPrefix past the end = %v, want ErrCorrupt", err)
 	}
 }
