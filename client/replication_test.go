@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net/http/httptest"
+	"slices"
 	"testing"
 	"time"
 
@@ -127,8 +128,13 @@ func TestTailWALClient(t *testing.T) {
 	for i, ev := range events {
 		wire[i] = client.FromRun(ev)
 	}
-	if _, err := c.IngestFrames(ctx, "tw", wire); err != nil {
-		t.Fatal(err)
+	// Two batches, two frames: the tail ships each whole, its records
+	// numbered one by one.
+	half := len(wire) / 2
+	for _, batch := range [][]client.Event{wire[:half], wire[half:]} {
+		if _, err := c.IngestFrames(ctx, "tw", batch); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	tail, err := c.TailWAL(ctx, "tw", 1, false)
@@ -137,6 +143,7 @@ func TestTailWALClient(t *testing.T) {
 	}
 	defer tail.Close()
 	var last int64
+	var opens []int64
 	for {
 		e, err := tail.Next()
 		if errors.Is(err, io.EOF) {
@@ -145,23 +152,34 @@ func TestTailWALClient(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if e.Seq != last+1 || len(e.Frame) == 0 {
-			t.Fatalf("entry seq %d after %d (frame %d bytes)", e.Seq, last, len(e.Frame))
+		if e.Seq != last+1 {
+			t.Fatalf("entry seq %d after %d", e.Seq, last)
+		}
+		if e.Frame != nil {
+			opens = append(opens, e.Seq)
 		}
 		last = e.Seq
 	}
 	if last != int64(len(events)) {
 		t.Fatalf("tailed %d entries, want %d", last, len(events))
 	}
+	if !slices.Equal(opens, []int64{1, int64(half) + 1}) {
+		t.Fatalf("frames open at seqs %v, want 1 and %d", opens, half+1)
+	}
 
-	mid, err := c.TailWAL(ctx, "tw", last-5, false)
+	mid, err := c.TailWAL(ctx, "tw", int64(half)+1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer mid.Close()
 	e, err := mid.Next()
-	if err != nil || e.Seq != last-5 {
-		t.Fatalf("resume at %d got seq %d, err %v", last-5, e.Seq, err)
+	if err != nil || e.Seq != int64(half)+1 || e.Frame == nil {
+		t.Fatalf("resume at %d got seq %d (frame %d bytes), err %v", half+1, e.Seq, len(e.Frame), err)
+	}
+	// A frame is shipped whole: a tail cannot start inside one.
+	var ae *client.Error
+	if _, err := c.TailWAL(ctx, "tw", int64(half)-5, false); !errors.As(err, &ae) || ae.Code != client.CodeBadRequest {
+		t.Fatalf("tail from inside a frame = %v, want CodeBadRequest", err)
 	}
 
 	// Memory sessions are not tailable.
@@ -171,7 +189,6 @@ func TestTailWALClient(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = mc.TailWAL(ctx, "m", 1, false)
-	var ae *client.Error
 	if !errors.As(err, &ae) || ae.Code != client.CodeNotDurable {
 		t.Fatalf("memory tail = %v, want CodeNotDurable", err)
 	}

@@ -26,10 +26,10 @@ type StreamOptions struct {
 const DefaultStreamBatch = 256
 
 // Stream is a batching event uploader over the binary frame format.
-// Send buffers an event (encoding it immediately into the frame the
-// server will both ingest and, when durable, write to its log
-// verbatim); a buffer of BatchSize events — or FlushInterval elapsing
-// — posts one ingest request. Close flushes the tail.
+// Send buffers an event (encoding it immediately into the batch's
+// frame, which the server will both ingest and, when durable, write to
+// its log verbatim); a buffer of BatchSize events — or FlushInterval
+// elapsing — posts one ingest request. Close flushes the tail.
 //
 // A Stream is safe for concurrent Send, though events interleave in
 // arrival order. Any flush error poisons the stream: Send, Flush and
@@ -45,6 +45,7 @@ type Stream struct {
 
 	mu       sync.Mutex
 	buf      []byte
+	open     int // the batch's frame in buf (api.AppendEvent)
 	n        int
 	applied  int64
 	vertices int64
@@ -59,7 +60,7 @@ func (c *Client) Stream(ctx context.Context, session string, opts StreamOptions)
 	if opts.BatchSize <= 0 {
 		opts.BatchSize = DefaultStreamBatch
 	}
-	s := &Stream{c: c, ctx: ctx, session: session, opts: opts}
+	s := &Stream{c: c, ctx: ctx, session: session, opts: opts, open: -1}
 	if opts.FlushInterval > 0 {
 		s.timer = time.AfterFunc(opts.FlushInterval, s.timedFlush)
 	}
@@ -88,11 +89,11 @@ func (s *Stream) Send(ev Event) error {
 	if s.err != nil {
 		return s.err
 	}
-	buf, err := api.AppendFrame(s.buf, ev)
+	buf, open, err := api.AppendEvent(s.buf, s.open, ev)
 	if err != nil {
 		return err
 	}
-	s.buf = buf
+	s.buf, s.open = buf, open
 	s.n++
 	if s.n >= s.opts.BatchSize {
 		return s.flushLocked()
@@ -115,7 +116,7 @@ func (s *Stream) flushLocked() error {
 		return nil
 	}
 	resp, err := s.c.ingestRaw(s.ctx, s.session, s.buf)
-	s.buf, s.n = s.buf[:0], 0
+	s.buf, s.open, s.n = s.buf[:0], -1, 0
 	if err != nil {
 		// A partial failure still applied a prefix; the server reports
 		// it on the error envelope, so Applied() stays an accurate

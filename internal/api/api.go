@@ -1,7 +1,8 @@
 // Package api is the single source of truth for the wfserve wire
 // contract: every request and response type of the versioned /v1 HTTP
 // surface, the structured error model shared by server and clients,
-// the binary ingest frame and the binary batch-reach form.
+// the binary ingest frame — the WAL's frame, one batch of events each
+// (frame.go) — and the binary batch-reach form.
 //
 // The package deliberately holds no behavior beyond encoding and
 // placement — the server (internal/service) maps these types onto
@@ -45,7 +46,7 @@ const (
 	// default for every endpoint).
 	ContentTypeJSON = "application/json"
 	// ContentTypeFrame marks a binary event-frame stream on the events
-	// endpoint (see AppendFrame / FrameReader).
+	// endpoint (see AppendFrames / FrameReader).
 	ContentTypeFrame = "application/x-wfreach-frame"
 	// ContentTypeReach marks a binary batch-reach request, and the
 	// response to one (see AppendReachRequest / AppendReachResponse). It

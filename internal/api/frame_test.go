@@ -34,30 +34,49 @@ func randomEvents(rng *rand.Rand, n int) []Event {
 }
 
 // TestFrameEncodeMatchesWALBytes is the round-trip property test the
-// tee depends on: encoding a stream of events with AppendFrame yields
-// byte-for-byte the file a write-ahead log produces for the same
-// records via Log.Append.
+// tee depends on: encoding a batch of events with AppendFrames yields
+// byte-for-byte the file a write-ahead log holds for the same records
+// framed as one batch by wal.AppendRecord, and AppendFrame of one event
+// what wal.AppendFrame gives its record.
 func TestFrameEncodeMatchesWALBytes(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	events := randomEvents(rng, 500)
 
-	var wire []byte
+	wire, err := AppendFrames(nil, events)
+	if err != nil {
+		t.Fatal(err)
+	}
 	path := filepath.Join(t.TempDir(), "events.wal")
 	log, err := wal.Open(path, 0, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var batch []byte
+	open := -1
 	for _, ev := range events {
-		if wire, err = AppendFrame(wire, ev); err != nil {
-			t.Fatalf("AppendFrame(%+v): %v", ev, err)
-		}
 		rec, err := ev.Record()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := log.Append(rec); err != nil {
+		if batch, open, err = wal.AppendRecord(batch, open, rec); err != nil {
 			t.Fatal(err)
 		}
+		one, err := AppendFrame(nil, ev)
+		if err != nil {
+			t.Fatalf("AppendFrame(%+v): %v", ev, err)
+		}
+		if walOne, _ := wal.AppendFrame(nil, rec); !bytes.Equal(one, walOne) {
+			t.Fatalf("AppendFrame(%+v) = %x, wal.AppendFrame %x", ev, one, walOne)
+		}
+	}
+	if open != 0 {
+		t.Fatalf("a %d-byte batch split into frames", len(batch))
+	}
+	if err := log.AppendRaw(batch); err != nil {
+		t.Fatal(err)
+	}
+	if got := log.AppendSeq(); got != int64(len(events)) {
+		t.Fatalf("one frame of %d records advanced the sequence to %d", len(events), got)
 	}
 	if err := log.Close(); err != nil {
 		t.Fatal(err)
@@ -85,6 +104,9 @@ func TestFrameEncodeMatchesWALBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if frame == nil {
+			continue // a further record of the frame just teed
+		}
 		if err := log2.AppendRaw(frame); err != nil {
 			t.Fatal(err)
 		}
@@ -97,7 +119,7 @@ func TestFrameEncodeMatchesWALBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(disk, disk2) {
-		t.Fatal("AppendRaw of wire frames diverges from Append of the records")
+		t.Fatal("AppendRaw of wire frames diverges from the batch framed record by record")
 	}
 }
 

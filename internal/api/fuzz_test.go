@@ -18,7 +18,9 @@ import (
 // CodeBadFrame, never accepts a frame past the payload cap, and every
 // accepted frame's raw bytes are exactly the input bytes it consumed
 // (so a server teeing accepted frames to its WAL writes precisely
-// what arrived on the wire).
+// what arrived on the wire). The records of an accepted frame re-frame
+// to exactly its bytes — a run of compact records as one batch frame,
+// a classic record alone, never sharing its frame.
 func FuzzFrameReader(f *testing.F) {
 	g, v := int32(1), int32(2)
 	seed, _ := AppendFrame(nil, Event{V: 0, Graph: &g, Vertex: &v})
@@ -43,11 +45,24 @@ func FuzzFrameReader(f *testing.F) {
 	mixed = binary.LittleEndian.AppendUint32(mixed, crc32.ChecksumIEEE(classic))
 	f.Add(append(append(mixed, classic...), seed...))
 
+	// Batch frames: a run of records, one cut short, and a classic
+	// record sharing a frame with a compact one (CRCs fixed).
+	batch, _ := AppendFrames(nil, []Event{{V: 0, Graph: &g, Vertex: &v}, {V: 1, Name: "blast", Preds: []int32{0}}, {V: 2, Graph: &g, Vertex: &v, Preds: []int32{0, 1}}})
+	f.Add(slices.Concat(batch, seed))
+	f.Add(reframed(batch[FrameHeaderSize : len(batch)-1]))
+	f.Add(reframed(slices.Concat(classic, batch[FrameHeaderSize:])))
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr := NewFrameReader(bytes.NewReader(data))
 		consumed := 0
+		var cur []byte        // the frame the records below came in
+		var recs []wal.Record // its records so far; never released
 		for {
 			rec, frame, err := fr.Next()
+			if frame != nil || err != nil {
+				checkReframes(t, cur, recs)
+				cur, recs = nil, recs[:0]
+			}
 			if errors.Is(err, io.EOF) {
 				break
 			}
@@ -58,20 +73,59 @@ func FuzzFrameReader(f *testing.F) {
 				}
 				break
 			}
-			if len(frame) > FrameHeaderSize+MaxFramePayload {
-				t.Fatalf("frame of %d bytes exceeds the cap", len(frame))
+			if frame != nil {
+				if len(frame) > FrameHeaderSize+MaxFramePayload {
+					t.Fatalf("frame of %d bytes exceeds the cap", len(frame))
+				}
+				if !bytes.Equal(frame, data[consumed:consumed+len(frame)]) {
+					t.Fatal("returned frame bytes differ from the consumed input")
+				}
+				consumed += len(frame)
+				cur = slices.Clone(frame)
+			} else if cur == nil {
+				t.Fatal("a record opens no frame")
 			}
-			if !bytes.Equal(frame, data[consumed:consumed+len(frame)]) {
-				t.Fatal("returned frame bytes differ from the consumed input")
-			}
-			consumed += len(frame)
-			// An accepted record must survive the WAL append path the
-			// server tees it through (the cap was already enforced).
-			if _, err := wal.AppendFrame(nil, rec); err != nil {
-				t.Fatalf("accepted record rejected by the WAL encoder: %v", err)
-			}
+			recs = append(recs, rec)
 		}
 	})
+}
+
+// reframed is payload with a frame header whose CRC matches.
+func reframed(payload []byte) []byte {
+	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
+	return append(frame, payload...)
+}
+
+// checkReframes asserts recs, the records of frame, re-frame to exactly
+// its bytes: a classic record alone, compact ones as one batch frame.
+func checkReframes(t *testing.T, frame []byte, recs []wal.Record) {
+	t.Helper()
+	if frame == nil {
+		return
+	}
+	if kind := frame[FrameHeaderSize]; kind == 0x01 || kind == 0x02 {
+		if len(recs) != 1 {
+			t.Fatalf("a classic record shares its frame with %d others", len(recs)-1)
+		}
+		// It must survive the WAL append path the server re-frames a
+		// refused frame's prefix through.
+		if _, err := wal.AppendFrame(nil, recs[0]); err != nil {
+			t.Fatalf("accepted record rejected by the WAL encoder: %v", err)
+		}
+		return
+	}
+	var back []byte
+	open := -1
+	for _, rec := range recs {
+		var err error
+		if back, open, err = wal.AppendRecord(back, open, rec); err != nil {
+			t.Fatalf("accepted record rejected by the WAL encoder: %v", err)
+		}
+	}
+	if !bytes.Equal(back, frame) {
+		t.Fatalf("%d records re-frame to %x, came in %x", len(recs), back, frame)
+	}
 }
 
 // FuzzDecodeReachRequest throws arbitrary bytes at the binary

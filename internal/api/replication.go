@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"io"
 
-	"wfreach/internal/graph"
 	"wfreach/internal/wal"
 )
 
@@ -17,12 +16,12 @@ import (
 //	POST /v1/replication/promote                          follower → writable
 //
 // A tail response (ContentTypeWAL) is a stream of entries, each an
-// 8-byte little-endian absolute sequence number followed by one raw
-// WAL frame — the identical bytes the primary's log holds, which are
-// the identical bytes the binary ingest route accepted. A follower
-// appends the shipped frames to its own log verbatim, so replication
-// preserves the frame-identity chain end to end: ingest frame ≡ WAL
-// record ≡ shipped frame ≡ replica WAL record.
+// 8-byte little-endian absolute sequence number — that of the frame's
+// first record — followed by one raw WAL frame: the identical bytes the
+// primary's log holds, which are the identical bytes the binary ingest
+// route accepted. A follower appends the shipped frames to its own log
+// verbatim, so replication preserves the frame-identity chain end to
+// end: ingest frame ≡ WAL frame ≡ shipped frame ≡ replica WAL frame.
 
 // ContentTypeWAL marks a WAL tail stream response.
 const ContentTypeWAL = "application/x-wfreach-wal"
@@ -65,7 +64,8 @@ type SessionReplication struct {
 }
 
 // TailSeqSize is the fixed per-entry prefix of a tail stream: the
-// absolute sequence number, uint64 little-endian.
+// absolute sequence number of the frame's first record, uint64
+// little-endian.
 const TailSeqSize = 8
 
 // AppendTailEntry encodes one tail-stream entry — the sequence prefix
@@ -75,51 +75,64 @@ func AppendTailEntry(buf []byte, seq int64, frame []byte) []byte {
 	return append(buf, frame...)
 }
 
-// TailEntry is one decoded tail-stream entry.
+// TailEntry is one record of a tail stream.
 type TailEntry struct {
 	// Seq is the record's absolute sequence in the primary's WAL.
 	Seq int64
-	// Frame is the raw WAL frame (header plus payload), CRC-verified.
-	// The slice is reused by the reader's following Next call.
+	// Frame is the raw WAL frame (header plus payload), CRC-verified,
+	// on the record that opens it; nil on the frame's further records.
+	// The slice is reused once the frame's records are all returned.
 	Frame []byte
 	// Record is the decoded event.
 	Record wal.Record
 }
 
-// TailReader decodes a WAL tail stream entry by entry. Damage — a
-// truncated entry, a CRC mismatch, an undecodable payload — is a
-// *Error with CodeBadFrame; a cleanly ended stream returns io.EOF
-// (the primary closed the response; reconnect and resume from the
-// last applied sequence).
+// TailReader decodes a WAL tail stream record by record. Like
+// FrameReader it checks each frame whole — CRC and every record —
+// before returning its first record. Damage — a truncated entry, a CRC
+// mismatch, an undecodable payload — is a *Error with CodeBadFrame; a
+// cleanly ended stream returns io.EOF (the primary closed the response;
+// reconnect and resume from the last applied sequence).
 //
 // Like FrameReader, the reader owns what its entries alias: Frame is
-// reused by the next Next, and the records' predecessor slices share
-// one arena that grows until Release rewinds it.
+// reused once its records are returned, and the records' predecessor
+// slices share one arena that grows until Release rewinds it.
 type TailReader struct {
-	br    *bufio.Reader
-	fr    *wal.FrameReader
-	preds []graph.VertexID
+	br  *bufio.Reader
+	fr  *FrameReader
+	seq int64 // sequence of the next record of the current frame
 }
 
 // NewTailReader wraps r for entry-by-entry decoding.
 func NewTailReader(r io.Reader) *TailReader {
 	br := bufio.NewReaderSize(r, 64<<10)
-	return &TailReader{br: br, fr: wal.NewFrameReader(br)}
+	fr := &FrameReader{br: br, fr: wal.NewFrameReader(br)}
+	return &TailReader{br: br, fr: fr}
 }
 
-// Buffered reports whether at least one byte of a further entry has
-// already arrived — the consumer's cue that it can keep batching
-// without blocking on the network.
-func (t *TailReader) Buffered() bool { return t.br.Buffered() > 0 }
+// Buffered reports whether more of the stream is at hand without
+// blocking on the network: a record of the current frame still to come,
+// or a byte of a further entry already arrived — the consumer's cue
+// that it can keep batching.
+func (t *TailReader) Buffered() bool { return t.fr.Pending() > 0 || t.br.Buffered() > 0 }
 
-// Release ends the life of every entry's record returned so far: their
-// predecessor slices will be overwritten by the entries that follow.
-func (t *TailReader) Release() { t.preds = t.preds[:0] }
+// Pending reports how many records of the current frame are still to
+// be returned (see FrameReader.Pending).
+func (t *TailReader) Pending() int { return t.fr.Pending() }
 
-// Next returns the next entry. Entry.Frame is reused by the following
-// Next call; consumers that keep it must copy. The record's
+// Release ends the life of every entry's record returned so far (see
+// FrameReader.Release).
+func (t *TailReader) Release() { t.fr.Release() }
+
+// Next returns the next entry. Entry.Frame is reused once its records
+// are returned; consumers that keep it must copy. The record's
 // predecessors are valid until Release.
 func (t *TailReader) Next() (TailEntry, error) {
+	if t.fr.Pending() > 0 {
+		rec, _, _ := t.fr.Next()
+		t.seq++
+		return TailEntry{Seq: t.seq - 1, Record: rec}, nil
+	}
 	// The sequence prefix is read here, the frame by the shared reader
 	// on the same buffered stream (it never reads ahead of its frame).
 	prefix, err := t.br.Peek(TailSeqSize)
@@ -134,16 +147,13 @@ func (t *TailReader) Next() (TailEntry, error) {
 	if seq <= 0 {
 		return TailEntry{}, Errorf(CodeBadFrame, "tail entry sequence %d is not positive", seq)
 	}
-	frame, err := t.fr.Next()
-	if err == io.EOF {
-		err = io.ErrUnexpectedEOF
+	rec, frame, err := t.fr.Next()
+	switch {
+	case err == io.EOF:
+		return TailEntry{}, Errorf(CodeBadFrame, "tail frame at seq %d: %v", seq, io.ErrUnexpectedEOF)
+	case err != nil:
+		return TailEntry{}, Errorf(CodeBadFrame, "tail frame at seq %d: %s", seq, AsError(err, CodeBadFrame).Message)
 	}
-	if err != nil {
-		return TailEntry{}, Errorf(CodeBadFrame, "tail frame at seq %d: %v", seq, err)
-	}
-	rec, err := wal.DecodeRecordInto(&t.preds, frame[FrameHeaderSize:])
-	if err != nil {
-		return TailEntry{}, Errorf(CodeBadFrame, "tail frame at seq %d: %v", seq, err)
-	}
+	t.seq = seq + 1
 	return TailEntry{Seq: seq, Frame: frame, Record: rec}, nil
 }

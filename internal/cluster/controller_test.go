@@ -369,19 +369,22 @@ func TestMoveResumesInterruptedDrain(t *testing.T) {
 	sess := sessionOwnedBy(t, nodes[0].ctl, "n0")
 	n0, n1 := byName(t, nodes, "n0"), byName(t, nodes, "n1")
 	s0, events := createWithEvents(t, n0.reg, sess, 400)
-	if _, err := s0.Append(events); err != nil {
-		t.Fatal(err)
+	half := len(events) / 2
+	for _, batch := range [][]run.Event{events[:half], events[half:]} {
+		if _, err := s0.Append(batch); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	// Half-replicated copy on the target, identity shared — what an
-	// interrupted catch-up leaves behind (labeling is deterministic, so
-	// replaying the prefix builds the identical copy).
+	// interrupted catch-up leaves behind: a copy applies whole frames,
+	// and labeling is deterministic, so replaying the first batch
+	// builds the identical copy.
 	g := spec.MustCompile(wfspecs.RunningExample())
 	s1, err := n1.reg.Create(sess, g, service.Config{ID: s0.ID()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	half := len(events) / 2
 	if _, err := s1.Append(events[:half]); err != nil {
 		t.Fatal(err)
 	}

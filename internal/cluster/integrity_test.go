@@ -82,6 +82,10 @@ func findMoveTamper(t *testing.T, walPath string, g *spec.Grammar) []byte {
 		offs = append(offs, off)
 		off += int64(wal.FrameHeaderSize) + int64(binary.LittleEndian.Uint32(raw[off:]))
 	}
+	total, _, err := wal.Scan(walPath, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	tmp := filepath.Join(t.TempDir(), "cand.wal")
 	replays := func(cand []byte) bool {
 		if err := os.WriteFile(tmp, cand, 0o644); err != nil {
@@ -94,7 +98,7 @@ func findMoveTamper(t *testing.T, walPath string, g *spec.Grammar) []byte {
 		if n, _, err := wal.Scan(tmp, func(_ int, rec wal.Record) error {
 			recs = append(recs, rec)
 			return nil
-		}); err != nil || n != len(offs) {
+		}); err != nil || n != total {
 			return false
 		}
 		reg := service.NewRegistry()
@@ -105,22 +109,31 @@ func findMoveTamper(t *testing.T, walPath string, g *spec.Grammar) []byte {
 		_, aerr := s.AppendRecords(recs, nil)
 		return aerr == nil
 	}
-	for idx := len(offs) - 1; idx >= 0 && idx >= len(offs)-60; idx-- {
+	tries := 0
+	for idx := len(offs) - 1; idx >= 0 && tries < 60; idx-- {
 		off := offs[idx]
 		end := off + int64(wal.FrameHeaderSize) + int64(binary.LittleEndian.Uint32(raw[off:]))
-		rec, err := wal.DecodeRecord(raw[off+wal.FrameHeaderSize : end])
+		recs, err := wal.DecodePayload(nil, new([]graph.VertexID), raw[off+wal.FrameHeaderSize:end])
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, x := range []graph.VertexID{1, 2, 4, 8, 16, 32, 64} {
-			forged := rec
-			forged.Ref.V ^= x
-			frame, err := wal.AppendFrame(nil, forged)
-			if err != nil || len(frame) != int(end-off) {
-				continue
-			}
-			if cand := slices.Concat(raw[:off], frame, raw[end:]); replays(cand) {
-				return cand
+		for r := len(recs) - 1; r >= 0 && tries < 60; r, tries = r-1, tries+1 {
+			for _, x := range []graph.VertexID{1, 2, 4, 8, 16, 32, 64} {
+				forged := slices.Clone(recs)
+				forged[r].Ref.V ^= x
+				var frame []byte
+				open := -1
+				for _, rec := range forged {
+					if frame, open, err = wal.AppendRecord(frame, open, rec); err != nil {
+						break
+					}
+				}
+				if err != nil || open != 0 || len(frame) != int(end-off) {
+					continue // same length: every later frame keeps its offset
+				}
+				if cand := slices.Concat(raw[:off], frame, raw[end:]); replays(cand) {
+					return cand
+				}
 			}
 		}
 	}

@@ -9,10 +9,14 @@ import (
 	"testing"
 
 	"wfreach/internal/arena"
+	"wfreach/internal/gen"
 	"wfreach/internal/graph"
 	"wfreach/internal/integrity"
 	"wfreach/internal/run"
+	"wfreach/internal/service"
+	"wfreach/internal/spec"
 	"wfreach/internal/wal"
+	"wfreach/internal/wfspecs"
 )
 
 // writeSession lays out a session directory by hand — the audit reads
@@ -34,7 +38,11 @@ func writeSession(t *testing.T, sdir string, records, snapshotAt int) integrity.
 	var entries []arena.Entry
 	for i := 0; i < records; i++ {
 		v := graph.VertexID(i)
-		if err := log.Append(wal.RefRecord(run.Event{V: v, Preds: []graph.VertexID{v / 2}})); err != nil {
+		frame, err := wal.AppendFrame(nil, wal.RefRecord(run.Event{V: v, Preds: []graph.VertexID{v / 2}}))
+		if err == nil {
+			err = log.AppendRaw(frame)
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 		entries = append(entries, arena.Entry{V: v, Enc: []byte{byte(i), 0xA5, byte(i >> 3)}})
@@ -212,4 +220,55 @@ func TestVerifyDir(t *testing.T) {
 	if want := "a:unavailable b:verified c:violation"; strings.Join(got, " ") != want || rep.Violations() != 1 {
 		t.Fatalf("audit = %v (%d violations), want %s", got, rep.Violations(), want)
 	}
+}
+
+// TestAuditCountsRecordsOfBatchFrames audits a log the service wrote,
+// one frame per batch: the report counts the records — events — the
+// frames carry, not the frames, and its head is the one /integrity
+// served. Both chain walks are covered: from genesis with no snapshot,
+// and below the watermark of the snapshot a graceful close writes.
+func TestAuditCountsRecordsOfBatchFrames(t *testing.T) {
+	dir := t.TempDir()
+	reg, err := service.NewDurableRegistry(service.DurableOptions{Dir: dir, SnapshotEvery: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := spec.MustCompile(wfspecs.BioAID())
+	events, _, err := gen.GenerateEvents(g, gen.Options{TargetSize: 3000, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := reg.Create("batched", g, service.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for lo := 0; lo < len(events); lo += 256 {
+		var recs []wal.Record
+		for _, ev := range events[lo:min(lo+256, len(events))] {
+			recs = append(recs, wal.RefRecord(ev))
+		}
+		if _, err := s.AppendRecords(recs, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := s.Integrity()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.WALSeq != int64(len(events)) {
+		t.Fatalf("/integrity covers seq %d, want %d", st.WALSeq, len(events))
+	}
+	sdir := filepath.Join(dir, "batched")
+	check := func(when string, status Status, tail int64) {
+		t.Helper()
+		rep := VerifySession(sdir, st.ChainHead)
+		if rep.Status != status || rep.WALRecords != int64(len(events)) || rep.TailRecords != tail || rep.ChainHead != st.ChainHead {
+			t.Fatalf("%s: %+v; want status %s, %d records (%d in the tail), head %s", when, rep, status, len(events), tail, st.ChainHead)
+		}
+	}
+	check("no snapshot", StatusUnavailable, int64(len(events)))
+	if err := reg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	check("after the closing snapshot", StatusVerified, 0)
 }

@@ -2,8 +2,9 @@ package integrity
 
 import "testing"
 
-// BenchmarkChainExtend prices one chain link over a WAL-frame-sized
-// input — the per-record cost the batched flush pass pays.
+// BenchmarkChainExtend prices one chain link over a one-event WAL
+// frame — the per-frame cost the batched flush pass pays
+// (internal/wal's BenchmarkChainPerEvent prices it per event).
 func BenchmarkChainExtend(b *testing.B) {
 	frame := make([]byte, 40)
 	var h Head

@@ -5,18 +5,19 @@
 // the WAL, the arena, and the offline auditor can all share one
 // definition of "the chain" without an import cycle.
 //
-// The chain. Every WAL record is hashed into a running head:
+// The chain. Every WAL frame — one batch of records — is hashed into
+// a running head:
 //
 //	head(0) = 00…00 (32 zero bytes)
 //	head(n) = SHA-256(head(n-1) || frame(n))
 //
-// where frame(n) is the record's raw WAL frame — length, CRC, and
-// payload, exactly the bytes on disk. Frames are byte-identical across
+// where frame(n) is the n-th raw WAL frame — length, CRC, and payload,
+// exactly the bytes on disk. Frames are byte-identical across
 // the binary ingest wire, the primary's WAL, the shipped tail, and a
 // follower's WAL, so every holder of the same history computes the
 // same head, and a single 32-byte head commits to the entire prefix:
 // rewriting any committed record (even CRC-consistently) changes every
-// head from that record on.
+// head from its frame on.
 //
 // The Merkle tree. Arena snapshots commit to their label extents with
 // a Merkle root so an auditor can verify the label region against one

@@ -28,7 +28,7 @@ type Copy struct {
 	frames *obs.Counter
 
 	mu   sync.Mutex
-	seq  int64          // frames folded into head
+	seq  int64          // records whose frames are folded into head
 	head integrity.Head // chain over the applied prefix
 }
 
@@ -69,7 +69,7 @@ func Adopt(ctx context.Context, reg *service.Registry, src *client.Client, st cl
 }
 
 // newCopy is the copy replaying into s, its chain at head over the
-// first seq frames.
+// frames of the first seq records.
 func newCopy(reg *service.Registry, src *client.Client, s *service.Session, seq int64, head integrity.Head) *Copy {
 	return &Copy{src: src, s: s, seq: seq, head: head,
 		frames: reg.Obs().Counter("wf_chain_verify_frames_total", "WAL frames hashed during chain verification.")}
@@ -103,11 +103,12 @@ func create(ctx context.Context, reg *service.Registry, src *client.Client, st c
 func (cp *Copy) Session() *service.Session { return cp.s }
 
 // Pull tails the source's log from the local copy's next sequence
-// (every applied event labels one vertex, so that is Vertices()+1),
-// applies it through Session.ApplyTail and folds every applied frame
-// into the chain. With wait the stream stays open for new commits until
-// ctx ends or the connection drops; without, it ends at the source's
-// committed horizon. batch, when non-nil, runs after every applied
+// (every applied event labels one vertex, so that is Vertices()+1, and
+// a copy applies whole frames, so that is a frame boundary of the
+// source's log), applies it through Session.ApplyTail and folds every
+// applied frame into the chain. With wait the stream stays open for
+// new commits until ctx ends or the connection drops; without, it ends
+// at the source's committed horizon. batch, when non-nil, runs after every applied
 // batch — caughtUp reports that nothing more of the stream has arrived,
 // the moment Head is comparable with the source's — and its error ends
 // the pull. Pull returns how many events it applied. A refused record
@@ -124,13 +125,17 @@ func (cp *Copy) Pull(ctx context.Context, wait bool, batch func(caughtUp bool) e
 	defer tail.Close()
 	chainer := integrity.NewChainer()
 	return cp.s.ApplyTail(tail.TailReader, from, func(last int64, frames [][]byte) error {
+		folded := 0
 		cp.mu.Lock()
 		for _, fr := range frames {
-			cp.head = chainer.Extend(cp.head, fr)
+			if fr != nil { // nil: the record continues the frame before
+				cp.head = chainer.Extend(cp.head, fr)
+				folded++
+			}
 		}
 		cp.seq = last
 		cp.mu.Unlock()
-		cp.frames.Add(int64(len(frames)))
+		cp.frames.Add(int64(folded))
 		if batch != nil {
 			return batch(!tail.Buffered())
 		}

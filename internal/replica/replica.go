@@ -7,7 +7,7 @@
 // takes over.
 //
 // The design leans entirely on the frame-identity chain the wire
-// contract guarantees (ingest frame ≡ WAL record ≡ shipped frame):
+// contract guarantees (ingest frame ≡ WAL frame ≡ shipped frame):
 // labels are write-once and labeling is deterministic, so replaying
 // the primary's event log through a fresh labeler reissues the exact
 // same labels — a follower is nothing more than crash recovery

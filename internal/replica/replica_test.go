@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math"
@@ -18,6 +19,7 @@ import (
 	"wfreach/internal/service"
 	"wfreach/internal/skeleton"
 	"wfreach/internal/spec"
+	"wfreach/internal/wal"
 	"wfreach/internal/wfspecs"
 )
 
@@ -182,11 +184,23 @@ func assertEquivalent(t testing.TB, p, f *env, ws []*workload) {
 		if string(praw) != string(fraw) {
 			t.Fatalf("%s: follower WAL (%d bytes) is not byte-identical to the primary's (%d bytes)", w.name, len(fraw), len(praw))
 		}
+		// ...and it is so over batch frames, whole frames shipped and
+		// teed: fewer frames than records.
+		frames := 0
+		for fr := wal.NewFrameReader(bytes.NewReader(praw)); ; frames++ {
+			if _, err := fr.Next(); err != nil {
+				break
+			}
+		}
+		if int64(frames) >= pst.Vertices {
+			t.Fatalf("%s: %d frames for %d records: the log is not batch-framed", w.name, frames, pst.Vertices)
+		}
 	}
 }
 
 // ingest streams a slice of each workload's events into the primary
-// concurrently, in small batches, while the follower tails.
+// concurrently, in small batches, while the follower tails. Each batch
+// goes in as the wire routes send it, and is logged as one frame.
 func ingest(t testing.TB, reg *service.Registry, ws []*workload, lo, hi func(int) int) {
 	t.Helper()
 	errs := make(chan error, len(ws))
@@ -201,7 +215,11 @@ func ingest(t testing.TB, reg *service.Registry, ws []*workload, lo, hi func(int
 			const batch = 32
 			for i := 0; i < len(events); i += batch {
 				j := min(i+batch, len(events))
-				if _, err := s.Append(events[i:j]); err != nil {
+				recs := make([]wal.Record, 0, j-i)
+				for _, ev := range events[i:j] {
+					recs = append(recs, wal.RefRecord(ev))
+				}
+				if _, err := s.AppendRecords(recs, nil); err != nil {
 					errs <- fmt.Errorf("%s: %w", w.name, err)
 					return
 				}

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -210,42 +211,60 @@ func (s *Session) attachWAL(dir string, log *wal.Log, opts *DurableOptions, comm
 	s.wal = log
 	s.committer = committer
 	s.snapEvery = int64(opts.SnapshotEvery)
+	s.frame = make([]byte, 0, 512) // past one event's frame in one step
 	if s.metrics != nil {
 		log.SetMetrics(s.metrics.wal)
 	}
 }
 
-// logRecord appends one successfully labeled event to the WAL. A write
-// failure poisons the session: the labeler has already advanced past
-// the log, so accepting more events would make the on-disk state
-// unrecoverable. Called with ingestMu held.
-func (s *Session) logRecord(rec wal.Record) error {
-	if s.wal == nil {
+// frameRecord appends a labeled record to the batch frame being built
+// in buf (see wal.AppendRecord). A record the format refuses — a
+// payload past its cap — poisons the session like a failed write: the
+// labeler has already taken it. Called with ingestMu held.
+func (s *Session) frameRecord(buf []byte, open int, rec wal.Record) ([]byte, int, error) {
+	buf, open, err := wal.AppendRecord(buf, open, rec)
+	if err != nil {
+		return buf, open, s.poisonLocked(err)
+	}
+	return buf, open, nil
+}
+
+// logFrames appends buf — whole frames, built here or teed as they came
+// in (byte-identical to the WAL frame; see internal/api), carrying
+// records labeled records — to the WAL. A write failure, or frames that
+// carry another number of records than the batch says, poisons the
+// session: the labeler has already advanced past the log, so accepting
+// more events would make the on-disk state unrecoverable. Called with
+// ingestMu held.
+func (s *Session) logFrames(buf []byte, records int) error {
+	if s.wal == nil || len(buf) == 0 {
 		return nil
 	}
-	if err := s.wal.Append(rec); err != nil {
-		s.ioErr = fmt.Errorf("service: session %q: %w: %v", s.name, ErrDurability, err)
-		return s.ioErr
+	before := s.wal.AppendSeq()
+	var err error
+	for len(buf) > 0 && err == nil {
+		n := len(buf)
+		if n >= wal.FrameHeaderSize {
+			n = min(n, wal.FrameHeaderSize+int(binary.LittleEndian.Uint32(buf)))
+		}
+		err = s.wal.AppendRaw(buf[:n])
+		buf = buf[n:]
 	}
-	s.walEvents++
+	if got := s.wal.AppendSeq() - before; err == nil && got != int64(records) {
+		err = fmt.Errorf("frames carry %d records, the batch %d", got, records)
+	}
+	if err != nil {
+		return s.poisonLocked(err)
+	}
+	s.walEvents += int64(records)
 	return nil
 }
 
-// logFrame appends one successfully labeled event to the WAL as a
-// pre-encoded, CRC-verified wire frame (byte-identical to the WAL
-// frame — see internal/api), skipping re-encoding. Failure semantics
-// match logRecord: a write failure poisons the session. Called with
-// ingestMu held.
-func (s *Session) logFrame(frame []byte) error {
-	if s.wal == nil {
-		return nil
-	}
-	if err := s.wal.AppendRaw(frame); err != nil {
-		s.ioErr = fmt.Errorf("service: session %q: %w: %v", s.name, ErrDurability, err)
-		return s.ioErr
-	}
-	s.walEvents++
-	return nil
+// poisonLocked stops ingest on the session for good with a durability
+// failure. Called with ingestMu held.
+func (s *Session) poisonLocked(err error) error {
+	s.ioErr = fmt.Errorf("service: session %q: %w: %v", s.name, ErrDurability, err)
+	return s.ioErr
 }
 
 // commitWAL makes everything appended to the log up to seq durable —
@@ -353,10 +372,12 @@ func (s *Session) WALSeq() int64 {
 }
 
 // NewWALTailer opens a tailer over the session's write-ahead log,
-// serving committed records from sequence from (1-based) — history
-// off the disk, then live as batches commit. The caller owns closing
-// it. Sessions without an open log (memory-only, closed, poisoned)
-// cannot be tailed; the error is a typed CodeNotDurable.
+// serving committed frames from the one whose first record has
+// sequence from (1-based) — history off the disk, then live as batches
+// commit. A from inside a logged frame is a typed CodeBadRequest: a
+// frame is shipped whole. The caller owns closing it. Sessions without
+// an open log (memory-only, closed, poisoned) cannot be tailed; the
+// error is a typed CodeNotDurable.
 func (s *Session) NewWALTailer(from int64) (*wal.Tailer, error) {
 	s.ingestMu.Lock()
 	log := s.wal
@@ -368,6 +389,9 @@ func (s *Session) NewWALTailer(from int64) (*wal.Tailer, error) {
 		return nil, api.Errorf(api.CodeBadRequest, "tail sequence must be positive, got %d", from)
 	}
 	t, err := wal.NewTailer(log, from)
+	if errors.Is(err, wal.ErrMidFrame) {
+		return nil, api.Errorf(api.CodeBadRequest, "tail sequence %d is not the first of a logged batch: %v", from, err)
+	}
 	if err != nil {
 		return nil, api.Errorf(api.CodeInternal, "open WAL tail: %v", err)
 	}
@@ -440,21 +464,31 @@ func (r *Registry) Close() error {
 // restoreSession discards it and replays without it.
 var errArenaUnbacked = errors.New("service: snapshot is not backed by the log")
 
+// errFrameRefused reports a replay pass the labeler stopped inside a
+// frame: the frame is not in the valid prefix, but the labeler took its
+// first records. The pass's replayed.validSize is where the frame
+// starts, and restoreSession replays again up to there, so the labeler
+// holds exactly the prefix the log is cut to.
+var errFrameRefused = errors.New("service: labeler refused a record inside a frame")
+
 // replayed is what one pass over a session's log recovered: the records
-// of its valid prefix, that prefix's byte length, and the hash-chain
-// head over it — what the reopened log is truncated to and continues
-// from.
+// of its valid prefix and the frames they came in, that prefix's byte
+// length, and the hash-chain head over it — what the reopened log is
+// truncated to and continues from.
 type replayed struct {
-	events    int64
-	validSize int64
-	head      integrity.Head
+	events, frames int64
+	validSize      int64
+	head           integrity.Head
 }
 
 // replay rebuilds the session's labeler and store in one pass over its
-// log: every frame is decoded, run through the labeler and folded into
-// the hash chain, and the walk ends at the first frame that is torn,
-// corrupt, or rejected by the labeler — the valid prefix is kept, the
-// caller truncates the rest.
+// log, up to byte stop when stop is not negative: every frame is
+// decoded whole, its records run through the labeler, and the frame
+// folded into the hash chain. The walk ends before the first frame that
+// is torn, corrupt, does not decode whole or has its first record
+// rejected by the labeler — the valid prefix is kept, the caller
+// truncates the rest. A rejection further into a frame ends the pass
+// with errFrameRefused, the labeler having taken part of the frame.
 //
 // With an arena snapshot a, the store adopts the arena's label region —
 // its label bytes are served from the mapping, never decoded or copied
@@ -473,7 +507,7 @@ type replayed struct {
 // without the arena after errArenaUnbacked; the store it replaces is
 // retired, which gives back a mapping the earlier pass adopted. a is
 // the caller's until the store adopts it. It never writes a file.
-func (s *Session) replay(a *arena.Arena) (replayed, error) {
+func (s *Session) replay(a *arena.Arena, stop int64) (replayed, error) {
 	var size int64
 	switch fi, err := os.Stat(s.walPath); {
 	case err == nil:
@@ -519,11 +553,13 @@ func (s *Session) replay(a *arena.Arena) (replayed, error) {
 	var out replayed
 	chainer := integrity.NewChainer()
 	anchored := a == nil
-	// One predecessor buffer serves every record: the labeler copies
-	// what it keeps, and the record is dropped before the next decode.
+	// One record and predecessor buffer serves every frame: the labeler
+	// copies what it keeps, and the records are dropped before the next
+	// decode.
+	var recs []wal.Record
 	var preds []graph.VertexID
 walk:
-	for {
+	for stop < 0 || out.validSize < stop {
 		if !anchored && out.validSize == watermark {
 			if out.head != anchor || out.events != covered {
 				return replayed{}, fmt.Errorf("integrity: WAL chain head %s at snapshot watermark (record %d) does not match the snapshot's anchor %s (record %d): history below the watermark was rewritten",
@@ -538,17 +574,18 @@ walk:
 		case err != nil:
 			return replayed{}, err
 		}
-		if !hashOnly {
-			preds = preds[:0]
-			rec, err := wal.DecodeRecordInto(&preds, frame[wal.FrameHeaderSize:])
-			if err != nil {
-				break walk // framed but malformed: damage like a failed CRC
-			}
-			v, l, err := s.labelRecord(rec)
+		preds = preds[:0]
+		if recs, err = wal.DecodePayload(recs[:0], &preds, frame[wal.FrameHeaderSize:]); err != nil {
+			break walk // framed but malformed: damage like a failed CRC
+		}
+		for k := 0; k < len(recs) && !hashOnly; k++ {
+			v, l, err := s.labelRecord(recs[k])
 			switch {
 			case err != nil && out.events < covered:
 				// The log cannot re-issue a label the arena holds.
 				return replayed{}, errArenaUnbacked
+			case err != nil && k > 0:
+				return out, errFrameRefused
 			case err != nil:
 				break walk
 			case out.events >= covered:
@@ -558,7 +595,8 @@ walk:
 			}
 		}
 		out.head = chainer.Extend(out.head, frame)
-		out.events++
+		out.events += int64(len(recs))
+		out.frames++
 		out.validSize = fr.Offset()
 	}
 	if !anchored {
@@ -720,16 +758,24 @@ func (r *Registry) restoreSession(sdir, dirName string) (*Session, error) {
 		}
 	}()
 	replayStart := time.Now()
-	rep, err := s.replay(a)
-	if errors.Is(err, errArenaUnbacked) {
-		rep, err = s.replay(nil) // retires the first pass's store
-		a.Close()
-		a = nil
+	rep, err := s.replay(a, -1)
+	for errors.Is(err, errArenaUnbacked) || errors.Is(err, errFrameRefused) {
+		// Again without the snapshot, and after a refusal inside a frame
+		// only up to that frame: the labeler must not keep its records.
+		stop := int64(-1)
+		if errors.Is(err, errFrameRefused) {
+			stop = rep.validSize
+		}
+		rep, err = s.replay(nil, stop) // retires the last pass's store
+		if a != nil {
+			a.Close()
+			a = nil
+		}
 	}
 	if err != nil {
 		return nil, err
 	}
-	r.metrics.chainVerified(replayStart, rep.events)
+	r.metrics.chainVerified(replayStart, rep.frames)
 	s.vertices.Store(int64(s.store.Count()))
 	s.walEvents = rep.events
 	if a != nil {
@@ -803,10 +849,11 @@ func (s *Session) ChainState() (seq int64, head integrity.Head, ok bool) {
 
 // ChainAt returns the WAL hash-chain head over the session's first seq
 // events: the live head when the log holds exactly seq records, else
-// the head of a walk over the log's first seq frames — how a moved
-// session that took writes past its sealed sequence still proves the
-// history it was sealed at. A session without a chained log answers
-// CodeNotDurable; one whose log holds fewer than seq records, an error.
+// the head of a walk over the log's frames up to record seq — how a
+// moved session that took writes past its sealed sequence still proves
+// the history it was sealed at. A session without a chained log answers
+// CodeNotDurable; one whose log holds fewer than seq records, or no
+// frame boundary at seq (every sealed sequence is one), an error.
 func (s *Session) ChainAt(seq int64) (integrity.Head, error) {
 	n, head, ok := s.ChainState()
 	switch {

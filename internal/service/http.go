@@ -472,8 +472,9 @@ func handleEvents(s *Session, free *scratchList[*ingestScratch], w http.Response
 	writeJSON(w, http.StatusOK, api.EventsResponse{Applied: applied, Vertices: s.Vertices()})
 }
 
-// binaryChunk is how many frames of a binary ingest body go into one
-// AppendRecords call.
+// binaryChunk is the record count past which a binary ingest body's
+// frames so far go into one AppendRecords call, at the next frame
+// boundary.
 const binaryChunk = 512
 
 // maxIdleFrameBytes is the largest frame buffer an ingestScratch may
@@ -501,12 +502,13 @@ func newIngestScratch() *ingestScratch {
 
 // reset empties sc of the request it served: records are cleared so
 // names and predecessor slices are not retained, the body is dropped,
-// and a scratch whose frame buffer outgrew maxIdleFrameBytes is not
+// and a scratch whose frame buffer outgrew maxIdleFrameBytes, or whose
+// batch a frame of many records stretched past four chunks, is not
 // worth keeping.
 func (sc *ingestScratch) reset() (keep bool) {
 	sc.fr.Reset(nil)
 	sc.batch.reset()
-	return cap(sc.batch.buf) <= maxIdleFrameBytes
+	return cap(sc.batch.buf) <= maxIdleFrameBytes && cap(sc.batch.recs) <= 4*binaryChunk
 }
 
 // scratch is a handler's reusable buffers. reset empties them of the
@@ -566,11 +568,12 @@ func (l *scratchList[S]) put(sc S) {
 }
 
 // handleEventsBinary ingests a ContentTypeFrame body: a concatenation
-// of binary event frames (internal/api), applied in order in chunks.
-// On a durable session each accepted frame is teed to the write-ahead
-// log byte-for-byte — the frame formats are identical, so nothing is
-// re-encoded. Like the JSON route, a failure mid-stream leaves the
-// applied prefix ingested and reports it.
+// of binary event frames (internal/api), applied in order in chunks of
+// whole frames. On a durable session each accepted frame is teed to the
+// write-ahead log byte-for-byte — the frame formats are identical, so
+// nothing is re-encoded. A damaged frame is refused whole, the frames
+// before it applied; like the JSON route, a failure mid-stream leaves
+// the applied prefix ingested and reports it.
 //
 // Records and frames of a chunk alias the shared scratch and are dead
 // once AppendRecords returns: flush rewinds both before the next chunk
@@ -616,7 +619,8 @@ func handleEventsBinary(s *Session, free *scratchList[*ingestScratch], w http.Re
 			frame = nil
 		}
 		b.add(rec, frame)
-		if len(b.recs) >= binaryChunk {
+		// A chunk ends on a frame boundary: the tee takes frames whole.
+		if fr.Pending() == 0 && len(b.recs) >= binaryChunk {
 			if err := flush(); err != nil {
 				writeIngestError(w, err, applied)
 				return
@@ -650,8 +654,10 @@ func handleSpec(s *Session, w http.ResponseWriter) {
 }
 
 // handleWALTail streams the session's committed WAL as tail entries
-// (sequence number + raw frame; see internal/api). ?from= selects the
-// first sequence wanted (default 1); ?wait=false returns the
+// (the sequence of the frame's first record + the raw frame; see
+// internal/api). ?from= selects the frame whose first record is the
+// sequence wanted (default 1; one inside a frame is a bad request,
+// answered before the 200); ?wait=false returns the
 // committed history and ends, while the default live-tails: the
 // response stays open and new entries flow as batches commit, until
 // the client disconnects or the log closes. Stream errors after the

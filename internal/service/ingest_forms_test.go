@@ -14,13 +14,16 @@ import (
 	"wfreach/internal/run"
 	"wfreach/internal/service"
 	"wfreach/internal/spec"
+	"wfreach/internal/wal"
 )
 
 // TestIngestFormsRestoreAlike: one event stream sent three ways —
-// Session.Append, the JSON route and the binary SDK — leaves three logs
-// of the same bytes, and a restart that relabels each from its log
-// alone yields byte-identical labels whose answers are breadth-first
-// search on the run, for every grammar of the corpus.
+// Session.Append, the JSON route and the binary SDK — leaves logs of
+// the same records: the two wire routes the same bytes, one frame per
+// batch, and Session.Append those records one frame each. A restart
+// that relabels each from its log alone yields byte-identical labels
+// whose answers are breadth-first search on the run, for every grammar
+// of the corpus.
 func TestIngestFormsRestoreAlike(t *testing.T) {
 	ctx := context.Background()
 	forms := []string{"append", "json", "binary"}
@@ -59,17 +62,27 @@ func TestIngestFormsRestoreAlike(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		var first []byte
+		logs := make(map[string][]byte)
+		var records [][]byte // the append log's, one per frame
 		for _, form := range forms {
-			log, err := os.ReadFile(filepath.Join(dir, form, "events.wal"))
-			if err != nil {
+			if logs[form], err = os.ReadFile(filepath.Join(dir, form, "events.wal")); err != nil {
 				t.Fatal(err)
 			}
-			if first == nil {
-				first = log
-			} else if !bytes.Equal(log, first) {
-				t.Fatalf("%s: the %s log differs from the %s log", name, form, forms[0])
-			}
+		}
+		if !bytes.Equal(logs["json"], logs["binary"]) {
+			t.Fatalf("%s: the json log differs from the binary log", name)
+		}
+		fr := wal.NewFrameReader(bytes.NewReader(logs["append"]))
+		for frame, err := fr.Next(); err == nil; frame, err = fr.Next() {
+			records = append(records, bytes.Clone(frame[wal.FrameHeaderSize:]))
+		}
+		var batches [][]byte // the json log's payloads, one per batch
+		fr = wal.NewFrameReader(bytes.NewReader(logs["json"]))
+		for frame, err := fr.Next(); err == nil; frame, err = fr.Next() {
+			batches = append(batches, bytes.Clone(frame[wal.FrameHeaderSize:]))
+		}
+		if len(records) != len(events) || len(batches) != (len(events)+255)/256 || !bytes.Equal(bytes.Join(records, nil), bytes.Join(batches, nil)) {
+			t.Fatalf("%s: the append log's %d records are not the json log's %d batches", name, len(records), len(batches))
 		}
 		// With snapshots off, a restore relabels every session from its log.
 		reg2, err := service.NewDurableRegistry(service.DurableOptions{Dir: dir})

@@ -23,30 +23,48 @@ import (
 )
 
 // tamperWALRecord flips one payload byte of the idx-th (0-based)
-// record in the WAL at path and recomputes the frame CRC, producing a
-// rewrite that every structural check accepts and only the hash chain
-// can catch. The rewritten record must still decode: one that does not
-// ends the log's valid prefix there, a truncation rather than a rewrite.
+// record in the WAL at path — the last byte of that record, inside
+// whatever batch frame carries it — and recomputes the frame CRC,
+// producing a rewrite that every structural check accepts and only the
+// hash chain can catch. The rewritten frame must still decode whole:
+// one that does not ends the log's valid prefix there, a truncation
+// rather than a rewrite.
 func tamperWALRecord(t *testing.T, path string, idx int) {
 	t.Helper()
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	off := int64(0)
-	for i := 0; i < idx; i++ {
-		off += int64(wal.FrameHeaderSize) + int64(binary.LittleEndian.Uint32(raw[off:]))
+	for off := 0; off < len(raw); {
+		payload := raw[off+wal.FrameHeaderSize : off+wal.FrameHeaderSize+int(binary.LittleEndian.Uint32(raw[off:]))]
+		recs, err := wal.DecodePayload(nil, new([]graph.VertexID), payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if idx >= len(recs) {
+			idx -= len(recs)
+			off += wal.FrameHeaderSize + len(payload)
+			continue
+		}
+		end := 0 // compact records re-frame to exactly their bytes
+		for _, rec := range recs[:idx+1] {
+			one, err := wal.AppendFrame(nil, rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			end += len(one) - wal.FrameHeaderSize
+		}
+		payload[end-1] ^= 0x01
+		if back, err := wal.DecodePayload(nil, new([]graph.VertexID), payload); err != nil || len(back) != len(recs) {
+			t.Fatalf("tampered frame no longer decodes whole: %d records, %v", len(back), err)
+		}
+		binary.LittleEndian.PutUint32(raw[off+4:], crc32.ChecksumIEEE(payload))
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
 	}
-	plen := binary.LittleEndian.Uint32(raw[off:])
-	payload := raw[off+wal.FrameHeaderSize : off+wal.FrameHeaderSize+int64(plen)]
-	payload[len(payload)-1] ^= 0x01
-	if _, err := wal.DecodeRecord(payload); err != nil {
-		t.Fatalf("tampered record %d no longer decodes: %v", idx, err)
-	}
-	binary.LittleEndian.PutUint32(raw[off+4:], crc32.ChecksumIEEE(payload))
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	t.Fatalf("the log holds no record %d", idx)
 }
 
 // buildDurableSession ingests size events into session name under dir
@@ -170,10 +188,10 @@ func TestIntegritySnapshotAnchorsAfterRestore(t *testing.T) {
 	}
 }
 
-// TestTornTailChainReseed: a crash tears the last WAL frame; restore
-// drops the torn bytes and must re-seed the chain at exactly the
-// surviving prefix, so the reopened log continues a chain that still
-// matches the file from genesis.
+// TestTornTailChainReseed: a crash tears the last WAL frame — the last
+// batch; restore drops the torn bytes and must re-seed the chain at
+// exactly the surviving prefix, so the reopened log continues a chain
+// that still matches the file from genesis.
 func TestTornTailChainReseed(t *testing.T) {
 	dir := t.TempDir()
 	g := compileBuiltin(t, "BioAID")
@@ -183,12 +201,12 @@ func TestTornTailChainReseed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	appendAll(t, s, events[:200], 37)
+	appendFramed(t, s, events[:200], 37)
 	s.snapWG.Wait() // let a mid-stream snapshot land
 	s.ingestMu.Lock()
 	s.snapEvery = -1
 	s.ingestMu.Unlock()
-	appendAll(t, s, events[200:], 37)
+	appendFramed(t, s, events[200:], 37)
 	// Crash: no Close. Tear the tail mid-frame.
 	walPath := filepath.Join(dir, "torn", walFile)
 	fi, err := os.Stat(walPath)
@@ -205,8 +223,9 @@ func TestTornTailChainReseed(t *testing.T) {
 	}
 	s2, _ := reg2.Get("torn")
 	survived := s2.WALSeq()
-	if survived != int64(len(events))-1 {
-		t.Fatalf("restored %d events, want %d (one torn off)", survived, len(events)-1)
+	last := (len(events)-200-1)%37 + 1
+	if survived != int64(len(events)-last) {
+		t.Fatalf("restored %d events, want %d (the last batch of %d torn off)", survived, len(events)-last, last)
 	}
 	st, err := s2.Integrity()
 	if err != nil {
@@ -221,7 +240,7 @@ func TestTornTailChainReseed(t *testing.T) {
 	}
 
 	// The continuation is seamless: new appends extend the same chain.
-	appendAll(t, s2, events[len(events)-1:], 1)
+	appendFramed(t, s2, events[survived:], 37)
 	st2, err := s2.Integrity()
 	if err != nil {
 		t.Fatal(err)

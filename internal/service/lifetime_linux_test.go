@@ -22,6 +22,7 @@ import (
 	"wfreach/internal/core"
 	"wfreach/internal/graph"
 	"wfreach/internal/skeleton"
+	"wfreach/internal/wal"
 )
 
 // snapMappings asks the kernel: the number of lines of /proc/self/maps
@@ -340,9 +341,15 @@ func TestFailedRestoreLeavesNoMapping(t *testing.T) {
 		t.Fatal(err)
 	}
 	ends := []int64{0} // ends[k]: the byte offset k frames end at
+	recs := []int{0}   // recs[k]: the records those k frames carry
 	for off := int64(0); off < int64(len(walRaw)); {
-		off += 8 + int64(binary.LittleEndian.Uint32(walRaw[off:]))
-		ends = append(ends, off)
+		end := off + 8 + int64(binary.LittleEndian.Uint32(walRaw[off:]))
+		batch, err := wal.DecodePayload(nil, new([]graph.VertexID), walRaw[off+8:end])
+		if err != nil {
+			t.Fatal(err)
+		}
+		off = end
+		ends, recs = append(ends, off), append(recs, recs[len(recs)-1]+len(batch))
 	}
 	a, err := arena.Open(filepath.Join(image, "x", snapFile))
 	if err != nil {
@@ -350,7 +357,8 @@ func TestFailedRestoreLeavesNoMapping(t *testing.T) {
 	}
 	covered := int(a.Events())
 	a.Close()
-	if covered < 20 || covered > len(events)-20 || ends[covered] != a.WALBytes() {
+	c := slices.Index(recs, covered) // frames the snapshot covers
+	if covered < 20 || covered > len(events)-20 || c < 2 || ends[c] != a.WALBytes() {
 		t.Fatalf("image: snapshot covers %d of %d events", covered, len(events))
 	}
 	flipped := func(b []byte, at int64) []byte {
@@ -360,7 +368,7 @@ func TestFailedRestoreLeavesNoMapping(t *testing.T) {
 	}
 	// A covered frame replaced by a copy of its predecessor: intact on
 	// the wire, a duplicate vertex to the labeler.
-	k := covered / 2
+	k := c / 2
 	rejected := slices.Concat(walRaw[:ends[k]], walRaw[ends[k-1]:ends[k]], walRaw[ends[k+1]:])
 
 	rows := []struct {
@@ -372,8 +380,8 @@ func TestFailedRestoreLeavesNoMapping(t *testing.T) {
 		records  int    // recovered, when it boots
 	}{
 		{name: "label bytes contradict the Merkle root", snap: flipped(snapRaw, int64(len(snapRaw))-2), refused: "integrity"},
-		{name: "snapshot ahead of the log", wal: walRaw[:ends[covered-10]], records: covered - 10},
-		{name: "covered record the labeler rejects", wal: rejected, records: k},
+		{name: "snapshot ahead of the log", wal: walRaw[:ends[c-1]], records: recs[c-1]},
+		{name: "covered record the labeler rejects", wal: rejected, records: recs[k]},
 		{name: "covered frame rewritten", wal: flipped(walRaw, ends[k]+9), refused: "integrity"},
 		{name: "log cannot be reopened", readOnly: true, refused: "permission denied"},
 	}

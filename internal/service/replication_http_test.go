@@ -13,6 +13,7 @@ import (
 	"wfreach/internal/api"
 	"wfreach/internal/gen"
 	"wfreach/internal/spec"
+	"wfreach/internal/wal"
 	"wfreach/internal/wfspecs"
 	"wfreach/internal/wfxml"
 )
@@ -33,7 +34,9 @@ func newDurableTestServer(t testing.TB) (*Registry, string, *httptest.Server) {
 }
 
 // ingestGenerated creates a durable session and ingests a generated
-// run, returning the events.
+// run in batches of 64 events, a frame each as the wire routes log
+// them, returning the event
+// count.
 func ingestGenerated(t testing.TB, reg *Registry, name string, size int, seed int64) int {
 	t.Helper()
 	g := spec.MustCompile(wfspecs.RunningExample())
@@ -45,8 +48,14 @@ func ingestGenerated(t testing.TB, reg *Registry, name string, size int, seed in
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Append(events); err != nil {
-		t.Fatal(err)
+	for lo := 0; lo < len(events); lo += 64 {
+		var recs []wal.Record
+		for _, ev := range events[lo:min(lo+64, len(events))] {
+			recs = append(recs, wal.RefRecord(ev))
+		}
+		if _, err := s.AppendRecords(recs, nil); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return len(events)
 }
@@ -94,16 +103,16 @@ func TestHTTPWALTail(t *testing.T) {
 		t.Fatalf("shipped frames (%d bytes) are not the WAL's bytes (%d bytes)", len(shipped), len(onDisk))
 	}
 
-	// Resume mid-log.
-	resp2, err := http.Get(srv.URL + "/v1/sessions/tail/wal?wait=false&from=5")
+	// Resume mid-log, at the frame of the second batch.
+	resp2, err := http.Get(srv.URL + "/v1/sessions/tail/wal?wait=false&from=65")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp2.Body.Close()
 	tr2 := api.NewTailReader(resp2.Body)
 	e, err := tr2.Next()
-	if err != nil || e.Seq != 5 {
-		t.Fatalf("from=5 first entry seq %d, err %v", e.Seq, err)
+	if err != nil || e.Seq != 65 || e.Frame == nil {
+		t.Fatalf("from=65 first entry seq %d (frame %d bytes), err %v", e.Seq, len(e.Frame), err)
 	}
 }
 
@@ -128,7 +137,9 @@ func TestHTTPWALTailErrors(t *testing.T) {
 
 	reg, _, srv := newDurableTestServer(t)
 	ingestGenerated(t, reg, "s", 50, 1)
-	for _, bad := range []string{"?from=0", "?from=x", "?wait=maybe"} {
+	// from=5 falls inside the session's one batch frame: a frame is
+	// shipped whole.
+	for _, bad := range []string{"?from=0", "?from=x", "?wait=maybe", "?from=5"} {
 		resp, err := http.Get(srv.URL + "/v1/sessions/s/wal" + bad)
 		if err != nil {
 			t.Fatal(err)

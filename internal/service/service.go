@@ -106,6 +106,11 @@ type Session struct {
 	dir     string
 	wal     *wal.Log
 	walPath string // the log file, for the deferred labeler replay
+	// frame is the scratch a batch's records are framed into on their
+	// way to the log — a whole batch when the caller sent no frames,
+	// the applied prefix of a teed frame the labeler stopped inside.
+	// Guarded by ingestMu.
+	frame []byte
 	// needLabelerReplay marks a session restored from an arena snapshot
 	// with nothing to replay: its store serves the mapped labels, but
 	// the labeler has no execution state yet. The first ingest rebuilds
@@ -455,82 +460,129 @@ func (s *Session) Grammar() *spec.Grammar { return s.g }
 // prefix is still a valid partial execution).
 //
 // Ingest is pipelined: the batch is labeled and encoded under the
-// ingest lock, teed event by event to the write-ahead log, staged into
-// the store, and published — made visible to the lock-free query path
-// — once, at the end of the batch. On a durable
-// session the applied prefix is then committed (flushed, and fsynced
-// as configured) before Append returns, through the registry's group
-// committer so concurrent batches share one flush — an acknowledged
-// batch is recoverable. A log write failure permanently stops
-// ingestion on the session (its in-memory state has outrun what disk
-// can reproduce); queries keep working.
+// ingest lock, staged into the store, written to the write-ahead log,
+// and published — made visible to the lock-free query path — once, at
+// the end of the batch. On a durable session the applied prefix is then
+// committed (flushed, and fsynced as configured) before Append returns,
+// through the registry's group committer so concurrent batches share
+// one flush — an acknowledged batch is recoverable. A log write failure
+// permanently stops ingestion on the session (its in-memory state has
+// outrun what disk can reproduce); queries keep working.
+//
+// The in-process writers log one frame per event, where the wire
+// routes log one per batch: the performance ledger (benchmark/layers.go)
+// checks an in-process session's chain head against a chain it folds
+// over one-event frames, and moves to batch frames with its next
+// revision (ROADMAP item 14).
 func (s *Session) Append(events []run.Event) (int, error) {
-	return appendBatch(s, events, wal.RefRecord, nil)
+	return appendBatch(s, events, wal.RefRecord, nil, true)
 }
 
 // AppendNamed ingests a batch of name-identified events (the Section
 // 5.3 naming-restriction setting), with Append's pipeline,
 // partial-batch and durability semantics.
 func (s *Session) AppendNamed(events []core.NamedEvent) (int, error) {
-	return appendBatch(s, events, wal.NamedRecord, nil)
+	return appendBatch(s, events, wal.NamedRecord, nil, true)
 }
 
 // AppendRecords ingests a batch of WAL-form records — the two event
 // forms may be mixed freely — with Append's pipeline, partial-batch
-// and durability semantics. When frames is non-nil it must hold one
-// pre-encoded, CRC-verified wire frame per record (see internal/api:
-// the binary ingest frame is byte-identical to the WAL frame); a
-// durable session then tees each accepted frame to its log as-is,
-// skipping the re-encode the JSON route pays. With frames nil the
-// records are framed here.
+// and durability semantics. When frames is non-nil it holds, for each
+// record, the pre-encoded, CRC-verified wire frame the record opens, or
+// nil where the record continues the frame of the one before (see
+// internal/api: the binary ingest frame is byte-identical to the WAL
+// frame, and api.FrameReader hands records out this way). A durable
+// session then tees each frame the labeler took whole to its log as-is,
+// skipping the re-encode the JSON route pays; a frame the labeler
+// stopped inside is re-framed to its applied prefix. With frames nil
+// the applied records are framed here, one frame for the batch (more
+// only past the format's 1 MiB payload cap).
 func (s *Session) AppendRecords(recs []wal.Record, frames [][]byte) (int, error) {
-	if frames != nil && len(frames) != len(recs) {
-		return 0, fmt.Errorf("service: %d frames for %d records", len(frames), len(recs))
+	if frames != nil && (len(frames) != len(recs) || len(recs) > 0 && frames[0] == nil) {
+		return 0, fmt.Errorf("service: %d frames for %d records, or the first record opens none", len(frames), len(recs))
 	}
-	return appendBatch(s, recs, func(rec wal.Record) wal.Record { return rec }, frames)
+	return appendBatch(s, recs, func(rec wal.Record) wal.Record { return rec }, frames, false)
 }
 
 // appendBatch is the ingest loop behind Append, AppendNamed and
 // AppendRecords, which differ only in the element type: record puts
-// element i in WAL form, and frames, when non-nil, holds its
-// pre-encoded frame. Per event the order is label → log → stage: the
-// issued label lives in s.entries only until the next labelRecord, a
-// record's predecessors and its frame may alias the caller's scratch
-// (the labeler and the log both copy what they keep), and nothing of
-// either is referenced once appendBatch returns.
-func appendBatch[E any](s *Session, events []E, record func(E) wal.Record, frames [][]byte) (int, error) {
+// element i in WAL form, frames, when non-nil, marks where each
+// pre-encoded frame opens, and frameEach frames the records it frames
+// itself one per frame, logging each as it goes. Per event the order
+// is label → stage, and per frame → log: the issued label lives in
+// s.entries only until the next labelRecord, a record's predecessors
+// and its frame may alias the caller's scratch (the labeler and the
+// log both copy what they keep), and nothing of either is referenced
+// once appendBatch returns. The log
+// takes a frame only once the labeler has taken all of its records, so
+// "acked ⇒ logged" holds to the record; a failed log write leaves what
+// was staged queryable, the batch unacknowledged and the session closed
+// to ingest.
+func appendBatch[E any](s *Session, events []E, record func(E) wal.Record, frames [][]byte, frameEach bool) (int, error) {
 	s.ingestMu.Lock()
 	if err := s.ingestBlockedLocked(); err != nil {
 		s.ingestMu.Unlock()
 		return 0, err
 	}
+	reframe := s.wal != nil && frames == nil
+	s.frame = s.frame[:0]
+	open := -1  // the frame being built in s.frame
+	framed := 0 // records in s.frame
+	opened := 0 // the record the teed frame in hand opens
 	applied := len(events)
-	var err error
+	var err, werr error
 	for i := range events {
 		rec := record(events[i])
+		if frames != nil && frames[i] != nil {
+			opened = i
+		}
 		v, l, lerr := s.labelRecord(rec)
 		if lerr != nil {
 			applied, err = i, fmt.Errorf("service: %w", lerr)
 			break
-		}
-		var werr error
-		if frames != nil {
-			werr = s.logFrame(frames[i])
-		} else {
-			werr = s.logRecord(rec)
-		}
-		if werr != nil {
-			// The log is poisoned and the batch unacknowledged; the
-			// logged prefix still becomes queryable.
-			s.publishStaged(i)
-			s.ingestMu.Unlock()
-			return i, werr
 		}
 		// Encoded into the slab, invisible until the batch publishes.
 		if serr := s.store.Stage(v, l); serr != nil {
 			// Unreachable: the labeler already rejects duplicate vertices.
 			panic(serr)
 		}
+		switch {
+		case reframe && frameEach:
+			if s.frame, _, werr = s.frameRecord(s.frame[:0], -1, rec); werr == nil {
+				werr = s.logFrames(s.frame, 1)
+			}
+			s.frame = s.frame[:0]
+		case reframe:
+			s.frame, open, werr = s.frameRecord(s.frame, open, rec)
+			framed++
+		case frames != nil && (i+1 == len(events) || frames[i+1] != nil):
+			werr = s.logFrames(frames[opened], i+1-opened) // the frame went in whole
+		}
+		if werr != nil {
+			applied = i + 1
+			break
+		}
+	}
+	if err != nil && frames != nil && s.wal != nil {
+		// The labeler stopped inside a teed frame: the log takes that
+		// frame's applied prefix, re-framed.
+		for k := opened; k < applied && werr == nil; k++ {
+			s.frame, open, werr = s.frameRecord(s.frame, open, record(events[k]))
+			framed++
+		}
+	}
+	if werr == nil {
+		werr = s.logFrames(s.frame, framed)
+	}
+	if cap(s.frame) > wal.MaxPayload {
+		s.frame = nil // a batch past the cap should not pin its frames
+	}
+	if werr != nil {
+		// The log is poisoned and the batch unacknowledged; what was
+		// staged still becomes queryable.
+		s.publishStaged(applied)
+		s.ingestMu.Unlock()
+		return applied, werr
 	}
 	return s.finishLocked(applied, err)
 }
@@ -542,22 +594,22 @@ func appendBatch[E any](s *Session, events []E, record func(E) wal.Record, frame
 // local WAL is poisoned), and redialing cannot help.
 var ErrTailRejected = errors.New("service: shipped record rejected")
 
-// tailBatch caps the records ApplyTail applies (and commits) per
-// ingest call.
+// tailBatch is the record count past which ApplyTail applies (and
+// commits) what it has batched, at the next frame boundary.
 const tailBatch = 256
 
 // ApplyTail applies a WAL tail stream to the session — what a copy of
 // another node's session (internal/replica) does with the frames that
 // node ships. next is the sequence the first entry must carry. Entries
-// are batched greedily: the first read blocks, then the batch grows
-// while more bytes are already buffered (up to tailBatch records), so a
-// burst arriving after a source commit costs one ingest call and one
-// local WAL commit. Each shipped frame is teed to the session's own log
-// verbatim.
+// are batched greedily, whole frames at a time: the first read blocks,
+// then the batch grows while more bytes are already buffered (until a
+// frame ends at or past tailBatch records), so a burst arriving after a
+// source commit costs one ingest call and one local WAL commit. Each
+// shipped frame is teed to the session's own log verbatim.
 //
 // applied, when non-nil, runs after every batch that went in whole,
-// with the sequence of its last record and its frames (valid during the
-// call); its error ends the tail. ApplyTail returns how many records it
+// with the sequence of its last record and, per record, the frame it
+// opens or nil (valid during the call); its error ends the tail. ApplyTail returns how many records it
 // applied — a batch the labeler stopped midway counts as far as it got,
 // that prefix is real, logged data — and nil when the stream ended
 // cleanly. A sequence gap or a damaged stream is returned as the
@@ -598,7 +650,7 @@ func (s *Session) ApplyTail(tr *api.TailReader, next int64, applied func(last in
 			return n, rerr
 		}
 		b.add(entry.Record, entry.Frame)
-		if len(b.recs) >= tailBatch || !tr.Buffered() {
+		if tr.Pending() == 0 && (len(b.recs) >= tailBatch || !tr.Buffered()) {
 			if err := flush(); err != nil {
 				return n, err
 			}
@@ -607,26 +659,28 @@ func (s *Session) ApplyTail(tr *api.TailReader, next int64, applied func(last in
 }
 
 // batchScratch holds one batch of decoded records on its way into
-// AppendRecords, with a copy of each record's frame: the readers reuse
-// their frame buffer per frame, so a batch's frames are copied once
-// into one grow-only buffer (a frame added before the buffer grew keeps
-// aliasing the old array, which holds the same bytes). The binary
-// ingest handler and ApplyTail both fill one. recs and frames are valid
-// from add until reset — in practice until AppendRecords returns.
+// AppendRecords, with, per record, a copy of the frame it opens or nil:
+// the readers reuse their frame buffer per frame, so a batch's frames
+// are copied once into one grow-only buffer (a frame added before the
+// buffer grew keeps aliasing the old array, which holds the same
+// bytes). The binary ingest handler and ApplyTail both fill one. recs
+// and frames are valid from add until reset — in practice until
+// AppendRecords returns.
 type batchScratch struct {
 	recs   []wal.Record
 	frames [][]byte
 	buf    []byte
 }
 
-// add appends a record and, when frame is non-nil, a copy of its frame.
+// add appends a record and a copy of the frame it opens, or nil.
 func (b *batchScratch) add(rec wal.Record, frame []byte) {
 	b.recs = append(b.recs, rec)
 	if frame != nil {
 		start := len(b.buf)
 		b.buf = append(b.buf, frame...)
-		b.frames = append(b.frames, b.buf[start:len(b.buf):len(b.buf)])
+		frame = b.buf[start:len(b.buf):len(b.buf)]
 	}
+	b.frames = append(b.frames, frame)
 }
 
 // reset empties the batch, keeping its capacity. The slots are cleared:

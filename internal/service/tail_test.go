@@ -3,6 +3,8 @@ package service
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"wfreach/internal/api"
@@ -92,6 +94,49 @@ func TestApplyTail(t *testing.T) {
 			}
 		}
 		reg.Close()
+	}
+
+	// Batch frames of more records than tailBatch: each goes in whole,
+	// batches end on frame boundaries, and the copy's own log is the
+	// shipped frames byte for byte.
+	const per = tailBatch + 44
+	var stream, shipped []byte
+	for lo := 0; lo < len(events); lo += per {
+		var frame []byte
+		var err error
+		open := -1
+		for _, ev := range events[lo:min(lo+per, len(events))] {
+			if frame, open, err = wal.AppendRecord(frame, open, wal.RefRecord(ev)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		stream = api.AppendTailEntry(stream, int64(lo)+1, frame)
+		shipped = append(shipped, frame...)
+	}
+	dir := t.TempDir()
+	breg := durableReg(t, dir, DurableOptions{SnapshotEvery: -1})
+	bs, err := breg.Create("copy", g, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lasts []int64
+	n, err := bs.ApplyTail(api.NewTailReader(bytes.NewReader(stream)), 1, func(last int64, _ [][]byte) error {
+		lasts = append(lasts, last)
+		return nil
+	})
+	if err != nil || n != total {
+		t.Fatalf("batch frames: applied %d of %d, %v", n, total, err)
+	}
+	for _, last := range lasts {
+		if last%per != 0 && last != total {
+			t.Fatalf("batch frames: a batch ends at seq %d, inside a frame of %d", last, per)
+		}
+	}
+	if err := breg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if logged, err := os.ReadFile(filepath.Join(dir, "copy", walFile)); err != nil || !bytes.Equal(logged, shipped) {
+		t.Fatalf("the copy's log (%d bytes) is not the shipped frames (%d bytes)", len(logged), len(shipped))
 	}
 
 	// The hook's error ends the tail (a follower's chain mismatch).

@@ -169,12 +169,14 @@ func TestHTTPBinaryIngestMixesClassicAndCompactFrames(t *testing.T) {
 
 // TestGoldenV1ContinuesInCompactRecords: a data directory an earlier
 // build wrote — the golden fixture, whose log holds only classic
-// records — takes new events as compact ones. A copy cut to its first
-// 150 records is restored and given the rest of the run. After a close
-// and a second restore the log is the classic prefix then compact
-// frames, its hash chain runs unbroken across the seam, the fixture's
-// expectations still hold, and every pair with an appended vertex
-// answers as a search over the events' predecessors does.
+// records, one per frame — takes new events as compact records, one
+// batch frame per batch. A copy cut to its first 150 records is
+// restored and given the rest of the run in batches of 40. After a
+// close and a second restore the log is the classic prefix then one
+// compact frame per batch, its hash chain runs unbroken across the
+// seam, the audit counts every record, the fixture's expectations still
+// hold, and every pair with an appended vertex answers as a search over
+// the events' predecessors does.
 func TestGoldenV1ContinuesInCompactRecords(t *testing.T) {
 	const cut = 150
 	src := filepath.Join("testdata", "golden-v1", "golden")
@@ -228,7 +230,7 @@ func TestGoldenV1ContinuesInCompactRecords(t *testing.T) {
 	if s.WALSeq() != cut {
 		t.Fatalf("restored %d records, want %d", s.WALSeq(), cut)
 	}
-	appendAll(t, s, events[cut:], 40)
+	appendFramed(t, s, events[cut:], 40)
 	if err := reg.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -238,13 +240,16 @@ func TestGoldenV1ContinuesInCompactRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	var compact []byte
-	for _, ev := range events[cut:] {
-		if compact, err = wal.AppendFrame(compact, wal.RefRecord(ev)); err != nil {
-			t.Fatal(err)
+	for lo := cut; lo < len(events); lo += 40 {
+		open := -1
+		for _, ev := range events[lo:min(lo+40, len(events))] {
+			if compact, open, err = wal.AppendRecord(compact, open, wal.RefRecord(ev)); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	if !bytes.Equal(logged, slices.Concat(classic[:seam], compact)) {
-		t.Fatal("the log is not the classic prefix followed by compact frames of the appended events")
+		t.Fatal("the log is not the classic prefix followed by one compact frame per appended batch")
 	}
 	head, n, _, err := wal.ChainScan(walPath, 0, integrity.Head{})
 	if err != nil || n != int64(len(events)) {
@@ -297,4 +302,124 @@ func TestGoldenV1ContinuesInCompactRecords(t *testing.T) {
 			}
 		}
 	}
+}
+
+// batchFrame frames events as one batch, as the SDK sends a batch.
+func batchFrame(t *testing.T, events []run.Event) []byte {
+	t.Helper()
+	wire := make([]api.Event, len(events))
+	for i, ev := range events {
+		wire[i] = api.FromRun(ev)
+	}
+	frame, err := api.AppendFrames(nil, wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frame
+}
+
+// TestHTTPBinaryIngestTakesBatchFramesWhole: a body of batch frames is
+// taken a frame at a time. A frame damaged anywhere — its CRC, its last
+// record cut short, a byte past its last record — is refused whole with
+// bad_frame, the frames before it applied and logged byte for byte and
+// nothing of it or after it. A frame the labeler stops inside reports
+// the applied prefix to the record, and the log takes that prefix
+// re-framed, so a restore recovers exactly what was acknowledged. A
+// frame of more records than the handler applies at once still goes in
+// whole and is teed as it came.
+func TestHTTPBinaryIngestTakesBatchFramesWhole(t *testing.T) {
+	g := compileBuiltin(t, "BioAID")
+	events, _ := genEvents(t, g, 1200, 5)
+	first, second, third := events[:40], events[40:80], events[80:120]
+	good := batchFrame(t, second)
+	payload := good[wal.FrameHeaderSize:]
+	crc := bytes.Clone(good)
+	crc[len(crc)-1] ^= 0x01
+	for _, tc := range []struct {
+		name   string
+		damage []byte
+	}{
+		{"CRC mismatch", crc},
+		{"last record cut short", framed(payload[:len(payload)-1])},
+		{"a byte past the last record", framed(append(bytes.Clone(payload), 0))},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg, dir, srv := newDurableTestServer(t)
+			if _, err := reg.Create("b", g, Config{}); err != nil {
+				t.Fatal(err)
+			}
+			body := slices.Concat(batchFrame(t, first), tc.damage, batchFrame(t, third))
+			code, raw := postBinary(t, srv.URL+"/v1/sessions/b/events", body, nil)
+			expectCode(t, 400, api.CodeBadFrame, code, raw)
+			var resp api.ErrorResponse
+			if err := json.Unmarshal([]byte(raw), &resp); err != nil || resp.Applied != len(first) {
+				t.Fatalf("applied = %s, want the %d events of the frame before the damaged one", raw, len(first))
+			}
+			if s, _ := reg.Get("b"); s.Vertices() != int64(len(first)) {
+				t.Fatalf("session holds %d vertices, want %d", s.Vertices(), len(first))
+			}
+			if err := reg.Close(); err != nil {
+				t.Fatal(err)
+			}
+			logged, err := os.ReadFile(filepath.Join(dir, "b", walFile))
+			if err != nil || !bytes.Equal(logged, batchFrame(t, first)) {
+				t.Fatalf("the log holds %d bytes, want exactly the first frame (%v)", len(logged), err)
+			}
+		})
+	}
+
+	t.Run("one frame past the handler's chunk", func(t *testing.T) {
+		reg, dir, srv := newDurableTestServer(t)
+		if _, err := reg.Create("b", g, Config{}); err != nil {
+			t.Fatal(err)
+		}
+		big := events[:binaryChunk+100]
+		body := batchFrame(t, big)
+		var resp api.EventsResponse
+		if code, raw := postBinary(t, srv.URL+"/v1/sessions/b/events", body, &resp); code != 200 || resp.Applied != len(big) {
+			t.Fatalf("a frame of %d events: %d %s", len(big), code, raw)
+		}
+		if err := reg.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if logged, err := os.ReadFile(filepath.Join(dir, "b", walFile)); err != nil || !bytes.Equal(logged, body) {
+			t.Fatalf("the log holds %d bytes, want the body's frame (%d bytes)", len(logged), len(body))
+		}
+	})
+
+	t.Run("labeler stops inside a frame", func(t *testing.T) {
+		reg, dir, srv := newDurableTestServer(t)
+		if _, err := reg.Create("b", g, Config{}); err != nil {
+			t.Fatal(err)
+		}
+		const k = 25 // second[k] repeats a vertex already labeled
+		dup := slices.Clone(second)
+		dup[k] = first[3]
+		body := slices.Concat(batchFrame(t, first), batchFrame(t, dup), batchFrame(t, third))
+		code, raw := postBinary(t, srv.URL+"/v1/sessions/b/events", body, nil)
+		expectCode(t, 400, api.CodeBadEvent, code, raw)
+		var resp api.ErrorResponse
+		if err := json.Unmarshal([]byte(raw), &resp); err != nil || resp.Applied != len(first)+k {
+			t.Fatalf("applied = %s, want %d", raw, len(first)+k)
+		}
+		if err := reg.Close(); err != nil {
+			t.Fatal(err)
+		}
+		logged, err := os.ReadFile(filepath.Join(dir, "b", walFile))
+		if want := slices.Concat(batchFrame(t, first), batchFrame(t, second[:k])); err != nil || !bytes.Equal(logged, want) {
+			t.Fatalf("the log holds %d bytes, want the first frame and the applied prefix of the second re-framed (%d bytes)", len(logged), len(want))
+		}
+		reg2 := durableReg(t, dir, DurableOptions{})
+		defer reg2.Close()
+		if _, err := reg2.Restore(dir); err != nil {
+			t.Fatal(err)
+		}
+		s, _ := reg2.Get("b")
+		if s.Vertices() != int64(len(first)+k) {
+			t.Fatalf("restored %d vertices, want the %d acknowledged", s.Vertices(), len(first)+k)
+		}
+		if n, err := s.Append(events[len(first)+k:]); err != nil || n != len(events)-len(first)-k {
+			t.Fatalf("the stream goes on from the applied prefix: applied %d, %v", n, err)
+		}
+	})
 }

@@ -25,7 +25,7 @@ func chainFixture(t *testing.T, n int) (string, *Log) {
 	}
 	for i := 0; i < n; i++ {
 		ev := run.Event{V: graph.VertexID(i), Preds: []graph.VertexID{graph.VertexID(i / 2)}}
-		if err := l.Append(RefRecord(ev)); err != nil {
+		if err := logRecord(l, RefRecord(ev)); err != nil {
 			t.Fatal(err)
 		}
 		if i%7 == 3 {
@@ -71,7 +71,7 @@ func TestChainHeadMatchesFileScan(t *testing.T) {
 func TestChainHeadPendingFold(t *testing.T) {
 	path, l := chainFixture(t, 10)
 	// Append without flushing; the frames sit in the pending run.
-	if err := l.Append(RefRecord(run.Event{V: 10})); err != nil {
+	if err := logRecord(l, RefRecord(run.Event{V: 10})); err != nil {
 		t.Fatal(err)
 	}
 	seq, head, ok := l.ChainHead()
@@ -108,7 +108,7 @@ func TestChainSeedAcrossReopen(t *testing.T) {
 		t.Fatal("a reopened log must not have a chain before SeedChain")
 	}
 	l2.SeedChain(head)
-	if err := l2.Append(RefRecord(run.Event{V: 20})); err != nil {
+	if err := logRecord(l2, RefRecord(run.Event{V: 20})); err != nil {
 		t.Fatal(err)
 	}
 	liveSeq, liveHead, ok := l2.ChainHead()
@@ -138,7 +138,7 @@ func TestChainSeedAcrossReopen(t *testing.T) {
 func TestDisableChain(t *testing.T) {
 	_, l := chainFixture(t, 5)
 	l.DisableChain()
-	if err := l.Append(RefRecord(run.Event{V: 5})); err != nil {
+	if err := logRecord(l, RefRecord(run.Event{V: 5})); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, ok := l.ChainHead(); ok {
@@ -205,7 +205,7 @@ func TestChainPrefix(t *testing.T) {
 	path, l := chainFixture(t, 20)
 	_, at20, _ := l.ChainHead()
 	for i := 20; i < 30; i++ {
-		if err := l.Append(RefRecord(run.Event{V: graph.VertexID(i)})); err != nil {
+		if err := logRecord(l, RefRecord(run.Event{V: graph.VertexID(i)})); err != nil {
 			t.Fatal(err)
 		}
 	}

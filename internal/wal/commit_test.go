@@ -46,7 +46,7 @@ func TestCommitterGroupCommit(t *testing.T) {
 				// One goroutine appends per log, but commits overlap
 				// across logs — the committer coalesces them.
 				for e := 0; e < perB; e++ {
-					if err := l.Append(commitRecord(b*perB + e)); err != nil {
+					if err := logRecord(l, commitRecord(b*perB+e)); err != nil {
 						t.Errorf("append: %v", err)
 						return
 					}
@@ -97,7 +97,7 @@ func TestCommitterConcurrentSameLog(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
 				mu.Lock()
-				if err := l.Append(commitRecord(i)); err != nil {
+				if err := logRecord(l, commitRecord(i)); err != nil {
 					mu.Unlock()
 					t.Errorf("append: %v", err)
 					return
@@ -140,7 +140,7 @@ func TestCommitterClosedLogPoisons(t *testing.T) {
 	defer good.Close()
 	c := NewCommitter()
 
-	if err := bad.Append(commitRecord(1)); err != nil {
+	if err := logRecord(bad, commitRecord(1)); err != nil {
 		t.Fatal(err)
 	}
 	seq := bad.AppendSeq()
@@ -162,7 +162,7 @@ func TestCommitterClosedLogPoisons(t *testing.T) {
 		t.Fatal("poisoned log committed on retry")
 	}
 
-	if err := good.Append(commitRecord(2)); err != nil {
+	if err := logRecord(good, commitRecord(2)); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Commit(good, good.AppendSeq()); err != nil {

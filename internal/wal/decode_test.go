@@ -302,6 +302,10 @@ func FuzzDecodeRecordInto(f *testing.F) {
 	f.Add([]byte{0x01, 0x81, 0x00, 0x00, 0x00, 0x00})       // overlong vertex
 	f.Add([]byte{0x01, 0x01, 0x00, 0x00, 0x00, 0xAA, 0xBB}) // trailing bytes
 	f.Add([]byte{0xFB, 0x80, 0x00, 0x05, 0x00, 0x00, 0x02}) // overlong count escape
+	// Batch payloads: one record's decode stops at the second.
+	batch := runPayload(f, testRecords())
+	f.Add(batch)
+	f.Add(slices.Concat(classicPayload(testRecords()[1]), batch))
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		held := []graph.VertexID{11, 12, 13}
 		arena := append(make([]graph.VertexID, 0, rand.Intn(8)+3), held...)
@@ -327,5 +331,92 @@ func FuzzDecodeRecordInto(f *testing.F) {
 			t.Fatalf("arena %v after a record with predecessors %v", arena, preds)
 		}
 		checkReframes(t, "fuzz", got, payload)
+	})
+}
+
+// runPayload is the payload of recs framed as one batch.
+func runPayload(tb testing.TB, recs []Record) []byte {
+	tb.Helper()
+	var frame []byte
+	open := -1
+	for _, rec := range recs {
+		var err error
+		if frame, open, err = AppendRecord(frame, open, rec); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if open != 0 {
+		tb.Fatalf("%d records took more than one frame", len(recs))
+	}
+	return frame[FrameHeaderSize:]
+}
+
+// FuzzDecodePayload is the record walk's contract on arbitrary
+// payloads: it never panics; it refuses with ErrCorrupt, leaving the
+// caller's records and arena as they were, or it yields records that
+// re-frame to exactly the payload — a run of compact records as one
+// batch frame, a classic record alone in its frame and nowhere else —
+// with their predecessors, in order, after what the arena held. The
+// count-only walk the log keeps its sequences with agrees with it.
+func FuzzDecodePayload(f *testing.F) {
+	recs := append(testRecords(), manyPreds(30), manyPreds(31), manyPreds(131))
+	batch := runPayload(f, recs)
+	f.Add(batch)
+	f.Add(batch[:len(batch)-1])
+	f.Add(append(slices.Clone(batch), 0))
+	f.Add(runPayload(f, recs[:1]))
+	classic := classicPayload(recs[2])
+	f.Add(classic)
+	f.Add(slices.Concat(classic, batch))
+	f.Add(slices.Concat(batch, classic))
+	f.Add(slices.Concat(classic, classic))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		if len(payload) > MaxPayload {
+			return // no frame carries it
+		}
+		held := []graph.VertexID{11, 12, 13}
+		arena := append(make([]graph.VertexID, 0, rand.Intn(8)+3), held...)
+		sentinel := RefRecord(run.Event{V: 77})
+		got, err := DecodePayload([]Record{sentinel}, &arena, payload)
+		var c recordCounter
+		n, cerr := c.count(frameOf(payload))
+		if (err == nil) != (cerr == nil) {
+			t.Fatalf("walk: %v, count: %v", err, cerr)
+		}
+		if len(got) == 0 || !reflect.DeepEqual(got[0], sentinel) {
+			t.Fatalf("the caller's record became %+v", got)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) || len(got) != 1 || !slices.Equal(arena, held) {
+				t.Fatalf("refusal %v left %d records, arena %v", err, len(got), arena)
+			}
+			return
+		}
+		got = got[1:]
+		if n != len(got) {
+			t.Fatalf("the walk yields %d records, the count says %d", len(got), n)
+		}
+		var preds []graph.VertexID
+		for _, rec := range got {
+			if rec.Named {
+				preds = append(preds, rec.NamedEv.Preds...)
+			} else {
+				preds = append(preds, rec.Ref.Preds...)
+			}
+		}
+		if !slices.Equal(arena[:3], held) || !slices.Equal(arena[3:], preds) {
+			t.Fatalf("arena %v after records with predecessors %v", arena, preds)
+		}
+		if payload[0] == kindRefClassic || payload[0] == kindNamedClassic {
+			if len(got) != 1 {
+				t.Fatalf("a classic record shares its frame with %d others", len(got)-1)
+			}
+			checkReframes(t, "fuzz", got[0], payload)
+			return
+		}
+		if back := runPayload(t, got); !slices.Equal(back, payload) {
+			t.Fatalf("%d records re-frame to %x, came from %x", len(got), back, payload)
+		}
 	})
 }

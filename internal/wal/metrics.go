@@ -11,9 +11,9 @@ import (
 // session's Log plus the node's Committer; the hot paths only touch
 // the pre-registered atomics.
 type Metrics struct {
-	// AppendLatency is sampled — one in appendSampleEvery appends is
-	// timed — so the distribution stays representative without paying
-	// two clock reads per record on saturated ingest.
+	// AppendLatency is sampled — one in appendSampleEvery frame appends
+	// is timed — so the distribution stays representative without
+	// paying two clock reads per frame on saturated ingest.
 	AppendLatency *obs.Histogram
 	// CommitLatency is a batch's wait in the group committer: append
 	// acknowledged to durable on disk. Observed by the service around
@@ -23,14 +23,16 @@ type Metrics struct {
 	// FsyncLatency the fsync alone.
 	FlushLatency *obs.Histogram
 	FsyncLatency *obs.Histogram
-	// Appends / AppendedBytes count framed records entering the log.
+	// Appends counts records entering the log, AppendedBytes their
+	// frames' bytes, headers included.
 	Appends       *obs.Counter
 	AppendedBytes *obs.Counter
 	// CommitRounds / CommitLogs size the group commit: logs-per-round
 	// is CommitLogs / CommitRounds.
 	CommitRounds *obs.Counter
 	CommitLogs   *obs.Counter
-	// ChainedFrames counts frames folded into the hash chain.
+	// ChainedFrames counts frames folded into the hash chain — one per
+	// acknowledged batch, where Appends counts its records.
 	ChainedFrames *obs.Counter
 }
 
@@ -40,15 +42,15 @@ const appendSampleEvery = 16
 // NewMetrics registers the WAL instrument set in r.
 func NewMetrics(r *obs.Registry) *Metrics {
 	return &Metrics{
-		AppendLatency: r.Histogram("wf_wal_append_seconds", "WAL append latency (sampled)."),
+		AppendLatency: r.Histogram("wf_wal_append_seconds", "WAL frame append latency (sampled)."),
 		CommitLatency: r.Histogram("wf_wal_commit_seconds", "Group-commit wait per acknowledged batch."),
 		FlushLatency:  r.Histogram("wf_wal_flush_seconds", "WAL flush latency (buffered write plus fsync)."),
 		FsyncLatency:  r.Histogram("wf_wal_fsync_seconds", "WAL fsync latency."),
-		Appends:       r.Counter("wf_wal_appends_total", "WAL records appended."),
+		Appends:       r.Counter("wf_wal_appends_total", "WAL records (events) appended."),
 		AppendedBytes: r.Counter("wf_wal_append_bytes_total", "WAL bytes appended (framed)."),
 		CommitRounds:  r.Counter("wf_wal_commit_rounds_total", "Group-commit flush rounds led."),
 		CommitLogs:    r.Counter("wf_wal_commit_logs_total", "Logs flushed across group-commit rounds."),
-		ChainedFrames: r.Counter("wf_wal_chain_frames_total", "WAL frames folded into the hash chain."),
+		ChainedFrames: r.Counter("wf_wal_chain_frames_total", "WAL frames (one per batch) folded into the hash chain."),
 	}
 }
 

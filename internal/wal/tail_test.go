@@ -32,7 +32,7 @@ func TestDurableSeq(t *testing.T) {
 		t.Fatalf("fresh log DurableSeq = %d", got)
 	}
 	for i := 1; i <= 3; i++ {
-		if err := l.Append(tailRecord(i)); err != nil {
+		if err := logRecord(l, tailRecord(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -66,7 +66,7 @@ func TestOpenSeedsSequence(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 4; i++ {
-		if err := l.Append(tailRecord(i)); err != nil {
+		if err := logRecord(l, tailRecord(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -85,7 +85,7 @@ func TestOpenSeedsSequence(t *testing.T) {
 	if l2.AppendSeq() != 4 || l2.DurableSeq() != 4 {
 		t.Fatalf("reopened log seqs = %d/%d, want 4/4", l2.AppendSeq(), l2.DurableSeq())
 	}
-	if err := l2.Append(tailRecord(5)); err != nil {
+	if err := logRecord(l2, tailRecord(5)); err != nil {
 		t.Fatal(err)
 	}
 	if got := l2.AppendSeq(); got != 5 {
@@ -110,7 +110,7 @@ func TestTailerHistoryThenLive(t *testing.T) {
 			t.Fatal(err)
 		}
 		want = append(want, frame)
-		if err := l.Append(rec); err != nil {
+		if err := logRecord(l, rec); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -192,7 +192,7 @@ func TestTailerFromAndNoWait(t *testing.T) {
 	}
 	defer l.Close()
 	for i := 1; i <= 6; i++ {
-		if err := l.Append(tailRecord(i)); err != nil {
+		if err := logRecord(l, tailRecord(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -233,7 +233,7 @@ func TestTailerFromAndNoWait(t *testing.T) {
 	}
 	go func() {
 		for i := 7; i <= 8; i++ {
-			_ = l.Append(tailRecord(i))
+			_ = logRecord(l, tailRecord(i))
 		}
 		_ = l.Flush()
 	}()
@@ -284,7 +284,7 @@ func TestTailerCommitterWakeup(t *testing.T) {
 	c := NewCommitter()
 	go func() {
 		time.Sleep(5 * time.Millisecond)
-		_ = l.Append(tailRecord(1))
+		_ = logRecord(l, tailRecord(1))
 		_ = c.Commit(l, l.AppendSeq())
 	}()
 	seq, _, err := tl.Next(context.Background(), true)
@@ -303,7 +303,7 @@ func TestTailerCorruptionBelowWatermark(t *testing.T) {
 	}
 	defer l.Close()
 	for i := 1; i <= 2; i++ {
-		if err := l.Append(tailRecord(i)); err != nil {
+		if err := logRecord(l, tailRecord(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -319,12 +319,107 @@ func TestTailerCorruptionBelowWatermark(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// The tailer positions itself on open, so it may meet the damage
+	// there rather than in Next; either way it is ErrCorrupt.
 	tl, err := NewTailer(l, 1)
+	if err == nil {
+		defer tl.Close()
+		_, _, err = tl.Next(context.Background(), false)
+	}
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("corrupt committed record = %v, want ErrCorrupt", err)
+	}
+}
+
+// batchFrame frames tailRecord(from) … tailRecord(to) as one frame.
+func batchFrame(t *testing.T, from, to int) []byte {
+	t.Helper()
+	var frame []byte
+	open := -1
+	for v := from; v <= to; v++ {
+		var err error
+		if frame, open, err = AppendRecord(frame, open, tailRecord(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return frame
+}
+
+// TestTailerServesBatchFrames: a tailer ships whole frames, each with
+// the sequence of its first record, starts only on a frame boundary —
+// a start inside a committed frame is ErrMidFrame when the tailer
+// opens, and inside a frame committed later when Next reaches it — and
+// waits at the committed end for the next frame.
+func TestTailerServesBatchFrames(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "events.wal")
+	l, err := Open(path, 0, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tl.Close()
-	if _, _, err := tl.Next(context.Background(), false); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("corrupt committed record = %v, want ErrCorrupt", err)
+	defer l.Close()
+	frames := [][]byte{batchFrame(t, 1, 3), batchFrame(t, 4, 7), batchFrame(t, 8, 9)}
+	for _, f := range frames {
+		if err := l.AppendRaw(f); err != nil {
+			t.Fatal(err)
+		}
 	}
+	if err := l.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if l.DurableSeq() != 9 {
+		t.Fatalf("three frames of 9 records: durable seq %d", l.DurableSeq())
+	}
+	ctx := context.Background()
+	for _, tc := range []struct {
+		from  int64
+		seqs  []int64
+		first int // index in frames of the first frame served
+	}{{1, []int64{1, 4, 8}, 0}, {4, []int64{4, 8}, 1}, {8, []int64{8}, 2}} {
+		tl, err := NewTailer(l, tc.from)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, want := range tc.seqs {
+			seq, frame, err := tl.Next(ctx, false)
+			if err != nil || seq != want || !bytes.Equal(frame, frames[tc.first+i]) {
+				t.Fatalf("from %d: entry %d is seq %d (%v), want %d", tc.from, i, seq, err, want)
+			}
+		}
+		if _, _, err := tl.Next(ctx, false); err != io.EOF {
+			t.Fatalf("from %d: past the end = %v, want EOF", tc.from, err)
+		}
+		tl.Close()
+	}
+	for _, from := range []int64{2, 5, 9} {
+		if _, err := NewTailer(l, from); !errors.Is(err, ErrMidFrame) {
+			t.Fatalf("tail from %d, inside a frame = %v, want ErrMidFrame", from, err)
+		}
+	}
+	// Past the committed end: 10 is where the next frame starts, 11
+	// falls inside it.
+	at, inside := mustTailer(t, l, 10), mustTailer(t, l, 11)
+	defer at.Close()
+	defer inside.Close()
+	next := batchFrame(t, 10, 12)
+	if err := l.AppendRaw(next); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if seq, frame, err := at.Next(ctx, true); err != nil || seq != 10 || !bytes.Equal(frame, next) {
+		t.Fatalf("tail from 10: seq %d, %v", seq, err)
+	}
+	if _, _, err := inside.Next(ctx, true); !errors.Is(err, ErrMidFrame) {
+		t.Fatalf("tail from 11 over a frame of 10–12 = %v, want ErrMidFrame", err)
+	}
+}
+
+func mustTailer(t *testing.T, l *Log, from int64) *Tailer {
+	t.Helper()
+	tl, err := NewTailer(l, from)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tl
 }

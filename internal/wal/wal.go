@@ -9,27 +9,36 @@
 // The byte-level layout is specified in the wire-format appendix of
 // ARCHITECTURE.md; the summary:
 //
-// A log is a sequence of records, each framed as
+// A log is a sequence of frames, each
 //
 //	uint32 LE  payload length N
 //	uint32 LE  CRC-32 (IEEE) of the payload
 //	N bytes    payload
 //
-// with the payload encoding one execution event: a kind byte that also
-// carries the predecessor count, the event's uvarint fields, and each
-// predecessor as the zig-zag uvarint of the new vertex minus it. Logs
-// written by earlier builds hold the classic kinds, which spell the
-// count and every predecessor id out in full; they are read, never
-// written, and one log may hold both. Every varint is minimal LEB128 of
-// at most five bytes and a payload ends where its record does, so a
-// record that decodes has exactly one frame of each form. Payload
-// fields are written by appendFrame, measured by frameLen and read by
-// DecodeRecordInto, and nowhere else.
+// with the payload a run of one or more records, each encoding one
+// execution event: a kind byte that also carries the predecessor count,
+// the event's uvarint fields, and each predecessor as the zig-zag
+// uvarint of the new vertex minus it. A writer puts one acknowledged
+// batch in one frame, starting another only where MaxPayload forces it.
+// Logs written by earlier builds hold one record per frame and may hold
+// the classic kinds, which spell the count and every predecessor id out
+// in full; they are read, never written, always alone in their frame,
+// and one log may hold both. Every varint is minimal LEB128 of at most
+// five bytes and a record ends where its fields do, so a run of records
+// that decodes has exactly one payload. Payload fields are written by
+// appendRecord, measured by frameLen and read by decodeRecord, and
+// nowhere else; decodePayload is the one walk over a payload's run.
+//
+// Sequences count records, not frames: the first record in the file is
+// 1, and a frame of k records advances the sequence by k. The hash chain
+// folds whole frames, so a chain head exists at frame boundaries only.
 //
 // A torn write — a crash mid-append — leaves a short or CRC-mismatched
-// record at the tail; Scan detects it, reports the valid prefix, and
-// Open truncates the garbage before appending.
-// Corruption is only ever accepted at the tail: a bad record hides
+// frame at the tail; Scan detects it, reports the valid prefix, and
+// Open truncates the garbage before appending. A frame that passes its
+// CRC but does not decode whole is damage the same way: it is never
+// taken in part.
+// Corruption is only ever accepted at the tail: a bad frame hides
 // everything after it, by design, because the event stream is
 // meaningful only as a prefix.
 package wal
@@ -159,12 +168,11 @@ func (r *payloadReader) vertex() (graph.VertexID, error) {
 	return graph.VertexID(v), err
 }
 
-// preds reads the n predecessors of vertex v — the record's last field,
-// so the payload must end with them — onto the end of *arena and
-// returns the appended part, capped so the caller cannot grow into what
-// the arena holds next. A compact record stores each as the zig-zag
-// delta v − p, a classic one as the id itself. On an error the arena is
-// as it was.
+// preds reads the n predecessors of vertex v — the record's last field
+// — onto the end of *arena and returns the appended part, capped so the
+// caller cannot grow into what the arena holds next. A compact record
+// stores each as the zig-zag delta v − p, a classic one as the id
+// itself. On an error the arena is as it was.
 func (r *payloadReader) preds(arena *[]graph.VertexID, n uint64, v graph.VertexID, classic bool) ([]graph.VertexID, error) {
 	if n > uint64(len(r.b)-r.pos) { // each pred takes ≥ 1 byte
 		return nil, fmt.Errorf("%w: predecessor count %d exceeds payload", ErrCorrupt, n)
@@ -193,9 +201,6 @@ func (r *payloadReader) preds(arena *[]graph.VertexID, n uint64, v graph.VertexI
 		}
 		out = append(out, graph.VertexID(p))
 	}
-	if r.pos != len(r.b) {
-		return nil, fmt.Errorf("%w: %d bytes past the end of the record", ErrCorrupt, len(r.b)-r.pos)
-	}
 	if n == 0 {
 		return nil, nil
 	}
@@ -203,41 +208,65 @@ func (r *payloadReader) preds(arena *[]graph.VertexID, n uint64, v graph.VertexI
 	return out[start:len(out):len(out)], nil
 }
 
-// AppendFrame appends one record in the log's frame format — the
-// 8-byte header (FrameHeaderSize) followed by the payload — onto buf
-// and returns the extended slice. The bytes are exactly what
-// Log.Append writes, which is what lets a server accept pre-framed
-// records off the wire and tee them to the log without re-encoding.
-// A record whose payload would exceed MaxPayload, or that carries a
-// negative id — which DecodeRecord would refuse to read back — is
-// rejected with buf unchanged.
+// AppendFrame appends one record as a frame of its own — the 8-byte
+// header (FrameHeaderSize) followed by the payload — onto buf and
+// returns the extended slice. A record whose payload would exceed
+// MaxPayload, or that carries a negative id — which the decoder would
+// refuse to read back — is rejected with buf unchanged.
 func AppendFrame(buf []byte, rec Record) ([]byte, error) {
-	if rec.Named {
-		return AppendNamedFrame(buf, rec.NamedEv.V, rec.NamedEv.Name, rec.NamedEv.Preds)
-	}
-	return AppendRefFrame(buf, rec.Ref.V, int32(rec.Ref.Ref.Graph), rec.Ref.Ref.V, rec.Ref.Preds)
+	buf, _, err := AppendRecord(buf, -1, rec)
+	return buf, err
 }
 
-// AppendRefFrame is AppendFrame on the fields of a reference-form
+// AppendRecord appends rec to the frame that starts at buf[open:] — the
+// last frame in buf — rewriting that frame's header, or to a new frame
+// at the end of buf when open is negative or rec would carry the open
+// frame's payload past MaxPayload. It returns the extended slice and
+// the offset of the frame rec went into, the open to pass with the next
+// record of the same run. buf holds whole frames before and after the
+// call, so a batch appended record by record is already its frames: one,
+// unless it outgrows MaxPayload. A record it refuses (see AppendFrame)
+// leaves buf and open as they were.
+func AppendRecord(buf []byte, open int, rec Record) ([]byte, int, error) {
+	if rec.Named {
+		return AppendNamedRecord(buf, open, rec.NamedEv.V, rec.NamedEv.Name, rec.NamedEv.Preds)
+	}
+	return AppendRefRecord(buf, open, rec.Ref.V, int32(rec.Ref.Ref.Graph), rec.Ref.Ref.V, rec.Ref.Preds)
+}
+
+// AppendRefRecord is AppendRecord on the fields of a reference-form
 // event, for any int32 vertex-id type: a Record's, or the wire form's
 // plain int32, which the SDK frames without building a Record first.
-func AppendRefFrame[V ~int32](buf []byte, v V, g int32, sv V, preds []V) ([]byte, error) {
-	return appendFrame(buf, kindRef, v, "", g, sv, preds)
+func AppendRefRecord[V ~int32](buf []byte, open int, v V, g int32, sv V, preds []V) ([]byte, int, error) {
+	return appendRecord(buf, open, kindRef, v, "", g, sv, preds)
 }
 
-// AppendNamedFrame is AppendRefFrame for a name-form event.
-func AppendNamedFrame[V ~int32](buf []byte, v V, name string, preds []V) ([]byte, error) {
-	return appendFrame(buf, kindNamed, v, name, 0, 0, preds)
+// AppendNamedRecord is AppendRefRecord for a name-form event.
+func AppendNamedRecord[V ~int32](buf []byte, open int, v V, name string, preds []V) ([]byte, int, error) {
+	return appendRecord(buf, open, kindNamed, v, name, 0, 0, preds)
 }
 
-// appendFrame frames one event of either kind; a kindNamed event has no
-// g and sv, a kindRef one no name.
-func appendFrame[V ~int32](buf []byte, kind byte, v V, name string, g int32, sv V, preds []V) ([]byte, error) {
+// appendRecord writes one record of either kind into the open frame or
+// a new one; a kindNamed event has no g and sv, a kindRef one no name.
+// The open frame's length and CRC are extended, not recomputed: CRC-32
+// continues over appended bytes.
+func appendRecord[V ~int32](buf []byte, open int, kind byte, v V, name string, g int32, sv V, preds []V) ([]byte, int, error) {
 	if v < 0 || g < 0 || sv < 0 || slices.ContainsFunc(preds, func(p V) bool { return p < 0 }) {
-		return buf, fmt.Errorf("wal: record of vertex %d carries a negative id", v)
+		return buf, open, fmt.Errorf("wal: record of vertex %d carries a negative id", v)
+	}
+	fields := uvarintLen(g) + uvarintLen(sv)
+	if kind == kindNamed {
+		fields = uvarintLen(len(name)) + len(name)
+	}
+	n := frameLen(v, fields, preds) - FrameHeaderSize
+	if n > MaxPayload {
+		return buf, open, fmt.Errorf("wal: record payload %d bytes exceeds the %d-byte format cap", n, MaxPayload)
+	}
+	if open < 0 || len(buf)-open-FrameHeaderSize+n > MaxPayload {
+		open = len(buf)
+		buf = append(buf, make([]byte, FrameHeaderSize)...) // an empty payload's CRC is 0
 	}
 	start := len(buf)
-	buf = append(buf, make([]byte, FrameHeaderSize)...)
 	buf = append(buf, byte(min(len(preds), countEscape))<<countShift|kind)
 	if len(preds) >= countEscape {
 		buf = binary.AppendUvarint(buf, uint64(len(preds)-countEscape))
@@ -253,29 +282,28 @@ func appendFrame[V ~int32](buf []byte, kind byte, v V, name string, g int32, sv 
 	for _, p := range preds {
 		buf = binary.AppendUvarint(buf, zigzag(v, p))
 	}
-	payload := buf[start+FrameHeaderSize:]
-	if len(payload) > MaxPayload {
-		return buf[:start], fmt.Errorf("wal: record payload %d bytes exceeds the %d-byte format cap", len(payload), MaxPayload)
-	}
-	binary.LittleEndian.PutUint32(buf[start:start+4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[start+4:start+8], crc32.ChecksumIEEE(payload))
-	return buf, nil
+	hdr := buf[open : open+FrameHeaderSize]
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(buf)-open-FrameHeaderSize))
+	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Update(binary.LittleEndian.Uint32(hdr[4:8]), crc32.IEEETable, buf[start:]))
+	return buf, open, nil
 }
 
-// RefFrameLen is the length pass of AppendRefFrame: the exact number of
-// bytes it appends for these fields, when it accepts them — what a
-// caller reserves before framing a batch.
+// RefFrameLen is the length pass of a reference-form record framed on
+// its own: the exact number of bytes AppendRefRecord appends for these
+// fields into a new frame, when it accepts them. Into an open frame it
+// appends FrameHeaderSize fewer.
 func RefFrameLen[V ~int32](v V, g int32, sv V, preds []V) int {
 	return frameLen(v, uvarintLen(g)+uvarintLen(sv), preds)
 }
 
-// NamedFrameLen is RefFrameLen for AppendNamedFrame.
+// NamedFrameLen is RefFrameLen for AppendNamedRecord.
 func NamedFrameLen[V ~int32](v V, name string, preds []V) int {
 	return frameLen(v, uvarintLen(len(name))+len(name), preds)
 }
 
-// frameLen mirrors appendFrame field by field; fields is the length of
-// what the kind puts between the vertex and the predecessors.
+// frameLen mirrors appendRecord field by field, header included; fields
+// is the length of what the kind puts between the vertex and the
+// predecessors.
 func frameLen[V ~int32](v V, fields int, preds []V) int {
 	n := FrameHeaderSize + 1 + uvarintLen(v) + fields
 	if len(preds) >= countEscape {
@@ -300,7 +328,7 @@ func uvarintLen[I ~int | ~int32 | ~uint64](x I) int {
 	return (bits.Len64(uint64(x)|1) + 6) / 7
 }
 
-// DecodeRecord parses one record payload (the bytes after a frame
+// DecodeRecord parses a payload of one record (the bytes after a frame
 // header, already CRC-verified by the caller). The record owns its
 // predecessor slice.
 func DecodeRecord(b []byte) (Record, error) { return DecodeRecordInto(nil, b) }
@@ -311,81 +339,145 @@ func DecodeRecord(b []byte) (Record, error) { return DecodeRecordInto(nil, b) }
 // moves nothing the record sees). A caller that is done with each
 // record, or each batch of them, before it truncates decodes without
 // allocating. On an error the arena is as it was; a nil arena gives
-// every record a slice of its own.
+// every record a slice of its own. A payload that carries more than one
+// record is refused: DecodePayload walks those.
 func DecodeRecordInto(arena *[]graph.VertexID, b []byte) (Record, error) {
-	if len(b) == 0 {
-		return Record{}, fmt.Errorf("%w: empty payload", ErrCorrupt)
-	}
 	if arena == nil {
 		arena = new([]graph.VertexID)
 	}
+	held := len(*arena)
+	rec, n, err := decodeRecord(arena, b, true)
+	if err == nil && n != len(b) {
+		*arena = (*arena)[:held]
+		return Record{}, fmt.Errorf("%w: %d bytes past the end of the record", ErrCorrupt, len(b)-n)
+	}
+	return rec, err
+}
+
+// DecodePayload decodes every record a frame payload carries, in order,
+// onto dst, with their predecessors on *arena as DecodeRecordInto puts
+// them. A payload is taken whole or not at all: on any damage — a
+// record that does not decode, bytes left after the last one, a classic
+// record sharing its frame — dst comes back at its old length, the
+// arena as it was, and the error wraps ErrCorrupt.
+func DecodePayload(dst []Record, arena *[]graph.VertexID, payload []byte) ([]Record, error) {
+	dst, _, err := decodePayload(dst, arena, payload, true)
+	return dst, err
+}
+
+// decodePayload is the one walk over a payload's run of records, behind
+// DecodePayload and every record count the log keeps; it returns dst
+// and the number of records. With keep unset the records are only
+// counted: dst is left alone, a named record's name is not built, and
+// each record's predecessors leave the arena again — a count allocates
+// nothing once the arena holds the largest record's.
+func decodePayload(dst []Record, arena *[]graph.VertexID, payload []byte, keep bool) ([]Record, int, error) {
+	if len(payload) == 0 {
+		return dst, 0, fmt.Errorf("%w: empty payload", ErrCorrupt)
+	}
+	start, held := len(dst), len(*arena)
+	count := 0
+	for off := 0; off < len(payload); count++ {
+		rec, n, err := decodeRecord(arena, payload[off:], keep)
+		if err == nil && isClassic(payload[off]) && (off > 0 || n != len(payload)) {
+			err = fmt.Errorf("%w: classic record at payload offset %d shares its frame", ErrCorrupt, off)
+		}
+		if err != nil {
+			clear(dst[start:])
+			*arena = (*arena)[:held]
+			return dst[:start], 0, err
+		}
+		if keep {
+			dst = append(dst, rec)
+		} else {
+			*arena = (*arena)[:held]
+		}
+		off += n
+	}
+	return dst, count, nil
+}
+
+func isClassic(kind byte) bool { return kind == kindRefClassic || kind == kindNamedClassic }
+
+// decodeRecord decodes the record at the front of b, which may go on
+// with further records, and returns it with its length; with names
+// unset a named record comes without its name. On an error the arena
+// is as it was.
+func decodeRecord(arena *[]graph.VertexID, b []byte, names bool) (Record, int, error) {
+	if len(b) == 0 {
+		return Record{}, 0, fmt.Errorf("%w: empty payload", ErrCorrupt)
+	}
 	kind := b[0]
-	classic := kind == kindRefClassic || kind == kindNamedClassic
+	classic := isClassic(kind)
 	named := kind == kindNamedClassic || kind&kindMask == kindNamed
 	if !classic && !named && kind&kindMask != kindRef {
-		return Record{}, fmt.Errorf("%w: unknown record kind 0x%02x", ErrCorrupt, kind)
+		return Record{}, 0, fmt.Errorf("%w: unknown record kind 0x%02x", ErrCorrupt, kind)
 	}
 	r := payloadReader{b: b, pos: 1}
 	npreds := uint64(kind >> countShift)
 	if npreds == countEscape {
 		more, err := r.uvarint()
 		if err != nil {
-			return Record{}, err
+			return Record{}, 0, err
 		}
 		npreds += more
 	}
 	v, err := r.vertex()
 	if err != nil {
-		return Record{}, err
+		return Record{}, 0, err
 	}
 	var rec Record
 	if named {
 		n, err := r.uvarint()
 		if err != nil {
-			return Record{}, err
+			return Record{}, 0, err
 		}
 		if n > uint64(len(b)-r.pos) {
-			return Record{}, fmt.Errorf("%w: name length %d exceeds payload", ErrCorrupt, n)
+			return Record{}, 0, fmt.Errorf("%w: name length %d exceeds payload", ErrCorrupt, n)
 		}
-		rec = Record{Named: true, NamedEv: core.NamedEvent{V: v, Name: string(b[r.pos : r.pos+int(n)])}}
+		rec = Record{Named: true, NamedEv: core.NamedEvent{V: v}}
+		if names {
+			rec.NamedEv.Name = string(b[r.pos : r.pos+int(n)])
+		}
 		r.pos += int(n)
 	} else {
 		g, err := r.id("graph")
 		if err != nil {
-			return Record{}, err
+			return Record{}, 0, err
 		}
 		sv, err := r.vertex()
 		if err != nil {
-			return Record{}, err
+			return Record{}, 0, err
 		}
 		rec.Ref = run.Event{V: v, Ref: spec.VertexRef{Graph: spec.GraphID(g), V: sv}}
 	}
 	if classic {
 		if npreds, err = r.uvarint(); err != nil {
-			return Record{}, err
+			return Record{}, 0, err
 		}
 	}
 	preds, err := r.preds(arena, npreds, v, classic)
 	if err != nil {
-		return Record{}, err
+		return Record{}, 0, err
 	}
 	if named {
 		rec.NamedEv.Preds = preds
 	} else {
 		rec.Ref.Preds = preds
 	}
-	return rec, nil
+	return rec, r.pos, nil
 }
 
 // FrameReader reads a stream of frames — a log file, an ingest body, a
 // shipped tail — yielding each frame raw (header plus payload) once its
 // length prefix is in range and its CRC matches. It is the one place a
 // frame is checked on the way in; Scan, the chain walks, Tailer and the
-// internal/api wire readers are loops over it. It reads exactly the
-// bytes of the frames it returns, never ahead, so a caller may
-// interleave its own reads on the same stream (the tail stream's
-// sequence prefixes), and allocates nothing per frame once its buffer
-// has grown to the largest frame seen.
+// internal/api wire readers are loops over it, and decodePayload is the
+// one place its records are. It reads exactly the bytes of the frames
+// it returns, never ahead, so a caller may interleave its own reads on
+// the same stream (the tail stream's sequence prefixes), and allocates
+// nothing per frame once its buffer has grown to the largest frame
+// seen.
 type FrameReader struct {
 	r     io.Reader
 	frame []byte
@@ -471,36 +563,52 @@ func OpenFrames(path string, offset int64) (*FrameReader, io.Closer, error) {
 
 // Scan reads the log at path from the beginning, calling fn for each
 // intact record in order. It stops without error at the first torn or
-// corrupt record — a crash can only damage the tail, and everything
-// after a bad record is unrecoverable by construction — and returns
+// corrupt frame — a crash can only damage the tail, and everything
+// after a bad frame is unrecoverable by construction — and returns
 // the number of records delivered plus the byte offset of the end of
 // the valid prefix (the offset Open should truncate to). A frame that
-// passes its CRC but does not decode counts as damage too. A missing
-// file scans as empty. An error from fn aborts the scan and is
-// returned as-is.
+// passes its CRC but does not decode whole counts as damage too, and
+// fn sees none of its records. A missing file scans as empty. An error
+// from fn aborts the scan and is returned as-is; validSize then ends
+// at the last frame fn saw whole.
 func Scan(path string, fn func(i int, rec Record) error) (n int, validSize int64, err error) {
 	fr, f, err := OpenFrames(path, 0)
 	if err != nil {
 		return 0, 0, err
 	}
 	defer f.Close()
+	var recs []Record
+	var preds []graph.VertexID
 	for {
 		frame, err := fr.Next()
 		if err != nil {
 			return n, validSize, tailDamage(err)
 		}
-		rec, err := DecodeRecord(frame[FrameHeaderSize:])
-		if err != nil {
+		if recs, err = DecodePayload(recs[:0], &preds, frame[FrameHeaderSize:]); err != nil {
 			return n, validSize, nil
 		}
-		if fn != nil {
-			if err := fn(n, rec); err != nil {
-				return n, validSize, err
+		for _, rec := range recs {
+			if fn != nil {
+				if err := fn(n, rec); err != nil {
+					return n, validSize, err
+				}
 			}
+			n++
 		}
-		n++
 		validSize = fr.Offset()
+		preds = nil // the records fn saw keep theirs
 	}
+}
+
+// recordCounter counts the records of frames with the payload walk,
+// reusing its predecessor scratch from frame to frame.
+type recordCounter struct{ preds []graph.VertexID }
+
+// count returns the number of records frame carries, or the error that
+// keeps its payload from decoding whole.
+func (c *recordCounter) count(frame []byte) (int, error) {
+	_, n, err := decodePayload(nil, &c.preds, frame[FrameHeaderSize:], false)
+	return n, err
 }
 
 // tailDamage is the file walks' torn-tail policy: a log may end on a
@@ -520,8 +628,9 @@ func tailDamage(err error) error {
 // flush many sessions' logs in parallel.
 //
 // Every record in the log has an absolute sequence number: the first
-// record in the file is 1, and Open seeds the counters with the
-// record count a prior Scan reported, so sequences survive restarts.
+// record in the file is 1, a frame of k records advances it by k, and
+// Open seeds the counters with the record count a prior Scan reported,
+// so sequences survive restarts.
 // AppendSeq and DurableSeq read the counters atomically; DurableAdvanced
 // is the subscription hook a Tailer uses to switch from history replay
 // to live tailing.
@@ -529,13 +638,14 @@ type Log struct {
 	// mu guards the file handle, the buffered writer and the closed
 	// flag. Held across the fsync too: a flush that raced an in-flight
 	// append could otherwise sync a torn frame into "durable" territory.
-	mu     sync.Mutex
-	f      *os.File
-	w      *bufio.Writer
-	path   string
-	fsync  bool
-	closed bool
-	buf    []byte // scratch for payload encoding, used under mu
+	mu      sync.Mutex
+	f       *os.File
+	w       *bufio.Writer
+	path    string
+	fsync   bool
+	closed  bool
+	count   recordCounter // AppendRaw's record walk, used under mu
+	appends int64         // AppendRaw calls, for sampling; under mu
 
 	// appendSeq is the sequence of the last appended record;
 	// durableSeq is the highest appendSeq known to be flushed (by
@@ -657,7 +767,9 @@ func Open(path string, validSize int64, records int64, fsync bool) (*Log, error)
 		f.Close()
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	l := &Log{f: f, w: bufio.NewWriter(f), path: path, fsync: fsync}
+	// The count's arena starts at a size few records outgrow, so a
+	// log's appends settle into allocating nothing at once.
+	l := &Log{f: f, w: bufio.NewWriter(f), path: path, fsync: fsync, count: recordCounter{preds: make([]graph.VertexID, 0, 64)}}
 	l.appendSeq.Store(records)
 	l.durableSeq.Store(records)
 	l.appendBytes.Store(validSize)
@@ -720,8 +832,9 @@ func (l *Log) advanceChainLocked() {
 	for _, n := range l.chainLens {
 		l.chainHead = l.chainer.Extend(l.chainHead, l.chainPend[off:off+n])
 		off += n
-		l.chainSeq++
 	}
+	// Everything appended is folded now, and appends hold mu.
+	l.chainSeq = l.appendSeq.Load()
 	if l.metrics != nil {
 		l.metrics.ChainedFrames.Add(int64(len(l.chainLens)))
 	}
@@ -729,55 +842,15 @@ func (l *Log) advanceChainLocked() {
 	l.chainLens = l.chainLens[:0]
 }
 
-// Append frames and buffers one record. The record is not durable —
-// and must not be acknowledged — until the next Flush. A record whose
-// payload exceeds the format's 1 MiB cap is rejected up front: Scan
-// would treat it as corruption, silently truncating recovery at that
-// point, so it must never be acknowledged as logged.
-func (l *Log) Append(rec Record) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return errClosed
-	}
-	// Sampled append timing: one in appendSampleEvery appends pays the
-	// two clock reads, keeping the distribution representative without
-	// taxing saturated ingest.
-	var t0 time.Time
-	sample := l.metrics != nil && (l.appendSeq.Load()+1)%appendSampleEvery == 0
-	if sample {
-		t0 = time.Now()
-	}
-	var err error
-	if l.buf, err = AppendFrame(l.buf[:0], rec); err != nil {
-		return err
-	}
-	if _, err := l.w.Write(l.buf); err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	if l.chainOn {
-		l.chainPend = append(l.chainPend, l.buf...)
-		l.chainLens = append(l.chainLens, len(l.buf))
-	}
-	l.appendSeq.Add(1)
-	l.appendBytes.Add(int64(len(l.buf)))
-	if l.metrics != nil {
-		l.metrics.Appends.Inc()
-		l.metrics.AppendedBytes.Add(int64(len(l.buf)))
-		if sample {
-			l.metrics.AppendLatency.Add(time.Since(t0))
-		}
-	}
-	return nil
-}
-
-// AppendRaw buffers one pre-framed record — header plus payload,
-// exactly as AppendFrame produces. The frame's structure (length
-// prefix consistent with the slice, within MaxPayload) is validated;
-// its CRC is not recomputed — the caller must have verified it when
-// the frame was received, because a corrupt frame written here would
-// silently truncate recovery at this record. Like Append, the record
-// is not durable until the next Flush.
+// AppendRaw buffers one frame — header plus a payload of one or more
+// records, as AppendRecord builds it. The frame's structure is
+// validated: its length prefix consistent with the slice and within
+// MaxPayload, its payload a run of records that decodes whole, whose
+// count advances the sequence. Its CRC is not recomputed — the caller
+// must have verified it when the frame was received, or built the frame
+// itself, because a corrupt frame written here would silently truncate
+// recovery at this point. The records are not durable — and must not
+// be acknowledged — until the next Flush.
 func (l *Log) AppendRaw(frame []byte) error {
 	if len(frame) < FrameHeaderSize {
 		return fmt.Errorf("wal: raw frame of %d bytes is shorter than the %d-byte header", len(frame), FrameHeaderSize)
@@ -791,10 +864,18 @@ func (l *Log) AppendRaw(frame []byte) error {
 	if l.closed {
 		return errClosed
 	}
+	// Sampled append timing: one in appendSampleEvery appends pays the
+	// two clock reads, keeping the distribution representative without
+	// taxing saturated ingest.
+	l.appends++
 	var t0 time.Time
-	sample := l.metrics != nil && (l.appendSeq.Load()+1)%appendSampleEvery == 0
+	sample := l.metrics != nil && l.appends%appendSampleEvery == 0
 	if sample {
 		t0 = time.Now()
+	}
+	records, err := l.count.count(frame)
+	if err != nil {
+		return fmt.Errorf("wal: raw frame: %w", err)
 	}
 	if _, err := l.w.Write(frame); err != nil {
 		return fmt.Errorf("wal: %w", err)
@@ -803,10 +884,10 @@ func (l *Log) AppendRaw(frame []byte) error {
 		l.chainPend = append(l.chainPend, frame...)
 		l.chainLens = append(l.chainLens, len(frame))
 	}
-	l.appendSeq.Add(1)
+	l.appendSeq.Add(int64(records))
 	l.appendBytes.Add(int64(len(frame)))
 	if l.metrics != nil {
-		l.metrics.Appends.Inc()
+		l.metrics.Appends.Add(int64(records))
 		l.metrics.AppendedBytes.Add(int64(len(frame)))
 		if sample {
 			l.metrics.AppendLatency.Add(time.Since(t0))
@@ -841,9 +922,9 @@ func (l *Log) flushLocked(sync bool) error {
 	if l.metrics != nil {
 		start = time.Now()
 	}
-	// One batched hash pass per flush round: the records of every
-	// batch acknowledged by this round enter the chain here, not one
-	// by one on the ingest path.
+	// One batched hash pass per flush round: the frames of every
+	// batch acknowledged by this round enter the chain here, not on
+	// the ingest path.
 	l.advanceChainLocked()
 	if err := l.w.Flush(); err != nil {
 		return fmt.Errorf("wal: %w", err)

@@ -1,11 +1,14 @@
 package wal
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -26,6 +29,15 @@ func testRecords() []Record {
 	}
 }
 
+// logRecord appends rec to l as a frame of its own.
+func logRecord(l *Log, rec Record) error {
+	frame, err := AppendFrame(nil, rec)
+	if err != nil {
+		return err
+	}
+	return l.AppendRaw(frame)
+}
+
 func writeLog(t *testing.T, path string, recs []Record) {
 	t.Helper()
 	l, err := Open(path, 0, 0, false)
@@ -33,7 +45,7 @@ func writeLog(t *testing.T, path string, recs []Record) {
 		t.Fatal(err)
 	}
 	for _, r := range recs {
-		if err := l.Append(r); err != nil {
+		if err := logRecord(l, r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -190,7 +202,7 @@ func TestOpenTruncatesAndAppends(t *testing.T) {
 		t.Fatal(err)
 	}
 	extra := NamedRecord(core.NamedEvent{V: 999, Name: "after-crash", Preds: []graph.VertexID{1}})
-	if err := l.Append(extra); err != nil {
+	if err := logRecord(l, extra); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Sync(); err != nil {
@@ -215,12 +227,12 @@ func TestAppendRejectsOversizedRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	big := NamedRecord(core.NamedEvent{V: 1, Name: strings.Repeat("x", MaxPayload)})
-	if err := l.Append(big); err == nil {
+	if err := logRecord(l, big); err == nil {
 		t.Fatal("oversized record accepted")
 	}
 	// The rejection must leave the log clean and usable.
 	ok := NamedRecord(core.NamedEvent{V: 1, Name: "ok"})
-	if err := l.Append(ok); err != nil {
+	if err := logRecord(l, ok); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -276,7 +288,7 @@ func TestScanFromBoundaries(t *testing.T) {
 	}
 	marks := []int64{0}
 	for _, r := range recs {
-		if err := l.Append(r); err != nil {
+		if err := logRecord(l, r); err != nil {
 			t.Fatal(err)
 		}
 		marks = append(marks, l.AppendBytes())
@@ -345,7 +357,7 @@ func TestAppendBytesResume(t *testing.T) {
 	if l.AppendBytes() != valid {
 		t.Fatalf("reopened AppendBytes = %d, want %d", l.AppendBytes(), valid)
 	}
-	if err := l.Append(recs[3]); err != nil {
+	if err := logRecord(l, recs[3]); err != nil {
 		t.Fatal(err)
 	}
 	if l.AppendBytes() <= valid {
@@ -362,4 +374,120 @@ func TestAppendBytesResume(t *testing.T) {
 	if fi, _ := os.Stat(path); fi.Size() != after {
 		t.Fatalf("file size %d, AppendBytes %d", fi.Size(), after)
 	}
+}
+
+// TestBatchPastMaxPayloadSpansTwoFrames: a batch whose payload would
+// pass MaxPayload — eight records of 200 KiB names — is written as two
+// frames, split where the cap forces it and nowhere else; the log takes
+// both, counts all eight records, and scans and chains them back.
+func TestBatchPastMaxPayloadSpansTwoFrames(t *testing.T) {
+	long := strings.Repeat("n", 200<<10)
+	var recs []Record
+	for i := range 8 {
+		recs = append(recs, NamedRecord(core.NamedEvent{V: graph.VertexID(i), Name: long, Preds: []graph.VertexID{graph.VertexID(i / 2)}}))
+	}
+	var buf []byte
+	var opens []int
+	open := -1
+	for _, rec := range recs {
+		var err error
+		if buf, open, err = AppendRecord(buf, open, rec); err != nil {
+			t.Fatal(err)
+		}
+		if len(opens) == 0 || opens[len(opens)-1] != open {
+			opens = append(opens, open)
+		}
+	}
+	if len(opens) != 2 || opens[0] != 0 {
+		t.Fatalf("frames open at %v, want two", opens)
+	}
+	path := filepath.Join(t.TempDir(), "events.wal")
+	l, err := Open(path, 0, 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := opens[1] - FrameHeaderSize; n > MaxPayload || n < MaxPayload-len(long)-16 {
+		t.Fatalf("a first frame of %d payload bytes: the split is not where the cap forces it", n)
+	}
+	for _, frame := range [][]byte{buf[:opens[1]], buf[opens[1]:]} {
+		if err := l.AppendRaw(frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if l.AppendSeq() != int64(len(recs)) {
+		t.Fatalf("two frames advanced the sequence to %d, want %d", l.AppendSeq(), len(recs))
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, size := scanAll(t, path)
+	if !reflect.DeepEqual(got, recs) || size != int64(len(buf)) {
+		t.Fatalf("scanned %d records over %d of %d bytes", len(got), size, len(buf))
+	}
+	if _, n, _, err := ChainScan(path, 0, integrity.Head{}); err != nil || n != int64(len(recs)) {
+		t.Fatalf("chain scan: %d records, %v", n, err)
+	}
+	// A record alone past the cap has no frame to go to.
+	big := NamedRecord(core.NamedEvent{V: 9, Name: strings.Repeat("n", MaxPayload)})
+	if out, open2, err := AppendRecord(buf, open, big); err == nil || len(out) != len(buf) || open2 != open {
+		t.Fatalf("a record past the cap: %v, %d bytes, open %d", err, len(out), open2)
+	}
+}
+
+// TestAppendRawTakesOnlyWholeRuns: a frame is logged only when its
+// payload decodes whole, as a run of compact records or one classic
+// record alone; anything else is refused before a byte is written, and
+// the sequence advances by the records of the frames taken.
+func TestAppendRawTakesOnlyWholeRuns(t *testing.T) {
+	recs := testRecords()
+	var run []byte
+	open := -1
+	for _, rec := range recs {
+		var err error
+		if run, open, err = AppendRecord(run, open, rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	payload := run[FrameHeaderSize:]
+	classic := classicPayload(recs[1])
+	l, err := Open(filepath.Join(t.TempDir(), "events.wal"), 0, 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	for _, bad := range []struct {
+		name    string
+		payload []byte
+	}{
+		{"a byte past the last record", append(slices.Clone(payload), 0)},
+		{"the last record cut short", payload[:len(payload)-1]},
+		{"a classic record before a compact one", slices.Concat(classic, payload)},
+		{"a compact record before a classic one", slices.Concat(payload, classic)},
+		{"two classic records", slices.Concat(classic, classic)},
+	} {
+		if err := l.AppendRaw(frameOf(bad.payload)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: AppendRaw = %v, want ErrCorrupt", bad.name, err)
+		}
+		if _, err := DecodePayload(nil, new([]graph.VertexID), bad.payload); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: DecodePayload = %v, want ErrCorrupt", bad.name, err)
+		}
+	}
+	if l.AppendSeq() != 0 || l.AppendBytes() != 0 {
+		t.Fatalf("refused frames left seq %d, %d bytes", l.AppendSeq(), l.AppendBytes())
+	}
+	for _, good := range [][]byte{run, frameOf(classic)} {
+		if err := l.AppendRaw(good); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if l.AppendSeq() != int64(len(recs)+1) {
+		t.Fatalf("a run of %d records and a classic one: seq %d", len(recs), l.AppendSeq())
+	}
+}
+
+// frameOf frames payload with its header.
+func frameOf(payload []byte) []byte {
+	f := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	f = binary.LittleEndian.AppendUint32(f, crc32.ChecksumIEEE(payload))
+	return append(f, payload...)
 }
