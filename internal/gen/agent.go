@@ -154,28 +154,10 @@ func GenerateAgentTrace(opts AgentOptions) (*AgentTrace, error) {
 		depth[u] = 0
 	}
 
-	// estTotal = live atoms + Σ minimal expansion over open composites;
-	// room is what the size budget still allows beyond that floor.
-	estTotal := func() int {
-		t := r.Size() - len(r.Open())
-		for _, u := range r.Open() {
-			t += g.MinExpansion(r.NameOf(u))
-		}
-		return t
-	}
-	implCost := func(id spec.GraphID) int {
-		gg := s.Graph(id).G
-		c := 0
-		for v := 0; v < gg.NumVertices(); v++ {
-			n := gg.Name(graph.VertexID(v))
-			if s.Kind(n).Composite() {
-				c += g.MinExpansion(n)
-			} else {
-				c++
-			}
-		}
-		return c
-	}
+	// est = live atoms + Σ minimal expansion over open composites; room
+	// is what the size budget still allows beyond that floor.
+	cost := implCosts(g)
+	est := cost[spec.StartGraph]
 
 	maxSteps := opts.TargetSize*4 + 4096
 	for steps := 0; !r.Complete(); steps++ {
@@ -185,7 +167,7 @@ func GenerateAgentTrace(opts AgentOptions) (*AgentTrace, error) {
 		u := r.Open()[len(r.Open())-1] // deepest-first: finish the sub-task before the next burst
 		d := depth[u]
 		name := r.NameOf(u)
-		room := opts.TargetSize - estTotal()
+		room := opts.TargetSize - est
 
 		impl, copies := hAct, 1
 		switch name {
@@ -195,19 +177,19 @@ func GenerateAgentTrace(opts AgentOptions) (*AgentTrace, error) {
 			// delegation depth and tool bursts to fill, so the final
 			// size lands near the target whatever the biases do.
 			impl = hTurn
-			if base := room / (implCost(hTurn) * 4); base > 0 {
+			if base := room / (cost[hTurn] * 4); base > 0 {
 				copies += base/2 + rng.Intn(base/2+1)
 			}
 			tr.Turns = copies
 		case "Agent":
 			impl = hAct
-			if room >= implCost(hPlan)-g.MinExpansion("Agent") && rng.Float64() < opts.DelegateBias {
+			if room >= cost[hPlan]-g.MinExpansion("Agent") && rng.Float64() < opts.DelegateBias {
 				impl = hPlan
 			}
 		case "Sub":
 			impl = hSkip
 			if d < opts.MaxDepth &&
-				room >= implCost(hSub)-g.MinExpansion("Sub") &&
+				room >= cost[hSub]-g.MinExpansion("Sub") &&
 				rng.Float64() < opts.DelegateBias {
 				impl = hSub
 			}
@@ -227,7 +209,7 @@ func GenerateAgentTrace(opts AgentOptions) (*AgentTrace, error) {
 		if copies > 1 {
 			// A wider burst (or longer retry chain) must fit the room
 			// beyond the single-copy floor already accounted for.
-			if maxExtra := room / implCost(impl); copies-1 > maxExtra {
+			if maxExtra := room / cost[impl]; copies-1 > maxExtra {
 				copies = 1 + max(maxExtra, 0)
 			}
 		}
@@ -235,6 +217,10 @@ func GenerateAgentTrace(opts AgentOptions) (*AgentTrace, error) {
 		st, err := r.Apply(u, impl, copies)
 		if err != nil {
 			return nil, err
+		}
+		est += copies*cost[impl] - g.MinExpansion(name)
+		if estimateHook != nil {
+			estimateHook(r, est)
 		}
 		delete(depth, u)
 		for c := 0; c < copies; c++ {

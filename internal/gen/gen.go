@@ -64,29 +64,8 @@ func Generate(g *spec.Grammar, opts Options) (*run.Run, error) {
 	r := run.New(g)
 	s := g.Spec()
 
-	// implCost of h: atoms plus the minimal expansion of each composite.
-	implCost := func(id spec.GraphID) int {
-		gg := s.Graph(id).G
-		c := 0
-		for v := 0; v < gg.NumVertices(); v++ {
-			n := gg.Name(graph.VertexID(v))
-			if s.Kind(n).Composite() {
-				c += g.MinExpansion(n)
-			} else {
-				c++
-			}
-		}
-		return c
-	}
-
-	// estTotal = live atoms + Σ minExpand over open composites.
-	estTotal := func() int {
-		t := r.Size() - len(r.Open())
-		for _, u := range r.Open() {
-			t += g.MinExpansion(r.NameOf(u))
-		}
-		return t
-	}
+	cost := implCosts(g)
+	est := cost[spec.StartGraph] // live atoms + Σ minimal expansion over open composites
 
 	maxSteps := opts.TargetSize*4 + 4096
 	for steps := 0; !r.Complete(); steps++ {
@@ -100,7 +79,7 @@ func Generate(g *spec.Grammar, opts Options) (*run.Run, error) {
 		name := r.NameOf(u)
 		impls := s.Implementations(name)
 		minE := g.MinExpansion(name)
-		room := opts.TargetSize - estTotal()
+		room := opts.TargetSize - est
 
 		// Choose an implementation: any whose extra cost over the
 		// minimum fits the remaining room; the cheapest otherwise.
@@ -108,13 +87,13 @@ func Generate(g *spec.Grammar, opts Options) (*run.Run, error) {
 		// what sustains recursion depth and implementation variety).
 		cheapest, cheapestCost := impls[0], math.MaxInt32
 		for _, id := range impls {
-			if c := implCost(id); c < cheapestCost {
+			if c := cost[id]; c < cheapestCost {
 				cheapest, cheapestCost = id, c
 			}
 		}
 		var affordable, expansive []spec.GraphID
 		for _, id := range impls {
-			c := implCost(id)
+			c := cost[id]
 			if c-minE <= room {
 				affordable = append(affordable, id)
 				if c > cheapestCost {
@@ -133,7 +112,7 @@ func Generate(g *spec.Grammar, opts Options) (*run.Run, error) {
 		copies := 1
 		kind := s.Kind(name)
 		if kind == spec.Loop || kind == spec.Fork {
-			c := implCost(impl)
+			c := cost[impl]
 			extra := (room - (c - minE)) / (c * opts.Spread / 2)
 			if extra > 0 {
 				copies += rng.Intn(extra + 1)
@@ -145,8 +124,35 @@ func Generate(g *spec.Grammar, opts Options) (*run.Run, error) {
 		if _, err := r.Apply(u, impl, copies); err != nil {
 			return nil, err
 		}
+		est += copies*cost[impl] - minE
+		if estimateHook != nil {
+			estimateHook(r, est)
+		}
 	}
 	return r, nil
+}
+
+// estimateHook, when set, sees the run and the running size estimate
+// after every derivation step, so tests can hold the estimate to a
+// rescan of the run.
+var estimateHook func(r *run.Run, est int)
+
+// implCosts returns, for every graph of g, what one copy of it adds to
+// the size estimate: its atoms plus the minimal expansion of each of
+// its composites.
+func implCosts(g *spec.Grammar) []int {
+	s := g.Spec()
+	cost := make([]int, len(s.Graphs()))
+	for id, ng := range s.Graphs() {
+		for v := 0; v < ng.G.NumVertices(); v++ {
+			if n := ng.G.Name(graph.VertexID(v)); s.Kind(n).Composite() {
+				cost[id] += g.MinExpansion(n)
+			} else {
+				cost[id]++
+			}
+		}
+	}
+	return cost
 }
 
 // GenerateEvents derives a random run and converts it into its

@@ -9,6 +9,13 @@
 // no self-loops and no multi-edges. Every vertex carries a name (the
 // module name in workflow terms); reachability labels are handled by
 // higher layers.
+//
+// AddEdge checks every edge it is given: it refuses self-loops,
+// duplicates and edges that close a cycle. The compositions and
+// Replace trust their operands' acyclicity and search nothing: a
+// composition copies DAGs and links one only to a later one, and
+// Replace routes u's edges through h. The results are acyclic by
+// construction, so a derivation step costs what it adds.
 package graph
 
 import (
@@ -31,6 +38,10 @@ type Graph struct {
 	out   [][]VertexID // adjacency, insertion-ordered
 	in    [][]VertexID // reverse adjacency, insertion-ordered
 	edges int
+	// dead[v]: v was consumed by a Replace. Only Replace grows it, so it
+	// may be shorter than names; ndead counts its true entries.
+	dead  []bool
+	ndead int
 }
 
 // New returns an empty graph.
@@ -42,9 +53,11 @@ func New() *Graph {
 func (g *Graph) Clone() *Graph {
 	c := &Graph{
 		names: append([]string(nil), g.names...),
+		dead:  append([]bool(nil), g.dead...),
 		out:   make([][]VertexID, len(g.out)),
 		in:    make([][]VertexID, len(g.in)),
 		edges: g.edges,
+		ndead: g.ndead,
 	}
 	for i := range g.out {
 		c.out[i] = append([]VertexID(nil), g.out[i]...)
@@ -68,7 +81,8 @@ func (g *Graph) AddVertex(name string) VertexID {
 	return id
 }
 
-// Name returns the name of v. It panics if v is out of range.
+// Name returns the name of v, the module name also for a tombstone. It
+// panics if v is out of range.
 func (g *Graph) Name(v VertexID) string { return g.names[v] }
 
 // Valid reports whether v is a vertex of g.

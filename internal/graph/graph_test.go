@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -395,6 +396,70 @@ func TestInsertPreservesReachability(t *testing.T) {
 				t.Fatalf("insertion changed reachability %d->%d", v, w)
 			}
 		}
+	}
+}
+
+// TestTombstoneIsAFlagNotAName: whether a vertex is dead is a property
+// of the vertex, not of its name. A live vertex whose name starts with
+// a NUL byte is live everywhere, and a replaced vertex keeps its module
+// name — through Clone and compositions too.
+func TestTombstoneIsAFlagNotAName(t *testing.T) {
+	replaced := func(t *testing.T) *Graph {
+		g := chain(t, "\x00a", "u", "b")
+		if _, err := g.Replace(1, chain(t, "x")); err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	for _, c := range []struct {
+		name                 string
+		build                func(t *testing.T) *Graph
+		live                 int
+		dead                 []VertexID
+		sources, sinks, topo []VertexID
+		names                []string
+	}{
+		{"NUL-prefixed live vertex", func(t *testing.T) *Graph { return chain(t, "\x00a", "b") },
+			2, nil, []VertexID{0}, []VertexID{1}, []VertexID{0, 1}, []string{"\x00a", "b"}},
+		{"replaced vertex keeps its name", replaced,
+			3, []VertexID{1}, []VertexID{0}, []VertexID{2}, []VertexID{0, 3, 2}, []string{"\x00a", "u", "b", "x"}},
+		{"clone keeps the flags", func(t *testing.T) *Graph { return replaced(t).Clone() },
+			3, []VertexID{1}, []VertexID{0}, []VertexID{2}, []VertexID{0, 3, 2}, []string{"\x00a", "u", "b", "x"}},
+		{"series carries an operand's tombstones", func(t *testing.T) *Graph {
+			s, _ := Series(replaced(t), replaced(t))
+			return s
+		}, 6, []VertexID{1, 5}, []VertexID{0}, []VertexID{6}, []VertexID{0, 3, 2, 4, 7, 6},
+			[]string{"\x00a", "u", "b", "x", "\x00a", "u", "b", "x"}},
+		{"series keeps NUL-prefixed vertices live", func(t *testing.T) *Graph {
+			g := chain(t, "\x00a", "b")
+			s, _ := Series(g, g)
+			return s
+		}, 4, nil, []VertexID{0}, []VertexID{3}, []VertexID{0, 1, 2, 3}, []string{"\x00a", "b", "\x00a", "b"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			g := c.build(t)
+			if g.LiveCount() != c.live || len(g.LiveVertices()) != c.live {
+				t.Errorf("LiveCount %d, LiveVertices %v; want %d live", g.LiveCount(), g.LiveVertices(), c.live)
+			}
+			for v := range g.NumVertices() {
+				want := slices.Contains(c.dead, VertexID(v))
+				if g.IsTombstone(VertexID(v)) != want {
+					t.Errorf("IsTombstone(%d) = %v, want %v", v, !want, want)
+				}
+				if g.Name(VertexID(v)) != c.names[v] {
+					t.Errorf("Name(%d) = %q, want %q", v, g.Name(VertexID(v)), c.names[v])
+				}
+			}
+			if !slices.Equal(g.Sources(), c.sources) || !slices.Equal(g.Sinks(), c.sinks) {
+				t.Errorf("Sources %v, Sinks %v; want %v, %v", g.Sources(), g.Sinks(), c.sources, c.sinks)
+			}
+			if !slices.Equal(g.TopoOrder(), c.topo) {
+				t.Errorf("TopoOrder %v, want %v", g.TopoOrder(), c.topo)
+			}
+			if !g.IsTwoTerminal() {
+				t.Error("not two-terminal")
+			}
+		})
 	}
 }
 

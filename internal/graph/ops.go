@@ -21,13 +21,7 @@ type Mapping [][]VertexID
 // of each operand to the source of the next. It panics if any operand
 // is not two-terminal, matching the definition's precondition.
 func Series(gs ...*Graph) (*Graph, Mapping) {
-	res, m := disjointUnion(gs)
-	for i := 0; i+1 < len(gs); i++ {
-		t := m[i][gs[i].Sink()]
-		s := m[i+1][gs[i+1].Source()]
-		res.MustAddEdge(t, s)
-	}
-	return res, m
+	return disjointUnion(gs, true)
 }
 
 // Parallel forms the parallel composition P(g1, ..., gn) (Definition
@@ -35,25 +29,58 @@ func Series(gs ...*Graph) (*Graph, Mapping) {
 // general not two-terminal; the replacement operation wires all its
 // sources and sinks into the host graph.
 func Parallel(gs ...*Graph) (*Graph, Mapping) {
-	return disjointUnion(gs)
+	return disjointUnion(gs, false)
 }
 
-func disjointUnion(gs []*Graph) (*Graph, Mapping) {
-	res := New()
-	m := make(Mapping, len(gs))
+// disjointUnion copies the operands side by side into a graph sized
+// once, their adjacency lists carved from one backing array. With
+// series set it also links each operand's sink to the next operand's
+// source. No edge is checked for a cycle: each copy is a DAG, and a
+// series edge points from one operand to a later one.
+func disjointUnion(gs []*Graph, series bool) (*Graph, Mapping) {
+	n, adj := 0, 0
 	for k, g := range gs {
 		if len(gs) > 1 && !g.IsTwoTerminal() {
 			panic(fmt.Sprintf("graph: composition operand %d is not two-terminal", k))
 		}
-		m[k] = make([]VertexID, g.NumVertices())
-		for v := 0; v < g.NumVertices(); v++ {
-			m[k][v] = res.AddVertex(g.Name(VertexID(v)))
+		n, adj = n+len(g.names), adj+2*g.edges
+	}
+	res := &Graph{names: make([]string, 0, n), out: make([][]VertexID, 0, n), in: make([][]VertexID, 0, n)}
+	backing := make([]VertexID, adj)
+	take := func(k int) []VertexID {
+		s := backing[:k:k]
+		backing = backing[k:]
+		return s
+	}
+	m := make(Mapping, len(gs))
+	for k, g := range gs {
+		base := VertexID(len(res.names))
+		m[k] = make([]VertexID, len(g.names))
+		for v := range g.names {
+			m[k][v] = base + VertexID(v)
+			res.out = append(res.out, take(len(g.out[v])))
+			res.in = append(res.in, take(len(g.in[v]))[:0])
 		}
-		for v := 0; v < g.NumVertices(); v++ {
-			for _, w := range g.Out(VertexID(v)) {
-				res.MustAddEdge(m[k][v], m[k][w])
+		if g.ndead > 0 {
+			res.dead = append(res.dead, make([]bool, int(base)-len(res.dead))...)
+			res.dead = append(res.dead, g.dead...)
+		}
+		res.names = append(res.names, g.names...)
+		// In-lists fill in edge order, as AddEdge would have left them.
+		for v, ws := range g.out {
+			for i, w := range ws {
+				res.out[base+VertexID(v)][i] = base + w
+				res.in[base+w] = append(res.in[base+w], base+VertexID(v))
 			}
 		}
+		res.edges += g.edges
+		res.ndead += g.ndead
+	}
+	for i := 0; series && i+1 < len(gs); i++ {
+		t, s := m[i][gs[i].Sink()], m[i+1][gs[i+1].Source()]
+		res.out[t] = append(res.out[t], s)
+		res.in[s] = append(res.in[s], t)
+		res.edges++
 	}
 	return res, m
 }
@@ -96,12 +123,9 @@ type ReplaceResult struct {
 //
 // The host graph keeps its existing vertex ids stable: u's id becomes
 // a tombstone that is never reused, which lets the run builder track
-// vertices across a whole derivation without renumbering. Tombstones
-// keep their name prefixed with "\x00" and have no edges; they are
-// excluded from Sources/Sinks by construction (no edges ≠ no incident
-// edges... a tombstone has degree zero), so callers that need
-// source/sink structure use Live() views or the spec-level builders,
-// which never query a graph with tombstones for terminals.
+// vertices across a whole derivation without renumbering. A tombstone
+// keeps its name, loses its edges, and is left out of LiveCount,
+// LiveVertices, Sources, Sinks and TopoOrder. h is only read.
 func (g *Graph) Replace(u VertexID, h *Graph) (ReplaceResult, error) {
 	if !g.Valid(u) {
 		return ReplaceResult{}, fmt.Errorf("graph: replace target %d out of range", u)
@@ -125,7 +149,11 @@ func (g *Graph) Replace(u VertexID, h *Graph) (ReplaceResult, error) {
 	g.edges -= len(preds) + len(succs)
 	g.in[u] = nil
 	g.out[u] = nil
-	g.names[u] = "\x00" + g.names[u]
+	if len(g.dead) <= int(u) {
+		g.dead = append(g.dead, make([]bool, int(u)+1-len(g.dead))...)
+	}
+	g.dead[u] = true
+	g.ndead++
 
 	// Add h.
 	res := ReplaceResult{VertexOf: make([]VertexID, h.NumVertices())}
@@ -165,19 +193,11 @@ func (g *Graph) Replace(u VertexID, h *Graph) (ReplaceResult, error) {
 
 // IsTombstone reports whether v was consumed by a Replace.
 func (g *Graph) IsTombstone(v VertexID) bool {
-	return g.Valid(v) && len(g.names[v]) > 0 && g.names[v][0] == '\x00'
+	return v >= 0 && int(v) < len(g.dead) && g.dead[v]
 }
 
 // LiveCount returns the number of non-tombstone vertices.
-func (g *Graph) LiveCount() int {
-	n := 0
-	for v := range g.names {
-		if !g.IsTombstone(VertexID(v)) {
-			n++
-		}
-	}
-	return n
-}
+func (g *Graph) LiveCount() int { return len(g.names) - g.ndead }
 
 // LiveVertices returns the non-tombstone vertices in id order.
 func (g *Graph) LiveVertices() []VertexID {

@@ -120,19 +120,19 @@ func (r *Run) Apply(u graph.VertexID, impl spec.GraphID, copies int) (*Step, err
 		return nil, fmt.Errorf("run: %d copies for non-loop/fork %s", copies, name)
 	}
 
-	// Build the replacement graph: h, S(h,...,h) or P(h,...,h).
-	parts := make([]*graph.Graph, copies)
-	for i := range parts {
-		parts[i] = ng.G
-	}
-	var repl *graph.Graph
-	var m graph.Mapping
-	if copies == 1 {
-		repl, m = ng.G.Clone(), graph.Mapping{identityMapping(ng.G.NumVertices())}
-	} else if kind == spec.Loop {
-		repl, m = graph.Series(parts...)
-	} else {
-		repl, m = graph.Parallel(parts...)
+	// Build the replacement graph: h itself (Replace only reads it),
+	// S(h,...,h) or P(h,...,h).
+	repl, m := ng.G, graph.Mapping(nil)
+	if copies > 1 {
+		parts := make([]*graph.Graph, copies)
+		for i := range parts {
+			parts[i] = ng.G
+		}
+		if kind == spec.Loop {
+			repl, m = graph.Series(parts...)
+		} else {
+			repl, m = graph.Parallel(parts...)
+		}
 	}
 
 	res, err := r.Graph.Replace(u, repl)
@@ -140,11 +140,14 @@ func (r *Run) Apply(u graph.VertexID, impl spec.GraphID, copies int) (*Step, err
 		return nil, err
 	}
 
-	st := &Step{Target: u, Impl: impl, Copies: copies, IDs: make([][]graph.VertexID, copies)}
-	for c := 0; c < copies; c++ {
-		st.IDs[c] = make([]graph.VertexID, ng.G.NumVertices())
-		for v := 0; v < ng.G.NumVertices(); v++ {
-			st.IDs[c][v] = res.VertexOf[m[c][v]]
+	st := &Step{Target: u, Impl: impl, Copies: copies, IDs: [][]graph.VertexID{res.VertexOf}}
+	if m != nil {
+		st.IDs = make([][]graph.VertexID, copies)
+		for c := range st.IDs {
+			st.IDs[c] = make([]graph.VertexID, ng.G.NumVertices())
+			for v := range st.IDs[c] {
+				st.IDs[c][v] = res.VertexOf[m[c][v]]
+			}
 		}
 	}
 	// Bookkeeping: spec refs and open composites for the new vertices,
@@ -174,14 +177,6 @@ func (r *Run) removeOpen(u graph.VertexID) {
 			return
 		}
 	}
-}
-
-func identityMapping(n int) []graph.VertexID {
-	m := make([]graph.VertexID, n)
-	for i := range m {
-		m[i] = graph.VertexID(i)
-	}
-	return m
 }
 
 // Execution converts the completed run into a sequence of insertions
