@@ -67,7 +67,7 @@ func diffRuns(t *testing.T) map[string]*run.Run {
 	return runs
 }
 
-// shuffledExecution is the run's execution in smallest-id-first order
+// shuffledExecution is the run's execution in first-ready-first order
 // with the predecessor list of every event shuffled: a log owes the
 // labeler no particular order of those. The event order stays
 // canonical because parallel fork copies are numbered as they open, so

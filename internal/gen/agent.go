@@ -144,6 +144,9 @@ func GenerateAgentTrace(opts AgentOptions) (*AgentTrace, error) {
 
 	rng := rand.New(rand.NewSource(opts.Seed))
 	r := run.New(g)
+	// About one vertex in five is a tombstone: the run ends near
+	// 1.3× the target.
+	r.Grow(opts.TargetSize + opts.TargetSize*3/10)
 	tr := &AgentTrace{}
 
 	// depth[v] is the delegation depth of an open composite vertex:

@@ -9,15 +9,17 @@ import (
 )
 
 // BenchmarkGenerate times input generation as the benchmark workloads
-// use it: a BioAID run of 200k events capped at 128 copies per loop or
-// fork, the same run uncapped at 400k, and eight agent traces of 6,250
-// events (one mixed workload's worth).
+// use it: a BioAID run of 100k events capped at 64 copies per loop or
+// fork (the HTTP workloads' stream), one of 200k capped at 128, the
+// same run uncapped at 400k, and eight agent traces of 6,250 events
+// (one mixed workload's worth).
 func BenchmarkGenerate(b *testing.B) {
 	g := spec.MustCompile(wfspecs.BioAID())
 	for _, c := range []struct {
 		name string
 		opts gen.Options
 	}{
+		{"bioaid_100k_cap64", gen.Options{TargetSize: 100_000, Seed: 1, MaxCopies: 64}},
 		{"bioaid_200k_cap128", gen.Options{TargetSize: 200_000, Seed: 1, MaxCopies: 128}},
 		{"bioaid_400k_uncapped", gen.Options{TargetSize: 400_000, Seed: 1}},
 	} {

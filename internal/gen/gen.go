@@ -62,11 +62,16 @@ func Generate(g *spec.Grammar, opts Options) (*run.Run, error) {
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 	r := run.New(g)
+	// The run ends at about the target plus one tombstone per step
+	// (2-4% of BioAID's vertices); reserving that once spares the
+	// per-vertex arrays their growth copies.
+	r.Grow(opts.TargetSize + opts.TargetSize/16)
 	s := g.Spec()
 
 	cost := implCosts(g)
 	est := cost[spec.StartGraph] // live atoms + Σ minimal expansion over open composites
 
+	var affordable, expansive []spec.GraphID
 	maxSteps := opts.TargetSize*4 + 4096
 	for steps := 0; !r.Complete(); steps++ {
 		if steps > maxSteps {
@@ -91,7 +96,7 @@ func Generate(g *spec.Grammar, opts Options) (*run.Run, error) {
 				cheapest, cheapestCost = id, c
 			}
 		}
-		var affordable, expansive []spec.GraphID
+		affordable, expansive = affordable[:0], expansive[:0]
 		for _, id := range impls {
 			c := cost[id]
 			if c-minE <= room {

@@ -21,6 +21,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -79,6 +80,16 @@ func (g *Graph) AddVertex(name string) VertexID {
 	g.out = append(g.out, nil)
 	g.in = append(g.in, nil)
 	return id
+}
+
+// Grow reserves room for n more vertices, so that adding up to n
+// vertices, one at a time or by replacements, does not reallocate the
+// per-vertex arrays.
+func (g *Graph) Grow(n int) {
+	g.names = slices.Grow(g.names, n)
+	g.out = slices.Grow(g.out, n)
+	g.in = slices.Grow(g.in, n)
+	g.dead = slices.Grow(g.dead, len(g.names)+n-len(g.dead))
 }
 
 // Name returns the name of v, the module name also for a tombstone. It

@@ -211,18 +211,18 @@ func TestSeriesComposition(t *testing.T) {
 	g1 := chain(t, "s1", "t1")
 	g2 := chain(t, "s2", "t2")
 	g3 := chain(t, "s3", "t3")
-	res, m := Series(g1, g2, g3)
+	res := Series(g1, g2, g3) // g1 at 0-1, g2 at 2-3, g3 at 4-5
 	if res.NumVertices() != 6 {
 		t.Fatalf("vertices = %d", res.NumVertices())
 	}
 	// Definition 1: edge from sink of g_i to source of g_{i+1}.
-	if !res.HasEdge(m[0][1], m[1][0]) || !res.HasEdge(m[1][1], m[2][0]) {
+	if !res.HasEdge(1, 2) || !res.HasEdge(3, 4) {
 		t.Fatal("series edges missing")
 	}
 	if !res.IsTwoTerminal() {
 		t.Fatal("series of two-terminal graphs is two-terminal")
 	}
-	if !res.Reaches(m[0][0], m[2][1]) {
+	if !res.Reaches(0, 5) {
 		t.Fatal("series start must reach series end")
 	}
 }
@@ -230,11 +230,11 @@ func TestSeriesComposition(t *testing.T) {
 func TestParallelComposition(t *testing.T) {
 	g1 := chain(t, "s1", "t1")
 	g2 := chain(t, "s2", "t2")
-	res, m := Parallel(g1, g2)
+	res := Parallel(g1, g2) // g1 at 0-1, g2 at 2-3
 	if res.NumVertices() != 4 || res.NumEdges() != 2 {
 		t.Fatalf("parallel composition wrong shape: %v", res)
 	}
-	if res.Reaches(m[0][0], m[1][1]) || res.Reaches(m[1][0], m[0][1]) {
+	if res.Reaches(0, 3) || res.Reaches(2, 1) {
 		t.Fatal("parallel operands must stay disconnected")
 	}
 	if res.IsTwoTerminal() {
@@ -280,11 +280,11 @@ func TestReplaceBasic(t *testing.T) {
 	// p -> u -> s, replace u with a 2-vertex chain.
 	g := chain(t, "p", "u", "s")
 	h := chain(t, "h1", "h2")
-	res, err := g.Replace(1, h)
+	base, err := g.Replace(1, h)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h1, h2 := res.VertexOf[0], res.VertexOf[1]
+	h1, h2 := base, base+1
 	if !g.HasEdge(0, h1) || !g.HasEdge(h2, 2) || !g.HasEdge(h1, h2) {
 		t.Fatalf("replacement wiring wrong: %v", g)
 	}
@@ -305,13 +305,13 @@ func TestReplaceWiresAllSourcesAndSinks(t *testing.T) {
 	g := chain(t, "p", "u", "s")
 	c1 := chain(t, "a1", "b1")
 	c2 := chain(t, "a2", "b2")
-	par, _ := Parallel(c1, c2)
-	res, err := g.Replace(1, par)
+	par := Parallel(c1, c2)
+	base, err := g.Replace(1, par)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		v := res.VertexOf[i]
+		v := base + VertexID(i)
 		if par.InDegree(VertexID(i)) == 0 && !g.HasEdge(0, v) {
 			t.Fatalf("source copy %d not wired from predecessor", i)
 		}
@@ -320,7 +320,7 @@ func TestReplaceWiresAllSourcesAndSinks(t *testing.T) {
 		}
 	}
 	// The two copies remain mutually unreachable.
-	if g.Reaches(res.VertexOf[0], res.VertexOf[3]) {
+	if g.Reaches(base, base+3) {
 		t.Fatal("fork copies must not reach each other")
 	}
 }
@@ -426,13 +426,13 @@ func TestTombstoneIsAFlagNotAName(t *testing.T) {
 		{"clone keeps the flags", func(t *testing.T) *Graph { return replaced(t).Clone() },
 			3, []VertexID{1}, []VertexID{0}, []VertexID{2}, []VertexID{0, 3, 2}, []string{"\x00a", "u", "b", "x"}},
 		{"series carries an operand's tombstones", func(t *testing.T) *Graph {
-			s, _ := Series(replaced(t), replaced(t))
+			s := Series(replaced(t), replaced(t))
 			return s
 		}, 6, []VertexID{1, 5}, []VertexID{0}, []VertexID{6}, []VertexID{0, 3, 2, 4, 7, 6},
 			[]string{"\x00a", "u", "b", "x", "\x00a", "u", "b", "x"}},
 		{"series keeps NUL-prefixed vertices live", func(t *testing.T) *Graph {
 			g := chain(t, "\x00a", "b")
-			s, _ := Series(g, g)
+			s := Series(g, g)
 			return s
 		}, 4, nil, []VertexID{0}, []VertexID{3}, []VertexID{0, 1, 2, 3}, []string{"\x00a", "b", "\x00a", "b"}},
 	} {

@@ -2,6 +2,7 @@ package run_test
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"wfreach/internal/graph"
@@ -225,5 +226,32 @@ func TestExecutionFirstEventIsG0Source(t *testing.T) {
 	}
 	if r.NameOf(evs[0].V) != "s0" {
 		t.Fatalf("first event executes %s", r.NameOf(evs[0].V))
+	}
+}
+
+// TestExecutionNilIsFirstReadyFirst pins the order Execution(nil)
+// takes: vertices in the order they become ready, not by id. Two
+// parallel copies of x → y become ready as x, x, y, y, while their ids
+// run x, y, x, y.
+func TestExecutionNilIsFirstReadyFirst(t *testing.T) {
+	g := spec.MustCompile(spec.NewBuilder().Fork("F").
+		Start("g0", spec.G([]string{"s", "F", "t"}, [2]string{"s", "F"}, [2]string{"F", "t"})).
+		Implement("F", "h", spec.G([]string{"x", "y"}, [2]string{"x", "y"})).
+		MustBuild())
+	r := run.New(g)
+	if _, err := r.Apply(r.Open()[0], g.Spec().Implementations("F")[0], 2); err != nil {
+		t.Fatal(err)
+	}
+	evs, err := r.Execution(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []graph.VertexID
+	for _, ev := range evs {
+		got = append(got, ev.V)
+	}
+	// s = 0, t = 2, the copies' x and y are 3, 4 and 5, 6.
+	if want := []graph.VertexID{0, 3, 5, 4, 6, 2}; !slices.Equal(got, want) {
+		t.Fatalf("Execution(nil) = %v, want first-ready-first %v (smallest-id-first is [0 3 4 5 6 2])", got, want)
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"wfreach/internal/gen"
+	"wfreach/internal/spec"
 	"wfreach/internal/wfspecs"
 	"wfreach/internal/wfxml"
 )
@@ -40,6 +42,41 @@ func FuzzDecodeSpec(f *testing.F) {
 		}
 		if s2.String() != s.String() {
 			t.Fatalf("round trip drift:\n in: %s\nout: %s", s, s2)
+		}
+	})
+}
+
+// FuzzDecodeRun: arbitrary bytes must never panic the run decoder or
+// make it build what the file does not list; anything that decodes
+// re-encodes to a file that decodes to the same run.
+func FuzzDecodeRun(f *testing.F) {
+	g := spec.MustCompile(wfspecs.RunningExample())
+	var buf bytes.Buffer
+	if err := wfxml.EncodeRun(&buf, gen.MustGenerate(g, gen.Options{TargetSize: 40, Seed: 3})); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.String())
+	f.Add("<run></run>")
+	f.Add("not xml")
+	f.Add(`<run><step target="1" impl="1" copies="100000000"></step></run>`)
+	f.Fuzz(func(t *testing.T, data string) {
+		r, err := wfxml.DecodeRun(strings.NewReader(data), g)
+		if err != nil {
+			return
+		}
+		var once, twice bytes.Buffer
+		if err := wfxml.EncodeRun(&once, r); err != nil {
+			t.Fatalf("decoded run failed to re-encode: %v", err)
+		}
+		r2, err := wfxml.DecodeRun(bytes.NewReader(once.Bytes()), g)
+		if err != nil {
+			t.Fatalf("re-encoded run failed to decode: %v", err)
+		}
+		if err := wfxml.EncodeRun(&twice, r2); err != nil {
+			t.Fatalf("re-decoded run failed to re-encode: %v", err)
+		}
+		if !bytes.Equal(once.Bytes(), twice.Bytes()) {
+			t.Fatalf("round trip drift:\n in: %s\nout: %s", once.Bytes(), twice.Bytes())
 		}
 	})
 }

@@ -200,20 +200,30 @@ func DecodeRun(rd io.Reader, g *spec.Grammar) (*run.Run, error) {
 		return nil, fmt.Errorf("wfxml: %w", err)
 	}
 	r := run.New(g)
+	graphs := g.Spec().Graphs()
 	for _, xs := range x.Steps {
+		// Check the step's shape before applying it: Apply allocates
+		// copies × |impl| vertices, and a step's id rows are what bound
+		// that by the size of the file.
+		if xs.Impl < 0 || xs.Impl >= len(graphs) {
+			return nil, fmt.Errorf("wfxml: step names graph %d, the grammar has %d", xs.Impl, len(graphs))
+		}
+		if xs.Copies != len(xs.IDs) {
+			return nil, fmt.Errorf("wfxml: step has %d copies and %d id rows", xs.Copies, len(xs.IDs))
+		}
+		n := graphs[xs.Impl].G.NumVertices()
+		for _, row := range xs.IDs {
+			if len(row.IDs) != n {
+				return nil, fmt.Errorf("wfxml: step copy has %d ids, graph %d has %d vertices", len(row.IDs), xs.Impl, n)
+			}
+		}
 		st, err := r.Apply(graph.VertexID(xs.Target), spec.GraphID(xs.Impl), xs.Copies)
 		if err != nil {
 			return nil, fmt.Errorf("wfxml: replaying derivation: %w", err)
 		}
 		// The replay must reproduce the recorded ids (run ids are
 		// deterministic given the step sequence).
-		if len(st.IDs) != len(xs.IDs) {
-			return nil, fmt.Errorf("wfxml: step shape mismatch on replay")
-		}
 		for c := range st.IDs {
-			if len(st.IDs[c]) != len(xs.IDs[c].IDs) {
-				return nil, fmt.Errorf("wfxml: copy shape mismatch on replay")
-			}
 			for j := range st.IDs[c] {
 				if int(st.IDs[c][j]) != xs.IDs[c].IDs[j] {
 					return nil, fmt.Errorf("wfxml: vertex ids diverged on replay")

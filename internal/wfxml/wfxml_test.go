@@ -2,6 +2,7 @@ package wfxml_test
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -112,5 +113,33 @@ func TestDecodeRunGarbage(t *testing.T) {
 	g := spec.MustCompile(wfspecs.RunningExample())
 	if _, err := wfxml.DecodeRun(strings.NewReader("nope"), g); err == nil {
 		t.Fatal("garbage accepted")
+	}
+}
+
+// TestDecodeRunChecksStepShapeFirst: a step is checked against its id
+// rows and its implementation before it is applied, so a file cannot
+// make the replay build copies it does not list. The first case asks
+// for 10^8 copies of a three-vertex loop body with no id rows; checked
+// after Apply, it allocated gigabytes before failing.
+func TestDecodeRunChecksStepShapeFirst(t *testing.T) {
+	g := spec.MustCompile(wfspecs.RunningExample())
+	row := `<copy><v>3</v><v>4</v><v>5</v></copy>`
+	for _, c := range []struct{ what, step string }{
+		{"copies without rows", `<step target="1" impl="1" copies="100000000"></step>`},
+		{"more copies than rows", `<step target="1" impl="1" copies="2">` + row + `</step>`},
+		{"a short row", `<step target="1" impl="1" copies="1"><copy><v>3</v></copy></step>`},
+		{"an implementation the grammar lacks", `<step target="1" impl="99" copies="1">` + row + `</step>`},
+		{"a negative implementation", `<step target="1" impl="-1" copies="1">` + row + `</step>`},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := wfxml.DecodeRun(strings.NewReader(`<run>`+c.step+`</run>`), g)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: accepted", c.what)
+		}
+		if b := after.TotalAlloc - before.TotalAlloc; b > 1<<20 {
+			t.Errorf("%s: allocated %d B before failing", c.what, b)
+		}
 	}
 }
