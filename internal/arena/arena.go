@@ -1,22 +1,21 @@
-// Package arena implements the label-snapshot format (WFSNAP04): an
+// Package arena implements the label-snapshot format (WFSNAP05): an
 // mmap-able arena of encoded labels that a process opens in constant
 // time and queries without decoding or copying anything, stamped with
 // the two anchors that tie it to the session's history. The file is
 // laid out so the *file itself* is the data structure:
 //
-//	[0:8)     magic "WFSNAP04" (ASCII)
+//	[0:8)     magic "WFSNAP05" (ASCII)
 //	[8:16)    uint64 LE  events      — WAL records covered by this snapshot
 //	[16:24)   uint64 LE  walBytes    — byte offset of the end of the covered
 //	                                   prefix in the session's events.wal
 //	[24:32)   uint64 LE  count       — number of label entries
 //	[32:40)   uint64 LE  labelBytes  — total label-region size in bytes
-//	[40:44)   uint32 LE  labelCRC    — CRC-32 (IEEE) of the label region
-//	[44:76)   merkleRoot — Merkle root over the label extents, in index
-//	          order (leaf = SHA-256(0x00 || vertex || label))
-//	[76:108)  chainHead  — WAL hash-chain head at record `events`
-//	[108:116) uint64 LE  indexBytes  — index size in bytes
-//	[116:120) uint32 LE  indexCRC    — CRC-32 (IEEE) of header[8:116) ++ index
-//	[120:+indexBytes)    index       — count entries, ascending by vertex id:
+//	[40:72)   merkleRoot — Merkle root over the label extents, in index
+//	          order, one leaf per page of 64 (internal/integrity)
+//	[72:104)  chainHead  — WAL hash-chain head at record `events`
+//	[104:112) uint64 LE  indexBytes  — index size in bytes
+//	[112:116) uint32 LE  indexCRC    — CRC-32 (IEEE) of header[8:112) ++ index
+//	[116:+indexBytes)    index       — count entries, ascending by vertex id:
 //	                                     uvarint vertex − previous vertex
 //	                                             (the first entry: vertex)
 //	                                     uvarint length
@@ -42,13 +41,15 @@
 // The index CRC covers the integrity fields, so a flipped header byte
 // is caught structurally at Open; a *consistently* rewritten header is
 // caught by cross-checking merkleRoot against the labels and chainHead
-// against the WAL, which is what restore and wfverify do.
+// against the WAL, which is what restore and wfverify do. The label
+// region has no checksum of its own: the Merkle root covers every label
+// byte and binds it to its vertex, and VerifyMerkle checks it.
 //
 // On linux the file is mapped with mmap(MAP_SHARED, PROT_READ); other
 // platforms fall back to reading the file into memory (same API, no
 // zero-copy restore). The index is walked and its CRC verified at Open —
 // about two bytes per label, so a million labels cost a 2 MB pass — while
-// the label-region CRC is verified by Verify on demand, so opening a
+// the label region is verified by VerifyMerkle on demand, so opening a
 // multi-gigabyte arena does not fault in every label page up front.
 package arena
 
@@ -68,10 +69,10 @@ import (
 )
 
 // Magic identifies an arena snapshot file.
-const Magic = "WFSNAP04"
+const Magic = "WFSNAP05"
 
 const (
-	headerSize = 120
+	headerSize = 116
 	// maxVarint is the longest index varint: vertex deltas and lengths
 	// both fit 32 bits.
 	maxVarint = 5
@@ -90,7 +91,7 @@ const maxCount = 1 << 31
 var ErrCorrupt = errors.New("arena: corrupt snapshot")
 
 // ErrVersion reports a snapshot file with another WFSNAP.. magic (the
-// WFSNAP01, WFSNAP02 and WFSNAP03 formats earlier builds wrote).
+// WFSNAP01 to WFSNAP04 formats earlier builds wrote).
 // Nothing reads those: a snapshot is a cache of the log, so callers
 // treat the file as absent, replay the log, and overwrite it at the
 // next snapshot.
@@ -145,7 +146,7 @@ type Arena struct {
 
 // Open opens the arena snapshot at path, mapping it on linux. The
 // header and index are validated (magic, sizes, index CRC, sorted
-// contiguous extents); the label region's CRC is left to Verify. A
+// contiguous extents); the label region is left to VerifyMerkle. A
 // file in an older snapshot format is reported as ErrVersion, damage
 // as ErrCorrupt.
 func Open(path string) (*Arena, error) {
@@ -178,7 +179,7 @@ func parse(data []byte, mapped bool) (*Arena, error) {
 	walBytes := binary.LittleEndian.Uint64(data[16:24])
 	count := binary.LittleEndian.Uint64(data[24:32])
 	labelBytes := binary.LittleEndian.Uint64(data[32:40])
-	indexBytes := binary.LittleEndian.Uint64(data[108:116])
+	indexBytes := binary.LittleEndian.Uint64(data[104:112])
 	indexCRC := binary.LittleEndian.Uint32(data[headerSize-4 : headerSize])
 	size := uint64(len(data))
 	if events > 1<<62 || walBytes > 1<<62 || count > maxCount || indexBytes > size || labelBytes > size {
@@ -211,8 +212,8 @@ func parse(data []byte, mapped bool) (*Arena, error) {
 		count:  int(count),
 		mapped: mapped,
 	}
-	copy(a.merkleRoot[:], data[44:76])
-	copy(a.meta.ChainHead[:], data[76:108])
+	copy(a.merkleRoot[:], data[40:72])
+	copy(a.meta.ChainHead[:], data[72:104])
 	var v, next uint64
 	pos := 0
 	for i := 0; i < a.count; i++ {
@@ -305,16 +306,6 @@ func (a *Arena) Range(fn func(v graph.VertexID, enc []byte) bool) {
 	}
 }
 
-// Verify checks the label region against the header's CRC — the full
-// integrity pass Open deliberately skips so that restore stays O(index).
-// It faults in every page of the label region.
-func (a *Arena) Verify() error {
-	if crc32.ChecksumIEEE(a.labels) != binary.LittleEndian.Uint32(a.data[40:44]) {
-		return fmt.Errorf("%w: label region checksum mismatch", ErrCorrupt)
-	}
-	return nil
-}
-
 // Integrity returns the snapshot's integrity anchors — the Merkle root
 // over the label extents and the WAL chain head at the watermark.
 func (a *Arena) Integrity() (merkleRoot, chainHead integrity.Head) {
@@ -322,17 +313,17 @@ func (a *Arena) Integrity() (merkleRoot, chainHead integrity.Head) {
 }
 
 // VerifyMerkle recomputes the Merkle root over the label extents and
-// checks it against the header. Unlike the label-region CRC (Verify),
-// the root also binds each extent to its vertex id and position, and
-// it is the value the integrity API exposes to external anchors — a
-// snapshot whose labels were rewritten CRC-consistently still fails
-// here unless the header (and therefore the anchored root) was
-// rewritten too. Like Verify, it faults in every page of the label
-// region.
+// checks it against the header: the full integrity pass Open
+// deliberately skips so that restore stays O(index). The root binds
+// each extent to its vertex id and position, and it is the value the
+// integrity API exposes to external anchors — a snapshot whose labels
+// were rewritten fails here unless the header (and therefore the
+// anchored root) was rewritten too. It faults in every page of the
+// label region.
 func (a *Arena) VerifyMerkle() error {
 	m := integrity.NewMerkle()
 	a.Range(func(v graph.VertexID, enc []byte) bool {
-		m.Add(m.LabelLeaf(uint32(v), enc))
+		m.AddLabel(uint32(v), enc)
 		return true
 	})
 	if m.Root() != a.merkleRoot {
@@ -418,12 +409,10 @@ func Write(path string, meta Meta, entries []Entry) (integrity.Head, error) {
 		return integrity.Head{}, err
 	}
 	var labelBytes uint64
-	labelCRC := crc32.NewIEEE()
 	merkle := integrity.NewMerkle()
 	for _, e := range entries {
 		labelBytes += uint64(len(e.Enc))
-		labelCRC.Write(e.Enc)
-		merkle.Add(merkle.LabelLeaf(uint32(e.V), e.Enc))
+		merkle.AddLabel(uint32(e.V), e.Enc)
 	}
 
 	root := merkle.Root()
@@ -433,10 +422,9 @@ func Write(path string, meta Meta, entries []Entry) (integrity.Head, error) {
 	binary.LittleEndian.PutUint64(hdr[16:24], uint64(meta.WALBytes))
 	binary.LittleEndian.PutUint64(hdr[24:32], uint64(len(entries)))
 	binary.LittleEndian.PutUint64(hdr[32:40], labelBytes)
-	binary.LittleEndian.PutUint32(hdr[40:44], labelCRC.Sum32())
-	copy(hdr[44:76], root[:])
-	copy(hdr[76:108], meta.ChainHead[:])
-	binary.LittleEndian.PutUint64(hdr[108:116], uint64(len(index)))
+	copy(hdr[40:72], root[:])
+	copy(hdr[72:104], meta.ChainHead[:])
+	binary.LittleEndian.PutUint64(hdr[104:112], uint64(len(index)))
 	indexCRC := crc32.NewIEEE()
 	indexCRC.Write(hdr[8 : headerSize-4])
 	indexCRC.Write(index)

@@ -69,8 +69,8 @@ func TestRoundTripDense(t *testing.T) {
 			t.Fatalf("Get(%d) found a label that was never written", v)
 		}
 	}
-	if err := a.Verify(); err != nil {
-		t.Fatalf("Verify: %v", err)
+	if err := a.VerifyMerkle(); err != nil {
+		t.Fatalf("VerifyMerkle: %v", err)
 	}
 	// Evicted pages fault back in with the bytes the file holds: slices
 	// handed out before stay good, and so does everything read after.
@@ -167,14 +167,15 @@ func TestWriteIsDeterministic(t *testing.T) {
 	}
 }
 
-// TestOpenRejectsV1Magic: the formats earlier builds wrote (WFSNAP01,
-// WFSNAP02, WFSNAP03) are ErrVersion whatever follows the magic — even nothing —
+// TestOpenRejectsV1Magic: the formats earlier builds wrote (WFSNAP01 to
+// WFSNAP04) are ErrVersion whatever follows the magic — even nothing —
 // which is what lets restore treat them as absent and replay the log.
 func TestOpenRejectsV1Magic(t *testing.T) {
 	for _, body := range [][]byte{
 		append([]byte("WFSNAP01"), make([]byte, 64)...),
 		append([]byte("WFSNAP02"), make([]byte, 200)...),
 		append([]byte("WFSNAP03"), make([]byte, 104)...),
+		append([]byte("WFSNAP04"), make([]byte, 112)...),
 		[]byte("WFSNAP01"),
 	} {
 		path := filepath.Join(t.TempDir(), "labels.snap")
@@ -220,7 +221,7 @@ func TestOpenRejectsCorruption(t *testing.T) {
 		"index bit flip":   func(b []byte) []byte { b[headerSize+3] ^= 0x40; return b },
 		"count inflated":   func(b []byte) []byte { binary.LittleEndian.PutUint64(b[24:32], 1<<40); return b },
 		"index size inflated": func(b []byte) []byte {
-			binary.LittleEndian.PutUint64(b[108:116], 1<<62)
+			binary.LittleEndian.PutUint64(b[104:112], 1<<62)
 			reseal(b)
 			return b
 		},
@@ -240,7 +241,7 @@ func build(count int, index, labels []byte) []byte {
 	copy(b, Magic)
 	binary.LittleEndian.PutUint64(b[24:32], uint64(count))
 	binary.LittleEndian.PutUint64(b[32:40], uint64(len(labels)))
-	binary.LittleEndian.PutUint64(b[108:116], uint64(len(index)))
+	binary.LittleEndian.PutUint64(b[104:112], uint64(len(index)))
 	b = append(append(b, index...), labels...)
 	reseal(b)
 	return b
@@ -250,7 +251,7 @@ func build(count int, index, labels []byte) []byte {
 // so structural validation (not the checksum) is what gets exercised.
 func reseal(b []byte) {
 	index := b[headerSize:]
-	if n := binary.LittleEndian.Uint64(b[108:116]); n <= uint64(len(index)) {
+	if n := binary.LittleEndian.Uint64(b[104:112]); n <= uint64(len(index)) {
 		index = index[:n]
 	}
 	h := crc32.NewIEEE()
@@ -340,8 +341,8 @@ func TestVerifyCatchesLabelRot(t *testing.T) {
 		t.Fatalf("Open should accept label rot (index is intact): %v", err)
 	}
 	defer a.Close()
-	if err := a.Verify(); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("Verify: got %v, want ErrCorrupt", err)
+	if err := a.VerifyMerkle(); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("VerifyMerkle: got %v, want ErrCorrupt", err)
 	}
 }
 

@@ -17,15 +17,15 @@ func TestHashingAllocatesNothing(t *testing.T) {
 	}
 	m := NewMerkle()
 	v := uint32(0)
-	leaf := func() {
-		m.Add(m.LabelLeaf(v, frame[:6+v%32]))
+	label := func() {
+		m.AddLabel(v, frame[:6+v%32])
 		v++
 	}
-	for v < 1<<12 { // grow the pending-subtree stack past what the measured leaves need
-		leaf()
+	for v < pageLabels { // the first page: the buffer has now held the longest page
+		label()
 	}
-	if n := testing.AllocsPerRun(1000, leaf); n != 0 {
-		t.Errorf("Merkle.LabelLeaf+Add: %v allocations per leaf, want 0", n)
+	if n := testing.AllocsPerRun(1<<14, label); n != 0 {
+		t.Errorf("Merkle.AddLabel: %v allocations per label, want 0", n)
 	}
 	if n := testing.AllocsPerRun(100, func() { head = m.Root() }); n != 0 {
 		t.Errorf("Merkle.Root: %v allocations, want 0", n)

@@ -1,10 +1,12 @@
 package audit
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -117,6 +119,60 @@ func asWFSNAP03(t *testing.T, sdir string) {
 	}
 }
 
+// asWFSNAP04 turns a snapshot image into the file the previous build
+// wrote for the same labels: the same index and label region behind a
+// 120-byte header that also carries a label-region CRC, stamped with
+// that build's Merkle root — one leaf per label, SHA-256(0x00 ||
+// uint32le(v) || label) — so the file is wrong only in its version.
+func asWFSNAP04(t *testing.T, sdir string) {
+	t.Helper()
+	path := filepath.Join(sdir, snapFile)
+	a, err := arena.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, chain := a.Integrity()
+	var level []integrity.Head
+	a.Range(func(v graph.VertexID, enc []byte) bool {
+		level = append(level, sha256.Sum256(slices.Concat([]byte{0x00}, binary.LittleEndian.AppendUint32(nil, uint32(v)), enc)))
+		return true
+	})
+	for len(level) > 1 { // pair level by level, an odd node promoted
+		next := level[:0]
+		for i := 0; i < len(level); i += 2 {
+			if i+1 == len(level) {
+				next = append(next, level[i])
+			} else {
+				next = append(next, sha256.Sum256(slices.Concat([]byte{0x01}, level[i][:], level[i+1][:])))
+			}
+		}
+		level = next
+	}
+	root := level[0]
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const hdr = 120
+	body := raw[116:] // index, then labels
+	img := make([]byte, hdr, hdr+len(body))
+	copy(img, "WFSNAP04")
+	copy(img[8:40], raw[8:40]) // events, walBytes, count, labelBytes
+	binary.LittleEndian.PutUint32(img[40:], crc32.ChecksumIEEE(a.Labels()))
+	copy(img[44:76], root[:])
+	copy(img[76:108], chain[:])
+	copy(img[108:116], raw[104:112]) // indexBytes
+	index := body[:binary.LittleEndian.Uint64(raw[104:112])]
+	h := crc32.NewIEEE()
+	h.Write(img[8:116])
+	h.Write(index)
+	binary.LittleEndian.PutUint32(img[116:], h.Sum32())
+	a.Close()
+	if err := os.WriteFile(path, append(img, body...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestVerifySessionTable is the auditor's contract: what it calls
 // verified, what it calls unavailable (legal data that anchors
 // nothing), and what it calls a violation — and that a torn WAL tail,
@@ -156,6 +212,8 @@ func TestVerifySessionTable(t *testing.T) {
 			}},
 		{name: "whole WFSNAP03 snapshot", snapshotAt: snapshotAt, want: StatusUnavailable, records: records, tail: records,
 			damage: asWFSNAP03},
+		{name: "whole WFSNAP04 snapshot", snapshotAt: snapshotAt, want: StatusUnavailable, records: records, tail: records,
+			damage: asWFSNAP04},
 		{name: "flip below the watermark", snapshotAt: snapshotAt, want: StatusViolation, wantErr: "below snapshot watermark",
 			damage: func(t *testing.T, sdir string) { mutate(t, sdir, walFile, flip(wal.FrameHeaderSize+1)) }},
 		{name: "flip in a label extent", snapshotAt: snapshotAt, want: StatusViolation, wantErr: "Merkle",

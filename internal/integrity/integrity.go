@@ -22,22 +22,25 @@
 // The Merkle tree. Arena snapshots commit to their label extents with
 // a Merkle root so an auditor can verify the label region against one
 // hash (and, later, prove single extents without shipping the whole
-// region). Leaves and interior nodes are domain-separated:
+// region). A leaf covers a page of 64 consecutive extents, in the
+// arena's index order (ascending vertex); the last page may be short.
+// Leaves and interior nodes are domain-separated:
 //
-//	leaf(v, label) = SHA-256(0x00 || uint32le(v) || label)
-//	node(a, b)     = SHA-256(0x01 || a || b)
+//	leaf(page) = SHA-256(0x00 || for each entry: uint32le(v) || uvarint(len(label)) || label)
+//	node(a, b) = SHA-256(0x01 || a || b)
 //
-// Leaves are added in ascending vertex order (the arena's index
-// order). An unbalanced right edge is bagged by folding the pending
-// subtree roots right to left, so the root is deterministic for every
-// leaf count; zero leaves hash to the zero head.
+// The length prefix fixes where one label ends and the next begins, and
+// the vertex id binds each label to its vertex, so a page's bytes decode
+// to exactly one list of entries. An unbalanced right edge is bagged by
+// folding the pending subtree roots right to left, so the root is
+// deterministic for every label count; zero labels hash to the zero
+// head.
 package integrity
 
 import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"fmt"
 )
 
 // Head is a 32-byte SHA-256 digest: a chain head or a Merkle root.
@@ -50,17 +53,6 @@ func (h Head) IsZero() bool { return h == Head{} }
 
 // String renders the head as lowercase hex, the wire and CLI form.
 func (h Head) String() string { return hex.EncodeToString(h[:]) }
-
-// ParseHead parses the lowercase-hex wire form produced by String.
-func ParseHead(s string) (Head, error) {
-	var h Head
-	b, err := hex.DecodeString(s)
-	if err != nil || len(b) != len(h) {
-		return Head{}, fmt.Errorf("integrity: %q is not a 64-digit hex head", s)
-	}
-	copy(h[:], b)
-	return h, nil
-}
 
 // Chainer extends a hash chain over raw WAL frames. It exists to
 // amortize the hash input buffer across a batch: one Chainer, reused
@@ -80,51 +72,67 @@ func (c *Chainer) Extend(prev Head, frame []byte) Head {
 	return sha256.Sum256(c.buf)
 }
 
-// Extend is the one-shot form of Chainer.Extend.
-func Extend(prev Head, frame []byte) Head {
-	return NewChainer().Extend(prev, frame)
-}
+// pageLabels is how many consecutive label extents one leaf covers. It
+// is part of the format: another value gives every snapshot another
+// root.
+const pageLabels = 64
 
-// Merkle accumulates leaves left to right and yields the root. It
-// keeps one pending subtree root per set bit of the leaf count, so
-// memory is O(log n) regardless of how many leaves stream through.
+// Merkle accumulates label extents left to right and yields the root.
+// It buffers the page in progress and keeps one pending subtree root per
+// set bit of the complete-page count, both sized once, so it allocates
+// nothing per label and its memory does not grow with the label count.
 type Merkle struct {
-	buf   []byte // leaf hash input, reused leaf after leaf
-	stack []Head // pending subtree roots, biggest first
-	count uint64
+	page   []byte // leaf hash input of the page in progress: 0x00, then its entries
+	inPage int    // entries in the page in progress
+	stack  []Head // pending subtree roots of complete pages, biggest first
+	pages  uint64 // complete pages
 }
 
-// NewMerkle returns an empty accumulator.
-func NewMerkle() *Merkle { return &Merkle{} }
-
-// LabelLeaf hashes one label extent into its leaf.
-func (m *Merkle) LabelLeaf(vertex uint32, label []byte) Head {
-	m.buf = append(binary.LittleEndian.AppendUint32(append(m.buf[:0], 0x00), vertex), label...)
-	return sha256.Sum256(m.buf)
+// NewMerkle returns an empty accumulator. Its page buffer holds a page
+// of labels up to 24 bytes long; longer ones grow it, and every later
+// page reuses what it grew to.
+func NewMerkle() *Merkle {
+	return &Merkle{
+		page:  append(make([]byte, 0, 1+pageLabels*(4+1+24)), 0x00),
+		stack: make([]Head, 0, 64), // one per bit of the page count: never outgrown
+	}
 }
 
-// Add appends one leaf (use LabelLeaf to make one from an extent).
-func (m *Merkle) Add(leaf Head) {
-	m.stack = append(m.stack, leaf)
-	m.count++
-	// Each trailing zero bit of the new count is a completed pair:
+// AddLabel appends vertex v's label extent, the next in index order.
+func (m *Merkle) AddLabel(v uint32, label []byte) {
+	m.page = binary.LittleEndian.AppendUint32(m.page, v)
+	m.page = binary.AppendUvarint(m.page, uint64(len(label)))
+	m.page = append(m.page, label...)
+	if m.inPage++; m.inPage < pageLabels {
+		return
+	}
+	m.stack = append(m.stack, sha256.Sum256(m.page))
+	m.page, m.inPage = m.page[:1], 0
+	m.pages++
+	// Each trailing zero bit of the new page count is a completed pair:
 	// merge equal-sized subtrees bottom-up.
-	for n := m.count; n&1 == 0; n >>= 1 {
+	for n := m.pages; n&1 == 0; n >>= 1 {
 		a, b := m.stack[len(m.stack)-2], m.stack[len(m.stack)-1]
-		m.stack = m.stack[:len(m.stack)-2]
-		m.stack = append(m.stack, m.node(a, b))
+		m.stack = append(m.stack[:len(m.stack)-2], m.node(a, b))
 	}
 }
 
-// Root bags the pending subtrees right to left and returns the root.
-// The accumulator stays usable: more leaves may be added after a Root
-// call (the root of every prefix is well defined).
+// Root bags the pending subtrees, and the partial page's leaf after
+// them, right to left and returns the root. The accumulator stays
+// usable: more labels may be added after a Root call (the root of every
+// prefix is well defined).
 func (m *Merkle) Root() Head {
-	if len(m.stack) == 0 {
+	i := len(m.stack) - 1
+	var root Head
+	switch {
+	case m.inPage > 0:
+		root = sha256.Sum256(m.page)
+	case i < 0:
 		return Head{}
+	default:
+		root, i = m.stack[i], i-1
 	}
-	root := m.stack[len(m.stack)-1]
-	for i := len(m.stack) - 2; i >= 0; i-- {
+	for ; i >= 0; i-- {
 		root = m.node(m.stack[i], root)
 	}
 	return root

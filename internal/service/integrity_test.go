@@ -303,8 +303,8 @@ func TestTamperDrillAuditCatchesBelowWatermarkRewrite(t *testing.T) {
 }
 
 // TestTamperDrillArenaExtent is the snapshot leg: one byte flipped in
-// an arena label extent with both CRCs patched. The auditor and the
-// restore must each refuse it via the Merkle root.
+// an arena label extent, which passes every structural check at Open.
+// The auditor and the restore must each refuse it via the Merkle root.
 func TestTamperDrillArenaExtent(t *testing.T) {
 	dir := t.TempDir()
 	reg, _ := buildDurableSession(t, dir, "drill", 300, DurableOptions{SnapshotEvery: 1 << 20})
@@ -314,23 +314,23 @@ func TestTamperDrillArenaExtent(t *testing.T) {
 	sdir := filepath.Join(dir, "drill")
 	snapPath := filepath.Join(sdir, snapFile)
 
-	// Flip a label byte; patch the label CRC and the index CRC so every
-	// structural check passes.
+	// Flip a label byte: the index CRC covers the header and the index,
+	// not the label region, so the file still opens.
 	raw, err := os.ReadFile(snapPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const hdr = 120
-	labelOff := hdr + int(binary.LittleEndian.Uint64(raw[108:116]))
+	const hdr = 116
+	labelOff := hdr + int(binary.LittleEndian.Uint64(raw[104:112]))
 	raw[labelOff+7] ^= 0x10
-	binary.LittleEndian.PutUint32(raw[40:44], crc32.ChecksumIEEE(raw[labelOff:]))
-	idx := crc32.NewIEEE()
-	idx.Write(raw[8 : hdr-4])
-	idx.Write(raw[hdr:labelOff])
-	binary.LittleEndian.PutUint32(raw[hdr-4:hdr], idx.Sum32())
 	if err := os.WriteFile(snapPath, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	a, err := arena.Open(snapPath)
+	if err != nil {
+		t.Fatalf("a flipped label byte must open cleanly, got %v", err)
+	}
+	a.Close()
 
 	if rep := audit.VerifySession(sdir, ""); rep.Status != audit.StatusViolation {
 		t.Fatalf("audit accepted a rewritten label extent: %+v", rep)

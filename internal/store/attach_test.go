@@ -36,16 +36,16 @@ func arenaImage(t testing.TB, entries []arena.Entry) []byte {
 // and index, with sizes and index CRC that match, followed by labels —
 // so that a test can hand Open what arena.Write never writes.
 func snapImage(count int, labelBytes uint64, index, labels []byte) []byte {
-	img := make([]byte, 120, 120+len(index)+len(labels))
+	img := make([]byte, 116, 116+len(index)+len(labels))
 	copy(img, arena.Magic)
 	binary.LittleEndian.PutUint64(img[24:], uint64(count))
 	binary.LittleEndian.PutUint64(img[32:], labelBytes)
-	binary.LittleEndian.PutUint64(img[108:], uint64(len(index)))
+	binary.LittleEndian.PutUint64(img[104:], uint64(len(index)))
 	img = append(img, index...)
 	h := crc32.NewIEEE()
-	h.Write(img[8:116])
+	h.Write(img[8:112])
 	h.Write(index)
-	binary.LittleEndian.PutUint32(img[116:], h.Sum32())
+	binary.LittleEndian.PutUint32(img[112:], h.Sum32())
 	return append(img, labels...)
 }
 
