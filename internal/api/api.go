@@ -84,23 +84,6 @@ func FromRun(ev run.Event) Event {
 	return w
 }
 
-// FromNamed converts a named event to its wire form.
-func FromNamed(ev core.NamedEvent) Event {
-	w := Event{V: int32(ev.V), Name: ev.Name}
-	for _, p := range ev.Preds {
-		w.Preds = append(w.Preds, int32(p))
-	}
-	return w
-}
-
-// FromRecord converts a WAL record to its wire form.
-func FromRecord(rec wal.Record) Event {
-	if rec.Named {
-		return FromNamed(rec.NamedEv)
-	}
-	return FromRun(rec.Ref)
-}
-
 func (e Event) preds() []graph.VertexID {
 	if len(e.Preds) == 0 {
 		return nil

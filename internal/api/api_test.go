@@ -8,11 +8,23 @@ import (
 	"strings"
 	"testing"
 
-	"wfreach/internal/core"
 	"wfreach/internal/graph"
 	"wfreach/internal/run"
 	"wfreach/internal/spec"
+	"wfreach/internal/wal"
 )
+
+// fromRecord is Event.Record's inverse.
+func fromRecord(rec wal.Record) Event {
+	if !rec.Named {
+		return FromRun(rec.Ref)
+	}
+	w := Event{V: int32(rec.NamedEv.V), Name: rec.NamedEv.Name}
+	for _, p := range rec.NamedEv.Preds {
+		w.Preds = append(w.Preds, int32(p))
+	}
+	return w
+}
 
 func refEvent(v, g, sv int32, preds ...int32) Event {
 	e := Event{V: v, Graph: &g, Vertex: &sv}
@@ -32,7 +44,7 @@ func TestEventRecordRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Record(%+v): %v", e, err)
 		}
-		back := FromRecord(rec)
+		back := fromRecord(rec)
 		if back.V != e.V || back.Name != e.Name || len(back.Preds) != len(e.Preds) {
 			t.Fatalf("round trip %+v -> %+v", e, back)
 		}
@@ -64,16 +76,11 @@ func TestEventRecordRejectsMalformedForms(t *testing.T) {
 	}
 }
 
-func TestFromRunFromNamed(t *testing.T) {
+func TestFromRun(t *testing.T) {
 	rev := run.Event{V: 5, Ref: spec.VertexRef{Graph: 2, V: 1}, Preds: []graph.VertexID{3, 4}}
 	e := FromRun(rev)
 	if e.V != 5 || *e.Graph != 2 || *e.Vertex != 1 || len(e.Preds) != 2 || e.Name != "" {
 		t.Fatalf("FromRun = %+v", e)
-	}
-	ne := core.NamedEvent{V: 6, Name: "blast", Preds: []graph.VertexID{5}}
-	e = FromNamed(ne)
-	if e.V != 6 || e.Name != "blast" || e.Graph != nil || len(e.Preds) != 1 {
-		t.Fatalf("FromNamed = %+v", e)
 	}
 }
 

@@ -92,19 +92,6 @@ func (m ClusterMap) Node(name string) (ClusterNode, bool) {
 	return ClusterNode{}, false
 }
 
-// Clone returns a deep copy of the map.
-func (m ClusterMap) Clone() ClusterMap {
-	cp := m
-	cp.Nodes = append([]ClusterNode(nil), m.Nodes...)
-	if m.Overrides != nil {
-		cp.Overrides = make(map[string]ClusterOverride, len(m.Overrides))
-		for k, v := range m.Overrides {
-			cp.Overrides[k] = v
-		}
-	}
-	return cp
-}
-
 // ClusterPeer is one peer's health as seen by the reporting node's
 // prober.
 type ClusterPeer struct {

@@ -2,8 +2,6 @@ package api
 
 import (
 	"bufio"
-	"bytes"
-	"errors"
 	"io"
 	"slices"
 
@@ -188,23 +186,4 @@ func (fr *FrameReader) Next() (wal.Record, []byte, error) {
 	}
 	fr.next = 1
 	return fr.recs[0], frame, nil
-}
-
-// DecodeFrames decodes a complete in-memory frame stream into wire
-// events — the inverse of encoding each event with AppendFrame onto
-// one buffer.
-func DecodeFrames(b []byte) ([]Event, error) {
-	fr := NewFrameReader(bytes.NewReader(b))
-	var out []Event
-	for {
-		rec, _, err := fr.Next()
-		if errors.Is(err, io.EOF) {
-			return out, nil
-		}
-		if err != nil {
-			return out, err
-		}
-		out = append(out, FromRecord(rec))
-		fr.Release() // the wire event has its own copy
-	}
 }

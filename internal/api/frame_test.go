@@ -133,9 +133,18 @@ func TestDecodeFramesRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	back, err := DecodeFrames(wire)
-	if err != nil {
-		t.Fatal(err)
+	fr := NewFrameReader(bytes.NewReader(wire))
+	var back []Event
+	for {
+		rec, _, err := fr.Next()
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		back = append(back, fromRecord(rec))
+		fr.Release()
 	}
 	if len(back) != len(events) {
 		t.Fatalf("decoded %d events, want %d", len(back), len(events))

@@ -269,9 +269,6 @@ func uvarint(b []byte) (x uint64, n int) {
 // uvarintLen is the size of x's minimal LEB128 encoding.
 func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
-// Meta returns the snapshot watermark.
-func (a *Arena) Meta() Meta { return a.meta }
-
 // Events returns the number of WAL records the snapshot covers.
 func (a *Arena) Events() int64 { return a.meta.Events }
 

@@ -56,7 +56,7 @@ func TestRoundTripDense(t *testing.T) {
 	})
 	a := writeOpen(t, Meta{Events: 100, WALBytes: 4321, HasChain: true}, entries)
 	if a.Events() != 100 || a.WALBytes() != 4321 || a.Count() != 100 {
-		t.Fatalf("meta = %+v count %d", a.Meta(), a.Count())
+		t.Fatalf("meta = %+v count %d", a.meta, a.Count())
 	}
 	for v, enc := range want {
 		got, ok := get(a, v)

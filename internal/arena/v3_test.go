@@ -42,7 +42,7 @@ func TestV3RoundTripAndVerify(t *testing.T) {
 	if gotRoot != root || gotChain != chain {
 		t.Fatalf("Integrity() = (%s, %s), want (%s, %s)", gotRoot, gotChain, root, chain)
 	}
-	if !a.Meta().HasChain || a.Meta().ChainHead != chain {
+	if !a.meta.HasChain || a.meta.ChainHead != chain {
 		t.Fatalf("Meta does not carry the chain head")
 	}
 	if err := a.VerifyMerkle(); err != nil {

@@ -102,6 +102,7 @@ func AblationSkeleton(cfg Config) *Table {
 	}
 	r := gen.MustGenerate(g, gen.Options{TargetSize: n, Seed: 123})
 	pairs := randomPairs(r, cfg.Queries, 5)
+	cod := label.NewCodec(g)
 	t := &Table{
 		ID:      "ablSkel",
 		Title:   fmt.Sprintf("Ablation: skeleton scheme (BioAID, %s run)", sizeName(n)),
@@ -120,7 +121,7 @@ func AblationSkeleton(cfg Config) *Table {
 			}
 		}
 		build := time.Since(start) / time.Duration(cfg.Samples)
-		q := drlQueryTimer(d, pairs)
+		q := drlQueryTimer(cod, d, pairs)
 		t.Rows = append(t.Rows, []string{
 			kind.String(),
 			fmt.Sprintf("%d", d.Skeleton().Bits()),

@@ -42,11 +42,6 @@ type Config struct {
 	Quick bool
 }
 
-// DefaultConfig mirrors the paper's sweep shapes at tractable cost.
-func DefaultConfig() Config {
-	return Config{Samples: 5, Queries: 100000, MaxSize: 32 * 1024}
-}
-
 func (c Config) normalized() Config {
 	if c.Samples <= 0 {
 		c.Samples = 3
@@ -226,34 +221,24 @@ func Fig15(cfg Config) *Table {
 	return t
 }
 
-// queryTimer measures average query latency over pre-drawn random
-// vertex pairs.
-func queryTimer(pairs [][2]graph.VertexID, f func(v, w graph.VertexID) bool) time.Duration {
-	sink := false
-	start := time.Now()
-	for _, p := range pairs {
-		sink = sink != f(p[0], p[1])
-	}
-	elapsed := time.Since(start)
-	if sink {
-		_ = sink
-	}
-	return elapsed / time.Duration(len(pairs))
-}
-
 // drlQueryTimer measures π on prefetched DRL labels — the paper's
 // setting, where the querier holds two labels and decides reachability
-// from them alone.
-func drlQueryTimer(d *core.DerivationLabeler, pairs [][2]graph.VertexID) time.Duration {
-	ls := make([][2]label.Label, len(pairs))
+// from them alone. The labels are encoded as the service stores them,
+// and π is the service's: PiBytes on the two encodings.
+func drlQueryTimer(c *label.Codec, d *core.DerivationLabeler, pairs [][2]graph.VertexID) time.Duration {
+	ls := make([][2][]byte, len(pairs))
 	for i, p := range pairs {
-		ls[i] = [2]label.Label{d.MustLabel(p[0]), d.MustLabel(p[1])}
+		ls[i] = [2][]byte{c.Encode(d.MustLabel(p[0])), c.Encode(d.MustLabel(p[1]))}
 	}
 	skel := d.Skeleton()
 	sink := false
 	start := time.Now()
 	for i := range ls {
-		sink = sink != core.Pi(skel, ls[i][0], ls[i][1])
+		ok, err := core.PiBytes(c, skel, ls[i][0], ls[i][1])
+		if err != nil {
+			panic(err) // the labels were encoded by c just above
+		}
+		sink = sink != ok
 	}
 	elapsed := time.Since(start)
 	_ = sink
@@ -291,6 +276,7 @@ func randomPairs(r *run.Run, n int, seed int64) [][2]graph.VertexID {
 func Fig16(cfg Config) *Table {
 	cfg = cfg.normalized()
 	g := spec.MustCompile(wfspecs.BioAID())
+	cod := label.NewCodec(g)
 	t := &Table{
 		ID:      "fig16",
 		Title:   "BioAID query time vs run size",
@@ -312,8 +298,8 @@ func Fig16(cfg Config) *Table {
 		}
 		t.Rows = append(t.Rows, []string{
 			sizeName(n),
-			fmt.Sprintf("%d", drlQueryTimer(dTCL, pairs).Nanoseconds()),
-			fmt.Sprintf("%d", drlQueryTimer(dBFS, pairs).Nanoseconds()),
+			fmt.Sprintf("%d", drlQueryTimer(cod, dTCL, pairs).Nanoseconds()),
+			fmt.Sprintf("%d", drlQueryTimer(cod, dBFS, pairs).Nanoseconds()),
 		})
 	}
 	return t
@@ -531,6 +517,7 @@ func Fig21(cfg Config) *Table {
 func Fig22(cfg Config) *Table {
 	cfg = cfg.normalized()
 	g := spec.MustCompile(wfspecs.BioAIDNonRecursive())
+	cod := label.NewCodec(g)
 	t := &Table{
 		ID:      "fig22",
 		Title:   "Query time: DRL vs SKL × TCL vs BFS (ns/query)",
@@ -560,8 +547,8 @@ func Fig22(cfg Config) *Table {
 		}
 		t.Rows = append(t.Rows, []string{
 			sizeName(n),
-			fmt.Sprintf("%d", drlQueryTimer(dTCL, pairs).Nanoseconds()),
-			fmt.Sprintf("%d", drlQueryTimer(dBFS, pairs).Nanoseconds()),
+			fmt.Sprintf("%d", drlQueryTimer(cod, dTCL, pairs).Nanoseconds()),
+			fmt.Sprintf("%d", drlQueryTimer(cod, dBFS, pairs).Nanoseconds()),
 			fmt.Sprintf("%d", sklQueryTimer(sTCL, pairs).Nanoseconds()),
 			fmt.Sprintf("%d", sklQueryTimer(sBFS, pairs).Nanoseconds()),
 		})
@@ -693,17 +680,4 @@ func Fig01(cfg Config) *Table {
 	// The TCL column is exact by construction; demonstrate it once.
 	_, _ = newTCLLabeler().insert(0, nil)
 	return t
-}
-
-// All runs the full experiment suite: the paper's figures and tables
-// in paper order, followed by this repository's ablations and the
-// Example 15 demonstration.
-func All(cfg Config) []*Table {
-	return []*Table{
-		Fig01(cfg), Table2(cfg),
-		Fig14(cfg), Fig15(cfg), Fig16(cfg),
-		Fig17(cfg), Fig18(cfg), Fig19(cfg),
-		Fig20(cfg), Fig21(cfg), Fig22(cfg),
-		AblationR(cfg), AblationEncoding(cfg), AblationSkeleton(cfg), Example15(cfg),
-	}
 }

@@ -17,7 +17,7 @@ func TestAllExperimentsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	tables := bench.All(quickCfg())
+	tables := all(quickCfg())
 	if len(tables) != 15 {
 		t.Fatalf("expected 15 experiments, got %d", len(tables))
 	}
@@ -140,5 +140,18 @@ func TestFig01Shape(t *testing.T) {
 	}
 	if sklBits <= 0 || drlBits <= 0 {
 		t.Fatal("compact classes must have positive label sizes")
+	}
+}
+
+// all runs the full experiment suite: the paper's figures and tables
+// in paper order, followed by this repository's ablations and the
+// Example 15 demonstration.
+func all(cfg bench.Config) []*bench.Table {
+	return []*bench.Table{
+		bench.Fig01(cfg), bench.Table2(cfg),
+		bench.Fig14(cfg), bench.Fig15(cfg), bench.Fig16(cfg),
+		bench.Fig17(cfg), bench.Fig18(cfg), bench.Fig19(cfg),
+		bench.Fig20(cfg), bench.Fig21(cfg), bench.Fig22(cfg),
+		bench.AblationR(cfg), bench.AblationEncoding(cfg), bench.AblationSkeleton(cfg), bench.Example15(cfg),
 	}
 }

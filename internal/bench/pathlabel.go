@@ -62,23 +62,6 @@ func (p *pathLabeler) insert(v graph.VertexID, preds []graph.VertexID) (pathLabe
 	return l, nil
 }
 
-// pathPi reports reachability from two labels alone: on a path, v
-// reaches w iff v precedes (or equals) w.
-func pathPi(a, b pathLabel) bool { return a <= b }
-
-// reach answers reachability between two inserted vertices.
-func (p *pathLabeler) reach(v, w graph.VertexID) (bool, error) {
-	a, ok := p.byID[v]
-	if !ok {
-		return false, fmt.Errorf("pathlabel: vertex %d not inserted", v)
-	}
-	b, ok := p.byID[w]
-	if !ok {
-		return false, fmt.Errorf("pathlabel: vertex %d not inserted", w)
-	}
-	return pathPi(a, b), nil
-}
-
 // maxBits returns the longest label issued so far.
 func (p *pathLabeler) maxBits() int {
 	if p.next == 0 {
@@ -86,6 +69,3 @@ func (p *pathLabeler) maxBits() int {
 	}
 	return (p.next - 1).bitLen()
 }
-
-// count returns the number of inserted vertices.
-func (p *pathLabeler) count() int { return len(p.byID) }

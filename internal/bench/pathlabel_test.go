@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"testing"
 
 	"wfreach/internal/gen"
@@ -124,3 +125,23 @@ func TestPathLabelAccessors(t *testing.T) {
 		t.Fatal("BitLen wrong")
 	}
 }
+
+// pathPi reports reachability from two labels alone: on a path, v
+// reaches w iff v precedes (or equals) w.
+func pathPi(a, b pathLabel) bool { return a <= b }
+
+// reach answers reachability between two inserted vertices.
+func (p *pathLabeler) reach(v, w graph.VertexID) (bool, error) {
+	a, ok := p.byID[v]
+	if !ok {
+		return false, fmt.Errorf("pathlabel: vertex %d not inserted", v)
+	}
+	b, ok := p.byID[w]
+	if !ok {
+		return false, fmt.Errorf("pathlabel: vertex %d not inserted", w)
+	}
+	return pathPi(a, b), nil
+}
+
+// count returns the number of inserted vertices.
+func (p *pathLabeler) count() int { return len(p.byID) }

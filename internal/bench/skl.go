@@ -52,7 +52,6 @@ type sklLabel struct {
 // sklScheme holds the per-run SKL index: the interval layout, the
 // per-level path widths, and the global skeleton.
 type sklScheme struct {
-	inline *spec.Inline
 	global skeleton.GraphScheme
 	labels map[graph.VertexID]*sklLabel
 
@@ -91,7 +90,6 @@ func buildSKL(r *run.Run, kind skeleton.Kind) (*sklScheme, error) {
 		return nil, fmt.Errorf("skl: %w", err)
 	}
 	s := &sklScheme{
-		inline: in,
 		global: skeleton.NewGraphScheme(kind, in.Graph),
 		labels: make(map[graph.VertexID]*sklLabel),
 	}
@@ -268,11 +266,6 @@ func (s *sklScheme) pi(a, b *sklLabel) bool {
 	}
 }
 
-// reach answers reachability between two run vertices.
-func (s *sklScheme) reach(v, w graph.VertexID) bool {
-	return s.pi(s.mustLabel(v), s.mustLabel(w))
-}
-
 // bitLen measures a label: two interval indexes, the packed path, the
 // 2-bit-per-level type mask, and the skeleton pointer — the
 // 3·log n_t + O(log n_G) accounting of Section 7.4.
@@ -283,15 +276,6 @@ func (s *sklScheme) bitLen(l *sklLabel) int {
 	}
 	return bits
 }
-
-// skeletonBits returns the global skeleton's storage (Table 2's
-// preprocessing space: 5565 bits for the BioAID global specification
-// under TCL).
-func (s *sklScheme) skeletonBits() int { return s.global.Bits() }
-
-// globalSize returns the number of vertices of the global
-// specification graph (106 for BioAID).
-func (s *sklScheme) globalSize() int { return s.inline.Graph.NumVertices() }
 
 func bitsFor(n int) int {
 	b := 1

@@ -21,10 +21,6 @@ type tclLabel struct {
 	bits  []uint64 // ancestor set over earlier insertion indexes
 }
 
-// bitLen returns the label length in bits: i-1 for the i-th vertex
-// (1-based), exactly as Section 3.2 accounts it.
-func (l *tclLabel) bitLen() int { return l.index }
-
 // tclLabeler labels an execution of an arbitrary DAG on the fly.
 type tclLabeler struct {
 	labels []*tclLabel
@@ -60,39 +56,4 @@ func (t *tclLabeler) insert(v graph.VertexID, preds []graph.VertexID) (*tclLabel
 	t.labels = append(t.labels, l)
 	t.byID[v] = l
 	return l, nil
-}
-
-// maxBits returns the longest label: n-1 bits after n insertions,
-// matching the tight bound of Section 3.2.
-func (t *tclLabeler) maxBits() int {
-	if len(t.labels) == 0 {
-		return 0
-	}
-	return len(t.labels) - 1
-}
-
-// tclPi decides reachability from two labels alone (Section 3.2): with
-// i = |φ(v)|+1 and i' = |φ(v')|+1, v reaches v' iff i = i', or i < i'
-// and bit i of φ(v') is set.
-func tclPi(a, b *tclLabel) bool {
-	if a.index == b.index {
-		return true // same vertex (reflexive reachability)
-	}
-	if a.index > b.index {
-		return false
-	}
-	return b.bits[a.index/64]&(1<<(uint(a.index)%64)) != 0
-}
-
-// reach is tclPi over the labeler's own records.
-func (t *tclLabeler) reach(v, w graph.VertexID) (bool, error) {
-	a, ok := t.byID[v]
-	if !ok {
-		return false, fmt.Errorf("tcldyn: vertex %d not inserted", v)
-	}
-	b, ok := t.byID[w]
-	if !ok {
-		return false, fmt.Errorf("tcldyn: vertex %d not inserted", w)
-	}
-	return tclPi(a, b), nil
 }

@@ -150,12 +150,6 @@ func New(self string, m api.ClusterMap, reg *service.Registry, opts Options) (*C
 	return c, nil
 }
 
-// Self returns this node's map entry.
-func (c *Controller) Self() api.ClusterNode { return c.self }
-
-// State returns the controller's live placement.
-func (c *Controller) State() *api.Placement { return c.state }
-
 func (c *Controller) logf(format string, args ...any) {
 	if c.opts.Logf != nil {
 		c.opts.Logf(format, args...)

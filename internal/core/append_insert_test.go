@@ -26,7 +26,8 @@ import (
 //   - AppendInsert into one reused buffer ≡ Insert, entry for entry;
 //   - Store.Stage, encoding into the slab, read back through GetRaw ≡
 //     Codec.Encode, byte for byte;
-//   - DecodeRecordInto with one reused arena ≡ DecodeRecord.
+//   - DecodePayload with one reused arena ≡ DecodePayload into a fresh
+//     one.
 //
 // The shared buffers are defaced after every event, the way the next
 // event will overwrite them: nothing downstream may still be reading.
@@ -48,15 +49,16 @@ func TestAllocationFreeStagesMatchTheirWrappers(t *testing.T) {
 			if frame, err = wal.AppendFrame(frame[:0], wal.RefRecord(ev)); err != nil {
 				t.Fatal(err)
 			}
-			owned, err := wal.DecodeRecord(frame[wal.FrameHeaderSize:])
-			if err != nil {
-				t.Fatal(err)
+			alone, err := wal.DecodePayload(nil, new([]graph.VertexID), frame[wal.FrameHeaderSize:])
+			if err != nil || len(alone) != 1 {
+				t.Fatalf("%s: event %d: %d records, %v", name, i, len(alone), err)
 			}
 			arena = append(arena[:0], 77, 77, 77) // a neighbour's predecessors
-			rec, err := wal.DecodeRecordInto(&arena, frame[wal.FrameHeaderSize:])
-			if err != nil {
-				t.Fatal(err)
+			recs, err := wal.DecodePayload(nil, &arena, frame[wal.FrameHeaderSize:])
+			if err != nil || len(recs) != 1 {
+				t.Fatalf("%s: event %d: %d records, %v", name, i, len(recs), err)
 			}
+			rec, owned := recs[0], alone[0]
 			if !reflect.DeepEqual(rec, owned) || !reflect.DeepEqual(owned, wal.RefRecord(ev)) {
 				t.Fatalf("%s: event %d decodes to %+v into an arena, %+v alone, framed from %+v", name, i, rec, owned, ev)
 			}

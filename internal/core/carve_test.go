@@ -42,12 +42,20 @@ func TestTreeCarvingOracle(t *testing.T) {
 	}
 }
 
+// walk visits every node of the subtree rooted at n in preorder.
+func walk(n *parsetree.Node, visit func(*parsetree.Node)) {
+	visit(n)
+	for _, c := range n.Children {
+		walk(c, visit)
+	}
+}
+
 // checkCarving checks the tree of e after insertion now. Nodes first
 // reached now are recorded as born now; a node seen earlier that no
 // longer hangs where its Parent says fails the child-list count.
 func checkCarving(e *core.ExecutionLabeler, mode core.RMode, born map[*parsetree.Node]int, now int) error {
 	root := e.Tree()
-	root.Walk(func(n *parsetree.Node) {
+	walk(root, func(n *parsetree.Node) {
 		if _, ok := born[n]; !ok {
 			born[n] = now
 		}
@@ -71,9 +79,9 @@ func checkCarving(e *core.ExecutionLabeler, mode core.RMode, born map[*parsetree
 				return fmt.Errorf("child %d of %v #%d names another parent", j, n.Kind, n.Index)
 			case j > 0 && born[c] <= born[n.Children[j-1]]:
 				return fmt.Errorf("children %d and %d of %v #%d out of creation order", j-1, j, n.Kind, n.Index)
-			case n.IsSpecial() && c.Index != int32(j+1):
+			case n.Kind != label.N && c.Index != int32(j+1):
 				return fmt.Errorf("copy %d of %v #%d has index %d", j, n.Kind, n.Index, c.Index)
-			case !n.IsSpecial() && n.Groups[c.Index-1] != c:
+			case n.Kind == label.N && n.Groups[c.Index-1] != c:
 				return fmt.Errorf("child %d of instance #%d is not the expansion of its slot", j, n.Index)
 			}
 		}
@@ -94,7 +102,7 @@ func wantPrefix(e *core.ExecutionLabeler, mode core.RMode, n *parsetree.Node) []
 	switch {
 	case p == nil:
 		return nil
-	case p.IsSpecial():
+	case p.Kind != label.N:
 		return p.Prefix.Entries
 	}
 	u := spec.VertexRef{Graph: p.Graph, V: graph.VertexID(n.Index - 1)}
@@ -104,7 +112,7 @@ func wantPrefix(e *core.ExecutionLabeler, mode core.RMode, n *parsetree.Node) []
 		entry.HasRec, entry.Rec1, entry.Rec2 = true, e.Skeleton().Pi(u, rec), e.Skeleton().Pi(rec, u)
 	}
 	want := append(slices.Clone(p.Prefix.Entries), entry)
-	if n.IsSpecial() {
+	if n.Kind != label.N {
 		want = append(want, label.Entry{Index: n.Index, Type: n.Kind, Skl: spec.NoRef})
 	}
 	return want

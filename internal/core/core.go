@@ -18,7 +18,7 @@
 // after construction, so Pi may be evaluated concurrently on
 // previously issued labels while new vertices are still being
 // inserted. Accessors that read labeler-internal state (Label,
-// MustLabel, Reach, LabelCount) race with concurrent Insert calls and
+// MustLabel, Reach) race with concurrent Insert calls and
 // need the same serialization; concurrent services should instead copy
 // each label into their own read-side store as Insert returns it —
 // that is the discipline internal/service implements.
@@ -226,20 +226,11 @@ func (b *base) Reach(v, w graph.VertexID) bool {
 	return Pi(b.skel, b.MustLabel(v), b.MustLabel(w))
 }
 
-// Pi evaluates π on two labels using this labeler's skeleton scheme.
-func (b *base) Pi(l1, l2 label.Label) bool { return Pi(b.skel, l1, l2) }
-
 // Tree returns the explicit parse tree (nil before the first update).
 func (b *base) Tree() *parsetree.Node { return b.root }
 
 // Skeleton returns the skeleton scheme used by this labeler.
 func (b *base) Skeleton() *skeleton.Scheme { return b.skel }
-
-// Grammar returns the grammar being labeled.
-func (b *base) Grammar() *spec.Grammar { return b.g }
-
-// LabelCount returns the number of labels issued so far.
-func (b *base) LabelCount() int { return b.ctx.n }
 
 // graphOf returns the specification graph of an instance node.
 func (b *base) graphOf(x *parsetree.Node) *graph.Graph {

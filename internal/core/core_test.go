@@ -7,6 +7,7 @@ import (
 	"wfreach/internal/core"
 	"wfreach/internal/gen"
 	"wfreach/internal/graph"
+	"wfreach/internal/parsetree"
 	"wfreach/internal/run"
 	"wfreach/internal/skeleton"
 	"wfreach/internal/spec"
@@ -442,7 +443,7 @@ func TestRModeNoneOnLinearGrammar(t *testing.T) {
 // size.
 func TestLemma41DepthBound(t *testing.T) {
 	for name, g := range testSpecs() {
-		if !g.IsLinearRecursive() {
+		if !linearRecursive(g) {
 			continue
 		}
 		composites := len(g.Spec().CompositeNames())
@@ -471,7 +472,8 @@ func TestTheorem3LengthBound(t *testing.T) {
 	}
 	tree := d.Tree()
 	dt := tree.Depth()
-	theta := tree.MaxFanout()
+	theta := 0
+	walk(tree, func(n *parsetree.Node) { theta = max(theta, len(n.Children)) })
 	logTheta := 1
 	for 1<<logTheta < theta {
 		logTheta++

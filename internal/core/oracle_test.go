@@ -33,8 +33,8 @@ type oracleRef struct {
 
 func newOracle(g *spec.Grammar, d *core.DerivationLabeler) *lemma42Oracle {
 	o := &lemma42Oracle{g: g, d: d, ctx: make(map[graph.VertexID]oracleRef)}
-	d.Tree().Walk(func(n *parsetree.Node) {
-		if n.IsSpecial() {
+	walk(d.Tree(), func(n *parsetree.Node) {
+		if n.Kind != label.N {
 			return
 		}
 		for sv, v := range n.RunOf {
@@ -98,17 +98,17 @@ func (o *lemma42Oracle) reach(v, w graph.VertexID) bool {
 		if y.Index < yw.Index {
 			u := o.origin(rv.node, rv.sv, y)
 			wRec := o.g.Designated(y.Graph)
-			return o.g.Closure(y.Graph).Reaches(u, wRec)
+			return o.g.Spec().Graph(y.Graph).G.Reaches(u, wRec)
 		}
 		u := o.origin(rw.node, rw.sv, yw)
 		wRec := o.g.Designated(yw.Graph)
-		return o.g.Closure(yw.Graph).Reaches(wRec, u)
+		return o.g.Spec().Graph(yw.Graph).G.Reaches(wRec, u)
 	default:
 		// Non-special LCA (possibly one context is the other's
 		// ancestor): compare origins in the LCA's graph.
 		u := o.origin(rv.node, rv.sv, lca)
 		u2 := o.origin(rw.node, rw.sv, lca)
-		return o.g.Closure(lca.Graph).Reaches(u, u2)
+		return o.g.Spec().Graph(lca.Graph).G.Reaches(u, u2)
 	}
 }
 

@@ -160,23 +160,3 @@ func TestMinimalTwoVertexImplementations(t *testing.T) {
 	}
 	verifyAllPairs(t, r, d.Reach, "two-vertex-impl")
 }
-
-// TestTreeDump smoke-tests the Figure 9 style dump.
-func TestTreeDump(t *testing.T) {
-	_, d := paperDerivation(t)
-	out := d.Tree().DumpString(d.Grammar().Spec())
-	for _, want := range []string{"N g0", "L #2", "F #2", "R #3", "N h5"} {
-		if !contains(out, want) {
-			t.Fatalf("dump missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func contains(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
-}

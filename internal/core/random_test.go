@@ -34,7 +34,7 @@ func TestRandomLinearGrammarsProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if !g.IsLinearRecursive() {
+		if !linearRecursive(g) {
 			t.Fatalf("seed %d: RandomSpec produced a %v grammar", seed, g.Class())
 		}
 		r := gen.MustGenerate(g, gen.Options{TargetSize: 90, Seed: seed})
@@ -101,7 +101,7 @@ func TestRandomLinearGrammarsLabelLength(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if !g.IsLinearRecursive() {
+		if !linearRecursive(g) {
 			t.Fatalf("seed %d: RandomSpec produced a %v grammar", seed, g.Class())
 		}
 		codec := label.NewCodec(g)
@@ -149,7 +149,7 @@ func TestRandomNonlinearGrammarsProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if g.IsLinearRecursive() {
+		if linearRecursive(g) {
 			t.Fatalf("seed %d: expected nonlinear grammar", seed)
 		}
 		for _, mode := range []core.RMode{core.RModeDesignated, core.RModeNone} {

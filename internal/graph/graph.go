@@ -50,23 +50,6 @@ func New() *Graph {
 	return &Graph{}
 }
 
-// Clone returns a deep copy of g.
-func (g *Graph) Clone() *Graph {
-	c := &Graph{
-		names: append([]string(nil), g.names...),
-		dead:  append([]bool(nil), g.dead...),
-		out:   make([][]VertexID, len(g.out)),
-		in:    make([][]VertexID, len(g.in)),
-		edges: g.edges,
-		ndead: g.ndead,
-	}
-	for i := range g.out {
-		c.out[i] = append([]VertexID(nil), g.out[i]...)
-		c.in[i] = append([]VertexID(nil), g.in[i]...)
-	}
-	return c
-}
-
 // NumVertices returns the number of vertices.
 func (g *Graph) NumVertices() int { return len(g.names) }
 
@@ -332,9 +315,6 @@ func (c *Closure) Reaches(v, w VertexID) bool {
 	}
 	return c.row(int(v))[int(w)/64]&(1<<(uint(w)%64)) != 0
 }
-
-// N returns the number of vertices covered by the matrix.
-func (c *Closure) N() int { return c.n }
 
 // IsTwoTerminal reports whether g has a single source and a single
 // sink (Section 2.1's two-terminal graphs). The empty graph is not

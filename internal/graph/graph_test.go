@@ -165,8 +165,8 @@ func TestClosureOutOfRange(t *testing.T) {
 	if c.Reaches(0, 9) || c.Reaches(-1, 0) {
 		t.Fatal("out-of-range closure query should be false")
 	}
-	if c.N() != 2 {
-		t.Fatalf("Closure.N = %d", c.N())
+	if c.n != 2 {
+		t.Fatalf("Closure.N = %d", c.n)
 	}
 }
 

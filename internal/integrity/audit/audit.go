@@ -97,18 +97,6 @@ type Report struct {
 	Sessions []SessionReport
 }
 
-// Violations counts the sessions whose audit found tampering (or
-// could not run at all).
-func (r *Report) Violations() int {
-	n := 0
-	for _, s := range r.Sessions {
-		if s.Status == StatusViolation {
-			n++
-		}
-	}
-	return n
-}
-
 // VerifyDir audits every session under the data directory (any
 // subdirectory holding a session.json, exactly the set a restore
 // would pick up).

@@ -275,8 +275,8 @@ func TestVerifyDir(t *testing.T) {
 	for _, s := range rep.Sessions {
 		got = append(got, s.Session+":"+string(s.Status))
 	}
-	if want := "a:unavailable b:verified c:violation"; strings.Join(got, " ") != want || rep.Violations() != 1 {
-		t.Fatalf("audit = %v (%d violations), want %s", got, rep.Violations(), want)
+	if want := "a:unavailable b:verified c:violation"; strings.Join(got, " ") != want {
+		t.Fatalf("audit = %v, want %s", got, want)
 	}
 }
 

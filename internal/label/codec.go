@@ -84,9 +84,6 @@ func NewCodec(g *spec.Grammar) *Codec {
 	return c
 }
 
-// PointerBits returns the skeleton-pointer width in bits.
-func (c *Codec) PointerBits() int { return int(c.ptrBits) }
-
 // global converts a VertexRef into its global vertex number.
 func (c *Codec) global(r spec.VertexRef) int {
 	return c.offsets[r.Graph] + int(r.V)

@@ -87,16 +87,6 @@ type Label struct {
 	Entries []Entry
 }
 
-// Append returns a new label extending l with one entry. The receiver
-// is not modified; the underlying array is not shared with future
-// appends (full copy), preserving immutability of issued labels.
-func (l Label) Append(e Entry) Label {
-	entries := make([]Entry, len(l.Entries)+1)
-	copy(entries, l.Entries)
-	entries[len(l.Entries)] = e
-	return Label{Entries: entries}
-}
-
 // Len returns the number of entries.
 func (l Label) Len() int { return len(l.Entries) }
 

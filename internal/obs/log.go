@@ -81,9 +81,6 @@ func (l *Logger) Info(msg string, kv ...any) { l.log("info", msg, kv...) }
 // Warn logs one structured line at level warn.
 func (l *Logger) Warn(msg string, kv ...any) { l.log("warn", msg, kv...) }
 
-// Error logs one structured line at level error.
-func (l *Logger) Error(msg string, kv ...any) { l.log("error", msg, kv...) }
-
 // statusWriter captures the status code and body size a handler wrote.
 type statusWriter struct {
 	http.ResponseWriter

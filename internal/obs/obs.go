@@ -23,7 +23,6 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -377,15 +376,5 @@ func (r *Registry) Values() map[string]float64 {
 		}
 		f.mu.Unlock()
 	}
-	return out
-}
-
-// Names returns the registered family names, sorted — what a
-// completeness check (CI's mid-drill curl) asserts against.
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := append([]string(nil), r.order...)
-	sort.Strings(out)
 	return out
 }

@@ -172,17 +172,6 @@ func (n *Node) NextIndex() int32 { return int32(len(n.Children) + 1) }
 // instance's children, and disjoint from the root's 0).
 func SlotIndex(slot graph.VertexID) int32 { return int32(slot) + 1 }
 
-// IsSpecial reports whether the node is an L, F or R node.
-func (n *Node) IsSpecial() bool { return n.Kind != label.N }
-
-// Root returns the tree root.
-func (n *Node) Root() *Node {
-	for n.Parent != nil {
-		n = n.Parent
-	}
-	return n
-}
-
 // Depth returns the depth of the subtree rooted at n: the number of
 // levels (a single node has depth 1, matching the d_t of Table 1 as a
 // level count; Lemma 4.1 bounds edges-depth by 2|Σ\Δ|, i.e. levels by
@@ -204,23 +193,4 @@ func (n *Node) Size() int {
 		s += c.Size()
 	}
 	return s
-}
-
-// MaxFanout returns the maximum out-degree in the subtree (θ_t).
-func (n *Node) MaxFanout() int {
-	max := len(n.Children)
-	for _, c := range n.Children {
-		if f := c.MaxFanout(); f > max {
-			max = f
-		}
-	}
-	return max
-}
-
-// Walk visits every node of the subtree in preorder.
-func (n *Node) Walk(visit func(*Node)) {
-	visit(n)
-	for _, c := range n.Children {
-		c.Walk(visit)
-	}
 }

@@ -1,13 +1,10 @@
 package parsetree_test
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 
 	"wfreach/internal/label"
 	"wfreach/internal/parsetree"
-	"wfreach/internal/spec"
 )
 
 func TestTreeConstruction(t *testing.T) {
@@ -78,38 +75,4 @@ func TestSlotIndexDisjointFromRoot(t *testing.T) {
 	if parsetree.SlotIndex(0) != 1 || parsetree.SlotIndex(7) != 8 {
 		t.Fatal("SlotIndex off")
 	}
-}
-
-func TestDumpRendering(t *testing.T) {
-	// Build a small spec so Dump can resolve graph labels and names.
-	s := wfspecsStub(t)
-	root := parsetree.NewRoot(0, 3)
-	root.RunOf[0] = 0
-	l := root.AddSpecial(label.L, parsetree.SlotIndex(1))
-	c := l.AddInstance(1, 3, l.NextIndex())
-	c.RunOf[2] = 7
-	out := root.DumpString(s)
-	for _, want := range []string{"N g0", "L #1", "s0=0", "t1=7", "index 2"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("dump missing %q:\n%s", want, out)
-		}
-	}
-	var buf bytes.Buffer
-	root.Dump(&buf, s)
-	if buf.String() != out {
-		t.Fatal("Dump and DumpString disagree")
-	}
-}
-
-// wfspecsStub builds a two-graph spec without importing wfspecs (which
-// would be an import cycle through graph helpers elsewhere).
-func wfspecsStub(t *testing.T) *spec.Spec {
-	t.Helper()
-	return spec.NewBuilder().
-		Loop("L").
-		Start("g0", spec.G([]string{"s0", "L", "t0"},
-			[2]string{"s0", "L"}, [2]string{"L", "t0"})).
-		Implement("L", "h1", spec.G([]string{"s1", "w", "t1"},
-			[2]string{"s1", "w"}, [2]string{"w", "t1"})).
-		MustBuild()
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"wfreach/internal/api"
 	"wfreach/internal/core"
 	"wfreach/internal/gen"
 	"wfreach/internal/graph"
@@ -151,8 +152,8 @@ func assertEquivalent(t testing.TB, p, f *env, ws []*workload) {
 		}
 		for _, v := range sample {
 			for _, u := range sample {
-				pr, perr := ps.Reach(v, u)
-				fr, ferr := fs.Reach(v, u)
+				pr, perr := reach(ps, v, u)
+				fr, ferr := reach(fs, v, u)
 				if (perr == nil) != (ferr == nil) || pr != fr {
 					t.Fatalf("%s: reach(%d,%d): primary %v/%v follower %v/%v", w.name, v, u, pr, perr, fr, ferr)
 				}
@@ -350,7 +351,7 @@ func TestFollowerPromote(t *testing.T) {
 	}
 	for i := 0; i < len(w.events); i += 7 {
 		v, u := w.events[i].V, w.events[(i*13)%len(w.events)].V
-		got, err := fs.Reach(v, u)
+		got, err := reach(fs, v, u)
 		if err != nil || got != w.oracle.Reaches(v, u) {
 			t.Fatalf("promoted reach(%d,%d) = %v/%v, oracle %v", v, u, got, err, w.oracle.Reaches(v, u))
 		}
@@ -373,7 +374,7 @@ func TestFollowerPromote(t *testing.T) {
 	}
 	for i := 0; i < len(w.events); i += 11 {
 		v, u := w.events[i].V, w.events[(i*7)%len(w.events)].V
-		got, err := rs.Reach(v, u)
+		got, err := reach(rs, v, u)
 		if err != nil || got != w.oracle.Reaches(v, u) {
 			t.Fatalf("restored reach(%d,%d) = %v/%v", v, u, got, err)
 		}
@@ -417,7 +418,7 @@ func TestFollowerSessionVanished(t *testing.T) {
 	if !ok {
 		t.Fatal("follower dropped the session's local data")
 	}
-	if _, err := fs.Reach(w.events[0].V, w.events[len(w.events)-1].V); err != nil {
+	if _, err := reach(fs, w.events[0].V, w.events[len(w.events)-1].V); err != nil {
 		t.Fatalf("reads after primary delete: %v", err)
 	}
 }
@@ -479,4 +480,13 @@ func TestFollowerDetectsRecreatedSession(t *testing.T) {
 	if fs.Vertices() != n {
 		t.Fatalf("follower state moved after replacement: %d vertices, had %d", fs.Vertices(), n)
 	}
+}
+
+// reach answers one pair through the session's batch reach.
+func reach(s *service.Session, v, w graph.VertexID) (bool, error) {
+	a := s.ReachBatch([]api.ReachPair{{From: int32(v), To: int32(w)}})[0]
+	if a.Code != "" {
+		return false, api.Errorf(a.Code, "%s", a.Error)
+	}
+	return a.Reachable, nil
 }

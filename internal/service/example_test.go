@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"sort"
 
+	"wfreach/internal/api"
 	"wfreach/internal/core"
 	"wfreach/internal/gen"
 	"wfreach/internal/service"
@@ -95,11 +96,11 @@ func ExampleRegistry_Restore() {
 
 	s2, _ := reg2.Get("run1")
 	fmt.Println("vertices recovered:", s2.Vertices())
-	reachable, err := s2.Reach(events[0].V, events[len(events)/2-1].V)
-	if err != nil {
-		panic(err)
+	ans := s2.ReachBatch([]api.ReachPair{{From: int32(events[0].V), To: int32(events[len(events)/2-1].V)}})
+	if ans[0].Code != "" {
+		panic(ans[0].Error)
 	}
-	fmt.Println("source reaches last recovered vertex:", reachable)
+	fmt.Println("source reaches last recovered vertex:", ans[0].Reachable)
 	// Output:
 	// restored: [run1]
 	// vertices recovered: 100

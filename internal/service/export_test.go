@@ -3,9 +3,30 @@ package service
 import (
 	"testing"
 
+	"wfreach/internal/core"
+	"wfreach/internal/graph"
 	"wfreach/internal/run"
 	"wfreach/internal/spec"
+	"wfreach/internal/wal"
 )
+
+// AppendNamed ingests a batch of name-identified events (the Section
+// 5.3 naming-restriction setting), with Append's pipeline,
+// partial-batch and durability semantics.
+func (s *Session) AppendNamed(events []core.NamedEvent) (int, error) {
+	return appendBatch(s, events, wal.NamedRecord, nil, true)
+}
+
+// Reach answers v ;* w as one request to the store — Enter, read,
+// Leave; on a session Registry.Delete has retired it is refused with
+// CodeSessionNotFound.
+func (s *Session) Reach(v, w graph.VertexID) (bool, error) {
+	if !s.store.Enter() {
+		return false, s.deleted()
+	}
+	defer s.store.Leave()
+	return s.reach(v, w)
+}
 
 // DisableChain turns off the session's WAL hash chain. Test-and-bench
 // only: the chained/unchained pair of ingest benchmarks uses it to

@@ -153,7 +153,7 @@ func TestHTTPEventFormsAndErrors(t *testing.T) {
 		if i%2 == 0 {
 			wire[i] = api.FromRun(ev)
 		} else {
-			wire[i] = api.FromNamed(toNamed(r, ev))
+			wire[i] = namedWire(toNamed(r, ev))
 		}
 	}
 	var er api.EventsResponse
@@ -189,9 +189,9 @@ func TestHTTPEventFormsAndErrors(t *testing.T) {
 	doJSON(t, "POST", srv.URL+"/v1/sessions", api.CreateSessionRequest{Name: "mix", Builtin: "RunningExample"}, nil)
 	mixed := []api.Event{
 		api.FromRun(events[0]),
-		api.FromNamed(toNamed(r, events[1])),
-		api.FromNamed(toNamed(r, events[2])),
-		api.FromNamed(toNamed(r, events[2])), // duplicate: fails at batch index 3
+		namedWire(toNamed(r, events[1])),
+		namedWire(toNamed(r, events[2])),
+		namedWire(toNamed(r, events[2])), // duplicate: fails at batch index 3
 	}
 	code, raw = doJSON(t, "POST", srv.URL+"/v1/sessions/mix/events", api.EventsRequest{Events: mixed}, nil)
 	if code != http.StatusBadRequest || !strings.Contains(raw, "event 3:") {

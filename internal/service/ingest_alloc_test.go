@@ -185,6 +185,51 @@ func TestReplayAllocatesPerInstance(t *testing.T) {
 	}
 }
 
+// TestDeferredReplayAllocatesPerChunk: after a restore whose snapshot
+// covers the whole log, the first Append rebuilds the labeler from the
+// log. Over one-event frames it allocates per parse-tree chunk, not
+// per frame: the walk decodes every frame into the same scratch.
+func TestDeferredReplayAllocatesPerChunk(t *testing.T) {
+	const logged = 20_000
+	dir := t.TempDir()
+	reg := durableReg(t, dir, DurableOptions{SnapshotEvery: 1 << 20})
+	g := compileBuiltin(t, "BioAID")
+	s, err := reg.Create("gate", g, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, _ := genEvents(t, g, logged+1000, 31)
+	if len(events) <= logged {
+		t.Fatalf("generated %d events, want more than %d", len(events), logged)
+	}
+	appendAll(t, s, events[:logged], 256) // Append logs a frame per event
+	// Close leaves a snapshot that covers the whole log.
+	if err := reg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reg2 := durableReg(t, dir, DurableOptions{SnapshotEvery: 1 << 20})
+	t.Cleanup(func() { reg2.Close() })
+	if _, err := reg2.Restore(dir); err != nil {
+		t.Fatal(err)
+	}
+	s2, _ := reg2.Get("gate")
+	if !s2.needLabelerReplay {
+		t.Fatal("a restore the snapshot covers whole should defer the labeler")
+	}
+	before := mallocs()
+	_, err = s2.Append(events[logged : logged+1])
+	after := mallocs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	perFrame := float64(after-before) / logged
+	t.Logf("first write after a hash-only restore of %d frames (%d instances opened): %d allocations, %.3f per frame",
+		logged, opens(g, events[:logged]), after-before, perFrame)
+	if perFrame >= 0.1 {
+		t.Errorf("the deferred replay allocates %.3f objects per frame, want under 0.1", perFrame)
+	}
+}
+
 // TestBinaryReachHandlerAllocatesPerRequest drives the binary arm of
 // handleReachBatch through ServeHTTP with an in-memory recorder: a
 // 4,096-pair batch costs the objects a 64-pair batch costs — body,

@@ -61,11 +61,11 @@ func TestIngestScratchDiesWithTheBatch(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				rec, err := wal.DecodeRecordInto(&arena, frame[wal.FrameHeaderSize:])
-				if err != nil {
-					t.Fatal(err)
+				recs, err := wal.DecodePayload(nil, &arena, frame[wal.FrameHeaderSize:])
+				if err != nil || len(recs) != 1 {
+					t.Fatalf("%d records, %v", len(recs), err)
 				}
-				b.add(rec, frame)
+				b.add(recs[0], frame)
 			}
 			if n, err := c.s.AppendRecords(b.recs, b.frames); err != nil || n != 100 {
 				t.Fatalf("batch at %d: applied %d: %v", lo, n, err)

@@ -91,10 +91,6 @@ func newNodeMetrics(r *obs.Registry) *nodeMetrics {
 // cluster subsystems' instruments.
 func (r *Registry) Obs() *obs.Registry { return r.metrics.obs }
 
-// WALMetrics returns the WAL plane's instrument set (shared by every
-// session log and the group committer).
-func (r *Registry) WALMetrics() *wal.Metrics { return r.metrics.wal }
-
 // bindMetrics resolves the session's per-session series once, at
 // create/restore time, so the ingest path adds to cached atomics
 // instead of looking label values up per batch.

@@ -16,8 +16,8 @@
 // slab, and publish once per batch. The store (see internal/store) owns
 // its own synchronization: a label is visible once the slab's published
 // position has moved past it, and nothing below that position is ever
-// rewritten, so the query path (Reach, Lineage, Stats) acquires no
-// mutex at all — labels are immutable (Section 2.4). On a
+// rewritten, so the query path (ReachBatch, LineagePage, Stats)
+// acquires no mutex at all — labels are immutable (Section 2.4). On a
 // durable registry, batch durability is acknowledged through a
 // cross-session group committer: one flush/fsync per log is amortized
 // over every batch that queued while the previous flush was on the
@@ -478,13 +478,6 @@ func (s *Session) Append(events []run.Event) (int, error) {
 	return appendBatch(s, events, wal.RefRecord, nil, true)
 }
 
-// AppendNamed ingests a batch of name-identified events (the Section
-// 5.3 naming-restriction setting), with Append's pipeline,
-// partial-batch and durability semantics.
-func (s *Session) AppendNamed(events []core.NamedEvent) (int, error) {
-	return appendBatch(s, events, wal.NamedRecord, nil, true)
-}
-
 // AppendRecords ingests a batch of WAL-form records — the two event
 // forms may be mixed freely — with Append's pipeline, partial-batch
 // and durability semantics. When frames is non-nil it holds, for each
@@ -504,9 +497,9 @@ func (s *Session) AppendRecords(recs []wal.Record, frames [][]byte) (int, error)
 	return appendBatch(s, recs, func(rec wal.Record) wal.Record { return rec }, frames, false)
 }
 
-// appendBatch is the ingest loop behind Append, AppendNamed and
-// AppendRecords, which differ only in the element type: record puts
-// element i in WAL form, frames, when non-nil, marks where each
+// appendBatch is the ingest loop behind Append and AppendRecords,
+// which differ only in the element type: record puts element i in WAL
+// form, frames, when non-nil, marks where each
 // pre-encoded frame opens, and frameEach frames the records it frames
 // itself one per frame, logging each as it goes. Per event the order
 // is label → stage, and per frame → log: the issued label lives in
@@ -735,10 +728,6 @@ func (s *Session) ingestBlockedLocked() error {
 	return s.ensureLabelerLocked()
 }
 
-// errLabelerCaughtUp aborts the deferred replay scan once the labeler
-// has consumed exactly the records the restored store covers.
-var errLabelerCaughtUp = errors.New("service: labeler caught up")
-
 // ensureLabelerLocked rebuilds the labeler state an arena restore
 // deferred: the first walEvents records of the log are replayed
 // through the labeler only — no encoding, no store writes, the store
@@ -751,23 +740,9 @@ func (s *Session) ensureLabelerLocked() error {
 	if !s.needLabelerReplay {
 		return nil
 	}
-	target := s.walEvents
-	n := int64(0)
-	_, _, err := wal.Scan(s.walPath, func(i int, rec wal.Record) error {
-		if n >= target {
-			return errLabelerCaughtUp
-		}
-		if _, _, ierr := s.labelRecord(rec); ierr != nil {
-			return fmt.Errorf("service: session %q: deferred replay at record %d: %w", s.name, i, ierr)
-		}
-		n++
-		return nil
-	})
-	if errors.Is(err, errLabelerCaughtUp) {
-		err = nil
-	}
-	if err == nil && n < target {
-		err = fmt.Errorf("service: session %q: log holds %d records, restored state covers %d", s.name, n, target)
+	n, err := s.relabelLocked(s.walEvents)
+	if err == nil && n < s.walEvents {
+		err = fmt.Errorf("service: session %q: log holds %d records, restored state covers %d", s.name, n, s.walEvents)
 	}
 	if err != nil {
 		s.ioErr = fmt.Errorf("service: session %q: %w: %v", s.name, ErrDurability, err)
@@ -775,6 +750,41 @@ func (s *Session) ensureLabelerLocked() error {
 	}
 	s.needLabelerReplay = false
 	return nil
+}
+
+// relabelLocked feeds the first target records of the log through the
+// labeler only and returns how many it fed. A torn or corrupt tail ends
+// the walk early, as it ends replay's. One record and predecessor
+// buffer serves every frame, as in replay: the labeler copies what it
+// keeps. Called with ingestMu held.
+func (s *Session) relabelLocked(target int64) (n int64, err error) {
+	fr, f, err := wal.OpenFrames(s.walPath, 0)
+	if err != nil {
+		return 0, err
+	}
+	defer f.Close()
+	var recs []wal.Record
+	var preds []graph.VertexID
+	for n < target {
+		frame, err := fr.Next()
+		switch {
+		case err == io.EOF, errors.Is(err, wal.ErrCorrupt):
+			return n, nil
+		case err != nil:
+			return n, fmt.Errorf("wal: %w", err)
+		}
+		preds = preds[:0]
+		if recs, err = wal.DecodePayload(recs[:0], &preds, frame[wal.FrameHeaderSize:]); err != nil {
+			return n, nil // framed but malformed: damage like a failed CRC
+		}
+		for _, rec := range recs[:min(int64(len(recs)), target-n)] {
+			if _, _, err := s.labelRecord(rec); err != nil {
+				return n, fmt.Errorf("service: session %q: deferred replay at record %d: %w", s.name, n, err)
+			}
+			n++
+		}
+	}
+	return n, nil
 }
 
 // Seal permanently stops ingest into the session and returns the
@@ -853,28 +863,17 @@ func (s *Session) finishLocked(applied int, err error) (int, error) {
 	return applied, err
 }
 
-// Reach answers v ;* w from the encoded labels alone, without taking
-// any lock. Both vertices must already be labeled; querying a vertex
-// the session has not seen yet is an error (the caller cannot
-// distinguish "not reachable" from "not yet executed" — the paper's
-// partial-run semantics make that the caller's call to retry). Like
-// every query, it is one request to the store — Enter, read, Leave —
-// and on a session Registry.Delete has retired it is refused with
-// CodeSessionNotFound.
-func (s *Session) Reach(v, w graph.VertexID) (bool, error) {
-	if !s.store.Enter() {
-		return false, s.deleted()
-	}
-	defer s.store.Leave()
-	return s.reach(v, w)
-}
-
 // deleted is the answer to a query on a session Delete has retired.
 func (s *Session) deleted() *api.Error {
 	return api.Errorf(api.CodeSessionNotFound, "session %q was deleted", s.name)
 }
 
-// reach is Reach inside the caller's Enter/Leave.
+// reach answers v ;* w from the encoded labels alone, without taking
+// any lock, inside the caller's Enter/Leave. Both vertices must already
+// be labeled; querying a vertex the session has not seen yet is an
+// error (the caller cannot distinguish "not reachable" from "not yet
+// executed" — the paper's partial-run semantics make that the caller's
+// call to retry).
 func (s *Session) reach(v, w graph.VertexID) (bool, error) {
 	bv, okv := s.store.GetRaw(v)
 	bw, okw := s.store.GetRaw(w)
@@ -897,8 +896,8 @@ func (s *Session) reach(v, w graph.VertexID) (bool, error) {
 // per pair in request order. Pair-level failures (an unlabeled
 // vertex) are reported inline on the answer — one unanswerable pair
 // never invalidates the batch, which is what lets a client amortize
-// a roundtrip over dozens of questions. Like Reach, the whole batch
-// runs lock-free against the published labels. It is ReachBatchInto
+// a roundtrip over dozens of questions. The whole batch runs
+// lock-free against the published labels. It is ReachBatchInto
 // with the answers spelled out: the one allocation is the slice it
 // returns.
 func (s *Session) ReachBatch(pairs []api.ReachPair) []api.ReachAnswer {

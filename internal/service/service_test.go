@@ -46,6 +46,15 @@ func toNamed(r *run.Run, ev run.Event) core.NamedEvent {
 	return core.NamedEvent{V: ev.V, Name: r.NameOf(ev.V), Preds: ev.Preds}
 }
 
+// namedWire is a named event's wire form.
+func namedWire(ev core.NamedEvent) api.Event {
+	w := api.Event{V: int32(ev.V), Name: ev.Name}
+	for _, p := range ev.Preds {
+		w.Preds = append(w.Preds, int32(p))
+	}
+	return w
+}
+
 func TestRegistryLifecycle(t *testing.T) {
 	reg := NewRegistry()
 	g := compileBuiltin(t, "BioAID")
@@ -237,7 +246,7 @@ func TestNamedDuplicateVertexIsBadEvent(t *testing.T) {
 	wire := make([]api.Event, len(events))
 	for i, ev := range events {
 		named[i] = toNamed(r, ev)
-		wire[i] = api.FromNamed(named[i])
+		wire[i] = namedWire(named[i])
 	}
 	dup := named[k]
 	dup.V = events[0].V
@@ -253,7 +262,7 @@ func TestNamedDuplicateVertexIsBadEvent(t *testing.T) {
 
 	srv := newTestServer(t)
 	doJSON(t, "POST", srv.URL+"/v1/sessions", api.CreateSessionRequest{Name: "n", Builtin: "BioAID"}, nil)
-	badWire := append(append([]api.Event{}, wire[:k]...), api.FromNamed(dup))
+	badWire := append(append([]api.Event{}, wire[:k]...), namedWire(dup))
 	code, raw := doJSON(t, "POST", srv.URL+"/v1/sessions/n/events", api.EventsRequest{Events: badWire}, nil)
 	expectCode(t, 400, api.CodeBadEvent, code, raw)
 	var resp api.ErrorResponse

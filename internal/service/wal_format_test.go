@@ -206,11 +206,11 @@ func TestGoldenV1ContinuesInCompactRecords(t *testing.T) {
 		if err != nil {
 			break
 		}
-		rec, err := wal.DecodeRecord(frame[wal.FrameHeaderSize:])
-		if err != nil || frame[wal.FrameHeaderSize] != 0x01 {
-			t.Fatalf("fixture record %d: kind 0x%02x, %v", len(events), frame[wal.FrameHeaderSize], err)
+		recs, err := wal.DecodePayload(nil, new([]graph.VertexID), frame[wal.FrameHeaderSize:])
+		if err != nil || len(recs) != 1 || frame[wal.FrameHeaderSize] != 0x01 {
+			t.Fatalf("fixture record %d: kind 0x%02x, %d records, %v", len(events), frame[wal.FrameHeaderSize], len(recs), err)
 		}
-		events = append(events, rec.Ref)
+		events = append(events, recs[0].Ref)
 		ends = append(ends, int(fr.Offset()))
 	}
 	if len(events) <= cut || ends[len(ends)-1] != len(classic) {

@@ -48,8 +48,6 @@ type GraphScheme interface {
 	Reaches(v, w graph.VertexID) bool
 	// Bits is the total label storage in bits (0 for BFS).
 	Bits() int
-	// Kind identifies the scheme.
-	Kind() Kind
 }
 
 // NewGraphScheme builds a GraphScheme of the given kind over g.
@@ -124,34 +122,27 @@ func (t *graphTCL) Reaches(v, w graph.VertexID) bool {
 // vertex's index is implicit in its label length).
 func (t *graphTCL) Bits() int { return t.n * (t.n - 1) / 2 }
 
-func (t *graphTCL) Kind() Kind { return TCL }
-
 type graphBFS struct{ g *graph.Graph }
 
 func (b graphBFS) Reaches(v, w graph.VertexID) bool { return b.g.Reaches(v, w) }
 func (b graphBFS) Bits() int                        { return 0 }
-func (b graphBFS) Kind() Kind                       { return BFS }
 
 // Scheme labels every graph of a specification and answers the π_G
 // queries of Algorithm 1/4: reachability between two vertices of the
 // same specification graph.
 type Scheme struct {
-	kind   Kind
 	graphs []GraphScheme
 }
 
 // New builds skeleton labels for all graphs of the grammar's
 // specification.
 func New(k Kind, g *spec.Grammar) *Scheme {
-	s := &Scheme{kind: k}
+	s := &Scheme{}
 	for _, ng := range g.Spec().Graphs() {
 		s.graphs = append(s.graphs, NewGraphScheme(k, ng.G))
 	}
 	return s
 }
-
-// Kind returns the scheme kind.
-func (s *Scheme) Kind() Kind { return s.kind }
 
 // Pi reports a ;* b for two vertices of the same specification graph;
 // it panics if the refs name different graphs (Algorithm 4 only ever
@@ -172,6 +163,3 @@ func (s *Scheme) Bits() int {
 	}
 	return total
 }
-
-// GraphBits returns the label storage for one specification graph.
-func (s *Scheme) GraphBits(id spec.GraphID) int { return s.graphs[id].Bits() }

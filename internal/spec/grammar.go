@@ -55,12 +55,10 @@ type Grammar struct {
 	induces    map[string]map[string]bool // reflexive-transitive ↦*
 	recVerts   [][]graph.VertexID         // per graph: recursive vertices (ascending)
 	designated []graph.VertexID           // per graph: compressed recursive vertex or None
-	closures   []*graph.Closure           // per graph: reachability matrix
 	class      Class
 	minExpand  map[string]int // per composite name: min atomic vertices of a full expansion
 
 	totalVertices int
-	maxGraphSize  int
 }
 
 // Compile analyzes a specification into a Grammar.
@@ -172,13 +170,7 @@ func Compile(s *Spec) (*Grammar, error) {
 		_ = series
 	}
 
-	// Reachability closures (skeleton ground truth, recursion flags).
-	g.closures = make([]*graph.Closure, len(s.graphs))
 	for _, ng := range s.graphs {
-		g.closures[ng.ID] = ng.G.Closure()
-		if n := ng.G.NumVertices(); n > g.maxGraphSize {
-			g.maxGraphSize = n
-		}
 		g.totalVertices += ng.G.NumVertices()
 	}
 
@@ -279,49 +271,11 @@ func (g *Grammar) Class() Class { return g.class }
 // IsRecursive reports whether any production has a recursive vertex.
 func (g *Grammar) IsRecursive() bool { return g.class != ClassNonRecursive }
 
-// IsLinearRecursive reports whether the grammar admits the compact
-// dynamic scheme (Definition 10; non-recursive grammars qualify
-// trivially).
-func (g *Grammar) IsLinearRecursive() bool {
-	return g.class == ClassNonRecursive || g.class == ClassLinear
-}
-
-// Induces reports A ↦* B (Section 4.1).
-func (g *Grammar) Induces(a, b string) bool { return g.induces[a][b] }
-
-// RecursiveVertices returns the recursive vertices of the production
-// headed by the owner of graph id (ascending vertex order; empty for
-// the start graph).
-func (g *Grammar) RecursiveVertices(id GraphID) []graph.VertexID { return g.recVerts[id] }
-
-// IsRecursiveVertex reports whether v is a recursive vertex of the
-// production with body id.
-func (g *Grammar) IsRecursiveVertex(id GraphID, v graph.VertexID) bool {
-	for _, r := range g.recVerts[id] {
-		if r == v {
-			return true
-		}
-	}
-	return false
-}
-
 // Designated returns the recursive vertex of graph id compressed by R
 // nodes (graph.None when the graph has none, or when its owner is a
 // loop or fork). For linear recursive grammars this is the unique
 // recursive vertex.
 func (g *Grammar) Designated(id GraphID) graph.VertexID { return g.designated[id] }
-
-// Closure returns the reachability matrix of graph id.
-func (g *Grammar) Closure(id GraphID) *graph.Closure { return g.closures[id] }
-
-// Reaches answers u ;*_h v for two vertices of the same specification
-// graph; it panics if the refs name different graphs.
-func (g *Grammar) Reaches(a, b VertexRef) bool {
-	if a.Graph != b.Graph {
-		panic("spec: Reaches across graphs")
-	}
-	return g.closures[a.Graph].Reaches(a.V, b.V)
-}
 
 // MinExpansion returns the minimum number of atomic vertices a full
 // expansion of the composite name can produce (loops and forks
@@ -346,9 +300,6 @@ func (g *Grammar) MinRunSize() int {
 
 // TotalVertices returns Σ|V(h)| over G(S) — the paper's n_G.
 func (g *Grammar) TotalVertices() int { return g.totalVertices }
-
-// MaxGraphSize returns max |V(h)| over G(S).
-func (g *Grammar) MaxGraphSize() int { return g.maxGraphSize }
 
 // PointerBits returns the width of a skeleton-label pointer:
 // ⌈log₂ n_G⌉ bits (Theorem 3's accounting).

@@ -127,16 +127,6 @@ func (s *Spec) CompositeNames() []string {
 	return out
 }
 
-// TotalVertices returns Σ |V(h)| over all graphs of G(S): the n_G of
-// the paper's quality analysis (Table 1).
-func (s *Spec) TotalVertices() int {
-	n := 0
-	for _, g := range s.graphs {
-		n += g.G.NumVertices()
-	}
-	return n
-}
-
 // Builder assembles a specification. Names not declared with Declare*
 // are implicitly atomic.
 type Builder struct {
@@ -364,41 +354,6 @@ func (s *Spec) NameResolvable() error {
 		}
 	}
 	return nil
-}
-
-// ResolveName returns the unique vertex of graph id with the given
-// name, or an error. Intended for name-resolvable specifications.
-func (s *Spec) ResolveName(id GraphID, name string) (graph.VertexID, error) {
-	g := s.graphs[id].G
-	found := graph.None
-	for v := 0; v < g.NumVertices(); v++ {
-		if g.Name(graph.VertexID(v)) == name {
-			if found != graph.None {
-				return graph.None, fmt.Errorf("spec: name %q ambiguous in graph %s", name, s.graphs[id].Label)
-			}
-			found = graph.VertexID(v)
-		}
-	}
-	if found == graph.None {
-		return graph.None, fmt.Errorf("spec: name %q not in graph %s", name, s.graphs[id].Label)
-	}
-	return found, nil
-}
-
-// TerminalByName resolves a globally unique terminal-dummy name to its
-// graph and vertex, reporting whether it is a source. It returns false
-// if the name is not a terminal dummy of any graph.
-func (s *Spec) TerminalByName(name string) (ref VertexRef, isSource, ok bool) {
-	for _, ng := range s.graphs {
-		g := ng.G
-		if g.Name(g.Source()) == name {
-			return VertexRef{Graph: ng.ID, V: g.Source()}, true, true
-		}
-		if g.Name(g.Sink()) == name {
-			return VertexRef{Graph: ng.ID, V: g.Sink()}, false, true
-		}
-	}
-	return NoRef, false, false
 }
 
 // nonTerminating returns the composite names that can never derive an

@@ -275,23 +275,6 @@ func TestResolveName(t *testing.T) {
 	}
 }
 
-func TestTerminalByName(t *testing.T) {
-	s := wfspecs.RunningExample()
-	ref, isSource, ok := s.TerminalByName("s3")
-	if !ok || !isSource {
-		t.Fatal("s3 is the source of h3")
-	}
-	if s.Graph(ref.Graph).Label != "h3" {
-		t.Fatalf("s3 resolved to %s", s.Graph(ref.Graph).Label)
-	}
-	if _, isSource, ok = s.TerminalByName("t6"); !ok || isSource {
-		t.Fatal("t6 is the sink of h6")
-	}
-	if _, _, ok = s.TerminalByName("B"); ok {
-		t.Fatal("B is not a terminal dummy")
-	}
-}
-
 func TestMinExpansion(t *testing.T) {
 	g := spec.MustCompile(wfspecs.RunningExample())
 	// B's only expansion is h5: 2 atoms.

@@ -29,7 +29,7 @@
 // check, one index store, and the label encoded straight into its
 // extent) and make the batch visible with [Store.Publish], which stores
 // the slab's write position into one atomic word. Readers
-// ([Store.GetRaw], [Store.Reach], [Store.Lineage],
+// ([Store.GetRaw], [Store.ReachBytes], [Store.Lineage],
 // [Store.SnapshotEntries], stats) take no lock. An extent is visible
 // when it lies below the published position, and nothing below that
 // position is ever rewritten, so reads are race-free by construction.
@@ -194,16 +194,6 @@ func New(g *spec.Grammar, kind skeleton.Kind) *Store {
 // benchmark retires it (ROADMAP item 1(b)).
 func NewSharded(g *spec.Grammar, kind skeleton.Kind, _ int) *Store { return New(g, kind) }
 
-// NewFromArena builds a store over an already-open arena snapshot; see
-// AttachArena for the ownership contract.
-func NewFromArena(g *spec.Grammar, kind skeleton.Kind, a *arena.Arena) (*Store, error) {
-	s := New(g, kind)
-	if err := s.AttachArena(a, nil); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
 // mapping is an adopted arena and how it is given back. It is an
 // allocation of its own so that the cleanup registered on the Store can
 // hold it without holding the Store.
@@ -363,14 +353,6 @@ func withPage(pages []*page, i int) []*page {
 	return out
 }
 
-// Encode encodes a label with the store's codec without storing it.
-// The codec is immutable, so Encode is safe to call concurrently.
-//
-// The ingest pipeline no longer calls it (Stage encodes in place); it
-// stays for tests and the frozen benchmark/layers.go (ROADMAP item
-// 1(b)).
-func (s *Store) Encode(l label.Label) []byte { return s.codec.Encode(l) }
-
 // Stage stages the label of v: its extent is reserved in the slab and
 // the label encoded there, in place — no encoded copy exists outside
 // the slab — invisible to readers until Publish. l is only read during
@@ -517,19 +499,6 @@ func (s *Store) from(start int64) iter.Seq2[graph.VertexID, []byte] {
 // New.
 func (s *Store) ReachBytes(bv, bw []byte) (bool, error) {
 	return core.PiBytes(s.codec, s.skel, bv, bw)
-}
-
-// Reach answers v ;* w from the stored bytes alone, lock-free.
-func (s *Store) Reach(v, w graph.VertexID) (bool, error) {
-	bv, ok := s.GetRaw(v)
-	if !ok {
-		return false, fmt.Errorf("store: vertex %d: %w", v, ErrNotStored)
-	}
-	bw, ok := s.GetRaw(w)
-	if !ok {
-		return false, fmt.Errorf("store: vertex %d: %w", w, ErrNotStored)
-	}
-	return s.ReachBytes(bv, bw)
 }
 
 // Lineage returns the published vertices that reach v (its provenance

@@ -47,19 +47,19 @@ func TestCommitAllocatesNothing(t *testing.T) {
 func TestDecodeRecordAllocs(t *testing.T) {
 	payload := refPayload(9, 1, 2, 3, 4, 5)
 	if n := testing.AllocsPerRun(100, func() {
-		if _, err := DecodeRecord(payload); err != nil {
+		if _, err := decodeRecordInto(nil, payload); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 1 {
-		t.Fatalf("DecodeRecord: %v allocations, want 1", n)
+		t.Fatalf("a decode into a fresh arena: %v allocations, want 1", n)
 	}
 	arena := make([]graph.VertexID, 0, 8)
 	if n := testing.AllocsPerRun(100, func() {
 		arena = arena[:0]
-		if _, err := DecodeRecordInto(&arena, payload); err != nil {
+		if _, err := decodeRecordInto(&arena, payload); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
-		t.Fatalf("DecodeRecordInto a warm arena: %v allocations, want 0", n)
+		t.Fatalf("a decode into a warm arena: %v allocations, want 0", n)
 	}
 }

@@ -3,6 +3,7 @@ package wal
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -13,6 +14,23 @@ import (
 	"wfreach/internal/run"
 	"wfreach/internal/spec"
 )
+
+// decodeRecordInto decodes a payload of exactly one record, its
+// predecessors appended to *arena as DecodePayload puts them; a nil
+// arena gives the record a slice of its own. On an error the arena is
+// as it was.
+func decodeRecordInto(arena *[]graph.VertexID, b []byte) (Record, error) {
+	if arena == nil {
+		arena = new([]graph.VertexID)
+	}
+	held := len(*arena)
+	rec, n, err := decodeRecord(arena, b, true)
+	if err == nil && n != len(b) {
+		*arena = (*arena)[:held]
+		return Record{}, fmt.Errorf("%w: %d bytes past the end of the record", ErrCorrupt, len(b)-n)
+	}
+	return rec, err
+}
 
 // classicPayload is the reference writer of the classic record kinds
 // earlier builds wrote, which the decoder still reads: a bare kind byte,
@@ -105,8 +123,8 @@ func TestDecodeRecordRefusesIDsPastInt32(t *testing.T) {
 		{"compact: delta past 2^32", compactPayload(top, 0, 0, 1<<33), false},
 	} {
 		arena := []graph.VertexID{7}
-		rec, err := DecodeRecordInto(&arena, tc.payload)
-		if _, err2 := DecodeRecord(tc.payload); (err == nil) != (err2 == nil) {
+		rec, err := decodeRecordInto(&arena, tc.payload)
+		if _, err2 := decodeRecordInto(nil, tc.payload); (err == nil) != (err2 == nil) {
 			t.Fatalf("%s: arena decode says %v, plain decode %v", tc.name, err, err2)
 		}
 		if !tc.ok {
@@ -145,7 +163,7 @@ func checkReframes(t *testing.T, name string, rec Record, payload []byte) {
 		if want := classicPayload(rec); !slices.Equal(payload, want) {
 			t.Fatalf("%s: classic payload %x decodes to %+v, which the classic writer frames as %x", name, payload, rec, want)
 		}
-		back, err := DecodeRecord(compact)
+		back, err := decodeRecordInto(nil, compact)
 		if err != nil || !reflect.DeepEqual(back, rec) {
 			t.Fatalf("%s: classic %+v re-frames to compact %x, which decodes to %+v, %v", name, rec, compact, back, err)
 		}
@@ -201,7 +219,7 @@ func TestDecodeRecordRefusesNonCanonicalBytes(t *testing.T) {
 		{"empty", []byte{}},
 	} {
 		arena := []graph.VertexID{7}
-		if rec, err := DecodeRecordInto(&arena, tc.payload); !errors.Is(err, ErrCorrupt) {
+		if rec, err := decodeRecordInto(&arena, tc.payload); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: %x decoded to %+v, %v; want ErrCorrupt", tc.name, tc.payload, rec, err)
 		}
 		if !slices.Equal(arena, []graph.VertexID{7}) {
@@ -219,7 +237,7 @@ func TestDecodeRecordRefusesNonCanonicalBytes(t *testing.T) {
 		{"compact: escaped count", escaped[FrameHeaderSize:]},
 		{"compact: predecessor above the vertex", compactPayload(5, 0, 0, 1)},
 	} {
-		rec, err := DecodeRecord(tc.payload)
+		rec, err := decodeRecordInto(nil, tc.payload)
 		if err != nil {
 			t.Fatalf("%s: %x: %v", tc.name, tc.payload, err)
 		}
@@ -260,7 +278,7 @@ func TestCompactKindByte(t *testing.T) {
 		if want := fields + tc.preds + max(0, tc.preds-75); len(payload) != want {
 			t.Fatalf("%d preds: %d payload bytes, want %d", tc.preds, len(payload), want)
 		}
-		back, err := DecodeRecord(payload)
+		back, err := decodeRecordInto(nil, payload)
 		if err != nil || !reflect.DeepEqual(back, rec) {
 			t.Fatalf("%d preds: decodes to %+v, %v", tc.preds, back, err)
 		}
@@ -268,7 +286,8 @@ func TestCompactKindByte(t *testing.T) {
 }
 
 // FuzzDecodeRecordInto: on arbitrary payloads the arena-taking decode
-// accepts exactly what DecodeRecord accepts and yields an equal record,
+// accepts exactly what a decode into a fresh arena accepts and yields
+// an equal record,
 // never panics, appends exactly the record's predecessors after what
 // the arena held, and leaves the arena alone when it refuses. A record
 // that decodes re-frames by the invariant checkReframes states: a
@@ -309,8 +328,8 @@ func FuzzDecodeRecordInto(f *testing.F) {
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		held := []graph.VertexID{11, 12, 13}
 		arena := append(make([]graph.VertexID, 0, rand.Intn(8)+3), held...)
-		want, wantErr := DecodeRecord(payload)
-		got, err := DecodeRecordInto(&arena, payload)
+		want, wantErr := decodeRecordInto(nil, payload)
+		got, err := decodeRecordInto(&arena, payload)
 		if (err == nil) != (wantErr == nil) {
 			t.Fatalf("arena decode: %v, plain decode: %v", err, wantErr)
 		}

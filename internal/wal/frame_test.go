@@ -124,7 +124,7 @@ func TestFrameReaderAllocs(t *testing.T) {
 // TestAppendFrameAcceptsOnlyWhatDecodes is the writer's half of the
 // frame contract: over random records — ids drawn from both sides of
 // zero and both ends of the int32 range — every record AppendFrame
-// accepts reads back equal through FrameReader and DecodeRecord, and
+// accepts reads back equal through FrameReader and decodeRecordInto, and
 // the ones it refuses are exactly those carrying a negative vertex id.
 // (A log must never hold a frame its own reader calls corrupt: restore
 // would take it for a torn tail and drop everything after it.)
@@ -174,7 +174,7 @@ func TestAppendFrameAcceptsOnlyWhatDecodes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("accepted frame of %+v does not read back: %v", rec, err)
 		}
-		back, err := DecodeRecord(got[FrameHeaderSize:])
+		back, err := decodeRecordInto(nil, got[FrameHeaderSize:])
 		if err != nil || !reflect.DeepEqual(back, rec) {
 			t.Fatalf("accepted %+v, decoded %+v, %v", rec, back, err)
 		}

@@ -171,7 +171,7 @@ func TestTailerHistoryThenLive(t *testing.T) {
 	}
 	dec := make([]Record, 0, len(want))
 	for _, frame := range want {
-		r, err := DecodeRecord(frame[FrameHeaderSize:])
+		r, err := decodeRecordInto(nil, frame[FrameHeaderSize:])
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -328,35 +328,13 @@ func uvarintLen[I ~int | ~int32 | ~uint64](x I) int {
 	return (bits.Len64(uint64(x)|1) + 6) / 7
 }
 
-// DecodeRecord parses a payload of one record (the bytes after a frame
-// header, already CRC-verified by the caller). The record owns its
-// predecessor slice.
-func DecodeRecord(b []byte) (Record, error) { return DecodeRecordInto(nil, b) }
-
-// DecodeRecordInto is DecodeRecord with the record's predecessors
-// appended to *arena, a buffer the caller owns: the record's Preds
-// alias it, valid until the caller truncates the arena (growing it
-// moves nothing the record sees). A caller that is done with each
-// record, or each batch of them, before it truncates decodes without
-// allocating. On an error the arena is as it was; a nil arena gives
-// every record a slice of its own. A payload that carries more than one
-// record is refused: DecodePayload walks those.
-func DecodeRecordInto(arena *[]graph.VertexID, b []byte) (Record, error) {
-	if arena == nil {
-		arena = new([]graph.VertexID)
-	}
-	held := len(*arena)
-	rec, n, err := decodeRecord(arena, b, true)
-	if err == nil && n != len(b) {
-		*arena = (*arena)[:held]
-		return Record{}, fmt.Errorf("%w: %d bytes past the end of the record", ErrCorrupt, len(b)-n)
-	}
-	return rec, err
-}
-
-// DecodePayload decodes every record a frame payload carries, in order,
-// onto dst, with their predecessors on *arena as DecodeRecordInto puts
-// them. A payload is taken whole or not at all: on any damage — a
+// DecodePayload decodes every record a frame payload carries (the bytes
+// after a frame header, already CRC-verified by the caller), in order,
+// onto dst, with their predecessors appended to *arena, a buffer the
+// caller owns: each record's Preds alias it, valid until the caller
+// truncates the arena (growing it moves nothing a record sees). A
+// caller that is done with each batch of records before it truncates
+// decodes without allocating. A payload is taken whole or not at all: on any damage — a
 // record that does not decode, bytes left after the last one, a classic
 // record sharing its frame — dst comes back at its old length, the
 // arena as it was, and the error wraps ErrCorrupt.
@@ -622,7 +600,7 @@ func tailDamage(err error) error {
 
 // Log is an open write-ahead log. Appends must still come from one
 // goroutine at a time (the service serializes them under its
-// per-session ingest lock), but Flush, Sync and Close may be called
+// per-session ingest lock), but Flush and Close may be called
 // from other goroutines — that is what lets a group-commit leader
 // (Committer) flush a session's log on the session's behalf, and
 // flush many sessions' logs in parallel.
@@ -649,7 +627,7 @@ type Log struct {
 
 	// appendSeq is the sequence of the last appended record;
 	// durableSeq is the highest appendSeq known to be flushed (by
-	// Flush/Sync/Close directly, or by a Committer round).
+	// Flush/Close directly, or by a Committer round).
 	appendSeq  atomic.Int64
 	durableSeq atomic.Int64
 	closedFlag atomic.Bool
@@ -700,9 +678,6 @@ func (l *Log) AppendBytes() int64 { return l.appendBytes.Load() }
 // serve. It reads one atomic; callers no longer infer the committed
 // sequence by replaying the file.
 func (l *Log) DurableSeq() int64 { return l.durableSeq.Load() }
-
-// Path returns the log's file path.
-func (l *Log) Path() string { return l.path }
 
 // advanceDurable raises durableSeq monotonically and wakes every
 // DurableAdvanced waiter.
@@ -903,18 +878,10 @@ func (l *Log) AppendRaw(frame []byte) error {
 func (l *Log) Flush() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.flushLocked(l.fsync)
+	return l.flushLocked()
 }
 
-// Sync flushes and forces the log to stable storage regardless of the
-// fsync setting.
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.flushLocked(true)
-}
-
-func (l *Log) flushLocked(sync bool) error {
+func (l *Log) flushLocked() error {
 	if l.closed {
 		return errClosed
 	}
@@ -930,7 +897,7 @@ func (l *Log) flushLocked(sync bool) error {
 		return fmt.Errorf("wal: %w", err)
 	}
 	var fsyncDur time.Duration
-	if sync {
+	if l.fsync {
 		t0 := start
 		if l.metrics != nil {
 			t0 = time.Now()
@@ -943,7 +910,7 @@ func (l *Log) flushLocked(sync bool) error {
 		}
 	}
 	if l.metrics != nil {
-		l.metrics.observeFlush(time.Since(start), fsyncDur, sync)
+		l.metrics.observeFlush(time.Since(start), fsyncDur, l.fsync)
 	}
 	// Appends hold mu, so everything counted by appendSeq is in the
 	// file now; publish it to DurableSeq readers and wake tailers.
@@ -959,7 +926,7 @@ func (l *Log) Close() error {
 	if l.closed {
 		return errClosed
 	}
-	flushErr := l.flushLocked(l.fsync)
+	flushErr := l.flushLocked()
 	l.closed = true
 	l.closedFlag.Store(true)
 	l.broadcast()

@@ -205,7 +205,7 @@ func TestOpenTruncatesAndAppends(t *testing.T) {
 	if err := logRecord(l, extra); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Sync(); err != nil {
+	if err := l.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -264,7 +264,7 @@ func framesFrom(t *testing.T, path string, off int64) ([]Record, int64) {
 		if err != nil {
 			t.Fatalf("offset %d: %v", off, err)
 		}
-		rec, err := DecodeRecord(frame[FrameHeaderSize:])
+		rec, err := decodeRecordInto(nil, frame[FrameHeaderSize:])
 		if err != nil {
 			t.Fatalf("offset %d: %v", off, err)
 		}

@@ -1,6 +1,7 @@
 package wfspecs_test
 
 import (
+	"fmt"
 	"testing"
 
 	"wfreach/internal/graph"
@@ -17,13 +18,13 @@ func TestRunningExampleStructure(t *testing.T) {
 	if gg.NumVertices() != 4 {
 		t.Fatalf("h3 size = %d", gg.NumVertices())
 	}
-	b, _ := s.ResolveName(h3, "B")
-	c, _ := s.ResolveName(h3, "C")
-	if !gg.HasEdge(b, c) {
+	if gg.Name(1) != "B" || gg.Name(2) != "C" || !gg.HasEdge(1, 2) {
 		t.Fatal("h3 must chain B before C")
 	}
-	// The A↔C recursion is mutual.
-	if !g.Induces("A", "C") || !g.Induces("C", "A") {
+	// The A↔C recursion is mutual: C is the recursive vertex of A's
+	// body h3, and A of C's body.
+	h6 := s.Implementations("C")[0]
+	if gg.Name(g.Designated(h3)) != "C" || s.Graph(h6).G.Name(g.Designated(h6)) != "A" {
 		t.Fatal("A↔C recursion missing")
 	}
 }
@@ -96,7 +97,7 @@ func TestSyntheticParameterClamping(t *testing.T) {
 	g := spec.MustCompile(s)
 	// Clamped to the minimal sensible family member; still valid and
 	// linear recursive.
-	if !g.IsLinearRecursive() || g.Class() != spec.ClassLinear {
+	if g.Class() != spec.ClassLinear {
 		t.Fatalf("clamped synthetic class = %v", g.Class())
 	}
 }
@@ -132,10 +133,10 @@ func TestRandomSpecAlwaysValid(t *testing.T) {
 		if p.RecursionLen == 0 && g.IsRecursive() {
 			t.Fatalf("seed %d: unexpected recursion", seed)
 		}
-		if p.RecursionLen > 0 && !p.NonlinearRec && !g.IsLinearRecursive() {
+		if p.RecursionLen > 0 && !p.NonlinearRec && g.Class() != spec.ClassLinear {
 			t.Fatalf("seed %d: expected linear, got %v", seed, g.Class())
 		}
-		if p.RecursionLen > 0 && p.NonlinearRec && g.IsLinearRecursive() {
+		if p.RecursionLen > 0 && p.NonlinearRec && g.Class() == spec.ClassLinear {
 			t.Fatalf("seed %d: expected nonlinear", seed)
 		}
 		if g.MinRunSize() < 2 {
@@ -156,9 +157,15 @@ func TestRandomSpecRecursionCycleLength(t *testing.T) {
 	g := spec.MustCompile(wfspecs.RandomSpec(wfspecs.RandomParams{
 		RecursionLen: 3, MaxGraphSize: 5, Seed: 4,
 	}))
-	// R0 ↦* R2 and back: the full cycle is live.
-	if !g.Induces("R0", "R2") || !g.Induces("R2", "R0") {
-		t.Fatal("recursion cycle broken")
+	// The recursive vertex of R_i's body is R_{i+1 mod 3}: the full
+	// cycle is live.
+	s := g.Spec()
+	for i := 0; i < 3; i++ {
+		h := s.Implementations(fmt.Sprintf("R%d", i))[0]
+		w := g.Designated(h)
+		if want := fmt.Sprintf("R%d", (i+1)%3); w == graph.None || s.Graph(h).G.Name(w) != want {
+			t.Fatalf("recursion cycle broken: R%d's body does not recurse through %s", i, want)
+		}
 	}
 	if g.Class() != spec.ClassLinear {
 		t.Fatalf("class = %v", g.Class())

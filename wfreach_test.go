@@ -154,7 +154,7 @@ func TestXMLFacade(t *testing.T) {
 func TestSyntheticFacade(t *testing.T) {
 	s := wfreach.Synthetic(wfreach.SyntheticParams{SubSize: 10, Depth: 5, RecModules: 1, Seed: 6})
 	g := wfreach.MustCompile(s)
-	if !g.IsLinearRecursive() {
+	if g.Class() != spec.ClassLinear {
 		t.Fatal("synthetic(1R) should be linear")
 	}
 	lb := wfreach.MustCompile(wfreach.LowerBoundGrammar())
