@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"wfreach"
@@ -32,13 +34,26 @@ func newTestCluster(t *testing.T, n int) ([]*service.Registry, []*cluster.Contro
 	}
 	ctls := make([]*cluster.Controller, n)
 	for i, reg := range regs {
-		ctl, err := cluster.New(m.Nodes[i].Name, m, reg, cluster.Options{Logf: t.Logf})
+		ctl, err := cluster.New(m.Nodes[i].Name, m, reg, testLog(t))
 		if err != nil {
 			t.Fatal(err)
 		}
 		ctls[i] = ctl
 	}
 	return regs, ctls, m
+}
+
+// testLog sends the controller's records to the test log, so a failing
+// run shows the moves and merges that led to it.
+func testLog(t *testing.T) *slog.Logger {
+	return slog.New(slog.NewTextHandler(testWriter{t}, nil))
+}
+
+type testWriter struct{ t *testing.T }
+
+func (w testWriter) Write(p []byte) (int, error) {
+	w.t.Log(strings.TrimSuffix(string(p), "\n"))
+	return len(p), nil
 }
 
 // TestClusterClientRouting drives the full session lifecycle through

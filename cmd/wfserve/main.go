@@ -15,10 +15,12 @@
 // GET /v1/metrics serves the node's metrics registry in the
 // Prometheus text exposition format: ingest throughput, WAL commit
 // and fsync latency, snapshot and restore durations, replica lag,
-// cluster move counters (metric table in ARCHITECTURE.md). Every
-// request is logged as one structured logfmt line on stderr (request
-// id, method, route, status, bytes, duration); requests slower than
-// -slow-request get an extra warn line. -debug-addr serves
+// cluster move counters (metric table in ARCHITECTURE.md). The
+// server writes every line it logs as one log/slog text record on
+// stderr, and nothing on stdout: startup, restore, replication and
+// cluster progress, shutdown, and one record per request (request id,
+// method, route, status, bytes, duration); requests slower than
+// -slow-request get an extra warn record. -debug-addr serves
 // net/http/pprof on a separate listener, so profiling never shares
 // the API port.
 //
@@ -106,14 +108,15 @@
 // durable server, binary-frame ingest is teed to the write-ahead log
 // byte-for-byte — the wire frame and the WAL frame are the same
 // format. Errors are structured ({"error":{"code","message","detail"}})
-// with machine-readable codes. The bound address is printed on startup
-// so callers can use -addr :0.
+// with machine-readable codes. The bound address is logged on startup
+// (msg=listening addr=…) so callers can use -addr :0.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof on the -debug-addr mux
@@ -153,8 +156,9 @@ func main() {
 	flag.Var(&sessions, "session", "pre-create a session \"name=Builtin\" (repeatable)")
 	flag.Parse()
 
+	log := slog.New(slog.NewTextHandler(os.Stderr, nil))
 	fail := func(err error) {
-		fmt.Fprintf(os.Stderr, "wfserve: %v\n", err)
+		log.Error("wfserve failed", "err", err)
 		os.Exit(1)
 	}
 	if *promote != "" {
@@ -198,13 +202,13 @@ func main() {
 			}
 		}
 		rate := float64(labels) / max(elapsed.Seconds(), 1e-9)
-		fmt.Printf("wfserve: durable under %s, restored %d session(s) in %s (%.0f labels/sec)\n",
-			*dataDir, len(restored), elapsed.Round(time.Millisecond), rate)
+		log.Info("restored", "data", *dataDir, "sessions", len(restored),
+			"dur", elapsed.Round(time.Millisecond), "labels_per_sec", int64(rate))
 		for _, name := range restored {
 			if s, ok := reg.Get(name); ok {
 				st := s.Stats()
-				fmt.Printf("wfserve: restored %q: %d vertices (%d arena-mapped), WAL seq %d\n",
-					name, st.Vertices, st.ArenaVertices, s.WALSeq())
+				log.Info("restored session", "session", name, "vertices", st.Vertices,
+					"arena_vertices", st.ArenaVertices, "wal_seq", s.WALSeq())
 			}
 		}
 	}
@@ -212,12 +216,10 @@ func main() {
 	if *follow != "" {
 		follower = replica.New(*follow, reg, replica.Options{
 			PollInterval: *followPoll,
-			Logf: func(format string, args ...any) {
-				fmt.Printf("wfserve: "+format+"\n", args...)
-			},
+			Log:          log,
 		})
 		follower.Start()
-		fmt.Printf("wfserve: following %s (read-only until promoted)\n", *follow)
+		log.Info("following; read-only until promoted", "primary", *follow)
 	}
 	for _, sf := range sessions {
 		name, builtin, ok := strings.Cut(sf, "=")
@@ -227,13 +229,13 @@ func main() {
 		if _, exists := reg.Get(name); exists {
 			// The restored session wins; its spec may differ from the
 			// flag's builtin, so say so instead of silently skipping.
-			fmt.Printf("wfserve: session %q already restored from -data; ignoring -session %s\n", name, sf)
+			log.Warn("session already restored from -data; -session ignored", "session", name, "flag", sf)
 			continue
 		}
 		if err := createBuiltin(reg, name, builtin); err != nil {
 			fail(err)
 		}
-		fmt.Printf("wfserve: session %q on builtin %s\n", name, builtin)
+		log.Info("session created", "session", name, "builtin", builtin)
 	}
 
 	var ctl *cluster.Controller
@@ -242,24 +244,20 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		ctl, err = cluster.New(*nodeName, m, reg, cluster.Options{
-			Logf: func(format string, args ...any) {
-				fmt.Printf("wfserve: "+format+"\n", args...)
-			},
-		})
+		ctl, err = cluster.New(*nodeName, m, reg, log)
 		if err != nil {
 			fail(err)
 		}
 		ctl.Start()
-		fmt.Printf("wfserve: cluster node %q of %d (map v%d from %s)\n",
-			*nodeName, len(m.Nodes), m.Version, *clusterFile)
+		log.Info("cluster node", "node", *nodeName, "nodes", len(m.Nodes),
+			"map_version", m.Version, "map", *clusterFile)
 	}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fail(err)
 	}
-	fmt.Printf("wfserve: listening on http://%s\n", ln.Addr())
+	log.Info("listening", "addr", ln.Addr().String())
 
 	if *debugAddr != "" {
 		// pprof rides the default mux (the blank net/http/pprof import),
@@ -270,10 +268,9 @@ func main() {
 			fail(fmt.Errorf("-debug-addr: %w", err))
 		}
 		go func() { _ = http.Serve(dln, nil) }()
-		fmt.Printf("wfserve: debug (pprof) on http://%s/debug/pprof/\n", dln.Addr())
+		log.Info("pprof listening", "addr", dln.Addr().String(), "path", "/debug/pprof/")
 	}
 
-	logger := obs.NewLogger(os.Stderr)
 	mode := "memory"
 	if *dataDir != "" {
 		mode = "durable"
@@ -290,7 +287,7 @@ func main() {
 			walSeqs = append(walSeqs, fmt.Sprintf("%s=%d", name, s.WALSeq()))
 		}
 	}
-	logger.Info("server started",
+	log.Info("server started",
 		"mode", mode,
 		"addr", ln.Addr().String(),
 		"data", *dataDir,
@@ -306,8 +303,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	srv := &http.Server{
-		Handler: obs.AccessLog(service.NewHandler(reg), logger,
-			obs.AccessLogOptions{Slow: *slowReq, Metrics: reg.Obs()}),
+		Handler:     obs.AccessLog(service.NewHandler(reg), log, *slowReq, reg.Obs()),
 		BaseContext: func(net.Listener) context.Context { return ctx },
 	}
 	serveErr := make(chan error, 1)
@@ -318,7 +314,7 @@ func main() {
 		fail(err)
 	case <-ctx.Done():
 		stop() // a second signal kills the process the default way
-		fmt.Printf("wfserve: shutting down (draining up to %v)\n", *drain)
+		log.Info("shutting down", "timeout", *drain)
 		drainStart := time.Now()
 		if follower != nil {
 			follower.Close()
@@ -329,12 +325,12 @@ func main() {
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), *drain)
 		defer cancel()
 		if err := srv.Shutdown(shutdownCtx); err != nil {
-			fmt.Fprintf(os.Stderr, "wfserve: drain: %v\n", err)
+			log.Warn("drain incomplete", "err", err)
 		}
 		if err := reg.Close(); err != nil {
 			fail(fmt.Errorf("closing sessions: %w", err))
 		}
-		logger.Info("shutdown complete", "drain", time.Since(drainStart).Round(time.Millisecond).String())
+		log.Info("shutdown complete", "drain", time.Since(drainStart).Round(time.Millisecond))
 	}
 }
 

@@ -1,14 +1,15 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -35,22 +36,28 @@ func buildOnce(t *testing.T) string {
 }
 
 // startServer launches the binary on an ephemeral port and returns its
-// base URL, scraping the printed listen address.
+// base URL, read from the logged listen address.
 func startServer(t *testing.T, args ...string) string {
 	base, _ := startServerCmd(t, buildOnce(t), args...)
 	return base
 }
 
 // startServerCmd is startServer with a prebuilt binary, also handing
-// back the process so tests can kill it abruptly.
+// back the process so tests can kill it abruptly. The server's output
+// passes through to the test's own.
 func startServerCmd(t *testing.T, bin string, args ...string) (string, *exec.Cmd) {
+	return startServerTo(t, bin, os.Stdout, os.Stderr, args...)
+}
+
+// startServerTo starts the server with its stdout and stderr written to
+// the given writers. The base URL comes from the server's
+// msg=listening record on stderr; exec's copy keeps draining stderr
+// after it, so an access-log record never blocks on a full pipe.
+func startServerTo(t *testing.T, bin string, stdout, stderr io.Writer, args ...string) (string, *exec.Cmd) {
 	t.Helper()
 	cmd := exec.Command(bin, append([]string{"-addr", "127.0.0.1:0"}, args...)...)
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmd.Stderr = os.Stderr
+	tap := &listenTap{w: stderr, addr: make(chan string, 1)}
+	cmd.Stdout, cmd.Stderr = stdout, tap
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -58,23 +65,87 @@ func startServerCmd(t *testing.T, bin string, args ...string) (string, *exec.Cmd
 		_ = cmd.Process.Kill()
 		_ = cmd.Wait()
 	})
-	sc := bufio.NewScanner(stdout)
-	deadline := time.After(10 * time.Second)
-	urlCh := make(chan string, 1)
-	go func() {
-		for sc.Scan() {
-			if _, rest, ok := strings.Cut(sc.Text(), "listening on "); ok {
-				urlCh <- strings.TrimSpace(rest)
-				return
-			}
-		}
-	}()
 	select {
-	case u := <-urlCh:
-		return u, cmd
-	case <-deadline:
-		t.Fatal("server never printed its listen address")
+	case addr := <-tap.addr:
+		return "http://" + addr, cmd
+	case <-time.After(10 * time.Second):
+		t.Fatal("server never logged its listen address")
 		return "", nil
+	}
+}
+
+// listenTap passes the server's stderr on to w and sends the address
+// of the first msg=listening record to addr.
+type listenTap struct {
+	w    io.Writer
+	addr chan string
+	line []byte // the unfinished line, until the address is found
+	sent bool
+}
+
+func (l *listenTap) Write(p []byte) (int, error) {
+	if !l.sent {
+		l.line = append(l.line, p...)
+		for {
+			i := bytes.IndexByte(l.line, '\n')
+			if i < 0 {
+				break
+			}
+			if _, rest, ok := strings.Cut(string(l.line[:i]), " msg=listening addr="); ok {
+				addr, _, _ := strings.Cut(rest, " ")
+				l.addr <- addr
+				l.sent, l.line = true, nil
+				break
+			}
+			l.line = l.line[i+1:]
+		}
+	}
+	return l.w.Write(p)
+}
+
+// TestWfserveWritesOneLog: a serving node writes nothing on stdout, and
+// every line on stderr is one log/slog text record — startup, the
+// access log and the shutdown alike.
+func TestWfserveWritesOneLog(t *testing.T) {
+	bin := buildOnce(t)
+	var stdout, stderr bytes.Buffer
+	base, cmd := startServerTo(t, bin, &stdout, &stderr, "-data", t.TempDir(), "-session", "one=RunningExample")
+	resp, err := http.Get(base + "/v1/sessions")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	waitErr := make(chan error, 1)
+	go func() { waitErr <- cmd.Wait() }()
+	select {
+	case err := <-waitErr:
+		if err != nil {
+			t.Fatalf("server did not exit cleanly on SIGTERM: %v\n%s", err, stderr.String())
+		}
+	case <-time.After(15 * time.Second):
+		t.Fatal("server did not exit within 15s of SIGTERM")
+	}
+
+	if stdout.Len() != 0 {
+		t.Errorf("a serving node wrote to stdout:\n%s", stdout.String())
+	}
+	record := regexp.MustCompile(`^time=\S+ level=(DEBUG|INFO|WARN|ERROR) msg=("[^"]*"|\S+)( \S+=("[^"]*"|\S*))*$`)
+	msgs := make(map[string]bool)
+	for _, line := range strings.Split(strings.TrimSuffix(stderr.String(), "\n"), "\n") {
+		m := record.FindStringSubmatch(line)
+		if m == nil {
+			t.Errorf("stderr line is not a slog text record: %q", line)
+			continue
+		}
+		msgs[strings.Trim(m[2], `"`)] = true
+	}
+	for _, want := range []string{"listening", "server started", "request", "shutdown complete"} {
+		if !msgs[want] {
+			t.Errorf("no msg=%q record on stderr:\n%s", want, stderr.String())
+		}
 	}
 }
 

@@ -126,49 +126,6 @@ type ClusterHealth struct {
 	Sessions []SessionReplication `json:"sessions"`
 	// Peers is the prober's latest view of the other nodes.
 	Peers []ClusterPeer `json:"peers,omitempty"`
-	// Metrics is the node's typed metrics snapshot — the health-check
-	// form of GET /v1/metrics, for callers that want numbers without a
-	// Prometheus parser. Absent on servers built before the field.
-	Metrics *MetricsSnapshot `json:"metrics,omitempty"`
-}
-
-// MetricsSnapshot is a typed point-in-time cut of the node's metrics
-// registry: the handful of numbers an operator health check or a
-// routing client reads most, without scraping and parsing the full
-// GET /v1/metrics exposition. Counters are process-lifetime totals;
-// latencies are registry-histogram quantiles in microseconds.
-type MetricsSnapshot struct {
-	// Sessions is the open session count.
-	Sessions int64 `json:"sessions"`
-	// IngestEvents / IngestBytes total ingested events and wire bytes.
-	IngestEvents int64 `json:"ingest_events"`
-	IngestBytes  int64 `json:"ingest_bytes,omitempty"`
-	// WALAppends counts records appended across every session log;
-	// WALCommitP99US / WALFsyncP99US are the p99 group-commit wait and
-	// fsync latency in microseconds.
-	WALAppends     int64   `json:"wal_appends"`
-	WALCommitP99US float64 `json:"wal_commit_p99_us,omitempty"`
-	WALFsyncP99US  float64 `json:"wal_fsync_p99_us,omitempty"`
-	// SnapshotWrites counts arena snapshots written; ArenaMaps is the
-	// number of snapshot mappings the node currently holds and
-	// ArenaMappedBytes their total size — both fall when a mapping is
-	// given back, not when its session is deleted.
-	SnapshotWrites   int64 `json:"snapshot_writes,omitempty"`
-	ArenaMaps        int64 `json:"arena_maps,omitempty"`
-	ArenaMappedBytes int64 `json:"arena_mapped_bytes,omitempty"`
-	// ReplicaLagEvents / ReplicaLagSeconds report the follower's worst
-	// per-session tail lag (zero on primaries).
-	ReplicaLagEvents  int64   `json:"replica_lag_events"`
-	ReplicaLagSeconds float64 `json:"replica_lag_seconds,omitempty"`
-	// MovesCompleted counts completed session moves this node received;
-	// the rejection counters are misrouted requests this node turned
-	// away (the smart client's redirect food).
-	MovesCompleted      int64 `json:"moves_completed"`
-	WrongNodeRejections int64 `json:"wrong_node_rejections"`
-	ReadOnlyRejections  int64 `json:"read_only_rejections"`
-	// ChainFramesVerified counts WAL frames hashed by verification
-	// passes (restore anchors, replica cross-checks, move drains).
-	ChainFramesVerified int64 `json:"chain_frames_verified,omitempty"`
 }
 
 // MoveRequest is the JSON body of POST /v1/cluster/move: move the

@@ -31,6 +31,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"sort"
 	"sync"
@@ -42,12 +43,6 @@ import (
 	"wfreach/internal/replica"
 	"wfreach/internal/service"
 )
-
-// Options configures a Controller.
-type Options struct {
-	// Logf, when set, receives human-readable progress lines.
-	Logf func(format string, args ...any)
-}
 
 const (
 	// probeInterval is how often peers are probed for liveness and map
@@ -84,7 +79,7 @@ type Controller struct {
 	self  api.ClusterNode
 	state *api.Placement
 	reg   *service.Registry
-	opts  Options
+	log   *slog.Logger
 
 	// Move-phase and rejection instruments, re-registered against the
 	// registry's obs families (idempotent — shared with the series the
@@ -107,8 +102,9 @@ type Controller struct {
 // its hooks on the registry — from that point the registry's HTTP
 // surface is placement-gated and the /v1/cluster routes answer. The
 // prober is idle until Start. The registry must be durable: a moved
-// session is verified against the copy's own write-ahead log.
-func New(self string, m api.ClusterMap, reg *service.Registry, opts Options) (*Controller, error) {
+// session is verified against the copy's own write-ahead log. Progress
+// records go to log; nil discards them.
+func New(self string, m api.ClusterMap, reg *service.Registry, log *slog.Logger) (*Controller, error) {
 	if !reg.Durable() {
 		return nil, fmt.Errorf("cluster: node %q needs a durable registry: a moved session is verified against its own write-ahead log", self)
 	}
@@ -120,11 +116,14 @@ func New(self string, m api.ClusterMap, reg *service.Registry, opts Options) (*C
 	if !ok {
 		return nil, fmt.Errorf("cluster: this node %q is not in the cluster map", self)
 	}
+	if log == nil {
+		log = slog.New(slog.DiscardHandler)
+	}
 	c := &Controller{
 		self:  me,
 		state: st,
 		reg:   reg,
-		opts:  opts,
+		log:   log,
 		peers: make(map[string]*peerState),
 
 		moves:      reg.Obs().CounterVec("wf_cluster_moves_total", "Cluster session-move phase transitions.", "phase"),
@@ -148,12 +147,6 @@ func New(self string, m api.ClusterMap, reg *service.Registry, opts Options) (*C
 		Forget:  c.state.DropOverride,
 	})
 	return c, nil
-}
-
-func (c *Controller) logf(format string, args ...any) {
-	if c.opts.Logf != nil {
-		c.opts.Logf(format, args...)
-	}
 }
 
 // Start launches the peer prober in the background.
@@ -239,7 +232,6 @@ func (c *Controller) Health() api.ClusterHealth {
 		Role:       rs.Role,
 		Sessions:   rs.Sessions,
 		Peers:      c.peerView(),
-		Metrics:    c.reg.MetricsSnapshot(),
 	}
 }
 
@@ -296,7 +288,7 @@ func (c *Controller) resumeIncomplete(ctx context.Context) {
 			continue
 		}
 		if _, err := c.receive(ctx, sess); err != nil {
-			c.logf("cluster: resume move of %q: %v", sess, err)
+			c.log.Warn("cluster: resume move failed", "session", sess, "err", err)
 		}
 	}
 }
@@ -321,9 +313,9 @@ func (c *Controller) probeOnce(ctx context.Context) {
 		p.up, p.lastErr, p.mapVersion, p.lastSeen = true, "", m.Version, time.Now()
 		c.mu.Unlock()
 		if changed, err := c.state.Merge(m); err != nil {
-			c.logf("cluster: merge map from %s: %v", p.node.Name, err)
+			c.log.Warn("cluster: merge map failed", "peer", p.node.Name, "err", err)
 		} else if changed {
-			c.logf("cluster: adopted map v%d from %s", c.state.Version(), p.node.Name)
+			c.log.Info("cluster: adopted map", "map_version", c.state.Version(), "peer", p.node.Name)
 		}
 	}
 }
@@ -346,7 +338,7 @@ func (c *Controller) Move(ctx context.Context, req api.MoveRequest) (api.MoveRes
 			return api.MoveResponse{}, err
 		}
 		if _, merr := c.state.Merge(resp.Map); merr != nil {
-			c.logf("cluster: merge map after forwarded move: %v", merr)
+			c.log.Warn("cluster: merge map after forwarded move failed", "err", merr)
 		}
 		return resp, nil
 	}
@@ -379,7 +371,7 @@ func (c *Controller) receive(ctx context.Context, session string) (api.MoveRespo
 	var err error
 	if pending {
 		c.moves.With("resumed").Inc()
-		c.logf("cluster: resuming the move of %q from %s to seq %d", session, ov.From, ov.FinalSeq)
+		c.log.Info("cluster: resuming move", "session", session, "from", ov.From, "seq", ov.FinalSeq)
 		src, ok := c.peers[ov.From]
 		if !ok {
 			return api.MoveResponse{}, api.Errorf(api.CodeUnknown,
@@ -407,7 +399,7 @@ func (c *Controller) receive(ctx context.Context, session string) (api.MoveRespo
 	}
 	c.moves.With("completed").Inc()
 	n := cp.Session().Vertices()
-	c.logf("cluster: session %q now served here (%d events, map v%d)", session, n, c.state.Version())
+	c.log.Info("cluster: session now served here", "session", session, "events", n, "map_version", c.state.Version())
 	return api.MoveResponse{Session: session, From: ov.From, To: c.self.Name,
 		Events: n, Map: c.state.Map()}, nil
 }
@@ -421,7 +413,7 @@ func (c *Controller) receive(ctx context.Context, session string) (api.MoveRespo
 // there.
 func (c *Controller) release(ctx context.Context, session string, owner api.ClusterNode) (*replica.Copy, api.ClusterOverride, error) {
 	c.moves.With("started").Inc()
-	c.logf("cluster: moving session %q from %s to %s", session, owner.Name, c.self.Name)
+	c.log.Info("cluster: moving session", "session", session, "from", owner.Name, "to", c.self.Name)
 	src := c.peers[owner.Name]
 	cp, err := c.copyFrom(ctx, src, session)
 	if err != nil {
@@ -508,7 +500,7 @@ func (c *Controller) drain(ctx context.Context, cp *replica.Copy, ov api.Cluster
 			"integrity: move of %q: chain head %s at seq %d does not match the head %s the source sealed — drained history was tampered with; refusing to serve it",
 			s.Name(), head, ov.FinalSeq, ov.ChainHead)
 	}
-	c.logf("cluster: move of %q: chain verified at seq %d (%s)", s.Name(), ov.FinalSeq, ov.ChainHead)
+	c.log.Info("cluster: move chain verified", "session", s.Name(), "seq", ov.FinalSeq, "head", ov.ChainHead)
 	return nil
 }
 
@@ -541,6 +533,6 @@ func (c *Controller) Release(_ context.Context, req api.ReleaseRequest) (api.Rel
 		return api.ReleaseResponse{}, api.Errorf(api.CodeBadRequest, "%v", err)
 	}
 	c.moves.With("released").Inc()
-	c.logf("cluster: released session %q to %s at seq %d (map v%d)", req.Session, req.Node, final, c.state.Version())
+	c.log.Info("cluster: released session", "session", req.Session, "to", req.Node, "seq", final, "map_version", c.state.Version())
 	return api.ReleaseResponse{FinalSeq: final, ChainHead: head.String(), Map: c.state.Map()}, nil
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -63,11 +64,24 @@ func newController(t *testing.T, nd *node, nodes []*node) {
 	for _, n := range nodes {
 		m.Nodes = append(m.Nodes, api.ClusterNode{Name: n.name, URL: n.srv.URL})
 	}
-	ctl, err := cluster.New(nd.name, m, nd.reg, cluster.Options{Logf: t.Logf})
+	ctl, err := cluster.New(nd.name, m, nd.reg, testLog(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	nd.ctl = ctl
+}
+
+// testLog sends the controller's records to the test log, so a failing
+// run shows the moves and merges that led to it.
+func testLog(t *testing.T) *slog.Logger {
+	return slog.New(slog.NewTextHandler(testWriter{t}, nil))
+}
+
+type testWriter struct{ t *testing.T }
+
+func (w testWriter) Write(p []byte) (int, error) {
+	w.t.Log(strings.TrimSuffix(string(p), "\n"))
+	return len(p), nil
 }
 
 // byName returns the cluster member with the given node name.
@@ -192,7 +206,7 @@ func TestClusterRoutesRequireClusterMode(t *testing.T) {
 // refuses a memory registry.
 func TestNewRefusesMemoryRegistry(t *testing.T) {
 	m := api.ClusterMap{Version: 1, Nodes: []api.ClusterNode{{Name: "n0", URL: "http://127.0.0.1:1"}}}
-	if _, err := cluster.New("n0", m, service.NewRegistry(), cluster.Options{}); err == nil {
+	if _, err := cluster.New("n0", m, service.NewRegistry(), nil); err == nil {
 		t.Fatal("cluster.New accepted a memory registry")
 	}
 }

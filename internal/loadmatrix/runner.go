@@ -17,6 +17,7 @@ import (
 	"wfreach/client"
 	"wfreach/internal/gen"
 	"wfreach/internal/graph"
+	"wfreach/internal/obs"
 	"wfreach/internal/run"
 	"wfreach/internal/service"
 	"wfreach/internal/spec"
@@ -276,7 +277,7 @@ type tally struct {
 	verify bool
 
 	ingested, queried, lineages, queryErrs, mismatches atomic.Int64
-	ingestHist, queryHist                              Hist
+	ingestHist, queryHist                              obs.Hist
 
 	mu  sync.Mutex
 	err error // the first failure; read once every writer and reader is done
@@ -345,7 +346,7 @@ func (tl *tally) verifiedRead(ctx context.Context, d driver, name string, l *ses
 // the second.
 func (tl *tally) metrics(ingest, total time.Duration) Metrics {
 	sec := total.Seconds()
-	us := func(h *Hist, q float64) float64 { return float64(h.Quantile(q)) / 1e3 }
+	us := func(h *obs.Hist, q float64) float64 { return float64(h.Quantile(q)) / 1e3 }
 	return Metrics{
 		ElapsedSec:       sec,
 		IngestEvents:     tl.ingested.Load(),

@@ -3,6 +3,7 @@ package loadmatrix
 import (
 	"context"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -112,7 +113,7 @@ func serve(h http.Handler) (string, func(), error) {
 // middleware wfserve installs (logs discarded), so harness scrapes see
 // the full production metric surface, HTTP timings included.
 func instrumented(reg *service.Registry) http.Handler {
-	return obs.AccessLog(service.NewHandler(reg), nil, obs.AccessLogOptions{Metrics: reg.Obs()})
+	return obs.AccessLog(service.NewHandler(reg), slog.New(slog.DiscardHandler), 0, reg.Obs())
 }
 
 // durableNode starts one durable registry (no fsync — the harness
@@ -201,7 +202,7 @@ func launch(kind, scratch string) (Endpoints, func(), error) {
 			// The controller installs the placement gate on its node; the
 			// prober stays unstarted — matrix scenarios never move
 			// sessions, so there is nothing to gossip.
-			if _, err := cluster.New(m.Nodes[i].Name, m, reg, cluster.Options{}); err != nil {
+			if _, err := cluster.New(m.Nodes[i].Name, m, reg, nil); err != nil {
 				return fail(err)
 			}
 		}

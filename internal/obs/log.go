@@ -3,83 +3,10 @@ package obs
 import (
 	"crypto/rand"
 	"encoding/hex"
-	"fmt"
-	"io"
+	"log/slog"
 	"net/http"
-	"strings"
-	"sync"
 	"time"
 )
-
-// Logger writes structured logfmt lines (ts=… level=… msg=… k=v …),
-// one event per line, safe for concurrent use. A nil *Logger discards
-// everything, so call sites never guard.
-type Logger struct {
-	mu sync.Mutex
-	w  io.Writer
-}
-
-// NewLogger returns a logger writing to w; a nil w discards.
-func NewLogger(w io.Writer) *Logger {
-	if w == nil {
-		w = io.Discard
-	}
-	return &Logger{w: w}
-}
-
-// needsQuote reports whether a logfmt value must be quoted.
-func needsQuote(s string) bool {
-	if s == "" {
-		return true
-	}
-	return strings.ContainsAny(s, " \t\n\"=")
-}
-
-func formatValue(v any) string {
-	var s string
-	switch t := v.(type) {
-	case string:
-		s = t
-	case time.Duration:
-		s = t.String()
-	case error:
-		s = t.Error()
-	default:
-		s = fmt.Sprintf("%v", v)
-	}
-	if needsQuote(s) {
-		return fmt.Sprintf("%q", s)
-	}
-	return s
-}
-
-// log writes one line: ts, level, msg, then the key/value pairs in
-// order. An odd trailing key gets the value "?!".
-func (l *Logger) log(level, msg string, kv ...any) {
-	if l == nil {
-		return
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "ts=%s level=%s msg=%s", time.Now().UTC().Format(time.RFC3339Nano), level, formatValue(msg))
-	for i := 0; i < len(kv); i += 2 {
-		key := fmt.Sprintf("%v", kv[i])
-		val := any("?!")
-		if i+1 < len(kv) {
-			val = kv[i+1]
-		}
-		fmt.Fprintf(&b, " %s=%s", key, formatValue(val))
-	}
-	b.WriteByte('\n')
-	l.mu.Lock()
-	io.WriteString(l.w, b.String())
-	l.mu.Unlock()
-}
-
-// Info logs one structured line at level info.
-func (l *Logger) Info(msg string, kv ...any) { l.log("info", msg, kv...) }
-
-// Warn logs one structured line at level warn.
-func (l *Logger) Warn(msg string, kv ...any) { l.log("warn", msg, kv...) }
 
 // statusWriter captures the status code and body size a handler wrote.
 type statusWriter struct {
@@ -114,17 +41,10 @@ func (w *statusWriter) Flush() {
 	}
 }
 
-// RouteOf collapses a request path to its bounded route pattern —
-// session names are replaced by :name so the route label's cardinality
-// is the size of the API surface, not the session population.
-func RouteOf(path string) string {
-	segs := strings.Split(strings.TrimPrefix(path, "/"), "/")
-	// /v1/sessions/{name}[/verb]
-	if len(segs) > 2 && segs[0] == "v1" && segs[1] == "sessions" && segs[2] != "" {
-		segs[2] = ":name"
-	}
-	return "/" + strings.Join(segs, "/")
-}
+// noPattern is the route label of a request that reached no mux
+// pattern: the mux answered it itself (OPTIONS *), or the wrapped
+// handler is not a mux.
+const noPattern = "(none)"
 
 // newRequestID returns a 12-hex-digit random request id.
 func newRequestID() string {
@@ -135,32 +55,35 @@ func newRequestID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// AccessLogOptions configures the request-logging middleware.
-type AccessLogOptions struct {
-	// Slow is the threshold above which a request additionally logs a
-	// level=warn slow-query line; zero disables slow marking.
-	Slow time.Duration
-	// Metrics, when set, records wf_http_requests_total{route} and
-	// wf_http_request_seconds into the registry.
-	Metrics *Registry
+// requestID honours an inbound X-Request-Id of 1–64 bytes of visible
+// ASCII and mints one otherwise, so the echo and the log lines stay
+// small whatever a caller sends.
+func requestID(r *http.Request) string {
+	id := r.Header.Get("X-Request-Id")
+	if len(id) == 0 || len(id) > 64 {
+		return newRequestID()
+	}
+	for i := 0; i < len(id); i++ {
+		if id[i] < 0x21 || id[i] > 0x7e {
+			return newRequestID()
+		}
+	}
+	return id
 }
 
-// AccessLog wraps a handler with structured request logging: one line
-// per request with request id, method, route, status, bytes and
-// duration, plus a slow-query line above the threshold. The request id
-// honors an inbound X-Request-Id and is echoed on the response.
-func AccessLog(next http.Handler, l *Logger, opts AccessLogOptions) http.Handler {
-	var reqs *CounterVec
-	var lat *Histogram
-	if opts.Metrics != nil {
-		reqs = opts.Metrics.CounterVec("wf_http_requests_total", "HTTP requests served, by route.", "route")
-		lat = opts.Metrics.Histogram("wf_http_request_seconds", "HTTP request latency.")
-	}
+// AccessLog wraps a handler with structured request logging: one
+// record per request with request id, method, route, status, bytes and
+// duration, plus a warn record at or above slow (zero disables it). The
+// route is the mux pattern that served the request, so the label's
+// cardinality is the size of the API surface. Every request counts in
+// reg's wf_http_requests_total{route} and wf_http_request_seconds. The
+// request id honours a well-formed inbound X-Request-Id and is echoed
+// on the response.
+func AccessLog(next http.Handler, log *slog.Logger, slow time.Duration, reg *Registry) http.Handler {
+	reqs := reg.CounterVec("wf_http_requests_total", "HTTP requests served, by route.", "route")
+	lat := reg.Histogram("wf_http_request_seconds", "HTTP request latency.")
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := r.Header.Get("X-Request-Id")
-		if id == "" {
-			id = newRequestID()
-		}
+		id := requestID(r)
 		w.Header().Set("X-Request-Id", id)
 		sw := &statusWriter{ResponseWriter: w}
 		start := time.Now()
@@ -169,16 +92,17 @@ func AccessLog(next http.Handler, l *Logger, opts AccessLogOptions) http.Handler
 		if sw.status == 0 {
 			sw.status = http.StatusOK
 		}
-		route := RouteOf(r.URL.Path)
-		if reqs != nil {
-			reqs.With(route).Inc()
-			lat.Observe(dur)
+		route := r.Pattern
+		if route == "" {
+			route = noPattern
 		}
-		l.Info("request", "id", id, "method", r.Method, "route", route,
+		reqs.With(route).Inc()
+		lat.Add(dur)
+		log.Info("request", "id", id, "method", r.Method, "route", route,
 			"path", r.URL.Path, "status", sw.status, "bytes", sw.bytes, "dur", dur)
-		if opts.Slow > 0 && dur >= opts.Slow {
-			l.Warn("slow request", "id", id, "method", r.Method, "route", route,
-				"status", sw.status, "dur", dur, "threshold", opts.Slow)
+		if slow > 0 && dur >= slow {
+			log.Warn("slow request", "id", id, "method", r.Method, "route", route,
+				"status", sw.status, "dur", dur, "threshold", slow)
 		}
 	})
 }

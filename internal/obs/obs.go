@@ -1,8 +1,9 @@
 // Package obs is the in-process observability plane: a dependency-free
 // metrics registry (atomic counters, gauges, and the log-linear
 // latency histogram shared with the load harness), a Prometheus
-// text-format exposition handler, and structured request logging as
-// net/http middleware.
+// text-format exposition handler, and an access-log middleware that
+// writes one log/slog record per request to the logger it is given and
+// counts the request under its mux pattern.
 //
 // The package imports nothing from the rest of the module, so every
 // plane — service, WAL, arena snapshots, replication, cluster,
@@ -26,7 +27,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // MaxSeriesPerFamily caps the distinct label values one labeled family
@@ -78,15 +78,6 @@ func (g *FloatGauge) Set(f float64) { g.bits.Store(math.Float64bits(f)) }
 // Value reads the gauge.
 func (g *FloatGauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-// Histogram is a registered latency distribution, exposed in the
-// Prometheus text format as a summary: quantiles 0.5/0.9/0.99 plus
-// _sum and _count, all in seconds.
-type Histogram struct{ Hist }
-
-// Observe records one duration (an alias for Add, matching the usual
-// metrics vocabulary).
-func (h *Histogram) Observe(d time.Duration) { h.Add(d) }
-
 const (
 	kindCounter = "counter"
 	kindGauge   = "gauge"
@@ -100,7 +91,7 @@ type series struct {
 	counter    *Counter
 	gauge      *Gauge
 	fgauge     *FloatGauge
-	hist       *Histogram
+	hist       *Hist
 }
 
 // family is one metric name: its metadata and its series.
@@ -173,7 +164,7 @@ func (f *family) seriesFor(labelValue string) *series {
 			s.gauge = &Gauge{}
 		}
 	case kindSummary:
-		s.hist = &Histogram{}
+		s.hist = &Hist{}
 	}
 	f.series[labelValue] = s
 	f.order = append(f.order, labelValue)
@@ -196,9 +187,11 @@ func (r *Registry) FloatGauge(name, help string) *FloatGauge {
 	return r.familyFor(name, help, kindGauge, "\x00float").seriesFor("").fgauge
 }
 
-// Histogram registers (or finds) an unlabeled latency histogram. Name
-// it *_seconds: the exposition divides nanoseconds down to seconds.
-func (r *Registry) Histogram(name, help string) *Histogram {
+// Histogram registers (or finds) an unlabeled latency histogram,
+// exposed in the Prometheus text format as a summary: quantiles
+// 0.5/0.9/0.99 plus _sum and _count. Name it *_seconds: the exposition
+// divides nanoseconds down to seconds.
+func (r *Registry) Histogram(name, help string) *Hist {
 	return r.familyFor(name, help, kindSummary, "").seriesFor("").hist
 }
 
@@ -339,42 +332,4 @@ func (r *Registry) WriteText(w io.Writer) {
 func (r *Registry) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	r.WriteText(w)
-}
-
-// Values flattens the registry into series name → value: counters and
-// gauges under their name (plus `{key="value"}` when labeled),
-// histograms as name_count and name_sum (seconds). The map is a
-// point-in-time copy — the scrape-delta form the harness and the typed
-// health snapshot read.
-func (r *Registry) Values() map[string]float64 {
-	out := make(map[string]float64)
-	r.mu.Lock()
-	fams := make([]*family, 0, len(r.order))
-	for _, n := range r.order {
-		fams = append(fams, r.families[n])
-	}
-	r.mu.Unlock()
-	for _, f := range fams {
-		f.mu.Lock()
-		for _, lv := range f.order {
-			s := f.series[lv]
-			key := f.name
-			if f.labelKey != "" && f.labelKey[0] != '\x00' {
-				key = fmt.Sprintf("%s{%s=\"%s\"}", f.name, f.labelKey, escapeLabel(lv))
-			}
-			switch {
-			case s.counter != nil:
-				out[key] = float64(s.counter.Value())
-			case s.gauge != nil:
-				out[key] = float64(s.gauge.Value())
-			case s.fgauge != nil:
-				out[key] = s.fgauge.Value()
-			case s.hist != nil:
-				out[key+"_count"] = float64(s.hist.N())
-				out[key+"_sum"] = float64(s.hist.Sum()) / 1e9
-			}
-		}
-		f.mu.Unlock()
-	}
-	return out
 }

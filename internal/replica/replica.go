@@ -33,6 +33,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"sort"
 	"strings"
 	"sync"
@@ -55,8 +56,8 @@ type Options struct {
 	ReconnectBackoff time.Duration
 	// MaxBackoff caps the reconnect delay. Zero selects 5s.
 	MaxBackoff time.Duration
-	// Logf, when set, receives human-readable progress lines.
-	Logf func(format string, args ...any)
+	// Log receives the follower's progress records; nil discards them.
+	Log *slog.Logger
 }
 
 func (o *Options) fill() {
@@ -68,6 +69,9 @@ func (o *Options) fill() {
 	}
 	if o.MaxBackoff <= 0 {
 		o.MaxBackoff = 5 * time.Second
+	}
+	if o.Log == nil {
+		o.Log = slog.New(slog.DiscardHandler)
 	}
 }
 
@@ -150,12 +154,6 @@ func New(primary string, reg *service.Registry, opts Options) *Follower {
 	return f
 }
 
-func (f *Follower) logf(format string, args ...any) {
-	if f.opts.Logf != nil {
-		f.opts.Logf(format, args...)
-	}
-}
-
 // Start launches the discovery and tail loops in the background.
 func (f *Follower) Start() {
 	f.mu.Lock()
@@ -217,7 +215,7 @@ func (f *Follower) Promote(ctx context.Context) error {
 		}
 		// The final pull: the primary's committed history, no waiting.
 		if err := f.tailOnce(ctx, name, st, false); err != nil {
-			f.logf("replica: final catch-up of %q: %v (promoting with what we have)", name, err)
+			f.opts.Log.Warn("replica: final catch-up failed; promoting with what we have", "session", name, "err", err)
 		}
 	}
 	f.reg.Promote()
@@ -228,7 +226,7 @@ func (f *Follower) Promote(ctx context.Context) error {
 	f.reg.SetReplicationHooks(service.ReplicationHooks{})
 	f.lagEvents.Set(0)
 	f.lagSeconds.Set(0)
-	f.logf("replica: promoted; now writable")
+	f.opts.Log.Info("replica: promoted; now writable")
 	return nil
 }
 
@@ -281,7 +279,7 @@ func (f *Follower) discoverLoop(ctx context.Context) {
 	defer ticker.Stop()
 	for {
 		if err := f.discoverOnce(ctx); err != nil && ctx.Err() == nil {
-			f.logf("replica: discover: %v", err)
+			f.opts.Log.Warn("replica: discover failed", "err", err)
 		}
 		select {
 		case <-ctx.Done():
@@ -312,14 +310,14 @@ func (f *Follower) discoverOnce(ctx context.Context) error {
 				if !strings.Contains(ss.lastErr, "replaced on the primary") {
 					ss.stopped = true
 					ss.lastErr = fmt.Sprintf("session %q was replaced on the primary (identity %s, was %s); delete the local copy to re-replicate", st.Name, st.ID, ss.primaryID)
-					f.logf("replica: %s", ss.lastErr)
+					f.opts.Log.Warn("replica: tail stopped", "session", st.Name, "err", ss.lastErr)
 				}
 				ss.mu.Unlock()
 			}
 			continue
 		}
 		if err := f.adopt(ctx, st); err != nil {
-			f.logf("replica: adopt %q: %v", st.Name, err)
+			f.opts.Log.Warn("replica: adopt failed", "session", st.Name, "err", err)
 		}
 	}
 	// A session dropped on the primary stops being tailed but keeps
@@ -333,7 +331,7 @@ func (f *Follower) discoverOnce(ctx context.Context) error {
 		if !ss.stopped {
 			ss.stopped = true
 			ss.lastErr = "session no longer on primary"
-			f.logf("replica: %q vanished from primary; keeping local data, tail stopped", name)
+			f.opts.Log.Warn("replica: session vanished from primary; keeping local data, tail stopped", "session", name)
 		}
 		ss.mu.Unlock()
 	}
@@ -417,10 +415,10 @@ func (f *Follower) adopt(ctx context.Context, pst client.SessionStats) error {
 	f.sessions[pst.Name] = ss
 	f.mu.Unlock()
 	if ss.stopped {
-		f.logf("replica: %s", ss.lastErr)
+		f.opts.Log.Warn("replica: tail stopped", "session", pst.Name, "err", ss.lastErr)
 		return nil
 	}
-	f.logf("replica: tailing %q from seq %d", pst.Name, cp.Session().Vertices()+1)
+	f.opts.Log.Info("replica: tailing", "session", pst.Name, "seq", cp.Session().Vertices()+1)
 	f.wg.Add(1)
 	go func() {
 		defer f.wg.Done()
@@ -449,7 +447,7 @@ func (f *Follower) tailLoop(ctx context.Context, name string, ss *sessionState) 
 				ss.mu.Lock()
 				ss.stopped = true
 				ss.lastErr = fmt.Sprintf("session %q was replaced on the primary (identity %s, was %s); delete the local copy to re-replicate", name, pst.ID, ss.primaryID)
-				f.logf("replica: %s", ss.lastErr)
+				f.opts.Log.Warn("replica: tail stopped", "session", name, "err", ss.lastErr)
 				ss.mu.Unlock()
 				return
 			}
@@ -472,7 +470,7 @@ func (f *Follower) tailLoop(ctx context.Context, name string, ss *sessionState) 
 				ss.mu.Lock()
 				ss.stopped = true
 				ss.mu.Unlock()
-				f.logf("replica: %q is not tailable on the primary (%v); tail stopped", name, err)
+				f.opts.Log.Warn("replica: not tailable on the primary; tail stopped", "session", name, "err", err)
 				return
 			}
 			// Otherwise — dropped stream, unreachable primary, damage
@@ -547,7 +545,7 @@ func (f *Follower) verifyChain(ctx context.Context, name string, ss *sessionStat
 			ss.mu.Lock()
 			ss.noVerify = true
 			ss.mu.Unlock()
-			f.logf("replica: %q: primary reports no integrity state; chain verification off", name)
+			f.opts.Log.Warn("replica: primary reports no integrity state; chain verification off", "session", name)
 			return nil
 		}
 		// Transient fetch failure: the applied data is fine, verify on

@@ -804,7 +804,7 @@ func (r *Registry) restoreSession(sdir, dirName string) (*Session, error) {
 	}
 	restored = true
 	r.metrics.restores.Inc()
-	r.metrics.restoreSec.Observe(time.Since(restoreStart))
+	r.metrics.restoreSec.Add(time.Since(restoreStart))
 	return s, nil
 }
 

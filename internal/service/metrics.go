@@ -1,17 +1,11 @@
 package service
 
 import (
-	"strings"
 	"time"
 
-	"wfreach/internal/api"
 	"wfreach/internal/obs"
 	"wfreach/internal/wal"
 )
-
-// MetricsSnapshot is the wire shape of the typed metrics view (owned
-// by internal/api, like every /v1 body).
-type MetricsSnapshot = api.MetricsSnapshot
 
 // nodeMetrics is the registry's instrument set — one per node, built
 // once in NewRegistry (constructor path). Registration in obs is
@@ -32,15 +26,15 @@ type nodeMetrics struct {
 
 	snapWrites   *obs.Counter
 	snapErrors   *obs.Counter
-	snapWriteSec *obs.Histogram
-	restoreSec   *obs.Histogram
+	snapWriteSec *obs.Hist
+	restoreSec   *obs.Hist
 	restores     *obs.Counter
 	arenaMaps    *obs.Gauge
 	arenaVerts   *obs.Gauge
 	arenaBytes   *obs.Gauge
 
 	chainFrames    *obs.Counter
-	chainVerifySec *obs.Histogram
+	chainVerifySec *obs.Hist
 
 	replicaLagEvents  *obs.Gauge
 	replicaLagSeconds *obs.FloatGauge
@@ -125,38 +119,6 @@ func (s *Session) AddIngestBytes(n int64) {
 	}
 }
 
-// MetricsSnapshot builds the typed point-in-time metrics view surfaced
-// on GET /v1/cluster/health (api.MetricsSnapshot).
-func (r *Registry) MetricsSnapshot() *MetricsSnapshot {
-	m := r.metrics
-	var events, bytes int64
-	for k, v := range m.obs.Values() {
-		switch {
-		case strings.HasPrefix(k, "wf_ingest_events_total"):
-			events += int64(v)
-		case strings.HasPrefix(k, "wf_ingest_bytes_total"):
-			bytes += int64(v)
-		}
-	}
-	return &MetricsSnapshot{
-		Sessions:            m.sessions.Value(),
-		IngestEvents:        events,
-		IngestBytes:         bytes,
-		WALAppends:          m.wal.Appends.Value(),
-		WALCommitP99US:      float64(m.wal.CommitLatency.Quantile(0.99)) / 1e3,
-		WALFsyncP99US:       float64(m.wal.FsyncLatency.Quantile(0.99)) / 1e3,
-		SnapshotWrites:      m.snapWrites.Value(),
-		ArenaMaps:           m.arenaMaps.Value(),
-		ArenaMappedBytes:    m.arenaBytes.Value(),
-		ReplicaLagEvents:    m.replicaLagEvents.Value(),
-		ReplicaLagSeconds:   m.replicaLagSeconds.Value(),
-		MovesCompleted:      m.moves.With("completed").Value(),
-		WrongNodeRejections: m.rejections.With("wrong_node").Value(),
-		ReadOnlyRejections:  m.rejections.With("read_only").Value(),
-		ChainFramesVerified: m.chainFrames.Value(),
-	}
-}
-
 // observeCommit wraps the group-commit wait with its latency
 // instrument.
 func (s *Session) observeCommit(start time.Time) {
@@ -175,12 +137,12 @@ func (s *Session) observeSnapshot(start time.Time, err error) {
 		return
 	}
 	s.metrics.snapWrites.Inc()
-	s.metrics.snapWriteSec.Observe(time.Since(start))
+	s.metrics.snapWriteSec.Add(time.Since(start))
 }
 
 // chainVerified records one hash-chain verification pass over frames
 // WAL frames.
 func (m *nodeMetrics) chainVerified(start time.Time, frames int64) {
 	m.chainFrames.Add(frames)
-	m.chainVerifySec.Observe(time.Since(start))
+	m.chainVerifySec.Add(time.Since(start))
 }

@@ -3,14 +3,18 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
 
 	"wfreach/internal/api"
 	"wfreach/internal/gen"
+	"wfreach/internal/obs"
 )
 
 // parseProm is a strict in-test reader of the Prometheus text format:
@@ -178,5 +182,46 @@ func TestMetricsEndpointUnderConcurrentIngest(t *testing.T) {
 	}
 	if final["wf_sessions"] != 1 {
 		t.Fatalf("wf_sessions = %g, want 1", final["wf_sessions"])
+	}
+}
+
+// TestUnmatchedPathsShareOneRoute: wf_http_requests_total is labelled
+// by the mux pattern that served the request, so paths that match no
+// route all count under the catch-all "/" and cannot use up the
+// family's series cap before a real route is first requested.
+func TestUnmatchedPathsShareOneRoute(t *testing.T) {
+	reg := NewRegistry()
+	h := obs.AccessLog(NewHandler(reg), slog.New(slog.DiscardHandler), 0, reg.Obs())
+	get := func(path string) int {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		return rec.Code
+	}
+	for i := 0; i < obs.MaxSeriesPerFamily+8; i++ {
+		for _, path := range []string{fmt.Sprintf("/wp-admin/%d", i), fmt.Sprintf("/v1/sessions/s%d/junk%d", i, i)} {
+			if code := get(path); code != http.StatusNotFound {
+				t.Fatalf("GET %s = %d, want 404", path, code)
+			}
+		}
+	}
+	if code := get("/v1/sessions"); code != http.StatusOK {
+		t.Fatalf("GET /v1/sessions = %d", code)
+	}
+	var b strings.Builder
+	reg.Obs().WriteText(&b)
+	m := parseProm(t, b.String())
+	want := map[string]float64{
+		`wf_http_requests_total{route="/"}`:            2 * (obs.MaxSeriesPerFamily + 8),
+		`wf_http_requests_total{route="/v1/sessions"}`: 1,
+	}
+	for k, v := range want {
+		if m[k] != v {
+			t.Errorf("%s = %g, want %g", k, m[k], v)
+		}
+	}
+	for k := range m {
+		if strings.HasPrefix(k, "wf_http_requests_total{") && want[k] == 0 {
+			t.Errorf("unexpected series %s = %g", k, m[k])
+		}
 	}
 }

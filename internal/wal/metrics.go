@@ -14,15 +14,15 @@ type Metrics struct {
 	// AppendLatency is sampled — one in appendSampleEvery frame appends
 	// is timed — so the distribution stays representative without
 	// paying two clock reads per frame on saturated ingest.
-	AppendLatency *obs.Histogram
+	AppendLatency *obs.Hist
 	// CommitLatency is a batch's wait in the group committer: append
 	// acknowledged to durable on disk. Observed by the service around
 	// Committer.Commit.
-	CommitLatency *obs.Histogram
+	CommitLatency *obs.Hist
 	// FlushLatency covers a whole flush (buffer write + fsync);
 	// FsyncLatency the fsync alone.
-	FlushLatency *obs.Histogram
-	FsyncLatency *obs.Histogram
+	FlushLatency *obs.Hist
+	FsyncLatency *obs.Hist
 	// Appends counts records entering the log, AppendedBytes their
 	// frames' bytes, headers included.
 	Appends       *obs.Counter
