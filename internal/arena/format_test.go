@@ -1,0 +1,69 @@
+package arena_test
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"testing"
+
+	"wfreach/internal/arena"
+	"wfreach/internal/core"
+	"wfreach/internal/gen"
+	"wfreach/internal/label"
+	"wfreach/internal/run"
+	"wfreach/internal/skeleton"
+	"wfreach/internal/spec"
+	"wfreach/internal/wfspecs"
+)
+
+// The label format a snapshot of this Magic holds: the SHA-256 of the
+// encoded labels the execution labeler issues, one after another, for
+// two streams internal/gen pins (a BioAID execution and an agent trace).
+// A snapshot stores labels as issued, so a change to how a label is
+// numbered (core) or coded (label) changes a digest here, and it needs a
+// new Magic with it: a file of the old labels must be ErrVersion, never
+// mapped next to new ones.
+const (
+	pinnedMagic  = "WFSNAP06"
+	pinnedBioAID = "ca1f15bb96751d69dbe8d0e595735cbcc629c79039e234b61eb44a3343315170"
+	pinnedAgent  = "8cd052ab7e24ccc8539fbfed900639b149e509f1d16bff085d22e3e3f0ad6178"
+)
+
+// TestLabelFormatIsPinned holds labels and Magic together: both digests
+// and the magic change in the same commit or not at all.
+func TestLabelFormatIsPinned(t *testing.T) {
+	if arena.Magic != pinnedMagic {
+		t.Fatalf("Magic is %q, pinned %q: record the digests below under the new magic", arena.Magic, pinnedMagic)
+	}
+	g := spec.MustCompile(wfspecs.BioAID())
+	evs, _, err := gen.GenerateEvents(g, gen.Options{TargetSize: 2048, Seed: 7, MaxCopies: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := labelDigest(t, g, evs); got != pinnedBioAID {
+		t.Errorf("BioAID labels hash to %s, pinned %s: a new label format needs a new Magic", got, pinnedBioAID)
+	}
+	tr, err := gen.GenerateAgentTrace(gen.AgentOptions{TargetSize: 6250, Seed: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := labelDigest(t, tr.Run.Grammar, tr.Events); got != pinnedAgent {
+		t.Errorf("agent labels hash to %s, pinned %s: a new label format needs a new Magic", got, pinnedAgent)
+	}
+}
+
+// labelDigest is the SHA-256 of the encodings of the labels evs are
+// issued, concatenated (each encoding delimits itself).
+func labelDigest(t *testing.T, g *spec.Grammar, evs []run.Event) string {
+	t.Helper()
+	lab := core.NewExecutionLabeler(g, skeleton.TCL, core.RModeDesignated)
+	c := label.NewCodec(g)
+	h := sha256.New()
+	for _, ev := range evs {
+		l, err := lab.Insert(ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write(c.Encode(l))
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}

@@ -81,7 +81,7 @@ func checkCarving(e *core.ExecutionLabeler, mode core.RMode, born map[*parsetree
 				return fmt.Errorf("children %d and %d of %v #%d out of creation order", j-1, j, n.Kind, n.Index)
 			case n.Kind != label.N && c.Index != int32(j+1):
 				return fmt.Errorf("copy %d of %v #%d has index %d", j, n.Kind, n.Index, c.Index)
-			case n.Kind == label.N && n.Groups[c.Index-1] != c:
+			case n.Kind == label.N && n.Groups[slotOfRank(e, n.Graph, c.Index)] != c:
 				return fmt.Errorf("child %d of instance #%d is not the expansion of its slot", j, n.Index)
 			}
 		}
@@ -91,6 +91,12 @@ func checkCarving(e *core.ExecutionLabeler, mode core.RMode, born map[*parsetree
 		}
 	}
 	return nil
+}
+
+// slotOfRank maps a slot child's index back to the slot it expands: the
+// composite vertex of that rank in graph gid.
+func slotOfRank(e *core.ExecutionLabeler, gid spec.GraphID, rank int32) graph.VertexID {
+	return composites(e.Grammar(), gid)[rank]
 }
 
 // wantPrefix recomputes a node's prefix from its parent's: the root has
@@ -105,7 +111,7 @@ func wantPrefix(e *core.ExecutionLabeler, mode core.RMode, n *parsetree.Node) []
 	case p.Kind != label.N:
 		return p.Prefix.Entries
 	}
-	u := spec.VertexRef{Graph: p.Graph, V: graph.VertexID(n.Index - 1)}
+	u := spec.VertexRef{Graph: p.Graph, V: slotOfRank(e, p.Graph, n.Index)}
 	entry := label.Entry{Index: p.Index, Type: label.N, Skl: u}
 	if w := e.Grammar().Designated(p.Graph); mode == core.RModeDesignated && w != graph.None {
 		rec := spec.VertexRef{Graph: p.Graph, V: w}

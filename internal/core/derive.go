@@ -100,7 +100,7 @@ func (d *DerivationLabeler) Apply(st *run.Step) error {
 		if kind == spec.Fork {
 			t = label.F
 		}
-		gx := y.AddSpecial(t, parsetree.SlotIndex(sv))
+		gx := y.AddSpecial(t, d.g.SlotRank(y.Graph, sv))
 		gx.Prefix = d.expansionPrefix(y, sv, specialEntry(gx))
 		y.Groups[sv] = gx
 		for c := 0; c < st.Copies; c++ {
@@ -113,7 +113,7 @@ func (d *DerivationLabeler) Apply(st *run.Step) error {
 	case d.designatedOf(st.Impl) != graph.None:
 		// Algorithm 2, lines 15-18: the implementation opens a linear
 		// recursion, so wrap it in a fresh R node.
-		rx := y.AddSpecial(label.R, parsetree.SlotIndex(sv))
+		rx := y.AddSpecial(label.R, d.g.SlotRank(y.Graph, sv))
 		rx.Prefix = d.expansionPrefix(y, sv, specialEntry(rx))
 		y.Groups[sv] = rx
 		x := rx.AddInstance(st.Impl, ng.G.NumVertices(), rx.NextIndex())
@@ -123,7 +123,7 @@ func (d *DerivationLabeler) Apply(st *run.Step) error {
 
 	default:
 		// Algorithm 2, line 20: a plain replacement.
-		x := y.AddInstance(st.Impl, ng.G.NumVertices(), parsetree.SlotIndex(sv))
+		x := y.AddInstance(st.Impl, ng.G.NumVertices(), d.g.SlotRank(y.Graph, sv))
 		x.Prefix = d.expansionPrefix(y, sv)
 		x.SlotParent, x.SlotVertex = y, sv
 		y.Groups[sv] = x

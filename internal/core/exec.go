@@ -241,13 +241,13 @@ func (e *ExecutionLabeler) expandSlot(y *parsetree.Node, cu graph.VertexID, gid 
 		t = label.R
 	}
 	if t == label.N {
-		x := y.AddInstance(gid, vertices, parsetree.SlotIndex(cu))
+		x := y.AddInstance(gid, vertices, e.g.SlotRank(y.Graph, cu))
 		x.Prefix = e.expansionPrefix(y, cu)
 		x.SlotParent, x.SlotVertex = y, cu
 		y.Groups[cu] = x
 		return x, nil
 	}
-	gx := y.AddSpecial(t, parsetree.SlotIndex(cu))
+	gx := y.AddSpecial(t, e.g.SlotRank(y.Graph, cu))
 	gx.Prefix = e.expansionPrefix(y, cu, specialEntry(gx))
 	y.Groups[cu] = gx
 	x := gx.AddInstance(gid, vertices, gx.NextIndex())

@@ -198,7 +198,7 @@ func FuzzPiBytes(f *testing.F) {
 	}
 	f.Add([]byte{}, []byte{0})
 	// The encoding's edges: two loop copies at index codes from the
-	// shortest to the longest (61 bits, more than one refill of the
+	// shortest to the longest (63 bits, more than one refill of the
 	// reader's window), and the deepest label against its sibling.
 	n := func(idx int32, gr, v int) label.Entry {
 		return label.Entry{Index: idx, Type: label.N, Skl: spec.VertexRef{Graph: spec.GraphID(gr), V: graph.VertexID(v)}}

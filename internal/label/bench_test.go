@@ -78,7 +78,7 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0x00, 0x12})
 	f.Add(c.Encode(deepLabel(label.MaxEntries))) // the deepest label the encoding holds
-	// Index codes from the shortest to the longest, whose 61 bits are more
+	// Index codes from the shortest to the longest, whose 63 bits are more
 	// than one refill of the reader's window.
 	for _, idx := range []int32{0, 1, 2, 1 << 30, 1<<31 - 1} {
 		l := label.Label{}.

@@ -21,7 +21,7 @@ func (r *bitReader) need(k uint) {
 	}
 }
 
-// take returns the next k ≤ 32 bits, which a need must have covered.
+// take returns the next k ≤ 57 bits, which a need must have covered.
 func (r *bitReader) take(k uint) uint64 {
 	v := r.win >> (64 - k)
 	r.win <<= k

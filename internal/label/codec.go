@@ -16,22 +16,23 @@ const MaxEntries = 255
 
 // The index and the entry count are Exp-Golomb codes: x + 2^k written
 // in 2·m − k − 1 bits, where m is its bit length — so m − k − 1 zero
-// bits, then x + 2^k. Order 2 for indexes and order 1 for the count
-// give the fewest padded bytes among orders 0–4 on BioAID runs, where
-// most indexes are 0–5 and most labels hold 4–7 entries; on the deeper
-// agent-grammar labels the same index order is best too. The longest
-// codes — index 2³¹−1 (61 bits), count 255 (16 bits) — bound the zero
-// prefixes below.
+// bits, then x + 2^k. Order 0 (Elias-γ) for indexes and order 1 for the
+// count give the fewest padded bytes among orders 0–4 on BioAID runs,
+// where an index is a slot's rank among a handful of composite vertices
+// or a copy's position and most labels hold 4–7 entries; on the deeper
+// agent-grammar labels the same orders are best too. The longest codes
+// — index 2³¹−1 (63 bits), count 255 (16 bits) — bound the zero prefixes
+// below.
 const (
-	indexOrder    = 2
-	maxIndexZeros = 29
+	indexOrder    = 0
+	maxIndexZeros = 31
 	countOrder    = 1
 	maxCountZeros = 7
 	maxIndex      = 1<<31 - 1
 	// shortIndexZeros is the longest prefix whose entry type and index
-	// code (2 + 2·13 + 3 bits) move in one 32-bit field: indexes below
-	// 2¹⁵ − 4.
-	shortIndexZeros = 13
+	// code (2 + 2·14 + 1 bits) move in one 32-bit field: indexes below
+	// 2¹⁵ − 1.
+	shortIndexZeros = 14
 )
 
 // expGolombLen is the length in bits of x's order-k Exp-Golomb code.
@@ -55,7 +56,7 @@ var (
 // and per entry
 //
 //	type        2 bits
-//	index       order-2 Exp-Golomb (3 bits for 0–3, 5 bits for 4–11)
+//	index       order-0 Exp-Golomb (1 bit for 0, 3 bits for 1–2, 5 bits for 3–6)
 //	skl         ⌈log₂ n_G⌉ bits (global spec-vertex number), N entries only
 //	rec         1 presence bit (+ 2 flag bits) when the previous
 //	            entry's node is an R node
@@ -181,8 +182,10 @@ func (c *Codec) EncodeInto(dst []byte, l Label) {
 		if code := expGolombLen(uint64(e.Index), indexOrder); code <= 32-2 {
 			w.write(uint64(e.Type)<<code|x, 2+code)
 		} else {
+			// Past one write: the type, the zero prefix, then x.
 			z := (code - indexOrder - 1) / 2
-			w.write(uint64(e.Type)<<z, 2+z)
+			w.write(uint64(e.Type), 2)
+			w.write(0, z)
 			w.write(x, code-z)
 		}
 		if e.Type == N {
@@ -276,6 +279,7 @@ func (cu *Cursor) Next(e *Entry) (bool, error) {
 		r.win <<= 2 + code
 		r.n -= 2 + code
 	case z <= maxIndexZeros:
+		r.need(2 + z)
 		hdr = r.take(2+z) >> z
 		r.need(z + indexOrder + 1)
 		if idx = r.take(z+indexOrder+1) - 1<<indexOrder; idx > maxIndex {

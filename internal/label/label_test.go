@@ -102,7 +102,7 @@ func TestEncodeDecodeQuick(t *testing.T) {
 
 func TestBitLenVersusEncodedSize(t *testing.T) {
 	// BitLen uses the paper's word-RAM accounting; Encode prefix-codes
-	// each index (order-2 Exp-Golomb: 3 bits for index 0, 5 for 5, 11 for
+	// each index (order-0 Exp-Golomb: 1 bit for index 0, 5 for 5, 13 for
 	// 117 — the value bits plus a prefix), prefixes a coded entry count
 	// (4 bits for 3 entries), and pads to a whole byte.
 	c := codec(t)
@@ -111,7 +111,7 @@ func TestBitLenVersusEncodedSize(t *testing.T) {
 		Append(label.Entry{Index: 5, Type: label.L, Skl: spec.NoRef}).
 		Append(label.Entry{Index: 117, Type: label.N, Skl: ref(2, 1)})
 	bits := c.BitLen(l)
-	framing := 4 + (3 - 1) + (5 - 3) + (11 - 7)
+	framing := 4 + (1 - 1) + (5 - 3) + (13 - 7)
 	if enc, want := c.EncodedBits(l), (bits+framing+7)/8*8; enc != want {
 		t.Fatalf("encoded %d bits for BitLen %d, want %d", enc, bits, want)
 	}

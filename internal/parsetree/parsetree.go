@@ -22,7 +22,7 @@ import (
 // graph; special nodes (L, F, R) group their children.
 type Node struct {
 	Kind     label.NodeType
-	Index    int32 // position under the parent: 0 for the root, 1-based for children
+	Index    int32 // 0 for the root; a slot child's rank or an ordered child's 1-based position
 	Parent   *Node
 	Children []*Node
 
@@ -139,10 +139,11 @@ func NewRoot(gid spec.GraphID, vertices int) *Node {
 }
 
 // AddSpecial appends a new special child (L, F or R) to n with the
-// given sibling index. Expansions of an instance's slots use the slot
-// vertex as the index, making labels independent of the order in which
-// sibling slots happen to expand; copies under L/F nodes and chain
-// members under R nodes use their 1-based position.
+// given sibling index. The expansion of an instance's slot takes the
+// slot's rank among its graph's composite vertices (spec.Grammar's
+// SlotRank), making labels independent of the order in which sibling
+// slots happen to expand; copies under L/F nodes and chain members
+// under R nodes take their 1-based position (NextIndex).
 func (n *Node) AddSpecial(kind label.NodeType, index int32) *Node {
 	if kind == label.N {
 		panic("parsetree: AddSpecial with N kind")
@@ -166,11 +167,6 @@ func (n *Node) AddInstance(gid spec.GraphID, vertices int, index int32) *Node {
 // NextIndex returns the 1-based position for the next ordered child
 // (loop/fork copies and recursion-chain members).
 func (n *Node) NextIndex() int32 { return int32(len(n.Children) + 1) }
-
-// SlotIndex returns the static sibling index used for the expansion of
-// a slot vertex: the slot's vertex id plus one (unique among an
-// instance's children, and disjoint from the root's 0).
-func SlotIndex(slot graph.VertexID) int32 { return int32(slot) + 1 }
 
 // Depth returns the depth of the subtree rooted at n: the number of
 // levels (a single node has depth 1, matching the d_t of Table 1 as a

@@ -20,8 +20,8 @@ func TestTreeConstruction(t *testing.T) {
 			t.Fatal("RunOf must start unmaterialized")
 		}
 	}
-	l := root.AddSpecial(label.L, parsetree.SlotIndex(1))
-	if l.Index != 2 || !l.IsSpecial() || l.Parent != root {
+	l := root.AddSpecial(label.L, 1)
+	if l.Index != 1 || !l.IsSpecial() || l.Parent != root {
 		t.Fatalf("special child malformed: index %d", l.Index)
 	}
 	c1 := l.AddInstance(1, 4, l.NextIndex())
@@ -67,12 +67,5 @@ func TestShapeStatistics(t *testing.T) {
 	root.Walk(func(*parsetree.Node) { count++ })
 	if count != 11 {
 		t.Fatalf("Walk visited %d", count)
-	}
-}
-
-func TestSlotIndexDisjointFromRoot(t *testing.T) {
-	// Slot indexes are ≥ 1, never colliding with the root's 0.
-	if parsetree.SlotIndex(0) != 1 || parsetree.SlotIndex(7) != 8 {
-		t.Fatal("SlotIndex off")
 	}
 }

@@ -29,9 +29,12 @@ import (
 // batch frame loses that whole batch and nothing before it, and a tail
 // frame the labeler refuses past its first record is cut whole with the
 // labeler left at the prefix, so the stream goes on from there. The
-// WFSNAP02 and WFSNAP04 rows are the upgrade path: a labels.snap in a
-// format earlier builds wrote is ignored and replayed over, and the
-// session's next snapshot overwrites it in the current one.
+// WFSNAP02, WFSNAP04 and WFSNAP05 rows are the upgrade path: a
+// labels.snap in a format earlier builds wrote is ignored and replayed
+// over, and the session's next snapshot overwrites it in the current
+// one. WFSNAP05 has today's layout, so its row is this image under the
+// old magic: labels numbered and coded the old way must be replayed
+// over even when every checksum holds.
 func TestRestoreCutAndFlipTable(t *testing.T) {
 	image := t.TempDir()
 	g := compileBuiltin(t, "BioAID")
@@ -127,6 +130,7 @@ func TestRestoreCutAndFlipTable(t *testing.T) {
 		{name: "flip in the arena header", snap: flipped(snapRaw, 50), class: boot, frames: n},
 		{name: "WFSNAP02 snapshot", snap: append([]byte("WFSNAP02"), snapRaw[8:]...), class: boot, frames: n, resnap: true},
 		{name: "WFSNAP04 snapshot", snap: append([]byte("WFSNAP04"), snapRaw[8:]...), class: boot, frames: n, resnap: true},
+		{name: "WFSNAP05 snapshot", snap: append([]byte("WFSNAP05"), snapRaw[8:]...), class: boot, frames: n, resnap: true},
 		{name: "cut inside the last batch frame", wal: walRaw[:(ends[n-1]+ends[n])/2], class: cutTail, frames: n - 1, arena: labels, resume: true},
 		{name: "tail frame refused after its first record", wal: slices.Concat(walRaw[:ends[n-1]], refusedTail), class: cutTail, frames: n - 1, resume: true},
 	}

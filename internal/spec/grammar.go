@@ -52,13 +52,22 @@ func (c Class) String() string {
 type Grammar struct {
 	spec *Spec
 
-	induces    map[string]map[string]bool // reflexive-transitive ↦*
-	recVerts   [][]graph.VertexID         // per graph: recursive vertices (ascending)
-	designated []graph.VertexID           // per graph: compressed recursive vertex or None
-	class      Class
-	minExpand  map[string]int // per composite name: min atomic vertices of a full expansion
+	induces   map[string]map[string]bool // reflexive-transitive ↦*
+	recVerts  [][]graph.VertexID         // per graph: recursive vertices (ascending)
+	graphs    []graphFacts               // per graph: what a labeler asks of it per expansion
+	class     Class
+	minExpand map[string]int // per composite name: min atomic vertices of a full expansion
 
 	totalVertices int
+}
+
+// graphFacts is what the labelers look up about one specification graph
+// each time they expand one of its vertices.
+type graphFacts struct {
+	designated graph.VertexID // compressed recursive vertex or None
+	// slotRank[v] is composite vertex v's 0-based rank among the graph's
+	// composite vertices in vertex order, -1 for an atomic vertex.
+	slotRank []int32
 }
 
 // Compile analyzes a specification into a Grammar.
@@ -84,9 +93,23 @@ func Compile(s *Spec) (*Grammar, error) {
 	// Recursive vertices per implementation graph: u is recursive in
 	// production A := h iff Name(u) induces A.
 	g.recVerts = make([][]graph.VertexID, len(s.graphs))
-	g.designated = make([]graph.VertexID, len(s.graphs))
-	for i := range g.designated {
-		g.designated[i] = graph.None
+	g.graphs = make([]graphFacts, len(s.graphs))
+	for _, ng := range s.graphs {
+		g.totalVertices += ng.G.NumVertices()
+	}
+	ranks := make([]int32, g.totalVertices)
+	for i, ng := range s.graphs {
+		n := ng.G.NumVertices()
+		f := &g.graphs[i]
+		f.designated, f.slotRank, ranks = graph.None, ranks[:n:n], ranks[n:]
+		rank := int32(0)
+		for v := range f.slotRank {
+			f.slotRank[v] = -1
+			if s.kinds[ng.G.Name(graph.VertexID(v))].Composite() {
+				f.slotRank[v] = rank
+				rank++
+			}
+		}
 	}
 	recursion := false
 	linear := true
@@ -155,7 +178,7 @@ func Compile(s *Spec) (*Grammar, error) {
 			}
 		}
 		if len(eligible) > 0 {
-			g.designated[ng.ID] = firstInTopoOrder(gg, eligible)
+			g.graphs[ng.ID].designated = firstInTopoOrder(gg, eligible)
 		}
 	}
 	switch {
@@ -168,10 +191,6 @@ func Compile(s *Spec) (*Grammar, error) {
 	default:
 		g.class = ClassNonlinearSeries
 		_ = series
-	}
-
-	for _, ng := range s.graphs {
-		g.totalVertices += ng.G.NumVertices()
 	}
 
 	g.computeMinExpand()
@@ -275,7 +294,13 @@ func (g *Grammar) IsRecursive() bool { return g.class != ClassNonRecursive }
 // nodes (graph.None when the graph has none, or when its owner is a
 // loop or fork). For linear recursive grammars this is the unique
 // recursive vertex.
-func (g *Grammar) Designated(id GraphID) graph.VertexID { return g.designated[id] }
+func (g *Grammar) Designated(id GraphID) graph.VertexID { return g.graphs[id].designated }
+
+// SlotRank returns composite vertex v's 0-based rank among the composite
+// vertices of graph id, in vertex order. It is the index of the
+// parse-tree child that expands v under its instance, so those indexes
+// cost the log θ_t bits Algorithm 1 budgets for them.
+func (g *Grammar) SlotRank(id GraphID, v graph.VertexID) int32 { return g.graphs[id].slotRank[v] }
 
 // MinExpansion returns the minimum number of atomic vertices a full
 // expansion of the composite name can produce (loops and forks
