@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -152,6 +153,15 @@ func syncDir(dir string) error {
 // metadata behind a successful Create), and opens an empty WAL. Called
 // with the session's name reserved in the registry but no lock held.
 func (s *Session) initDurable(opts *DurableOptions, committer *wal.Committer) error {
+	// spec.xml must decode again, on restore and on a replica, so it is
+	// held to the cap DecodeSpec holds a document to.
+	var specXML bytes.Buffer
+	if err := wfxml.EncodeSpec(&specXML, s.g.Spec()); err != nil {
+		return fmt.Errorf("service: %w", err)
+	}
+	if specXML.Len() > wfxml.MaxSpecBytes {
+		return api.Errorf(api.CodeBadSpec, "specification encodes to a %d-byte %s, over the %d-byte cap", specXML.Len(), specFile, wfxml.MaxSpecBytes)
+	}
 	dir := filepath.Join(opts.Dir, s.name)
 	if _, err := os.Stat(dir); err == nil {
 		return fmt.Errorf("service: session data already exists at %s (restore or remove it)", dir)
@@ -164,7 +174,8 @@ func (s *Session) initDurable(opts *DurableOptions, committer *wal.Committer) er
 	cleanup := func() { os.RemoveAll(dir) }
 
 	err := writeFileSync(filepath.Join(dir, specFile), func(f *os.File) error {
-		return wfxml.EncodeSpec(f, s.g.Spec())
+		_, err := f.Write(specXML.Bytes())
+		return err
 	})
 	if err != nil {
 		cleanup()

@@ -348,17 +348,17 @@ func handleCreate(reg *Registry, w http.ResponseWriter, r *http.Request) {
 	if strings.HasPrefix(ct, "application/xml") || strings.HasPrefix(ct, "text/xml") {
 		// Raw XML upload: the body is the specification, options travel
 		// in query parameters.
-		s, err := wfxml.DecodeSpec(r.Body)
+		s, err := wfxml.DecodeSpec(http.MaxBytesReader(w, r.Body, wfxml.MaxSpecBytes))
 		if err != nil {
-			writeError(w, api.Errorf(api.CodeBadSpec, "%v", err))
+			writeError(w, createBodyError(err, api.Errorf(api.CodeBadSpec, "%v", err)))
 			return
 		}
 		q := r.URL.Query()
 		createSession(reg, w, q.Get("name"), s, q.Get("skeleton"), q.Get("rmode"))
 		return
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, api.Errorf(api.CodeBadJSON, "bad JSON body: %v", err))
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxCreateJSON)).Decode(&req); err != nil {
+		writeError(w, createBodyError(err, api.Errorf(api.CodeBadJSON, "bad JSON body: %v", err)))
 		return
 	}
 	var sp *spec.Spec
@@ -373,6 +373,9 @@ func handleCreate(reg *Registry, w http.ResponseWriter, r *http.Request) {
 				WithDetail("have %s", strings.Join(BuiltinNames(), ", ")))
 			return
 		}
+	case len(req.SpecXML) > wfxml.MaxSpecBytes:
+		writeError(w, api.Errorf(api.CodeBadRequest, "spec_xml exceeds the %d-byte cap on a specification", wfxml.MaxSpecBytes))
+		return
 	case req.SpecXML != "":
 		var err error
 		if sp, err = wfxml.DecodeSpec(strings.NewReader(req.SpecXML)); err != nil {
@@ -384,6 +387,22 @@ func handleCreate(reg *Registry, w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	createSession(reg, w, req.Name, sp, req.Skeleton, req.RMode)
+}
+
+// maxCreateJSON caps a JSON create body: room for a spec_xml of
+// wfxml.MaxSpecBytes however JSON escapes it (at most six bytes a byte,
+// \u003c for <), which DecodeSpec then holds to its cap.
+const maxCreateJSON = 6*wfxml.MaxSpecBytes + 64<<10
+
+// createBodyError is the refusal of a create body that failed to
+// decode with err: a bad_request naming the cap where the body was over
+// it, else refusal.
+func createBodyError(err error, refusal *api.Error) *api.Error {
+	var over *http.MaxBytesError
+	if errors.As(err, &over) {
+		return api.Errorf(api.CodeBadRequest, "create body exceeds its %d-byte cap; a specification is capped at %d bytes", over.Limit, wfxml.MaxSpecBytes)
+	}
+	return refusal
 }
 
 func createSession(reg *Registry, w http.ResponseWriter, name string, sp *spec.Spec, skelName, modeName string) {
@@ -417,7 +436,7 @@ func createSession(reg *Registry, w http.ResponseWriter, name string, sp *spec.S
 		// Name collisions (including leftover on-disk data) are the
 		// client's problem; a registry that cannot persist is not —
 		// toAPIError maps ErrDurability to a 5xx.
-		if !errors.Is(err, ErrDurability) {
+		if !errors.Is(err, ErrDurability) && !errors.As(err, new(*api.Error)) {
 			err = api.Errorf(api.CodeSessionExists, "%v", err)
 		}
 		writeError(w, err)

@@ -158,8 +158,8 @@ func TestBinaryHandlerAllocatesPerRequest(t *testing.T) {
 
 // TestReplayAllocatesPerInstance: restoring a session from its log
 // alone re-labels and re-encodes every event, and allocates well under
-// one object per event doing it — what is left is per session (decoding
-// its spec is most of it) and per chunk.
+// one object per event doing it — what is left is per session (its spec
+// and grammar are most of it) and per chunk.
 func TestReplayAllocatesPerInstance(t *testing.T) {
 	reg, s, events := allocGateSession(t, 40_000)
 	appendAll(t, s, events, 256)
@@ -271,5 +271,42 @@ func TestBinaryReachHandlerAllocatesPerRequest(t *testing.T) {
 	t.Logf("%d requests each: %.1f allocations for %d pairs, %.1f for %d", requests, small, sizes[0], large, sizes[1])
 	if large > small+1.5 {
 		t.Errorf("a %d-pair batch allocates %.1f objects, a %d-pair batch %.1f: want the same, a pair costs none", sizes[1], large, sizes[0], small)
+	}
+}
+
+// TestCleanRestoreAllocatesPerSession: restoring a session a clean
+// shutdown left — the first 1,024 events of a BioAID execution, a
+// snapshot over all of them — costs a session's fixed price: metadata,
+// specification, grammar, the arena's mapping and index pages, the log
+// reopened. A spec decoder that allocated per XML token would cost
+// thousands more.
+func TestCleanRestoreAllocatesPerSession(t *testing.T) {
+	const logged, limit = 1024, 2500
+	dir := t.TempDir()
+	reg := durableReg(t, dir, DurableOptions{})
+	g := compileBuiltin(t, "BioAID")
+	s, err := reg.Create("gate", g, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, _ := genEvents(t, g, 100_000, 1)
+	appendAll(t, s, events[:logged], 256)
+	if err := reg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reg2 := durableReg(t, dir, DurableOptions{})
+	t.Cleanup(func() { reg2.Close() })
+	before := mallocs()
+	names, err := reg2.Restore(dir)
+	after := mallocs()
+	if err != nil || len(names) != 1 {
+		t.Fatalf("restore: %v, %v", names, err)
+	}
+	if s2, _ := reg2.Get("gate"); s2.Vertices() != logged || !s2.needLabelerReplay {
+		t.Fatalf("restored %d of %d events from the log, want all from the snapshot", s2.Vertices(), logged)
+	}
+	t.Logf("restoring a %d-event session: %d allocations", logged, after-before)
+	if after-before > limit {
+		t.Errorf("restoring a %d-event session allocates %d objects, want at most %d", logged, after-before, limit)
 	}
 }

@@ -307,10 +307,15 @@ func (s *Store) AttachArena(a *arena.Arena, released func()) error {
 			err = fmt.Errorf("store: snapshot label of vertex %d is %d bytes, an index word addresses %d", v, len(enc), maxLabel)
 			return false
 		}
-		if i := int(v >> pageShift); i >= len(pages) || pages[i] == nil {
-			pages = withPage(pages, i)
+		// The directory grows as append grows it, not a copy a page.
+		i := int(v >> pageShift)
+		if i >= len(pages) {
+			pages = append(pages, make([]*page, i+1-len(pages))...)
 		}
-		pages[v>>pageShift][v&(pageSize-1)].Store(word(0, off, len(enc)))
+		if pages[i] == nil {
+			pages[i] = new(page)
+		}
+		pages[i][v&(pageSize-1)].Store(word(0, off, len(enc)))
 		off += len(enc)
 		return true
 	})

@@ -65,6 +65,11 @@ func TestDecodeSpecErrors(t *testing.T) {
 		"cycle":       `<specification><graph label="g0"><vertex id="0" name="s"/><vertex id="1" name="t"/><edge from="0" to="1"/><edge from="1" to="0"/></graph></specification>`,
 		"ownerFirst":  `<specification><graph label="g0" owner="A"><vertex id="0" name="s"/><vertex id="1" name="t"/><edge from="0" to="1"/></graph></specification>`,
 	}
+	var over bytes.Buffer
+	if err := wfxml.EncodeSpec(&over, wfspecs.RunningExample()); err != nil {
+		t.Fatal(err)
+	}
+	cases["overCap"] = over.String() + strings.Repeat(" ", wfxml.MaxSpecBytes)
 	for name, in := range cases {
 		if _, err := wfxml.DecodeSpec(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: decode accepted invalid input", name)

@@ -39,6 +39,7 @@
 package wfreach
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"strings"
@@ -212,20 +213,27 @@ func SpecXML(s *Spec) (string, error) {
 	return b.String(), nil
 }
 
-// SaveSpec writes a specification to an XML file.
+// SaveSpec writes a specification to an XML file. It refuses, writing
+// nothing, one whose document would be over the 4 MiB LoadSpec reads.
 func SaveSpec(path string, s *Spec) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("wfreach: %w", err)
-	}
-	defer f.Close()
-	if err := wfxml.EncodeSpec(f, s); err != nil {
+	var b bytes.Buffer
+	if err := wfxml.EncodeSpec(&b, s); err != nil {
 		return err
 	}
-	return f.Close()
+	if b.Len() > wfxml.MaxSpecBytes {
+		return fmt.Errorf("wfreach: specification encodes to %d bytes, over the %d-byte cap", b.Len(), wfxml.MaxSpecBytes)
+	}
+	if err := os.WriteFile(path, b.Bytes(), 0o666); err != nil {
+		return fmt.Errorf("wfreach: %w", err)
+	}
+	return nil
 }
 
-// LoadSpec reads a specification from an XML file.
+// LoadSpec reads a specification from an XML file of at most 4 MiB,
+// refusing the constructs SaveSpec never writes: directives, CDATA
+// sections, processing instructions bar a leading UTF-8 XML
+// declaration, names with a colon or beyond ASCII, and text other than
+// white space.
 func LoadSpec(path string) (*Spec, error) {
 	f, err := os.Open(path)
 	if err != nil {

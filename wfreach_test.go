@@ -145,6 +145,26 @@ func TestXMLFacade(t *testing.T) {
 	if err := wfreach.SaveRun(filepath.Join(dir, "nodir", "x.xml"), r); err == nil {
 		t.Fatal("bad path accepted")
 	}
+	// A specification LoadSpec could not read back is not written.
+	names := make([]string, 4500)
+	chain := make([][2]string, len(names)-1)
+	for i := range names {
+		names[i] = fmt.Sprintf("v%04d%s", i, strings.Repeat("x", 1000))
+		if i > 0 {
+			chain[i-1] = [2]string{names[i-1], names[i]}
+		}
+	}
+	big, err := spec.NewBuilder().Start("g0", spec.G(names, chain...)).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bigPath := filepath.Join(dir, "big.xml")
+	if err := wfreach.SaveSpec(bigPath, big); err == nil || !strings.Contains(err.Error(), "cap") {
+		t.Fatalf("a specification over the cap saved: %v", err)
+	}
+	if _, err := os.Stat(bigPath); !os.IsNotExist(err) {
+		t.Fatalf("a refused save left %s: %v", bigPath, err)
+	}
 	// Keep os import honest.
 	if _, err := os.Stat(specPath); err != nil {
 		t.Fatal(err)
