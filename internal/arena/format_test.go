@@ -23,9 +23,9 @@ import (
 // new Magic with it: a file of the old labels must be ErrVersion, never
 // mapped next to new ones.
 const (
-	pinnedMagic  = "WFSNAP06"
-	pinnedBioAID = "ca1f15bb96751d69dbe8d0e595735cbcc629c79039e234b61eb44a3343315170"
-	pinnedAgent  = "8cd052ab7e24ccc8539fbfed900639b149e509f1d16bff085d22e3e3f0ad6178"
+	pinnedMagic  = "WFSNAP07"
+	pinnedBioAID = "2c61614df7afea6fe53475123588052790793a446e6509b22a9d27b2ed70fc6f"
+	pinnedAgent  = "0ff09426847b877edf03d6751ab3dd290fbe748f59cf20f071046fe3c1595a4b"
 )
 
 // TestLabelFormatIsPinned holds labels and Magic together: both digests

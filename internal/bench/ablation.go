@@ -64,7 +64,7 @@ func AblationEncoding(cfg Config) *Table {
 		Title:   "Ablation: label accounting vs wire encoding (BioAID)",
 		Columns: []string{"run size", "avg BitLen", "avg wire bits", "overhead (bits)"},
 		Notes: []string{
-			"BitLen is Theorem 3's accounting (type + index value bits + skeleton pointer + recursion flags); the wire codec replaces each index's value bits by its order-0 Exp-Golomb code and adds an order-1 Exp-Golomb entry count and byte padding, so stored labels are self-delimiting.",
+			"BitLen is Theorem 3's accounting (type + index value bits + the part of the skeleton pointer the grammar leaves open + recursion flags); the wire codec replaces each index's value bits by its order-0 Exp-Golomb code and adds an order-1 Exp-Golomb entry count and byte padding, so stored labels are self-delimiting.",
 		},
 	}
 	for _, n := range cfg.sizes() {

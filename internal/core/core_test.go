@@ -2,11 +2,13 @@ package core_test
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"wfreach/internal/core"
 	"wfreach/internal/gen"
 	"wfreach/internal/graph"
+	"wfreach/internal/label"
 	"wfreach/internal/parsetree"
 	"wfreach/internal/run"
 	"wfreach/internal/skeleton"
@@ -324,6 +326,44 @@ func TestIntermediateGraphValidity(t *testing.T) {
 	}
 }
 
+// TestCompositeLabelsAreInMemoryOnly: the label a derivation issues
+// for a not-yet-expanded composite vertex answers queries (Remark 1)
+// but ends on a vertex no encoded leaf can name, so the codec refuses it
+// — Encode, EncodedLen and BitLen alike — with a message that says so,
+// while the labels of the same graph's atomic vertices encode.
+func TestCompositeLabelsAreInMemoryOnly(t *testing.T) {
+	g := spec.MustCompile(wfspecs.RunningExample())
+	r := run.New(g)
+	d := core.NewDerivationLabeler(g, skeleton.TCL, core.RModeDesignated)
+	if err := d.Start(r.StartIDs); err != nil {
+		t.Fatal(err)
+	}
+	codec := label.NewCodec(g)
+	for sv, v := range r.StartIDs {
+		l := d.MustLabel(v)
+		if !g.Spec().Kind(r.NameOf(v)).Composite() {
+			if got, err := codec.Decode(codec.Encode(l)); err != nil || !got.Equal(l) {
+				t.Fatalf("g0:%d: %s decodes to %s, %v", sv, l, got, err)
+			}
+			continue
+		}
+		for name, measure := range map[string]func(label.Label){
+			"Encode":     func(l label.Label) { codec.Encode(l) },
+			"EncodedLen": func(l label.Label) { codec.EncodedLen(l) },
+			"BitLen":     func(l label.Label) { codec.BitLen(l) },
+		} {
+			func() {
+				defer func() {
+					if msg, _ := recover().(string); !strings.Contains(msg, "no atomic vertex") {
+						t.Errorf("%s of composite g0:%d's label %s: panic %q, want a refusal naming it", name, sv, l, msg)
+					}
+				}()
+				measure(l)
+			}()
+		}
+	}
+}
+
 // TestExecutionIntermediateValidity does the same for the
 // execution-based labeler: after every insertion, all labeled pairs
 // answer correctly on the inserted-so-far subgraph.
@@ -479,7 +519,7 @@ func TestTheorem3LengthBound(t *testing.T) {
 		logTheta++
 	}
 	cod := labelCodec(g)
-	bound := dt * (logTheta + g.PointerBits() + 10)
+	bound := dt * (logTheta + pointerBits(g) + 10)
 	for _, v := range r.Graph.LiveVertices() {
 		l := d.MustLabel(v)
 		if l.Len() > dt {

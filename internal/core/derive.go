@@ -15,7 +15,9 @@ import (
 // Section 5.2: it consumes derivation steps g_{i-1}[u/h] ⇒ g_i, grows
 // the explicit parse tree per Algorithm 2, and labels every vertex of
 // each inserted subgraph per Algorithm 3, before the next step arrives
-// and without ever revising a label.
+// and without ever revising a label. The label of a composite vertex
+// keeps answering queries after the vertex is expanded (Remark 1), but
+// it is in-memory only: label.Codec holds the labels of atomic vertices.
 type DerivationLabeler struct {
 	base
 }

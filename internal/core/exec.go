@@ -124,14 +124,20 @@ func (e *ExecutionLabeler) AppendInsert(dst []label.Entry, ev run.Event) ([]labe
 	if err != nil {
 		return dst, err
 	}
-	return e.issue(dst, x, sv, ev.V), nil
+	return e.issue(dst, x, sv, ev.V)
 }
 
 // issue binds run vertex v as spec vertex sv of instance x and appends
-// its label to dst.
-func (e *ExecutionLabeler) issue(dst []label.Entry, x *parsetree.Node, sv, v graph.VertexID) []label.Entry {
+// its label to dst. It refuses a composite sv: only atomic modules
+// execute, a composite one is executed by an instance of one of its
+// implementations, and a run vertex bound to it would shadow that
+// instance's slot.
+func (e *ExecutionLabeler) issue(dst []label.Entry, x *parsetree.Node, sv, v graph.VertexID) ([]label.Entry, error) {
+	if e.info[x.Graph].composite[sv] {
+		return dst, fmt.Errorf("core: vertex %d names %s, a composite module of g%d: only atomic modules execute", v, e.info[x.Graph].g.Name(sv), x.Graph)
+	}
 	e.bind(x, sv, v)
-	return e.appendLabel(dst, x, sv)
+	return e.appendLabel(dst, x, sv), nil
 }
 
 // checkEvent is the validation every insertion entry point makes

@@ -1,6 +1,8 @@
 package core_test
 
 import (
+	"math/bits"
+
 	"wfreach/internal/graph"
 	"wfreach/internal/label"
 	"wfreach/internal/spec"
@@ -29,4 +31,98 @@ func composites(g *spec.Grammar, gid spec.GraphID) []graph.VertexID {
 		}
 	}
 	return out
+}
+
+// pointerBits is Algorithm 1's skeleton pointer: ⌈log₂ n_G⌉ bits, a
+// global spec-vertex number (at least 1 bit).
+func pointerBits(g *spec.Grammar) int {
+	return max(1, bits.Len(uint(g.TotalVertices()-1)))
+}
+
+// algorithm1Bits is the label length under Algorithm 1's accounting as
+// the paper states it: per entry 2 type bits, the index's value bits, a
+// skeleton pointer on every N entry and 2 flag bits below an R node.
+// Codec.BitLen never exceeds it.
+func algorithm1Bits(g *spec.Grammar, l label.Label) int {
+	n := 0
+	for i, e := range l.Entries {
+		n += 2 + max(1, bits.Len32(uint32(e.Index)))
+		if e.Type == label.N {
+			n += pointerBits(g)
+		}
+		if i > 0 && l.Entries[i-1].Type == label.R {
+			n += 2
+		}
+	}
+	return n
+}
+
+// deepLabel builds an n-entry label (n ≥ 6) of RunningExample, the shape
+// a nonlinear recursion produces without R nodes: the first fork copy's
+// A slot, then instances of h3 = s3 → B → C → t3 and h6 = s6 → A → t6
+// expanding each other's C and A slots in turn, down to an s3 or s6.
+func deepLabel(n int) label.Label {
+	entries := []label.Entry{
+		{Index: 0, Type: label.N, Skl: spec.VertexRef{Graph: 0, V: 1}},
+		{Index: 0, Type: label.L, Skl: spec.NoRef},
+		{Index: 1, Type: label.N, Skl: spec.VertexRef{Graph: 1, V: 1}},
+		{Index: 0, Type: label.F, Skl: spec.NoRef},
+		{Index: 1, Type: label.N, Skl: spec.VertexRef{Graph: 2, V: 1}},
+	}
+	for i := 5; i < n; i++ {
+		if i%2 == 1 {
+			entries = append(entries, label.Entry{Index: 0, Type: label.N, Skl: spec.VertexRef{Graph: 3, V: 2}})
+		} else {
+			entries = append(entries, label.Entry{Index: 1, Type: label.N, Skl: spec.VertexRef{Graph: 6, V: 1}})
+		}
+	}
+	entries[n-1].Skl.V = 0
+	return label.Label{Entries: entries}
+}
+
+// siblingOf returns a deepLabel whose last entry is an h6 instance's
+// s6 with the s5 of the B slot of the same h3 instance: a label that
+// diverges from l at its last entry.
+func siblingOf(l label.Label) label.Label {
+	entries := append([]label.Entry(nil), l.Entries...)
+	entries[len(entries)-2].Skl.V = 1
+	entries[len(entries)-1] = label.Entry{Index: 0, Type: label.N, Skl: spec.VertexRef{Graph: 5, V: 0}}
+	return label.Label{Entries: entries}
+}
+
+// outOfRange returns RunningExample encodings that each hold one value
+// the grammar does not: an implementation choice past its set, an index
+// past the composite vertices of the instance above, a leaf rank past
+// its set's atomic vertices. They are packed field by field — type (N 0,
+// L 1, F 2, R 3), index code, choice or leaf — since Encode refuses
+// such labels.
+func outOfRange() map[string][]byte {
+	// The path to the A slot of the first fork copy, then the R node
+	// expanding it: its chain set is h3, h4, h6 — a 2-bit choice, and a
+	// 3-bit rank among their six atomic vertices.
+	toChain := [][2]uint64{{0, 2}, {1, 1}, {1, 2}, {1, 1}, {0, 2}, {2, 3}, {2, 2}, {1, 1}, {0, 2}, {2, 3}, {3, 2}, {1, 1}}
+	return map[string][]byte{
+		"choice past its set": packBits(append(append([][2]uint64{{10, 6}}, toChain...),
+			[2]uint64{0, 2}, [2]uint64{2, 3}, [2]uint64{3, 2}, [2]uint64{0, 1})...), // 8 entries; entry 6 chooses 3 of 3
+		"index past the slots": packBits([2]uint64{4, 4}, [2]uint64{0, 2}, [2]uint64{1, 1}, [2]uint64{0, 2}, [2]uint64{2, 3}), // g0's one composite has rank 0, not 1
+		"leaf rank past its set": packBits(append(append([][2]uint64{{9, 6}}, toChain...),
+			[2]uint64{0, 2}, [2]uint64{2, 3}, [2]uint64{7, 3}, [2]uint64{0, 1})...), // 7 entries; rank 7 of 6
+	}
+}
+
+// packBits writes (value, width) fields MSB first, then two zero bytes,
+// so that what fails is the value and not the length.
+func packBits(fields ...[2]uint64) []byte {
+	var out []byte
+	n := 0
+	for _, f := range fields {
+		for i := int(f[1]) - 1; i >= 0; i-- {
+			if n%8 == 0 {
+				out = append(out, 0)
+			}
+			out[len(out)-1] |= byte(f[0]>>uint(i)&1) << (7 - n%8)
+			n++
+		}
+	}
+	return append(out, 0, 0)
 }

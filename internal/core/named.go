@@ -65,7 +65,7 @@ func (e *ExecutionLabeler) AppendInsertNamed(dst []label.Entry, ev NamedEvent) (
 				continue
 			}
 			if r == graph.None && e.feeds(x, graph.VertexID(sv), ev.Preds) {
-				return e.issue(dst, x, graph.VertexID(sv), ev.V), nil
+				return e.issue(dst, x, graph.VertexID(sv), ev.V)
 			}
 			break
 		}

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -102,7 +103,9 @@ func TestPiBytesMatchesPiMatchesBFS(t *testing.T) {
 // TestPiBytesErrorsWherePiPanics pins the byte walker's side of the
 // contract on labels no labeler issues: what is a panic in Pi is a
 // returned error in PiBytes, and damage past the divergence is not
-// looked at.
+// looked at. The labels are RunningExample's: g0 = s0 → L → t0, L's
+// copies are h1 = s1 → F → t1, F's are h2 = s2 → A → t2, and A's
+// recursion chain may hold h3 = s3 → B → C → t3, h4 and h6.
 func TestPiBytesErrorsWherePiPanics(t *testing.T) {
 	g := spec.MustCompile(wfspecs.RunningExample())
 	codec, skel := label.NewCodec(g), skeleton.New(skeleton.TCL, g)
@@ -113,17 +116,24 @@ func TestPiBytesErrorsWherePiPanics(t *testing.T) {
 		return label.Entry{Index: idx, Type: t, Skl: spec.NoRef}
 	}
 	root := n(0, 0, 1)
-	good := codec.Encode(labelOf(root, special(1, label.L), n(1, 1, 0)))
+	good := codec.Encode(labelOf(root, special(0, label.L), n(1, 1, 0)))
+	// The A slot of the first fork copy, expanded by an L and by an R
+	// node: the two index paths agree, and the instances below are h4
+	// and h6, which no pair of labels of one run can put at one place.
+	toA := []label.Entry{root, special(0, label.L), n(1, 1, 1), special(0, label.F), n(1, 2, 1)}
 	for name, bad := range map[string]label.Label{
 		"empty":                    {},
-		"ends on an L node":        labelOf(root, special(1, label.L)),
-		"ends on an R node":        labelOf(root, special(1, label.R)),
-		"chain member lacks flags": labelOf(root, special(1, label.R), n(1, 3, 0)),
-		"ancestors in two graphs":  labelOf(n(0, 1, 0)),
+		"ends on an L node":        labelOf(root, special(0, label.L)),
+		"ends on an R node":        labelOf(root, special(0, label.R)),
+		"chain member lacks flags": labelOf(root, special(0, label.R), n(1, 1, 0)),
+		"ancestors in two graphs":  labelOf(append(toA[:5:5], special(0, label.L), n(1, 4, 0))...),
 	} {
 		other := good
-		if name == "chain member lacks flags" {
-			other = codec.Encode(labelOf(root, special(1, label.R), n(2, 3, 0)))
+		switch name {
+		case "chain member lacks flags":
+			other = codec.Encode(labelOf(root, special(0, label.R), n(2, 1, 0)))
+		case "ancestors in two graphs":
+			other = codec.Encode(labelOf(append(toA[:5:5], special(0, label.R), n(1, 6, 0))...))
 		}
 		if _, err := core.PiBytes(codec, skel, codec.Encode(bad), other); err == nil {
 			t.Errorf("%s (first): no error", name)
@@ -135,11 +145,24 @@ func TestPiBytesErrorsWherePiPanics(t *testing.T) {
 	if _, err := core.PiBytes(codec, skel, nil, good); err == nil {
 		t.Error("nil bytes: no error")
 	}
+	// A value the grammar does not hold is an error where it is read.
+	deep := codec.Encode(deepLabel(8))
+	for name, bad := range outOfRange() {
+		if _, err := codec.Decode(bad); err == nil || errors.Is(err, label.ErrTruncated) {
+			t.Errorf("%s: Decode: %v", name, err)
+		}
+		if _, err := core.PiBytes(codec, skel, bad, deep); err == nil {
+			t.Errorf("%s: no error", name)
+		}
+	}
 	// Two loop copies diverge at entry 2; cutting the label after it,
 	// or scribbling over what follows, changes nothing.
-	a := codec.Encode(labelOf(root, special(1, label.L), n(1, 1, 0), special(1, label.F), n(2, 2, 0)))
-	b := codec.Encode(labelOf(root, special(1, label.L), n(2, 1, 1), special(1, label.F), n(1, 2, 1)))
-	cut := len(codec.Encode(labelOf(root, special(1, label.L), n(2, 1, 1))))
+	a := codec.Encode(labelOf(root, special(0, label.L), n(1, 1, 1), special(0, label.F), n(2, 2, 0)))
+	b := codec.Encode(labelOf(root, special(0, label.L), n(2, 1, 1), special(0, label.F), n(1, 2, 2)))
+	// A count of 5 is 4 bits, the root and the L node 3 each (type,
+	// index 0, no choice: each set holds one graph), and entry 2 is 5
+	// (type, index 2): 15 bits.
+	cut := 2
 	for _, b := range [][]byte{b, b[:cut], append(append([]byte(nil), b[:cut]...), 0xFF, 0xFF, 0xFF)} {
 		if ok, err := core.PiBytes(codec, skel, a, b); err != nil || !ok {
 			t.Fatalf("earlier loop copy against %x: %v, %v", b, ok, err)
@@ -149,7 +172,7 @@ func TestPiBytesErrorsWherePiPanics(t *testing.T) {
 		}
 	}
 	if _, err := core.PiBytes(codec, skel, a, b[:cut-1]); err == nil {
-		t.Fatal("label cut inside the divergent entry: no error")
+		t.Fatal("label cut before the divergent entry: no error")
 	}
 }
 
@@ -203,16 +226,19 @@ func FuzzPiBytes(f *testing.F) {
 	n := func(idx int32, gr, v int) label.Entry {
 		return label.Entry{Index: idx, Type: label.N, Skl: spec.VertexRef{Graph: spec.GraphID(gr), V: graph.VertexID(v)}}
 	}
-	loop := label.Entry{Index: 1, Type: label.L, Skl: spec.NoRef}
+	loop := label.Entry{Index: 0, Type: label.L, Skl: spec.NoRef}
 	for _, idx := range []int32{0, 1, 2, 1 << 30, 1<<31 - 1} {
-		f.Add(codec.Encode(labelOf(n(0, 0, 1), loop, n(idx, 1, 0))), codec.Encode(labelOf(n(0, 0, 1), loop, n(idx/2, 1, 1))))
+		f.Add(codec.Encode(labelOf(n(0, 0, 1), loop, n(idx, 1, 0))), codec.Encode(labelOf(n(0, 0, 1), loop, n(idx/2, 1, 2))))
 	}
-	deep := make([]label.Entry, label.MaxEntries)
-	for i := range deep {
-		deep[i] = n(int32(i%3), 0, i%2)
+	deep := deepLabel(label.MaxEntries)
+	f.Add(codec.Encode(deep), codec.Encode(siblingOf(deep)))
+	// Each value the grammar does not hold, in the first label: an
+	// implementation choice past its set, an index past the composite
+	// vertices of the instance above, a leaf rank past its set's atomic
+	// vertices.
+	for _, bad := range outOfRange() {
+		f.Add(bad, codec.Encode(deep))
 	}
-	sibling := append(deep[:label.MaxEntries-1:label.MaxEntries-1], n(7, 0, 0))
-	f.Add(codec.Encode(labelOf(deep...)), codec.Encode(labelOf(sibling...)))
 	f.Fuzz(func(t *testing.T, a, b []byte) {
 		got, err := core.PiBytes(codec, skel, a, b)
 		la, errA := codec.Decode(a)

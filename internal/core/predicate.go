@@ -6,6 +6,7 @@ import (
 
 	"wfreach/internal/label"
 	"wfreach/internal/skeleton"
+	"wfreach/internal/spec"
 )
 
 // Pi is the binary predicate of Algorithm 4: given the reachability
@@ -53,11 +54,12 @@ func Pi(skel *skeleton.Scheme, lv, lw label.Label) bool {
 // lie. It agrees with Pi on the decoded labels wherever Pi is defined.
 //
 // Bytes are outside input, so nothing here panics: an empty label, an
-// entry cut short, an out-of-range skeleton pointer, a missing
-// recursion flag or a path ending on a special node is a returned
-// error — when it lies on the walked prefix. Bytes past the divergence
-// are deliberately not parsed; the integrity of stored bytes is the
-// CRC, hash-chain and Merkle layers' job, not the query's.
+// entry cut short, an index, implementation choice or leaf rank the
+// grammar does not hold, a missing recursion flag or a path ending on a
+// special node is a returned error — when it lies on the walked prefix.
+// Bytes past the divergence are deliberately not parsed; the integrity
+// of stored bytes is the CRC, hash-chain and Merkle layers' job, not the
+// query's.
 func PiBytes(c *label.Codec, skel *skeleton.Scheme, bv, bw []byte) (bool, error) {
 	var cv, cw label.Cursor
 	errV, errW := cv.Reset(c, bv), cw.Reset(c, bw)
@@ -100,7 +102,7 @@ var (
 	errEmptyLabel   = errors.New("core: π on an empty label")
 	errEndsOnNode   = errors.New("core: label path ends on a special node")
 	errNoRecFlags   = errors.New("core: earlier recursion-chain member lacks flags")
-	errSkeletonPair = errors.New("core: skeleton pointers at the common ancestor name different graphs")
+	errSkeletonPair = errors.New("core: the origins at the common ancestor are not two vertices of one graph")
 )
 
 // lca is the one definition of Lemma 4.2's four-case dispatch, shared
@@ -114,6 +116,9 @@ var (
 //	F: distinct fork copies never reach each other;
 //	R: the recursion flags of the shallower chain member decide;
 //	N: the skeleton labels of the two origins decide.
+//
+// An N ancestor's origins come from nv and nw, or from the leaf field:
+// an encoded interior N entry names its graph only.
 func lca(skel *skeleton.Scheme, av, aw, nv, nw *label.Entry) (bool, error) {
 	switch av.Type {
 	case label.L:
@@ -141,11 +146,25 @@ func lca(skel *skeleton.Scheme, av, aw, nv, nw *label.Entry) (bool, error) {
 		}
 		return flag, nil
 	default: // label.N
-		// The LCA is an instance; both entries carry the origins'
-		// skeleton pointers into the same specification graph.
-		if av.Skl.IsZero() || av.Skl.Graph != aw.Skl.Graph {
+		// The LCA is an instance; the origins are the composite vertices
+		// the entries below it rank, or — where a label ends there — the
+		// vertex its last entry names.
+		ov, okV := origin(skel.Grammar(), av, nv)
+		ow, okW := origin(skel.Grammar(), aw, nw)
+		if !okV || !okW || ov.Graph != ow.Graph {
 			return false, errSkeletonPair
 		}
-		return skel.Pi(av.Skl, aw.Skl), nil
+		return skel.Pi(ov, ow), nil
 	}
+}
+
+// origin returns the vertex of the LCA instance a label descends
+// through: the composite whose slot rank is the index of the label's
+// entry n below the LCA's entry a, or a's own vertex when there is no n.
+func origin(g *spec.Grammar, a, n *label.Entry) (spec.VertexRef, bool) {
+	if n == nil || a.Skl.IsZero() {
+		return a.Skl, !a.Skl.IsZero()
+	}
+	v, _, ok := g.Slot(a.Skl.Graph, n.Index, false)
+	return spec.VertexRef{Graph: a.Skl.Graph, V: v}, ok
 }

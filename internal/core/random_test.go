@@ -106,7 +106,7 @@ func TestRandomLinearGrammarsLabelLength(t *testing.T) {
 		}
 		codec := label.NewCodec(g)
 		c := 2*len(s.CompositeNames()) + 1
-		d := c * (5 + g.PointerBits())
+		d := c * (5 + pointerBits(g))
 		for _, size := range []int{100, 1000, 10000} {
 			for _, deep := range []bool{false, true} {
 				r := gen.MustGenerate(g, gen.Options{TargetSize: size, Seed: seed, DepthFirst: deep})

@@ -4,36 +4,59 @@ import (
 	"math/rand"
 	"testing"
 
-	"wfreach/internal/graph"
 	"wfreach/internal/label"
 	"wfreach/internal/spec"
 	"wfreach/internal/wfspecs"
 )
 
+// benchLabels returns n random labels of RunningExample (randomLabel,
+// 3 to 8 entries deep).
 func benchLabels(n int) ([]label.Label, *label.Codec) {
 	g := spec.MustCompile(wfspecs.RunningExample())
-	c := label.NewCodec(g)
-	graphs := g.Spec().Graphs()
 	rng := rand.New(rand.NewSource(9))
 	out := make([]label.Label, n)
 	for i := range out {
-		var l label.Label
-		depth := 3 + rng.Intn(6)
-		for d := 0; d < depth; d++ {
-			e := label.Entry{Index: int32(rng.Intn(500)), Skl: spec.NoRef}
-			if d%2 == 0 {
-				gid := rng.Intn(len(graphs))
-				e.Type = label.N
-				e.Skl = spec.VertexRef{Graph: spec.GraphID(gid),
-					V: graph.VertexID(rng.Intn(graphs[gid].G.NumVertices()))}
-			} else {
-				e.Type = label.L
-			}
-			l = l.Append(e)
-		}
-		out[i] = l
+		out[i] = randomLabel(rng, g, 3+rng.Intn(6))
 	}
-	return out, c
+	return out, label.NewCodec(g)
+}
+
+// randomLabel walks g's choice sets at random for up to depth entries:
+// any node type at any level; an index up to 1000 for the root and for
+// copies and chain members, a slot rank below an N entry; a graph the
+// context allows on every N entry, with its origin the slot the next
+// entry expands; an atomic vertex on a last N entry; recursion flags or
+// none below an R node. It stops early below an instance without
+// composite vertices.
+func randomLabel(rng *rand.Rand, g *spec.Grammar, depth int) label.Label {
+	var entries []label.Entry
+	set := g.RootChoices()
+	for i := 0; i < depth; i++ {
+		e := label.Entry{Index: int32(rng.Intn(1000)), Type: label.NodeType(rng.Intn(4)), Skl: spec.NoRef}
+		if i > 0 && entries[i-1].Type == label.N {
+			above := &entries[i-1].Skl
+			slots := vertices(g, above.Graph, true)
+			if len(slots) == 0 {
+				break
+			}
+			e.Index = int32(rng.Intn(len(slots)))
+			above.V = slots[e.Index]
+			_, set, _ = g.Slot(above.Graph, e.Index, e.Type == label.R)
+		}
+		if e.Type == label.N {
+			graphs := choiceGraphs(g, set)
+			e.Skl.Graph = graphs[rng.Intn(len(graphs))]
+		}
+		if i > 0 && entries[i-1].Type == label.R && rng.Intn(2) == 0 {
+			e.HasRec, e.Rec1, e.Rec2 = true, rng.Intn(2) == 0, rng.Intn(2) == 0
+		}
+		entries = append(entries, e)
+	}
+	if last := &entries[len(entries)-1]; last.Type == label.N {
+		atoms := vertices(g, last.Skl.Graph, false)
+		last.Skl.V = atoms[rng.Intn(len(atoms))]
+	}
+	return label.Label{Entries: entries}
 }
 
 func BenchmarkEncode(b *testing.B) {
@@ -83,9 +106,13 @@ func FuzzDecode(f *testing.F) {
 	for _, idx := range []int32{0, 1, 2, 1 << 30, 1<<31 - 1} {
 		l := label.Label{}.
 			Append(label.Entry{Index: 0, Type: label.N, Skl: spec.VertexRef{Graph: 0, V: 1}}).
-			Append(label.Entry{Index: idx, Type: label.L, Skl: spec.NoRef}).
-			Append(label.Entry{Index: idx, Type: label.N, Skl: spec.VertexRef{Graph: 1, V: 1}})
+			Append(label.Entry{Index: 0, Type: label.L, Skl: spec.NoRef}).
+			Append(label.Entry{Index: idx, Type: label.N, Skl: spec.VertexRef{Graph: 1, V: 0}})
 		f.Add(c.Encode(l))
+	}
+	// Each value the grammar does not hold, in a code that is whole.
+	for _, r := range refusals(spec.MustCompile(wfspecs.RunningExample())) {
+		f.Add(r.data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		l, err := c.Decode(data)

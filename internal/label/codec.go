@@ -45,6 +45,9 @@ var (
 
 	errCountCode = errors.New("label: entry count out of range")
 	errIndexCode = errors.New("label: index out of range")
+	errSlot      = errors.New("label: index names no composite vertex of the instance above")
+	errChoice    = errors.New("label: implementation choice out of range")
+	errLeaf      = errors.New("label: leaf rank out of range")
 )
 
 // Codec encodes labels into the canonical self-delimiting bit layout
@@ -57,37 +60,103 @@ var (
 //
 //	type        2 bits
 //	index       order-0 Exp-Golomb (1 bit for 0, 3 bits for 1–2, 5 bits for 3–6)
-//	skl         ⌈log₂ n_G⌉ bits (global spec-vertex number), N entries only
+//	choice      N entries but the last: ⌈log₂ k⌉ bits, the position of
+//	            the instance's graph among the k its context allows
+//	leaf        the last entry, when an N entry: ⌈log₂ a⌉ bits, the
+//	            vertex's rank among the a atomic vertices of those graphs
 //	rec         1 presence bit (+ 2 flag bits) when the previous
 //	            entry's node is an R node
 //
-// padded with zero bits to a whole byte. This realizes Algorithm 1's
-// accounting (|entry| ≤ log θ_t + 2 + log n_G + 1 + 1 bits) with
-// explicit self-delimiting framing so that encoded labels decode
-// without any per-run metadata; BitLen counts the accounting, EncodedLen
-// the stored bytes.
+// padded with zero bits to a whole byte. The context is what the
+// entries above imply (spec.ChoiceSet): g0 for the root, the
+// implementations of the slot the parent expands below an N, L or F
+// node, those of the slot's recursion SCC below an R node. An interior
+// N entry stores no vertex at all: its origin is the composite vertex
+// whose slot rank is the next entry's index. So an entry costs at most
+// Algorithm 1's accounting (|entry| ≤ log θ_t + 2 + log n_G + 1 + 1
+// bits), with explicit self-delimiting framing so that encoded labels
+// decode without any per-run metadata; BitLen counts the accounting,
+// EncodedLen the stored bytes.
+//
+// The format holds the labels of atomic vertices — the modules a run
+// executes — only. A label that ends on a composite vertex, which a
+// DerivationLabeler issues for an intermediate graph's not-yet-expanded
+// module, is in-memory only: BitLen, EncodedLen and Encode refuse it
+// (see EncodeInto).
 type Codec struct {
-	ptrBits uint
-	offsets []int            // graph id -> first global vertex number
-	refs    []spec.VertexRef // global vertex number -> vertex
+	g *spec.Grammar
 }
 
 // NewCodec builds a codec for labels over the given grammar.
-func NewCodec(g *spec.Grammar) *Codec {
-	graphs := g.Spec().Graphs()
-	c := &Codec{ptrBits: uint(g.PointerBits())}
-	for id, ng := range graphs {
-		c.offsets = append(c.offsets, len(c.refs))
-		for v := 0; v < ng.G.NumVertices(); v++ {
-			c.refs = append(c.refs, spec.VertexRef{Graph: spec.GraphID(id), V: graph.VertexID(v)})
-		}
-	}
-	return c
+func NewCodec(g *spec.Grammar) *Codec { return &Codec{g: g} }
+
+// scope is what the entries walked so far imply about the next one.
+type scope struct {
+	in     spec.GraphID   // graph of the last entry when it is an N entry, else -1
+	set    spec.ChoiceSet // the graphs the next N entry may name
+	origin graph.VertexID // the origin of the N entry below has just moved past
 }
 
-// global converts a VertexRef into its global vertex number.
-func (c *Codec) global(r spec.VertexRef) int {
-	return c.offsets[r.Graph] + int(r.V)
+// start is the scope of a label's root: an instance of g0.
+func (c *Codec) start() scope {
+	return scope{in: -1, set: c.g.RootChoices(), origin: graph.None}
+}
+
+// below moves x onto the next entry, of type t and index idx. When the
+// entry above is an N entry, idx is the slot rank of that entry's
+// origin, which also picks the choice set, and below reports false when
+// idx names no composite vertex of its graph. It is on every walker's
+// per-entry path, so it stays within the compiler's inlining budget
+// (`go build -gcflags=-m` reports it), and apart from width for that.
+func (x *scope) below(g *spec.Grammar, t NodeType, idx int32) bool {
+	if x.in < 0 {
+		return true
+	}
+	var ok bool
+	x.origin, x.set, ok = g.Slot(x.in, idx, t == R)
+	x.in = -1
+	return ok
+}
+
+// width returns the width of the field of an entry of type t that x has
+// moved under, the label's last when last is set: a leaf rank for the
+// last N entry, an implementation choice for an interior one, none for
+// an L, F or R entry. The caller then sets x.in to an N entry's graph.
+func (x *scope) width(t NodeType, last bool) uint {
+	switch {
+	case t != N:
+		return 0
+	case last:
+		return x.set.LeafBits()
+	}
+	return x.set.ChoiceBits()
+}
+
+// badIndex panics on entry i of l, a label being measured or encoded,
+// whose index is negative or names no composite vertex of the instance
+// above: labelers never issue one.
+func badIndex(l Label, i int) {
+	if e := &l.Entries[i]; e.Index < 0 {
+		panic(fmt.Sprintf("label: negative index %d", e.Index))
+	}
+	panic(fmt.Sprintf("label: entry %d has index %d, which names no composite vertex of g%d", i, l.Entries[i].Index, l.Entries[i-1].Skl.Graph))
+}
+
+// leaf returns the leaf field of l, whose last entry is an N entry
+// whose context allows the graphs of set: the vertex's rank among their
+// atomic vertices. A vertex outside those graphs, or a composite one,
+// is a caller bug and panics.
+func (c *Codec) leaf(set spec.ChoiceSet, l Label) uint64 {
+	i := len(l.Entries) - 1
+	e := &l.Entries[i]
+	f, ok := c.g.LeafRank(set, e.Skl)
+	if !ok {
+		if _, allowed := c.g.Choice(set, e.Skl.Graph); allowed {
+			panic(fmt.Sprintf("label: entry %d ends the label on g%d:%d, which is no atomic vertex: the format holds only the labels of executed modules", i, e.Skl.Graph, e.Skl.V))
+		}
+		panic(fmt.Sprintf("label: entry %d names g%d:%d, which its context does not allow", i, e.Skl.Graph, e.Skl.V))
+	}
+	return uint64(f)
 }
 
 // valueBits returns the bits needed for an index value (≥ 1). Note
@@ -103,25 +172,16 @@ func valueBits(v int32) int {
 
 // BitLen returns the label length in bits under the paper's accounting
 // (Algorithm 1 / Theorem 3): per entry, 2 type bits, the index's value
-// bits (≤ log θ_t), the skeleton pointer (⌈log₂ n_G⌉, N entries only)
-// and 2 recursion-flag bits for recursion-chain members. This is the
-// quantity reported as "label length" throughout the evaluation; the
-// stored form produced by Encode additionally prefix-codes each index
-// and the entry count so labels are self-delimiting on disk (see
-// EncodedBits).
+// bits (≤ log θ_t), an N entry's choice or leaf field (each at most
+// Algorithm 1's ⌈log₂ n_G⌉ skeleton pointer) and 2 recursion-flag bits
+// for recursion-chain members. This is the quantity reported as "label
+// length" throughout the evaluation; the stored form produced by Encode
+// additionally prefix-codes each index and the entry count so labels
+// are self-delimiting on disk (see EncodedBits). Like EncodeInto, it
+// panics on an index that names no slot and on a label that ends on a
+// composite vertex.
 func (c *Codec) BitLen(l Label) int {
-	bits := 0
-	prevR := false
-	for _, e := range l.Entries {
-		bits += 2 + valueBits(e.Index)
-		if e.Type == N && !e.Skl.IsZero() {
-			bits += int(c.ptrBits)
-		}
-		if prevR {
-			bits += 2
-		}
-		prevR = e.Type == R
-	}
+	bits, _ := c.sizes(l)
 	return bits
 }
 
@@ -131,25 +191,43 @@ func (c *Codec) BitLen(l Label) int {
 func (c *Codec) EncodedBits(l Label) int { return c.EncodedLen(l) * 8 }
 
 // EncodedLen is the length pass: the exact size in bytes Encode
-// produces for l — what a caller reserves before EncodeInto.
+// produces for l — what a caller reserves before EncodeInto. Like
+// EncodeInto, it panics on an index that names no slot and on a label
+// that ends on a composite vertex.
 func (c *Codec) EncodedLen(l Label) int {
-	n := expGolombLen(uint64(len(l.Entries)), countOrder)
-	prevR := false
+	_, wire := c.sizes(l)
+	return (wire + 7) / 8
+}
+
+// sizes walks l once and returns both of its lengths in bits: under
+// the paper's accounting (BitLen) and as encoded, before the padding
+// (EncodedLen).
+func (c *Codec) sizes(l Label) (bits, wire int) {
+	wire = int(expGolombLen(uint64(len(l.Entries)), countOrder))
+	x := c.start()
 	for i := range l.Entries {
 		e := &l.Entries[i]
-		n += 2 + expGolombLen(uint64(e.Index), indexOrder)
-		if e.Type == N {
-			n += c.ptrBits
+		if !x.below(c.g, e.Type, e.Index) || e.Index < 0 {
+			badIndex(l, i)
 		}
-		if prevR {
-			n++
+		w := x.width(e.Type, i == len(l.Entries)-1)
+		if e.Type == N {
+			x.in = e.Skl.Graph
+		}
+		bits += 2 + valueBits(e.Index) + int(w)
+		wire += 2 + int(expGolombLen(uint64(e.Index), indexOrder)) + int(w)
+		if i > 0 && l.Entries[i-1].Type == R {
+			bits += 2
+			wire++
 			if e.HasRec {
-				n += 2
+				wire += 2
 			}
 		}
-		prevR = e.Type == R
 	}
-	return int(n+7) / 8
+	if n := len(l.Entries); n > 0 && l.Entries[n-1].Type == N && c.g.SlotRank(l.Entries[n-1].Skl.Graph, l.Entries[n-1].Skl.V) >= 0 {
+		c.leaf(x.set, l) // a composite vertex: refused
+	}
+	return bits, wire
 }
 
 // Encode serializes a label into the canonical layout, in one
@@ -164,44 +242,61 @@ func (c *Codec) Encode(l Label) []byte {
 // EncodedLen(l) bytes — a region the caller reserved where the label
 // will be read, so no encoded copy is ever made. Every byte of dst is
 // written; what it held does not matter. A label deeper than MaxEntries,
-// a negative index or an N entry without skeleton pointer is a caller
-// bug.
+// a negative index, an index that names no slot, an N entry whose graph
+// its context does not allow, an interior N entry whose origin is not
+// the composite the next index ranks, or a last N entry that is not an
+// atomic vertex is a caller bug and panics. Labelers issue the last
+// only for a DerivationLabeler's not-yet-expanded composite modules,
+// whose labels are in-memory only.
 func (c *Codec) EncodeInto(dst []byte, l Label) {
 	if len(l.Entries) > MaxEntries {
 		panic(fmt.Sprintf("label: %d entries exceed the %d the encoding holds", len(l.Entries), MaxEntries))
 	}
 	w := bitWriter{buf: dst}
 	w.write(uint64(len(l.Entries))+1<<countOrder, expGolombLen(uint64(len(l.Entries)), countOrder))
-	prevR := false
+	x := c.start()
 	for i := range l.Entries {
 		e := &l.Entries[i]
-		if e.Index < 0 {
-			panic(fmt.Sprintf("label: negative index %d", e.Index))
+		if !x.below(c.g, e.Type, e.Index) || e.Index < 0 {
+			badIndex(l, i)
 		}
-		x := uint64(e.Index) + 1<<indexOrder
+		width := x.width(e.Type, i == len(l.Entries)-1)
+		if i > 0 && l.Entries[i-1].Type == N && l.Entries[i-1].Skl.V != x.origin {
+			panic(fmt.Sprintf("label: entry %d does not descend from g%d:%d, the origin entry %d names", i, l.Entries[i-1].Skl.Graph, l.Entries[i-1].Skl.V, i-1))
+		}
+		var field uint64
+		switch {
+		case e.Type != N:
+		case i == len(l.Entries)-1:
+			field = c.leaf(x.set, l)
+		default:
+			f, ok := c.g.Choice(x.set, e.Skl.Graph)
+			if !ok {
+				panic(fmt.Sprintf("label: entry %d names g%d:%d, which its context does not allow", i, e.Skl.Graph, e.Skl.V))
+			}
+			field = uint64(f)
+		}
+		if e.Type == N {
+			x.in = e.Skl.Graph
+		}
+		idx := uint64(e.Index) + 1<<indexOrder
 		if code := expGolombLen(uint64(e.Index), indexOrder); code <= 32-2 {
-			w.write(uint64(e.Type)<<code|x, 2+code)
+			w.write(uint64(e.Type)<<code|idx, 2+code)
 		} else {
-			// Past one write: the type, the zero prefix, then x.
+			// Past one write: the type, the zero prefix, then the code.
 			z := (code - indexOrder - 1) / 2
 			w.write(uint64(e.Type), 2)
 			w.write(0, z)
-			w.write(x, code-z)
+			w.write(idx, code-z)
 		}
-		if e.Type == N {
-			if e.Skl.IsZero() {
-				panic("label: N entry without skeleton pointer")
-			}
-			w.write(uint64(c.global(e.Skl)), c.ptrBits)
-		}
-		if prevR {
+		w.write(field, width)
+		if i > 0 && l.Entries[i-1].Type == R {
 			if e.HasRec {
 				w.write(4|b2u(e.Rec1)<<1|b2u(e.Rec2), 3)
 			} else {
 				w.write(0, 1)
 			}
 		}
-		prevR = e.Type == R
 	}
 	w.finish()
 }
@@ -219,13 +314,21 @@ func b2u(b bool) uint64 {
 // is exhausted) and the format's one parser: Decode drains a cursor,
 // core.PiBytes steps two in lockstep and stops early.
 //
+// An interior N entry stores only its graph, so the cursor yields it
+// with Skl.V = graph.None: its origin is the composite vertex the next
+// entry's index ranks (spec.Grammar.Slot), which Decode fills in
+// and π reads from that entry.
+//
 // Validation covers exactly what was walked: Next fails on an entry
-// cut short or pointing outside the skeleton table, and says nothing
-// about bytes after the last entry asked for. Detecting damage to
-// stored bytes is the CRC, hash-chain and Merkle layers' job.
+// cut short or naming what the grammar does not hold — an index below
+// an N entry past its graph's composite vertices, an implementation
+// choice or a leaf rank past its context's choice set — and says
+// nothing about bytes after the last entry asked for. Detecting damage
+// to stored bytes is the CRC, hash-chain and Merkle layers' job.
 type Cursor struct {
 	c     *Codec
 	r     bitReader
+	x     scope
 	left  int  // entries not yet yielded
 	prevR bool // the last entry yielded was an R node
 }
@@ -234,7 +337,7 @@ type Cursor struct {
 // and reads its entry count — in place, so a query's two cursors live
 // in its frame and are never copied.
 func (cu *Cursor) Reset(c *Codec, data []byte) error {
-	*cu = Cursor{c: c, r: bitReader{data: data}}
+	*cu = Cursor{c: c, r: bitReader{data: data}, x: c.start()}
 	r := &cu.r
 	r.need(2*maxCountZeros + countOrder + 1)
 	z := uint(bits.LeadingZeros64(r.win))
@@ -283,10 +386,7 @@ func (cu *Cursor) Next(e *Entry) (bool, error) {
 		hdr = r.take(2+z) >> z
 		r.need(z + indexOrder + 1)
 		if idx = r.take(z+indexOrder+1) - 1<<indexOrder; idx > maxIndex {
-			if r.overrun() {
-				return false, ErrTruncated
-			}
-			return false, errIndexCode
+			return cu.fail(errIndexCode)
 		}
 	default:
 		if r.left() <= 2+maxIndexZeros {
@@ -295,14 +395,30 @@ func (cu *Cursor) Next(e *Entry) (bool, error) {
 		return false, errIndexCode
 	}
 	*e = Entry{Index: int32(idx), Type: NodeType(hdr), Skl: spec.NoRef}
-	r.need(cu.c.ptrBits + 3)
-	if e.Type == N {
-		g := r.take(cu.c.ptrBits)
-		if g >= uint64(len(cu.c.refs)) {
-			return false, fmt.Errorf("label: skeleton pointer %d out of range", g)
-		}
-		e.Skl = cu.c.refs[g]
+	g := cu.c.g
+	if !cu.x.below(g, e.Type, e.Index) {
+		return cu.fail(errSlot)
 	}
+	if e.Type == N {
+		last := cu.left == 1
+		w := cu.x.width(N, last)
+		r.need(w)
+		f := int(r.take(w))
+		var ok bool
+		switch {
+		case last:
+			if e.Skl, ok = g.Leaf(cu.x.set, f); !ok {
+				return cu.fail(errLeaf)
+			}
+		default:
+			if e.Skl.Graph, ok = g.ChoiceGraph(cu.x.set, f); !ok {
+				return cu.fail(errChoice)
+			}
+			e.Skl.V = graph.None
+		}
+		cu.x.in = e.Skl.Graph
+	}
+	r.need(3)
 	if cu.prevR && r.take(1) == 1 {
 		flags := r.take(2)
 		e.HasRec, e.Rec1, e.Rec2 = true, flags&2 != 0, flags&1 != 0
@@ -315,6 +431,15 @@ func (cu *Cursor) Next(e *Entry) (bool, error) {
 	return true, nil
 }
 
+// fail reports err for a value read from the walked bits, or
+// ErrTruncated when those bits ran past the end of the encoding.
+func (cu *Cursor) fail(err error) (bool, error) {
+	if cu.r.overrun() {
+		return false, ErrTruncated
+	}
+	return false, err
+}
+
 // Decode parses an encoded label.
 func (c *Codec) Decode(data []byte) (Label, error) {
 	var cu Cursor
@@ -325,6 +450,9 @@ func (c *Codec) Decode(data []byte) (Label, error) {
 	for i := range entries {
 		if _, err := cu.Next(&entries[i]); err != nil {
 			return Label{}, err
+		}
+		if i > 0 && entries[i-1].Type == N {
+			entries[i-1].Skl.V = cu.x.origin
 		}
 	}
 	return Label{Entries: entries}, nil

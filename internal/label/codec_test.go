@@ -8,6 +8,7 @@ import (
 
 	"wfreach/internal/core"
 	"wfreach/internal/gen"
+	"wfreach/internal/graph"
 	"wfreach/internal/label"
 	"wfreach/internal/skeleton"
 	"wfreach/internal/spec"
@@ -16,22 +17,52 @@ import (
 
 // refEncode is the reference the production writer must match byte for
 // byte: the format written down one bit at a time, with the codes'
-// lengths found by counting rather than by math/bits.
-func refEncode(g *spec.Grammar, l label.Label) []byte {
-	var offsets []int
-	total := 0
-	for _, ng := range g.Spec().Graphs() {
-		offsets = append(offsets, total)
-		total += ng.G.NumVertices()
-	}
+// lengths, a graph's place in its choice set and a vertex's rank among
+// the set's atomic vertices found by counting rather than by math/bits
+// and the grammar's rank tables.
+func refEncode(g *spec.Grammar, l label.Label) []byte { return refEncodeWith(g, l, nil) }
+
+// refEncodeWith is refEncode with the choice or leaf field of the
+// entries named in field replaced by the value given.
+func refEncodeWith(g *spec.Grammar, l label.Label, field map[int]uint64) []byte {
 	var w refBitWriter
 	w.expGolomb(uint64(len(l.Entries)), 1)
+	set := g.RootChoices()
 	prevR := false
-	for _, e := range l.Entries {
+	for i, e := range l.Entries {
 		w.write(uint64(e.Type), 2)
 		w.expGolomb(uint64(e.Index), 0)
+		if i > 0 && l.Entries[i-1].Type == label.N {
+			_, set, _ = g.Slot(l.Entries[i-1].Skl.Graph, e.Index, e.Type == label.R)
+		}
 		if e.Type == label.N {
-			w.write(uint64(offsets[e.Skl.Graph]+int(e.Skl.V)), g.PointerBits())
+			// The field and the number of values it has: the graph's
+			// place in the set, or the vertex's among the set's atomic
+			// vertices for the last entry.
+			var v, n uint64
+			for _, id := range choiceGraphs(g, set) {
+				if i < len(l.Entries)-1 {
+					if id == e.Skl.Graph {
+						v = n
+					}
+					n++
+					continue
+				}
+				for _, a := range vertices(g, id, false) {
+					if id == e.Skl.Graph && a == e.Skl.V {
+						v = n
+					}
+					n++
+				}
+			}
+			if f, ok := field[i]; ok {
+				v = f
+			}
+			width := 0
+			for 1<<width < n {
+				width++
+			}
+			w.write(v, width)
 		}
 		if prevR {
 			if e.HasRec {
@@ -45,6 +76,31 @@ func refEncode(g *spec.Grammar, l label.Label) []byte {
 		prevR = e.Type == label.R
 	}
 	return w.buf
+}
+
+// choiceGraphs lists the graphs of a choice set in order.
+func choiceGraphs(g *spec.Grammar, set spec.ChoiceSet) []spec.GraphID {
+	var out []spec.GraphID
+	for k := 0; ; k++ {
+		id, ok := g.ChoiceGraph(set, k)
+		if !ok {
+			return out
+		}
+		out = append(out, id)
+	}
+}
+
+// vertices returns graph id's composite or atomic vertices in vertex
+// order.
+func vertices(g *spec.Grammar, id spec.GraphID, composite bool) []graph.VertexID {
+	gg := g.Spec().Graph(id).G
+	var out []graph.VertexID
+	for v := range gg.NumVertices() {
+		if g.Spec().Kind(gg.Name(graph.VertexID(v))).Composite() == composite {
+			out = append(out, graph.VertexID(v))
+		}
+	}
+	return out
 }
 
 func b2u(b bool) uint64 {
@@ -131,16 +187,20 @@ func TestEncodeMatchesReferenceWriter(t *testing.T) {
 	labels := corpus(t)
 	g := spec.MustCompile(wfspecs.RunningExample())
 	for _, idx := range indexTable {
+		// The root, a loop copy, a fork copy and a chain member at
+		// this index, down to s3 of an h3 instance.
 		for _, rec := range []label.Entry{
-			{Index: idx, Type: label.N, Skl: ref(3, 2)},
-			{Index: idx, Type: label.N, Skl: ref(3, 2), HasRec: true, Rec1: true},
-			{Index: idx, Type: label.N, Skl: ref(3, 2), HasRec: true, Rec2: true},
+			{Index: idx, Type: label.N, Skl: ref(3, 0)},
+			{Index: idx, Type: label.N, Skl: ref(3, 0), HasRec: true, Rec1: true},
+			{Index: idx, Type: label.N, Skl: ref(3, 0), HasRec: true, Rec2: true},
 		} {
 			labels[g] = append(labels[g], label.Label{}.
 				Append(label.Entry{Index: idx, Type: label.N, Skl: ref(0, 1)}).
-				Append(label.Entry{Index: idx, Type: label.L, Skl: spec.NoRef}).
-				Append(label.Entry{Index: idx, Type: label.F, Skl: spec.NoRef}).
-				Append(label.Entry{Index: idx, Type: label.R, Skl: spec.NoRef}).
+				Append(label.Entry{Index: 0, Type: label.L, Skl: spec.NoRef}).
+				Append(label.Entry{Index: idx, Type: label.N, Skl: ref(1, 1)}).
+				Append(label.Entry{Index: 0, Type: label.F, Skl: spec.NoRef}).
+				Append(label.Entry{Index: idx, Type: label.N, Skl: ref(2, 1)}).
+				Append(label.Entry{Index: 0, Type: label.R, Skl: spec.NoRef}).
 				Append(rec))
 		}
 	}
@@ -173,10 +233,56 @@ func TestEncodeMatchesReferenceWriter(t *testing.T) {
 	}
 }
 
+// refusal is an encoding of RunningExample that holds one value the
+// grammar does not, at entry bad; the entries before it are those of
+// label, whose encoding it otherwise is.
+type refusal struct {
+	data  []byte
+	label label.Label
+	bad   int
+}
+
+// refusals are the values a cursor refuses although their codes are
+// whole: an implementation choice past its set, an index past the
+// composite vertices of the instance above, a leaf rank past its set's
+// atomic vertices. Each is followed by two zero bytes, so that what
+// fails is the value and not the length.
+func refusals(g *spec.Grammar) map[string]refusal {
+	// Down to the A slot of the first fork copy, then the R node
+	// expanding it: the chain set is h3, h4 and h6 (a 2-bit choice) with
+	// six atomic vertices (a 3-bit leaf rank).
+	chain := label.Label{}.
+		Append(label.Entry{Index: 0, Type: label.N, Skl: ref(0, 1)}).
+		Append(label.Entry{Index: 0, Type: label.L, Skl: spec.NoRef}).
+		Append(label.Entry{Index: 1, Type: label.N, Skl: ref(1, 1)}).
+		Append(label.Entry{Index: 0, Type: label.F, Skl: spec.NoRef}).
+		Append(label.Entry{Index: 1, Type: label.N, Skl: ref(2, 1)}).
+		Append(label.Entry{Index: 0, Type: label.R, Skl: spec.NoRef})
+	interior := chain.
+		Append(label.Entry{Index: 1, Type: label.N, Skl: ref(3, 1)}).
+		Append(label.Entry{Index: 0, Type: label.N, Skl: ref(5, 0)})
+	leaf := chain.Append(label.Entry{Index: 1, Type: label.N, Skl: ref(3, 0)})
+	var w refBitWriter
+	w.expGolomb(2, 1)
+	w.write(uint64(label.N), 2)
+	w.expGolomb(0, 0)
+	w.write(uint64(label.N), 2)
+	w.expGolomb(1, 0) // g0's one composite vertex has rank 0
+	root := label.Label{}.
+		Append(label.Entry{Index: 0, Type: label.N, Skl: ref(0, 1)}).
+		Append(label.Entry{Index: 1, Type: label.N, Skl: ref(1, 0)})
+	return map[string]refusal{
+		"choice past its set":    {append(refEncodeWith(g, interior, map[int]uint64{6: 3}), 0, 0), interior, 6},
+		"index past the slots":   {append(w.buf, 0, 0), root, 1},
+		"leaf rank past its set": {append(refEncodeWith(g, leaf, map[int]uint64{6: 7}), 0, 0), leaf, 6},
+	}
+}
+
 // TestDecodeRefusesOutOfRangeCodes: a well-formed code for a value the
 // format cannot hold — an index past 2³¹−1, a count past MaxEntries, a
-// prefix longer than either's longest code — is an error, not a
-// truncation and not a wrapped value.
+// prefix longer than either's longest code, an implementation choice,
+// slot index or leaf rank the grammar does not hold — is an error, not
+// a truncation and not a wrapped value.
 func TestDecodeRefusesOutOfRangeCodes(t *testing.T) {
 	c := codec(t)
 	var w refBitWriter
@@ -189,12 +295,16 @@ func TestDecodeRefusesOutOfRangeCodes(t *testing.T) {
 	w.expGolomb(label.MaxEntries+1, 1)
 	w.write(0, 16)
 	overCount := w.buf
-	for name, data := range map[string][]byte{
+	cases := map[string][]byte{
 		"index 2^31":            overIndex,
 		"count MaxEntries+1":    overCount,
 		"index prefix too long": {0x40, 0, 0, 0, 0, 0, 0, 0, 0},
 		"count prefix too long": {0, 0x80, 0, 0},
-	} {
+	}
+	for name, r := range refusals(spec.MustCompile(wfspecs.RunningExample())) {
+		cases[name] = r.data
+	}
+	for name, data := range cases {
 		if _, err := c.Decode(data); err == nil || errors.Is(err, label.ErrTruncated) {
 			t.Errorf("%s (%x): %v", name, data, err)
 		}
@@ -220,8 +330,8 @@ func TestEncodedLenOnBioAID(t *testing.T) {
 		}
 		total += c.EncodedLen(l)
 	}
-	if mean := float64(total) / float64(len(evs)); mean > 7.30 {
-		t.Fatalf("mean encoded label is %.3f bytes, want ≤ 7.30", mean)
+	if mean := float64(total) / float64(len(evs)); mean > 5.35 {
+		t.Fatalf("mean encoded label is %.3f bytes, want ≤ 5.35", mean)
 	}
 }
 
@@ -239,13 +349,26 @@ func TestEncodeAllocatesOnce(t *testing.T) {
 	}
 }
 
-// deepLabel builds a label of n entries: a root and n-1 nested
-// instances, the shape a nonlinear recursion produces.
+// deepLabel builds an n-entry label (n ≥ 6) of RunningExample, the
+// shape a nonlinear recursion produces without R nodes: the first fork
+// copy's A slot, then instances of h3 = s3 → B → C → t3 and h6 = s6 → A
+// → t6 expanding each other's C and A slots in turn, down to an s3 or s6.
 func deepLabel(n int) label.Label {
-	entries := make([]label.Entry, n)
-	for i := range entries {
-		entries[i] = label.Entry{Index: int32(i % 3), Type: label.N, Skl: ref(0, i%2)}
+	entries := []label.Entry{
+		{Index: 0, Type: label.N, Skl: ref(0, 1)},
+		{Index: 0, Type: label.L, Skl: spec.NoRef},
+		{Index: 1, Type: label.N, Skl: ref(1, 1)},
+		{Index: 0, Type: label.F, Skl: spec.NoRef},
+		{Index: 1, Type: label.N, Skl: ref(2, 1)},
 	}
+	for i := 5; i < n; i++ {
+		if i%2 == 1 {
+			entries = append(entries, label.Entry{Index: 0, Type: label.N, Skl: ref(3, 2)})
+		} else {
+			entries = append(entries, label.Entry{Index: 1, Type: label.N, Skl: ref(6, 1)})
+		}
+	}
+	entries[n-1].Skl.V = 0
 	return label.Label{Entries: entries}
 }
 
@@ -268,9 +391,10 @@ func TestEncodeRefusesLabelsPastMaxEntries(t *testing.T) {
 
 // TestCursorValidatesTheWalkedPrefixOnly is the parser's contract: an
 // encoding cut anywhere yields exactly the entries that are whole and
-// then ErrTruncated, an out-of-range skeleton pointer fails at its own
-// entry and not before, and Decode — which walks everything — rejects
-// every cut.
+// then ErrTruncated, each value the grammar does not hold fails at its
+// own entry and not before, and Decode — which walks everything —
+// rejects every cut. The cursor yields an interior N entry with its
+// graph and no vertex: the next entry's index names the origin.
 func TestCursorValidatesTheWalkedPrefixOnly(t *testing.T) {
 	c := codec(t)
 	var zero label.Cursor
@@ -304,8 +428,8 @@ func TestCursorValidatesTheWalkedPrefixOnly(t *testing.T) {
 				if !ok {
 					t.Fatalf("cut %d: cursor reached the end of a truncated label", cut)
 				}
-				if e != l.Entries[i] {
-					t.Fatalf("cut %d entry %d: %v, want %v", cut, i, e, l.Entries[i])
+				if want := yielded(l, i); e != want {
+					t.Fatalf("cut %d entry %d: %v, want %v", cut, i, e, want)
 				}
 			}
 		}
@@ -315,27 +439,29 @@ func TestCursorValidatesTheWalkedPrefixOnly(t *testing.T) {
 			t.Fatalf("trailing bytes changed the label: %s, %v", dec, err)
 		}
 	}
-	// RunningExample has fewer spec vertices than its pointer width can
-	// name: entry 0 is fine, entry 1 points past the table.
-	bad := label.Label{}.
-		Append(label.Entry{Index: 0, Type: label.N, Skl: ref(0, 0)}).
-		Append(label.Entry{Index: 1, Type: label.N, Skl: ref(0, 1)})
-	enc := c.Encode(bad)
-	// A count of 2 is 4 bits, entry 0 is 2+1+ptr bits (type, index 0,
-	// pointer), and entry 1's pointer follows its 2 type and 3 index bits.
-	at := 4 + 2 + 1 + c.PointerBits() + 2 + 3
-	for i := 0; i < c.PointerBits(); i++ {
-		enc[(at+i)/8] |= 1 << (7 - (at+i)%8)
+	for name, r := range refusals(spec.MustCompile(wfspecs.RunningExample())) {
+		var cu label.Cursor
+		if err := cu.Reset(c, r.data); err != nil {
+			t.Fatal(err)
+		}
+		var e label.Entry
+		for i := 0; i < r.bad; i++ {
+			if ok, err := cu.Next(&e); !ok || err != nil || e != yielded(r.label, i) {
+				t.Fatalf("%s: entry %d before the bad one: %v, %v, %v", name, i, e, ok, err)
+			}
+		}
+		if _, err := cu.Next(&e); err == nil || errors.Is(err, label.ErrTruncated) {
+			t.Fatalf("%s: entry %d: %v", name, r.bad, err)
+		}
 	}
-	var cu label.Cursor
-	var e label.Entry
-	if err := cu.Reset(c, enc); err != nil {
-		t.Fatal(err)
+}
+
+// yielded is entry i of l as a cursor yields it: an interior N entry
+// names its graph and no vertex.
+func yielded(l label.Label, i int) label.Entry {
+	e := l.Entries[i]
+	if e.Type == label.N && i < l.Len()-1 {
+		e.Skl.V = graph.None
 	}
-	if ok, err := cu.Next(&e); !ok || err != nil || e != bad.Entries[0] {
-		t.Fatalf("entry before the bad pointer: %v, %v, %v", e, ok, err)
-	}
-	if _, err := cu.Next(&e); err == nil || errors.Is(err, label.ErrTruncated) {
-		t.Fatalf("all-ones skeleton pointer: %v", err)
-	}
+	return e
 }

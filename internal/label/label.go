@@ -3,7 +3,8 @@
 // by Algorithm 1, one entry per level of the vertex's path in the
 // explicit parse tree. Its Codec measures labels and stores them:
 // BitLen is the paper's accounting, the label length of every
-// measurement (Figures 14 and 17-20); Encode is the canonical
+// measurement (Figures 14 and 17-20), with each skeleton pointer cut to
+// what the grammar leaves open; Encode is the canonical
 // self-delimiting binary form the store, the snapshot and the Merkle
 // leaves hold, prefix-coding each index and the entry count so that the
 // framing and padding cost about two bytes over BitLen; Cursor parses
@@ -52,7 +53,9 @@ func (t NodeType) String() string {
 // non-special nodes — the skeleton-label pointer of the vertex's
 // origin at this level plus, for members of a recursion chain, the two
 // recursion flags (origin reaches the recursive vertex / is reached by
-// it).
+// it). In memory the pointer is a whole spec vertex; the encoding
+// stores only what the grammar cannot imply from the entries around it
+// (see Codec).
 type Entry struct {
 	Index int32
 	Type  NodeType

@@ -44,15 +44,20 @@ func TestEqual(t *testing.T) {
 	}
 }
 
+// TestEncodeDecodeRoundTrip: a RunningExample label with every node
+// type — the root, a loop copy, a fork copy, a recursion-chain member
+// with flags, and the s5 of the B slot it expands.
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	c := codec(t)
 	l := label.Label{}.
 		Append(label.Entry{Index: 0, Type: label.N, Skl: ref(0, 1)}).
-		Append(label.Entry{Index: 1, Type: label.L, Skl: spec.NoRef}).
+		Append(label.Entry{Index: 0, Type: label.L, Skl: spec.NoRef}).
 		Append(label.Entry{Index: 2, Type: label.N, Skl: ref(1, 1)}).
-		Append(label.Entry{Index: 1, Type: label.R, Skl: spec.NoRef}).
-		Append(label.Entry{Index: 1, Type: label.N, Skl: ref(3, 2), HasRec: true, Rec1: true, Rec2: false}).
-		Append(label.Entry{Index: 1, Type: label.N, Skl: ref(3, 1)})
+		Append(label.Entry{Index: 0, Type: label.F, Skl: spec.NoRef}).
+		Append(label.Entry{Index: 1, Type: label.N, Skl: ref(2, 1)}).
+		Append(label.Entry{Index: 0, Type: label.R, Skl: spec.NoRef}).
+		Append(label.Entry{Index: 1, Type: label.N, Skl: ref(3, 1), HasRec: true, Rec1: true, Rec2: false}).
+		Append(label.Entry{Index: 0, Type: label.N, Skl: ref(5, 0)})
 	enc := c.Encode(l)
 	dec, err := c.Decode(enc)
 	if err != nil {
@@ -66,32 +71,9 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 func TestEncodeDecodeQuick(t *testing.T) {
 	c := codec(t)
 	g := spec.MustCompile(wfspecs.RunningExample())
-	graphs := g.Spec().Graphs()
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		var l label.Label
-		depth := 1 + rng.Intn(8)
-		prevR := false
-		for i := 0; i < depth; i++ {
-			e := label.Entry{Index: int32(rng.Intn(1000)), Skl: spec.NoRef}
-			switch rng.Intn(4) {
-			case 0:
-				e.Type = label.L
-			case 1:
-				e.Type = label.F
-			case 2:
-				e.Type = label.R
-			default:
-				e.Type = label.N
-				gid := rng.Intn(len(graphs))
-				e.Skl = ref(gid, rng.Intn(graphs[gid].G.NumVertices()))
-			}
-			if prevR && rng.Intn(2) == 0 {
-				e.HasRec, e.Rec1, e.Rec2 = true, rng.Intn(2) == 0, rng.Intn(2) == 0
-			}
-			prevR = e.Type == label.R
-			l = l.Append(e)
-		}
+		l := randomLabel(rng, g, 1+rng.Intn(8))
 		dec, err := c.Decode(c.Encode(l))
 		return err == nil && dec.Equal(l)
 	}
@@ -104,14 +86,16 @@ func TestBitLenVersusEncodedSize(t *testing.T) {
 	// BitLen uses the paper's word-RAM accounting; Encode prefix-codes
 	// each index (order-0 Exp-Golomb: 1 bit for index 0, 5 for 5, 13 for
 	// 117 — the value bits plus a prefix), prefixes a coded entry count
-	// (4 bits for 3 entries), and pads to a whole byte.
+	// (4 bits for 5 entries), and pads to a whole byte.
 	c := codec(t)
 	l := label.Label{}.
-		Append(label.Entry{Index: 0, Type: label.N, Skl: ref(0, 0)}).
-		Append(label.Entry{Index: 5, Type: label.L, Skl: spec.NoRef}).
-		Append(label.Entry{Index: 117, Type: label.N, Skl: ref(2, 1)})
+		Append(label.Entry{Index: 0, Type: label.N, Skl: ref(0, 1)}).
+		Append(label.Entry{Index: 0, Type: label.L, Skl: spec.NoRef}).
+		Append(label.Entry{Index: 5, Type: label.N, Skl: ref(1, 1)}).
+		Append(label.Entry{Index: 0, Type: label.F, Skl: spec.NoRef}).
+		Append(label.Entry{Index: 117, Type: label.N, Skl: ref(2, 2)})
 	bits := c.BitLen(l)
-	framing := 4 + (1 - 1) + (5 - 3) + (13 - 7)
+	framing := 4 + (5 - 3) + (13 - 7)
 	if enc, want := c.EncodedBits(l), (bits+framing+7)/8*8; enc != want {
 		t.Fatalf("encoded %d bits for BitLen %d, want %d", enc, bits, want)
 	}
@@ -119,11 +103,21 @@ func TestBitLenVersusEncodedSize(t *testing.T) {
 
 func TestBitLenComponents(t *testing.T) {
 	c := codec(t)
-	// Single root entry: 2 (type) + 1 (index 0) + ptr bits.
+	// Single root entry: 2 (type) + 1 (index 0) + 1 (s0's rank among
+	// g0's two atomic vertices).
 	l := label.Label{}.Append(label.Entry{Index: 0, Type: label.N, Skl: ref(0, 0)})
-	want := 2 + 1 + c.PointerBits()
+	want := 2 + 1 + 1
 	if got := c.BitLen(l); got != want {
 		t.Fatalf("BitLen = %d, want %d", got, want)
+	}
+	// An interior N entry whose context allows one graph stores nothing
+	// but its type and index: the next index names its origin.
+	interior := label.Label{}.
+		Append(label.Entry{Index: 0, Type: label.N, Skl: ref(0, 1)}).
+		Append(label.Entry{Index: 0, Type: label.L, Skl: spec.NoRef}).
+		Append(label.Entry{Index: 1, Type: label.N, Skl: ref(1, 0)})
+	if got := c.BitLen(interior); got != (2+1)+(2+1)+(2+1+1) {
+		t.Fatalf("BitLen(%s) = %d, want 10", interior, got)
 	}
 	// Index widths grow logarithmically: index 1 costs 1 bit, index 2-3
 	// cost 2, index 1000 costs 10 (the log θ_t term of Theorem 3).
@@ -134,7 +128,7 @@ func TestBitLenComponents(t *testing.T) {
 	if grow(1) != 2+1 || grow(3) != 2+2 || grow(1000) != 2+10 {
 		t.Fatalf("index widths wrong: %d %d %d", grow(1), grow(3), grow(1000))
 	}
-	// Special entries carry no pointer.
+	// Special entries carry no field.
 	if grow(0) >= want {
 		t.Fatal("special entry should be cheaper than N entry")
 	}
@@ -145,11 +139,13 @@ func TestRecFlagAccounting(t *testing.T) {
 	// Children of an R node always account 1+1 recursion-flag bits
 	// (Algorithm 1's accounting), whether or not the flags are set.
 	under := label.Label{}.
-		Append(label.Entry{Index: 1, Type: label.R, Skl: spec.NoRef}).
-		Append(label.Entry{Index: 1, Type: label.N, Skl: ref(3, 0), HasRec: true, Rec1: true})
+		Append(label.Entry{Index: 0, Type: label.N, Skl: ref(0, 1)}).
+		Append(label.Entry{Index: 0, Type: label.R, Skl: spec.NoRef}).
+		Append(label.Entry{Index: 1, Type: label.N, Skl: ref(1, 0), HasRec: true, Rec1: true})
 	plain := label.Label{}.
-		Append(label.Entry{Index: 1, Type: label.L, Skl: spec.NoRef}).
-		Append(label.Entry{Index: 1, Type: label.N, Skl: ref(3, 0)})
+		Append(label.Entry{Index: 0, Type: label.N, Skl: ref(0, 1)}).
+		Append(label.Entry{Index: 0, Type: label.L, Skl: spec.NoRef}).
+		Append(label.Entry{Index: 1, Type: label.N, Skl: ref(1, 0)})
 	if c.BitLen(under) != c.BitLen(plain)+2 {
 		t.Fatalf("R-chain member should cost 2 extra bits: %d vs %d",
 			c.BitLen(under), c.BitLen(plain))
@@ -161,9 +157,12 @@ func TestDecodeErrors(t *testing.T) {
 	if _, err := c.Decode(nil); err == nil {
 		t.Fatal("decoding empty input must fail")
 	}
-	l := label.Label{}.Append(label.Entry{Index: 0, Type: label.N, Skl: ref(0, 0)})
+	l := label.Label{}.
+		Append(label.Entry{Index: 0, Type: label.N, Skl: ref(0, 1)}).
+		Append(label.Entry{Index: 0, Type: label.L, Skl: spec.NoRef}).
+		Append(label.Entry{Index: 1, Type: label.N, Skl: ref(1, 0)})
 	enc := c.Encode(l)
-	if _, err := c.Decode(enc[:1]); err == nil {
+	if _, err := c.Decode(enc[:len(enc)-1]); err == nil {
 		t.Fatal("decoding truncated input must fail")
 	}
 }

@@ -11,20 +11,24 @@ import (
 // TestRegressionWideIndexRoundTrip pins the fuzzer-found bug where an
 // index needing 31 value bits sent the width computation into an
 // int32-overflow infinite loop (`v >= 1<<w` promotes 1<<31 to a
-// negative int32). The input is the fuzzer's label, with index
-// 1111740226, in today's encoding (order-0 index codes): it must decode
-// to exactly that label and re-encode to exactly these bytes, in finite
-// time.
+// negative int32). The input carries the fuzzer's wide indexes —
+// 1111740226, 3133 and 22085446 — on the copies of a label of today's
+// encoding (order-0 index codes, no vertex on interior N entries): it
+// must decode to exactly that label and re-encode to exactly these
+// bytes, in finite time.
 func TestRegressionWideIndexRoundTrip(t *testing.T) {
 	g := spec.MustCompile(wfspecs.RunningExample())
 	c := label.NewCodec(g)
-	data := []byte("pc\x10\x00\x00\x00!!\xe7\xa1\xa0\x03\x0f\x90\x00\x00\n\x87\xfa?")
+	data := []byte("(\x18\xc0\x00\x00\x00!!\xe7\xa1\xd0\x00a\xf3\x00\x00\x00*\x1f\xe8\xed\x00")
 	want := label.Label{Entries: []label.Entry{
-		{Index: 11, Type: label.N, Skl: ref(3, 3)},
-		{Index: 1111740226, Type: label.L, Skl: spec.NoRef},
-		{Index: 3133, Type: label.L, Skl: spec.NoRef},
-		{Index: 22085446, Type: label.L, Skl: spec.NoRef},
-		{Index: 0, Type: label.R, Skl: spec.NoRef},
+		{Index: 11, Type: label.N, Skl: ref(0, 1)},
+		{Index: 0, Type: label.L, Skl: spec.NoRef},
+		{Index: 1111740226, Type: label.N, Skl: ref(1, 1)},
+		{Index: 0, Type: label.F, Skl: spec.NoRef},
+		{Index: 3133, Type: label.N, Skl: ref(2, 1)},
+		{Index: 0, Type: label.L, Skl: spec.NoRef},
+		{Index: 22085446, Type: label.N, Skl: ref(3, 2)},
+		{Index: 1, Type: label.R, Skl: spec.NoRef},
 	}}
 	l, err := c.Decode(data)
 	if err != nil || !l.Equal(want) {

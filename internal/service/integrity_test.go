@@ -385,10 +385,25 @@ func rewriteAsWFSNAP03(t *testing.T, path string) {
 	}
 }
 
+// underMagic rewrites a snapshot file under another magic, leaving the
+// rest of its bytes as they are.
+func underMagic(magic string) func(t *testing.T, path string) {
+	return func(t *testing.T, path string) {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append([]byte(magic), raw[8:]...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestIntegrityUnavailableOnLegacySnapshot: a data directory whose
 // labels.snap is in a format earlier builds wrote — a WFSNAP01 magic
 // with nothing readable past it, a whole, checksummed WFSNAP03 file, or
-// a WFSNAP05 file, whose layout is today's but whose labels are not —
+// a WFSNAP05 or WFSNAP06 file, whose layout is today's but whose labels
+// are not —
 // restores fine from the log, reports anchors for the chain the restore
 // re-seeded, and the auditor says "unavailable", not "violation". The
 // next checkpoint replaces the file with one this build opens.
@@ -405,15 +420,8 @@ func TestIntegrityUnavailableOnLegacySnapshot(t *testing.T) {
 			}
 		}},
 		{"WFSNAP03 file", rewriteAsWFSNAP03},
-		{"WFSNAP05 file", func(t *testing.T, path string) {
-			raw, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(path, append([]byte("WFSNAP05"), raw[8:]...), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}},
+		{"WFSNAP05 file", underMagic("WFSNAP05")},
+		{"WFSNAP06 file", underMagic("WFSNAP06")},
 	} {
 		dir := t.TempDir()
 		reg := durableReg(t, dir, DurableOptions{})

@@ -29,12 +29,12 @@ import (
 // batch frame loses that whole batch and nothing before it, and a tail
 // frame the labeler refuses past its first record is cut whole with the
 // labeler left at the prefix, so the stream goes on from there. The
-// WFSNAP02, WFSNAP04 and WFSNAP05 rows are the upgrade path: a
-// labels.snap in a format earlier builds wrote is ignored and replayed
+// WFSNAP02, WFSNAP04, WFSNAP05 and WFSNAP06 rows are the upgrade path:
+// a labels.snap in a format earlier builds wrote is ignored and replayed
 // over, and the session's next snapshot overwrites it in the current
-// one. WFSNAP05 has today's layout, so its row is this image under the
-// old magic: labels numbered and coded the old way must be replayed
-// over even when every checksum holds.
+// one. WFSNAP05 and WFSNAP06 have today's layout, so their rows are this
+// image under the old magic: labels numbered or coded the old way must
+// be replayed over even when every checksum holds.
 func TestRestoreCutAndFlipTable(t *testing.T) {
 	image := t.TempDir()
 	g := compileBuiltin(t, "BioAID")
@@ -131,6 +131,7 @@ func TestRestoreCutAndFlipTable(t *testing.T) {
 		{name: "WFSNAP02 snapshot", snap: append([]byte("WFSNAP02"), snapRaw[8:]...), class: boot, frames: n, resnap: true},
 		{name: "WFSNAP04 snapshot", snap: append([]byte("WFSNAP04"), snapRaw[8:]...), class: boot, frames: n, resnap: true},
 		{name: "WFSNAP05 snapshot", snap: append([]byte("WFSNAP05"), snapRaw[8:]...), class: boot, frames: n, resnap: true},
+		{name: "WFSNAP06 snapshot", snap: append([]byte("WFSNAP06"), snapRaw[8:]...), class: boot, frames: n, resnap: true},
 		{name: "cut inside the last batch frame", wal: walRaw[:(ends[n-1]+ends[n])/2], class: cutTail, frames: n - 1, arena: labels, resume: true},
 		{name: "tail frame refused after its first record", wal: slices.Concat(walRaw[:ends[n-1]], refusedTail), class: cutTail, frames: n - 1, resume: true},
 	}

@@ -472,8 +472,9 @@ func (s *Session) Grammar() *spec.Grammar { return s.g }
 // The in-process writers log one frame per event, where the wire
 // routes log one per batch: the performance ledger (benchmark/layers.go)
 // checks an in-process session's chain head against a chain it folds
-// over one-event frames, and moves to batch frames with its next
-// revision (ROADMAP item 14).
+// over one-event frames. ROADMAP item 1(b) replaces that fold with the
+// program's own stage timers, and item 1(d) then moves these writers to
+// batch frames.
 func (s *Session) Append(events []run.Event) (int, error) {
 	return appendBatch(s, events, wal.RefRecord, nil, true)
 }

@@ -131,13 +131,14 @@ func (b graphBFS) Bits() int                        { return 0 }
 // queries of Algorithm 1/4: reachability between two vertices of the
 // same specification graph.
 type Scheme struct {
+	g      *spec.Grammar
 	graphs []GraphScheme
 }
 
 // New builds skeleton labels for all graphs of the grammar's
 // specification.
 func New(k Kind, g *spec.Grammar) *Scheme {
-	s := &Scheme{}
+	s := &Scheme{g: g}
 	for _, ng := range g.Spec().Graphs() {
 		s.graphs = append(s.graphs, NewGraphScheme(k, ng.G))
 	}
@@ -153,6 +154,9 @@ func (s *Scheme) Pi(a, b spec.VertexRef) bool {
 	}
 	return s.graphs[a.Graph].Reaches(a.V, b.V)
 }
+
+// Grammar returns the grammar whose graphs the scheme labels.
+func (s *Scheme) Grammar() *spec.Grammar { return s.g }
 
 // Bits returns the total skeleton storage in bits (Table 2's "Total
 // Space").

@@ -3,6 +3,7 @@ package spec
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -55,19 +56,142 @@ type Grammar struct {
 	induces   map[string]map[string]bool // reflexive-transitive ↦*
 	recVerts  [][]graph.VertexID         // per graph: recursive vertices (ascending)
 	graphs    []graphFacts               // per graph: what a labeler asks of it per expansion
+	sets      []int32                    // the choice sets' graphs and atom counts (see ChoiceSet)
+	root      ChoiceSet                  // the root's choice set: g0 alone
 	class     Class
 	minExpand map[string]int // per composite name: min atomic vertices of a full expansion
 
 	totalVertices int
 }
 
-// graphFacts is what the labelers look up about one specification graph
-// each time they expand one of its vertices.
+// graphFacts is what the labelers and the label codec look up about one
+// specification graph each time they expand or name one of its vertices.
 type graphFacts struct {
 	designated graph.VertexID // compressed recursive vertex or None
-	// slotRank[v] is composite vertex v's 0-based rank among the graph's
-	// composite vertices in vertex order, -1 for an atomic vertex.
-	slotRank []int32
+	// rank[v] is v's 0-based rank in vertex order among the graph's
+	// composite vertices (its slot rank), or ^r for an atomic v of rank r
+	// among the atomic ones.
+	rank []int32
+	// atoms lists the atomic vertices by rank.
+	atoms []int32
+	// slots holds three words per composite vertex, by slot rank: the
+	// vertex, then the choice sets of the child that expands it under an
+	// N, L or F node and as a recursion-chain member under an R node.
+	slots []int32
+}
+
+// ChoiceSet names a set of specification graphs that the place of a
+// parse-tree instance allows it to be annotated with: g0 for the root;
+// for a child of an N, L or F node, the implementations of the slot u
+// the parent expands; for a recursion-chain member, the implementations
+// of every module in u's recursion SCC (the modules u's name induces and
+// is induced by). A label names an interior instance's graph by its
+// position in the set, an implementation choice of ChoiceBits bits, and
+// a run vertex by its rank among the atomic vertices of every graph in
+// the set, in LeafBits bits; both are at most ⌈log₂ n_G⌉.
+//
+// A ChoiceSet packs the set's two widths, so that a codec reads them
+// without a lookup, with the set's offset in its grammar's table, where
+// the set is its graph count k, its k graph ids in ascending order, then
+// the running totals of their atomic vertices:
+//
+//	offset<<10 | ChoiceBits<<5 | LeafBits
+type ChoiceSet int32
+
+// maxSetWords bounds a grammar's choice-set table, whose offsets a
+// ChoiceSet holds in 21 bits.
+const maxSetWords = 1 << 21
+
+// RootChoices returns the choice set of the root instance: g0 alone.
+func (g *Grammar) RootChoices() ChoiceSet { return g.root }
+
+// Slot returns what the grammar implies about the child of index rank
+// under an instance of graph id, the child that expands the composite
+// of that slot rank: the composite vertex — the origin, in the instance,
+// of every label that descends through the child — and the child's
+// choice set, as a recursion-chain member when chain is set. It reports
+// false when the graph has no such slot.
+func (g *Grammar) Slot(id GraphID, rank int32, chain bool) (graph.VertexID, ChoiceSet, bool) {
+	s, i := g.graphs[id].slots, 3*uint(uint32(rank))
+	if i >= uint(len(s)) { // len(s) is a multiple of 3
+		return graph.None, 0, false
+	}
+	if chain {
+		return graph.VertexID(s[i]), ChoiceSet(s[i+2]), true
+	}
+	return graph.VertexID(s[i]), ChoiceSet(s[i+1]), true
+}
+
+// ChoiceBits returns ⌈log₂ k⌉ for the set's k graphs: the width of an
+// implementation choice.
+func (c ChoiceSet) ChoiceBits() uint { return uint(c>>5) & 31 }
+
+// LeafBits returns the width of a leaf's rank among the atomic vertices
+// of the set's graphs.
+func (c ChoiceSet) LeafBits() uint { return uint(c) & 31 }
+
+// choiceSet unpacks set c: its graph ids and the running totals of
+// their atomic vertices.
+func (g *Grammar) choiceSet(c ChoiceSet) (graphs, atomEnd []int32) {
+	off := c >> 10
+	k := ChoiceSet(g.sets[off])
+	return g.sets[off+1 : off+1+k], g.sets[off+1+k : off+1+2*k]
+}
+
+// ChoiceGraph returns the graph at position i of set c, false when
+// there is none.
+func (g *Grammar) ChoiceGraph(c ChoiceSet, i int) (GraphID, bool) {
+	graphs, _ := g.choiceSet(c)
+	if uint(i) >= uint(len(graphs)) {
+		return -1, false
+	}
+	return GraphID(graphs[i]), true
+}
+
+// Choice returns graph id's position in set c, false when it is not in
+// it.
+func (g *Grammar) Choice(c ChoiceSet, id GraphID) (int, bool) {
+	graphs, _ := g.choiceSet(c)
+	for i, x := range graphs {
+		if GraphID(x) == id {
+			return i, true
+		}
+	}
+	return 0, false
+}
+
+// Leaf returns the atomic vertex of rank r among those of set c's
+// graphs, false when r is out of range.
+func (g *Grammar) Leaf(c ChoiceSet, r int) (VertexRef, bool) {
+	graphs, atomEnd := g.choiceSet(c)
+	base := int32(0)
+	for i, end := range atomEnd {
+		if int32(r) < end && r >= 0 {
+			id := GraphID(graphs[i])
+			return VertexRef{Graph: id, V: graph.VertexID(g.graphs[id].atoms[int32(r)-base])}, true
+		}
+		base = end
+	}
+	return NoRef, false
+}
+
+// LeafRank is the inverse of Leaf: false when ref is not an atomic
+// vertex of a graph in set c.
+func (g *Grammar) LeafRank(c ChoiceSet, ref VertexRef) (int, bool) {
+	i, ok := g.Choice(c, ref.Graph)
+	if !ok {
+		return 0, false
+	}
+	rank := g.graphs[ref.Graph].rank
+	if uint(ref.V) >= uint(len(rank)) || rank[ref.V] >= 0 {
+		return 0, false
+	}
+	base := int32(0)
+	if i > 0 {
+		_, atomEnd := g.choiceSet(c)
+		base = atomEnd[i-1]
+	}
+	return int(base + ^rank[ref.V]), true
 }
 
 // Compile analyzes a specification into a Grammar.
@@ -94,22 +218,9 @@ func Compile(s *Spec) (*Grammar, error) {
 	// production A := h iff Name(u) induces A.
 	g.recVerts = make([][]graph.VertexID, len(s.graphs))
 	g.graphs = make([]graphFacts, len(s.graphs))
-	for _, ng := range s.graphs {
-		g.totalVertices += ng.G.NumVertices()
-	}
-	ranks := make([]int32, g.totalVertices)
 	for i, ng := range s.graphs {
-		n := ng.G.NumVertices()
-		f := &g.graphs[i]
-		f.designated, f.slotRank, ranks = graph.None, ranks[:n:n], ranks[n:]
-		rank := int32(0)
-		for v := range f.slotRank {
-			f.slotRank[v] = -1
-			if s.kinds[ng.G.Name(graph.VertexID(v))].Composite() {
-				f.slotRank[v] = rank
-				rank++
-			}
-		}
+		g.totalVertices += ng.G.NumVertices()
+		g.graphs[i].designated = graph.None
 	}
 	recursion := false
 	linear := true
@@ -194,6 +305,9 @@ func Compile(s *Spec) (*Grammar, error) {
 	}
 
 	g.computeMinExpand()
+	if err := g.buildTables(); err != nil {
+		return nil, err
+	}
 	return g, nil
 }
 
@@ -281,6 +395,137 @@ func (g *Grammar) computeMinExpand() {
 	}
 }
 
+// buildTables fills the rank and slot tables of every graph and the
+// choice sets a label's entries are coded against, all carved from one
+// allocation.
+func (g *Grammar) buildTables() error {
+	s := g.spec
+	// The root's set comes first. Each composite name has its
+	// implementation set; a name whose recursion SCC holds other names
+	// shares one chain set with them, keyed by the SCC's least name, and a
+	// name alone in its SCC uses its implementation set as its chain set.
+	type source struct {
+		name  string
+		chain bool
+		off   int32 // where the set starts in g.sets
+		size  int32
+		set   ChoiceSet
+	}
+	names := s.CompositeNames()
+	srcs := []source{{size: 1}}
+	setWords := int32(1 + 2)
+	add := func(src source) int {
+		src.off = setWords
+		setWords += 1 + 2*src.size
+		srcs = append(srcs, src)
+		return len(srcs) - 1
+	}
+	sets := make(map[string][2]int, len(names)) // indexes into srcs
+	for _, a := range names {
+		impl := add(source{name: a, size: int32(len(s.impls[a]))})
+		chain := impl
+		rep, members, size := "", 0, int32(0)
+		for _, b := range names {
+			if g.induces[a][b] && g.induces[b][a] {
+				if members == 0 {
+					rep = b // names is sorted: the SCC's least name
+				}
+				members++
+				size += int32(len(s.impls[b]))
+			}
+		}
+		switch {
+		case rep != a:
+			chain = sets[rep][1]
+		case members > 1:
+			chain = add(source{name: a, chain: true, size: size})
+		}
+		sets[a] = [2]int{impl, chain}
+	}
+	if setWords > maxSetWords {
+		return fmt.Errorf("spec: the choice sets of %d composite modules need %d words, more than the %d a label codec addresses", len(names), setWords, maxSetWords)
+	}
+
+	total := int(setWords)
+	for _, ng := range s.graphs {
+		total += 2 * ng.G.NumVertices() // rank, then atoms or slot vertices
+		for v := range ng.G.NumVertices() {
+			if s.kinds[ng.G.Name(graph.VertexID(v))].Composite() {
+				total += 2 // a slot's choice sets
+			}
+		}
+	}
+	buf := make([]int32, total)
+	carve := func(n int) []int32 {
+		out := buf[:n:n]
+		buf = buf[n:]
+		return out
+	}
+	g.sets = carve(int(setWords))
+
+	for i, ng := range s.graphs {
+		f := &g.graphs[i]
+		f.rank = carve(ng.G.NumVertices())
+		var composites, atoms int32
+		for v := range f.rank {
+			if s.kinds[ng.G.Name(graph.VertexID(v))].Composite() {
+				f.rank[v] = composites
+				composites++
+			} else {
+				f.rank[v] = ^atoms
+				atoms++
+			}
+		}
+		f.atoms, f.slots = carve(int(atoms)), carve(3*int(composites))
+		for v, r := range f.rank {
+			if r < 0 {
+				f.atoms[^r] = int32(v)
+			}
+		}
+	}
+
+	for i := range srcs {
+		src := &srcs[i]
+		c := g.sets[src.off : src.off+1+2*src.size]
+		graphs, atomEnd := c[1:1+src.size], c[1+src.size:]
+		switch {
+		case i == 0:
+			graphs[0] = int32(StartGraph)
+		case src.chain:
+			k := 0
+			for _, ng := range s.graphs {
+				if ng.Owner != "" && g.induces[ng.Owner][src.name] && g.induces[src.name][ng.Owner] {
+					graphs[k] = int32(ng.ID)
+					k++
+				}
+			}
+		default:
+			for k, id := range s.impls[src.name] {
+				graphs[k] = int32(id)
+			}
+		}
+		atoms := int32(0)
+		for k, id := range graphs {
+			atoms += int32(len(g.graphs[id].atoms))
+			atomEnd[k] = atoms
+		}
+		c[0] = src.size
+		src.set = ChoiceSet(src.off<<10 | int32(bits.Len(uint(src.size-1)))<<5 | int32(bits.Len(uint(atoms-1))))
+	}
+	g.root = srcs[0].set
+
+	for i, ng := range s.graphs {
+		f := &g.graphs[i]
+		for v, r := range f.rank {
+			if r >= 0 {
+				ids := sets[ng.G.Name(graph.VertexID(v))]
+				f.slots[3*r], f.slots[3*r+1], f.slots[3*r+2] = int32(v), int32(srcs[ids[0]].set), int32(srcs[ids[1]].set)
+			}
+		}
+	}
+	return nil
+}
+
 // Spec returns the underlying specification.
 func (g *Grammar) Spec() *Spec { return g.spec }
 
@@ -297,10 +542,11 @@ func (g *Grammar) IsRecursive() bool { return g.class != ClassNonRecursive }
 func (g *Grammar) Designated(id GraphID) graph.VertexID { return g.graphs[id].designated }
 
 // SlotRank returns composite vertex v's 0-based rank among the composite
-// vertices of graph id, in vertex order. It is the index of the
-// parse-tree child that expands v under its instance, so those indexes
-// cost the log θ_t bits Algorithm 1 budgets for them.
-func (g *Grammar) SlotRank(id GraphID, v graph.VertexID) int32 { return g.graphs[id].slotRank[v] }
+// vertices of graph id, in vertex order, and a negative number for an
+// atomic v. It is the index of the parse-tree child that expands v under
+// its instance, so those indexes cost the log θ_t bits Algorithm 1
+// budgets for them.
+func (g *Grammar) SlotRank(id GraphID, v graph.VertexID) int32 { return g.graphs[id].rank[v] }
 
 // MinExpansion returns the minimum number of atomic vertices a full
 // expansion of the composite name can produce (loops and forks
@@ -325,21 +571,6 @@ func (g *Grammar) MinRunSize() int {
 
 // TotalVertices returns Σ|V(h)| over G(S) — the paper's n_G.
 func (g *Grammar) TotalVertices() int { return g.totalVertices }
-
-// PointerBits returns the width of a skeleton-label pointer:
-// ⌈log₂ n_G⌉ bits (Theorem 3's accounting).
-func (g *Grammar) PointerBits() int {
-	return bitsFor(g.totalVertices)
-}
-
-// bitsFor returns ⌈log₂ n⌉ for n ≥ 1 (and 1 for n ≤ 2).
-func bitsFor(n int) int {
-	b := 1
-	for 1<<b < n {
-		b++
-	}
-	return b
-}
 
 // Productions renders the grammar's finite production seeds in the
 // style of Figure 4, for documentation and debugging. Pumped loop and

@@ -63,8 +63,11 @@ const StartGraph GraphID = 0
 
 // VertexRef names one vertex of one specification graph. It is the
 // "pointer to a skeleton label" of Algorithm 1 (the paper stores a
-// pointer rather than the label itself; a VertexRef costs
-// ⌈log₂ n_G⌉ bits where n_G is the total specification size).
+// pointer rather than the label itself, of ⌈log₂ n_G⌉ bits where n_G is
+// the total specification size). An encoded label spends less: an
+// interior entry's vertex is implied by the next entry's index and its
+// graph is a choice among the few its context allows (ChoiceSet), and a
+// leaf's is a rank among those graphs' atomic vertices.
 type VertexRef struct {
 	Graph GraphID
 	V     graph.VertexID

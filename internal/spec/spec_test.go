@@ -1,6 +1,7 @@
 package spec_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -299,14 +300,81 @@ func TestMinExpansion(t *testing.T) {
 	}
 }
 
-func TestPointerBits(t *testing.T) {
+// TestSlotTables pins the tables a label's entries are coded against on
+// RunningExample: Slot inverts SlotRank; the root may only be g0; a
+// slot's child may be one of its implementations, or, as a recursion
+// chain member, one of those of its SCC (A and C induce each other);
+// and Leaf and LeafRank number the sets' atomic vertices one to one.
+func TestSlotTables(t *testing.T) {
 	g := spec.MustCompile(wfspecs.RunningExample())
-	// 19 total vertices need 5 bits.
-	if got := g.PointerBits(); got != 5 {
-		t.Fatalf("PointerBits = %d, want 5", got)
-	}
+	s := g.Spec()
 	if g.MaxGraphSize() != 4 {
 		t.Fatalf("MaxGraphSize = %d, want 4 (h3)", g.MaxGraphSize())
+	}
+	for _, ng := range s.Graphs() {
+		rank := int32(0)
+		for v := range ng.G.NumVertices() {
+			if !s.Kind(ng.G.Name(graph.VertexID(v))).Composite() {
+				continue
+			}
+			if slot, _, ok := g.Slot(ng.ID, g.SlotRank(ng.ID, graph.VertexID(v)), false); !ok || slot != graph.VertexID(v) || g.SlotRank(ng.ID, graph.VertexID(v)) != rank {
+				t.Fatalf("%s: vertex %d has slot rank %d, which names %d", ng.Label, v, g.SlotRank(ng.ID, graph.VertexID(v)), slot)
+			}
+			rank++
+		}
+		if _, _, ok := g.Slot(ng.ID, rank, false); ok {
+			t.Fatalf("%s: slot rank %d names a vertex past its %d composites", ng.Label, rank, rank)
+		}
+	}
+	graphs := func(c spec.ChoiceSet) []spec.GraphID {
+		var out []spec.GraphID
+		for i := 0; ; i++ {
+			id, ok := g.ChoiceGraph(c, i)
+			if !ok {
+				return out
+			}
+			out = append(out, id)
+		}
+	}
+	h2, h3 := s.Implementations("F")[0], s.Implementations("A")[0]
+	choices := func(id spec.GraphID, rank int32, chain bool) spec.ChoiceSet {
+		_, set, _ := g.Slot(id, rank, chain)
+		return set
+	}
+	for _, tc := range []struct {
+		name             string
+		set              spec.ChoiceSet
+		want             []spec.GraphID
+		choice, leafBits uint
+	}{
+		{"root", g.RootChoices(), []spec.GraphID{0}, 0, 1},
+		{"A below N, L or F", choices(h2, 0, false), []spec.GraphID{3, 4}, 1, 2},
+		{"A's chain", choices(h2, 0, true), []spec.GraphID{3, 4, 6}, 2, 3},
+		{"C's chain", choices(h3, 1, true), []spec.GraphID{3, 4, 6}, 2, 3},
+		{"B's chain", choices(h3, 0, true), []spec.GraphID{5}, 0, 1},
+		{"L's chain", choices(0, 0, true), []spec.GraphID{1}, 0, 1},
+	} {
+		if got := graphs(tc.set); !slices.Equal(got, tc.want) || tc.set.ChoiceBits() != tc.choice || tc.set.LeafBits() != tc.leafBits {
+			t.Errorf("%s: graphs %v, %d choice bits, %d leaf bits; want %v, %d, %d", tc.name, got, tc.set.ChoiceBits(), tc.set.LeafBits(), tc.want, tc.choice, tc.leafBits)
+		}
+		for r := 0; ; r++ {
+			ref, ok := g.Leaf(tc.set, r)
+			if !ok {
+				if r != 2*len(tc.want) {
+					t.Errorf("%s: %d atomic vertices, want %d", tc.name, r, 2*len(tc.want))
+				}
+				break
+			}
+			if back, ok := g.LeafRank(tc.set, ref); !ok || back != r || s.Kind(s.Graph(ref.Graph).G.Name(ref.V)).Composite() {
+				t.Errorf("%s: leaf %d is %v, ranked %d, %v", tc.name, r, ref, back, ok)
+			}
+		}
+	}
+	if _, ok := g.LeafRank(choices(h2, 0, false), spec.VertexRef{Graph: h3, V: 1}); ok {
+		t.Error("a composite vertex has a leaf rank")
+	}
+	if _, ok := g.Choice(g.RootChoices(), h3); ok {
+		t.Error("the root may be an h3 instance")
 	}
 }
 

@@ -85,7 +85,10 @@ type (
 type (
 	// Label is a DRL reachability label.
 	Label = label.Label
-	// LabelCodec encodes labels into the canonical bit layout.
+	// LabelCodec encodes labels into the canonical bit layout. It holds
+	// the labels of executed (atomic) vertices only: it panics on the
+	// label of a composite vertex, which a DerivationLabeler issues for
+	// its intermediate graphs and which is in-memory only.
 	LabelCodec = label.Codec
 	// DerivationLabeler labels derivations (Section 5.2).
 	DerivationLabeler = core.DerivationLabeler
@@ -144,7 +147,10 @@ func Generate(g *Grammar, opts GenOptions) (*Run, error) { return gen.Generate(g
 // MustGenerate is Generate panicking on error.
 func MustGenerate(g *Grammar, opts GenOptions) *Run { return gen.MustGenerate(g, opts) }
 
-// NewDerivationLabeler builds a derivation-based dynamic labeler.
+// NewDerivationLabeler builds a derivation-based dynamic labeler. The
+// labels it issues for composite vertices of intermediate graphs answer
+// queries but cannot be encoded: a LabelCodec holds the labels of
+// atomic vertices only.
 func NewDerivationLabeler(g *Grammar, kind SkeletonKind, mode RMode) *DerivationLabeler {
 	return core.NewDerivationLabeler(g, kind, mode)
 }
