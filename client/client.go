@@ -374,21 +374,11 @@ func (c *Client) DeleteSession(ctx context.Context, name string) error {
 	return c.do(ctx, http.MethodDelete, "/sessions/"+url.PathEscape(name), nil, nil, false)
 }
 
-// Ingest appends a batch of events over the JSON route, in order,
-// returning how far the batch got. For sustained ingest prefer
-// Stream, which uses the binary frame format. Ingest is not
-// idempotent and is never retried; on a partial failure the typed
-// error's Applied field carries how many events the server durably
-// applied before stopping.
-func (c *Client) Ingest(ctx context.Context, session string, events []Event) (EventsResponse, error) {
-	var resp EventsResponse
-	err := c.do(ctx, http.MethodPost, "/sessions/"+url.PathEscape(session)+"/events",
-		api.EventsRequest{Events: events}, &resp, false)
-	return resp, err
-}
-
 // IngestFrames appends a batch of events in one binary-frame request
-// (what Stream uses per flush).
+// (what Stream uses per flush), in order, returning how far the batch
+// got. It is not idempotent and is never retried; on a partial failure
+// the typed error's Applied field carries how many events the server
+// durably applied before stopping.
 func (c *Client) IngestFrames(ctx context.Context, session string, events []Event) (EventsResponse, error) {
 	buf, err := api.AppendFrames(nil, events)
 	if err != nil {

@@ -41,7 +41,7 @@ func generate(t testing.TB, builtin string, size int, seed int64) ([]wfreach.Eve
 }
 
 // TestLifecycleE2E drives the full v1 surface through the SDK:
-// create, JSON ingest, binary streaming ingest, single and batch
+// create, batch ingest, streaming ingest, single and batch
 // reach (checked against the BFS oracle), paginated lineage, stats,
 // list, delete.
 func TestLifecycleE2E(t *testing.T) {
@@ -60,11 +60,11 @@ func TestLifecycleE2E(t *testing.T) {
 		wire[i] = client.FromRun(ev)
 	}
 
-	// JSON route for the first half, binary stream for the rest.
+	// One batch for the first half, the stream for the rest.
 	half := len(wire) / 2
-	er, err := c.Ingest(ctx, "a", wire[:half])
+	er, err := c.IngestFrames(ctx, "a", wire[:half])
 	if err != nil || er.Applied != half {
-		t.Fatalf("json ingest: %+v, %v", er, err)
+		t.Fatalf("batch ingest: %+v, %v", er, err)
 	}
 	stream := c.Stream(ctx, "a", client.StreamOptions{BatchSize: 128})
 	for _, ev := range wire[half:] {
@@ -168,8 +168,8 @@ func TestTypedErrors(t *testing.T) {
 		t.Fatalf("unlabeled reach error = %v", err)
 	}
 
-	// Malformed ingest events carry the batch index.
-	if _, err := c.Ingest(ctx, "s", []client.Event{{V: 1}}); !errors.As(err, &ae) || ae.Code != client.CodeBadEvent {
+	// A malformed ingest event is a typed bad_event.
+	if _, err := c.IngestFrames(ctx, "s", []client.Event{{V: 1}}); !errors.As(err, &ae) || ae.Code != client.CodeBadEvent {
 		t.Fatalf("bad event error = %v", err)
 	}
 }
@@ -203,7 +203,7 @@ func TestRetryOn5xx(t *testing.T) {
 	}
 
 	c.CreateSession(ctx, client.CreateSessionRequest{Name: "s", Builtin: "RunningExample"})
-	_, err := c.Ingest(ctx, "s", []client.Event{{V: 0, Name: "x"}})
+	_, err := c.IngestFrames(ctx, "s", []client.Event{{V: 0, Name: "x"}})
 	var ae *client.Error
 	if !errors.As(err, &ae) || ae.HTTPStatus != http.StatusServiceUnavailable {
 		t.Fatalf("ingest error = %v", err)
@@ -291,10 +291,10 @@ func TestPartialIngestReportsApplied(t *testing.T) {
 
 	// Index 10 duplicates an earlier vertex: the server applies 10.
 	bad := append(append([]client.Event{}, wire[:10]...), wire[3])
-	_, err := c.Ingest(ctx, "p", bad)
+	_, err := c.IngestFrames(ctx, "p", bad)
 	var ae *client.Error
 	if !errors.As(err, &ae) || ae.Code != client.CodeBadEvent || ae.Applied != 10 {
-		t.Fatalf("partial JSON ingest error = %v (applied %d, want 10)", err, ae.Applied)
+		t.Fatalf("partial batch ingest error = %v (applied %d, want 10)", err, ae.Applied)
 	}
 
 	// Same through the binary stream: Applied() counts the prefix.

@@ -387,23 +387,11 @@ func (cl *Cluster) Sessions(ctx context.Context) ([]SessionStats, error) {
 	return out, nil
 }
 
-// Ingest appends a JSON event batch to the session's owner. Routing
-// rejections are chased like every call; a batch the server started
-// applying fails like the single-node client's (the typed error's
-// Applied field reports progress) and is not replayed.
-func (cl *Cluster) Ingest(ctx context.Context, session string, events []Event) (EventsResponse, error) {
-	var resp EventsResponse
-	err := cl.do(ctx, session, false, func(c *Client) error {
-		var cerr error
-		resp, cerr = c.Ingest(ctx, session, events)
-		return cerr
-	})
-	return resp, err
-}
-
 // IngestFrames appends a binary-frame event batch to the session's
 // owner (the frames are encoded once and reused across routing
-// retries).
+// retries). Routing rejections are chased like every call; a batch the
+// server started applying fails like the single-node client's (the
+// typed error's Applied field reports progress) and is not replayed.
 func (cl *Cluster) IngestFrames(ctx context.Context, session string, events []Event) (EventsResponse, error) {
 	buf, err := api.AppendFrames(nil, events)
 	if err != nil {

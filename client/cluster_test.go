@@ -110,11 +110,8 @@ func TestClusterClientRouting(t *testing.T) {
 	for i, ev := range events {
 		wire[i] = client.FromRun(ev)
 	}
-	if _, err := cl.Ingest(ctx, "alpha", wire[:300]); err != nil {
+	if _, err := cl.IngestFrames(ctx, "alpha", wire); err != nil {
 		t.Fatalf("ingest: %v", err)
-	}
-	if _, err := cl.IngestFrames(ctx, "alpha", wire[300:]); err != nil {
-		t.Fatalf("ingest frames: %v", err)
 	}
 	st, err := cl.Session(ctx, "alpha")
 	if err != nil || st.Vertices != int64(len(events)) {
@@ -258,7 +255,7 @@ func TestClusterClientIngestNotReplayedOnFailover(t *testing.T) {
 	ctx := context.Background()
 	kill()
 
-	if _, err := cl.Ingest(ctx, "moved", wire[200:]); err == nil {
+	if _, err := cl.IngestFrames(ctx, "moved", wire[200:]); err == nil {
 		t.Fatal("ingest into a dead primary reported success")
 	}
 	s, ok := regB.Get("moved")
@@ -305,7 +302,7 @@ func TestClusterClientCancelIsNotFailover(t *testing.T) {
 	ctx := context.Background()
 	// Make the primary distinguishable from the follower stand-in: it
 	// alone gets events past the replicated prefix.
-	if _, err := cl.Ingest(ctx, "moved", wire[200:250]); err != nil {
+	if _, err := cl.IngestFrames(ctx, "moved", wire[200:250]); err != nil {
 		t.Fatal(err)
 	}
 	cancelled, cancel := context.WithCancel(ctx)

@@ -14,7 +14,7 @@ import (
 // series on name{key="value"} exactly as exposed, and summaries on
 // their quantile/_sum/_count series. Values are the exposed float64s
 // (durations in seconds). The map is a point-in-time cut — subtract
-// two scrapes to get deltas over a window, as wfload -matrix does.
+// two scrapes to get deltas over a window, as wfload does.
 func (c *Client) Metrics(ctx context.Context) (map[string]float64, error) {
 	resp, err := c.get(ctx, "/metrics", false)
 	if err != nil {

@@ -1,13 +1,11 @@
-package loadmatrix
+package main
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"maps"
 	"math/rand"
-	"os"
 	"slices"
 	"strings"
 	"sync"
@@ -15,261 +13,187 @@ import (
 	"time"
 
 	"wfreach/client"
+	"wfreach/internal/cluster"
 	"wfreach/internal/gen"
 	"wfreach/internal/graph"
 	"wfreach/internal/obs"
-	"wfreach/internal/run"
+	wfrun "wfreach/internal/run"
 	"wfreach/internal/service"
 	"wfreach/internal/spec"
 )
 
-// RunOptions configures a harness run.
-type RunOptions struct {
-	// Out receives human-readable progress lines; nil discards them.
-	Out io.Writer
-	// Dir is the scratch directory for durable topologies; empty uses
-	// a fresh os.MkdirTemp that the run deletes when it finishes.
-	Dir string
-	// wrapRead, when set, stands between every connected topology and
-	// its reads: tests plant wrong answers through it.
-	wrapRead func(driver) driver
+// driver is the slice of the SDK surface a run drives, satisfied by
+// both the single-server client.Client and the routing client.Cluster.
+type driver interface {
+	CreateSession(ctx context.Context, req client.CreateSessionRequest) (client.SessionStats, error)
+	Session(ctx context.Context, name string) (client.SessionStats, error)
+	DeleteSession(ctx context.Context, name string) error
+	IngestFrames(ctx context.Context, session string, events []client.Event) (client.EventsResponse, error)
+	ReachBatch(ctx context.Context, session string, pairs []client.ReachPair) ([]client.ReachAnswer, error)
+	Lineage(ctx context.Context, session string, of int32) ([]int32, error)
 }
 
-func (o RunOptions) out() io.Writer {
-	if o.Out == nil {
-		return io.Discard
-	}
-	return o.Out
+// router is what a cluster write driver adds: which node owns a
+// session, the node names, and a live move. client.Cluster has it.
+type router interface {
+	Owner(session string) string
+	NodeNames() []string
+	Move(ctx context.Context, session, target string) (client.MoveResponse, error)
 }
 
-// ScenarioResult is one cell of the report: the scenario's bound
-// dimensions, what it measured, and how its SLO gates came out.
-type ScenarioResult struct {
-	Name      string  `json:"name"`
-	Workload  string  `json:"workload"`
-	Kind      string  `json:"kind"`
-	Topology  string  `json:"topology"`
-	Transport string  `json:"transport"`
-	Sessions  int     `json:"sessions"`
-	Mix       string  `json:"mix"`
-	SLO       SLO     `json:"slo"`
-	Metrics   Metrics `json:"metrics"`
-	// ServerMetrics holds the scenario's server-side truth: the change
-	// in every additive /v1/metrics series over the run, summed across
-	// the topology's nodes. Quantile series (not additive) and series
-	// that did not move are omitted; absent entirely on scrape failure
-	// and in reports written before the field existed.
-	ServerMetrics map[string]float64 `json:"server_metrics,omitempty"`
-	Violations    []Violation        `json:"violations,omitempty"`
-	Pass          bool               `json:"pass"`
+// topo is where a run's writes and reads go, and — when a follower
+// exists — the status clients the lag sampler polls.
+type topo struct {
+	// name titles the run: "spec/topology/sN", plus "/resume".
+	name        string
+	write, read driver
+	// primary and follower are set exactly when reads go to a follower.
+	primary, follower *client.Client
+	// scrapers holds one client per server; /v1/metrics is scraped on
+	// each before and after the run and the summed deltas reported as
+	// server-side truth.
+	scrapers []*client.Client
 }
 
-// Report is the machine-readable outcome of a matrix run, or of one
-// flag-mode scenario (RunLoad).
-type Report struct {
-	Name       string           `json:"name"`
-	Scenarios  []ScenarioResult `json:"scenarios,omitempty"`
-	Soak       *SoakResult      `json:"soak,omitempty"`
-	Passed     int              `json:"passed"`
-	Failed     int              `json:"failed"`
-	Pass       bool             `json:"pass"`
-	ElapsedSec float64          `json:"elapsed_sec"`
-}
-
-func (r *Report) add(res ScenarioResult) {
-	r.Scenarios = append(r.Scenarios, res)
-	if res.Pass {
-		r.Passed++
-	} else {
-		r.Failed++
-		r.Pass = false
-	}
-}
-
-// Err is the report's verdict as an error, nil exactly when it passed:
-// wfload's exit status in both of its modes.
-func (r *Report) Err() error {
+// connect turns cfg's servers — one node at -addr, a primary at -addr
+// with a follower at -replica, or the cluster of a -cluster map — into
+// the clients a run drives. No client retries: a run measures the
+// servers, not a retry loop.
+func connect(cfg config) (*topo, error) {
+	t := &topo{}
+	kind := "single"
 	switch {
-	case r.Pass:
-		return nil
-	case r.Failed > 0:
-		return fmt.Errorf("%d scenario(s) violated their SLOs", r.Failed)
-	default:
-		return errors.New("the soak violated its SLOs")
-	}
-}
-
-// Load is what a run adds to a scenario's dimensions: the servers, the
-// session names, and what happens to the sessions. Run fills it for its
-// in-process topologies; wfload's flags fill it for running servers.
-type Load struct {
-	Endpoints
-	// Prefix names session i "Prefix-i".
-	Prefix string
-	// Cleanup deletes the sessions once the run is measured.
-	Cleanup bool
-	// Move is "session=node": when the write driver is a cluster, that
-	// session moves live once a quarter of the stream is acknowledged.
-	Move string
-	// Resume verifies the sessions a restarted durable server recovered
-	// instead of creating and ingesting them: the readers check Queries
-	// pairs per session below its recovered vertex count, and any
-	// failed pair fails the run, because nothing lags there.
-	Resume  bool
-	Queries int
-}
-
-// Run expands the matrix and drives every scenario — sequentially, so
-// scenarios do not distort each other's latencies — then the soak if
-// one is declared. The returned error covers harness failures (a
-// topology that would not start, a create that errored); SLO
-// violations are not errors, they are the report's Pass=false.
-func Run(ctx context.Context, m *Matrix, opts RunOptions) (*Report, error) {
-	scratch := opts.Dir
-	if scratch == "" {
-		dir, err := os.MkdirTemp("", "loadmatrix-")
+	case cfg.replica != "" && cfg.resume:
+		return nil, fmt.Errorf("-replica and -resume are mutually exclusive")
+	case cfg.replica != "" && cfg.clusterFile != "":
+		return nil, fmt.Errorf("-cluster routes reads through the map; list followers in the map file instead of -replica")
+	case cfg.clusterFile != "":
+		m, err := cluster.LoadMap(cfg.clusterFile)
 		if err != nil {
 			return nil, err
 		}
-		defer os.RemoveAll(dir)
-		scratch = dir
-	}
-
-	rep := &Report{Name: m.Name, Pass: true}
-	start := time.Now()
-	scenarios := m.Expand()
-	for i, sc := range scenarios {
-		fmt.Fprintf(opts.out(), "[%d/%d] %s ...\n", i+1, len(scenarios), sc.Name)
-		res, err := runScenario(ctx, sc, fmt.Sprintf("%s/sc%d", scratch, i), opts)
+		cl, err := client.NewCluster(m, client.WithRetry(0, 0))
 		if err != nil {
-			return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
+			return nil, err
 		}
-		rep.add(res)
-	}
-	if m.Soak != nil {
-		sr, err := runSoak(ctx, m, scratch+"/soak", opts)
-		if err != nil {
-			return nil, fmt.Errorf("soak: %w", err)
+		t.write, t.read = cl, cl
+		for _, name := range cl.NodeNames() {
+			c, _ := cl.Node(name)
+			t.scrapers = append(t.scrapers, c)
 		}
-		rep.Soak = sr
-		rep.Pass = rep.Pass && sr.Pass
+		kind = "cluster"
+	case cfg.replica != "":
+		t.primary = client.New(cfg.addr, client.WithRetry(0, 0))
+		t.follower = client.New(cfg.replica, client.WithRetry(0, 0), client.WithoutWriteRedirect())
+		t.write, t.read = t.primary, t.follower
+		t.scrapers = []*client.Client{t.primary, t.follower}
+		kind = "replica"
+	default:
+		c := client.New(cfg.addr, client.WithRetry(0, 0))
+		t.write, t.read = c, c
+		t.scrapers = []*client.Client{c}
 	}
-	rep.ElapsedSec = time.Since(start).Seconds()
-	fmt.Fprintf(opts.out(), "matrix %s: %d/%d scenarios passed in %.1fs\n",
-		rep.Name, rep.Passed, rep.Passed+rep.Failed, rep.ElapsedSec)
-	return rep, nil
+	t.name = fmt.Sprintf("%s/%s/s%d", cfg.spec, kind, cfg.sessions)
+	if cfg.resume {
+		t.name += "/resume"
+	}
+	return t, nil
 }
 
-// runScenario launches the scenario's topology under dir, drives it,
-// and tears the servers down whole.
-func runScenario(ctx context.Context, sc Scenario, dir string, opts RunOptions) (ScenarioResult, error) {
-	ep, stop, err := launch(sc.Topology, dir)
-	if err != nil {
-		return ScenarioResult{}, err
-	}
-	defer stop()
-	return runOn(ctx, sc, Load{Endpoints: ep, Prefix: "lm"}, opts)
+// result is what one run measured; -report writes it as JSON. It
+// fails only on a wrong answer — a harness failure is an error, not a
+// result.
+type result struct {
+	Name    string  `json:"name"`
+	Pass    bool    `json:"pass"`
+	Metrics metrics `json:"metrics"`
+	// ServerMetrics holds the run's server-side truth: the change in
+	// every additive /v1/metrics series over the run, summed across the
+	// servers. Quantile series (not additive) and series that did not
+	// move are omitted; absent entirely on scrape failure.
+	ServerMetrics map[string]float64 `json:"server_metrics,omitempty"`
 }
 
-// RunLoad drives one scenario against the running servers l names —
-// wfload's flag mode — and reports it as a one-scenario matrix.
-func RunLoad(ctx context.Context, sc Scenario, l Load, opts RunOptions) (*Report, error) {
-	fmt.Fprintf(opts.out(), "%s ...\n", sc.Name)
-	start := time.Now()
-	res, err := runOn(ctx, sc, l, opts)
-	if err != nil {
-		return nil, err
-	}
-	rep := &Report{Name: sc.Name, Pass: true}
-	rep.add(res)
-	rep.ElapsedSec = time.Since(start).Seconds()
-	return rep, nil
+// metrics is what a run measured, in the report's stable units. The
+// fields after VerifyMismatches appear only in runs whose flags ask
+// for them.
+type metrics struct {
+	ElapsedSec   float64 `json:"elapsed_sec"`
+	IngestEvents int64   `json:"ingest_events"`
+	EventsPerSec float64 `json:"events_per_sec"`
+	IngestP50US  float64 `json:"ingest_p50_us"`
+	IngestP95US  float64 `json:"ingest_p95_us"`
+	IngestP99US  float64 `json:"ingest_p99_us"`
+
+	Queries        int64   `json:"queries"`
+	LineageQueries int64   `json:"lineage_queries,omitempty"`
+	QueryErrors    int64   `json:"query_errors"`
+	QueriesPerSec  float64 `json:"queries_per_sec"`
+	QueryP50US     float64 `json:"query_p50_us"`
+	QueryP95US     float64 `json:"query_p95_us"`
+	QueryP99US     float64 `json:"query_p99_us"`
+
+	VerifyChecked    bool  `json:"verify_checked"`
+	VerifyMismatches int64 `json:"verify_mismatches"`
+
+	HasReplica          bool    `json:"has_replica,omitempty"`
+	ReplicaLagSamples   int     `json:"replica_lag_samples,omitempty"`
+	ReplicaLagMaxEvents int64   `json:"replica_lag_max_events,omitempty"`
+	CatchupSec          float64 `json:"catchup_sec,omitempty"`
+
+	// PerNode is acknowledged ingest events per node, when the write
+	// driver is a cluster client.
+	PerNode map[string]int64 `json:"per_node,omitempty"`
+	// Move is the live move made mid-ingest, when one was asked for.
+	Move *moveResult `json:"move,omitempty"`
+	// RecoveredVertices is, on resume, the vertices the restarted
+	// server held across the sessions; ArenaVertices how many of them
+	// it serves from a mapped snapshot.
+	RecoveredVertices int64 `json:"recovered_vertices,omitempty"`
+	ArenaVertices     int64 `json:"arena_vertices,omitempty"`
 }
 
-// runOn connects to l's servers, drives sc against them, and prints
-// the result.
-func runOn(ctx context.Context, sc Scenario, l Load, opts RunOptions) (ScenarioResult, error) {
-	t, err := connect(l.Endpoints, opts)
-	if err != nil {
-		return ScenarioResult{}, err
-	}
-	res, err := drive(ctx, sc, t, l)
-	if err != nil {
-		return ScenarioResult{}, err
-	}
-	printResult(opts.out(), res)
-	return res, nil
+// moveResult records a live session move: the nodes it left and
+// reached, the events handed off, and how long the move call took.
+type moveResult struct {
+	Session string  `json:"session"`
+	From    string  `json:"from"`
+	To      string  `json:"to"`
+	Events  int64   `json:"events"`
+	Sec     float64 `json:"sec"`
 }
 
 // sessionLoad is one session's generated ground truth.
 type sessionLoad struct {
 	name   string
-	events []run.Event
-	oracle *run.Run
+	events []client.Event
+	oracle *wfrun.Run
 }
 
-// generateLoads builds the per-session event streams and oracles for
-// a workload, one distinct seed per session.
-func generateLoads(w Workload, sessions int, seed int64, prefix string) ([]sessionLoad, error) {
-	loads := make([]sessionLoad, sessions)
-	var g *spec.Grammar
-	if w.Kind == "grammar" {
-		s, ok := service.Builtin(w.Spec)
-		if !ok {
-			return nil, fmt.Errorf("unknown builtin %q", w.Spec)
-		}
-		var err error
-		if g, err = spec.Compile(s); err != nil {
+// generate builds the per-session event streams and oracles, one
+// distinct seed per session.
+func generate(cfg config) ([]sessionLoad, error) {
+	s, ok := service.Builtin(cfg.spec)
+	if !ok {
+		return nil, fmt.Errorf("unknown builtin %q (have %v)", cfg.spec, service.BuiltinNames())
+	}
+	g, err := spec.Compile(s)
+	if err != nil {
+		return nil, err
+	}
+	loads := make([]sessionLoad, cfg.sessions)
+	for i := range loads {
+		events, r, err := gen.GenerateEvents(g, gen.Options{TargetSize: cfg.size, Seed: cfg.seed + int64(i)})
+		if err != nil {
 			return nil, err
 		}
-	}
-	for i := range loads {
-		name := fmt.Sprintf("%s-%d", prefix, i)
-		switch w.Kind {
-		case "grammar":
-			events, r, err := gen.GenerateEvents(g, gen.Options{TargetSize: w.Size, Seed: seed + int64(i)})
-			if err != nil {
-				return nil, err
-			}
-			loads[i] = sessionLoad{name: name, events: events, oracle: r}
-		case "agent":
-			tr, err := gen.GenerateAgentTrace(gen.AgentOptions{
-				TargetSize: w.Size, Seed: seed + int64(i),
-				MaxDepth: w.Depth, MaxFanout: w.Fanout, MaxRetries: w.Retries,
-			})
-			if err != nil {
-				return nil, err
-			}
-			loads[i] = sessionLoad{name: name, events: tr.Events, oracle: tr.Run}
-		default:
-			return nil, fmt.Errorf("unknown workload kind %q", w.Kind)
+		wire := make([]client.Event, len(events))
+		for j, ev := range events {
+			wire[j] = client.FromRun(ev)
 		}
+		loads[i] = sessionLoad{name: fmt.Sprintf("%s-%d", cfg.prefix, i), events: wire, oracle: r}
 	}
 	return loads, nil
-}
-
-// builtinFor is the session's server-side specification: agent
-// workloads replay the Agent builtin.
-func (w Workload) builtinFor() string {
-	if w.Kind == "agent" {
-		return "Agent"
-	}
-	return w.Spec
-}
-
-// ingestVia sends one batch over the scenario's transport.
-func ingestVia(ctx context.Context, transport string, d driver, name string, events []run.Event) error {
-	wire := make([]client.Event, len(events))
-	for i, ev := range events {
-		wire[i] = client.FromRun(ev)
-	}
-	var err error
-	if transport == "json" {
-		_, err = d.Ingest(ctx, name, wire)
-	} else {
-		_, err = d.IngestFrames(ctx, name, wire)
-	}
-	return err
 }
 
 // tally is what one run's writers and readers count.
@@ -299,11 +223,11 @@ func (tl *tally) fail(err error) {
 // query error and comes back as the error: behind a lagging follower
 // both are expected, so the caller decides whether they fail the run.
 func (tl *tally) verifiedRead(ctx context.Context, d driver, name string, l *sessionLoad, wm int64, k int, lineage bool, rng *rand.Rand) error {
-	vertex := func() int32 { return int32(l.events[rng.Int63n(wm)].V) }
+	vertex := func() int32 { return l.events[rng.Int63n(wm)].V }
 	if lineage {
 		v := vertex()
 		t0 := time.Now()
-		_, err := d.Lineage(ctx, name, v)
+		got, err := d.Lineage(ctx, name, v)
 		tl.queryHist.Add(time.Since(t0))
 		if err != nil {
 			tl.queryErrs.Add(1)
@@ -311,6 +235,12 @@ func (tl *tally) verifiedRead(ctx context.Context, d driver, name string, l *ses
 		}
 		tl.lineages.Add(1)
 		tl.queried.Add(1)
+		if tl.verify {
+			slices.Sort(got)
+			if !slices.Equal(got, ancestors(l.oracle.Graph, v)) {
+				tl.mismatches.Add(1)
+			}
+		}
 		return nil
 	}
 	pairs := make([]client.ReachPair, k)
@@ -341,13 +271,33 @@ func (tl *tally) verifiedRead(ctx context.Context, d driver, name string, l *ses
 	return pairErr
 }
 
+// ancestors is v's lineage on the run graph g, ascending: v and every
+// vertex with a path to it, by one reverse breadth-first search. Every
+// ancestor of a published vertex is published before it, so a lineage
+// answer must equal it exactly.
+func ancestors(g *graph.Graph, v int32) []int32 {
+	seen := make([]bool, g.NumVertices())
+	seen[v] = true
+	out := []int32{v}
+	for i := 0; i < len(out); i++ {
+		for _, p := range g.In(graph.VertexID(out[i])) {
+			if !seen[p] {
+				seen[p] = true
+				out = append(out, int32(p))
+			}
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
 // metrics is the tally of a run that ingested for ingest and lasted
 // total: ingest throughput is over the first, query throughput over
 // the second.
-func (tl *tally) metrics(ingest, total time.Duration) Metrics {
+func (tl *tally) metrics(ingest, total time.Duration) metrics {
 	sec := total.Seconds()
 	us := func(h *obs.Hist, q float64) float64 { return float64(h.Quantile(q)) / 1e3 }
-	return Metrics{
+	return metrics{
 		ElapsedSec:       sec,
 		IngestEvents:     tl.ingested.Load(),
 		EventsPerSec:     float64(tl.ingested.Load()) / ingest.Seconds(),
@@ -375,9 +325,8 @@ const (
 )
 
 // lagSampler polls the primary's and the follower's replication status
-// for the worst per-session lag: committed minus applied WAL sequence.
-// A nil names set means every session the primary reports — a soak's
-// set grows as it runs.
+// for the worst lag of the run's sessions: committed minus applied WAL
+// sequence.
 type lagSampler struct {
 	primary, follower *client.Client
 	names             map[string]bool
@@ -401,11 +350,8 @@ func (ls *lagSampler) once(ctx context.Context) (int64, bool) {
 	}
 	var worst int64
 	for _, s := range pst.Sessions {
-		if ls.names != nil && !ls.names[s.Name] {
-			continue
-		}
-		if lag := s.WALSeq - applied[s.Name]; lag > worst {
-			worst = lag
+		if ls.names[s.Name] {
+			worst = max(worst, s.WALSeq-applied[s.Name])
 		}
 	}
 	return worst, true
@@ -451,9 +397,9 @@ func (ls *lagSampler) waitCaughtUp(ctx context.Context) (time.Duration, error) {
 	}
 }
 
-// scrapeNodes sums one /v1/metrics scrape across every node of a
-// topology. A node that fails to scrape voids the whole cut (nil) —
-// a partial sum would silently undercount.
+// scrapeNodes sums one /v1/metrics scrape across every server. A
+// server that fails to scrape voids the whole cut (nil) — a partial
+// sum would silently undercount.
 func scrapeNodes(ctx context.Context, nodes []*client.Client) map[string]float64 {
 	sum := make(map[string]float64)
 	for _, c := range nodes {
@@ -487,55 +433,55 @@ func serverDelta(before, after map[string]float64) map[string]float64 {
 	return out
 }
 
-// drive runs one scenario against a connected topology: per session
-// one writer streaming the generated events in sc.Batch-event calls,
-// and sc.Mix.Readers verified readers drawing pairs below the
-// acknowledged watermark until the writer is done. With l.Resume there
-// is no writer: each session's watermark is the vertex count the
-// server recovered, and the readers stop after l.Queries pairs of it.
-// When the write driver is a cluster, ingest is also counted per node
-// and l.Move moves a session mid-stream. The error covers harness
+// drive runs the load cfg describes against t: per session one writer
+// streaming the generated events in cfg.batch-event calls, and
+// cfg.readers verified readers drawing pairs below the acknowledged
+// watermark until the writer is done. With cfg.resume there is no
+// writer: each session's watermark is the vertex count the server
+// recovered, and the readers stop after cfg.queries pairs of it. When
+// the write driver is a cluster, ingest is also counted per node and
+// cfg.move moves a session mid-stream. The error covers harness
 // failures; wrong answers are the result's verify_mismatches.
-func drive(ctx context.Context, sc Scenario, t *topo, l Load) (ScenarioResult, error) {
-	if sc.Batch < 1 {
-		return ScenarioResult{}, fmt.Errorf("batch %d: a batch carries at least one event", sc.Batch)
+func drive(ctx context.Context, cfg config, t *topo) (result, error) {
+	if cfg.batch < 1 {
+		return result{}, fmt.Errorf("batch %d: a batch carries at least one event", cfg.batch)
 	}
-	loads, err := generateLoads(sc.Workload, sc.Sessions, sc.Seed, l.Prefix)
+	loads, err := generate(cfg)
 	if err != nil {
-		return ScenarioResult{}, err
+		return result{}, err
 	}
 	rt, _ := t.write.(router)
 	var moveSession, moveTarget string
-	if l.Move != "" {
+	if cfg.move != "" {
 		var ok bool
-		if moveSession, moveTarget, ok = strings.Cut(l.Move, "="); !ok || moveSession == "" || moveTarget == "" {
-			return ScenarioResult{}, fmt.Errorf("move %q is not \"session=node\"", l.Move)
+		if moveSession, moveTarget, ok = strings.Cut(cfg.move, "="); !ok || moveSession == "" || moveTarget == "" {
+			return result{}, fmt.Errorf("move %q is not \"session=node\"", cfg.move)
 		}
 		if rt == nil {
-			return ScenarioResult{}, fmt.Errorf("move %q: a live move needs a cluster", l.Move)
+			return result{}, fmt.Errorf("move %q: a live move needs a cluster", cfg.move)
 		}
 	}
 
-	tl := &tally{verify: sc.Verify || l.Resume}
+	tl := &tally{verify: cfg.verify || cfg.resume}
 	var recovered, arena int64
 	marks := make([]atomic.Int64, len(loads)) // per session: the prefix readers may draw from
 	total := 0
 	for i, s := range loads {
 		total += len(s.events)
-		if !l.Resume {
+		if !cfg.resume {
 			if _, err := t.write.CreateSession(ctx, client.CreateSessionRequest{
-				Name: s.name, Builtin: sc.Workload.builtinFor(),
+				Name: s.name, Builtin: cfg.spec,
 			}); err != nil {
-				return ScenarioResult{}, fmt.Errorf("create session %s: %w", s.name, err)
+				return result{}, fmt.Errorf("create session %s: %w", s.name, err)
 			}
 			continue
 		}
 		st, err := t.write.Session(ctx, s.name)
 		if err != nil {
-			return ScenarioResult{}, fmt.Errorf("session %s not recovered: %w", s.name, err)
+			return result{}, fmt.Errorf("session %s not recovered: %w", s.name, err)
 		}
 		if st.Vertices > int64(len(s.events)) {
-			return ScenarioResult{}, fmt.Errorf("session %s: %d vertices recovered but only %d events were generated (seed mismatch?)",
+			return result{}, fmt.Errorf("session %s: %d vertices recovered but only %d events were generated (seed mismatch?)",
 				s.name, st.Vertices, len(s.events))
 		}
 		marks[i].Store(st.Vertices)
@@ -567,8 +513,8 @@ func drive(ctx context.Context, sc Scenario, t *topo, l Load) (ScenarioResult, e
 		}()
 	}
 
-	readers := sc.Mix.Readers
-	if l.Resume {
+	readers, reachBatch := cfg.readers, max(cfg.reachBatch, 1)
+	if cfg.resume {
 		readers = max(readers, 1) // a resume that reads nothing verifies nothing
 	}
 	// Readers go on until every writer is done and a follower has
@@ -580,16 +526,16 @@ func drive(ctx context.Context, sc Scenario, t *topo, l Load) (ScenarioResult, e
 	start := time.Now()
 	for i := range loads {
 		s, mark := &loads[i], &marks[i]
-		if !l.Resume {
+		if !cfg.resume {
 			writers.Add(1)
 			writing.Add(1)
 			go func() {
 				defer writers.Done()
 				defer writing.Add(-1)
-				for lo := 0; lo < len(s.events); lo += sc.Batch {
-					hi := min(lo+sc.Batch, len(s.events))
+				for lo := 0; lo < len(s.events); lo += cfg.batch {
+					hi := min(lo+cfg.batch, len(s.events))
 					t0 := time.Now()
-					err := ingestVia(ctx, sc.Transport, t.write, s.name, s.events[lo:hi])
+					_, err := t.write.IngestFrames(ctx, s.name, s.events[lo:hi])
 					tl.ingestHist.Add(time.Since(t0))
 					if err != nil {
 						tl.fail(fmt.Errorf("ingest %s at %d: %w", s.name, lo, err))
@@ -605,15 +551,15 @@ func drive(ctx context.Context, sc Scenario, t *topo, l Load) (ScenarioResult, e
 		}
 
 		budget := new(atomic.Int64) // resume: pairs of this session left to check
-		budget.Store(int64(l.Queries))
+		budget.Store(int64(cfg.queries))
 		for ri := 0; ri < readers; ri++ {
 			reading.Add(1)
 			go func(seed int64) {
 				defer reading.Done()
 				rng := rand.New(rand.NewSource(seed))
 				for n := 0; ; n++ {
-					k := sc.Mix.ReachBatch
-					if l.Resume {
+					k := reachBatch
+					if cfg.resume {
 						left := budget.Add(-int64(k)) + int64(k)
 						if left <= 0 {
 							return
@@ -628,17 +574,17 @@ func drive(ctx context.Context, sc Scenario, t *topo, l Load) (ScenarioResult, e
 					}
 					wm := mark.Load()
 					if wm == 0 {
-						if l.Resume {
+						if cfg.resume {
 							return
 						}
 						time.Sleep(time.Millisecond)
 						continue
 					}
-					le := sc.Mix.LineageEvery
+					le := cfg.lineageEvery
 					err := tl.verifiedRead(ctx, t.read, s.name, s, wm, k, le > 0 && n%le == le-1, rng)
 					switch {
 					case err == nil:
-					case l.Resume:
+					case cfg.resume:
 						tl.fail(err)
 						return
 					default:
@@ -647,11 +593,11 @@ func drive(ctx context.Context, sc Scenario, t *topo, l Load) (ScenarioResult, e
 						time.Sleep(time.Millisecond)
 					}
 				}
-			}(int64(i*readers+ri) ^ sc.Seed)
+			}(int64(i*readers+ri) ^ cfg.seed)
 		}
 	}
 
-	var moved *MoveResult
+	var moved *moveResult
 	if moveSession != "" {
 		writers.Add(1)
 		go func() {
@@ -671,7 +617,7 @@ func drive(ctx context.Context, sc Scenario, t *topo, l Load) (ScenarioResult, e
 				tl.fail(fmt.Errorf("move %s to %s: %w", moveSession, moveTarget, err))
 				return
 			}
-			moved = &MoveResult{Session: moveSession, From: mv.From, To: mv.To,
+			moved = &moveResult{Session: moveSession, From: mv.From, To: mv.To,
 				Events: mv.Events, Sec: time.Since(t0).Seconds()}
 		}()
 	}
@@ -683,8 +629,7 @@ func drive(ctx context.Context, sc Scenario, t *topo, l Load) (ScenarioResult, e
 		<-lagDone
 		if tl.err == nil {
 			// A run shorter than the sampling period would otherwise record
-			// nothing and trip the no-samples gate: always close with one
-			// sample of the post-ingest lag.
+			// nothing: always close with one sample of the post-ingest lag.
 			ls.record(ctx)
 			catchup, err = ls.waitCaughtUp(ctx)
 		}
@@ -692,10 +637,10 @@ func drive(ctx context.Context, sc Scenario, t *topo, l Load) (ScenarioResult, e
 	close(stopReads)
 	reading.Wait()
 	if tl.err != nil {
-		return ScenarioResult{}, tl.err
+		return result{}, tl.err
 	}
 	if err != nil {
-		return ScenarioResult{}, err
+		return result{}, err
 	}
 
 	met := tl.metrics(ingest, time.Since(start))
@@ -716,27 +661,18 @@ func drive(ctx context.Context, sc Scenario, t *topo, l Load) (ScenarioResult, e
 	// Server-side truth: scrape again before any cleanup, so the deltas
 	// still carry the per-session ingest series.
 	srv := serverDelta(before, scrapeNodes(ctx, t.scrapers))
-	if l.Cleanup {
+	if cfg.cleanup {
 		for _, s := range loads {
 			if err := t.write.DeleteSession(ctx, s.name); err != nil {
-				return ScenarioResult{}, fmt.Errorf("cleanup %s: %w", s.name, err)
+				return result{}, fmt.Errorf("cleanup %s: %w", s.name, err)
 			}
 		}
 	}
-
-	res := ScenarioResult{
-		Name: sc.Name, Workload: sc.Workload.Name, Kind: sc.Workload.Kind,
-		Topology: sc.Topology, Transport: sc.Transport,
-		Sessions: sc.Sessions, Mix: sc.Mix.Name,
-		SLO: sc.SLO, Metrics: met, ServerMetrics: srv,
-		Violations: Evaluate(sc.SLO, met),
-	}
-	res.Pass = len(res.Violations) == 0
-	return res, nil
+	return result{Name: t.name, Pass: met.VerifyMismatches == 0, Metrics: met, ServerMetrics: srv}, nil
 }
 
-// printResult writes what a scenario measured and its verdict.
-func printResult(w io.Writer, res ScenarioResult) {
+// printResult writes what a run measured and its verdict.
+func printResult(w io.Writer, res result) {
 	m := res.Metrics
 	fmt.Fprintf(w, "  ingest   %d events (%.0f events/sec), batch p50 %.0fµs p99 %.0fµs\n",
 		m.IngestEvents, m.EventsPerSec, m.IngestP50US, m.IngestP99US)
@@ -760,8 +696,5 @@ func printResult(w io.Writer, res ScenarioResult) {
 	}
 	if res.Pass {
 		fmt.Fprintf(w, "  ok in %.2fs\n", m.ElapsedSec)
-	}
-	for _, v := range res.Violations {
-		fmt.Fprintf(w, "  FAIL %s\n", v.Reason)
 	}
 }

@@ -1,35 +1,21 @@
 // Command wfload drives load at wfserve through the Go client SDK
-// (wfreach/client) and checks every answer against BFS ground truth
-// on the generated runs. It is flag parsing over internal/loadmatrix:
-// both of its modes run through the harness's one drive loop and
-// write its one report schema.
+// (wfreach/client) and checks every answer against breadth-first
+// search on the generated runs.
 //
 // Usage:
 //
-//	wfload -matrix profiles/quick.json -report out.json
 //	wfload -addr http://127.0.0.1:8080 -spec BioAID -size 10000 -sessions 4 -batch 128 -readers 4
 //	wfload -addr http://127.0.0.1:8080 -spec BioAID -size 2000 -verify -reach-batch 16
 //	wfload -addr http://127.0.0.1:8080 -spec BioAID -size 2000 -resume
 //	wfload -addr http://127.0.0.1:8080 -replica http://127.0.0.1:8081 -verify
 //	wfload -cluster cluster.json -sessions 12 -verify -move load-3=b
 //
-// -matrix runs a scenario matrix: the JSON file declares workloads
-// (built-in grammars or the LLM-agent adversarial generator),
-// topologies (single, replica, cluster3 — all launched in-process),
-// transports, session counts and read/write mixes; the harness drives
-// every scenario of the cross product and gates each on its SLO
-// assertions (p99 latency ceilings, a throughput floor, a replica-lag
-// ceiling, zero verify mismatches). All other workload flags are
-// ignored in matrix mode; see profiles/ for ready-made matrices and
-// docs/BENCHMARKS.md for the schema.
-//
-// Without -matrix, the flags describe one scenario against running
-// servers. Each of -sessions sessions gets its own generated run
-// (seed+i) and one writer streaming it as binary frames in -batch
-// event calls, while -readers goroutines per session issue batch
-// reach queries of -reach-batch pairs over the acknowledged prefix;
-// with -lineage-every N every Nth query call is a full lineage scan
-// instead. -verify checks every answer against ground truth, and
+// Each of -sessions sessions gets its own generated run (seed+i) and
+// one writer streaming it as binary frames in -batch event calls,
+// while -readers goroutines per session issue batch reach queries of
+// -reach-batch pairs over the acknowledged prefix; with -lineage-every
+// N every Nth query call is a full lineage scan instead. -verify checks
+// every answer, reach and lineage alike, against ground truth, and
 // -cleanup deletes the sessions at the end.
 //
 // -replica sends every read to the follower at that URL while writes
@@ -41,7 +27,7 @@
 //
 // -cluster drives a session-partitioned cluster through the same map
 // file the wfserve nodes load: sessions spread across the nodes by
-// consistent hashing, and the report counts ingest per node. -move
+// consistent hashing, and the result counts ingest per node. -move
 // "session=node" moves that session live once a quarter of the stream
 // is acknowledged, while its writer keeps ingesting.
 //
@@ -53,12 +39,11 @@
 // verifies -queries pairs per session below it. A failed pair or a
 // wrong answer means recovery diverged from the uninterrupted run.
 //
-// Every run prints its measurements; -report writes the
-// machine-readable report (a matrix report, with one scenario in flag
-// mode). wfload exits non-zero when the report does not pass — in
-// flag mode, when any answer contradicted ground truth — or when the
-// run itself failed. -cpuprofile and -memprofile capture pprof
-// profiles of the load generator.
+// Every run prints its measurements; -report writes them as one JSON
+// result (docs/BENCHMARKS.md, "Report format"). wfload exits non-zero
+// when any answer contradicted ground truth or when the run itself
+// failed. -cpuprofile and -memprofile capture pprof profiles of the
+// load generator.
 package main
 
 import (
@@ -70,9 +55,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-
-	"wfreach/internal/cluster"
-	"wfreach/internal/loadmatrix"
 )
 
 type config struct {
@@ -95,7 +77,6 @@ type config struct {
 	cleanup      bool
 	cpuProfile   string
 	memProfile   string
-	matrix       string
 	reportPath   string
 }
 
@@ -120,8 +101,7 @@ func main() {
 	flag.BoolVar(&cfg.cleanup, "cleanup", false, "delete the created sessions when the run finishes")
 	flag.StringVar(&cfg.cpuProfile, "cpuprofile", "", "write a CPU profile of the load generator to this path")
 	flag.StringVar(&cfg.memProfile, "memprofile", "", "write a heap profile of the load generator to this path")
-	flag.StringVar(&cfg.matrix, "matrix", "", "run the scenario-matrix harness on this spec file (in-process topologies, SLO gates)")
-	flag.StringVar(&cfg.reportPath, "report", "", "write the machine-readable report to this path")
+	flag.StringVar(&cfg.reportPath, "report", "", "write the machine-readable result to this path")
 	flag.Parse()
 
 	if err := run(cfg, os.Stdout); err != nil {
@@ -130,10 +110,18 @@ func main() {
 	}
 }
 
-// run drives the matrix or the one flag-mode scenario, writes the
-// report and the profiles asked for, and fails unless the report
-// passed.
+// run connects to the servers cfg names and drives the load there.
 func run(cfg config, out io.Writer) error {
+	t, err := connect(cfg)
+	if err != nil {
+		return err
+	}
+	return runOn(cfg, t, out)
+}
+
+// runOn drives the load against t, writes the result and the profiles
+// asked for, and fails unless every answer checked out.
+func runOn(cfg config, t *topo, out io.Writer) error {
 	if cfg.cpuProfile != "" {
 		f, err := os.Create(cfg.cpuProfile)
 		if err != nil {
@@ -146,26 +134,12 @@ func run(cfg config, out io.Writer) error {
 		defer pprof.StopCPUProfile()
 	}
 
-	ctx := context.Background()
-	opts := loadmatrix.RunOptions{Out: out}
-	var rep *loadmatrix.Report
-	if cfg.matrix != "" {
-		m, err := loadmatrix.ParseFile(cfg.matrix)
-		if err != nil {
-			return err
-		}
-		if rep, err = loadmatrix.Run(ctx, m, opts); err != nil {
-			return err
-		}
-	} else {
-		sc, l, err := scenario(cfg)
-		if err != nil {
-			return err
-		}
-		if rep, err = loadmatrix.RunLoad(ctx, sc, l, opts); err != nil {
-			return err
-		}
+	fmt.Fprintf(out, "%s ...\n", t.name)
+	res, err := drive(context.Background(), cfg, t)
+	if err != nil {
+		return err
 	}
+	printResult(out, res)
 
 	if cfg.memProfile != "" {
 		if err := writeHeapProfile(cfg.memProfile); err != nil {
@@ -173,7 +147,7 @@ func run(cfg config, out io.Writer) error {
 		}
 	}
 	if cfg.reportPath != "" {
-		raw, err := json.MarshalIndent(rep, "", "  ")
+		raw, err := json.MarshalIndent(res, "", "  ")
 		if err != nil {
 			return err
 		}
@@ -182,49 +156,10 @@ func run(cfg config, out io.Writer) error {
 		}
 		fmt.Fprintf(out, "report written to %s\n", cfg.reportPath)
 	}
-	return rep.Err()
-}
-
-// scenario maps the workload flags onto one loadmatrix scenario and
-// the servers it runs against.
-func scenario(cfg config) (loadmatrix.Scenario, loadmatrix.Load, error) {
-	l := loadmatrix.Load{
-		Endpoints: loadmatrix.Endpoints{Addr: cfg.addr, Follower: cfg.replica},
-		Prefix:    cfg.prefix, Cleanup: cfg.cleanup, Move: cfg.move,
-		Resume: cfg.resume, Queries: cfg.queries,
+	if !res.Pass {
+		return fmt.Errorf("%d query answers contradicted BFS ground truth", res.Metrics.VerifyMismatches)
 	}
-	topology := "single"
-	switch {
-	case cfg.replica != "" && cfg.resume:
-		return loadmatrix.Scenario{}, l, fmt.Errorf("-replica and -resume are mutually exclusive")
-	case cfg.replica != "" && cfg.clusterFile != "":
-		return loadmatrix.Scenario{}, l, fmt.Errorf("-cluster routes reads through the map; list followers in the map file instead of -replica")
-	case cfg.clusterFile != "":
-		m, err := cluster.LoadMap(cfg.clusterFile)
-		if err != nil {
-			return loadmatrix.Scenario{}, l, err
-		}
-		l.Endpoints = loadmatrix.Endpoints{Cluster: &m}
-		topology = "cluster"
-	case cfg.replica != "":
-		topology = "replica"
-	}
-	mix := "flags"
-	if cfg.resume {
-		mix = "resume"
-	}
-	return loadmatrix.Scenario{
-		Name:      fmt.Sprintf("%s/%s/binary/s%d/%s", cfg.spec, topology, cfg.sessions, mix),
-		Workload:  loadmatrix.Workload{Name: cfg.spec, Kind: "grammar", Spec: cfg.spec, Size: cfg.size},
-		Topology:  topology,
-		Transport: "binary",
-		Sessions:  cfg.sessions,
-		Mix: loadmatrix.Mix{Name: mix, Readers: cfg.readers,
-			ReachBatch: max(cfg.reachBatch, 1), LineageEvery: cfg.lineageEvery},
-		Batch:  cfg.batch,
-		Verify: cfg.verify,
-		Seed:   cfg.seed,
-	}, l, nil
+	return nil
 }
 
 func writeHeapProfile(path string) error {

@@ -4,60 +4,74 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"log/slog"
 	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"wfreach/client"
-	"wfreach/internal/loadmatrix"
+	"wfreach/internal/obs"
 	"wfreach/internal/replica"
 	"wfreach/internal/service"
 )
 
+// readReport reads the -report file cfg wrote.
+func readReport(t *testing.T, cfg config) result {
+	t.Helper()
+	raw, err := os.ReadFile(cfg.reportPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res result
+	if err := json.Unmarshal(raw, &res); err != nil {
+		t.Fatalf("bad report JSON: %v\n%s", err, raw)
+	}
+	return res
+}
+
 // runReport runs wfload with cfg plus a -report file and returns the
-// one scenario the report holds.
-func runReport(t *testing.T, cfg config) (loadmatrix.ScenarioResult, string) {
+// result the report holds, which must have passed.
+func runReport(t *testing.T, cfg config) (result, string) {
 	t.Helper()
 	cfg.reportPath = filepath.Join(t.TempDir(), "report.json")
 	var out bytes.Buffer
 	if err := run(cfg, &out); err != nil {
 		t.Fatalf("%v\n%s", err, out.String())
 	}
-	raw, err := os.ReadFile(cfg.reportPath)
-	if err != nil {
-		t.Fatal(err)
+	res := readReport(t, cfg)
+	if !res.Pass {
+		t.Fatalf("report did not pass: %+v", res)
 	}
-	var rep loadmatrix.Report
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		t.Fatalf("bad report JSON: %v\n%s", err, raw)
-	}
-	if !rep.Pass || len(rep.Scenarios) != 1 || !rep.Scenarios[0].Pass {
-		t.Fatalf("report did not pass with one scenario:\n%s", raw)
-	}
-	return rep.Scenarios[0], out.String()
+	return res, out.String()
 }
 
 // TestRunAgainstInProcessServer drives the full load-generation path
-// (create sessions, stream batches, interleaved verified queries,
-// report) against an in-process wfserve handler.
+// (create sessions, stream batches, interleaved verified reach and
+// lineage queries, report) against an in-process wfserve handler behind
+// the request-metrics middleware wfserve installs, and audits the run's
+// own accounting against the server's.
 func TestRunAgainstInProcessServer(t *testing.T) {
-	srv := httptest.NewServer(service.NewHandler(service.NewRegistry()))
+	reg := service.NewRegistry()
+	srv := httptest.NewServer(obs.AccessLog(service.NewHandler(reg), slog.New(slog.DiscardHandler), 0, reg.Obs()))
 	defer srv.Close()
 
 	res, out := runReport(t, config{
-		addr:     srv.URL,
-		spec:     "BioAID",
-		size:     800,
-		seed:     1,
-		sessions: 2,
-		batch:    64,
-		readers:  2,
-		verify:   true,
-		prefix:   "t",
+		addr:         srv.URL,
+		spec:         "BioAID",
+		size:         800,
+		seed:         1,
+		sessions:     2,
+		batch:        64,
+		readers:      2,
+		lineageEvery: 8,
+		verify:       true,
+		prefix:       "t",
 	})
 	for _, want := range []string{"events/sec", "queries/sec", "p50", "p99", "verify   0 mismatches", "  ok"} {
 		if !strings.Contains(out, want) {
@@ -65,18 +79,36 @@ func TestRunAgainstInProcessServer(t *testing.T) {
 		}
 	}
 	m := res.Metrics
-	if m.IngestEvents == 0 || !m.VerifyChecked || m.VerifyMismatches != 0 {
+	if m.IngestEvents == 0 || m.IngestP99US <= 0 || !m.VerifyChecked || m.VerifyMismatches != 0 || m.HasReplica {
 		t.Fatalf("metrics %+v", m)
 	}
-	if res.Workload != "BioAID" || res.Sessions != 2 || res.Topology != "single" {
-		t.Fatalf("scenario echo wrong: %+v", res)
+	if res.Name != "BioAID/single/s2" {
+		t.Fatalf("result name %q", res.Name)
+	}
+
+	// Server-side truth must agree with the client-side count: the
+	// summed per-session ingest deltas equal the events sent.
+	var serverIngest float64
+	for k, v := range res.ServerMetrics {
+		if strings.HasPrefix(k, "wf_ingest_events_total{") {
+			serverIngest += v
+		}
+		if strings.Contains(k, `quantile="`) {
+			t.Fatalf("delta kept non-additive series %s", k)
+		}
+	}
+	if serverIngest != float64(m.IngestEvents) {
+		t.Fatalf("server counted %.0f ingested events, client %d", serverIngest, m.IngestEvents)
+	}
+	if res.ServerMetrics["wf_http_request_seconds_count"] <= 0 {
+		t.Fatalf("server metrics missing request timings: %v", res.ServerMetrics)
 	}
 }
 
 // TestRunWithReplica splits the workload across an in-process
 // primary/follower pair: writes to the primary, reads from the
-// follower, lag sampled and catch-up awaited, the report carrying the
-// replica section.
+// follower, lag sampled and catch-up awaited, the result carrying the
+// replica section — for a built-in grammar and for the agent grammar.
 func TestRunWithReplica(t *testing.T) {
 	preg, err := service.NewDurableRegistry(service.DurableOptions{Dir: t.TempDir(), Fsync: false})
 	if err != nil {
@@ -97,18 +129,23 @@ func TestRunWithReplica(t *testing.T) {
 	fsrv := httptest.NewServer(service.NewHandler(freg))
 	defer fsrv.Close()
 
-	res, out := runReport(t, config{
-		addr: psrv.URL, replica: fsrv.URL,
-		spec: "RunningExample", size: 600, seed: 3,
-		sessions: 2, batch: 64, readers: 2, reachBatch: 8,
-		verify: true, prefix: "rep",
-	})
-	if !strings.Contains(out, "caught up") {
-		t.Fatalf("output has no replica line:\n%s", out)
-	}
-	m := res.Metrics
-	if res.Topology != "replica" || !m.HasReplica || m.ReplicaLagSamples == 0 || m.VerifyMismatches != 0 {
-		t.Fatalf("replica section: %+v", res)
+	for _, spec := range []string{"RunningExample", "Agent"} {
+		res, out := runReport(t, config{
+			addr: psrv.URL, replica: fsrv.URL,
+			spec: spec, size: 600, seed: 3,
+			sessions: 2, batch: 64, readers: 2, reachBatch: 8,
+			verify: true, prefix: "rep-" + spec,
+		})
+		if !strings.Contains(out, "caught up") {
+			t.Fatalf("%s: output has no replica line:\n%s", spec, out)
+		}
+		m := res.Metrics
+		if res.Name != spec+"/replica/s2" || !m.HasReplica || m.ReplicaLagSamples == 0 || m.VerifyMismatches != 0 {
+			t.Fatalf("%s: replica section: %+v", spec, res)
+		}
+		if res.ServerMetrics["wf_wal_appends_total"] <= 0 {
+			t.Fatalf("%s: no WAL appends in server metrics: %v", spec, res.ServerMetrics)
+		}
 	}
 
 	// Conflicting modes are rejected up front.
@@ -236,7 +273,7 @@ func TestRunReportAndProfiles(t *testing.T) {
 	if m.IngestEvents == 0 || m.EventsPerSec <= 0 {
 		t.Fatalf("report has no ingest numbers: %+v", m)
 	}
-	if res.Workload != "RunningExample" || m.VerifyChecked {
+	if res.Name != "RunningExample/single/s1" || m.VerifyChecked {
 		t.Fatalf("report config echo wrong: %+v", res)
 	}
 	if m.QueryErrors > 0 {
@@ -276,5 +313,144 @@ func TestRunLegacyAndBatchModes(t *testing.T) {
 	left, err := client.New(srv.URL).Sessions(context.Background())
 	if err != nil || len(left) != 0 {
 		t.Fatalf("-cleanup left sessions %v (err %v)", left, err)
+	}
+}
+
+// wrongAnswers is a real read driver that negates one reach answer in
+// 64 — a labeler bug as wfload would see it.
+type wrongAnswers struct {
+	driver
+	n atomic.Int64
+}
+
+func (w *wrongAnswers) ReachBatch(ctx context.Context, session string, pairs []client.ReachPair) ([]client.ReachAnswer, error) {
+	answers, err := w.driver.ReachBatch(ctx, session, pairs)
+	for i := range answers {
+		if answers[i].Code == "" && w.n.Add(1)%64 == 0 {
+			answers[i].Reachable = !answers[i].Reachable
+		}
+	}
+	return answers, err
+}
+
+// shortLineage is a real read driver that drops the last ancestor of
+// every lineage answer.
+type shortLineage struct{ driver }
+
+func (s shortLineage) Lineage(ctx context.Context, session string, of int32) ([]int32, error) {
+	ancestors, err := s.driver.Lineage(ctx, session, of)
+	return ancestors[:max(len(ancestors)-1, 0)], err
+}
+
+// plantedLoad is the load the planted runs drive: two BioAID sessions,
+// every answer verified.
+func plantedLoad(addr, prefix string) config {
+	return config{
+		addr: addr, spec: "BioAID", size: 3000, seed: 3,
+		sessions: 2, batch: 64, readers: 2, reachBatch: 64,
+		verify: true, prefix: prefix,
+	}
+}
+
+// TestEveryEntryPointCatchesAWrongAnswer plants wrong answers under
+// each way wfload reads — a load's reach and lineage queries, and
+// resume — and requires each to count them, fail the result and make
+// the run return an error, which is what makes wfload exit non-zero.
+// A resume of the same sessions without the plant must pass.
+func TestEveryEntryPointCatchesAWrongAnswer(t *testing.T) {
+	cases := []struct {
+		name  string
+		plant func(driver) driver
+		load  func(t *testing.T, addr string) config
+	}{
+		{"flags", func(d driver) driver { return &wrongAnswers{driver: d} }, func(t *testing.T, addr string) config {
+			return plantedLoad(addr, "f")
+		}},
+		{"lineage", func(d driver) driver { return shortLineage{d} }, func(t *testing.T, addr string) config {
+			cfg := plantedLoad(addr, "l")
+			cfg.lineageEvery = 1
+			return cfg
+		}},
+		{"resume", func(d driver) driver { return &wrongAnswers{driver: d} }, func(t *testing.T, addr string) config {
+			cfg := plantedLoad(addr, "r")
+			cfg.readers = 0
+			if err := run(cfg, &bytes.Buffer{}); err != nil {
+				t.Fatal(err)
+			}
+			cfg.readers, cfg.resume, cfg.queries = 1, true, 640
+			return cfg
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := httptest.NewServer(service.NewHandler(service.NewRegistry()))
+			defer srv.Close()
+			cfg := tc.load(t, srv.URL)
+			cfg.reportPath = filepath.Join(t.TempDir(), "report.json")
+			tp, err := connect(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tp.read = tc.plant(tp.read)
+			if err := runOn(cfg, tp, &bytes.Buffer{}); err == nil {
+				t.Fatal("a run with planted wrong answers returned no error")
+			}
+			if res := readReport(t, cfg); res.Pass || res.Metrics.VerifyMismatches < 1 {
+				t.Fatalf("no planted wrong answer failed the result: %+v", res)
+			}
+
+			// The same reads, unplanted, find nothing wrong.
+			cfg.resume, cfg.readers, cfg.queries = true, 1, 640
+			if res, _ := runReport(t, cfg); cfg.lineageEvery > 0 && res.Metrics.LineageQueries == 0 {
+				t.Fatalf("the control made no lineage query: %+v", res)
+			}
+		})
+	}
+}
+
+var errIngest = errors.New("planted ingest failure")
+
+// failingIngest is a cluster write driver whose second ingest call,
+// and every one after it, fails.
+type failingIngest struct {
+	*client.Cluster
+	calls atomic.Int64
+}
+
+func (f *failingIngest) IngestFrames(ctx context.Context, session string, events []client.Event) (client.EventsResponse, error) {
+	if f.calls.Add(1) >= 2 {
+		return client.EventsResponse{}, errIngest
+	}
+	return f.Cluster.IngestFrames(ctx, session, events)
+}
+
+// TestMoveGivesUpWhenIngestFails pins the live move's wait: it starts
+// once a quarter of the stream is acknowledged, and when every writer
+// fails before that, the run must end with the ingest error instead of
+// waiting for a quarter that never comes.
+func TestMoveGivesUpWhenIngestFails(t *testing.T) {
+	srv := httptest.NewServer(service.NewHandler(service.NewRegistry()))
+	defer srv.Close()
+	cl, err := client.NewCluster(client.ClusterMap{Version: 1,
+		Nodes: []client.ClusterNode{{Name: "n0", URL: srv.URL}}}, client.WithRetry(0, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := &failingIngest{Cluster: cl}
+	cfg := plantedLoad(srv.URL, "m")
+	cfg.readers, cfg.move = 1, "m-0=n0"
+
+	errc := make(chan error, 1)
+	go func() {
+		_, err := drive(context.Background(), cfg, &topo{write: d, read: d})
+		errc <- err
+	}()
+	select {
+	case err := <-errc:
+		if !errors.Is(err, errIngest) {
+			t.Fatalf("drive returned %v, want the ingest error", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("drive still waiting for the move 10s after ingest failed")
 	}
 }

@@ -100,7 +100,6 @@
 //	POST   /v1/sessions/{name}/events   {"events":[…]} — or a binary frame stream
 //	                                    (Content-Type application/x-wfreach-frame)
 //	POST   /v1/sessions/{name}/reach    {"pairs":[{"from":3,"to":141},…]} batch query
-//	GET    /v1/sessions/{name}/reach    ?from=3&to=141 (deprecated single-pair form)
 //	GET    /v1/sessions/{name}/lineage  ?of=12&cursor=&limit= (paginated)
 //
 // Events carry either a specification reference ("graph","vertex") or

@@ -94,7 +94,7 @@ type AgentTrace struct {
 // (wfspecs.Agent) under explicit shape control — recursion depth
 // bound, bursty parallel tool fan-out, sequential retries — and
 // converts it into its execution event stream. It is the adversarial
-// workload generator behind the load matrix's "agent" dimension:
+// workload generator behind the benchmark's agent workloads:
 // Generate steers only toward a size, whereas agentic traces need
 // their depth and burstiness pinned to be reproducible stress shapes.
 //

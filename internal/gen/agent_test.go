@@ -101,8 +101,7 @@ func TestAgentTraceRespectsShapeBounds(t *testing.T) {
 }
 
 // TestAgentTraceDeterministic asserts equal options give equal traces
-// — the property -resume verification and the soak oracle pool lean
-// on.
+// — the property the benchmark's agent workloads lean on.
 func TestAgentTraceDeterministic(t *testing.T) {
 	opts := AgentOptions{Seed: 11, TargetSize: 900, MaxDepth: 6, BurstBias: 0.8}
 	a, err := GenerateAgentTrace(opts)

@@ -8,9 +8,8 @@ import (
 
 // histBuckets: 16 exact buckets under 16ns, then 16 linear sub-buckets
 // per power of two up to ~2^62ns. Quantile error is bounded by one
-// sub-bucket (≈6%) — plenty for SLO gating — at a fixed 8KB per
-// histogram, so soak runs can record millions of samples without
-// growing.
+// sub-bucket (≈6%) at a fixed 8KB per histogram, so long runs can
+// record millions of samples without growing.
 const histBuckets = 16 * 60
 
 // Hist is a fixed-size log-linear latency histogram, safe for

@@ -210,7 +210,7 @@ func BenchmarkDurableConcurrentSessions(b *testing.B) {
 // They run through a real HTTP stack (httptest server + the Go client
 // SDK), so the numbers include framing, checksums and roundtrips.
 
-func benchHTTP(b *testing.B, durable bool) (*service.Registry, *client.Client, func() string) {
+func benchHTTP(b *testing.B, durable bool) (*service.Registry, *client.Client, string, func() string) {
 	b.Helper()
 	reg := service.NewRegistry()
 	if durable {
@@ -236,7 +236,7 @@ func benchHTTP(b *testing.B, durable bool) (*service.Registry, *client.Client, f
 		}
 		return name
 	}
-	return reg, c, nextSession
+	return reg, c, srv.URL, nextSession
 }
 
 func wireEvents(b *testing.B, events []run.Event) []client.Event {
@@ -254,15 +254,14 @@ func wireEvents(b *testing.B, events []run.Event) []client.Event {
 // server-side.
 func BenchmarkHTTPIngestJSON(b *testing.B) {
 	_, events := benchEvents(b, 8192)
-	_, c, nextSession := benchHTTP(b, true)
+	_, _, url, nextSession := benchHTTP(b, true)
 	wire := wireEvents(b, events)
-	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		name := nextSession()
 		for lo := 0; lo < len(wire); lo += 256 {
 			hi := min(lo+256, len(wire))
-			if _, err := c.Ingest(ctx, name, wire[lo:hi]); err != nil {
+			if err := postEvents(url, name, wire[lo:hi]); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -278,7 +277,7 @@ func BenchmarkHTTPIngestJSON(b *testing.B) {
 // without re-encoding.
 func BenchmarkHTTPIngestBinary(b *testing.B) {
 	_, events := benchEvents(b, 8192)
-	_, c, nextSession := benchHTTP(b, true)
+	_, c, _, nextSession := benchHTTP(b, true)
 	wire := wireEvents(b, events)
 	ctx := context.Background()
 	b.ReportAllocs()
@@ -309,7 +308,7 @@ func BenchmarkHTTPIngestBinary(b *testing.B) {
 // overhead = scrape_ms × scrapes_per_sec / 1000.
 func BenchmarkHTTPIngestBinaryScraped(b *testing.B) {
 	_, events := benchEvents(b, 8192)
-	_, c, nextSession := benchHTTP(b, true)
+	_, c, _, nextSession := benchHTTP(b, true)
 	wire := wireEvents(b, events)
 	ctx := context.Background()
 	stop := make(chan struct{})
@@ -362,7 +361,7 @@ func BenchmarkHTTPIngestBinaryScraped(b *testing.B) {
 // should be hashing throughput, not extra synchronization.
 func BenchmarkHTTPIngestBinaryNoChain(b *testing.B) {
 	_, events := benchEvents(b, 8192)
-	reg, c, nextSession := benchHTTP(b, true)
+	reg, c, _, nextSession := benchHTTP(b, true)
 	wire := wireEvents(b, events)
 	ctx := context.Background()
 	b.ResetTimer()
@@ -387,7 +386,7 @@ func BenchmarkHTTPIngestBinaryNoChain(b *testing.B) {
 // roundtrip — ns/op is the per-pair cost the batch endpoint amortizes.
 func BenchmarkHTTPReachSingle(b *testing.B) {
 	_, events := benchEvents(b, 8192)
-	_, c, nextSession := benchHTTP(b, false)
+	_, c, _, nextSession := benchHTTP(b, false)
 	name := nextSession()
 	ctx := context.Background()
 	if _, err := c.IngestFrames(ctx, name, wireEvents(b, events)); err != nil {
@@ -412,7 +411,7 @@ func BenchmarkHTTPReachSingle(b *testing.B) {
 func BenchmarkHTTPReachBatch64(b *testing.B) {
 	const batch = 64
 	_, events := benchEvents(b, 8192)
-	reg, c, nextSession := benchHTTP(b, false)
+	reg, c, _, nextSession := benchHTTP(b, false)
 	name := nextSession()
 	ctx := context.Background()
 	if _, err := c.IngestFrames(ctx, name, wireEvents(b, events)); err != nil {

@@ -3,19 +3,43 @@ package service_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
+	"io"
 	"maps"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"wfreach/client"
+	"wfreach/internal/api"
 	"wfreach/internal/run"
 	"wfreach/internal/service"
 	"wfreach/internal/spec"
 	"wfreach/internal/wal"
 )
+
+// postEvents posts a batch to a session's JSON events route, the form
+// curl speaks; the SDK ingests binary frames only.
+func postEvents(url, session string, events []client.Event) error {
+	body, err := json.Marshal(api.EventsRequest{Events: events})
+	if err != nil {
+		return err
+	}
+	resp, err := http.Post(url+"/v1/sessions/"+session+"/events", "application/json", bytes.NewReader(body))
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body) // read whole, so the connection is reused
+	if err == nil && resp.StatusCode != http.StatusOK {
+		err = fmt.Errorf("%s: %s", resp.Status, raw)
+	}
+	return err
+}
 
 // TestIngestFormsRestoreAlike: one event stream sent three ways —
 // Session.Append, the JSON route and the binary SDK — leaves logs of
@@ -50,7 +74,7 @@ func TestIngestFormsRestoreAlike(t *testing.T) {
 			if _, err := sessions["append"].Append(events[lo:hi]); err != nil {
 				t.Fatalf("%s: Append [%d,%d): %v", name, lo, hi, err)
 			}
-			if _, err := c.Ingest(ctx, "json", wire[lo:hi]); err != nil {
+			if err := postEvents(srv.URL, "json", wire[lo:hi]); err != nil {
 				t.Fatalf("%s: JSON [%d,%d): %v", name, lo, hi, err)
 			}
 			if _, err := c.IngestFrames(ctx, "binary", wire[lo:hi]); err != nil {
