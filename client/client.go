@@ -86,7 +86,6 @@ const (
 	CodeVertexNotLabeled = api.CodeVertexNotLabeled
 	CodeSessionPoisoned  = api.CodeSessionPoisoned
 	CodeReadOnly         = api.CodeReadOnly
-	CodeNotFollower      = api.CodeNotFollower
 	CodeNotDurable       = api.CodeNotDurable
 	CodeMethodNotAllowed = api.CodeMethodNotAllowed
 	CodeNotFound         = api.CodeNotFound
@@ -103,7 +102,6 @@ type Client struct {
 	hc         *http.Client
 	retries    int
 	backoff    time.Duration
-	maxBackoff time.Duration
 	noRedirect bool
 }
 
@@ -117,35 +115,27 @@ func WithHTTPClient(hc *http.Client) Option { return func(c *Client) { c.hc = hc
 // WithRetry sets how many times a retryable request (read-only, or
 // transport-level failure before any byte was processed) is retried
 // on 5xx or network error, and the initial backoff, doubled per
-// attempt up to the WithMaxBackoff cap. Each sleep is jittered —
-// drawn uniformly from the upper half of the scheduled delay — so a
-// fleet of clients retrying against a recovering server spreads out
-// instead of thundering in lockstep. The default is 2 retries
+// attempt up to a 5s cap. Each sleep is jittered — drawn uniformly
+// from the upper half of the scheduled delay — so a fleet of clients
+// retrying against a recovering server spreads out instead of
+// thundering in lockstep. The default is 2 retries
 // starting at 100ms; WithRetry(0, 0) disables retrying.
 func WithRetry(retries int, backoff time.Duration) Option {
 	return func(c *Client) { c.retries = retries; c.backoff = backoff }
 }
 
-// WithMaxBackoff caps the per-attempt retry delay (the exponential
-// schedule stops doubling there). The default cap is 5s; zero or
-// negative restores it.
-func WithMaxBackoff(max time.Duration) Option {
-	return func(c *Client) {
-		if max <= 0 {
-			max = defaultMaxBackoff
-		}
-		c.maxBackoff = max
-	}
-}
+// WithoutRedirect disables following routing refusals. By default, a
+// request refused with a 421 — CodeReadOnly from a follower or from a
+// node a session moved away from, CodeWrongNode from a cluster node
+// that does not own the session — is re-sent once to the base URL the
+// error detail names. That is safe for any request, non-idempotent
+// ingest included, because a routing refusal applies nothing. Disable
+// it to surface the refusal instead (RedirectFromError reads the URL).
+func WithoutRedirect() Option { return func(c *Client) { c.noRedirect = true } }
 
-// WithoutWriteRedirect disables the follower-aware write redirect.
-// By default, a write rejected by a read-only follower (CodeReadOnly,
-// with the primary's base URL in the error detail) is re-sent to the
-// primary once — safe even for non-idempotent ingest, because the
-// follower rejected the write without applying anything. Disable it
-// to surface the rejection instead (use PrimaryFromError to route by
-// hand).
-func WithoutWriteRedirect() Option { return func(c *Client) { c.noRedirect = true } }
+// RedirectFromError extracts the base URL a routing refusal names (a
+// *Error with CodeReadOnly or CodeWrongNode).
+func RedirectFromError(err error) (string, bool) { return api.RedirectFromError(err) }
 
 // New returns a client for the server at base (e.g.
 // "http://127.0.0.1:8080").
@@ -154,11 +144,10 @@ func New(base string, opts ...Option) *Client {
 		base = base[:len(base)-1]
 	}
 	c := &Client{
-		base:       base,
-		hc:         &http.Client{Timeout: 30 * time.Second},
-		retries:    2,
-		backoff:    100 * time.Millisecond,
-		maxBackoff: defaultMaxBackoff,
+		base:    base,
+		hc:      &http.Client{Timeout: 30 * time.Second},
+		retries: 2,
+		backoff: 100 * time.Millisecond,
 	}
 	for _, o := range opts {
 		o(c)
@@ -195,8 +184,8 @@ func (c *Client) doJSON(ctx context.Context, method, path, contentType string, b
 }
 
 // doRaw runs one request and returns the body of its 2xx response,
-// following a follower's write redirect once and retrying transient
-// failures when retryable.
+// following a routing refusal once and retrying transient failures
+// when retryable.
 func (c *Client) doRaw(ctx context.Context, method, path, contentType string, body []byte, retryable bool) ([]byte, error) {
 	base := c.base
 	redirected := false
@@ -206,10 +195,10 @@ func (c *Client) doRaw(ctx context.Context, method, path, contentType string, bo
 			return raw, nil
 		}
 		if !redirected && !c.noRedirect {
-			if primary, ok := api.PrimaryFromError(err); ok {
-				// A read-only follower rejected a write without applying
-				// anything; re-send it to the primary it named, once.
-				base = strings.TrimRight(primary, "/")
+			if u, ok := api.RedirectFromError(err); ok {
+				// A routing refusal applied nothing; re-send the request to
+				// the server it named, once.
+				base = strings.TrimRight(u, "/")
 				redirected = true
 				continue
 			}
@@ -220,13 +209,12 @@ func (c *Client) doRaw(ctx context.Context, method, path, contentType string, bo
 		select {
 		case <-ctx.Done():
 			return nil, ctx.Err()
-		case <-time.After(retryDelay(c.backoff, c.maxBackoff, attempt)):
+		case <-time.After(retryDelay(c.backoff, defaultMaxBackoff, attempt)):
 		}
 	}
 }
 
-// defaultMaxBackoff caps the retry schedule unless WithMaxBackoff
-// overrides it.
+// defaultMaxBackoff caps a Client's retry schedule.
 const defaultMaxBackoff = 5 * time.Second
 
 // retryDelay returns the sleep before retrying attempt (0-based): the

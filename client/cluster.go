@@ -36,11 +36,6 @@ const (
 	CodeNotClustered = api.CodeNotClustered
 )
 
-// OwnerFromError extracts the owning node's base URL from a
-// wrong_node rejection; the Cluster client chases these
-// automatically.
-func OwnerFromError(err error) (string, bool) { return api.OwnerFromError(err) }
-
 // ClusterMap fetches the node's cluster placement map.
 func (c *Client) ClusterMap(ctx context.Context) (ClusterMap, error) {
 	var m ClusterMap
@@ -128,8 +123,8 @@ type Cluster struct {
 
 // NewCluster builds a routing client over the map (typically loaded
 // from the same -cluster config file the servers use). The options
-// configure every per-node Client; the follower write redirect is
-// handled by the Cluster itself, so per-node clients run with it
+// configure every per-node Client; routing refusals are followed by
+// the Cluster itself, so per-node clients run with the redirect
 // disabled.
 func NewCluster(m ClusterMap, opts ...Option) (*Cluster, error) {
 	st, err := api.NewPlacement(m)
@@ -137,7 +132,7 @@ func NewCluster(m ClusterMap, opts ...Option) (*Cluster, error) {
 		return nil, err
 	}
 	cl := &Cluster{
-		opts:  append(append([]Option(nil), opts...), WithoutWriteRedirect()),
+		opts:  append(append([]Option(nil), opts...), WithoutRedirect()),
 		state: st,
 		nodes: make(map[string]*clusterNode, len(m.Nodes)),
 	}
@@ -223,7 +218,7 @@ func (cl *Cluster) do(ctx context.Context, session string, retryable bool, f fun
 			return nil
 		}
 		lastErr = err
-		if u, ok := redirectTarget(err); ok {
+		if u, ok := RedirectFromError(err); ok {
 			cl.learn(ctx, u)
 			continue
 		}
@@ -240,16 +235,6 @@ func (cl *Cluster) do(ctx context.Context, session string, retryable bool, f fun
 	}
 	return fmt.Errorf("client: routing %q did not settle after %d attempts: %w",
 		session, clusterRouteAttempts, lastErr)
-}
-
-// redirectTarget extracts the better node's URL from a routing
-// rejection — wrong_node (no copy here) or read_only (a moved or
-// replicated session; writes go to the named owner/primary).
-func redirectTarget(err error) (string, bool) {
-	if u, ok := api.OwnerFromError(err); ok {
-		return u, true
-	}
-	return api.PrimaryFromError(err)
 }
 
 // isTransport reports whether the error is a transport failure (no

@@ -178,9 +178,9 @@ func TestReachBatchThroughAFollower(t *testing.T) {
 
 // TestReachBatchThroughTheClusterClient: the same through client.Cluster
 // on three nodes — every session answered by its owner, equal to the
-// owner's Session.ReachBatch and to breadth-first search; and a plain
-// client that asks the wrong node still gets the typed wrong_node
-// naming the owner, because request-level errors stay JSON.
+// owner's Session.ReachBatch and to breadth-first search; and a client
+// that asks the wrong node with the redirect off still gets the typed
+// wrong_node naming the owner, because request-level errors stay JSON.
 func TestReachBatchThroughTheClusterClient(t *testing.T) {
 	regs, _, m := newTestCluster(t, 3)
 	cl, err := client.NewCluster(m)
@@ -215,8 +215,9 @@ func TestReachBatchThroughTheClusterClient(t *testing.T) {
 			}
 		}
 		other := m.Nodes[(owner+1)%len(m.Nodes)]
-		_, err := client.New(other.URL).ReachBatch(ctx, name, f.pairs(rng, 3))
-		if got, ok := api.OwnerFromError(err); !ok || got != m.Nodes[owner].URL {
+		_, err := client.New(other.URL, client.WithoutRedirect()).ReachBatch(ctx, name, f.pairs(rng, 3))
+		var ae *client.Error
+		if got, ok := client.RedirectFromError(err); !errors.As(err, &ae) || ae.Code != client.CodeWrongNode || !ok || got != m.Nodes[owner].URL {
 			t.Fatalf("%s asked of %s: %v, want wrong_node naming %s", name, other.Name, err, m.Nodes[owner].URL)
 		}
 	}

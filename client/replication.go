@@ -29,12 +29,6 @@ const (
 	RoleFollower = api.RoleFollower
 )
 
-// PrimaryFromError extracts the primary's base URL from a follower's
-// read-only write rejection (a *Error with CodeReadOnly). The SDK
-// redirects such writes automatically unless WithoutWriteRedirect is
-// set; this helper serves callers that disabled that.
-func PrimaryFromError(err error) (string, bool) { return api.PrimaryFromError(err) }
-
 // ReplicationStatus reports the server's replication role and
 // per-session WAL progress. On a primary, each session's WALSeq is
 // the committed sequence a follower can tail up to; on a follower it

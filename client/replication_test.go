@@ -2,10 +2,13 @@ package client_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -97,18 +100,79 @@ func TestWriteRedirect(t *testing.T) {
 	}
 
 	// Redirect disabled: the typed rejection surfaces, and the primary
-	// hint is recoverable via errors.As / PrimaryFromError.
-	nc := client.New(f.srv.URL, client.WithoutWriteRedirect())
+	// hint is recoverable via errors.As / RedirectFromError.
+	nc := client.New(f.srv.URL, client.WithoutRedirect())
 	_, err = nc.CreateSession(ctx, client.CreateSessionRequest{Name: "nope", Builtin: "RunningExample"})
 	var ae *client.Error
 	if !errors.As(err, &ae) || ae.Code != client.CodeReadOnly {
 		t.Fatalf("undirected create = %v, want CodeReadOnly", err)
 	}
-	if hint, ok := client.PrimaryFromError(err); !ok || hint != p.srv.URL {
-		t.Fatalf("PrimaryFromError = %q/%v, want %q", hint, ok, p.srv.URL)
+	if hint, ok := client.RedirectFromError(err); !ok || hint != p.srv.URL {
+		t.Fatalf("RedirectFromError = %q/%v, want %q", hint, ok, p.srv.URL)
 	}
 	if _, ok := p.reg.Get("nope"); ok {
 		t.Fatal("disabled redirect still wrote to the primary")
+	}
+}
+
+// TestRedirectFollowedOnce: a plain Client resends a request refused
+// with read_only or wrong_node to the URL the refusal names, reads as
+// well as writes, and only once — a second refusal surfaces. With
+// WithoutRedirect both refusals surface with their detail.
+func TestRedirectFollowedOnce(t *testing.T) {
+	// refuse answers every request with a 421 of the code, naming *to.
+	hits := map[string]*atomic.Int64{}
+	refuse := func(name string, code client.ErrorCode, to *string) *httptest.Server {
+		hits[name] = new(atomic.Int64)
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			hits[name].Add(1)
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(http.StatusMisdirectedRequest)
+			_ = json.NewEncoder(w).Encode(map[string]any{"error": client.Error{Code: code, Message: "not here", Detail: *to}})
+		}))
+		t.Cleanup(srv.Close)
+		return srv
+	}
+	owner := newDurablePair(t)
+	var ownerURL, wrongURL string
+	wrong := refuse("wrong_node", client.CodeWrongNode, &ownerURL)
+	ro := refuse("read_only", client.CodeReadOnly, &ownerURL)
+	chain := refuse("chain", client.CodeReadOnly, &wrongURL)
+	ownerURL, wrongURL = owner.srv.URL, wrong.URL
+	ctx := context.Background()
+
+	// A write refused with read_only and a read refused with wrong_node
+	// each land on the owner.
+	if _, err := client.New(ro.URL).CreateSession(ctx, client.CreateSessionRequest{Name: "s", Builtin: "RunningExample"}); err != nil {
+		t.Fatalf("create via a read_only refusal: %v", err)
+	}
+	if st, err := client.New(wrong.URL).Session(ctx, "s"); err != nil || st.Name != "s" {
+		t.Fatalf("stats via a wrong_node refusal: %+v, %v", st, err)
+	}
+	// A refusal naming another refusing server is followed once: the
+	// second refusal is the answer.
+	_, err := client.New(chain.URL).Session(ctx, "s")
+	var ae *client.Error
+	if !errors.As(err, &ae) || ae.Code != client.CodeWrongNode || ae.Detail != ownerURL {
+		t.Fatalf("two refusals in a row: %v, want the second one (wrong_node naming the owner)", err)
+	}
+	if hits["chain"].Load() != 1 || hits["wrong_node"].Load() != 2 || hits["read_only"].Load() != 1 {
+		t.Fatalf("refusing servers hit %d/%d/%d times, want chain 1, wrong_node 2, read_only 1",
+			hits["chain"].Load(), hits["wrong_node"].Load(), hits["read_only"].Load())
+	}
+
+	// Redirect disabled: each refusal surfaces with its code and detail.
+	for _, tc := range []struct {
+		url  string
+		code client.ErrorCode
+	}{{ro.URL, client.CodeReadOnly}, {wrong.URL, client.CodeWrongNode}} {
+		_, err := client.New(tc.url, client.WithoutRedirect()).Session(ctx, "s")
+		if !errors.As(err, &ae) || ae.Code != tc.code || ae.HTTPStatus != http.StatusMisdirectedRequest {
+			t.Fatalf("WithoutRedirect: %v, want %s", err, tc.code)
+		}
+		if u, ok := client.RedirectFromError(err); !ok || u != ownerURL {
+			t.Fatalf("WithoutRedirect: RedirectFromError = %q/%v, want %q", u, ok, ownerURL)
+		}
 	}
 }
 

@@ -84,7 +84,7 @@ func connect(cfg config) (*topo, error) {
 		kind = "cluster"
 	case cfg.replica != "":
 		t.primary = client.New(cfg.addr, client.WithRetry(0, 0))
-		t.follower = client.New(cfg.replica, client.WithRetry(0, 0), client.WithoutWriteRedirect())
+		t.follower = client.New(cfg.replica, client.WithRetry(0, 0), client.WithoutRedirect())
 		t.write, t.read = t.primary, t.follower
 		t.scrapers = []*client.Client{t.primary, t.follower}
 		kind = "replica"
@@ -436,11 +436,13 @@ func serverDelta(before, after map[string]float64) map[string]float64 {
 // drive runs the load cfg describes against t: per session one writer
 // streaming the generated events in cfg.batch-event calls, and
 // cfg.readers verified readers drawing pairs below the acknowledged
-// watermark until the writer is done. With cfg.resume there is no
-// writer: each session's watermark is the vertex count the server
-// recovered, and the readers stop after cfg.queries pairs of it. When
-// the write driver is a cluster, ingest is also counted per node and
-// cfg.move moves a session mid-stream. The error covers harness
+// watermark until the writer is done, and each at least until its first
+// verified call. With cfg.resume there is no writer: each session's
+// watermark is the vertex count the server recovered, and the readers
+// stop after cfg.queries reach pairs of it, the lineage scans of
+// cfg.lineageEvery not counted. When the write driver is a cluster,
+// ingest is also counted per node and cfg.move moves a session
+// mid-stream. The error covers harness
 // failures; wrong answers are the result's verify_mismatches.
 func drive(ctx context.Context, cfg config, t *topo) (result, error) {
 	if cfg.batch < 1 {
@@ -523,6 +525,15 @@ func drive(ctx context.Context, cfg config, t *topo) (result, error) {
 	var writers, reading sync.WaitGroup
 	var writing atomic.Int64 // writers still streaming
 	stopReads := make(chan struct{})
+	stopped := func() bool {
+		select {
+		case <-stopReads:
+			return true
+		default:
+			return false
+		}
+	}
+	le := cfg.lineageEvery
 	start := time.Now()
 	for i := range loads {
 		s, mark := &loads[i], &marks[i]
@@ -550,42 +561,55 @@ func drive(ctx context.Context, cfg config, t *topo) (result, error) {
 			}()
 		}
 
-		budget := new(atomic.Int64) // resume: pairs of this session left to check
+		budget := new(atomic.Int64) // resume: reach pairs of this session left to check
 		budget.Store(int64(cfg.queries))
 		for ri := 0; ri < readers; ri++ {
 			reading.Add(1)
 			go func(seed int64) {
 				defer reading.Done()
 				rng := rand.New(rand.NewSource(seed))
-				for n := 0; ; n++ {
+				// calls counts verified calls: under -lineage-every N the
+				// 0th, Nth, 2Nth… are lineage scans, so every reader that
+				// reads at all scans a lineage first.
+				for calls := 0; ; {
+					lineage := le > 0 && calls%le == 0
 					k := reachBatch
-					if cfg.resume {
+					switch {
+					case cfg.resume && lineage && le > 1:
+						// A scan spends none of the reach pairs; it rides on
+						// the reach calls around it while they have pairs left.
+						if budget.Load() <= 0 {
+							return
+						}
+					case cfg.resume:
+						// Under -lineage-every 1 no call is a reach call, so a
+						// scan spends a reach call's pairs and the run ends.
 						left := budget.Add(-int64(k)) + int64(k)
 						if left <= 0 {
 							return
 						}
 						k = int(min(int64(k), left))
-					} else {
-						select {
-						case <-stopReads:
-							return
-						default:
-						}
+					case calls > 0 && stopped():
+						return
 					}
 					wm := mark.Load()
 					if wm == 0 {
-						if cfg.resume {
+						if cfg.resume || stopped() {
 							return
 						}
 						time.Sleep(time.Millisecond)
 						continue
 					}
-					le := cfg.lineageEvery
-					err := tl.verifiedRead(ctx, t.read, s.name, s, wm, k, le > 0 && n%le == le-1, rng)
+					err := tl.verifiedRead(ctx, t.read, s.name, s, wm, k, lineage, rng)
 					switch {
 					case err == nil:
+						calls++
 					case cfg.resume:
 						tl.fail(err)
+						return
+					case stopped():
+						// Every writer is done and a follower has caught up: a
+						// read that still fails will not stop failing.
 						return
 					default:
 						// Most likely a follower trailing the primary's acknowledged

@@ -14,9 +14,10 @@
 // one writer streaming it as binary frames in -batch event calls,
 // while -readers goroutines per session issue batch reach queries of
 // -reach-batch pairs over the acknowledged prefix; with -lineage-every
-// N every Nth query call is a full lineage scan instead. -verify checks
-// every answer, reach and lineage alike, against ground truth, and
-// -cleanup deletes the sessions at the end.
+// N a reader's first verified call, and every Nth after it, is a full
+// lineage scan instead. -verify checks every answer, reach and lineage
+// alike, against ground truth, and -cleanup deletes the sessions at the
+// end.
 //
 // -replica sends every read to the follower at that URL while writes
 // go to -addr, samples replica lag (the primary's committed WAL
@@ -36,8 +37,9 @@
 // same data directory, then run wfload again with the same flags plus
 // -resume. It creates nothing and ingests nothing: it regenerates the
 // identical runs, reads each recovered session's vertex count, and
-// verifies -queries pairs per session below it. A failed pair or a
-// wrong answer means recovery diverged from the uninterrupted run.
+// verifies -queries reach pairs per session below it (lineage scans
+// under -lineage-every come on top). A failed pair or a wrong answer
+// means recovery diverged from the uninterrupted run.
 //
 // Every run prints its measurements; -report writes them as one JSON
 // result (docs/BENCHMARKS.md, "Report format"). wfload exits non-zero

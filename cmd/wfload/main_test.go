@@ -223,17 +223,21 @@ func TestResumeVerifiesRestoredSessions(t *testing.T) {
 	srv2 := httptest.NewServer(service.NewHandler(reg2))
 	defer srv2.Close()
 
+	// -queries counts reach pairs per session; the lineage scans
+	// -lineage-every interleaves are on top of them.
 	cfg.addr = srv2.URL
 	cfg.resume = true
-	cfg.queries = 500
+	cfg.queries = 2000
 	cfg.reachBatch = 8
+	cfg.lineageEvery = 4
 	res, out := runReport(t, cfg)
 	m := res.Metrics
 	if m.RecoveredVertices != ingest.Metrics.IngestEvents || m.IngestEvents != 0 {
 		t.Fatalf("resume recovered %d vertices (ingested %d), ingested %d itself",
 			m.RecoveredVertices, ingest.Metrics.IngestEvents, m.IngestEvents)
 	}
-	if m.Queries != 2*500 || m.QueryErrors != 0 || !m.VerifyChecked || m.VerifyMismatches != 0 {
+	if m.Queries-m.LineageQueries != 2*2000 || m.LineageQueries == 0 ||
+		m.QueryErrors != 0 || !m.VerifyChecked || m.VerifyMismatches != 0 {
 		t.Fatalf("resume verification: %+v\n%s", m, out)
 	}
 
@@ -301,13 +305,17 @@ func TestRunLegacyAndBatchModes(t *testing.T) {
 	srv := httptest.NewServer(service.NewHandler(service.NewRegistry()))
 	defer srv.Close()
 
-	res, _ := runReport(t, config{
+	cfg := config{
 		addr: srv.URL, spec: "RunningExample",
 		size: 400, seed: 7, sessions: 1, batch: 32, readers: 2,
 		verify: true, reachBatch: 16, lineageEvery: 8, cleanup: true, prefix: "bat",
-	})
+	}
+	res, _ := runReport(t, cfg)
 	m := res.Metrics
-	if !m.VerifyChecked || m.VerifyMismatches != 0 || m.QueryErrors != 0 {
+	// Every reader makes a verified call, and its first is a lineage
+	// scan: however short the run, each scans one.
+	if !m.VerifyChecked || m.VerifyMismatches != 0 || m.QueryErrors != 0 ||
+		m.LineageQueries < int64(cfg.sessions*cfg.readers) {
 		t.Fatalf("batched reach and lineage: %+v", m)
 	}
 	left, err := client.New(srv.URL).Sessions(context.Background())

@@ -53,12 +53,14 @@
 // the shipped frames — byte-identical to both the primary's WAL
 // records and the binary ingest frames — into local sessions teed to
 // its own WAL. It serves the full query surface (reach, batch reach,
-// lineage, stats) while rejecting writes with a structured read_only
-// error naming the primary; the Go SDK redirects such writes
-// automatically. A restarted follower resumes from its own recovered
-// log. GET /v1/replication/status reports role and per-session
-// sequences on both sides; replica lag is the primary's wal_seq minus
-// the follower's.
+// lineage, stats) while its routing gate refuses every write with a
+// 421 read_only whose detail is the primary's URL. That is the
+// server's one redirect rule, shared with -cluster: a 421 (read_only
+// or wrong_node) applies nothing and names where to resend, and the
+// Go SDK's Client resends there once. A restarted follower resumes
+// from its own recovered log. GET /v1/replication/status reports role
+// and per-session sequences on both sides; replica lag is the
+// primary's wal_seq minus the follower's.
 //
 // -promote is the failover command: it POSTs /v1/replication/promote
 // to the named follower — final catch-up from the primary if it is
@@ -75,18 +77,19 @@
 // With -cluster the server is one node of a session-partitioned
 // cluster: the JSON map file (shared by every node) lists the node
 // set, sessions are placed on nodes by consistent hashing on the
-// session name, and each node serves only the sessions it owns.
-// Requests for a session owned elsewhere are rejected with a
-// structured wrong_node error naming the owner's base URL; the Go
-// SDK's client.Cluster follows such rejections automatically. The
-// /v1/cluster routes expose the map, a health view (role, WAL
-// sequences, peer liveness), and POST /v1/cluster/move, which
-// transfers one live session to another node by tailing its WAL —
-// ingest continues on the old owner until the handoff instant, and
-// no acknowledged event is lost. Cluster mode requires -data (moves
-// ride the write-ahead log) and composes with per-node replication:
-// give each node its own -follow replica and record it in the map's
-// "follower" fields so clients can fail over.
+// session name, and each node serves only the sessions it owns: its
+// routing gate is the placement check. A request for a session owned
+// elsewhere is refused with a 421 naming the owner's base URL —
+// wrong_node where the node holds no copy, read_only for a write to a
+// copy a move left behind; the Go SDK's client.Cluster follows such
+// refusals and learns the owner's map. The /v1/cluster routes expose
+// the map, a health view (role, WAL sequences, peer liveness), and
+// POST /v1/cluster/move, which transfers one live session to another
+// node by tailing its WAL — ingest continues on the old owner until
+// the handoff instant, and no acknowledged event is lost. Cluster mode
+// requires -data (moves ride the write-ahead log) and composes with
+// per-node replication: give each node its own -follow replica and
+// record it in the map's "follower" fields so clients can fail over.
 //
 // The versioned /v1 API (wire contract in internal/api, full
 // reference with curl and Go-client snippets in docs/API.md; drive it

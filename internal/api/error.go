@@ -47,22 +47,18 @@ const (
 	// failed (or was closed); it refuses further ingest while queries
 	// keep working.
 	CodeSessionPoisoned ErrorCode = "session_poisoned"
-	// CodeReadOnly is a write (create, delete, ingest) sent to a
-	// follower replica. The error detail carries the primary's base
-	// URL, Location-style — resend the write there (the Go SDK does so
-	// automatically; see PrimaryFromError).
+	// CodeReadOnly is a write (create, delete, ingest) sent to a server
+	// that holds the session but is not its writer: a follower replica,
+	// or a cluster node the session moved away from. The error detail
+	// carries the writer's base URL, Location-style — resend the write
+	// there (the Go SDK does so automatically; see RedirectFromError).
 	CodeReadOnly ErrorCode = "read_only"
-	// CodeNotFollower is a replication operation on a server that is
-	// not a follower. Promote no longer sends it (promoting a writable
-	// server is an idempotent no-op); the code is retained for clients
-	// compiled against older servers.
-	CodeNotFollower ErrorCode = "not_follower"
 	// CodeWrongNode is a session request sent to a cluster node that
 	// does not own the session's placement. The error detail carries
-	// the owning node's base URL — resend the request there (the Go
-	// SDK's cluster client does so automatically; see OwnerFromError).
-	// It differs from CodeReadOnly in that the receiving node has no
-	// copy of the session at all, so not even reads can be served.
+	// the owning node's base URL — resend the request there (see
+	// RedirectFromError). It differs from CodeReadOnly in that the
+	// receiving node has no copy of the session at all, so not even
+	// reads can be served.
 	CodeWrongNode ErrorCode = "wrong_node"
 	// CodeNotClustered is a cluster operation (map, health, move) on a
 	// server that is not running in cluster mode.
@@ -92,14 +88,14 @@ func (c ErrorCode) HTTPStatus() int {
 	switch c {
 	case CodeSessionNotFound, CodeVertexNotLabeled, CodeNotFound:
 		return http.StatusNotFound
-	case CodeSessionExists, CodeNotFollower, CodeNotClustered:
+	case CodeSessionExists, CodeNotClustered:
 		return http.StatusConflict
 	case CodeMethodNotAllowed:
 		return http.StatusMethodNotAllowed
 	case CodeReadOnly, CodeWrongNode:
 		// The request was sent to the wrong server, not malformed; 421
-		// also keeps write-redirect handling out of generic 4xx/5xx
-		// retry logic.
+		// also keeps redirect handling out of generic 4xx/5xx retry
+		// logic.
 		return http.StatusMisdirectedRequest
 	case CodeSessionPoisoned, CodeInternal, CodeUnknown:
 		return http.StatusInternalServerError
@@ -164,26 +160,13 @@ func AsError(err error, fallback ErrorCode) *Error {
 	return &Error{Code: fallback, Message: err.Error()}
 }
 
-// PrimaryFromError extracts the primary's base URL from a follower's
-// read-only rejection: a *Error (possibly wrapped) with CodeReadOnly
-// whose detail carries the address. It is how a client discovers
-// where to redirect a misdirected write.
-func PrimaryFromError(err error) (string, bool) {
+// RedirectFromError extracts the base URL a routing refusal names: the
+// detail of a *Error (possibly wrapped) with CodeReadOnly or
+// CodeWrongNode. A routing refusal is issued before anything is
+// applied, so the request — a write or a read — may be resent there.
+func RedirectFromError(err error) (string, bool) {
 	var ae *Error
-	if errors.As(err, &ae) && ae.Code == CodeReadOnly && ae.Detail != "" {
-		return ae.Detail, true
-	}
-	return "", false
-}
-
-// OwnerFromError extracts the owning node's base URL from a cluster
-// node's misdirected-session rejection: a *Error (possibly wrapped)
-// with CodeWrongNode whose detail carries the address. Together with
-// PrimaryFromError it is how a routing client chases a session to
-// where it actually lives.
-func OwnerFromError(err error) (string, bool) {
-	var ae *Error
-	if errors.As(err, &ae) && ae.Code == CodeWrongNode && ae.Detail != "" {
+	if errors.As(err, &ae) && (ae.Code == CodeReadOnly || ae.Code == CodeWrongNode) && ae.Detail != "" {
 		return ae.Detail, true
 	}
 	return "", false

@@ -65,11 +65,11 @@ type peerState struct {
 }
 
 // Controller runs one node's share of the cluster: it gates the HTTP
-// surface by placement (service.ClusterHooks), serves the /v1/cluster
-// control plane, probes the peers, and executes session moves by
-// copying the session from its owner (replica.Copy) — the same replay
-// a follower runs, driven to a sealed final sequence instead of
-// forever. A moved session persists through the destination's own
+// surface by placement (service.Registry.SetRoute), serves the
+// /v1/cluster control plane, probes the peers, and executes session
+// moves by copying the session from its owner (replica.Copy) — the
+// same replay a follower runs, driven to a sealed final sequence
+// instead of forever. A moved session persists through the destination's own
 // registry, so it takes arena snapshots like any other and a node
 // restart re-adopts every session it hosts — moved or native — through
 // the shared arena restore path: snapshotted labels are mapped
@@ -99,9 +99,9 @@ type Controller struct {
 }
 
 // New builds the controller for node self over the map and installs
-// its hooks on the registry — from that point the registry's HTTP
-// surface is placement-gated and the /v1/cluster routes answer. The
-// prober is idle until Start. The registry must be durable: a moved
+// its gate and hooks on the registry — from that point the registry's
+// HTTP surface is placement-gated and the /v1/cluster routes answer.
+// The prober is idle until Start. The registry must be durable: a moved
 // session is verified against the copy's own write-ahead log. Progress
 // records go to log; nil discards them.
 func New(self string, m api.ClusterMap, reg *service.Registry, log *slog.Logger) (*Controller, error) {
@@ -133,13 +133,13 @@ func New(self string, m api.ClusterMap, reg *service.Registry, log *slog.Logger)
 		if n.Name != self {
 			// No overall timeout (unary calls carry peerTimeout, tails and
 			// forwarded moves the caller's context), no retries, and no
-			// write redirect: a peer's answer is the answer.
+			// redirect: a peer's answer is the answer.
 			c.peers[n.Name] = &peerState{node: n, c: client.New(n.URL,
-				client.WithHTTPClient(http.DefaultClient), client.WithRetry(0, 0), client.WithoutWriteRedirect())}
+				client.WithHTTPClient(http.DefaultClient), client.WithRetry(0, 0), client.WithoutRedirect())}
 		}
 	}
+	reg.SetRoute(c.Route)
 	reg.SetClusterHooks(service.ClusterHooks{
-		Route:   c.Route,
 		Map:     c.Map,
 		Health:  c.Health,
 		Move:    c.Move,
@@ -178,7 +178,7 @@ func (c *Controller) Close() {
 	c.wg.Wait()
 }
 
-// Route is the placement gate (service.ClusterHooks.Route): nil when
+// Route is the placement gate (service.Registry.SetRoute): nil when
 // this node serves the session, a typed rejection naming the owner
 // otherwise. Reads against a retained local copy of a moved session
 // are served — stale, exactly like a follower's. Writes to a session

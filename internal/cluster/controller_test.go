@@ -163,7 +163,7 @@ func TestClusterGating(t *testing.T) {
 	if code != http.StatusMisdirectedRequest || aerr.Code != api.CodeWrongNode {
 		t.Fatalf("non-owner read: %d %+v", code, aerr)
 	}
-	if u, ok := api.OwnerFromError(aerr); !ok || u != owner.srv.URL {
+	if u, ok := api.RedirectFromError(aerr); !ok || u != owner.srv.URL {
 		t.Fatalf("wrong_node detail %q, want owner URL %q", aerr.Detail, owner.srv.URL)
 	}
 	// Creates are gated too: the non-owner refuses to create a

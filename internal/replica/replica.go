@@ -131,9 +131,9 @@ type Follower struct {
 // New builds a follower of the primary at the given base URL,
 // replicating into reg (typically a freshly restored durable registry
 // so replication survives follower restarts; a memory registry works
-// too but re-tails from scratch after one). The registry is marked a
-// read-only follower and its replication status/promote hooks are
-// wired; nothing is tailed until Start.
+// too but re-tails from scratch after one). The registry's routing gate
+// becomes the follower's, refusing every write, and its replication
+// status/promote hooks are wired; nothing is tailed until Start.
 func New(primary string, reg *service.Registry, opts Options) *Follower {
 	opts.fill()
 	f := &Follower{
@@ -143,15 +143,25 @@ func New(primary string, reg *service.Registry, opts Options) *Follower {
 		// The follower's own reads of the primary must not silently
 		// redirect anywhere, and retries are handled by the reconnect
 		// loop.
-		c:        client.New(primary, client.WithRetry(0, 0), client.WithoutWriteRedirect()),
+		c:        client.New(primary, client.WithRetry(0, 0), client.WithoutRedirect()),
 		sessions: make(map[string]*sessionState),
 	}
 	o := reg.Obs()
 	f.lagEvents = o.Gauge("wf_replica_lag_events", "Worst follower tail lag across sessions, in events.")
 	f.lagSeconds = o.FloatGauge("wf_replica_lag_seconds", "Approximate follower tail lag, in seconds.")
-	reg.SetFollower(primary)
+	reg.SetRoute(f.route)
 	reg.SetReplicationHooks(service.ReplicationHooks{Status: f.Status, Promote: f.Promote})
 	return f
+}
+
+// route is the follower's routing gate (service.Registry.SetRoute):
+// every write goes to the primary, every read is served here.
+func (f *Follower) route(_ string, write bool) error {
+	if !write {
+		return nil
+	}
+	return api.Errorf(api.CodeReadOnly, "server is a read-only follower; send writes to the primary").
+		WithDetail("%s", f.primary)
 }
 
 // Start launches the discovery and tail loops in the background.
@@ -183,26 +193,27 @@ func (f *Follower) stop() {
 	f.wg.Wait()
 }
 
-// Close stops replicating without promoting. The registry stays a
-// read-only follower (a restarted follower process picks up where
-// this one left off).
+// Close stops replicating without promoting. The routing gate stays,
+// so the registry stays a read-only follower (a restarted follower
+// process picks up where this one left off).
 func (f *Follower) Close() { f.stop() }
 
 // Promote ends replication and flips the registry writable: stop the
 // tail loops, attempt one final non-waiting catch-up per session —
 // draining whatever the primary can still serve; a dead primary just
 // fails the dial and the follower keeps everything it already
-// applied — then clear follower mode. After Promote the server
+// applied — then clear the routing gate. After Promote the server
 // ingests writes and its WAL continues exactly where replication
 // stopped. Promoting twice is a no-op: the second call returns
-// immediately without re-running catch-up or touching the hooks the
-// first promote uninstalled.
+// immediately without re-running catch-up or touching the gate and
+// hooks the first promote uninstalled.
 func (f *Follower) Promote(ctx context.Context) error {
 	f.mu.Lock()
 	if f.promoted {
 		f.mu.Unlock()
 		// Idempotent: the first promote already ran catch-up and
-		// uninstalled the hooks; a re-POST must not do either twice.
+		// uninstalled the gate and hooks; a re-POST must not do either
+		// twice.
 		return nil
 	}
 	f.promoted = true
@@ -218,7 +229,7 @@ func (f *Follower) Promote(ctx context.Context) error {
 			f.opts.Log.Warn("replica: final catch-up failed; promoting with what we have", "session", name, "err", err)
 		}
 	}
-	f.reg.Promote()
+	f.reg.SetRoute(nil)
 	// Uninstall the hooks: from here on the registry's default status —
 	// live WAL sequences, post-promote sessions included — is the
 	// truth, not this follower's frozen promote-time view. A primary

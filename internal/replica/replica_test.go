@@ -3,8 +3,10 @@ package replica
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -12,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"wfreach/client"
 	"wfreach/internal/api"
 	"wfreach/internal/core"
 	"wfreach/internal/gen"
@@ -289,9 +292,24 @@ func TestFollowerEquivalence(t *testing.T) {
 	waitCaughtUp(t, p.reg, f.reg, ws)
 	assertEquivalent(t, p, f, ws)
 
-	if _, ok := f.reg.FollowerPrimary(); !ok {
-		t.Fatal("follower registry not marked read-only")
+	if err := createOn(f.srv.URL, "x"); !refusedReadOnly(err, p.srv.URL) {
+		t.Fatalf("create on the follower: %v, want 421 read_only naming %s", err, p.srv.URL)
 	}
+}
+
+// createOn asks the server at url, not following any redirect, to
+// create a session named name.
+func createOn(url, name string) error {
+	_, err := client.New(url, client.WithoutRedirect()).CreateSession(context.Background(),
+		client.CreateSessionRequest{Name: name, Builtin: "RunningExample"})
+	return err
+}
+
+// refusedReadOnly reports whether err is a 421 read_only naming primary.
+func refusedReadOnly(err error, primary string) bool {
+	var ae *client.Error
+	return errors.As(err, &ae) && ae.HTTPStatus == http.StatusMisdirectedRequest &&
+		ae.Code == client.CodeReadOnly && ae.Detail == primary
 }
 
 // TestFollowerPromote kills the primary abruptly mid-stream, promotes
@@ -323,11 +341,14 @@ func TestFollowerPromote(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
+	if err := createOn(f.srv.URL, "before"); !refusedReadOnly(err, p.srv.URL) {
+		t.Fatalf("create before promote: %v, want 421 read_only naming %s", err, p.srv.URL)
+	}
 	if err := fol.Promote(ctx); err != nil {
 		t.Fatalf("promote: %v", err)
 	}
-	if _, ok := f.reg.FollowerPrimary(); ok {
-		t.Fatal("promoted registry still read-only")
+	if err := createOn(f.srv.URL, "after-first"); err != nil {
+		t.Fatalf("create after promote: %v, want 201", err)
 	}
 	if st := fol.Status(); st.Role != "primary" {
 		t.Fatalf("post-promote status role = %q", st.Role)
@@ -337,8 +358,8 @@ func TestFollowerPromote(t *testing.T) {
 	if err := fol.Promote(ctx); err != nil {
 		t.Fatalf("second promote: %v", err)
 	}
-	if _, ok := f.reg.FollowerPrimary(); ok {
-		t.Fatal("second promote flipped the registry back to follower")
+	if err := createOn(f.srv.URL, "after-second"); err != nil {
+		t.Fatalf("create after the second promote: %v, want 201", err)
 	}
 
 	// Continued ingest straight into the promoted server.

@@ -49,17 +49,16 @@ import (
 // header; an unknown path — any path without the /v1 prefix included —
 // is a structured 404.
 //
-// On a follower (Registry.SetFollower) the write routes — create,
-// delete, ingest — answer CodeReadOnly with the primary's base URL in
-// the error detail; everything else, including WAL tails (chained
-// replication), keeps working.
-//
-// In cluster mode (Registry.SetClusterHooks) every session route is
-// additionally gated by placement: a session this node does not own is
-// rejected with CodeWrongNode (no local copy) or CodeReadOnly (a moved
-// session's retained copy — writes only) carrying the owner's base URL
-// in the error detail. Without cluster hooks the /v1/cluster routes
-// answer CodeNotClustered.
+// One routing gate (Registry.SetRoute) stands in front of the session
+// routes: create (once its name is parsed), delete and ingest ask it
+// as writes, and a read of a session this node does not hold asks it
+// before answering CodeSessionNotFound. A refusal is a 421 whose
+// detail is the base URL to resend to: CodeReadOnly from a follower
+// for every write, or from a cluster node for a write to a session
+// that moved away; CodeWrongNode from a cluster node for a session it
+// has no copy of. Everything else, WAL tails included (chained
+// replication), is served from the local copy. Without cluster hooks
+// the /v1/cluster routes answer CodeNotClustered.
 //
 // Create accepts either a JSON body (api.CreateSessionRequest: a
 // built-in spec name or an inline spec XML string) or a raw XML specification with
@@ -69,30 +68,13 @@ import (
 // NewHandler returns the HTTP handler serving the registry.
 func NewHandler(reg *Registry) http.Handler {
 	mux := http.NewServeMux()
-	// rejectFollower guards a write route: on a follower every write is
-	// misdirected, and the structured rejection names the primary so
-	// the client can redirect (the SDK does so automatically).
-	rejectFollower := func(w http.ResponseWriter) bool {
-		primary, ok := reg.FollowerPrimary()
-		if !ok {
-			return false
-		}
-		writeError(w, api.Errorf(api.CodeReadOnly, "server is a read-only follower; send writes to the primary").
-			WithDetail("%s", primary))
-		return true
-	}
 	routes := []struct {
 		path    string
 		methods map[string]http.HandlerFunc
 	}{
 		{"/sessions", map[string]http.HandlerFunc{
-			http.MethodPost: func(w http.ResponseWriter, r *http.Request) {
-				if rejectFollower(w) {
-					return
-				}
-				handleCreate(reg, w, r)
-			},
-			http.MethodGet: func(w http.ResponseWriter, r *http.Request) { handleList(reg, w) },
+			http.MethodPost: func(w http.ResponseWriter, r *http.Request) { handleCreate(reg, w, r) },
+			http.MethodGet:  func(w http.ResponseWriter, r *http.Request) { handleList(reg, w) },
 		}},
 		{"/sessions/{name}", map[string]http.HandlerFunc{
 			http.MethodGet: func(w http.ResponseWriter, r *http.Request) {
@@ -101,11 +83,8 @@ func NewHandler(reg *Registry) http.Handler {
 				}
 			},
 			http.MethodDelete: func(w http.ResponseWriter, r *http.Request) {
-				if rejectFollower(w) {
-					return
-				}
 				name := r.PathValue("name")
-				if clusterReject(reg, w, name, true) {
+				if routeReject(reg, w, name, true) {
 					return
 				}
 				if !reg.Delete(name) {
@@ -225,10 +204,7 @@ func NewHandler(reg *Registry) http.Handler {
 		}},
 		{"/sessions/{name}/events", map[string]http.HandlerFunc{
 			http.MethodPost: func(w http.ResponseWriter, r *http.Request) {
-				if rejectFollower(w) {
-					return
-				}
-				if clusterReject(reg, w, r.PathValue("name"), true) {
+				if routeReject(reg, w, r.PathValue("name"), true) {
 					return
 				}
 				if s := lookup(reg, w, r); s != nil {
@@ -303,14 +279,14 @@ func clusterHooks(reg *Registry, w http.ResponseWriter) *ClusterHooks {
 	return h
 }
 
-// clusterReject gates a session route by cluster placement, reporting
-// whether a routing rejection was written. Not clustered: no gate.
-func clusterReject(reg *Registry, w http.ResponseWriter, session string, write bool) bool {
-	h := reg.Cluster()
-	if h == nil || h.Route == nil {
+// routeReject consults the registry's routing gate for a session
+// route, reporting whether it wrote a refusal. No gate: no refusal.
+func routeReject(reg *Registry, w http.ResponseWriter, session string, write bool) bool {
+	route := reg.route.Load()
+	if route == nil {
 		return false
 	}
-	if err := h.Route(session, write); err != nil {
+	if err := (*route)(session, write); err != nil {
 		writeError(w, err)
 		return true
 	}
@@ -321,9 +297,9 @@ func lookup(reg *Registry, w http.ResponseWriter, r *http.Request) *Session {
 	name := r.PathValue("name")
 	s, ok := reg.Get(name)
 	if !ok {
-		// An absent session owned by another node is a routing miss, not
-		// a 404 — the rejection names the owner.
-		if clusterReject(reg, w, name, false) {
+		// An absent session held elsewhere is a routing miss, not a 404
+		// — the refusal names where it lives.
+		if routeReject(reg, w, name, false) {
 			return nil
 		}
 		writeError(w, api.Errorf(api.CodeSessionNotFound, "no session %q", name))
@@ -418,7 +394,7 @@ func createSession(reg *Registry, w http.ResponseWriter, name string, sp *spec.S
 			return
 		}
 	}
-	if clusterReject(reg, w, name, true) {
+	if routeReject(reg, w, name, true) {
 		return
 	}
 	cfg, err := ParseConfig(skelName, modeName)

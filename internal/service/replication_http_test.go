@@ -159,14 +159,19 @@ func TestHTTPWALTailErrors(t *testing.T) {
 	}
 }
 
-// TestHTTPFollowerReadOnly checks follower mode rejects every write
-// with a structured read_only error naming the primary, while reads
-// and tails keep working.
+// TestHTTPFollowerReadOnly checks a follower-shaped routing gate
+// rejects every write with a structured read_only error naming the
+// primary, while reads and tails keep working.
 func TestHTTPFollowerReadOnly(t *testing.T) {
 	reg, _, srv := newDurableTestServer(t)
 	ingestGenerated(t, reg, "ro", 100, 3)
 	const primary = "http://primary.example:8080"
-	reg.SetFollower(primary)
+	reg.SetRoute(func(_ string, write bool) error {
+		if !write {
+			return nil
+		}
+		return api.Errorf(api.CodeReadOnly, "read-only follower").WithDetail("%s", primary)
+	})
 
 	// Writes: create, ingest, delete.
 	code, raw := doJSON(t, "POST", srv.URL+"/v1/sessions", api.CreateSessionRequest{Name: "x", Builtin: "RunningExample"}, nil)
@@ -199,15 +204,15 @@ func TestHTTPFollowerReadOnly(t *testing.T) {
 		t.Fatalf("follower tail (chained replication): %d", resp.StatusCode)
 	}
 
-	// Promote clears the gate.
-	reg.Promote()
+	// Clearing the gate, as a promote does, serves writes again.
+	reg.SetRoute(nil)
 	if code, raw := doJSON(t, "POST", srv.URL+"/v1/sessions", api.CreateSessionRequest{Name: "x", Builtin: "RunningExample"}, nil); code != http.StatusCreated {
 		t.Fatalf("post-promote create: %d %s", code, raw)
 	}
 }
 
 // TestHTTPReplicationStatusAndPromote covers the default (primary)
-// status shape and the promote endpoint's not-a-follower conflict.
+// status shape and promote on a server that is not a follower.
 func TestHTTPReplicationStatusAndPromote(t *testing.T) {
 	reg, _, srv := newDurableTestServer(t)
 	n := ingestGenerated(t, reg, "st", 120, 5)
@@ -228,19 +233,6 @@ func TestHTTPReplicationStatusAndPromote(t *testing.T) {
 	if code, raw := doJSON(t, "POST", srv.URL+"/v1/replication/promote", nil, &status); code != http.StatusOK ||
 		status.Role != api.RolePrimary {
 		t.Fatalf("promote a primary: %d %s", code, raw)
-	}
-
-	// Follower without hooks: status is honest about the role, promote
-	// flips the registry.
-	reg.SetFollower("http://p.example")
-	if code, _ := doJSON(t, "GET", srv.URL+"/v1/replication/status", nil, &status); code != http.StatusOK {
-		t.Fatal("follower status")
-	}
-	if status.Role != api.RoleFollower || status.Primary != "http://p.example" {
-		t.Fatalf("follower status = %+v", status)
-	}
-	if code, raw := doJSON(t, "POST", srv.URL+"/v1/replication/promote", nil, &status); code != http.StatusOK || status.Role != api.RolePrimary {
-		t.Fatalf("promote: %d %s", code, raw)
 	}
 }
 
@@ -267,35 +259,18 @@ func TestHTTPSessionSpec(t *testing.T) {
 }
 
 // TestHTTPPromoteIdempotent checks POST /v1/replication/promote is
-// safe to re-POST: a server that is already writable (never a
-// follower, or promoted by an earlier call) answers 200 with its
-// current status instead of failing the retry — exactly what blind
-// failover tooling needs.
+// safe to re-POST: a server without replication hooks — never a
+// follower, or promoted by an earlier call — answers 200 with its
+// current status instead of failing the retry, exactly what blind
+// failover tooling needs. A follower's promote and re-promote are
+// replica.TestFollowerPromote's.
 func TestHTTPPromoteIdempotent(t *testing.T) {
-	// A registry marked follower with no replica hooks: promote flips
-	// it writable; promoting again (and again) stays 200/primary.
-	reg := NewRegistry()
-	reg.SetFollower("http://dead-primary:9999")
-	srv := httptest.NewServer(NewHandler(reg))
-	defer srv.Close()
-	for i := 0; i < 3; i++ {
-		var st api.ReplicationStatus
-		if code, raw := doJSON(t, "POST", srv.URL+"/v1/replication/promote", nil, &st); code != http.StatusOK {
-			t.Fatalf("promote #%d: %d %s", i+1, code, raw)
-		} else if st.Role != api.RolePrimary {
-			t.Fatalf("promote #%d: role %q, want primary", i+1, st.Role)
-		}
-	}
-	if _, ok := reg.FollowerPrimary(); ok {
-		t.Fatal("registry still in follower mode after promote")
-	}
-
-	// A plain primary that was never a follower: promote is a no-op,
-	// not an error.
 	plain := httptest.NewServer(NewHandler(NewRegistry()))
 	defer plain.Close()
-	var st api.ReplicationStatus
-	if code, raw := doJSON(t, "POST", plain.URL+"/v1/replication/promote", nil, &st); code != http.StatusOK || st.Role != api.RolePrimary {
-		t.Fatalf("promote on plain primary: %d %s (role %q)", code, raw, st.Role)
+	for i := 0; i < 3; i++ {
+		var st api.ReplicationStatus
+		if code, raw := doJSON(t, "POST", plain.URL+"/v1/replication/promote", nil, &st); code != http.StatusOK || st.Role != api.RolePrimary {
+			t.Fatalf("promote #%d on a plain primary: %d %s (role %q)", i+1, code, raw, st.Role)
+		}
 	}
 }

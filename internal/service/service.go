@@ -164,12 +164,9 @@ type Registry struct {
 	// committer is the cross-session WAL group committer (durable
 	// registries only).
 	committer *wal.Committer
-	// followerPrimary, when non-nil, marks the registry a read-only
-	// follower replica of the primary at that base URL: the HTTP
-	// surface rejects writes with CodeReadOnly pointing there, while
-	// the replica subsystem keeps applying the primary's WAL through
-	// the internal ingest path. Promote clears it.
-	followerPrimary atomic.Pointer[string]
+	// route is the routing gate SetRoute installs; nil serves
+	// everything.
+	route atomic.Pointer[func(session string, write bool) error]
 	// repl are the replication hooks a follower installs (see
 	// SetReplicationHooks); nil hooks get primary-role defaults.
 	repl atomic.Pointer[ReplicationHooks]
@@ -198,18 +195,11 @@ type ReplicationHooks struct {
 	Promote func(ctx context.Context) error
 }
 
-// ClusterHooks lets the cluster subsystem (internal/cluster) gate the
-// HTTP surface by session placement and serve the /v1/cluster control
-// plane. The registry stays placement-ignorant: the controller owns
-// the map, the registry just consults it.
+// ClusterHooks lets the cluster subsystem (internal/cluster) serve the
+// /v1/cluster control plane. The registry stays placement-ignorant:
+// the controller owns the map and gates the HTTP surface through
+// SetRoute.
 type ClusterHooks struct {
-	// Route decides whether this node serves a request for the session:
-	// nil to serve it, or a typed rejection (CodeWrongNode when the
-	// node has no copy, CodeReadOnly when a moved session left one)
-	// carrying the owner's URL in the detail. write marks mutating
-	// requests; reads against a local copy of a moved session are
-	// served (stale, like a follower's).
-	Route func(session string, write bool) error
 	// Map snapshots the cluster map.
 	Map func() api.ClusterMap
 	// Health builds the cluster health response.
@@ -295,34 +285,30 @@ func (r *Registry) Create(name string, g *spec.Grammar, cfg Config) (*Session, e
 // data directory (see NewDurableRegistry).
 func (r *Registry) Durable() bool { return r.durable != nil }
 
-// SetFollower marks the registry a read-only follower of the primary
-// at the given base URL. The HTTP surface then rejects create, delete
-// and ingest requests with CodeReadOnly carrying the primary's
-// address; queries and WAL tails keep working. The replica subsystem
-// itself writes through the internal Session methods, which stay
-// open — read-only is a wire-surface contract, not a session lock.
-func (r *Registry) SetFollower(primary string) { r.followerPrimary.Store(&primary) }
-
-// Promote clears follower mode: the registry becomes writable again.
-// It does not stop the tailing replica — replica.Follower.Promote
-// does both, in the right order.
-func (r *Registry) Promote() { r.followerPrimary.Store(nil) }
-
-// FollowerPrimary returns the primary's base URL and true when the
-// registry is a read-only follower.
-func (r *Registry) FollowerPrimary() (string, bool) {
-	if p := r.followerPrimary.Load(); p != nil {
-		return *p, true
+// SetRoute installs the routing gate the HTTP surface consults before
+// it serves a session route: create, delete and ingest as writes, and
+// a read of a session this registry does not hold. The gate answers
+// nil to serve the request, or a refusal naming where to send it —
+// CodeReadOnly or CodeWrongNode with a base URL in the detail — which
+// is written as the response before anything is applied. A nil gate
+// serves everything. A replica.Follower installs one refusing every
+// write and clears it on promote; a cluster controller installs its
+// placement check. Internal Session methods, which replication and
+// moves write through, are not gated.
+func (r *Registry) SetRoute(route func(session string, write bool) error) {
+	if route == nil {
+		r.route.Store(nil)
+		return
 	}
-	return "", false
+	r.route.Store(&route)
 }
 
 // SetReplicationHooks installs the replica subsystem's status and
 // promote callbacks (see ReplicationHooks).
 func (r *Registry) SetReplicationHooks(h ReplicationHooks) { r.repl.Store(&h) }
 
-// SetClusterHooks installs the cluster controller's routing and
-// control-plane callbacks (see ClusterHooks).
+// SetClusterHooks installs the cluster controller's control-plane
+// callbacks (see ClusterHooks).
 func (r *Registry) SetClusterHooks(h ClusterHooks) { r.cluster.Store(&h) }
 
 // Cluster returns the installed cluster hooks, or nil when the server
@@ -339,11 +325,6 @@ func (r *Registry) ReplicationStatus() api.ReplicationStatus {
 		return h.Status()
 	}
 	st := api.ReplicationStatus{Role: api.RolePrimary, Sessions: []api.SessionReplication{}}
-	if p, ok := r.FollowerPrimary(); ok {
-		// Follower mode without hooks (no running replica): still honest
-		// about the role.
-		st.Role, st.Primary = api.RoleFollower, p
-	}
 	for _, name := range r.Names() {
 		if s, ok := r.Get(name); ok {
 			st.Sessions = append(st.Sessions, api.SessionReplication{
@@ -354,21 +335,15 @@ func (r *Registry) ReplicationStatus() api.ReplicationStatus {
 	return st
 }
 
-// PromoteFollower runs the promote transition: the installed hook
-// (final catch-up, stop tailing, flip writable) when the replica
-// subsystem provided one, otherwise just the registry flip. It is
-// idempotent: on a server that is already writable — never a
-// follower, or promoted earlier — it is a no-op, so failover tooling
-// can re-POST promote until it gets an answer without fearing the
-// retry.
+// PromoteFollower runs the promote transition the installed hook
+// provides (final catch-up, stop tailing, flip writable). Without one
+// the registry is not a follower — never one, or promoted earlier — and
+// promote is a no-op, so failover tooling can re-POST promote until it
+// gets an answer without fearing the retry.
 func (r *Registry) PromoteFollower(ctx context.Context) error {
-	if _, ok := r.FollowerPrimary(); !ok {
-		return nil // already writable: promote is idempotent
-	}
 	if h := r.repl.Load(); h != nil && h.Promote != nil {
 		return h.Promote(ctx)
 	}
-	r.Promote()
 	return nil
 }
 

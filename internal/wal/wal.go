@@ -649,7 +649,7 @@ type Log struct {
 	// time a Committer round acknowledges a batch the head covers it.
 	// chainOn is false until the chain is seeded: a log opened over
 	// pre-existing records cannot know its head until the caller has
-	// hashed the prefix (see SeedChain and ChainScan).
+	// hashed the prefix (see SeedChain).
 	chainOn   bool
 	chainSeq  int64 // sequence chainHead covers
 	chainHead integrity.Head
@@ -750,7 +750,8 @@ func Open(path string, validSize int64, records int64, fsync bool) (*Log, error)
 	l.appendBytes.Store(validSize)
 	// An empty log starts its hash chain at genesis; a log reopened
 	// over existing records stays chainless until SeedChain installs
-	// the head of the prefix (restore computes it with ChainScan).
+	// the head of the prefix (restore hashes the prefix as it replays
+	// it; only the auditor uses ChainScan).
 	l.chainOn = records == 0
 	l.chainSeq = records
 	return l, nil
