@@ -129,8 +129,10 @@ func WithRetry(retries int, backoff time.Duration) Option {
 // node a session moved away from, CodeWrongNode from a cluster node
 // that does not own the session — is re-sent once to the base URL the
 // error detail names. That is safe for any request, non-idempotent
-// ingest included, because a routing refusal applies nothing. Disable
-// it to surface the refusal instead (RedirectFromError reads the URL).
+// ingest included, because a routing refusal applies nothing; the one
+// that can carry progress — a seal landing between the chunks of a
+// binary body, Applied > 0 — is surfaced, never resent. Disable it to
+// surface every refusal instead (RedirectFromError reads the URL).
 func WithoutRedirect() Option { return func(c *Client) { c.noRedirect = true } }
 
 // RedirectFromError extracts the base URL a routing refusal names (a

@@ -176,6 +176,38 @@ func TestRedirectFollowedOnce(t *testing.T) {
 	}
 }
 
+// TestPartlyAppliedRefusalIsNotResent: a 421 that carries applied > 0
+// — a seal that landed between the chunks of a binary body — surfaces
+// with its code, detail and progress, and is not resent to the server
+// it names, which would apply the chunks before it twice.
+func TestPartlyAppliedRefusalIsNotResent(t *testing.T) {
+	var named, refusing atomic.Int64
+	other := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		named.Add(1)
+		w.WriteHeader(http.StatusOK)
+	}))
+	t.Cleanup(other.Close)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		refusing.Add(1)
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusMisdirectedRequest)
+		_ = json.NewEncoder(w).Encode(map[string]any{
+			"error":   client.Error{Code: client.CodeReadOnly, Message: "moved", Detail: other.URL},
+			"applied": 5,
+		})
+	}))
+	t.Cleanup(srv.Close)
+	var zero int32
+	_, err := client.New(srv.URL).IngestFrames(context.Background(), "s", []client.Event{{V: 0, Graph: &zero, Vertex: &zero}})
+	var ae *client.Error
+	if !errors.As(err, &ae) || ae.Code != client.CodeReadOnly || ae.Detail != other.URL || ae.Applied != 5 {
+		t.Fatalf("IngestFrames = %v, want the read_only refusal with 5 applied", err)
+	}
+	if refusing.Load() != 1 || named.Load() != 0 {
+		t.Fatalf("the refusing server was hit %d times and the named one %d, want 1 and 0", refusing.Load(), named.Load())
+	}
+}
+
 // TestTailWALClient drives the tail endpoint through the SDK: history
 // without waiting, resumption from a sequence, and typed errors for
 // untailable sessions.

@@ -1,10 +1,12 @@
 // Command wfverify is the offline integrity auditor for a wfserve
 // data directory: it re-verifies every session's tamper-evidence
 // anchors — the Merkle root its latest arena snapshot recorded over
-// the label extents, and the WAL hash-chain head the snapshot
-// anchored at its watermark — from the raw files alone. Run it
-// against a stopped server's -data directory or a filesystem
-// snapshot of one; it never writes.
+// the label extents, and the snapshot's anchor in the WAL: a frame
+// ending at its watermark, the record count and the hash-chain head
+// there — from the raw files alone, with restore's walk and anchor
+// check; a log that ends before the watermark is a violation that says
+// so. Run it against a stopped server's -data directory or a
+// filesystem snapshot of one; it never writes.
 //
 // Usage:
 //

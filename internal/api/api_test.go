@@ -146,3 +146,29 @@ func TestAsError(t *testing.T) {
 		t.Fatalf("AsError(plain) = %+v", got)
 	}
 }
+
+// TestRedirectFromError: a routing refusal names where to resend only
+// while it applied nothing; one that carries Applied > 0 — a seal that
+// landed between the chunks of a binary body — is no redirect, and
+// neither is another code or a refusal without a detail.
+func TestRedirectFromError(t *testing.T) {
+	const to = "http://owner.example:8080"
+	for _, tc := range []struct {
+		name string
+		err  error
+		ok   bool
+	}{
+		{"read_only, nothing applied", Errorf(CodeReadOnly, "sealed").WithDetail(to), true},
+		{"wrong_node, wrapped", fmt.Errorf("outer: %w", Errorf(CodeWrongNode, "not mine").WithDetail(to)), true},
+		{"read_only, 5 applied", &Error{Code: CodeReadOnly, Message: "sealed", Detail: to, Applied: 5}, false},
+		{"wrong_node, 5 applied", &Error{Code: CodeWrongNode, Message: "not mine", Detail: to, Applied: 5}, false},
+		{"read_only without a detail", Errorf(CodeReadOnly, "sealed"), false},
+		{"another code", Errorf(CodeBadEvent, "bad").WithDetail(to), false},
+		{"not an *Error", errors.New(to), false},
+	} {
+		u, ok := RedirectFromError(tc.err)
+		if ok != tc.ok || (ok && u != to) {
+			t.Errorf("%s: RedirectFromError = %q, %v; want ok %v", tc.name, u, ok, tc.ok)
+		}
+	}
+}

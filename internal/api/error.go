@@ -162,11 +162,13 @@ func AsError(err error, fallback ErrorCode) *Error {
 
 // RedirectFromError extracts the base URL a routing refusal names: the
 // detail of a *Error (possibly wrapped) with CodeReadOnly or
-// CodeWrongNode. A routing refusal is issued before anything is
-// applied, so the request — a write or a read — may be resent there.
+// CodeWrongNode that applied nothing, so the request — a write or a
+// read — may be resent there. A seal that lands between the chunks of a
+// binary ingest body refuses the rest with Applied > 0: resending would
+// apply the chunks before it twice, so that refusal is no redirect.
 func RedirectFromError(err error) (string, bool) {
 	var ae *Error
-	if errors.As(err, &ae) && (ae.Code == CodeReadOnly || ae.Code == CodeWrongNode) && ae.Detail != "" {
+	if errors.As(err, &ae) && (ae.Code == CodeReadOnly || ae.Code == CodeWrongNode) && ae.Detail != "" && ae.Applied == 0 {
 		return ae.Detail, true
 	}
 	return "", false

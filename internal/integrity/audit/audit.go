@@ -8,14 +8,19 @@
 //
 //  1. the snapshot's label extents hash to its recorded Merkle root
 //     (the labels served zero-copy were not rewritten);
-//  2. the WAL's bytes below the snapshot's watermark chain to the
-//     head the snapshot anchored (history the next restore will skip
-//     replaying was not rewritten — the check a boot-time replay
-//     cannot make for it);
-//  3. the WAL's tail past the watermark is structurally intact, and
-//     its records extend the chain to a final head the report carries
-//     for comparison against an externally recorded anchor (the
-//     /integrity endpoint's chain_head).
+//  2. the WAL below the snapshot's watermark matches the snapshot's
+//     anchor: a frame ends there, and the frames below it carry the
+//     records the snapshot covers and chain to the head it recorded
+//     (history the next restore will skip replaying was not rewritten);
+//  3. the records past the watermark extend the chain to a final head
+//     the report carries for comparison against an externally recorded
+//     anchor (the /integrity endpoint's chain_head).
+//
+// It reads the log with restore's walk and anchor check (wal.Walk,
+// wal.Anchor.Check); a log that ends before the watermark is a
+// violation that says so. A damaged frame past the watermark ends both
+// readers' walks, intact frames after it or not: restore truncates the
+// log there, and the audit verifies the records before it.
 //
 // Without an external anchor the tail past the last snapshot is
 // CRC-protected only: a rewrite there that fixes the CRCs is
@@ -31,9 +36,11 @@
 package audit
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -126,51 +133,50 @@ func VerifyDir(dir string) (*Report, error) {
 // only check that covers the tail past the last snapshot.
 func VerifySession(sdir, expectHead string) SessionReport {
 	rep := SessionReport{Session: filepath.Base(sdir), Status: StatusUnavailable}
-	walPath := filepath.Join(sdir, walFile)
 
 	// Decode the snapshot's anchors, if it has any.
-	var seed integrity.Head // chain seed for the scan past the watermark
-	var fromWm int64        // byte offset the tail scan starts at
+	var anchor *wal.Anchor
 	a, err := arena.Open(filepath.Join(sdir, snapFile))
 	switch {
 	case errors.Is(err, fs.ErrNotExist) || errors.Is(err, arena.ErrVersion):
-		// No snapshot the server would read: chain from genesis.
+		// No snapshot the server would read: the chain from genesis is all.
 	case err != nil:
 		return rep.fail("open snapshot: %v", err)
 	default:
 		defer a.Close()
-		root, anchor := a.Integrity()
+		root, head := a.Integrity()
 		rep.SnapshotWatermark = a.Events()
 		rep.MerkleRoot = root.String()
-		rep.AnchorHead = anchor.String()
+		rep.AnchorHead = head.String()
 		if err := a.VerifyMerkle(); err != nil {
 			return rep.fail("%v", err)
 		}
-		// Re-chain the WAL below the watermark: every byte the next
-		// restore would trust without replaying must still hash to the
-		// head the snapshot committed to.
-		head, n, err := wal.ChainTo(walPath, 0, a.WALBytes(), integrity.Head{})
-		if err != nil {
-			return rep.fail("chain below snapshot watermark: %v", err)
-		}
-		if head != anchor {
-			return rep.fail("WAL chain head %s over records 1..%d does not match the snapshot's anchor %s: history below the watermark was rewritten", head, n, anchor)
-		}
-		rep.WALRecords = n
-		seed, fromWm = head, a.WALBytes()
-		rep.Status = StatusVerified
+		anchor = &wal.Anchor{Records: a.Events(), Watermark: a.WALBytes(), Head: head}
 	}
 
-	// Extend the chain over the tail (or, without a snapshot, the
-	// whole log). A torn tail — trailing bytes that never formed a
-	// complete frame — is a legal crash artifact, but damage to a
-	// complete record is corruption either way.
-	head, n, _, err := wal.ChainScan(walPath, fromWm, seed)
-	if err != nil {
-		return rep.fail("chain WAL tail: %v", err)
+	// Chain the whole log, holding it to the anchor at the watermark.
+	w := wal.OpenWalk(filepath.Join(sdir, walFile), 0)
+	defer w.Close()
+	chainer := integrity.NewChainer()
+	var head integrity.Head
+	fold := func(until int64) {
+		for w.End() < until && w.Next() {
+			head = chainer.Extend(head, w.Frame())
+		}
 	}
-	rep.TailRecords = n
-	rep.WALRecords += n
+	var covered int64
+	if anchor != nil {
+		fold(anchor.Watermark)
+		if err := cmp.Or(w.Err(), anchor.Check(w.Seq(), w.End(), head)); err != nil {
+			return rep.fail("chain below snapshot watermark: %v", err)
+		}
+		covered, rep.Status = w.Seq(), StatusVerified
+	}
+	fold(math.MaxInt64)
+	if err := w.Err(); err != nil {
+		return rep.fail("read WAL: %v", err)
+	}
+	rep.WALRecords, rep.TailRecords = w.Seq(), w.Seq()-covered
 	rep.ChainHead = head.String()
 	if expectHead != "" && rep.ChainHead != expectHead {
 		return rep.fail("WAL chain head %s does not match the recorded anchor %s", rep.ChainHead, expectHead)

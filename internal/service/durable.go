@@ -2,11 +2,11 @@ package service
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -17,7 +17,6 @@ import (
 	"wfreach/internal/api"
 	"wfreach/internal/arena"
 	"wfreach/internal/core"
-	"wfreach/internal/graph"
 	"wfreach/internal/integrity"
 	"wfreach/internal/spec"
 	"wfreach/internal/store"
@@ -492,35 +491,35 @@ type replayed struct {
 	head           integrity.Head
 }
 
-// replay rebuilds the session's labeler and store in one pass over its
-// log, up to byte stop when stop is not negative: every frame is
-// decoded whole, its records run through the labeler, and the frame
-// folded into the hash chain. The walk ends before the first frame that
-// is torn, corrupt, does not decode whole or has its first record
-// rejected by the labeler — the valid prefix is kept, the caller
-// truncates the rest. A rejection further into a frame ends the pass
-// with errFrameRefused, the labeler having taken part of the frame.
+// replay rebuilds the session's labeler and store in one walk of its
+// log (wal.Walk), up to byte stop when stop is not negative: every
+// frame's records run through the labeler and the frame is folded into
+// the hash chain. The walk ends where a wal.Walk does, or before a frame
+// whose first record the labeler rejects — the valid prefix is kept,
+// the caller truncates the rest. A rejection further into a frame ends
+// the pass with errFrameRefused, the labeler having taken part of it.
 //
 // With an arena snapshot a, the store adopts the arena's label region —
 // its label bytes are served from the mapping, never decoded or copied
-// — and only records past its event watermark are encoded and staged.
-// The arena must prove itself first: its label bytes against its Merkle
-// root, and, where the walk reaches its byte watermark, the chain head
-// over the log so far against its anchor. A frame straddling the
-// watermark, or damage before it while the file goes on beyond it, is
-// the same refusal: history the snapshot covers was rewritten, and the
-// error says so instead of booting on forged provenance. When the
-// snapshot covers the whole file (a graceful shutdown) the walk only
-// hashes, and the labeler — needed for ingest, never for queries — is
-// rebuilt at the first batch (ensureLabelerLocked).
+// — and only records past its watermark are encoded and staged. The
+// arena must prove itself first: its label bytes against its Merkle
+// root, and the log against its anchor (wal.Anchor.Check) once the walk
+// reaches the watermark. A log that fails the check is history the
+// snapshot covers rewritten, and the error says so instead of booting
+// on forged provenance; only a file shorter than the watermark (an OS
+// crash with Fsync off) is errArenaUnbacked. When the snapshot covers
+// the whole file (a graceful shutdown) the walk only hashes, and the
+// labeler — needed for ingest, never for queries — is rebuilt at the
+// first batch (ensureLabelerLocked).
 //
 // replay resets the labeler and the store, so it can be run again
 // without the arena after errArenaUnbacked; the store it replaces is
 // retired, which gives back a mapping the earlier pass adopted. a is
 // the caller's until the store adopts it. It never writes a file.
 func (s *Session) replay(a *arena.Arena, stop int64) (replayed, error) {
+	path := filepath.Join(s.dir, walFile)
 	var size int64
-	switch fi, err := os.Stat(s.walPath); {
+	switch fi, err := os.Stat(path); {
 	case err == nil:
 		size = fi.Size()
 	case !errors.Is(err, fs.ErrNotExist):
@@ -531,8 +530,7 @@ func (s *Session) replay(a *arena.Arena, stop int64) (replayed, error) {
 		s.store.Retire()
 	}
 	s.store = store.New(s.g, s.cfg.Skeleton)
-	var covered, watermark int64 // records and log bytes the arena covers
-	var anchor integrity.Head
+	var anchor wal.Anchor
 	if a != nil {
 		if a.WALBytes() > size {
 			return replayed{}, errArenaUnbacked
@@ -551,71 +549,57 @@ func (s *Session) replay(a *arena.Arena, stop int64) (replayed, error) {
 		// Verified and indexed: every page has been read once and none
 		// is needed again until a query asks for it.
 		s.store.EvictArena()
-		covered, watermark = a.Events(), a.WALBytes()
-		_, anchor = a.Integrity()
+		_, head := a.Integrity()
+		anchor = wal.Anchor{Records: a.Events(), Watermark: a.WALBytes(), Head: head}
 	}
-	hashOnly := a != nil && size == watermark
+	hashOnly := a != nil && size == anchor.Watermark
 
-	fr, f, err := wal.OpenFrames(s.walPath, 0)
-	if err != nil {
-		return replayed{}, err
-	}
-	defer f.Close()
+	w := wal.OpenWalk(path, 0)
+	defer w.Close()
 	var out replayed
 	chainer := integrity.NewChainer()
-	anchored := a == nil
-	// One record and predecessor buffer serves every frame: the labeler
-	// copies what it keeps, and the records are dropped before the next
-	// decode.
-	var recs []wal.Record
-	var preds []graph.VertexID
+	anchored := a == nil // till then records are labelled, not staged
 walk:
 	for stop < 0 || out.validSize < stop {
-		if !anchored && out.validSize == watermark {
-			if out.head != anchor || out.events != covered {
-				return replayed{}, fmt.Errorf("integrity: WAL chain head %s at snapshot watermark (record %d) does not match the snapshot's anchor %s (record %d): history below the watermark was rewritten",
-					out.head, out.events, anchor, covered)
+		if !anchored && out.validSize >= anchor.Watermark {
+			if err := anchor.Check(out.events, out.validSize, out.head); err != nil {
+				return replayed{}, fmt.Errorf("integrity: %w", err)
 			}
 			anchored = true
 		}
-		frame, err := fr.Next()
-		switch {
-		case err == io.EOF, errors.Is(err, wal.ErrCorrupt):
-			break walk
-		case err != nil:
-			return replayed{}, err
+		if !w.Next() {
+			break
 		}
-		preds = preds[:0]
-		if recs, err = wal.DecodePayload(recs[:0], &preds, frame[wal.FrameHeaderSize:]); err != nil {
-			break walk // framed but malformed: damage like a failed CRC
-		}
+		recs := w.Records()
 		for k := 0; k < len(recs) && !hashOnly; k++ {
 			v, l, err := s.labelRecord(recs[k])
 			switch {
-			case err != nil && out.events < covered:
+			case err != nil && !anchored:
 				// The log cannot re-issue a label the arena holds.
 				return replayed{}, errArenaUnbacked
 			case err != nil && k > 0:
 				return out, errFrameRefused
 			case err != nil:
 				break walk
-			case out.events >= covered:
+			case anchored:
 				if err := s.store.Stage(v, l); err != nil {
 					return replayed{}, err
 				}
 			}
 		}
-		out.head = chainer.Extend(out.head, frame)
-		out.events += int64(len(recs))
+		out.head = chainer.Extend(out.head, w.Frame())
+		out.events = w.Seq()
 		out.frames++
-		out.validSize = fr.Offset()
+		out.validSize = w.End()
+	}
+	if err := w.Err(); err != nil {
+		return replayed{}, err
 	}
 	if !anchored {
-		return replayed{}, fmt.Errorf("integrity: chain over covered WAL prefix: %w: valid frames end at byte %d, not at the snapshot's watermark %d",
-			wal.ErrCorrupt, out.validSize, watermark)
+		return replayed{}, fmt.Errorf("integrity: %w", anchor.Check(out.events, out.validSize, out.head))
 	}
 	s.store.Publish()
-	s.needLabelerReplay = hashOnly && covered > 0
+	s.needLabelerReplay = hashOnly && anchor.Records > 0
 	return out, nil
 }
 
@@ -736,7 +720,7 @@ func (r *Registry) restoreSession(sdir, dirName string) (*Session, error) {
 		return nil, fmt.Errorf("bad %s: %w", specFile, err)
 	}
 
-	s := &Session{name: meta.Name, g: g, cfg: cfg, walPath: filepath.Join(sdir, walFile)}
+	s := &Session{name: meta.Name, g: g, cfg: cfg, dir: sdir}
 	s.bindMetrics(r.metrics)
 
 	// A snapshot is only a cache of the log: a usable one is mapped and
@@ -806,7 +790,7 @@ func (r *Registry) restoreSession(sdir, dirName string) (*Session, error) {
 		// The replayed count seeds the log's absolute sequence numbers,
 		// so WAL shipping keeps one continuous numbering across restarts,
 		// and the replayed head the chain the log continues.
-		log, err := wal.Open(s.walPath, rep.validSize, rep.events, r.durable.Fsync)
+		log, err := wal.Open(filepath.Join(sdir, walFile), rep.validSize, rep.events, r.durable.Fsync)
 		if err != nil {
 			return nil, err
 		}
@@ -872,8 +856,18 @@ func (s *Session) ChainAt(seq int64) (integrity.Head, error) {
 		return integrity.Head{}, api.Errorf(api.CodeNotDurable, "session %q has no hash-chained log", s.name)
 	case n < seq:
 		return integrity.Head{}, fmt.Errorf("service: session %q: log holds %d records, not %d", s.name, n, seq)
-	case n > seq:
-		return wal.ChainPrefix(s.walPath, seq)
+	case n == seq:
+		return head, nil
+	}
+	w := wal.OpenWalk(filepath.Join(s.dir, walFile), 0)
+	defer w.Close()
+	chainer := integrity.NewChainer()
+	head = integrity.Head{}
+	for w.Seq() < seq && w.Next() {
+		head = chainer.Extend(head, w.Frame())
+	}
+	if w.Seq() != seq { // a walk that failed to read ends short
+		return integrity.Head{}, cmp.Or(w.Err(), fmt.Errorf("service: session %q: its log holds no frame boundary at record %d (one ends at %d)", s.name, seq, w.Seq()))
 	}
 	return head, nil
 }

@@ -630,10 +630,14 @@ func handleEventsBinary(s *Session, free *scratchList[*ingestScratch], w http.Re
 }
 
 // writeIngestError reports an AppendRecords failure: a poisoned
-// durable session is the server's fault, anything else is the event
-// at the failing index (== applied, counted over the whole request).
+// durable session is the server's fault, a sealed one a routing
+// refusal that names the new owner (Session.Seal), and anything else is
+// the event at the failing index (== applied, counted over the whole
+// request). A seal that lands between the chunks of a binary body is
+// refused with the chunks before it applied, which the client must not
+// resend (api.RedirectFromError).
 func writeIngestError(w http.ResponseWriter, err error, applied int) {
-	if errors.Is(err, ErrDurability) {
+	if _, redirect := api.RedirectFromError(err); redirect || errors.Is(err, ErrDurability) {
 		writeErrorApplied(w, err, applied)
 		return
 	}

@@ -22,6 +22,24 @@ import (
 	"wfreach/internal/wal"
 )
 
+// chainWalk walks the log at path from genesis as restore does,
+// folding every frame into the hash chain, and returns the head and the
+// records the frames carry.
+func chainWalk(t *testing.T, path string) (integrity.Head, int64) {
+	t.Helper()
+	w := wal.OpenWalk(path, 0)
+	defer w.Close()
+	chainer := integrity.NewChainer()
+	var head integrity.Head
+	for w.Next() {
+		head = chainer.Extend(head, w.Frame())
+	}
+	if err := w.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return head, w.Seq()
+}
+
 // tamperWALRecord flips one payload byte of the idx-th (0-based)
 // record in the WAL at path — the last byte of that record, inside
 // whatever batch frame carries it — and recomputes the frame CRC,
@@ -106,9 +124,9 @@ func TestIntegrityLiveEndpoint(t *testing.T) {
 	if st.Session != "live" || st.WALSeq != s.WALSeq() {
 		t.Fatalf("integrity = %+v, wal seq %d", st, s.WALSeq())
 	}
-	head, n, _, err := wal.ChainScan(filepath.Join(dir, "live", walFile), 0, integrity.Head{})
-	if err != nil || n != st.WALSeq {
-		t.Fatalf("file scan: n=%d err=%v", n, err)
+	head, n := chainWalk(t, filepath.Join(dir, "live", walFile))
+	if n != st.WALSeq {
+		t.Fatalf("file scan: n=%d", n)
 	}
 	if st.ChainHead != head.String() {
 		t.Fatalf("endpoint chain %s, file chain %s", st.ChainHead, head)
@@ -231,9 +249,9 @@ func TestTornTailChainReseed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	head, n, _, err := wal.ChainScan(walPath, 0, integrity.Head{})
-	if err != nil || n != survived {
-		t.Fatalf("file scan n=%d err=%v", n, err)
+	head, n := chainWalk(t, walPath)
+	if n != survived {
+		t.Fatalf("file scan n=%d", n)
 	}
 	if st.ChainHead != head.String() {
 		t.Fatalf("re-seeded chain %s, file chain %s", st.ChainHead, head)
@@ -248,9 +266,9 @@ func TestTornTailChainReseed(t *testing.T) {
 	if err := reg2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	full, n2, _, err := wal.ChainScan(walPath, 0, integrity.Head{})
-	if err != nil || n2 != int64(len(events)) {
-		t.Fatalf("final scan n=%d err=%v", n2, err)
+	full, n2 := chainWalk(t, walPath)
+	if n2 != int64(len(events)) {
+		t.Fatalf("final scan n=%d", n2)
 	}
 	if st2.ChainHead != full.String() {
 		t.Fatalf("post-append chain %s, file says %s", st2.ChainHead, full)
@@ -465,6 +483,50 @@ func TestIntegrityUnavailableOnLegacySnapshot(t *testing.T) {
 		}
 		if rep := audit.VerifySession(filepath.Join(dir, "old"), ""); rep.Status != audit.StatusVerified || rep.SnapshotWatermark != n {
 			t.Fatalf("%s: after the next checkpoint, audit = %+v", legacy.name, rep)
+		}
+	}
+}
+
+// TestChainAtWalksTheLog: the head over a session's first seq events is
+// the live head when the log holds exactly seq, and otherwise the head a
+// walk of the log reaches at seq — the head the live log reported at
+// that sequence, whatever follows, genesis at 0. A sequence past the end
+// of the log, or inside a batch frame, has no head.
+func TestChainAtWalksTheLog(t *testing.T) {
+	dir := t.TempDir()
+	reg := durableReg(t, dir, DurableOptions{SnapshotEvery: -1})
+	defer reg.Close()
+	g := compileBuiltin(t, "BioAID")
+	s, err := reg.Create("walk", g, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, _ := genEvents(t, g, 200, 12)
+	appendFramed(t, s, events[:80], 20)
+	_, at80, _ := s.ChainState()
+	appendFramed(t, s, events[80:160], 20)
+	seq, live, ok := s.ChainState()
+	if !ok || seq != 160 {
+		t.Fatalf("ChainState = (%d, %v)", seq, ok)
+	}
+	for _, tc := range []struct {
+		name string
+		seq  int64
+		want integrity.Head
+		bad  string // a substring of the error; empty: want holds
+	}{
+		{name: "the live head", seq: 160, want: live},
+		{name: "a frame boundary below the live head", seq: 80, want: at80},
+		{name: "genesis", seq: 0},
+		{name: "past the end of the log", seq: 161, bad: "holds 160 records"},
+		{name: "inside a batch frame", seq: 90, bad: "no frame boundary at record 90"},
+	} {
+		head, err := s.ChainAt(tc.seq)
+		switch {
+		case tc.bad != "" && (err == nil || !strings.Contains(err.Error(), tc.bad)):
+			t.Errorf("%s: ChainAt(%d) = (%s, %v), want an error saying %q", tc.name, tc.seq, head, err, tc.bad)
+		case tc.bad == "" && (err != nil || head != tc.want):
+			t.Errorf("%s: ChainAt(%d) = (%s, %v), want %s", tc.name, tc.seq, head, err, tc.want)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
@@ -12,6 +13,8 @@ import (
 
 	"wfreach/internal/api"
 	"wfreach/internal/gen"
+	"wfreach/internal/graph"
+	"wfreach/internal/run"
 	"wfreach/internal/spec"
 	"wfreach/internal/wal"
 	"wfreach/internal/wfspecs"
@@ -58,6 +61,42 @@ func ingestGenerated(t testing.TB, reg *Registry, name string, size int, seed in
 		}
 	}
 	return len(events)
+}
+
+// TestSealedIngestAnswers421: a batch Session.Seal refuses — it passed
+// the routing gate before a move's override landed — reaches the client
+// as the routing refusal it is, in either body form: 421 read_only
+// naming the new owner, with nothing applied, so the SDK's one-hop
+// redirect may resend it there.
+func TestSealedIngestAnswers421(t *testing.T) {
+	reg, _, srv := newDurableTestServer(t)
+	n := ingestGenerated(t, reg, "sealed", 100, 3)
+	s, _ := reg.Get("sealed")
+	const owner = "http://owner.example:8080"
+	s.Seal(owner)
+	url := srv.URL + "/v1/sessions/sealed/events"
+	next := run.Event{V: graph.VertexID(n)}
+	for _, tc := range []struct {
+		form string
+		post func() (int, string)
+	}{
+		{"JSON", func() (int, string) {
+			return doJSON(t, "POST", url, api.EventsRequest{Events: []api.Event{api.FromRun(next)}}, nil)
+		}},
+		{"binary", func() (int, string) { return postBinary(t, url, frameStream(t, []run.Event{next}), nil) }},
+	} {
+		code, raw := tc.post()
+		var resp api.ErrorResponse
+		if err := json.Unmarshal([]byte(raw), &resp); err != nil || resp.Err == nil {
+			t.Fatalf("%s: %d %s", tc.form, code, raw)
+		}
+		if code != http.StatusMisdirectedRequest || resp.Err.Code != api.CodeReadOnly || resp.Err.Detail != owner || resp.Applied != 0 {
+			t.Errorf("%s body into a sealed session: %d %s, want 421 read_only naming %s with nothing applied", tc.form, code, raw, owner)
+		}
+	}
+	if got := s.Vertices(); got != int64(n) {
+		t.Fatalf("the sealed session took events: %d vertices, had %d", got, n)
+	}
 }
 
 // TestHTTPWALTail checks the tail endpoint ships the session's WAL

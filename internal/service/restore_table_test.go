@@ -1,8 +1,10 @@
 package service
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"slices"
@@ -13,19 +15,28 @@ import (
 	"wfreach/internal/core"
 	"wfreach/internal/graph"
 	"wfreach/internal/integrity"
+	"wfreach/internal/integrity/audit"
 	"wfreach/internal/skeleton"
 	"wfreach/internal/wal"
 )
 
-// TestRestoreCutAndFlipTable is the restore contract as one table, on a
+// TestRestoreCutAndFlipTable is the contract of the two readers of a
+// data directory, restore and the offline auditor, as one table, on a
 // crash image with an arena snapshot mid-stream and a WAL tail past it,
 // one frame per 25-event batch: the log cut at every byte of its last
-// two frames, and one byte flipped in a frame the snapshot covers, in a
-// tail frame, in the arena's label extent and in its header. Every row
-// names its class — boot, boot with the damaged tail truncated, or an
-// integrity refusal — and, where the session boots, the frames and
-// records recovered, Vertices(), the chain head the reopened log
-// continues from and the size the log was truncated to. A cut inside a
+// two frames and on a frame boundary below the watermark, one byte
+// flipped in a frame the snapshot covers, in a tail frame followed by
+// intact ones, in the arena's label extent and in its header, and the
+// header's event count rewritten by one either way with its CRC fixed.
+// Every row names restore's class — boot, boot with the damaged tail
+// truncated, or an integrity refusal — and, where the session boots,
+// the frames and records recovered, Vertices(), the chain head the
+// reopened log continues from and the size the log was truncated to.
+// Every row also names wfverify's status on the same directory, audited
+// before the restore touches it, and, short of a violation, the records
+// and chain head it walked. Both read the log with one walk and hold it
+// to one anchor check, so a flip in a tail frame ends both walks there:
+// restore truncates, the audit verifies the prefix before it. A cut inside a
 // batch frame loses that whole batch and nothing before it, and a tail
 // frame the labeler refuses past its first record is cut whole with the
 // labeler left at the prefix, so the stream goes on from there. The
@@ -109,8 +120,16 @@ func TestRestoreCutAndFlipTable(t *testing.T) {
 		wal    []byte // the damaged log; nil: pristine
 		snap   []byte // the damaged snapshot; nil: pristine
 		class  string
-		frames int // recovered, when the session boots
-		arena  int // labels served from the arena, when it boots
+		why    string // a substring of restore's refusal
+		frames int    // recovered, when the session boots
+		arena  int    // labels served from the arena, when it boots
+		// verify is wfverify's status and verifyErr a substring of its
+		// violation. Short of one it walks walked frames (0: frames) to
+		// walkedHead (zero: the pristine log's head there).
+		verify     audit.Status
+		verifyErr  string
+		walked     int
+		walkedHead integrity.Head
 		// resnap: go on ingesting after the restore and require the next
 		// snapshot to replace the file with one this build opens.
 		resnap bool
@@ -122,18 +141,45 @@ func TestRestoreCutAndFlipTable(t *testing.T) {
 		out[at] ^= 0x01
 		return out
 	}
+	// withEvents rewrites the snapshot header's event count by delta and
+	// fixes the CRC over the header and index: only the anchor check can
+	// tell.
+	withEvents := func(delta int64) []byte {
+		out := slices.Clone(snapRaw)
+		binary.LittleEndian.PutUint64(out[8:], uint64(int64(binary.LittleEndian.Uint64(out[8:]))+delta))
+		const hdr = 116
+		index := out[hdr : hdr+binary.LittleEndian.Uint64(out[104:])]
+		binary.LittleEndian.PutUint32(out[hdr-4:], crc32.Update(crc32.ChecksumIEEE(out[8:hdr-4]), crc32.IEEETable, index))
+		return out
+	}
+	counts := func(delta int) string {
+		return fmt.Sprintf("the log holds %d records below the watermark, the snapshot covers %d", covered, covered+delta)
+	}
+	const verified, unavailable, violation = audit.StatusVerified, audit.StatusUnavailable, audit.StatusViolation
 	rows := []row{
-		{name: "pristine", class: boot, frames: n, arena: labels},
-		{name: "flip in a covered frame", wal: flipped(walRaw, ends[c/2]+9), class: refuse},
-		{name: "flip in a tail frame", wal: flipped(walRaw, ends[c+1]+9), class: cutTail, frames: c + 1, arena: labels},
-		{name: "flip in the arena label extent", snap: flipped(snapRaw, int64(len(snapRaw))-2), class: refuse},
-		{name: "flip in the arena header", snap: flipped(snapRaw, 50), class: boot, frames: n},
-		{name: "WFSNAP02 snapshot", snap: append([]byte("WFSNAP02"), snapRaw[8:]...), class: boot, frames: n, resnap: true},
-		{name: "WFSNAP04 snapshot", snap: append([]byte("WFSNAP04"), snapRaw[8:]...), class: boot, frames: n, resnap: true},
-		{name: "WFSNAP05 snapshot", snap: append([]byte("WFSNAP05"), snapRaw[8:]...), class: boot, frames: n, resnap: true},
-		{name: "WFSNAP06 snapshot", snap: append([]byte("WFSNAP06"), snapRaw[8:]...), class: boot, frames: n, resnap: true},
-		{name: "cut inside the last batch frame", wal: walRaw[:(ends[n-1]+ends[n])/2], class: cutTail, frames: n - 1, arena: labels, resume: true},
-		{name: "tail frame refused after its first record", wal: slices.Concat(walRaw[:ends[n-1]], refusedTail), class: cutTail, frames: n - 1, resume: true},
+		{name: "pristine", class: boot, frames: n, arena: labels, verify: verified},
+		{name: "flip in a covered frame", wal: flipped(walRaw, ends[c/2]+9), class: refuse,
+			verify: violation, verifyErr: "end before the snapshot's watermark"},
+		{name: "flip in a tail frame followed by intact frames", wal: flipped(walRaw, ends[c+1]+9), class: cutTail, frames: c + 1, arena: labels,
+			verify: verified},
+		{name: "flip in the arena label extent", snap: flipped(snapRaw, int64(len(snapRaw))-2), class: refuse,
+			verify: violation, verifyErr: "Merkle"},
+		{name: "flip in the arena header", snap: flipped(snapRaw, 50), class: boot, frames: n,
+			verify: violation, verifyErr: "open snapshot"},
+		{name: "events rewritten by +1", snap: withEvents(+1), class: refuse, why: counts(+1),
+			verify: violation, verifyErr: counts(+1)},
+		{name: "events rewritten by -1", snap: withEvents(-1), class: refuse, why: counts(-1),
+			verify: violation, verifyErr: counts(-1)},
+		{name: "WFSNAP02 snapshot", snap: append([]byte("WFSNAP02"), snapRaw[8:]...), class: boot, frames: n, resnap: true, verify: unavailable},
+		{name: "WFSNAP04 snapshot", snap: append([]byte("WFSNAP04"), snapRaw[8:]...), class: boot, frames: n, resnap: true, verify: unavailable},
+		{name: "WFSNAP05 snapshot", snap: append([]byte("WFSNAP05"), snapRaw[8:]...), class: boot, frames: n, resnap: true, verify: unavailable},
+		{name: "WFSNAP06 snapshot", snap: append([]byte("WFSNAP06"), snapRaw[8:]...), class: boot, frames: n, resnap: true, verify: unavailable},
+		{name: "cut inside the last batch frame", wal: walRaw[:(ends[n-1]+ends[n])/2], class: cutTail, frames: n - 1, arena: labels, resume: true,
+			verify: verified},
+		{name: "cut on a frame boundary below the watermark", wal: walRaw[:ends[c-1]], class: boot, frames: c - 1,
+			verify: violation, verifyErr: "end before the snapshot's watermark"},
+		{name: "tail frame refused after its first record", wal: slices.Concat(walRaw[:ends[n-1]], refusedTail), class: cutTail, frames: n - 1, resume: true,
+			verify: verified, walked: n, walkedHead: integrity.NewChainer().Extend(heads[n-1], refusedTail)},
 	}
 	for cut := ends[n-2] + 1; cut < ends[n]; cut++ {
 		whole := n - 2
@@ -144,7 +190,7 @@ func TestRestoreCutAndFlipTable(t *testing.T) {
 		if cut == ends[whole] {
 			class = boot // cut on a frame boundary: nothing torn, just a shorter log
 		}
-		rows = append(rows, row{name: fmt.Sprintf("log cut at byte %d", cut), wal: walRaw[:cut], class: class, frames: whole, arena: labels})
+		rows = append(rows, row{name: fmt.Sprintf("log cut at byte %d", cut), wal: walRaw[:cut], class: class, frames: whole, arena: labels, verify: verified})
 	}
 
 	for _, tc := range rows {
@@ -176,11 +222,26 @@ func TestRestoreCutAndFlipTable(t *testing.T) {
 			t.Fatal(err)
 		}
 
+		rep := audit.VerifySession(sdir, "")
+		walked, walkedHead := cmp.Or(tc.walked, tc.frames), cmp.Or(tc.walkedHead, heads[cmp.Or(tc.walked, tc.frames)])
+		switch {
+		case rep.Status != tc.verify:
+			t.Errorf("%s: wfverify %s (%s), want %s", tc.name, rep.Status, rep.Err, tc.verify)
+		case tc.verify == violation:
+			if !strings.Contains(rep.Err, tc.verifyErr) {
+				t.Errorf("%s: wfverify's violation %q does not say %q", tc.name, rep.Err, tc.verifyErr)
+			}
+		case rep.WALRecords != int64(recs[walked]) || rep.ChainHead != walkedHead.String():
+			t.Errorf("%s: wfverify walked %d records to %s, want %d to %s", tc.name, rep.WALRecords, rep.ChainHead, recs[walked], walkedHead)
+		case tc.verify == verified && rep.TailRecords != rep.WALRecords-int64(covered):
+			t.Errorf("%s: wfverify counts %d tail records of %d past %d", tc.name, rep.TailRecords, rep.WALRecords, covered)
+		}
+
 		reg := durableReg(t, dir, DurableOptions{SnapshotEvery: -1})
 		_, err := reg.Restore(dir)
 		if tc.class == refuse {
-			if err == nil || !strings.Contains(err.Error(), "integrity") {
-				t.Errorf("%s: restore = %v, want an integrity refusal", tc.name, err)
+			if err == nil || !strings.Contains(err.Error(), "integrity") || !strings.Contains(err.Error(), tc.why) {
+				t.Errorf("%s: restore = %v, want an integrity refusal saying %q", tc.name, err, tc.why)
 			}
 			reg.Close()
 			continue

@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -105,7 +106,6 @@ type Session struct {
 	durable bool
 	dir     string
 	wal     *wal.Log
-	walPath string // the log file, for the deferred labeler replay
 	// frame is the scratch a batch's records are framed into on their
 	// way to the log — a whole batch when the caller sent no frames,
 	// the applied prefix of a teed frame the labeler stopped inside.
@@ -705,71 +705,48 @@ func (s *Session) ingestBlockedLocked() error {
 }
 
 // ensureLabelerLocked rebuilds the labeler state an arena restore
-// deferred: the first walEvents records of the log are replayed
-// through the labeler only — no encoding, no store writes, the store
-// already serves those labels from the mapping. One-shot: after a
-// successful rebuild the flag clears and every later batch pays
-// nothing. A rebuild failure poisons ingest (the store holds labels
-// the labeler cannot account for); queries keep working. Called with
+// deferred: a walk of the log (wal.Walk) feeds its first walEvents
+// records through the labeler only — no encoding, no store writes, no
+// hashing; the store already serves those labels from the mapping.
+// One-shot: after a successful rebuild the flag clears and every later
+// batch pays nothing. A rebuild failure, a log that ends short of
+// walEvents included, poisons ingest (the store holds labels the
+// labeler cannot account for); queries keep working. Called with
 // ingestMu held.
 func (s *Session) ensureLabelerLocked() error {
 	if !s.needLabelerReplay {
 		return nil
 	}
-	n, err := s.relabelLocked(s.walEvents)
-	if err == nil && n < s.walEvents {
-		err = fmt.Errorf("service: session %q: log holds %d records, restored state covers %d", s.name, n, s.walEvents)
-	}
-	if err != nil {
-		s.ioErr = fmt.Errorf("service: session %q: %w: %v", s.name, ErrDurability, err)
-		return s.ioErr
-	}
-	s.needLabelerReplay = false
-	return nil
-}
-
-// relabelLocked feeds the first target records of the log through the
-// labeler only and returns how many it fed. A torn or corrupt tail ends
-// the walk early, as it ends replay's. One record and predecessor
-// buffer serves every frame, as in replay: the labeler copies what it
-// keeps. Called with ingestMu held.
-func (s *Session) relabelLocked(target int64) (n int64, err error) {
-	fr, f, err := wal.OpenFrames(s.walPath, 0)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	var recs []wal.Record
-	var preds []graph.VertexID
-	for n < target {
-		frame, err := fr.Next()
-		switch {
-		case err == io.EOF, errors.Is(err, wal.ErrCorrupt):
-			return n, nil
-		case err != nil:
-			return n, fmt.Errorf("wal: %w", err)
-		}
-		preds = preds[:0]
-		if recs, err = wal.DecodePayload(recs[:0], &preds, frame[wal.FrameHeaderSize:]); err != nil {
-			return n, nil // framed but malformed: damage like a failed CRC
-		}
-		for _, rec := range recs[:min(int64(len(recs)), target-n)] {
+	w := wal.OpenWalk(filepath.Join(s.dir, walFile), 0)
+	defer w.Close()
+	var n int64
+	for n < s.walEvents && w.Next() {
+		recs := w.Records()
+		for _, rec := range recs[:min(int64(len(recs)), s.walEvents-n)] {
 			if _, _, err := s.labelRecord(rec); err != nil {
-				return n, fmt.Errorf("service: session %q: deferred replay at record %d: %w", s.name, n, err)
+				return s.poisonLocked(fmt.Errorf("deferred replay at record %d: %w", n, err))
 			}
 			n++
 		}
 	}
-	return n, nil
+	if err := w.Err(); err != nil {
+		return s.poisonLocked(err)
+	}
+	if n < s.walEvents {
+		return s.poisonLocked(fmt.Errorf("log holds %d records, restored state covers %d", n, s.walEvents))
+	}
+	s.needLabelerReplay = false
+	return nil
 }
 
 // Seal permanently stops ingest into the session and returns the
 // sequence of the last event it ever appended to its log — the final
 // handoff point of a session move. From the moment Seal returns, every
 // ingest attempt is rejected with CodeReadOnly naming the new owner's
-// base URL, so in-flight clients re-route with the one-hop redirect
-// they already use for followers; queries and WAL tails keep serving
-// the local copy. Taking ingestMu closes the race with in-flight
+// base URL, a 421 over HTTP, so in-flight clients re-route with the
+// one-hop redirect they use for followers unless part of their request
+// was applied (api.RedirectFromError); queries and WAL tails keep
+// serving the local copy. Taking ingestMu closes the race with in-flight
 // batches: a batch that acquired the lock first is covered by the
 // returned sequence, one that acquires it after is rejected.
 func (s *Session) Seal(newOwnerURL string) int64 {

@@ -12,7 +12,6 @@ import (
 
 	"wfreach/internal/api"
 	"wfreach/internal/graph"
-	"wfreach/internal/integrity"
 	"wfreach/internal/integrity/audit"
 	"wfreach/internal/run"
 	"wfreach/internal/wal"
@@ -251,9 +250,9 @@ func TestGoldenV1ContinuesInCompactRecords(t *testing.T) {
 	if !bytes.Equal(logged, slices.Concat(classic[:seam], compact)) {
 		t.Fatal("the log is not the classic prefix followed by one compact frame per appended batch")
 	}
-	head, n, _, err := wal.ChainScan(walPath, 0, integrity.Head{})
-	if err != nil || n != int64(len(events)) {
-		t.Fatalf("chain scan: %d records, %v", n, err)
+	head, n := chainWalk(t, walPath)
+	if n != int64(len(events)) {
+		t.Fatalf("chain walk: %d records", n)
 	}
 	if rep := audit.VerifySession(sdir, head.String()); rep.Status != audit.StatusVerified || rep.WALRecords != n {
 		t.Fatalf("audit = %+v", rep)

@@ -34,10 +34,9 @@
 // folds whole frames, so a chain head exists at frame boundaries only.
 //
 // A torn write — a crash mid-append — leaves a short or CRC-mismatched
-// frame at the tail; Scan detects it, reports the valid prefix, and
-// Open truncates the garbage before appending. A frame that passes its
-// CRC but does not decode whole is damage the same way: it is never
-// taken in part.
+// frame at the tail; a Walk ends there, and Open truncates the garbage
+// before appending. A frame that passes its CRC but does not decode
+// whole is damage the same way: it is never taken in part.
 // Corruption is only ever accepted at the tail: a bad frame hides
 // everything after it, by design, because the event stream is
 // meaningful only as a prefix.
@@ -54,7 +53,6 @@ import (
 	"math/bits"
 	"os"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -449,7 +447,7 @@ func decodeRecord(arena *[]graph.VertexID, b []byte, names bool) (Record, int, e
 // FrameReader reads a stream of frames — a log file, an ingest body, a
 // shipped tail — yielding each frame raw (header plus payload) once its
 // length prefix is in range and its CRC matches. It is the one place a
-// frame is checked on the way in; Scan, the chain walks, Tailer and the
+// frame is checked on the way in; the Walk, the Tailer and the
 // internal/api wire readers are loops over it, and decodePayload is the
 // one place its records are. It reads exactly the bytes of the frames
 // it returns, never ahead, so a caller may interleave its own reads on
@@ -517,55 +515,24 @@ func (fr *FrameReader) damaged(part string, err error) error {
 }
 
 // Offset returns the number of bytes in the frames returned so far —
-// the end of the stream's valid prefix.
+// the end of the stream's valid prefix; a Walk counts from the offset
+// it started at.
 func (fr *FrameReader) Offset() int64 { return fr.off }
 
-// OpenFrames opens the log at path for a read-only frame walk starting
-// at byte offset (a frame boundary). A missing file reads as an empty
-// stream. The caller closes the returned file.
-func OpenFrames(path string, offset int64) (*FrameReader, io.Closer, error) {
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		empty := io.NopCloser(strings.NewReader(""))
-		return NewFrameReader(empty), empty, nil
-	}
-	if err != nil {
-		return nil, nil, fmt.Errorf("wal: %w", err)
-	}
-	if _, err := f.Seek(offset, io.SeekStart); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("wal: %w", err)
-	}
-	return NewFrameReader(bufio.NewReaderSize(f, 256<<10)), f, nil
-}
-
 // Scan reads the log at path from the beginning, calling fn for each
-// intact record in order. It stops without error at the first torn or
-// corrupt frame — a crash can only damage the tail, and everything
-// after a bad frame is unrecoverable by construction — and returns
-// the number of records delivered plus the byte offset of the end of
-// the valid prefix (the offset Open should truncate to). A frame that
-// passes its CRC but does not decode whole counts as damage too, and
-// fn sees none of its records. A missing file scans as empty. An error
-// from fn aborts the scan and is returned as-is; validSize then ends
-// at the last frame fn saw whole.
+// intact record in order. It stops without error where the Walk does —
+// a crash can only damage the tail, and everything after a bad frame is
+// unrecoverable by construction — and returns the number of records
+// delivered plus the byte offset of the end of the valid prefix (the
+// offset Open should truncate to). fn sees none of the records of a
+// frame that passes its CRC but does not decode whole. A missing file
+// scans as empty. An error from fn aborts the scan and is returned
+// as-is; validSize then ends at the last frame fn saw whole.
 func Scan(path string, fn func(i int, rec Record) error) (n int, validSize int64, err error) {
-	fr, f, err := OpenFrames(path, 0)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer f.Close()
-	var recs []Record
-	var preds []graph.VertexID
-	for {
-		frame, err := fr.Next()
-		if err != nil {
-			return n, validSize, tailDamage(err)
-		}
-		if recs, err = DecodePayload(recs[:0], &preds, frame[FrameHeaderSize:]); err != nil {
-			return n, validSize, nil
-		}
-		for _, rec := range recs {
+	w := OpenWalk(path, 0)
+	defer w.Close()
+	for w.Next() {
+		for _, rec := range w.Records() {
 			if fn != nil {
 				if err := fn(n, rec); err != nil {
 					return n, validSize, err
@@ -573,9 +540,10 @@ func Scan(path string, fn func(i int, rec Record) error) (n int, validSize int64
 			}
 			n++
 		}
-		validSize = fr.Offset()
-		preds = nil // the records fn saw keep theirs
+		validSize = w.End()
+		w.preds = nil // the records fn saw keep theirs
 	}
+	return n, validSize, w.Err()
 }
 
 // recordCounter counts the records of frames with the payload walk,
@@ -589,15 +557,6 @@ func (c *recordCounter) count(frame []byte) (int, error) {
 	return n, err
 }
 
-// tailDamage is the file walks' torn-tail policy: a log may end on a
-// frame boundary or in damage, and both just end the valid prefix.
-func tailDamage(err error) error {
-	if err == io.EOF || errors.Is(err, ErrCorrupt) {
-		return nil
-	}
-	return fmt.Errorf("wal: %w", err)
-}
-
 // Log is an open write-ahead log. Appends must still come from one
 // goroutine at a time (the service serializes them under its
 // per-session ingest lock), but Flush and Close may be called
@@ -607,8 +566,8 @@ func tailDamage(err error) error {
 //
 // Every record in the log has an absolute sequence number: the first
 // record in the file is 1, a frame of k records advances it by k, and
-// Open seeds the counters with the record count a prior Scan reported,
-// so sequences survive restarts.
+// Open seeds the counters with the record count a prior walk of the
+// file reported, so sequences survive restarts.
 // AppendSeq and DurableSeq read the counters atomically; DurableAdvanced
 // is the subscription hook a Tailer uses to switch from history replay
 // to live tailing.
@@ -724,10 +683,11 @@ var errClosed = errors.New("wal: log closed")
 
 // Open opens (creating if absent) the log at path for appending and
 // truncates it to validSize, discarding any corrupt tail that a prior
-// Scan reported. records is the number of intact records in the valid
-// prefix (what the same Scan returned); it seeds the absolute
-// sequence counters, so the first record appended here gets sequence
-// records+1 and tailers see one continuous numbering across restarts.
+// walk of the file stopped at (Walk.End). records is the number of
+// intact records in the valid prefix (the same walk's Seq); it seeds
+// the absolute sequence counters, so the first record appended here
+// gets sequence records+1 and tailers see one continuous numbering
+// across restarts.
 // fsync selects whether Flush also forces the data to stable storage.
 func Open(path string, validSize int64, records int64, fsync bool) (*Log, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
@@ -751,7 +711,7 @@ func Open(path string, validSize int64, records int64, fsync bool) (*Log, error)
 	// An empty log starts its hash chain at genesis; a log reopened
 	// over existing records stays chainless until SeedChain installs
 	// the head of the prefix (restore hashes the prefix as it replays
-	// it; only the auditor uses ChainScan).
+	// it).
 	l.chainOn = records == 0
 	l.chainSeq = records
 	return l, nil

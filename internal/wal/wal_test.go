@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -244,32 +243,25 @@ func TestAppendRejectsOversizedRecord(t *testing.T) {
 	}
 }
 
-// framesFrom walks the log from a byte offset with the shared reader —
-// what every consumer that resumes at a recorded watermark does — and
-// returns the decoded records plus the absolute end of the valid
-// prefix.
+// framesFrom walks the log from a byte offset — what every consumer
+// that resumes at a recorded watermark does — and returns the decoded
+// records plus the absolute end of the valid prefix.
 func framesFrom(t *testing.T, path string, off int64) ([]Record, int64) {
 	t.Helper()
-	fr, f, err := OpenFrames(path, off)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
+	w := OpenWalk(path, off)
+	defer w.Close()
 	var got []Record
-	for {
-		frame, err := fr.Next()
-		if err == io.EOF {
-			return got, off + fr.Offset()
-		}
-		if err != nil {
-			t.Fatalf("offset %d: %v", off, err)
-		}
-		rec, err := decodeRecordInto(nil, frame[FrameHeaderSize:])
-		if err != nil {
-			t.Fatalf("offset %d: %v", off, err)
-		}
-		got = append(got, rec)
+	for w.Next() {
+		got = append(got, w.Records()...)
+		w.preds = nil // the records kept keep theirs
 	}
+	if err := w.Err(); err != nil {
+		t.Fatalf("offset %d: %v", off, err)
+	}
+	if w.Seq() != int64(len(got)) {
+		t.Fatalf("offset %d: the walk counts %d records, yielded %d", off, w.Seq(), len(got))
+	}
+	return got, w.End()
 }
 
 // TestScanFromBoundaries appends records one at a time, recording the
@@ -332,9 +324,8 @@ func TestScanFromPastEOF(t *testing.T) {
 		if got, size := framesFrom(t, tc.path, tc.off); len(got) != 0 || size != tc.off {
 			t.Fatalf("%s from %d: %d records, valid size %d", tc.path, tc.off, len(got), size)
 		}
-		head, n, size, err := ChainScan(tc.path, tc.off, integrity.Head{1})
-		if err != nil || n != 0 || size != tc.off || head != (integrity.Head{1}) {
-			t.Fatalf("ChainScan %s from %d: head=%s n=%d size=%d err=%v", tc.path, tc.off, head, n, size, err)
+		if head, n, size := chainWalk(t, tc.path, tc.off, integrity.Head{1}); n != 0 || size != tc.off || head != (integrity.Head{1}) {
+			t.Fatalf("chain walk %s from %d: head=%s n=%d size=%d", tc.path, tc.off, head, n, size)
 		}
 	}
 }
@@ -424,8 +415,8 @@ func TestBatchPastMaxPayloadSpansTwoFrames(t *testing.T) {
 	if !reflect.DeepEqual(got, recs) || size != int64(len(buf)) {
 		t.Fatalf("scanned %d records over %d of %d bytes", len(got), size, len(buf))
 	}
-	if _, n, _, err := ChainScan(path, 0, integrity.Head{}); err != nil || n != int64(len(recs)) {
-		t.Fatalf("chain scan: %d records, %v", n, err)
+	if _, n, _ := chainWalk(t, path, 0, integrity.Head{}); n != int64(len(recs)) {
+		t.Fatalf("chain walk: %d records", n)
 	}
 	// A record alone past the cap has no frame to go to.
 	big := NamedRecord(core.NamedEvent{V: 9, Name: strings.Repeat("n", MaxPayload)})

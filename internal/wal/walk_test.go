@@ -13,6 +13,41 @@ import (
 	"wfreach/internal/run"
 )
 
+// chainWalk folds every frame of a walk of the log at path from byte
+// offset into seed, as restore and the auditor do, and returns the head,
+// the records the frames carry and the end of the valid prefix.
+func chainWalk(t *testing.T, path string, offset int64, seed integrity.Head) (integrity.Head, int64, int64) {
+	t.Helper()
+	w := OpenWalk(path, offset)
+	defer w.Close()
+	chainer := integrity.NewChainer()
+	head := seed
+	for w.Next() {
+		head = chainer.Extend(head, w.Frame())
+	}
+	if err := w.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return head, w.Seq(), w.End()
+}
+
+// checkAnchor walks the log at path from genesis until it reaches or
+// passes the anchor's watermark or ends, and checks the anchor there.
+func checkAnchor(t *testing.T, path string, a Anchor) error {
+	t.Helper()
+	w := OpenWalk(path, 0)
+	defer w.Close()
+	chainer := integrity.NewChainer()
+	var head integrity.Head
+	for w.End() < a.Watermark && w.Next() {
+		head = chainer.Extend(head, w.Frame())
+	}
+	if err := w.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return a.Check(w.Seq(), w.End(), head)
+}
+
 // chainFixture appends n records to a fresh log, flushing in uneven
 // batches so the batched chain pass runs over group-commit-shaped
 // pending runs, and returns the path and the live log.
@@ -49,16 +84,12 @@ func TestChainHeadMatchesFileScan(t *testing.T) {
 	if !ok || seq != 53 {
 		t.Fatalf("ChainHead = (%d, _, %v), want (53, _, true)", seq, ok)
 	}
-	fileHead, n, validSize, err := ChainScan(path, 0, integrity.Head{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fileHead, n, validSize := chainWalk(t, path, 0, integrity.Head{})
 	if n != 53 || fileHead != head {
 		t.Fatalf("file scan (%d records, %s) disagrees with live head (%d, %s)", n, fileHead, seq, head)
 	}
-	toHead, n2, err := ChainTo(path, 0, validSize, integrity.Head{})
-	if err != nil || n2 != 53 || toHead != head {
-		t.Fatalf("ChainTo = (%s, %d, %v)", toHead, n2, err)
+	if err := checkAnchor(t, path, Anchor{Records: 53, Watermark: validSize, Head: head}); err != nil {
+		t.Fatalf("the live head as an anchor at the log's end: %v", err)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -81,9 +112,8 @@ func TestChainHeadPendingFold(t *testing.T) {
 	if err := l.Close(); err != nil { // Close flushes
 		t.Fatal(err)
 	}
-	fileHead, _, _, err := ChainScan(path, 0, integrity.Head{})
-	if err != nil || fileHead != head {
-		t.Fatalf("pending fold head %s, file says %s (%v)", head, fileHead, err)
+	if fileHead, _, _ := chainWalk(t, path, 0, integrity.Head{}); fileHead != head {
+		t.Fatalf("pending fold head %s, file says %s", head, fileHead)
 	}
 }
 
@@ -95,10 +125,7 @@ func TestChainSeedAcrossReopen(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	head, _, validSize, err := ChainScan(path, 0, integrity.Head{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	head, _, validSize := chainWalk(t, path, 0, integrity.Head{})
 
 	l2, err := Open(path, validSize, 20, false)
 	if err != nil {
@@ -121,16 +148,15 @@ func TestChainSeedAcrossReopen(t *testing.T) {
 	// One continuous hash over both generations agrees with the seeded
 	// continuation: scanning the tail from the seed lands on the same
 	// head as scanning the whole file from genesis.
-	fullHead, n, _, err := ChainScan(path, 0, integrity.Head{})
-	if err != nil || n != 21 {
-		t.Fatalf("ChainScan after reopen: n=%d err=%v", n, err)
+	fullHead, n, _ := chainWalk(t, path, 0, integrity.Head{})
+	if n != 21 {
+		t.Fatalf("walk after reopen: n=%d", n)
 	}
 	if fullHead != liveHead {
 		t.Fatalf("live seeded head %s, full-file scan %s", liveHead, fullHead)
 	}
-	contHead, n2, _, err := ChainScan(path, validSize, head)
-	if err != nil || n2 != 1 || contHead != fullHead {
-		t.Fatalf("seeded continuation %s over %d records, full scan %s (%v)", contHead, n2, fullHead, err)
+	if contHead, n2, _ := chainWalk(t, path, validSize, head); n2 != 1 || contHead != fullHead {
+		t.Fatalf("seeded continuation %s over %d records, full scan %s", contHead, n2, fullHead)
 	}
 }
 
@@ -147,14 +173,47 @@ func TestDisableChain(t *testing.T) {
 	l.Close()
 }
 
-// TestChainToRejectsMisalignedBoundary: every byte of [0, to) must be
-// intact frames landing exactly on to — a watermark that points inside
-// a frame is corruption, not a rounding error.
-func TestChainToRejectsMisalignedBoundary(t *testing.T) {
+// TestAnchorCheck is the one anchor check's table on a log of 12
+// one-record frames anchored after 8: it matches only where a frame
+// ends at the watermark with the anchored records and head below it; a
+// log cut below the watermark ends before it; a watermark inside a frame
+// — every byte of the prefix must be whole frames landing exactly on it
+// — a record count or a head the log does not have is rewritten history.
+func TestAnchorCheck(t *testing.T) {
 	path, l := chainFixture(t, 8)
+	_, at8, _ := l.ChainHead()
+	watermark := l.AppendBytes()
+	for i := 8; i < 12; i++ {
+		if err := logRecord(l, RefRecord(run.Event{V: graph.VertexID(i)})); err != nil {
+			t.Fatal(err)
+		}
+	}
 	l.Close()
-	if _, _, err := ChainTo(path, 0, 3, integrity.Head{}); err == nil {
-		t.Fatal("ChainTo accepted a boundary inside a frame")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := filepath.Join(t.TempDir(), "cut.wal")
+	if err := os.WriteFile(cut, raw[:FrameHeaderSize+binary.LittleEndian.Uint32(raw)], 0o644); err != nil { // the first frame alone
+		t.Fatal(err)
+	}
+	good := Anchor{Records: 8, Watermark: watermark, Head: at8}
+	for _, tc := range []struct {
+		name   string
+		path   string
+		anchor Anchor
+		want   error
+	}{
+		{"the log matches at the watermark", path, good, nil},
+		{"a log cut on a frame boundary below it", cut, good, ErrBeforeWatermark},
+		{"a watermark inside a frame", path, Anchor{Records: 0, Watermark: 3, Head: integrity.Head{}}, ErrRewritten},
+		{"one record fewer", path, Anchor{Records: 7, Watermark: watermark, Head: at8}, ErrRewritten},
+		{"one record more", path, Anchor{Records: 9, Watermark: watermark, Head: at8}, ErrRewritten},
+		{"another head", path, Anchor{Records: 8, Watermark: watermark, Head: integrity.Head{1}}, ErrRewritten},
+	} {
+		if err := checkAnchor(t, tc.path, tc.anchor); !errors.Is(err, tc.want) || (err == nil) != (tc.want == nil) {
+			t.Errorf("%s: %v, want %v", tc.name, err, tc.want)
+		}
 	}
 }
 
@@ -189,36 +248,27 @@ func TestChainCatchesCRCFixedRewrite(t *testing.T) {
 		t.Fatalf("Scan after CRC-fixed rewrite: n=%d err=%v (the tamper must be structurally invisible)", n, err)
 	}
 	// …but the chain is not.
-	head, _, _, err := ChainScan(path, 0, integrity.Head{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if head == origHead {
+	if head, _, _ := chainWalk(t, path, 0, integrity.Head{}); head == origHead {
 		t.Fatal("chain head unchanged by a rewritten record")
 	}
 }
 
-// TestChainPrefix: the head over a log's first n frames is the head the
-// live log reported at sequence n, whatever follows, and a log shorter
-// than n frames is corrupt.
-func TestChainPrefix(t *testing.T) {
-	path, l := chainFixture(t, 20)
-	_, at20, _ := l.ChainHead()
-	for i := 20; i < 30; i++ {
-		if err := logRecord(l, RefRecord(run.Event{V: graph.VertexID(i)})); err != nil {
-			t.Fatal(err)
-		}
+// TestWalkReportsReadErrors: a log that cannot be read is not a torn
+// tail — the walk ends before its first frame and says why, and so does
+// Scan — while a missing log walks as empty with no error.
+func TestWalkReportsReadErrors(t *testing.T) {
+	dir := t.TempDir() // a directory opens, but a read of it fails
+	w := OpenWalk(dir, 0)
+	defer w.Close()
+	if w.Next() || w.Err() == nil || w.Seq() != 0 || w.End() != 0 {
+		t.Fatalf("walk of a directory: err %v, %d records to byte %d", w.Err(), w.Seq(), w.End())
 	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
+	if _, _, err := Scan(dir, nil); err == nil {
+		t.Fatal("Scan of a directory reported no error")
 	}
-	if head, err := ChainPrefix(path, 20); err != nil || head != at20 {
-		t.Fatalf("ChainPrefix(20) = (%s, %v), live head at 20 was %s", head, err, at20)
-	}
-	if head, err := ChainPrefix(path, 0); err != nil || head != (integrity.Head{}) {
-		t.Fatalf("ChainPrefix(0) = (%s, %v), want genesis", head, err)
-	}
-	if _, err := ChainPrefix(path, 31); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("ChainPrefix past the end = %v, want ErrCorrupt", err)
+	missing := OpenWalk(filepath.Join(dir, "nope.wal"), 0)
+	defer missing.Close()
+	if missing.Next() || missing.Err() != nil {
+		t.Fatalf("walk of a missing log: err %v", missing.Err())
 	}
 }
