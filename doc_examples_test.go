@@ -41,5 +41,5 @@ func ExampleNewLabelCodec() {
 	fmt.Println("accounting bits:", codec.BitLen(l))
 	// Output:
 	// round trip: true
-	// accounting bits: 4
+	// accounting bits: 1
 }

@@ -90,7 +90,11 @@ func frameLen(ev Event) int {
 func AppendFrames(buf []byte, events []Event) ([]byte, error) {
 	n := FrameHeaderSize
 	for i := range events {
-		n += frameLen(events[i]) - FrameHeaderSize
+		l := frameLen(events[i])
+		if l == 0 {
+			break // malformed: the encoding pass stops here with its error
+		}
+		n += l - FrameHeaderSize
 	}
 	out := slices.Grow(buf, n)
 	open := -1

@@ -347,3 +347,35 @@ func TestTailReaderEndings(t *testing.T) {
 		t.Fatalf("sequence 0: %v, want CodeBadFrame", err)
 	}
 }
+
+// TestAppendFramesRefusesMalformedBatches: a batch holding malformed
+// events — two of them drove the length pass negative and panicked the
+// reservation — is refused with its first malformed event's error and
+// the caller's buffer as it was, wherever the bad events sit.
+func TestAppendFramesRefusesMalformedBatches(t *testing.T) {
+	g, v := int32(0), int32(1)
+	good := Event{V: 2, Graph: &g, Vertex: &v}
+	for name, events := range map[string][]Event{
+		"two without a form":        {{V: 0}, {V: 1, Preds: []int32{0}}},
+		"after a good event":        {good, {V: 0}, {V: 1}, {V: 3}},
+		"name and graph, then none": {{V: 0, Name: "x", Graph: &g, Vertex: &v}, {V: 1}},
+		"negative vertex":           {{V: -1, Graph: &g, Vertex: &v}, {V: 1}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			var want error
+			for _, ev := range events {
+				if _, want = ev.Record(); want != nil {
+					break
+				}
+			}
+			buf := []byte("kept")
+			out, err := AppendFrames(buf[:len(buf):len(buf)], events)
+			if err == nil || err.Error() != want.Error() {
+				t.Fatalf("error %v, want the first malformed event's: %v", err, want)
+			}
+			if string(out) != "kept" {
+				t.Fatalf("buffer came back as %q", out)
+			}
+		})
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"wfreach/internal/wal"
@@ -88,6 +89,103 @@ func FuzzFrameReader(f *testing.F) {
 			recs = append(recs, rec)
 		}
 	})
+}
+
+// FuzzAppendFrames builds a batch of wire events from arbitrary bytes,
+// malformed ones included, and encodes it. The invariants: it never
+// panics; a refused batch leaves the caller's buffer as it was and
+// holds an event Record refuses; an accepted one appends frames that
+// FrameReader reads back to exactly the batch's records.
+func FuzzAppendFrames(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 0, 1, 0, 0, 1, 1, 0})                // two events of neither form
+	f.Add([]byte{1, 0, 0, 3, 1, 1, 0, 2, 1, 7, 2, 1, 0, 0}) // a ref and a named event
+	f.Add([]byte{3, 0, 0, 1, 4, 0, 0, 2, 0})                // both forms, then a negative vertex
+	f.Add(slices.Repeat([]byte{1, 9, 0, 5, 0}, 50))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		events := eventsFrom(data)
+		buf := []byte("kept")
+		out, err := AppendFrames(buf[:len(buf):len(buf)], events)
+		var want []wal.Record
+		var bad error
+		for _, ev := range events {
+			rec, err := ev.Record()
+			if err != nil {
+				bad = err
+				break
+			}
+			want = append(want, rec)
+		}
+		if err != nil {
+			if string(out) != "kept" || bad == nil {
+				t.Fatalf("refused (%v) with buffer %q; Record refuses %v", err, out, bad)
+			}
+			return
+		}
+		if bad != nil || string(out[:4]) != "kept" {
+			t.Fatalf("accepted a batch Record refuses (%v), buffer %q", bad, out[:min(4, len(out))])
+		}
+		fr := NewFrameReader(bytes.NewReader(out[4:]))
+		for i := 0; ; i++ {
+			rec, _, err := fr.Next()
+			if errors.Is(err, io.EOF) {
+				if i != len(want) {
+					t.Fatalf("read back %d of %d records", i, len(want))
+				}
+				break
+			}
+			if err != nil || i >= len(want) || !sameRecord(rec, want[i]) {
+				t.Fatalf("record %d reads back as %+v, %v; want %+v", i, rec, err, want[min(i, len(want)-1)])
+			}
+		}
+	})
+}
+
+// eventsFrom spells a batch of wire events out of bytes, five fields an
+// event: the form (bit 0 a ref, bit 1 a name, both or neither
+// malformed), the vertex (bit 2 of the form makes it negative), the
+// graph and spec vertex or the name's length, and a predecessor count,
+// each predecessor a byte.
+func eventsFrom(data []byte) []Event {
+	var events []Event
+	at := func(i int) byte {
+		if i < len(data) {
+			return data[i]
+		}
+		return 0
+	}
+	for i := 0; i < len(data); {
+		form := at(i)
+		ev := Event{V: int32(at(i + 1))}
+		if form&4 != 0 {
+			ev.V = -ev.V - 1
+		}
+		if form&1 != 0 {
+			g, v := int32(at(i+2)), int32(at(i+3))
+			ev.Graph, ev.Vertex = &g, &v
+		}
+		if form&2 != 0 {
+			ev.Name = "m" + strings.Repeat("x", int(at(i+2)))
+		}
+		n := int(at(i + 4))
+		i += 5
+		for k := 0; k < n && i < len(data); k, i = k+1, i+1 {
+			ev.Preds = append(ev.Preds, int32(data[i]))
+		}
+		events = append(events, ev)
+	}
+	return events
+}
+
+// sameRecord reports whether two records hold the same event.
+func sameRecord(a, b wal.Record) bool {
+	if a.Named != b.Named {
+		return false
+	}
+	if a.Named {
+		return a.NamedEv.V == b.NamedEv.V && a.NamedEv.Name == b.NamedEv.Name && slices.Equal(a.NamedEv.Preds, b.NamedEv.Preds)
+	}
+	return a.Ref.V == b.Ref.V && a.Ref.Ref == b.Ref.Ref && slices.Equal(a.Ref.Preds, b.Ref.Preds)
 }
 
 // reframed is payload with a frame header whose CRC matches.

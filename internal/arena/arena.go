@@ -1,10 +1,10 @@
-// Package arena implements the label-snapshot format (WFSNAP07): an
+// Package arena implements the label-snapshot format (WFSNAP08): an
 // mmap-able arena of encoded labels that a process opens in constant
 // time and queries without decoding or copying anything, stamped with
 // the two anchors that tie it to the session's history. The file is
 // laid out so the *file itself* is the data structure:
 //
-//	[0:8)     magic "WFSNAP07" (ASCII)
+//	[0:8)     magic "WFSNAP08" (ASCII)
 //	[8:16)    uint64 LE  events      — WAL records covered by this snapshot
 //	[16:24)   uint64 LE  walBytes    — byte offset of the end of the covered
 //	                                   prefix in the session's events.wal
@@ -69,7 +69,7 @@ import (
 )
 
 // Magic identifies an arena snapshot file.
-const Magic = "WFSNAP07"
+const Magic = "WFSNAP08"
 
 const (
 	headerSize = 116
@@ -91,8 +91,8 @@ const maxCount = 1 << 31
 var ErrCorrupt = errors.New("arena: corrupt snapshot")
 
 // ErrVersion reports a snapshot file with another WFSNAP.. magic (the
-// WFSNAP01 to WFSNAP06 formats earlier builds wrote; WFSNAP05 and
-// WFSNAP06 have this layout but hold labels numbered or coded as earlier
+// WFSNAP01 to WFSNAP07 formats earlier builds wrote; WFSNAP05 to
+// WFSNAP07 have this layout but hold labels numbered or coded as earlier
 // builds issued them, which must never sit next to this build's).
 // Nothing reads those: a snapshot is a cache of the log, so callers
 // treat the file as absent, replay the log, and overwrite it at the

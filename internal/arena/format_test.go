@@ -23,9 +23,9 @@ import (
 // new Magic with it: a file of the old labels must be ErrVersion, never
 // mapped next to new ones.
 const (
-	pinnedMagic  = "WFSNAP07"
-	pinnedBioAID = "2c61614df7afea6fe53475123588052790793a446e6509b22a9d27b2ed70fc6f"
-	pinnedAgent  = "0ff09426847b877edf03d6751ab3dd290fbe748f59cf20f071046fe3c1595a4b"
+	pinnedMagic  = "WFSNAP08"
+	pinnedBioAID = "df92ebc8ad0769d1c10f102b99c00286ca53c3fae4c138d330d62d61e12c8406"
+	pinnedAgent  = "ab8355254241836246390cea01bfcbcdea1c5206b5dfe87b414faa140a3d9bde"
 )
 
 // TestLabelFormatIsPinned holds labels and Magic together: both digests

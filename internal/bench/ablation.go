@@ -64,7 +64,7 @@ func AblationEncoding(cfg Config) *Table {
 		Title:   "Ablation: label accounting vs wire encoding (BioAID)",
 		Columns: []string{"run size", "avg BitLen", "avg wire bits", "overhead (bits)"},
 		Notes: []string{
-			"BitLen is Theorem 3's accounting (type + index value bits + the part of the skeleton pointer the grammar leaves open + recursion flags); the wire codec replaces each index's value bits by its order-0 Exp-Golomb code and adds an order-1 Exp-Golomb entry count and byte padding, so stored labels are self-delimiting.",
+			"BitLen is Theorem 3's accounting of what a label stores (the index value bits but the root's, a type bit where a slot leaves R or N open, and the part of the skeleton pointer the grammar leaves open; the other type bits and the recursion flags are implied); the wire codec replaces each index's value bits by its order-0 Exp-Golomb code and adds an order-1 Exp-Golomb entry count and byte padding, so stored labels are self-delimiting.",
 		},
 	}
 	for _, n := range cfg.sizes() {
@@ -108,7 +108,7 @@ func AblationSkeleton(cfg Config) *Table {
 		Title:   fmt.Sprintf("Ablation: skeleton scheme (BioAID, %s run)", sizeName(n)),
 		Columns: []string{"skeleton", "skeleton bits", "construction (ms)", "query (ns)"},
 		Notes: []string{
-			"TCL stores n(n-1)/2 bits per specification graph for O(1) skeleton queries; BFS stores nothing and searches the (small) sub-workflow per query. Construction also consults the skeleton for recursion flags (Algorithm 1, lines 9-10).",
+			"TCL stores n(n-1)/2 bits per specification graph for O(1) skeleton queries; BFS stores nothing and searches the (small) sub-workflow per query. π also consults the skeleton for the recursion flag of an R ancestor (Algorithm 1, lines 9-10), which labels do not store.",
 		},
 	}
 	for _, kind := range []skeleton.Kind{skeleton.TCL, skeleton.BFS} {

@@ -112,12 +112,7 @@ func wantPrefix(e *core.ExecutionLabeler, mode core.RMode, n *parsetree.Node) []
 		return p.Prefix.Entries
 	}
 	u := spec.VertexRef{Graph: p.Graph, V: slotOfRank(e, p.Graph, n.Index)}
-	entry := label.Entry{Index: p.Index, Type: label.N, Skl: u}
-	if w := e.Grammar().Designated(p.Graph); mode == core.RModeDesignated && w != graph.None {
-		rec := spec.VertexRef{Graph: p.Graph, V: w}
-		entry.HasRec, entry.Rec1, entry.Rec2 = true, e.Skeleton().Pi(u, rec), e.Skeleton().Pi(rec, u)
-	}
-	want := append(slices.Clone(p.Prefix.Entries), entry)
+	want := append(slices.Clone(p.Prefix.Entries), label.Entry{Index: p.Index, Type: label.N, Skl: u})
 	if n.Kind != label.N {
 		want = append(want, label.Entry{Index: n.Index, Type: n.Kind, Skl: spec.NoRef})
 	}

@@ -7,6 +7,13 @@
 // grammars are supported through the Section 6 adaptation, at the cost
 // of linear-size labels in the worst case (Theorem 1).
 //
+// A label carries Algorithm 1's entries less what the grammar implies:
+// the labelers issue no recursion flags, and π evaluates the one it
+// needs — the earlier chain member's, below an R ancestor — on the
+// skeleton, between that member's origin and its graph's designated
+// recursive vertex (see lca). The label codec leaves out the types and
+// the root's index the same way (internal/label).
+//
 // # Thread safety
 //
 // Labelers are single-writer: Insert, InsertNamed, Start and Apply mutate
@@ -144,18 +151,11 @@ func (b *base) designatedOf(id spec.GraphID) graph.VertexID {
 }
 
 // memberEntry builds the Algorithm 1 entry for spec vertex sv of
-// instance x: the node's index and type, the skeleton pointer of the
-// origin, and — when x's graph has a designated recursive vertex w,
-// which happens exactly when x is a recursion-chain member — the two
-// recursion flags rec1 = π_G(sv, w) and rec2 = π_G(w, sv).
-func (b *base) memberEntry(x *parsetree.Node, sv graph.VertexID) label.Entry {
-	e := label.Entry{Index: x.Index, Type: label.N, Skl: spec.VertexRef{Graph: x.Graph, V: sv}}
-	if w := b.designatedOf(x.Graph); w != graph.None {
-		e.HasRec = true
-		e.Rec1 = b.skel.Pi(spec.VertexRef{Graph: x.Graph, V: sv}, spec.VertexRef{Graph: x.Graph, V: w})
-		e.Rec2 = b.skel.Pi(spec.VertexRef{Graph: x.Graph, V: w}, spec.VertexRef{Graph: x.Graph, V: sv})
-	}
-	return e
+// instance x: the node's index and type and the skeleton pointer of the
+// origin. A recursion-chain member's two flags are not part of it: π
+// evaluates them on the skeleton where it needs them (see lca).
+func memberEntry(x *parsetree.Node, sv graph.VertexID) label.Entry {
+	return label.Entry{Index: x.Index, Type: label.N, Skl: spec.VertexRef{Graph: x.Graph, V: sv}}
 }
 
 // specialEntry builds the entry of a special node (skl and flags null).
@@ -185,7 +185,7 @@ func (b *base) bind(x *parsetree.Node, sv, v graph.VertexID) {
 func (b *base) appendLabel(dst []label.Entry, x *parsetree.Node, sv graph.VertexID) []label.Entry {
 	dst = slices.Grow(dst, len(x.Prefix.Entries)+1)
 	dst = append(dst, x.Prefix.Entries...)
-	return append(dst, b.memberEntry(x, sv))
+	return append(dst, memberEntry(x, sv))
 }
 
 // labelOf is appendLabel into a fresh label, the caller's to keep.

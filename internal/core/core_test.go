@@ -154,20 +154,22 @@ func TestExample12LabelStructure(t *testing.T) {
 	if l.Entries[2].Index != 1 || l.Entries[4].Index != 1 || l.Entries[6].Index != 1 {
 		t.Fatalf("copy indexes wrong: %s", l)
 	}
-	// Entry(x6, u4): origin is the B vertex of h3 with rec1 = B;C = true,
+	// Entry(x6, u4): origin is the B vertex of h3, whose recursion flags
+	// π derives against h3's designated vertex C: rec1 = B;C = true,
 	// rec2 = C;B = false.
 	e6 := l.Entries[6]
 	h3 := s.Implementations("A")[0]
 	if e6.Skl.Graph != h3 || s.Graph(h3).G.Name(e6.Skl.V) != "B" {
 		t.Fatalf("entry 6 origin wrong: %s", l)
 	}
-	if !e6.HasRec || !e6.Rec1 || e6.Rec2 {
-		t.Fatalf("entry 6 rec flags = (%v,%v,%v), want (true,true,false)", e6.HasRec, e6.Rec1, e6.Rec2)
+	w := spec.VertexRef{Graph: h3, V: r.Grammar.Designated(h3)}
+	if s.Graph(h3).G.Name(w.V) != "C" || !d.Skeleton().Pi(e6.Skl, w) || d.Skeleton().Pi(w, e6.Skl) {
+		t.Fatalf("entry 6 rec flags against %v, want (true,false)", w)
 	}
-	// Final entry: s5 of h5, no rec flags.
+	// Final entry: s5 of h5.
 	e7 := l.Entries[7]
 	h5 := s.Implementations("B")[0]
-	if e7.Skl.Graph != h5 || s.Graph(h5).G.Name(e7.Skl.V) != "s5" || e7.HasRec {
+	if e7.Skl.Graph != h5 || s.Graph(h5).G.Name(e7.Skl.V) != "s5" {
 		t.Fatalf("entry 7 wrong: %s", l)
 	}
 	// φ(v16) = three entries: root, L node, copy-2 member.

@@ -93,20 +93,22 @@ func siblingOf(l label.Label) label.Label {
 // outOfRange returns RunningExample encodings that each hold one value
 // the grammar does not: an implementation choice past its set, an index
 // past the composite vertices of the instance above, a leaf rank past
-// its set's atomic vertices. They are packed field by field — type (N 0,
-// L 1, F 2, R 3), index code, choice or leaf — since Encode refuses
-// such labels.
+// its set's atomic vertices. They are packed field by field — index
+// code, type bit where the slot leaves it open, choice or leaf — since
+// Encode refuses such labels.
 func outOfRange() map[string][]byte {
 	// The path to the A slot of the first fork copy, then the R node
-	// expanding it: its chain set is h3, h4, h6 — a 2-bit choice, and a
+	// expanding it: the root stores nothing, the L and F entries index
+	// 0, the copies index 1 and no choice, and the R entry index 0 and
+	// its type bit. Its chain set is h3, h4, h6 — a 2-bit choice, and a
 	// 3-bit rank among their six atomic vertices.
-	toChain := [][2]uint64{{0, 2}, {1, 1}, {1, 2}, {1, 1}, {0, 2}, {2, 3}, {2, 2}, {1, 1}, {0, 2}, {2, 3}, {3, 2}, {1, 1}}
+	toChain := [][2]uint64{{1, 1}, {2, 3}, {1, 1}, {2, 3}, {1, 1}, {1, 1}}
 	return map[string][]byte{
 		"choice past its set": packBits(append(append([][2]uint64{{10, 6}}, toChain...),
-			[2]uint64{0, 2}, [2]uint64{2, 3}, [2]uint64{3, 2}, [2]uint64{0, 1})...), // 8 entries; entry 6 chooses 3 of 3
-		"index past the slots": packBits([2]uint64{4, 4}, [2]uint64{0, 2}, [2]uint64{1, 1}, [2]uint64{0, 2}, [2]uint64{2, 3}), // g0's one composite has rank 0, not 1
+			[2]uint64{2, 3}, [2]uint64{3, 2})...), // 8 entries; entry 6 chooses 3 of 3
+		"index past the slots": packBits([2]uint64{4, 4}, [2]uint64{2, 3}), // g0's one composite has rank 0, not 1
 		"leaf rank past its set": packBits(append(append([][2]uint64{{9, 6}}, toChain...),
-			[2]uint64{0, 2}, [2]uint64{2, 3}, [2]uint64{7, 3}, [2]uint64{0, 1})...), // 7 entries; rank 7 of 6
+			[2]uint64{2, 3}, [2]uint64{7, 3})...), // 7 entries; rank 7 of 6
 	}
 }
 

@@ -117,23 +117,28 @@ func TestPiBytesErrorsWherePiPanics(t *testing.T) {
 	}
 	root := n(0, 0, 1)
 	good := codec.Encode(labelOf(root, special(0, label.L), n(1, 1, 0)))
-	// The A slot of the first fork copy, expanded by an L and by an R
-	// node: the two index paths agree, and the instances below are h4
-	// and h6, which no pair of labels of one run can put at one place.
+	// The A slot of the first fork copy: expanded by an instance of h3
+	// and by one of h4, the two index paths agree, which no pair of
+	// labels of one run can do; and by an R node, whose chain may hold
+	// h3 = s3 → B → C → t3 (C designated), h4 = s4 → t4 (none) and
+	// h6 = s6 → A → t6 (A designated).
 	toA := []label.Entry{root, special(0, label.L), n(1, 1, 1), special(0, label.F), n(1, 2, 1)}
+	chain := append(toA[:5:5], special(0, label.R))
 	for name, bad := range map[string]label.Label{
-		"empty":                    {},
-		"ends on an L node":        labelOf(root, special(0, label.L)),
-		"ends on an R node":        labelOf(root, special(0, label.R)),
-		"chain member lacks flags": labelOf(root, special(0, label.R), n(1, 1, 0)),
-		"ancestors in two graphs":  labelOf(append(toA[:5:5], special(0, label.L), n(1, 4, 0))...),
+		"empty":             {},
+		"ends on an L node": labelOf(root, special(0, label.L)),
+		"ends on an R node": labelOf(chain...),
+		"earlier member has no designated vertex": labelOf(append(chain[:6:6], n(0, 4, 0))...),
+		"ancestors in two graphs":                 labelOf(append(toA[:5:5], n(0, 3, 0))...),
 	} {
 		other := good
 		switch name {
-		case "chain member lacks flags":
-			other = codec.Encode(labelOf(root, special(0, label.R), n(2, 1, 0)))
+		case "ends on an R node":
+			other = codec.Encode(labelOf(append(chain[:6:6], n(0, 3, 0))...))
+		case "earlier member has no designated vertex":
+			other = codec.Encode(labelOf(append(chain[:6:6], n(1, 3, 0))...))
 		case "ancestors in two graphs":
-			other = codec.Encode(labelOf(append(toA[:5:5], special(0, label.R), n(1, 6, 0))...))
+			other = codec.Encode(labelOf(append(toA[:5:5], n(0, 4, 0))...))
 		}
 		if _, err := core.PiBytes(codec, skel, codec.Encode(bad), other); err == nil {
 			t.Errorf("%s (first): no error", name)
@@ -159,10 +164,10 @@ func TestPiBytesErrorsWherePiPanics(t *testing.T) {
 	// or scribbling over what follows, changes nothing.
 	a := codec.Encode(labelOf(root, special(0, label.L), n(1, 1, 1), special(0, label.F), n(2, 2, 0)))
 	b := codec.Encode(labelOf(root, special(0, label.L), n(2, 1, 1), special(0, label.F), n(1, 2, 2)))
-	// A count of 5 is 4 bits, the root and the L node 3 each (type,
-	// index 0, no choice: each set holds one graph), and entry 2 is 5
-	// (type, index 2): 15 bits.
-	cut := 2
+	// A count of 5 is 4 bits, the root stores nothing (g0 alone, at
+	// index 0), the L node its index 0 in 1 bit, and entry 2 its index 2
+	// in 3 bits (no type, no choice: L's copies are all h1): 8 bits.
+	cut := 1
 	for _, b := range [][]byte{b, b[:cut], append(append([]byte(nil), b[:cut]...), 0xFF, 0xFF, 0xFF)} {
 		if ok, err := core.PiBytes(codec, skel, a, b); err != nil || !ok {
 			t.Fatalf("earlier loop copy against %x: %v, %v", b, ok, err)
@@ -174,9 +179,33 @@ func TestPiBytesErrorsWherePiPanics(t *testing.T) {
 	if _, err := core.PiBytes(codec, skel, a, b[:cut-1]); err == nil {
 		t.Fatal("label cut before the divergent entry: no error")
 	}
+	// Below an R node the earlier member decides, and an interior one's
+	// origin is the slot the entry after it ranks: s5 in the B slot of
+	// an h3 member reaches the h6 member that expands its C (B;C in h3),
+	// and not the other way round. That entry is read, so a label cut
+	// anywhere before its end is an error, never a guess or a panic.
+	early := codec.Encode(labelOf(append(chain[:6:6], n(0, 3, 1), n(0, 5, 0))...))
+	late := codec.Encode(labelOf(append(chain[:6:6], n(1, 6, 0))...))
+	if ok, err := core.PiBytes(codec, skel, early, late); err != nil || !ok {
+		t.Fatalf("s5 of the earlier member against s6 of the later: %v, %v", ok, err)
+	}
+	if ok, err := core.PiBytes(codec, skel, late, early); err != nil || ok {
+		t.Fatalf("s6 of the later member against s5 of the earlier: %v, %v", ok, err)
+	}
+	for cut := range len(early) {
+		if _, err := core.PiBytes(codec, skel, early[:cut], late); err == nil {
+			t.Fatalf("earlier member's label cut to %d of %d bytes: no error", cut, len(early))
+		}
+		if _, err := core.PiBytes(codec, skel, late, early[:cut]); err == nil {
+			t.Fatalf("earlier member's label cut to %d of %d bytes, second: no error", cut, len(early))
+		}
+	}
 }
 
-// TestPiBytesAllocatesNothing pins the zero on the query path.
+// TestPiBytesAllocatesNothing pins the zero on the query path: on
+// sampled pairs of an agent-grammar run, and on pairs whose common
+// ancestor is an R node with an interior earlier member, where the walk
+// reads one entry further.
 func TestPiBytesAllocatesNothing(t *testing.T) {
 	pr := piRuns()[1]
 	d, err := core.LabelRun(pr.r, skeleton.TCL, pr.mode)
@@ -184,19 +213,35 @@ func TestPiBytesAllocatesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	codec := label.NewCodec(pr.r.Grammar)
+	var labels []label.Label
 	var enc [][]byte
 	for _, v := range pr.r.Graph.LiveVertices() {
-		enc = append(enc, codec.Encode(d.MustLabel(v)))
+		labels = append(labels, d.MustLabel(v))
+		enc = append(enc, codec.Encode(labels[len(labels)-1]))
 	}
-	i := 0
-	allocs := testing.AllocsPerRun(2000, func() {
-		if _, err := core.PiBytes(codec, d.Skeleton(), enc[i%len(enc)], enc[(i*7+3)%len(enc)]); err != nil {
-			t.Fatal(err)
+	var sampled, chain [][2][]byte
+	for i := range enc {
+		j := (i*7 + 3) % len(enc)
+		sampled = append(sampled, [2][]byte{enc[i], enc[j]})
+		if _, _, ok := chainPair(labels[i], labels[j]); ok {
+			chain = append(chain, [2][]byte{enc[i], enc[j]})
 		}
-		i++
-	})
-	if allocs != 0 {
-		t.Fatalf("PiBytes allocates %v times per pair", allocs)
+	}
+	if len(chain) == 0 {
+		t.Fatal("no pair meets below an R node through an interior earlier member")
+	}
+	for name, pairs := range map[string][][2][]byte{"sampled": sampled, "R ancestor, interior earlier member": chain} {
+		i := 0
+		allocs := testing.AllocsPerRun(2000, func() {
+			p := pairs[i%len(pairs)]
+			if _, err := core.PiBytes(codec, d.Skeleton(), p[0], p[1]); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+		if allocs != 0 {
+			t.Fatalf("%s pairs: PiBytes allocates %v times per pair", name, allocs)
+		}
 	}
 }
 

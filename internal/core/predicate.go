@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"wfreach/internal/graph"
 	"wfreach/internal/label"
 	"wfreach/internal/skeleton"
 	"wfreach/internal/spec"
@@ -49,17 +50,20 @@ func Pi(skel *skeleton.Scheme, lv, lw label.Label) bool {
 
 // PiBytes is π evaluated directly on two encoded labels: two cursors
 // step through the bytes in lockstep and stop at the first position
-// where the index paths diverge, so nothing is decoded into a Label,
-// nothing is allocated, and arena-mapped bytes are read where they
-// lie. It agrees with Pi on the decoded labels wherever Pi is defined.
+// where the index paths diverge — one entry further in the label whose
+// recursion-chain member decides an R ancestor, when that member is
+// interior, for the slot that names its origin — so nothing is decoded
+// into a Label, nothing is allocated, and arena-mapped bytes are read
+// where they lie. It agrees with Pi on the decoded labels wherever Pi
+// is defined.
 //
 // Bytes are outside input, so nothing here panics: an empty label, an
 // entry cut short, an index, implementation choice or leaf rank the
-// grammar does not hold, a missing recursion flag or a path ending on a
-// special node is a returned error — when it lies on the walked prefix.
-// Bytes past the divergence are deliberately not parsed; the integrity
-// of stored bytes is the CRC, hash-chain and Merkle layers' job, not the
-// query's.
+// grammar does not hold, a chain member whose graph has no designated
+// recursive vertex or a path ending on a special node is a returned
+// error — when it lies on the walked prefix. Bytes past it are
+// deliberately not parsed; the integrity of stored bytes is the CRC,
+// hash-chain and Merkle layers' job, not the query's.
 func PiBytes(c *label.Codec, skel *skeleton.Scheme, bv, bw []byte) (bool, error) {
 	var cv, cw label.Cursor
 	errV, errW := cv.Reset(c, bv), cw.Reset(c, bw)
@@ -83,14 +87,36 @@ func PiBytes(c *label.Codec, skel *skeleton.Scheme, bv, bw []byte) (bool, error)
 		if okV && okW && (root || ev[i].Index == ew[i].Index) {
 			continue
 		}
-		nv, nw := &ev[i], &ew[i]
+		av, aw, nv, nw := &ev[i^1], &ew[i^1], &ev[i], &ew[i]
 		if !okV {
 			nv = nil
 		}
 		if !okW {
 			nw = nil
 		}
-		return lca(skel, &ev[i^1], &ew[i^1], nv, nw)
+		// An interior N entry's origin is the slot the entry below it
+		// ranks, which its cursor has just read. Below an R ancestor the
+		// earlier chain member decides, so its cursor reads one entry
+		// further where that member is interior.
+		var scratch label.Entry
+		switch {
+		case av.Type == label.N:
+			if nv != nil {
+				av.Skl.V = cv.Origin()
+			}
+			if nw != nil {
+				aw.Skl.V = cw.Origin()
+			}
+		case av.Type != label.R || nv == nil || nw == nil:
+		case nv.Index < nw.Index:
+			errV = below(&cv, nv, &scratch)
+		default:
+			errW = below(&cw, nw, &scratch)
+		}
+		if errV != nil || errW != nil {
+			break
+		}
+		return lca(skel, av, aw, nv, nw)
 	}
 	if errV != nil {
 		return false, fmt.Errorf("core: first label: %w", errV)
@@ -98,10 +124,21 @@ func PiBytes(c *label.Codec, skel *skeleton.Scheme, bv, bw []byte) (bool, error)
 	return false, fmt.Errorf("core: second label: %w", errW)
 }
 
+// below fills in the origin of m, the last entry cu yielded, where its
+// label goes on: it parses the next entry into scratch, whose index
+// ranks the slot m's label descends through.
+func below(cu *label.Cursor, m, scratch *label.Entry) error {
+	if ok, err := cu.Next(scratch); !ok || err != nil {
+		return err
+	}
+	m.Skl.V = cu.Origin()
+	return nil
+}
+
 var (
 	errEmptyLabel   = errors.New("core: π on an empty label")
 	errEndsOnNode   = errors.New("core: label path ends on a special node")
-	errNoRecFlags   = errors.New("core: earlier recursion-chain member lacks flags")
+	errNoDesignated = errors.New("core: the earlier recursion-chain member's graph has no designated recursive vertex")
 	errSkeletonPair = errors.New("core: the origins at the common ancestor are not two vertices of one graph")
 )
 
@@ -114,11 +151,13 @@ var (
 //
 //	L: v reaches v′ iff v's loop copy precedes v′'s;
 //	F: distinct fork copies never reach each other;
-//	R: the recursion flags of the shallower chain member decide;
+//	R: the recursion flags of the earlier chain member decide;
 //	N: the skeleton labels of the two origins decide.
 //
-// An N ancestor's origins come from nv and nw, or from the leaf field:
-// an encoded interior N entry names its graph only.
+// An origin is the vertex an N entry names: its leaf, or for an
+// interior entry the slot its label descends through, which a decoded
+// label holds and a cursor yields only once past the entry below
+// (PiBytes fills it in).
 func lca(skel *skeleton.Scheme, av, aw, nv, nw *label.Entry) (bool, error) {
 	switch av.Type {
 	case label.L:
@@ -131,40 +170,43 @@ func lca(skel *skeleton.Scheme, av, aw, nv, nw *label.Entry) (bool, error) {
 	case label.F:
 		return false, nil
 	case label.R:
-		// Everything in a later chain member is derived from the
-		// designated recursive vertex w of any earlier member;
-		// rec1/rec2 pre-encode origin-vs-w reachability.
 		if nv == nil || nw == nil {
 			return false, errEndsOnNode
 		}
-		earlier, flag := nv, nv.Rec1
-		if nv.Index >= nw.Index {
-			earlier, flag = nw, nw.Rec2
+		if nv.Index < nw.Index {
+			return recFlag(skel, nv, true)
 		}
-		if !earlier.HasRec {
-			return false, errNoRecFlags
-		}
-		return flag, nil
+		return recFlag(skel, nw, false)
 	default: // label.N
 		// The LCA is an instance; the origins are the composite vertices
-		// the entries below it rank, or — where a label ends there — the
-		// vertex its last entry names.
-		ov, okV := origin(skel.Grammar(), av, nv)
-		ow, okW := origin(skel.Grammar(), aw, nw)
-		if !okV || !okW || ov.Graph != ow.Graph {
+		// the labels descend through, or — where a label ends there —
+		// the vertex its last entry names.
+		if !isVertex(av.Skl) || !isVertex(aw.Skl) || av.Skl.Graph != aw.Skl.Graph {
 			return false, errSkeletonPair
 		}
-		return skel.Pi(ov, ow), nil
+		return skel.Pi(av.Skl, aw.Skl), nil
 	}
 }
 
-// origin returns the vertex of the LCA instance a label descends
-// through: the composite whose slot rank is the index of the label's
-// entry n below the LCA's entry a, or a's own vertex when there is no n.
-func origin(g *spec.Grammar, a, n *label.Entry) (spec.VertexRef, bool) {
-	if n == nil || a.Skl.IsZero() {
-		return a.Skl, !a.Skl.IsZero()
+// recFlag is Algorithm 1's recursion flag of m, the earlier of two
+// recursion-chain members below a common R node. Everything in a later
+// member is derived from the designated recursive vertex w of m's
+// graph, so rec1 — m's origin reaches w — decides when m is v's member
+// (first), and rec2 — w reaches m's origin — when it is v′'s.
+func recFlag(skel *skeleton.Scheme, m *label.Entry, first bool) (bool, error) {
+	if !isVertex(m.Skl) {
+		return false, errSkeletonPair
 	}
-	v, _, ok := g.Slot(a.Skl.Graph, n.Index, false)
-	return spec.VertexRef{Graph: a.Skl.Graph, V: v}, ok
+	w := spec.VertexRef{Graph: m.Skl.Graph, V: skel.Grammar().Designated(m.Skl.Graph)}
+	switch {
+	case w.V == graph.None:
+		return false, errNoDesignated
+	case first:
+		return skel.Pi(m.Skl, w), nil
+	}
+	return skel.Pi(w, m.Skl), nil
 }
+
+// isVertex reports whether ref names a vertex: not the null reference
+// of a special entry, nor an interior entry's graph alone.
+func isVertex(ref spec.VertexRef) bool { return !ref.IsZero() && ref.V != graph.None }

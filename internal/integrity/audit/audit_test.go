@@ -222,6 +222,10 @@ func TestVerifySessionTable(t *testing.T) {
 			damage: func(t *testing.T, sdir string) {
 				mutate(t, sdir, snapFile, func(b []byte) []byte { copy(b, "WFSNAP06"); return b })
 			}},
+		{name: "whole WFSNAP07 snapshot", snapshotAt: snapshotAt, want: StatusUnavailable, records: records, tail: records,
+			damage: func(t *testing.T, sdir string) {
+				mutate(t, sdir, snapFile, func(b []byte) []byte { copy(b, "WFSNAP07"); return b })
+			}},
 		{name: "flip below the watermark", snapshotAt: snapshotAt, want: StatusViolation, wantErr: "below snapshot watermark",
 			damage: func(t *testing.T, sdir string) { mutate(t, sdir, walFile, flip(wal.FrameHeaderSize+1)) }},
 		{name: "flip in a label extent", snapshotAt: snapshotAt, want: StatusViolation, wantErr: "Merkle",

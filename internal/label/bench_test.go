@@ -22,35 +22,38 @@ func benchLabels(n int) ([]label.Label, *label.Codec) {
 }
 
 // randomLabel walks g's choice sets at random for up to depth entries:
-// any node type at any level; an index up to 1000 for the root and for
-// copies and chain members, a slot rank below an N entry; a graph the
+// the root, then below an N entry a slot rank and the type the slot
+// implies — R or N at random where it leaves them open — and below an L,
+// F or R entry a copy's or chain member's index up to 1000; a graph the
 // context allows on every N entry, with its origin the slot the next
-// entry expands; an atomic vertex on a last N entry; recursion flags or
-// none below an R node. It stops early below an instance without
-// composite vertices.
+// entry expands; an atomic vertex on a last N entry. It stops early
+// below an instance without composite vertices.
 func randomLabel(rng *rand.Rand, g *spec.Grammar, depth int) label.Label {
-	var entries []label.Entry
+	entries := []label.Entry{{Type: label.N, Skl: spec.NoRef}}
 	set := g.RootChoices()
 	for i := 0; i < depth; i++ {
-		e := label.Entry{Index: int32(rng.Intn(1000)), Type: label.NodeType(rng.Intn(4)), Skl: spec.NoRef}
-		if i > 0 && entries[i-1].Type == label.N {
-			above := &entries[i-1].Skl
-			slots := vertices(g, above.Graph, true)
-			if len(slots) == 0 {
-				break
+		if i > 0 {
+			e := label.Entry{Index: int32(rng.Intn(1000)), Type: label.N, Skl: spec.NoRef}
+			if above := &entries[i-1]; above.Type == label.N {
+				slots := vertices(g, above.Skl.Graph, true)
+				if len(slots) == 0 {
+					break
+				}
+				e.Index = int32(rng.Intn(len(slots)))
+				above.Skl.V = slots[e.Index]
+				slot, _ := g.Slot(above.Skl.Graph, e.Index)
+				e.Type = label.NodeType(slot.Type())
+				if slot.Type() == spec.SlotRN && rng.Intn(2) == 0 {
+					e.Type = label.N
+				}
+				set = slot.Choices(e.Type == label.R)
 			}
-			e.Index = int32(rng.Intn(len(slots)))
-			above.V = slots[e.Index]
-			_, set, _ = g.Slot(above.Graph, e.Index, e.Type == label.R)
+			entries = append(entries, e)
 		}
-		if e.Type == label.N {
+		if e := &entries[i]; e.Type == label.N {
 			graphs := choiceGraphs(g, set)
 			e.Skl.Graph = graphs[rng.Intn(len(graphs))]
 		}
-		if i > 0 && entries[i-1].Type == label.R && rng.Intn(2) == 0 {
-			e.HasRec, e.Rec1, e.Rec2 = true, rng.Intn(2) == 0, rng.Intn(2) == 0
-		}
-		entries = append(entries, e)
 	}
 	if last := &entries[len(entries)-1]; last.Type == label.N {
 		atoms := vertices(g, last.Skl.Graph, false)

@@ -29,9 +29,9 @@ const (
 	countOrder    = 1
 	maxCountZeros = 7
 	maxIndex      = 1<<31 - 1
-	// shortIndexZeros is the longest prefix whose entry type and index
-	// code (2 + 2·14 + 1 bits) move in one 32-bit field: indexes below
-	// 2¹⁵ − 1.
+	// shortIndexZeros is the longest prefix whose index code (2·14 + 1
+	// bits) a reader takes straight from its window, refilled to at
+	// least 32 bits: indexes below 2¹⁵ − 1.
 	shortIndexZeros = 14
 )
 
@@ -58,24 +58,31 @@ var (
 //
 // and per entry
 //
-//	type        2 bits
-//	index       order-0 Exp-Golomb (1 bit for 0, 3 bits for 1–2, 5 bits for 3–6)
+//	index       order-0 Exp-Golomb (1 bit for 0, 3 bits for 1–2, 5 bits
+//	            for 3–6); none for the root, whose index is always 0
+//	type        1 bit, R or N, where the index ranks the slot of a plain
+//	            module with an implementation that has a designated
+//	            recursive vertex (spec.SlotRN); none elsewhere
 //	choice      N entries but the last: ⌈log₂ k⌉ bits, the position of
 //	            the instance's graph among the k its context allows
 //	leaf        the last entry, when an N entry: ⌈log₂ a⌉ bits, the
 //	            vertex's rank among the a atomic vertices of those graphs
-//	rec         1 presence bit (+ 2 flag bits) when the previous
-//	            entry's node is an R node
 //
-// padded with zero bits to a whole byte. The context is what the
-// entries above imply (spec.ChoiceSet): g0 for the root, the
-// implementations of the slot the parent expands below an N, L or F
-// node, those of the slot's recursion SCC below an R node. An interior
-// N entry stores no vertex at all: its origin is the composite vertex
-// whose slot rank is the next entry's index. So an entry costs at most
-// Algorithm 1's accounting (|entry| ≤ log θ_t + 2 + log n_G + 1 + 1
+// padded with zero bits to a whole byte. The index comes first because
+// it fixes the type: the root and every entry below an L, F or R entry
+// is an N entry, and below an N entry the slot the index ranks is a
+// loop module's (L), a fork module's (F) or a plain module's — N, or R
+// or N where the bit says (spec.Slot). The context is what the entries
+// above imply (spec.ChoiceSet): g0 for the root, the implementations of
+// the slot the parent expands below an N, L or F node, those of the
+// slot's recursion SCC below an R node. An interior N entry stores no
+// vertex at all: its origin is the composite vertex whose slot rank is
+// the next entry's index. Nor does a label store recursion flags: a
+// chain member's are π on its graph's skeleton between its origin and
+// the designated recursive vertex (core.Pi). So an entry costs less
+// than Algorithm 1's accounting (|entry| ≤ log θ_t + 2 + log n_G + 1 + 1
 // bits), with explicit self-delimiting framing so that encoded labels
-// decode without any per-run metadata; BitLen counts the accounting,
+// decode without any per-run metadata; BitLen counts the bits stored,
 // EncodedLen the stored bytes.
 //
 // The format holds the labels of atomic vertices — the modules a run
@@ -92,30 +99,21 @@ func NewCodec(g *spec.Grammar) *Codec { return &Codec{g: g} }
 
 // scope is what the entries walked so far imply about the next one.
 type scope struct {
-	in     spec.GraphID   // graph of the last entry when it is an N entry, else -1
-	set    spec.ChoiceSet // the graphs the next N entry may name
-	origin graph.VertexID // the origin of the N entry below has just moved past
+	// in is the graph of the last entry when it is an N entry, atRoot
+	// before the root, and -1 otherwise.
+	in  spec.GraphID
+	set spec.ChoiceSet // the graphs the next N entry may name
+	// slot is the slot the entry walked last expands, when the entry
+	// above it is an N entry: its origin is that entry's.
+	slot spec.Slot
 }
+
+// atRoot is scope.in before the root: no entry walked yet.
+const atRoot = -2
 
 // start is the scope of a label's root: an instance of g0.
 func (c *Codec) start() scope {
-	return scope{in: -1, set: c.g.RootChoices(), origin: graph.None}
-}
-
-// below moves x onto the next entry, of type t and index idx. When the
-// entry above is an N entry, idx is the slot rank of that entry's
-// origin, which also picks the choice set, and below reports false when
-// idx names no composite vertex of its graph. It is on every walker's
-// per-entry path, so it stays within the compiler's inlining budget
-// (`go build -gcflags=-m` reports it), and apart from width for that.
-func (x *scope) below(g *spec.Grammar, t NodeType, idx int32) bool {
-	if x.in < 0 {
-		return true
-	}
-	var ok bool
-	x.origin, x.set, ok = g.Slot(x.in, idx, t == R)
-	x.in = -1
-	return ok
+	return scope{in: atRoot, set: c.g.RootChoices(), slot: spec.NoSlot()}
 }
 
 // width returns the width of the field of an entry of type t that x has
@@ -132,14 +130,61 @@ func (x *scope) width(t NodeType, last bool) uint {
 	return x.set.ChoiceBits()
 }
 
-// badIndex panics on entry i of l, a label being measured or encoded,
-// whose index is negative or names no composite vertex of the instance
-// above: labelers never issue one.
-func badIndex(l Label, i int) {
-	if e := &l.Entries[i]; e.Index < 0 {
-		panic(fmt.Sprintf("label: negative index %d", e.Index))
+// step moves x onto entry i of l, a label being measured or encoded,
+// and returns the widths of the entry's stored type bit and of its
+// choice or leaf field. The root and an entry below an L, F or R entry
+// are N entries; below an N entry, the index ranks a slot of that
+// entry's graph, which fixes the type — or leaves R or N open, to one
+// stored bit — and the choice sets. An entry no labeler issues there is
+// a caller bug and panics (badEntry). It is the encoder's per-entry
+// path, so what it does per entry is inline; Cursor.Next is its
+// reader's twin.
+func (x *scope) step(g *spec.Grammar, l Label, i int) (typeBit, width uint) {
+	e := &l.Entries[i]
+	st, ok := spec.SlotN, e.Index >= 0 && (x.in != atRoot || e.Index == 0)
+	if x.in >= 0 {
+		var found bool
+		x.slot, found = g.Slot(x.in, e.Index)
+		st, ok = x.slot.Type(), ok && found && l.Entries[i-1].Skl.V == x.slot.Origin()
+		x.set = x.slot.Choices(e.Type == R)
 	}
-	panic(fmt.Sprintf("label: entry %d has index %d, which names no composite vertex of g%d", i, l.Entries[i].Index, l.Entries[i-1].Skl.Graph))
+	x.in = -1
+	switch {
+	case st == spec.SlotRN && (e.Type == N || e.Type == R):
+		typeBit = 1
+	case NodeType(st) != e.Type:
+		ok = false
+	}
+	if !ok {
+		badEntry(g, l, i)
+	}
+	return typeBit, x.width(e.Type, i == len(l.Entries)-1)
+}
+
+// badEntry panics on entry i of l, a label being measured or encoded,
+// that step refused: a negative index, a root index other than 0, an
+// index that names no composite vertex of the instance above, an N
+// entry above whose origin is not the composite the index ranks, or a
+// type other than its place implies. Labelers never issue one.
+func badEntry(g *spec.Grammar, l Label, i int) {
+	e := &l.Entries[i]
+	switch {
+	case e.Index < 0:
+		panic(fmt.Sprintf("label: negative index %d", e.Index))
+	case i == 0 && e.Index != 0:
+		panic(fmt.Sprintf("label: root index %d, not 0", e.Index))
+	case i == 0 || l.Entries[i-1].Type != N:
+		panic(fmt.Sprintf("label: entry %d is an %s entry where the grammar implies N", i, e.Type))
+	}
+	above := &l.Entries[i-1]
+	s, ok := g.Slot(above.Skl.Graph, e.Index)
+	switch {
+	case !ok:
+		panic(fmt.Sprintf("label: entry %d has index %d, which names no composite vertex of g%d", i, e.Index, above.Skl.Graph))
+	case above.Skl.V != s.Origin():
+		panic(fmt.Sprintf("label: entry %d does not descend from g%d:%d, the origin entry %d names", i, above.Skl.Graph, above.Skl.V, i-1))
+	}
+	panic(fmt.Sprintf("label: entry %d is an %s entry where the grammar implies %s", i, e.Type, NodeType(s.Type())))
 }
 
 // leaf returns the leaf field of l, whose last entry is an N entry
@@ -171,15 +216,17 @@ func valueBits(v int32) int {
 }
 
 // BitLen returns the label length in bits under the paper's accounting
-// (Algorithm 1 / Theorem 3): per entry, 2 type bits, the index's value
-// bits (≤ log θ_t), an N entry's choice or leaf field (each at most
-// Algorithm 1's ⌈log₂ n_G⌉ skeleton pointer) and 2 recursion-flag bits
-// for recursion-chain members. This is the quantity reported as "label
-// length" throughout the evaluation; the stored form produced by Encode
-// additionally prefix-codes each index and the entry count so labels
-// are self-delimiting on disk (see EncodedBits). Like EncodeInto, it
-// panics on an index that names no slot and on a label that ends on a
-// composite vertex.
+// (Algorithm 1 / Theorem 3), counting only what a label stores: per
+// entry, the index's value bits (≤ log θ_t; none for the root), the type
+// bit where the slot leaves R or N open, and an N entry's choice or
+// leaf field (each at most Algorithm 1's ⌈log₂ n_G⌉ skeleton pointer).
+// The 2 type bits and 2 recursion-flag bits Algorithm 1 charges are
+// otherwise implied by the grammar. This is the quantity reported as
+// "label length" throughout the evaluation; the stored form produced by
+// Encode additionally prefix-codes each index and the entry count so
+// labels are self-delimiting on disk (see EncodedBits). Like
+// EncodeInto, it panics on an entry no labeler issues and on a label
+// that ends on a composite vertex.
 func (c *Codec) BitLen(l Label) int {
 	bits, _ := c.sizes(l)
 	return bits
@@ -192,7 +239,7 @@ func (c *Codec) EncodedBits(l Label) int { return c.EncodedLen(l) * 8 }
 
 // EncodedLen is the length pass: the exact size in bytes Encode
 // produces for l — what a caller reserves before EncodeInto. Like
-// EncodeInto, it panics on an index that names no slot and on a label
+// EncodeInto, it panics on an entry no labeler issues and on a label
 // that ends on a composite vertex.
 func (c *Codec) EncodedLen(l Label) int {
 	_, wire := c.sizes(l)
@@ -206,22 +253,16 @@ func (c *Codec) sizes(l Label) (bits, wire int) {
 	wire = int(expGolombLen(uint64(len(l.Entries)), countOrder))
 	x := c.start()
 	for i := range l.Entries {
+		t, w := x.step(c.g, l, i)
 		e := &l.Entries[i]
-		if !x.below(c.g, e.Type, e.Index) || e.Index < 0 {
-			badIndex(l, i)
-		}
-		w := x.width(e.Type, i == len(l.Entries)-1)
 		if e.Type == N {
 			x.in = e.Skl.Graph
 		}
-		bits += 2 + valueBits(e.Index) + int(w)
-		wire += 2 + int(expGolombLen(uint64(e.Index), indexOrder)) + int(w)
-		if i > 0 && l.Entries[i-1].Type == R {
-			bits += 2
-			wire++
-			if e.HasRec {
-				wire += 2
-			}
+		bits += int(t + w)
+		wire += int(t + w)
+		if i > 0 {
+			bits += valueBits(e.Index)
+			wire += int(expGolombLen(uint64(e.Index), indexOrder))
 		}
 	}
 	if n := len(l.Entries); n > 0 && l.Entries[n-1].Type == N && c.g.SlotRank(l.Entries[n-1].Skl.Graph, l.Entries[n-1].Skl.V) >= 0 {
@@ -242,10 +283,9 @@ func (c *Codec) Encode(l Label) []byte {
 // EncodedLen(l) bytes — a region the caller reserved where the label
 // will be read, so no encoded copy is ever made. Every byte of dst is
 // written; what it held does not matter. A label deeper than MaxEntries,
-// a negative index, an index that names no slot, an N entry whose graph
-// its context does not allow, an interior N entry whose origin is not
-// the composite the next index ranks, or a last N entry that is not an
-// atomic vertex is a caller bug and panics. Labelers issue the last
+// an entry no labeler issues where it stands (see step), an N entry
+// whose graph its context does not allow, or a last N entry that is not
+// an atomic vertex is a caller bug and panics. Labelers issue the last
 // only for a DerivationLabeler's not-yet-expanded composite modules,
 // whose labels are in-memory only.
 func (c *Codec) EncodeInto(dst []byte, l Label) {
@@ -257,13 +297,7 @@ func (c *Codec) EncodeInto(dst []byte, l Label) {
 	x := c.start()
 	for i := range l.Entries {
 		e := &l.Entries[i]
-		if !x.below(c.g, e.Type, e.Index) || e.Index < 0 {
-			badIndex(l, i)
-		}
-		width := x.width(e.Type, i == len(l.Entries)-1)
-		if i > 0 && l.Entries[i-1].Type == N && l.Entries[i-1].Skl.V != x.origin {
-			panic(fmt.Sprintf("label: entry %d does not descend from g%d:%d, the origin entry %d names", i, l.Entries[i-1].Skl.Graph, l.Entries[i-1].Skl.V, i-1))
-		}
+		tb, width := x.step(c.g, l, i)
 		var field uint64
 		switch {
 		case e.Type != N:
@@ -279,24 +313,22 @@ func (c *Codec) EncodeInto(dst []byte, l Label) {
 		if e.Type == N {
 			x.in = e.Skl.Graph
 		}
-		idx := uint64(e.Index) + 1<<indexOrder
-		if code := expGolombLen(uint64(e.Index), indexOrder); code <= 32-2 {
-			w.write(uint64(e.Type)<<code|idx, 2+code)
+		var idx uint64
+		var code uint
+		if i > 0 {
+			idx, code = uint64(e.Index)+1<<indexOrder, expGolombLen(uint64(e.Index), indexOrder)
+		}
+		bit := b2u(e.Type == R) // step allows R only where tb is 1
+		if code+tb <= 32 {
+			w.write(idx<<tb|bit, code+tb)
 		} else {
-			// Past one write: the type, the zero prefix, then the code.
+			// Past one write: the zero prefix, the code, then the type.
 			z := (code - indexOrder - 1) / 2
-			w.write(uint64(e.Type), 2)
 			w.write(0, z)
 			w.write(idx, code-z)
+			w.write(bit, tb)
 		}
 		w.write(field, width)
-		if i > 0 && l.Entries[i-1].Type == R {
-			if e.HasRec {
-				w.write(4|b2u(e.Rec1)<<1|b2u(e.Rec2), 3)
-			} else {
-				w.write(0, 1)
-			}
-		}
 	}
 	w.finish()
 }
@@ -316,8 +348,8 @@ func b2u(b bool) uint64 {
 //
 // An interior N entry stores only its graph, so the cursor yields it
 // with Skl.V = graph.None: its origin is the composite vertex the next
-// entry's index ranks (spec.Grammar.Slot), which Decode fills in
-// and π reads from that entry.
+// entry's index ranks (spec.Grammar.Slot), which Origin returns once
+// the cursor has yielded that entry.
 //
 // Validation covers exactly what was walked: Next fails on an entry
 // cut short or naming what the grammar does not hold — an index below
@@ -326,11 +358,10 @@ func b2u(b bool) uint64 {
 // nothing about bytes after the last entry asked for. Detecting damage
 // to stored bytes is the CRC, hash-chain and Merkle layers' job.
 type Cursor struct {
-	c     *Codec
-	r     bitReader
-	x     scope
-	left  int  // entries not yet yielded
-	prevR bool // the last entry yielded was an R node
+	c    *Codec
+	r    bitReader
+	x    scope
+	left int // entries not yet yielded
 }
 
 // Reset points the cursor at the start of an encoded label of codec c
@@ -361,6 +392,12 @@ func (cu *Cursor) Reset(c *Codec, data []byte) error {
 // Len returns the number of entries not yet yielded.
 func (cu *Cursor) Len() int { return cu.left }
 
+// Origin returns the origin of the entry before the last one the cursor
+// yielded, when that is an N entry: the composite vertex of its graph
+// whose slot rank is the last entry's index. It is unspecified
+// otherwise.
+func (cu *Cursor) Origin() graph.VertexID { return cu.x.slot.Origin() }
+
 // Next parses the next entry into e and reports whether there was one:
 // false with a nil error once every entry has been yielded. On an error
 // e is unspecified.
@@ -369,64 +406,69 @@ func (cu *Cursor) Next(e *Entry) (bool, error) {
 		return false, nil
 	}
 	r := &cu.r
-	r.need(32)
-	// The type's 2 bits, then the index code's zero prefix.
-	var hdr, idx uint64
-	switch w, z := r.win, uint(bits.LeadingZeros64(r.win<<2)); {
-	case z <= shortIndexZeros:
-		// Both fields straight from the window: the type's top 2 bits,
-		// the code's z+indexOrder+1 bits after its zero prefix.
-		code := 2*z + indexOrder + 1
-		hdr = w >> 62
-		idx = w<<(2+z)>>(64-(code-z)) - 1<<indexOrder
-		r.win <<= 2 + code
-		r.n -= 2 + code
-	case z <= maxIndexZeros:
-		r.need(2 + z)
-		hdr = r.take(2+z) >> z
-		r.need(z + indexOrder + 1)
-		if idx = r.take(z+indexOrder+1) - 1<<indexOrder; idx > maxIndex {
-			return cu.fail(errIndexCode)
+	// The index code — the root has none —: its zero prefix, then the
+	// code's z+indexOrder+1 bits.
+	var idx uint64
+	if cu.x.in != atRoot {
+		r.need(32)
+		switch z := uint(bits.LeadingZeros64(r.win)); {
+		case z <= shortIndexZeros:
+			// Straight from the window: the prefix is zero, so the
+			// code's top bits are its value.
+			code := 2*z + indexOrder + 1
+			idx = r.win>>(64-code) - 1<<indexOrder
+			r.win <<= code
+			r.n -= code
+		case z <= maxIndexZeros:
+			r.take(z) // the 32 bits needed cover the prefix
+			r.need(z + indexOrder + 1)
+			if idx = r.take(z+indexOrder+1) - 1<<indexOrder; idx > maxIndex {
+				return cu.fail(errIndexCode)
+			}
+		default:
+			if r.left() <= maxIndexZeros {
+				return false, ErrTruncated
+			}
+			return false, errIndexCode
 		}
-	default:
-		if r.left() <= 2+maxIndexZeros {
-			return false, ErrTruncated
+	}
+	g, x := cu.c.g, &cu.x
+	*e = Entry{Index: int32(idx), Type: N, Skl: spec.NoRef}
+	if x.in >= 0 {
+		var ok bool
+		if x.slot, ok = g.Slot(x.in, e.Index); !ok {
+			return cu.fail(errSlot)
 		}
-		return false, errIndexCode
+		if st := x.slot.Type(); st != spec.SlotRN {
+			e.Type = NodeType(st)
+		} else if r.need(1); r.take(1) == 1 {
+			e.Type = R
+		}
+		x.set = x.slot.Choices(e.Type == R)
 	}
-	*e = Entry{Index: int32(idx), Type: NodeType(hdr), Skl: spec.NoRef}
-	g := cu.c.g
-	if !cu.x.below(g, e.Type, e.Index) {
-		return cu.fail(errSlot)
-	}
+	x.in = -1
 	if e.Type == N {
 		last := cu.left == 1
-		w := cu.x.width(N, last)
+		w := x.width(N, last)
 		r.need(w)
 		f := int(r.take(w))
 		var ok bool
 		switch {
 		case last:
-			if e.Skl, ok = g.Leaf(cu.x.set, f); !ok {
+			if e.Skl, ok = g.Leaf(x.set, f); !ok {
 				return cu.fail(errLeaf)
 			}
 		default:
-			if e.Skl.Graph, ok = g.ChoiceGraph(cu.x.set, f); !ok {
+			if e.Skl.Graph, ok = g.ChoiceGraph(x.set, f); !ok {
 				return cu.fail(errChoice)
 			}
 			e.Skl.V = graph.None
 		}
-		cu.x.in = e.Skl.Graph
-	}
-	r.need(3)
-	if cu.prevR && r.take(1) == 1 {
-		flags := r.take(2)
-		e.HasRec, e.Rec1, e.Rec2 = true, flags&2 != 0, flags&1 != 0
+		x.in = e.Skl.Graph
 	}
 	if r.overrun() {
 		return false, ErrTruncated
 	}
-	cu.prevR = e.Type == R
 	cu.left--
 	return true, nil
 }
@@ -452,7 +494,7 @@ func (c *Codec) Decode(data []byte) (Label, error) {
 			return Label{}, err
 		}
 		if i > 0 && entries[i-1].Type == N {
-			entries[i-1].Skl.V = cu.x.origin
+			entries[i-1].Skl.V = cu.Origin()
 		}
 	}
 	return Label{Entries: entries}, nil

@@ -17,9 +17,10 @@ import (
 
 // refEncode is the reference the production writer must match byte for
 // byte: the format written down one bit at a time, with the codes'
-// lengths, a graph's place in its choice set and a vertex's rank among
-// the set's atomic vertices found by counting rather than by math/bits
-// and the grammar's rank tables.
+// lengths, where a slot leaves the type open, a graph's place in its
+// choice set and a vertex's rank among the set's atomic vertices found
+// by counting rather than by math/bits and the grammar's slot and rank
+// tables.
 func refEncode(g *spec.Grammar, l label.Label) []byte { return refEncodeWith(g, l, nil) }
 
 // refEncodeWith is refEncode with the choice or leaf field of the
@@ -28,12 +29,17 @@ func refEncodeWith(g *spec.Grammar, l label.Label, field map[int]uint64) []byte 
 	var w refBitWriter
 	w.expGolomb(uint64(len(l.Entries)), 1)
 	set := g.RootChoices()
-	prevR := false
 	for i, e := range l.Entries {
-		w.write(uint64(e.Type), 2)
-		w.expGolomb(uint64(e.Index), 0)
+		if i > 0 {
+			w.expGolomb(uint64(e.Index), 0)
+		}
 		if i > 0 && l.Entries[i-1].Type == label.N {
-			_, set, _ = g.Slot(l.Entries[i-1].Skl.Graph, e.Index, e.Type == label.R)
+			above := l.Entries[i-1].Skl.Graph
+			slot, _ := g.Slot(above, e.Index)
+			set = slot.Choices(e.Type == label.R)
+			if opensChain(g, g.Spec().Graph(above).G.Name(vertices(g, above, true)[e.Index])) {
+				w.write(b2u(e.Type == label.R), 1)
+			}
 		}
 		if e.Type == label.N {
 			// The field and the number of values it has: the graph's
@@ -64,18 +70,23 @@ func refEncodeWith(g *spec.Grammar, l label.Label, field map[int]uint64) []byte 
 			}
 			w.write(v, width)
 		}
-		if prevR {
-			if e.HasRec {
-				w.write(1, 1)
-				w.write(b2u(e.Rec1), 1)
-				w.write(b2u(e.Rec2), 1)
-			} else {
-				w.write(0, 1)
-			}
-		}
-		prevR = e.Type == label.R
 	}
 	return w.buf
+}
+
+// opensChain reports whether a slot of the named module leaves its
+// child's type open: a plain module one of whose implementations has a
+// designated recursive vertex, whose child is an R node or an instance.
+func opensChain(g *spec.Grammar, name string) bool {
+	if g.Spec().Kind(name) != spec.Plain {
+		return false
+	}
+	for _, id := range g.Spec().Implementations(name) {
+		if g.Designated(id) != graph.None {
+			return true
+		}
+	}
+	return false
 }
 
 // choiceGraphs lists the graphs of a choice set in order.
@@ -141,7 +152,7 @@ func (w *refBitWriter) write(v uint64, bits int) {
 
 // corpus labels real executions of the grammars the service is run
 // with: BioAID, the agent grammar, and random linear and nonlinear
-// ones (deep labels, every node type, recursion flags).
+// ones (deep labels, every node type, recursion chains).
 func corpus(t testing.TB) map[*spec.Grammar][]label.Label {
 	t.Helper()
 	out := make(map[*spec.Grammar][]label.Label)
@@ -172,8 +183,8 @@ func corpus(t testing.TB) map[*spec.Grammar][]label.Label {
 }
 
 // indexTable is the index-code table: the shortest codes, the first of
-// each longer class, the last index whose code moves with its type in
-// one field and the first that does not, and the widths where shifts go
+// each longer class, the last index whose code a reader takes straight
+// from its window and the first it does not, and the widths where shifts go
 // wrong first — 2³⁰ and 2³¹−1, whose 63-bit code is longer than the
 // reader's refill.
 var indexTable = []int32{0, 1, 2, 3, 6, 7, 1<<15 - 2, 1<<15 - 1, 1 << 30, 1<<31 - 1}
@@ -187,22 +198,16 @@ func TestEncodeMatchesReferenceWriter(t *testing.T) {
 	labels := corpus(t)
 	g := spec.MustCompile(wfspecs.RunningExample())
 	for _, idx := range indexTable {
-		// The root, a loop copy, a fork copy and a chain member at
-		// this index, down to s3 of an h3 instance.
-		for _, rec := range []label.Entry{
-			{Index: idx, Type: label.N, Skl: ref(3, 0)},
-			{Index: idx, Type: label.N, Skl: ref(3, 0), HasRec: true, Rec1: true},
-			{Index: idx, Type: label.N, Skl: ref(3, 0), HasRec: true, Rec2: true},
-		} {
-			labels[g] = append(labels[g], label.Label{}.
-				Append(label.Entry{Index: idx, Type: label.N, Skl: ref(0, 1)}).
-				Append(label.Entry{Index: 0, Type: label.L, Skl: spec.NoRef}).
-				Append(label.Entry{Index: idx, Type: label.N, Skl: ref(1, 1)}).
-				Append(label.Entry{Index: 0, Type: label.F, Skl: spec.NoRef}).
-				Append(label.Entry{Index: idx, Type: label.N, Skl: ref(2, 1)}).
-				Append(label.Entry{Index: 0, Type: label.R, Skl: spec.NoRef}).
-				Append(rec))
-		}
+		// A loop copy, a fork copy and a chain member at this index,
+		// down to s3 of an h3 instance.
+		labels[g] = append(labels[g], label.Label{}.
+			Append(label.Entry{Index: 0, Type: label.N, Skl: ref(0, 1)}).
+			Append(label.Entry{Index: 0, Type: label.L, Skl: spec.NoRef}).
+			Append(label.Entry{Index: idx, Type: label.N, Skl: ref(1, 1)}).
+			Append(label.Entry{Index: 0, Type: label.F, Skl: spec.NoRef}).
+			Append(label.Entry{Index: idx, Type: label.N, Skl: ref(2, 1)}).
+			Append(label.Entry{Index: 0, Type: label.R, Skl: spec.NoRef}).
+			Append(label.Entry{Index: idx, Type: label.N, Skl: ref(3, 0)}))
 	}
 	labels[g] = append(labels[g], deepLabel(label.MaxEntries))
 	n := 0
@@ -263,10 +268,7 @@ func refusals(g *spec.Grammar) map[string]refusal {
 		Append(label.Entry{Index: 0, Type: label.N, Skl: ref(5, 0)})
 	leaf := chain.Append(label.Entry{Index: 1, Type: label.N, Skl: ref(3, 0)})
 	var w refBitWriter
-	w.expGolomb(2, 1)
-	w.write(uint64(label.N), 2)
-	w.expGolomb(0, 0)
-	w.write(uint64(label.N), 2)
+	w.expGolomb(2, 1) // the root stores nothing: g0 alone, at index 0
 	w.expGolomb(1, 0) // g0's one composite vertex has rank 0
 	root := label.Label{}.
 		Append(label.Entry{Index: 0, Type: label.N, Skl: ref(0, 1)}).
@@ -286,8 +288,7 @@ func refusals(g *spec.Grammar) map[string]refusal {
 func TestDecodeRefusesOutOfRangeCodes(t *testing.T) {
 	c := codec(t)
 	var w refBitWriter
-	w.expGolomb(1, 1)
-	w.write(uint64(label.L), 2)
+	w.expGolomb(2, 1)
 	w.expGolomb(1<<31, 0)
 	w.write(0, 16)
 	overIndex := w.buf

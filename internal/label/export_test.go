@@ -8,3 +8,10 @@ func (l Label) Append(e Entry) Label {
 	entries[len(l.Entries)] = e
 	return Label{Entries: entries}
 }
+
+// WireBits is the encoded length of l in bits before the padding to a
+// whole byte.
+func (c *Codec) WireBits(l Label) int {
+	_, wire := c.sizes(l)
+	return wire
+}

@@ -1,14 +1,16 @@
 // Package label defines the reachability labels of the dynamic scheme:
-// a label is the list of entries (index, type, skl, rec1, rec2) built
-// by Algorithm 1, one entry per level of the vertex's path in the
-// explicit parse tree. Its Codec measures labels and stores them:
+// a label is the list of entries (index, type, skl) built by Algorithm
+// 1, one entry per level of the vertex's path in the explicit parse
+// tree, less the two recursion flags, which π derives from the skeleton
+// where it needs them. Its Codec measures labels and stores them:
 // BitLen is the paper's accounting, the label length of every
-// measurement (Figures 14 and 17-20), with each skeleton pointer cut to
-// what the grammar leaves open; Encode is the canonical
-// self-delimiting binary form the store, the snapshot and the Merkle
-// leaves hold, prefix-coding each index and the entry count so that the
-// framing and padding cost about two bytes over BitLen; Cursor parses
-// that form in place.
+// measurement (Figures 14 and 17-20), counting only what the grammar
+// leaves open — a type only where a slot may be an R or an N node, a
+// skeleton pointer cut to a choice or a rank, no root index; Encode is
+// the canonical self-delimiting binary form the store, the snapshot and
+// the Merkle leaves hold, prefix-coding each index and the entry count
+// so that the framing and padding cost about two bytes over BitLen;
+// Cursor parses that form in place.
 package label
 
 import (
@@ -51,22 +53,18 @@ func (t NodeType) String() string {
 // Entry is one level of a reachability label (Algorithm 1): the child
 // index of the tree node at this level, the node's type, and — for
 // non-special nodes — the skeleton-label pointer of the vertex's
-// origin at this level plus, for members of a recursion chain, the two
-// recursion flags (origin reaches the recursive vertex / is reached by
-// it). In memory the pointer is a whole spec vertex; the encoding
-// stores only what the grammar cannot imply from the entries around it
-// (see Codec).
+// origin at this level. Algorithm 1's recursion flags are not kept: a
+// recursion-chain member's are π on its graph's skeleton between its
+// origin and the graph's designated recursive vertex, which core.Pi
+// evaluates where it needs them. In memory the pointer is a whole spec
+// vertex; the encoding stores only what the grammar cannot imply from
+// the entries around it (see Codec).
 type Entry struct {
 	Index int32
 	Type  NodeType
 	// Skl points to the skeleton label of the origin (spec.NoRef for
 	// special nodes, whose entries carry no skeleton information).
 	Skl spec.VertexRef
-	// HasRec reports whether the recursion flags are meaningful: the
-	// entry's node is a recursion-chain member whose graph has a
-	// designated recursive vertex.
-	HasRec     bool
-	Rec1, Rec2 bool
 }
 
 func (e Entry) String() string {
@@ -74,9 +72,6 @@ func (e Entry) String() string {
 	fmt.Fprintf(&b, "(%d,%s", e.Index, e.Type)
 	if !e.Skl.IsZero() {
 		fmt.Fprintf(&b, ",g%d:%d", e.Skl.Graph, e.Skl.V)
-	}
-	if e.HasRec {
-		fmt.Fprintf(&b, ",%v,%v", e.Rec1, e.Rec2)
 	}
 	b.WriteByte(')')
 	return b.String()

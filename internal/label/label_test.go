@@ -45,8 +45,8 @@ func TestEqual(t *testing.T) {
 }
 
 // TestEncodeDecodeRoundTrip: a RunningExample label with every node
-// type — the root, a loop copy, a fork copy, a recursion-chain member
-// with flags, and the s5 of the B slot it expands.
+// type — the root, a loop copy, a fork copy, a recursion-chain member,
+// and the s5 of the B slot it expands.
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	c := codec(t)
 	l := label.Label{}.
@@ -56,7 +56,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		Append(label.Entry{Index: 0, Type: label.F, Skl: spec.NoRef}).
 		Append(label.Entry{Index: 1, Type: label.N, Skl: ref(2, 1)}).
 		Append(label.Entry{Index: 0, Type: label.R, Skl: spec.NoRef}).
-		Append(label.Entry{Index: 1, Type: label.N, Skl: ref(3, 1), HasRec: true, Rec1: true, Rec2: false}).
+		Append(label.Entry{Index: 1, Type: label.N, Skl: ref(3, 1)}).
 		Append(label.Entry{Index: 0, Type: label.N, Skl: ref(5, 0)})
 	enc := c.Encode(l)
 	dec, err := c.Decode(enc)
@@ -103,52 +103,88 @@ func TestBitLenVersusEncodedSize(t *testing.T) {
 
 func TestBitLenComponents(t *testing.T) {
 	c := codec(t)
-	// Single root entry: 2 (type) + 1 (index 0) + 1 (s0's rank among
-	// g0's two atomic vertices).
+	// Single root entry: no type, no index (always 0), 1 bit for s0's
+	// rank among g0's two atomic vertices.
 	l := label.Label{}.Append(label.Entry{Index: 0, Type: label.N, Skl: ref(0, 0)})
-	want := 2 + 1 + 1
-	if got := c.BitLen(l); got != want {
-		t.Fatalf("BitLen = %d, want %d", got, want)
+	if got := c.BitLen(l); got != 1 {
+		t.Fatalf("BitLen = %d, want 1", got)
 	}
 	// An interior N entry whose context allows one graph stores nothing
-	// but its type and index: the next index names its origin.
+	// but its index: the next index names its origin, and the slot it
+	// ranks, g0's loop module, makes that entry an L entry.
 	interior := label.Label{}.
 		Append(label.Entry{Index: 0, Type: label.N, Skl: ref(0, 1)}).
 		Append(label.Entry{Index: 0, Type: label.L, Skl: spec.NoRef}).
 		Append(label.Entry{Index: 1, Type: label.N, Skl: ref(1, 0)})
-	if got := c.BitLen(interior); got != (2+1)+(2+1)+(2+1+1) {
-		t.Fatalf("BitLen(%s) = %d, want 10", interior, got)
+	if got := c.BitLen(interior); got != 0+1+(1+1) {
+		t.Fatalf("BitLen(%s) = %d, want 3", interior, got)
 	}
 	// Index widths grow logarithmically: index 1 costs 1 bit, index 2-3
 	// cost 2, index 1000 costs 10 (the log θ_t term of Theorem 3).
 	grow := func(idx int32) int {
-		ll := label.Label{}.Append(label.Entry{Index: idx, Type: label.L, Skl: spec.NoRef})
-		return c.BitLen(ll)
+		ll := label.Label{}.
+			Append(label.Entry{Index: 0, Type: label.N, Skl: ref(0, 1)}).
+			Append(label.Entry{Index: 0, Type: label.L, Skl: spec.NoRef}).
+			Append(label.Entry{Index: idx, Type: label.N, Skl: ref(1, 0)})
+		return c.BitLen(ll) - 2
 	}
-	if grow(1) != 2+1 || grow(3) != 2+2 || grow(1000) != 2+10 {
+	if grow(1) != 1 || grow(3) != 2 || grow(1000) != 10 {
 		t.Fatalf("index widths wrong: %d %d %d", grow(1), grow(3), grow(1000))
-	}
-	// Special entries carry no field.
-	if grow(0) >= want {
-		t.Fatal("special entry should be cheaper than N entry")
 	}
 }
 
-func TestRecFlagAccounting(t *testing.T) {
+// TestImpliedFieldsCostNothing: a label stores no type the grammar
+// fixes and no recursion flag. Down to an h3 chain member: the L and F
+// entries cost their index alone, the R entry its index and the one bit
+// that tells it from an instance of A's slot, and the chain member its
+// index and its rank among the six atomic vertices of A's chain set —
+// none of Algorithm 1's 2 type bits or 2 flag bits.
+func TestImpliedFieldsCostNothing(t *testing.T) {
 	c := codec(t)
-	// Children of an R node always account 1+1 recursion-flag bits
-	// (Algorithm 1's accounting), whether or not the flags are set.
-	under := label.Label{}.
-		Append(label.Entry{Index: 0, Type: label.N, Skl: ref(0, 1)}).
-		Append(label.Entry{Index: 0, Type: label.R, Skl: spec.NoRef}).
-		Append(label.Entry{Index: 1, Type: label.N, Skl: ref(1, 0), HasRec: true, Rec1: true})
-	plain := label.Label{}.
+	l := label.Label{}.
 		Append(label.Entry{Index: 0, Type: label.N, Skl: ref(0, 1)}).
 		Append(label.Entry{Index: 0, Type: label.L, Skl: spec.NoRef}).
-		Append(label.Entry{Index: 1, Type: label.N, Skl: ref(1, 0)})
-	if c.BitLen(under) != c.BitLen(plain)+2 {
-		t.Fatalf("R-chain member should cost 2 extra bits: %d vs %d",
-			c.BitLen(under), c.BitLen(plain))
+		Append(label.Entry{Index: 1, Type: label.N, Skl: ref(1, 1)}).
+		Append(label.Entry{Index: 0, Type: label.F, Skl: spec.NoRef}).
+		Append(label.Entry{Index: 0, Type: label.N, Skl: ref(2, 1)}).
+		Append(label.Entry{Index: 0, Type: label.R, Skl: spec.NoRef}).
+		Append(label.Entry{Index: 3, Type: label.N, Skl: ref(3, 0)})
+	prefix := func(n int) int { return c.BitLen(label.Label{Entries: l.Entries[:n]}) }
+	for _, tc := range []struct {
+		name      string
+		got, want int
+	}{
+		{"root and L entry", prefix(2), 1},
+		{"loop copy and F entry", prefix(4) - prefix(2), 1 + 1},
+		{"fork copy and R entry", prefix(6) - prefix(4), 1 + 1 + 1},
+		{"chain member", prefix(7) - prefix(6), 2 + 3},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("%s: %d bits, want %d", tc.name, tc.got, tc.want)
+		}
+	}
+	// The same slot expanded by an instance instead: its index, the type
+	// bit, and a rank among the four atomic vertices of h3 and h4.
+	plain := label.Label{Entries: append(l.Entries[:5:5], label.Entry{Index: 0, Type: label.N, Skl: ref(3, 0)})}
+	if got := c.BitLen(plain) - prefix(4); got != 1+(1+1+2) {
+		t.Errorf("fork copy and an instance of A: %d bits, want 5", got)
+	}
+	// The labelers issue no other types: one the slot does not imply
+	// panics, however cheap it would be.
+	for _, bad := range []label.Label{
+		{Entries: []label.Entry{{Index: 0, Type: label.L, Skl: spec.NoRef}}},
+		{Entries: append(l.Entries[:1:1], label.Entry{Index: 0, Type: label.N, Skl: ref(1, 0)})},
+		{Entries: append(l.Entries[:5:5], label.Entry{Index: 0, Type: label.F, Skl: spec.NoRef})},
+		{Entries: append(l.Entries[:6:6], label.Entry{Index: 0, Type: label.R, Skl: spec.NoRef})},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", bad)
+				}
+			}()
+			c.BitLen(bad)
+		}()
 	}
 }
 
@@ -181,9 +217,9 @@ func TestEntryAndLabelString(t *testing.T) {
 	l := label.Label{}.
 		Append(label.Entry{Index: 0, Type: label.N, Skl: ref(0, 1)}).
 		Append(label.Entry{Index: 1, Type: label.R, Skl: spec.NoRef}).
-		Append(label.Entry{Index: 1, Type: label.N, Skl: ref(3, 0), HasRec: true, Rec1: true})
+		Append(label.Entry{Index: 1, Type: label.N, Skl: ref(3, 0)})
 	s := l.String()
-	for _, want := range []string{"(0,N,g0:1)", "(1,R)", "true,false"} {
+	for _, want := range []string{"(0,N,g0:1)", "(1,R)", "(1,N,g3:0)"} {
 		if !contains(s, want) {
 			t.Fatalf("String() = %s missing %q", s, want)
 		}

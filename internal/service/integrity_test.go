@@ -420,8 +420,8 @@ func underMagic(magic string) func(t *testing.T, path string) {
 // TestIntegrityUnavailableOnLegacySnapshot: a data directory whose
 // labels.snap is in a format earlier builds wrote — a WFSNAP01 magic
 // with nothing readable past it, a whole, checksummed WFSNAP03 file, or
-// a WFSNAP05 or WFSNAP06 file, whose layout is today's but whose labels
-// are not —
+// a WFSNAP05, WFSNAP06 or WFSNAP07 file, whose layout is today's but
+// whose labels are not —
 // restores fine from the log, reports anchors for the chain the restore
 // re-seeded, and the auditor says "unavailable", not "violation". The
 // next checkpoint replaces the file with one this build opens.
@@ -440,6 +440,7 @@ func TestIntegrityUnavailableOnLegacySnapshot(t *testing.T) {
 		{"WFSNAP03 file", rewriteAsWFSNAP03},
 		{"WFSNAP05 file", underMagic("WFSNAP05")},
 		{"WFSNAP06 file", underMagic("WFSNAP06")},
+		{"WFSNAP07 file", underMagic("WFSNAP07")},
 	} {
 		dir := t.TempDir()
 		reg := durableReg(t, dir, DurableOptions{})

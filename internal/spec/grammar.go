@@ -75,8 +75,9 @@ type graphFacts struct {
 	// atoms lists the atomic vertices by rank.
 	atoms []int32
 	// slots holds three words per composite vertex, by slot rank: the
-	// vertex, then the choice sets of the child that expands it under an
-	// N, L or F node and as a recursion-chain member under an R node.
+	// vertex shifted left two bits over its SlotType, then the choice
+	// sets of the child that expands it under an N, L or F node and as a
+	// recursion-chain member under an R node.
 	slots []int32
 }
 
@@ -102,24 +103,70 @@ type ChoiceSet int32
 // ChoiceSet holds in 21 bits.
 const maxSetWords = 1 << 21
 
+// maxGraphVertices bounds a graph's vertices, which a slot table word
+// holds in 29 bits beside the slot's type.
+const maxGraphVertices = 1 << 29
+
 // RootChoices returns the choice set of the root instance: g0 alone.
 func (g *Grammar) RootChoices() ChoiceSet { return g.root }
 
-// Slot returns what the grammar implies about the child of index rank
-// under an instance of graph id, the child that expands the composite
-// of that slot rank: the composite vertex — the origin, in the instance,
-// of every label that descends through the child — and the child's
-// choice set, as a recursion-chain member when chain is set. It reports
-// false when the graph has no such slot.
-func (g *Grammar) Slot(id GraphID, rank int32, chain bool) (graph.VertexID, ChoiceSet, bool) {
+// SlotType is what the grammar fixes about the type of the parse-tree
+// node that expands a slot. Its values are those of label.NodeType, with
+// SlotRN standing for either of two.
+type SlotType uint8
+
+const (
+	// SlotN is a plain module none of whose implementations has a
+	// designated recursive vertex: the slot's child is an instance.
+	SlotN SlotType = iota
+	// SlotL is a loop module: its child is an L node.
+	SlotL
+	// SlotF is a fork module: its child is an F node.
+	SlotF
+	// SlotRN is a plain module with an implementation that has a
+	// designated recursive vertex: its child is an R node where the
+	// labeler opens a recursion chain there, and an instance otherwise.
+	// A label stores which.
+	SlotRN
+)
+
+// Slot is what the grammar implies about the child of an instance that
+// expands one of its composite vertices: a view of the slot's three
+// words in the grammar's table.
+type Slot struct{ w *[3]int32 }
+
+// noSlot is the words of NoSlot: no origin, type SlotN, no choice sets.
+var noSlot = [3]int32{int32(graph.None) << 2}
+
+// NoSlot is the slot of no composite vertex: its origin is graph.None.
+func NoSlot() Slot { return Slot{&noSlot} }
+
+// Origin returns the composite vertex: the origin, in the instance, of
+// every label that descends through the child.
+func (s Slot) Origin() graph.VertexID { return graph.VertexID(s.w[0] >> 2) }
+
+// Type returns what the slot fixes about the child's type.
+func (s Slot) Type() SlotType { return SlotType(s.w[0] & 3) }
+
+// Choices returns the child's choice set: the implementations of the
+// slot's module, or those of its recursion SCC when chain is set — the
+// set of the members of a recursion chain below an R child.
+func (s Slot) Choices(chain bool) ChoiceSet {
+	if chain {
+		return ChoiceSet(s.w[2])
+	}
+	return ChoiceSet(s.w[1])
+}
+
+// Slot returns the slot of rank rank in graph id: what the grammar
+// implies about the child of that index under an instance of the graph.
+// It reports false, and NoSlot, when the graph has no such slot.
+func (g *Grammar) Slot(id GraphID, rank int32) (Slot, bool) {
 	s, i := g.graphs[id].slots, 3*uint(uint32(rank))
 	if i >= uint(len(s)) { // len(s) is a multiple of 3
-		return graph.None, 0, false
+		return NoSlot(), false
 	}
-	if chain {
-		return graph.VertexID(s[i]), ChoiceSet(s[i+2]), true
-	}
-	return graph.VertexID(s[i]), ChoiceSet(s[i+1]), true
+	return Slot{(*[3]int32)(s[i : i+3])}, true
 }
 
 // ChoiceBits returns ⌈log₂ k⌉ for the set's k graphs: the width of an
@@ -448,6 +495,9 @@ func (g *Grammar) buildTables() error {
 
 	total := int(setWords)
 	for _, ng := range s.graphs {
+		if ng.G.NumVertices() > maxGraphVertices {
+			return fmt.Errorf("spec: graph %s has %d vertices, more than the %d a slot table numbers", ng.Label, ng.G.NumVertices(), maxGraphVertices)
+		}
 		total += 2 * ng.G.NumVertices() // rank, then atoms or slot vertices
 		for v := range ng.G.NumVertices() {
 			if s.kinds[ng.G.Name(graph.VertexID(v))].Composite() {
@@ -518,12 +568,32 @@ func (g *Grammar) buildTables() error {
 		f := &g.graphs[i]
 		for v, r := range f.rank {
 			if r >= 0 {
-				ids := sets[ng.G.Name(graph.VertexID(v))]
-				f.slots[3*r], f.slots[3*r+1], f.slots[3*r+2] = int32(v), int32(srcs[ids[0]].set), int32(srcs[ids[1]].set)
+				name := ng.G.Name(graph.VertexID(v))
+				ids := sets[name]
+				f.slots[3*r], f.slots[3*r+1], f.slots[3*r+2] = int32(v)<<2|int32(g.slotType(name)), int32(srcs[ids[0]].set), int32(srcs[ids[1]].set)
 			}
 		}
 	}
 	return nil
+}
+
+// slotType is what composite name fixes about the node that expands
+// one of its vertices: the labelers make an L node for a loop module, an
+// F node for a fork module, and an R node for a plain module only where
+// the chosen implementation has a designated recursive vertex.
+func (g *Grammar) slotType(name string) SlotType {
+	switch g.spec.kinds[name] {
+	case Loop:
+		return SlotL
+	case Fork:
+		return SlotF
+	}
+	for _, id := range g.spec.impls[name] {
+		if g.graphs[id].designated != graph.None {
+			return SlotRN
+		}
+	}
+	return SlotN
 }
 
 // Spec returns the underlying specification.

@@ -304,7 +304,8 @@ func TestMinExpansion(t *testing.T) {
 // RunningExample: Slot inverts SlotRank; the root may only be g0; a
 // slot's child may be one of its implementations, or, as a recursion
 // chain member, one of those of its SCC (A and C induce each other);
-// and Leaf and LeafRank number the sets' atomic vertices one to one.
+// Leaf and LeafRank number the sets' atomic vertices one to one; and a
+// slot's module fixes its child's type.
 func TestSlotTables(t *testing.T) {
 	g := spec.MustCompile(wfspecs.RunningExample())
 	s := g.Spec()
@@ -317,12 +318,12 @@ func TestSlotTables(t *testing.T) {
 			if !s.Kind(ng.G.Name(graph.VertexID(v))).Composite() {
 				continue
 			}
-			if slot, _, ok := g.Slot(ng.ID, g.SlotRank(ng.ID, graph.VertexID(v)), false); !ok || slot != graph.VertexID(v) || g.SlotRank(ng.ID, graph.VertexID(v)) != rank {
-				t.Fatalf("%s: vertex %d has slot rank %d, which names %d", ng.Label, v, g.SlotRank(ng.ID, graph.VertexID(v)), slot)
+			if slot, ok := g.Slot(ng.ID, g.SlotRank(ng.ID, graph.VertexID(v))); !ok || slot.Origin() != graph.VertexID(v) || g.SlotRank(ng.ID, graph.VertexID(v)) != rank {
+				t.Fatalf("%s: vertex %d has slot rank %d, which names %d", ng.Label, v, g.SlotRank(ng.ID, graph.VertexID(v)), slot.Origin())
 			}
 			rank++
 		}
-		if _, _, ok := g.Slot(ng.ID, rank, false); ok {
+		if _, ok := g.Slot(ng.ID, rank); ok {
 			t.Fatalf("%s: slot rank %d names a vertex past its %d composites", ng.Label, rank, rank)
 		}
 	}
@@ -338,8 +339,8 @@ func TestSlotTables(t *testing.T) {
 	}
 	h2, h3 := s.Implementations("F")[0], s.Implementations("A")[0]
 	choices := func(id spec.GraphID, rank int32, chain bool) spec.ChoiceSet {
-		_, set, _ := g.Slot(id, rank, chain)
-		return set
+		slot, _ := g.Slot(id, rank)
+		return slot.Choices(chain)
 	}
 	for _, tc := range []struct {
 		name             string
@@ -375,6 +376,28 @@ func TestSlotTables(t *testing.T) {
 	}
 	if _, ok := g.Choice(g.RootChoices(), h3); ok {
 		t.Error("the root may be an h3 instance")
+	}
+	// A slot fixes its child's type: L and F for the loop and fork, N
+	// for B, whose one implementation h5 opens no recursion, and R or N
+	// for A and C, each with an implementation whose designated vertex
+	// (C in h3, A in h6) continues the chain.
+	h1, h6 := s.Implementations("L")[0], s.Implementations("C")[0]
+	for _, tc := range []struct {
+		name string
+		id   spec.GraphID
+		rank int32
+		want spec.SlotType
+	}{
+		{"g0's L", 0, 0, spec.SlotL},
+		{"h1's F", h1, 0, spec.SlotF},
+		{"h2's A", h2, 0, spec.SlotRN},
+		{"h3's B", h3, 0, spec.SlotN},
+		{"h3's C", h3, 1, spec.SlotRN},
+		{"h6's A", h6, 0, spec.SlotRN},
+	} {
+		if slot, _ := g.Slot(tc.id, tc.rank); slot.Type() != tc.want {
+			t.Errorf("%s: slot type %d, want %d", tc.name, slot.Type(), tc.want)
+		}
 	}
 }
 
