@@ -53,8 +53,8 @@ func (c *Client) Promote(ctx context.Context) (ReplicationStatus, error) {
 }
 
 // SessionSpec fetches the session's workflow specification as XML —
-// together with the stats' skeleton/rmode configuration, all a
-// replica needs to rebuild the session before replaying its WAL.
+// with the stats' identity, all a replica needs to rebuild the session
+// before replaying its WAL, since every session labels the same way.
 func (c *Client) SessionSpec(ctx context.Context, name string) ([]byte, error) {
 	return c.doRaw(ctx, http.MethodGet, "/sessions/"+url.PathEscape(name)+"/spec", "", nil, true)
 }

@@ -18,7 +18,9 @@
 // format through the Go client SDK, answers every -query in a single
 // batch-reach roundtrip, and deletes the session unless -keep is
 // given. -stats then reports the server's session statistics, and
-// -verify samples server answers against local BFS ground truth.
+// -verify samples server answers against local BFS ground truth. A
+// server labels every session with TCL skeleton labels, so -bfs, which
+// picks the library's BFS skeleton, is a usage error there (exit 2).
 //
 // With -addr and -integrity, wflabel instead audits an existing
 // session: it prints the session's tamper-evidence anchors (the WAL
@@ -55,7 +57,7 @@ func main() {
 	size := flag.Int("size", 1024, "generated run size")
 	seed := flag.Int64("seed", 1, "generation seed")
 	useExec := flag.Bool("exec", false, "use the execution-based labeler")
-	useBFS := flag.Bool("bfs", false, "use the BFS skeleton instead of TCL")
+	useBFS := flag.Bool("bfs", false, "use the BFS skeleton instead of TCL (in process only)")
 	stats := flag.Bool("stats", false, "print label statistics")
 	verify := flag.Bool("verify", false, "verify labels against BFS ground truth (all pairs locally, a sample with -addr)")
 	addr := flag.String("addr", "", "wfserve base URL: label on the server through the client SDK instead of in process")
@@ -69,6 +71,10 @@ func main() {
 	fail := func(err error) {
 		fmt.Fprintf(os.Stderr, "wflabel: %v\n", err)
 		os.Exit(1)
+	}
+	if *useBFS && *addr != "" {
+		fmt.Fprintln(os.Stderr, "wflabel: -bfs labels in process; a server labels every session with TCL, so it does not go with -addr")
+		os.Exit(2)
 	}
 
 	// Integrity audit mode: query an existing session's anchors and
@@ -111,7 +117,7 @@ func main() {
 	if *addr != "" {
 		if err := runRemote(remoteConfig{
 			addr: *addr, session: *session, keep: *keep,
-			bfs: *useBFS, stats: *stats, verify: *verify, queries: queries,
+			stats: *stats, verify: *verify, queries: queries,
 		}, s, r, os.Stdout); err != nil {
 			fail(err)
 		}
@@ -195,7 +201,6 @@ type remoteConfig struct {
 	addr    string
 	session string
 	keep    bool
-	bfs     bool
 	stats   bool
 	verify  bool
 	queries queryList
@@ -244,11 +249,7 @@ func runRemote(cfg remoteConfig, s *wfreach.Spec, r *wfreach.Run, out io.Writer)
 	if err != nil {
 		return err
 	}
-	req := client.CreateSessionRequest{Name: cfg.session, SpecXML: xml}
-	if cfg.bfs {
-		req.Skeleton = "BFS"
-	}
-	if _, err := c.CreateSession(ctx, req); err != nil {
+	if _, err := c.CreateSession(ctx, client.CreateSessionRequest{Name: cfg.session, SpecXML: xml}); err != nil {
 		return fmt.Errorf("create session: %w", err)
 	}
 	if !cfg.keep {

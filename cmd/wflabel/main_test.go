@@ -201,6 +201,16 @@ func TestWflabelRemoteMode(t *testing.T) {
 		t.Fatal("kept session missing or empty")
 	}
 
+	// -bfs picks the library's skeleton; a server has only TCL, so
+	// asking for both is a usage error that creates nothing.
+	out, err = exec.Command(bin, "-size", "100", "-addr", srv.URL, "-session", "bfs", "-bfs").CombinedOutput()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+		t.Fatalf("-bfs with -addr: %v, want exit status 2\n%s", err, out)
+	}
+	if _, ok := reg.Get("bfs"); ok {
+		t.Fatal("-bfs with -addr created a session")
+	}
+
 	// -integrity is an audit of an existing session: a memory-only
 	// server has no chain, which is reported as unavailability (exit
 	// 0), not an error.

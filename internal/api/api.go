@@ -134,8 +134,9 @@ type CreateSessionRequest struct {
 	// specification inline; exactly one must be set.
 	Builtin string `json:"builtin,omitempty"`
 	SpecXML string `json:"spec_xml,omitempty"`
-	// Skeleton is "TCL" (default) or "BFS"; RMode is "designated"
-	// (default) or "none".
+	// Skeleton and RMode may name the one labeling every session uses:
+	// "TCL", and "designated" or "designated-R". Empty means the same;
+	// any other name is refused with bad_request.
 	Skeleton string `json:"skeleton,omitempty"`
 	RMode    string `json:"rmode,omitempty"`
 }
@@ -152,10 +153,11 @@ type SessionStats struct {
 	ID string `json:"id,omitempty"`
 	// Class is the grammar's recursion class.
 	Class string `json:"class"`
-	// Skeleton is the specification-labeling scheme ("TCL" or "BFS").
+	// Skeleton and Mode are always "TCL" and "designated-R", the one
+	// labeling every session uses. They are kept for one API version
+	// and will then be dropped.
 	Skeleton string `json:"skeleton"`
-	// Mode is the recursion-compression mode.
-	Mode string `json:"mode"`
+	Mode     string `json:"mode"`
 	// Vertices is the number of labeled vertices.
 	Vertices int64 `json:"vertices"`
 	// ArenaVertices is the number of labels served zero-copy from a

@@ -144,14 +144,15 @@ func TestV3HeaderDamageCaught(t *testing.T) {
 }
 
 // TestUnknownSnapVersionRejected: any other format in the WFSNAP
-// lineage is ErrVersion, not garbage decode.
+// lineage is ErrVersion, not garbage decode. The magic is one no format
+// will take: the numbered ones are for real formats.
 func TestUnknownSnapVersionRejected(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "labels.snap")
 	if _, err := Write(path, Meta{Events: 10, HasChain: true}, v3Entries(10)); err != nil {
 		t.Fatal(err)
 	}
 	raw, _ := os.ReadFile(path)
-	copy(raw, "WFSNAP09")
+	copy(raw, "WFSNAPZZ")
 	os.WriteFile(path, raw, 0o644)
 	if _, err := Open(path); !errors.Is(err, ErrVersion) {
 		t.Fatalf("Open = %v, want ErrVersion", err)

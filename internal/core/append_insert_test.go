@@ -37,7 +37,7 @@ func TestAllocationFreeStagesMatchTheirWrappers(t *testing.T) {
 		plain := core.NewExecutionLabeler(r.Grammar, skeleton.TCL, core.RModeDesignated)
 		appending := core.NewExecutionLabeler(r.Grammar, skeleton.TCL, core.RModeDesignated)
 		codec := label.NewCodec(r.Grammar)
-		st := store.New(r.Grammar, skeleton.TCL)
+		st := store.New(r.Grammar)
 		want := make(map[graph.VertexID][]byte, len(evs))
 
 		var entries []label.Entry

@@ -75,9 +75,9 @@ func newCopy(reg *service.Registry, src *client.Client, s *service.Session, seq 
 		frames: reg.Obs().Counter("wf_chain_verify_frames_total", "WAL frames hashed during chain verification.")}
 }
 
-// create builds the session from the source's spec and configuration.
-// The copy keeps the source's identity: it is the same session, and a
-// later Adopt checks it is still copying that one.
+// create builds the session from the source's spec. The copy keeps the
+// source's identity: it is the same session, and a later Adopt checks
+// it is still copying that one.
 func create(ctx context.Context, reg *service.Registry, src *client.Client, st client.SessionStats) (*service.Session, error) {
 	raw, err := src.SessionSpec(ctx, st.Name)
 	if err != nil {
@@ -91,12 +91,7 @@ func create(ctx context.Context, reg *service.Registry, src *client.Client, st c
 	if err != nil {
 		return nil, fmt.Errorf("compile spec of %q: %w", st.Name, err)
 	}
-	cfg, err := service.ParseConfig(st.Skeleton, st.Mode)
-	if err != nil {
-		return nil, fmt.Errorf("labeling config of %q: %w", st.Name, err)
-	}
-	cfg.ID = st.ID
-	return reg.Create(st.Name, g, cfg)
+	return reg.Create(st.Name, g, service.Config{ID: st.ID})
 }
 
 // Session returns the local session the copy replays into.

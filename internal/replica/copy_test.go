@@ -25,7 +25,7 @@ func TestCopyReproducesTheSource(t *testing.T) {
 	defer p.close()
 	ws := makeWorkloads(t, 400)
 	for _, w := range ws {
-		if _, err := p.reg.Create(w.name, w.g, w.cfg); err != nil {
+		if _, err := p.reg.Create(w.name, w.g, service.Config{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -149,7 +149,7 @@ func TestAdoptRefusesAnotherIdentity(t *testing.T) {
 	p := newEnv(t)
 	defer p.close()
 	w := makeWorkloads(t, 200)[0]
-	if _, err := p.reg.Create(w.name, w.g, w.cfg); err != nil {
+	if _, err := p.reg.Create(w.name, w.g, service.Config{}); err != nil {
 		t.Fatal(err)
 	}
 	reg := service.NewRegistry()
@@ -189,14 +189,12 @@ func TestAdoptRefusesAnUncheckableCopy(t *testing.T) {
 	p := newEnv(t)
 	defer p.close()
 	w := makeWorkloads(t, 200)[0]
-	ps, err := p.reg.Create(w.name, w.g, w.cfg)
+	ps, err := p.reg.Create(w.name, w.g, service.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := w.cfg
-	cfg.ID = ps.ID()
 	reg := service.NewRegistry()
-	local, err := reg.Create(w.name, w.g, cfg)
+	local, err := reg.Create(w.name, w.g, service.Config{ID: ps.ID()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ func TestFollowerChainVerification(t *testing.T) {
 	defer p.close()
 	ws := makeWorkloads(t, 400)
 	for _, w := range ws {
-		if _, err := p.reg.Create(w.name, w.g, w.cfg); err != nil {
+		if _, err := p.reg.Create(w.name, w.g, service.Config{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -73,7 +73,7 @@ func TestFollowerChainVerification(t *testing.T) {
 // rewrite the drill needs: invisible to structure, invisible to the
 // deterministic labeler, visible only to the hash chain. Returns the
 // tampered file contents.
-func findLabelableTamper(t *testing.T, walPath string, g *spec.Grammar, cfg service.Config) []byte {
+func findLabelableTamper(t *testing.T, walPath string, g *spec.Grammar) []byte {
 	t.Helper()
 	raw, err := os.ReadFile(walPath)
 	if err != nil {
@@ -104,7 +104,7 @@ func findLabelableTamper(t *testing.T, walPath string, g *spec.Grammar, cfg serv
 			return false
 		}
 		reg := service.NewRegistry()
-		s, err := reg.Create("probe", g, cfg)
+		s, err := reg.Create("probe", g, service.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,7 +160,7 @@ func TestTamperDrillFollowerHardStop(t *testing.T) {
 	defer p.close()
 	ws := makeWorkloads(t, 300)[:1]
 	w := ws[0]
-	if _, err := p.reg.Create(w.name, w.g, w.cfg); err != nil {
+	if _, err := p.reg.Create(w.name, w.g, service.Config{}); err != nil {
 		t.Fatal(err)
 	}
 	ingest(t, p.reg, ws, func(int) int { return 0 }, func(n int) int { return n })
@@ -173,7 +173,7 @@ func TestTamperDrillFollowerHardStop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tampered := findLabelableTamper(t, walPath, w.g, w.cfg)
+	tampered := findLabelableTamper(t, walPath, w.g)
 	if bytes.Equal(orig, tampered) {
 		t.Fatal("tamper search returned the original bytes")
 	}

@@ -16,12 +16,10 @@ import (
 
 	"wfreach/client"
 	"wfreach/internal/api"
-	"wfreach/internal/core"
 	"wfreach/internal/gen"
 	"wfreach/internal/graph"
 	"wfreach/internal/run"
 	"wfreach/internal/service"
-	"wfreach/internal/skeleton"
 	"wfreach/internal/spec"
 	"wfreach/internal/wal"
 	"wfreach/internal/wfspecs"
@@ -67,11 +65,10 @@ func (e *env) close() {
 	_ = e.reg.Close()
 }
 
-// workload is one session's spec, config and generated ground truth.
+// workload is one session's spec and generated ground truth.
 type workload struct {
 	name   string
 	g      *spec.Grammar
-	cfg    service.Config
 	events []run.Event
 	oracle *run.Run
 }
@@ -79,9 +76,9 @@ type workload struct {
 func makeWorkloads(t testing.TB, size int) []*workload {
 	t.Helper()
 	out := []*workload{
-		{name: "w-default", g: spec.MustCompile(wfspecs.RunningExample()), cfg: service.Config{}},
-		{name: "w-bfs", g: spec.MustCompile(wfspecs.BioAID()), cfg: service.Config{Skeleton: skeleton.BFS}},
-		{name: "w-nor", g: spec.MustCompile(wfspecs.Fig12()), cfg: service.Config{Mode: core.RModeNone}},
+		{name: "w-running", g: spec.MustCompile(wfspecs.RunningExample())},
+		{name: "w-bioaid", g: spec.MustCompile(wfspecs.BioAID())},
+		{name: "w-fig12", g: spec.MustCompile(wfspecs.Fig12())},
 	}
 	for i, w := range out {
 		events, r, err := gen.GenerateEvents(w.g, gen.Options{TargetSize: size, Seed: int64(11 + i)})
@@ -249,7 +246,7 @@ func TestFollowerEquivalence(t *testing.T) {
 	defer p.close()
 	ws := makeWorkloads(t, 500)
 	for _, w := range ws {
-		if _, err := p.reg.Create(w.name, w.g, w.cfg); err != nil {
+		if _, err := p.reg.Create(w.name, w.g, service.Config{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -320,7 +317,7 @@ func TestFollowerPromote(t *testing.T) {
 	p := newEnv(t)
 	ws := makeWorkloads(t, 400)[:1]
 	w := ws[0]
-	if _, err := p.reg.Create(w.name, w.g, w.cfg); err != nil {
+	if _, err := p.reg.Create(w.name, w.g, service.Config{}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -411,7 +408,7 @@ func TestFollowerSessionVanished(t *testing.T) {
 	defer p.close()
 	ws := makeWorkloads(t, 200)[:1]
 	w := ws[0]
-	if _, err := p.reg.Create(w.name, w.g, w.cfg); err != nil {
+	if _, err := p.reg.Create(w.name, w.g, service.Config{}); err != nil {
 		t.Fatal(err)
 	}
 	ingest(t, p.reg, ws, func(int) int { return 0 }, func(n int) int { return n })
@@ -453,7 +450,7 @@ func TestFollowerDetectsRecreatedSession(t *testing.T) {
 	defer p.close()
 	ws := makeWorkloads(t, 200)[:1]
 	w := ws[0]
-	if _, err := p.reg.Create(w.name, w.g, w.cfg); err != nil {
+	if _, err := p.reg.Create(w.name, w.g, service.Config{}); err != nil {
 		t.Fatal(err)
 	}
 	ingest(t, p.reg, ws, func(int) int { return 0 }, func(n int) int { return n })

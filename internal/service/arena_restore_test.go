@@ -11,9 +11,7 @@ import (
 	"testing"
 
 	"wfreach/internal/arena"
-	"wfreach/internal/core"
 	"wfreach/internal/graph"
-	"wfreach/internal/skeleton"
 )
 
 // TestArenaRestoreDeferredLabeler covers the graceful-shutdown fast
@@ -27,7 +25,7 @@ func TestArenaRestoreDeferredLabeler(t *testing.T) {
 	cut := len(events) / 2
 
 	reg := durableReg(t, dir, DurableOptions{SnapshotEvery: 1 << 20})
-	s, err := reg.Create("lazy", g, Config{Skeleton: skeleton.TCL, Mode: core.RModeDesignated})
+	s, err := reg.Create("lazy", g, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +84,7 @@ func TestArenaRestoreWithTail(t *testing.T) {
 	cut := len(events) / 2
 
 	reg := durableReg(t, dir, DurableOptions{SnapshotEvery: 64})
-	s, err := reg.Create("tail", g, Config{Skeleton: skeleton.TCL, Mode: core.RModeDesignated})
+	s, err := reg.Create("tail", g, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +144,7 @@ func TestArenaRestoreEquivalentToV1(t *testing.T) {
 	events, _ := genEvents(t, g, 400, 13)
 
 	reg := durableReg(t, dir, DurableOptions{SnapshotEvery: 1 << 20})
-	s, err := reg.Create("eq", g, Config{Skeleton: skeleton.TCL, Mode: core.RModeDesignated})
+	s, err := reg.Create("eq", g, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +247,7 @@ func TestArenaAheadOfLogDiscarded(t *testing.T) {
 	events, r := genEvents(t, g, 200, 17)
 
 	reg := durableReg(t, dir, DurableOptions{SnapshotEvery: 1 << 20})
-	s, err := reg.Create("ahead", g, Config{Skeleton: skeleton.TCL, Mode: core.RModeDesignated})
+	s, err := reg.Create("ahead", g, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +291,7 @@ func TestArenaRestoreCorruptFallsBack(t *testing.T) {
 	events, r := genEvents(t, g, 150, 29)
 
 	reg := durableReg(t, dir, DurableOptions{SnapshotEvery: 1 << 20})
-	s, err := reg.Create("rot", g, Config{Skeleton: skeleton.TCL, Mode: core.RModeDesignated})
+	s, err := reg.Create("rot", g, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +380,7 @@ func TestConcurrentArenaQueriesDuringIngest(t *testing.T) {
 	cut := len(events) / 2
 
 	reg := durableReg(t, dir, DurableOptions{SnapshotEvery: 1 << 20})
-	s, err := reg.Create("race", g, Config{Skeleton: skeleton.TCL, Mode: core.RModeDesignated})
+	s, err := reg.Create("race", g, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,12 +17,10 @@ import (
 	"wfreach/client"
 
 	"wfreach/internal/api"
-	"wfreach/internal/core"
 	"wfreach/internal/gen"
 	"wfreach/internal/graph"
 	"wfreach/internal/run"
 	"wfreach/internal/service"
-	"wfreach/internal/skeleton"
 	"wfreach/internal/spec"
 )
 
@@ -55,7 +53,7 @@ func ingestAll(b *testing.B, s *service.Session, events []run.Event, batch int) 
 // events/sec — the service hot path future scaling PRs optimize.
 func BenchmarkSessionIngest(b *testing.B) {
 	g, events := benchEvents(b, 8192)
-	cfg := service.Config{Skeleton: skeleton.TCL, Mode: core.RModeDesignated}
+	cfg := service.Config{}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -75,7 +73,7 @@ func BenchmarkSessionIngest(b *testing.B) {
 func BenchmarkSessionIngestConcurrentReaders(b *testing.B) {
 	const readers = 4
 	g, events := benchEvents(b, 8192)
-	cfg := service.Config{Skeleton: skeleton.TCL, Mode: core.RModeDesignated}
+	cfg := service.Config{}
 	var queries atomic.Int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -122,7 +120,7 @@ func BenchmarkSessionIngestConcurrentReaders(b *testing.B) {
 func BenchmarkSessionQuery(b *testing.B) {
 	g, events := benchEvents(b, 8192)
 	reg := service.NewRegistry()
-	s, err := reg.Create("b", g, service.Config{Skeleton: skeleton.TCL, Mode: core.RModeDesignated})
+	s, err := reg.Create("b", g, service.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -146,7 +144,7 @@ func BenchmarkSessionQuery(b *testing.B) {
 func BenchmarkSessionLineage(b *testing.B) {
 	g, events := benchEvents(b, 4096)
 	reg := service.NewRegistry()
-	s, err := reg.Create("b", g, service.Config{Skeleton: skeleton.TCL, Mode: core.RModeDesignated})
+	s, err := reg.Create("b", g, service.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -167,7 +165,7 @@ func BenchmarkSessionLineage(b *testing.B) {
 func BenchmarkDurableConcurrentSessions(b *testing.B) {
 	const sessions = 4
 	g, events := benchEvents(b, 4096)
-	cfg := service.Config{Skeleton: skeleton.TCL, Mode: core.RModeDesignated}
+	cfg := service.Config{}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()

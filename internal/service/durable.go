@@ -18,6 +18,7 @@ import (
 	"wfreach/internal/arena"
 	"wfreach/internal/core"
 	"wfreach/internal/integrity"
+	"wfreach/internal/skeleton"
 	"wfreach/internal/spec"
 	"wfreach/internal/store"
 	"wfreach/internal/wal"
@@ -67,13 +68,15 @@ type DurableOptions struct {
 // once at creation. ID is the session's stable identity (Config.ID),
 // absent in files written before the field existed. Older builds wrote
 // keys this one has no field for; they decode into nothing, and the
-// decoder must stay that lenient.
+// decoder must stay that lenient. RMode is read, never written: builds
+// that let a session choose its labeling wrote "skeleton" and "rmode",
+// and an rmode of none marks a snapshot this build must not adopt
+// (restoreSession).
 type sessionMeta struct {
-	Format   int    `json:"format"`
-	Name     string `json:"name"`
-	ID       string `json:"id,omitempty"`
-	Skeleton string `json:"skeleton"`
-	RMode    string `json:"rmode"`
+	Format int    `json:"format"`
+	Name   string `json:"name"`
+	ID     string `json:"id,omitempty"`
+	RMode  string `json:"rmode,omitempty"`
 }
 
 // NewDurableRegistry returns a registry whose sessions persist to
@@ -181,13 +184,7 @@ func (s *Session) initDurable(opts *DurableOptions, committer *wal.Committer) er
 		return fmt.Errorf("service: persist spec: %w: %v", ErrDurability, err)
 	}
 
-	meta, err := json.MarshalIndent(sessionMeta{
-		Format:   metaFormat,
-		Name:     s.name,
-		ID:       s.cfg.ID,
-		Skeleton: s.cfg.Skeleton.String(),
-		RMode:    s.cfg.Mode.String(),
-	}, "", "  ")
+	meta, err := json.MarshalIndent(sessionMeta{Format: metaFormat, Name: s.name, ID: s.cfg.ID}, "", "  ")
 	if err == nil {
 		err = writeFileSync(filepath.Join(dir, metaFile), func(f *os.File) error {
 			_, werr := f.Write(append(meta, '\n'))
@@ -525,11 +522,11 @@ func (s *Session) replay(a *arena.Arena, stop int64) (replayed, error) {
 	case !errors.Is(err, fs.ErrNotExist):
 		return replayed{}, err
 	}
-	s.labeler = core.NewExecutionLabeler(s.g, s.cfg.Skeleton, s.cfg.Mode)
+	s.labeler = core.NewExecutionLabeler(s.g, skeleton.TCL, core.RModeDesignated)
 	if s.store != nil {
 		s.store.Retire()
 	}
-	s.store = store.New(s.g, s.cfg.Skeleton)
+	s.store = store.New(s.g)
 	var anchor wal.Anchor
 	if a != nil {
 		if a.WALBytes() > size {
@@ -697,14 +694,10 @@ func (r *Registry) restoreSession(sdir, dirName string) (*Session, error) {
 	if meta.Name != dirName {
 		return nil, fmt.Errorf("bad %s: names session %q", metaFile, meta.Name)
 	}
-	cfg, err := ParseConfig(meta.Skeleton, meta.RMode)
-	if err != nil {
-		return nil, fmt.Errorf("bad %s: %w", metaFile, err)
-	}
 	// The identity is restored as persisted — possibly empty for
 	// pre-field data — never regenerated: a restart must not make the
 	// session look like a different one to its replicas.
-	cfg.ID = meta.ID
+	cfg := Config{ID: meta.ID}
 
 	sf, err := os.Open(filepath.Join(sdir, specFile))
 	if err != nil {
@@ -732,8 +725,17 @@ func (r *Registry) restoreSession(sdir, dirName string) (*Session, error) {
 	// the restore does not go through, or goes through without it, the
 	// mapping is given back here: retiring the store if it got that far,
 	// closing the arena (harmless a second time) if it did not.
+	//
+	// A session an older build created with "rmode": "none" holds
+	// labels issued without R nodes, which answer wrongly beside the
+	// designated-R labels issued from now on. Its snapshot is replayed
+	// over like an older-format one, at every restore, since the file
+	// keeps saying none; its labels are then this build's.
 	a, err := arena.Open(filepath.Join(sdir, snapFile))
 	switch {
+	case err == nil && (meta.RMode == "none" || meta.RMode == "no-R"):
+		a.Close()
+		a = nil
 	case err == nil:
 	case errors.Is(err, fs.ErrNotExist), errors.Is(err, arena.ErrCorrupt), errors.Is(err, arena.ErrVersion):
 		a = nil

@@ -20,7 +20,6 @@ import (
 	"wfreach/internal/gen"
 	"wfreach/internal/graph"
 	"wfreach/internal/run"
-	"wfreach/internal/skeleton"
 	"wfreach/internal/spec"
 	"wfreach/internal/wal"
 )
@@ -106,7 +105,7 @@ func TestDurableRestoreMatchesOracle(t *testing.T) {
 	cut := len(events) / 2
 
 	reg := durableReg(t, dir, DurableOptions{SnapshotEvery: 64})
-	s, err := reg.Create("crashy", g, Config{Skeleton: skeleton.TCL, Mode: core.RModeDesignated})
+	s, err := reg.Create("crashy", g, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +153,7 @@ func TestDurableNamedEvents(t *testing.T) {
 	events, r := genEvents(t, g, 150, 3)
 
 	reg := durableReg(t, dir, DurableOptions{})
-	s, err := reg.Create("named", g, Config{Skeleton: skeleton.TCL, Mode: core.RModeDesignated})
+	s, err := reg.Create("named", g, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +200,7 @@ func TestSnapshotTailEqualsFullReplay(t *testing.T) {
 	events, _ := genEvents(t, g, 400, 11)
 
 	reg := durableReg(t, dir, DurableOptions{SnapshotEvery: 100})
-	s, err := reg.Create("snap", g, Config{Skeleton: skeleton.TCL, Mode: core.RModeDesignated})
+	s, err := reg.Create("snap", g, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +246,7 @@ func TestCorruptWALTailRecoversPrefix(t *testing.T) {
 	build := func(t *testing.T) string {
 		dir := t.TempDir()
 		reg := durableReg(t, dir, DurableOptions{SnapshotEvery: -1})
-		s, err := reg.Create("x", g, Config{Skeleton: skeleton.TCL, Mode: core.RModeDesignated})
+		s, err := reg.Create("x", g, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -314,7 +313,7 @@ func TestSnapshotAheadOfLogIsDiscarded(t *testing.T) {
 	events, r := genEvents(t, g, 300, 13)
 
 	reg := durableReg(t, dir, DurableOptions{SnapshotEvery: 50})
-	s, err := reg.Create("x", g, Config{Skeleton: skeleton.TCL, Mode: core.RModeDesignated})
+	s, err := reg.Create("x", g, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +352,7 @@ func TestDurableConcurrentIngestQuerySnapshot(t *testing.T) {
 	events, r := genEvents(t, g, 500, 21)
 
 	reg := durableReg(t, dir, DurableOptions{SnapshotEvery: 32})
-	s, err := reg.Create("hot", g, Config{Skeleton: skeleton.TCL, Mode: core.RModeDesignated})
+	s, err := reg.Create("hot", g, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +410,7 @@ func TestDurableCreateValidation(t *testing.T) {
 	dir := t.TempDir()
 	g := compileBuiltin(t, "RunningExample")
 	reg := durableReg(t, dir, DurableOptions{})
-	cfg := Config{Skeleton: skeleton.TCL, Mode: core.RModeDesignated}
+	cfg := Config{}
 
 	for _, bad := range []string{"a/b", `a\b`, "..", ".", "a/../b"} {
 		if _, err := reg.Create(bad, g, cfg); err == nil {
@@ -441,7 +440,7 @@ func TestDurableDeleteRemovesData(t *testing.T) {
 	g := compileBuiltin(t, "RunningExample")
 	events, _ := genEvents(t, g, 80, 2)
 	reg := durableReg(t, dir, DurableOptions{})
-	cfg := Config{Skeleton: skeleton.TCL, Mode: core.RModeDesignated}
+	cfg := Config{}
 	s, err := reg.Create("tmp", g, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -486,7 +485,7 @@ func TestDurableDeleteRacesIngestAndQueries(t *testing.T) {
 	events, r := genEvents(t, g, 1500, 37)
 
 	reg := durableReg(t, dir, DurableOptions{SnapshotEvery: 64})
-	s, err := reg.Create("doomed", g, Config{Skeleton: skeleton.TCL, Mode: core.RModeDesignated})
+	s, err := reg.Create("doomed", g, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -572,7 +571,7 @@ func TestDurableDeleteRacesIngestAndQueries(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "doomed")); !os.IsNotExist(err) {
 		t.Errorf("session directory survived delete: %v", err)
 	}
-	if _, err := reg.Create("doomed", g, Config{Skeleton: skeleton.TCL, Mode: core.RModeDesignated}); err != nil {
+	if _, err := reg.Create("doomed", g, Config{}); err != nil {
 		t.Fatalf("recreate during in-flight ingest: %v", err)
 	}
 	<-done
@@ -603,7 +602,7 @@ func TestMemoryRegistryRestoreIsReadOnly(t *testing.T) {
 	g := compileBuiltin(t, "RunningExample")
 	events, r := genEvents(t, g, 120, 9)
 	reg := durableReg(t, dir, DurableOptions{})
-	s, err := reg.Create("ro", g, Config{Skeleton: skeleton.TCL, Mode: core.RModeDesignated})
+	s, err := reg.Create("ro", g, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -653,7 +652,7 @@ func TestRestoreRefusesLabelsPastMaxEntries(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
 			reg := durableReg(t, dir, DurableOptions{SnapshotEvery: snapshotEvery})
-			s, err := reg.Create("deep", g, Config{Skeleton: skeleton.TCL, Mode: core.RModeDesignated})
+			s, err := reg.Create("deep", g, Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -751,7 +750,7 @@ func TestNegativeVertexIDIsRefusedNotLost(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
 			reg := durableReg(t, dir, DurableOptions{})
-			s, err := reg.Create("neg", g, Config{Skeleton: skeleton.TCL, Mode: core.RModeDesignated})
+			s, err := reg.Create("neg", g, Config{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -7,10 +7,8 @@ import (
 	"sort"
 
 	"wfreach/internal/api"
-	"wfreach/internal/core"
 	"wfreach/internal/gen"
 	"wfreach/internal/service"
-	"wfreach/internal/skeleton"
 	"wfreach/internal/spec"
 )
 
@@ -33,7 +31,7 @@ func ExampleRegistry_Create() {
 
 	sp, _ := service.Builtin("RunningExample")
 	g := spec.MustCompile(sp)
-	s, err := reg.Create("run1", g, service.Config{Skeleton: skeleton.TCL, Mode: core.RModeDesignated})
+	s, err := reg.Create("run1", g, service.Config{})
 	if err != nil {
 		panic(err)
 	}
@@ -74,7 +72,7 @@ func ExampleRegistry_Restore() {
 	if err != nil {
 		panic(err)
 	}
-	s, err := reg.Create("run1", g, service.Config{Skeleton: skeleton.TCL, Mode: core.RModeDesignated})
+	s, err := reg.Create("run1", g, service.Config{})
 	if err != nil {
 		panic(err)
 	}

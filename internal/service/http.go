@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"slices"
@@ -14,9 +13,7 @@ import (
 	"sync"
 
 	"wfreach/internal/api"
-	"wfreach/internal/core"
 	"wfreach/internal/graph"
-	"wfreach/internal/skeleton"
 	"wfreach/internal/spec"
 	"wfreach/internal/wal"
 	"wfreach/internal/wfxml"
@@ -62,8 +59,9 @@ import (
 //
 // Create accepts either a JSON body (api.CreateSessionRequest: a
 // built-in spec name or an inline spec XML string) or a raw XML specification with
-// Content-Type application/xml and the session options in query
-// parameters (?name=...&skeleton=TCL&rmode=designated).
+// Content-Type application/xml and the session name in a query
+// parameter (?name=...). Both forms may still name the labeling
+// (skeleton, rmode), and only its one setting is accepted (ParseConfig).
 
 // NewHandler returns the HTTP handler serving the registry.
 func NewHandler(reg *Registry) http.Handler {
@@ -399,7 +397,7 @@ func createSession(reg *Registry, w http.ResponseWriter, name string, sp *spec.S
 	}
 	cfg, err := ParseConfig(skelName, modeName)
 	if err != nil {
-		writeError(w, api.Errorf(api.CodeBadRequest, "%v", err))
+		writeError(w, err)
 		return
 	}
 	g, err := spec.Compile(sp)
@@ -421,23 +419,18 @@ func createSession(reg *Registry, w http.ResponseWriter, name string, sp *spec.S
 	writeJSON(w, http.StatusCreated, s.Stats())
 }
 
+// ParseConfig validates the labeling a create request names. Every
+// session labels with TCL skeleton labels and designated-R recursion
+// compression, so "" or "TCL" and "", "designated" or "designated-R"
+// give Config{}, and any other name is a bad_request.
 func ParseConfig(skelName, modeName string) (Config, error) {
-	cfg := Config{Skeleton: skeleton.TCL, Mode: core.RModeDesignated}
-	switch skelName {
-	case "", "TCL":
-	case "BFS":
-		cfg.Skeleton = skeleton.BFS
-	default:
-		return cfg, fmt.Errorf("unknown skeleton %q (want TCL or BFS)", skelName)
+	switch {
+	case skelName != "" && skelName != "TCL":
+		return Config{}, api.Errorf(api.CodeBadRequest, "skeleton %q is not offered: every session labels with TCL", skelName)
+	case modeName != "" && modeName != "designated" && modeName != "designated-R":
+		return Config{}, api.Errorf(api.CodeBadRequest, "rmode %q is not offered: every session labels with designated-R", modeName)
 	}
-	switch modeName {
-	case "", "designated", "designated-R":
-	case "none", "no-R":
-		cfg.Mode = core.RModeNone
-	default:
-		return cfg, fmt.Errorf("unknown rmode %q (want designated or none)", modeName)
-	}
-	return cfg, nil
+	return Config{}, nil
 }
 
 func handleEvents(s *Session, free *scratchList[*ingestScratch], w http.ResponseWriter, r *http.Request) {

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"strings"
@@ -101,14 +102,14 @@ func TestHTTPSessionLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	if code, raw := doJSON(t, "POST", srv.URL+"/v1/sessions",
-		api.CreateSessionRequest{Name: "s2", SpecXML: xml.String(), Skeleton: "BFS"}, &st); code != http.StatusCreated {
+		api.CreateSessionRequest{Name: "s2", SpecXML: xml.String()}, &st); code != http.StatusCreated {
 		t.Fatalf("inline spec create: %d %s", code, raw)
-	} else if st.Skeleton != "BFS" {
+	} else if st.Name != "s2" {
 		t.Fatalf("inline spec stats = %+v", st)
 	}
 
-	// Raw XML upload with query-parameter options.
-	resp, err := http.Post(srv.URL+"/v1/sessions?name=s3&rmode=none", "application/xml",
+	// Raw XML upload with the name in a query parameter.
+	resp, err := http.Post(srv.URL+"/v1/sessions?name=s3", "application/xml",
 		strings.NewReader(xml.String()))
 	if err != nil {
 		t.Fatal(err)
@@ -403,10 +404,10 @@ func TestShardsIgnoredOnInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := bytes.Replace(meta, []byte(`"rmode"`), []byte(`"shards": 64,
-  "rmode"`), 1)
+	old := bytes.Replace(meta, []byte(`"name"`), []byte(`"shards": 64,
+  "name"`), 1)
 	if bytes.Equal(old, meta) {
-		t.Fatalf("no rmode key to anchor on in %s", meta)
+		t.Fatalf("no name key to anchor on in %s", meta)
 	}
 	if err := os.WriteFile(metaPath, old, 0o644); err != nil {
 		t.Fatal(err)
@@ -417,6 +418,70 @@ func TestShardsIgnoredOnInput(t *testing.T) {
 	}
 	if s, ok := reg2.Get("body"); !ok || s.Vertices() != int64(len(events)) {
 		t.Fatalf("restore of a session.json with a shards key: ok=%v", ok)
+	}
+}
+
+// TestHTTPCreateLabelingNames pins what a create may name as its
+// labeling, in the JSON body and in the XML upload's query parameters:
+// the one labeling every session uses, by any of its names, is
+// accepted; anything else is a 400 bad_request that creates nothing.
+func TestHTTPCreateLabelingNames(t *testing.T) {
+	srv := newTestServer(t)
+	var xml bytes.Buffer
+	if err := wfxml.EncodeSpec(&xml, wfspecs.RunningExample()); err != nil {
+		t.Fatal(err)
+	}
+	create := func(form, name, skel, mode string) (int, []byte) {
+		var resp *http.Response
+		var err error
+		if form == "json" {
+			body, _ := json.Marshal(api.CreateSessionRequest{Name: name, Builtin: "RunningExample", Skeleton: skel, RMode: mode})
+			resp, err = http.Post(srv.URL+"/v1/sessions", "application/json", bytes.NewReader(body))
+		} else {
+			q := url.Values{"name": {name}, "skeleton": {skel}, "rmode": {mode}}
+			resp, err = http.Post(srv.URL+"/v1/sessions?"+q.Encode(), "application/xml", strings.NewReader(xml.String()))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, raw
+	}
+	for _, form := range []string{"json", "xml"} {
+		for i, c := range []struct {
+			skel, mode string
+			ok         bool
+		}{
+			{"", "", true},
+			{"TCL", "", true},
+			{"", "designated", true},
+			{"TCL", "designated-R", true},
+			{"BFS", "", false},
+			{"", "none", false},
+			{"", "no-R", false},
+			{"BFS", "none", false},
+			{"bfs", "", false},
+			{"", "designated-r", false},
+		} {
+			name := fmt.Sprintf("%s-%d", form, i)
+			code, raw := create(form, name, c.skel, c.mode)
+			if c.ok {
+				var st Stats
+				if code != http.StatusCreated || json.Unmarshal(raw, &st) != nil ||
+					st.Skeleton != "TCL" || st.Mode != "designated-R" {
+					t.Fatalf("%s create naming %q/%q: %d %s", form, c.skel, c.mode, code, raw)
+				}
+				continue
+			}
+			var er api.ErrorResponse
+			if code != http.StatusBadRequest || json.Unmarshal(raw, &er) != nil || er.Err == nil || er.Err.Code != api.CodeBadRequest {
+				t.Fatalf("%s create naming %q/%q: %d %s, want 400 bad_request", form, c.skel, c.mode, code, raw)
+			}
+			if code, _ := doJSON(t, "GET", srv.URL+"/v1/sessions/"+name, nil, nil); code != http.StatusNotFound {
+				t.Fatalf("%s create naming %q/%q was refused but left a session (GET %d)", form, c.skel, c.mode, code)
+			}
+		}
 	}
 }
 

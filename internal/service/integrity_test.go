@@ -14,11 +14,9 @@ import (
 
 	"wfreach/internal/api"
 	"wfreach/internal/arena"
-	"wfreach/internal/core"
 	"wfreach/internal/graph"
 	"wfreach/internal/integrity"
 	"wfreach/internal/integrity/audit"
-	"wfreach/internal/skeleton"
 	"wfreach/internal/wal"
 )
 
@@ -92,7 +90,7 @@ func buildDurableSession(t *testing.T, dir, name string, size int, opts DurableO
 	g := compileBuiltin(t, "BioAID")
 	events, _ := genEvents(t, g, size, 5)
 	reg := durableReg(t, dir, opts)
-	s, err := reg.Create(name, g, Config{Skeleton: skeleton.TCL, Mode: core.RModeDesignated})
+	s, err := reg.Create(name, g, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +213,7 @@ func TestTornTailChainReseed(t *testing.T) {
 	g := compileBuiltin(t, "BioAID")
 	events, _ := genEvents(t, g, 300, 5)
 	reg := durableReg(t, dir, DurableOptions{SnapshotEvery: 64})
-	s, err := reg.Create("torn", g, Config{Skeleton: skeleton.TCL, Mode: core.RModeDesignated})
+	s, err := reg.Create("torn", g, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,7 +442,7 @@ func TestIntegrityUnavailableOnLegacySnapshot(t *testing.T) {
 	} {
 		dir := t.TempDir()
 		reg := durableReg(t, dir, DurableOptions{})
-		s, err := reg.Create("old", g, Config{Skeleton: skeleton.TCL, Mode: core.RModeDesignated})
+		s, err := reg.Create("old", g, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,9 +19,7 @@ import (
 
 	"wfreach/internal/api"
 	"wfreach/internal/arena"
-	"wfreach/internal/core"
 	"wfreach/internal/graph"
-	"wfreach/internal/skeleton"
 	"wfreach/internal/wal"
 )
 
@@ -317,7 +315,7 @@ func TestFailedRestoreLeavesNoMapping(t *testing.T) {
 	g := compileBuiltin(t, "BioAID")
 	events, _ := genEvents(t, g, 150, 33)
 	reg := durableReg(t, image, DurableOptions{SnapshotEvery: 64})
-	s, err := reg.Create("x", g, Config{Skeleton: skeleton.TCL, Mode: core.RModeDesignated})
+	s, err := reg.Create("x", g, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,10 +5,8 @@ import (
 	"testing"
 
 	"wfreach/internal/api"
-	"wfreach/internal/core"
 	"wfreach/internal/graph"
 	"wfreach/internal/run"
-	"wfreach/internal/skeleton"
 	"wfreach/internal/spec"
 )
 
@@ -26,7 +24,7 @@ func isDeleted(err error) bool {
 func closedSession(t *testing.T, dir, name string, g *spec.Grammar, events []run.Event) {
 	t.Helper()
 	reg := durableReg(t, dir, DurableOptions{SnapshotEvery: 1 << 20})
-	s, err := reg.Create(name, g, Config{Skeleton: skeleton.TCL, Mode: core.RModeDesignated})
+	s, err := reg.Create(name, g, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +50,7 @@ func TestDeletedSessionAnswersNotFound(t *testing.T) {
 	}
 	defer reg.Close()
 	restored, _ := reg.Get("held")
-	fresh, err := reg.Create("fresh", g, Config{Skeleton: skeleton.TCL, Mode: core.RModeDesignated})
+	fresh, err := reg.Create("fresh", g, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

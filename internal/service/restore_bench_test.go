@@ -3,9 +3,7 @@ package service
 import (
 	"testing"
 
-	"wfreach/internal/core"
 	"wfreach/internal/gen"
-	"wfreach/internal/skeleton"
 	"wfreach/internal/spec"
 )
 
@@ -35,7 +33,7 @@ func buildRestoreFixture(b *testing.B, dir string, size int, replay bool) int {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s, err := reg.Create("r", g, Config{Skeleton: skeleton.TCL, Mode: core.RModeDesignated})
+	s, err := reg.Create("r", g, Config{})
 	if err != nil {
 		b.Fatal(err)
 	}

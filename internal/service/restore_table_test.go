@@ -12,11 +12,9 @@ import (
 	"testing"
 
 	"wfreach/internal/arena"
-	"wfreach/internal/core"
 	"wfreach/internal/graph"
 	"wfreach/internal/integrity"
 	"wfreach/internal/integrity/audit"
-	"wfreach/internal/skeleton"
 	"wfreach/internal/wal"
 )
 
@@ -52,7 +50,7 @@ func TestRestoreCutAndFlipTable(t *testing.T) {
 	events, _ := genEvents(t, g, 200, 33)
 	events, later := events[:150], events[150:] // later: ingested after a restore
 	reg := durableReg(t, image, DurableOptions{SnapshotEvery: 64})
-	s, err := reg.Create("x", g, Config{Skeleton: skeleton.TCL, Mode: core.RModeDesignated})
+	s, err := reg.Create("x", g, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,12 +54,11 @@ import (
 	"wfreach/internal/wfspecs"
 )
 
-// Config selects the labeling scheme of a session.
+// Config holds what a session is created with besides its name and
+// grammar. There is no labeling choice: every session labels with TCL
+// skeleton labels and designated-R recursion compression, the setting
+// in which a label is O(log n) bits (Lemma 4.1, Theorem 3).
 type Config struct {
-	// Skeleton is the specification-labeling scheme (TCL or BFS).
-	Skeleton skeleton.Kind
-	// Mode is the recursion-compression mode.
-	Mode core.RMode
 	// ID is the session's stable identity, surfaced on stats. Names
 	// are reusable (delete + recreate), identities are not — which is
 	// how a replica tells "the session I was tailing" from "a new
@@ -248,8 +247,8 @@ func (r *Registry) Create(name string, g *spec.Grammar, cfg Config) (*Session, e
 		name:    name,
 		g:       g,
 		cfg:     cfg,
-		labeler: core.NewExecutionLabeler(g, cfg.Skeleton, cfg.Mode),
-		store:   store.New(g, cfg.Skeleton),
+		labeler: core.NewExecutionLabeler(g, skeleton.TCL, core.RModeDesignated),
+		store:   store.New(g),
 	}
 	s.bindMetrics(r.metrics)
 	r.mu.Lock()
@@ -938,8 +937,8 @@ func (s *Session) Stats() Stats {
 		Name:          s.name,
 		ID:            s.cfg.ID,
 		Class:         s.g.Class().String(),
-		Skeleton:      s.cfg.Skeleton.String(),
-		Mode:          s.cfg.Mode.String(),
+		Skeleton:      skeleton.TCL.String(),
+		Mode:          core.RModeDesignated.String(),
 		Vertices:      s.vertices.Load(),
 		ArenaVertices: int64(s.store.ArenaCount()),
 		Batches:       s.batches.Load(),

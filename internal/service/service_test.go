@@ -58,7 +58,7 @@ func namedWire(ev core.NamedEvent) api.Event {
 func TestRegistryLifecycle(t *testing.T) {
 	reg := NewRegistry()
 	g := compileBuiltin(t, "BioAID")
-	cfg := Config{Skeleton: skeleton.TCL, Mode: core.RModeDesignated}
+	cfg := Config{}
 
 	if _, err := reg.Create("", g, cfg); err == nil {
 		t.Fatal("empty name accepted")
@@ -94,7 +94,7 @@ func TestSessionIngestAndQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := NewRegistry()
-	s, err := reg.Create("run1", g, Config{Skeleton: skeleton.TCL, Mode: core.RModeDesignated})
+	s, err := reg.Create("run1", g, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func TestConcurrentIngestQuery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := reg.Create(string(rune('a'+si)), g, Config{Skeleton: skeleton.TCL, Mode: core.RModeDesignated})
+		s, err := reg.Create(string(rune('a'+si)), g, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -370,7 +370,7 @@ func TestDeleteRacesIngestAndQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := NewRegistry()
-	s, err := reg.Create("doomed", g, Config{Skeleton: skeleton.TCL, Mode: core.RModeDesignated})
+	s, err := reg.Create("doomed", g, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,7 +446,7 @@ func TestDeleteRacesIngestAndQueries(t *testing.T) {
 	<-deleted
 	// The name is free for reuse the moment Delete returns, while the
 	// old session object is still ingesting.
-	if _, err := reg.Create("doomed", g, Config{Skeleton: skeleton.TCL, Mode: core.RModeDesignated}); err != nil {
+	if _, err := reg.Create("doomed", g, Config{}); err != nil {
 		t.Fatalf("recreate during in-flight ingest: %v", err)
 	}
 	<-done

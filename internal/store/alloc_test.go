@@ -7,7 +7,6 @@ import (
 
 	"wfreach/internal/graph"
 	"wfreach/internal/label"
-	"wfreach/internal/skeleton"
 	"wfreach/internal/store"
 )
 
@@ -22,7 +21,7 @@ import (
 func TestStageAllocatesPerBatchNotPerLabel(t *testing.T) {
 	const batch = 256
 	g, labels := buildRun(t, 2000)
-	s := store.New(g, skeleton.TCL)
+	s := store.New(g)
 	codec := label.NewCodec(g)
 	decoded := make([]label.Label, len(labels))
 	for i, e := range labels {

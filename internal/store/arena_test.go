@@ -27,7 +27,7 @@ func buildRun(t *testing.T, size int) (*spec.Grammar, []store.Entry) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := store.New(g, skeleton.TCL)
+	s := store.New(g)
 	live := r.Graph.LiveVertices()
 	entries := make([]store.Entry, 0, len(live))
 	for _, v := range live {
@@ -59,7 +59,7 @@ func splitArena(t *testing.T, entries []store.Entry) (*arena.Arena, []store.Entr
 func TestArenaBackedStoreMatchesHeapStore(t *testing.T) {
 	g, entries := buildRun(t, 600)
 
-	heap := store.New(g, skeleton.TCL)
+	heap := store.New(g)
 	owned := make([]store.Entry, len(entries))
 	for i, e := range entries {
 		owned[i] = store.Entry{V: e.V, Enc: bytes.Clone(e.Enc)}
@@ -70,7 +70,7 @@ func TestArenaBackedStoreMatchesHeapStore(t *testing.T) {
 	heap.Publish()
 
 	a, tail := splitArena(t, entries)
-	ab, err := store.NewFromArena(g, skeleton.TCL, a)
+	ab, err := store.NewFromArena(g, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestArenaBackedStoreMatchesHeapStore(t *testing.T) {
 func TestArenaStoreRejectsDuplicateOfArenaVertex(t *testing.T) {
 	g, entries := buildRun(t, 200)
 	a, _ := splitArena(t, entries)
-	s, err := store.NewFromArena(g, skeleton.TCL, a)
+	s, err := store.NewFromArena(g, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestArenaStoreRejectsDuplicateOfArenaVertex(t *testing.T) {
 func TestAttachArenaRequiresEmptyStore(t *testing.T) {
 	g, entries := buildRun(t, 200)
 	a, _ := splitArena(t, entries)
-	s := store.New(g, skeleton.TCL)
+	s := store.New(g)
 	if err := s.AppendOwned([]store.Entry{{V: 1 << 20, Enc: []byte{0x01}}}); err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestAttachArenaRequiresEmptyStore(t *testing.T) {
 	if err := s.AttachArena(a, nil); err == nil {
 		t.Fatal("attaching an arena to a non-empty store must fail")
 	}
-	s2 := store.New(g, skeleton.TCL)
+	s2 := store.New(g)
 	if err := s2.AttachArena(a, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestAttachArenaRequiresEmptyStore(t *testing.T) {
 func TestSnapshotEntriesCoversArenaAndShards(t *testing.T) {
 	g, entries := buildRun(t, 400)
 	a, tail := splitArena(t, entries)
-	s, err := store.NewFromArena(g, skeleton.TCL, a)
+	s, err := store.NewFromArena(g, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestQueryPathAllocations(t *testing.T) {
 	for _, size := range []int{300, 3000} {
 		g, entries := buildRun(t, size)
 		a, tail := splitArena(t, entries)
-		s, err := store.NewFromArena(g, skeleton.TCL, a)
+		s, err := store.NewFromArena(g, a)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,7 +12,6 @@ import (
 
 	"wfreach/internal/arena"
 	"wfreach/internal/graph"
-	"wfreach/internal/skeleton"
 	"wfreach/internal/spec"
 	"wfreach/internal/store"
 	"wfreach/internal/wfspecs"
@@ -94,7 +93,7 @@ func FuzzAttachArena(f *testing.F) {
 			longest = max(longest, len(enc))
 			return true
 		})
-		s, err := store.NewFromArena(g, skeleton.TCL, a)
+		s, err := store.NewFromArena(g, a)
 		if err != nil {
 			if longest < 1<<16 {
 				t.Fatalf("image of %d labels, longest %d bytes, refused: %v", a.Count(), longest, err)
@@ -140,7 +139,7 @@ func TestAttachRefusesWhatAnIndexWordCannotAddress(t *testing.T) {
 		return a
 	}
 	refused := func(t *testing.T, a *arena.Arena, want string) {
-		s := store.New(g, skeleton.TCL)
+		s := store.New(g)
 		if err := s.AttachArena(a, nil); err == nil || !strings.Contains(err.Error(), want) {
 			t.Fatalf("AttachArena = %v, want a refusal naming the %s", err, want)
 		}

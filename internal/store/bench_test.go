@@ -24,7 +24,7 @@ func benchLabels(b *testing.B, size int) (*spec.Grammar, []store.Entry) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s := store.New(g, skeleton.TCL)
+	s := store.New(g)
 	live := r.Graph.LiveVertices()
 	entries := make([]store.Entry, 0, len(live))
 	for _, v := range live {
@@ -40,7 +40,7 @@ func BenchmarkStoreBatchPublish(b *testing.B) {
 	g, entries := benchLabels(b, 8192)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := store.New(g, skeleton.TCL)
+		s := store.New(g)
 		for lo := 0; lo < len(entries); lo += batch {
 			hi := min(lo+batch, len(entries))
 			if err := s.AppendOwned(entries[lo:hi]); err != nil {
@@ -56,7 +56,7 @@ func BenchmarkStoreBatchPublish(b *testing.B) {
 // parallel readers on a fully published store.
 func BenchmarkStoreGetRaw(b *testing.B) {
 	g, entries := benchLabels(b, 8192)
-	s := store.New(g, skeleton.TCL)
+	s := store.New(g)
 	if err := s.AppendOwned(entries); err != nil {
 		b.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func arenaStore(b *testing.B, g *spec.Grammar, entries []store.Entry) *store.Sto
 	if err != nil {
 		b.Fatal(err)
 	}
-	s, err := store.NewFromArena(g, skeleton.TCL, a)
+	s, err := store.NewFromArena(g, a)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func BenchmarkStoreGetRawArena(b *testing.B) {
 func heapAndArena(b *testing.B, size int) (entries []store.Entry, stores map[string]*store.Store) {
 	b.Helper()
 	g, entries := benchLabels(b, size)
-	heap := store.New(g, skeleton.TCL)
+	heap := store.New(g)
 	if err := heap.AppendOwned(entries); err != nil {
 		b.Fatal(err)
 	}

@@ -6,14 +6,13 @@ import (
 	"wfreach/internal/arena"
 	"wfreach/internal/graph"
 	"wfreach/internal/label"
-	"wfreach/internal/skeleton"
 	"wfreach/internal/spec"
 )
 
 // NewFromArena builds a store over an already-open arena snapshot; see
 // AttachArena for the ownership contract.
-func NewFromArena(g *spec.Grammar, kind skeleton.Kind, a *arena.Arena) (*Store, error) {
-	s := New(g, kind)
+func NewFromArena(g *spec.Grammar, a *arena.Arena) (*Store, error) {
+	s := New(g)
 	if err := s.AttachArena(a, nil); err != nil {
 		return nil, err
 	}

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"wfreach/internal/skeleton"
 	"wfreach/internal/store"
 )
 
@@ -22,7 +21,7 @@ func TestRetireWaitsForTheLastReader(t *testing.T) {
 	for _, inside := range []int{0, 1, 3} {
 		a, _ := splitArena(t, entries)
 		var released atomic.Int32
-		s := store.New(g, skeleton.TCL)
+		s := store.New(g)
 		if err := s.AttachArena(a, func() { released.Add(1) }); err != nil {
 			t.Fatal(err)
 		}
@@ -68,7 +67,7 @@ func TestRetireWaitsForTheLastReader(t *testing.T) {
 // and the same refusal; there is just nothing to give back.
 func TestRetireHeapStore(t *testing.T) {
 	g, entries := buildRun(t, 50)
-	s := store.New(g, skeleton.TCL)
+	s := store.New(g)
 	if err := s.AppendOwned(entries); err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +99,7 @@ func TestDroppedStoreGivesItsArenaBack(t *testing.T) {
 	var wg sync.WaitGroup
 	func() {
 		a, _ := splitArena(t, entries)
-		s := store.New(g, skeleton.TCL)
+		s := store.New(g)
 		if err := s.AttachArena(a, func() { released.Add(1) }); err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +147,7 @@ func TestRetireRacesReaders(t *testing.T) {
 	g, entries := buildRun(t, 200)
 	a, _ := splitArena(t, entries)
 	var released atomic.Int32
-	s := store.New(g, skeleton.TCL)
+	s := store.New(g)
 	if err := s.AttachArena(a, func() { released.Add(1) }); err != nil {
 		t.Fatal(err)
 	}

@@ -36,7 +36,7 @@ func labeled(t *testing.T, r *run.Run) []store.Entry {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc := store.New(r.Grammar, skeleton.TCL)
+	enc := store.New(r.Grammar)
 	var entries []store.Entry
 	for _, v := range r.Graph.LiveVertices() {
 		entries = append(entries, store.Entry{V: v, Enc: enc.Encode(d.MustLabel(v))})
@@ -47,7 +47,7 @@ func labeled(t *testing.T, r *run.Run) []store.Entry {
 
 func stored(t *testing.T, r *run.Run, entries []store.Entry) *store.Store {
 	t.Helper()
-	s := store.New(r.Grammar, skeleton.TCL)
+	s := store.New(r.Grammar)
 	if err := s.AppendOwned(entries); err != nil {
 		t.Fatal(err)
 	}

@@ -180,19 +180,19 @@ type Store struct {
 }
 
 // New creates an empty store for runs of the grammar, answering queries
-// with the given skeleton scheme.
-func New(g *spec.Grammar, kind skeleton.Kind) *Store {
-	s := &Store{codec: label.NewCodec(g), skel: skeleton.New(kind, g), nextSegment: minSegment}
+// with its TCL skeleton scheme.
+func New(g *spec.Grammar) *Store {
+	s := &Store{codec: label.NewCodec(g), skel: skeleton.New(skeleton.TCL, g), nextSegment: minSegment}
 	s.dir.Store(&dir{})
 	return s
 }
 
-// NewSharded is New; the third argument is ignored.
+// NewSharded is New; the second and third arguments are ignored.
 //
-// Deprecated: the store has no shards. The one caller left is
-// benchmark/layers.go, which is frozen until an issue about the
-// benchmark retires it (ROADMAP item 1(b)).
-func NewSharded(g *spec.Grammar, kind skeleton.Kind, _ int) *Store { return New(g, kind) }
+// Deprecated: the store has no shards and one skeleton kind. The one
+// caller left is benchmark/layers.go, which is frozen until an issue
+// about the benchmark retires it (ROADMAP item 1(b)).
+func NewSharded(g *spec.Grammar, _ skeleton.Kind, _ int) *Store { return New(g) }
 
 // mapping is an adopted arena and how it is given back. It is an
 // allocation of its own so that the cleanup registered on the Store can

@@ -26,7 +26,7 @@ func filled(t *testing.T, target int, seed int64) (*store.Store, *run.Run) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := store.New(g, skeleton.TCL)
+	s := store.New(g)
 	var entries []store.Entry
 	for _, v := range r.Graph.LiveVertices() {
 		entries = append(entries, store.Entry{V: v, Enc: s.Encode(d.MustLabel(v))})
@@ -176,7 +176,7 @@ func TestStagePublishVisibility(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := store.New(g, skeleton.TCL)
+	s := store.New(g)
 	live := r.Graph.LiveVertices()
 	entries := make([]store.Entry, 0, len(live))
 	for _, v := range live {
@@ -243,7 +243,7 @@ func TestConcurrentBatchIngestQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := store.New(g, skeleton.TCL)
+	s := store.New(g)
 
 	const batch = 48
 	stray := func(lo int) graph.VertexID {
