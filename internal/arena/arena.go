@@ -1,10 +1,10 @@
-// Package arena implements the label-snapshot format (WFSNAP08): an
+// Package arena implements the label-snapshot format (WFSNAP09): an
 // mmap-able arena of encoded labels that a process opens in constant
 // time and queries without decoding or copying anything, stamped with
 // the two anchors that tie it to the session's history. The file is
 // laid out so the *file itself* is the data structure:
 //
-//	[0:8)     magic "WFSNAP08" (ASCII)
+//	[0:8)     magic "WFSNAP09" (ASCII)
 //	[8:16)    uint64 LE  events      — WAL records covered by this snapshot
 //	[16:24)   uint64 LE  walBytes    — byte offset of the end of the covered
 //	                                   prefix in the session's events.wal
@@ -23,9 +23,13 @@
 //	                                   in index order
 //
 // The index stores no offsets: the extents are contiguous in index
-// order, so each one starts where the previous ended. Varints are
-// minimal LEB128 (encoding/binary's uvarint) of at most five bytes, so
-// a dense session's entry is two bytes, about a quarter of a label.
+// order, so each one starts where the previous ended. Its lengths are
+// also the only thing that delimits a label: an encoding does not store
+// its own length (internal/label; a stop bit in its last byte ends it
+// within the extent), so every reader is handed an extent whole. Varints
+// are minimal LEB128 (encoding/binary's uvarint) of at most five bytes,
+// so a dense session's entry is two bytes, more than half of a BioAID
+// label.
 //
 // This package is the file format and nothing else: it opens and
 // validates an image, walks its extents in vertex order (Range), checks
@@ -69,7 +73,7 @@ import (
 )
 
 // Magic identifies an arena snapshot file.
-const Magic = "WFSNAP08"
+const Magic = "WFSNAP09"
 
 const (
 	headerSize = 116
@@ -91,9 +95,11 @@ const maxCount = 1 << 31
 var ErrCorrupt = errors.New("arena: corrupt snapshot")
 
 // ErrVersion reports a snapshot file with another WFSNAP.. magic (the
-// WFSNAP01 to WFSNAP07 formats earlier builds wrote; WFSNAP05 to
-// WFSNAP07 have this layout but hold labels numbered or coded as earlier
-// builds issued them, which must never sit next to this build's).
+// WFSNAP01 to WFSNAP08 formats earlier builds wrote; WFSNAP05 to
+// WFSNAP08 have this layout but hold labels numbered or coded as earlier
+// builds issued them, which must never sit next to this build's — a
+// WFSNAP08 label frames itself with an entry count, and may hold labels
+// a session of an older build issued without R nodes).
 // Nothing reads those: a snapshot is a cache of the log, so callers
 // treat the file as absent, replay the log, and overwrite it at the
 // next snapshot.

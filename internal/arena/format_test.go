@@ -2,6 +2,7 @@ package arena_test
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"testing"
 
@@ -23,9 +24,9 @@ import (
 // new Magic with it: a file of the old labels must be ErrVersion, never
 // mapped next to new ones.
 const (
-	pinnedMagic  = "WFSNAP08"
-	pinnedBioAID = "df92ebc8ad0769d1c10f102b99c00286ca53c3fae4c138d330d62d61e12c8406"
-	pinnedAgent  = "ab8355254241836246390cea01bfcbcdea1c5206b5dfe87b414faa140a3d9bde"
+	pinnedMagic  = "WFSNAP09"
+	pinnedBioAID = "9279e288fa6beeff41029d120f0829cdd102fbf887a276d4954071f6f31e9d58"
+	pinnedAgent  = "06284352cc23e89a5a1b35edadd6425637014fdf1d350d0da4789b142e6e2f23"
 )
 
 // TestLabelFormatIsPinned holds labels and Magic together: both digests
@@ -52,7 +53,8 @@ func TestLabelFormatIsPinned(t *testing.T) {
 }
 
 // labelDigest is the SHA-256 of the encodings of the labels evs are
-// issued, concatenated (each encoding delimits itself).
+// issued, each after its length as a uvarint (an encoding does not
+// delimit itself), concatenated.
 func labelDigest(t *testing.T, g *spec.Grammar, evs []run.Event) string {
 	t.Helper()
 	lab := core.NewExecutionLabeler(g, skeleton.TCL, core.RModeDesignated)
@@ -63,7 +65,9 @@ func labelDigest(t *testing.T, g *spec.Grammar, evs []run.Event) string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h.Write(c.Encode(l))
+		enc := c.Encode(l)
+		h.Write(binary.AppendUvarint(nil, uint64(len(enc))))
+		h.Write(enc)
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }

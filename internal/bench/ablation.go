@@ -53,8 +53,8 @@ func AblationR(cfg Config) *Table {
 }
 
 // AblationEncoding compares the paper's word-RAM label accounting
-// (BitLen) with the actual self-delimiting wire format (EncodedBits):
-// the framing costs a constant ~5 bits per level plus byte padding.
+// (BitLen) with the actual wire format (EncodedBits): the index codes,
+// the stop bit and the byte padding.
 func AblationEncoding(cfg Config) *Table {
 	cfg = cfg.normalized()
 	g := spec.MustCompile(wfspecs.BioAID())
@@ -64,7 +64,7 @@ func AblationEncoding(cfg Config) *Table {
 		Title:   "Ablation: label accounting vs wire encoding (BioAID)",
 		Columns: []string{"run size", "avg BitLen", "avg wire bits", "overhead (bits)"},
 		Notes: []string{
-			"BitLen is Theorem 3's accounting of what a label stores (the index value bits but the root's, a type bit where a slot leaves R or N open, and the part of the skeleton pointer the grammar leaves open; the other type bits and the recursion flags are implied); the wire codec replaces each index's value bits by its order-0 Exp-Golomb code and adds an order-1 Exp-Golomb entry count and byte padding, so stored labels are self-delimiting.",
+			"BitLen is Theorem 3's accounting of what a label stores (the index value bits but the root's, a type bit where a slot leaves R or N open, and the part of the skeleton pointer the grammar leaves open; the other type bits and the recursion flags are implied); the wire codec replaces each index's value bits by its code (a slot rank in truncated binary, a copy or chain position in Exp-Golomb of order 4, 3 or 2 below an L, F or R entry), adds a last flag on the N entries of a choice set that needs one, and ends the label in a stop bit and byte padding; it stores no length, which every reader keeps beside the bytes.",
 		},
 	}
 	for _, n := range cfg.sizes() {

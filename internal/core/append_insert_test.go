@@ -101,7 +101,7 @@ func TestAllocationFreeStagesMatchTheirWrappers(t *testing.T) {
 				t.Fatalf("%s: vertex %d: slab holds %x, Encode gives %x", name, v, got, enc)
 			}
 		}
-		if err := st.Stage(evs[0].V, label.Label{}); err == nil {
+		if err := st.Stage(evs[0].V, plain.MustLabel(evs[0].V)); err == nil {
 			t.Fatalf("%s: a second label for vertex %d staged", name, evs[0].V)
 		}
 		// The named entry point, on the specifications that allow it.

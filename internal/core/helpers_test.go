@@ -91,33 +91,33 @@ func siblingOf(l label.Label) label.Label {
 }
 
 // outOfRange returns RunningExample encodings that each hold one value
-// the grammar does not: an implementation choice past its set, an index
-// past the composite vertices of the instance above, a leaf rank past
-// its set's atomic vertices. They are packed field by field — index
-// code, type bit where the slot leaves it open, choice or leaf — since
-// Encode refuses such labels.
+// the grammar does not: an implementation choice past its set, an
+// interior entry naming a graph without composite vertices, a leaf rank
+// past its set's atomic vertices. They are packed field by field —
+// index code, type bit where the slot leaves it open, choice or leaf —
+// since Encode refuses such labels.
 func outOfRange() map[string][]byte {
 	// The path to the A slot of the first fork copy, then the R node
-	// expanding it: the root stores nothing, the L and F entries index
-	// 0, the copies index 1 and no choice, and the R entry index 0 and
-	// its type bit. Its chain set is h3, h4, h6 — a 2-bit choice, and a
-	// 3-bit rank among their six atomic vertices.
-	toChain := [][2]uint64{{1, 1}, {2, 3}, {1, 1}, {2, 3}, {1, 1}, {1, 1}}
+	// expanding it: the root, the L and F entries and the R entry store
+	// no slot rank (each is the one composite vertex of its graph), the
+	// copies their position 1 in order-4 and order-3 Exp-Golomb and no
+	// choice, the R entry its type bit and the member its position 1 in
+	// order 2. Its chain set is h3, h4, h6 — a 2-bit choice, and a 3-bit
+	// rank among their six atomic vertices, which is what a last member
+	// leaves; eight more bits make it interior.
+	toChain := [][2]uint64{{17, 5}, {9, 4}, {1, 1}, {5, 3}}
 	return map[string][]byte{
-		"choice past its set": packBits(append(append([][2]uint64{{10, 6}}, toChain...),
-			[2]uint64{2, 3}, [2]uint64{3, 2})...), // 8 entries; entry 6 chooses 3 of 3
-		"index past the slots": packBits([2]uint64{4, 4}, [2]uint64{2, 3}), // g0's one composite has rank 0, not 1
-		"leaf rank past its set": packBits(append(append([][2]uint64{{9, 6}}, toChain...),
-			[2]uint64{2, 3}, [2]uint64{7, 3})...), // 7 entries; rank 7 of 6
+		"choice past its set":          packBits(append(toChain, [2]uint64{3, 2}, [2]uint64{0, 8})...),
+		"interior graph without slots": packBits(append(toChain, [2]uint64{1, 2}, [2]uint64{0, 8})...), // h4 = s4 → t4
+		"leaf rank past its set":       packBits(append(toChain, [2]uint64{7, 3})...),
 	}
 }
 
-// packBits writes (value, width) fields MSB first, then two zero bytes,
-// so that what fails is the value and not the length.
+// packBits writes (value, width) fields MSB first, then the stop bit.
 func packBits(fields ...[2]uint64) []byte {
 	var out []byte
 	n := 0
-	for _, f := range fields {
+	for _, f := range append(fields, [2]uint64{1, 1}) {
 		for i := int(f[1]) - 1; i >= 0; i-- {
 			if n%8 == 0 {
 				out = append(out, 0)
@@ -126,5 +126,5 @@ func packBits(fields ...[2]uint64) []byte {
 			n++
 		}
 	}
-	return append(out, 0, 0)
+	return out
 }

@@ -103,9 +103,12 @@ func TestPiBytesMatchesPiMatchesBFS(t *testing.T) {
 // TestPiBytesErrorsWherePiPanics pins the byte walker's side of the
 // contract on labels no labeler issues: what is a panic in Pi is a
 // returned error in PiBytes, and damage past the divergence is not
-// looked at. The labels are RunningExample's: g0 = s0 → L → t0, L's
-// copies are h1 = s1 → F → t1, F's are h2 = s2 → A → t2, and A's
-// recursion chain may hold h3 = s3 → B → C → t3, h4 and h6.
+// looked at. The labels Pi panics on for where they end — the empty
+// label, one that ends on an L or R node — have no encoding at all: a
+// cursor ends a label on its last N entry, and Encode refuses them. The
+// labels are RunningExample's: g0 = s0 → L → t0, L's copies are
+// h1 = s1 → F → t1, F's are h2 = s2 → A → t2, and A's recursion chain
+// may hold h3 = s3 → B → C → t3, h4 and h6.
 func TestPiBytesErrorsWherePiPanics(t *testing.T) {
 	g := spec.MustCompile(wfspecs.RunningExample())
 	codec, skel := label.NewCodec(g), skeleton.New(skeleton.TCL, g)
@@ -128,13 +131,22 @@ func TestPiBytesErrorsWherePiPanics(t *testing.T) {
 		"empty":             {},
 		"ends on an L node": labelOf(root, special(0, label.L)),
 		"ends on an R node": labelOf(chain...),
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: Encode did not refuse it", name)
+				}
+			}()
+			codec.Encode(bad)
+		}()
+	}
+	for name, bad := range map[string]label.Label{
 		"earlier member has no designated vertex": labelOf(append(chain[:6:6], n(0, 4, 0))...),
 		"ancestors in two graphs":                 labelOf(append(toA[:5:5], n(0, 3, 0))...),
 	} {
 		other := good
 		switch name {
-		case "ends on an R node":
-			other = codec.Encode(labelOf(append(chain[:6:6], n(0, 3, 0))...))
 		case "earlier member has no designated vertex":
 			other = codec.Encode(labelOf(append(chain[:6:6], n(1, 3, 0))...))
 		case "ancestors in two graphs":
@@ -147,8 +159,10 @@ func TestPiBytesErrorsWherePiPanics(t *testing.T) {
 			t.Errorf("%s (second): no error", name)
 		}
 	}
-	if _, err := core.PiBytes(codec, skel, nil, good); err == nil {
-		t.Error("nil bytes: no error")
+	for _, bad := range [][]byte{nil, {0x12, 0}} {
+		if _, err := core.PiBytes(codec, skel, bad, good); err == nil {
+			t.Errorf("%x: no error", bad)
+		}
 	}
 	// A value the grammar does not hold is an error where it is read.
 	deep := codec.Encode(deepLabel(8))
@@ -164,9 +178,11 @@ func TestPiBytesErrorsWherePiPanics(t *testing.T) {
 	// or scribbling over what follows, changes nothing.
 	a := codec.Encode(labelOf(root, special(0, label.L), n(1, 1, 1), special(0, label.F), n(2, 2, 0)))
 	b := codec.Encode(labelOf(root, special(0, label.L), n(2, 1, 1), special(0, label.F), n(1, 2, 2)))
-	// A count of 5 is 4 bits, the root stores nothing (g0 alone, at
-	// index 0), the L node its index 0 in 1 bit, and entry 2 its index 2
-	// in 3 bits (no type, no choice: L's copies are all h1): 8 bits.
+	// The root and the L node store nothing (g0 alone, at index 0; g0's
+	// one slot), and entry 2 its position 2 in 5 bits (no type, no
+	// choice: L's copies are all h1). The first byte goes on with the
+	// fork copy's position code 1001, so cut there its last one bit is
+	// the stop bit: the label ends with entry 2.
 	cut := 1
 	for _, b := range [][]byte{b, b[:cut], append(append([]byte(nil), b[:cut]...), 0xFF, 0xFF, 0xFF)} {
 		if ok, err := core.PiBytes(codec, skel, a, b); err != nil || !ok {
@@ -183,7 +199,8 @@ func TestPiBytesErrorsWherePiPanics(t *testing.T) {
 	// origin is the slot the entry after it ranks: s5 in the B slot of
 	// an h3 member reaches the h6 member that expands its C (B;C in h3),
 	// and not the other way round. That entry is read, so a label cut
-	// anywhere before its end is an error, never a guess or a panic.
+	// anywhere before its end is an error or answers as Pi on the label
+	// the cut decodes to, never a panic.
 	early := codec.Encode(labelOf(append(chain[:6:6], n(0, 3, 1), n(0, 5, 0))...))
 	late := codec.Encode(labelOf(append(chain[:6:6], n(1, 6, 0))...))
 	if ok, err := core.PiBytes(codec, skel, early, late); err != nil || !ok {
@@ -192,12 +209,17 @@ func TestPiBytesErrorsWherePiPanics(t *testing.T) {
 	if ok, err := core.PiBytes(codec, skel, late, early); err != nil || ok {
 		t.Fatalf("s6 of the later member against s5 of the earlier: %v, %v", ok, err)
 	}
+	lateLabel, _ := codec.Decode(late)
 	for cut := range len(early) {
-		if _, err := core.PiBytes(codec, skel, early[:cut], late); err == nil {
-			t.Fatalf("earlier member's label cut to %d of %d bytes: no error", cut, len(early))
-		}
-		if _, err := core.PiBytes(codec, skel, late, early[:cut]); err == nil {
-			t.Fatalf("earlier member's label cut to %d of %d bytes, second: no error", cut, len(early))
+		cutLabel, decodes := codec.Decode(early[:cut])
+		for i, pair := range [][2][]byte{{early[:cut], late}, {late, early[:cut]}} {
+			got, err := core.PiBytes(codec, skel, pair[0], pair[1])
+			switch {
+			case decodes != nil && err == nil:
+				t.Fatalf("earlier member's label cut to %d of %d bytes (%d): no error", cut, len(early), i)
+			case decodes == nil && (err != nil || got != core.Pi(skel, [2]label.Label{cutLabel, lateLabel}[i], [2]label.Label{lateLabel, cutLabel}[i])):
+				t.Fatalf("earlier member's label cut to %d of %d bytes, %s (%d): %v, %v", cut, len(early), cutLabel, i, got, err)
+			}
 		}
 	}
 }
@@ -265,8 +287,8 @@ func FuzzPiBytes(f *testing.F) {
 		f.Add(a, b[:len(b)-1])
 	}
 	f.Add([]byte{}, []byte{0})
-	// The encoding's edges: two loop copies at index codes from the
-	// shortest to the longest (63 bits, more than one refill of the
+	// The encoding's edges: two loop copies at position codes from the
+	// shortest to the longest (59 bits, more than one refill of the
 	// reader's window), and the deepest label against its sibling.
 	n := func(idx int32, gr, v int) label.Entry {
 		return label.Entry{Index: idx, Type: label.N, Skl: spec.VertexRef{Graph: spec.GraphID(gr), V: graph.VertexID(v)}}
@@ -278,12 +300,18 @@ func FuzzPiBytes(f *testing.F) {
 	deep := deepLabel(label.MaxEntries)
 	f.Add(codec.Encode(deep), codec.Encode(siblingOf(deep)))
 	// Each value the grammar does not hold, in the first label: an
-	// implementation choice past its set, an index past the composite
-	// vertices of the instance above, a leaf rank past its set's atomic
-	// vertices.
+	// implementation choice past its set, an interior entry naming a
+	// graph without composite vertices, a leaf rank past its set's
+	// atomic vertices.
 	for _, bad := range outOfRange() {
 		f.Add(bad, codec.Encode(deep))
 	}
+	// Where the stop bit puts a label's end: a stop bit alone, bytes
+	// without one, and a label with one byte more, which is another
+	// label or none.
+	f.Add([]byte{0x80}, codec.Encode(deep))
+	f.Add([]byte{0x12, 0x00}, codec.Encode(deep))
+	f.Add(append(codec.Encode(deep), 0x01), codec.Encode(siblingOf(deep)))
 	f.Fuzz(func(t *testing.T, a, b []byte) {
 		got, err := core.PiBytes(codec, skel, a, b)
 		la, errA := codec.Decode(a)

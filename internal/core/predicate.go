@@ -57,22 +57,16 @@ func Pi(skel *skeleton.Scheme, lv, lw label.Label) bool {
 // where they lie. It agrees with Pi on the decoded labels wherever Pi
 // is defined.
 //
-// Bytes are outside input, so nothing here panics: an empty label, an
-// entry cut short, an index, implementation choice or leaf rank the
-// grammar does not hold, a chain member whose graph has no designated
-// recursive vertex or a path ending on a special node is a returned
-// error — when it lies on the walked prefix. Bytes past it are
-// deliberately not parsed; the integrity of stored bytes is the CRC,
-// hash-chain and Merkle layers' job, not the query's.
+// Bytes are outside input, so nothing here panics: bytes without a stop
+// bit, an entry cut short, an index, implementation choice or leaf rank
+// the grammar does not hold, or a chain member whose graph has no
+// designated recursive vertex is a returned error — when it lies on the
+// walked prefix. Bytes past it are deliberately not parsed; the
+// integrity of stored bytes is the CRC, hash-chain and Merkle layers'
+// job, not the query's.
 func PiBytes(c *label.Codec, skel *skeleton.Scheme, bv, bw []byte) (bool, error) {
 	var cv, cw label.Cursor
 	errV, errW := cv.Reset(c, bv), cw.Reset(c, bw)
-	if errV == nil && cv.Len() == 0 {
-		errV = errEmptyLabel
-	}
-	if errW == nil && cw.Len() == 0 {
-		errW = errEmptyLabel
-	}
 	// Two entries per label, used in turn: one holds the entry at the
 	// last position where the paths agree (the roots, to begin with),
 	// the other receives the entry one below it.

@@ -9,6 +9,7 @@ import "encoding/binary"
 // callers read a whole entry and ask overrun once.
 type bitReader struct {
 	data []byte
+	end  int    // the bits of data that are the label's, before its stop bit
 	pos  int    // next byte to load; past len(data) once zero bytes were supplied
 	win  uint64 // unread bits, left-aligned
 	n    uint   // unread bits in win; lower bits are zero or the stream's true next bits
@@ -24,9 +25,15 @@ func (r *bitReader) need(k uint) {
 // take returns the next k ≤ 57 bits, which a need must have covered.
 func (r *bitReader) take(k uint) uint64 {
 	v := r.win >> (64 - k)
+	r.skip(k)
+	return v
+}
+
+// skip passes over the next k ≤ 57 bits, which a need must have
+// covered.
+func (r *bitReader) skip(k uint) {
 	r.win <<= k
 	r.n -= k
-	return v
 }
 
 // fill tops the window up with as many whole bytes as fit, to at least
@@ -60,11 +67,11 @@ func (r *bitReader) fill() {
 	r.n += whole << 3
 }
 
-// left returns the number of bits of data not yet read; negative once
-// more bits have been read than data holds.
-func (r *bitReader) left() int { return len(r.data)*8 - (r.pos*8 - int(r.n)) }
+// left returns the number of the label's bits not yet read; negative
+// once more bits have been read than it holds.
+func (r *bitReader) left() int { return r.end - (r.pos*8 - int(r.n)) }
 
-// overrun reports whether more bits have been read than data holds.
+// overrun reports whether more bits have been read than the label holds.
 func (r *bitReader) overrun() bool { return r.left() < 0 }
 
 // bitWriter packs MSB-first fields into a buffer the caller sized from
@@ -88,9 +95,11 @@ func (w *bitWriter) write(v uint64, k uint) {
 	}
 }
 
-// finish stores the last partial word, zero-padded to a whole byte.
+// finish writes the stop bit and stores the last partial word,
+// zero-padded to a whole byte.
 func (w *bitWriter) finish() {
-	for ; w.n > 0; w.n -= min(w.n, 8) {
+	w.acc |= 1 << (63 - w.n)
+	for w.n++; w.n > 0; w.n -= min(w.n, 8) {
 		w.buf[w.pos] = byte(w.acc >> 56)
 		w.pos++
 		w.acc <<= 8

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"wfreach/internal/core"
@@ -20,34 +21,56 @@ import (
 // lengths, where a slot leaves the type open, a graph's place in its
 // choice set and a vertex's rank among the set's atomic vertices found
 // by counting rather than by math/bits and the grammar's slot and rank
-// tables.
+// tables. Only whether a set stores the last flag is the grammar's.
 func refEncode(g *spec.Grammar, l label.Label) []byte { return refEncodeWith(g, l, nil) }
+
+// positionOrders are the Exp-Golomb orders of a copy's or chain
+// member's position below an L, F and R entry.
+var positionOrders = map[label.NodeType]int{label.L: 4, label.F: 3, label.R: 2}
 
 // refEncodeWith is refEncode with the choice or leaf field of the
 // entries named in field replaced by the value given.
 func refEncodeWith(g *spec.Grammar, l label.Label, field map[int]uint64) []byte {
+	enc, _ := refLayout(g, l, field)
+	return enc
+}
+
+// fieldAt is where an N entry's field starts in a reference encoding:
+// the bits left to the stop bit there, and the entry's choice set.
+type fieldAt struct {
+	left int
+	set  spec.ChoiceSet
+}
+
+// refLayout is refEncodeWith, which also returns where each N entry's
+// field starts, by entry.
+func refLayout(g *spec.Grammar, l label.Label, field map[int]uint64) ([]byte, map[int]fieldAt) {
 	var w refBitWriter
-	w.expGolomb(uint64(len(l.Entries)), 1)
+	at := make(map[int]fieldAt)
 	set := g.RootChoices()
 	for i, e := range l.Entries {
-		if i > 0 {
-			w.expGolomb(uint64(e.Index), 0)
-		}
 		if i > 0 && l.Entries[i-1].Type == label.N {
 			above := l.Entries[i-1].Skl.Graph
+			w.truncatedBinary(uint64(e.Index), uint64(len(vertices(g, above, true))))
 			slot, _ := g.Slot(above, e.Index)
 			set = slot.Choices(e.Type == label.R)
 			if opensChain(g, g.Spec().Graph(above).G.Name(vertices(g, above, true)[e.Index])) {
 				w.write(b2u(e.Type == label.R), 1)
 			}
+		} else if i > 0 {
+			w.expGolomb(uint64(e.Index), positionOrders[l.Entries[i-1].Type])
 		}
 		if e.Type == label.N {
+			last := i == len(l.Entries)-1
+			if set.StoresLast() {
+				w.write(b2u(last), 1)
+			}
 			// The field and the number of values it has: the graph's
 			// place in the set, or the vertex's among the set's atomic
 			// vertices for the last entry.
 			var v, n uint64
 			for _, id := range choiceGraphs(g, set) {
-				if i < len(l.Entries)-1 {
+				if !last {
 					if id == e.Skl.Graph {
 						v = n
 					}
@@ -68,10 +91,15 @@ func refEncodeWith(g *spec.Grammar, l label.Label, field map[int]uint64) []byte 
 			for 1<<width < n {
 				width++
 			}
+			at[i] = fieldAt{left: int(w.nbit), set: set}
 			w.write(v, width)
 		}
 	}
-	return w.buf
+	for i, f := range at {
+		at[i] = fieldAt{left: int(w.nbit) - f.left, set: f.set}
+	}
+	w.write(1, 1) // the stop bit
+	return w.buf, at
 }
 
 // opensChain reports whether a slot of the named module leaves its
@@ -138,6 +166,21 @@ func (w *refBitWriter) expGolomb(x uint64, k int) {
 	w.write(x, width)
 }
 
+// truncatedBinary writes x < n in truncated binary: with b the widest
+// width such that 2^b ≤ n and u = 2^(b+1) − n, x in b bits if it is
+// below u, and x + u in b + 1 bits otherwise.
+func (w *refBitWriter) truncatedBinary(x, n uint64) {
+	b := 0
+	for 1<<(b+1) <= n {
+		b++
+	}
+	if u := uint64(1)<<(b+1) - n; x >= u {
+		w.write(x+u, b+1)
+	} else {
+		w.write(x, b)
+	}
+}
+
 func (w *refBitWriter) write(v uint64, bits int) {
 	for i := bits - 1; i >= 0; i-- {
 		if w.nbit%8 == 0 {
@@ -193,7 +236,10 @@ var indexTable = []int32{0, 1, 2, 3, 6, 7, 1<<15 - 2, 1<<15 - 1, 1 << 30, 1<<31 
 // byte-identical to the bit-at-a-time one on the whole corpus, on the
 // index table and on the deepest label; its length pass must agree with
 // it, decoding must give the label back, and encoding in place must
-// write every byte of the extent it is given.
+// write every byte of the extent it is given. And the grammar's last
+// flags are where a reader needs them: at every interior N entry of a
+// set that does not store the flag, the bits left at its field are not
+// the set's leaf width, which the last entry's always are.
 func TestEncodeMatchesReferenceWriter(t *testing.T) {
 	labels := corpus(t)
 	g := spec.MustCompile(wfspecs.RunningExample())
@@ -210,14 +256,23 @@ func TestEncodeMatchesReferenceWriter(t *testing.T) {
 			Append(label.Entry{Index: idx, Type: label.N, Skl: ref(3, 0)}))
 	}
 	labels[g] = append(labels[g], deepLabel(label.MaxEntries))
-	n := 0
+	n, flagged := 0, 0
 	for g, ls := range labels {
 		c := label.NewCodec(g)
 		for _, l := range ls {
-			got, want := c.Encode(l), refEncode(g, l)
-			if !bytes.Equal(got, want) {
+			want, at := refLayout(g, l, nil)
+			if got := c.Encode(l); !bytes.Equal(got, want) {
 				t.Fatalf("%s: Encode = %x, reference writer = %x", l, got, want)
 			}
+			for i, f := range at {
+				switch last := i == l.Len()-1; {
+				case f.set.StoresLast():
+					flagged++
+				case last != (f.left == int(f.set.LeafBits())):
+					t.Fatalf("%s: entry %d (last: %v) leaves %d bits at its field, and its set's leaf width is %d with no last flag", l, i, last, f.left, f.set.LeafBits())
+				}
+			}
+			got := c.Encode(l)
 			if c.EncodedLen(l) != len(want) || c.EncodedBits(l) != 8*len(want) {
 				t.Fatalf("%s: EncodedLen = %d, encoding has %d bytes", l, c.EncodedLen(l), len(want))
 			}
@@ -236,6 +291,7 @@ func TestEncodeMatchesReferenceWriter(t *testing.T) {
 	if n < 2000 {
 		t.Fatalf("corpus shrank to %d labels", n)
 	}
+	t.Logf("%d labels, %d N entries of sets that store the last flag", n, flagged)
 }
 
 // refusal is an encoding of RunningExample that holds one value the
@@ -248,10 +304,9 @@ type refusal struct {
 }
 
 // refusals are the values a cursor refuses although their codes are
-// whole: an implementation choice past its set, an index past the
-// composite vertices of the instance above, a leaf rank past its set's
-// atomic vertices. Each is followed by two zero bytes, so that what
-// fails is the value and not the length.
+// whole and the label's length is what they take: an implementation
+// choice past its set, an interior entry naming a graph without
+// composite vertices, a leaf rank past its set's atomic vertices.
 func refusals(g *spec.Grammar) map[string]refusal {
 	// Down to the A slot of the first fork copy, then the R node
 	// expanding it: the chain set is h3, h4 and h6 (a 2-bit choice) with
@@ -263,46 +318,47 @@ func refusals(g *spec.Grammar) map[string]refusal {
 		Append(label.Entry{Index: 0, Type: label.F, Skl: spec.NoRef}).
 		Append(label.Entry{Index: 1, Type: label.N, Skl: ref(2, 1)}).
 		Append(label.Entry{Index: 0, Type: label.R, Skl: spec.NoRef})
+	// The member's choice and the entry below it take four bits, not
+	// the set's three of a leaf rank: the member is interior.
 	interior := chain.
 		Append(label.Entry{Index: 1, Type: label.N, Skl: ref(3, 1)}).
 		Append(label.Entry{Index: 0, Type: label.N, Skl: ref(5, 0)})
 	leaf := chain.Append(label.Entry{Index: 1, Type: label.N, Skl: ref(3, 0)})
-	var w refBitWriter
-	w.expGolomb(2, 1) // the root stores nothing: g0 alone, at index 0
-	w.expGolomb(1, 0) // g0's one composite vertex has rank 0
-	root := label.Label{}.
-		Append(label.Entry{Index: 0, Type: label.N, Skl: ref(0, 1)}).
-		Append(label.Entry{Index: 1, Type: label.N, Skl: ref(1, 0)})
+	// The same member as an instance of h4 = s4 → t4, which has no slot
+	// for the next entry's index to rank.
+	h4 := label.Label{Entries: slices.Clone(interior.Entries)}
+	h4.Entries[6].Skl = ref(4, 0)
 	return map[string]refusal{
-		"choice past its set":    {append(refEncodeWith(g, interior, map[int]uint64{6: 3}), 0, 0), interior, 6},
-		"index past the slots":   {append(w.buf, 0, 0), root, 1},
-		"leaf rank past its set": {append(refEncodeWith(g, leaf, map[int]uint64{6: 7}), 0, 0), leaf, 6},
+		"choice past its set":          {refEncodeWith(g, interior, map[int]uint64{6: 3}), interior, 6},
+		"interior graph without slots": {refEncodeWith(g, interior, map[int]uint64{6: 1}), h4, 7},
+		"leaf rank past its set":       {refEncodeWith(g, leaf, map[int]uint64{6: 7}), leaf, 6},
 	}
 }
 
 // TestDecodeRefusesOutOfRangeCodes: a well-formed code for a value the
-// format cannot hold — an index past 2³¹−1, a count past MaxEntries, a
-// prefix longer than either's longest code, an implementation choice,
-// slot index or leaf rank the grammar does not hold — is an error, not
-// a truncation and not a wrapped value.
+// format cannot hold — a position past 2³¹−1, a prefix longer than a
+// position code's longest, more entries than MaxEntries, an
+// implementation choice or leaf rank the grammar does not hold, an
+// interior entry of a graph without slots — is an error, not a
+// truncation and not a wrapped value; so are bytes whose last is zero,
+// which hold no stop bit.
 func TestDecodeRefusesOutOfRangeCodes(t *testing.T) {
-	c := codec(t)
+	g := spec.MustCompile(wfspecs.RunningExample())
+	c := label.NewCodec(g)
+	// The root and g0's one slot, an L node, store nothing: the loop
+	// copy's position is the label's first code.
 	var w refBitWriter
-	w.expGolomb(2, 1)
-	w.expGolomb(1<<31, 0)
+	w.expGolomb(1<<31, positionOrders[label.L])
 	w.write(0, 16)
+	w.write(1, 1)
 	overIndex := w.buf
-	w = refBitWriter{}
-	w.expGolomb(label.MaxEntries+1, 1)
-	w.write(0, 16)
-	overCount := w.buf
 	cases := map[string][]byte{
-		"index 2^31":            overIndex,
-		"count MaxEntries+1":    overCount,
-		"index prefix too long": {0x40, 0, 0, 0, 0, 0, 0, 0, 0},
-		"count prefix too long": {0, 0x80, 0, 0},
+		"position 2^31":            overIndex,
+		"position prefix too long": {0, 0, 0, 0, 0, 0x80},
+		"MaxEntries+1 entries":     refEncode(g, deepLabel(label.MaxEntries+1)),
+		"no stop bit":              {0x12, 0},
 	}
-	for name, r := range refusals(spec.MustCompile(wfspecs.RunningExample())) {
+	for name, r := range refusals(g) {
 		cases[name] = r.data
 	}
 	for name, data := range cases {
@@ -312,9 +368,80 @@ func TestDecodeRefusesOutOfRangeCodes(t *testing.T) {
 	}
 }
 
+// ambiguousGrammar is a grammar where the bits left at an N entry's
+// field cannot tell whether it is the last: A's implementations are
+// h1, a chain of six atomic vertices, and h2 = s2 → B → t2, whose B has
+// the one implementation h3 of three atomic vertices. A leaf rank among
+// A's eight atomic vertices takes 3 bits, and so does an interior h2
+// entry's 1-bit choice with the 2-bit leaf rank in h3 below it.
+func ambiguousGrammar() *spec.Grammar {
+	return spec.MustCompile(spec.NewBuilder().
+		Composite("A", "B").
+		Start("g0", spec.G([]string{"s0", "A", "t0"}, [2]string{"s0", "A"}, [2]string{"A", "t0"})).
+		Implement("A", "h1", spec.G([]string{"a1", "a2", "a3", "a4", "a5", "a6"},
+			[2]string{"a1", "a2"}, [2]string{"a2", "a3"}, [2]string{"a3", "a4"}, [2]string{"a4", "a5"}, [2]string{"a5", "a6"})).
+		Implement("A", "h2", spec.G([]string{"s2", "B", "t2"}, [2]string{"s2", "B"}, [2]string{"B", "t2"})).
+		Implement("B", "h3", spec.G([]string{"s3", "x3", "t3"}, [2]string{"s3", "x3"}, [2]string{"x3", "t3"})).
+		MustBuild())
+}
+
+// TestLastFlagWhereTheLengthCannotTell: in a choice set where an
+// interior entry and the shortest continuation below it take as many
+// bits as a leaf rank, the N entries store whether they are the last —
+// A's set in ambiguousGrammar, and not g0's or B's — and with the flag
+// the labels of every vertex round-trip, as the reference writer
+// writes them, although an h3 vertex's label leaves exactly A's leaf
+// width after the flag. A flag that says last where more bits follow
+// is an error.
+func TestLastFlagWhereTheLengthCannotTell(t *testing.T) {
+	g := ambiguousGrammar()
+	c := label.NewCodec(g)
+	a, _ := g.Slot(0, 0)
+	b, _ := g.Slot(2, 0)
+	if set := a.Choices(false); !set.StoresLast() || set.LeafBits() != 3 || set.ChoiceBits() != 1 {
+		t.Fatalf("A's set: stores the flag %v, %d choice bits, %d leaf bits; want true, 1, 3", set.StoresLast(), set.ChoiceBits(), set.LeafBits())
+	}
+	if g.RootChoices().StoresLast() || b.Choices(false).StoresLast() {
+		t.Fatal("g0's or B's set stores the last flag")
+	}
+	root := label.Entry{Index: 0, Type: label.N, Skl: ref(0, 1)}
+	var labels []label.Label
+	for _, v := range vertices(g, 1, false) {
+		labels = append(labels, label.Label{Entries: []label.Entry{root, {Index: 0, Type: label.N, Skl: ref(1, int(v))}}})
+	}
+	for _, v := range vertices(g, 2, false) {
+		labels = append(labels, label.Label{Entries: []label.Entry{root, {Index: 0, Type: label.N, Skl: ref(2, int(v))}}})
+	}
+	for _, v := range vertices(g, 3, false) {
+		l := label.Label{Entries: []label.Entry{root, {Index: 0, Type: label.N, Skl: ref(2, 1)}, {Index: 0, Type: label.N, Skl: ref(3, int(v))}}}
+		if got := c.WireBits(l); got != 1+3 {
+			t.Fatalf("%s: %d bits, want the flag and A's 3-bit leaf width", l, got)
+		}
+		labels = append(labels, l)
+	}
+	seen := make(map[string]bool)
+	for _, l := range labels {
+		enc := c.Encode(l)
+		if want := refEncode(g, l); !bytes.Equal(enc, want) {
+			t.Fatalf("%s: Encode = %x, reference writer = %x", l, enc, want)
+		}
+		if dec, err := c.Decode(enc); err != nil || !dec.Equal(l) {
+			t.Fatalf("%s decodes to %s, %v", l, dec, err)
+		}
+		if seen[string(enc)] {
+			t.Fatalf("%s: encoding %x is another label's", l, enc)
+		}
+		seen[string(enc)] = true
+	}
+	// The flag says last, and four bits follow it.
+	if _, err := c.Decode([]byte{0b1000_0100}); err == nil || errors.Is(err, label.ErrTruncated) {
+		t.Fatalf("a last entry 4 bits from the end: %v", err)
+	}
+}
+
 // TestEncodedLenOnBioAID pins the stored size of a label on a fixed-seed
-// BioAID run, the grammar the restore benchmark snapshots: 7.27 bytes
-// here (7.84 on the benchmark's 200k-event stream).
+// BioAID run, the grammar the restore benchmark snapshots: 2.90 bytes
+// here (3.38 on a 200k-event stream like the benchmark's).
 func TestEncodedLenOnBioAID(t *testing.T) {
 	g := spec.MustCompile(wfspecs.BioAID())
 	evs, _, err := gen.GenerateEvents(g, gen.Options{TargetSize: 20000, Seed: 1, MaxCopies: 64})
@@ -331,8 +458,8 @@ func TestEncodedLenOnBioAID(t *testing.T) {
 		}
 		total += c.EncodedLen(l)
 	}
-	if mean := float64(total) / float64(len(evs)); mean > 5.35 {
-		t.Fatalf("mean encoded label is %.3f bytes, want ≤ 5.35", mean)
+	if mean := float64(total) / float64(len(evs)); mean > 2.95 {
+		t.Fatalf("mean encoded label is %.3f bytes, want ≤ 2.95", mean)
 	}
 }
 
@@ -390,54 +517,45 @@ func TestEncodeRefusesLabelsPastMaxEntries(t *testing.T) {
 	c.Encode(deepLabel(label.MaxEntries + 1))
 }
 
-// TestCursorValidatesTheWalkedPrefixOnly is the parser's contract: an
-// encoding cut anywhere yields exactly the entries that are whole and
-// then ErrTruncated, each value the grammar does not hold fails at its
-// own entry and not before, and Decode — which walks everything —
-// rejects every cut. The cursor yields an interior N entry with its
-// graph and no vertex: the next entry's index names the origin.
+// TestCursorValidatesTheWalkedPrefixOnly is the parser's contract: the
+// bytes given are the whole label, so an encoding cut anywhere, or
+// followed by more bytes, is an error or another label — one whose
+// encoding is exactly those bytes — and never a panic; each value the
+// grammar does not hold fails at its own entry and not before. The
+// cursor yields an interior N entry with its graph and no vertex: the
+// next entry's index names the origin.
 func TestCursorValidatesTheWalkedPrefixOnly(t *testing.T) {
 	c := codec(t)
 	var zero label.Cursor
-	if ok, err := zero.Next(new(label.Entry)); ok || err != nil || zero.Len() != 0 {
+	if ok, err := zero.Next(new(label.Entry)); ok || err != nil {
 		t.Fatalf("zero Cursor yielded %v, %v", ok, err)
 	}
 	rng := rand.New(rand.NewSource(5))
 	ls, _ := benchLabels(32)
 	for _, l := range ls {
 		enc := c.Encode(l)
-		for cut := 0; cut < len(enc); cut++ {
-			if _, err := c.Decode(enc[:cut]); !errors.Is(err, label.ErrTruncated) {
-				t.Fatalf("Decode of %x cut to %d bytes: %v", enc, cut, err)
+		var cu label.Cursor
+		if err := cu.Reset(c, enc); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; ; i++ {
+			var e label.Entry
+			ok, err := cu.Next(&e)
+			if err != nil || ok != (i < l.Len()) || ok && e != yielded(l, i) {
+				t.Fatalf("%s: entry %d: %v, %v, %v", l, i, e, ok, err)
 			}
-			var cu label.Cursor
-			if err := cu.Reset(c, enc[:cut]); err != nil {
-				if cut != 0 {
-					t.Fatalf("Reset on %d bytes: %v", cut, err)
-				}
-				continue
-			}
-			for i := 0; ; i++ {
-				var e label.Entry
-				ok, err := cu.Next(&e)
-				if err != nil {
-					if !errors.Is(err, label.ErrTruncated) {
-						t.Fatalf("cut %d entry %d: %v", cut, i, err)
-					}
-					break
-				}
-				if !ok {
-					t.Fatalf("cut %d: cursor reached the end of a truncated label", cut)
-				}
-				if want := yielded(l, i); e != want {
-					t.Fatalf("cut %d entry %d: %v, want %v", cut, i, e, want)
-				}
+			if !ok {
+				break
 			}
 		}
-		// Garbage after the encoding is never looked at.
+		for cut := 0; cut < len(enc); cut++ {
+			if dec, err := c.Decode(enc[:cut]); err == nil && !bytes.Equal(c.Encode(dec), enc[:cut]) {
+				t.Fatalf("%x cut to %d bytes decodes to %s, which encodes to %x", enc, cut, dec, c.Encode(dec))
+			}
+		}
 		junk := append(append([]byte(nil), enc...), byte(rng.Intn(256)), byte(rng.Intn(256)))
-		if dec, err := c.Decode(junk); err != nil || !dec.Equal(l) {
-			t.Fatalf("trailing bytes changed the label: %s, %v", dec, err)
+		if dec, err := c.Decode(junk); err == nil && (dec.Equal(l) || !bytes.Equal(c.Encode(dec), junk)) {
+			t.Fatalf("%x decodes to %s", junk, dec)
 		}
 	}
 	for name, r := range refusals(spec.MustCompile(wfspecs.RunningExample())) {

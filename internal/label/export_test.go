@@ -9,8 +9,8 @@ func (l Label) Append(e Entry) Label {
 	return Label{Entries: entries}
 }
 
-// WireBits is the encoded length of l in bits before the padding to a
-// whole byte.
+// WireBits is the encoded length of l in bits before the stop bit and
+// the padding to a whole byte.
 func (c *Codec) WireBits(l Label) int {
 	_, wire := c.sizes(l)
 	return wire

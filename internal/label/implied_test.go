@@ -1,6 +1,7 @@
 package label_test
 
 import (
+	"bytes"
 	"fmt"
 	"math/bits"
 	"testing"
@@ -68,11 +69,14 @@ func issued(t *testing.T, check func(name string, g *spec.Grammar, mode core.RMo
 // has a designated recursive vertex (R only when the labeler compresses
 // recursion) and N for any other — and the one a cursor derives from the
 // bytes; the label decodes to itself; and its encoding is exactly the
-// WFSNAP07 layout's less the bits it no longer stores — the root's
+// WFSNAP07 layout's less the bits WFSNAP08 no longer stored — the root's
 // index code, the 2 type bits of every entry but the one bit an open
 // slot keeps, and below an R entry the presence bit and the 2 flags —
-// before padding, and BitLen likewise Algorithm 1's accounting less
-// those fields.
+// and less what WFSNAP09 no longer stores — the entry count's code, and
+// each order-0 index code, which its slot rank's or position's code
+// replaces — plus a last flag on each N entry whose set stores one and
+// the stop bit, before padding. BitLen is likewise Algorithm 1's
+// accounting less the fields WFSNAP08 dropped.
 func TestLabelsStoreOnlyWhatTheGrammarLeavesOpen(t *testing.T) {
 	codecs := make(map[*spec.Grammar]*label.Codec)
 	open := 0
@@ -94,8 +98,10 @@ func TestLabelsStoreOnlyWhatTheGrammarLeavesOpen(t *testing.T) {
 		// type bits and the root's index in both, and below an R entry
 		// the presence bit and flags on the wire, the 2 flag bits
 		// Algorithm 1 accounts.
-		wire07, bits07 := 2*bits.Len(uint(l.Len()+2))-2, 0
+		count := 2*bits.Len(uint(l.Len()+2)) - 2
+		wire07, bits07 := count, 0
 		wireDropped, bitsDropped := 1, 1 // the root's index 0: a 1-bit code, 1 value bit
+		wire09 := -count + 1             // no count, a stop bit
 		for i, e := range l.Entries {
 			var y label.Entry
 			if _, err := cu.Next(&y); err != nil || y.Type != e.Type {
@@ -111,6 +117,12 @@ func TestLabelsStoreOnlyWhatTheGrammarLeavesOpen(t *testing.T) {
 				t.Fatalf("%s: %s: entry %d is an %s entry where the specification implies %s", name, l, i, e.Type, want)
 			}
 			field := fieldBits(g, l, i)
+			if i > 0 {
+				wire09 += indexCode(g, l, i) - (2*bits.Len(uint(e.Index)+1) - 1)
+			}
+			if e.Type == label.N && setAt(g, l, i).StoresLast() {
+				wire09++
+			}
 			wire07 += 2 + 2*bits.Len(uint(e.Index)+1) - 1 + field
 			bits07 += 2 + max(1, bits.Len32(uint32(e.Index))) + field
 			wireDropped += types
@@ -126,8 +138,8 @@ func TestLabelsStoreOnlyWhatTheGrammarLeavesOpen(t *testing.T) {
 				bitsDropped += 2
 			}
 		}
-		if got := c.WireBits(l); got != wire07-wireDropped || c.EncodedLen(l) != (got+7)/8 {
-			t.Fatalf("%s: %s: %d bits (%d bytes); the WFSNAP07 layout's %d less the %d dropped is %d", name, l, got, c.EncodedLen(l), wire07, wireDropped, wire07-wireDropped)
+		if want := wire07 - wireDropped + wire09; c.WireBits(l)+1 != want || c.EncodedLen(l) != (want+7)/8 {
+			t.Fatalf("%s: %s: %d bits and the stop bit (%d bytes); the WFSNAP07 layout's %d less the %d WFSNAP08 dropped, %+d in WFSNAP09, is %d", name, l, c.WireBits(l), c.EncodedLen(l), wire07, wireDropped, wire09, want)
 		}
 		if got := c.BitLen(l); got != bits07-bitsDropped {
 			t.Fatalf("%s: %s: BitLen %d; the WFSNAP07 accounting's %d less the %d dropped is %d", name, l, got, bits07, bitsDropped, bits07-bitsDropped)
@@ -164,15 +176,8 @@ func fieldBits(g *spec.Grammar, l label.Label, i int) int {
 	if e.Type != label.N {
 		return 0
 	}
-	set := g.RootChoices()
-	for k := 1; k <= i; k++ {
-		if above := l.Entries[k-1]; above.Type == label.N {
-			slot, _ := g.Slot(above.Skl.Graph, l.Entries[k].Index)
-			set = slot.Choices(l.Entries[k].Type == label.R)
-		}
-	}
 	n := 0
-	for _, id := range choiceGraphs(g, set) {
+	for _, id := range choiceGraphs(g, setAt(g, l, i)) {
 		if i < l.Len()-1 {
 			n++
 		} else {
@@ -180,4 +185,108 @@ func fieldBits(g *spec.Grammar, l label.Label, i int) int {
 		}
 	}
 	return bits.Len(uint(n - 1))
+}
+
+// setAt returns the choice set of entry i of l: what the entries above
+// it allow.
+func setAt(g *spec.Grammar, l label.Label, i int) spec.ChoiceSet {
+	set := g.RootChoices()
+	for k := 1; k <= i; k++ {
+		if above := l.Entries[k-1]; above.Type == label.N {
+			slot, _ := g.Slot(above.Skl.Graph, l.Entries[k].Index)
+			set = slot.Choices(l.Entries[k].Type == label.R)
+		}
+	}
+	return set
+}
+
+// indexCode returns the length of entry i's index code, i > 0, counted
+// from the specification: below an N entry, the slot rank's truncated
+// binary code among the composite vertices of that entry's graph;
+// below an L, F or R entry, the position's Exp-Golomb code of its order.
+func indexCode(g *spec.Grammar, l label.Label, i int) int {
+	above, x := l.Entries[i-1], int(l.Entries[i].Index)
+	if above.Type != label.N {
+		k := positionOrders[above.Type]
+		return 2*bits.Len(uint(x+1<<k)) - k - 1
+	}
+	n := len(vertices(g, above.Skl.Graph, true))
+	b := 0
+	for 1<<(b+1) <= n {
+		b++
+	}
+	if x < 1<<(b+1)-n {
+		return b
+	}
+	return b + 1
+}
+
+// TestCutAndFlippedLabelsAreLabelsOrErrors: a label does not store its
+// length, so the bytes a reader is given decide where it ends. Every
+// proper prefix of every issued label's encoding, and the encoding with
+// any one bit flipped, is an error or a valid label — one that encodes
+// to exactly those bytes — and never a panic; and a cursor over it
+// yields at most MaxEntries entries.
+func TestCutAndFlippedLabelsAreLabelsOrErrors(t *testing.T) {
+	codecs := make(map[*spec.Grammar]*label.Codec)
+	type key struct {
+		c    *label.Codec
+		data string
+	}
+	seen, done := make(map[key]bool), make(map[key]bool)
+	labels, other := 0, 0
+	check := func(name string, c *label.Codec, data []byte) {
+		if seen[key{c, string(data)}] {
+			return
+		}
+		seen[key{c, string(data)}] = true
+		var cu label.Cursor
+		if cu.Reset(c, data) == nil {
+			n := 0
+			for {
+				var e label.Entry
+				ok, err := cu.Next(&e)
+				if !ok || err != nil {
+					break
+				}
+				if n++; n > label.MaxEntries {
+					t.Fatalf("%s: %x: a cursor yields more than %d entries", name, data, label.MaxEntries)
+				}
+			}
+		}
+		dec, err := c.Decode(data)
+		if err != nil {
+			return
+		}
+		if enc := c.Encode(dec); !bytes.Equal(enc, data) {
+			t.Fatalf("%s: %x decodes to %s, which encodes to %x", name, data, dec, enc)
+		}
+		other++
+	}
+	issued(t, func(name string, g *spec.Grammar, _ core.RMode, l label.Label) {
+		c := codecs[g]
+		if c == nil {
+			c = label.NewCodec(g)
+			codecs[g] = c
+		}
+		enc := c.Encode(l)
+		if done[key{c, string(enc)}] {
+			return
+		}
+		done[key{c, string(enc)}] = true
+		labels++
+		for cut := range len(enc) {
+			check(name, c, enc[:cut])
+		}
+		flipped := bytes.Clone(enc)
+		for bit := range 8 * len(enc) {
+			flipped[bit/8] ^= 0x80 >> (bit % 8)
+			check(name, c, flipped)
+			flipped[bit/8] ^= 0x80 >> (bit % 8)
+		}
+	})
+	t.Logf("%d labels; %d distinct cut or flipped encodings decode to another label", labels, other)
+	if other == 0 {
+		t.Fatal("no cut or flip decoded: the check is vacuous")
+	}
 }

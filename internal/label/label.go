@@ -7,10 +7,11 @@
 // measurement (Figures 14 and 17-20), counting only what the grammar
 // leaves open — a type only where a slot may be an R or an N node, a
 // skeleton pointer cut to a choice or a rank, no root index; Encode is
-// the canonical self-delimiting binary form the store, the snapshot and
-// the Merkle leaves hold, prefix-coding each index and the entry count
-// so that the framing and padding cost about two bytes over BitLen;
-// Cursor parses that form in place.
+// the canonical binary form the store, the snapshot and the Merkle
+// leaves hold, which codes each index and ends in a stop bit but stores
+// no length — each of them keeps the byte length beside the bytes — so
+// that the framing and padding cost about a byte over BitLen; Cursor
+// parses that form in place.
 package label
 
 import (

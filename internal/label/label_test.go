@@ -83,10 +83,12 @@ func TestEncodeDecodeQuick(t *testing.T) {
 }
 
 func TestBitLenVersusEncodedSize(t *testing.T) {
-	// BitLen uses the paper's word-RAM accounting; Encode prefix-codes
-	// each index (order-0 Exp-Golomb: 1 bit for index 0, 5 for 5, 13 for
-	// 117 — the value bits plus a prefix), prefixes a coded entry count
-	// (4 bits for 5 entries), and pads to a whole byte.
+	// BitLen uses the paper's word-RAM accounting; Encode codes each
+	// index instead of its value bits — a slot rank among g0's or h1's
+	// one composite vertex in no bits at all, where BitLen counts 1;
+	// loop copy 5 in order-4 Exp-Golomb (5 bits, not 3) and fork copy
+	// 117 in order 3 (10 bits, not 7) — then writes a stop bit and pads
+	// to a whole byte.
 	c := codec(t)
 	l := label.Label{}.
 		Append(label.Entry{Index: 0, Type: label.N, Skl: ref(0, 1)}).
@@ -95,7 +97,7 @@ func TestBitLenVersusEncodedSize(t *testing.T) {
 		Append(label.Entry{Index: 0, Type: label.F, Skl: spec.NoRef}).
 		Append(label.Entry{Index: 117, Type: label.N, Skl: ref(2, 2)})
 	bits := c.BitLen(l)
-	framing := 4 + (5 - 3) + (13 - 7)
+	framing := -1 + (5 - 3) - 1 + (10 - 7) + 1
 	if enc, want := c.EncodedBits(l), (bits+framing+7)/8*8; enc != want {
 		t.Fatalf("encoded %d bits for BitLen %d, want %d", enc, bits, want)
 	}

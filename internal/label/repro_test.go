@@ -13,13 +13,15 @@ import (
 // int32-overflow infinite loop (`v >= 1<<w` promotes 1<<31 to a
 // negative int32). The input carries the fuzzer's wide indexes —
 // 1111740226, 3133 and 22085446 — on the copies and the chain member of
-// a label of today's encoding (no root index, a type only where A's and
-// C's slots leave R or N open): it must decode to exactly that label
-// and re-encode to exactly these bytes, in finite time.
+// a label of today's encoding (no root index, no entry count, slot ranks
+// in truncated binary, a type only where A's and C's slots leave R or N
+// open, a stop bit), which goes on to an s3 chain member: it must decode
+// to exactly that label and re-encode to exactly these bytes, in finite
+// time.
 func TestRegressionWideIndexRoundTrip(t *testing.T) {
 	g := spec.MustCompile(wfspecs.RunningExample())
 	c := label.NewCodec(g)
-	data := []byte("*\x00\x00\x00\x04$<\xf48\x00\xc3\xec\x00\x00\x02\xa1\xfe\x8e(")
+	data := []byte("\x00\x00\x00!!\xe7\xa9\x00b,\x00\x00\n\x87\xfaQ\xc1")
 	want := label.Label{Entries: []label.Entry{
 		{Index: 0, Type: label.N, Skl: ref(0, 1)},
 		{Index: 0, Type: label.L, Skl: spec.NoRef},
@@ -29,6 +31,7 @@ func TestRegressionWideIndexRoundTrip(t *testing.T) {
 		{Index: 0, Type: label.R, Skl: spec.NoRef},
 		{Index: 22085446, Type: label.N, Skl: ref(3, 2)},
 		{Index: 1, Type: label.R, Skl: spec.NoRef},
+		{Index: 0, Type: label.N, Skl: ref(3, 0)},
 	}}
 	l, err := c.Decode(data)
 	if err != nil || !l.Equal(want) {

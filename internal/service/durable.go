@@ -67,16 +67,13 @@ type DurableOptions struct {
 // sessionMeta is the JSON body of a session's metadata file, written
 // once at creation. ID is the session's stable identity (Config.ID),
 // absent in files written before the field existed. Older builds wrote
-// keys this one has no field for; they decode into nothing, and the
-// decoder must stay that lenient. RMode is read, never written: builds
-// that let a session choose its labeling wrote "skeleton" and "rmode",
-// and an rmode of none marks a snapshot this build must not adopt
-// (restoreSession).
+// keys this one has no field for — "skeleton" and "rmode", when a
+// session could choose its labeling; they decode into nothing, and the
+// decoder must stay that lenient.
 type sessionMeta struct {
 	Format int    `json:"format"`
 	Name   string `json:"name"`
 	ID     string `json:"id,omitempty"`
-	RMode  string `json:"rmode,omitempty"`
 }
 
 // NewDurableRegistry returns a registry whose sessions persist to
@@ -724,18 +721,12 @@ func (r *Registry) restoreSession(sdir, dirName string) (*Session, error) {
 	// is the store's, mapped for as long as the session is in use; where
 	// the restore does not go through, or goes through without it, the
 	// mapping is given back here: retiring the store if it got that far,
-	// closing the arena (harmless a second time) if it did not.
-	//
-	// A session an older build created with "rmode": "none" holds
-	// labels issued without R nodes, which answer wrongly beside the
-	// designated-R labels issued from now on. Its snapshot is replayed
-	// over like an older-format one, at every restore, since the file
-	// keeps saying none; its labels are then this build's.
+	// closing the arena (harmless a second time) if it did not. Only
+	// this build's labeler writes the current format, so a snapshot of
+	// labels an older build issued without R nodes, which would answer
+	// wrongly beside those issued from now on, is older-format too.
 	a, err := arena.Open(filepath.Join(sdir, snapFile))
 	switch {
-	case err == nil && (meta.RMode == "none" || meta.RMode == "no-R"):
-		a.Close()
-		a = nil
 	case err == nil:
 	case errors.Is(err, fs.ErrNotExist), errors.Is(err, arena.ErrCorrupt), errors.Is(err, arena.ErrVersion):
 		a = nil

@@ -18,77 +18,58 @@ import (
 // directory written when a session could choose its labeling (its
 // README says how): "bfs" is a BioAID session labeled with BFS skeleton
 // labels, "nor" a Fig12 session labeled without R nodes, each closed
-// with a snapshot over three quarters of its run. The BFS session
-// adopts its snapshot as it is — the skeleton kind never changed a
-// label byte, so the snapshot holds exactly what this build issues —
-// and the no-R session adopts none and re-issues its labels from the
-// log. Each then takes the rest of its run, and sampled pairs of old
-// and new vertices answer as a search over the events' predecessors
-// does. The close writes the no-R session a snapshot of this build's
-// labels, and a second restore still replays over it: its session.json
-// keeps saying none.
+// with a WFSNAP08 snapshot over three quarters of its run. Neither
+// snapshot is adopted — the format is an older one, whatever labels it
+// holds — so each session re-issues its labels from the log, and holds
+// what a session created now issues for the same events. Each then
+// takes the rest of its run, and sampled pairs of old and new vertices
+// answer as a search over the events' predecessors does. The close
+// writes each session a snapshot of this build's labels, and a second
+// restore adopts both whole and answers the same.
 func TestGoldenConfigRestore(t *testing.T) {
 	src := filepath.Join("testdata", "golden-config")
 	dir := t.TempDir()
-	sessions := []struct {
-		name   string
-		adopts bool
-	}{{"bfs", true}, {"nor", false}}
-	for _, c := range sessions {
-		if err := os.Mkdir(filepath.Join(dir, c.name), 0o755); err != nil {
+	sessions := []string{"bfs", "nor"}
+	for _, name := range sessions {
+		if err := os.Mkdir(filepath.Join(dir, name), 0o755); err != nil {
 			t.Fatal(err)
 		}
 		for _, f := range []string{metaFile, specFile, walFile, snapFile} {
-			b, err := os.ReadFile(filepath.Join(src, c.name, f))
+			b, err := os.ReadFile(filepath.Join(src, name, f))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(filepath.Join(dir, c.name, f), b, 0o644); err != nil {
+			if err := os.WriteFile(filepath.Join(dir, name, f), b, 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 
-	reg := durableReg(t, dir, DurableOptions{SnapshotEvery: -1})
+	// No snapshot before the close, which writes one.
+	reg := durableReg(t, dir, DurableOptions{SnapshotEvery: 1 << 30})
 	if _, err := reg.Restore(dir); err != nil {
 		t.Fatal(err)
 	}
 	runs := map[string][2][]run.Event{}
-	for _, c := range sessions {
-		s, _ := reg.Get(c.name)
-		old := walEvents(t, filepath.Join(src, c.name, walFile))
-		rest := walEvents(t, filepath.Join(src, c.name+"-rest.wal"))
-		runs[c.name] = [2][]run.Event{old, rest}
-		if st := s.Stats(); st.Vertices != int64(len(old)) || (st.ArenaVertices > 0) != c.adopts {
-			t.Fatalf("%s: restored %+v; adopts its snapshot: %v", c.name, st, c.adopts)
-		}
-		got := storeBytes(s)
-		if c.adopts {
-			a, err := arena.Open(filepath.Join(src, c.name, snapFile))
-			if err != nil {
-				t.Fatal(err)
-			}
-			a.Range(func(v graph.VertexID, enc []byte) bool {
-				if !bytes.Equal(got[int32(v)], enc) {
-					t.Fatalf("%s: vertex %d serves %x, the snapshot holds %x", c.name, v, got[int32(v)], enc)
-				}
-				return true
-			})
-			if a.Count() != len(got) {
-				t.Fatalf("%s: snapshot holds %d labels, the session %d", c.name, a.Count(), len(got))
-			}
-			a.Close()
+	for _, name := range sessions {
+		s, _ := reg.Get(name)
+		old := walEvents(t, filepath.Join(src, name, walFile))
+		rest := walEvents(t, filepath.Join(src, name+"-rest.wal"))
+		runs[name] = [2][]run.Event{old, rest}
+		if st := s.Stats(); st.Vertices != int64(len(old)) || st.ArenaVertices != 0 {
+			t.Fatalf("%s: restored %+v; want %d vertices and none from the WFSNAP08 snapshot", name, st, len(old))
 		}
 		// Whatever the session holds is what a session created now
 		// issues for the same events.
-		fresh, err := NewRegistry().Create(c.name, s.g, Config{})
+		got := storeBytes(s)
+		fresh, err := NewRegistry().Create(name, s.g, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		appendAll(t, fresh, old, 64)
 		for v, enc := range storeBytes(fresh) {
 			if !bytes.Equal(got[v], enc) {
-				t.Fatalf("%s: vertex %d holds %x, a new session issues %x", c.name, v, got[v], enc)
+				t.Fatalf("%s: vertex %d holds %x, a new session issues %x", name, v, got[v], enc)
 			}
 		}
 		appendAll(t, s, rest, 64)
@@ -103,12 +84,25 @@ func TestGoldenConfigRestore(t *testing.T) {
 	if _, err := reg2.Restore(dir); err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range sessions {
-		s, _ := reg2.Get(c.name)
-		ev := runs[c.name]
-		if st := s.Stats(); st.Vertices != int64(len(ev[0])+len(ev[1])) || (st.ArenaVertices > 0) != c.adopts {
-			t.Fatalf("%s: second restore %+v; adopts its snapshot: %v", c.name, st, c.adopts)
+	for _, name := range sessions {
+		s, _ := reg2.Get(name)
+		ev := runs[name]
+		n := int64(len(ev[0]) + len(ev[1]))
+		if st := s.Stats(); st.Vertices != n || st.ArenaVertices != n {
+			t.Fatalf("%s: second restore %+v; want all %d vertices from the snapshot the close wrote", name, st, n)
 		}
+		a, err := arena.Open(filepath.Join(dir, name, snapFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := storeBytes(s)
+		a.Range(func(v graph.VertexID, enc []byte) bool {
+			if !bytes.Equal(got[int32(v)], enc) {
+				t.Fatalf("%s: vertex %d serves %x, the snapshot holds %x", name, v, got[int32(v)], enc)
+			}
+			return true
+		})
+		a.Close()
 		checkOldAndNew(t, s, ev[0], ev[1])
 	}
 }

@@ -624,8 +624,9 @@ func TestHTTPLineageTellsMissingFromMalformed(t *testing.T) {
 		}
 	}
 
-	// A label whose count frame promises an entry its bytes do not hold.
-	if err := s.store.AppendOwned([]store.Entry{{V: 7777, Enc: []byte{0x01}}}); err != nil {
+	// A label whose last byte holds no stop bit: its end, and so its
+	// first entry, cannot be read.
+	if err := s.store.AppendOwned([]store.Entry{{V: 7777, Enc: []byte{0x00}}}); err != nil {
 		t.Fatal(err)
 	}
 	s.store.Publish()

@@ -38,10 +38,10 @@ import (
 // batch frame loses that whole batch and nothing before it, and a tail
 // frame the labeler refuses past its first record is cut whole with the
 // labeler left at the prefix, so the stream goes on from there. The
-// WFSNAP02 and WFSNAP04 to WFSNAP07 rows are the upgrade path: a
+// WFSNAP02 and WFSNAP04 to WFSNAP08 rows are the upgrade path: a
 // labels.snap in a format earlier builds wrote is ignored and replayed
 // over, and the session's next snapshot overwrites it in the current
-// one. WFSNAP05 to WFSNAP07 have today's layout, so their rows are this
+// one. WFSNAP05 to WFSNAP08 have today's layout, so their rows are this
 // image under the old magic: labels numbered or coded the old way must
 // be replayed over even when every checksum holds.
 func TestRestoreCutAndFlipTable(t *testing.T) {
@@ -173,6 +173,7 @@ func TestRestoreCutAndFlipTable(t *testing.T) {
 		{name: "WFSNAP05 snapshot", snap: append([]byte("WFSNAP05"), snapRaw[8:]...), class: boot, frames: n, resnap: true, verify: unavailable},
 		{name: "WFSNAP06 snapshot", snap: append([]byte("WFSNAP06"), snapRaw[8:]...), class: boot, frames: n, resnap: true, verify: unavailable},
 		{name: "WFSNAP07 snapshot", snap: append([]byte("WFSNAP07"), snapRaw[8:]...), class: boot, frames: n, resnap: true, verify: unavailable},
+		{name: "WFSNAP08 snapshot", snap: append([]byte("WFSNAP08"), snapRaw[8:]...), class: boot, frames: n, resnap: true, verify: unavailable},
 		{name: "cut inside the last batch frame", wal: walRaw[:(ends[n-1]+ends[n])/2], class: cutTail, frames: n - 1, arena: labels, resume: true,
 			verify: verified},
 		{name: "cut on a frame boundary below the watermark", wal: walRaw[:ends[c-1]], class: boot, frames: c - 1,

@@ -79,6 +79,11 @@ type graphFacts struct {
 	// sets of the child that expands it under an N, L or F node and as a
 	// recursion-chain member under an R node.
 	slots []int32
+	// rankBits and rankShort shape the code of a slot rank (Slots):
+	// b = ⌊log₂ k⌋ for the graph's k slots, and the u = 2^(b+1) − k ranks
+	// that take b bits; u is 0 for a graph without slots.
+	rankBits  uint8
+	rankShort int32
 }
 
 // ChoiceSet names a set of specification graphs that the place of a
@@ -91,17 +96,20 @@ type graphFacts struct {
 // a run vertex by its rank among the atomic vertices of every graph in
 // the set, in LeafBits bits; both are at most ⌈log₂ n_G⌉.
 //
-// A ChoiceSet packs the set's two widths, so that a codec reads them
-// without a lookup, with the set's offset in its grammar's table, where
-// the set is its graph count k, its k graph ids in ascending order, then
-// the running totals of their atomic vertices:
+// A ChoiceSet packs the set's two widths and its StoresLast bit, so
+// that a codec reads them without a lookup, with the set's offset in its
+// grammar's table, where the set is its graph count k, its k graph ids
+// in ascending order, then the running totals of their atomic vertices:
 //
-//	offset<<10 | ChoiceBits<<5 | LeafBits
+//	offset<<11 | StoresLast<<10 | ChoiceBits<<5 | LeafBits
 type ChoiceSet int32
 
 // maxSetWords bounds a grammar's choice-set table, whose offsets a
-// ChoiceSet holds in 21 bits.
-const maxSetWords = 1 << 21
+// ChoiceSet holds in 20 bits.
+const maxSetWords = 1 << 20
+
+// storesLast is the StoresLast bit of a ChoiceSet.
+const storesLast = 1 << 10
 
 // maxGraphVertices bounds a graph's vertices, which a slot table word
 // holds in 29 bits beside the slot's type.
@@ -162,11 +170,47 @@ func (s Slot) Choices(chain bool) ChoiceSet {
 // implies about the child of that index under an instance of the graph.
 // It reports false, and NoSlot, when the graph has no such slot.
 func (g *Grammar) Slot(id GraphID, rank int32) (Slot, bool) {
-	s, i := g.graphs[id].slots, 3*uint(uint32(rank))
-	if i >= uint(len(s)) { // len(s) is a multiple of 3
+	return g.Slots(id).At(rank)
+}
+
+// Slots is the slots of one graph, by rank, and the shape of the code
+// a label stores their ranks in (RankCode).
+type Slots struct {
+	w     []int32
+	b     uint8
+	short int32
+}
+
+// Slots returns the slots of graph id.
+func (g *Grammar) Slots(id GraphID) Slots {
+	f := &g.graphs[id]
+	return Slots{f.slots, f.rankBits, f.rankShort}
+}
+
+// RankCode returns the code a label stores slot rank r in, and its
+// length: truncated binary over the k slots, the first u = 2^(b+1) − k
+// ranks in b = ⌊log₂ k⌋ bits and the rest as r + u in b + 1, so none
+// where k is 1.
+func (t Slots) RankCode(r int32) (code uint64, n uint) {
+	if r >= t.short {
+		return uint64(r + t.short), uint(t.b) + 1
+	}
+	return uint64(r), uint(t.b)
+}
+
+// RankShape returns b and u of RankCode, for a reader; false for a
+// graph without slots.
+func (t Slots) RankShape() (b uint, u uint64, ok bool) {
+	return uint(t.b), uint64(t.short), t.short > 0
+}
+
+// At returns the slot of rank rank, false and NoSlot when there is none.
+func (t Slots) At(rank int32) (Slot, bool) {
+	i := 3 * uint(uint32(rank))
+	if i >= uint(len(t.w)) { // len(t.w) is a multiple of 3
 		return NoSlot(), false
 	}
-	return Slot{(*[3]int32)(s[i : i+3])}, true
+	return Slot{(*[3]int32)(t.w[i : i+3])}, true
 }
 
 // ChoiceBits returns ⌈log₂ k⌉ for the set's k graphs: the width of an
@@ -177,10 +221,18 @@ func (c ChoiceSet) ChoiceBits() uint { return uint(c>>5) & 31 }
 // of the set's graphs.
 func (c ChoiceSet) LeafBits() uint { return uint(c) & 31 }
 
+// StoresLast reports whether a label stores, on an N entry of the set,
+// whether the entry is its last. A label's length is known from outside
+// it, so an N entry is its last where the bits left at its field are
+// exactly LeafBits — unless an interior entry, with the fewest bits the
+// entries below it can take, could also leave exactly that many. Where
+// it could, the set stores the flag (Compile finds these sets).
+func (c ChoiceSet) StoresLast() bool { return c&storesLast != 0 }
+
 // choiceSet unpacks set c: its graph ids and the running totals of
 // their atomic vertices.
 func (g *Grammar) choiceSet(c ChoiceSet) (graphs, atomEnd []int32) {
-	off := c >> 10
+	off := c >> 11
 	k := ChoiceSet(g.sets[off])
 	return g.sets[off+1 : off+1+k], g.sets[off+1+k : off+1+2*k]
 }
@@ -527,6 +579,10 @@ func (g *Grammar) buildTables() error {
 			}
 		}
 		f.atoms, f.slots = carve(int(atoms)), carve(3*int(composites))
+		if composites > 0 {
+			b := bits.Len32(uint32(composites)) - 1
+			f.rankBits, f.rankShort = uint8(b), 1<<(b+1)-composites
+		}
 		for v, r := range f.rank {
 			if r < 0 {
 				f.atoms[^r] = int32(v)
@@ -560,7 +616,15 @@ func (g *Grammar) buildTables() error {
 			atomEnd[k] = atoms
 		}
 		c[0] = src.size
-		src.set = ChoiceSet(src.off<<10 | int32(bits.Len(uint(src.size-1)))<<5 | int32(bits.Len(uint(atoms-1))))
+		src.set = ChoiceSet(src.off<<11 | int32(bits.Len(uint(src.size-1)))<<5 | int32(bits.Len(uint(atoms-1))))
+	}
+	all := make([]ChoiceSet, len(srcs))
+	for i := range srcs {
+		all[i] = srcs[i].set
+	}
+	g.markStoresLast(all, sets)
+	for i := range srcs {
+		srcs[i].set = all[i]
 	}
 	g.root = srcs[0].set
 
@@ -575,6 +639,80 @@ func (g *Grammar) buildTables() error {
 		}
 	}
 	return nil
+}
+
+// markStoresLast sets the StoresLast bit of the choice sets in all
+// whose N entries store whether they are a label's last: those where an
+// interior entry's choice and the fewest bits the entries below it can
+// take come to no more than the leaf width. slots names each composite
+// module's implementation and chain sets by their place in all. The
+// fewest bits are a shortest path, relaxed to a fixed point as
+// computeMinExpand's is: tail[c], the fewest an N entry of set c stores
+// from its field on, is its leaf width, or its choice width plus
+// below[h] for a graph h of c; below[h], the fewest the entries under an
+// interior instance of h store, is the least over h's slots of the slot
+// rank's code (Slots.RankCode) plus what the slot's child stores: a type
+// bit where the slot leaves R or N open, a copy or chain position below
+// an L, F or R node — at least one bit, whatever its code — and then
+// tail of the set of the instance below. The flags themselves are left
+// out of the sums, which only makes the test more cautious.
+func (g *Grammar) markStoresLast(all []ChoiceSet, slots map[string][2]int) {
+	const inf = math.MaxInt32 / 2
+	buf := make([]int, len(all)+len(g.graphs))
+	tail, below := buf[:len(all)], buf[len(all):]
+	for i, c := range all {
+		tail[i] = int(c.LeafBits())
+	}
+	for i := range below {
+		below[i] = inf
+	}
+	// interior is the fewest bits an interior N entry of set c and the
+	// entries below it store from its field on.
+	interior := func(c ChoiceSet) int {
+		graphs, _ := g.choiceSet(c)
+		least := inf
+		for _, id := range graphs {
+			least = min(least, below[id])
+		}
+		return int(c.ChoiceBits()) + least
+	}
+	for changed := true; changed; {
+		changed = false
+		for id, ng := range g.spec.graphs {
+			f, code := &g.graphs[id], g.Slots(GraphID(id))
+			for v, r := range f.rank {
+				if r < 0 {
+					continue
+				}
+				name := ng.G.Name(graph.VertexID(v))
+				impl, chain := tail[slots[name][0]], tail[slots[name][1]]
+				var child int
+				switch g.slotType(name) {
+				case SlotN:
+					child = impl
+				case SlotL, SlotF:
+					child = 1 + impl
+				case SlotRN:
+					child = 1 + min(impl, 1+chain)
+				}
+				if _, n := code.RankCode(r); int(n)+child < below[id] {
+					below[id] = int(n) + child
+					changed = true
+				}
+			}
+		}
+		for i, c := range all {
+			if n := interior(c); n < tail[i] {
+				tail[i] = n
+				changed = true
+			}
+		}
+	}
+	for i, c := range all {
+		if interior(c) <= int(c.LeafBits()) {
+			all[i] |= storesLast
+		}
+	}
 }
 
 // slotType is what composite name fixes about the node that expands

@@ -160,7 +160,7 @@ func TestLineagePageVisitsOnlyItsPage(t *testing.T) {
 		stop := full[limit]
 		i, _ := slices.BinarySearchFunc(entries, stop, func(e store.Entry, v graph.VertexID) int { return int(e.V - v) })
 		broken := slices.Clone(entries)
-		broken[i+1].Enc = []byte{0x01} // promises an entry it does not hold
+		broken[i+1].Enc = []byte{0x00} // no stop bit: not even its end can be read
 		s := stored(t, r, broken)
 		page, more, err := s.LineagePage(target, graph.None, limit)
 		if err != nil || !more || !slices.Equal(page, full[:limit]) {

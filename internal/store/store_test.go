@@ -114,7 +114,8 @@ func TestGetAndErrors(t *testing.T) {
 	}
 	// A stored label that does not parse is a different failure: the
 	// walk reports it, and not as a missing vertex.
-	if err := s.AppendOwned([]store.Entry{{V: 99999, Enc: []byte{1}}}); err != nil {
+	// Its last byte holds no stop bit, so not even its end can be read.
+	if err := s.AppendOwned([]store.Entry{{V: 99999, Enc: []byte{0}}}); err != nil {
 		t.Fatal(err)
 	}
 	s.Publish()
@@ -215,7 +216,8 @@ func TestStagePublishVisibility(t *testing.T) {
 	if err := s.AppendOwned([]store.Entry{{V: live[0], Enc: []byte{1}}}); err == nil {
 		t.Fatal("duplicate of a published vertex accepted")
 	}
-	if err := s.AppendOwned([]store.Entry{{V: 99999, Enc: []byte{1}}}); err != nil {
+	// Its last byte holds no stop bit, so not even its end can be read.
+	if err := s.AppendOwned([]store.Entry{{V: 99999, Enc: []byte{0}}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.AppendOwned([]store.Entry{{V: 99999, Enc: []byte{2}}}); err == nil {
