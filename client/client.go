@@ -350,8 +350,8 @@ func (c *Client) Session(ctx context.Context, name string) (SessionStats, error)
 // integrity-stamped snapshot exists — the snapshot's Merkle root and
 // watermark. Record the anchors externally to make tampering of the
 // server's on-disk history detectable by wfverify. A session with no
-// WAL (memory-only, or one whose log failed) answers with a typed
-// error carrying CodeNotDurable.
+// open WAL (its log closed or failed) answers with a typed error
+// carrying CodeNotDurable.
 func (c *Client) Integrity(ctx context.Context, session string) (SessionIntegrity, error) {
 	var st SessionIntegrity
 	err := c.do(ctx, http.MethodGet, "/sessions/"+url.PathEscape(session)+"/integrity", nil, &st, true)

@@ -16,9 +16,21 @@ import (
 	"wfreach/internal/service"
 )
 
+// newRegistry is a registry over a fresh data directory, closed when
+// the test ends.
+func newRegistry(t testing.TB) *service.Registry {
+	t.Helper()
+	reg, err := service.NewDurableRegistry(service.DurableOptions{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { reg.Close() })
+	return reg
+}
+
 func newServer(t testing.TB) *httptest.Server {
 	t.Helper()
-	srv := httptest.NewServer(service.NewHandler(service.NewRegistry()))
+	srv := httptest.NewServer(service.NewHandler(newRegistry(t)))
 	t.Cleanup(srv.Close)
 	return srv
 }
@@ -177,7 +189,7 @@ func TestTypedErrors(t *testing.T) {
 // TestRetryOn5xx: transient server failures on read-only calls are
 // retried with backoff; ingest is never replayed.
 func TestRetryOn5xx(t *testing.T) {
-	inner := service.NewHandler(service.NewRegistry())
+	inner := service.NewHandler(newRegistry(t))
 	var gets, posts atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method == http.MethodGet && gets.Add(1) <= 2 {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/http/httptest"
+	"os"
 
 	"wfreach"
 	"wfreach/client"
@@ -14,8 +15,19 @@ import (
 // the binary frame format and answers a batch of provenance queries,
 // verifying every answer against the BFS ground-truth oracle.
 func Example() {
-	// An in-process server; point New at a real wfserve in production.
-	srv := httptest.NewServer(service.NewHandler(service.NewRegistry()))
+	// An in-process server over a throwaway data directory; point New
+	// at a real wfserve in production.
+	dir, err := os.MkdirTemp("", "wfserve-data")
+	if err != nil {
+		panic(err)
+	}
+	defer os.RemoveAll(dir)
+	reg, err := service.NewDurableRegistry(service.DurableOptions{Dir: dir})
+	if err != nil {
+		panic(err)
+	}
+	defer reg.Close()
+	srv := httptest.NewServer(service.NewHandler(reg))
 	defer srv.Close()
 
 	ctx := context.Background()

@@ -105,7 +105,7 @@ type WALTail struct {
 // the log, or the connection drops — a replica reconnects and resumes
 // from its last applied sequence. Without wait the stream ends after
 // the committed history. The call itself does not retry; tailing a
-// memory-only session fails with CodeNotDurable.
+// session whose log is closed or failed fails with CodeNotDurable.
 func (c *Client) TailWAL(ctx context.Context, session string, from int64, wait bool) (*WALTail, error) {
 	q := url.Values{"from": {strconv.FormatInt(from, 10)}}
 	if !wait {

@@ -25,11 +25,7 @@ type httptestPair struct {
 
 func newDurablePair(t *testing.T) *httptestPair {
 	t.Helper()
-	reg, err := service.NewDurableRegistry(service.DurableOptions{Dir: t.TempDir(), Fsync: false})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = reg.Close() })
+	reg := newRegistry(t)
 	srv := httptest.NewServer(service.NewHandler(reg))
 	t.Cleanup(srv.Close)
 	return &httptestPair{reg: reg, srv: srv}
@@ -278,15 +274,18 @@ func TestTailWALClient(t *testing.T) {
 		t.Fatalf("tail from inside a frame = %v, want CodeBadRequest", err)
 	}
 
-	// Memory sessions are not tailable.
-	msrv := newServer(t)
-	mc := client.New(msrv.URL)
+	// A session whose log is closed is not tailable.
+	closed := newDurablePair(t)
+	mc := client.New(closed.srv.URL)
 	if _, err := mc.CreateSession(ctx, client.CreateSessionRequest{Name: "m", Builtin: "RunningExample"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := closed.reg.Close(); err != nil {
 		t.Fatal(err)
 	}
 	_, err = mc.TailWAL(ctx, "m", 1, false)
 	if !errors.As(err, &ae) || ae.Code != client.CodeNotDurable {
-		t.Fatalf("memory tail = %v, want CodeNotDurable", err)
+		t.Fatalf("tail of a closed log = %v, want CodeNotDurable", err)
 	}
 }
 

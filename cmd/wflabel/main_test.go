@@ -165,7 +165,11 @@ func TestWflabelOutOfRangeQueryMessage(t *testing.T) {
 // batch-reach roundtrip for all queries, sampled verification, and
 // session cleanup.
 func TestWflabelRemoteMode(t *testing.T) {
-	reg := service.NewRegistry()
+	reg, err := service.NewDurableRegistry(service.DurableOptions{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
 	srv := httptest.NewServer(service.NewHandler(reg))
 	defer srv.Close()
 	bin := buildOnce(t)
@@ -211,12 +215,15 @@ func TestWflabelRemoteMode(t *testing.T) {
 		t.Fatal("-bfs with -addr created a session")
 	}
 
-	// -integrity is an audit of an existing session: a memory-only
-	// server has no chain, which is reported as unavailability (exit
-	// 0), not an error.
+	// -integrity is an audit of an existing session: one whose log is
+	// closed has no chain, which is reported as unavailability (exit 0),
+	// not an error.
+	if err := reg.Close(); err != nil {
+		t.Fatal(err)
+	}
 	out, err = exec.Command(bin, "-addr", srv.URL, "-session", "kept", "-integrity").CombinedOutput()
 	if err != nil {
-		t.Fatalf("integrity mode on a memory server: %v\n%s", err, out)
+		t.Fatalf("integrity mode on a closed log: %v\n%s", err, out)
 	}
 	if !strings.Contains(string(out), "integrity: unavailable") {
 		t.Fatalf("output missing unavailability notice:\n%s", out)

@@ -51,13 +51,25 @@ func runReport(t *testing.T, cfg config) (result, string) {
 	return res, out.String()
 }
 
+// newRegistry is a registry over a fresh data directory, closed when
+// the test ends.
+func newRegistry(t *testing.T) *service.Registry {
+	t.Helper()
+	reg, err := service.NewDurableRegistry(service.DurableOptions{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { reg.Close() })
+	return reg
+}
+
 // TestRunAgainstInProcessServer drives the full load-generation path
 // (create sessions, stream batches, interleaved verified reach and
 // lineage queries, report) against an in-process wfserve handler behind
 // the request-metrics middleware wfserve installs, and audits the run's
 // own accounting against the server's.
 func TestRunAgainstInProcessServer(t *testing.T) {
-	reg := service.NewRegistry()
+	reg := newRegistry(t)
 	srv := httptest.NewServer(obs.AccessLog(service.NewHandler(reg), slog.New(slog.DiscardHandler), 0, reg.Obs()))
 	defer srv.Close()
 
@@ -242,7 +254,7 @@ func TestResumeVerifiesRestoredSessions(t *testing.T) {
 	}
 
 	// The same check must fail loudly if the server knows nothing.
-	empty := httptest.NewServer(service.NewHandler(service.NewRegistry()))
+	empty := httptest.NewServer(service.NewHandler(newRegistry(t)))
 	defer empty.Close()
 	cfg.addr = empty.URL
 	if err := run(cfg, &bytes.Buffer{}); err == nil {
@@ -254,7 +266,7 @@ func TestResumeVerifiesRestoredSessions(t *testing.T) {
 // (lineage interleaved) and checks the -report file and pprof profiles
 // land on disk with sane contents.
 func TestRunReportAndProfiles(t *testing.T) {
-	srv := httptest.NewServer(service.NewHandler(service.NewRegistry()))
+	srv := httptest.NewServer(service.NewHandler(newRegistry(t)))
 	defer srv.Close()
 
 	dir := t.TempDir()
@@ -302,7 +314,7 @@ func TestRunReportAndProfiles(t *testing.T) {
 // (Its first half drove the unversioned JSON surface, which is gone;
 // the name is kept so the test's history stays in one place.)
 func TestRunLegacyAndBatchModes(t *testing.T) {
-	srv := httptest.NewServer(service.NewHandler(service.NewRegistry()))
+	srv := httptest.NewServer(service.NewHandler(newRegistry(t)))
 	defer srv.Close()
 
 	cfg := config{
@@ -391,7 +403,7 @@ func TestEveryEntryPointCatchesAWrongAnswer(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			srv := httptest.NewServer(service.NewHandler(service.NewRegistry()))
+			srv := httptest.NewServer(service.NewHandler(newRegistry(t)))
 			defer srv.Close()
 			cfg := tc.load(t, srv.URL)
 			cfg.reportPath = filepath.Join(t.TempDir(), "report.json")
@@ -437,7 +449,7 @@ func (f *failingIngest) IngestFrames(ctx context.Context, session string, events
 // fails before that, the run must end with the ingest error instead of
 // waiting for a quarter that never comes.
 func TestMoveGivesUpWhenIngestFails(t *testing.T) {
-	srv := httptest.NewServer(service.NewHandler(service.NewRegistry()))
+	srv := httptest.NewServer(service.NewHandler(newRegistry(t)))
 	defer srv.Close()
 	cl, err := client.NewCluster(client.ClusterMap{Version: 1,
 		Nodes: []client.ClusterNode{{Name: "n0", URL: srv.URL}}}, client.WithRetry(0, 0))

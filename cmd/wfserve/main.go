@@ -5,10 +5,9 @@
 //
 // Usage:
 //
-//	wfserve -addr :8080
-//	wfserve -addr 127.0.0.1:0 -session demo=BioAID
 //	wfserve -addr :8080 -data /var/lib/wfserve
-//	wfserve -addr :8080 -debug-addr 127.0.0.1:6060
+//	wfserve -addr 127.0.0.1:0 -data /tmp/wfdata -session demo=BioAID
+//	wfserve -addr :8080 -data /var/lib/wfserve -debug-addr 127.0.0.1:6060
 //
 // # Observability
 //
@@ -24,17 +23,17 @@
 // net/http/pprof on a separate listener, so profiling never shares
 // the API port.
 //
-// With -data the service is durable: every session persists its
-// specification, an append-only write-ahead log of ingested events,
-// and periodic label snapshots under the given directory (the on-disk
-// format is specified in ARCHITECTURE.md). On startup all sessions
-// found there are restored — a server killed mid-ingest comes back
-// answering exactly what it had acknowledged — and ingestion resumes
-// where the log ends. -fsync (default true) makes acknowledged batches
-// survive machine crashes, not just process crashes; -snapshot-every
-// tunes how many events may need label re-encoding at recovery.
-// Concurrent batches across sessions share WAL flushes through group
-// commit.
+// -data is required: every session persists its specification, an
+// append-only write-ahead log of ingested events, and periodic label
+// snapshots under the given directory (the on-disk format is specified
+// in ARCHITECTURE.md). Without it wfserve prints its usage and exits 2,
+// creating nothing. On startup all sessions found there are restored —
+// a server killed mid-ingest comes back answering exactly what it had
+// acknowledged — and ingestion resumes where the log ends. -fsync
+// (default true) makes acknowledged batches survive machine crashes,
+// not just process crashes; -snapshot-every tunes how many events may
+// need label re-encoding at recovery. Concurrent batches across
+// sessions share WAL flushes through group commit.
 //
 // On SIGINT/SIGTERM the server shuts down gracefully: it stops
 // accepting connections, drains in-flight requests (live WAL tails
@@ -87,9 +86,9 @@
 // POST /v1/cluster/move, which transfers one live session to another
 // node by tailing its WAL — ingest continues on the old owner until
 // the handoff instant, and no acknowledged event is lost. Cluster mode
-// requires -data (moves ride the write-ahead log) and composes with
-// per-node replication: give each node its own -follow replica and
-// record it in the map's "follower" fields so clients can fail over.
+// composes with per-node replication: give each node its own -follow
+// replica and record it in the map's "follower" fields so clients can
+// fail over.
 //
 // The versioned /v1 API (wire contract in internal/api, full
 // reference with curl and Go-client snippets in docs/API.md; drive it
@@ -106,11 +105,11 @@
 //	GET    /v1/sessions/{name}/lineage  ?of=12&cursor=&limit= (paginated)
 //
 // Events carry either a specification reference ("graph","vertex") or
-// a module "name" (the Section 5.3 naming-restriction setting). On a
-// durable server, binary-frame ingest is teed to the write-ahead log
-// byte-for-byte — the wire frame and the WAL frame are the same
-// format. Errors are structured ({"error":{"code","message","detail"}})
-// with machine-readable codes. The bound address is logged on startup
+// a module "name" (the Section 5.3 naming-restriction setting).
+// Binary-frame ingest is teed to the write-ahead log byte-for-byte —
+// the wire frame and the WAL frame are the same format. Errors are
+// structured ({"error":{"code","message","detail"}}) with
+// machine-readable codes. The bound address is logged on startup
 // (msg=listening addr=…) so callers can use -addr :0.
 package main
 
@@ -143,14 +142,14 @@ func (s *sessionFlags) Set(v string) error { *s = append(*s, v); return nil }
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address (use :0 for an ephemeral port)")
-	dataDir := flag.String("data", "", "data directory: persist sessions (WAL + snapshots) and restore them on boot")
-	fsync := flag.Bool("fsync", true, "with -data: fsync the WAL before acknowledging a batch")
-	snapEvery := flag.Int("snapshot-every", 0, "with -data: events between label snapshots (0 = default, <0 disables)")
+	dataDir := flag.String("data", "", "data directory (required): persist sessions (WAL + snapshots) and restore them on boot")
+	fsync := flag.Bool("fsync", true, "fsync the WAL before acknowledging a batch")
+	snapEvery := flag.Int("snapshot-every", 0, "events between label snapshots (0 = default, <0 disables)")
 	drain := flag.Duration("drain", 10*time.Second, "in-flight request drain timeout on shutdown")
 	follow := flag.String("follow", "", "run as a read-only follower replicating the primary at this base URL")
 	followPoll := flag.Duration("follow-poll", 2*time.Second, "with -follow: session-discovery poll interval")
 	promote := flag.String("promote", "", "admin mode: promote the follower at this base URL to writable, print its status, exit")
-	clusterFile := flag.String("cluster", "", "run as one node of a session-partitioned cluster defined by this JSON map file (requires -data and -node)")
+	clusterFile := flag.String("cluster", "", "run as one node of a session-partitioned cluster defined by this JSON map file (requires -node)")
 	nodeName := flag.String("node", "", "with -cluster: this server's node name in the map")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on this separate listener (empty disables)")
 	slowReq := flag.Duration("slow-request", time.Second, "log a warn line for requests slower than this (0 disables)")
@@ -169,49 +168,47 @@ func main() {
 		}
 		return
 	}
+	if *dataDir == "" {
+		fmt.Fprintln(flag.CommandLine.Output(), "wfserve: -data is required: every session persists to a write-ahead log under it")
+		flag.Usage()
+		os.Exit(2)
+	}
 	if *follow != "" && len(sessions) > 0 {
 		fail(fmt.Errorf("-session creates sessions, which a -follow replica must not; drop one of the flags"))
 	}
 	if (*clusterFile == "") != (*nodeName == "") {
 		fail(fmt.Errorf("-cluster and -node go together: the map file defines the cluster, -node says which entry this server is"))
 	}
-	if *clusterFile != "" && *dataDir == "" {
-		fail(fmt.Errorf("-cluster requires -data: session moves ride the write-ahead log"))
-	}
 	if *clusterFile != "" && *follow != "" {
 		fail(fmt.Errorf("-cluster and -follow are different roles: a cluster node is a primary; run its replica as a plain -follow server and list it in the map's follower field"))
 	}
 
-	reg := service.NewRegistry()
-	if *dataDir != "" {
-		var err error
-		reg, err = service.NewDurableRegistry(service.DurableOptions{
-			Dir: *dataDir, SnapshotEvery: *snapEvery, Fsync: *fsync,
-		})
-		if err != nil {
-			fail(err)
+	reg, err := service.NewDurableRegistry(service.DurableOptions{
+		Dir: *dataDir, SnapshotEvery: *snapEvery, Fsync: *fsync,
+	})
+	if err != nil {
+		fail(err)
+	}
+	restoreStart := time.Now()
+	restored, err := reg.Restore(*dataDir)
+	if err != nil {
+		fail(err)
+	}
+	elapsed := time.Since(restoreStart)
+	var labels int64
+	for _, name := range restored {
+		if s, ok := reg.Get(name); ok {
+			labels += s.Vertices()
 		}
-		restoreStart := time.Now()
-		restored, err := reg.Restore(*dataDir)
-		if err != nil {
-			fail(err)
-		}
-		elapsed := time.Since(restoreStart)
-		var labels int64
-		for _, name := range restored {
-			if s, ok := reg.Get(name); ok {
-				labels += s.Vertices()
-			}
-		}
-		rate := float64(labels) / max(elapsed.Seconds(), 1e-9)
-		log.Info("restored", "data", *dataDir, "sessions", len(restored),
-			"dur", elapsed.Round(time.Millisecond), "labels_per_sec", int64(rate))
-		for _, name := range restored {
-			if s, ok := reg.Get(name); ok {
-				st := s.Stats()
-				log.Info("restored session", "session", name, "vertices", st.Vertices,
-					"arena_vertices", st.ArenaVertices, "wal_seq", s.WALSeq())
-			}
+	}
+	rate := float64(labels) / max(elapsed.Seconds(), 1e-9)
+	log.Info("restored", "data", *dataDir, "sessions", len(restored),
+		"dur", elapsed.Round(time.Millisecond), "labels_per_sec", int64(rate))
+	for _, name := range restored {
+		if s, ok := reg.Get(name); ok {
+			st := s.Stats()
+			log.Info("restored session", "session", name, "vertices", st.Vertices,
+				"arena_vertices", st.ArenaVertices, "wal_seq", s.WALSeq())
 		}
 	}
 	var follower *replica.Follower
@@ -273,10 +270,7 @@ func main() {
 		log.Info("pprof listening", "addr", dln.Addr().String(), "path", "/debug/pprof/")
 	}
 
-	mode := "memory"
-	if *dataDir != "" {
-		mode = "durable"
-	}
+	mode := "durable"
 	if *follow != "" {
 		mode = "follower"
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"os"
@@ -150,7 +151,7 @@ func TestWfserveWritesOneLog(t *testing.T) {
 }
 
 func TestWfserveEndToEnd(t *testing.T) {
-	base := startServer(t)
+	base := startServer(t, "-data", t.TempDir())
 
 	// Create a session on a built-in spec.
 	body, _ := json.Marshal(map[string]string{"name": "e2e", "builtin": "RunningExample"})
@@ -206,7 +207,7 @@ func assertReach(t *testing.T, base, session string, r *wfreach.Run, pairs []cli
 }
 
 func TestWfservePrecreatedSession(t *testing.T) {
-	base := startServer(t, "-session", "pre=BioAID")
+	base := startServer(t, "-data", t.TempDir(), "-session", "pre=BioAID")
 	resp, err := http.Get(base + "/v1/sessions/pre")
 	if err != nil {
 		t.Fatal(err)
@@ -224,14 +225,35 @@ func TestWfservePrecreatedSession(t *testing.T) {
 	}
 }
 
+// TestWfserveBadSessionFlag: a server that cannot start as asked exits
+// non-zero — a malformed or unknown -session, or no -data at all, which
+// is a usage error (exit 2, the usage on stderr) that creates nothing.
 func TestWfserveBadSessionFlag(t *testing.T) {
 	bin := buildOnce(t)
-	for _, args := range [][]string{
-		{"-session", "nonsense"},
-		{"-session", "x=NoSuchSpec"},
+	for _, tc := range []struct {
+		args []string
+		code int // 0: any failure
+	}{
+		{args: []string{"-data", t.TempDir(), "-session", "nonsense"}},
+		{args: []string{"-data", t.TempDir(), "-session", "x=NoSuchSpec"}},
+		{args: []string{"-session", "x=BioAID"}, code: 2},
+		{args: nil, code: 2},
 	} {
-		if out, err := exec.Command(bin, append([]string{"-addr", "127.0.0.1:0"}, args...)...).CombinedOutput(); err == nil {
-			t.Fatalf("args %v should fail:\n%s", args, out)
+		cwd := t.TempDir()
+		cmd := exec.Command(bin, append([]string{"-addr", "127.0.0.1:0"}, tc.args...)...)
+		cmd.Dir = cwd
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || (tc.code != 0 && exit.ExitCode() != tc.code) {
+			t.Fatalf("args %v: %v, want exit status %d:\n%s", tc.args, err, tc.code, out)
+		}
+		if tc.code == 2 {
+			if !strings.Contains(string(out), "-data is required") || !strings.Contains(string(out), "Usage") {
+				t.Fatalf("args %v: no usage message:\n%s", tc.args, out)
+			}
+			if made, err := os.ReadDir(cwd); err != nil || len(made) != 0 {
+				t.Fatalf("args %v: a refused start created %v (%v)", tc.args, made, err)
+			}
 		}
 	}
 }

@@ -21,15 +21,18 @@
 // -session; it is the only check that covers WAL records written
 // after the last snapshot, which are otherwise CRC-protected only.
 //
-// Sessions with no snapshot the server would read (none yet, or one in
-// an older format it ignores and replays over) report "integrity:
-// unavailable" — legal data, not a violation.
+// Sessions with no snapshot the server would read (none yet, one in an
+// older format, or one whose header or index is damaged — restore
+// ignores all three and replays the log over them) report "integrity:
+// unavailable", with the reason for a damaged one — legal data, not a
+// violation.
 //
 // Exit status: 0 when nothing contradicts an anchor, 1 when any
 // session's audit found a violation, 2 on usage or IO errors.
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"io"
@@ -83,8 +86,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "%s: verified — %d WAL records, chain %s; snapshot at %d (merkle %s), tail of %d CRC-only\n",
 				r.Session, r.WALRecords, r.ChainHead, r.SnapshotWatermark, r.MerkleRoot, r.TailRecords)
 		case audit.StatusUnavailable:
-			fmt.Fprintf(stdout, "%s: integrity: unavailable — %d WAL records, chain %s (no integrity-stamped snapshot)\n",
-				r.Session, r.WALRecords, r.ChainHead)
+			why := cmp.Or(r.Err, "no integrity-stamped snapshot")
+			fmt.Fprintf(stdout, "%s: integrity: unavailable — %d WAL records, chain %s (%s)\n",
+				r.Session, r.WALRecords, r.ChainHead, why)
 		case audit.StatusViolation:
 			violations++
 			fmt.Fprintf(stdout, "%s: VIOLATION — %s\n", r.Session, r.Err)

@@ -82,6 +82,9 @@ func TestExitCodes(t *testing.T) {
 		{name: "flipped label extent byte", want: 1, stdout: "prod: VIOLATION",
 			damage: func(t *testing.T, dir string) { flip(t, filepath.Join(dir, "prod", "labels.snap"), -2) },
 			args:   func(dir string) []string { return []string{"-data", dir, "-session", "prod"} }},
+		{name: "flipped snapshot header byte", want: 0, stdout: "prod: integrity: unavailable",
+			damage: func(t *testing.T, dir string) { flip(t, filepath.Join(dir, "prod", "labels.snap"), 50) },
+			args:   func(dir string) []string { return []string{"-data", dir} }},
 		{name: "recorded head contradicts the log", want: 1, stdout: "prod: VIOLATION",
 			args: func(dir string) []string {
 				return []string{"-data", dir, "-session", "prod", "-head", strings.Repeat("ee", 32)}
@@ -112,4 +115,61 @@ func TestExitCodes(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestAuditWritesNothing: the auditor inspects a data directory without
+// modifying it — not even a torn log tail, which a restore would cut
+// off. Every file is byte for byte what it was, and no file is added or
+// removed, whether a snapshot still claims the torn records or not.
+func TestAuditWritesNothing(t *testing.T) {
+	for name, keepSnap := range map[string]bool{"under a snapshot": true, "alone": false} {
+		t.Run(name, func(t *testing.T) {
+			dir := dataDir(t)
+			walPath := filepath.Join(dir, "prod", "events.wal")
+			raw, err := os.ReadFile(walPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(walPath, raw[:len(raw)-5], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if !keepSnap {
+				if err := os.Remove(filepath.Join(dir, "prod", "labels.snap")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := readTree(t, dir)
+			var stdout, stderr bytes.Buffer
+			if got := run([]string{"-data", dir}, &stdout, &stderr); got == 2 {
+				t.Fatalf("exit 2\nstdout: %sstderr: %s", &stdout, &stderr)
+			}
+			after := readTree(t, dir)
+			if len(after) != len(before) {
+				t.Fatalf("the audit left %d files, found %d", len(after), len(before))
+			}
+			for path, b := range before {
+				if a, ok := after[path]; !ok || !bytes.Equal(a, b) {
+					t.Fatalf("the audit modified %s", path)
+				}
+			}
+		})
+	}
+}
+
+// readTree maps every file under dir to its bytes.
+func readTree(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	out := map[string][]byte{}
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		b, err := os.ReadFile(path)
+		out[path] = b
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }

@@ -174,8 +174,9 @@ type SessionStats struct {
 	// PublishEpoch counts the store publishes that made new labels
 	// visible to the query path.
 	PublishEpoch int64 `json:"publish_epoch"`
-	// Durable reports whether the session persists its events to a
-	// write-ahead log.
+	// Durable is always true: every session persists its events to a
+	// write-ahead log. It is kept for one API version and will then be
+	// dropped.
 	Durable bool `json:"durable,omitempty"`
 }
 
@@ -192,8 +193,8 @@ type ListSessionsResponse struct {
 // prove or refute the server's entire event history with cmd/wfverify
 // — the chain head commits to every WAL byte up to WALSeq, and the
 // Merkle root commits to every label the last snapshot served.
-// Sessions without a hash-chained log (memory-only, or data predating
-// the chain) answer a typed CodeNotDurable error instead: integrity
+// Sessions without a hash-chained log (closed or poisoned, or data
+// predating the chain) answer a typed CodeNotDurable error instead: integrity
 // is unavailable there, not violated.
 type SessionIntegrity struct {
 	// Session is the session's registry name.

@@ -54,9 +54,10 @@ type SessionReplication struct {
 	// Name is the session's registry name.
 	Name string `json:"name"`
 	// WALSeq is the last committed sequence in this server's WAL for
-	// the session (0 for memory-only sessions).
+	// the session.
 	WALSeq int64 `json:"wal_seq"`
-	// Durable reports whether the session has a write-ahead log here.
+	// Durable is always true: every session has a write-ahead log. It
+	// is kept for one API version and will then be dropped.
 	Durable bool `json:"durable,omitempty"`
 	// Error is the follower's last tail/apply failure for the session,
 	// if any (cleared on recovery).

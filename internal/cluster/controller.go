@@ -19,8 +19,8 @@
 // the one a follower uses: the target adopts the session from the
 // owner, tails its WAL until caught up, and asks the owner to seal the
 // session and install a pending override naming the sealed final
-// sequence and the chain head there. Cluster nodes are durable, so the
-// copy tees every frame it drains to its own log; the move is done only
+// sequence and the chain head there. Like every copy, the target tees
+// every frame it drains to its own log; the move is done only
 // when the head of that log at the final sequence is the sealed head.
 // Then the target replaces the pending override with a plain one naming
 // itself, and takes writes. The override is the record of the move:
@@ -101,13 +101,10 @@ type Controller struct {
 // New builds the controller for node self over the map and installs
 // its gate and hooks on the registry — from that point the registry's
 // HTTP surface is placement-gated and the /v1/cluster routes answer.
-// The prober is idle until Start. The registry must be durable: a moved
-// session is verified against the copy's own write-ahead log. Progress
-// records go to log; nil discards them.
+// The prober is idle until Start. A moved session is verified against
+// the copy's own write-ahead log. Progress records go to log; nil
+// discards them.
 func New(self string, m api.ClusterMap, reg *service.Registry, log *slog.Logger) (*Controller, error) {
-	if !reg.Durable() {
-		return nil, fmt.Errorf("cluster: node %q needs a durable registry: a moved session is verified against its own write-ahead log", self)
-	}
 	st, err := api.NewPlacement(m)
 	if err != nil {
 		return nil, err
@@ -474,7 +471,7 @@ func (c *Controller) copyFrom(ctx context.Context, src *peerState, session strin
 // while still behind just retries.
 func (c *Controller) drain(ctx context.Context, cp *replica.Copy, ov api.ClusterOverride) error {
 	s := cp.Session()
-	for seq, _ := cp.Head(); seq < ov.FinalSeq; seq, _ = cp.Head() {
+	for s.Vertices() < ov.FinalSeq {
 		n, err := cp.Pull(ctx, false, nil)
 		if err != nil {
 			return fmt.Errorf("cluster: drain %q to seq %d: %w", s.Name(), ov.FinalSeq, err)

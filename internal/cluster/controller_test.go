@@ -40,11 +40,7 @@ func newCluster(t *testing.T, n int) []*node {
 	nodes := make([]*node, n)
 	for i := range nodes {
 		dir := t.TempDir()
-		reg, err := service.NewDurableRegistry(service.DurableOptions{Dir: dir, Fsync: false})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = reg.Close() })
+		reg := newRegistry(t, dir)
 		srv := httptest.NewServer(service.NewHandler(reg))
 		t.Cleanup(srv.Close)
 		nodes[i] = &node{name: fmt.Sprintf("n%d", i), dir: dir, reg: reg, srv: srv}
@@ -53,6 +49,17 @@ func newCluster(t *testing.T, n int) []*node {
 		newController(t, nd, nodes)
 	}
 	return nodes
+}
+
+// newRegistry opens a registry over dir, closed when the test ends.
+func newRegistry(t *testing.T, dir string) *service.Registry {
+	t.Helper()
+	reg, err := service.NewDurableRegistry(service.DurableOptions{Dir: dir, Fsync: false})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = reg.Close() })
+	return reg
 }
 
 // newController installs a fresh controller on the node, built from the
@@ -193,21 +200,11 @@ func TestClusterGating(t *testing.T) {
 // TestClusterRoutesRequireClusterMode checks the control plane
 // answers not_clustered on a plain server.
 func TestClusterRoutesRequireClusterMode(t *testing.T) {
-	srv := httptest.NewServer(service.NewHandler(service.NewRegistry()))
+	srv := httptest.NewServer(service.NewHandler(newRegistry(t, t.TempDir())))
 	defer srv.Close()
 	code, aerr := getStatus(t, srv.URL+"/v1/cluster/map")
 	if code != http.StatusConflict || aerr.Code != api.CodeNotClustered {
 		t.Fatalf("map on plain server: %d %+v", code, aerr)
-	}
-}
-
-// TestNewRefusesMemoryRegistry: a cluster node is durable — a moved
-// session is verified against the copy's own log — so the controller
-// refuses a memory registry.
-func TestNewRefusesMemoryRegistry(t *testing.T) {
-	m := api.ClusterMap{Version: 1, Nodes: []api.ClusterNode{{Name: "n0", URL: "http://127.0.0.1:1"}}}
-	if _, err := cluster.New("n0", m, service.NewRegistry(), nil); err == nil {
-		t.Fatal("cluster.New accepted a memory registry")
 	}
 }
 

@@ -87,6 +87,7 @@ func findMoveTamper(t *testing.T, walPath string, g *spec.Grammar) []byte {
 		t.Fatal(err)
 	}
 	tmp := filepath.Join(t.TempDir(), "cand.wal")
+	probes := newRegistry(t, t.TempDir())
 	replays := func(cand []byte) bool {
 		if err := os.WriteFile(tmp, cand, 0o644); err != nil {
 			t.Fatal(err)
@@ -101,11 +102,11 @@ func findMoveTamper(t *testing.T, walPath string, g *spec.Grammar) []byte {
 		}); err != nil || n != total {
 			return false
 		}
-		reg := service.NewRegistry()
-		s, err := reg.Create("probe", g, service.Config{})
+		s, err := probes.Create("probe", g, service.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer probes.Delete("probe")
 		_, aerr := s.AppendRecords(recs, nil)
 		return aerr == nil
 	}
@@ -213,7 +214,7 @@ func TestMoveRejectsTamperedDrain(t *testing.T) {
 			}
 			release(t, d)
 			final, _ := d.src.reg.Get(d.sess)
-			for seq, _ := cp.Head(); seq < final.Vertices(); seq, _ = cp.Head() {
+			for cp.Session().Vertices() < final.Vertices() {
 				if _, err := cp.Pull(ctx, false, nil); err != nil {
 					t.Fatal(err)
 				}
@@ -345,11 +346,7 @@ func TestMoveResumesAfterTargetRestart(t *testing.T) {
 	if err := target.reg.Close(); err != nil {
 		t.Fatal(err)
 	}
-	reg, err := service.NewDurableRegistry(service.DurableOptions{Dir: target.dir, Fsync: false})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = reg.Close() })
+	reg := newRegistry(t, target.dir)
 	if _, err := reg.Restore(target.dir); err != nil {
 		t.Fatal(err)
 	}

@@ -29,10 +29,12 @@
 // endpoint's anchors somewhere the server cannot touch to close that
 // window.
 //
-// Sessions with no snapshot the server would read — none yet, or one in
-// an older format the server ignores and replays over — report
-// StatusUnavailable, not a violation: such data is legal, it just
-// anchors nothing.
+// Sessions with no snapshot the server would read — none yet, one in an
+// older format, or one whose header or index fails its own checks —
+// report StatusUnavailable, not a violation: restore ignores such a
+// file and replays the log over it, so the data is legal, it just
+// anchors nothing. A damaged snapshot's reason is in Err. Label bytes
+// that contradict a readable snapshot's Merkle root stay a violation.
 package audit
 
 import (
@@ -67,7 +69,8 @@ const (
 	// anchor both check out against the bytes on disk.
 	StatusVerified Status = "verified"
 	// StatusUnavailable: the session has no snapshot the server would
-	// read (none, or an older format); nothing to verify, nothing wrong.
+	// read (none, an older format, or a damaged header or index);
+	// nothing to verify, nothing wrong.
 	StatusUnavailable Status = "unavailable"
 	// StatusViolation: the bytes on disk contradict a recorded anchor.
 	StatusViolation Status = "violation"
@@ -78,7 +81,8 @@ type SessionReport struct {
 	Session string
 	Status  Status
 	// Err describes the violation (Status == StatusViolation) or the
-	// IO/decode failure that prevented the audit.
+	// IO/decode failure that prevented the audit, or why a snapshot
+	// the server would not read was set aside (StatusUnavailable).
 	Err string
 
 	// SnapshotWatermark is the event count the snapshot covers;
@@ -140,6 +144,9 @@ func VerifySession(sdir, expectHead string) SessionReport {
 	switch {
 	case errors.Is(err, fs.ErrNotExist) || errors.Is(err, arena.ErrVersion):
 		// No snapshot the server would read: the chain from genesis is all.
+	case errors.Is(err, arena.ErrCorrupt):
+		// Restore replays over it too: unavailable, and why.
+		rep.Err = fmt.Sprintf("open snapshot: %v", err)
 	case err != nil:
 		return rep.fail("open snapshot: %v", err)
 	default:

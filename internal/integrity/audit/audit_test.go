@@ -175,8 +175,9 @@ func asWFSNAP04(t *testing.T, sdir string) {
 
 // TestVerifySessionTable is the auditor's contract: what it calls
 // verified, what it calls unavailable (legal data that anchors
-// nothing), and what it calls a violation — and that a torn WAL tail,
-// a legal crash artifact, is none of the last.
+// nothing; a damaged snapshot header says why), and what it calls a
+// violation — and that a torn WAL tail, a legal crash artifact, is none
+// of the last.
 func TestVerifySessionTable(t *testing.T) {
 	const records, snapshotAt = 40, 25
 	flip := func(at int) func([]byte) []byte {
@@ -194,7 +195,7 @@ func TestVerifySessionTable(t *testing.T) {
 		damage     func(t *testing.T, sdir string)
 		expectHead func(full integrity.Head) string // nil: no external anchor
 		want       Status
-		wantErr    string // substring of the violation
+		wantErr    string // substring of the violation, or of an unavailable snapshot's reason
 		records    int64  // WALRecords of a non-violation
 		tail       int64  // TailRecords of a non-violation
 	}{
@@ -226,6 +227,8 @@ func TestVerifySessionTable(t *testing.T) {
 			damage: func(t *testing.T, sdir string) {
 				mutate(t, sdir, snapFile, func(b []byte) []byte { copy(b, "WFSNAP07"); return b })
 			}},
+		{name: "flip in the snapshot header", snapshotAt: snapshotAt, want: StatusUnavailable, wantErr: "open snapshot", records: records, tail: records,
+			damage: func(t *testing.T, sdir string) { mutate(t, sdir, snapFile, flip(50)) }},
 		{name: "flip below the watermark", snapshotAt: snapshotAt, want: StatusViolation, wantErr: "below snapshot watermark",
 			damage: func(t *testing.T, sdir string) { mutate(t, sdir, walFile, flip(wal.FrameHeaderSize+1)) }},
 		{name: "flip in a label extent", snapshotAt: snapshotAt, want: StatusViolation, wantErr: "Merkle",
@@ -255,7 +258,7 @@ func TestVerifySessionTable(t *testing.T) {
 			}
 			continue
 		}
-		if rep.Err != "" || rep.WALRecords != tc.records || rep.TailRecords != tc.tail {
+		if !strings.Contains(rep.Err, tc.wantErr) || (tc.wantErr == "") != (rep.Err == "") || rep.WALRecords != tc.records || rep.TailRecords != tc.tail {
 			t.Errorf("%s: %+v, want %d records with %d past the watermark", tc.name, rep, tc.records, tc.tail)
 		}
 		if anchored := rep.AnchorHead != "" && rep.MerkleRoot != ""; anchored != (tc.want == StatusVerified) ||

@@ -1,6 +1,7 @@
 // Package replica copies sessions between nodes. Copy (copy.go) is the
-// one copy path: adopt a remote session, tail its write-ahead log over
-// the SDK, and chain-verify what was applied. A Follower (this file)
+// one copy path: adopt a remote session and tail its write-ahead log
+// over the SDK into the copy's own log, whose chain head is what gets
+// verified against the source's. A Follower (this file)
 // runs one Copy per session of a primary wfserve, forever, behind local
 // read-only sessions that answer the full query surface; a cluster move
 // target (internal/cluster) runs one to the sealed end of a session it
@@ -12,16 +13,15 @@
 // the primary's event log through a fresh labeler reissues the exact
 // same labels — a follower is nothing more than crash recovery
 // running continuously against a remote log. Shipped frames are
-// applied through the same ingest path a restore uses and, on a
-// durable follower, teed to the follower's own WAL verbatim; the
-// follower's log is therefore a byte-identical prefix of the
+// applied through the same ingest path a restore uses and teed to the
+// follower's own WAL verbatim; the follower's log is therefore a byte-identical prefix of the
 // primary's, a follower restart resumes from its own recovered
 // sequence, and Promote needs nothing but a final catch-up attempt
 // before flipping the registry writable — the promoted server's WAL
 // already is a valid continuation of everything it acknowledged.
 //
-// Because a durable follower persists through the same registry as a
-// primary, it also takes arena snapshots and a follower restart
+// Because a follower persists through the same registry as a primary,
+// it also takes arena snapshots and a follower restart
 // recovers through the same arena path: labels for
 // the snapshotted prefix are mapped zero-copy and only the WAL tail
 // past the snapshot's byte watermark is replayed, so rejoining after
@@ -129,9 +129,9 @@ type Follower struct {
 }
 
 // New builds a follower of the primary at the given base URL,
-// replicating into reg (typically a freshly restored durable registry
-// so replication survives follower restarts; a memory registry works
-// too but re-tails from scratch after one). The registry's routing gate
+// replicating into reg (typically a freshly restored registry, so
+// replication resumes from the follower's own logs after a restart).
+// The registry's routing gate
 // becomes the follower's, refusing every write, and its replication
 // status/promote hooks are wired; nothing is tailed until Start.
 func New(primary string, reg *service.Registry, opts Options) *Follower {
@@ -254,7 +254,7 @@ func (f *Follower) snapshotSessions() map[string]*sessionState {
 
 // Status reports the follower's replication state: its own applied
 // sequence per session (== the committed sequence of the follower's
-// own WAL when durable), plus any sticky tail error.
+// own WAL), plus any sticky tail error.
 func (f *Follower) Status() api.ReplicationStatus {
 	st := api.ReplicationStatus{Role: api.RoleFollower, Primary: f.primary, Sessions: []api.SessionReplication{}}
 	f.mu.Lock()
@@ -276,7 +276,7 @@ func (f *Follower) Status() api.ReplicationStatus {
 		rep := api.SessionReplication{Name: name, Error: ss.lastErr}
 		ss.mu.Unlock()
 		if s, ok := f.reg.Get(name); ok {
-			rep.WALSeq, rep.Durable = s.Vertices(), s.Stats().Durable
+			rep.WALSeq, rep.Durable = s.Vertices(), true
 		}
 		st.Sessions = append(st.Sessions, rep)
 	}
@@ -390,7 +390,7 @@ func (f *Follower) observeLag(stats []client.SessionStats, now time.Time) {
 
 // applied is the last primary sequence the local copy of the session
 // applied: every applied event labels exactly one vertex, so it is the
-// local vertex count — for a durable follower, its recovered WAL
+// local vertex count — after a restart, the follower's recovered WAL
 // sequence.
 func (f *Follower) applied(name string) int64 {
 	if s, ok := f.reg.Get(name); ok {
@@ -476,8 +476,9 @@ func (f *Follower) tailLoop(ctx context.Context, name string, ss *sessionState) 
 			ss.setErr(err)
 			var ae *client.Error
 			if errors.As(err, &ae) && ae.Code == client.CodeNotDurable {
-				// The session has no WAL on the primary (memory-only, or
-				// its log failed) and never will: redialing cannot succeed.
+				// The session's log on the primary failed or was closed,
+				// and that process will not reopen it: redialing cannot
+				// succeed.
 				ss.mu.Lock()
 				ss.stopped = true
 				ss.mu.Unlock()
@@ -530,17 +531,19 @@ func (f *Follower) tailOnce(ctx context.Context, name string, ss *sessionState, 
 	return f.verifyChain(ctx, name, ss)
 }
 
-// verifyChain cross-checks the follower's chain head against the
-// primary's at the same sequence. It is a no-op while the follower is
+// verifyChain cross-checks the head of the follower's own log
+// (Session.ChainState; every shipped frame is teed to it verbatim)
+// against the primary's at the same sequence — the check a cluster
+// drain makes with Session.ChainAt. It is a no-op while the follower is
 // mid-stream (the sequences won't line up), when there is nothing new
-// to verify, or when the primary cannot answer. A head mismatch at an
-// equal sequence is proof the shipped bytes differ from the bytes the
-// primary committed; the session is hard-stopped — reconnecting would
+// to verify, when the local log is closed, or when the primary cannot
+// answer. A head mismatch at an equal sequence is proof the shipped
+// bytes differ from the bytes the primary committed; the session is hard-stopped — reconnecting would
 // re-apply the same tampered history.
 func (f *Follower) verifyChain(ctx context.Context, name string, ss *sessionState) error {
-	seq, head := ss.copy.Head()
+	seq, head, ok := ss.copy.Session().ChainState()
 	ss.mu.Lock()
-	skip := ss.noVerify || seq <= ss.verifiedSeq
+	skip := !ok || ss.noVerify || seq <= ss.verifiedSeq
 	ss.mu.Unlock()
 	if skip {
 		return nil
@@ -569,7 +572,7 @@ func (f *Follower) verifyChain(ctx context.Context, name string, ss *sessionStat
 		return nil
 	}
 	if have := head.String(); st.ChainHead != have {
-		err := fmt.Errorf("integrity: chain mismatch at seq %d of %q: follower computed %s from the shipped frames, primary reports %s — the primary's log was rewritten; tail stopped", seq, name, have, st.ChainHead)
+		err := fmt.Errorf("integrity: chain mismatch at seq %d of %q: the follower's log holds %s, the primary reports %s — the primary's log was rewritten; tail stopped", seq, name, have, st.ChainHead)
 		// Stopped and the reason become visible together: a status
 		// reader must never see a stopped session without its why.
 		ss.mu.Lock()

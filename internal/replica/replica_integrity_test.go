@@ -89,6 +89,7 @@ func findLabelableTamper(t *testing.T, walPath string, g *spec.Grammar) []byte {
 		t.Fatal(err)
 	}
 	tmp := filepath.Join(t.TempDir(), "cand.wal")
+	probes := openRegistry(t, t.TempDir())
 	replays := func(cand []byte) bool {
 		if err := os.WriteFile(tmp, cand, 0o644); err != nil {
 			t.Fatal(err)
@@ -103,11 +104,11 @@ func findLabelableTamper(t *testing.T, walPath string, g *spec.Grammar) []byte {
 		}); err != nil || n != total {
 			return false
 		}
-		reg := service.NewRegistry()
-		s, err := reg.Create("probe", g, service.Config{})
+		s, err := probes.Create("probe", g, service.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer probes.Delete("probe")
 		_, aerr := s.AppendRecords(recs, nil)
 		return aerr == nil
 	}

@@ -154,7 +154,7 @@ func TestArenaRestoreEquivalentToV1(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fromArena := durableReg(t, t.TempDir(), DurableOptions{})
+	fromArena := durableReg(t, dir, DurableOptions{})
 	if _, err := fromArena.Restore(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestArenaRestoreEquivalentToV1(t *testing.T) {
 	if err := os.Remove(filepath.Join(dir, "eq", snapFile)); err != nil {
 		t.Fatal(err)
 	}
-	fromLog := durableReg(t, t.TempDir(), DurableOptions{})
+	fromLog := durableReg(t, dir, DurableOptions{})
 	if _, err := fromLog.Restore(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -327,11 +327,16 @@ func TestArenaRestoreCorruptFallsBack(t *testing.T) {
 // future build. Nothing reads the fixture's WFSNAP01 labels.snap any
 // more; it is ignored and the labels are re-issued from the log.
 func TestGoldenV1Restore(t *testing.T) {
-	dir := filepath.Join("testdata", "golden-v1")
-	if _, err := os.Stat(dir); err != nil {
+	fixture := filepath.Join("testdata", "golden-v1")
+	if _, err := os.Stat(fixture); err != nil {
 		t.Fatalf("golden fixture missing: %v", err)
 	}
-	reg := NewRegistry()
+	// Restore reopens the log for writing: it runs on a copy.
+	dir := filepath.Join(t.TempDir(), "data")
+	if err := os.CopyFS(dir, os.DirFS(fixture)); err != nil {
+		t.Fatal(err)
+	}
+	reg := durableReg(t, dir, DurableOptions{})
 	restored, err := reg.Restore(dir)
 	if err != nil {
 		t.Fatal(err)

@@ -38,6 +38,18 @@ func benchEvents(b *testing.B, size int) (*spec.Grammar, []run.Event) {
 	return g, events
 }
 
+// benchRegistry is a registry over a fresh directory with snapshots
+// off (and fsync, as by default, off), so what is measured is the
+// session and its log, not the disk. The caller closes it.
+func benchRegistry(b *testing.B) *service.Registry {
+	b.Helper()
+	reg, err := service.NewDurableRegistry(service.DurableOptions{Dir: b.TempDir(), SnapshotEvery: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return reg
+}
+
 func ingestAll(b *testing.B, s *service.Session, events []run.Event, batch int) {
 	b.Helper()
 	for i := 0; i < len(events); i += batch {
@@ -57,12 +69,13 @@ func BenchmarkSessionIngest(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		reg := service.NewRegistry()
+		reg := benchRegistry(b)
 		s, err := reg.Create("b", g, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
 		ingestAll(b, s, events, 256)
+		reg.Close()
 	}
 	b.ReportMetric(float64(len(events)*b.N)/b.Elapsed().Seconds(), "events/sec")
 }
@@ -77,7 +90,7 @@ func BenchmarkSessionIngestConcurrentReaders(b *testing.B) {
 	var queries atomic.Int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		reg := service.NewRegistry()
+		reg := benchRegistry(b)
 		s, err := reg.Create("b", g, cfg)
 		if err != nil {
 			b.Fatal(err)
@@ -110,6 +123,7 @@ func BenchmarkSessionIngestConcurrentReaders(b *testing.B) {
 		ingestAll(b, s, events, 256)
 		close(stop)
 		wg.Wait()
+		reg.Close()
 	}
 	b.ReportMetric(float64(len(events)*b.N)/b.Elapsed().Seconds(), "events/sec")
 	b.ReportMetric(float64(queries.Load())/b.Elapsed().Seconds(), "queries/sec")
@@ -119,7 +133,8 @@ func BenchmarkSessionIngestConcurrentReaders(b *testing.B) {
 // a fully ingested session, across parallel readers.
 func BenchmarkSessionQuery(b *testing.B) {
 	g, events := benchEvents(b, 8192)
-	reg := service.NewRegistry()
+	reg := benchRegistry(b)
+	b.Cleanup(func() { reg.Close() })
 	s, err := reg.Create("b", g, service.Config{})
 	if err != nil {
 		b.Fatal(err)
@@ -143,7 +158,8 @@ func BenchmarkSessionQuery(b *testing.B) {
 // a fully ingested session.
 func BenchmarkSessionLineage(b *testing.B) {
 	g, events := benchEvents(b, 4096)
-	reg := service.NewRegistry()
+	reg := benchRegistry(b)
+	b.Cleanup(func() { reg.Close() })
 	s, err := reg.Create("b", g, service.Config{})
 	if err != nil {
 		b.Fatal(err)
@@ -169,12 +185,10 @@ func BenchmarkDurableConcurrentSessions(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		reg, err := service.NewDurableRegistry(service.DurableOptions{Dir: b.TempDir(), SnapshotEvery: -1})
-		if err != nil {
-			b.Fatal(err)
-		}
+		reg := benchRegistry(b)
 		ss := make([]*service.Session, sessions)
 		for si := range ss {
+			var err error
 			if ss[si], err = reg.Create(string(rune('a'+si)), g, cfg); err != nil {
 				b.Fatal(err)
 			}
@@ -208,18 +222,10 @@ func BenchmarkDurableConcurrentSessions(b *testing.B) {
 // They run through a real HTTP stack (httptest server + the Go client
 // SDK), so the numbers include framing, checksums and roundtrips.
 
-func benchHTTP(b *testing.B, durable bool) (*service.Registry, *client.Client, string, func() string) {
+func benchHTTP(b *testing.B) (*service.Registry, *client.Client, string, func() string) {
 	b.Helper()
-	reg := service.NewRegistry()
-	if durable {
-		// Fsync off, snapshots off: the measured difference is the wire
-		// format and the WAL tee, not the disk.
-		var err error
-		if reg, err = service.NewDurableRegistry(service.DurableOptions{Dir: b.TempDir(), SnapshotEvery: -1}); err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(func() { reg.Close() })
-	}
+	reg := benchRegistry(b)
+	b.Cleanup(func() { reg.Close() })
 	srv := httptest.NewServer(service.NewHandler(reg))
 	b.Cleanup(srv.Close)
 	c := client.New(srv.URL, client.WithRetry(0, 0))
@@ -252,7 +258,7 @@ func wireEvents(b *testing.B, events []run.Event) []client.Event {
 // server-side.
 func BenchmarkHTTPIngestJSON(b *testing.B) {
 	_, events := benchEvents(b, 8192)
-	_, _, url, nextSession := benchHTTP(b, true)
+	_, _, url, nextSession := benchHTTP(b)
 	wire := wireEvents(b, events)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -275,7 +281,7 @@ func BenchmarkHTTPIngestJSON(b *testing.B) {
 // without re-encoding.
 func BenchmarkHTTPIngestBinary(b *testing.B) {
 	_, events := benchEvents(b, 8192)
-	_, c, _, nextSession := benchHTTP(b, true)
+	_, c, _, nextSession := benchHTTP(b)
 	wire := wireEvents(b, events)
 	ctx := context.Background()
 	b.ReportAllocs()
@@ -306,7 +312,7 @@ func BenchmarkHTTPIngestBinary(b *testing.B) {
 // overhead = scrape_ms × scrapes_per_sec / 1000.
 func BenchmarkHTTPIngestBinaryScraped(b *testing.B) {
 	_, events := benchEvents(b, 8192)
-	_, c, _, nextSession := benchHTTP(b, true)
+	_, c, _, nextSession := benchHTTP(b)
 	wire := wireEvents(b, events)
 	ctx := context.Background()
 	stop := make(chan struct{})
@@ -359,7 +365,7 @@ func BenchmarkHTTPIngestBinaryScraped(b *testing.B) {
 // should be hashing throughput, not extra synchronization.
 func BenchmarkHTTPIngestBinaryNoChain(b *testing.B) {
 	_, events := benchEvents(b, 8192)
-	reg, c, _, nextSession := benchHTTP(b, true)
+	reg, c, _, nextSession := benchHTTP(b)
 	wire := wireEvents(b, events)
 	ctx := context.Background()
 	b.ResetTimer()
@@ -384,7 +390,7 @@ func BenchmarkHTTPIngestBinaryNoChain(b *testing.B) {
 // roundtrip — ns/op is the per-pair cost the batch endpoint amortizes.
 func BenchmarkHTTPReachSingle(b *testing.B) {
 	_, events := benchEvents(b, 8192)
-	_, c, _, nextSession := benchHTTP(b, false)
+	_, c, _, nextSession := benchHTTP(b)
 	name := nextSession()
 	ctx := context.Background()
 	if _, err := c.IngestFrames(ctx, name, wireEvents(b, events)); err != nil {
@@ -409,7 +415,7 @@ func BenchmarkHTTPReachSingle(b *testing.B) {
 func BenchmarkHTTPReachBatch64(b *testing.B) {
 	const batch = 64
 	_, events := benchEvents(b, 8192)
-	reg, c, _, nextSession := benchHTTP(b, false)
+	reg, c, _, nextSession := benchHTTP(b)
 	name := nextSession()
 	ctx := context.Background()
 	if _, err := c.IngestFrames(ctx, name, wireEvents(b, events)); err != nil {

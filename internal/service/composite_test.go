@@ -45,7 +45,7 @@ func TestCompositeVertexIsBadEvent(t *testing.T) {
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
-			s, _ := NewRegistry().Create("c", g, Config{})
+			s, _ := durableReg(t, t.TempDir(), DurableOptions{}).Create("c", g, Config{})
 			if n, err := bad(s); err == nil || n != 1 {
 				t.Fatalf("batch with a composite vertex: %d applied, %v; want 1 and a refusal", n, err)
 			}

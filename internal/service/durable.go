@@ -18,6 +18,7 @@ import (
 	"wfreach/internal/arena"
 	"wfreach/internal/core"
 	"wfreach/internal/integrity"
+	"wfreach/internal/obs"
 	"wfreach/internal/skeleton"
 	"wfreach/internal/spec"
 	"wfreach/internal/store"
@@ -91,15 +92,21 @@ func NewDurableRegistry(opts DurableOptions) (*Registry, error) {
 	if opts.SnapshotEvery == 0 {
 		opts.SnapshotEvery = DefaultSnapshotEvery
 	}
-	r := NewRegistry()
-	r.durable = &opts
-	r.committer = wal.NewCommitter()
+	r := &Registry{
+		sessions:      make(map[string]*Session),
+		creating:      make(map[string]bool),
+		opts:          opts,
+		committer:     wal.NewCommitter(),
+		metrics:       newNodeMetrics(obs.NewRegistry()),
+		ingestScratch: scratchList[*ingestScratch]{fresh: newIngestScratch},
+		reachScratch:  scratchList[*reachScratch]{fresh: func() *reachScratch { return new(reachScratch) }},
+	}
 	r.committer.SetMetrics(r.metrics.wal)
 	return r, nil
 }
 
 // validateSessionName rejects names that cannot double as directory
-// names. Durable sessions live at Dir/<name>, so the name must be a
+// names. Sessions live at Dir/<name>, so the name must be a
 // single clean path element of filesystem-friendly length with no
 // control characters.
 func validateSessionName(name string) error {
@@ -208,9 +215,8 @@ func (s *Session) initDurable(opts *DurableOptions, committer *wal.Committer) er
 	return nil
 }
 
-// attachWAL flips the session into durable mode.
+// attachWAL gives the session its open log.
 func (s *Session) attachWAL(dir string, log *wal.Log, opts *DurableOptions, committer *wal.Committer) {
-	s.durable = true
 	s.dir = dir
 	s.wal = log
 	s.committer = committer
@@ -274,8 +280,7 @@ func (s *Session) poisonLocked(err error) error {
 // commitWAL makes everything appended to the log up to seq durable —
 // flushed, and fsynced as the registry is configured — before the
 // batch is acknowledged. The flush goes through the registry's group
-// committer (attachWAL always wires one: only durable registries open
-// WALs, and every durable registry owns a committer), so it coalesces
+// committer (attachWAL always wires one), so it coalesces
 // with concurrent batches — one disk round-trip covers every batch
 // that queued behind it. Called without ingestMu: a commit in flight
 // must not block the next batch from labeling and logging. A commit
@@ -362,9 +367,8 @@ func (s *Session) maybeSnapshot() {
 
 // WALSeq returns the sequence of the last event committed to the
 // session's write-ahead log — an absolute, restart-stable position in
-// the event stream (the count of events ever logged). It is 0 for
-// memory-only sessions and frozen once a durable session's log closes
-// or poisons.
+// the event stream (the count of events ever logged). It is frozen
+// once the session's log poisons, and 0 once the log is closed.
 func (s *Session) WALSeq() int64 {
 	s.ingestMu.Lock()
 	log := s.wal
@@ -380,8 +384,8 @@ func (s *Session) WALSeq() int64 {
 // sequence from (1-based) — history off the disk, then live as batches
 // commit. A from inside a logged frame is a typed CodeBadRequest: a
 // frame is shipped whole. The caller owns closing it. Sessions without
-// an open log (memory-only, closed, poisoned) cannot be tailed; the
-// error is a typed CodeNotDurable.
+// an open log (closed, poisoned) cannot be tailed; the error is a
+// typed CodeNotDurable.
 func (s *Session) NewWALTailer(from int64) (*wal.Tailer, error) {
 	s.ingestMu.Lock()
 	log := s.wal
@@ -439,12 +443,11 @@ func (s *Session) closeWAL(finalSnap bool) error {
 	return err
 }
 
-// Close flushes and closes every durable session's WAL, writing each
-// session a final arena snapshot so the next Restore maps it back in
-// without replaying the log. Durable sessions stop accepting events
-// (their logs are gone) but remain queryable; a memory-only registry
-// is unaffected. Use it for graceful shutdown or before handing the
-// data directory to another process.
+// Close flushes and closes every session's WAL, writing each session a
+// final arena snapshot so the next Restore maps it back in without
+// replaying the log. Sessions stop accepting events (their logs are
+// gone) but remain queryable. Use it for graceful shutdown or before
+// handing the data directory to another process.
 func (r *Registry) Close() error {
 	r.mu.RLock()
 	sessions := make([]*Session, 0, len(r.sessions))
@@ -610,24 +613,24 @@ walk:
 // anchors the log or its own labels contradict refuses the restore
 // (see replay).
 //
-// On a durable registry the restored sessions reopen their WALs —
-// truncating any corrupt tail — and continue accepting events exactly
-// where the log ends. On a memory-only registry the sessions are
-// rebuilt read-write but nothing further is persisted and no file is
-// modified, which is useful for inspecting a copied data directory.
+// The restored sessions reopen their WALs — truncating any corrupt
+// tail — and continue accepting events exactly where the log ends.
 //
-// Restore returns the restored session names, sorted. A missing dir
-// restores nothing. Corrupt session metadata (unreadable session.json
-// or spec.xml) aborts with an error naming the session; already-open
-// names collide like Create.
-//
-// dir is usually the registry's own DurableOptions.Dir, but any data
-// directory is accepted: sessions restored from elsewhere keep
-// persisting under *that* directory, while new Creates go to
-// DurableOptions.Dir — deliberately, so a copied data directory can
-// be inspected or adopted, but a typo here silently splits the data
-// across two roots.
+// dir must be the registry's own data directory (DurableOptions.Dir,
+// compared as absolute paths); any other is an error naming both, and
+// nothing is opened or created. Restore returns the restored session names,
+// sorted. A missing dir restores nothing. Corrupt session metadata
+// (unreadable session.json or spec.xml) aborts with an error naming
+// the session; already-open names collide like Create. To inspect a
+// data directory without modifying it, use the offline auditor
+// (internal/integrity/audit, cmd/wfverify).
 func (r *Registry) Restore(dir string) ([]string, error) {
+	// Callers pass the string the registry was opened with; only another
+	// spelling is resolved (an absolute path of a relative one costs a
+	// Getwd).
+	if dir != r.opts.Dir && !sameDir(dir, r.opts.Dir) {
+		return nil, fmt.Errorf("service: restore %s: this registry's data directory is %s", dir, r.opts.Dir)
+	}
 	entries, err := os.ReadDir(dir)
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil, nil
@@ -672,6 +675,13 @@ func (r *Registry) Restore(dir string) ([]string, error) {
 	}
 	sort.Strings(restored)
 	return restored, nil
+}
+
+// sameDir reports whether a and b are one path once made absolute.
+func sameDir(a, b string) bool {
+	a, aerr := filepath.Abs(a)
+	b, berr := filepath.Abs(b)
+	return aerr == nil && berr == nil && a == b
 }
 
 // restoreSession rebuilds one session from its directory.
@@ -772,24 +782,22 @@ func (r *Registry) restoreSession(sdir, dirName string) (*Session, error) {
 		s.snapIntegrity = true
 	}
 
-	if r.durable != nil {
-		// Sweep snapshot temp files orphaned by a crash mid-snapshot;
-		// they are never valid (the rename is what commits a snapshot).
-		if tmps, _ := filepath.Glob(filepath.Join(sdir, snapFile+".tmp*")); len(tmps) > 0 {
-			for _, tmp := range tmps {
-				os.Remove(tmp)
-			}
+	// Sweep snapshot temp files orphaned by a crash mid-snapshot; they
+	// are never valid (the rename is what commits a snapshot).
+	if tmps, _ := filepath.Glob(filepath.Join(sdir, snapFile+".tmp*")); len(tmps) > 0 {
+		for _, tmp := range tmps {
+			os.Remove(tmp)
 		}
-		// The replayed count seeds the log's absolute sequence numbers,
-		// so WAL shipping keeps one continuous numbering across restarts,
-		// and the replayed head the chain the log continues.
-		log, err := wal.Open(filepath.Join(sdir, walFile), rep.validSize, rep.events, r.durable.Fsync)
-		if err != nil {
-			return nil, err
-		}
-		log.SeedChain(rep.head)
-		s.attachWAL(sdir, log, r.durable, r.committer)
 	}
+	// The replayed count seeds the log's absolute sequence numbers, so
+	// WAL shipping keeps one continuous numbering across restarts, and
+	// the replayed head the chain the log continues.
+	log, err := wal.Open(filepath.Join(sdir, walFile), rep.validSize, rep.events, r.opts.Fsync)
+	if err != nil {
+		return nil, err
+	}
+	log.SeedChain(rep.head)
+	s.attachWAL(sdir, log, &r.opts, r.committer)
 	restored = true
 	r.metrics.restores.Inc()
 	r.metrics.restoreSec.Add(time.Since(restoreStart))
@@ -800,8 +808,8 @@ func (r *Registry) restoreSession(sdir, dirName string) (*Session, error) {
 // chain head (folding in everything appended so far) with the sequence
 // it covers, plus the Merkle root and watermark of the last integrity-
 // stamped snapshot, if one exists. Sessions without a chained log —
-// memory-only, closed, poisoned, or restored data predating the hash
-// chain that has not re-seeded — report a typed CodeNotDurable error:
+// closed, poisoned, or restored data predating the hash chain that has
+// not re-seeded — report a typed CodeNotDurable error:
 // integrity is unavailable, not violated.
 func (s *Session) Integrity() (api.SessionIntegrity, error) {
 	s.ingestMu.Lock()

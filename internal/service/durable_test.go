@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"errors"
+	"io/fs"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -10,6 +11,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -24,13 +26,16 @@ import (
 	"wfreach/internal/wal"
 )
 
-func durableReg(t *testing.T, dir string, opts DurableOptions) *Registry {
+// durableReg opens a registry over dir, closed when the test ends
+// (closing again is harmless).
+func durableReg(t testing.TB, dir string, opts DurableOptions) *Registry {
 	t.Helper()
 	opts.Dir = dir
 	reg, err := NewDurableRegistry(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { reg.Close() })
 	return reg
 }
 
@@ -210,7 +215,7 @@ func TestSnapshotTailEqualsFullReplay(t *testing.T) {
 		t.Fatalf("no snapshot was written: %v", err)
 	}
 
-	withSnap := durableReg(t, t.TempDir(), DurableOptions{})
+	withSnap := durableReg(t, dir, DurableOptions{})
 	if _, err := withSnap.Restore(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +224,7 @@ func TestSnapshotTailEqualsFullReplay(t *testing.T) {
 	if err := os.Remove(filepath.Join(dir, "snap", snapFile)); err != nil {
 		t.Fatal(err)
 	}
-	fullReplay := durableReg(t, t.TempDir(), DurableOptions{})
+	fullReplay := durableReg(t, dir, DurableOptions{})
 	if _, err := fullReplay.Restore(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -594,48 +599,62 @@ func TestDurableDeleteRacesIngestAndQueries(t *testing.T) {
 	}
 }
 
-// TestMemoryRegistryRestoreIsReadOnly restores a data directory into a
-// memory-only registry and checks no file is modified even when the
-// WAL has a corrupt tail.
-func TestMemoryRegistryRestoreIsReadOnly(t *testing.T) {
+// TestRestoreOnlyItsOwnDirectory: a registry restores its own data
+// directory, however the path is spelled, and refuses any other with an
+// error naming both — opening nothing there, and creating nothing where
+// the other path does not exist.
+func TestRestoreOnlyItsOwnDirectory(t *testing.T) {
 	dir := t.TempDir()
 	g := compileBuiltin(t, "RunningExample")
-	events, r := genEvents(t, g, 120, 9)
+	events, _ := genEvents(t, g, 60, 3)
 	reg := durableReg(t, dir, DurableOptions{})
-	s, err := reg.Create("ro", g, Config{})
+	s, err := reg.Create("own", g, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	appendAll(t, s, events, 40)
+	appendAll(t, s, events, 20)
 	reg.Close()
-
-	walPath := filepath.Join(dir, "ro", walFile)
+	walPath := filepath.Join(dir, "own", walFile)
 	raw, err := os.ReadFile(walPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	torn := append([]byte{}, raw[:len(raw)-5]...)
+	// A torn tail, which a restore of this directory would cut off.
+	torn := raw[:len(raw)-5]
 	if err := os.WriteFile(walPath, torn, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	mem := NewRegistry()
-	if _, err := mem.Restore(dir); err != nil {
-		t.Fatal(err)
+	other := durableReg(t, t.TempDir(), DurableOptions{})
+	missing := filepath.Join(t.TempDir(), "missing")
+	for _, wrong := range []string{dir, missing} {
+		names, err := other.Restore(wrong)
+		if err == nil || len(names) != 0 || !strings.Contains(err.Error(), wrong) || !strings.Contains(err.Error(), other.opts.Dir) {
+			t.Fatalf("Restore(%s) on a registry over %s: %v, %v; want an error naming both", wrong, other.opts.Dir, names, err)
+		}
 	}
-	s2, _ := mem.Get("ro")
-	if s2.Stats().Durable {
-		t.Fatal("memory-restored session claims durability")
+	if after, err := os.ReadFile(walPath); err != nil || !bytes.Equal(after, torn) {
+		t.Fatal("a refused restore modified the log")
 	}
-	n := int(s2.Vertices())
-	checkOracle(t, s2, events, r, n)
+	if _, err := os.Stat(missing); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("a refused restore created %s: %v", missing, err)
+	}
+	if other.Len() != 0 {
+		t.Fatalf("a refused restore opened %v", other.Names())
+	}
 
-	after, err := os.ReadFile(walPath)
+	// The same directory spelled relative to the working directory.
+	wd, err := os.Getwd()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(after, torn) {
-		t.Fatal("memory-only restore modified the WAL")
+	rel, err := filepath.Rel(wd, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	own := durableReg(t, dir, DurableOptions{})
+	if names, err := own.Restore(rel + string(filepath.Separator)); err != nil || len(names) != 1 {
+		t.Fatalf("Restore(%s) = %v, %v; want [own]", rel, names, err)
 	}
 }
 

@@ -62,7 +62,7 @@ func TestGoldenConfigRestore(t *testing.T) {
 		// Whatever the session holds is what a session created now
 		// issues for the same events.
 		got := storeBytes(s)
-		fresh, err := NewRegistry().Create(name, s.g, Config{})
+		fresh, err := durableReg(t, t.TempDir(), DurableOptions{}).Create(name, s.g, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

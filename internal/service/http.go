@@ -384,13 +384,11 @@ func createSession(reg *Registry, w http.ResponseWriter, name string, sp *spec.S
 		writeError(w, api.Errorf(api.CodeBadRequest, "session name is required"))
 		return
 	}
-	if reg.Durable() {
-		// Report unusable names as a client error; Create would reject
-		// them anyway, but with a conflict status.
-		if err := validateSessionName(name); err != nil {
-			writeError(w, api.Errorf(api.CodeBadRequest, "%v", err))
-			return
-		}
+	// Report unusable names as a client error; Create would reject them
+	// anyway, but with a conflict status.
+	if err := validateSessionName(name); err != nil {
+		writeError(w, api.Errorf(api.CodeBadRequest, "%v", err))
+		return
 	}
 	if routeReject(reg, w, name, true) {
 		return
@@ -557,7 +555,7 @@ func (l *scratchList[S]) put(sc S) {
 
 // handleEventsBinary ingests a ContentTypeFrame body: a concatenation
 // of binary event frames (internal/api), applied in order in chunks of
-// whole frames. On a durable session each accepted frame is teed to the
+// whole frames. Each accepted frame is teed to the session's
 // write-ahead log byte-for-byte — the frame formats are identical, so
 // nothing is re-encoded. A damaged frame is refused whole, the frames
 // before it applied; like the JSON route, a failure mid-stream leaves
@@ -576,11 +574,7 @@ func handleEventsBinary(s *Session, free *scratchList[*ingestScratch], w http.Re
 		if len(b.recs) == 0 {
 			return nil
 		}
-		frames := b.frames
-		if !s.durable {
-			frames = nil // none were kept
-		}
-		n, err := s.AppendRecords(b.recs, frames)
+		n, err := s.AppendRecords(b.recs, b.frames)
 		applied += n
 		b.reset()
 		fr.Release()
@@ -601,11 +595,6 @@ func handleEventsBinary(s *Session, free *scratchList[*ingestScratch], w http.Re
 			writeErrorApplied(w, api.AsError(err, api.CodeBadFrame), applied)
 			return
 		}
-		// Frames are only kept when there is a log to tee them to; a
-		// memory session ingests the records alone.
-		if !s.durable {
-			frame = nil
-		}
 		b.add(rec, frame)
 		// A chunk ends on a frame boundary: the tee takes frames whole.
 		if fr.Pending() == 0 && len(b.recs) >= binaryChunk {
@@ -623,7 +612,7 @@ func handleEventsBinary(s *Session, free *scratchList[*ingestScratch], w http.Re
 }
 
 // writeIngestError reports an AppendRecords failure: a poisoned
-// durable session is the server's fault, a sealed one a routing
+// session is the server's fault, a sealed one a routing
 // refusal that names the new owner (Session.Seal), and anything else is
 // the event at the failing index (== applied, counted over the whole
 // request). A seal that lands between the chunks of a binary body is
@@ -871,8 +860,8 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 }
 
 // toAPIError maps any handler error onto the structured model: typed
-// errors pass through, a poisoned durable session is
-// CodeSessionPoisoned, anything else is the client's bad request.
+// errors pass through, a poisoned session is CodeSessionPoisoned,
+// anything else is the client's bad request.
 func toAPIError(err error) *api.Error {
 	if errors.Is(err, ErrDurability) {
 		return &api.Error{Code: api.CodeSessionPoisoned, Message: err.Error()}

@@ -26,8 +26,7 @@ import (
 
 func newTestServer(t testing.TB) *httptest.Server {
 	t.Helper()
-	srv := httptest.NewServer(NewHandler(NewRegistry()))
-	t.Cleanup(srv.Close)
+	_, _, srv := newDurableTestServer(t)
 	return srv
 }
 
@@ -594,7 +593,7 @@ func TestListSessionsUnderChurn(t *testing.T) {
 // parse is the server's fault (500 internal) and must not be dressed
 // up as the former.
 func TestHTTPLineageTellsMissingFromMalformed(t *testing.T) {
-	reg := NewRegistry()
+	reg := durableReg(t, t.TempDir(), DurableOptions{})
 	srv := httptest.NewServer(NewHandler(reg))
 	t.Cleanup(srv.Close)
 	g := compileBuiltin(t, "RunningExample")

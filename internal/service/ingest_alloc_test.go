@@ -166,10 +166,9 @@ func TestReplayAllocatesPerInstance(t *testing.T) {
 	if err := reg.Close(); err != nil { // SnapshotEvery -1: no snapshot, the log is all there is
 		t.Fatal(err)
 	}
-	reg2 := durableReg(t, reg.durable.Dir, DurableOptions{SnapshotEvery: -1})
-	t.Cleanup(func() { reg2.Close() })
+	reg2 := durableReg(t, reg.opts.Dir, DurableOptions{SnapshotEvery: -1})
 	before := mallocs()
-	names, err := reg2.Restore(reg.durable.Dir)
+	names, err := reg2.Restore(reg.opts.Dir)
 	after := mallocs()
 	if err != nil || len(names) != 1 {
 		t.Fatalf("restore: %v, %v", names, err)

@@ -193,7 +193,7 @@ func TestLineagePagesDuringIngest(t *testing.T) {
 		g      *spec.Grammar
 		events []run.Event
 	}{"BioAID": {bio, bioEvents}, "agent": {agent.Run.Grammar, agent.Events}} {
-		s, err := NewRegistry().Create(name, c.g, Config{})
+		s, err := durableReg(t, t.TempDir(), DurableOptions{}).Create(name, c.g, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

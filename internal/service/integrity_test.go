@@ -134,17 +134,20 @@ func TestIntegrityLiveEndpoint(t *testing.T) {
 	}
 }
 
-// TestIntegrityUnavailableOnMemorySession: a session without a WAL
+// TestIntegrityUnavailableOnClosedLog: a session whose WAL is closed
 // answers with the typed not_durable error, not a 500.
-func TestIntegrityUnavailableOnMemorySession(t *testing.T) {
-	reg := NewRegistry()
+func TestIntegrityUnavailableOnClosedLog(t *testing.T) {
+	reg := durableReg(t, t.TempDir(), DurableOptions{})
 	g := compileBuiltin(t, "RunningExample")
-	if _, err := reg.Create("mem", g, Config{}); err != nil {
+	if _, err := reg.Create("closed", g, Config{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.Close(); err != nil {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(NewHandler(reg))
 	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/v1/sessions/mem/integrity")
+	resp, err := http.Get(srv.URL + "/v1/sessions/closed/integrity")
 	if err != nil {
 		t.Fatal(err)
 	}

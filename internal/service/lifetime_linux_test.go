@@ -132,7 +132,11 @@ func TestDroppedRegistriesGiveTheirMappingsBack(t *testing.T) {
 	closedSession(t, dir, "s", g, events[:first])
 
 	restart := func(have int) {
-		reg := durableReg(t, dir, DurableOptions{})
+		// Not durableReg: its cleanup would keep every registry reachable.
+		reg, err := NewDurableRegistry(DurableOptions{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
 		if _, err := reg.Restore(dir); err != nil {
 			t.Fatal(err)
 		}

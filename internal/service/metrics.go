@@ -8,7 +8,7 @@ import (
 )
 
 // nodeMetrics is the registry's instrument set — one per node, built
-// once in NewRegistry (constructor path). Registration in obs is
+// once in NewDurableRegistry (constructor path). Registration in obs is
 // idempotent, so the replication and cluster subsystems re-register
 // the shared families (replica lag, move and rejection counters)
 // against the same obs.Registry and land on the same atomics; building

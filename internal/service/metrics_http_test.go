@@ -190,7 +190,7 @@ func TestMetricsEndpointUnderConcurrentIngest(t *testing.T) {
 // route all count under the catch-all "/" and cannot use up the
 // family's series cap before a real route is first requested.
 func TestUnmatchedPathsShareOneRoute(t *testing.T) {
-	reg := NewRegistry()
+	reg := durableReg(t, t.TempDir(), DurableOptions{})
 	h := obs.AccessLog(NewHandler(reg), slog.New(slog.DiscardHandler), 0, reg.Obs())
 	get := func(path string) int {
 		rec := httptest.NewRecorder()

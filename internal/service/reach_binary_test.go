@@ -144,7 +144,7 @@ func postReach(t *testing.T, url, contentType string, body []byte) (*http.Respon
 // included — and those are breadth-first search's. One pair past the
 // cap is the same typed refusal in both forms.
 func TestBinaryReachMatchesEveryForm(t *testing.T) {
-	reg := NewRegistry()
+	reg := durableReg(t, t.TempDir(), DurableOptions{})
 	srv := httptest.NewServer(NewHandler(reg))
 	defer srv.Close()
 	rng := rand.New(rand.NewSource(4))
@@ -279,7 +279,7 @@ func (r *repeated) Read(p []byte) (int, error) {
 // being read at the cap; either way the handler allocates under a
 // megabyte saying no.
 func TestReachBodyIsBoundedBeforeParsing(t *testing.T) {
-	reg := NewRegistry()
+	reg := durableReg(t, t.TempDir(), DurableOptions{})
 	if _, err := reg.Create("s", compileBuiltin(t, "RunningExample"), Config{}); err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +350,7 @@ func TestReachBodyIsBoundedBeforeParsing(t *testing.T) {
 // breadth-first search answers it, every other failure names its own
 // vertex.
 func TestReachScratchDiesWithTheRequest(t *testing.T) {
-	reg := NewRegistry()
+	reg := durableReg(t, t.TempDir(), DurableOptions{})
 	g := compileBuiltin(t, "BioAID")
 	s, err := reg.Create("s", g, Config{})
 	if err != nil {

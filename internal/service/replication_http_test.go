@@ -26,11 +26,7 @@ import (
 func newDurableTestServer(t testing.TB) (*Registry, string, *httptest.Server) {
 	t.Helper()
 	dir := t.TempDir()
-	reg, err := NewDurableRegistry(DurableOptions{Dir: dir, Fsync: false})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = reg.Close() })
+	reg := durableReg(t, dir, DurableOptions{})
 	srv := httptest.NewServer(NewHandler(reg))
 	t.Cleanup(srv.Close)
 	return reg, dir, srv
@@ -157,21 +153,23 @@ func TestHTTPWALTail(t *testing.T) {
 
 // TestHTTPWALTailErrors covers the tail endpoint's typed failures.
 func TestHTTPWALTailErrors(t *testing.T) {
-	// Memory sessions cannot be tailed.
-	mem := httptest.NewServer(NewHandler(NewRegistry()))
-	defer mem.Close()
-	if code, raw := doJSON(t, "POST", mem.URL+"/v1/sessions",
+	// A session whose log is closed cannot be tailed.
+	closedReg, _, closed := newDurableTestServer(t)
+	if code, raw := doJSON(t, "POST", closed.URL+"/v1/sessions",
 		api.CreateSessionRequest{Name: "m", Builtin: "RunningExample"}, nil); code != http.StatusCreated {
 		t.Fatalf("create: %d %s", code, raw)
 	}
-	resp, err := http.Get(mem.URL + "/v1/sessions/m/wal")
+	if err := closedReg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get(closed.URL + "/v1/sessions/m/wal")
 	if err != nil {
 		t.Fatal(err)
 	}
 	raw, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), string(api.CodeNotDurable)) {
-		t.Fatalf("memory tail: %d %s", resp.StatusCode, raw)
+		t.Fatalf("tail of a closed log: %d %s", resp.StatusCode, raw)
 	}
 
 	reg, _, srv := newDurableTestServer(t)
@@ -304,8 +302,7 @@ func TestHTTPSessionSpec(t *testing.T) {
 // failover tooling needs. A follower's promote and re-promote are
 // replica.TestFollowerPromote's.
 func TestHTTPPromoteIdempotent(t *testing.T) {
-	plain := httptest.NewServer(NewHandler(NewRegistry()))
-	defer plain.Close()
+	_, _, plain := newDurableTestServer(t)
 	for i := 0; i < 3; i++ {
 		var st api.ReplicationStatus
 		if code, raw := doJSON(t, "POST", plain.URL+"/v1/replication/promote", nil, &st); code != http.StatusOK || st.Role != api.RolePrimary {

@@ -34,8 +34,10 @@ import (
 // before the restore touches it, and, short of a violation, the records
 // and chain head it walked. Both read the log with one walk and hold it
 // to one anchor check, so a flip in a tail frame ends both walks there:
-// restore truncates, the audit verifies the prefix before it. A cut inside a
-// batch frame loses that whole batch and nothing before it, and a tail
+// restore truncates, the audit verifies the prefix before it. Both also
+// name a snapshot whose header fails its checks one way: restore replays
+// the log over it, the audit calls it unavailable, says why, and walks
+// the log from genesis. A cut inside a batch frame loses that whole batch and nothing before it, and a tail
 // frame the labeler refuses past its first record is cut whole with the
 // labeler left at the prefix, so the stream goes on from there. The
 // WFSNAP02 and WFSNAP04 to WFSNAP08 rows are the upgrade path: a
@@ -122,8 +124,9 @@ func TestRestoreCutAndFlipTable(t *testing.T) {
 		frames int    // recovered, when the session boots
 		arena  int    // labels served from the arena, when it boots
 		// verify is wfverify's status and verifyErr a substring of its
-		// violation. Short of one it walks walked frames (0: frames) to
-		// walkedHead (zero: the pristine log's head there).
+		// violation, or of why it set a snapshot aside. Short of a
+		// violation it walks walked frames (0: frames) to walkedHead
+		// (zero: the pristine log's head there).
 		verify     audit.Status
 		verifyErr  string
 		walked     int
@@ -163,7 +166,7 @@ func TestRestoreCutAndFlipTable(t *testing.T) {
 		{name: "flip in the arena label extent", snap: flipped(snapRaw, int64(len(snapRaw))-2), class: refuse,
 			verify: violation, verifyErr: "Merkle"},
 		{name: "flip in the arena header", snap: flipped(snapRaw, 50), class: boot, frames: n,
-			verify: violation, verifyErr: "open snapshot"},
+			verify: unavailable, verifyErr: "open snapshot"},
 		{name: "events rewritten by +1", snap: withEvents(+1), class: refuse, why: counts(+1),
 			verify: violation, verifyErr: counts(+1)},
 		{name: "events rewritten by -1", snap: withEvents(-1), class: refuse, why: counts(-1),
@@ -227,10 +230,9 @@ func TestRestoreCutAndFlipTable(t *testing.T) {
 		switch {
 		case rep.Status != tc.verify:
 			t.Errorf("%s: wfverify %s (%s), want %s", tc.name, rep.Status, rep.Err, tc.verify)
+		case !strings.Contains(rep.Err, tc.verifyErr):
+			t.Errorf("%s: wfverify's %s %q does not say %q", tc.name, rep.Status, rep.Err, tc.verifyErr)
 		case tc.verify == violation:
-			if !strings.Contains(rep.Err, tc.verifyErr) {
-				t.Errorf("%s: wfverify's violation %q does not say %q", tc.name, rep.Err, tc.verifyErr)
-			}
 		case rep.WALRecords != int64(recs[walked]) || rep.ChainHead != walkedHead.String():
 			t.Errorf("%s: wfverify walked %d records to %s, want %d to %s", tc.name, rep.WALRecords, rep.ChainHead, recs[walked], walkedHead)
 		case tc.verify == verified && rep.TailRecords != rep.WALRecords-int64(covered):

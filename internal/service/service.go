@@ -17,13 +17,13 @@
 // its own synchronization: a label is visible once the slab's published
 // position has moved past it, and nothing below that position is ever
 // rewritten, so the query path (ReachBatch, LineagePage, Stats)
-// acquires no mutex at all — labels are immutable (Section 2.4). On a
-// durable registry, batch durability is acknowledged through a
-// cross-session group committer: one flush/fsync per log is amortized
-// over every batch that queued while the previous flush was on the
-// disk. The registry itself is a plain RWMutex-guarded name map;
-// sessions are independent, so ingestion into one session never
-// contends with queries on another.
+// acquires no mutex at all — labels are immutable (Section 2.4). Every
+// session has a write-ahead log under the registry's data directory,
+// and batch durability is acknowledged through a cross-session group
+// committer: one flush/fsync per log is amortized over every batch
+// that queued while the previous flush was on the disk. The registry
+// itself is a plain RWMutex-guarded name map; sessions are independent,
+// so ingestion into one session never contends with queries on another.
 package service
 
 import (
@@ -99,12 +99,11 @@ type Session struct {
 	vertices atomic.Int64 // published vertices, readable without locks
 	batches  atomic.Int64
 
-	// Durable state (see durable.go); all but the immutable durable
-	// flag, dir and committer are guarded by ingestMu. A nil wal on a
-	// durable session means its log was closed or poisoned.
-	durable bool
-	dir     string
-	wal     *wal.Log
+	// Durable state (see durable.go); all but the immutable dir and
+	// committer are guarded by ingestMu. A nil wal means the session's
+	// log was closed or poisoned.
+	dir string
+	wal *wal.Log
 	// frame is the scratch a batch's records are framed into on their
 	// way to the log — a whole batch when the caller sent no frames,
 	// the applied prefix of a teed frame the labeler stopped inside.
@@ -116,7 +115,7 @@ type Session struct {
 	// it from the log (ensureLabelerLocked) — queries never need it.
 	// Guarded by ingestMu.
 	needLabelerReplay bool
-	committer         *wal.Committer // registry-wide group committer; nil on memory-only restore
+	committer         *wal.Committer // the registry-wide group committer
 	walEvents         int64          // events appended to the log
 	snapEvents        int64          // events covered by the last snapshot
 	snapEvery         int64
@@ -149,19 +148,18 @@ type Session struct {
 	mEpoch  *obs.Gauge
 }
 
-// Registry is a concurrent name → session map, optionally backed by a
-// data directory (NewDurableRegistry) in which case sessions survive
-// restarts via Restore.
+// Registry is a concurrent name → session map backed by a data
+// directory (NewDurableRegistry): every session persists there and
+// survives restarts via Restore.
 type Registry struct {
 	mu       sync.RWMutex
 	sessions map[string]*Session
-	// creating reserves names whose durable on-disk state is being
-	// built outside the lock, so concurrent Create/Restore of the same
-	// name collide without holding mu across disk I/O.
+	// creating reserves names whose on-disk state is being built or
+	// torn down outside the lock, so concurrent Create/Restore/Delete
+	// of the same name collide without holding mu across disk I/O.
 	creating map[string]bool
-	durable  *DurableOptions // nil: memory-only
-	// committer is the cross-session WAL group committer (durable
-	// registries only).
+	opts     DurableOptions
+	// committer is the cross-session WAL group committer.
 	committer *wal.Committer
 	// route is the routing gate SetRoute installs; nil serves
 	// everything.
@@ -212,33 +210,14 @@ type ClusterHooks struct {
 	Forget func(session string)
 }
 
-// NewRegistry returns an empty session registry.
-func NewRegistry() *Registry {
-	return &Registry{
-		sessions:      make(map[string]*Session),
-		creating:      make(map[string]bool),
-		metrics:       newNodeMetrics(obs.NewRegistry()),
-		ingestScratch: scratchList[*ingestScratch]{fresh: newIngestScratch},
-		reachScratch:  scratchList[*reachScratch]{fresh: func() *reachScratch { return new(reachScratch) }},
-	}
-}
-
 // Create opens a new session over the grammar. The name must be
-// non-empty and not in use.
-//
-// On a durable registry (NewDurableRegistry) Create additionally must
-// be given a name usable as a directory name; it persists the
-// specification and labeling configuration under the data directory
-// and opens the session's write-ahead log before the session becomes
-// visible, so a session that Create returned is already recoverable.
+// usable as a directory name and not in use. Create persists the
+// specification and metadata under the data directory and opens the
+// session's write-ahead log before the session becomes visible, so a
+// session that Create returned is already recoverable.
 func (r *Registry) Create(name string, g *spec.Grammar, cfg Config) (*Session, error) {
-	if name == "" {
-		return nil, fmt.Errorf("service: empty session name")
-	}
-	if r.durable != nil {
-		if err := validateSessionName(name); err != nil {
-			return nil, err
-		}
+	if err := validateSessionName(name); err != nil {
+		return nil, err
 	}
 	if cfg.ID == "" {
 		cfg.ID = newSessionID()
@@ -256,17 +235,11 @@ func (r *Registry) Create(name string, g *spec.Grammar, cfg Config) (*Session, e
 		r.mu.Unlock()
 		return nil, fmt.Errorf("service: session %q already exists", name)
 	}
-	if r.durable == nil {
-		r.sessions[name] = s
-		r.metrics.sessions.Set(int64(len(r.sessions)))
-		r.mu.Unlock()
-		return s, nil
-	}
 	// Reserve the name, then build the on-disk state outside the lock
 	// so a slow disk never stalls queries on other sessions.
 	r.creating[name] = true
 	r.mu.Unlock()
-	err := s.initDurable(r.durable, r.committer)
+	err := s.initDurable(&r.opts, r.committer)
 	r.mu.Lock()
 	delete(r.creating, name)
 	if err == nil {
@@ -279,10 +252,6 @@ func (r *Registry) Create(name string, g *spec.Grammar, cfg Config) (*Session, e
 	}
 	return s, nil
 }
-
-// Durable reports whether the registry persists its sessions to a
-// data directory (see NewDurableRegistry).
-func (r *Registry) Durable() bool { return r.durable != nil }
 
 // SetRoute installs the routing gate the HTTP surface consults before
 // it serves a session route: create, delete and ingest as writes, and
@@ -327,7 +296,7 @@ func (r *Registry) ReplicationStatus() api.ReplicationStatus {
 	for _, name := range r.Names() {
 		if s, ok := r.Get(name); ok {
 			st.Sessions = append(st.Sessions, api.SessionReplication{
-				Name: name, WALSeq: s.WALSeq(), Durable: s.durable,
+				Name: name, WALSeq: s.WALSeq(), Durable: true,
 			})
 		}
 	}
@@ -360,7 +329,7 @@ func (r *Registry) Get(name string) (*Session, bool) {
 // after Delete through a *Session someone still holds is refused with
 // CodeSessionNotFound, and a session restored from a snapshot gives its
 // mapping back as soon as the queries already running have left (at
-// once when there are none). A durable session's log is closed and its
+// once when there are none). The session's log is closed and its
 // data directory removed — deletion is permanent, the session will not
 // come back on Restore, and the name is free for reuse the moment
 // Delete returns. (If the removal itself fails, orphaned files may
@@ -371,23 +340,22 @@ func (r *Registry) Delete(name string) bool {
 	r.mu.Lock()
 	s, ok := r.sessions[name]
 	delete(r.sessions, name)
-	if ok && s.durable {
+	if ok {
 		r.creating[name] = true
 	}
 	r.metrics.sessions.Set(int64(len(r.sessions)))
 	r.mu.Unlock()
-	if ok {
-		r.metrics.forgetSession(name)
-		s.store.Retire()
+	if !ok {
+		return false
 	}
-	if ok && s.durable {
-		s.closeWAL(false) // the directory is about to be removed; no final snapshot
-		os.RemoveAll(s.dir)
-		r.mu.Lock()
-		delete(r.creating, name)
-		r.mu.Unlock()
-	}
-	return ok
+	r.metrics.forgetSession(name)
+	s.store.Retire()
+	s.closeWAL(false) // the directory is about to be removed; no final snapshot
+	os.RemoveAll(s.dir)
+	r.mu.Lock()
+	delete(r.creating, name)
+	r.mu.Unlock()
+	return true
 }
 
 // Names returns the open session names, sorted.
@@ -436,7 +404,7 @@ func (s *Session) Grammar() *spec.Grammar { return s.g }
 // Ingest is pipelined: the batch is labeled and encoded under the
 // ingest lock, staged into the store, written to the write-ahead log,
 // and published — made visible to the lock-free query path — once, at
-// the end of the batch. On a durable session the applied prefix is then
+// the end of the batch. The applied prefix is then
 // committed (flushed, and fsynced as configured) before Append returns,
 // through the registry's group committer so concurrent batches share
 // one flush — an acknowledged batch is recoverable. A log write failure
@@ -459,8 +427,8 @@ func (s *Session) Append(events []run.Event) (int, error) {
 // record, the pre-encoded, CRC-verified wire frame the record opens, or
 // nil where the record continues the frame of the one before (see
 // internal/api: the binary ingest frame is byte-identical to the WAL
-// frame, and api.FrameReader hands records out this way). A durable
-// session then tees each frame the labeler took whole to its log as-is,
+// frame, and api.FrameReader hands records out this way). The session
+// then tees each frame the labeler took whole to its log as-is,
 // skipping the re-encode the JSON route pays; a frame the labeler
 // stopped inside is re-framed to its applied prefix. With frames nil
 // the applied records are framed here, one frame for the batch (more
@@ -576,14 +544,13 @@ const tailBatch = 256
 // shipped frame is teed to the session's own log verbatim.
 //
 // applied, when non-nil, runs after every batch that went in whole,
-// with the sequence of its last record and, per record, the frame it
-// opens or nil (valid during the call); its error ends the tail. ApplyTail returns how many records it
-// applied — a batch the labeler stopped midway counts as far as it got,
-// that prefix is real, logged data — and nil when the stream ended
-// cleanly. A sequence gap or a damaged stream is returned as the
+// with the sequence of its last record; its error ends the tail.
+// ApplyTail returns how many records it applied — a batch the labeler
+// stopped midway counts as far as it got, that prefix is real, logged
+// data — and nil when the stream ended cleanly. A sequence gap or a damaged stream is returned as the
 // reader's error after what arrived intact has been applied (the
 // caller redials from next+n); a refused record wraps ErrTailRejected.
-func (s *Session) ApplyTail(tr *api.TailReader, next int64, applied func(last int64, frames [][]byte) error) (n int64, err error) {
+func (s *Session) ApplyTail(tr *api.TailReader, next int64, applied func(last int64) error) (n int64, err error) {
 	var b batchScratch
 	flush := func() error {
 		if len(b.recs) == 0 {
@@ -595,7 +562,7 @@ func (s *Session) ApplyTail(tr *api.TailReader, next int64, applied func(last in
 			return fmt.Errorf("%w at seq %d: %w", ErrTailRejected, next+n, err)
 		}
 		if applied != nil {
-			if err := applied(next+n-1, b.frames); err != nil {
+			if err := applied(next + n - 1); err != nil {
 				return err
 			}
 		}
@@ -739,7 +706,8 @@ func (s *Session) ensureLabelerLocked() error {
 }
 
 // Seal permanently stops ingest into the session and returns the
-// sequence of the last event it ever appended to its log — the final
+// sequence of the last event it ever appended to its log (walEvents
+// equals the log's append sequence) — the final
 // handoff point of a session move. From the moment Seal returns, every
 // ingest attempt is rejected with CodeReadOnly naming the new owner's
 // base URL, a 421 over HTTP, so in-flight clients re-route with the
@@ -752,12 +720,7 @@ func (s *Session) Seal(newOwnerURL string) int64 {
 	s.ingestMu.Lock()
 	defer s.ingestMu.Unlock()
 	s.sealed = newOwnerURL
-	if s.wal != nil {
-		return s.wal.AppendSeq()
-	}
-	// Memory-only: every applied event labels one vertex, so the vertex
-	// count is the stream position.
-	return s.vertices.Load()
+	return s.walEvents
 }
 
 // Unseal reopens ingest into a session Seal closed — the move-back
@@ -945,7 +908,7 @@ func (s *Session) Stats() Stats {
 		LabelBits:     s.store.Bits(),
 		SkeletonBits:  s.labeler.Skeleton().Bits(),
 		PublishEpoch:  s.store.Epoch(),
-		Durable:       s.durable,
+		Durable:       true,
 	}
 }
 

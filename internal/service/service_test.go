@@ -56,7 +56,7 @@ func namedWire(ev core.NamedEvent) api.Event {
 }
 
 func TestRegistryLifecycle(t *testing.T) {
-	reg := NewRegistry()
+	reg := durableReg(t, t.TempDir(), DurableOptions{})
 	g := compileBuiltin(t, "BioAID")
 	cfg := Config{}
 
@@ -93,7 +93,7 @@ func TestSessionIngestAndQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := NewRegistry()
+	reg := durableReg(t, t.TempDir(), DurableOptions{})
 	s, err := reg.Create("run1", g, Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +160,7 @@ func TestSessionPartialBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := NewRegistry()
+	reg := durableReg(t, t.TempDir(), DurableOptions{})
 	s, _ := reg.Create("p", g, Config{})
 
 	// Corrupt the stream mid-batch: an unknown predecessor.
@@ -202,7 +202,7 @@ func TestSessionNamedIngest(t *testing.T) {
 	for i, ev := range events {
 		named[i] = core.NamedEvent{V: ev.V, Name: r.NameOf(ev.V), Preds: ev.Preds}
 	}
-	reg := NewRegistry()
+	reg := durableReg(t, t.TempDir(), DurableOptions{})
 	s, _ := reg.Create("n", g, Config{})
 	if _, err := s.AppendNamed(named); err != nil {
 		t.Fatal(err)
@@ -252,7 +252,7 @@ func TestNamedDuplicateVertexIsBadEvent(t *testing.T) {
 	dup.V = events[0].V
 	bad := append(append([]core.NamedEvent{}, named[:k]...), dup)
 
-	s, _ := NewRegistry().Create("n", g, Config{})
+	s, _ := durableReg(t, t.TempDir(), DurableOptions{}).Create("n", g, Config{})
 	if n, err := s.AppendNamed(bad); err == nil || n != k {
 		t.Fatalf("AppendNamed = %d, %v; want %d applied and the duplicate refused", n, err, k)
 	}
@@ -290,7 +290,7 @@ func TestConcurrentIngestQuery(t *testing.T) {
 	)
 	g := compileBuiltin(t, "BioAID")
 
-	reg := NewRegistry()
+	reg := durableReg(t, t.TempDir(), DurableOptions{})
 	var wg sync.WaitGroup
 	queries := new(atomic.Int64)
 	for si := 0; si < sessions; si++ {
@@ -360,16 +360,18 @@ func TestConcurrentIngestQuery(t *testing.T) {
 // TestDeleteRacesIngestAndQueries deletes a session while a writer is
 // streaming batches into it and readers are querying it (run with
 // -race). In-flight operations must finish normally — the session just
-// stops being reachable by name — a query that starts after the delete
-// is answered correctly or refused session_not_found, never anything
-// else, and the name must be reusable immediately.
+// stops being reachable by name — a batch that starts after the delete
+// closed the session's log is refused as a durability failure, with
+// every event applied before it still held, a query that starts after
+// the delete is answered correctly or refused session_not_found, never
+// anything else, and the name must be reusable immediately.
 func TestDeleteRacesIngestAndQueries(t *testing.T) {
 	g := compileBuiltin(t, "BioAID")
 	events, r, err := gen.GenerateEvents(g, gen.Options{TargetSize: 1500, Seed: 31})
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := NewRegistry()
+	reg := durableReg(t, t.TempDir(), DurableOptions{})
 	s, err := reg.Create("doomed", g, Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -377,19 +379,24 @@ func TestDeleteRacesIngestAndQueries(t *testing.T) {
 
 	const batch = 32
 	watermark := new(atomic.Int64)
+	applied := new(atomic.Int64)
 	deleteAsked := new(atomic.Bool)
 	deleted := make(chan struct{})
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 
 	wg.Add(1)
-	go func() { // writer: keeps appending straight through the delete
+	go func() { // writer: appends until the delete closes the log
 		defer wg.Done()
 		defer close(done)
 		for lo := 0; lo < len(events); lo += batch {
 			hi := min(lo+batch, len(events))
-			if _, err := s.Append(events[lo:hi]); err != nil {
-				t.Errorf("append after delete must still work (memory session): %v", err)
+			n, err := s.Append(events[lo:hi])
+			applied.Store(int64(lo + n))
+			if err != nil {
+				if !deleteAsked.Load() || !errors.Is(err, ErrDurability) {
+					t.Errorf("append: %v", err)
+				}
 				return
 			}
 			watermark.Store(int64(hi))
@@ -451,8 +458,8 @@ func TestDeleteRacesIngestAndQueries(t *testing.T) {
 	}
 	<-done
 	wg.Wait()
-	if s.Vertices() != int64(len(events)) {
-		t.Fatalf("detached session lost events: %d of %d", s.Vertices(), len(events))
+	if s.Vertices() != applied.Load() {
+		t.Fatalf("detached session holds %d events, %d were applied", s.Vertices(), applied.Load())
 	}
 }
 
@@ -528,7 +535,7 @@ func TestIngestRefusesLabelsPastMaxEntries(t *testing.T) {
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
-			s, err := NewRegistry().Create("deep", g, Config{})
+			s, err := durableReg(t, t.TempDir(), DurableOptions{}).Create("deep", g, Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
