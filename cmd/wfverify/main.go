@@ -19,7 +19,10 @@
 // GET /v1/sessions/{name}/integrity, captured at any past moment the
 // session was quiescent at its current sequence) and requires
 // -session; it is the only check that covers WAL records written
-// after the last snapshot, which are otherwise CRC-protected only.
+// after the last snapshot, which are otherwise CRC-protected only. The
+// head must come from a build with this one's chain (SHA-256 over the
+// records, WFSNAP10 snapshots): builds before it chained whole frames,
+// and a head one of them reported does not verify here.
 //
 // Sessions with no snapshot the server would read (none yet, one in an
 // older format, or one whose header or index is damaged — restore
@@ -52,7 +55,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		data    = fs.String("data", "", "wfserve data directory to audit (required)")
 		session = fs.String("session", "", "audit only this session")
-		head    = fs.String("head", "", "externally recorded chain head (hex) the session's full WAL must land on; requires -session")
+		head    = fs.String("head", "", "externally recorded chain head (hex) the session's full WAL must land on, as a WFSNAP10 build reports it; requires -session")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2

@@ -1,10 +1,10 @@
-// Package arena implements the label-snapshot format (WFSNAP09): an
+// Package arena implements the label-snapshot format (WFSNAP10): an
 // mmap-able arena of encoded labels that a process opens in constant
 // time and queries without decoding or copying anything, stamped with
 // the two anchors that tie it to the session's history. The file is
 // laid out so the *file itself* is the data structure:
 //
-//	[0:8)     magic "WFSNAP09" (ASCII)
+//	[0:8)     magic "WFSNAP10" (ASCII)
 //	[8:16)    uint64 LE  events      — WAL records covered by this snapshot
 //	[16:24)   uint64 LE  walBytes    — byte offset of the end of the covered
 //	                                   prefix in the session's events.wal
@@ -12,7 +12,8 @@
 //	[32:40)   uint64 LE  labelBytes  — total label-region size in bytes
 //	[40:72)   merkleRoot — Merkle root over the label extents, in index
 //	          order, one leaf per page of 64 (internal/integrity)
-//	[72:104)  chainHead  — WAL hash-chain head at record `events`
+//	[72:104)  chainHead  — WAL hash-chain head at record `events`: the
+//	          SHA-256 of records 1..events (internal/integrity)
 //	[104:112) uint64 LE  indexBytes  — index size in bytes
 //	[112:116) uint32 LE  indexCRC    — CRC-32 (IEEE) of header[8:112) ++ index
 //	[116:+indexBytes)    index       — count entries, ascending by vertex id:
@@ -73,7 +74,7 @@ import (
 )
 
 // Magic identifies an arena snapshot file.
-const Magic = "WFSNAP09"
+const Magic = "WFSNAP10"
 
 const (
 	headerSize = 116
@@ -95,11 +96,13 @@ const maxCount = 1 << 31
 var ErrCorrupt = errors.New("arena: corrupt snapshot")
 
 // ErrVersion reports a snapshot file with another WFSNAP.. magic (the
-// WFSNAP01 to WFSNAP08 formats earlier builds wrote; WFSNAP05 to
+// WFSNAP01 to WFSNAP09 formats earlier builds wrote; WFSNAP05 to
 // WFSNAP08 have this layout but hold labels numbered or coded as earlier
 // builds issued them, which must never sit next to this build's — a
 // WFSNAP08 label frames itself with an entry count, and may hold labels
-// a session of an older build issued without R nodes).
+// a session of an older build issued without R nodes — and WFSNAP09
+// holds this build's labels but anchors them to a chain head of whole
+// frames, which no log walk computes any more).
 // Nothing reads those: a snapshot is a cache of the log, so callers
 // treat the file as absent, replay the log, and overwrite it at the
 // next snapshot.

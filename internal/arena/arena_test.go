@@ -168,7 +168,7 @@ func TestWriteIsDeterministic(t *testing.T) {
 }
 
 // TestOpenRejectsV1Magic: the formats earlier builds wrote (WFSNAP01 to
-// WFSNAP07) are ErrVersion whatever follows the magic — even nothing —
+// WFSNAP09) are ErrVersion whatever follows the magic — even nothing —
 // which is what lets restore treat them as absent and replay the log.
 func TestOpenRejectsV1Magic(t *testing.T) {
 	for _, body := range [][]byte{
@@ -179,6 +179,8 @@ func TestOpenRejectsV1Magic(t *testing.T) {
 		append([]byte("WFSNAP05"), make([]byte, 108)...),
 		append([]byte("WFSNAP06"), make([]byte, 108)...),
 		append([]byte("WFSNAP07"), make([]byte, 108)...),
+		append([]byte("WFSNAP08"), make([]byte, 108)...),
+		append([]byte("WFSNAP09"), make([]byte, 108)...),
 		[]byte("WFSNAP01"),
 	} {
 		path := filepath.Join(t.TempDir(), "labels.snap")

@@ -22,9 +22,10 @@ import (
 // A snapshot stores labels as issued, so a change to how a label is
 // numbered (core) or coded (label) changes a digest here, and it needs a
 // new Magic with it: a file of the old labels must be ErrVersion, never
-// mapped next to new ones.
+// mapped next to new ones. (A new Magic may also come with the same
+// digests: WFSNAP10 changed only what its chain head means.)
 const (
-	pinnedMagic  = "WFSNAP09"
+	pinnedMagic  = "WFSNAP10"
 	pinnedBioAID = "9279e288fa6beeff41029d120f0829cdd102fbf887a276d4954071f6f31e9d58"
 	pinnedAgent  = "06284352cc23e89a5a1b35edadd6425637014fdf1d350d0da4789b142e6e2f23"
 )

@@ -164,17 +164,16 @@ func VerifySession(sdir, expectHead string) SessionReport {
 	// Chain the whole log, holding it to the anchor at the watermark.
 	w := wal.OpenWalk(filepath.Join(sdir, walFile), 0)
 	defer w.Close()
-	chainer := integrity.NewChainer()
-	var head integrity.Head
+	chain := integrity.NewChainer()
 	fold := func(until int64) {
 		for w.End() < until && w.Next() {
-			head = chainer.Extend(head, w.Frame())
+			chain.Add(w.Frame()[wal.FrameHeaderSize:])
 		}
 	}
 	var covered int64
 	if anchor != nil {
 		fold(anchor.Watermark)
-		if err := cmp.Or(w.Err(), anchor.Check(w.Seq(), w.End(), head)); err != nil {
+		if err := cmp.Or(w.Err(), anchor.Check(w.Seq(), w.End(), chain.Head())); err != nil {
 			return rep.fail("chain below snapshot watermark: %v", err)
 		}
 		covered, rep.Status = w.Seq(), StatusVerified
@@ -184,7 +183,7 @@ func VerifySession(sdir, expectHead string) SessionReport {
 		return rep.fail("read WAL: %v", err)
 	}
 	rep.WALRecords, rep.TailRecords = w.Seq(), w.Seq()-covered
-	rep.ChainHead = head.String()
+	rep.ChainHead = chain.Head().String()
 	if expectHead != "" && rep.ChainHead != expectHead {
 		return rep.fail("WAL chain head %s does not match the recorded anchor %s", rep.ChainHead, expectHead)
 	}

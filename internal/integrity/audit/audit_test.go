@@ -227,6 +227,10 @@ func TestVerifySessionTable(t *testing.T) {
 			damage: func(t *testing.T, sdir string) {
 				mutate(t, sdir, snapFile, func(b []byte) []byte { copy(b, "WFSNAP07"); return b })
 			}},
+		{name: "whole WFSNAP09 snapshot", snapshotAt: snapshotAt, want: StatusUnavailable, records: records, tail: records,
+			damage: func(t *testing.T, sdir string) {
+				mutate(t, sdir, snapFile, func(b []byte) []byte { copy(b, "WFSNAP09"); return b })
+			}},
 		{name: "flip in the snapshot header", snapshotAt: snapshotAt, want: StatusUnavailable, wantErr: "open snapshot", records: records, tail: records,
 			damage: func(t *testing.T, sdir string) { mutate(t, sdir, snapFile, flip(50)) }},
 		{name: "flip below the watermark", snapshotAt: snapshotAt, want: StatusViolation, wantErr: "below snapshot watermark",

@@ -2,9 +2,10 @@ package integrity
 
 import "testing"
 
-// BenchmarkChainExtend prices one chain link over a one-event WAL
-// frame — the per-frame cost the batched flush pass pays
-// (internal/wal's BenchmarkChainPerEvent prices it per event).
+// BenchmarkChainExtend prices adding a one-event WAL frame to the chain
+// and finalizing its head — what a writer that asks for the head after
+// every frame pays (internal/wal's BenchmarkChainPerEvent prices the
+// chain per event of a batch).
 func BenchmarkChainExtend(b *testing.B) {
 	frame := make([]byte, 40)
 	var h Head

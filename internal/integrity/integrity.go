@@ -1,23 +1,24 @@
 // Package integrity holds the hash primitives of the tamper-evidence
-// story: the SHA-256 hash chain over WAL frames and the Merkle tree
-// over arena label extents. Everything here is pure computation over
-// bytes — the package knows nothing about files, logs, or sessions, so
-// the WAL, the arena, and the offline auditor can all share one
-// definition of "the chain" without an import cycle.
+// story: the SHA-256 hash chain over a session's record stream and the
+// Merkle tree over arena label extents. Everything here is pure
+// computation over bytes — the package knows nothing about files, logs,
+// or sessions, so the WAL, the arena, and the offline auditor can all
+// share one definition of "the chain" without an import cycle.
 //
-// The chain. Every WAL frame — one batch of records — is hashed into
-// a running head:
+// The chain. A head commits to the event stream, not to the frames it
+// was logged in:
 //
 //	head(0) = 00…00 (32 zero bytes)
-//	head(n) = SHA-256(head(n-1) || frame(n))
+//	head(n) = SHA-256(record(1) || … || record(n))
 //
-// where frame(n) is the n-th raw WAL frame — length, CRC, and payload,
-// exactly the bytes on disk. Frames are byte-identical across
-// the binary ingest wire, the primary's WAL, the shipped tail, and a
-// follower's WAL, so every holder of the same history computes the
-// same head, and a single 32-byte head commits to the entire prefix:
+// where record(i) is the i-th record's payload bytes, without any frame
+// header. A record ends where its fields do and is the same bytes in
+// whatever frame carries it, so a batch frame and one-event frames of the
+// same records have one head, and every holder of the same history — the
+// binary ingest wire, the primary's WAL, the shipped tail, a follower's
+// WAL — computes it; a single 32-byte head commits to the entire prefix:
 // rewriting any committed record (even CRC-consistently) changes every
-// head from its frame on.
+// head from its record on. (Builds before WFSNAP10 chained whole frames.)
 //
 // The Merkle tree. Arena snapshots commit to their label extents with
 // a Merkle root so an auditor can verify the label region against one
@@ -41,6 +42,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"hash"
 )
 
 // Head is a 32-byte SHA-256 digest: a chain head or a Merkle root.
@@ -54,22 +56,44 @@ func (h Head) IsZero() bool { return h == Head{} }
 // String renders the head as lowercase hex, the wire and CLI form.
 func (h Head) String() string { return hex.EncodeToString(h[:]) }
 
-// Chainer extends a hash chain over raw WAL frames. It exists to
-// amortize the hash input buffer across a batch: one Chainer, reused
-// frame after frame, allocates nothing per extension once the buffer
-// has grown to the largest frame. A Chainer is not safe for concurrent
-// use.
+// Chainer is a running chain: one SHA-256 digest frame payloads are
+// written into in log order, a head finalized from it on demand. It
+// allocates nothing after NewChainer and is not safe for concurrent use.
 type Chainer struct {
-	buf []byte // prev || frame of the extension in progress
+	d     hash.Hash
+	head  Head
+	fresh bool // head covers everything added
 }
 
-// NewChainer returns a reusable chain hasher.
-func NewChainer() *Chainer { return &Chainer{} }
+// NewChainer returns a chain at genesis, the zero head.
+func NewChainer() *Chainer { return &Chainer{d: sha256.New(), fresh: true} }
 
-// Extend folds one raw frame into the chain: SHA-256(prev || frame).
+// Add appends a frame payload — a run of whole records — to the chain.
+func (c *Chainer) Add(payload []byte) {
+	if len(payload) > 0 {
+		c.d.Write(payload)
+		c.fresh = false
+	}
+}
+
+// Head returns the head over every record added so far.
+func (c *Chainer) Head() Head {
+	if !c.fresh {
+		c.d.Sum(c.head[:0])
+		c.fresh = true
+	}
+	return c.head
+}
+
+// Extend adds a raw WAL frame's records — what follows its 8-byte header
+// — to the chain and returns the new head. prev must be the head the
+// chain is at, the zero head on a new Chainer; Extend panics otherwise.
 func (c *Chainer) Extend(prev Head, frame []byte) Head {
-	c.buf = append(append(c.buf[:0], prev[:]...), frame...)
-	return sha256.Sum256(c.buf)
+	if prev != c.Head() {
+		panic("integrity: Extend from a head other than the chain's own")
+	}
+	c.Add(frame[8:])
+	return c.Head()
 }
 
 // pageLabels is how many consecutive label extents one leaf covers. It

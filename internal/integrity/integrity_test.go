@@ -7,49 +7,69 @@ import (
 	"testing"
 )
 
-func TestChainDefinition(t *testing.T) {
-	// head(n) = SHA-256(head(n-1) || frame(n)), from a zero genesis —
-	// spelled out longhand so the optimized Chainer is pinned to the
-	// definition, not to itself.
-	frames := [][]byte{[]byte("alpha"), []byte("beta"), []byte("gamma")}
-	var want Head
-	for _, f := range frames {
-		h := sha256.New()
-		h.Write(want[:])
-		h.Write(f)
-		copy(want[:], h.Sum(nil))
-	}
+// frame wraps payload in a frame header: eight bytes the chain skips,
+// filled with junk so a chain that hashed them would show it.
+func frame(payload string) []byte {
+	return append([]byte{0xde, 0xad, 0xbe, 0xef, byte(len(payload)), 1, 2, 3}, payload...)
+}
 
+func TestChainDefinition(t *testing.T) {
+	// head(n) = SHA-256(payload(1) || … || payload(n)), the zero head
+	// before any — spelled out longhand so the running Chainer is pinned
+	// to the definition, not to itself.
+	payloads := []string{"alpha", "beta", "gamma"}
 	c := NewChainer()
-	var reused Head
-	for _, f := range frames {
-		reused = c.Extend(reused, f)
+	var head Head
+	if c.Head() != head {
+		t.Fatalf("a new chain's head is %s, want the zero head", c.Head())
 	}
-	if reused != want {
-		t.Fatalf("Chainer chain %s, definition says %s", reused, want)
+	stream := ""
+	for _, p := range payloads {
+		stream += p
+		want := Head(sha256.Sum256([]byte(stream)))
+		if head = c.Extend(head, frame(p)); head != want || c.Head() != want {
+			t.Fatalf("after %q: Extend %s, Head %s; the definition says %s", stream, head, c.Head(), want)
+		}
 	}
 }
 
 func TestChainOrderAndContentSensitivity(t *testing.T) {
-	extend := NewChainer().Extend
-	a := extend(extend(Head{}, []byte("x")), []byte("y"))
-	b := extend(extend(Head{}, []byte("y")), []byte("x"))
-	if a == b {
+	chain := func(frames ...string) Head {
+		c := NewChainer()
+		var h Head
+		for _, f := range frames {
+			h = c.Extend(h, frame(f))
+		}
+		return h
+	}
+	a := chain("x", "y")
+	if a == chain("y", "x") {
 		t.Fatal("chain is order-insensitive")
 	}
-	c := extend(extend(Head{}, []byte("x")), []byte("z"))
-	if a == c {
+	if a == chain("x", "z") {
 		t.Fatal("chain is content-insensitive")
 	}
-	// Concatenation boundaries matter: ["xy"] must differ from ["x","y"].
-	d := extend(Head{}, []byte("xy"))
-	if a == d {
-		t.Fatal("chain cannot tell two frames from their concatenation")
+	// The chain commits to records, not frames: ["xy"] and ["x","y"]
+	// carry one record stream, so they have one head.
+	if a != chain("xy") {
+		t.Fatal("chain depends on how the records were framed")
 	}
 }
 
+func TestExtendRefusesAForeignHead(t *testing.T) {
+	c := NewChainer()
+	h := c.Extend(Head{}, frame("x"))
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Extend from a head the chain is not at did not panic")
+		}
+	}()
+	h[0] ^= 1
+	c.Extend(h, frame("y"))
+}
+
 func TestHeadHexRoundTrip(t *testing.T) {
-	h := NewChainer().Extend(Head{}, []byte("frame"))
+	h := NewChainer().Extend(Head{}, frame("record"))
 	s := h.String()
 	back, err := hex.DecodeString(s)
 	if len(s) != 64 || err != nil || !bytes.Equal(back, h[:]) {

@@ -221,7 +221,6 @@ func (s *Session) attachWAL(dir string, log *wal.Log, opts *DurableOptions, comm
 	s.wal = log
 	s.committer = committer
 	s.snapEvery = int64(opts.SnapshotEvery)
-	s.frame = make([]byte, 0, 512) // past one event's frame in one step
 	if s.metrics != nil {
 		log.SetMetrics(s.metrics.wal)
 	}
@@ -292,11 +291,12 @@ func (s *Session) commitWAL(log *wal.Log, seq int64) error {
 	if err == nil {
 		return nil
 	}
-	werr := fmt.Errorf("service: session %q: %w: %v", s.name, ErrDurability, err)
+	// A log closed under the batch set the reason first (closeWAL).
 	s.ingestMu.Lock()
 	if s.ioErr == nil {
-		s.ioErr = werr
+		s.ioErr = fmt.Errorf("service: session %q: %w: %v", s.name, ErrDurability, err)
 	}
+	werr := s.ioErr
 	s.ingestMu.Unlock()
 	return werr
 }
@@ -337,8 +337,8 @@ func (s *Session) maybeSnapshot() {
 	}
 	// The chain head at the captured watermark: under ingestMu the
 	// log's append sequence equals walEvents (every logged record
-	// advanced both), so folding the pending frames in now yields the
-	// head of exactly the covered prefix.
+	// advanced both), so the head now is the head of exactly the
+	// covered prefix.
 	events := s.walEvents
 	chainSeq, chainHead, hasChain := s.wal.ChainHead()
 	if !hasChain || chainSeq != events || !s.store.Enter() {
@@ -407,12 +407,13 @@ func (s *Session) NewWALTailer(from int64) (*wal.Tailer, error) {
 }
 
 // closeWAL detaches and closes the session's log and waits for any
-// in-flight snapshot write to settle. Further ingestion fails; queries
-// keep working from the in-memory store. With finalSnap set and events
+// in-flight snapshot write to settle. Further ingestion fails with
+// closed, unless a failure already stopped it; queries keep working
+// from the in-memory store. With finalSnap set and events
 // beyond the last snapshot, a synchronous arena snapshot is written
 // after the close — the log is flushed, so the snapshot covers every
 // record and the next restore is a pure mmap with an empty WAL tail.
-func (s *Session) closeWAL(finalSnap bool) error {
+func (s *Session) closeWAL(finalSnap bool, closed error) error {
 	s.ingestMu.Lock()
 	if s.wal == nil {
 		s.ingestMu.Unlock()
@@ -425,7 +426,7 @@ func (s *Session) closeWAL(finalSnap bool) error {
 	err := s.wal.Close()
 	s.wal = nil
 	if s.ioErr == nil {
-		s.ioErr = fmt.Errorf("service: session %q: %w: log closed", s.name, ErrDurability)
+		s.ioErr = closed
 	}
 	s.ingestMu.Unlock()
 	// Outside ingestMu: the snapshot goroutine needs it to finish, and
@@ -457,7 +458,7 @@ func (r *Registry) Close() error {
 	r.mu.RUnlock()
 	var first error
 	for _, s := range sessions {
-		if err := s.closeWAL(true); err != nil && first == nil {
+		if err := s.closeWAL(true, fmt.Errorf("service: session %q: %w: log closed", s.name, ErrDurability)); err != nil && first == nil {
 			first = err
 		}
 	}
@@ -480,18 +481,19 @@ var errFrameRefused = errors.New("service: labeler refused a record inside a fra
 
 // replayed is what one pass over a session's log recovered: the records
 // of its valid prefix and the frames they came in, that prefix's byte
-// length, and the hash-chain head over it — what the reopened log is
-// truncated to and continues from.
+// length, and the hash chain over it — what the reopened log is
+// truncated to and continues.
 type replayed struct {
 	events, frames int64
 	validSize      int64
-	head           integrity.Head
+	chain          *integrity.Chainer
 }
 
 // replay rebuilds the session's labeler and store in one walk of its
 // log (wal.Walk), up to byte stop when stop is not negative: every
-// frame's records run through the labeler and the frame is folded into
-// the hash chain. The walk ends where a wal.Walk does, or before a frame
+// frame's records run through the labeler and into the hash chain,
+// whose head is finalized only at the snapshot's anchor. The walk ends
+// where a wal.Walk does, or before a frame
 // whose first record the labeler rejects — the valid prefix is kept,
 // the caller truncates the rest. A rejection further into a frame ends
 // the pass with errFrameRefused, the labeler having taken part of it.
@@ -553,13 +555,12 @@ func (s *Session) replay(a *arena.Arena, stop int64) (replayed, error) {
 
 	w := wal.OpenWalk(path, 0)
 	defer w.Close()
-	var out replayed
-	chainer := integrity.NewChainer()
+	out := replayed{chain: integrity.NewChainer()}
 	anchored := a == nil // till then records are labelled, not staged
 walk:
 	for stop < 0 || out.validSize < stop {
 		if !anchored && out.validSize >= anchor.Watermark {
-			if err := anchor.Check(out.events, out.validSize, out.head); err != nil {
+			if err := anchor.Check(out.events, out.validSize, out.chain.Head()); err != nil {
 				return replayed{}, fmt.Errorf("integrity: %w", err)
 			}
 			anchored = true
@@ -584,7 +585,7 @@ walk:
 				}
 			}
 		}
-		out.head = chainer.Extend(out.head, w.Frame())
+		out.chain.Add(w.Frame()[wal.FrameHeaderSize:])
 		out.events = w.Seq()
 		out.frames++
 		out.validSize = w.End()
@@ -593,7 +594,7 @@ walk:
 		return replayed{}, err
 	}
 	if !anchored {
-		return replayed{}, fmt.Errorf("integrity: %w", anchor.Check(out.events, out.validSize, out.head))
+		return replayed{}, fmt.Errorf("integrity: %w", anchor.Check(out.events, out.validSize, out.chain.Head()))
 	}
 	s.store.Publish()
 	s.needLabelerReplay = hashOnly && anchor.Records > 0
@@ -791,12 +792,12 @@ func (r *Registry) restoreSession(sdir, dirName string) (*Session, error) {
 	}
 	// The replayed count seeds the log's absolute sequence numbers, so
 	// WAL shipping keeps one continuous numbering across restarts, and
-	// the replayed head the chain the log continues.
+	// the replayed chain is the one the log continues.
 	log, err := wal.Open(filepath.Join(sdir, walFile), rep.validSize, rep.events, r.opts.Fsync)
 	if err != nil {
 		return nil, err
 	}
-	log.SeedChain(rep.head)
+	log.SeedChain(rep.chain)
 	s.attachWAL(sdir, log, &r.opts, r.committer)
 	restored = true
 	r.metrics.restores.Inc()
@@ -862,13 +863,12 @@ func (s *Session) ChainAt(seq int64) (integrity.Head, error) {
 	}
 	w := wal.OpenWalk(filepath.Join(s.dir, walFile), 0)
 	defer w.Close()
-	chainer := integrity.NewChainer()
-	head = integrity.Head{}
+	chain := integrity.NewChainer()
 	for w.Seq() < seq && w.Next() {
-		head = chainer.Extend(head, w.Frame())
+		chain.Add(w.Frame()[wal.FrameHeaderSize:])
 	}
 	if w.Seq() != seq { // a walk that failed to read ends short
 		return integrity.Head{}, cmp.Or(w.Err(), fmt.Errorf("service: session %q: its log holds no frame boundary at record %d (one ends at %d)", s.name, seq, w.Seq()))
 	}
-	return head, nil
+	return chain.Head(), nil
 }

@@ -479,8 +479,8 @@ func TestDurableDeleteRemovesData(t *testing.T) {
 // TestDurableDeleteRacesIngestAndQueries deletes a durable session
 // while a writer streams batches into it and readers query it (run
 // with -race). Delete closes the WAL, so the writer's ingest is
-// allowed to start failing with ErrDurability at any point after the
-// delete — but must never fail before it, never crash, and a query is
+// allowed to start failing with session_not_found at any point after
+// the delete — but must never fail before it, never crash, and a query is
 // answered correctly until the delete and correctly or session_not_found
 // after it. The data directory must be gone when Delete returns and the
 // name immediately reusable.
@@ -512,8 +512,8 @@ func TestDurableDeleteRacesIngestAndQueries(t *testing.T) {
 			if err != nil {
 				if !deleteAsked.Load() {
 					t.Errorf("append failed before the delete: %v", err)
-				} else if !errors.Is(err, ErrDurability) {
-					t.Errorf("append after delete failed with %v, want ErrDurability", err)
+				} else if !isDeleted(err) {
+					t.Errorf("append after delete failed with %v, want session_not_found", err)
 				}
 				watermark.Add(int64(n))
 				return

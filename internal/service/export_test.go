@@ -14,7 +14,7 @@ import (
 // 5.3 naming-restriction setting), with Append's pipeline,
 // partial-batch and durability semantics.
 func (s *Session) AppendNamed(events []core.NamedEvent) (int, error) {
-	return appendBatch(s, events, wal.NamedRecord, nil, true)
+	return appendBatch(s, events, wal.NamedRecord, nil)
 }
 
 // Reach answers v ;* w as one request to the store — Enter, read,

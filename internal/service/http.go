@@ -613,13 +613,16 @@ func handleEventsBinary(s *Session, free *scratchList[*ingestScratch], w http.Re
 
 // writeIngestError reports an AppendRecords failure: a poisoned
 // session is the server's fault, a sealed one a routing
-// refusal that names the new owner (Session.Seal), and anything else is
+// refusal that names the new owner (Session.Seal), a deleted one gone
+// (the request found it before a DELETE closed it), and anything else is
 // the event at the failing index (== applied, counted over the whole
 // request). A seal that lands between the chunks of a binary body is
 // refused with the chunks before it applied, which the client must not
 // resend (api.RedirectFromError).
 func writeIngestError(w http.ResponseWriter, err error, applied int) {
-	if _, redirect := api.RedirectFromError(err); redirect || errors.Is(err, ErrDurability) {
+	var ae *api.Error
+	if _, redirect := api.RedirectFromError(err); redirect || errors.Is(err, ErrDurability) ||
+		errors.As(err, &ae) && ae.Code == api.CodeSessionNotFound {
 		writeErrorApplied(w, err, applied)
 		return
 	}

@@ -20,6 +20,7 @@ import (
 	"wfreach/internal/gen"
 	"wfreach/internal/graph"
 	"wfreach/internal/store"
+	"wfreach/internal/wal"
 	"wfreach/internal/wfspecs"
 	"wfreach/internal/wfxml"
 )
@@ -134,6 +135,42 @@ func TestHTTPSessionLifecycle(t *testing.T) {
 	}
 	if code, _ := doJSON(t, "GET", srv.URL+"/v1/sessions/s3", nil, nil); code != http.StatusNotFound {
 		t.Fatalf("stats of deleted: %d", code)
+	}
+}
+
+// TestHTTPIngestAfterDelete: a writer whose batch lands after DELETE is
+// told the session is gone — 404 session_not_found, never a 500
+// session_poisoned — whether the route no longer finds the name or the
+// request found the session just before the delete closed its log.
+func TestHTTPIngestAfterDelete(t *testing.T) {
+	reg, _, srv := newDurableTestServer(t)
+	if code, raw := doJSON(t, "POST", srv.URL+"/v1/sessions", api.CreateSessionRequest{Name: "s", Builtin: "RunningExample"}, nil); code != http.StatusCreated {
+		t.Fatalf("create: %d %s", code, raw)
+	}
+	zero := int32(0)
+	first := api.EventsRequest{Events: []api.Event{{V: 0, Graph: &zero, Vertex: &zero}}}
+	if code, raw := doJSON(t, "POST", srv.URL+"/v1/sessions/s/events", first, nil); code != http.StatusOK {
+		t.Fatalf("ingest: %d %s", code, raw)
+	}
+	s, _ := reg.Get("s")
+	if code, raw := doJSON(t, "DELETE", srv.URL+"/v1/sessions/s", nil, nil); code != http.StatusNoContent {
+		t.Fatalf("delete: %d %s", code, raw)
+	}
+	one := int32(1)
+	next := api.EventsRequest{Events: []api.Event{{V: 1, Graph: &zero, Vertex: &one, Preds: []int32{0}}}}
+	var resp api.ErrorResponse
+	if code, raw := doJSON(t, "POST", srv.URL+"/v1/sessions/s/events", next, &resp); code != http.StatusNotFound || resp.Err.Code != api.CodeSessionNotFound {
+		t.Fatalf("ingest after DELETE: %d %s, want 404 %s", code, raw, api.CodeSessionNotFound)
+	}
+	rec1, err := next.Events[0].Record()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := s.AppendRecords([]wal.Record{rec1}, nil)
+	rec := httptest.NewRecorder()
+	writeIngestError(rec, err, n)
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || rec.Code != http.StatusNotFound || resp.Err.Code != api.CodeSessionNotFound {
+		t.Fatalf("a batch of the deleted session: %v, answered %d %s, want 404 %s", err, rec.Code, rec.Body, api.CodeSessionNotFound)
 	}
 }
 

@@ -186,8 +186,8 @@ func TestReplayAllocatesPerInstance(t *testing.T) {
 
 // TestDeferredReplayAllocatesPerChunk: after a restore whose snapshot
 // covers the whole log, the first Append rebuilds the labeler from the
-// log. Over one-event frames it allocates per parse-tree chunk, not
-// per frame: the walk decodes every frame into the same scratch.
+// log. It allocates per parse-tree chunk, not per event: the walk
+// decodes every batch frame into the same scratch.
 func TestDeferredReplayAllocatesPerChunk(t *testing.T) {
 	const logged = 20_000
 	dir := t.TempDir()
@@ -201,7 +201,7 @@ func TestDeferredReplayAllocatesPerChunk(t *testing.T) {
 	if len(events) <= logged {
 		t.Fatalf("generated %d events, want more than %d", len(events), logged)
 	}
-	appendAll(t, s, events[:logged], 256) // Append logs a frame per event
+	appendAll(t, s, events[:logged], 256) // Append logs a frame per batch
 	// Close leaves a snapshot that covers the whole log.
 	if err := reg.Close(); err != nil {
 		t.Fatal(err)
@@ -221,11 +221,11 @@ func TestDeferredReplayAllocatesPerChunk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	perFrame := float64(after-before) / logged
-	t.Logf("first write after a hash-only restore of %d frames (%d instances opened): %d allocations, %.3f per frame",
-		logged, opens(g, events[:logged]), after-before, perFrame)
-	if perFrame >= 0.1 {
-		t.Errorf("the deferred replay allocates %.3f objects per frame, want under 0.1", perFrame)
+	perEvent := float64(after-before) / logged
+	t.Logf("first write after a hash-only restore of %d events (%d instances opened): %d allocations, %.3f per event",
+		logged, opens(g, events[:logged]), after-before, perEvent)
+	if perEvent >= 0.1 {
+		t.Errorf("the deferred replay allocates %.3f objects per event, want under 0.1", perEvent)
 	}
 }
 

@@ -42,12 +42,10 @@ func postEvents(url, session string, events []client.Event) error {
 }
 
 // TestIngestFormsRestoreAlike: one event stream sent three ways —
-// Session.Append, the JSON route and the binary SDK — leaves logs of
-// the same records: the two wire routes the same bytes, one frame per
-// batch, and Session.Append those records one frame each. A restart
-// that relabels each from its log alone yields byte-identical labels
-// whose answers are breadth-first search on the run, for every grammar
-// of the corpus.
+// Session.Append, the JSON route and the binary SDK — leaves three
+// byte-identical logs, one frame per batch. A restart that relabels
+// each from its log alone yields byte-identical labels whose answers
+// are breadth-first search on the run, for every grammar of the corpus.
 func TestIngestFormsRestoreAlike(t *testing.T) {
 	ctx := context.Background()
 	forms := []string{"append", "json", "binary"}
@@ -87,26 +85,21 @@ func TestIngestFormsRestoreAlike(t *testing.T) {
 		}
 
 		logs := make(map[string][]byte)
-		var records [][]byte // the append log's, one per frame
 		for _, form := range forms {
 			if logs[form], err = os.ReadFile(filepath.Join(dir, form, "events.wal")); err != nil {
 				t.Fatal(err)
 			}
+			if !bytes.Equal(logs[form], logs[forms[0]]) {
+				t.Fatalf("%s: the %s log differs from the %s log", name, form, forms[0])
+			}
 		}
-		if !bytes.Equal(logs["json"], logs["binary"]) {
-			t.Fatalf("%s: the json log differs from the binary log", name)
-		}
+		frames := 0
 		fr := wal.NewFrameReader(bytes.NewReader(logs["append"]))
-		for frame, err := fr.Next(); err == nil; frame, err = fr.Next() {
-			records = append(records, bytes.Clone(frame[wal.FrameHeaderSize:]))
+		for _, err := fr.Next(); err == nil; _, err = fr.Next() {
+			frames++
 		}
-		var batches [][]byte // the json log's payloads, one per batch
-		fr = wal.NewFrameReader(bytes.NewReader(logs["json"]))
-		for frame, err := fr.Next(); err == nil; frame, err = fr.Next() {
-			batches = append(batches, bytes.Clone(frame[wal.FrameHeaderSize:]))
-		}
-		if len(records) != len(events) || len(batches) != (len(events)+255)/256 || !bytes.Equal(bytes.Join(records, nil), bytes.Join(batches, nil)) {
-			t.Fatalf("%s: the append log's %d records are not the json log's %d batches", name, len(records), len(batches))
+		if frames != (len(events)+255)/256 {
+			t.Fatalf("%s: %d batches logged as %d frames", name, (len(events)+255)/256, frames)
 		}
 		// With snapshots off, a restore relabels every session from its log.
 		reg2, err := service.NewDurableRegistry(service.DurableOptions{Dir: dir})

@@ -21,8 +21,8 @@ import (
 )
 
 // chainWalk walks the log at path from genesis as restore does,
-// folding every frame into the hash chain, and returns the head and the
-// records the frames carry.
+// adding every frame's records to the hash chain, and returns the head
+// and the records the frames carry.
 func chainWalk(t *testing.T, path string) (integrity.Head, int64) {
 	t.Helper()
 	w := wal.OpenWalk(path, 0)

@@ -5,7 +5,6 @@ package service
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -282,7 +281,7 @@ func TestDeleteUnderQueryHammer(t *testing.T) {
 					defer wg.Done()
 					for lo := first; lo < len(events); lo += 4 {
 						if _, err := s.Append(events[lo:min(lo+4, len(events))]); err != nil {
-							if !deleteAsked.Load() || !errors.Is(err, ErrDurability) {
+							if !deleteAsked.Load() || !isDeleted(err) {
 								t.Errorf("append: %v", err)
 							}
 							return

@@ -40,12 +40,13 @@ import (
 // the log from genesis. A cut inside a batch frame loses that whole batch and nothing before it, and a tail
 // frame the labeler refuses past its first record is cut whole with the
 // labeler left at the prefix, so the stream goes on from there. The
-// WFSNAP02 and WFSNAP04 to WFSNAP08 rows are the upgrade path: a
+// WFSNAP02 and WFSNAP04 to WFSNAP09 rows are the upgrade path: a
 // labels.snap in a format earlier builds wrote is ignored and replayed
 // over, and the session's next snapshot overwrites it in the current
-// one. WFSNAP05 to WFSNAP08 have today's layout, so their rows are this
-// image under the old magic: labels numbered or coded the old way must
-// be replayed over even when every checksum holds.
+// one. WFSNAP05 to WFSNAP09 have today's layout, so their rows are this
+// image under the old magic: labels numbered or coded the old way, or
+// anchored to a chain head of whole frames (WFSNAP09), must be replayed
+// over even when every checksum holds.
 func TestRestoreCutAndFlipTable(t *testing.T) {
 	image := t.TempDir()
 	g := compileBuiltin(t, "BioAID")
@@ -73,9 +74,10 @@ func TestRestoreCutAndFlipTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	// ends[k] is the byte offset k frames end at, recs[k] the records
-	// they carry and heads[k] the chain head over them.
+	// they carry and heads[k] the chain head over them; refusedChain
+	// chains the first n-1 frames and refusedTail below.
 	ends, recs, heads := []int64{0}, []int{0}, []integrity.Head{{}}
-	chainer := integrity.NewChainer()
+	chainer, refusedChain := integrity.NewChainer(), integrity.NewChainer()
 	var last []wal.Record // the records of the last frame
 	for off := int64(0); off < int64(len(walRaw)); {
 		end := off + 8 + int64(binary.LittleEndian.Uint32(walRaw[off:]))
@@ -87,6 +89,9 @@ func TestRestoreCutAndFlipTable(t *testing.T) {
 		off = end
 	}
 	n := len(ends) - 1
+	for k := 1; k < n; k++ {
+		refusedChain.Add(walRaw[ends[k-1]+8 : ends[k]])
+	}
 	a, err := arena.Open(filepath.Join(image, "x", snapFile))
 	if err != nil {
 		t.Fatal(err)
@@ -109,6 +114,7 @@ func TestRestoreCutAndFlipTable(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	refusedChain.Add(refusedTail[8:])
 
 	const (
 		boot    = "boot"
@@ -177,12 +183,13 @@ func TestRestoreCutAndFlipTable(t *testing.T) {
 		{name: "WFSNAP06 snapshot", snap: append([]byte("WFSNAP06"), snapRaw[8:]...), class: boot, frames: n, resnap: true, verify: unavailable},
 		{name: "WFSNAP07 snapshot", snap: append([]byte("WFSNAP07"), snapRaw[8:]...), class: boot, frames: n, resnap: true, verify: unavailable},
 		{name: "WFSNAP08 snapshot", snap: append([]byte("WFSNAP08"), snapRaw[8:]...), class: boot, frames: n, resnap: true, verify: unavailable},
+		{name: "WFSNAP09 snapshot", snap: append([]byte("WFSNAP09"), snapRaw[8:]...), class: boot, frames: n, resnap: true, verify: unavailable},
 		{name: "cut inside the last batch frame", wal: walRaw[:(ends[n-1]+ends[n])/2], class: cutTail, frames: n - 1, arena: labels, resume: true,
 			verify: verified},
 		{name: "cut on a frame boundary below the watermark", wal: walRaw[:ends[c-1]], class: boot, frames: c - 1,
 			verify: violation, verifyErr: "end before the snapshot's watermark"},
 		{name: "tail frame refused after its first record", wal: slices.Concat(walRaw[:ends[n-1]], refusedTail), class: cutTail, frames: n - 1, resume: true,
-			verify: verified, walked: n, walkedHead: integrity.NewChainer().Extend(heads[n-1], refusedTail)},
+			verify: verified, walked: n, walkedHead: refusedChain.Head()},
 	}
 	for cut := ends[n-2] + 1; cut < ends[n]; cut++ {
 		whole := n - 2

@@ -350,7 +350,7 @@ func (r *Registry) Delete(name string) bool {
 	}
 	r.metrics.forgetSession(name)
 	s.store.Retire()
-	s.closeWAL(false) // the directory is about to be removed; no final snapshot
+	s.closeWAL(false, s.deleted()) // the directory is about to be removed; no final snapshot
 	os.RemoveAll(s.dir)
 	r.mu.Lock()
 	delete(r.creating, name)
@@ -409,16 +409,11 @@ func (s *Session) Grammar() *spec.Grammar { return s.g }
 // through the registry's group committer so concurrent batches share
 // one flush — an acknowledged batch is recoverable. A log write failure
 // permanently stops ingestion on the session (its in-memory state has
-// outrun what disk can reproduce); queries keep working.
-//
-// The in-process writers log one frame per event, where the wire
-// routes log one per batch: the performance ledger (benchmark/layers.go)
-// checks an in-process session's chain head against a chain it folds
-// over one-event frames. ROADMAP item 1(b) replaces that fold with the
-// program's own stage timers, and item 1(d) then moves these writers to
-// batch frames.
+// outrun what disk can reproduce); queries keep working. The applied
+// events are logged as one frame, exactly as AppendRecords(recs, nil)
+// frames them.
 func (s *Session) Append(events []run.Event) (int, error) {
-	return appendBatch(s, events, wal.RefRecord, nil, true)
+	return appendBatch(s, events, wal.RefRecord, nil)
 }
 
 // AppendRecords ingests a batch of WAL-form records — the two event
@@ -437,15 +432,15 @@ func (s *Session) AppendRecords(recs []wal.Record, frames [][]byte) (int, error)
 	if frames != nil && (len(frames) != len(recs) || len(recs) > 0 && frames[0] == nil) {
 		return 0, fmt.Errorf("service: %d frames for %d records, or the first record opens none", len(frames), len(recs))
 	}
-	return appendBatch(s, recs, func(rec wal.Record) wal.Record { return rec }, frames, false)
+	return appendBatch(s, recs, func(rec wal.Record) wal.Record { return rec }, frames)
 }
 
 // appendBatch is the ingest loop behind Append and AppendRecords,
 // which differ only in the element type: record puts element i in WAL
-// form, frames, when non-nil, marks where each
-// pre-encoded frame opens, and frameEach frames the records it frames
-// itself one per frame, logging each as it goes. Per event the order
-// is label → stage, and per frame → log: the issued label lives in
+// form, and frames, when non-nil, marks where each pre-encoded frame
+// opens; without frames the applied records are framed into s.frame,
+// sized once by a length pass, and logged at the end. Per event the
+// order is label → stage, and per frame → log: the issued label lives in
 // s.entries only until the next labelRecord, a record's predecessors
 // and its frame may alias the caller's scratch (the labeler and the
 // log both copy what they keep), and nothing of either is referenced
@@ -454,7 +449,7 @@ func (s *Session) AppendRecords(recs []wal.Record, frames [][]byte) (int, error)
 // "acked ⇒ logged" holds to the record; a failed log write leaves what
 // was staged queryable, the batch unacknowledged and the session closed
 // to ingest.
-func appendBatch[E any](s *Session, events []E, record func(E) wal.Record, frames [][]byte, frameEach bool) (int, error) {
+func appendBatch[E any](s *Session, events []E, record func(E) wal.Record, frames [][]byte) (int, error) {
 	s.ingestMu.Lock()
 	if err := s.ingestBlockedLocked(); err != nil {
 		s.ingestMu.Unlock()
@@ -462,6 +457,13 @@ func appendBatch[E any](s *Session, events []E, record func(E) wal.Record, frame
 	}
 	reframe := s.wal != nil && frames == nil
 	s.frame = s.frame[:0]
+	if reframe {
+		n := wal.FrameHeaderSize
+		for i := range events {
+			n += wal.RecordFrameLen(record(events[i])) - wal.FrameHeaderSize
+		}
+		s.frame = slices.Grow(s.frame, n)
+	}
 	open := -1  // the frame being built in s.frame
 	framed := 0 // records in s.frame
 	opened := 0 // the record the teed frame in hand opens
@@ -483,11 +485,6 @@ func appendBatch[E any](s *Session, events []E, record func(E) wal.Record, frame
 			panic(serr)
 		}
 		switch {
-		case reframe && frameEach:
-			if s.frame, _, werr = s.frameRecord(s.frame[:0], -1, rec); werr == nil {
-				werr = s.logFrames(s.frame, 1)
-			}
-			s.frame = s.frame[:0]
 		case reframe:
 			s.frame, open, werr = s.frameRecord(s.frame, open, rec)
 			framed++

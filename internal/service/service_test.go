@@ -361,8 +361,9 @@ func TestConcurrentIngestQuery(t *testing.T) {
 // streaming batches into it and readers are querying it (run with
 // -race). In-flight operations must finish normally — the session just
 // stops being reachable by name — a batch that starts after the delete
-// closed the session's log is refused as a durability failure, with
-// every event applied before it still held, a query that starts after
+// closed the session's log, or commits after it, is refused
+// session_not_found, with every event applied before it still held, a
+// query that starts after
 // the delete is answered correctly or refused session_not_found, never
 // anything else, and the name must be reusable immediately.
 func TestDeleteRacesIngestAndQueries(t *testing.T) {
@@ -394,7 +395,7 @@ func TestDeleteRacesIngestAndQueries(t *testing.T) {
 			n, err := s.Append(events[lo:hi])
 			applied.Store(int64(lo + n))
 			if err != nil {
-				if !deleteAsked.Load() || !errors.Is(err, ErrDurability) {
+				if !deleteAsked.Load() || !isDeleted(err) {
 					t.Errorf("append: %v", err)
 				}
 				return

@@ -42,6 +42,40 @@ func TestCommitAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestChainAllocatesNothing: the log's chain is one running digest with
+// no pending buffer, so appending frames of any size and finalizing the
+// head after each allocates nothing once the log is open.
+func TestChainAllocatesNothing(t *testing.T) {
+	l, err := Open(filepath.Join(t.TempDir(), "x.wal"), 0, 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	var frames [][]byte
+	for k := 1; k <= 64; k *= 4 {
+		var frame []byte
+		open := -1
+		for i := range k {
+			if frame, open, err = AppendRecord(frame, open, commitRecord(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		frames = append(frames, frame)
+	}
+	i := 0
+	if n := testing.AllocsPerRun(400, func() {
+		if err := l.AppendRaw(frames[i%len(frames)]); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, ok := l.ChainHead(); !ok {
+			t.Fatal("no chain")
+		}
+		i++
+	}); n != 0 {
+		t.Fatalf("AppendRaw and ChainHead: %v allocations per frame, want 0", n)
+	}
+}
+
 // TestDecodeRecordAllocs: a record with predecessors costs the one
 // slice it owns, a reused arena nothing.
 func TestDecodeRecordAllocs(t *testing.T) {

@@ -11,10 +11,11 @@ import (
 )
 
 // BenchmarkChainPerEvent prices the hash chain per event of one 20k-event
-// BioAID stream, folded as the log folds it — one SHA-256 step per
-// frame — in one-event frames and in the 256-event frames a batch is
-// logged as. The difference is the step and header per event a batch
-// frame saves; the hashed record bytes are the same.
+// BioAID stream, each frame's records added to the running digest and a
+// head finalized after it, as a commit round asks — in one-event frames
+// and in the 256-event frames a batch is logged as. The difference is
+// the finalization per event a batch frame saves; the hashed record
+// bytes are the same.
 func BenchmarkChainPerEvent(b *testing.B) {
 	events, _, err := gen.GenerateEvents(spec.MustCompile(wfspecs.BioAID()), gen.Options{TargetSize: 20000, Seed: 1})
 	if err != nil {

@@ -31,8 +31,8 @@ type Metrics struct {
 	// is CommitLogs / CommitRounds.
 	CommitRounds *obs.Counter
 	CommitLogs   *obs.Counter
-	// ChainedFrames counts frames folded into the hash chain — one per
-	// acknowledged batch, where Appends counts its records.
+	// ChainedFrames counts frames whose records entered the hash chain —
+	// one per acknowledged batch, where Appends counts its records.
 	ChainedFrames *obs.Counter
 }
 
@@ -50,7 +50,7 @@ func NewMetrics(r *obs.Registry) *Metrics {
 		AppendedBytes: r.Counter("wf_wal_append_bytes_total", "WAL bytes appended (framed)."),
 		CommitRounds:  r.Counter("wf_wal_commit_rounds_total", "Group-commit flush rounds led."),
 		CommitLogs:    r.Counter("wf_wal_commit_logs_total", "Logs flushed across group-commit rounds."),
-		ChainedFrames: r.Counter("wf_wal_chain_frames_total", "WAL frames (one per batch) folded into the hash chain."),
+		ChainedFrames: r.Counter("wf_wal_chain_frames_total", "WAL frames (one per batch) whose records entered the hash chain."),
 	}
 }
 

@@ -31,7 +31,7 @@
 //
 // Sequences count records, not frames: the first record in the file is
 // 1, and a frame of k records advances the sequence by k. The hash chain
-// folds whole frames, so a chain head exists at frame boundaries only.
+// (internal/integrity, WFSNAP10) hashes records, never frame headers.
 //
 // A torn write — a crash mid-append — leaves a short or CRC-mismatched
 // frame at the tail; a Walk ends there, and Open truncates the garbage
@@ -292,6 +292,15 @@ func appendRecord[V ~int32](buf []byte, open int, kind byte, v V, name string, g
 // appends FrameHeaderSize fewer.
 func RefFrameLen[V ~int32](v V, g int32, sv V, preds []V) int {
 	return frameLen(v, uvarintLen(g)+uvarintLen(sv), preds)
+}
+
+// RecordFrameLen is RefFrameLen or NamedFrameLen on rec: what
+// AppendRecord appends for it into a new frame.
+func RecordFrameLen(rec Record) int {
+	if rec.Named {
+		return NamedFrameLen(rec.NamedEv.V, rec.NamedEv.Name, rec.NamedEv.Preds)
+	}
+	return RefFrameLen(rec.Ref.V, int32(rec.Ref.Ref.Graph), rec.Ref.Ref.V, rec.Ref.Preds)
 }
 
 // NamedFrameLen is RefFrameLen for AppendNamedRecord.
@@ -601,20 +610,10 @@ type Log struct {
 	notifyMu sync.Mutex
 	notifyCh chan struct{}
 
-	// Hash-chain state, guarded by mu. Appends only copy their frame
-	// bytes into chainPend (a memcpy, no hashing on the hot path); the
-	// chain is folded forward in one batched pass per flush round —
-	// flushLocked calls advanceChainLocked before writing, so by the
-	// time a Committer round acknowledges a batch the head covers it.
-	// chainOn is false until the chain is seeded: a log opened over
-	// pre-existing records cannot know its head until the caller has
-	// hashed the prefix (see SeedChain).
-	chainOn   bool
-	chainSeq  int64 // sequence chainHead covers
-	chainHead integrity.Head
-	chainPend []byte // raw frames appended since the last fold
-	chainLens []int  // frame lengths within chainPend
-	chainer   *integrity.Chainer
+	// chain is the running hash chain over every appended record,
+	// guarded by mu; nil until SeedChain on a log opened over records,
+	// and after DisableChain.
+	chain *integrity.Chainer
 
 	// metrics, when attached, counts appends and observes flush/fsync
 	// latency. Guarded by mu; set once at open (SetMetrics).
@@ -709,25 +708,22 @@ func Open(path string, validSize int64, records int64, fsync bool) (*Log, error)
 	l.durableSeq.Store(records)
 	l.appendBytes.Store(validSize)
 	// An empty log starts its hash chain at genesis; a log reopened
-	// over existing records stays chainless until SeedChain installs
-	// the head of the prefix (restore hashes the prefix as it replays
+	// over existing records stays chainless until SeedChain hands it
+	// the chain of the prefix (restore hashes the prefix as it replays
 	// it).
-	l.chainOn = records == 0
-	l.chainSeq = records
+	if records == 0 {
+		l.chain = integrity.NewChainer()
+	}
 	return l, nil
 }
 
-// SeedChain installs head as the hash-chain head covering every record
-// already appended (AppendSeq at the time of the call) and enables
-// chain tracking from there on. Restore calls it after hashing the
-// log's valid prefix; it must not race appends.
-func (l *Log) SeedChain(head integrity.Head) {
+// SeedChain hands the log chain, the running hash chain over every
+// record already appended, to continue from there on. Restore passes
+// its walk's chain of the valid prefix; it must not race appends.
+func (l *Log) SeedChain(chain *integrity.Chainer) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.chainOn = true
-	l.chainSeq = l.appendSeq.Load()
-	l.chainHead = head
-	l.chainPend, l.chainLens = l.chainPend[:0], l.chainLens[:0]
+	l.chain = chain
 }
 
 // DisableChain turns hash-chain tracking off (ChainHead then reports
@@ -736,46 +732,19 @@ func (l *Log) SeedChain(head integrity.Head) {
 func (l *Log) DisableChain() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.chainOn = false
-	l.chainPend, l.chainLens = l.chainPend[:0], l.chainLens[:0]
+	l.chain = nil
 }
 
-// ChainHead folds any pending appends into the hash chain and returns
-// the head plus the sequence it covers (every record appended so far).
-// ok is false when the log has no chain — tracking disabled, or a
-// reopened log that was never seeded.
+// ChainHead returns the hash-chain head over every record appended so
+// far, and the sequence it covers. ok is false when the log has no
+// chain — tracking disabled, or a reopened log that was never seeded.
 func (l *Log) ChainHead() (seq int64, head integrity.Head, ok bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if !l.chainOn {
+	if l.chain == nil {
 		return 0, integrity.Head{}, false
 	}
-	l.advanceChainLocked()
-	return l.chainSeq, l.chainHead, true
-}
-
-// advanceChainLocked is the batched hash pass: it folds every frame
-// appended since the previous pass into the chain head. Called under
-// mu from flushLocked (once per group-commit round) and ChainHead.
-func (l *Log) advanceChainLocked() {
-	if !l.chainOn || len(l.chainLens) == 0 {
-		return
-	}
-	if l.chainer == nil {
-		l.chainer = integrity.NewChainer()
-	}
-	off := 0
-	for _, n := range l.chainLens {
-		l.chainHead = l.chainer.Extend(l.chainHead, l.chainPend[off:off+n])
-		off += n
-	}
-	// Everything appended is folded now, and appends hold mu.
-	l.chainSeq = l.appendSeq.Load()
-	if l.metrics != nil {
-		l.metrics.ChainedFrames.Add(int64(len(l.chainLens)))
-	}
-	l.chainPend = l.chainPend[:0]
-	l.chainLens = l.chainLens[:0]
+	return l.appendSeq.Load(), l.chain.Head(), true
 }
 
 // AppendRaw buffers one frame — header plus a payload of one or more
@@ -816,13 +785,15 @@ func (l *Log) AppendRaw(frame []byte) error {
 	if _, err := l.w.Write(frame); err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	if l.chainOn {
-		l.chainPend = append(l.chainPend, frame...)
-		l.chainLens = append(l.chainLens, len(frame))
+	if l.chain != nil {
+		l.chain.Add(frame[FrameHeaderSize:])
 	}
 	l.appendSeq.Add(int64(records))
 	l.appendBytes.Add(int64(len(frame)))
 	if l.metrics != nil {
+		if l.chain != nil {
+			l.metrics.ChainedFrames.Inc()
+		}
 		l.metrics.Appends.Add(int64(records))
 		l.metrics.AppendedBytes.Add(int64(len(frame)))
 		if sample {
@@ -850,10 +821,6 @@ func (l *Log) flushLocked() error {
 	if l.metrics != nil {
 		start = time.Now()
 	}
-	// One batched hash pass per flush round: the frames of every
-	// batch acknowledged by this round enter the chain here, not on
-	// the ingest path.
-	l.advanceChainLocked()
 	if err := l.w.Flush(); err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}

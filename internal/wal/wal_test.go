@@ -324,7 +324,10 @@ func TestScanFromPastEOF(t *testing.T) {
 		if got, size := framesFrom(t, tc.path, tc.off); len(got) != 0 || size != tc.off {
 			t.Fatalf("%s from %d: %d records, valid size %d", tc.path, tc.off, len(got), size)
 		}
-		if head, n, size := chainWalk(t, tc.path, tc.off, integrity.Head{1}); n != 0 || size != tc.off || head != (integrity.Head{1}) {
+		seed := integrity.NewChainer()
+		seed.Add([]byte{1})
+		want := seed.Head()
+		if head, n, size := chainWalk(t, tc.path, tc.off, seed); n != 0 || size != tc.off || head != want {
 			t.Fatalf("chain walk %s from %d: head=%s n=%d size=%d", tc.path, tc.off, head, n, size)
 		}
 	}
@@ -415,7 +418,7 @@ func TestBatchPastMaxPayloadSpansTwoFrames(t *testing.T) {
 	if !reflect.DeepEqual(got, recs) || size != int64(len(buf)) {
 		t.Fatalf("scanned %d records over %d of %d bytes", len(got), size, len(buf))
 	}
-	if _, n, _ := chainWalk(t, path, 0, integrity.Head{}); n != int64(len(recs)) {
+	if _, n, _ := chainWalk(t, path, 0, nil); n != int64(len(recs)) {
 		t.Fatalf("chain walk: %d records", n)
 	}
 	// A record alone past the cap has no frame to go to.

@@ -16,7 +16,7 @@ import (
 // ends at the first frame that is torn, fails its CRC or does not decode
 // whole: the torn-tail rule, stated once for every reader of a log file
 // but the Tailer, which follows a live log. A Walk hashes nothing: a
-// caller that needs the chain folds Frame into it. Frame and Records
+// caller that needs the chain adds each Frame's payload to it. Frame and Records
 // are reused by the next step.
 type Walk struct {
 	fr    FrameReader // fr.r is nil once the walk has ended
@@ -34,7 +34,9 @@ type Walk struct {
 // ends the walk before its first frame (Err). The caller closes the
 // walk.
 func OpenWalk(path string, offset int64) *Walk {
-	w := &Walk{end: offset}
+	// The scratch starts at a 256-event batch frame's records, so a
+	// walk of a service's log decodes without growing it.
+	w := &Walk{end: offset, recs: make([]Record, 0, 256), preds: make([]graph.VertexID, 0, 512)}
 	f, err := os.Open(path)
 	if err == nil {
 		w.f = f

@@ -13,22 +13,24 @@ import (
 	"wfreach/internal/run"
 )
 
-// chainWalk folds every frame of a walk of the log at path from byte
-// offset into seed, as restore and the auditor do, and returns the head,
-// the records the frames carry and the end of the valid prefix.
-func chainWalk(t *testing.T, path string, offset int64, seed integrity.Head) (integrity.Head, int64, int64) {
+// chainWalk adds every frame of a walk of the log at path from byte
+// offset to chain (a fresh one when nil), as restore and the auditor do,
+// and returns the head, the records the frames carry and the end of the
+// valid prefix.
+func chainWalk(t *testing.T, path string, offset int64, chain *integrity.Chainer) (integrity.Head, int64, int64) {
 	t.Helper()
 	w := OpenWalk(path, offset)
 	defer w.Close()
-	chainer := integrity.NewChainer()
-	head := seed
+	if chain == nil {
+		chain = integrity.NewChainer()
+	}
 	for w.Next() {
-		head = chainer.Extend(head, w.Frame())
+		chain.Add(w.Frame()[FrameHeaderSize:])
 	}
 	if err := w.Err(); err != nil {
 		t.Fatal(err)
 	}
-	return head, w.Seq(), w.End()
+	return chain.Head(), w.Seq(), w.End()
 }
 
 // checkAnchor walks the log at path from genesis until it reaches or
@@ -37,20 +39,19 @@ func checkAnchor(t *testing.T, path string, a Anchor) error {
 	t.Helper()
 	w := OpenWalk(path, 0)
 	defer w.Close()
-	chainer := integrity.NewChainer()
-	var head integrity.Head
+	chain := integrity.NewChainer()
 	for w.End() < a.Watermark && w.Next() {
-		head = chainer.Extend(head, w.Frame())
+		chain.Add(w.Frame()[FrameHeaderSize:])
 	}
 	if err := w.Err(); err != nil {
 		t.Fatal(err)
 	}
-	return a.Check(w.Seq(), w.End(), head)
+	return a.Check(w.Seq(), w.End(), chain.Head())
 }
 
 // chainFixture appends n records to a fresh log, flushing in uneven
-// batches so the batched chain pass runs over group-commit-shaped
-// pending runs, and returns the path and the live log.
+// batches as group-commit rounds would, and returns the path and the
+// live log.
 func chainFixture(t *testing.T, n int) (string, *Log) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "events.wal")
@@ -75,7 +76,7 @@ func chainFixture(t *testing.T, n int) (string, *Log) {
 	return path, l
 }
 
-// TestChainHeadMatchesFileScan pins the batched in-memory chain to the
+// TestChainHeadMatchesFileScan pins the live in-memory chain to the
 // file-level definition: hashing the on-disk frames from genesis must
 // land on exactly the head the live log reports.
 func TestChainHeadMatchesFileScan(t *testing.T) {
@@ -84,7 +85,7 @@ func TestChainHeadMatchesFileScan(t *testing.T) {
 	if !ok || seq != 53 {
 		t.Fatalf("ChainHead = (%d, _, %v), want (53, _, true)", seq, ok)
 	}
-	fileHead, n, validSize := chainWalk(t, path, 0, integrity.Head{})
+	fileHead, n, validSize := chainWalk(t, path, 0, nil)
 	if n != 53 || fileHead != head {
 		t.Fatalf("file scan (%d records, %s) disagrees with live head (%d, %s)", n, fileHead, seq, head)
 	}
@@ -96,12 +97,12 @@ func TestChainHeadMatchesFileScan(t *testing.T) {
 	}
 }
 
-// TestChainHeadPendingFold: ChainHead on demand must fold appended but
+// TestChainHeadPendingFold: ChainHead on demand must cover appended but
 // not yet flushed frames, since callers read it at arbitrary moments
 // (snapshot capture happens before the next flush).
 func TestChainHeadPendingFold(t *testing.T) {
 	path, l := chainFixture(t, 10)
-	// Append without flushing; the frames sit in the pending run.
+	// Append without flushing; the frame sits in the write buffer.
 	if err := logRecord(l, RefRecord(run.Event{V: 10})); err != nil {
 		t.Fatal(err)
 	}
@@ -112,20 +113,22 @@ func TestChainHeadPendingFold(t *testing.T) {
 	if err := l.Close(); err != nil { // Close flushes
 		t.Fatal(err)
 	}
-	if fileHead, _, _ := chainWalk(t, path, 0, integrity.Head{}); fileHead != head {
+	if fileHead, _, _ := chainWalk(t, path, 0, nil); fileHead != head {
 		t.Fatalf("pending fold head %s, file says %s", head, fileHead)
 	}
 }
 
 // TestChainSeedAcrossReopen is the restart story: a reopened log has no
-// chain until seeded, and seeding with the recomputed head continues
-// the chain exactly as if the process never died.
+// chain until seeded, and seeding with the chain a walk recomputed
+// continues it exactly as if the process never died.
 func TestChainSeedAcrossReopen(t *testing.T) {
 	path, l := chainFixture(t, 20)
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	head, _, validSize := chainWalk(t, path, 0, integrity.Head{})
+	seed, prefix := integrity.NewChainer(), integrity.NewChainer()
+	_, _, validSize := chainWalk(t, path, 0, seed)
+	chainWalk(t, path, 0, prefix)
 
 	l2, err := Open(path, validSize, 20, false)
 	if err != nil {
@@ -134,7 +137,7 @@ func TestChainSeedAcrossReopen(t *testing.T) {
 	if _, _, ok := l2.ChainHead(); ok {
 		t.Fatal("a reopened log must not have a chain before SeedChain")
 	}
-	l2.SeedChain(head)
+	l2.SeedChain(seed)
 	if err := logRecord(l2, RefRecord(run.Event{V: 20})); err != nil {
 		t.Fatal(err)
 	}
@@ -146,16 +149,16 @@ func TestChainSeedAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One continuous hash over both generations agrees with the seeded
-	// continuation: scanning the tail from the seed lands on the same
-	// head as scanning the whole file from genesis.
-	fullHead, n, _ := chainWalk(t, path, 0, integrity.Head{})
+	// continuation: scanning the tail on from the prefix's chain lands
+	// on the same head as scanning the whole file from genesis.
+	fullHead, n, _ := chainWalk(t, path, 0, nil)
 	if n != 21 {
 		t.Fatalf("walk after reopen: n=%d", n)
 	}
 	if fullHead != liveHead {
 		t.Fatalf("live seeded head %s, full-file scan %s", liveHead, fullHead)
 	}
-	if contHead, n2, _ := chainWalk(t, path, validSize, head); n2 != 1 || contHead != fullHead {
+	if contHead, n2, _ := chainWalk(t, path, validSize, prefix); n2 != 1 || contHead != fullHead {
 		t.Fatalf("seeded continuation %s over %d records, full scan %s", contHead, n2, fullHead)
 	}
 }
@@ -248,7 +251,7 @@ func TestChainCatchesCRCFixedRewrite(t *testing.T) {
 		t.Fatalf("Scan after CRC-fixed rewrite: n=%d err=%v (the tamper must be structurally invisible)", n, err)
 	}
 	// …but the chain is not.
-	if head, _, _ := chainWalk(t, path, 0, integrity.Head{}); head == origHead {
+	if head, _, _ := chainWalk(t, path, 0, nil); head == origHead {
 		t.Fatal("chain head unchanged by a rewritten record")
 	}
 }
