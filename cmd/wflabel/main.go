@@ -208,9 +208,8 @@ type remoteConfig struct {
 
 // printIntegrity fetches and prints an existing session's
 // tamper-evidence anchors in exactly the form wfverify -head consumes.
-// A server without a hash-chained log for the session (its log closed
-// or poisoned, or data predating the chain) answers a typed not_durable
-// error, which is reported as unavailability, not failure.
+// A server whose log for the session is closed answers a typed
+// not_durable error, which is reported as unavailability, not failure.
 func printIntegrity(addr, session string, out io.Writer) error {
 	st, err := client.New(addr).Integrity(context.Background(), session)
 	var ae *client.Error

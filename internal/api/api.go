@@ -193,14 +193,13 @@ type ListSessionsResponse struct {
 // prove or refute the server's entire event history with cmd/wfverify
 // — the chain head commits to every WAL byte up to WALSeq, and the
 // Merkle root commits to every label the last snapshot served.
-// Sessions without a hash-chained log (closed or poisoned, or data
-// predating the chain) answer a typed CodeNotDurable error instead: integrity
-// is unavailable there, not violated.
+// A session whose log is closed answers a typed CodeNotDurable error
+// instead: integrity is unavailable there, not violated.
 type SessionIntegrity struct {
 	// Session is the session's registry name.
 	Session string `json:"session"`
-	// ChainHead is the WAL frame hash-chain head (lowercase hex
-	// SHA-256) covering records [1, WALSeq].
+	// ChainHead is the WAL hash-chain head (lowercase hex SHA-256)
+	// over the records [1, WALSeq].
 	ChainHead string `json:"chain_head"`
 	// WALSeq is the sequence of the last record the chain head covers
 	// — every event appended at the time of the answer.

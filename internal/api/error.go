@@ -44,8 +44,7 @@ const (
 	// "not yet executed", so the right reaction is usually to retry.
 	CodeVertexNotLabeled ErrorCode = "vertex_not_labeled"
 	// CodeSessionPoisoned is a durable session whose write-ahead log
-	// failed (or was closed); it refuses further ingest while queries
-	// keep working.
+	// failed; it refuses further ingest while queries keep working.
 	CodeSessionPoisoned ErrorCode = "session_poisoned"
 	// CodeReadOnly is a write (create, delete, ingest) sent to a server
 	// that holds the session but is not its writer: a follower replica,
@@ -63,11 +62,11 @@ const (
 	// CodeNotClustered is a cluster operation (map, health, move) on a
 	// server that is not running in cluster mode.
 	CodeNotClustered ErrorCode = "not_clustered"
-	// CodeNotDurable is a WAL tail request against a session that has
-	// no open write-ahead log to ship (its log was closed or failed);
-	// there is nothing a replica could replay. A cluster release of a
-	// session with no hash chain at its sealed sequence answers it too:
-	// a move of it could never be verified.
+	// CodeNotDurable is a WAL tail, integrity read or ingest batch sent
+	// to a session whose write-ahead log is closed: nothing of the batch
+	// was applied, and it may be sent again after a restart. A cluster
+	// release of a session with no hash chain at its sealed sequence
+	// answers it too: a move of it could never be verified.
 	CodeNotDurable ErrorCode = "not_durable"
 	// CodeMethodNotAllowed is a known path hit with the wrong HTTP
 	// method; the response carries an Allow header.

@@ -117,13 +117,15 @@ type Entry struct {
 
 // Meta is the snapshot watermark written into the header.
 type Meta struct {
-	// Events is the number of WAL records the snapshot covers (each
-	// record labels exactly one vertex).
+	// Events is the number of WAL records the snapshot covers. Each
+	// record labels exactly one vertex, so Write refuses entries of
+	// another count: a store that published a label its log never got
+	// (a failed append) cannot be snapshotted as if the log held it.
 	Events int64
 	// WALBytes is the byte offset of the end of the covered prefix in
 	// the session's WAL — where a restore resumes scanning.
 	WALBytes int64
-	// ChainHead is the WAL frame hash-chain head at record Events —
+	// ChainHead is the WAL hash-chain head over records 1..Events —
 	// the anchor that ties the snapshot to the exact log prefix it
 	// covers.
 	ChainHead integrity.Head
@@ -392,15 +394,19 @@ func (a *Arena) Close() error {
 // entries plus the file write itself. The Merkle root over the entries
 // is computed during the same pass, stamped into the header next to
 // meta.ChainHead, and returned so the caller can expose it without
-// reopening the file. A meta without a chain head (HasChain false) is
-// refused: the WAL alone always recovers, a snapshot anchored to
-// nothing would not.
+// reopening the file. A meta without a chain head (HasChain false), or
+// whose Events is not the number of entries, is refused: the WAL alone
+// always recovers, a snapshot anchored to nothing, or to a log prefix
+// that does not hold its labels, would not.
 func Write(path string, meta Meta, entries []Entry) (integrity.Head, error) {
 	if meta.Events < 0 || meta.WALBytes < 0 {
 		return integrity.Head{}, fmt.Errorf("arena: negative watermark (events=%d walBytes=%d)", meta.Events, meta.WALBytes)
 	}
 	if !meta.HasChain {
 		return integrity.Head{}, fmt.Errorf("arena: no WAL chain head to anchor the snapshot to")
+	}
+	if int64(len(entries)) != meta.Events {
+		return integrity.Head{}, fmt.Errorf("arena: %d labels for %d logged records", len(entries), meta.Events)
 	}
 	slices.SortFunc(entries, func(a, b Entry) int {
 		switch {

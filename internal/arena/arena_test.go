@@ -90,7 +90,7 @@ func TestRoundTripSparse(t *testing.T) {
 	for i, v := range vs {
 		entries[i] = Entry{V: v, Enc: []byte{byte(i), byte(i + 1)}}
 	}
-	a := writeOpen(t, Meta{HasChain: true}, entries)
+	a := writeOpen(t, Meta{Events: int64(len(entries)), HasChain: true}, entries)
 	for i, v := range vs {
 		got, ok := get(a, v)
 		if !ok || !bytes.Equal(got, []byte{byte(i), byte(i + 1)}) {
@@ -131,7 +131,7 @@ func TestEmptyLabels(t *testing.T) {
 	// Zero-length encodings are legal entries (not produced by the
 	// codec today, but the format must not conflate length 0 with
 	// absence).
-	a := writeOpen(t, Meta{HasChain: true}, []Entry{{V: 1, Enc: nil}, {V: 2, Enc: []byte("x")}, {V: 3, Enc: nil}})
+	a := writeOpen(t, Meta{Events: 3, HasChain: true}, []Entry{{V: 1, Enc: nil}, {V: 2, Enc: []byte("x")}, {V: 3, Enc: nil}})
 	if enc, ok := get(a, 1); !ok || len(enc) != 0 {
 		t.Fatalf("Get(1) = %q, %v", enc, ok)
 	}
@@ -142,7 +142,7 @@ func TestEmptyLabels(t *testing.T) {
 
 func TestWriteRejectsDuplicates(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "labels.snap")
-	_, err := Write(path, Meta{HasChain: true}, []Entry{{V: 5, Enc: []byte("a")}, {V: 5, Enc: []byte("b")}})
+	_, err := Write(path, Meta{Events: 2, HasChain: true}, []Entry{{V: 5, Enc: []byte("a")}, {V: 5, Enc: []byte("b")}})
 	if err == nil {
 		t.Fatal("duplicate vertex accepted")
 	}
@@ -333,7 +333,7 @@ func TestWriteAllocatesOneIndex(t *testing.T) {
 
 func TestVerifyCatchesLabelRot(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "labels.snap")
-	if _, err := Write(path, Meta{HasChain: true}, []Entry{{V: 0, Enc: []byte("hello")}}); err != nil {
+	if _, err := Write(path, Meta{Events: 1, HasChain: true}, []Entry{{V: 0, Enc: []byte("hello")}}); err != nil {
 		t.Fatal(err)
 	}
 	b, _ := os.ReadFile(path)

@@ -30,10 +30,11 @@
 // window.
 //
 // Sessions with no snapshot the server would read — none yet, one in an
-// older format, or one whose header or index fails its own checks —
+// older format, one whose header or index fails its own checks, or one
+// holding another number of labels than the records its anchor covers —
 // report StatusUnavailable, not a violation: restore ignores such a
 // file and replays the log over it, so the data is legal, it just
-// anchors nothing. A damaged snapshot's reason is in Err. Label bytes
+// anchors nothing. Why a snapshot was set aside is in Err. Label bytes
 // that contradict a readable snapshot's Merkle root stay a violation.
 package audit
 
@@ -69,8 +70,7 @@ const (
 	// anchor both check out against the bytes on disk.
 	StatusVerified Status = "verified"
 	// StatusUnavailable: the session has no snapshot the server would
-	// read (none, an older format, or a damaged header or index);
-	// nothing to verify, nothing wrong.
+	// read (see the package doc); nothing to verify, nothing wrong.
 	StatusUnavailable Status = "unavailable"
 	// StatusViolation: the bytes on disk contradict a recorded anchor.
 	StatusViolation Status = "violation"
@@ -167,7 +167,7 @@ func VerifySession(sdir, expectHead string) SessionReport {
 	chain := integrity.NewChainer()
 	fold := func(until int64) {
 		for w.End() < until && w.Next() {
-			chain.Add(w.Frame()[wal.FrameHeaderSize:])
+			chain.Add(w.Payload())
 		}
 	}
 	var covered int64
@@ -176,7 +176,12 @@ func VerifySession(sdir, expectHead string) SessionReport {
 		if err := cmp.Or(w.Err(), anchor.Check(w.Seq(), w.End(), chain.Head())); err != nil {
 			return rep.fail("chain below snapshot watermark: %v", err)
 		}
-		covered, rep.Status = w.Seq(), StatusVerified
+		if n := int64(a.Count()); n != anchor.Records {
+			// Restore sets it aside and replays the log over it.
+			rep.Err = fmt.Sprintf("snapshot holds %d labels for the %d records it covers", n, anchor.Records)
+		} else {
+			covered, rep.Status = w.Seq(), StatusVerified
+		}
 	}
 	fold(math.MaxInt64)
 	if err := w.Err(); err != nil {

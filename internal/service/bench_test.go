@@ -358,34 +358,6 @@ func BenchmarkHTTPIngestBinaryScraped(b *testing.B) {
 	}
 }
 
-// BenchmarkHTTPIngestBinaryNoChain is the identical stream with the
-// WAL hash chain switched off: the Binary/NoChain pair prices tamper
-// evidence on the hot ingest path (acceptance budget: ≤5%). The chain
-// is one batched SHA-256 pass per group-commit flush, so the delta
-// should be hashing throughput, not extra synchronization.
-func BenchmarkHTTPIngestBinaryNoChain(b *testing.B) {
-	_, events := benchEvents(b, 8192)
-	reg, c, _, nextSession := benchHTTP(b)
-	wire := wireEvents(b, events)
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		name := nextSession()
-		if s, ok := reg.Get(name); ok {
-			service.DisableChain(s)
-		}
-		for lo := 0; lo < len(wire); lo += 256 {
-			hi := min(lo+256, len(wire))
-			if _, err := c.IngestFrames(ctx, name, wire[lo:hi]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(len(wire)*b.N), "ns/event")
-	b.ReportMetric(float64(len(wire)*b.N)/b.Elapsed().Seconds(), "events/sec")
-}
-
 // BenchmarkHTTPReachSingle answers one reachability pair per
 // roundtrip — ns/op is the per-pair cost the batch endpoint amortizes.
 func BenchmarkHTTPReachSingle(b *testing.B) {

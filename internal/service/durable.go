@@ -3,7 +3,6 @@ package service
 import (
 	"bytes"
 	"cmp"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -221,9 +220,7 @@ func (s *Session) attachWAL(dir string, log *wal.Log, opts *DurableOptions, comm
 	s.wal = log
 	s.committer = committer
 	s.snapEvery = int64(opts.SnapshotEvery)
-	if s.metrics != nil {
-		log.SetMetrics(s.metrics.wal)
-	}
+	log.SetMetrics(s.metrics.wal)
 }
 
 // frameRecord appends a labeled record to the batch frame being built
@@ -240,25 +237,17 @@ func (s *Session) frameRecord(buf []byte, open int, rec wal.Record) ([]byte, int
 
 // logFrames appends buf — whole frames, built here or teed as they came
 // in (byte-identical to the WAL frame; see internal/api), carrying
-// records labeled records — to the WAL. A write failure, or frames that
-// carry another number of records than the batch says, poisons the
-// session: the labeler has already advanced past the log, so accepting
-// more events would make the on-disk state unrecoverable. Called with
-// ingestMu held.
+// records labeled records — to the WAL in one wal.Log.AppendRaw. A
+// write failure, or frames that carry another number of records than
+// the batch says, poisons the session: the labeler has already advanced
+// past the log, so accepting more events would make the on-disk state
+// unrecoverable. Called with ingestMu held.
 func (s *Session) logFrames(buf []byte, records int) error {
-	if s.wal == nil || len(buf) == 0 {
+	if len(buf) == 0 {
 		return nil
 	}
 	before := s.wal.AppendSeq()
-	var err error
-	for len(buf) > 0 && err == nil {
-		n := len(buf)
-		if n >= wal.FrameHeaderSize {
-			n = min(n, wal.FrameHeaderSize+int(binary.LittleEndian.Uint32(buf)))
-		}
-		err = s.wal.AppendRaw(buf[:n])
-		buf = buf[n:]
-	}
+	err := s.wal.AppendRaw(buf)
 	if got := s.wal.AppendSeq() - before; err == nil && got != int64(records) {
 		err = fmt.Errorf("frames carry %d records, the batch %d", got, records)
 	}
@@ -315,14 +304,13 @@ func writeArenaSnapshot(path string, events, walBytes int64, entries []store.Ent
 // maybeSnapshot starts a label snapshot if enough events accumulated
 // since the last one and none is in flight. The consistent view —
 // label entries plus the event and byte watermarks — is captured under
-// ingestMu: the published store holds exactly the logged event prefix
-// whenever the ingest lock is free, so the watermarks and the staged
-// entry list agree. The file write and fsync, which grow with session
-// size, run in a goroutine off the ingest path. Failures are not fatal
-// — the WAL alone is always sufficient for recovery — and are retried
-// at a later batch because the watermark does not advance; a log
-// without a hash chain (only wal.Log.DisableChain gets there) has no
-// head to anchor a snapshot to and takes none. The entries alias the
+// ingestMu. A failed log append publishes labels the log never got
+// (appendBatch), and arena.Write refuses entries whose count is not the
+// covered record count, so no snapshot holds a label its log lacks. The
+// file write and fsync, which grow with session size, run in a
+// goroutine off the ingest path. Failures are not fatal — the WAL alone
+// is always sufficient for recovery — and are retried at a later batch
+// because the watermark does not advance. The entries alias the
 // store's slab — a snapshot mapping included — so the writer is one of
 // the store's readers from the capture until the file is written, and
 // evicts the mapping on its way out: the write read every mapped label,
@@ -337,11 +325,12 @@ func (s *Session) maybeSnapshot() {
 	}
 	// The chain head at the captured watermark: under ingestMu the
 	// log's append sequence equals walEvents (every logged record
-	// advanced both), so the head now is the head of exactly the
-	// covered prefix.
+	// advanced both, unless a batch poisoned the session with a record
+	// count its frames did not carry), so the head now is the head of
+	// exactly the covered prefix.
 	events := s.walEvents
-	chainSeq, chainHead, hasChain := s.wal.ChainHead()
-	if !hasChain || chainSeq != events || !s.store.Enter() {
+	chainSeq, chainHead, _ := s.wal.ChainHead()
+	if chainSeq != events || !s.store.Enter() {
 		return // no anchor, or deleted: nothing worth a snapshot
 	}
 	s.snapBusy = true
@@ -383,9 +372,8 @@ func (s *Session) WALSeq() int64 {
 // serving committed frames from the one whose first record has
 // sequence from (1-based) — history off the disk, then live as batches
 // commit. A from inside a logged frame is a typed CodeBadRequest: a
-// frame is shipped whole. The caller owns closing it. Sessions without
-// an open log (closed, poisoned) cannot be tailed; the error is a
-// typed CodeNotDurable.
+// frame is shipped whole. The caller owns closing it. A session whose
+// log is closed cannot be tailed; the error is a typed CodeNotDurable.
 func (s *Session) NewWALTailer(from int64) (*wal.Tailer, error) {
 	s.ingestMu.Lock()
 	log := s.wal
@@ -412,7 +400,8 @@ func (s *Session) NewWALTailer(from int64) (*wal.Tailer, error) {
 // from the in-memory store. With finalSnap set and events
 // beyond the last snapshot, a synchronous arena snapshot is written
 // after the close — the log is flushed, so the snapshot covers every
-// record and the next restore is a pure mmap with an empty WAL tail.
+// record and the next restore is a pure mmap with an empty WAL tail
+// (unless a failed append published labels the log lacks: maybeSnapshot).
 func (s *Session) closeWAL(finalSnap bool, closed error) error {
 	s.ingestMu.Lock()
 	if s.wal == nil {
@@ -421,8 +410,8 @@ func (s *Session) closeWAL(finalSnap bool, closed error) error {
 	}
 	events := s.walEvents
 	walBytes := s.wal.AppendBytes()
-	chainSeq, chainHead, hasChain := s.wal.ChainHead()
-	behind := s.snapEvery > 0 && events > s.snapEvents && hasChain && chainSeq == events
+	chainSeq, chainHead, _ := s.wal.ChainHead()
+	behind := s.snapEvery > 0 && events > s.snapEvents && chainSeq == events
 	err := s.wal.Close()
 	s.wal = nil
 	if s.ioErr == nil {
@@ -446,9 +435,10 @@ func (s *Session) closeWAL(finalSnap bool, closed error) error {
 
 // Close flushes and closes every session's WAL, writing each session a
 // final arena snapshot so the next Restore maps it back in without
-// replaying the log. Sessions stop accepting events (their logs are
-// gone) but remain queryable. Use it for graceful shutdown or before
-// handing the data directory to another process.
+// replaying the log. Sessions stop accepting events — a later batch is
+// refused whole with a typed CodeNotDurable, and may be sent again
+// after a restart — but remain queryable. Use it for graceful shutdown
+// or before handing the data directory to another process.
 func (r *Registry) Close() error {
 	r.mu.RLock()
 	sessions := make([]*Session, 0, len(r.sessions))
@@ -458,7 +448,7 @@ func (r *Registry) Close() error {
 	r.mu.RUnlock()
 	var first error
 	for _, s := range sessions {
-		if err := s.closeWAL(true, fmt.Errorf("service: session %q: %w: log closed", s.name, ErrDurability)); err != nil && first == nil {
+		if err := s.closeWAL(true, api.Errorf(api.CodeNotDurable, "session %q: its log is closed", s.name)); err != nil && first == nil {
 			first = err
 		}
 	}
@@ -467,8 +457,9 @@ func (r *Registry) Close() error {
 
 // errArenaUnbacked reports a snapshot restore cannot use though its
 // bytes are what was written: ahead of the durable log (an OS crash
-// with Fsync off), covering a record the labeler rejects, or past what
-// the store's index addresses (a label region over 4 GiB).
+// with Fsync off), covering a record the labeler rejects, past what
+// the store's index addresses (a label region over 4 GiB), or holding
+// labels the log never got (older builds snapshotted a failed session).
 // restoreSession discards it and replays without it.
 var errArenaUnbacked = errors.New("service: snapshot is not backed by the log")
 
@@ -563,6 +554,9 @@ walk:
 			if err := anchor.Check(out.events, out.validSize, out.chain.Head()); err != nil {
 				return replayed{}, fmt.Errorf("integrity: %w", err)
 			}
+			if int64(a.Count()) != anchor.Records {
+				return replayed{}, errArenaUnbacked // labels the log never got
+			}
 			anchored = true
 		}
 		if !w.Next() {
@@ -585,7 +579,7 @@ walk:
 				}
 			}
 		}
-		out.chain.Add(w.Frame()[wal.FrameHeaderSize:])
+		out.chain.Add(w.Payload())
 		out.events = w.Seq()
 		out.frames++
 		out.validSize = w.End()
@@ -808,20 +802,16 @@ func (r *Registry) restoreSession(sdir, dirName string) (*Session, error) {
 // Integrity reports the session's live integrity anchors: the WAL hash
 // chain head (folding in everything appended so far) with the sequence
 // it covers, plus the Merkle root and watermark of the last integrity-
-// stamped snapshot, if one exists. Sessions without a chained log —
-// closed, poisoned, or restored data predating the hash chain that has
-// not re-seeded — report a typed CodeNotDurable error:
-// integrity is unavailable, not violated.
+// stamped snapshot, if one exists. A session whose log is closed
+// reports a typed CodeNotDurable error: integrity is unavailable, not
+// violated.
 func (s *Session) Integrity() (api.SessionIntegrity, error) {
 	s.ingestMu.Lock()
 	defer s.ingestMu.Unlock()
 	if s.wal == nil {
 		return api.SessionIntegrity{}, api.Errorf(api.CodeNotDurable, "session %q has no open write-ahead log: integrity unavailable", s.name)
 	}
-	seq, head, ok := s.wal.ChainHead()
-	if !ok {
-		return api.SessionIntegrity{}, api.Errorf(api.CodeNotDurable, "session %q has no hash chain: integrity unavailable", s.name)
-	}
+	seq, head, _ := s.wal.ChainHead()
 	st := api.SessionIntegrity{Session: s.name, WALSeq: seq, ChainHead: head.String()}
 	if s.snapIntegrity {
 		st.MerkleRoot = s.snapRoot.String()
@@ -832,7 +822,7 @@ func (s *Session) Integrity() (api.SessionIntegrity, error) {
 
 // ChainState returns the WAL hash-chain head covering every event
 // appended to the session so far, and the sequence it covers. ok is
-// false when the session has no chained log. Unlike Integrity it
+// false once the session's log is closed. Unlike Integrity it
 // returns the raw head — the form the replication and cluster planes
 // compare.
 func (s *Session) ChainState() (seq int64, head integrity.Head, ok bool) {
@@ -848,14 +838,14 @@ func (s *Session) ChainState() (seq int64, head integrity.Head, ok bool) {
 // events: the live head when the log holds exactly seq records, else
 // the head of a walk over the log's frames up to record seq — how a
 // moved session that took writes past its sealed sequence still proves
-// the history it was sealed at. A session without a chained log answers
+// the history it was sealed at. A session whose log is closed answers
 // CodeNotDurable; one whose log holds fewer than seq records, or no
 // frame boundary at seq (every sealed sequence is one), an error.
 func (s *Session) ChainAt(seq int64) (integrity.Head, error) {
 	n, head, ok := s.ChainState()
 	switch {
 	case !ok:
-		return integrity.Head{}, api.Errorf(api.CodeNotDurable, "session %q has no hash-chained log", s.name)
+		return integrity.Head{}, api.Errorf(api.CodeNotDurable, "session %q has no open log", s.name)
 	case n < seq:
 		return integrity.Head{}, fmt.Errorf("service: session %q: log holds %d records, not %d", s.name, n, seq)
 	case n == seq:
@@ -865,7 +855,7 @@ func (s *Session) ChainAt(seq int64) (integrity.Head, error) {
 	defer w.Close()
 	chain := integrity.NewChainer()
 	for w.Seq() < seq && w.Next() {
-		chain.Add(w.Frame()[wal.FrameHeaderSize:])
+		chain.Add(w.Payload())
 	}
 	if w.Seq() != seq { // a walk that failed to read ends short
 		return integrity.Head{}, cmp.Or(w.Err(), fmt.Errorf("service: session %q: its log holds no frame boundary at record %d (one ends at %d)", s.name, seq, w.Seq()))

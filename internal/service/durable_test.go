@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"wfreach/internal/api"
+	"wfreach/internal/arena"
 	"wfreach/internal/core"
 	"wfreach/internal/gen"
 	"wfreach/internal/graph"
@@ -787,4 +788,117 @@ func TestNegativeVertexIDIsRefusedNotLost(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCloseOfAFailedSessionSnapshotsOnlyItsLog: a log append that fails
+// poisons the session, and the batch's staged label is published
+// although its log never got it. A graceful close must not snapshot that
+// label: the restore holds exactly the logged prefix, and the
+// unacknowledged event can be sent again, with answers that match BFS.
+func TestCloseOfAFailedSessionSnapshotsOnlyItsLog(t *testing.T) {
+	dir := t.TempDir()
+	g := compileBuiltin(t, "BioAID")
+	events, r := genEvents(t, g, 500, 11)
+	const logged = 400
+	if len(events) <= logged {
+		t.Fatalf("%d events", len(events))
+	}
+	reg := durableReg(t, dir, DurableOptions{})
+	s, err := reg.Create("ghost", g, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendFramed(t, s, events[:logged], 50)
+	// A teed frame the log refuses: an all-zero header.
+	n, err := s.AppendRecords([]wal.Record{wal.RefRecord(events[logged])}, [][]byte{make([]byte, wal.FrameHeaderSize)})
+	if n != 1 || !errors.Is(err, ErrDurability) {
+		t.Fatalf("a refused frame: applied %d, %v; want 1 and a durability failure", n, err)
+	}
+	if s.Vertices() != logged+1 || s.WALSeq() != logged {
+		t.Fatalf("the failed batch left %d vertices over %d logged records", s.Vertices(), s.WALSeq())
+	}
+	if err := reg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	switch a, err := arena.Open(filepath.Join(dir, "ghost", snapFile)); {
+	case err == nil:
+		if a.Count() != int(a.Events()) || a.Events() > logged {
+			t.Errorf("the close snapshotted %d labels for %d records of a %d-record log", a.Count(), a.Events(), logged)
+		}
+		a.Close()
+	case !errors.Is(err, fs.ErrNotExist):
+		t.Fatal(err)
+	}
+
+	reg2 := durableReg(t, dir, DurableOptions{})
+	if _, err := reg2.Restore(dir); err != nil {
+		t.Fatal(err)
+	}
+	s2, _ := reg2.Get("ghost")
+	if s2.Vertices() != logged || s2.WALSeq() != logged {
+		t.Fatalf("restored %d vertices over %d logged records, want %d", s2.Vertices(), s2.WALSeq(), logged)
+	}
+	appendFramed(t, s2, events[logged:], 50) // the unacknowledged event first
+	checkOracle(t, s2, events, r, len(events))
+}
+
+// TestIngestAfterRegistryClose: a batch that reaches a session after
+// Registry.Close is refused whole with not_durable — in process, and
+// as a 400 with applied 0 on both HTTP ingest forms — never as a server
+// failure, and is applied when sent again after a restart.
+func TestIngestAfterRegistryClose(t *testing.T) {
+	dir := t.TempDir()
+	g := compileBuiltin(t, "BioAID")
+	events, r := genEvents(t, g, 200, 5)
+	reg := durableReg(t, dir, DurableOptions{})
+	srv := httptest.NewServer(NewHandler(reg))
+	defer srv.Close()
+	s, err := reg.Create("c", g, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendFramed(t, s, events[:100], 25)
+	if err := reg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	next := events[100:110]
+	notDurable := func(form string, n int, err error) {
+		t.Helper()
+		var ae *api.Error
+		if n != 0 || !errors.As(err, &ae) || ae.Code != api.CodeNotDurable {
+			t.Errorf("%s after Close: applied %d, %v; want 0 and %s", form, n, err, api.CodeNotDurable)
+		}
+	}
+	n, err := s.Append(next)
+	notDurable("Append", n, err)
+	n, err = s.AppendRecords([]wal.Record{wal.RefRecord(next[0])}, nil)
+	notDurable("AppendRecords", n, err)
+	wire := make([]api.Event, len(next))
+	for i, ev := range next {
+		wire[i] = api.FromRun(ev)
+	}
+	for form, post := range map[string]func(out any) (int, string){
+		"JSON": func(out any) (int, string) {
+			return doJSON(t, "POST", srv.URL+"/v1/sessions/c/events", api.EventsRequest{Events: wire}, out)
+		},
+		"binary": func(out any) (int, string) {
+			return postBinary(t, srv.URL+"/v1/sessions/c/events", frameStream(t, next), out)
+		},
+	} {
+		var resp api.ErrorResponse
+		if code, raw := post(&resp); code != http.StatusBadRequest || resp.Err == nil || resp.Err.Code != api.CodeNotDurable || resp.Applied != 0 {
+			t.Errorf("%s ingest after Close: %d %s, want 400 %s with applied 0", form, code, raw, api.CodeNotDurable)
+		}
+	}
+	if s.Vertices() != 100 {
+		t.Fatalf("refused batches left %d vertices, want 100", s.Vertices())
+	}
+
+	reg2 := durableReg(t, dir, DurableOptions{})
+	if _, err := reg2.Restore(dir); err != nil {
+		t.Fatal(err)
+	}
+	s2, _ := reg2.Get("c")
+	appendFramed(t, s2, events[100:], 25)
+	checkOracle(t, s2, events, r, len(events))
 }

@@ -28,17 +28,6 @@ func (s *Session) Reach(v, w graph.VertexID) (bool, error) {
 	return s.reach(v, w)
 }
 
-// DisableChain turns off the session's WAL hash chain. Test-and-bench
-// only: the chained/unchained pair of ingest benchmarks uses it to
-// price tamper evidence on the hot path.
-func DisableChain(s *Session) {
-	s.ingestMu.Lock()
-	defer s.ingestMu.Unlock()
-	if s.wal != nil {
-		s.wal.DisableChain()
-	}
-}
-
 // ForEachReachCase hands each case of the batch-reach corpus — BioAID,
 // the agent grammar, random linear and nonlinear grammars — to a test
 // outside the package.

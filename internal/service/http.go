@@ -614,7 +614,8 @@ func handleEventsBinary(s *Session, free *scratchList[*ingestScratch], w http.Re
 // writeIngestError reports an AppendRecords failure: a poisoned
 // session is the server's fault, a sealed one a routing
 // refusal that names the new owner (Session.Seal), a deleted one gone
-// (the request found it before a DELETE closed it), and anything else is
+// (the request found it before a DELETE closed it), a closed one
+// not_durable (the registry shut down under the request), and anything else is
 // the event at the failing index (== applied, counted over the whole
 // request). A seal that lands between the chunks of a binary body is
 // refused with the chunks before it applied, which the client must not
@@ -622,7 +623,7 @@ func handleEventsBinary(s *Session, free *scratchList[*ingestScratch], w http.Re
 func writeIngestError(w http.ResponseWriter, err error, applied int) {
 	var ae *api.Error
 	if _, redirect := api.RedirectFromError(err); redirect || errors.Is(err, ErrDurability) ||
-		errors.As(err, &ae) && ae.Code == api.CodeSessionNotFound {
+		errors.As(err, &ae) && (ae.Code == api.CodeSessionNotFound || ae.Code == api.CodeNotDurable) {
 		writeErrorApplied(w, err, applied)
 		return
 	}

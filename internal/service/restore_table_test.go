@@ -15,6 +15,7 @@ import (
 	"wfreach/internal/graph"
 	"wfreach/internal/integrity"
 	"wfreach/internal/integrity/audit"
+	"wfreach/internal/run"
 	"wfreach/internal/wal"
 )
 
@@ -25,7 +26,9 @@ import (
 // two frames and on a frame boundary below the watermark, one byte
 // flipped in a frame the snapshot covers, in a tail frame followed by
 // intact ones, in the arena's label extent and in its header, and the
-// header's event count rewritten by one either way with its CRC fixed.
+// header's event count rewritten by one either way with its CRC fixed,
+// and a snapshot whose anchor holds but which carries one label more
+// than the records it covers.
 // Every row names restore's class — boot, boot with the damaged tail
 // truncated, or an integrity refusal — and, where the session boots,
 // the frames and records recovered, Vertices(), the chain head the
@@ -35,9 +38,9 @@ import (
 // and chain head it walked. Both read the log with one walk and hold it
 // to one anchor check, so a flip in a tail frame ends both walks there:
 // restore truncates, the audit verifies the prefix before it. Both also
-// name a snapshot whose header fails its checks one way: restore replays
-// the log over it, the audit calls it unavailable, says why, and walks
-// the log from genesis. A cut inside a batch frame loses that whole batch and nothing before it, and a tail
+// name a snapshot whose header fails its checks, or whose label count is
+// not its record count, one way: restore replays the log over it, the
+// audit calls it unavailable, says why, and walks the log from genesis. A cut inside a batch frame loses that whole batch and nothing before it, and a tail
 // frame the labeler refuses past its first record is cut whole with the
 // labeler left at the prefix, so the stream goes on from there. The
 // WFSNAP02 and WFSNAP04 to WFSNAP09 rows are the upgrade path: a
@@ -102,6 +105,24 @@ func TestRestoreCutAndFlipTable(t *testing.T) {
 	if recs[n] != len(events) || n != 6 || c <= 0 || c > n-3 || ends[c] != watermark {
 		t.Fatalf("image: %d frames for %d events, snapshot covers %d up to byte %d", n, len(events), covered, watermark)
 	}
+	// The snapshot a graceful close of a failed session wrote before
+	// arena.Write refused it: anchored to the covered records, holding
+	// the label of the next one too. It is written as what it claims,
+	// covered+1 records, and its count is rewritten below (withEvents).
+	var ghostEntries []arena.Entry
+	for _, e := range s.store.SnapshotEntries() {
+		if slices.ContainsFunc(events[:covered+1], func(ev run.Event) bool { return ev.V == e.V }) {
+			ghostEntries = append(ghostEntries, arena.Entry{V: e.V, Enc: e.Enc})
+		}
+	}
+	ghostPath := filepath.Join(t.TempDir(), snapFile)
+	if _, err := arena.Write(ghostPath, arena.Meta{Events: int64(covered + 1), WALBytes: watermark, ChainHead: heads[c], HasChain: true}, ghostEntries); err != nil {
+		t.Fatal(err)
+	}
+	ghost, err := os.ReadFile(ghostPath)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// The last frame again, its second record a copy of its first: CRC
 	// intact, and the labeler takes the first record before it refuses
 	// the duplicate.
@@ -148,10 +169,10 @@ func TestRestoreCutAndFlipTable(t *testing.T) {
 		out[at] ^= 0x01
 		return out
 	}
-	// withEvents rewrites the snapshot header's event count by delta and
+	// withEvents rewrites a snapshot header's event count by delta and
 	// fixes the CRC over the header and index: only the anchor check can
 	// tell.
-	withEvents := func(delta int64) []byte {
+	withEvents := func(snapRaw []byte, delta int64) []byte {
 		out := slices.Clone(snapRaw)
 		binary.LittleEndian.PutUint64(out[8:], uint64(int64(binary.LittleEndian.Uint64(out[8:]))+delta))
 		const hdr = 116
@@ -173,10 +194,12 @@ func TestRestoreCutAndFlipTable(t *testing.T) {
 			verify: violation, verifyErr: "Merkle"},
 		{name: "flip in the arena header", snap: flipped(snapRaw, 50), class: boot, frames: n,
 			verify: unavailable, verifyErr: "open snapshot"},
-		{name: "events rewritten by +1", snap: withEvents(+1), class: refuse, why: counts(+1),
+		{name: "events rewritten by +1", snap: withEvents(snapRaw, +1), class: refuse, why: counts(+1),
 			verify: violation, verifyErr: counts(+1)},
-		{name: "events rewritten by -1", snap: withEvents(-1), class: refuse, why: counts(-1),
+		{name: "events rewritten by -1", snap: withEvents(snapRaw, -1), class: refuse, why: counts(-1),
 			verify: violation, verifyErr: counts(-1)},
+		{name: "an anchored snapshot holding one label too many", snap: withEvents(ghost, -1), class: boot, frames: n,
+			verify: unavailable, verifyErr: fmt.Sprintf("holds %d labels for the %d records", covered+1, covered)},
 		{name: "WFSNAP02 snapshot", snap: append([]byte("WFSNAP02"), snapRaw[8:]...), class: boot, frames: n, resnap: true, verify: unavailable},
 		{name: "WFSNAP04 snapshot", snap: append([]byte("WFSNAP04"), snapRaw[8:]...), class: boot, frames: n, resnap: true, verify: unavailable},
 		{name: "WFSNAP05 snapshot", snap: append([]byte("WFSNAP05"), snapRaw[8:]...), class: boot, frames: n, resnap: true, verify: unavailable},

@@ -455,7 +455,7 @@ func appendBatch[E any](s *Session, events []E, record func(E) wal.Record, frame
 		s.ingestMu.Unlock()
 		return 0, err
 	}
-	reframe := s.wal != nil && frames == nil
+	reframe := frames == nil
 	s.frame = s.frame[:0]
 	if reframe {
 		n := wal.FrameHeaderSize
@@ -496,7 +496,7 @@ func appendBatch[E any](s *Session, events []E, record func(E) wal.Record, frame
 			break
 		}
 	}
-	if err != nil && frames != nil && s.wal != nil {
+	if err != nil && frames != nil {
 		// The labeler stopped inside a teed frame: the log takes that
 		// frame's applied prefix, re-framed.
 		for k := opened; k < applied && werr == nil; k++ {
@@ -735,17 +735,18 @@ func (s *Session) Unseal() {
 // publishStaged publishes the n labels staged since the last publish
 // — the single point where a batch becomes visible to the lock-free
 // query path. Called with ingestMu held, so under the ingest lock the
-// published store always holds exactly the applied event prefix.
+// published store holds exactly the applied event prefix: the logged
+// one, but for a batch whose log append failed, which publishes what
+// it staged and poisons the session (a snapshot then refuses to cover
+// the labels past the log; see maybeSnapshot).
 func (s *Session) publishStaged(n int) {
 	if n == 0 {
 		return
 	}
 	s.store.Publish()
 	s.vertices.Add(int64(n))
-	if s.mEvents != nil {
-		s.mEvents.Add(int64(n))
-		s.mEpoch.Set(s.store.Epoch())
-	}
+	s.mEvents.Add(int64(n))
+	s.mEpoch.Set(s.store.Epoch())
 }
 
 // finishLocked publishes the applied prefix, releases the ingest lock,
@@ -758,20 +759,15 @@ func (s *Session) finishLocked(applied int, err error) (int, error) {
 		s.batches.Add(1)
 	}
 	log := s.wal
-	var seq int64
-	if log != nil {
-		seq = log.AppendSeq()
-	}
+	seq := log.AppendSeq()
 	s.ingestMu.Unlock()
-	if log != nil {
-		if cerr := s.commitWAL(log, seq); cerr != nil {
-			if err == nil {
-				return applied, cerr
-			}
-			return applied, errors.Join(err, cerr)
+	if cerr := s.commitWAL(log, seq); cerr != nil {
+		if err == nil {
+			return applied, cerr
 		}
-		s.maybeSnapshot()
+		return applied, errors.Join(err, cerr)
 	}
+	s.maybeSnapshot()
 	return applied, err
 }
 

@@ -154,7 +154,7 @@ func TestAttachRefusesWhatAnIndexWordCannotAddress(t *testing.T) {
 	t.Run("label", func(t *testing.T) {
 		path := filepath.Join(t.TempDir(), "labels.snap")
 		entries := []arena.Entry{{V: 0, Enc: []byte("ok")}, {V: 1, Enc: make([]byte, 1<<16)}}
-		if _, err := arena.Write(path, arena.Meta{HasChain: true}, entries); err != nil {
+		if _, err := arena.Write(path, arena.Meta{Events: int64(len(entries)), HasChain: true}, entries); err != nil {
 			t.Fatal(err)
 		}
 		refused(t, open(t, path), "label of vertex 1")

@@ -4,6 +4,7 @@ package wal
 
 import (
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"wfreach/internal/graph"
@@ -43,8 +44,10 @@ func TestCommitAllocatesNothing(t *testing.T) {
 }
 
 // TestChainAllocatesNothing: the log's chain is one running digest with
-// no pending buffer, so appending frames of any size and finalizing the
-// head after each allocates nothing once the log is open.
+// no pending buffer, so appending frames of any size — or all of them
+// as one run in one AppendRaw, which advances the sequence by the
+// records of every frame — and finalizing the head after each
+// allocates nothing once the log is open.
 func TestChainAllocatesNothing(t *testing.T) {
 	l, err := Open(filepath.Join(t.TempDir(), "x.wal"), 0, 0, false)
 	if err != nil {
@@ -62,17 +65,20 @@ func TestChainAllocatesNothing(t *testing.T) {
 		}
 		frames = append(frames, frame)
 	}
+	records := []int64{1, 4, 16, 64, 1 + 4 + 16 + 64}
+	frames = append(frames, slices.Concat(frames...))
 	i := 0
 	if n := testing.AllocsPerRun(400, func() {
+		before := l.AppendSeq()
 		if err := l.AppendRaw(frames[i%len(frames)]); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, ok := l.ChainHead(); !ok {
-			t.Fatal("no chain")
+		if seq, _, ok := l.ChainHead(); !ok || seq-before != records[i%len(frames)] {
+			t.Fatalf("input %d advanced the chained sequence by %d (chain %v), want %d", i%len(frames), seq-before, ok, records[i%len(frames)])
 		}
 		i++
 	}); n != 0 {
-		t.Fatalf("AppendRaw and ChainHead: %v allocations per frame, want 0", n)
+		t.Fatalf("AppendRaw and ChainHead: %v allocations per input, want 0", n)
 	}
 }
 

@@ -1,12 +1,11 @@
 package wal
 
 import (
-	"bufio"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"io"
-	"os"
 )
 
 // ErrMidFrame reports a tail asked to start at a sequence inside a
@@ -15,30 +14,24 @@ import (
 var ErrMidFrame = errors.New("wal: sequence falls inside a frame")
 
 // Tailer streams the committed frames of a live Log, in order, each
-// with the absolute sequence of its first record. It reads the log's
-// own file through an independent read-only handle: history comes off
-// the disk (the frames are served byte-for-byte as the writer laid them
-// down), and once the reader catches up it blocks on the log's
+// with the absolute sequence of its first record. It is a Walk of the
+// log's own file, through a read-only handle of its own: history comes
+// off the disk (the frames are served byte-for-byte as the writer laid
+// them down), and once the walk catches up it blocks on the log's
 // DurableAdvanced hook and resumes as new records commit — the primary
 // side of WAL shipping.
 //
-// A Tailer only ever serves records up to DurableSeq. Records that
-// are appended but not yet flushed are invisible, so a replica can
-// never apply an event the primary might still lose in a crash.
+// The walk never steps past DurableSeq. Records that are appended but
+// not yet flushed are invisible, so a replica can never apply an event
+// the primary might still lose in a crash; and a walk that ends below
+// DurableSeq met damage, which is an error, not a torn tail.
 //
 // A Tailer is not safe for concurrent use; open one per consumer.
 type Tailer struct {
-	log   *Log
-	f     *os.File
-	fr    *FrameReader
-	count recordCounter
-	pos   int64 // sequence of the last record read from the file
-	from  int64 // first sequence to deliver
-
-	// held is a frame read but not yet delivered, whose first record
-	// has sequence heldSeq; it aliases fr's buffer.
-	held    []byte
-	heldSeq int64
+	log  *Log
+	walk *Walk
+	from int64 // first sequence to deliver
+	held bool  // the walk's current frame is read but not yet delivered
 }
 
 // NewTailer opens a tailer over the log's file, delivering frames from
@@ -51,30 +44,23 @@ func NewTailer(l *Log, from int64) (*Tailer, error) {
 	if from <= 0 {
 		return nil, fmt.Errorf("wal: tail sequence %d is not positive", from)
 	}
-	if l.path == "" {
-		return nil, fmt.Errorf("wal: log has no file path to tail")
-	}
-	f, err := os.Open(l.path)
-	if err != nil {
-		return nil, fmt.Errorf("wal: %w", err)
-	}
-	t := &Tailer{log: l, f: f, fr: NewFrameReader(bufio.NewReaderSize(f, 64<<10)), from: from}
+	t := &Tailer{log: l, walk: OpenWalk(l.path, 0), from: from}
 	// Position on from as far as the log has committed, so a start
 	// inside a frame is refused before anything is served.
-	if err := t.fill(context.Background(), false); err != nil && err != io.EOF {
-		f.Close()
+	if err := cmp.Or(t.walk.Err(), t.fill(context.Background(), false)); err != nil && err != io.EOF {
+		t.walk.Close()
 		return nil, err
 	}
 	return t, nil
 }
 
 // Close releases the tailer's file handle.
-func (t *Tailer) Close() error { return t.f.Close() }
+func (t *Tailer) Close() error { return t.walk.Close() }
 
 // Pending reports whether a committed frame is available without
 // waiting — the handler's cue to flush its response buffer before
 // blocking.
-func (t *Tailer) Pending() bool { return t.held != nil || t.pos < t.log.DurableSeq() }
+func (t *Tailer) Pending() bool { return t.held || t.walk.Seq() < t.log.DurableSeq() }
 
 // Next returns the next committed frame at or past the requested start
 // sequence: the sequence of its first record and the raw frame (header
@@ -88,67 +74,55 @@ func (t *Tailer) Next(ctx context.Context, wait bool) (seq int64, frame []byte, 
 	if err := t.fill(ctx, wait); err != nil {
 		return 0, nil, err
 	}
-	frame, t.held = t.held, nil
-	return t.heldSeq, frame, nil
+	t.held = false
+	return t.walk.Seq() - int64(len(t.walk.Records())) + 1, t.walk.Frame(), nil
 }
 
-// fill reads frames until one that starts at or past from is held,
-// skipping those wholly before it.
+// fill steps the walk until it holds a frame that starts at or past
+// from, skipping those wholly before it.
 func (t *Tailer) fill(ctx context.Context, wait bool) error {
-	for t.held == nil {
-		first := t.pos + 1
-		frame, err := t.read(ctx, wait)
-		if err != nil {
+	for !t.held {
+		if err := t.step(ctx, wait); err != nil {
 			return err
 		}
+		last := t.walk.Seq()
+		first := last - int64(len(t.walk.Records())) + 1
 		switch {
-		case t.pos < t.from: // still skipping toward the start sequence
+		case last < t.from: // still skipping toward the start sequence
 		case first < t.from:
-			return fmt.Errorf("%w: tail from seq %d, the frame there holds seqs %d–%d", ErrMidFrame, t.from, first, t.pos)
+			return fmt.Errorf("%w: tail from seq %d, the frame there holds seqs %d–%d", ErrMidFrame, t.from, first, last)
 		default:
-			t.held, t.heldSeq = frame, first
+			t.held = true
 		}
 	}
 	return nil
 }
 
-// read returns the next committed frame off the file, advancing pos
-// past its records.
-func (t *Tailer) read(ctx context.Context, wait bool) ([]byte, error) {
-	for t.pos >= t.log.DurableSeq() {
+// step advances the walk by one committed frame, waiting for the log to
+// commit one when wait is set.
+func (t *Tailer) step(ctx context.Context, wait bool) error {
+	for t.walk.Seq() >= t.log.DurableSeq() {
 		if !wait || t.log.Closed() {
-			return nil, io.EOF
+			return io.EOF
 		}
-		// Subscribe before re-checking, so an advance between the
-		// check and the receive cannot be missed.
+		// Subscribe, then re-check, so an advance between the check and
+		// the receive cannot be missed.
 		ch := t.log.DurableAdvanced()
-		if t.pos < t.log.DurableSeq() {
-			break
-		}
-		if t.log.Closed() {
-			return nil, io.EOF
-		}
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-ch:
+		if t.walk.Seq() >= t.log.DurableSeq() && !t.log.Closed() {
+			select {
+			case <-ctx.Done():
+				return ctx.Err()
+			case <-ch:
+			}
 		}
 	}
-	// The frame is fully on disk (pos < DurableSeq, and the log commits
-	// whole frames), so whatever stops the reader here — the file ending
-	// included — is damage below the committed watermark, not a torn
-	// tail.
-	frame, err := t.fr.Next()
-	if err == io.EOF {
-		err = fmt.Errorf("%w: the log ends", ErrCorrupt)
+	// The frame is fully on disk (the walk is below DurableSeq, and the
+	// log commits whole frames), so a walk that ends here — the file
+	// ending included — met damage below the committed watermark, not a
+	// torn tail.
+	if !t.walk.Next() {
+		err := cmp.Or(t.walk.Err(), fmt.Errorf("%w: valid frames end below committed seq %d", ErrCorrupt, t.log.DurableSeq()))
+		return fmt.Errorf("wal: tail read at seq %d: %w", t.walk.Seq()+1, err)
 	}
-	var k int
-	if err == nil {
-		k, err = t.count.count(frame)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("wal: tail read at seq %d: %w", t.pos+1, err)
-	}
-	t.pos += int64(k)
-	return frame, nil
+	return nil
 }

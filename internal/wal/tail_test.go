@@ -423,3 +423,42 @@ func mustTailer(t *testing.T, l *Log, from int64) *Tailer {
 	}
 	return tl
 }
+
+// TestTailerServesFramesOfMultiFrameAppends: a run of frames logged in
+// one AppendRaw is shipped frame by frame, each whole and with the
+// sequence of its first record, from the start and from any frame
+// boundary inside the run.
+func TestTailerServesFramesOfMultiFrameAppends(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "events.wal")
+	l, err := Open(path, 0, 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	frames := [][]byte{batchFrame(t, 1, 2), batchFrame(t, 3, 3), batchFrame(t, 4, 8), batchFrame(t, 9, 10), batchFrame(t, 11, 13)}
+	firsts := []int64{1, 3, 4, 9, 11}
+	for _, run := range [][][]byte{frames[:3], frames[3:]} {
+		if err := l.AppendRaw(bytes.Join(run, nil)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for i, from := range firsts {
+		tl := mustTailer(t, l, from)
+		for k := i; k < len(frames); k++ {
+			seq, frame, err := tl.Next(context.Background(), false)
+			if err != nil || seq != firsts[k] || !bytes.Equal(frame, frames[k]) {
+				t.Fatalf("from %d: frame %d is seq %d (%v), want %d", from, k, seq, err, firsts[k])
+			}
+		}
+		if _, _, err := tl.Next(context.Background(), false); err != io.EOF {
+			t.Fatalf("from %d: past the end = %v, want EOF", from, err)
+		}
+		tl.Close()
+	}
+	if _, err := NewTailer(l, 5); !errors.Is(err, ErrMidFrame) {
+		t.Fatalf("tail from 5, inside the frame of 4–8 = %v, want ErrMidFrame", err)
+	}
+}

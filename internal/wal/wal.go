@@ -456,13 +456,13 @@ func decodeRecord(arena *[]graph.VertexID, b []byte, names bool) (Record, int, e
 // FrameReader reads a stream of frames — a log file, an ingest body, a
 // shipped tail — yielding each frame raw (header plus payload) once its
 // length prefix is in range and its CRC matches. It is the one place a
-// frame is checked on the way in; the Walk, the Tailer and the
-// internal/api wire readers are loops over it, and decodePayload is the
-// one place its records are. It reads exactly the bytes of the frames
-// it returns, never ahead, so a caller may interleave its own reads on
-// the same stream (the tail stream's sequence prefixes), and allocates
-// nothing per frame once its buffer has grown to the largest frame
-// seen.
+// frame is checked on the way in: every read of a log file is a Walk
+// over it (the Tailer's included), the internal/api wire readers are
+// loops over it, and decodePayload is the one place its records are.
+// It reads exactly the bytes of the frames it returns, never ahead, so
+// a caller may interleave its own reads on the same stream (the tail
+// stream's sequence prefixes), and allocates nothing per frame once its
+// buffer has grown to the largest frame seen.
 type FrameReader struct {
 	r     io.Reader
 	frame []byte
@@ -555,17 +555,6 @@ func Scan(path string, fn func(i int, rec Record) error) (n int, validSize int64
 	return n, validSize, w.Err()
 }
 
-// recordCounter counts the records of frames with the payload walk,
-// reusing its predecessor scratch from frame to frame.
-type recordCounter struct{ preds []graph.VertexID }
-
-// count returns the number of records frame carries, or the error that
-// keeps its payload from decoding whole.
-func (c *recordCounter) count(frame []byte) (int, error) {
-	_, n, err := decodePayload(nil, &c.preds, frame[FrameHeaderSize:], false)
-	return n, err
-}
-
 // Log is an open write-ahead log. Appends must still come from one
 // goroutine at a time (the service serializes them under its
 // per-session ingest lock), but Flush and Close may be called
@@ -590,8 +579,8 @@ type Log struct {
 	path    string
 	fsync   bool
 	closed  bool
-	count   recordCounter // AppendRaw's record walk, used under mu
-	appends int64         // AppendRaw calls, for sampling; under mu
+	preds   []graph.VertexID // AppendRaw's record-count scratch; under mu
+	appends int64            // AppendRaw calls, for sampling; under mu
 
 	// appendSeq is the sequence of the last appended record;
 	// durableSeq is the highest appendSeq known to be flushed (by
@@ -703,7 +692,7 @@ func Open(path string, validSize int64, records int64, fsync bool) (*Log, error)
 	}
 	// The count's arena starts at a size few records outgrow, so a
 	// log's appends settle into allocating nothing at once.
-	l := &Log{f: f, w: bufio.NewWriter(f), path: path, fsync: fsync, count: recordCounter{preds: make([]graph.VertexID, 0, 64)}}
+	l := &Log{f: f, w: bufio.NewWriter(f), path: path, fsync: fsync, preds: make([]graph.VertexID, 0, 64)}
 	l.appendSeq.Store(records)
 	l.durableSeq.Store(records)
 	l.appendBytes.Store(validSize)
@@ -747,23 +736,18 @@ func (l *Log) ChainHead() (seq int64, head integrity.Head, ok bool) {
 	return l.appendSeq.Load(), l.chain.Head(), true
 }
 
-// AppendRaw buffers one frame — header plus a payload of one or more
-// records, as AppendRecord builds it. The frame's structure is
-// validated: its length prefix consistent with the slice and within
-// MaxPayload, its payload a run of records that decodes whole, whose
-// count advances the sequence. Its CRC is not recomputed — the caller
-// must have verified it when the frame was received, or built the frame
-// itself, because a corrupt frame written here would silently truncate
-// recovery at this point. The records are not durable — and must not
-// be acknowledged — until the next Flush.
-func (l *Log) AppendRaw(frame []byte) error {
-	if len(frame) < FrameHeaderSize {
-		return fmt.Errorf("wal: raw frame of %d bytes is shorter than the %d-byte header", len(frame), FrameHeaderSize)
-	}
-	length := binary.LittleEndian.Uint32(frame[0:4])
-	if length == 0 || length > MaxPayload || int(length) != len(frame)-FrameHeaderSize {
-		return fmt.Errorf("wal: raw frame header declares %d payload bytes, frame carries %d", length, len(frame)-FrameHeaderSize)
-	}
+// AppendRaw buffers frames — one, or a run of whole frames, each a
+// header plus a payload of one or more records as AppendRecord builds
+// it. Every frame is checked before a byte is buffered: its length
+// prefix within MaxPayload and within the slice, the last ending where
+// the slice does, and its payload a run of records that decodes whole;
+// their count advances the sequence, and the run is taken whole or not
+// at all. No CRC is recomputed — the caller must have verified it when
+// the frames were received, or built them itself, because a corrupt
+// frame written here would silently truncate recovery at this point.
+// The records are not durable — and must not be acknowledged — until
+// the next Flush.
+func (l *Log) AppendRaw(frames []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
@@ -778,29 +762,54 @@ func (l *Log) AppendRaw(frame []byte) error {
 	if sample {
 		t0 = time.Now()
 	}
-	records, err := l.count.count(frame)
-	if err != nil {
-		return fmt.Errorf("wal: raw frame: %w", err)
+	records, n := 0, 0
+	for rest := frames; n == 0 || len(rest) > 0; n++ {
+		payload, next, err := cutFrame(rest)
+		k := 0
+		if err == nil {
+			_, k, err = decodePayload(nil, &l.preds, payload, false)
+		}
+		if err != nil {
+			return fmt.Errorf("wal: raw frame %d at byte %d: %w", n, len(frames)-len(rest), err)
+		}
+		records, rest = records+k, next
 	}
-	if _, err := l.w.Write(frame); err != nil {
+	if _, err := l.w.Write(frames); err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	if l.chain != nil {
-		l.chain.Add(frame[FrameHeaderSize:])
+	for rest := frames; l.chain != nil && len(rest) > 0; {
+		payload, next, _ := cutFrame(rest)
+		l.chain.Add(payload)
+		rest = next
 	}
 	l.appendSeq.Add(int64(records))
-	l.appendBytes.Add(int64(len(frame)))
+	l.appendBytes.Add(int64(len(frames)))
 	if l.metrics != nil {
 		if l.chain != nil {
-			l.metrics.ChainedFrames.Inc()
+			l.metrics.ChainedFrames.Add(int64(n))
 		}
 		l.metrics.Appends.Add(int64(records))
-		l.metrics.AppendedBytes.Add(int64(len(frame)))
+		l.metrics.AppendedBytes.Add(int64(len(frames)))
 		if sample {
 			l.metrics.AppendLatency.Add(time.Since(t0))
 		}
 	}
 	return nil
+}
+
+// cutFrame splits the frame at the front of b from what follows it,
+// checking only that its length prefix is in range and that b holds the
+// payload it declares.
+func cutFrame(b []byte) (payload, rest []byte, err error) {
+	if len(b) < FrameHeaderSize {
+		return nil, nil, fmt.Errorf("%w: %d bytes are shorter than a frame header", ErrCorrupt, len(b))
+	}
+	length := binary.LittleEndian.Uint32(b)
+	if length == 0 || length > MaxPayload || int(length) > len(b)-FrameHeaderSize {
+		return nil, nil, fmt.Errorf("%w: header declares %d payload bytes, %d follow", ErrCorrupt, length, len(b)-FrameHeaderSize)
+	}
+	end := FrameHeaderSize + int(length)
+	return b[FrameHeaderSize:end], b[end:], nil
 }
 
 // Flush writes buffered records to the file, fsyncing as configured at

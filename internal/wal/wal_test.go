@@ -431,7 +431,10 @@ func TestBatchPastMaxPayloadSpansTwoFrames(t *testing.T) {
 // TestAppendRawTakesOnlyWholeRuns: a frame is logged only when its
 // payload decodes whole, as a run of compact records or one classic
 // record alone; anything else is refused before a byte is written, and
-// the sequence advances by the records of the frames taken.
+// the sequence advances by the records of the frames taken. A run of
+// frames is taken whole or not at all: one whose last frame is damaged
+// buffers nothing and leaves the sequence, the byte count and the chain
+// head as they were.
 func TestAppendRawTakesOnlyWholeRuns(t *testing.T) {
 	recs := testRecords()
 	var run []byte
@@ -476,6 +479,33 @@ func TestAppendRawTakesOnlyWholeRuns(t *testing.T) {
 	}
 	if l.AppendSeq() != int64(len(recs)+1) {
 		t.Fatalf("a run of %d records and a classic one: seq %d", len(recs), l.AppendSeq())
+	}
+	seq, head, _ := l.ChainHead()
+	size := l.AppendBytes()
+	for _, bad := range []struct {
+		name   string
+		frames []byte
+	}{
+		{"its last payload cut short", slices.Concat(run, frameOf(classic), frameOf(payload[:len(payload)-1]))},
+		{"its last frame cut short", slices.Concat(run, run[:len(run)-1])},
+		{"a byte past its last frame", slices.Concat(run, run, []byte{0})},
+		{"its last header zeroed", slices.Concat(run, make([]byte, FrameHeaderSize))},
+	} {
+		if err := l.AppendRaw(bad.frames); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("a run with %s: AppendRaw = %v, want ErrCorrupt", bad.name, err)
+		}
+		if s, h, _ := l.ChainHead(); s != seq || h != head || l.AppendBytes() != size {
+			t.Fatalf("a run with %s moved the log to seq %d, %d bytes, head %s", bad.name, s, l.AppendBytes(), h)
+		}
+	}
+	if err := l.AppendRaw(slices.Concat(run, frameOf(classic), run)); err != nil || l.AppendSeq() != seq+int64(2*len(recs)+1) {
+		t.Fatalf("a run of three frames: %v, seq %d", err, l.AppendSeq())
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n, size, err := Scan(l.path, nil); err != nil || n != 3*len(recs)+2 || size != l.AppendBytes() {
+		t.Fatalf("the log scans %d records over %d of %d bytes (%v)", n, size, l.AppendBytes(), err)
 	}
 }
 

@@ -15,8 +15,9 @@ import (
 // records of the frames it yields and where its valid prefix ends. It
 // ends at the first frame that is torn, fails its CRC or does not decode
 // whole: the torn-tail rule, stated once for every reader of a log file
-// but the Tailer, which follows a live log. A Walk hashes nothing: a
-// caller that needs the chain adds each Frame's payload to it. Frame and Records
+// — restore, the auditor, Scan, and the Tailer, which holds its walk to
+// a live log's durable watermark. A Walk hashes nothing: a caller that
+// needs the chain adds each Payload to it. Frame, Payload and Records
 // are reused by the next step.
 type Walk struct {
 	fr    FrameReader // fr.r is nil once the walk has ended
@@ -35,13 +36,14 @@ type Walk struct {
 // walk.
 func OpenWalk(path string, offset int64) *Walk {
 	// The scratch starts at a 256-event batch frame's records, so a
-	// walk of a service's log decodes without growing it.
+	// walk of a service's log decodes without growing it. The read
+	// buffer is 64 KiB: a primary holds one walk open per follower.
 	w := &Walk{end: offset, recs: make([]Record, 0, 256), preds: make([]graph.VertexID, 0, 512)}
 	f, err := os.Open(path)
 	if err == nil {
 		w.f = f
 		if _, err = f.Seek(offset, io.SeekStart); err == nil {
-			w.fr = *NewFrameReader(bufio.NewReaderSize(f, 256<<10))
+			w.fr = *NewFrameReader(bufio.NewReaderSize(f, 64<<10))
 			w.fr.off = offset
 		}
 	}
@@ -75,6 +77,10 @@ func (w *Walk) Next() bool {
 
 // Frame returns the current frame, header and payload: the log's bytes.
 func (w *Walk) Frame() []byte { return w.frame }
+
+// Payload returns the current frame's payload, the bytes the hash chain
+// takes.
+func (w *Walk) Payload() []byte { return w.frame[FrameHeaderSize:] }
 
 // Records returns the records the current frame carries.
 func (w *Walk) Records() []Record { return w.recs }
