@@ -358,8 +358,8 @@ func (c *Client) Integrity(ctx context.Context, session string) (SessionIntegrit
 	return st, err
 }
 
-// DeleteSession removes a session; on a durable server its on-disk
-// data is deleted too.
+// DeleteSession removes a session and its on-disk data: it does not
+// come back when the server restarts.
 func (c *Client) DeleteSession(ctx context.Context, name string) error {
 	return c.do(ctx, http.MethodDelete, "/sessions/"+url.PathEscape(name), nil, nil, false)
 }

@@ -271,8 +271,8 @@ func runRemote(cfg remoteConfig, s *wfreach.Spec, r *wfreach.Run, out io.Writer)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "server session: %d vertices in %d batches, %d label bits (%d skeleton bits), skeleton %s, mode %s\n",
-			st.Vertices, st.Batches, st.LabelBits, st.SkeletonBits, st.Skeleton, st.Mode)
+		fmt.Fprintf(out, "server session: %d vertices in %d batches, %d label bits (%d skeleton bits)\n",
+			st.Vertices, st.Batches, st.LabelBits, st.SkeletonBits)
 	}
 
 	if cfg.verify {

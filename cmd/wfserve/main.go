@@ -97,7 +97,7 @@
 //	POST   /v1/sessions                 {"name":"r1","builtin":"BioAID"}
 //	POST   /v1/sessions                 {"name":"r2","spec_xml":"<spec>…"}
 //	GET    /v1/sessions                 list sessions
-//	GET    /v1/sessions/{name}          session stats (also /v1/sessions/{name}/stats)
+//	GET    /v1/sessions/{name}          session stats
 //	DELETE /v1/sessions/{name}          drop a session
 //	POST   /v1/sessions/{name}/events   {"events":[…]} — or a binary frame stream
 //	                                    (Content-Type application/x-wfreach-frame)

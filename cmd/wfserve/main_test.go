@@ -335,10 +335,19 @@ func TestWfserveCrashRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if !st.Durable {
-		t.Fatal("recovered session not marked durable")
-	}
 	n := int(st.Vertices)
+	// The recovered session has an open log holding every recovered
+	// event.
+	resp, err = http.Get(base2 + "/v1/sessions/crash/integrity")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var integ client.SessionIntegrity
+	err = json.NewDecoder(resp.Body).Decode(&integ)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || integ.WALSeq != st.Vertices {
+		t.Fatalf("integrity of the recovered session: %d %+v (%v), want 200 covering %d events", resp.StatusCode, integ, err, st.Vertices)
+	}
 	// Everything acknowledged must have survived; a partially logged
 	// in-flight batch may legitimately push n past ackedN.
 	if n < ackedN || n > len(events) {

@@ -17,7 +17,6 @@
 //	POST   /v1/sessions                   create (CreateSessionRequest, or raw spec XML)
 //	GET    /v1/sessions                   list sessions (ListSessionsResponse)
 //	GET    /v1/sessions/{name}            stats (SessionStats)
-//	GET    /v1/sessions/{name}/stats      stats (SessionStats)
 //	DELETE /v1/sessions/{name}            delete
 //	POST   /v1/sessions/{name}/events     ingest: JSON EventsRequest, or a
 //	                                      ContentTypeFrame binary frame stream
@@ -142,7 +141,7 @@ type CreateSessionRequest struct {
 }
 
 // SessionStats is a point-in-time snapshot of one session, returned
-// by create, get, stats and list.
+// by create, get and list.
 type SessionStats struct {
 	// Name is the session's registry name.
 	Name string `json:"name"`
@@ -153,11 +152,6 @@ type SessionStats struct {
 	ID string `json:"id,omitempty"`
 	// Class is the grammar's recursion class.
 	Class string `json:"class"`
-	// Skeleton and Mode are always "TCL" and "designated-R", the one
-	// labeling every session uses. They are kept for one API version
-	// and will then be dropped.
-	Skeleton string `json:"skeleton"`
-	Mode     string `json:"mode"`
 	// Vertices is the number of labeled vertices.
 	Vertices int64 `json:"vertices"`
 	// ArenaVertices is the number of labels served zero-copy from a
@@ -174,10 +168,6 @@ type SessionStats struct {
 	// PublishEpoch counts the store publishes that made new labels
 	// visible to the query path.
 	PublishEpoch int64 `json:"publish_epoch"`
-	// Durable is always true: every session persists its events to a
-	// write-ahead log. It is kept for one API version and will then be
-	// dropped.
-	Durable bool `json:"durable,omitempty"`
 }
 
 // ListSessionsResponse is the body of GET /v1/sessions.
@@ -260,6 +250,12 @@ const MaxReachPairs = 4096
 // of compact JSON; the rest is room for whitespace. (The binary form's
 // cap is MaxReachRequestBytes.)
 const MaxReachJSONBytes = 48 * MaxReachPairs
+
+// MaxEventsJSONBytes caps the JSON body of an ingest request; a body
+// that runs past it is refused unapplied. 8 MiB is about 160k events
+// of the form curl sends, {"v":…,"graph":…,"vertex":…,"preds":[…]}.
+// (The binary frame stream is bounded per frame, by MaxFramePayload.)
+const MaxEventsJSONBytes = 8 << 20
 
 // BatchReachResponse answers a batch reach request, one answer per
 // pair, in request order.

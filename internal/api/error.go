@@ -62,11 +62,12 @@ const (
 	// CodeNotClustered is a cluster operation (map, health, move) on a
 	// server that is not running in cluster mode.
 	CodeNotClustered ErrorCode = "not_clustered"
-	// CodeNotDurable is a WAL tail, integrity read or ingest batch sent
-	// to a session whose write-ahead log is closed: nothing of the batch
-	// was applied, and it may be sent again after a restart. A cluster
-	// release of a session with no hash chain at its sealed sequence
-	// answers it too: a move of it could never be verified.
+	// CodeNotDurable is a WAL tail, integrity read, ingest batch or
+	// cluster release sent to a session whose write-ahead log is closed
+	// (the registry shut down under the request): nothing of the batch
+	// was applied, and it may be sent again after a restart. Every open
+	// log is hash-chained, so only a closed one has no head for a
+	// release to seal; the refused session stays unsealed.
 	CodeNotDurable ErrorCode = "not_durable"
 	// CodeMethodNotAllowed is a known path hit with the wrong HTTP
 	// method; the response carries an Allow header.

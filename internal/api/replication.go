@@ -56,9 +56,6 @@ type SessionReplication struct {
 	// WALSeq is the last committed sequence in this server's WAL for
 	// the session.
 	WALSeq int64 `json:"wal_seq"`
-	// Durable is always true: every session has a write-ahead log. It
-	// is kept for one API version and will then be dropped.
-	Durable bool `json:"durable,omitempty"`
 	// Error is the follower's last tail/apply failure for the session,
 	// if any (cleared on recovery).
 	Error string `json:"error,omitempty"`

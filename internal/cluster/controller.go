@@ -505,10 +505,12 @@ func (c *Controller) drain(ctx context.Context, cp *replica.Copy, ov api.Cluster
 // seal the session — fixing the last sequence any writer got in — and
 // install the pending override naming the new owner, this node, the
 // sealed sequence and the chain head there, so a move interrupted after
-// this point can resume and verify from the map alone. A session with
-// no chain head at its sealed sequence could never be verified: it is
-// refused with CodeNotDurable and left unsealed. Re-POSTing is safe:
-// sealing twice is a no-op and the override just re-installs.
+// this point can resume and verify from the map alone. Every open log
+// is hash-chained, so the one session with no chain head at its sealed
+// sequence is one whose log is closed (the registry shut down under the
+// request): its move could never be verified, so it is refused with
+// CodeNotDurable, left unsealed and given no override. Re-POSTing is
+// safe: sealing twice is a no-op and the override just re-installs.
 func (c *Controller) Release(_ context.Context, req api.ReleaseRequest) (api.ReleaseResponse, error) {
 	if req.Session == "" || req.Node == "" || req.URL == "" {
 		return api.ReleaseResponse{}, api.Errorf(api.CodeBadRequest, "release wants session, node and url")

@@ -16,18 +16,18 @@ import (
 // follower keeps of each primary session and what a move target builds
 // of the session it takes over. Labels are write-once and labeling is
 // deterministic, so both are the same operation: rebuild the session
-// from the source's spec and labeling configuration (Adopt) and replay
-// the source's log (Pull). Every replayed frame is teed verbatim to the
-// copy's own write-ahead log, so the head of that log's hash chain
-// (Session.ChainState) must equal the source's at the same sequence.
+// from the source's spec (Adopt) and replay the source's log (Pull).
+// Every replayed frame is teed verbatim to the copy's own write-ahead
+// log, so the head of that log's hash chain (Session.ChainState) must
+// equal the source's at the same sequence.
 type Copy struct {
 	src *client.Client
 	s   *service.Session
 }
 
 // Adopt returns the local copy of the source session described by st,
-// creating it in reg from the source's spec and labeling configuration,
-// under the source's identity, when reg has no session of that name.
+// creating it in reg from the source's spec, under the source's
+// identity, when reg has no session of that name.
 // A local session is reused only when its identity is the source's and
 // its own log's chain covers every local vertex — a copy after a
 // restart, or one an earlier move left here: one with another identity

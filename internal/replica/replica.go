@@ -276,7 +276,7 @@ func (f *Follower) Status() api.ReplicationStatus {
 		rep := api.SessionReplication{Name: name, Error: ss.lastErr}
 		ss.mu.Unlock()
 		if s, ok := f.reg.Get(name); ok {
-			rep.WALSeq, rep.Durable = s.Vertices(), true
+			rep.WALSeq = s.Vertices()
 		}
 		st.Sessions = append(st.Sessions, rep)
 	}

@@ -135,8 +135,7 @@ func assertEquivalent(t testing.TB, p, f *env, ws []*workload) {
 		}
 		pst, fst := ps.Stats(), fs.Stats()
 		if fst.Vertices != pst.Vertices || fst.LabelBits != pst.LabelBits ||
-			fst.SkeletonBits != pst.SkeletonBits || fst.Class != pst.Class ||
-			fst.Skeleton != pst.Skeleton || fst.Mode != pst.Mode {
+			fst.SkeletonBits != pst.SkeletonBits || fst.Class != pst.Class {
 			t.Fatalf("%s: stats diverge\nprimary:  %+v\nfollower: %+v", w.name, pst, fst)
 		}
 		if pst.ID == "" || fst.ID != pst.ID {

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -9,8 +10,10 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
 
 	"wfreach/internal/api"
@@ -58,7 +61,7 @@ func TestHTTPMethodTable(t *testing.T) {
 		{"/sessions/s/lineage", ""},
 		{"/v1/sessions", "GET, HEAD, POST"},
 		{"/v1/sessions/s", "DELETE, GET, HEAD"},
-		{"/v1/sessions/s/stats", "GET, HEAD"},
+		{"/v1/sessions/s/stats", ""}, // retired: GET /v1/sessions/{name} is the one stats route
 		{"/v1/sessions/s/events", "POST"},
 		{"/v1/sessions/s/reach", "POST"},
 		{"/v1/sessions/s/lineage", "GET, HEAD"},
@@ -424,5 +427,78 @@ func TestHTTPLineagePagination(t *testing.T) {
 	}
 	if !slices.Equal(paged, full.Ancestors) {
 		t.Fatalf("paged %d ancestors, BFS closure %d", len(paged), len(full.Ancestors))
+	}
+}
+
+// TestJSONBodiesAreCapped: a JSON body one byte past its route's cap —
+// whitespace padding an otherwise good request — is a bad_request
+// naming the cap, refused before anything of it is applied and without
+// the handler buffering much more than the cap; a body of exactly the
+// cap is served. The cluster routes are refused before their hooks run.
+func TestJSONBodiesAreCapped(t *testing.T) {
+	reg := durableReg(t, t.TempDir(), DurableOptions{})
+	s, err := reg.Create("s", compileBuiltin(t, "RunningExample"), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hooked := 0
+	reg.SetClusterHooks(ClusterHooks{
+		Move: func(context.Context, api.MoveRequest) (api.MoveResponse, error) {
+			hooked++
+			return api.MoveResponse{}, nil
+		},
+		Release: func(context.Context, api.ReleaseRequest) (api.ReleaseResponse, error) {
+			hooked++
+			return api.ReleaseResponse{}, nil
+		},
+	})
+	h := NewHandler(reg)
+	// padded is head, then spaces, then tail: n bytes in all.
+	padded := func(head, tail string, n int) []byte {
+		b := bytes.Repeat([]byte{' '}, n)
+		copy(b, head)
+		copy(b[n-len(tail):], tail)
+		return b
+	}
+	post := func(path string, body []byte) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+		req.Header.Set("Content-Type", api.ContentTypeJSON)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec
+	}
+	for _, c := range []struct {
+		path, head, tail string
+		limit            int
+	}{
+		{"/v1/sessions/s/events", `{"events":[{"v":0,"graph":0,"vertex":0,"preds":[]}`, `]}`, api.MaxEventsJSONBytes},
+		{"/v1/cluster/move", `{"session":"s",`, `"target":"n1"}`, maxClusterJSON},
+		{"/v1/cluster/release", `{"session":"s","node":"n1",`, `"url":"http://n1.example"}`, maxClusterJSON},
+	} {
+		body := padded(c.head, c.tail, c.limit+1)
+		vertices, calls := s.Vertices(), hooked
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rec := post(c.path, body)
+		runtime.ReadMemStats(&after)
+		expectCode(t, http.StatusBadRequest, api.CodeBadRequest, rec.Code, rec.Body.String())
+		var er api.ErrorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || er.Applied != 0 ||
+			!strings.Contains(er.Err.Message, fmt.Sprint(c.limit)) {
+			t.Errorf("%s, %d bytes: %s, want a refusal naming the %d-byte cap with nothing applied", c.path, len(body), rec.Body, c.limit)
+		}
+		if spent := after.TotalAlloc - before.TotalAlloc; spent > 5*uint64(c.limit) {
+			t.Errorf("%s: the handler allocated %d bytes refusing a %d-byte body, want at most 5× the cap", c.path, spent, len(body))
+		}
+		if s.Vertices() != vertices || hooked != calls {
+			t.Fatalf("%s: an over-cap body reached the session (%d vertices) or a hook (%d calls)", c.path, s.Vertices()-vertices, hooked-calls)
+		}
+
+		if rec := post(c.path, padded(c.head, c.tail, c.limit)); rec.Code != http.StatusOK {
+			t.Errorf("%s, a body of exactly the cap: %d %s", c.path, rec.Code, rec.Body)
+		}
+	}
+	if s.Vertices() != 1 || hooked != 2 {
+		t.Fatalf("bodies at the cap: %d vertices, %d hook calls; want 1 and 2", s.Vertices(), hooked)
 	}
 }

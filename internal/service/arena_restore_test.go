@@ -196,10 +196,8 @@ func TestArenaRestoreEquivalentToV1(t *testing.T) {
 	// Semantic stats fields agree (publish epochs are representation
 	// counters and legitimately differ).
 	st1, st2 := sl.Stats(), sa.Stats()
-	if st1.Name != st2.Name || st1.Class != st2.Class || st1.Skeleton != st2.Skeleton ||
-		st1.Mode != st2.Mode || st1.Vertices != st2.Vertices ||
-		st1.LabelBits != st2.LabelBits || st1.SkeletonBits != st2.SkeletonBits ||
-		st1.Durable != st2.Durable {
+	if st1.Name != st2.Name || st1.ID != st2.ID || st1.Class != st2.Class || st1.Vertices != st2.Vertices ||
+		st1.LabelBits != st2.LabelBits || st1.SkeletonBits != st2.SkeletonBits {
 		t.Fatalf("stats diverge:\nlog alone: %+v\narena:     %+v", st1, st2)
 	}
 

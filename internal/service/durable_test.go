@@ -130,8 +130,8 @@ func TestDurableRestoreMatchesOracle(t *testing.T) {
 	if !ok {
 		t.Fatal("restored session not registered")
 	}
-	if !s2.Stats().Durable {
-		t.Fatal("restored session not durable")
+	if _, err := s2.Integrity(); err != nil {
+		t.Fatalf("restored session has no open log: %v", err)
 	}
 	checkOracle(t, s2, events, r, cut)
 

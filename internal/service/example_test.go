@@ -35,7 +35,8 @@ func ExampleRegistry_Create() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println("durable:", s.Stats().Durable)
+	_, err = s.Integrity()
+	fmt.Println("log open:", err == nil)
 
 	entries, _ := os.ReadDir(filepath.Join(dir, "run1"))
 	names := make([]string, 0, len(entries))
@@ -45,7 +46,7 @@ func ExampleRegistry_Create() {
 	sort.Strings(names)
 	fmt.Println("on disk:", names)
 	// Output:
-	// durable: true
+	// log open: true
 	// on disk: [events.wal session.json spec.xml]
 }
 

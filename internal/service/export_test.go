@@ -39,3 +39,11 @@ func ForEachReachCase(t *testing.T, fn func(name string, g *spec.Grammar, events
 
 // StoreBytes is storeBytes for a test outside the package.
 func StoreBytes(s *Session) map[int32][]byte { return storeBytes(s) }
+
+// SealedTo is the base URL Seal named, or "" while the session is open
+// to ingest.
+func (s *Session) SealedTo() string {
+	s.ingestMu.Lock()
+	defer s.ingestMu.Unlock()
+	return s.sealed
+}

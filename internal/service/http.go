@@ -26,7 +26,6 @@ import (
 //	POST   /v1/sessions                   create (JSON body, or raw spec XML)
 //	GET    /v1/sessions                   list sessions with stats
 //	GET    /v1/sessions/{name}            stats
-//	GET    /v1/sessions/{name}/stats      stats
 //	DELETE /v1/sessions/{name}            delete
 //	POST   /v1/sessions/{name}/events     ingest: JSON batch, or binary frame stream
 //	POST   /v1/sessions/{name}/reach      batch reachability
@@ -44,7 +43,8 @@ import (
 //
 // A known path hit with the wrong method is a 405 with an Allow
 // header; an unknown path — any path without the /v1 prefix included —
-// is a structured 404.
+// is a structured 404. Every JSON request body is read through
+// readJSON, held to its route's cap.
 //
 // One routing gate (Registry.SetRoute) stands in front of the session
 // routes: create (once its name is parsed), delete and ingest ask it
@@ -94,13 +94,6 @@ func NewHandler(reg *Registry) http.Handler {
 					h.Forget(name)
 				}
 				w.WriteHeader(http.StatusNoContent)
-			},
-		}},
-		{"/sessions/{name}/stats", map[string]http.HandlerFunc{
-			http.MethodGet: func(w http.ResponseWriter, r *http.Request) {
-				if s := lookup(reg, w, r); s != nil {
-					writeJSON(w, http.StatusOK, s.Stats())
-				}
 			},
 		}},
 		{"/sessions/{name}/integrity", map[string]http.HandlerFunc{
@@ -169,8 +162,7 @@ func NewHandler(reg *Registry) http.Handler {
 					return
 				}
 				var req api.MoveRequest
-				if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-					writeError(w, api.Errorf(api.CodeBadJSON, "bad JSON body: %v", err))
+				if !readJSON(w, r, maxClusterJSON, &req) {
 					return
 				}
 				resp, err := h.Move(r.Context(), req)
@@ -188,8 +180,7 @@ func NewHandler(reg *Registry) http.Handler {
 					return
 				}
 				var req api.ReleaseRequest
-				if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-					writeError(w, api.Errorf(api.CodeBadJSON, "bad JSON body: %v", err))
+				if !readJSON(w, r, maxClusterJSON, &req) {
 					return
 				}
 				resp, err := h.Release(r.Context(), req)
@@ -324,15 +315,14 @@ func handleCreate(reg *Registry, w http.ResponseWriter, r *http.Request) {
 		// in query parameters.
 		s, err := wfxml.DecodeSpec(http.MaxBytesReader(w, r.Body, wfxml.MaxSpecBytes))
 		if err != nil {
-			writeError(w, createBodyError(err, api.Errorf(api.CodeBadSpec, "%v", err)))
+			writeError(w, bodyError(err, wfxml.MaxSpecBytes, api.Errorf(api.CodeBadSpec, "%v", err)))
 			return
 		}
 		q := r.URL.Query()
 		createSession(reg, w, q.Get("name"), s, q.Get("skeleton"), q.Get("rmode"))
 		return
 	}
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxCreateJSON)).Decode(&req); err != nil {
-		writeError(w, createBodyError(err, api.Errorf(api.CodeBadJSON, "bad JSON body: %v", err)))
+	if !readJSON(w, r, maxCreateJSON, &req) {
 		return
 	}
 	var sp *spec.Spec
@@ -368,13 +358,28 @@ func handleCreate(reg *Registry, w http.ResponseWriter, r *http.Request) {
 // \u003c for <), which DecodeSpec then holds to its cap.
 const maxCreateJSON = 6*wfxml.MaxSpecBytes + 64<<10
 
-// createBodyError is the refusal of a create body that failed to
-// decode with err: a bad_request naming the cap where the body was over
-// it, else refusal.
-func createBodyError(err error, refusal *api.Error) *api.Error {
-	var over *http.MaxBytesError
-	if errors.As(err, &over) {
-		return api.Errorf(api.CodeBadRequest, "create body exceeds its %d-byte cap; a specification is capped at %d bytes", over.Limit, wfxml.MaxSpecBytes)
+// maxClusterJSON caps the JSON body of a cluster move or release: a
+// few names and a URL.
+const maxClusterJSON = 64 << 10
+
+// readJSON decodes the request body into v, reading at most limit
+// bytes of it, or writes the refusal and reports false: a body over
+// the cap is a bad_request naming it, any other decode failure
+// bad_json. Unknown fields are ignored (docs/API.md promises it).
+func readJSON(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	if err != nil {
+		writeError(w, bodyError(err, limit, api.Errorf(api.CodeBadJSON, "bad JSON body: %v", err)))
+	}
+	return err == nil
+}
+
+// bodyError is the refusal of a body that failed to read with err: a
+// bad_request naming the cap where the body was over limit, else
+// refusal.
+func bodyError(err error, limit int64, refusal *api.Error) *api.Error {
+	if errors.As(err, new(*http.MaxBytesError)) {
+		return api.Errorf(api.CodeBadRequest, "body exceeds its %d-byte cap", limit)
 	}
 	return refusal
 }
@@ -437,8 +442,7 @@ func handleEvents(s *Session, free *scratchList[*ingestScratch], w http.Response
 		return
 	}
 	var req api.EventsRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, api.Errorf(api.CodeBadJSON, "bad JSON body: %v", err))
+	if !readJSON(w, r, api.MaxEventsJSONBytes, &req) {
 		return
 	}
 	recs := make([]wal.Record, len(req.Events))
@@ -631,8 +635,8 @@ func writeIngestError(w http.ResponseWriter, err error, applied int) {
 }
 
 // handleSpec serves the session's specification as XML — what a
-// follower needs (together with the stats' labeling configuration) to
-// rebuild the session locally before replaying its WAL.
+// follower needs (together with the stats' id) to rebuild the session
+// locally before replaying its WAL.
 func handleSpec(s *Session, w http.ResponseWriter) {
 	w.Header().Set("Content-Type", api.ContentTypeXML)
 	_ = wfxml.EncodeSpec(w, s.Grammar().Spec())
@@ -752,13 +756,7 @@ func handleReachBatch(s *Session, free *scratchList[*reachScratch], w http.Respo
 		return
 	}
 	var req api.BatchReachRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(&req); err != nil {
-		if errors.As(err, new(*http.MaxBytesError)) {
-			err = reachBodyTooLarge(limit)
-		} else {
-			err = api.Errorf(api.CodeBadJSON, "bad JSON body: %v", err)
-		}
-		writeError(w, err)
+	if !readJSON(w, r, limit, &req) {
 		return
 	}
 	if len(req.Pairs) > api.MaxReachPairs {

@@ -19,6 +19,7 @@ import (
 	"wfreach/internal/api"
 	"wfreach/internal/gen"
 	"wfreach/internal/graph"
+	"wfreach/internal/skeleton"
 	"wfreach/internal/store"
 	"wfreach/internal/wal"
 	"wfreach/internal/wfspecs"
@@ -467,6 +468,9 @@ func TestHTTPCreateLabelingNames(t *testing.T) {
 	if err := wfxml.EncodeSpec(&xml, wfspecs.RunningExample()); err != nil {
 		t.Fatal(err)
 	}
+	// A session labels with TCL when its skeleton is TCL's size (a BFS
+	// skeleton stores none).
+	tclBits := skeleton.New(skeleton.TCL, compileBuiltin(t, "RunningExample")).Bits()
 	create := func(form, name, skel, mode string) (int, []byte) {
 		var resp *http.Response
 		var err error
@@ -504,8 +508,7 @@ func TestHTTPCreateLabelingNames(t *testing.T) {
 			code, raw := create(form, name, c.skel, c.mode)
 			if c.ok {
 				var st Stats
-				if code != http.StatusCreated || json.Unmarshal(raw, &st) != nil ||
-					st.Skeleton != "TCL" || st.Mode != "designated-R" {
+				if code != http.StatusCreated || json.Unmarshal(raw, &st) != nil || st.SkeletonBits != tclBits {
 					t.Fatalf("%s create naming %q/%q: %d %s", form, c.skel, c.mode, code, raw)
 				}
 				continue
@@ -600,7 +603,7 @@ func TestListSessionsUnderChurn(t *testing.T) {
 			// A torn entry would surface as a zero-value stats blob:
 			// every session, churned or not, has a class, a skeleton
 			// and an identity the moment it is listable.
-			if s.Name == "" || s.Class == "" || s.Skeleton == "" || s.ID == "" {
+			if s.Name == "" || s.Class == "" || s.SkeletonBits == 0 || s.ID == "" {
 				t.Fatalf("list #%d: torn entry %+v", i, s)
 			}
 			if want, ok := anchors[s.Name]; ok {

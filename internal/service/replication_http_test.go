@@ -261,8 +261,13 @@ func TestHTTPReplicationStatusAndPromote(t *testing.T) {
 	if status.Role != api.RolePrimary || len(status.Sessions) != 1 {
 		t.Fatalf("status = %+v", status)
 	}
-	if s := status.Sessions[0]; s.Name != "st" || s.WALSeq != int64(n) || !s.Durable {
+	if s := status.Sessions[0]; s.Name != "st" || s.WALSeq != int64(n) {
 		t.Fatalf("session status = %+v, want WALSeq %d", s, n)
+	}
+	if s, _ := reg.Get("st"); s == nil {
+		t.Fatal("session st is gone")
+	} else if _, err := s.Integrity(); err != nil {
+		t.Fatalf("reported session has no open log: %v", err)
 	}
 
 	// Promote is idempotent: on a server that is already writable it

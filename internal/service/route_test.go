@@ -43,6 +43,7 @@ func TestOneRouteGate(t *testing.T) {
 	wrongNode := want{http.StatusMisdirectedRequest, api.CodeWrongNode, owner}
 	notFound := want{http.StatusNotFound, api.CodeSessionNotFound, ""}
 	badJSON := want{http.StatusBadRequest, api.CodeBadJSON, ""}
+	noRoute := want{http.StatusNotFound, api.CodeNotFound, ""}
 
 	routes := []struct {
 		name, method, path, body string
@@ -60,7 +61,8 @@ func TestOneRouteGate(t *testing.T) {
 		{"reach, absent session", "POST", "/v1/sessions/gone/reach", `{"pairs":[]}`, notFound, notFound, wrongNode},
 		{"lineage", "GET", "/v1/sessions/s/lineage?of=0", "", ok(http.StatusOK), ok(http.StatusOK), ok(http.StatusOK)},
 		{"stats", "GET", "/v1/sessions/s", "", ok(http.StatusOK), ok(http.StatusOK), ok(http.StatusOK)},
-		{"stats, absent session", "GET", "/v1/sessions/gone/stats", "", notFound, notFound, wrongNode},
+		{"stats, absent session", "GET", "/v1/sessions/gone", "", notFound, notFound, wrongNode},
+		{"retired stats route", "GET", "/v1/sessions/s/stats", "", noRoute, noRoute, noRoute},
 		{"WAL tail", "GET", "/v1/sessions/s/wal?wait=false", "", ok(http.StatusOK), ok(http.StatusOK), ok(http.StatusOK)},
 		{"list", "GET", "/v1/sessions", "", ok(http.StatusOK), ok(http.StatusOK), ok(http.StatusOK)},
 	}

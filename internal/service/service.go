@@ -295,9 +295,7 @@ func (r *Registry) ReplicationStatus() api.ReplicationStatus {
 	st := api.ReplicationStatus{Role: api.RolePrimary, Sessions: []api.SessionReplication{}}
 	for _, name := range r.Names() {
 		if s, ok := r.Get(name); ok {
-			st.Sessions = append(st.Sessions, api.SessionReplication{
-				Name: name, WALSeq: s.WALSeq(), Durable: true,
-			})
+			st.Sessions = append(st.Sessions, api.SessionReplication{Name: name, WALSeq: s.WALSeq()})
 		}
 	}
 	return st
@@ -893,15 +891,12 @@ func (s *Session) Stats() Stats {
 		Name:          s.name,
 		ID:            s.cfg.ID,
 		Class:         s.g.Class().String(),
-		Skeleton:      skeleton.TCL.String(),
-		Mode:          core.RModeDesignated.String(),
 		Vertices:      s.vertices.Load(),
 		ArenaVertices: int64(s.store.ArenaCount()),
 		Batches:       s.batches.Load(),
 		LabelBits:     s.store.Bits(),
 		SkeletonBits:  s.labeler.Skeleton().Bits(),
 		PublishEpoch:  s.store.Epoch(),
-		Durable:       true,
 	}
 }
 

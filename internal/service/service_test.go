@@ -130,7 +130,8 @@ func TestSessionIngestAndQuery(t *testing.T) {
 	if st.Vertices != int64(len(events)) || st.Batches != 1 || st.LabelBits == 0 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if st.Class != "linear-recursive" || st.Skeleton != "TCL" {
+	// BioAID's TCL skeleton is 557 bits; a BFS skeleton stores none.
+	if st.Class != "linear-recursive" || st.SkeletonBits != 557 {
 		t.Fatalf("stats = %+v", st)
 	}
 
